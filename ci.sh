@@ -13,6 +13,23 @@ cargo test -q
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> golden suites 20x at --test-threads=8 (atomic-write flake gate)"
+# explain_golden and temporal_golden spawn `experiments` side by side;
+# with a shared temp-file name one run in two lost its manifest write.
+for i in $(seq 1 20); do
+  cargo test -q --test explain_golden --test temporal_golden -- --test-threads=8 \
+    >/dev/null 2>&1 || { echo "    golden suites failed on run $i of 20"; exit 1; }
+done
+echo "    20 of 20 runs green"
+
+echo "==> e2e benchmark harness (unit tests + quick easylist_w1 smoke)"
+cargo test -q --offline -p bench --bin e2e
+# Capture, then grep, for the same SIGPIPE reason as the gates below.
+e2e_out="$(cargo run --release -q --offline -p bench --bin e2e -- \
+  --quick --workload easylist_w1 --trace 0)"
+grep -q '"correct": true' <<<"$e2e_out"
+grep -q '"failed": 0' <<<"$e2e_out"
+
 # Parallel == sequential must hold at the thread counts CI machines
 # actually have, beyond the suites' built-in {1, 2, 8} grid.
 for t in 1 4; do
@@ -236,7 +253,7 @@ grep -q '# population' <<<"$pop"
 wait "$HEALTH_PID"
 echo "    watchdog flagged the stall, /healthz recovered, /population live"
 
-echo "==> cargo bench (gated: trace_io, pipeline, streaming_pipeline, trace_overhead, window_overhead, sketch_overhead, filter_engine, detector_overhead)"
+echo "==> cargo bench (gated: trace_io, pipeline, streaming_pipeline, trace_overhead, window_overhead, sketch_overhead, filter_engine, detector_overhead, normalize)"
 rm -f BENCH_latest.json
 BENCH_JSON="$PWD/BENCH_latest.json" cargo bench -p bench --bench trace_io
 BENCH_JSON="$PWD/BENCH_latest.json" cargo bench -p bench --bench pipeline
@@ -246,8 +263,9 @@ BENCH_JSON="$PWD/BENCH_latest.json" cargo bench -p bench --bench window_overhead
 BENCH_JSON="$PWD/BENCH_latest.json" cargo bench -p bench --bench sketch_overhead
 BENCH_JSON="$PWD/BENCH_latest.json" cargo bench -p bench --bench filter_engine
 BENCH_JSON="$PWD/BENCH_latest.json" cargo bench -p bench --bench detector_overhead
+BENCH_JSON="$PWD/BENCH_latest.json" cargo bench -p bench --bench normalize
 
-echo "==> bench_gate (regression + overhead + compiled-engine speedup/throughput floors)"
+echo "==> bench_gate (regression + overhead + compiled-engine speedup/throughput floors + normalize ns/URL ceiling)"
 # --manifest joins the history row to the streaming run that CI just
 # verified: the row carries that run's config_fnv and dataset fnv.
 cargo run --release -q -p bench --bin bench_gate -- BENCH_baseline.json BENCH_latest.json \

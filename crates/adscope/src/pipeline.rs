@@ -159,13 +159,7 @@ pub fn classify_trace_in(
     span.count("records_out", objects.len() as u64);
     drop(span);
 
-    let normalizer = if opts.normalize {
-        UrlNormalizer::from_engine(classifier.engine())
-    } else {
-        let mut n = UrlNormalizer::default();
-        n.enabled = false;
-        n
-    };
+    let normalizer = UrlNormalizer::for_classifier(classifier, opts.normalize);
 
     // Verdict-provenance tracer: `None` (the default) keeps every
     // tracing branch below off the hot path.

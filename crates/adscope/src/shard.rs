@@ -255,13 +255,7 @@ pub fn classify_trace_sharded_in(
         prev_ts = obj.ts;
     }
 
-    let normalizer = if opts.normalize {
-        UrlNormalizer::from_engine(classifier.engine())
-    } else {
-        let mut n = UrlNormalizer::default();
-        n.enabled = false;
-        n
-    };
+    let normalizer = UrlNormalizer::for_classifier(classifier, opts.normalize);
 
     // Shard plan: more shards than workers smooths out user-size skew
     // without affecting the output (any shard layout yields the same

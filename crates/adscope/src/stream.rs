@@ -505,7 +505,7 @@ impl Core<'_> {
         if h.obj.content_type.is_none() && h.category != ContentCategory::Other {
             self.content_type_fallbacks += 1;
         }
-        let url = self.normalizer.normalize(&h.obj.url);
+        let url = self.normalizer.normalize_owned(h.obj.url);
         let (label, c) = self.classifier.classify_traced_in(
             &url,
             h.page.as_ref(),
@@ -1682,9 +1682,8 @@ const HIST_TABLE: &[&str] = &[RTB_HIST];
 
 fn write_checkpoint(dir: &Path, manifest: &str, acks: &[WorkerAck]) -> io::Result<()> {
     fs::create_dir_all(dir)?;
-    let tmp = dir.join("checkpoint.tmp");
-    {
-        let mut f = BufWriter::new(File::create(&tmp)?);
+    obs::atomic_write_with(&dir.join(CHECKPOINT_FILE), |file| {
+        let mut f = BufWriter::new(file);
         f.write_all(manifest.as_bytes())?;
         f.write_all(b"\n")?;
         for ack in acks {
@@ -1693,11 +1692,8 @@ fn write_checkpoint(dir: &Path, manifest: &str, acks: &[WorkerAck]) -> io::Resul
                 f.write_all(b"\n")?;
             }
         }
-        f.into_inner()
-            .map_err(|e| io::Error::other(e.to_string()))?
-            .sync_all()?;
-    }
-    fs::rename(tmp, dir.join(CHECKPOINT_FILE))
+        f.flush()
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1787,13 +1783,7 @@ where
         opts.threads
     }
     .max(1);
-    let normalizer = if opts.pipeline.normalize {
-        UrlNormalizer::from_engine(classifier.engine())
-    } else {
-        let mut n = UrlNormalizer::default();
-        n.enabled = false;
-        n
-    };
+    let normalizer = UrlNormalizer::for_classifier(classifier, opts.pipeline.normalize);
     // Streaming windows merge across partitions and checkpoint cuts;
     // only an infinite watermark makes those merges grouping-independent
     // (module docs), so it is forced here.

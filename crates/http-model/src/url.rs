@@ -213,12 +213,22 @@ impl Url {
         self.query.as_deref()
     }
 
-    /// Replace the query string (used by the URL normalizer in `adscope`).
+    /// A copy with the query string replaced (used by the URL normalizer
+    /// in `adscope`). The old query is not cloned on the way.
     pub fn with_query(&self, query: Option<String>) -> Url {
         Url {
+            scheme: self.scheme,
+            host: self.host.clone(),
+            port: self.port,
+            path: self.path.clone(),
             query,
-            ..self.clone()
         }
+    }
+
+    /// Replace the query string in place: what [`Url::with_query`] does
+    /// for a caller that owns the URL.
+    pub fn set_query(&mut self, query: Option<String>) {
+        self.query = query;
     }
 
     /// Iterate `(key, value)` pairs of the query string. Pairs without `=`
@@ -420,6 +430,9 @@ mod tests {
         assert_eq!(v.host(), "e.com");
         let w = u.with_query(None);
         assert_eq!(w.query(), None);
+        let mut owned = u.clone();
+        owned.set_query(Some("q=X".into()));
+        assert_eq!(owned, v);
     }
 
     #[test]

@@ -56,7 +56,10 @@ pub use alert::{
 pub use detect::{Detector, DetectorSpec};
 pub use events::{Event, EventLog, FieldValue};
 pub use health::{spawn_watchdog, Health, HealthSnapshot, Verdict, Watchdog, WorkerHealth};
-pub use manifest::{fnv64, fnv64_file, fnv64_lines_unordered, Artifact, DigestMode, RunManifest};
+pub use manifest::{
+    atomic_write, atomic_write_with, fnv64, fnv64_file, fnv64_lines_unordered, Artifact,
+    DigestMode, RunManifest,
+};
 pub use metric::{Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS};
 pub use process::{open_fds, peak_rss_bytes, record_peak_rss, record_process, start_time_seconds};
 pub use profile::{NodeStats, ProfileStore};

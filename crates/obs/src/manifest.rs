@@ -27,8 +27,10 @@
 
 use crate::events::write_json_str;
 use std::fmt::Write as _;
+use std::fs::File;
 use std::io::{self, Read, Write as _};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -43,6 +45,57 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// Replace `path` with `bytes` so that a reader sees the old file or the
+/// whole new one, never a torn one: see [`atomic_write_with`].
+pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    atomic_write_with(path, |f| f.write_all(bytes))
+}
+
+/// Replace `path` with whatever `fill` writes: into a temp file beside it,
+/// fsynced, then renamed over `path` (and the directory fsynced, so the
+/// rename survives a crash too). The temp name carries the pid and a
+/// process-wide counter, so writers of one path, in one process or in
+/// several, never share a temp file; the last rename wins. The directory
+/// must exist. On an error the temp file is removed.
+pub fn atomic_write_with(
+    path: &Path,
+    fill: impl FnOnce(&mut File) -> io::Result<()>,
+) -> io::Result<()> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let Some(name) = path.file_name() else {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("atomic_write: {} has no file name", path.display()),
+        ));
+    };
+    let mut tmp_name = name.to_os_string();
+    tmp_name.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = path.with_file_name(tmp_name);
+    let written = File::create(&tmp).and_then(|mut f| {
+        fill(&mut f)?;
+        f.sync_all()?;
+        drop(f);
+        std::fs::rename(&tmp, path)
+    });
+    if let Err(e) = written {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
+    }
+    #[cfg(unix)]
+    {
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        File::open(dir)?.sync_all()?;
+    }
+    Ok(())
 }
 
 /// FNV-1a 64-bit hash of a file's bytes, streamed in 64 KiB blocks
@@ -300,21 +353,15 @@ impl RunManifest {
         out
     }
 
-    /// Write the manifest atomically: serialize to `<path>.tmp`, fsync,
-    /// rename over `path`. A reader never observes a torn manifest.
+    /// Write the manifest through [`atomic_write`], creating its
+    /// directory first. A reader never observes a torn manifest.
     pub fn write_atomic(&self, path: &Path) -> io::Result<()> {
         if let Some(dir) = path.parent() {
             if !dir.as_os_str().is_empty() {
                 std::fs::create_dir_all(dir)?;
             }
         }
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(self.to_json().as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)
+        atomic_write(path, self.to_json().as_bytes())
     }
 }
 
@@ -415,7 +462,60 @@ mod tests {
         let out = dir.join("manifest.json");
         m.write_atomic(&out).unwrap();
         assert_eq!(std::fs::read_to_string(&out).unwrap(), j1);
-        assert!(!out.with_extension("tmp").exists(), "tmp renamed away");
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|n| n.to_string_lossy().ends_with(".tmp"))
+            .collect();
+        assert!(left.is_empty(), "temp files renamed away: {left:?}");
+    }
+
+    /// The tier-1 flake: two writers of one path used to share
+    /// `<path>.tmp`, and the slower one's rename found it gone.
+    #[test]
+    fn concurrent_atomic_writes_of_one_path_all_succeed() {
+        let dir = std::env::temp_dir().join(format!("obs-atomic-write-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("shared.manifest.json");
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for t in 0..8u8 {
+                let (path, start) = (&path, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..50 {
+                        atomic_write(path, &[b'a' + t; 4096]).expect("no writer loses its temp");
+                        let seen = std::fs::read(path).expect("a whole file is always there");
+                        assert_eq!(seen.len(), 4096, "torn write");
+                        assert!(seen.iter().all(|b| *b == seen[0]), "mixed writers");
+                    }
+                });
+            }
+        });
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, vec![std::ffi::OsString::from("shared.manifest.json")]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_atomic_write_leaves_no_temp_and_keeps_the_old_file() {
+        let dir = std::env::temp_dir().join(format!("obs-atomic-fail-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("port");
+        atomic_write(&path, b"old\n").unwrap();
+        let err = atomic_write_with(&path, |f| {
+            f.write_all(b"half")?;
+            Err(io::Error::other("disk full"))
+        })
+        .unwrap_err();
+        assert_eq!(err.to_string(), "disk full");
+        assert_eq!(std::fs::read(&path).unwrap(), b"old\n");
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        assert!(atomic_write(Path::new("/"), b"x").is_err(), "no file name");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

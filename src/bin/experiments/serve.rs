@@ -103,12 +103,10 @@ pub fn run_serve(args: &[String]) -> ! {
     };
     eprintln!("[serve] listening on http://{}", handle.addr());
     if let Some(path) = &port_file {
-        // Written atomically (tmp + rename) so a poller never reads a
-        // half-written port number.
-        let tmp = format!("{path}.tmp");
-        if let Err(e) = std::fs::write(&tmp, format!("{}\n", handle.port()))
-            .and_then(|()| std::fs::rename(&tmp, path))
-        {
+        // Written atomically so a poller never reads a half-written port
+        // number.
+        let port_line = format!("{}\n", handle.port());
+        if let Err(e) = obs::atomic_write(std::path::Path::new(path), port_line.as_bytes()) {
             fail_serve(&format!("cannot write port file {path:?}: {e}"));
         }
     }

@@ -291,12 +291,10 @@ pub fn run(args: &[String]) -> ! {
             .unwrap_or_else(|e| fail(&format!("cannot bind 127.0.0.1:{port}: {e}")));
         eprintln!("[stream] serving health plane on http://{}", handle.addr());
         if let Some(path) = &serve_port_file {
-            // Written atomically (tmp + rename) so a poller never reads
-            // a half-written port number.
-            let tmp = path.with_extension("tmp");
-            if let Err(e) = std::fs::write(&tmp, format!("{}\n", handle.port()))
-                .and_then(|()| std::fs::rename(&tmp, path))
-            {
+            // Written atomically so a poller never reads a half-written
+            // port number.
+            let port_line = format!("{}\n", handle.port());
+            if let Err(e) = obs::atomic_write(path, port_line.as_bytes()) {
                 fail(&format!("cannot write port file {}: {e}", path.display()));
             }
         }

@@ -8,20 +8,33 @@
 //! and span ids are derived, no wall-clock appears), so the full stdout
 //! is compared byte-for-byte against the committed golden file.
 
-use std::process::Command;
+use std::process::{Command, Output};
+
+/// Run `experiments explain --url <url>` with its artifacts (NDJSON trace,
+/// run manifest) under `dir`, so tests running side by side never write
+/// the same file.
+fn run_explain(dir: &str, url: &str) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["explain", "--url", url])
+        .env("ANNOYED_EXPERIMENTS_DIR", dir)
+        .output()
+        .expect("run experiments explain")
+}
 
 #[test]
 fn explain_whitelist_override_matches_golden() {
-    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .args(["explain", "--url", "http://niceads.example/banner.gif"])
-        .output()
-        .expect("run experiments explain");
+    let dir = "target/experiments/explain_golden";
+    let out = run_explain(dir, "http://niceads.example/banner.gif");
     assert!(
         out.status.success(),
         "explain failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let stdout = String::from_utf8(out.stdout).expect("UTF-8 stdout");
+    // The last line names the NDJSON artifact; the golden file was
+    // recorded with it in the default directory.
+    let stdout = String::from_utf8(out.stdout)
+        .expect("UTF-8 stdout")
+        .replace(&format!("{dir}/"), "target/experiments/");
     let golden = include_str!("golden/explain_whitelist.txt");
     assert_eq!(
         stdout, golden,
@@ -46,17 +59,17 @@ fn explain_whitelist_override_matches_golden() {
 
 #[test]
 fn explain_ndjson_artifact_parses() {
-    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .args(["explain", "--url", "http://ads.example/creative.gif"])
-        .output()
-        .expect("run experiments explain");
+    let out = run_explain(
+        "target/experiments/explain_ndjson",
+        "http://ads.example/creative.gif",
+    );
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         stdout.contains("trace: VALID"),
         "explain must self-validate its NDJSON: {stdout}"
     );
-    let ndjson = std::fs::read_to_string("target/experiments/explain_trace.ndjson")
+    let ndjson = std::fs::read_to_string("target/experiments/explain_ndjson/explain_trace.ndjson")
         .expect("explain writes the NDJSON artifact");
     assert!(!ndjson.trim().is_empty());
     for line in ndjson.lines() {

@@ -94,30 +94,39 @@ fn diurnal_fixture() -> Trace {
     }
 }
 
-/// Write the fixture through the real codec and return the file path.
-fn write_fixture(name: &str) -> std::path::PathBuf {
-    let dir = std::path::Path::new("target/experiments");
-    std::fs::create_dir_all(dir).expect("create target/experiments");
-    let path = dir.join(name);
+/// Write the fixture through the real codec into `dir` and return the
+/// file path.
+fn write_fixture(dir: &str) -> std::path::PathBuf {
+    std::fs::create_dir_all(dir).expect("create the test's directory");
+    let path = std::path::Path::new(dir).join("temporal_fixture.ndjson");
     let mut bytes = Vec::new();
     netsim::codec::write_trace(&diurnal_fixture(), &mut bytes).expect("encode fixture");
     std::fs::write(&path, &bytes).expect("write fixture");
     path
 }
 
-#[test]
-fn temporal_table_matches_golden() {
-    let path = write_fixture("temporal_fixture_golden.ndjson");
+/// Run `experiments temporal` over the fixture at `path`, with the run's
+/// artifacts (the run manifest) under `dir`, so tests running side by
+/// side never write the same file.
+fn run_temporal(dir: &str, path: &std::path::Path, extra: &[&str]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
         .args(["temporal", "--trace", path.to_str().unwrap()])
+        .args(extra)
+        .env("ANNOYED_EXPERIMENTS_DIR", dir)
         .output()
         .expect("run experiments temporal");
     assert!(
         out.status.success(),
-        "temporal failed: {}",
+        "temporal {extra:?} failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let stdout = String::from_utf8(out.stdout).expect("UTF-8 stdout");
+    String::from_utf8(out.stdout).expect("UTF-8 stdout")
+}
+
+#[test]
+fn temporal_table_matches_golden() {
+    let dir = "target/experiments/temporal_golden";
+    let stdout = run_temporal(dir, &write_fixture(dir), &[]);
     // `BLESS=1 cargo test temporal_table_matches_golden` regenerates
     // the pinned file after an intentional format change.
     if std::env::var_os("BLESS").is_some() {
@@ -145,27 +154,14 @@ fn temporal_table_matches_golden() {
 
 #[test]
 fn temporal_table_is_thread_invariant() {
-    let path = write_fixture("temporal_fixture_threads.ndjson");
-    let run = |threads: &str| {
-        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
-            .args([
-                "temporal",
-                "--trace",
-                path.to_str().unwrap(),
-                "--threads",
-                threads,
-            ])
-            .output()
-            .expect("run experiments temporal");
-        assert!(
-            out.status.success(),
-            "temporal --threads {threads} failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8(out.stdout).expect("UTF-8 stdout")
-    };
-    let one = run("1");
+    let dir = "target/experiments/temporal_threads";
+    let path = write_fixture(dir);
+    let one = run_temporal(dir, &path, &["--threads", "1"]);
     for threads in ["2", "4", "8"] {
-        assert_eq!(one, run(threads), "table drifts at --threads {threads}");
+        assert_eq!(
+            one,
+            run_temporal(dir, &path, &["--threads", threads]),
+            "table drifts at --threads {threads}"
+        );
     }
 }
