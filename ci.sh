@@ -39,8 +39,16 @@ for t in 1 4; do
 done
 
 echo "==> compiled-engine differential gates (byte-identical classifications)"
+# The hand-worked literal-alignment table, the fat-bucket proptest, and
+# the trace-at-EasyList-scale + index-token audit tests.
+cargo test -q -p abp-filter --lib compiled::tests::alignment
 cargo test -q -p abp-filter --test differential_compiled
 cargo test -q --test engine_differential
+# The traced e2e run holds the staged, materialized, sharded and streamed
+# paths to the reference at EasyList scale.
+e2e_traced="$(cargo run --release -q --offline -p bench --bin e2e -- \
+  --quick --workload easylist_w1 --trace 1)"
+grep -q '"failed": 0' <<<"$e2e_traced"
 
 echo "==> experiments metrics --scale small (exposition gate)"
 # Capture, then grep: `... | grep -q` would close the pipe mid-print and

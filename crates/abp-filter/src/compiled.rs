@@ -12,11 +12,17 @@
 //!   64-bit *required-token fingerprint* (and the AND over each bucket):
 //!   a candidate whose required tokens are not all present in the URL's
 //!   token signature is rejected without touching rule memory;
+//! * every bucket entry whose index token is *sealed* inside its literal
+//!   carries a [`LiteralAlignment`]: the literal must then sit around one
+//!   of the token's occurrences in the URL, so one short compare at
+//!   `occurrence − offset` rejects the candidate before the pattern
+//!   matcher runs — what keeps a bucket of hundreds of rules sharing one
+//!   token (`&ads_id=1`, `&ads_id=2`, …) cheap;
 //! * `$document` exceptions reuse the host-keyed layout of the reference
 //!   engine as a sorted flat table over rule ids.
 //!
 //! The verdict is **byte-identical** to [`Engine::classify`] — including
-//! `first_match_depth` (fingerprint-rejected candidates still count: they
+//! `first_match_depth` (pre-filter-rejected candidates still count: they
 //! were surfaced, they just provably cannot match) and per-list attribution
 //! order. The differential proptest suite and the adscope equivalence
 //! harness pin this.
@@ -28,7 +34,9 @@ use crate::engine::{
 use crate::matcher::{host_span, is_separator};
 use crate::options::{FilterOptions, PartyConstraint};
 use crate::rule::{Anchor, Pattern, Segment};
-use crate::tokenizer::{hash_token, url_tokens_into, MIN_TOKEN_LEN};
+use crate::tokenizer::{
+    filter_index_token, hash_token, url_tokens_with_starts_into, IndexToken, MIN_TOKEN_LEN,
+};
 use http_model::{is_third_party, ContentCategory};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -58,6 +66,21 @@ struct CompiledRule {
     include: (u32, u32),
     /// `$domain=~` exclude hashes: span into the domain arena.
     exclude: (u32, u32),
+}
+
+/// Where a bucket entry's index token sits inside its literal. Recorded
+/// only when that run is sealed (see [`prefilter`]): every URL the rule
+/// matches then has the run as one of its own tokens, with the literal
+/// around it. 8 bytes per entry; `len == 0` means "no alignment" (an
+/// unsealed run, the untokenized tail, or a literal longer than `u16`).
+#[derive(Debug, Clone, Copy, Default)]
+struct LiteralAlignment {
+    /// Start of the literal in the literal arena.
+    lit: u32,
+    /// Length of the literal.
+    len: u16,
+    /// Offset of the index token within the literal.
+    off: u16,
 }
 
 /// Sorted flat token table: `keys[i]` owns `entries[buckets[i].0 ..
@@ -91,6 +114,8 @@ struct CompiledIndex {
     entries: Vec<u32>,
     /// Required-token fingerprints parallel to `entries`.
     fps: Vec<u64>,
+    /// Literal alignments parallel to `entries`.
+    aligns: Vec<LiteralAlignment>,
     /// Span of the always-evaluated untokenized tail within `entries`.
     untok: (u32, u32),
 }
@@ -170,7 +195,7 @@ pub struct CompileStats {
     pub rules: usize,
     /// Token buckets across the blocking and exception tables.
     pub buckets: usize,
-    /// Bytes across the literal/segment/domain/entry arenas.
+    /// Bytes across the literal/segment/domain/entry/pre-filter arenas.
     pub arena_bytes: usize,
 }
 
@@ -185,8 +210,8 @@ struct CompiledMetrics {
     first_match_depth: obs::Histogram,
     /// Candidates surfaced by the token table (including rejected ones).
     candidates: obs::Counter,
-    /// Candidates rejected by the fingerprint pre-filter without touching
-    /// rule memory.
+    /// Candidates rejected by a pre-filter (required-token fingerprint or
+    /// literal alignment) before the pattern matcher runs.
     prefilter_rejects: obs::Counter,
 }
 
@@ -271,6 +296,40 @@ impl Builder {
         id
     }
 
+    /// Lower one index entry — the rule, its fingerprint, its alignment —
+    /// and return the fingerprint. `index` is the token the entry is
+    /// bucketed under (`None` in the untokenized tail).
+    fn add_entry(&mut self, out: &mut CompiledIndex, e: &Entry, index: Option<IndexToken>) -> u64 {
+        let id = self.add_rule(e);
+        let (fp, index_sealed) = prefilter(&e.filter.pattern, index);
+        let align = index
+            .filter(|_| index_sealed)
+            .and_then(|t| self.alignment(id, t))
+            .unwrap_or_default();
+        out.entries.push(id);
+        out.fps.push(fp);
+        out.aligns.push(align);
+        fp
+    }
+
+    /// The alignment record of rule `id` for its (sealed) index token;
+    /// `None` when the literal or the offset exceeds the stored width.
+    fn alignment(&self, id: u32, t: IndexToken) -> Option<LiteralAlignment> {
+        let (start, end) = self.rules[id as usize].seg;
+        let (lit, len) = self.segs[start as usize..end as usize]
+            .iter()
+            .filter_map(|seg| match *seg {
+                CompiledSegment::Lit(off, len) => Some((off, len)),
+                _ => None,
+            })
+            .nth(t.literal)?;
+        Some(LiteralAlignment {
+            lit,
+            len: u16::try_from(len).ok()?,
+            off: u16::try_from(t.offset).ok()?,
+        })
+    }
+
     fn build_index(&mut self, idx: &TokenIndex) -> CompiledIndex {
         let mut keys: Vec<u64> = idx.by_token.keys().copied().collect();
         keys.sort_unstable();
@@ -280,12 +339,12 @@ impl Builder {
             let mut and_fp = !0u64;
             let mut lists = 0u64;
             for e in &idx.by_token[&k] {
-                let id = self.add_rule(e);
-                let fp = fingerprint(&e.filter.pattern);
-                and_fp &= fp;
+                // The same function `TokenIndex::insert` keyed the entry
+                // with, so the alignment describes the bucket's own run.
+                let index = filter_index_token(e.filter.pattern.literals());
+                debug_assert_eq!(index.map(|t| t.hash), Some(k));
+                and_fp &= self.add_entry(&mut out, e, index);
                 lists |= list_bit(e.list.0);
-                out.entries.push(id);
-                out.fps.push(fp);
             }
             out.buckets.push((start, out.entries.len() as u32));
             out.bucket_fp.push(and_fp);
@@ -294,9 +353,7 @@ impl Builder {
         out.keys = keys;
         let untok_start = out.entries.len() as u32;
         for e in &idx.untokenized {
-            let id = self.add_rule(e);
-            out.entries.push(id);
-            out.fps.push(fingerprint(&e.filter.pattern));
+            self.add_entry(&mut out, e, None);
             out.untok_lists |= list_bit(e.list.0);
         }
         out.untok = (untok_start, out.entries.len() as u32);
@@ -305,15 +362,22 @@ impl Builder {
     }
 }
 
-/// The required-token fingerprint of a pattern: one bit (of 64) per
-/// alphanumeric run that *must* appear as a maximal run in any matching
-/// URL. A run qualifies when it is at least [`MIN_TOKEN_LEN`] long and
-/// *sealed* on both sides — bounded by a non-alphanumeric byte within the
-/// literal, an anchor, or a `^` separator — so the URL tokenizer is
+/// One scan of a pattern for both pre-filters, under one sealedness rule.
+///
+/// An alphanumeric run of a literal is *sealed* when it is bounded on both
+/// sides by a non-alphanumeric byte within the literal, an anchor, or a `^`
+/// separator: the literal's bytes appear verbatim in any matching URL, so
+/// a sealed run is a maximal run there too and the URL tokenizer is
 /// guaranteed to emit it. Runs touching a `*` (or an unanchored pattern
-/// edge) may be embedded in a longer URL run and are skipped.
-fn fingerprint(pattern: &Pattern) -> u64 {
+/// edge) may be embedded in a longer URL run and are not sealed.
+///
+/// Returns the required-token fingerprint — one bit (of 64) per sealed run
+/// of at least [`MIN_TOKEN_LEN`] bytes — and whether the run `index` names
+/// is sealed, i.e. whether the entry may carry a [`LiteralAlignment`].
+fn prefilter(pattern: &Pattern, index: Option<IndexToken>) -> (u64, bool) {
     let mut fp = 0u64;
+    let mut index_sealed = false;
+    let mut literal = 0usize;
     for (si, seg) in pattern.segments.iter().enumerate() {
         let Segment::Literal(l) = seg else { continue };
         let bytes = l.as_bytes();
@@ -339,11 +403,15 @@ fn fingerprint(pattern: &Pattern) -> u64 {
                 let sealed_right = i < bytes.len() || end_sealed;
                 if i - s >= MIN_TOKEN_LEN && sealed_left && sealed_right {
                     fp |= 1u64 << (hash_token(&bytes[s..i]) & 63);
+                    if index.is_some_and(|t| t.literal == literal && t.offset == s) {
+                        index_sealed = true;
+                    }
                 }
             }
         }
+        literal += 1;
     }
-    fp
+    (fp, index_sealed)
 }
 
 /// One mask bit per [`ListId`]; ids beyond 64 poison the mask to "all
@@ -408,6 +476,8 @@ impl CompiledEngine {
                 + b.domain_arena.len() * 8
                 + (blocking.entries.len() + exceptions.entries.len() + doc.entries.len()) * 4
                 + (blocking.fps.len() + exceptions.fps.len()) * 8
+                + (blocking.aligns.len() + exceptions.aligns.len())
+                    * std::mem::size_of::<LiteralAlignment>()
                 + (blocking.slots.len() + exceptions.slots.len())
                     * std::mem::size_of::<(u64, u32)>(),
         };
@@ -430,6 +500,26 @@ impl CompiledEngine {
     /// Compile-time figures (rules, buckets, arena bytes).
     pub fn stats(&self) -> CompileStats {
         self.stats
+    }
+
+    /// Every stored literal alignment, as `(bucket key, literal, offset of
+    /// the index token within it)` — what the index-token audit in
+    /// `tests/engine_differential.rs` checks against [`hash_token`].
+    #[doc(hidden)]
+    pub fn alignment_records(&self) -> impl Iterator<Item = (u64, &[u8], usize)> + '_ {
+        [&self.blocking, &self.exceptions]
+            .into_iter()
+            .flat_map(move |idx| {
+                idx.keys
+                    .iter()
+                    .zip(&idx.buckets)
+                    .flat_map(move |(&key, &(s, e))| {
+                        idx.aligns[s as usize..e as usize]
+                            .iter()
+                            .filter(|a| a.len != 0)
+                            .map(move |&a| (key, self.aligned_literal(a), usize::from(a.off)))
+                    })
+            })
     }
 
     /// Rebind metric handles to an explicit registry (hermetic tests;
@@ -457,14 +547,14 @@ impl CompiledEngine {
     /// returned [`Classification`]'s own vectors.
     pub fn classify(&self, req: &Request<'_>, scratch: &mut ClassifyScratch) -> Classification {
         write_lower_url(req.url, &mut scratch.url_buf);
-        url_tokens_into(&scratch.url_buf, &mut scratch.tokens);
+        url_tokens_with_starts_into(
+            &scratch.url_buf,
+            &mut scratch.tokens,
+            &mut scratch.token_starts,
+        );
         let url = scratch.url_buf.as_bytes();
         let (hs, he) = host_span(&scratch.url_buf);
-        let sig = signature(&scratch.tokens);
         let page_host = req.source_url.map(|u| u.host());
-        let third_party = page_host
-            .map(|ph| is_third_party(req.url.host(), ph))
-            .unwrap_or(false);
         let has_page = match page_host {
             Some(h) => {
                 host_suffix_hashes(h, &mut scratch.host_hashes);
@@ -475,18 +565,33 @@ impl CompiledEngine {
                 false
             }
         };
+        let ctx = RequestCtx {
+            url,
+            hs,
+            he,
+            sig: signature(&scratch.tokens),
+            category: req.category,
+            has_page,
+            third_party: page_host
+                .map(|ph| is_third_party(req.url.host(), ph))
+                .unwrap_or(false),
+            page_hashes: &scratch.host_hashes,
+        };
+        let tokens = scratch.tokens.as_slice();
+        let starts = scratch.token_starts.as_slice();
+        let occ = &mut scratch.occurrences;
 
         let mut tally = Tally::default();
 
         // Blocking: record at most one match per list; candidate order is
         // URL tokens in order → bucket in insertion order → untokenized
-        // tail, exactly the reference enumeration. The fingerprint
-        // pre-filter only skips evaluation of provably non-matching
-        // candidates, so the surfaced-candidate count (and with it
-        // `first_match_depth`) is unchanged.
+        // tail, exactly the reference enumeration. The pre-filters only
+        // skip evaluation of provably non-matching candidates, so the
+        // surfaced-candidate count (and with it `first_match_depth`) is
+        // unchanged.
         let mut blocking: Vec<FilterRef> = Vec::new();
         let mut matched_mask = 0u64;
-        for &t in &scratch.tokens {
+        for &t in tokens {
             if let Some(bi) = self.blocking.bucket(t) {
                 let (start, end) = self.blocking.buckets[bi];
                 // A bucket whose every list already recorded a match is
@@ -496,27 +601,15 @@ impl CompiledEngine {
                     tally.candidates += u64::from(end - start);
                     continue;
                 }
-                if self.blocking.bucket_fp[bi] & !sig != 0 {
+                if self.blocking.bucket_fp[bi] & !ctx.sig != 0 {
                     let n = u64::from(end - start);
                     tally.candidates += n;
                     tally.prefilter_rejects += n;
                     continue;
                 }
+                occurrences_into(t, tokens, starts, occ);
                 let before = blocking.len();
-                self.block_span(
-                    start,
-                    end,
-                    sig,
-                    req.category,
-                    has_page,
-                    third_party,
-                    url,
-                    hs,
-                    he,
-                    &scratch.host_hashes,
-                    &mut blocking,
-                    &mut tally,
-                );
+                self.block_span(start, end, occ, &ctx, &mut blocking, &mut tally);
                 for f in &blocking[before..] {
                     matched_mask |= list_bit(f.list.0);
                 }
@@ -526,64 +619,28 @@ impl CompiledEngine {
         if matched_mask != 0 && self.blocking.untok_lists & !matched_mask == 0 {
             tally.candidates += u64::from(uend - ustart);
         } else {
-            self.block_span(
-                ustart,
-                uend,
-                sig,
-                req.category,
-                has_page,
-                third_party,
-                url,
-                hs,
-                he,
-                &scratch.host_hashes,
-                &mut blocking,
-                &mut tally,
-            );
+            self.block_span(ustart, uend, &[], &ctx, &mut blocking, &mut tally);
         }
         blocking.sort_by_key(|f| f.list);
         let tokenizer_hits = tally.candidates.saturating_sub(u64::from(uend - ustart));
 
         // Exceptions against the request URL: first applicable wins.
         let mut exception: Option<FilterRef> = 'exceptions: {
-            for &t in &scratch.tokens {
+            for &t in tokens {
                 if let Some(bi) = self.exceptions.bucket(t) {
                     let (start, end) = self.exceptions.buckets[bi];
-                    if self.exceptions.bucket_fp[bi] & !sig != 0 {
+                    if self.exceptions.bucket_fp[bi] & !ctx.sig != 0 {
                         tally.prefilter_rejects += u64::from(end - start);
                         continue;
                     }
-                    if let Some(f) = self.exception_span(
-                        start,
-                        end,
-                        sig,
-                        req.category,
-                        has_page,
-                        third_party,
-                        url,
-                        hs,
-                        he,
-                        &scratch.host_hashes,
-                        &mut tally,
-                    ) {
+                    occurrences_into(t, tokens, starts, occ);
+                    if let Some(f) = self.exception_span(start, end, occ, &ctx, &mut tally) {
                         break 'exceptions Some(f);
                     }
                 }
             }
             let (ustart, uend) = self.exceptions.untok;
-            self.exception_span(
-                ustart,
-                uend,
-                sig,
-                req.category,
-                has_page,
-                third_party,
-                url,
-                hs,
-                he,
-                &scratch.host_hashes,
-                &mut tally,
-            )
+            self.exception_span(ustart, uend, &[], &ctx, &mut tally)
         };
 
         // `$document` exceptions against the page URL (and, for document
@@ -668,26 +725,43 @@ impl CompiledEngine {
         }
     }
 
+    /// The literal bytes an alignment record points at.
+    #[inline]
+    fn aligned_literal(&self, a: LiteralAlignment) -> &[u8] {
+        &self.lit_arena[a.lit as usize..a.lit as usize + usize::from(a.len)]
+    }
+
+    /// True when the entry's literal sits around one of the occurrences
+    /// of the bucket's token in the URL (`occ`: their start offsets) — or
+    /// when the entry carries no alignment and nothing can be said.
+    #[inline]
+    fn aligned(&self, a: LiteralAlignment, occ: &[usize], url: &[u8]) -> bool {
+        if a.len == 0 {
+            return true;
+        }
+        let lit = self.aligned_literal(a);
+        occ.iter().any(|&s| {
+            s.checked_sub(usize::from(a.off))
+                .and_then(|at| url.get(at..at + lit.len()))
+                .is_some_and(|window| window == lit)
+        })
+    }
+
     /// Evaluate one span of blocking candidates.
-    #[allow(clippy::too_many_arguments)]
     fn block_span(
         &self,
         start: u32,
         end: u32,
-        sig: u64,
-        category: ContentCategory,
-        has_page: bool,
-        third_party: bool,
-        url: &[u8],
-        hs: usize,
-        he: usize,
-        page_hashes: &[u64],
+        occ: &[usize],
+        ctx: &RequestCtx<'_>,
         blocking: &mut Vec<FilterRef>,
         tally: &mut Tally,
     ) {
         for j in start as usize..end as usize {
             tally.candidates += 1;
-            if self.blocking.fps[j] & !sig != 0 {
+            if self.blocking.fps[j] & !ctx.sig != 0
+                || !self.aligned(self.blocking.aligns[j], occ, ctx.url)
+            {
                 tally.prefilter_rejects += 1;
                 continue;
             }
@@ -697,16 +771,7 @@ impl CompiledEngine {
                 continue;
             }
             tally.rules_evaluated += 1;
-            if self.rule_applies(
-                rule,
-                category,
-                has_page,
-                third_party,
-                url,
-                hs,
-                he,
-                page_hashes,
-            ) {
+            if self.rule_applies(rule, ctx) {
                 if tally.first_match_depth.is_none() {
                     tally.first_match_depth = Some(tally.candidates - 1);
                 }
@@ -719,39 +784,25 @@ impl CompiledEngine {
     }
 
     /// Evaluate one span of exception candidates; `Some` on first match.
-    #[allow(clippy::too_many_arguments)]
     fn exception_span(
         &self,
         start: u32,
         end: u32,
-        sig: u64,
-        category: ContentCategory,
-        has_page: bool,
-        third_party: bool,
-        url: &[u8],
-        hs: usize,
-        he: usize,
-        page_hashes: &[u64],
+        occ: &[usize],
+        ctx: &RequestCtx<'_>,
         tally: &mut Tally,
     ) -> Option<FilterRef> {
         for j in start as usize..end as usize {
-            if self.exceptions.fps[j] & !sig != 0 {
+            if self.exceptions.fps[j] & !ctx.sig != 0
+                || !self.aligned(self.exceptions.aligns[j], occ, ctx.url)
+            {
                 tally.prefilter_rejects += 1;
                 continue;
             }
             let id = self.exceptions.entries[j];
             let rule = &self.rules[id as usize];
             tally.rules_evaluated += 1;
-            if self.rule_applies(
-                rule,
-                category,
-                has_page,
-                third_party,
-                url,
-                hs,
-                he,
-                page_hashes,
-            ) {
+            if self.rule_applies(rule, ctx) {
                 return Some(FilterRef {
                     list: ListId(rule.list as usize),
                     filter: Arc::clone(&self.raw[id as usize]),
@@ -763,30 +814,19 @@ impl CompiledEngine {
 
     /// The compiled form of the reference `applies` closure: type mask,
     /// hashed domain sets, party constraint, then the pattern.
-    #[allow(clippy::too_many_arguments)]
-    fn rule_applies(
-        &self,
-        rule: &CompiledRule,
-        category: ContentCategory,
-        has_page: bool,
-        third_party: bool,
-        url: &[u8],
-        hs: usize,
-        he: usize,
-        page_hashes: &[u64],
-    ) -> bool {
-        if rule.type_mask & FilterOptions::type_bit(category) == 0 {
+    fn rule_applies(&self, rule: &CompiledRule, ctx: &RequestCtx<'_>) -> bool {
+        if rule.type_mask & FilterOptions::type_bit(ctx.category) == 0 {
             return false;
         }
-        if !self.domain_applies(rule, has_page, page_hashes) {
+        if !self.domain_applies(rule, ctx.has_page, ctx.page_hashes) {
             return false;
         }
         let party_ok = match rule.party {
             PartyConstraint::Any => true,
-            PartyConstraint::ThirdOnly => third_party,
-            PartyConstraint::FirstOnly => !third_party,
+            PartyConstraint::ThirdOnly => ctx.third_party,
+            PartyConstraint::FirstOnly => !ctx.third_party,
         };
-        party_ok && self.match_pattern(rule, url, hs, he)
+        party_ok && self.match_pattern(rule, ctx.url, ctx.hs, ctx.he)
     }
 
     /// `FilterOptions::applies_on_domain` over flat hash spans: exclusion
@@ -882,6 +922,36 @@ impl CompiledEngine {
             }
         }
     }
+}
+
+/// What every candidate of one request is evaluated against.
+struct RequestCtx<'a> {
+    /// The lowercased request URL and its host span.
+    url: &'a [u8],
+    hs: usize,
+    he: usize,
+    /// Token signature of the URL.
+    sig: u64,
+    category: ContentCategory,
+    has_page: bool,
+    third_party: bool,
+    /// Dot-suffix hashes of the page host (empty without a page).
+    page_hashes: &'a [u64],
+}
+
+/// Gather into `occ` the start offset of every occurrence of `token` among
+/// the URL's tokens — where an aligned literal of that token's bucket has
+/// to sit.
+#[inline]
+fn occurrences_into(token: u64, tokens: &[u64], starts: &[usize], occ: &mut Vec<usize>) {
+    occ.clear();
+    occ.extend(
+        tokens
+            .iter()
+            .zip(starts)
+            .filter(|(&t, _)| t == token)
+            .map(|(_, &s)| s),
+    );
 }
 
 /// Per-classify local tallies, flushed once into the metric handles.
@@ -1103,6 +1173,240 @@ mod tests {
             Some("http://pub.com/"),
             ContentCategory::Script,
         );
+    }
+
+    /// Both engines on hermetic registries. Asserts identical verdicts and
+    /// identical token-index hit counts, and returns the compiled verdict
+    /// with `(candidates surfaced, candidates pre-filter rejected)`.
+    fn audited(
+        lists: &[(&str, &str)],
+        url: &str,
+        page: Option<&str>,
+        cat: ContentCategory,
+    ) -> (Classification, u64, u64) {
+        let (mut e, mut c) = engines(lists);
+        let (ref_reg, comp_reg) = (obs::Registry::new(), obs::Registry::new());
+        e.bind_metrics(&ref_reg);
+        c.bind_metrics(&comp_reg);
+        let verdict = assert_same(&e, &c, url, page, cat);
+        let (r, s) = (ref_reg.snapshot(), comp_reg.snapshot());
+        assert_eq!(
+            r.counter("abp_tokenizer_hits_total", &[]),
+            s.counter("abp_tokenizer_hits_total", &[]),
+            "surfaced candidates diverged on {url}"
+        );
+        (
+            verdict,
+            s.counter("abp_candidates_total", &[]),
+            s.counter("abp_prefilter_rejects_total", &[]),
+        )
+    }
+
+    /// The stored alignment of the blocking rule with this raw text, as
+    /// `(literal, offset of the index token)`.
+    fn alignment_of(c: &CompiledEngine, raw: &str) -> Option<(String, usize)> {
+        let j = (0..c.blocking.entries.len())
+            .find(|&j| &*c.raw[c.blocking.entries[j] as usize] == raw)
+            .expect("rule is in the blocking index");
+        let a = c.blocking.aligns[j];
+        (a.len != 0).then(|| {
+            let lit = c.aligned_literal(a).to_vec();
+            (String::from_utf8(lit).unwrap(), usize::from(a.off))
+        })
+    }
+
+    /// One hand-worked row: a single rule, the alignment it must carry,
+    /// and probes `(url, blocks, candidates surfaced, pre-filter rejects)`.
+    struct AlignCase {
+        rule: &'static str,
+        alignment: Option<(&'static str, usize)>,
+        probes: &'static [(&'static str, bool, u64, u64)],
+    }
+
+    const ALIGN_CASES: &[AlignCase] = &[
+        // Token at the literal start, sealed on the left by `||`.
+        AlignCase {
+            rule: "||tracker.io^",
+            alignment: Some(("tracker.io", 0)),
+            probes: &[
+                ("http://tracker.io/x.js", true, 1, 0),
+                ("http://sub.tracker.io/x.js", true, 1, 0),
+                // Right token, wrong bytes after it.
+                ("http://x.com/tracker/io", false, 1, 1),
+                // Literal in place, but not at a host boundary: the
+                // alignment passes and the matcher says no.
+                ("http://x.com/tracker.io/", false, 1, 0),
+            ],
+        },
+        // Token at the literal start, sealed on the left by `|`.
+        AlignCase {
+            rule: "|http://cdn.",
+            alignment: Some(("http://cdn.", 0)),
+            probes: &[
+                ("http://cdn.example/a", true, 1, 0),
+                // Two occurrences of `http`, neither with the literal.
+                ("http://x.com/http/", false, 2, 2),
+            ],
+        },
+        // Index token in the second literal, sealed on the left by `^`.
+        AlignCase {
+            rule: "x^bannerzone/",
+            alignment: Some(("bannerzone/", 0)),
+            probes: &[
+                ("http://a.com/x/bannerzone/1.gif", true, 1, 0),
+                ("http://a.com/x/bannerzone.gif", false, 1, 1),
+                // Aligned, but the first literal is missing before `^`.
+                ("http://a.com/y/bannerzone/1.gif", false, 1, 0),
+            ],
+        },
+        // Token at the literal end, sealed on the right by `^`.
+        AlignCase {
+            rule: "/promo^",
+            alignment: Some(("/promo", 1)),
+            probes: &[
+                ("http://a.com/promo/x", true, 1, 0),
+                ("http://a.com/promo", true, 1, 0),
+                ("http://a.com/x.promo/", false, 1, 1),
+                // Three occurrences: the bucket is visited (and counted)
+                // three times, and matches on the first visit through the
+                // second occurrence.
+                ("http://promo.example/promo/?promo", true, 3, 0),
+                ("http://a.promo.example/x-promo/?promo", false, 3, 3),
+            ],
+        },
+        // Token at the literal end, sealed on the right by the `|` anchor.
+        AlignCase {
+            rule: ".swf|",
+            alignment: Some((".swf", 1)),
+            probes: &[
+                ("http://a.com/movie.swf", true, 1, 0),
+                ("http://a.com/swf/movie", false, 1, 1),
+                ("http://a.com/movie.swf?x=1", false, 1, 0),
+                ("http://a.com/swf/movie.swf", true, 2, 0),
+            ],
+        },
+        // Unsealed at an unanchored pattern edge: the run may be embedded
+        // in a longer URL token, so the entry carries no alignment. Here
+        // the bucket is surfaced by the query's `ads`, and the rule matches
+        // inside `loads_id=`.
+        AlignCase {
+            rule: "ads_id=",
+            alignment: None,
+            probes: &[
+                ("http://x/loads_id=5?ads=1", true, 1, 0),
+                ("http://x/ads_id=5", true, 1, 0),
+                ("http://x/loads_id=5", false, 0, 0),
+            ],
+        },
+        // Unsealed next to `*`.
+        AlignCase {
+            rule: "/x*adzone",
+            alignment: None,
+            probes: &[
+                ("http://a.com/x/myadzone?adzone", true, 1, 0),
+                ("http://a.com/y/adzone", false, 1, 0),
+            ],
+        },
+        // The literal would start before the URL does, or end after it.
+        AlignCase {
+            rule: "-.-.-.-.-.http:",
+            alignment: Some(("-.-.-.-.-.http:", 10)),
+            probes: &[("http://a.com/", false, 1, 1)],
+        },
+        AlignCase {
+            rule: "/promo/-/-/-/-/-/",
+            alignment: Some(("/promo/-/-/-/-/-/", 1)),
+            probes: &[
+                ("http://a.com/promo/-/-", false, 1, 1),
+                ("http://a.com/promo/-/-/-/-/-/", true, 1, 0),
+            ],
+        },
+        // `$match-case` keeps the literal's upper-case bytes; URLs are
+        // lowered before matching, so it can never compare equal — in
+        // either engine.
+        AlignCase {
+            rule: "/BannerAd/$match-case",
+            alignment: Some(("/BannerAd/", 1)),
+            probes: &[
+                ("http://a.com/BannerAd/1.gif", false, 1, 1),
+                ("http://a.com/bannerad/1.gif", false, 1, 1),
+            ],
+        },
+        AlignCase {
+            rule: "/bannerad/$match-case",
+            alignment: Some(("/bannerad/", 1)),
+            probes: &[("http://a.com/BannerAd/1.gif", true, 1, 0)],
+        },
+    ];
+
+    #[test]
+    fn alignment_soundness_table() {
+        for case in ALIGN_CASES {
+            let lists = [("easylist", case.rule)];
+            let (_, c) = engines(&lists);
+            assert_eq!(
+                alignment_of(&c, case.rule),
+                case.alignment.map(|(l, o)| (l.to_string(), o)),
+                "alignment of {}",
+                case.rule
+            );
+            for &(url, blocks, candidates, rejects) in case.probes {
+                let (verdict, cands, rej) =
+                    audited(&lists, url, Some("http://pub.com/"), ContentCategory::Image);
+                assert_eq!(verdict.would_block(), blocks, "{} on {url}", case.rule);
+                assert_eq!(cands, candidates, "candidates of {} on {url}", case.rule);
+                assert_eq!(rej, rejects, "rejects of {} on {url}", case.rule);
+            }
+        }
+    }
+
+    #[test]
+    fn alignment_rejects_still_count_toward_depth() {
+        // One fat bucket (`ads`) over two lists; the URL carries the token
+        // twice, so the bucket is visited twice. Only `&ads_id=7` has its
+        // literal around an occurrence.
+        let lists = [
+            ("easylist", "&ads_id=1\n&ads_id=2\n&ads_id=7\n&ads_id=9\n"),
+            ("easyprivacy", "&ads_id=3\n/ads/x\n"),
+        ];
+        let (verdict, cands, rej) = audited(
+            &lists,
+            "http://ads.example/p?a=1&ads_id=7",
+            Some("http://pub.com/"),
+            ContentCategory::Image,
+        );
+        assert_eq!(verdict.blocking.len(), 1);
+        assert_eq!(&*verdict.blocking[0].filter, "&ads_id=7");
+        assert_eq!(verdict.first_match_depth, Some(2));
+        // 6 entries × 2 visits; all but the match are rejected, twice over
+        // (the second visit meets `&ads_id=7` as a dup-list skip, after
+        // its alignment passed again).
+        assert_eq!((cands, rej), (12, 10));
+    }
+
+    #[test]
+    fn alignment_absent_for_literal_longer_than_stored_width() {
+        // 66 K bytes of short runs, then the (longest, hence index) token.
+        let rule = format!("/{}longesttoken/", "ab/".repeat(22_000));
+        let lists = [("easylist", rule.as_str())];
+        let (_, c) = engines(&lists);
+        assert_eq!(alignment_of(&c, &rule), None);
+        let hit = format!("http://a.com{rule}x.gif");
+        let (verdict, cands, rej) = audited(
+            &lists,
+            &hit,
+            Some("http://pub.com/"),
+            ContentCategory::Image,
+        );
+        assert!(verdict.would_block());
+        assert_eq!((cands, rej), (1, 0));
+        let (miss, _, _) = audited(
+            &lists,
+            "http://a.com/ab/longesttoken/",
+            Some("http://pub.com/"),
+            ContentCategory::Image,
+        );
+        assert!(!miss.would_block());
     }
 
     #[test]

@@ -134,7 +134,7 @@ impl TokenIndex {
 
 /// Reusable per-thread match-path buffers. One scratch per worker makes
 /// [`Engine::classify_in`] (and the compiled engine's classify) allocation
-/// free after warm-up: the lowercase URL/page buffers, the token vector,
+/// free after warm-up: the lowercase URL/page buffers, the token vectors,
 /// and the candidate/host-hash vectors are all reused across requests.
 #[derive(Debug, Default, Clone)]
 pub struct ClassifyScratch {
@@ -144,6 +144,12 @@ pub struct ClassifyScratch {
     pub(crate) page_buf: String,
     /// Token hashes of the request URL.
     pub(crate) tokens: Vec<u64>,
+    /// Byte offset of each token in `url_buf`, parallel to `tokens`
+    /// (compiled engine only).
+    pub(crate) token_starts: Vec<usize>,
+    /// Start offsets of the occurrences of the token whose bucket is being
+    /// evaluated (compiled engine only).
+    pub(crate) occurrences: Vec<usize>,
     /// FNV hashes of every dot-suffix of a host.
     pub(crate) host_hashes: Vec<u64>,
     /// Candidate rule indices gathered from host-keyed buckets.

@@ -30,10 +30,11 @@ pub fn url_tokens(url: &str) -> Vec<u64> {
     out
 }
 
-/// Allocation-free variant of [`url_tokens`]: clears `out` and appends the
-/// token hashes, reusing the caller's buffer across requests.
-pub fn url_tokens_into(url: &str, out: &mut Vec<u64>) {
-    out.clear();
+/// The one pass over a URL's tokens: calls `emit(hash, start)` for every
+/// maximal alphanumeric run of length >= [`MIN_TOKEN_LEN`], in URL order,
+/// with the run's byte offset.
+#[inline]
+fn for_each_url_token(url: &str, mut emit: impl FnMut(u64, usize)) {
     let bytes = url.as_bytes();
     let mut start = None;
     for (i, &b) in bytes.iter().enumerate() {
@@ -43,35 +44,72 @@ pub fn url_tokens_into(url: &str, out: &mut Vec<u64>) {
             }
         } else if let Some(s) = start.take() {
             if i - s >= MIN_TOKEN_LEN {
-                out.push(hash_token(&bytes[s..i]));
+                emit(hash_token(&bytes[s..i]), s);
             }
         }
     }
     if let Some(s) = start {
         if bytes.len() - s >= MIN_TOKEN_LEN {
-            out.push(hash_token(&bytes[s..]));
+            emit(hash_token(&bytes[s..]), s);
         }
     }
 }
 
+/// Allocation-free variant of [`url_tokens`]: clears `out` and appends the
+/// token hashes, reusing the caller's buffer across requests.
+pub fn url_tokens_into(url: &str, out: &mut Vec<u64>) {
+    out.clear();
+    for_each_url_token(url, |hash, _| out.push(hash));
+}
+
+/// [`url_tokens_into`] that also records where each token starts:
+/// `starts[i]` is the byte offset in `url` of the run hashed as `tokens[i]`.
+pub fn url_tokens_with_starts_into(url: &str, tokens: &mut Vec<u64>, starts: &mut Vec<usize>) {
+    tokens.clear();
+    starts.clear();
+    for_each_url_token(url, |hash, start| {
+        tokens.push(hash);
+        starts.push(start);
+    });
+}
+
+/// A filter's index token — the run [`filter_token`] keys it under — with
+/// where that run sits in the pattern.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IndexToken {
+    /// [`hash_token`] of the run: the bucket key.
+    pub hash: u64,
+    /// Which literal holds the run, counting the pattern's literals in order.
+    pub literal: usize,
+    /// Byte offset of the run within that literal.
+    pub offset: usize,
+    /// Length of the run in bytes.
+    pub len: usize,
+}
+
 /// Choose the best indexing token of a filter literal set: the *longest*
-/// alphanumeric run across all literal segments, skipping runs that touch a
-/// segment boundary ambiguity. Returns `None` when the filter has no usable
-/// token (it must then live in the always-checked bucket).
+/// alphanumeric run across all literal segments (the first of equally long
+/// ones). Returns `None` when the filter has no usable token (it must then
+/// live in the always-checked bucket).
 ///
 /// Boundary subtlety: a literal's first/last run still has to appear
 /// verbatim in a matching URL (wildcards/separators only add characters
 /// *around* literals, never inside them), so every full run inside a literal
 /// is a sound choice.
-pub fn filter_token<'a, I: Iterator<Item = &'a str>>(literals: I) -> Option<u64> {
-    let mut best: Option<(usize, u64)> = None;
-    for lit in literals {
+pub fn filter_index_token<'a, I: Iterator<Item = &'a str>>(literals: I) -> Option<IndexToken> {
+    let mut best: Option<IndexToken> = None;
+    for (literal, lit) in literals.enumerate() {
         let bytes = lit.as_bytes();
         let mut start = None;
         let mut consider = |s: usize, e: usize| {
             let len = e - s;
-            if len >= MIN_TOKEN_LEN && best.is_none_or(|(bl, _)| len > bl) {
-                best = Some((len, hash_token(&bytes[s..e])));
+            if len >= MIN_TOKEN_LEN && best.is_none_or(|b| len > b.len) {
+                best = Some(IndexToken {
+                    hash: hash_token(&bytes[s..e]),
+                    literal,
+                    offset: s,
+                    len,
+                });
             }
         };
         for (i, &b) in bytes.iter().enumerate() {
@@ -87,7 +125,13 @@ pub fn filter_token<'a, I: Iterator<Item = &'a str>>(literals: I) -> Option<u64>
             consider(s, bytes.len());
         }
     }
-    best.map(|(_, h)| h)
+    best
+}
+
+/// The hash of [`filter_index_token`]'s run: the key a filter is indexed
+/// under.
+pub fn filter_token<'a, I: Iterator<Item = &'a str>>(literals: I) -> Option<u64> {
+    filter_index_token(literals).map(|t| t.hash)
 }
 
 #[cfg(test)]
@@ -118,6 +162,37 @@ mod tests {
     fn filter_token_across_segments() {
         let t = filter_token(["ad", "trackingpixel"].into_iter()).unwrap();
         assert_eq!(t, hash_token(b"trackingpixel"));
+    }
+
+    #[test]
+    fn index_token_locates_the_run() {
+        let lits = ["ad", "x/trackingpixel?", "/banner"];
+        let t = filter_index_token(lits.into_iter()).unwrap();
+        assert_eq!((t.literal, t.offset, t.len), (1, 2, 13));
+        assert_eq!(t.hash, hash_token(b"trackingpixel"));
+        assert_eq!(
+            hash_token(&lits[t.literal].as_bytes()[t.offset..t.offset + t.len]),
+            filter_token(lits.into_iter()).unwrap()
+        );
+        // Equally long runs: the first one wins, as the bucket key does.
+        let tie = filter_index_token(["/abc/xyz"].into_iter()).unwrap();
+        assert_eq!((tie.offset, tie.hash), (1, hash_token(b"abc")));
+    }
+
+    #[test]
+    fn url_token_starts_point_at_the_runs() {
+        let url = "http://ads.example.com/banner.gif?id=12345";
+        let (mut tokens, mut starts) = (Vec::new(), Vec::new());
+        url_tokens_with_starts_into(url, &mut tokens, &mut starts);
+        assert_eq!(tokens, url_tokens(url));
+        assert_eq!(starts, vec![0, 7, 11, 19, 23, 30, 37]);
+        for (&t, &s) in tokens.iter().zip(&starts) {
+            let run = url.as_bytes()[s..]
+                .iter()
+                .take_while(|b| b.is_ascii_alphanumeric())
+                .count();
+            assert_eq!(hash_token(&url.as_bytes()[s..s + run]), t);
+        }
     }
 
     #[test]

@@ -123,6 +123,97 @@ proptest! {
     }
 }
 
+/// The token every [`fat_rule_strategy`] rule is indexed under: the other
+/// runs of those rules are at most two bytes long, so this one is always
+/// the longest.
+const FAT_WORD: &str = "banner";
+
+/// Rules sharing [`FAT_WORD`] as their index token with different bytes
+/// around it — one bucket of hundreds, as `&<word>_id=<n>` makes at
+/// EasyList scale. Sealed shapes (which carry a literal alignment) and
+/// unsealed ones (which must not) are mixed, so are anchors, `$match-case`
+/// and exceptions.
+fn fat_rule_strategy() -> impl Strategy<Value = String> {
+    let w = FAT_WORD;
+    prop_oneof![
+        (0..40u32).prop_map(move |n| format!("&{w}_id={n}")),
+        (0..40u32).prop_map(move |n| format!("/{w}/{n}/")),
+        (0..40u32).prop_map(move |n| format!("/{n}/{w}^")),
+        (0..40u32).prop_map(move |n| format!("-{w}.{n}|")),
+        (0..40u32).prop_map(move |n| format!("/{n}^{w}.")),
+        "[a-z]{2}".prop_map(move |t| format!("||{w}.{t}^")),
+        "[a-z]{2}".prop_map(move |t| format!("||{w}.{t}/a/$third-party")),
+        "[a-z]{2}".prop_map(move |t| format!("|http://{w}.{t}/")),
+        // Unsealed: an unanchored edge, or a `*` beside the run.
+        (0..40u32).prop_map(move |n| format!("{w}_id={n}")),
+        (0..40u32).prop_map(move |n| format!("/{n}/{w}")),
+        (0..40u32).prop_map(move |n| format!("/{n}/*{w}*.js")),
+        (0..40u32).prop_map(move |n| format!("/B{n}/{}$match-case", w.to_uppercase())),
+        (0..40u32).prop_map(move |n| format!("/{w}/{n}/$match-case,image")),
+        (0..40u32).prop_map(move |n| format!("@@&{w}_id={n}$script")),
+        (0..40u32).prop_map(move |n| format!("@@/{w}/{n}/ok")),
+    ]
+}
+
+/// URLs from one fat-bucket rule: the rule's own text as a URL, with the
+/// token as it is and embedded in a longer run on either side; each of
+/// those alone, with a second occurrence of the token after it (so the
+/// bucket is surfaced even when the rule's own run is embedded) and with
+/// two more in host and path; and the plain one upper-cased.
+fn fat_urls(rule: &str, n: u32) -> Vec<String> {
+    let stripped = rule
+        .trim_start_matches("@@")
+        .trim_start_matches("||")
+        .trim_start_matches('|');
+    let body = stripped.split('$').next().unwrap_or("");
+    let body = body.trim_end_matches('|').replace(['^', '*'], "/");
+    let base = if body.starts_with("http://") {
+        format!("{body}x")
+    } else if body.starts_with('&') {
+        format!("http://site.example/p?q={n}{body}")
+    } else if body.starts_with(['/', '-']) {
+        format!("http://site.example/x{body}")
+    } else {
+        format!("http://{body}")
+    };
+    let w = FAT_WORD;
+    let mut out = vec![base.to_uppercase()];
+    for shape in [
+        base.replacen(w, &format!("my{w}"), 1),
+        base.replacen(w, &format!("{w}{n}"), 1),
+        base,
+    ] {
+        out.push(format!("{shape}&{w}={n}"));
+        out.push(shape.replacen("site.example", &format!("{w}.example/{w}"), 1));
+        out.push(shape);
+    }
+    out
+}
+
+proptest! {
+    #[test]
+    fn compiled_identical_on_fat_buckets(
+        lists in proptest::collection::vec(
+            proptest::collection::vec(fat_rule_strategy(), 25..100), 2..4),
+        picks in proptest::collection::vec((0..10_000usize, 0..100u32), 6..16),
+        with_page in 0..2u8,
+    ) {
+        let (engine, compiled) = build(&lists);
+        let mut scratch = ClassifyScratch::new();
+        let page = Url::parse("http://page.example/").unwrap();
+        let page = (with_page == 1).then_some(&page);
+        let rules: Vec<&String> = lists.iter().flatten().collect();
+        for (i, &(pick, n)) in picks.iter().enumerate() {
+            for candidate in fat_urls(rules[pick % rules.len()], n) {
+                let Ok(url) = Url::parse(&candidate) else { continue };
+                let cat = ContentCategory::ALL[i % ContentCategory::ALL.len()];
+                let (r, c) = both(&engine, &compiled, &mut scratch, &url, page, cat);
+                prop_assert_eq!(r, c, "diverged on {} ({:?})", url, cat);
+            }
+        }
+    }
+}
+
 /// Dense seeded sweep with shared hosts/markers so candidates collide in
 /// buckets across lists (exercising dup-list skips, depth accounting, and
 /// the bucket-level AND early-out) — the proptest shapes above rarely

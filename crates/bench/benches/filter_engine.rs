@@ -2,10 +2,16 @@
 //!
 //! `small` runs the ecosystem's four generated lists (hundreds of rules);
 //! `easylist` runs the EasyList-scale synthetic list (40 000 rules) with a
-//! realistic mostly-miss request mix. Elements-throughput is requests, so
-//! Criterion's `elem/s` reading *is* req/s/core (single-threaded loop);
-//! `bench_gate` enforces the compiled-over-reference speedup floor and the
-//! absolute 1 µs/request ceiling on `classify_compiled_easylist`.
+//! realistic mostly-miss request mix; `easylist_trace` runs the ecosystem's
+//! lists plus that list against the ecosystem's own object URLs, query
+//! strings included — the request mix of a driven trace, whose ad words
+//! (`ads`, `banner`, `track`, …) surface the list's `&<word>_id=<n>`
+//! buckets of ≈200 rules, which `sample_urls` never does.
+//! Elements-throughput is requests, so Criterion's `elem/s` reading *is*
+//! req/s/core (single-threaded loop); `bench_gate` enforces the
+//! compiled-over-reference speedup floor and the absolute 1 µs/request
+//! ceiling on `classify_compiled_easylist` and
+//! `classify_compiled_easylist_trace`.
 
 use abp_filter::{ClassifyScratch, CompiledEngine, Engine, FilterList, Request};
 use bench::bench_ecosystem;
@@ -113,6 +119,26 @@ fn filter_engine(c: &mut Criterion) {
     });
     group.bench_function("classify_compiled_easylist", |b| {
         b.iter(|| black_box(run_compiled(&big_compiled, &mut scratch, &big_urls, &page)))
+    });
+
+    // EasyList scale under trace-shaped requests: the e2e benchmark's
+    // `easylist` list set against the ecosystem's URLs.
+    let mut trace_engine = small_engine.clone();
+    trace_engine.add_list(FilterList::parse("easylist-scale", &scale.text));
+    let trace_compiled = CompiledEngine::compile(&trace_engine);
+    group.throughput(Throughput::Elements(small_urls.len() as u64));
+    group.bench_function("classify_reference_easylist_trace", |b| {
+        b.iter(|| black_box(run_reference(&trace_engine, &small_urls, &page)))
+    });
+    group.bench_function("classify_compiled_easylist_trace", |b| {
+        b.iter(|| {
+            black_box(run_compiled(
+                &trace_compiled,
+                &mut scratch,
+                &small_urls,
+                &page,
+            ))
+        })
     });
     group.finish();
 }

@@ -3,7 +3,11 @@
 //! full synthetic trace (at 1 and 4 worker threads), and over an
 //! EasyList-scale generated list the per-request `Classification`s must be
 //! byte-identical — clean, fault-injected, and adversarial inputs alike.
+//! The driven trace's own requests are also classified at EasyList scale
+//! (the request mix the fat token buckets see), and every alignment record
+//! of the compiled engine is audited against its bucket key.
 
+use abp_filter::tokenizer::{filter_index_token, filter_token, hash_token};
 use abp_filter::{ClassifyScratch, CompiledEngine, Engine, Request};
 use adscope::{classify_trace_sharded, EngineMode};
 use annoyed_users::prelude::*;
@@ -31,14 +35,22 @@ fn lists(eco: &Ecosystem) -> Vec<FilterList> {
     ]
 }
 
-/// Compiled vs reference over a driven trace, including the pipeline's
-/// fault injection (mislabeled content types, broken referrer chains are
-/// part of every driven trace), at both thread counts.
-#[test]
-fn trace_labels_identical_across_engines_and_threads() {
-    let eco = eco();
+/// The ecosystem's lists with the EasyList-scale list appended: the list
+/// size ad-blockers ship, where `&<word>_id=<n>` makes token buckets of
+/// hundreds of rules.
+fn easylist_scale_lists(eco: &Ecosystem) -> Vec<FilterList> {
+    let scale = easylist_scale(ScaleConfig {
+        rules: 40_000,
+        seed: 0xEA5E,
+    });
+    let mut all = lists(eco);
+    all.push(FilterList::parse("easylist-scale", &scale.text));
+    all
+}
+
+fn driven_trace(eco: &Ecosystem) -> Trace {
     let mut pop = Population::generate(
-        &eco,
+        eco,
         &PopulationConfig {
             households: 12,
             seed: 0xE0E0,
@@ -46,11 +58,21 @@ fn trace_labels_identical_across_engines_and_threads() {
         },
     );
     let DriveOutput { trace, .. } = drive(
-        &eco,
+        eco,
         &mut pop,
         &ActivityProfile::default(),
         &DriveConfig::rbn2(0.5),
     );
+    trace
+}
+
+/// Compiled vs reference over a driven trace, including the pipeline's
+/// fault injection (mislabeled content types, broken referrer chains are
+/// part of every driven trace), at both thread counts.
+#[test]
+fn trace_labels_identical_across_engines_and_threads() {
+    let eco = eco();
+    let trace = driven_trace(&eco);
     let compiled = PassiveClassifier::with_mode(lists(&eco), EngineMode::Compiled);
     let reference = PassiveClassifier::with_mode(lists(&eco), EngineMode::Reference);
     let opts = PipelineOptions::default();
@@ -71,6 +93,83 @@ fn trace_labels_identical_across_engines_and_threads() {
             assert_eq!(a.url, b.url, "{name}: url diverged");
         }
     }
+}
+
+/// The driven trace's own requests — normalized URL, reconstructed page,
+/// inferred category — against the ecosystem lists + the EasyList-scale
+/// list: trace URLs carry query strings and the ad words that surface the
+/// fat buckets, which `ScaleList::sample_urls` does not.
+#[test]
+fn trace_requests_identical_at_easylist_scale() {
+    let eco = eco();
+    let trace = driven_trace(&eco);
+    let classifier = PassiveClassifier::with_mode(easylist_scale_lists(&eco), EngineMode::Compiled);
+    let engine = classifier.engine();
+    let compiled = classifier.compiled().expect("compiled mode");
+    let requests = classify_trace_sharded(&trace, &classifier, PipelineOptions::default(), 1);
+    assert!(requests.requests.len() > 1_000, "trace too small to matter");
+    let mut scratch = ClassifyScratch::new();
+    let (mut ads, mut deep) = (0usize, 0usize);
+    for r in &requests.requests {
+        let req = Request {
+            url: &r.url,
+            source_url: r.page.as_ref(),
+            category: r.category,
+        };
+        let verdict = compiled.classify(&req, &mut scratch);
+        assert_eq!(engine.classify(&req), verdict, "diverged on {}", r.url);
+        ads += usize::from(verdict.is_ad());
+        deep += usize::from(verdict.first_match_depth.is_some_and(|d| d >= 100));
+    }
+    assert!(ads > 100, "only {ads} ad requests in the trace");
+    assert!(deep > 0, "no request matched behind a fat bucket");
+}
+
+/// One source of truth for the index token: over every rule of the
+/// ecosystem lists + the EasyList-scale list the located run hashes to the
+/// bucket key, and every alignment the compiled engine stored points at
+/// the run its bucket is keyed under.
+#[test]
+fn alignment_points_at_the_bucket_token() {
+    let eco = eco();
+    let all = easylist_scale_lists(&eco);
+    let mut engine = Engine::new();
+    let mut rules = 0usize;
+    for list in all {
+        for f in list.blocking.iter().chain(&list.exceptions) {
+            let lits: Vec<&str> = f.pattern.literals().collect();
+            let key = filter_token(lits.iter().copied());
+            let located = filter_index_token(lits.iter().copied()).map(|t| {
+                assert_eq!(
+                    t.hash,
+                    hash_token(&lits[t.literal].as_bytes()[t.offset..][..t.len])
+                );
+                t.hash
+            });
+            assert_eq!(located, key, "index token of {}", f.raw);
+            rules += 1;
+        }
+        engine.add_list(list);
+    }
+    assert!(rules > 35_000, "only {rules} network rules");
+    let compiled = CompiledEngine::compile(&engine);
+    let mut aligned = 0usize;
+    for (key, literal, offset) in compiled.alignment_records() {
+        let run = &literal[offset..];
+        let len = run.iter().take_while(|b| b.is_ascii_alphanumeric()).count();
+        assert!(offset == 0 || !literal[offset - 1].is_ascii_alphanumeric());
+        assert_eq!(
+            hash_token(&run[..len]),
+            key,
+            "alignment off its bucket's run"
+        );
+        aligned += 1;
+    }
+    // `||domain^`, `/path/` and `&word_id=n` all seal their index token.
+    assert!(
+        aligned * 10 > rules * 9,
+        "{aligned} of {rules} rules aligned"
+    );
 }
 
 /// Compiled vs reference over the EasyList-scale generated list: tens of
