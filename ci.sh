@@ -22,6 +22,15 @@ for i in $(seq 1 20); do
 done
 echo "    20 of 20 runs green"
 
+echo "==> obs health tests 20x at --test-threads=8 (watchdog publish-order gate)"
+# The watchdog used to publish the stall flag before its counter, so a
+# reader could see `stalled` with `obs_health_stalls_total` still 0.
+for i in $(seq 1 20); do
+  cargo test -q -p obs --lib health:: -- --test-threads=8 \
+    >/dev/null 2>&1 || { echo "    obs health tests failed on run $i of 20"; exit 1; }
+done
+echo "    20 of 20 runs green"
+
 echo "==> e2e benchmark harness (unit tests + quick easylist_w1 smoke)"
 cargo test -q --offline -p bench --bin e2e
 # Capture, then grep, for the same SIGPIPE reason as the gates below.
@@ -37,6 +46,14 @@ for t in 1 4; do
   ANNOYED_THREADS=$t cargo test -q -p netsim --test parallel_equivalence
   ANNOYED_THREADS=$t cargo test -q -p adscope --test parallel_equivalence
 done
+
+echo "==> trace decoder gates (scanner == generic path, framing under any read pattern)"
+cargo test -q -p netsim --test scan_differential --test framing
+# The decode-bound workload, traced: staged, materialized, sharded and
+# streamed paths against the lossy-read reference.
+e2e_decode="$(cargo run --release -q --offline -p bench --bin e2e -- \
+  --quick --workload smalllists_w1 --trace 1)"
+grep -q '"failed": 0' <<<"$e2e_decode"
 
 echo "==> compiled-engine differential gates (byte-identical classifications)"
 # The hand-worked literal-alignment table, the fat-bucket proptest, and
@@ -273,7 +290,7 @@ BENCH_JSON="$PWD/BENCH_latest.json" cargo bench -p bench --bench filter_engine
 BENCH_JSON="$PWD/BENCH_latest.json" cargo bench -p bench --bench detector_overhead
 BENCH_JSON="$PWD/BENCH_latest.json" cargo bench -p bench --bench normalize
 
-echo "==> bench_gate (regression + overhead + compiled-engine speedup/throughput floors + normalize ns/URL ceiling)"
+echo "==> bench_gate (regression + overhead + compiled-engine speedup/throughput floors + normalize ns/URL + read_chunks ns/record ceilings)"
 # --manifest joins the history row to the streaming run that CI just
 # verified: the row carries that run's config_fnv and dataset fnv.
 cargo run --release -q -p bench --bin bench_gate -- BENCH_baseline.json BENCH_latest.json \

@@ -17,9 +17,23 @@
 //!   in [`CodecStats`], and keeps going. This models the reality of the
 //!   paper's ISP vantage point, where capture loss and truncation are
 //!   routine and a monitoring pipeline must degrade rather than crash.
+//!
+//! Every reader here and in [`crate::parallel`] and [`crate::stream`]
+//! decodes a record line at one point, `decode_text`: first the
+//! schema-directed scanner (`scan::scan_record`), which walks the exact
+//! bytes [`record_to_json`] writes and builds the record directly, and —
+//! whenever the scanner declines, for whatever reason — the generic
+//! `json::parse` + `decode_record` pair. The scanner never rejects a line,
+//! it only declines it, so the generic pair stays the single authority on
+//! bad-JSON versus bad-schema and on strict error text, and the verdict on
+//! any line is the one the generic pair alone would give
+//! (`tests/scan_differential.rs` holds the two to each other). The lossy
+//! readers frame lines with `scan::LineFramer`, which decodes a line in
+//! place from the read buffer unless it straddles a refill.
 
 use crate::json::{self, Value};
 use crate::record::{Trace, TraceMeta, TraceRecord};
+use crate::scan::{scan_record, LineFramer};
 use http_model::headers::{RequestHeaders, ResponseHeaders};
 use http_model::transaction::{HttpTransaction, Method};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
@@ -186,10 +200,10 @@ fn field<'v, 'a>(v: &'v Value<'a>, key: &str) -> Result<&'v Value<'a>, String> {
     v.get(key).ok_or_else(|| format!("missing field `{key}`"))
 }
 
-/// The one place a string field is copied out of the borrowed parse tree
-/// into the owned record — the parser itself no longer allocates for
-/// escape-free strings, so decode does exactly one allocation per kept
-/// string field.
+/// The one place the generic path copies a string field out of the
+/// borrowed parse tree into the owned record — the parser itself does not
+/// allocate for escape-free strings, so decode does exactly one allocation
+/// per kept string field.
 fn field_str(v: &Value<'_>, key: &str) -> Result<String, String> {
     field(v, key)?
         .as_str()
@@ -295,7 +309,7 @@ fn decode_tls(v: &Value<'_>) -> Result<crate::record::TlsConnection, String> {
     })
 }
 
-pub(crate) fn decode_record(v: &Value<'_>) -> Result<TraceRecord, String> {
+fn decode_record(v: &Value<'_>) -> Result<TraceRecord, String> {
     match v {
         Value::Object(fields) if fields.len() == 1 => match fields[0].0.as_ref() {
             "Http" => Ok(TraceRecord::Http(decode_http(&fields[0].1)?)),
@@ -303,6 +317,43 @@ pub(crate) fn decode_record(v: &Value<'_>) -> Result<TraceRecord, String> {
             other => Err(format!("unknown record variant {other:?}")),
         },
         _ => Err("record must be an object with exactly one variant key".to_string()),
+    }
+}
+
+/// Why a trimmed, non-empty line is not a record, with the generic path's
+/// error text.
+pub(crate) enum LineError {
+    /// `json::parse` refused it.
+    Json(String),
+    /// It parsed, but `decode_record` refused the tree.
+    Schema(String),
+}
+
+impl LineError {
+    /// The text the strict readers put in [`CodecError::BadRecord`].
+    pub(crate) fn into_text(self) -> String {
+        match self {
+            LineError::Json(e) | LineError::Schema(e) => e,
+        }
+    }
+}
+
+/// The generic decode of one trimmed, non-empty line: the full `Value`
+/// tree, then the schema walk. The authority on every verdict and error
+/// text, and the oracle the scanner is tested against.
+fn decode_text_generic(text: &str) -> Result<TraceRecord, LineError> {
+    let value = json::parse(text).map_err(LineError::Json)?;
+    decode_record(&value).map_err(LineError::Schema)
+}
+
+/// Decode one trimmed, non-empty line — the one point every reader, strict
+/// or lossy, sequential or chunked, goes through. Lines in the writer's own
+/// spelling are decoded by [`scan_record`] without building a tree; it
+/// declines everything else, and then the generic path decides.
+pub(crate) fn decode_text(text: &str) -> Result<TraceRecord, LineError> {
+    match scan_record(text) {
+        Some(rec) => Ok(rec),
+        None => decode_text_generic(text),
     }
 }
 
@@ -360,13 +411,9 @@ pub fn read_trace<R: Read>(source: R) -> Result<Trace, CodecError> {
         if text.is_empty() {
             continue;
         }
-        let value = json::parse(text).map_err(|e| CodecError::BadRecord {
+        let rec = decode_text(text).map_err(|e| CodecError::BadRecord {
             line: lineno,
-            error: e,
-        })?;
-        let rec = decode_record(&value).map_err(|e| CodecError::BadRecord {
-            line: lineno,
-            error: e,
+            error: e.into_text(),
         })?;
         records.push(rec);
     }
@@ -471,41 +518,6 @@ impl std::fmt::Display for CodecStats {
     }
 }
 
-/// Read one newline-terminated line into `buf` (newline excluded), keeping
-/// at most `cap` bytes; the rest of an over-long line is consumed and
-/// discarded. Returns `Ok(None)` at EOF, otherwise `Ok(Some(overflowed))`.
-fn read_line_capped<R: BufRead>(
-    r: &mut R,
-    buf: &mut Vec<u8>,
-    cap: usize,
-) -> io::Result<Option<bool>> {
-    buf.clear();
-    let mut seen_any = false;
-    let mut overflow = false;
-    loop {
-        let chunk = r.fill_buf()?;
-        if chunk.is_empty() {
-            return Ok(if seen_any { Some(overflow) } else { None });
-        }
-        seen_any = true;
-        let (take, consumed, done) = match chunk.iter().position(|&b| b == b'\n') {
-            Some(idx) => (&chunk[..idx], idx + 1, true),
-            None => (chunk, chunk.len(), false),
-        };
-        let room = cap.saturating_sub(buf.len());
-        if take.len() > room {
-            overflow = true;
-            buf.extend_from_slice(&take[..room]);
-        } else {
-            buf.extend_from_slice(take);
-        }
-        r.consume(consumed);
-        if done {
-            return Ok(Some(overflow));
-        }
-    }
-}
-
 /// What the lossy path decided about one raw line. One function makes
 /// this call for both the streaming [`TraceReader`] and the chunked
 /// parallel decoder, so identical bytes always produce the identical
@@ -536,6 +548,14 @@ pub(crate) enum LossyLine {
 /// line whose tail was truncated at [`MAX_LINE_BYTES`] by the capped
 /// streaming read, or measured over the cap by the chunked decoder.
 pub(crate) fn decode_line_lossy(buf: &[u8], overflow: bool) -> LossyLine {
+    classify_line(buf, overflow, decode_text)
+}
+
+fn classify_line(
+    buf: &[u8],
+    overflow: bool,
+    decode: impl Fn(&str) -> Result<TraceRecord, LineError>,
+) -> LossyLine {
     if overflow {
         return LossyLine::Oversize;
     }
@@ -546,12 +566,48 @@ pub(crate) fn decode_line_lossy(buf: &[u8], overflow: bool) -> LossyLine {
     if text.is_empty() {
         return LossyLine::Blank;
     }
-    let Ok(value) = json::parse(text) else {
-        return LossyLine::BadJson;
-    };
-    match decode_record(&value) {
+    match decode(text) {
         Ok(rec) => LossyLine::Record(rec),
-        Err(_) => LossyLine::BadSchema,
+        Err(LineError::Json(_)) => LossyLine::BadJson,
+        Err(LineError::Schema(_)) => LossyLine::BadSchema,
+    }
+}
+
+/// Hooks for `tests/scan_differential.rs`; not part of the API. A verdict
+/// is `Ok(Some(record))`, `Ok(None)` for a blank line, or `Err` with the
+/// skip reason as `netsim_resync_total` labels it.
+#[doc(hidden)]
+pub mod hooks {
+    use super::*;
+
+    fn verdict(line: LossyLine) -> Result<Option<TraceRecord>, &'static str> {
+        match line {
+            LossyLine::Record(rec) => Ok(Some(rec)),
+            LossyLine::Blank => Ok(None),
+            LossyLine::BadJson => Err("bad_json"),
+            LossyLine::BadSchema => Err("bad_schema"),
+            LossyLine::NonUtf8 => Err("non_utf8"),
+            LossyLine::Oversize => Err("oversize"),
+        }
+    }
+
+    /// What the readers decide about `line` (scanner, then generic path).
+    pub fn line_verdict(line: &[u8]) -> Result<Option<TraceRecord>, &'static str> {
+        verdict(decode_line_lossy(line, line.len() > MAX_LINE_BYTES))
+    }
+
+    /// What the generic path alone decides about `line`.
+    pub fn line_verdict_generic(line: &[u8]) -> Result<Option<TraceRecord>, &'static str> {
+        verdict(classify_line(
+            line,
+            line.len() > MAX_LINE_BYTES,
+            decode_text_generic,
+        ))
+    }
+
+    /// The scanner alone: `None` means it declined the line.
+    pub fn scan(text: &str) -> Option<TraceRecord> {
+        scan_record(text)
     }
 }
 
@@ -656,10 +712,9 @@ impl DecodeWindows {
 /// registry (`netsim_lossy_*`, `netsim_resync_total{reason=...}`) or the
 /// one passed to [`TraceReader::with_registry`].
 pub struct TraceReader<R: Read> {
-    reader: BufReader<R>,
+    framer: LineFramer<R>,
     meta: TraceMeta,
     stats: CodecStats,
-    buf: Vec<u8>,
     done: bool,
     metrics: ReaderMetrics,
 }
@@ -676,31 +731,15 @@ impl<R: Read> TraceReader<R> {
         registry: &obs::Registry,
     ) -> Result<TraceReader<R>, CodecError> {
         let metrics = ReaderMetrics::bind(registry);
-        let mut reader = BufReader::new(source);
-        let mut stats = CodecStats::default();
-        let mut buf = Vec::new();
-        let first = read_line_capped(&mut reader, &mut buf, MAX_LINE_BYTES)?;
-        let meta = match first {
-            Some(false) => {
-                let text = String::from_utf8_lossy(&buf);
-                match decode_header(&text) {
-                    Ok(meta) => meta,
-                    Err(_) => {
-                        stats.header_recovered = true;
-                        recovered_meta()
-                    }
-                }
-            }
-            _ => {
-                stats.header_recovered = true;
-                recovered_meta()
-            }
-        };
+        let mut framer = LineFramer::new(source);
+        let (meta, header_recovered, _) = framer.read_header_lossy()?;
         Ok(TraceReader {
-            reader,
+            framer,
             meta,
-            stats,
-            buf,
+            stats: CodecStats {
+                header_recovered,
+                ..CodecStats::default()
+            },
             done: false,
             metrics,
         })
@@ -724,9 +763,8 @@ impl<R: Read> TraceReader<R> {
     /// Next decodable record, skipping (and counting) corrupt lines.
     pub fn next_record(&mut self) -> Option<TraceRecord> {
         while !self.done {
-            let read = read_line_capped(&mut self.reader, &mut self.buf, MAX_LINE_BYTES);
-            let overflow = match read {
-                Ok(Some(overflow)) => overflow,
+            let line = match self.framer.next_line() {
+                Ok(Some(line)) => line,
                 Ok(None) => {
                     self.done = true;
                     return None;
@@ -737,11 +775,11 @@ impl<R: Read> TraceReader<R> {
                     return None;
                 }
             };
-            match decode_line_lossy(&self.buf, overflow) {
+            match decode_line_lossy(line.bytes, line.overflow) {
                 LossyLine::Record(rec) => {
                     self.stats.records_read += 1;
                     self.metrics.records.inc();
-                    self.metrics.bytes.add(self.buf.len() as u64 + 1);
+                    self.metrics.bytes.add(line.bytes.len() as u64 + 1);
                     return Some(rec);
                 }
                 LossyLine::Blank => self.stats.blank_lines += 1,

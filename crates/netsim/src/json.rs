@@ -13,8 +13,16 @@
 //! [`Cow::Borrowed`] slices of the input, so parsing a record line
 //! allocates only the two `Vec`s of the object tree, not one `String`
 //! per field. Only strings that actually contain `\` escapes are
-//! unescaped into owned buffers. This is the decode hot path: the trace
-//! reader parses one line per record at ISP-trace volumes.
+//! unescaped into owned buffers.
+//!
+//! The `Value` tree is no longer the trace decode hot path: record lines
+//! in the writer's own spelling are read by the schema-directed scanner
+//! (`scan::scan_record`, see [`crate::codec`]) without building a tree.
+//! This parser still decides everything the scanner declines — lines with
+//! escapes, foreign spellings, and every corrupt line, so it alone defines
+//! what is bad JSON — and it reads the trace header, checkpoints, run
+//! manifests, bench result files and every NDJSON artifact the tools
+//! validate.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;

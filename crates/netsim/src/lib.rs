@@ -24,7 +24,10 @@
 //!   modelling the degradations a live vantage point produces: capture
 //!   loss, truncation, garbling, missing headers, clock skew, duplicates.
 //! * [`json`] — the minimal panic-free JSON layer behind the codec, with
-//!   a borrowed fast path so escape-free strings never allocate.
+//!   a borrowed fast path so escape-free strings never allocate. Record
+//!   lines in the writer's own spelling bypass it: a private `scan` module
+//!   holds the schema-directed record scanner, the in-place line framer
+//!   and the word-at-a-time newline search the readers share.
 //! * [`parallel`] — chunked multi-core decode over the same codec:
 //!   byte-identical to the sequential readers, with per-chunk
 //!   [`codec::CodecStats`] merged exactly.
@@ -45,6 +48,7 @@ pub mod nat;
 pub mod parallel;
 pub mod record;
 pub mod rtt;
+mod scan;
 pub mod stream;
 
 pub use anonymize::Anonymizer;

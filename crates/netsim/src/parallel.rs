@@ -21,11 +21,11 @@
 //! off the trace is an mmap-able file or an in-memory buffer anyway.
 
 use crate::codec::{
-    decode_header, decode_line_lossy, decode_record, recovered_meta, CodecError, CodecStats,
+    decode_header, decode_line_lossy, decode_text, recovered_meta, CodecError, CodecStats,
     DecodeWindows, LossyLine, ReaderMetrics, MAX_LINE_BYTES,
 };
-use crate::json;
 use crate::record::{Trace, TraceRecord};
+use crate::scan::find_newline;
 use ::parallel::{split_ranges, Pool};
 use obs::events::FieldValue;
 use obs::trace::{seed_from_name, SpanId, TraceId};
@@ -119,7 +119,7 @@ fn lines(bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
             return None;
         }
         let rest = &bytes[pos..];
-        match rest.iter().position(|&b| b == b'\n') {
+        match find_newline(rest) {
             Some(idx) => {
                 pos += idx + 1;
                 Some(&rest[..idx])
@@ -146,7 +146,7 @@ fn chunk_on_lines(body: &[u8], parts: usize) -> Vec<&[u8]> {
         let end = if r.end == body.len() {
             body.len()
         } else {
-            match body[r.end..].iter().position(|&b| b == b'\n') {
+            match find_newline(&body[r.end..]) {
                 Some(idx) => r.end + idx + 1,
                 None => body.len(),
             }
@@ -163,7 +163,7 @@ fn chunk_on_lines(body: &[u8], parts: usize) -> Vec<&[u8]> {
 /// Split off the header line. Returns `(header_without_newline, body)`;
 /// the body is empty when the stream has a single line.
 fn split_header(bytes: &[u8]) -> (&[u8], &[u8]) {
-    match bytes.iter().position(|&b| b == b'\n') {
+    match find_newline(bytes) {
         Some(idx) => (&bytes[..idx], &bytes[idx + 1..]),
         None => (bytes, &[]),
     }
@@ -210,8 +210,7 @@ pub fn read_trace_parallel(bytes: &[u8], threads: usize) -> Result<Trace, CodecE
             if text.is_empty() {
                 continue;
             }
-            let value = json::parse(text).map_err(|e| (line_count, e))?;
-            let rec = decode_record(&value).map_err(|e| (line_count, e))?;
+            let rec = decode_text(text).map_err(|e| (line_count, e.into_text()))?;
             records.push(rec);
         }
         let windows = obs::enabled().then(|| chunk_windows(&records));

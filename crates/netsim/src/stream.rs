@@ -6,9 +6,11 @@
 //! sends over its bounded channels) nor tracks how many input bytes each
 //! record consumed (the unit a checkpoint manifest must store to resume a
 //! killed run). [`ChunkReader`] adds both while reusing the codec's exact
-//! per-line keep/skip verdict ([`crate::codec::decode_line_lossy`]) and
-//! header-recovery policy, so a chunked read yields byte-for-byte the same
-//! records and [`CodecStats`] totals as the one-shot lossy reader.
+//! per-line keep/skip verdict ([`crate::codec::decode_line_lossy`]),
+//! header-recovery policy and line framer (`scan::LineFramer`, which
+//! reports the input bytes each line took), so a chunked read yields
+//! byte-for-byte the same records and [`CodecStats`] totals as the
+//! one-shot lossy reader.
 //!
 //! [`TraceWriter`] is the encode-side dual: it emits the same bytes as
 //! [`crate::codec::write_trace`] one record at a time, so the generator
@@ -16,11 +18,11 @@
 
 use crate::codec::{
     self, CodecError, CodecStats, LossyLine, ReaderMetrics, FORMAT_NAME, FORMAT_VERSION,
-    MAX_LINE_BYTES,
 };
 use crate::json;
 use crate::record::{TraceMeta, TraceRecord};
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use crate::scan::LineFramer;
+use std::io::{BufWriter, Read, Write};
 
 /// One decoded batch of records plus its accounting.
 #[derive(Debug)]
@@ -37,43 +39,6 @@ pub struct StreamChunk {
     pub end_offset: u64,
 }
 
-/// Like the codec's capped line read, but also reports how many input
-/// bytes the line consumed (newline included) so the caller can maintain
-/// an exact byte offset for resume.
-fn read_line_counted<R: BufRead>(
-    r: &mut R,
-    buf: &mut Vec<u8>,
-    cap: usize,
-) -> io::Result<Option<(bool, u64)>> {
-    buf.clear();
-    let mut seen_any = false;
-    let mut overflow = false;
-    let mut consumed_total = 0u64;
-    loop {
-        let chunk = r.fill_buf()?;
-        if chunk.is_empty() {
-            return Ok(seen_any.then_some((overflow, consumed_total)));
-        }
-        seen_any = true;
-        let (take, consumed, done) = match chunk.iter().position(|&b| b == b'\n') {
-            Some(idx) => (&chunk[..idx], idx + 1, true),
-            None => (chunk, chunk.len(), false),
-        };
-        let room = cap.saturating_sub(buf.len());
-        if take.len() > room {
-            overflow = true;
-            buf.extend_from_slice(&take[..room]);
-        } else {
-            buf.extend_from_slice(take);
-        }
-        r.consume(consumed);
-        consumed_total += consumed as u64;
-        if done {
-            return Ok(Some((overflow, consumed_total)));
-        }
-    }
-}
-
 /// A loss-tolerant chunked trace reader with byte-offset accounting.
 ///
 /// Same decode policy as [`crate::codec::TraceReader`] — corrupt lines are
@@ -82,7 +47,7 @@ fn read_line_counted<R: BufRead>(
 /// carrying the byte offset of its end so a checkpoint can name an exact
 /// resume point.
 pub struct ChunkReader<R: Read> {
-    reader: BufReader<R>,
+    framer: LineFramer<R>,
     meta: TraceMeta,
     chunk_records: usize,
     /// Byte offset just past the last consumed line.
@@ -91,7 +56,6 @@ pub struct ChunkReader<R: Read> {
     /// Header-recovery flag awaiting the first chunk's stats.
     pending_header_recovered: bool,
     done: bool,
-    buf: Vec<u8>,
     metrics: ReaderMetrics,
 }
 
@@ -109,42 +73,16 @@ impl<R: Read> ChunkReader<R> {
         registry: &obs::Registry,
     ) -> Result<ChunkReader<R>, CodecError> {
         let metrics = ReaderMetrics::bind(registry);
-        let mut reader = BufReader::new(source);
-        let mut buf = Vec::new();
-        let mut offset = 0u64;
-        let mut header_recovered = false;
-        let first = read_line_counted(&mut reader, &mut buf, MAX_LINE_BYTES)?;
-        let meta = match first {
-            Some((false, consumed)) => {
-                offset = consumed;
-                let text = String::from_utf8_lossy(&buf);
-                match codec::decode_header(&text) {
-                    Ok(meta) => meta,
-                    Err(_) => {
-                        header_recovered = true;
-                        codec::recovered_meta()
-                    }
-                }
-            }
-            Some((true, consumed)) => {
-                offset = consumed;
-                header_recovered = true;
-                codec::recovered_meta()
-            }
-            None => {
-                header_recovered = true;
-                codec::recovered_meta()
-            }
-        };
+        let mut framer = LineFramer::new(source);
+        let (meta, header_recovered, offset) = framer.read_header_lossy()?;
         Ok(ChunkReader {
-            reader,
+            framer,
             meta,
             chunk_records: chunk_records.max(1),
             offset,
             seq: 0,
             pending_header_recovered: header_recovered,
             done: false,
-            buf,
             metrics,
         })
     }
@@ -161,14 +99,13 @@ impl<R: Read> ChunkReader<R> {
         registry: &obs::Registry,
     ) -> ChunkReader<R> {
         ChunkReader {
-            reader: BufReader::new(source),
+            framer: LineFramer::new(source),
             meta,
             chunk_records: chunk_records.max(1),
             offset,
             seq,
             pending_header_recovered: false,
             done: false,
-            buf: Vec::new(),
             metrics: ReaderMetrics::bind(registry),
         }
     }
@@ -197,9 +134,8 @@ impl<R: Read> ChunkReader<R> {
         };
         let mut records = Vec::with_capacity(self.chunk_records);
         while records.len() < self.chunk_records {
-            let read = read_line_counted(&mut self.reader, &mut self.buf, MAX_LINE_BYTES);
-            let (overflow, consumed) = match read {
-                Ok(Some(pair)) => pair,
+            let line = match self.framer.next_line() {
+                Ok(Some(line)) => line,
                 Ok(None) => {
                     self.done = true;
                     break;
@@ -210,12 +146,12 @@ impl<R: Read> ChunkReader<R> {
                     break;
                 }
             };
-            self.offset += consumed;
-            match codec::decode_line_lossy(&self.buf, overflow) {
+            self.offset += line.consumed;
+            match codec::decode_line_lossy(line.bytes, line.overflow) {
                 LossyLine::Record(rec) => {
                     stats.records_read += 1;
                     self.metrics.records.inc();
-                    self.metrics.bytes.add(consumed);
+                    self.metrics.bytes.add(line.consumed);
                     records.push(rec);
                 }
                 LossyLine::Blank => stats.blank_lines += 1,
@@ -456,7 +392,7 @@ mod tests {
 
     #[test]
     fn empty_stream_yields_one_recovery_chunk() {
-        let mut reader = ChunkReader::new(io::empty(), 8).unwrap();
+        let mut reader = ChunkReader::new(std::io::empty(), 8).unwrap();
         let chunk = reader.next_chunk().unwrap();
         assert!(chunk.records.is_empty());
         assert!(chunk.stats.header_recovered);

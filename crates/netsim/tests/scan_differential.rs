@@ -1,0 +1,597 @@
+//! Differential tests for the schema-directed record scanner.
+//!
+//! The scanner is a fast path in front of `json::parse` + `decode_record`;
+//! it may decline any line, but whatever the readers decide with it in
+//! place must be exactly what the generic path alone decides — the same
+//! keep/skip verdict and, for a kept line, the same record. The generic
+//! path is the oracle throughout (`hooks::line_verdict_generic`).
+//!
+//! A second property runs the other way: every line the writer emits for a
+//! record without escapes must be accepted by the scanner itself, so a
+//! change to `encode_record` cannot silently demote every line to the
+//! generic path.
+
+use http_model::headers::{RequestHeaders, ResponseHeaders};
+use http_model::transaction::Method;
+use http_model::HttpTransaction;
+use netsim::codec::{hooks, record_to_json};
+use netsim::record::{TlsConnection, TraceRecord};
+use proptest::prelude::*;
+
+// ---------------------------------------------------------------------------
+// Strategies
+// ---------------------------------------------------------------------------
+
+/// Strings that exercise every string path: mostly plain header text (the
+/// scanner's case), sometimes characters the writer must escape, raw
+/// non-ASCII, NBSP and DEL.
+fn any_string() -> BoxedStrategy<String> {
+    let any_char = prop_oneof![
+        (0x20u32..0x7f).prop_map(|c| char::from_u32(c).expect("ascii")),
+        Just('"'),
+        Just('\\'),
+        Just('\n'),
+        Just('\t'),
+        Just('\u{1}'),
+        Just('\u{1f}'),
+        Just('\u{7f}'),
+        Just('\u{a0}'),
+        Just('é'),
+        Just('🦀'),
+    ];
+    prop_oneof![
+        "[a-zA-Z0-9/?=&._ -]{0,40}",
+        "[a-zA-Z0-9/?=&._ -]{0,40}",
+        proptest::collection::vec(any_char, 0..24).prop_map(|cs| cs.into_iter().collect()),
+    ]
+    .boxed()
+}
+
+fn any_f64() -> BoxedStrategy<f64> {
+    prop_oneof![
+        -1e6f64..1e6,
+        0.0f64..100.0,
+        (0u32..100_000).prop_map(f64::from),
+        Just(0.0),
+        Just(-0.0),
+        Just(1e21),
+        Just(1e-7),
+        Just(f64::MAX),
+        Just(5e-324),
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+    ]
+    .boxed()
+}
+
+/// The largest integer the scanner reads itself: 19 digits.
+const MAX_19_DIGITS: u64 = 9_999_999_999_999_999_999;
+
+fn any_u64() -> BoxedStrategy<u64> {
+    prop_oneof![
+        0u64..100_000,
+        0u64..=u64::MAX,
+        Just(0),
+        Just(u64::MAX),
+        Just(MAX_19_DIGITS),
+        Just(MAX_19_DIGITS + 1),
+    ]
+    .boxed()
+}
+
+fn any_method() -> BoxedStrategy<Method> {
+    prop_oneof![Just(Method::Get), Just(Method::Post), Just(Method::Head)].boxed()
+}
+
+fn any_record() -> BoxedStrategy<TraceRecord> {
+    let addr = || (0u32..=u32::MAX, 0u32..=u32::MAX, 0u16..=u16::MAX);
+    let http = (
+        (any_f64(), addr()),
+        any_method(),
+        (
+            any_string(),
+            any_string(),
+            proptest::option::of(any_string()),
+            proptest::option::of(any_string()),
+        ),
+        (
+            0u16..=u16::MAX,
+            proptest::option::of(any_string()),
+            proptest::option::of(any_u64()),
+            proptest::option::of(any_string()),
+        ),
+        (any_f64(), any_f64()),
+    )
+        .prop_map(
+            |((ts, (client_ip, server_ip, server_port)), method, rq, rs, hs)| {
+                TraceRecord::Http(HttpTransaction {
+                    ts,
+                    client_ip,
+                    server_ip,
+                    server_port,
+                    method,
+                    request: RequestHeaders {
+                        host: rq.0,
+                        uri: rq.1,
+                        referer: rq.2,
+                        user_agent: rq.3,
+                    },
+                    response: ResponseHeaders {
+                        status: rs.0,
+                        content_type: rs.1,
+                        content_length: rs.2,
+                        location: rs.3,
+                    },
+                    tcp_handshake_ms: hs.0,
+                    http_handshake_ms: hs.1,
+                })
+            },
+        );
+    let tls = (any_f64(), addr(), any_u64()).prop_map(
+        |(ts, (client_ip, server_ip, server_port), bytes)| {
+            TraceRecord::Https(TlsConnection {
+                ts,
+                client_ip,
+                server_ip,
+                server_port,
+                bytes,
+            })
+        },
+    );
+    prop_oneof![http.boxed(), http_like_the_traces(), tls.boxed()].boxed()
+}
+
+/// Records shaped like generated traffic: finite timings, plain strings.
+fn http_like_the_traces() -> BoxedStrategy<TraceRecord> {
+    (
+        0.0f64..86_400.0,
+        0u32..5000,
+        "[a-z0-9.-]{1,30}",
+        "/[a-zA-Z0-9/?=&._-]{0,120}",
+        proptest::option::of("http://[a-z0-9./?=&-]{1,80}"),
+        (0u64..2_000_000, 0.1f64..900.0),
+    )
+        .prop_map(|(ts, ip, host, uri, referer, (len, ms))| {
+            TraceRecord::Http(HttpTransaction {
+                ts,
+                client_ip: ip,
+                server_ip: ip.wrapping_mul(31),
+                server_port: 80,
+                method: Method::Get,
+                request: RequestHeaders {
+                    host,
+                    uri,
+                    referer,
+                    user_agent: Some("Mozilla/5.0 (X11; Linux x86_64) Gecko/20100101".into()),
+                },
+                response: ResponseHeaders {
+                    status: 200,
+                    content_type: Some("image/gif".into()),
+                    content_length: Some(len),
+                    location: None,
+                },
+                tcp_handshake_ms: ms,
+                http_handshake_ms: ms * 3.5,
+            })
+        })
+        .boxed()
+}
+
+// ---------------------------------------------------------------------------
+// What the scanner is expected to take itself
+// ---------------------------------------------------------------------------
+
+fn floats_of(r: &TraceRecord) -> Vec<f64> {
+    match r {
+        TraceRecord::Http(t) => vec![t.ts, t.tcp_handshake_ms, t.http_handshake_ms],
+        TraceRecord::Https(t) => vec![t.ts],
+    }
+}
+
+fn u64s_of(r: &TraceRecord) -> Vec<u64> {
+    match r {
+        TraceRecord::Http(t) => t.response.content_length.into_iter().collect(),
+        TraceRecord::Https(t) => vec![t.bytes],
+    }
+}
+
+/// The writer's line for `r` is in the scanner's language: no string
+/// needed an escape, every float is finite (the writer spells the others
+/// `null`), every integer has at most 19 digits.
+fn scanner_should_accept(r: &TraceRecord, line: &str) -> bool {
+    !line.contains('\\')
+        && floats_of(r).iter().all(|f| f.is_finite())
+        && u64s_of(r).iter().all(|&n| n <= MAX_19_DIGITS)
+}
+
+fn assert_same_verdict(line: &[u8]) {
+    assert_eq!(
+        hooks::line_verdict(line),
+        hooks::line_verdict_generic(line),
+        "line: {:?}",
+        String::from_utf8_lossy(line)
+    );
+}
+
+/// One record, clean, for the hand-made mutants below.
+fn sample_http_line() -> String {
+    record_to_json(&TraceRecord::Http(HttpTransaction {
+        ts: 12.5,
+        client_ip: 7,
+        server_ip: 9,
+        server_port: 80,
+        method: Method::Get,
+        request: RequestHeaders {
+            host: "ads.example".into(),
+            uri: "/b?id=1".into(),
+            referer: Some("http://pub.example/".into()),
+            user_agent: None,
+        },
+        response: ResponseHeaders {
+            status: 200,
+            content_type: Some("image/gif".into()),
+            content_length: Some(43),
+            location: None,
+        },
+        tcp_handshake_ms: 10.0,
+        http_handshake_ms: 55.25,
+    }))
+}
+
+fn sample_tls_line() -> String {
+    record_to_json(&TraceRecord::Https(TlsConnection {
+        ts: 1.5,
+        client_ip: 7,
+        server_ip: 9,
+        server_port: 443,
+        bytes: 1234,
+    }))
+}
+
+/// `line` with the first `from` replaced by `to`; the edit must apply.
+fn edit(line: &str, from: &str, to: &str) -> String {
+    assert!(line.contains(from), "{from:?} not in {line}");
+    line.replacen(from, to, 1)
+}
+
+// ---------------------------------------------------------------------------
+// Properties
+// ---------------------------------------------------------------------------
+
+proptest! {
+    /// Whatever the writer emits, the readers decide about it exactly what
+    /// the generic path decides — and a line the generic path keeps comes
+    /// back as the record that was written.
+    #[test]
+    fn written_lines_get_the_generic_verdict(r in any_record()) {
+        let line = record_to_json(&r);
+        let got = hooks::line_verdict(line.as_bytes());
+        prop_assert_eq!(&got, &hooks::line_verdict_generic(line.as_bytes()), "line: {}", line);
+        if floats_of(&r).iter().all(|f| f.is_finite()) {
+            let back = got.expect("kept").expect("a record");
+            // Byte-compare the re-encoding: `-0.0 == 0.0` would pass a
+            // record compare.
+            prop_assert_eq!(record_to_json(&back), line);
+        } else {
+            prop_assert_eq!(got, Err("bad_schema"));
+        }
+    }
+
+    /// Lockstep with the writer: the scanner itself takes every line in its
+    /// language and only those, and reads back the written record.
+    #[test]
+    fn scanner_accepts_what_the_writer_emits(r in any_record()) {
+        let line = record_to_json(&r);
+        match hooks::scan(&line) {
+            Some(back) => {
+                prop_assert!(scanner_should_accept(&r, &line), "took {}", line);
+                prop_assert_eq!(record_to_json(&back), line);
+            }
+            None => prop_assert!(!scanner_should_accept(&r, &line), "declined {}", line),
+        }
+    }
+
+    /// Generated-traffic-shaped records always take the scanner.
+    #[test]
+    fn trace_shaped_records_take_the_scanner(r in http_like_the_traces()) {
+        let line = record_to_json(&r);
+        prop_assert_eq!(hooks::scan(&line), Some(r));
+    }
+
+    /// Random damage to a written line: byte flips, truncation, inserted
+    /// whitespace and arbitrary bytes, deletions, a doubled slice, a
+    /// trailing tail. Same verdict with and without the scanner.
+    #[test]
+    fn mutated_lines_get_the_generic_verdict(
+        r in any_record(),
+        edits in proptest::collection::vec((0u8..7, 0usize..10_000, 0u8..=255, 1usize..24), 1..4),
+    ) {
+        let mut line = record_to_json(&r).into_bytes();
+        for (kind, at, byte, span) in edits {
+            let len = line.len();
+            if len == 0 {
+                break;
+            }
+            let at = at % len;
+            match kind {
+                0 => line[at] = byte,
+                1 => line.truncate(at),
+                2 => line.insert(at, b" \t\r\n"[byte as usize % 4]),
+                3 => line.insert(at, byte),
+                4 => {
+                    line.remove(at);
+                }
+                5 => {
+                    let end = (at + span).min(len);
+                    let slice = line[at..end].to_vec();
+                    line.splice(at..at, slice);
+                }
+                _ => line.extend(std::iter::repeat_n(byte, span)),
+            }
+        }
+        assert_same_verdict(&line);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Hand-made departures from the writer's spelling
+// ---------------------------------------------------------------------------
+
+/// Every departure the scanner must hand to the generic path, with what
+/// that path makes of it. The verdict column is the oracle's; the test
+/// asserts the readers agree *and* that the scanner declined.
+#[test]
+fn departures_from_the_writer_fall_through() {
+    let h = sample_http_line();
+    let t = sample_tls_line();
+    assert!(hooks::scan(&h).is_some() && hooks::scan(&t).is_some());
+    let kept = |line: &str| matches!(hooks::line_verdict_generic(line.as_bytes()), Ok(Some(_)));
+
+    let cases: Vec<(&str, String, bool)> = vec![
+        // Whitespace the generic parser skips.
+        ("space after colon", edit(&h, "\"ts\":", "\"ts\": "), true),
+        (
+            "space before comma",
+            edit(&h, ",\"client_ip\"", " ,\"client_ip\""),
+            true,
+        ),
+        (
+            "space inside braces",
+            edit(&t, "{\"Https\"", "{ \"Https\""),
+            true,
+        ),
+        ("tab before close", edit(&t, "}}", "}\t}"), true),
+        // Key order, duplicates, extras.
+        (
+            "reordered keys",
+            edit(
+                &t,
+                "\"client_ip\":7,\"server_ip\":9",
+                "\"server_ip\":9,\"client_ip\":7",
+            ),
+            true,
+        ),
+        (
+            "duplicate key, last wins",
+            edit(&t, "\"bytes\":1234", "\"bytes\":1,\"bytes\":1234"),
+            true,
+        ),
+        (
+            "duplicate key, last is bad",
+            edit(&t, "\"bytes\":1234", "\"bytes\":1234,\"bytes\":\"x\""),
+            false,
+        ),
+        (
+            "extra key",
+            edit(&t, "\"bytes\":1234", "\"bytes\":1234,\"extra\":[1,2]"),
+            true,
+        ),
+        (
+            "extra key first",
+            edit(&h, "{\"ts\"", "{\"zz\":null,\"ts\""),
+            true,
+        ),
+        (
+            "missing optional key",
+            edit(&h, ",\"location\":null", ""),
+            true,
+        ),
+        (
+            "missing required key",
+            edit(&t, ",\"bytes\":1234", ""),
+            false,
+        ),
+        (
+            "second variant key",
+            edit(&t, "}}", "},\"Http\":{}}"),
+            false,
+        ),
+        ("unknown variant", edit(&t, "\"Https\"", "\"Quic\""), false),
+        // Numbers.
+        (
+            "integer in float slot",
+            edit(&h, "\"ts\":12.5", "\"ts\":12"),
+            true,
+        ),
+        (
+            "float in integer slot",
+            edit(&t, "\"bytes\":1234", "\"bytes\":1234.0"),
+            false,
+        ),
+        (
+            "exponent in integer slot",
+            edit(&t, "\"bytes\":1234", "\"bytes\":1e3"),
+            false,
+        ),
+        (
+            "leading zeros",
+            edit(&t, "\"bytes\":1234", "\"bytes\":001234"),
+            true,
+        ),
+        (
+            "minus zero integer",
+            edit(&t, "\"bytes\":1234", "\"bytes\":-0"),
+            true,
+        ),
+        (
+            "negative integer",
+            edit(&t, "\"bytes\":1234", "\"bytes\":-5"),
+            false,
+        ),
+        (
+            "20 digits, in range",
+            edit(&t, "\"bytes\":1234", "\"bytes\":18446744073709551615"),
+            true,
+        ),
+        (
+            "20 digits, out of range",
+            edit(&t, "\"bytes\":1234", "\"bytes\":18446744073709551616"),
+            false,
+        ),
+        (
+            "40 digits",
+            edit(
+                &t,
+                "\"bytes\":1234",
+                &format!("\"bytes\":{}", "9".repeat(40)),
+            ),
+            false,
+        ),
+        (
+            "u32 overflow",
+            edit(&t, "\"client_ip\":7", "\"client_ip\":4294967296"),
+            false,
+        ),
+        (
+            "u16 overflow",
+            edit(&t, "\"server_port\":443", "\"server_port\":65536"),
+            false,
+        ),
+        (
+            "non-finite float",
+            edit(&h, "\"ts\":12.5", "\"ts\":1e999"),
+            false,
+        ),
+        ("two dots", edit(&h, "\"ts\":12.5", "\"ts\":1.2.5"), false),
+        ("bare minus", edit(&h, "\"ts\":12.5", "\"ts\":-"), false),
+        ("plus sign", edit(&h, "\"ts\":12.5", "\"ts\":+12.5"), false),
+        ("null float", edit(&h, "\"ts\":12.5", "\"ts\":null"), false),
+        // Strings.
+        (
+            "escaped quote",
+            edit(&h, "/b?id=1", "/b?id=\\\"1\\\""),
+            true,
+        ),
+        (
+            "unicode escape",
+            edit(&h, "ads.example", "\\u0061ds.example"),
+            true,
+        ),
+        (
+            "bad escape",
+            edit(&h, "ads.example", "\\qds.example"),
+            false,
+        ),
+        (
+            "raw control byte",
+            edit(&h, "ads.example", "ads\u{1}example"),
+            false,
+        ),
+        (
+            "raw tab in string",
+            edit(&h, "ads.example", "ads\texample"),
+            false,
+        ),
+        // A stop byte that is not the closing quote must not close the string.
+        (
+            "backslash for closing quote",
+            edit(&h, "ads.example\"", "ads.example\\"),
+            false,
+        ),
+        (
+            "control byte for closing quote",
+            edit(&h, "ads.example\"", "ads.example\u{1}"),
+            false,
+        ),
+        (
+            "nbsp inside structure",
+            edit(&t, "{\"Https\"", "{\u{a0}\"Https\""),
+            false,
+        ),
+        (
+            "null in string slot",
+            edit(&h, "\"host\":\"ads.example\"", "\"host\":null"),
+            false,
+        ),
+        (
+            "number in optional string slot",
+            edit(&h, "\"user_agent\":null", "\"user_agent\":5"),
+            false,
+        ),
+        (
+            "string in integer slot",
+            edit(&h, "\"content_length\":43", "\"content_length\":\"43\""),
+            false,
+        ),
+        // Method.
+        ("unknown method", edit(&h, "\"Get\"", "\"Put\""), false),
+        ("method prefix", edit(&h, "\"Get\"", "\"Gets\""), false),
+        // Ends.
+        ("trailing byte", format!("{h}x"), false),
+        ("trailing brace", format!("{t}}}"), false),
+        ("two records on a line", format!("{t}{t}"), false),
+        ("missing last brace", h[..h.len() - 1].to_string(), false),
+        ("array wrapper", format!("[{t}]"), false),
+    ];
+    for (what, line, want_kept) in cases {
+        assert!(hooks::scan(&line).is_none(), "{what}: scanner took {line}");
+        assert_eq!(kept(&line), want_kept, "{what}: oracle on {line}");
+        assert_same_verdict(line.as_bytes());
+    }
+}
+
+/// Float spellings the writer uses for other values (a sign, an exponent)
+/// are the scanner's too; it reads them with the generic parser's own
+/// `str::parse::<f64>`.
+#[test]
+fn signed_and_exponent_floats_agree() {
+    let h = sample_http_line();
+    for ts in [
+        "-12.5", "125e-1", "1.25E1", "1e21", "1e-7", "-0.0", "0.5e+1",
+    ] {
+        let line = edit(&h, "\"ts\":12.5", &format!("\"ts\":{ts}"));
+        assert!(
+            matches!(hooks::line_verdict(line.as_bytes()), Ok(Some(_))),
+            "{line}"
+        );
+        assert_same_verdict(line.as_bytes());
+    }
+}
+
+/// Padding the shared front of the lossy path strips before either decoder
+/// sees the line: `str::trim` removes ASCII and Unicode whitespace (NBSP
+/// included), so these stay records — and CRLF traces stay on the scanner.
+#[test]
+fn trimmed_padding_keeps_the_record() {
+    let h = sample_http_line();
+    let clean = hooks::line_verdict(h.as_bytes());
+    assert!(matches!(clean, Ok(Some(_))));
+    for padded in [
+        format!("{h}\r"),
+        format!("  {h}\t"),
+        format!("\u{a0}{h}\u{a0}"),
+        format!("\u{2003}{h}"),
+    ] {
+        assert_eq!(hooks::line_verdict(padded.as_bytes()), clean, "{padded:?}");
+        assert_same_verdict(padded.as_bytes());
+    }
+    for blank in ["", " ", "\r", "\u{a0}\t"] {
+        assert_eq!(hooks::line_verdict(blank.as_bytes()), Ok(None));
+        assert_same_verdict(blank.as_bytes());
+    }
+    let mut bad_utf8 = h.clone().into_bytes();
+    bad_utf8[20] = 0xff;
+    assert_eq!(hooks::line_verdict(&bad_utf8), Err("non_utf8"));
+    assert_same_verdict(&bad_utf8);
+}

@@ -217,9 +217,11 @@ impl Health {
         self.active.load(Ordering::Acquire)
     }
 
-    /// Is the watchdog currently reporting a stall?
+    /// Is the watchdog currently reporting a stall? Pairs with the
+    /// `Release` in [`Health::flag_stall`]: a reader that sees `true` also
+    /// sees the stall counter, gauge and event published before it.
     pub fn stalled(&self) -> bool {
-        self.stalled.load(Ordering::Relaxed)
+        self.stalled.load(Ordering::Acquire)
     }
 
     /// Logical time of the most recent progress anywhere: the router's
@@ -262,14 +264,19 @@ impl Health {
         }
     }
 
-    /// Watchdog-side transition into the stalled state. Returns true if
-    /// this call made the transition (caller emits the event once).
-    fn flag_stall(&self) -> bool {
-        let was = self.stalled.swap(true, Ordering::Relaxed);
-        if !was {
-            self.stalls.fetch_add(1, Ordering::Relaxed);
+    /// Watchdog-side transition into the stalled state; a no-op when
+    /// already stalled. `announce` (the watchdog's counter, gauge and
+    /// event) runs before the flag is published (`Release`, read with
+    /// `Acquire` in [`Health::stalled`]), so nobody can observe the stall
+    /// without them. Only the watchdog thread sets the flag, so
+    /// check-then-set cannot announce one stall twice.
+    fn flag_stall(&self, announce: impl FnOnce()) {
+        if self.stalled.load(Ordering::Relaxed) {
+            return;
         }
-        !was
+        self.stalls.fetch_add(1, Ordering::Relaxed);
+        announce();
+        self.stalled.store(true, Ordering::Release);
     }
 
     /// Watchdog-side recovery. Returns true if this call cleared it.
@@ -307,8 +314,9 @@ impl Drop for Watchdog {
 
 /// Spawn a watchdog over `registry`'s health plane: while a run is
 /// active, if no router advance and no worker beat lands within
-/// `budget`, flip the stalled flag, bump `obs_health_stalls_total`, set
-/// the `obs_health_stalled` gauge and emit a `health_stall` event;
+/// `budget`, bump `obs_health_stalls_total`, set the
+/// `obs_health_stalled` gauge, emit a `health_stall` event and then flip
+/// the stalled flag (last, so whoever sees the flag sees the rest);
 /// clear and emit `health_recovered` when progress resumes. The loop
 /// polls at `budget / 4` clamped to [10 ms, 250 ms], so a stall is
 /// flagged within ~1.25× the budget.
@@ -332,7 +340,7 @@ pub fn spawn_watchdog(registry: &'static Registry, budget: Duration) -> std::io:
                 let now = registry.elapsed_ns();
                 let idle = now.saturating_sub(health.last_progress_ns());
                 if idle > budget_ns {
-                    if health.flag_stall() {
+                    health.flag_stall(|| {
                         registry.counter("obs_health_stalls_total").inc();
                         registry.gauge("obs_health_stalled").set(1.0);
                         registry.event(
@@ -346,7 +354,7 @@ pub fn spawn_watchdog(registry: &'static Registry, budget: Duration) -> std::io:
                                 ),
                             ],
                         );
-                    }
+                    });
                 } else if health.clear_stall() {
                     registry.gauge("obs_health_stalled").set(0.0);
                     registry.event(
@@ -752,7 +760,7 @@ mod tests {
         .inc();
         assert_eq!(verdict(&r), Verdict::Degraded);
         r.health().begin_run("t", 0, 0);
-        r.health().flag_stall();
+        r.health().flag_stall(|| {});
         assert_eq!(verdict(&r), Verdict::Stalled);
         r.health().clear_stall();
         assert_eq!(verdict(&r), Verdict::Degraded);
