@@ -55,6 +55,14 @@ e2e_decode="$(cargo run --release -q --offline -p bench --bin e2e -- \
   --quick --workload smalllists_w1 --trace 1)"
 grep -q '"failed": 0' <<<"$e2e_decode"
 
+echo "==> URL + referrer-map gates (one-buffer Url == three-String oracle, allocation budgets)"
+# Parse verdicts, every accessor, Debug, == and hashes against the old
+# implementation; Url::clone 0 / plain parse 1 allocation; the refmap
+# pass at most 0.25 allocations per record. The traced smalllists_w1
+# smoke just above holds the same code to the reference end to end.
+cargo test -q -p http-model --test url_differential --test url_alloc
+cargo test -q -p adscope --test refmap_alloc
+
 echo "==> compiled-engine differential gates (byte-identical classifications)"
 # The hand-worked literal-alignment table, the fat-bucket proptest, and
 # the trace-at-EasyList-scale + index-token audit tests.
@@ -290,7 +298,7 @@ BENCH_JSON="$PWD/BENCH_latest.json" cargo bench -p bench --bench filter_engine
 BENCH_JSON="$PWD/BENCH_latest.json" cargo bench -p bench --bench detector_overhead
 BENCH_JSON="$PWD/BENCH_latest.json" cargo bench -p bench --bench normalize
 
-echo "==> bench_gate (regression + overhead + compiled-engine speedup/throughput floors + normalize ns/URL + read_chunks ns/record ceilings)"
+echo "==> bench_gate (regression + overhead + compiled-engine speedup/throughput floors + normalize ns/URL + read_chunks and refmap_only ns/record ceilings)"
 # --manifest joins the history row to the streaming run that CI just
 # verified: the row carries that run's config_fnv and dataset fnv.
 cargo run --release -q -p bench --bin bench_gate -- BENCH_baseline.json BENCH_latest.json \
@@ -299,6 +307,9 @@ cargo run --release -q -p bench --bin bench_gate -- BENCH_baseline.json BENCH_la
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
+
+echo "==> cargo doc --no-deps -p netsim -p http-model (-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p netsim -p http-model
 
 echo "==> cargo fmt --check"
 cargo fmt --check

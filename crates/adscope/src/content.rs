@@ -75,10 +75,8 @@ pub fn infer_category_traced(
     opts: ContentOptions,
 ) -> (ContentCategory, ContentSource) {
     if opts.use_extension {
-        if let Some(ext) = url.extension() {
-            if let Some(cat) = category_for_extension(&ext) {
-                return (cat, ContentSource::Extension);
-            }
+        if let Some(cat) = url.extension_str().and_then(category_for_mixed_case) {
+            return (cat, ContentSource::Extension);
         }
     }
     if opts.use_header {
@@ -90,6 +88,17 @@ pub fn infer_category_traced(
         }
     }
     (ContentCategory::Other, ContentSource::None)
+}
+
+/// [`category_for_extension`] for an extension as written in the URL
+/// (`GIF`, `Js`): lowercased on the stack. `Url::extension_str` yields at
+/// most 8 bytes.
+fn category_for_mixed_case(ext: &str) -> Option<ContentCategory> {
+    let mut lower = [0u8; 8];
+    let lower = lower.get_mut(..ext.len())?;
+    lower.copy_from_slice(ext.as_bytes());
+    lower.make_ascii_lowercase();
+    category_for_extension(std::str::from_utf8(lower).ok()?)
 }
 
 #[cfg(test)]
@@ -183,6 +192,11 @@ mod tests {
             ("/a.js", ContentCategory::Script),
             ("/a.mp4", ContentCategory::Media),
             ("/a.avi", ContentCategory::Media),
+            // As written in the wild: the map is keyed lowercase.
+            ("/A.PNG", ContentCategory::Image),
+            ("/a.Js", ContentCategory::Script),
+            ("/a.WOFF2", ContentCategory::Font),
+            ("/a.ÉÉ", ContentCategory::Other),
         ] {
             let got = infer_category(
                 &url(&format!("http://x.example{path}")),

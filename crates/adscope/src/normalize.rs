@@ -215,8 +215,8 @@ impl UrlNormalizer {
     }
 
     /// [`normalize`](Self::normalize) for a caller that owns the URL: an
-    /// untouched URL is handed back as it came, a rewritten one keeps its
-    /// host and path allocations.
+    /// untouched URL is handed back as it came, a rewritten one gets its
+    /// new buffer in place.
     pub fn normalize_owned(&self, mut url: Url) -> Url {
         if let Some(query) = self.rewritten_query(&url, None) {
             url.set_query(Some(query));

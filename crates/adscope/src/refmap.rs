@@ -16,10 +16,16 @@
 //!
 //! Processing is per user (⟨client IP, User-Agent⟩) in time order, with an
 //! LRU-ish horizon so state stays bounded on long traces.
+//!
+//! The maps are keyed by the scheme-less URL, which is the `Url`'s own
+//! shared buffer: lookups borrow it, a first insertion takes a handle on
+//! it, and page roots are handles on the root's buffer. In steady state
+//! the pass allocates only when a map grows (DESIGN.md §19).
 
 use crate::extract::WebObject;
 use http_model::Url;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// How long a page context stays alive without new children.
 const PAGE_HORIZON_SECS: f64 = 120.0;
@@ -98,11 +104,12 @@ impl Default for RefMapOptions {
 /// state, so restoring it resumes mid-stream byte-identically).
 #[derive(Debug, Default)]
 pub struct RefMap {
-    /// url (scheme-less) → (page root url, last seen ts, hops to root).
-    pub(crate) page_of: HashMap<String, (Url, f64, u16)>,
+    /// url (scheme-less: http/https referers must not break chains) →
+    /// (page root url, last seen ts, hops to root).
+    pub(crate) page_of: HashMap<Arc<str>, (Url, f64, u16)>,
     /// pending redirect target (scheme-less) → (page root, expected type
     /// backfill index, ts, hops of the redirecting request).
-    pub(crate) pending_redirects: HashMap<String, (Option<Url>, usize, f64, u16)>,
+    pub(crate) pending_redirects: HashMap<Arc<str>, (Option<Url>, usize, f64, u16)>,
     /// The user's most recent page root (fallback context).
     pub(crate) last_page: Option<(Url, f64)>,
     opts: RefMapOptions,
@@ -141,12 +148,6 @@ impl RefMap {
         }
     }
 
-    /// Key used for URL identity in the map: host + path + query (scheme
-    /// differences between http/https referers must not break chains).
-    fn key(url: &Url) -> String {
-        url.without_scheme()
-    }
-
     /// Does this object look like a page root? Heuristic: topmost documents
     /// are requests for `/`-ish paths with HTML-ish types and no referer.
     fn looks_like_document(obj: &WebObject) -> bool {
@@ -155,15 +156,15 @@ impl RefMap {
             .as_deref()
             .map(|c| c.starts_with("text/html"))
             .unwrap_or(false);
-        let html_ext = matches!(obj.url.extension().as_deref(), Some("html") | Some("htm"));
-        let pathish = obj.url.extension().is_none();
-        html_ct && (pathish || html_ext)
+        html_ct
+            && obj.url.extension_str().is_none_or(|ext| {
+                ext.eq_ignore_ascii_case("html") || ext.eq_ignore_ascii_case("htm")
+            })
     }
 
     /// Process one object (objects must arrive in time order per user).
     pub fn process(&mut self, obj: &WebObject) -> RefMapEntry {
         self.evict(obj.ts);
-        let own_key = Self::key(&obj.url);
         let mut via_redirect = false;
         let mut backfill_type_to = None;
         let mut source = PageSource::None;
@@ -172,7 +173,7 @@ impl RefMap {
         // 1. Redirect repair: am I the target of a recent redirect?
         let mut page: Option<Url> = if self.opts.redirect_repair {
             if let Some((root, redirecting_idx, _, redirect_hops)) =
-                self.pending_redirects.remove(&own_key)
+                self.pending_redirects.remove(obj.url.schemeless())
             {
                 self.redirects_consumed += 1;
                 via_redirect = true;
@@ -192,8 +193,7 @@ impl RefMap {
         // 2. Referer chain.
         if page.is_none() {
             if let Some(referer) = &obj.referer {
-                let rkey = Self::key(referer);
-                page = match self.page_of.get(&rkey) {
+                page = match self.page_of.get(referer.schemeless()) {
                     Some((root, _, referer_hops)) => {
                         source = PageSource::RefererChain;
                         hops = referer_hops.saturating_add(1);
@@ -226,9 +226,11 @@ impl RefMap {
             }
         }
 
-        // Update state.
+        // Update state. `insert` keeps the key of an entry that is already
+        // there, so a URL seen again is updated in place.
         if let Some(root) = &page {
-            self.page_of.insert(own_key, (root.clone(), obj.ts, hops));
+            self.page_of
+                .insert(obj.url.schemeless_shared(), (root.clone(), obj.ts, hops));
             self.last_page = Some((root.clone(), obj.ts));
         } else if Self::looks_like_document(obj) {
             self.last_page = Some((obj.url.clone(), obj.ts));
@@ -238,9 +240,10 @@ impl RefMap {
         if self.opts.redirect_repair {
             if let Some(loc) = &obj.location {
                 self.redirects_inserted += 1;
-                let displaced = self
-                    .pending_redirects
-                    .insert(Self::key(loc), (page.clone(), obj.idx, obj.ts, hops));
+                let displaced = self.pending_redirects.insert(
+                    loc.schemeless_shared(),
+                    (page.clone(), obj.idx, obj.ts, hops),
+                );
                 if self.track_releases {
                     if let Some((_, old_idx, _, _)) = displaced {
                         self.released.push(old_idx);
@@ -253,7 +256,7 @@ impl RefMap {
             if let Some(root) = &page {
                 for emb in embedded_urls(&obj.url) {
                     self.page_of.insert(
-                        Self::key(&emb),
+                        emb.schemeless_shared(),
                         (root.clone(), obj.ts, hops.saturating_add(1)),
                     );
                 }
@@ -292,8 +295,8 @@ impl RefMap {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn restore(
         opts: RefMapOptions,
-        page_of: HashMap<String, (Url, f64, u16)>,
-        pending_redirects: HashMap<String, (Option<Url>, usize, f64, u16)>,
+        page_of: HashMap<Arc<str>, (Url, f64, u16)>,
+        pending_redirects: HashMap<Arc<str>, (Option<Url>, usize, f64, u16)>,
         last_page: Option<(Url, f64)>,
         redirects_inserted: usize,
         redirects_consumed: usize,
@@ -595,6 +598,51 @@ mod tests {
             None,
         ));
         assert_eq!(e.ctx.page.as_ref().unwrap().host(), "pub.example");
+    }
+
+    #[test]
+    fn a_url_seen_again_updates_its_entry_in_place() {
+        let mut m = RefMap::new(RefMapOptions::default());
+        let first = obj(0, 0.0, "http://pub.example/", None, Some("text/html"), None);
+        m.process(&first);
+        // Same URL from a fresh parse (its own buffer), later, via https.
+        let second = obj(
+            1,
+            9.0,
+            "https://pub.example/",
+            None,
+            Some("text/html"),
+            None,
+        );
+        let e = m.process(&second);
+        assert_eq!(e.ctx.source, PageSource::DocumentSelf);
+        assert_eq!(m.page_of.len(), 1);
+        let (key, (root, ts, hops)) = m.page_of.iter().next().unwrap();
+        assert!(
+            Arc::ptr_eq(key, &first.url.schemeless_shared()),
+            "the key of the first insertion stays"
+        );
+        assert_eq!((root, *ts, *hops), (&second.url, 9.0, 0));
+        // The page root is a handle on the request's buffer, not a copy.
+        assert!(Arc::ptr_eq(
+            &root.schemeless_shared(),
+            &second.url.schemeless_shared()
+        ));
+    }
+
+    #[test]
+    fn document_extension_test_ignores_case() {
+        for (url, is_doc) in [
+            ("http://pub.example/index.HTML", true),
+            ("http://pub.example/index.Htm", true),
+            ("http://pub.example/dir/", true),
+            ("http://pub.example/feed.PHP", false),
+        ] {
+            let o = obj(0, 0.0, url, None, Some("text/html; charset=utf-8"), None);
+            assert_eq!(RefMap::looks_like_document(&o), is_doc, "{url}");
+        }
+        let gif = obj(0, 0.0, "http://pub.example/", None, Some("image/gif"), None);
+        assert!(!RefMap::looks_like_document(&gif));
     }
 
     #[test]

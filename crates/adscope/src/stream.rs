@@ -963,8 +963,16 @@ fn window_report_from_value(
     })
 }
 
+/// Append `url` as a JSON string, rendered through `scratch` so one
+/// buffer serves every URL of a checkpoint line.
+fn write_url(out: &mut String, scratch: &mut String, url: &Url) {
+    url.write_into(scratch);
+    json::write_str(out, scratch);
+}
+
 fn serialize_user(key: &(u32, Option<Arc<str>>), st: &UserState) -> String {
     let mut out = String::with_capacity(256);
+    let mut scratch = String::new();
     let _ = write!(out, "{{\"client_ip\":{},\"user_agent\":", key.0);
     json::write_opt_str(&mut out, key.1.as_deref());
     let _ = write!(
@@ -976,7 +984,7 @@ fn serialize_user(key: &(u32, Option<Arc<str>>), st: &UserState) -> String {
     match &st.map.last_page {
         Some((url, ts)) => {
             out.push('[');
-            json::write_str(&mut out, &url.as_string());
+            write_url(&mut out, &mut scratch, url);
             out.push(',');
             push_json_f64(&mut out, *ts);
             out.push(']');
@@ -991,7 +999,7 @@ fn serialize_user(key: &(u32, Option<Arc<str>>), st: &UserState) -> String {
         out.push('[');
         json::write_str(&mut out, k);
         out.push(',');
-        json::write_str(&mut out, &root.as_string());
+        write_url(&mut out, &mut scratch, root);
         out.push(',');
         push_json_f64(&mut out, *ts);
         let _ = write!(out, ",{hops}]");
@@ -1005,7 +1013,7 @@ fn serialize_user(key: &(u32, Option<Arc<str>>), st: &UserState) -> String {
         json::write_str(&mut out, k);
         out.push(',');
         match root {
-            Some(u) => json::write_str(&mut out, &u.as_string()),
+            Some(u) => write_url(&mut out, &mut scratch, u),
             None => out.push_str("null"),
         }
         let _ = write!(out, ",{idx},");
@@ -1020,10 +1028,10 @@ fn serialize_user(key: &(u32, Option<Arc<str>>), st: &UserState) -> String {
         let _ = write!(out, "{{\"pos\":{},\"idx\":{},\"ts\":", h.pos, h.obj.idx);
         push_json_f64(&mut out, h.obj.ts);
         let _ = write!(out, ",\"server_ip\":{},\"url\":", h.obj.server_ip);
-        json::write_str(&mut out, &h.obj.url.as_string());
+        write_url(&mut out, &mut scratch, &h.obj.url);
         out.push_str(",\"page\":");
         match &h.page {
-            Some(u) => json::write_str(&mut out, &u.as_string()),
+            Some(u) => write_url(&mut out, &mut scratch, u),
             None => out.push_str("null"),
         }
         let _ = write!(out, ",\"cat\":\"{}\",\"ct\":", h.category.keyword());
@@ -1086,7 +1094,7 @@ fn user_from_line(line: &str, opts: RefMapOptions) -> Result<RestoredUser, Strea
         let root = parse_url(a[1].as_str().ok_or_else(|| ck_err("page_of root"))?)?;
         let ts = a[2].as_f64().ok_or_else(|| ck_err("page_of ts"))?;
         let hops = a[3].as_u16().ok_or_else(|| ck_err("page_of hops"))?;
-        page_of.insert(key.to_string(), (root, ts, hops));
+        page_of.insert(Arc::from(key), (root, ts, hops));
     }
     let mut pending = HashMap::new();
     for e in field_array(&v, "pending")? {
@@ -1105,7 +1113,7 @@ fn user_from_line(line: &str, opts: RefMapOptions) -> Result<RestoredUser, Strea
         let idx = a[2].as_u64().ok_or_else(|| ck_err("pending idx"))? as usize;
         let ts = a[3].as_f64().ok_or_else(|| ck_err("pending ts"))?;
         let hops = a[4].as_u16().ok_or_else(|| ck_err("pending hops"))?;
-        pending.insert(key.to_string(), (root, idx, ts, hops));
+        pending.insert(Arc::from(key), (root, idx, ts, hops));
     }
     let mut held = Vec::new();
     for e in field_array(&v, "held")? {
@@ -2724,6 +2732,57 @@ mod tests {
             back.held[0].page.as_ref().map(Url::as_string),
             st.held[&1].page.as_ref().map(Url::as_string)
         );
+
+        // The restored map (keys rebuilt from the checkpoint's strings)
+        // goes on exactly as the live one: the redirect target is
+        // stitched, a child finds its root through a restored key, a URL
+        // seen before the checkpoint is updated and not duplicated.
+        let mut restored = back.map;
+        let mut target = mk(2, 0.75, "http://t.example/b.gif", None);
+        let mut child = mk(3, 1.0, "http://cdn.example/a.js", None);
+        child.referer = Some(Url::parse("https://r.example/go?x=1").unwrap());
+        target.content_type = Some(Arc::from("image/gif"));
+        let again = mk(4, 1.5, "http://pub.example/", None);
+        let orphan = mk(5, 2.0, "http://beacon.example/p.gif", None);
+        for obj in [&target, &child, &again, &orphan] {
+            assert_eq!(restored.process(obj), st.map.process(obj), "{}", obj.url);
+        }
+        assert_eq!(restored.page_of, st.map.page_of);
+        assert_eq!(restored.pending_redirects, st.map.pending_redirects);
+        assert_eq!(restored.last_page, st.map.last_page);
+        assert_eq!(restored.redirects_consumed(), 1);
+    }
+
+    /// A referer that is valid UTF-8 and valid JSON but has a multi-byte
+    /// char where the scheme test ends used to panic `Url::parse` on the
+    /// router thread; it is one unparseable referer.
+    #[test]
+    fn multibyte_char_at_the_scheme_boundary_is_an_unparseable_referer() {
+        let mut trace = messy_trace(40);
+        let before = reference(&trace).degradation.unparseable_referers;
+        trace.records.push(tx(
+            99.0,
+            1,
+            Some("UA-A"),
+            "www.friendly025.example",
+            "/",
+            Some("http:/é/www.friendly025.example/"),
+            None,
+            Some("text/html"),
+        ));
+        let path = write_trace_file(&trace, "multibyte-referer");
+        let rep = classify_stream_file(
+            &path,
+            &classifier(),
+            &stream_opts(1, 16),
+            &obs::Registry::new(),
+        )
+        .unwrap();
+        let seq = reference(&trace);
+        assert_eq!(rep.degradation.unparseable_referers, before + 1);
+        assert_eq!(rep.degradation, seq.degradation);
+        assert_eq!(rep.requests as usize, seq.requests.len());
+        let _ = fs::remove_file(&path);
     }
 
     #[test]

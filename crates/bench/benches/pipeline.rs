@@ -2,10 +2,17 @@
 //! Figure-1 stage: extraction, page reconstruction, classification.
 
 use adscope::pipeline::{classify_trace, extract_objects, PipelineOptions};
+use adscope::refmap::{RefMap, RefMapOptions};
 use adscope::shard::classify_trace_sharded;
 use bench::{bench_classifier, bench_ecosystem, bench_trace};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use std::collections::HashMap;
 use std::hint::black_box;
+
+/// Objects `pipeline/refmap_only` runs through the referrer map per
+/// iteration — the element count `bench_gate` divides by, so it is fixed
+/// here and not left to the generated trace's length.
+const REFMAP_RECORDS: usize = 16_384;
 
 fn pipeline(c: &mut Criterion) {
     let eco = bench_ecosystem();
@@ -20,6 +27,29 @@ fn pipeline(c: &mut Criterion) {
     group.bench_function("extract_only", |b| {
         b.iter(|| black_box(extract_objects(black_box(&trace))))
     });
+
+    // The per-⟨IP, UA⟩ referrer-map pass alone, over objects extracted
+    // once: what `adscope.refmap` costs in the ledger, and the line an
+    // owned key or a deep-copied page root per record would show up on.
+    let objects = extract_objects(&trace);
+    assert!(objects.len() >= REFMAP_RECORDS, "bench trace shrank");
+    let objects = &objects[..REFMAP_RECORDS];
+    group.throughput(Throughput::Elements(REFMAP_RECORDS as u64));
+    group.bench_function("refmap_only", |b| {
+        b.iter(|| {
+            let mut per_user: HashMap<(u32, Option<&str>), RefMap> = HashMap::new();
+            let mut resolved = 0usize;
+            for obj in black_box(objects) {
+                let entry = per_user
+                    .entry((obj.client_ip, obj.user_agent.as_deref()))
+                    .or_insert_with(|| RefMap::new(RefMapOptions::default()))
+                    .process(obj);
+                resolved += usize::from(entry.ctx.page.is_some());
+            }
+            black_box(resolved)
+        })
+    });
+    group.throughput(Throughput::Elements(n));
 
     group.bench_function("full_pipeline", |b| {
         b.iter(|| {

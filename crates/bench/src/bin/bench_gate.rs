@@ -30,7 +30,8 @@
 //! 6. holds absolute per-element ceilings on the latest run: the
 //!    compiled engine's 1 000 ns/request (on the mostly-miss and on the
 //!    trace-shaped request mix) and the normalizer's 1 500 ns/URL, all
-//!    at EasyList scale, and the chunked trace reader's 900 ns/record.
+//!    at EasyList scale, the chunked trace reader's 900 ns/record and
+//!    the referrer-map pass's 450 ns/record.
 //!
 //! Every run appends one NDJSON line of its results to a history file
 //! (default `BENCH_history.ndjson`, committed, so the perf record
@@ -134,7 +135,14 @@ const SPEEDUP_FLOORS: [(&str, &str, &str, f64); 2] = [
 /// box's clock levels where the `Value`-tree decode read ≈1 450, so 900
 /// trips on the tree coming back. The relative `trace_io/read` gate above
 /// cannot: its baseline row predates the scanner.
-const THROUGHPUT_FLOORS: [(&str, &str, f64, f64, &str); 4] = [
+/// `pipeline/refmap_only` runs 16 384 extracted objects
+/// (`REFMAP_RECORDS` in `benches/pipeline.rs`) through the per-⟨IP, UA⟩
+/// referrer maps; with keys and page roots shared from the URL's buffer
+/// the pass reads ≈230–330 ns/record across this box's clock levels
+/// where owned keys and deep-copied roots (8.6 allocations per record)
+/// read ≈700 at the slow level, so 450 trips on the allocations coming
+/// back.
+const THROUGHPUT_FLOORS: [(&str, &str, f64, f64, &str); 5] = [
     (
         "filter_engine",
         "classify_compiled_easylist",
@@ -151,6 +159,7 @@ const THROUGHPUT_FLOORS: [(&str, &str, f64, f64, &str); 4] = [
     ),
     ("normalize", "easylist", 2000.0, 1500.0, "URL"),
     ("trace_io", "read_chunks", 16384.0, 900.0, "record"),
+    ("pipeline", "refmap_only", 16384.0, 450.0, "record"),
 ];
 
 fn load(path: &str) -> HashMap<(String, String), f64> {

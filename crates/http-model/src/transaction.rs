@@ -63,14 +63,7 @@ impl HttpTransaction {
         if self.request.host.is_empty() {
             return None;
         }
-        let mut s = String::with_capacity(self.request.host.len() + self.request.uri.len() + 8);
-        s.push_str("http://");
-        s.push_str(&self.request.host);
-        if !self.request.uri.starts_with('/') {
-            s.push('/');
-        }
-        s.push_str(&self.request.uri);
-        Url::parse(&s).ok()
+        Url::from_host_and_uri(&self.request.host, &self.request.uri)
     }
 
     /// Parsed referer URL, when present and parseable.

@@ -4,9 +4,22 @@
 //! (lowercased), optional port, path and query. No percent-decoding, no
 //! userinfo, no fragment retention (fragments never reach the wire and never
 //! appear in header traces).
+//!
+//! A [`Url`] is one immutable shared buffer holding `host` + `path` +
+//! (`?` + `query`)? — byte for byte its scheme-less form — plus two
+//! offsets, the scheme and the port. A clone is a reference-count bump; a
+//! parse whose scheme-less form is a slice of the input (lowercase host,
+//! no userinfo, port, fragment or dangling `?`: the request and referer
+//! URLs of a trace) is one allocation, and any other input is assembled
+//! and copied to the same result. The referrer map keys its tables by the
+//! buffer itself ([`Url::schemeless`], [`Url::schemeless_shared`]).
+//! `tests/url_differential.rs` holds every accessor, `Debug`, `==` and
+//! `Hash` to the three-`String` implementation this replaced
+//! (DESIGN.md §19).
 
 use std::fmt;
-use std::sync::OnceLock;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 /// Handle for the parse-failure counter, bound to the global registry
 /// once so repeated failures never pay a registry lookup.
@@ -79,13 +92,19 @@ impl std::error::Error for UrlError {}
 /// assert_eq!(u.path(), "/banner.gif");
 /// assert_eq!(u.query(), Some("id=123"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Clone)]
 pub struct Url {
+    /// `host` + `path` + (`?` + `query`)? — the scheme-less form, shared
+    /// by every clone.
+    buf: Arc<str>,
+    /// `buf[..host_end]` is the host.
+    host_end: usize,
+    /// `buf[host_end..path_end]` is the path. A query is present exactly
+    /// when `path_end < buf.len()`: `buf[path_end]` is its `?` and the
+    /// rest of the buffer the query (possibly empty).
+    path_end: usize,
     scheme: Scheme,
-    host: String,
     port: Option<u16>,
-    path: String,
-    query: Option<String>,
 }
 
 impl Url {
@@ -123,64 +142,110 @@ impl Url {
         let authority = &rest[..end_of_authority];
         let tail = &rest[end_of_authority..];
         // Drop userinfo if present (never appears in our traces).
-        let authority = authority.rsplit('@').next().unwrap_or(authority);
-        let (host_raw, port) = match authority.rsplit_once(':') {
-            Some((h, p)) if !p.is_empty() && p.chars().all(|c| c.is_ascii_digit()) => {
+        let host_port = authority.rsplit('@').next().unwrap_or(authority);
+        let (host, port) = match host_port.rsplit_once(':') {
+            Some((h, p)) if !p.is_empty() && p.bytes().all(|b| b.is_ascii_digit()) => {
                 (h, Some(p.parse::<u16>().map_err(|_| UrlError::BadPort)?))
             }
-            Some((_, p)) if p.chars().any(|c| !c.is_ascii_digit()) => (authority, None),
-            _ => (authority, None),
+            _ => (host_port, None),
         };
-        if host_raw.is_empty() {
+        if host.is_empty() {
             return Err(UrlError::EmptyHost);
         }
-        let host = host_raw.to_ascii_lowercase();
         // Split path from query, dropping fragments.
-        let tail = tail.split('#').next().unwrap_or("");
-        let (path, query) = match tail.split_once('?') {
-            Some((p, q)) => {
-                let p = if p.is_empty() { "/" } else { p };
-                (
-                    p.to_string(),
-                    if q.is_empty() {
-                        None
-                    } else {
-                        Some(q.to_string())
-                    },
-                )
-            }
-            None => (
-                if tail.is_empty() {
-                    "/".to_string()
-                } else {
-                    tail.to_string()
-                },
-                None,
-            ),
+        let kept = tail.split('#').next().unwrap_or("");
+        let (path, query) = match kept.split_once('?') {
+            Some((p, q)) => (p, (!q.is_empty()).then_some(q)),
+            None => (kept, None),
         };
-        Ok(Url {
+        // One allocation when the scheme-less form is `rest` as it
+        // stands: nothing was cut out of the authority (userinfo, port),
+        // off the end (fragment) or from between (a `?` with an empty
+        // query), nothing is to be inserted (the `/` of an empty path)
+        // and the host needs no lowercasing.
+        let verbatim = host.len() == authority.len()
+            && !path.is_empty()
+            && path.len() + query.map_or(0, |q| q.len() + 1) == tail.len()
+            && !host.bytes().any(|b| b.is_ascii_uppercase());
+        if verbatim {
+            return Ok(Url {
+                buf: Arc::from(rest),
+                host_end: host.len(),
+                path_end: host.len() + path.len(),
+                scheme,
+                port,
+            });
+        }
+        Ok(Url::assemble(scheme, host, port, path, query))
+    }
+
+    /// Build-then-copy construction from separate parts: the host is
+    /// lowercased and an empty path becomes `/`.
+    fn assemble(
+        scheme: Scheme,
+        host: &str,
+        port: Option<u16>,
+        path: &str,
+        query: Option<&str>,
+    ) -> Url {
+        let path = if path.is_empty() { "/" } else { path };
+        let mut s =
+            String::with_capacity(host.len() + path.len() + query.map_or(0, |q| q.len() + 1));
+        s.push_str(host);
+        s.make_ascii_lowercase();
+        s.push_str(path);
+        let path_end = s.len();
+        if let Some(q) = query {
+            s.push('?');
+            s.push_str(q);
+        }
+        Url {
+            buf: Arc::from(s),
+            host_end: host.len(),
+            path_end,
             scheme,
-            host,
             port,
-            path,
-            query,
+        }
+    }
+
+    /// What `Url::parse(&format!("http://{host}{uri}"))` returns (with a
+    /// `/` put before a `uri` that lacks one), built without formatting
+    /// and re-parsing whenever `host` is plain — no ASCII upper case and
+    /// none of `/ ? # @ :`, so the parser would take all of it, and only
+    /// it, as the host. Any other host goes the old way.
+    pub(crate) fn from_host_and_uri(host: &str, uri: &str) -> Option<Url> {
+        let slash = if uri.starts_with('/') { "" } else { "/" };
+        let plain_host = !host.is_empty()
+            && !host
+                .bytes()
+                .any(|b| b.is_ascii_uppercase() || matches!(b, b'/' | b'?' | b'#' | b'@' | b':'));
+        // The parser would also trim trailing whitespace, cut a fragment
+        // and drop the `?` of an empty query.
+        let question = uri.find('?');
+        let dangling_question = question.is_some_and(|q| q + 1 == uri.len());
+        let plain_uri =
+            uri.len() == uri.trim_end().len() && !uri.contains('#') && !dangling_question;
+        if !(plain_host && plain_uri) {
+            return Url::parse(&format!("http://{host}{slash}{uri}")).ok();
+        }
+        let mut s = String::with_capacity(host.len() + slash.len() + uri.len());
+        s.push_str(host);
+        s.push_str(slash);
+        s.push_str(uri);
+        let path_end = question.map_or(s.len(), |q| host.len() + slash.len() + q);
+        Some(Url {
+            buf: Arc::from(s),
+            host_end: host.len(),
+            path_end,
+            scheme: Scheme::Http,
+            port: None,
         })
     }
 
     /// Build a URL from parts without string parsing (used heavily by the
     /// page generator). `path` is given with a leading `/`.
     pub fn from_parts(scheme: Scheme, host: &str, path: &str, query: Option<&str>) -> Url {
-        Url {
-            scheme,
-            host: host.to_ascii_lowercase(),
-            port: None,
-            path: if path.is_empty() {
-                "/".to_string()
-            } else {
-                path.to_string()
-            },
-            query: query.map(|q| q.to_string()),
-        }
+        Url::assemble(scheme, host, None, path, query)
     }
 
     /// The scheme.
@@ -190,7 +255,7 @@ impl Url {
 
     /// Lowercased host.
     pub fn host(&self) -> &str {
-        &self.host
+        &self.buf[..self.host_end]
     }
 
     /// Explicit port, if any.
@@ -205,37 +270,39 @@ impl Url {
 
     /// Path starting with `/`.
     pub fn path(&self) -> &str {
-        &self.path
+        &self.buf[self.host_end..self.path_end]
     }
 
     /// Raw query string without the leading `?`, if present.
     pub fn query(&self) -> Option<&str> {
-        self.query.as_deref()
+        self.buf.get(self.path_end + 1..)
     }
 
     /// A copy with the query string replaced (used by the URL normalizer
-    /// in `adscope`). The old query is not cloned on the way.
+    /// in `adscope`).
     pub fn with_query(&self, query: Option<String>) -> Url {
-        Url {
-            scheme: self.scheme,
-            host: self.host.clone(),
-            port: self.port,
-            path: self.path.clone(),
-            query,
-        }
+        let mut url = self.clone();
+        url.set_query(query);
+        url
     }
 
     /// Replace the query string in place: what [`Url::with_query`] does
-    /// for a caller that owns the URL.
+    /// for a caller that owns the URL. Other clones keep the buffer they
+    /// share; this one gets a new one.
     pub fn set_query(&mut self, query: Option<String>) {
-        self.query = query;
+        *self = Url::assemble(
+            self.scheme,
+            self.host(),
+            self.port,
+            self.path(),
+            query.as_deref(),
+        );
     }
 
     /// Iterate `(key, value)` pairs of the query string. Pairs without `=`
     /// yield an empty value.
     pub fn query_pairs(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.query
-            .as_deref()
+        self.query()
             .unwrap_or("")
             .split('&')
             .filter(|kv| !kv.is_empty())
@@ -244,24 +311,27 @@ impl Url {
 
     /// The last path segment, e.g. `banner.gif` for `/x/banner.gif`.
     pub fn filename(&self) -> &str {
-        self.path.rsplit('/').next().unwrap_or("")
+        self.path().rsplit('/').next().unwrap_or("")
     }
 
     /// The file extension of the last path segment (lowercased), if any.
     pub fn extension(&self) -> Option<String> {
-        let name = self.filename();
-        let (stem, ext) = name.rsplit_once('.')?;
+        self.extension_str().map(str::to_ascii_lowercase)
+    }
+
+    /// [`Url::extension`] as written in the path, borrowed: compare it
+    /// ignoring ASCII case.
+    pub fn extension_str(&self) -> Option<&str> {
+        let (stem, ext) = self.filename().rsplit_once('.')?;
         if stem.is_empty() || ext.is_empty() || ext.len() > 8 {
             return None;
         }
-        Some(ext.to_ascii_lowercase())
+        Some(ext)
     }
 
     /// Render the URL back to a string.
     pub fn as_string(&self) -> String {
-        let mut s = String::with_capacity(
-            self.host.len() + self.path.len() + self.query.as_deref().map_or(0, str::len) + 12,
-        );
+        let mut s = String::with_capacity(self.buf.len() + 14);
         self.write_into(&mut s);
         s
     }
@@ -273,28 +343,69 @@ impl Url {
         use fmt::Write as _;
         s.clear();
         s.push_str(self.scheme.prefix());
-        s.push_str(&self.host);
-        if let Some(p) = self.port {
-            let _ = write!(s, ":{p}");
-        }
-        s.push_str(&self.path);
-        if let Some(q) = &self.query {
-            s.push('?');
-            s.push_str(q);
+        match self.port {
+            None => s.push_str(&self.buf),
+            Some(p) => {
+                s.push_str(self.host());
+                let _ = write!(s, ":{p}");
+                s.push_str(&self.buf[self.host_end..]);
+            }
         }
     }
 
     /// Host + path + query — the portion filter rules match against when the
     /// scheme is irrelevant.
     pub fn without_scheme(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&self.host);
-        s.push_str(&self.path);
-        if let Some(q) = &self.query {
-            s.push('?');
-            s.push_str(q);
-        }
-        s
+        self.schemeless().to_string()
+    }
+
+    /// [`Url::without_scheme`], borrowed from the URL's own buffer.
+    pub fn schemeless(&self) -> &str {
+        &self.buf
+    }
+
+    /// [`Url::schemeless`] as a handle on the shared buffer: a
+    /// reference-count bump, for a map that keeps the string as its key.
+    pub fn schemeless_shared(&self) -> Arc<str> {
+        Arc::clone(&self.buf)
+    }
+}
+
+// `Debug`, `==` and `Hash` mean what the derives over (scheme, host,
+// port, path, query) meant: two URLs with equal parts have equal
+// buffers and offsets, and the other way round.
+
+impl fmt::Debug for Url {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Url")
+            .field("scheme", &self.scheme)
+            .field("host", &self.host())
+            .field("port", &self.port)
+            .field("path", &self.path())
+            .field("query", &self.query())
+            .finish()
+    }
+}
+
+impl PartialEq for Url {
+    fn eq(&self, other: &Url) -> bool {
+        self.host_end == other.host_end
+            && self.path_end == other.path_end
+            && self.scheme == other.scheme
+            && self.port == other.port
+            && self.buf == other.buf
+    }
+}
+
+impl Eq for Url {}
+
+impl Hash for Url {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.scheme.hash(state);
+        self.host().hash(state);
+        self.port.hash(state);
+        self.path().hash(state);
+        self.query().hash(state);
     }
 }
 
@@ -311,12 +422,12 @@ impl std::str::FromStr for Url {
     }
 }
 
+/// Compares bytes: `prefix` is ASCII, so a match ends on a char boundary,
+/// while `prefix.len()` need not be one in `s` (`"http:/é"`).
 fn strip_prefix_ci<'a>(s: &'a str, prefix: &str) -> Option<&'a str> {
-    if s.len() >= prefix.len() && s[..prefix.len()].eq_ignore_ascii_case(prefix) {
-        Some(&s[prefix.len()..])
-    } else {
-        None
-    }
+    let head = s.as_bytes().get(..prefix.len())?;
+    head.eq_ignore_ascii_case(prefix.as_bytes())
+        .then(|| &s[prefix.len()..])
 }
 
 #[cfg(test)]
@@ -442,6 +553,49 @@ mod tests {
         assert_eq!(u.as_string(), "http://ads.net/b.gif?id=1");
         let v = Url::from_parts(Scheme::Https, "x.com", "", None);
         assert_eq!(v.path(), "/");
+    }
+
+    #[test]
+    fn scheme_test_does_not_slice_inside_a_char() {
+        // `"http://".len()` and `"https://".len()` fall inside the `é`.
+        assert_eq!(Url::parse("http:/é/x"), Err(UrlError::MissingScheme));
+        assert_eq!(Url::parse("https:/éabc"), Err(UrlError::MissingScheme));
+        assert_eq!(Url::parse("htt :/éx"), Err(UrlError::MissingScheme));
+        let u = Url::parse("HTTP://é.example/x").unwrap();
+        assert_eq!(u.host(), "é.example");
+    }
+
+    #[test]
+    fn clones_share_the_buffer() {
+        let u = Url::parse("http://e.com/p?q=1").unwrap();
+        let v = u.clone();
+        assert!(Arc::ptr_eq(&u.schemeless_shared(), &v.schemeless_shared()));
+        assert_eq!(u.schemeless(), "e.com/p?q=1");
+        // Replacing one's query leaves the other alone.
+        let mut w = v.clone();
+        w.set_query(None);
+        assert_eq!(w.as_string(), "http://e.com/p");
+        assert_eq!(v, u);
+    }
+
+    #[test]
+    fn empty_query_is_kept_apart_from_no_query() {
+        let u = Url::from_parts(Scheme::Http, "e.com", "/p", Some(""));
+        assert_eq!(u.query(), Some(""));
+        assert_eq!(u.as_string(), "http://e.com/p?");
+        assert_ne!(u, Url::from_parts(Scheme::Http, "e.com", "/p", None));
+        // The parser never produces one: a dangling `?` is dropped.
+        assert_eq!(Url::parse("http://e.com/p?").unwrap().query(), None);
+    }
+
+    #[test]
+    fn borrowed_extension_keeps_its_case() {
+        let u = Url::parse("http://e.com/dir/banner.GIF?x=1").unwrap();
+        assert_eq!(u.extension_str(), Some("GIF"));
+        assert_eq!(
+            Url::parse("http://e.com/.hidden").unwrap().extension_str(),
+            None
+        );
     }
 
     #[test]

@@ -280,7 +280,7 @@ struct LossyChunk {
 /// [`crate::codec::read_trace_lossy`]. Records, metadata, and the merged
 /// [`CodecStats`] are identical to the sequential reader's for any input,
 /// clean or corrupt — each chunk worker applies the same per-line verdict
-/// ([`decode_line_lossy`]) the streaming reader uses, and per-chunk stats
+/// (`decode_line_lossy`) the streaming reader uses, and per-chunk stats
 /// fold together with [`CodecStats::merge`] in input order.
 pub fn read_trace_lossy_parallel(bytes: &[u8], threads: usize) -> (Trace, CodecStats) {
     let registry = obs::global();

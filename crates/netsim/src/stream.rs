@@ -6,7 +6,7 @@
 //! sends over its bounded channels) nor tracks how many input bytes each
 //! record consumed (the unit a checkpoint manifest must store to resume a
 //! killed run). [`ChunkReader`] adds both while reusing the codec's exact
-//! per-line keep/skip verdict ([`crate::codec::decode_line_lossy`]),
+//! per-line keep/skip verdict (`codec::decode_line_lossy`),
 //! header-recovery policy and line framer (`scan::LineFramer`, which
 //! reports the input bytes each line took), so a chunked read yields
 //! byte-for-byte the same records and [`CodecStats`] totals as the

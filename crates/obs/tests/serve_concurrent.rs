@@ -61,7 +61,7 @@ fn concurrent_scrapes_see_consistent_expositions_and_exact_counts() {
                     health.worker(w).beat(i, 5);
                 }
                 health.advance(i, i % 1000, 10, 1);
-                if i % 3 == 0 {
+                if i.is_multiple_of(3) {
                     health.finish_run(i);
                 }
             }
