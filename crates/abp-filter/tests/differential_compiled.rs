@@ -98,7 +98,7 @@ proptest! {
     ) {
         // URLs derived from the rules themselves maximize match density —
         // the interesting half of the space (random URLs mostly miss).
-        let (engine, compiled) = build(&[rules.clone()]);
+        let (engine, compiled) = build(std::slice::from_ref(&rules));
         let mut scratch = ClassifyScratch::new();
         let cat = ContentCategory::ALL[cat_idx];
         let page = Url::parse("http://page.example/").unwrap();
@@ -233,7 +233,7 @@ fn compiled_identical_on_colliding_buckets() {
         }
     }
     for m in markers {
-        lists[0].push(format!("{m}"));
+        lists[0].push(m.to_string());
         lists[1].push(format!("{m}*img^"));
     }
     lists[2].push("@@||srv3.example/ads/allowed/".to_string());

@@ -11,10 +11,10 @@
 //!
 //! Determinism contract: a request's [`VerdictProvenance`] — trace id,
 //! span ids, every field, the rendered NDJSON bytes — is a pure function
-//! of the input trace and pipeline options. The sharded pipeline tags
-//! each record's provenance with its global position and merges in
-//! record order, so output is byte-identical at any `--threads` count
-//! (pinned by the equivalence proptest).
+//! of the input trace and pipeline options. The materialized pipeline
+//! merges its shards' provenance by record index, so output is
+//! byte-identical at any `--threads` count (pinned by the equivalence
+//! proptest).
 //!
 //! Cost contract: while the tracer is inactive (`sample_ppm == 0` or the
 //! `obs` kill switch is off) the pipeline allocates nothing for tracing;

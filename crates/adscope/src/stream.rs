@@ -1,7 +1,7 @@
 //! Streaming fault-tolerant classification — the bounded-memory dataflow.
 //!
-//! The materialized pipeline ([`crate::pipeline`], [`crate::shard`])
-//! decodes the whole trace into a `Vec` before classifying. At the
+//! The materialized pipeline ([`crate::pipeline`]) decodes the whole
+//! trace into a `Vec` before classifying. At the
 //! paper's scale (RBN-2: ~3 weeks of DSL traffic) that footprint is the
 //! limiting factor, and a fault anywhere loses the whole run. This
 //! module restructures the same stages as a streaming dataflow:
@@ -793,14 +793,6 @@ fn worker_loop(
 // Checkpoint serialization
 // ---------------------------------------------------------------------------
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Hash of everything that must match between the checkpointing run and
 /// the resuming run for the state to be meaningful. Thread count is
 /// deliberately excluded: restored users re-route by `shard_of`.
@@ -809,7 +801,7 @@ fn config_hash(opts: &StreamOptions) -> u64 {
         "{:?}|{}|{}|{:?}|{:?}",
         opts.pipeline, opts.chunk_records, FORMAT_VERSION, opts.abp_ips, opts.alerts
     );
-    fnv1a(s.as_bytes())
+    obs::fnv64(s.as_bytes())
 }
 
 fn push_json_f64(out: &mut String, v: f64) {
@@ -2262,9 +2254,9 @@ fn run_barrier(
         .collect())
 }
 
-/// Publish the decode-side window series the same way the parallel
-/// reader does (`netsim::parallel`), so streaming and materialized runs
-/// expose identical decode observability.
+/// Publish the decode-side window series: the rendered lines into the
+/// registry's window log under the `decode` scope, plus the closed and
+/// late counters.
 fn publish_decode_windows(report: &WindowReport, registry: &obs::Registry) {
     if report.late > 0 {
         registry.counter("obs_window_late_total").add(report.late);
@@ -2300,6 +2292,7 @@ mod tests {
         ])
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn tx(
         ts: f64,
         client: u32,
@@ -2453,10 +2446,12 @@ mod tests {
     }
 
     fn stream_opts(threads: usize, chunk: usize) -> StreamOptions {
-        let mut o = StreamOptions::default();
-        o.threads = threads;
-        o.chunk_records = chunk;
-        o.collect_requests = true;
+        let mut o = StreamOptions {
+            threads,
+            chunk_records: chunk,
+            collect_requests: true,
+            ..StreamOptions::default()
+        };
         o.pipeline.window = WindowOptions::default();
         o
     }
@@ -2557,6 +2552,12 @@ mod tests {
 
     #[test]
     fn resume_refuses_config_mismatch() {
+        // The hash is stored in every checkpoint: a different value for
+        // the same options would strand checkpoints written before it.
+        assert_eq!(
+            config_hash(&StreamOptions::default()),
+            0x9fb9_64c8_47b6_4d7d
+        );
         let trace = messy_trace(64);
         let path = write_trace_file(&trace, "mismatch");
         let dir = temp_path("mismatch-ck");

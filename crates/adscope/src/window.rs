@@ -6,9 +6,9 @@
 //! byte volume, refmap misses, and an RTB-latency histogram (the §8.2
 //! back-office gap, ad requests only). The engine's logical clock is the
 //! trace timestamp, so the report is a pure function of the classified
-//! requests — byte-identical between sequential and sharded runs, which
-//! is exactly why both [`crate::pipeline`] and [`crate::shard`] call
-//! this one helper on their (identical) merged request vectors.
+//! requests — byte-identical at any thread count, because
+//! [`crate::pipeline`] calls this helper once, on the merged request
+//! vector.
 //!
 //! [`publish`] bridges a report into a registry: one NDJSON line per
 //! closed window into the window log (served at `/windows`), plus the

@@ -83,7 +83,11 @@ fn shift_trace(hours: usize, load: usize, cut: usize, seed: u64) -> Trace {
         for k in 0..load {
             let ts =
                 h as f64 * 3600.0 + k as f64 * (3600.0 / load as f64) + rng.gen_range(0.0..1.0);
-            let blocked = if h < cut { i % 3 == 0 } else { i % 19 == 0 };
+            let blocked = if h < cut {
+                i.is_multiple_of(3)
+            } else {
+                i.is_multiple_of(19)
+            };
             let (host, uri) = if blocked {
                 ("x.example", format!("/banners/{i}.gif"))
             } else {

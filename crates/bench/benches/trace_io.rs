@@ -3,7 +3,6 @@
 use bench::{bench_ecosystem, bench_trace};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use netsim::codec::{read_trace, read_trace_lossy, write_trace};
-use netsim::parallel::read_trace_parallel;
 use netsim::stream::ChunkReader;
 use netsim::Trace;
 use std::hint::black_box;
@@ -65,20 +64,6 @@ fn trace_io(c: &mut Criterion) {
             assert_eq!(records, CHUNKED_RECORDS);
         })
     });
-    group.throughput(Throughput::Bytes(bytes));
-
-    // Chunked multi-core decode at fixed thread counts. Speedup over
-    // `read` only shows on a machine with that many cores, so the
-    // BENCH_JSON records carry the thread count for cross-machine
-    // comparison.
-    for threads in [2usize, 4, 8] {
-        group.threads(threads);
-        group.bench_function(&format!("read_parallel{threads}"), |b| {
-            b.iter(|| {
-                black_box(read_trace_parallel(black_box(&buf), threads).expect("parallel read"))
-            })
-        });
-    }
     group.finish();
 }
 

@@ -9,9 +9,10 @@
 //! and `BENCH_latest.json` in the working directory) and:
 //!
 //! 1. fails (exit 1) when a *gated* benchmark regressed more than 20%
-//!    against the baseline — the gated set is `trace_io/read` and
-//!    `pipeline/full_pipeline_sharded`, the two benchmarks the
-//!    roadmap's perf budget names;
+//!    against the baseline — the gated set is `trace_io/read`,
+//!    `pipeline/full_pipeline_sharded`,
+//!    `streaming_pipeline/stream_file_sharded` and
+//!    `filter_engine/classify_compiled_easylist` (`GATES` below);
 //! 2. computes the verdict-provenance tracing overhead from the latest
 //!    run (`trace_overhead/sharded_ppm_10000` vs `sharded_ppm_0`) and
 //!    fails when 1% sampling costs more than 15% — a lenient ceiling

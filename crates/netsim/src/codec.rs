@@ -18,8 +18,8 @@
 //!   paper's ISP vantage point, where capture loss and truncation are
 //!   routine and a monitoring pipeline must degrade rather than crash.
 //!
-//! Every reader here and in [`crate::parallel`] and [`crate::stream`]
-//! decodes a record line at one point, `decode_text`: first the
+//! Every reader here and in [`crate::stream`] decodes a record line at one
+//! point, `decode_text`: first the
 //! schema-directed scanner (`scan::scan_record`), which walks the exact
 //! bytes [`record_to_json`] writes and builds the record directly, and —
 //! whenever the scanner declines, for whatever reason — the generic
@@ -28,15 +28,18 @@
 //! bad-JSON versus bad-schema and on strict error text, and the verdict on
 //! any line is the one the generic pair alone would give
 //! (`tests/scan_differential.rs` holds the two to each other). The lossy
-//! readers frame lines with `scan::LineFramer`, which decodes a line in
-//! place from the read buffer unless it straddles a refill.
+//! readers ([`TraceReader`], [`crate::stream::ChunkReader`]) are one line
+//! loop, `LossyLines`: `scan::LineFramer` hands out each line in place from
+//! the read buffer unless it straddles a refill, `decode_line_lossy` gives
+//! the verdict, and one tally updates [`CodecStats`] and the metrics.
 
 use crate::json::{self, Value};
 use crate::record::{Trace, TraceMeta, TraceRecord};
 use crate::scan::{scan_record, LineFramer};
+use crate::stream::TraceWriter;
 use http_model::headers::{RequestHeaders, ResponseHeaders};
 use http_model::transaction::{HttpTransaction, Method};
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 
 /// Current format version.
 pub const FORMAT_VERSION: u32 = 1;
@@ -160,35 +163,18 @@ pub fn record_to_json(r: &TraceRecord) -> String {
     out
 }
 
-/// Write a trace to any sink.
+/// Write a trace to any sink: the header, then every record through
+/// [`TraceWriter`], whose `finish` adds the `netsim_*_written_total`
+/// counters.
 pub fn write_trace<W: Write>(trace: &Trace, sink: W) -> Result<(), CodecError> {
-    let registry = obs::global();
-    let mut span = registry.span_with("netsim_codec", &[("op", "write")]);
-    let mut bytes = 0u64;
-    let mut w = BufWriter::new(sink);
-    let mut line = String::with_capacity(512);
-    line.push_str("{\"format\":");
-    json::write_str(&mut line, FORMAT_NAME);
-    use std::fmt::Write as _;
-    let _ = write!(line, ",\"version\":{FORMAT_VERSION},\"meta\":");
-    encode_meta(&mut line, &trace.meta);
-    line.push_str("}\n");
-    w.write_all(line.as_bytes())?;
-    bytes += line.len() as u64;
+    let mut span = obs::global().span_with("netsim_codec", &[("op", "write")]);
+    let mut writer = TraceWriter::new(sink, &trace.meta)?;
     for r in &trace.records {
-        line.clear();
-        encode_record(&mut line, r);
-        line.push('\n');
-        w.write_all(line.as_bytes())?;
-        bytes += line.len() as u64;
+        writer.write_record(r)?;
     }
-    w.flush()?;
-    span.count("records", trace.records.len() as u64);
+    let (records, bytes) = writer.finish()?;
+    span.count("records", records);
     span.count("bytes", bytes);
-    registry
-        .counter("netsim_records_written_total")
-        .add(trace.records.len() as u64);
-    registry.counter("netsim_bytes_written_total").add(bytes);
     Ok(())
 }
 
@@ -322,20 +308,11 @@ fn decode_record(v: &Value<'_>) -> Result<TraceRecord, String> {
 
 /// Why a trimmed, non-empty line is not a record, with the generic path's
 /// error text.
-pub(crate) enum LineError {
+enum LineError {
     /// `json::parse` refused it.
     Json(String),
     /// It parsed, but `decode_record` refused the tree.
     Schema(String),
-}
-
-impl LineError {
-    /// The text the strict readers put in [`CodecError::BadRecord`].
-    pub(crate) fn into_text(self) -> String {
-        match self {
-            LineError::Json(e) | LineError::Schema(e) => e,
-        }
-    }
 }
 
 /// The generic decode of one trimmed, non-empty line: the full `Value`
@@ -350,7 +327,7 @@ fn decode_text_generic(text: &str) -> Result<TraceRecord, LineError> {
 /// or lossy, sequential or chunked, goes through. Lines in the writer's own
 /// spelling are decoded by [`scan_record`] without building a tree; it
 /// declines everything else, and then the generic path decides.
-pub(crate) fn decode_text(text: &str) -> Result<TraceRecord, LineError> {
+fn decode_text(text: &str) -> Result<TraceRecord, LineError> {
     match scan_record(text) {
         Some(rec) => Ok(rec),
         None => decode_text_generic(text),
@@ -411,10 +388,13 @@ pub fn read_trace<R: Read>(source: R) -> Result<Trace, CodecError> {
         if text.is_empty() {
             continue;
         }
-        let rec = decode_text(text).map_err(|e| CodecError::BadRecord {
-            line: lineno,
-            error: e.into_text(),
-        })?;
+        let rec =
+            decode_text(text).map_err(|(LineError::Json(error) | LineError::Schema(error))| {
+                CodecError::BadRecord {
+                    line: lineno,
+                    error,
+                }
+            })?;
         records.push(rec);
     }
     span.count("records", records.len() as u64);
@@ -479,11 +459,9 @@ impl CodecStats {
 
     /// Fold another reader's accounting into this one. Counters add;
     /// `header_recovered` ORs (the header exists once per stream, so at
-    /// most one of the merged readers can have recovered it).
-    ///
-    /// This is what makes chunked parallel decode exact: each chunk
-    /// worker keeps its own `CodecStats`, and the in-order merge of those
-    /// equals the sequential reader's stats line for line.
+    /// most one of the merged readers can have recovered it). The
+    /// per-chunk deltas of [`crate::stream::ChunkReader`] merged in any
+    /// grouping equal the one-shot reader's stats.
     pub fn merge(&mut self, other: &CodecStats) {
         self.records_read += other.records_read;
         self.blank_lines += other.blank_lines;
@@ -519,17 +497,15 @@ impl std::fmt::Display for CodecStats {
 }
 
 /// What the lossy path decided about one raw line. One function makes
-/// this call for both the streaming [`TraceReader`] and the chunked
-/// parallel decoder, so identical bytes always produce the identical
-/// keep/skip verdict — the foundation of the parallel-equals-sequential
-/// guarantee.
+/// this call for every lossy reader, so identical bytes always produce
+/// the identical keep/skip verdict.
 //
 // The Record variant dominates the enum's size, but every value is
 // consumed on the spot (moved into the output Vec or dropped), so
 // boxing it would trade one stack move per line for one heap
 // allocation per record on the hottest path in the codec.
 #[allow(clippy::large_enum_variant)]
-pub(crate) enum LossyLine {
+enum LossyLine {
     /// Whitespace-only line; tolerated, tallied separately.
     Blank,
     /// A decodable record.
@@ -545,9 +521,8 @@ pub(crate) enum LossyLine {
 }
 
 /// Decide what to do with one line (newline excluded). `overflow` marks a
-/// line whose tail was truncated at [`MAX_LINE_BYTES`] by the capped
-/// streaming read, or measured over the cap by the chunked decoder.
-pub(crate) fn decode_line_lossy(buf: &[u8], overflow: bool) -> LossyLine {
+/// line the framer found longer than [`MAX_LINE_BYTES`].
+fn decode_line_lossy(buf: &[u8], overflow: bool) -> LossyLine {
     classify_line(buf, overflow, decode_text)
 }
 
@@ -614,17 +589,17 @@ pub mod hooks {
 /// Metric handles for a lossy reader, bound once at construction so the
 /// per-record hot path is a relaxed atomic add, never a registry lookup.
 #[derive(Debug, Clone)]
-pub(crate) struct ReaderMetrics {
-    pub(crate) records: obs::Counter,
-    pub(crate) bytes: obs::Counter,
-    pub(crate) resync_bad_json: obs::Counter,
-    pub(crate) resync_bad_schema: obs::Counter,
-    pub(crate) resync_non_utf8: obs::Counter,
-    pub(crate) resync_oversize: obs::Counter,
+struct ReaderMetrics {
+    records: obs::Counter,
+    bytes: obs::Counter,
+    resync_bad_json: obs::Counter,
+    resync_bad_schema: obs::Counter,
+    resync_non_utf8: obs::Counter,
+    resync_oversize: obs::Counter,
 }
 
 impl ReaderMetrics {
-    pub(crate) fn bind(registry: &obs::Registry) -> ReaderMetrics {
+    fn bind(registry: &obs::Registry) -> ReaderMetrics {
         let resync = |reason| registry.counter_with("netsim_resync_total", &[("reason", reason)]);
         ReaderMetrics {
             records: registry.counter("netsim_lossy_records_read_total"),
@@ -637,15 +612,100 @@ impl ReaderMetrics {
     }
 }
 
+/// The lossy line loop [`TraceReader`] and [`crate::stream::ChunkReader`]
+/// share: frame a line, decide its verdict, tally it into the caller's
+/// [`CodecStats`] and the `netsim_lossy_*` / `netsim_resync_total` metrics,
+/// until a record turns up.
+pub(crate) struct LossyLines<R: Read> {
+    framer: LineFramer<R>,
+    metrics: ReaderMetrics,
+    /// Input bytes consumed so far — past the last framed line, so a safe
+    /// resume point.
+    pub(crate) offset: u64,
+    done: bool,
+}
+
+impl<R: Read> LossyLines<R> {
+    /// Open at the start of a stream and consume the header line under the
+    /// lossy policy. Returns the metadata and whether it is the recovery
+    /// placeholder; only an I/O error on the header line is fatal.
+    pub(crate) fn open(
+        source: R,
+        registry: &obs::Registry,
+    ) -> io::Result<(LossyLines<R>, TraceMeta, bool)> {
+        let mut lines = LossyLines::resume(source, 0, registry);
+        let (meta, header_recovered, consumed) = lines.framer.read_header_lossy()?;
+        lines.offset = consumed;
+        Ok((lines, meta, header_recovered))
+    }
+
+    /// Continue mid-stream: `source` is positioned at `offset`, a record
+    /// boundary; no header line is expected.
+    pub(crate) fn resume(source: R, offset: u64, registry: &obs::Registry) -> LossyLines<R> {
+        LossyLines {
+            framer: LineFramer::new(source),
+            metrics: ReaderMetrics::bind(registry),
+            offset,
+            done: false,
+        }
+    }
+
+    /// The next decodable record, tallying every line on the way. `None`
+    /// at end of input or at the first I/O error (counted in `stats`).
+    #[inline]
+    pub(crate) fn next_record(&mut self, stats: &mut CodecStats) -> Option<TraceRecord> {
+        while !self.done {
+            let line = match self.framer.next_line() {
+                Ok(Some(line)) => line,
+                Ok(None) => {
+                    self.done = true;
+                    break;
+                }
+                Err(_) => {
+                    stats.io_errors += 1;
+                    self.done = true;
+                    break;
+                }
+            };
+            self.offset += line.consumed;
+            match decode_line_lossy(line.bytes, line.overflow) {
+                LossyLine::Record(rec) => {
+                    stats.records_read += 1;
+                    self.metrics.records.inc();
+                    self.metrics.bytes.add(line.consumed);
+                    return Some(rec);
+                }
+                LossyLine::Blank => stats.blank_lines += 1,
+                LossyLine::BadJson => {
+                    stats.skipped_bad_json += 1;
+                    self.metrics.resync_bad_json.inc();
+                }
+                LossyLine::BadSchema => {
+                    stats.skipped_bad_schema += 1;
+                    self.metrics.resync_bad_schema.inc();
+                }
+                LossyLine::NonUtf8 => {
+                    stats.skipped_non_utf8 += 1;
+                    self.metrics.resync_non_utf8.inc();
+                }
+                LossyLine::Oversize => {
+                    stats.skipped_oversize += 1;
+                    self.metrics.resync_oversize.inc();
+                }
+            }
+        }
+        None
+    }
+}
+
 /// The decode-side window schema: per-window record/protocol/byte series
-/// keyed on each record's trace timestamp. One instance per decode unit
-/// (the whole stream sequentially, one chunk in the parallel readers).
+/// keyed on each record's trace timestamp.
 ///
 /// The watermark is infinite, so windowing here is **order-insensitive**:
-/// chunk partials merged with [`obs::WindowReport::merge`] equal the
-/// whole-stream report regardless of how the chunk boundaries fell —
-/// the property that lets the parallel readers window per chunk and
-/// merge at the scatter-merge point.
+/// partials merged with [`obs::WindowReport::merge`] equal the
+/// whole-stream report however the stream was cut into chunks — the
+/// property that lets the streaming router cut a delta at every
+/// checkpoint barrier.
 #[derive(Debug)]
 pub struct DecodeWindows {
     engine: obs::WindowEngine,
@@ -712,11 +772,9 @@ impl DecodeWindows {
 /// registry (`netsim_lossy_*`, `netsim_resync_total{reason=...}`) or the
 /// one passed to [`TraceReader::with_registry`].
 pub struct TraceReader<R: Read> {
-    framer: LineFramer<R>,
+    lines: LossyLines<R>,
     meta: TraceMeta,
     stats: CodecStats,
-    done: bool,
-    metrics: ReaderMetrics,
 }
 
 impl<R: Read> TraceReader<R> {
@@ -730,18 +788,14 @@ impl<R: Read> TraceReader<R> {
         source: R,
         registry: &obs::Registry,
     ) -> Result<TraceReader<R>, CodecError> {
-        let metrics = ReaderMetrics::bind(registry);
-        let mut framer = LineFramer::new(source);
-        let (meta, header_recovered, _) = framer.read_header_lossy()?;
+        let (lines, meta, header_recovered) = LossyLines::open(source, registry)?;
         Ok(TraceReader {
-            framer,
+            lines,
             meta,
             stats: CodecStats {
                 header_recovered,
                 ..CodecStats::default()
             },
-            done: false,
-            metrics,
         })
     }
 
@@ -762,46 +816,7 @@ impl<R: Read> TraceReader<R> {
 
     /// Next decodable record, skipping (and counting) corrupt lines.
     pub fn next_record(&mut self) -> Option<TraceRecord> {
-        while !self.done {
-            let line = match self.framer.next_line() {
-                Ok(Some(line)) => line,
-                Ok(None) => {
-                    self.done = true;
-                    return None;
-                }
-                Err(_) => {
-                    self.stats.io_errors += 1;
-                    self.done = true;
-                    return None;
-                }
-            };
-            match decode_line_lossy(line.bytes, line.overflow) {
-                LossyLine::Record(rec) => {
-                    self.stats.records_read += 1;
-                    self.metrics.records.inc();
-                    self.metrics.bytes.add(line.bytes.len() as u64 + 1);
-                    return Some(rec);
-                }
-                LossyLine::Blank => self.stats.blank_lines += 1,
-                LossyLine::BadJson => {
-                    self.stats.skipped_bad_json += 1;
-                    self.metrics.resync_bad_json.inc();
-                }
-                LossyLine::BadSchema => {
-                    self.stats.skipped_bad_schema += 1;
-                    self.metrics.resync_bad_schema.inc();
-                }
-                LossyLine::NonUtf8 => {
-                    self.stats.skipped_non_utf8 += 1;
-                    self.metrics.resync_non_utf8.inc();
-                }
-                LossyLine::Oversize => {
-                    self.stats.skipped_oversize += 1;
-                    self.metrics.resync_oversize.inc();
-                }
-            }
-        }
-        None
+        self.lines.next_record(&mut self.stats)
     }
 }
 
@@ -1063,5 +1078,45 @@ mod tests {
         let s = stats.to_string();
         assert!(s.contains("read 5"));
         assert!(s.contains("header recovered"));
+    }
+
+    proptest::proptest! {
+        /// `CodecStats::merge` is a plain counter sum: merging in any
+        /// grouping yields the same totals as counting in one pass.
+        #[test]
+        fn codec_stats_merge_is_additive(
+            a in proptest::collection::vec(0usize..50, 7),
+            b in proptest::collection::vec(0usize..50, 7),
+            ha_bit in 0u8..2,
+            hb_bit in 0u8..2,
+        ) {
+            use proptest::prop_assert_eq;
+            let (ha, hb) = (ha_bit == 1, hb_bit == 1);
+            let build = |v: &[usize], h: bool| CodecStats {
+                records_read: v[0],
+                blank_lines: v[1],
+                skipped_bad_json: v[2],
+                skipped_bad_schema: v[3],
+                skipped_non_utf8: v[4],
+                skipped_oversize: v[5],
+                io_errors: v[6],
+                header_recovered: h,
+            };
+            let sa = build(&a, ha);
+            let sb = build(&b, hb);
+            let mut left = sa.clone();
+            left.merge(&sb);
+            let mut right = sb.clone();
+            right.merge(&sa);
+            prop_assert_eq!(&left, &right, "merge is commutative");
+            prop_assert_eq!(left.records_read, sa.records_read + sb.records_read);
+            prop_assert_eq!(left.total_skipped(), sa.total_skipped() + sb.total_skipped());
+            prop_assert_eq!(left.lines_seen(), sa.lines_seen() + sb.lines_seen());
+            prop_assert_eq!(left.header_recovered, ha || hb);
+            // Identity element.
+            let mut with_default = sa.clone();
+            with_default.merge(&CodecStats::default());
+            prop_assert_eq!(with_default, sa);
+        }
     }
 }

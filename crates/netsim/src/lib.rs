@@ -28,9 +28,6 @@
 //!   lines in the writer's own spelling bypass it: a private `scan` module
 //!   holds the schema-directed record scanner, the in-place line framer
 //!   and the word-at-a-time newline search the readers share.
-//! * [`parallel`] — chunked multi-core decode over the same codec:
-//!   byte-identical to the sequential readers, with per-chunk
-//!   [`codec::CodecStats`] merged exactly.
 //! * [`stream`] — incremental chunk-by-chunk decode with byte-offset
 //!   accounting (the checkpoint/resume substrate) and a record-at-a-time
 //!   [`stream::TraceWriter`] dual of [`codec::write_trace`].
@@ -45,7 +42,6 @@ pub mod faults;
 pub mod json;
 pub mod latency;
 pub mod nat;
-pub mod parallel;
 pub mod record;
 pub mod rtt;
 mod scan;

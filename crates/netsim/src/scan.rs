@@ -57,7 +57,7 @@ fn find_by(hay: &[u8], lanes: impl Fn(u64) -> u64, byte: impl Fn(u8) -> bool) ->
 }
 
 /// `hay.iter().position(|&b| b == b'\n')`, eight bytes at a time.
-pub(crate) fn find_newline(hay: &[u8]) -> Option<usize> {
+fn find_newline(hay: &[u8]) -> Option<usize> {
     find_by(
         hay,
         |w| zero_lanes(w ^ (ONES * b'\n' as u64)),

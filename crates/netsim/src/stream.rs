@@ -5,23 +5,19 @@
 //! trace, but it neither batches records (the unit the streaming pipeline
 //! sends over its bounded channels) nor tracks how many input bytes each
 //! record consumed (the unit a checkpoint manifest must store to resume a
-//! killed run). [`ChunkReader`] adds both while reusing the codec's exact
-//! per-line keep/skip verdict (`codec::decode_line_lossy`),
-//! header-recovery policy and line framer (`scan::LineFramer`, which
-//! reports the input bytes each line took), so a chunked read yields
-//! byte-for-byte the same records and [`CodecStats`] totals as the
-//! one-shot lossy reader.
+//! killed run). [`ChunkReader`] adds both over the very line loop
+//! `TraceReader` runs (`codec::LossyLines`: header-recovery policy, line
+//! framer, per-line keep/skip verdict and tally, plus the input bytes
+//! consumed), so a chunked read yields byte-for-byte the same records and
+//! [`CodecStats`] totals as the one-shot lossy reader.
 //!
 //! [`TraceWriter`] is the encode-side dual: it emits the same bytes as
 //! [`crate::codec::write_trace`] one record at a time, so the generator
 //! can persist a trace while streaming it without a full-trace `Vec`.
 
-use crate::codec::{
-    self, CodecError, CodecStats, LossyLine, ReaderMetrics, FORMAT_NAME, FORMAT_VERSION,
-};
+use crate::codec::{self, CodecError, CodecStats, LossyLines, FORMAT_NAME, FORMAT_VERSION};
 use crate::json;
 use crate::record::{TraceMeta, TraceRecord};
-use crate::scan::LineFramer;
 use std::io::{BufWriter, Read, Write};
 
 /// One decoded batch of records plus its accounting.
@@ -47,16 +43,12 @@ pub struct StreamChunk {
 /// carrying the byte offset of its end so a checkpoint can name an exact
 /// resume point.
 pub struct ChunkReader<R: Read> {
-    framer: LineFramer<R>,
+    lines: LossyLines<R>,
     meta: TraceMeta,
     chunk_records: usize,
-    /// Byte offset just past the last consumed line.
-    offset: u64,
     seq: u64,
     /// Header-recovery flag awaiting the first chunk's stats.
     pending_header_recovered: bool,
-    done: bool,
-    metrics: ReaderMetrics,
 }
 
 impl<R: Read> ChunkReader<R> {
@@ -72,18 +64,13 @@ impl<R: Read> ChunkReader<R> {
         chunk_records: usize,
         registry: &obs::Registry,
     ) -> Result<ChunkReader<R>, CodecError> {
-        let metrics = ReaderMetrics::bind(registry);
-        let mut framer = LineFramer::new(source);
-        let (meta, header_recovered, offset) = framer.read_header_lossy()?;
+        let (lines, meta, header_recovered) = LossyLines::open(source, registry)?;
         Ok(ChunkReader {
-            framer,
+            lines,
             meta,
             chunk_records: chunk_records.max(1),
-            offset,
             seq: 0,
             pending_header_recovered: header_recovered,
-            done: false,
-            metrics,
         })
     }
 
@@ -99,14 +86,11 @@ impl<R: Read> ChunkReader<R> {
         registry: &obs::Registry,
     ) -> ChunkReader<R> {
         ChunkReader {
-            framer: LineFramer::new(source),
+            lines: LossyLines::resume(source, offset, registry),
             meta,
             chunk_records: chunk_records.max(1),
-            offset,
             seq,
             pending_header_recovered: false,
-            done: false,
-            metrics: ReaderMetrics::bind(registry),
         }
     }
 
@@ -118,69 +102,34 @@ impl<R: Read> ChunkReader<R> {
 
     /// Byte offset just past the last consumed line.
     pub fn offset(&self) -> u64 {
-        self.offset
+        self.lines.offset
     }
 
     /// Decode the next chunk, or `None` at end of stream. Every chunk
     /// holds at least one record except when trailing corrupt/blank lines
     /// leave a final chunk carrying only their accounting.
     pub fn next_chunk(&mut self) -> Option<StreamChunk> {
-        if self.done {
-            return None;
-        }
         let mut stats = CodecStats {
             header_recovered: std::mem::take(&mut self.pending_header_recovered),
             ..CodecStats::default()
         };
         let mut records = Vec::with_capacity(self.chunk_records);
         while records.len() < self.chunk_records {
-            let line = match self.framer.next_line() {
-                Ok(Some(line)) => line,
-                Ok(None) => {
-                    self.done = true;
-                    break;
-                }
-                Err(_) => {
-                    stats.io_errors += 1;
-                    self.done = true;
-                    break;
-                }
-            };
-            self.offset += line.consumed;
-            match codec::decode_line_lossy(line.bytes, line.overflow) {
-                LossyLine::Record(rec) => {
-                    stats.records_read += 1;
-                    self.metrics.records.inc();
-                    self.metrics.bytes.add(line.consumed);
-                    records.push(rec);
-                }
-                LossyLine::Blank => stats.blank_lines += 1,
-                LossyLine::BadJson => {
-                    stats.skipped_bad_json += 1;
-                    self.metrics.resync_bad_json.inc();
-                }
-                LossyLine::BadSchema => {
-                    stats.skipped_bad_schema += 1;
-                    self.metrics.resync_bad_schema.inc();
-                }
-                LossyLine::NonUtf8 => {
-                    stats.skipped_non_utf8 += 1;
-                    self.metrics.resync_non_utf8.inc();
-                }
-                LossyLine::Oversize => {
-                    stats.skipped_oversize += 1;
-                    self.metrics.resync_oversize.inc();
-                }
+            match self.lines.next_record(&mut stats) {
+                Some(rec) => records.push(rec),
+                None => break,
             }
         }
-        if records.is_empty() && self.done && stats == CodecStats::default() {
+        // An empty chunk means the loop hit end of input; one that also
+        // tallied nothing has nothing to report.
+        if records.is_empty() && stats == CodecStats::default() {
             return None;
         }
         let chunk = StreamChunk {
             seq: self.seq,
             records,
             stats,
-            end_offset: self.offset,
+            end_offset: self.lines.offset,
         };
         self.seq += 1;
         Some(chunk)

@@ -7,6 +7,7 @@ use http_model::transaction::Method;
 use http_model::HttpTransaction;
 use netsim::codec::{write_trace, TraceReader};
 use netsim::record::{Trace, TraceMeta, TraceRecord};
+use netsim::stream::ChunkReader;
 
 fn small_trace(n: usize) -> Trace {
     let records = (0..n)
@@ -99,4 +100,28 @@ fn lossy_reader_metrics_reconcile_with_stats() {
     );
     // Bytes accounting covers at least the kept record lines.
     assert!(snap.counter("netsim_lossy_bytes_read_total", &[]) > 0);
+}
+
+/// Both lossy readers count the input bytes a kept line took, so on an
+/// all-valid stream whose last line has no newline they agree with each
+/// other and with the input length past the header.
+#[test]
+fn lossy_bytes_read_agree_across_readers_on_unterminated_input() {
+    let mut bytes = Vec::new();
+    write_trace(&small_trace(5), &mut bytes).expect("write");
+    assert_eq!(bytes.pop(), Some(b'\n'), "drop the final newline");
+    let header_len = bytes.iter().position(|&b| b == b'\n').expect("header") + 1;
+    let want = (bytes.len() - header_len) as u64;
+
+    let one_shot = obs::Registry::new();
+    let reader = TraceReader::with_registry(bytes.as_slice(), &one_shot).expect("reader opens");
+    assert_eq!(reader.count(), 5);
+    let chunked = obs::Registry::new();
+    let reader = ChunkReader::with_registry(bytes.as_slice(), 2, &chunked).expect("reader opens");
+    assert_eq!(reader.map(|c| c.records.len()).sum::<usize>(), 5);
+
+    for registry in [&one_shot, &chunked] {
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("netsim_lossy_bytes_read_total", &[]), want);
+    }
 }

@@ -85,7 +85,7 @@ impl TraceId {
 }
 
 /// A 64-bit span identifier, derived from the owning trace and a stage
-/// name (plus an optional index for repeated stages).
+/// name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SpanId(pub u64);
 
@@ -94,15 +94,6 @@ impl SpanId {
     pub fn derive(trace: TraceId, stage: &str) -> SpanId {
         let mut h = fnv64(FNV64_OFFSET, &trace.0.to_le_bytes());
         h = fnv64(h, stage.as_bytes());
-        SpanId(h)
-    }
-
-    /// Derive the id of the `index`-th instance of `stage` (parallel
-    /// fan-out stages such as decode chunks).
-    pub fn derive_indexed(trace: TraceId, stage: &str, index: u64) -> SpanId {
-        let mut h = fnv64(FNV64_OFFSET, &trace.0.to_le_bytes());
-        h = fnv64(h, stage.as_bytes());
-        h = fnv64(h, &index.to_le_bytes());
         SpanId(h)
     }
 
@@ -279,16 +270,12 @@ mod tests {
     }
 
     #[test]
-    fn span_ids_depend_on_trace_stage_and_index() {
+    fn span_ids_depend_on_trace_and_stage() {
         let t = TraceId::derive(7, 3);
         let s = SpanId::derive(t, "classify");
         assert_eq!(s, SpanId::derive(t, "classify"));
         assert_ne!(s, SpanId::derive(t, "refmap"));
         assert_ne!(s, SpanId::derive(TraceId::derive(7, 4), "classify"));
-        assert_ne!(
-            SpanId::derive_indexed(t, "chunk", 0),
-            SpanId::derive_indexed(t, "chunk", 1)
-        );
         assert_eq!(s.to_hex().len(), 16);
     }
 

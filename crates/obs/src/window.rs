@@ -46,8 +46,8 @@
 //! add bucket-wise, lateness adds. Partition a trace by records, window
 //! each part with an infinite watermark, merge in any order — the result
 //! is byte-identical to windowing the whole trace, which is what lets
-//! the sharded pipeline and the chunked decoder emit window series
-//! without giving up determinism.
+//! the streaming engine cut window deltas per worker and per checkpoint
+//! barrier without giving up determinism.
 
 use crate::metric::{bucket_index, HistogramSnapshot, BUCKETS};
 use std::collections::VecDeque;

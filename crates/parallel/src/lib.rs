@@ -10,12 +10,11 @@
 //!
 //! * **Determinism.** [`Pool::map`] returns outputs in the exact order of
 //!   the inputs regardless of which worker ran which job or how the
-//!   scheduler interleaved them. Parallel callers (the NDJSON chunk
-//!   decoder, the per-user classification shards) rely on this to produce
-//!   byte-identical results vs their sequential counterparts.
+//!   scheduler interleaved them. The per-user classification shards
+//!   rely on this to produce byte-identical results at any thread count.
 //! * **Work stealing without unsafe.** Jobs live behind one mutex and are
-//!   popped one at a time; each job is expected to be chunky (a multi-MB
-//!   byte chunk, a shard of users), so queue contention is noise. No
+//!   popped one at a time; each job is expected to be chunky (a shard of
+//!   users), so queue contention is noise. No
 //!   `unsafe`, no lock-free cleverness to audit.
 //! * **Panic propagation.** A panicking job does not deadlock or poison
 //!   the pool: remaining jobs still run, every worker is joined, and the
@@ -24,7 +23,7 @@
 //!   [`std::panic::resume_unwind`].
 //! * **Scoped borrows.** Because workers run inside `std::thread::scope`,
 //!   job closures may borrow from the caller's stack (the shared filter
-//!   engine, the input byte buffer) — no `Arc` juggling at call sites.
+//!   engine, the extracted records) — no `Arc` juggling at call sites.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -166,19 +165,6 @@ impl Default for Pool {
 
 type JobResult<O> = Result<O, Box<dyn std::any::Any + Send + 'static>>;
 
-/// Split `len` items into at most `parts` contiguous ranges of
-/// near-equal size, never returning an empty range. The helper the
-/// chunked decoder and the shard planner share.
-pub fn split_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
-    if len == 0 {
-        return Vec::new();
-    }
-    let parts = parts.clamp(1, len);
-    (0..parts)
-        .map(|i| (len * i / parts)..(len * (i + 1) / parts))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,24 +250,5 @@ mod tests {
         }));
         // The pool holds no state: the next map is unaffected.
         assert_eq!(pool.map(vec![5, 6], |_, x| x), vec![5, 6]);
-    }
-
-    #[test]
-    fn split_ranges_cover_exactly() {
-        for len in [0usize, 1, 2, 7, 100, 101] {
-            for parts in [1usize, 2, 3, 8, 200] {
-                let ranges = split_ranges(len, parts);
-                let mut covered = 0;
-                for (i, r) in ranges.iter().enumerate() {
-                    assert!(!r.is_empty(), "len={len} parts={parts} range {i} empty");
-                    assert_eq!(r.start, covered, "ranges must be contiguous");
-                    covered = r.end;
-                }
-                assert_eq!(covered, len);
-                if len > 0 {
-                    assert!(ranges.len() <= parts.max(1));
-                }
-            }
-        }
     }
 }
