@@ -138,6 +138,18 @@ grep -q '^obs_alerts_firing' <<<"$alerts_metrics"
 ./target/release/experiments fetch --port "$SERVE_PORT" --path /quitz >/dev/null
 wait "$SERVE_PID"
 
+echo "==> checkpoint format gates (PR 16 fixture, every kill point, typed refusals)"
+# By name, so a renamed or deleted test fails here instead of passing
+# vacuously: the committed checkpoint the PR 16 build wrote must resume
+# byte-identically, every kill point x thread change x cadence of one
+# 19-chunk trace must too, and out-of-range persisted values are refused.
+ckfmt_out="$(cargo test -q -p adscope --test checkpoint_format -- --exact \
+  fixture_written_at_pr16_resumes_byte_identically \
+  fixture_trace_is_the_generated_one \
+  every_kill_point_resumes_byte_identically \
+  out_of_range_values_are_refused_with_their_path 2>&1)" || { echo "$ckfmt_out"; exit 1; }
+grep -q 'test result: ok. 4 passed' <<<"$ckfmt_out"
+
 echo "==> experiments stream (bounded memory + kill/resume gate)"
 STREAM_DIR=target/experiments/stream
 rm -rf "$STREAM_DIR"
@@ -307,8 +319,13 @@ cargo run --release -q -p bench --bin bench_gate -- BENCH_baseline.json BENCH_la
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo doc --no-deps -p netsim -p http-model (-D warnings)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p netsim -p http-model
+echo "==> cargo doc --no-deps -p netsim -p http-model -p adscope (-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p netsim -p http-model -p adscope
+
+echo "==> size ledger (adscope + netsim lines above each file's first #[cfg(test)]; printed, not gated)"
+find crates/adscope/src crates/netsim/src -name '*.rs' | sort | while read -r f; do
+  awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n+0, FILENAME}' "$f"
+done | sort -n | awk '{s+=$1; last=$0} END{print "    total " s "  largest " last}'
 
 echo "==> cargo fmt --check"
 cargo fmt --check

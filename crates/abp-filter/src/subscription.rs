@@ -59,25 +59,6 @@ impl FilterList {
         }
     }
 
-    /// Build a list directly from parsed rules (used by the synthetic list
-    /// generator, which emits rule text *and* keeps the parsed form).
-    pub fn from_rules(
-        name: &str,
-        blocking: Vec<NetFilter>,
-        exceptions: Vec<NetFilter>,
-        hiding: Vec<HidingRule>,
-        soft_expiry_days: f64,
-    ) -> FilterList {
-        FilterList {
-            name: name.to_string(),
-            blocking,
-            exceptions,
-            hiding,
-            soft_expiry_days,
-            invalid: Vec::new(),
-        }
-    }
-
     /// Total number of rules.
     pub fn rule_count(&self) -> usize {
         self.blocking.len() + self.exceptions.len() + self.hiding.len()

@@ -9,7 +9,7 @@
 //! rules.
 //!
 //! Whether a rule mentions a `key=value` pair is answered from a
-//! [`ProtectedIndex`] built once per normalizer, so the cost per pair does
+//! `ProtectedIndex` built once per normalizer, so the cost per pair does
 //! not grow with the number of literals the lists carry (DESIGN.md §18).
 
 use crate::classify::PassiveClassifier;

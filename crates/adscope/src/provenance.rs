@@ -181,12 +181,9 @@ impl VerdictProvenance {
         out.push_str(",\"normalized_url\":");
         netsim::json::write_str(&mut out, &self.normalized_url);
         out.push_str(",\"rewrites\":[");
-        for (i, key) in self.rewrites.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            netsim::json::write_str(&mut out, key);
-        }
+        netsim::json::write_seq(&mut out, &self.rewrites, |out, key| {
+            netsim::json::write_str(out, key)
+        });
         out.push_str("],\"page\":");
         match &self.page {
             Some(p) => netsim::json::write_str(&mut out, p),
@@ -204,12 +201,7 @@ impl VerdictProvenance {
         out.push_str(",\"content_source\":");
         netsim::json::write_str(&mut out, self.content_source.label());
         out.push_str(",\"blocking\":[");
-        for (i, m) in self.blocking.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_rule(&mut out, m);
-        }
+        netsim::json::write_seq(&mut out, &self.blocking, write_rule);
         out.push_str("],\"exception\":");
         match &self.exception {
             Some(m) => write_rule(&mut out, m),
@@ -225,16 +217,13 @@ impl VerdictProvenance {
         }
         out.push_str(",\"spans\":[");
         let parent = root_span(self.trace_id).to_hex();
-        for (i, stage) in STAGES.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        netsim::json::write_seq(&mut out, STAGES, |out, stage| {
             let _ = write!(
                 out,
                 "{{\"stage\":\"{stage}\",\"span_id\":\"{}\",\"parent_id\":\"{parent}\"}}",
                 SpanId::derive(self.trace_id, stage).to_hex()
             );
-        }
+        });
         out.push_str("]}");
         out
     }

@@ -1,0 +1,669 @@
+//! Streaming fault-tolerant classification — the bounded-memory dataflow.
+//!
+//! The materialized pipeline ([`crate::pipeline`]) decodes the whole
+//! trace into a `Vec` before classifying. At the paper's scale (RBN-1:
+//! 4 days, 131.95 M requests; RBN-2: 15.5 h, 85.09 M) that footprint is
+//! the limiting factor, and a fault anywhere loses the whole run. This
+//! module restructures the same stages as a streaming dataflow:
+//!
+//! ```text
+//!   ChunkReader ──► router (caller thread)             ┌► worker 0 ─┐
+//!     decode         extract + out-of-order pre-pass ──┼► worker 1 ─┼─► merge
+//!     chunk-by-      + decode windows + shard routing  └► worker N ─┘
+//!     chunk
+//! ```
+//!
+//! * **Bounded memory.** Records flow through [`parallel::bounded`]
+//!   channels of a few chunks each; a full queue blocks the router
+//!   (backpressure) instead of buffering, so resident state is the
+//!   per-user referrer maps plus a few in-flight chunks — flat in trace
+//!   length.
+//! * **Identical output.** Workers run the exact sequential per-user
+//!   stage logic. The one order-sensitive structure — redirect type
+//!   backfill, which the materialized path resolves in a second pass —
+//!   becomes a *held-record* protocol: a redirecting record is held by
+//!   its worker until its pending entry is consumed (backfill applies),
+//!   displaced, or evicted (released as-is), mirroring pass-2 semantics
+//!   record for record. Streaming windows always run with an infinite
+//!   watermark so partition merges are grouping-independent; compare
+//!   against a materialized run configured the same way.
+//! * **Poison quarantine.** With a sidecar configured, each record is
+//!   processed under `catch_unwind`: a panicking record is appended to
+//!   `quarantine.ndjson` (one trace-codec line, replayable) and counted
+//!   in [`DegradationReport::poisoned_records`] instead of aborting.
+//!   Unparseable-URL records are quarantined to the same sidecar
+//!   verbatim.
+//! * **Checkpoint/resume.** Every N chunks the router injects a barrier:
+//!   workers cut their deltas and serialize per-user state; the
+//!   router writes `checkpoint.ndjson` (manifest line + one line per
+//!   user) atomically via rename. A killed run resumes from the last
+//!   checkpoint — at *any* thread count, since restored users re-route
+//!   by the same `shard_of` hash ([`crate::shard`]) — and produces a final
+//!   report byte-identical to an uninterrupted run.
+//!
+//! Four modules: this one holds the options, the report and the two entry
+//! points; `worker` the quarantine sidecar, the held-record protocol and
+//! the per-shard worker; `router` the run state and the route / barrier /
+//! finalize steps that advance it; `checkpoint` the persisted format.
+
+mod checkpoint;
+mod router;
+mod worker;
+
+pub use checkpoint::CHECKPOINT_FILE;
+
+use crate::classify::PassiveClassifier;
+use crate::degrade::DegradationReport;
+use crate::pipeline::{ClassifiedRequest, PipelineOptions};
+use crate::population::PopulationReport;
+use netsim::codec::CodecStats;
+use netsim::record::TraceMeta;
+use netsim::stream::{ChunkReader, StreamChunk};
+use obs::window::WindowReport;
+use router::{run_stream, RunState};
+use std::fmt::Write as _;
+use std::fs::File;
+use std::io::{self, Seek, SeekFrom};
+use std::path::{Path, PathBuf};
+
+/// Errors from the streaming pipeline.
+#[derive(Debug)]
+pub enum StreamError {
+    /// I/O failure on the trace, checkpoint, or quarantine sidecar.
+    Io(io::Error),
+    /// Trace header decode failure.
+    Codec(netsim::codec::CodecError),
+    /// Checkpoint missing, malformed, or from an incompatible config.
+    Checkpoint(String),
+    /// Invalid option combination.
+    Config(String),
+}
+
+impl std::fmt::Display for StreamError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StreamError::Io(e) => write!(f, "stream i/o: {e}"),
+            StreamError::Codec(e) => write!(f, "stream codec: {e}"),
+            StreamError::Checkpoint(m) => write!(f, "checkpoint: {m}"),
+            StreamError::Config(m) => write!(f, "stream config: {m}"),
+        }
+    }
+}
+
+impl std::error::Error for StreamError {}
+
+impl From<io::Error> for StreamError {
+    fn from(e: io::Error) -> Self {
+        StreamError::Io(e)
+    }
+}
+
+impl From<netsim::codec::CodecError> for StreamError {
+    fn from(e: netsim::codec::CodecError) -> Self {
+        StreamError::Codec(e)
+    }
+}
+
+fn ck_err(msg: impl Into<String>) -> StreamError {
+    StreamError::Checkpoint(msg.into())
+}
+
+/// Checkpoint/resume configuration.
+#[derive(Debug, Clone)]
+pub struct CheckpointOptions {
+    /// Directory holding `checkpoint.ndjson` (created if missing).
+    pub dir: PathBuf,
+    /// Write a checkpoint every this many chunks.
+    pub every_chunks: u64,
+    /// Resume from the directory's checkpoint instead of starting fresh.
+    pub resume: bool,
+}
+
+impl CheckpointOptions {
+    /// Checkpoint into `dir` every 64 chunks, no resume.
+    pub fn new(dir: impl Into<PathBuf>) -> CheckpointOptions {
+        CheckpointOptions {
+            dir: dir.into(),
+            every_chunks: 64,
+            resume: false,
+        }
+    }
+}
+
+/// Streaming pipeline configuration.
+#[derive(Debug, Clone)]
+pub struct StreamOptions {
+    /// Stage options, shared with the materialized pipeline. The window
+    /// watermark is forced to infinity in streaming mode (see module
+    /// docs).
+    pub pipeline: PipelineOptions,
+    /// Worker count (0 = available parallelism). Workers and shards are
+    /// one-to-one; the count does not affect output.
+    pub threads: usize,
+    /// Records per decoded chunk (the unit of routing and
+    /// checkpointing).
+    pub chunk_records: usize,
+    /// Bounded channel capacity, in batches, per worker. A full queue
+    /// blocks the router — this is the backpressure knob.
+    pub channel_capacity: usize,
+    /// Checkpoint/resume; requires a seekable trace file.
+    pub checkpoint: Option<CheckpointOptions>,
+    /// Sidecar for quarantined records (unparseable URLs verbatim,
+    /// poisoned records re-encoded from their extracted form). Enables
+    /// the per-record panic guard. Line order across workers is not
+    /// deterministic.
+    pub quarantine_path: Option<PathBuf>,
+    /// Collect `(position, request)` pairs into the report (equivalence
+    /// tests; defeats bounded memory).
+    pub collect_requests: bool,
+    /// Stop (as if killed) after this many chunks *this run* — the
+    /// kill-and-resume tests' deterministic kill switch.
+    pub stop_after_chunks: Option<u64>,
+    /// Sleep this long after each chunk (lets external kill tests aim).
+    pub throttle_ms: u64,
+    /// Test hook: records for this host panic mid-worker, exercising the
+    /// poison path.
+    pub poison_host: Option<String>,
+    /// Test hook: after routing this many chunks, the router sleeps
+    /// [`StreamOptions::stall_ms`] once — a deterministic injected
+    /// stall for the health-plane watchdog checks.
+    pub stall_after_chunks: Option<u64>,
+    /// How long the injected stall lasts (milliseconds).
+    pub stall_ms: u64,
+    /// Server addresses hosting filter-list downloads — the §6.2
+    /// download-indicator input. Only consulted when
+    /// [`crate::population::PopulationOptions::enabled`]: HTTPS flows to
+    /// these addresses on port 443 mark the client household as a
+    /// list-downloading one (Table 3 classes B/C).
+    pub abp_ips: Vec<u32>,
+    /// Alert rules evaluated over the merged window report at every
+    /// checkpoint barrier and at the final merge (empty = alerting off).
+    /// Evaluation is a full recompute over the merged report (see
+    /// [`obs::AlertEngine::eval_report`]), so the alert timeline is
+    /// byte-identical at any thread count, chunk size, or kill/resume
+    /// schedule — and identical to the materialized path's.
+    pub alerts: Vec<obs::AlertRule>,
+}
+
+impl Default for StreamOptions {
+    fn default() -> Self {
+        StreamOptions {
+            pipeline: PipelineOptions::default(),
+            threads: 0,
+            chunk_records: 8192,
+            channel_capacity: 4,
+            checkpoint: None,
+            quarantine_path: None,
+            collect_requests: false,
+            stop_after_chunks: None,
+            throttle_ms: 0,
+            poison_host: None,
+            stall_after_chunks: None,
+            stall_ms: 0,
+            abp_ips: Vec::new(),
+            alerts: Vec::new(),
+        }
+    }
+}
+
+/// What a streaming run produces: the same totals, degradation and
+/// window series as a materialized [`crate::pipeline::ClassifiedTrace`],
+/// without materializing the requests (unless
+/// [`StreamOptions::collect_requests`] asked for them).
+#[derive(Debug)]
+pub struct StreamReport {
+    /// Trace metadata (header or checkpoint).
+    pub meta: TraceMeta,
+    /// Decode accounting, cumulative across resumes.
+    pub codec: CodecStats,
+    /// Degradation accounting, cumulative across resumes.
+    pub degradation: DegradationReport,
+    /// Adscope window series (infinite watermark).
+    pub windows: WindowReport,
+    /// Decode-side window series (records/http/https/bytes per hour).
+    pub decode_windows: WindowReport,
+    /// Requests classified.
+    pub requests: u64,
+    /// Ad requests among them.
+    pub ad_requests: u64,
+    /// Opaque HTTPS flows seen.
+    pub https_flows: u64,
+    /// Distinct ⟨client IP, User-Agent⟩ users.
+    pub users: u64,
+    /// Chunks processed, cumulative across resumes.
+    pub chunks: u64,
+    /// Checkpoints written this run.
+    pub checkpoints_written: u64,
+    /// Byte offset this run resumed from, if it did.
+    pub resumed_from: Option<u64>,
+    /// True when `stop_after_chunks` fired: the report is partial.
+    pub stopped_early: bool,
+    /// Classified requests tagged with global position, sorted, when
+    /// collection was requested.
+    pub collected: Option<Vec<(u64, ClassifiedRequest)>>,
+    /// Population analytics (`None` unless
+    /// [`crate::population::PopulationOptions::enabled`]). Built by the
+    /// same [`crate::population::finish`] as the materialized path, over
+    /// sketch/tally state merged in worker-index order, so it renders
+    /// byte-identically at any thread count, chunk size, or
+    /// kill/resume schedule.
+    pub population: Option<PopulationReport>,
+    /// The alert engine after the final evaluation (`None` unless
+    /// [`StreamOptions::alerts`] named rules). Its timeline is a pure
+    /// function of [`StreamReport::windows`].
+    pub alerts: Option<obs::AlertEngine>,
+}
+
+impl StreamReport {
+    /// Deterministic text rendering: identical for an uninterrupted run
+    /// and a kill-and-resume run over the same trace (run-local fields —
+    /// checkpoints written, resume offset — are deliberately excluded).
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "trace {} subscribers {} duration {:.1}s",
+            self.meta.name, self.meta.subscribers, self.meta.duration_secs
+        );
+        let c = &self.codec;
+        let _ = writeln!(
+            out,
+            "codec: records {} skipped {} (json {} schema {} utf8 {} oversize {} io {}) blank {} header_recovered {}",
+            c.records_read,
+            c.total_skipped(),
+            c.skipped_bad_json,
+            c.skipped_bad_schema,
+            c.skipped_non_utf8,
+            c.skipped_oversize,
+            c.io_errors,
+            c.blank_lines,
+            c.header_recovered
+        );
+        let _ = writeln!(
+            out,
+            "requests {} ads {} https {} users {} chunks {}",
+            self.requests, self.ad_requests, self.https_flows, self.users, self.chunks
+        );
+        let _ = writeln!(out, "degradation: {}", self.degradation);
+        out.push_str("windows adscope:\n");
+        out.push_str(&self.windows.render_ndjson("adscope"));
+        out.push_str("windows decode:\n");
+        out.push_str(&self.decode_windows.render_ndjson("decode"));
+        if let Some(p) = &self.population {
+            out.push_str("population:\n");
+            out.push_str(&p.render());
+        }
+        if let Some(a) = &self.alerts {
+            out.push_str("alerts:\n");
+            out.push_str(&a.render_text());
+        }
+        out
+    }
+}
+
+/// Stream-classify a trace file, with checkpoint/resume support.
+/// Metrics land in `registry`.
+pub fn classify_stream_file(
+    path: &Path,
+    classifier: &PassiveClassifier,
+    opts: &StreamOptions,
+    registry: &obs::Registry,
+) -> Result<StreamReport, StreamError> {
+    let total_bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
+    let (reader, state) = match &opts.checkpoint {
+        Some(ck) if ck.resume => {
+            let state = checkpoint::load_checkpoint(&ck.dir, opts)?;
+            let mut f = File::open(path)?;
+            f.seek(SeekFrom::Start(state.offset))?;
+            let (meta, at) = (state.meta.clone(), state.offset);
+            // A checkpoint is cut on a chunk boundary: the next chunk's
+            // sequence number is the count of chunks done.
+            let reader =
+                ChunkReader::resume(f, meta, at, state.chunks, opts.chunk_records, registry);
+            (reader, state)
+        }
+        _ => {
+            let reader =
+                ChunkReader::with_registry(File::open(path)?, opts.chunk_records, registry)?;
+            let state = RunState::new(reader.meta().clone(), opts);
+            (reader, state)
+        }
+    };
+    run_stream(reader, state, classifier, opts, registry, total_bytes)
+}
+
+/// Stream-classify an in-memory chunk source (e.g. a generator bridge).
+/// Checkpointing requires byte offsets, so it is rejected here.
+pub fn classify_stream_chunks<I>(
+    chunks: I,
+    meta: TraceMeta,
+    classifier: &PassiveClassifier,
+    opts: &StreamOptions,
+    registry: &obs::Registry,
+) -> Result<StreamReport, StreamError>
+where
+    I: Iterator<Item = StreamChunk>,
+{
+    if opts.checkpoint.is_some() {
+        return Err(StreamError::Config(
+            "checkpointing requires a seekable trace file".into(),
+        ));
+    }
+    let state = RunState::new(meta, opts);
+    run_stream(chunks, state, classifier, opts, registry, 0)
+}
+
+/// Trace builders and option presets the in-file tests of this module
+/// and its children share.
+#[cfg(test)]
+pub(crate) mod testutil {
+    use super::*;
+    use crate::pipeline::classify_trace_in;
+    use crate::window::WindowOptions;
+    use abp_filter::FilterList;
+    use http_model::headers::{RequestHeaders, ResponseHeaders};
+    use http_model::transaction::{HttpTransaction, Method};
+    use netsim::record::{Trace, TraceRecord};
+
+    pub(crate) fn classifier() -> PassiveClassifier {
+        PassiveClassifier::new(vec![
+            FilterList::parse(
+                "easylist",
+                "||ads.example^$third-party\n/banners/\n@@*callback=ok*\n",
+            ),
+            FilterList::parse("easyprivacy", "/pixel/\n"),
+        ])
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn tx(
+        ts: f64,
+        client: u32,
+        ua: Option<&str>,
+        host: &str,
+        uri: &str,
+        referer: Option<&str>,
+        location: Option<&str>,
+        ct: Option<&str>,
+    ) -> TraceRecord {
+        TraceRecord::Http(HttpTransaction {
+            ts,
+            client_ip: client,
+            server_ip: 1,
+            server_port: 80,
+            method: Method::Get,
+            request: RequestHeaders {
+                host: host.into(),
+                uri: uri.into(),
+                referer: referer.map(str::to_string),
+                user_agent: ua.map(str::to_string),
+            },
+            response: ResponseHeaders {
+                status: if location.is_some() { 302 } else { 200 },
+                content_type: ct.map(str::to_string),
+                content_length: Some(100),
+                location: location.map(str::to_string),
+            },
+            tcp_handshake_ms: 1.0,
+            http_handshake_ms: 4.0,
+        })
+    }
+
+    /// A trace exercising every held-record path: referer chains,
+    /// redirect repair (consumed, displaced, and never-arriving),
+    /// missing content types, unparseable URLs, and multiple users.
+    pub(crate) fn messy_trace(n: usize) -> Trace {
+        let mut records = Vec::new();
+        for i in 0..n {
+            let t = i as f64 * 0.37;
+            let client = (i % 5) as u32;
+            let ua = match i % 3 {
+                0 => Some("UA-A"),
+                1 => Some("UA-B"),
+                _ => None,
+            };
+            match i % 8 {
+                0 => records.push(tx(
+                    t,
+                    client,
+                    ua,
+                    "pub.example",
+                    "/",
+                    None,
+                    None,
+                    Some("text/html"),
+                )),
+                1 => records.push(tx(
+                    t,
+                    client,
+                    ua,
+                    "exchange.example",
+                    &format!("/r?id={i}"),
+                    Some("http://pub.example/"),
+                    Some(&format!("http://ads.example/banner{}.gif", i % 16)),
+                    None,
+                )),
+                2 => records.push(tx(
+                    t,
+                    client,
+                    ua,
+                    "ads.example",
+                    &format!("/banner{}.gif", (i.wrapping_sub(8)) % 16),
+                    None,
+                    None,
+                    None,
+                )),
+                3 => records.push(tx(
+                    t,
+                    client,
+                    ua,
+                    "x.example",
+                    &format!("/banners/{i}.gif"),
+                    Some("http://pub.example/"),
+                    None,
+                    Some("image/gif"),
+                )),
+                4 => records.push(tx(t, client, ua, "", "/unparseable", None, None, None)),
+                5 => records.push(netsim::record::TraceRecord::Https(
+                    netsim::record::TlsConnection {
+                        ts: t,
+                        client_ip: client,
+                        server_ip: 9,
+                        server_port: 443,
+                        bytes: 4242,
+                    },
+                )),
+                6 => records.push(tx(
+                    t,
+                    client,
+                    ua,
+                    "cdn.example",
+                    &format!("/lib{i}.js"),
+                    Some("http://pub.example/"),
+                    None,
+                    Some("application/javascript"),
+                )),
+                _ => records.push(tx(
+                    t,
+                    client,
+                    ua,
+                    "track.example",
+                    &format!("/pixel/{i}?callback=ok"),
+                    None,
+                    None,
+                    None,
+                )),
+            }
+        }
+        Trace {
+            meta: TraceMeta {
+                name: "stream-t".into(),
+                duration_secs: n as f64 * 0.37,
+                subscribers: 5,
+                start_hour: 3,
+                start_weekday: 1,
+            },
+            records,
+        }
+    }
+
+    pub(crate) fn temp_path(tag: &str) -> PathBuf {
+        let mut p = std::env::temp_dir();
+        p.push(format!("adscope-stream-{}-{tag}", std::process::id()));
+        p
+    }
+
+    pub(crate) fn write_trace_file(trace: &Trace, tag: &str) -> PathBuf {
+        let path = temp_path(tag);
+        let f = File::create(&path).unwrap();
+        netsim::codec::write_trace(trace, f).unwrap();
+        path
+    }
+
+    /// Materialized reference with the streaming window semantics
+    /// (infinite watermark).
+    pub(crate) fn reference(trace: &Trace) -> crate::pipeline::ClassifiedTrace {
+        let mut opts = PipelineOptions::default();
+        opts.window.watermark_secs = f64::INFINITY;
+        classify_trace_in(trace, &classifier(), opts, &obs::Registry::new())
+    }
+
+    pub(crate) fn stream_opts(threads: usize, chunk: usize) -> StreamOptions {
+        let mut o = StreamOptions {
+            threads,
+            chunk_records: chunk,
+            collect_requests: true,
+            ..StreamOptions::default()
+        };
+        o.pipeline.window = WindowOptions::default();
+        o
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testutil::*;
+    use super::*;
+    use std::fs;
+
+    #[test]
+    fn streaming_matches_materialized_at_any_thread_count() {
+        let trace = messy_trace(240);
+        let seq = reference(&trace);
+        let path = write_trace_file(&trace, "equiv");
+        for threads in [1usize, 2, 4] {
+            let reg = obs::Registry::new();
+            let rep = classify_stream_file(&path, &classifier(), &stream_opts(threads, 17), &reg)
+                .unwrap();
+            let got: Vec<ClassifiedRequest> = rep
+                .collected
+                .as_ref()
+                .unwrap()
+                .iter()
+                .map(|(_, r)| r.clone())
+                .collect();
+            assert_eq!(got, seq.requests, "threads={threads}");
+            assert_eq!(rep.degradation, seq.degradation, "threads={threads}");
+            assert_eq!(rep.windows, seq.windows, "threads={threads}");
+            assert_eq!(rep.https_flows as usize, seq.https_flows.len());
+            assert_eq!(rep.requests as usize, seq.requests.len());
+        }
+        let _ = fs::remove_file(&path);
+    }
+    #[test]
+    fn generator_chunk_source_classifies_without_a_file() {
+        let trace = messy_trace(120);
+        let seq = reference(&trace);
+        let meta = trace.meta.clone();
+        let records = trace.records;
+        let chunks = records
+            .chunks(13)
+            .enumerate()
+            .map(|(i, batch)| StreamChunk {
+                seq: i as u64,
+                records: batch.to_vec(),
+                stats: CodecStats {
+                    records_read: batch.len(),
+                    ..CodecStats::default()
+                },
+                end_offset: 0,
+            });
+        let mut o = stream_opts(4, 13);
+        let reg = obs::Registry::new();
+        let rep = classify_stream_chunks(chunks, meta, &classifier(), &o, &reg).unwrap();
+        let got: Vec<ClassifiedRequest> = rep
+            .collected
+            .as_ref()
+            .unwrap()
+            .iter()
+            .map(|(_, r)| r.clone())
+            .collect();
+        assert_eq!(got, seq.requests);
+        assert_eq!(rep.windows, seq.windows);
+
+        // ... but checkpointing without a file is refused.
+        o.checkpoint = Some(CheckpointOptions::new(temp_path("nope")));
+        let err = classify_stream_chunks(
+            std::iter::empty(),
+            TraceMeta {
+                name: "x".into(),
+                duration_secs: 0.0,
+                subscribers: 0,
+                start_hour: 0,
+                start_weekday: 0,
+            },
+            &classifier(),
+            &o,
+            &reg,
+        );
+        assert!(matches!(err, Err(StreamError::Config(_))));
+    }
+
+    #[test]
+    fn stream_metrics_and_window_publish() {
+        let trace = messy_trace(96);
+        let path = write_trace_file(&trace, "metrics");
+        let reg = obs::Registry::new();
+        let rep = classify_stream_file(&path, &classifier(), &stream_opts(2, 8), &reg).unwrap();
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("adscope_stream_chunks_total", &[]), rep.chunks);
+        assert_eq!(
+            snap.counter("adscope_requests_classified_total", &[]),
+            rep.requests
+        );
+        assert!(reg.windows_ndjson().contains("\"scope\":\"adscope\""));
+        assert!(reg.windows_ndjson().contains("\"scope\":\"decode\""));
+        let _ = fs::remove_file(&path);
+    }
+    /// A referer that is valid UTF-8 and valid JSON but has a multi-byte
+    /// char where the scheme test ends used to panic `Url::parse` on the
+    /// router thread; it is one unparseable referer.
+    #[test]
+    fn multibyte_char_at_the_scheme_boundary_is_an_unparseable_referer() {
+        let mut trace = messy_trace(40);
+        let before = reference(&trace).degradation.unparseable_referers;
+        trace.records.push(tx(
+            99.0,
+            1,
+            Some("UA-A"),
+            "www.friendly025.example",
+            "/",
+            Some("http:/é/www.friendly025.example/"),
+            None,
+            Some("text/html"),
+        ));
+        let path = write_trace_file(&trace, "multibyte-referer");
+        let rep = classify_stream_file(
+            &path,
+            &classifier(),
+            &stream_opts(1, 16),
+            &obs::Registry::new(),
+        )
+        .unwrap();
+        let seq = reference(&trace);
+        assert_eq!(rep.degradation.unparseable_referers, before + 1);
+        assert_eq!(rep.degradation, seq.degradation);
+        assert_eq!(rep.requests as usize, seq.requests.len());
+        let _ = fs::remove_file(&path);
+    }
+}

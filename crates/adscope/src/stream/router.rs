@@ -1,0 +1,605 @@
+//! The router side of the stream engine, on the caller's thread: the
+//! [`RunState`] a run accumulates, and the [`Router`] that owns it —
+//! [`Router::route`] (extract, shard, send), [`Router::barrier`] (cut,
+//! merge, checkpoint) and [`Router::finalize`] (merge, publish, report).
+
+use super::checkpoint::{config_hash, manifest_to_json, write_checkpoint};
+use super::worker::{
+    worker_loop, PopulationState, Quarantine, RestoredUser, ToWorker, Worker, WorkerAck,
+    WorkerDelta, WorkerFinal,
+};
+use super::{ck_err, StreamError, StreamOptions, StreamReport};
+use crate::classify::PassiveClassifier;
+use crate::degrade::DegradationReport;
+use crate::extract::{extract_one, WebObject};
+use crate::intern::Interner;
+use crate::normalize::UrlNormalizer;
+use crate::pipeline::ClassifiedRequest;
+use crate::population::{self, PopulationOptions, PopulationReport, PopulationSketches, UserTally};
+use crate::shard::shard_of;
+use crate::window::WindowAggregator;
+use netsim::codec::{record_to_json, CodecStats, DecodeWindows};
+use netsim::record::{TraceMeta, TraceRecord};
+use netsim::stream::StreamChunk;
+use obs::window::WindowReport;
+use std::collections::{HashMap, HashSet};
+use std::path::Path;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
+
+/// Router-side cumulative population state: worker deltas merged at
+/// each barrier (acks arrive indexed, so the merge runs in worker-index
+/// order — the canonical order the determinism contract names), plus
+/// the download households the router collects from HTTPS flows.
+/// Checkpointed whole in the manifest and restored verbatim on resume.
+pub(super) struct PopulationCum {
+    pub(super) sketches: PopulationSketches,
+    pub(super) tallies: HashMap<(u32, String), UserTally>,
+    pub(super) households: HashSet<u32>,
+}
+
+impl PopulationCum {
+    fn new(opts: PopulationOptions) -> PopulationCum {
+        PopulationCum {
+            sketches: PopulationSketches::new(opts),
+            tallies: HashMap::new(),
+            households: HashSet::new(),
+        }
+    }
+
+    fn merge_delta(&mut self, d: &PopulationState) {
+        self.sketches.merge(&d.sketches);
+        for ((ip, ua), t) in &d.tallies {
+            self.tallies
+                .entry((*ip, ua.to_string()))
+                .or_default()
+                .merge(t);
+        }
+    }
+}
+
+/// Everything a run has accumulated so far, cumulative across resumes:
+/// where the router stands in the trace, the totals, and the merged
+/// planes. It is what a checkpoint manifest persists, what
+/// `load_checkpoint` hands back, what the router mutates chunk by chunk,
+/// and what the final report is read out of.
+pub(super) struct RunState {
+    pub(super) meta: TraceMeta,
+    /// Byte offset this run resumed from, if it did (run-local, not
+    /// persisted).
+    pub(super) resumed_from: Option<u64>,
+    pub(super) offset: u64,
+    pub(super) chunks: u64,
+    pub(super) next_pos: u64,
+    pub(super) next_http_idx: u64,
+    pub(super) prev_ts: f64,
+    pub(super) codec: CodecStats,
+    /// Router-side counters as they happen, worker-side ones as of the
+    /// last merge. `broken_redirect_chains` is derived from per-user
+    /// state at end of stream and stays 0 until then.
+    pub(super) degradation: DegradationReport,
+    pub(super) requests: u64,
+    pub(super) ads: u64,
+    pub(super) https_flows: u64,
+    pub(super) quarantine_bytes: u64,
+    pub(super) windows: WindowReport,
+    pub(super) decode_windows: WindowReport,
+    /// Present when population analytics are on.
+    pub(super) population: Option<PopulationCum>,
+    /// Present when [`StreamOptions::alerts`] names rules. The engine
+    /// re-evaluates the merged report at every merge — full recompute, so
+    /// where the barriers fall cannot change the timeline.
+    pub(super) alerts: Option<obs::AlertEngine>,
+    /// The per-user state a checkpoint restored, until the workers that
+    /// own it start (run-local; each barrier persists the live state).
+    pub(super) restored: Vec<RestoredUser>,
+}
+
+impl RunState {
+    /// The state of a run that has not read a record yet.
+    pub(super) fn new(meta: TraceMeta, opts: &StreamOptions) -> RunState {
+        let popts = opts.pipeline.population;
+        RunState {
+            meta,
+            resumed_from: None,
+            offset: 0,
+            chunks: 0,
+            next_pos: 0,
+            next_http_idx: 0,
+            prev_ts: f64::NEG_INFINITY,
+            codec: CodecStats::default(),
+            degradation: DegradationReport::default(),
+            requests: 0,
+            ads: 0,
+            https_flows: 0,
+            quarantine_bytes: 0,
+            windows: WindowReport::default(),
+            decode_windows: WindowReport::default(),
+            population: popts.enabled.then(|| PopulationCum::new(popts)),
+            alerts: (!opts.alerts.is_empty()).then(|| obs::AlertEngine::new(opts.alerts.clone())),
+            restored: Vec::new(),
+        }
+    }
+}
+
+/// The router: the run state plus what it takes to advance it.
+struct Router<'a> {
+    opts: &'a StreamOptions,
+    registry: &'a obs::Registry,
+    state: RunState,
+    senders: Vec<parallel::Sender<ToWorker>>,
+    ack_rx: mpsc::Receiver<(usize, WorkerAck)>,
+    quarantine: Option<Arc<Quarantine>>,
+    /// Unparseable records never reach a worker, so the router counts
+    /// them into the `quarantined` window series itself; the cuts merge
+    /// into the cumulative report exactly like worker deltas.
+    router_windows: WindowAggregator,
+    decode_engine: DecodeWindows,
+    interner: Interner,
+    abp_set: HashSet<u32>,
+    worker_labels: Vec<String>,
+    last_stalls: Vec<u64>,
+    run_chunks: u64,
+    checkpoints_written: u64,
+    stopped_early: bool,
+}
+
+pub(super) fn run_stream<I>(
+    mut chunks: I,
+    mut state: RunState,
+    classifier: &PassiveClassifier,
+    opts: &StreamOptions,
+    registry: &obs::Registry,
+    total_bytes: u64,
+) -> Result<StreamReport, StreamError>
+where
+    I: Iterator<Item = StreamChunk>,
+{
+    let nworkers = if opts.threads == 0 {
+        parallel::available_parallelism()
+    } else {
+        opts.threads
+    }
+    .max(1);
+    let normalizer = UrlNormalizer::for_classifier(classifier, opts.pipeline.normalize);
+    // Streaming windows merge across partitions and checkpoint cuts;
+    // only an infinite watermark makes those merges grouping-independent
+    // (module docs), so it is forced here.
+    let mut popts = opts.pipeline;
+    popts.window.watermark_secs = f64::INFINITY;
+
+    let quarantine = match &opts.quarantine_path {
+        Some(p) => Some(Arc::new(Quarantine::open(p, state.quarantine_bytes)?)),
+        None => None,
+    };
+    let mut per_worker_restores: Vec<Vec<RestoredUser>> =
+        (0..nworkers).map(|_| Vec::new()).collect();
+    for u in std::mem::take(&mut state.restored) {
+        let s = shard_of(u.client_ip, u.user_agent.as_deref(), nworkers as u64);
+        per_worker_restores[s].push(u);
+    }
+
+    // The live health plane: the router advances the progress ledger
+    // per chunk, each worker beats its slot per batch, and /statusz on
+    // the serve listener renders the picture while the run is going.
+    let health = registry.health();
+    let run_label = match state.resumed_from {
+        Some(off) => format!("{} (resumed @ {off})", state.meta.name),
+        None => state.meta.name.clone(),
+    };
+    health.begin_run(&run_label, total_bytes, registry.elapsed_ns());
+    if state.offset > 0 {
+        // A resumed run starts its ledger at the checkpointed offset.
+        health.advance(registry.elapsed_ns(), state.offset, 0, 0);
+    }
+
+    std::thread::scope(|scope| -> Result<StreamReport, StreamError> {
+        let (ack_tx, ack_rx) = mpsc::channel::<(usize, WorkerAck)>();
+        let mut senders: Vec<parallel::Sender<ToWorker>> = Vec::with_capacity(nworkers);
+        let mut handles = Vec::with_capacity(nworkers);
+        let normalizer = &normalizer;
+        for (id, init) in per_worker_restores.into_iter().enumerate() {
+            let (tx, rx) = parallel::bounded::<ToWorker>(opts.channel_capacity);
+            let ack_tx = ack_tx.clone();
+            let q = quarantine.clone();
+            let poison = opts.poison_host.as_deref();
+            let collect = opts.collect_requests;
+            let slot = health.worker(id as u64);
+            handles.push(scope.spawn(move || {
+                let w = Worker::new(classifier, normalizer, popts, collect, q, poison, init);
+                worker_loop(w, rx, ack_tx, id, slot, registry)
+            }));
+            senders.push(tx);
+        }
+        drop(ack_tx);
+
+        let mut router = Router {
+            opts,
+            registry,
+            state,
+            senders,
+            ack_rx,
+            quarantine,
+            router_windows: WindowAggregator::new(popts.window),
+            decode_engine: DecodeWindows::hourly(),
+            interner: Interner::new(),
+            abp_set: opts.abp_ips.iter().copied().collect(),
+            worker_labels: (0..nworkers).map(|i| i.to_string()).collect(),
+            last_stalls: vec![0u64; nworkers],
+            run_chunks: 0,
+            checkpoints_written: 0,
+            stopped_early: false,
+        };
+
+        // Errors return through `loop_result` so the senders are always
+        // dropped (and the workers joined) before this scope exits — an
+        // early `?` here would deadlock the scope on workers still
+        // blocked in `recv`.
+        let loop_result = router.route(&mut chunks);
+        router.senders.clear();
+        let mut finals = Vec::with_capacity(nworkers);
+        for h in handles {
+            match h.join() {
+                Ok(f) => finals.push(f),
+                Err(p) => std::panic::resume_unwind(p),
+            }
+        }
+        health.finish_run(registry.elapsed_ns());
+        loop_result?;
+        Ok(router.finalize(finals))
+    })
+}
+
+impl Router<'_> {
+    /// The routing loop: per chunk, window the decoded records, extract
+    /// and shard the HTTP ones, hand each worker its batch, and every
+    /// `every_chunks` chunks run a checkpoint barrier.
+    fn route(&mut self, chunks: &mut impl Iterator<Item = StreamChunk>) -> Result<(), StreamError> {
+        let opts = self.opts;
+        let nworkers = self.senders.len();
+        for chunk in chunks {
+            let st = &mut self.state;
+            st.codec.merge(&chunk.stats);
+            let n_records = chunk.records.len() as u64;
+            for rec in &chunk.records {
+                self.decode_engine.observe(rec);
+            }
+            let mut batches: Vec<Vec<(u64, WebObject)>> = vec![Vec::new(); nworkers];
+            for rec in chunk.records {
+                match rec {
+                    TraceRecord::Http(tx) => {
+                        let idx = st.next_http_idx as usize;
+                        st.next_http_idx += 1;
+                        match extract_one(idx, &tx, &mut st.degradation, &mut self.interner) {
+                            Some(obj) => {
+                                if obj.ts < st.prev_ts {
+                                    st.degradation.out_of_order_records += 1;
+                                }
+                                st.prev_ts = obj.ts;
+                                let pos = st.next_pos;
+                                st.next_pos += 1;
+                                let s = shard_of(
+                                    obj.client_ip,
+                                    obj.user_agent.as_deref(),
+                                    nworkers as u64,
+                                );
+                                batches[s].push((pos, obj));
+                            }
+                            None => {
+                                st.degradation.unparseable_urls += 1;
+                                self.router_windows.observe_quarantined(tx.ts);
+                                if let Some(q) = &self.quarantine {
+                                    q.write_line(&record_to_json(&TraceRecord::Http(tx)));
+                                }
+                            }
+                        }
+                    }
+                    TraceRecord::Https(conn) => {
+                        st.https_flows += 1;
+                        if let Some(cum) = &mut st.population {
+                            if conn.server_port == 443 && self.abp_set.contains(&conn.server_ip) {
+                                cum.households.insert(conn.client_ip);
+                            }
+                        }
+                    }
+                }
+            }
+            if !self.send(batches) {
+                // A dead receiver means the worker panicked outside the
+                // guard; drop the senders and let the join in
+                // `run_stream` propagate the panic.
+                break;
+            }
+            self.state.chunks += 1;
+            self.state.offset = chunk.end_offset;
+            self.run_chunks += 1;
+            let registry = self.registry;
+            registry.counter("adscope_stream_chunks_total").add(1);
+            registry
+                .counter("adscope_stream_records_total")
+                .add(n_records);
+            let now = registry.elapsed_ns();
+            registry
+                .health()
+                .advance(now, chunk.end_offset, n_records, 1);
+
+            if let Some(ck) = &opts.checkpoint {
+                if self.state.chunks.is_multiple_of(ck.every_chunks.max(1)) {
+                    self.barrier(&ck.dir)?;
+                }
+            }
+            if opts.stop_after_chunks.is_some_and(|n| self.run_chunks >= n) {
+                self.stopped_early = true;
+                break;
+            }
+            if opts.throttle_ms > 0 {
+                std::thread::sleep(Duration::from_millis(opts.throttle_ms));
+            }
+            if opts.stall_after_chunks == Some(self.run_chunks) && opts.stall_ms > 0 {
+                // Injected stall: the router (and, once their queues
+                // drain, the workers) goes quiet for long enough that a
+                // watchdog with a smaller budget must flag it.
+                std::thread::sleep(Duration::from_millis(opts.stall_ms));
+            }
+        }
+        Ok(())
+    }
+
+    /// Hand each worker its batch. A blocking send against a full queue
+    /// is the backpressure point; stalls and depth surface as metrics.
+    /// `false` when a worker's receiver is gone.
+    fn send(&mut self, batches: Vec<Vec<(u64, WebObject)>>) -> bool {
+        for (widx, batch) in batches.into_iter().enumerate() {
+            if batch.is_empty() {
+                continue;
+            }
+            if self.senders[widx].send(ToWorker::Batch(batch)).is_err() {
+                return false;
+            }
+            let stats = self.senders[widx].stats();
+            let label = [("worker", self.worker_labels[widx].as_str())];
+            self.registry
+                .gauge_with("adscope_stream_queue_depth", &label)
+                .set(stats.depth() as f64);
+            let stalls = stats.send_stalls();
+            if stalls > self.last_stalls[widx] {
+                self.registry
+                    .counter_with("adscope_stream_send_stalls_total", &label)
+                    .add(stalls - self.last_stalls[widx]);
+                self.last_stalls[widx] = stalls;
+            }
+        }
+        true
+    }
+
+    /// A checkpoint barrier: every worker cuts its delta and serializes
+    /// its users, the router merges the deltas and writes the checkpoint.
+    fn barrier(&mut self, dir: &Path) -> Result<(), StreamError> {
+        let acks = collect_acks(&self.senders, &self.ack_rx)?;
+        self.absorb(acks.iter().map(|a| &a.delta));
+        // Flushed before the manifest is encoded, so the sidecar length
+        // the manifest records is durable by the time it is.
+        self.state.quarantine_bytes = match &self.quarantine {
+            Some(q) => q.flush_bytes()?,
+            None => 0,
+        };
+        let manifest = manifest_to_json(config_hash(self.opts), &self.state);
+        write_checkpoint(dir, &manifest, &acks)?;
+        self.checkpoints_written += 1;
+        self.registry
+            .counter("adscope_stream_checkpoints_total")
+            .add(1);
+        Ok(())
+    }
+
+    /// The one merge, run at every barrier and at end of stream: fold
+    /// the workers' deltas (in worker-index order), the router's own
+    /// quarantine series and the decode windows cut since the last merge
+    /// into the run state, then re-evaluate and republish the planes that
+    /// read it. Every input merges additively, so where the cuts fall
+    /// cannot change the state they add up to.
+    fn absorb<'d>(
+        &mut self,
+        deltas: impl Iterator<Item = &'d WorkerDelta>,
+    ) -> Option<PopulationReport> {
+        let st = &mut self.state;
+        let decode = std::mem::replace(&mut self.decode_engine, DecodeWindows::hourly());
+        st.decode_windows.merge(&decode.finish());
+        for d in deltas {
+            st.windows.merge(&d.windows);
+            st.degradation.absorb(&d.degradation);
+            st.requests += d.requests;
+            st.ads += d.ads;
+            if let (Some(cum), Some(p)) = (&mut st.population, &d.population) {
+                cum.merge_delta(p);
+            }
+        }
+        st.windows.merge(&self.router_windows.cut());
+        if let Some(engine) = &mut st.alerts {
+            engine.eval_report(&st.windows);
+            engine.publish(self.registry);
+        }
+        // The live annoyance plane: every merge republishes the
+        // population-so-far, so /population and the class gauges move
+        // while the run is going.
+        st.population.as_ref().map(|cum| {
+            let popts = self.opts.pipeline.population;
+            let report = population::finish(&cum.sketches, &cum.tallies, &cum.households, popts);
+            report.publish(self.registry);
+            report
+        })
+    }
+
+    /// End of stream: merge the workers' residual deltas, publish the
+    /// cumulative totals and read the report out of the run state.
+    fn finalize(mut self, finals: Vec<WorkerFinal>) -> StreamReport {
+        // The same `population::finish` the materialized path calls, on
+        // identical merged inputs.
+        let population = self.absorb(finals.iter().map(|f| &f.delta));
+        if let Some(q) = &self.quarantine {
+            let _ = q.flush_bytes();
+        }
+        let (st, registry) = (self.state, self.registry);
+
+        // Same metric bridge as the materialized path, over the
+        // cumulative totals (a resumed run republishes the whole
+        // logical stream's counts, so /metrics describes the trace, not
+        // the fraction this process happened to run).
+        registry
+            .counter("adscope_requests_classified_total")
+            .add(st.requests);
+        registry.counter("adscope_ad_requests_total").add(st.ads);
+        for (reason, count) in st.degradation.counts() {
+            registry
+                .counter_with("adscope_degradation_total", &[("reason", reason)])
+                .add(count as u64);
+        }
+        crate::window::publish(&st.windows, registry);
+        publish_decode_windows(&st.decode_windows, registry);
+
+        let users = finals.iter().map(|f| f.users).sum();
+        let collected = self.opts.collect_requests.then(|| {
+            let mut v: Vec<(u64, ClassifiedRequest)> =
+                finals.into_iter().flat_map(|f| f.collected).collect();
+            v.sort_by_key(|(pos, _)| *pos);
+            v
+        });
+        StreamReport {
+            meta: st.meta,
+            codec: st.codec,
+            degradation: st.degradation,
+            windows: st.windows,
+            decode_windows: st.decode_windows,
+            requests: st.requests,
+            ad_requests: st.ads,
+            https_flows: st.https_flows,
+            users,
+            chunks: st.chunks,
+            checkpoints_written: self.checkpoints_written,
+            resumed_from: st.resumed_from,
+            stopped_early: self.stopped_early,
+            collected,
+            population,
+            alerts: st.alerts,
+        }
+    }
+}
+
+/// Inject a barrier and collect one ack per worker, in worker order.
+fn collect_acks(
+    senders: &[parallel::Sender<ToWorker>],
+    ack_rx: &mpsc::Receiver<(usize, WorkerAck)>,
+) -> Result<Vec<WorkerAck>, StreamError> {
+    for s in senders {
+        if s.send(ToWorker::Barrier).is_err() {
+            return Err(ck_err("a worker exited before the barrier"));
+        }
+    }
+    // A worker acks a barrier exactly once, so one receive per worker
+    // fills every slot.
+    let mut acks: Vec<Option<WorkerAck>> = senders.iter().map(|_| None).collect();
+    for _ in senders {
+        let (w, ack) = ack_rx
+            .recv()
+            .map_err(|_| ck_err("workers hung up during the barrier"))?;
+        acks[w] = Some(ack);
+    }
+    Ok(acks
+        .into_iter()
+        .map(|a| a.expect("one ack per worker"))
+        .collect())
+}
+
+/// Publish the decode-side window series: the rendered lines into the
+/// registry's window log under the `decode` scope, plus the closed and
+/// late counters.
+fn publish_decode_windows(report: &WindowReport, registry: &obs::Registry) {
+    if report.late > 0 {
+        registry.counter("obs_window_late_total").add(report.late);
+    }
+    if report.windows.is_empty() {
+        return;
+    }
+    for line in report.render_ndjson("decode").lines() {
+        registry.windows().push(line.to_string());
+    }
+    registry
+        .counter("netsim_decode_windows_closed_total")
+        .add(report.windows.len() as u64);
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::stream::testutil::*;
+    use crate::stream::{classify_stream_file, CheckpointOptions};
+    use std::fs;
+
+    #[test]
+    fn checkpoint_resume_is_byte_identical() {
+        let trace = messy_trace(300);
+        let path = write_trace_file(&trace, "resume");
+        let dir = temp_path("resume-ck");
+        let _ = fs::remove_dir_all(&dir);
+
+        // Uninterrupted run.
+        let mut full = stream_opts(3, 16);
+        full.checkpoint = Some(CheckpointOptions {
+            dir: dir.clone(),
+            every_chunks: 4,
+            resume: false,
+        });
+        let want =
+            classify_stream_file(&path, &classifier(), &full, &obs::Registry::new()).unwrap();
+        let _ = fs::remove_dir_all(&dir);
+
+        // Killed run: checkpoints every 2 chunks, stops after 7.
+        let mut killed = stream_opts(3, 16);
+        killed.checkpoint = Some(CheckpointOptions {
+            dir: dir.clone(),
+            every_chunks: 2,
+            resume: false,
+        });
+        killed.stop_after_chunks = Some(7);
+        let partial =
+            classify_stream_file(&path, &classifier(), &killed, &obs::Registry::new()).unwrap();
+        assert!(partial.stopped_early);
+        assert!(partial.checkpoints_written >= 3);
+
+        // Resume at a *different* thread count.
+        let mut resumed = stream_opts(2, 16);
+        resumed.checkpoint = Some(CheckpointOptions {
+            dir: dir.clone(),
+            every_chunks: 2,
+            resume: true,
+        });
+        let got =
+            classify_stream_file(&path, &classifier(), &resumed, &obs::Registry::new()).unwrap();
+        assert!(got.resumed_from.unwrap() > 0);
+        assert_eq!(got.render(), want.render(), "resumed render differs");
+        // `collected` is a this-run vector: the resumed process only sees
+        // requests finalized after the checkpoint. Each one must match the
+        // uninterrupted run's request at the same global position, and
+        // together with the manifest base they must account for every
+        // request.
+        let want_all = want.collected.as_ref().unwrap();
+        let got_part = got.collected.as_ref().unwrap();
+        assert!(!got_part.is_empty());
+        for (pos, req) in got_part {
+            let i = want_all
+                .binary_search_by_key(pos, |(p, _)| *p)
+                .expect("resumed position exists in the full run");
+            assert_eq!(&want_all[i].1, req, "request at pos {pos} differs");
+        }
+        assert_eq!(
+            got.requests as usize,
+            want_all.len(),
+            "cumulative totals must cover the whole trace"
+        );
+        assert_eq!(got.degradation, want.degradation);
+        assert_eq!(got.codec, want.codec);
+        assert_eq!(got.chunks, want.chunks);
+
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_file(&path);
+    }
+}

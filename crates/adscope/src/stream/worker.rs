@@ -1,0 +1,543 @@
+//! The worker side of the stream engine: the quarantine sidecar, the
+//! held-record protocol, and the per-shard [`Worker`] that runs the
+//! sequential per-user stages and cuts a [`WorkerDelta`] of everything it
+//! has accumulated whenever the router asks.
+
+use super::checkpoint::serialize_user;
+use crate::classify::PassiveClassifier;
+use crate::content::infer_category_traced;
+use crate::degrade::DegradationReport;
+use crate::extract::WebObject;
+use crate::normalize::UrlNormalizer;
+use crate::pipeline::{ClassifiedRequest, PipelineOptions};
+use crate::population::{PopulationOptions, PopulationSketches, UserTally};
+use crate::refmap::{RefMap, RefMapOptions};
+use crate::window::WindowAggregator;
+use http_model::{ContentCategory, Url};
+use netsim::codec::record_to_json;
+use netsim::record::TraceRecord;
+use obs::window::WindowReport;
+use std::collections::HashMap;
+use std::fs::{File, OpenOptions};
+use std::io::{self, BufWriter, Seek, SeekFrom, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
+use std::sync::mpsc;
+use std::sync::{Arc, Mutex};
+
+// ---------------------------------------------------------------------------
+// Quarantine sidecar
+// ---------------------------------------------------------------------------
+
+struct QuarantineInner {
+    w: BufWriter<File>,
+    bytes: u64,
+}
+
+/// Shared append-only sidecar of quarantined records. Byte length is
+/// tracked so the checkpoint manifest can record a truncation point:
+/// resume truncates back to it, so replayed chunks cannot duplicate
+/// lines.
+pub(super) struct Quarantine {
+    inner: Mutex<QuarantineInner>,
+}
+
+impl Quarantine {
+    pub(super) fn open(path: &Path, truncate_to: u64) -> io::Result<Quarantine> {
+        // Not truncated wholesale: resume truncates to the recorded
+        // length via `set_len` below.
+        let mut f = OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(path)?;
+        f.set_len(truncate_to)?;
+        f.seek(SeekFrom::Start(truncate_to))?;
+        Ok(Quarantine {
+            inner: Mutex::new(QuarantineInner {
+                w: BufWriter::new(f),
+                bytes: truncate_to,
+            }),
+        })
+    }
+
+    /// Append one record line. Sidecar write failures are swallowed (the
+    /// run must not die trying to report a record that already failed).
+    pub(super) fn write_line(&self, line: &str) {
+        let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        if g.w
+            .write_all(line.as_bytes())
+            .and_then(|()| g.w.write_all(b"\n"))
+            .is_ok()
+        {
+            g.bytes += line.len() as u64 + 1;
+        }
+    }
+
+    /// Flush and return the durable byte length (checkpoint barriers).
+    pub(super) fn flush_bytes(&self) -> io::Result<u64> {
+        let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        g.w.flush()?;
+        Ok(g.bytes)
+    }
+}
+
+/// Re-encode an extracted object as a trace record for the quarantine
+/// sidecar. Lossy where extraction was (method, server port), but
+/// replayable through the trace codec.
+fn reconstruct_record(obj: &WebObject) -> TraceRecord {
+    use http_model::headers::{RequestHeaders, ResponseHeaders};
+    use http_model::transaction::{HttpTransaction, Method};
+    let uri = match obj.url.query() {
+        Some(q) => format!("{}?{}", obj.url.path(), q),
+        None => obj.url.path().to_string(),
+    };
+    TraceRecord::Http(HttpTransaction {
+        ts: obj.ts,
+        client_ip: obj.client_ip,
+        server_ip: obj.server_ip,
+        server_port: 80,
+        method: Method::Get,
+        request: RequestHeaders {
+            host: obj.url.host().to_string(),
+            uri,
+            referer: obj.referer.as_ref().map(Url::as_string),
+            user_agent: obj.user_agent.as_deref().map(str::to_string),
+        },
+        response: ResponseHeaders {
+            status: obj.status,
+            content_type: obj.content_type.as_deref().map(str::to_string),
+            content_length: Some(obj.bytes),
+            location: obj.location.as_ref().map(Url::as_string),
+        },
+        tcp_handshake_ms: obj.tcp_handshake_ms,
+        http_handshake_ms: obj.http_handshake_ms,
+    })
+}
+
+// ---------------------------------------------------------------------------
+// Worker
+// ---------------------------------------------------------------------------
+
+/// A record held by its worker pending redirect-type backfill: the
+/// record inserted a pending redirect, so a later record may overwrite
+/// its category (sequential pass-2 semantics, resolved incrementally).
+pub(super) struct HeldRecord {
+    pub(super) pos: u64,
+    pub(super) page: Option<Url>,
+    pub(super) category: ContentCategory,
+    pub(super) obj: WebObject,
+}
+
+/// One ⟨IP, UA⟩ user's live state: the referrer map and the records it
+/// is holding. A checkpoint persists exactly this, one line per user.
+pub(super) struct UserState {
+    pub(super) map: RefMap,
+    pub(super) held: HashMap<usize, HeldRecord>,
+}
+
+impl UserState {
+    pub(super) fn fresh(opts: RefMapOptions) -> UserState {
+        UserState {
+            // `restore` with empty state is `new` plus release tracking,
+            // which the held-record protocol needs.
+            map: RefMap::restore(opts, HashMap::new(), HashMap::new(), None, 0, 0, true),
+            held: HashMap::new(),
+        }
+    }
+}
+
+/// One user as a checkpoint line restored it.
+pub(super) struct RestoredUser {
+    pub(super) client_ip: u32,
+    pub(super) user_agent: Option<Arc<str>>,
+    pub(super) map: RefMap,
+    pub(super) held: Vec<HeldRecord>,
+}
+
+/// The classify half of a worker, split from the user-state map so
+/// borrow of one user's state and the shared counters can coexist.
+struct Core<'a> {
+    classifier: &'a PassiveClassifier,
+    normalizer: &'a UrlNormalizer,
+    opts: PipelineOptions,
+    windows: WindowAggregator,
+    /// `refmap_misses`, `content_type_fallbacks` and `poisoned_records`
+    /// since the last cut.
+    degradation: DegradationReport,
+    requests: u64,
+    ads: u64,
+    collect: bool,
+    collected: Vec<(u64, ClassifiedRequest)>,
+    /// Population sketch + exact per-user tally state (present only
+    /// when [`crate::population::PopulationOptions::enabled`]).
+    population: Option<PopulationState>,
+    /// Reusable classify scratch: the match path allocates nothing per
+    /// record under the compiled engine.
+    scratch: abp_filter::ClassifyScratch,
+}
+
+/// A worker's population-analytics accumulator: the mergeable sketches
+/// plus the exact per-⟨IP, UA⟩ tallies behind Table 3. Tally keys use
+/// the interned UA handle so per-record upkeep is a refcount bump, not a
+/// string allocation; absent UAs share one empty handle to keep the
+/// `aggregate_users` merge semantics (None and "" are the same user).
+/// A cut hands the whole accumulator to the router as the delta and
+/// starts a fresh one; deltas merge additively, mirroring the
+/// window-delta protocol.
+pub(super) struct PopulationState {
+    pub(super) sketches: PopulationSketches,
+    pub(super) tallies: HashMap<(u32, Arc<str>), UserTally>,
+    empty_ua: Arc<str>,
+}
+
+impl PopulationState {
+    fn new(opts: PopulationOptions) -> PopulationState {
+        PopulationState {
+            sketches: PopulationSketches::new(opts),
+            tallies: HashMap::new(),
+            empty_ua: Arc::from(""),
+        }
+    }
+
+    fn observe(&mut self, req: &ClassifiedRequest) {
+        self.sketches.observe(req);
+        let ua = match &req.user_agent {
+            Some(ua) => Arc::clone(ua),
+            None => Arc::clone(&self.empty_ua),
+        };
+        self.tallies
+            .entry((req.client_ip, ua))
+            .or_insert_with(|| UserTally::for_agent(req.user_agent.as_deref().unwrap_or("")))
+            .observe(req);
+    }
+}
+
+impl Core<'_> {
+    /// Classify a record whose category is now final and fold it into
+    /// the worker's totals. Every record passes here exactly once.
+    fn finalize(&mut self, h: HeldRecord) {
+        if h.obj.content_type.is_none() && h.category != ContentCategory::Other {
+            self.degradation.content_type_fallbacks += 1;
+        }
+        let url = self.normalizer.normalize_owned(h.obj.url);
+        let (label, c) = self.classifier.classify_traced_in(
+            &url,
+            h.page.as_ref(),
+            h.category,
+            &mut self.scratch,
+        );
+        let rule = self.classifier.primary_rule(&c);
+        let req = ClassifiedRequest {
+            ts: h.obj.ts,
+            client_ip: h.obj.client_ip,
+            server_ip: h.obj.server_ip,
+            url,
+            page: h.page,
+            category: h.category,
+            content_type: h.obj.content_type,
+            bytes: h.obj.bytes,
+            user_agent: h.obj.user_agent,
+            tcp_handshake_ms: h.obj.tcp_handshake_ms,
+            http_handshake_ms: h.obj.http_handshake_ms,
+            label,
+            rule,
+        };
+        self.requests += 1;
+        if req.label.is_ad() {
+            self.ads += 1;
+        }
+        self.windows.observe(&req);
+        if let Some(pop) = &mut self.population {
+            pop.observe(&req);
+        }
+        if self.collect {
+            self.collected.push((h.pos, req));
+        }
+    }
+
+    /// Take everything accumulated since the last cut, leaving the
+    /// accumulators empty but live.
+    fn cut(&mut self) -> WorkerDelta {
+        let popts = self.opts.population;
+        WorkerDelta {
+            windows: self.windows.cut(),
+            degradation: std::mem::take(&mut self.degradation),
+            requests: std::mem::take(&mut self.requests),
+            ads: std::mem::take(&mut self.ads),
+            population: self
+                .population
+                .as_mut()
+                .map(|p| std::mem::replace(p, PopulationState::new(popts))),
+        }
+    }
+}
+
+pub(super) enum ToWorker {
+    /// `(global position, object)` pairs, in global time order
+    /// restricted to this worker's users.
+    Batch(Vec<(u64, WebObject)>),
+    /// Checkpoint barrier: cut a delta, serialize state, ack.
+    Barrier,
+}
+
+/// What one worker accumulated since its last cut. Everything in it
+/// merges additively into the run state, in any grouping — a barrier
+/// ack and the end-of-stream result carry the same struct and the
+/// router absorbs both with the same code.
+pub(super) struct WorkerDelta {
+    pub(super) windows: WindowReport,
+    /// The worker-side counters (`refmap_misses`,
+    /// `content_type_fallbacks`, `poisoned_records`); the end-of-stream
+    /// delta adds the state-derived `broken_redirect_chains`.
+    pub(super) degradation: DegradationReport,
+    pub(super) requests: u64,
+    pub(super) ads: u64,
+    pub(super) population: Option<PopulationState>,
+}
+
+/// Barrier ack: the delta plus the serialized per-user state lines.
+pub(super) struct WorkerAck {
+    pub(super) delta: WorkerDelta,
+    pub(super) state_lines: Vec<String>,
+}
+
+/// End-of-stream result: the residual delta, the user count, and the
+/// collected requests when collection was on.
+pub(super) struct WorkerFinal {
+    pub(super) delta: WorkerDelta,
+    pub(super) users: u64,
+    pub(super) collected: Vec<(u64, ClassifiedRequest)>,
+}
+
+pub(super) struct Worker<'a> {
+    users: HashMap<(u32, Option<Arc<str>>), UserState>,
+    core: Core<'a>,
+    quarantine: Option<Arc<Quarantine>>,
+    poison_host: Option<&'a str>,
+}
+
+impl<'a> Worker<'a> {
+    pub(super) fn new(
+        classifier: &'a PassiveClassifier,
+        normalizer: &'a UrlNormalizer,
+        opts: PipelineOptions,
+        collect: bool,
+        quarantine: Option<Arc<Quarantine>>,
+        poison_host: Option<&'a str>,
+        restored: Vec<RestoredUser>,
+    ) -> Worker<'a> {
+        let mut users = HashMap::with_capacity(restored.len());
+        for u in restored {
+            let mut held = HashMap::with_capacity(u.held.len());
+            for h in u.held {
+                held.insert(h.obj.idx, h);
+            }
+            users.insert((u.client_ip, u.user_agent), UserState { map: u.map, held });
+        }
+        Worker {
+            users,
+            core: Core {
+                classifier,
+                normalizer,
+                opts,
+                windows: WindowAggregator::new(opts.window),
+                degradation: DegradationReport::default(),
+                requests: 0,
+                ads: 0,
+                collect,
+                collected: Vec::new(),
+                population: opts
+                    .population
+                    .enabled
+                    .then(|| PopulationState::new(opts.population)),
+                scratch: abp_filter::ClassifyScratch::new(),
+            },
+            quarantine,
+            poison_host,
+        }
+    }
+
+    /// One record through refmap → category → held-record resolution.
+    /// Mirrors the materialized passes 1+2 incrementally (see module
+    /// docs); the equivalence suite pins the two together.
+    fn process_record(&mut self, pos: u64, obj: WebObject) {
+        if let Some(ph) = self.poison_host {
+            assert!(obj.url.host() != ph, "poison host hit: {}", obj.url.host());
+        }
+        let refmap_opts = self.core.opts.refmap;
+        let key = (obj.client_ip, obj.user_agent.clone());
+        let state = self
+            .users
+            .entry(key)
+            .or_insert_with(|| UserState::fresh(refmap_opts));
+        let entry = state.map.process(&obj);
+        let released = state.map.take_released();
+        let (cat, _src) = infer_category_traced(
+            &obj.url,
+            obj.content_type.as_deref(),
+            self.core.opts.content,
+        );
+        if entry.ctx.page.is_none() {
+            self.core.degradation.refmap_misses += 1;
+        }
+        // Consume: this record stitched a redirect chain — backfill the
+        // held redirecting record with this record's provisional
+        // category and finalize it.
+        if let Some(idx) = entry.backfill_type_to {
+            if let Some(mut h) = state.held.remove(&idx) {
+                if cat != ContentCategory::Other {
+                    h.category = cat;
+                }
+                self.core.finalize(h);
+            }
+        }
+        // Displaced or evicted pendings can never be backfilled —
+        // release their holds as-is.
+        for idx in released {
+            if let Some(h) = state.held.remove(&idx) {
+                self.core.finalize(h);
+            }
+        }
+        let rec = HeldRecord {
+            pos,
+            page: entry.ctx.page,
+            category: cat,
+            obj,
+        };
+        if refmap_opts.redirect_repair && rec.obj.location.is_some() {
+            state.held.insert(rec.obj.idx, rec);
+        } else {
+            self.core.finalize(rec);
+        }
+    }
+
+    /// Process with the poison guard when quarantine or the poison hook
+    /// is active; otherwise the bare hot path (no clone, no landing
+    /// pad).
+    fn handle(&mut self, pos: u64, obj: WebObject) {
+        if self.quarantine.is_none() && self.poison_host.is_none() {
+            self.process_record(pos, obj);
+            return;
+        }
+        let ts = obj.ts;
+        let backup = self.quarantine.as_ref().map(|_| obj.clone());
+        let res = catch_unwind(AssertUnwindSafe(|| self.process_record(pos, obj)));
+        if res.is_err() {
+            self.core.degradation.poisoned_records += 1;
+            self.core.windows.observe_quarantined(ts);
+            if let (Some(q), Some(b)) = (self.quarantine.as_ref(), backup) {
+                q.write_line(&record_to_json(&reconstruct_record(&b)));
+            }
+        }
+    }
+
+    fn barrier_ack(&mut self) -> WorkerAck {
+        let mut state_lines = Vec::with_capacity(self.users.len());
+        for (key, st) in &self.users {
+            state_lines.push(serialize_user(key, st));
+        }
+        WorkerAck {
+            delta: self.core.cut(),
+            state_lines,
+        }
+    }
+
+    fn finish(mut self) -> WorkerFinal {
+        // End of stream: held records whose backfill never came are
+        // finalized as-is (their chains stayed broken), in position
+        // order.
+        let mut leftovers: Vec<HeldRecord> = self
+            .users
+            .values_mut()
+            .flat_map(|s| s.held.drain().map(|(_, h)| h))
+            .collect();
+        leftovers.sort_by_key(|h| h.pos);
+        for h in leftovers {
+            self.core.finalize(h);
+        }
+        let mut delta = self.core.cut();
+        for st in self.users.values() {
+            delta.degradation.broken_redirect_chains +=
+                st.map.redirects_inserted() - st.map.redirects_consumed();
+        }
+        WorkerFinal {
+            delta,
+            users: self.users.len() as u64,
+            collected: self.core.collected,
+        }
+    }
+}
+
+pub(super) fn worker_loop(
+    mut w: Worker<'_>,
+    rx: parallel::Receiver<ToWorker>,
+    ack_tx: mpsc::Sender<(usize, WorkerAck)>,
+    id: usize,
+    slot: Arc<obs::health::WorkerHealth>,
+    registry: &obs::Registry,
+) -> WorkerFinal {
+    for msg in rx {
+        match msg {
+            ToWorker::Batch(batch) => {
+                let n = batch.len() as u64;
+                for (pos, obj) in batch {
+                    w.handle(pos, obj);
+                }
+                slot.beat(registry.elapsed_ns(), n);
+            }
+            ToWorker::Barrier => {
+                if ack_tx.send((id, w.barrier_ack())).is_err() {
+                    break;
+                }
+            }
+        }
+    }
+    w.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::stream::classify_stream_file;
+    use crate::stream::testutil::*;
+    use netsim::json;
+    use std::fs;
+
+    #[test]
+    fn poison_records_are_quarantined_not_fatal() {
+        let trace = messy_trace(160);
+        let path = write_trace_file(&trace, "poison");
+        let qpath = temp_path("poison-q");
+        let mut o = stream_opts(2, 16);
+        o.quarantine_path = Some(qpath.clone());
+        o.poison_host = Some("track.example".into());
+        let rep = classify_stream_file(&path, &classifier(), &o, &obs::Registry::new()).unwrap();
+        assert!(rep.degradation.poisoned_records > 0);
+
+        // The sidecar holds the unparseable-URL records verbatim plus a
+        // replayable reconstruction of each poisoned record.
+        let sidecar = fs::read_to_string(&qpath).unwrap();
+        let lines: Vec<&str> = sidecar.lines().collect();
+        assert_eq!(
+            lines.len(),
+            rep.degradation.quarantined(),
+            "one sidecar line per quarantined record"
+        );
+        let mut poisoned_seen = 0;
+        for line in &lines {
+            let v = json::parse(line).expect("sidecar lines are valid JSON");
+            assert!(v.get("Http").is_some(), "sidecar lines are trace records");
+            if line.contains("track.example") {
+                poisoned_seen += 1;
+            }
+        }
+        assert_eq!(poisoned_seen, rep.degradation.poisoned_records);
+
+        // Everything else classified exactly as if the poisoned records
+        // were unparseable — totals reconcile.
+        let seq = reference(&trace);
+        assert!(rep.requests as usize + rep.degradation.poisoned_records == seq.requests.len());
+        let _ = fs::remove_file(&qpath);
+        let _ = fs::remove_file(&path);
+    }
+}

@@ -217,12 +217,6 @@ pub fn publish(report: &WindowReport, registry: &obs::Registry) {
     }
 }
 
-/// Per-hour-of-day totals for one counter series, aligned to the
-/// trace's wall-clock start hour — the §5 temporal figure's x-axis.
-pub fn hour_series(report: &WindowReport, start_hour: u8, name: &str) -> [u64; 24] {
-    report.hour_totals(start_hour.into(), name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

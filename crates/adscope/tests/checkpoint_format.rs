@@ -1,0 +1,522 @@
+//! The persisted checkpoint format, held from three sides.
+//!
+//! * **A committed fixture** (`tests/fixtures/checkpoint_v1/`): a trace, the
+//!   `checkpoint.ndjson` a 3-thread run of the code at PR 16 wrote when it was
+//!   stopped after 8 of 19 chunks, and that code's uninterrupted `render()`.
+//!   Today's code must resume from those bytes — at 1 and at 3 threads — to the
+//!   same report, byte for byte. The equivalence suites write and read a
+//!   checkpoint with the same build, so they cannot see a format change that
+//!   is symmetric in writer and reader; this can.
+//! * **Every kill point** of one 19-chunk trace, at four thread-count changes
+//!   and two checkpoint cadences, instead of the handful the proptests sample.
+//! * **Refusal**: a persisted value that does not fit its type is refused with
+//!   an error that names where it sits, never narrowed into a different number.
+
+use abp_filter::FilterList;
+use adscope::classify::PassiveClassifier;
+use adscope::population::PopulationOptions;
+use adscope::stream::{
+    classify_stream_file, CheckpointOptions, StreamError, StreamOptions, StreamReport,
+    CHECKPOINT_FILE,
+};
+use http_model::headers::{RequestHeaders, ResponseHeaders};
+use http_model::transaction::Method;
+use http_model::HttpTransaction;
+use netsim::codec::write_trace;
+use netsim::record::{TlsConnection, Trace, TraceMeta, TraceRecord};
+use obs::{AlertRule, DetectorSpec, Direction, SeriesSpec, Severity};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Records per chunk; [`RECORDS`] of them make 19 chunks.
+const CHUNK: usize = 16;
+const RECORDS: usize = 300;
+const CHUNKS: u64 = 19;
+/// Where the fixture run was stopped.
+const FIXTURE_KILL: u64 = 8;
+/// The filter-list download server of the generated trace.
+const ABP_IP: u32 = 900;
+
+fn fixture_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoint_v1")
+}
+
+fn classifier() -> PassiveClassifier {
+    PassiveClassifier::new(vec![
+        FilterList::parse(
+            "easylist",
+            "||ads.example^$third-party\n/banners/\n@@*callback=ok*\n",
+        ),
+        FilterList::parse("easyprivacy", "/pixel/\n"),
+        FilterList::parse("acceptable-ads", "@@||nice.example^\n"),
+    ])
+}
+
+/// Detector shapes of the production pack with evidence floors a 300-record
+/// trace can clear, so the manifest carries detector words, phases and events.
+fn pack() -> Vec<AlertRule> {
+    let share = |name: &str, num: &str, detector, direction, threshold| AlertRule {
+        name: name.into(),
+        series: SeriesSpec::Share {
+            num: vec![num.into()],
+            den: "requests".into(),
+        },
+        detector,
+        direction,
+        threshold,
+        for_windows: 1,
+        min_den: 5,
+        severity: Severity::Warn,
+    };
+    vec![
+        share(
+            "blocked_share_drop",
+            "blocked_easylist",
+            DetectorSpec::Cusum { drift: 0.02 },
+            Direction::Down,
+            0.05,
+        ),
+        share(
+            "ad_share_jump",
+            "ads",
+            DetectorSpec::EwmaZ { alpha: 0.3 },
+            Direction::Up,
+            3.0,
+        ),
+        AlertRule {
+            name: "req_burst".into(),
+            series: SeriesSpec::Counter("requests".into()),
+            detector: DetectorSpec::RateOfChange,
+            direction: Direction::Up,
+            threshold: 0.5,
+            for_windows: 1,
+            min_den: 0,
+            severity: Severity::Page,
+        },
+    ]
+}
+
+/// Trace time of record `i`: two minutes apart, except that records 60–119
+/// arrive four times as fast (the request burst the pack fires on).
+fn ts_of(i: usize) -> f64 {
+    match i {
+        0..=59 => i as f64 * 120.0,
+        60..=119 => 7200.0 + (i - 60) as f64 * 30.0,
+        _ => 9000.0 + (i - 120) as f64 * 120.0,
+    }
+}
+
+/// A deterministic trace in which six ⟨IP, UA⟩ users (a browser, a UA that
+/// needs JSON escaping, and no UA at all) each walk the same ten-step cycle,
+/// offset from each other, so that at any kill point some user is mid-way
+/// through each of the stream engine's order-sensitive paths: a redirect
+/// whose target arrives one step later (held, then backfilled), a redirect
+/// to one never-requested target (held until the next one displaces it),
+/// pages, referer chains, quarantined records and HTTPS flows with and
+/// without the download signal.
+fn messy_trace(n: usize) -> Trace {
+    let browser = http_model::UserAgent::desktop(
+        http_model::BrowserFamily::Firefox,
+        http_model::useragent::Os::Windows,
+        38,
+    )
+    .raw;
+    let agents = [Some(browser.as_str()), Some("UA \"quoted\"/2.0"), None];
+    let page = Some("http://pub.example/");
+    let mut records = Vec::with_capacity(n);
+    for i in 0..n {
+        let (user, step) = (i % 6, i / 6);
+        let client = 1 + (user % 3) as u32;
+        let ua = agents[(user + user / 3) % 3];
+        let http = |host: &str,
+                    uri: String,
+                    referer: Option<&str>,
+                    location: Option<String>,
+                    ct: Option<&str>| {
+            TraceRecord::Http(HttpTransaction {
+                ts: ts_of(i),
+                client_ip: client,
+                server_ip: 10 + (i % 7) as u32,
+                server_port: 80,
+                method: Method::Get,
+                request: RequestHeaders {
+                    host: host.into(),
+                    uri,
+                    referer: referer.map(str::to_string),
+                    user_agent: ua.map(str::to_string),
+                },
+                response: ResponseHeaders {
+                    status: if location.is_some() { 302 } else { 200 },
+                    content_type: ct.map(str::to_string),
+                    content_length: Some(100 + 37 * (i as u64 % 50)),
+                    location,
+                },
+                tcp_handshake_ms: 1.0 + (i % 4) as f64 * 0.25,
+                http_handshake_ms: 4.0 + (i % 11) as f64 * 7.5,
+            })
+        };
+        records.push(match (step + user) % 10 {
+            0 => http("pub.example", "/".into(), None, None, Some("text/html")),
+            1 => http(
+                "r.example",
+                format!("/go?id={step}"),
+                page,
+                Some(format!("http://ads.example/banner{step}.gif")),
+                None,
+            ),
+            2 => http(
+                "ads.example",
+                format!("/banner{}.gif", step.wrapping_sub(1)),
+                None,
+                None,
+                Some("image/gif"),
+            ),
+            3 => http(
+                "x.example",
+                format!("/banners/{i}.gif"),
+                page,
+                None,
+                Some("image/gif"),
+            ),
+            4 => http("", "/unparseable".into(), None, None, None),
+            5 => TraceRecord::Https(TlsConnection {
+                ts: ts_of(i),
+                client_ip: client,
+                server_ip: if user % 2 == 0 { ABP_IP } else { 9 },
+                server_port: 443,
+                bytes: 4242,
+            }),
+            6 => http(
+                "r.example",
+                format!("/again?n={i}"),
+                page,
+                Some("http://never.example/same.gif".to_string()),
+                None,
+            ),
+            7 => http(
+                "track.example",
+                format!("/pixel/{i}?callback=ok"),
+                None,
+                None,
+                None,
+            ),
+            8 => http(
+                "cdn.example",
+                format!("/lib{i}.js"),
+                page,
+                None,
+                Some("application/javascript"),
+            ),
+            _ => http(
+                "nice.example",
+                format!("/ad{i}.png"),
+                page,
+                None,
+                Some("image/png"),
+            ),
+        });
+    }
+    Trace {
+        meta: TraceMeta {
+            name: "checkpoint-v1".into(),
+            duration_secs: ts_of(n),
+            subscribers: 3,
+            start_hour: 3,
+            start_weekday: 1,
+        },
+        records,
+    }
+}
+
+/// A fresh temp directory, unique across parallel test threads.
+fn temp_dir(tag: &str) -> PathBuf {
+    static SERIAL: AtomicU64 = AtomicU64::new(0);
+    let n = SERIAL.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("adscope-ckfmt-{}-{tag}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Every plane on: population, the alert pack, the download indicator and the
+/// quarantine sidecar, so a checkpoint carries every manifest block.
+fn opts(threads: usize, dir: &Path, every_chunks: u64, resume: bool) -> StreamOptions {
+    let mut o = StreamOptions {
+        threads,
+        chunk_records: CHUNK,
+        checkpoint: Some(CheckpointOptions {
+            dir: dir.join("ck"),
+            every_chunks,
+            resume,
+        }),
+        quarantine_path: Some(dir.join("quarantine.ndjson")),
+        abp_ips: vec![ABP_IP],
+        alerts: pack(),
+        ..StreamOptions::default()
+    };
+    o.pipeline.population = PopulationOptions {
+        enabled: true,
+        active_min_requests: 3,
+        ..PopulationOptions::default()
+    };
+    o
+}
+
+fn run(trace: &Path, o: &StreamOptions) -> Result<StreamReport, StreamError> {
+    classify_stream_file(trace, &classifier(), o, &obs::Registry::new())
+}
+
+/// The checkpoint file as (manifest line, user lines).
+fn read_checkpoint(path: &Path) -> (String, Vec<String>) {
+    let text = std::fs::read_to_string(path).unwrap();
+    let mut lines = text.lines().map(str::to_string);
+    (lines.next().expect("manifest line"), lines.collect())
+}
+
+/// The fixture's checkpoint with `"config":` patched to the hash today's
+/// code computes for [`opts`], so a later `PipelineOptions` field (which
+/// changes every hash) does not strand it. `config_hash` is private; a
+/// one-chunk run writes it for us.
+fn fixture_checkpoint() -> (String, Vec<String>) {
+    let dir = temp_dir("probe");
+    let mut probe = opts(1, &dir, 1, false);
+    probe.stop_after_chunks = Some(1);
+    run(&fixture_dir().join("trace.ndjson"), &probe).unwrap();
+    let (probe_manifest, _) = read_checkpoint(&dir.join("ck").join(CHECKPOINT_FILE));
+    let config = |manifest: &str| {
+        let from = manifest.find("\"config\":").expect("config key") + "\"config\":".len();
+        let len = manifest[from..].find(',').unwrap();
+        manifest[from..from + len].to_string()
+    };
+    let (manifest, users) = read_checkpoint(&fixture_dir().join(CHECKPOINT_FILE));
+    let old = format!("\"config\":{}", config(&manifest));
+    let new = format!("\"config\":{}", config(&probe_manifest));
+    let _ = std::fs::remove_dir_all(&dir);
+    (manifest.replacen(&old, &new, 1), users)
+}
+
+/// Resume the fixture trace from `manifest` + `users` at `threads`.
+fn resume_fixture(
+    manifest: &str,
+    users: &[String],
+    threads: usize,
+) -> Result<StreamReport, StreamError> {
+    let dir = temp_dir("resume");
+    std::fs::create_dir_all(dir.join("ck")).unwrap();
+    let mut text = format!("{manifest}\n");
+    for u in users {
+        text.push_str(u);
+        text.push('\n');
+    }
+    std::fs::write(dir.join("ck").join(CHECKPOINT_FILE), text).unwrap();
+    std::fs::copy(
+        fixture_dir().join("quarantine.ndjson"),
+        dir.join("quarantine.ndjson"),
+    )
+    .unwrap();
+    let result = run(
+        &fixture_dir().join("trace.ndjson"),
+        &opts(threads, &dir, 1, true),
+    );
+    if let Ok(report) = &result {
+        let sidecar = std::fs::read_to_string(dir.join("quarantine.ndjson")).unwrap();
+        assert_eq!(
+            sidecar.lines().count(),
+            report.degradation.quarantined(),
+            "one sidecar line per quarantined record across the resume"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    result
+}
+
+#[test]
+fn fixture_written_at_pr16_resumes_byte_identically() {
+    let (manifest, users) = fixture_checkpoint();
+    // Not vacuous: the checkpoint holds work in flight on every plane.
+    assert!(
+        users.iter().any(|u| u.contains("\"held\":[{")),
+        "no held record"
+    );
+    assert!(
+        users.iter().any(|u| u.contains("\"pending\":[[")),
+        "no pending redirect"
+    );
+    for block in [
+        "\"population\":{",
+        "\"alerts\":{",
+        "\"events\":[[",
+        "\"households\":[1",
+    ] {
+        assert!(manifest.contains(block), "manifest lacks {block}");
+    }
+    assert!(
+        !manifest.contains("\"quarantine_bytes\":0,"),
+        "quarantine off"
+    );
+    assert!(manifest.contains(&format!("\"chunks\":{FIXTURE_KILL},")));
+
+    let want = std::fs::read_to_string(fixture_dir().join("render.txt")).unwrap();
+    for threads in [1, 3] {
+        let got = resume_fixture(&manifest, &users, threads).unwrap();
+        assert!(got.resumed_from.is_some());
+        assert_eq!(got.chunks, CHUNKS);
+        assert_eq!(got.render(), want, "threads={threads}");
+    }
+}
+
+/// Today's writer against the committed generator: the trace the sweep
+/// below runs on is the fixture's, byte for byte.
+#[test]
+fn fixture_trace_is_the_generated_one() {
+    let mut bytes = Vec::new();
+    write_trace(&messy_trace(RECORDS), &mut bytes).unwrap();
+    let committed = std::fs::read(fixture_dir().join("trace.ndjson")).unwrap();
+    assert!(bytes == committed, "generator or trace writer drifted");
+}
+
+/// Every kill point × four thread-count changes × two cadences. At cadence
+/// 2 a kill after an odd chunk loses that chunk's work and replays it; a
+/// kill before the first checkpoint leaves nothing to resume and says so.
+#[test]
+fn every_kill_point_resumes_byte_identically() {
+    let trace = fixture_dir().join("trace.ndjson");
+    let dir = temp_dir("sweep-full");
+    let mut full = opts(2, &dir, 1, false);
+    full.checkpoint = None;
+    let want = run(&trace, &full).unwrap();
+    assert_eq!(want.chunks, CHUNKS);
+    let want = want.render();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        want,
+        std::fs::read_to_string(fixture_dir().join("render.txt")).unwrap()
+    );
+
+    for every in [1u64, 2] {
+        for (before, after) in [(1, 2), (2, 1), (3, 4), (4, 3)] {
+            for kill in 1..CHUNKS {
+                let dir = temp_dir("sweep");
+                let mut killed = opts(before, &dir, every, false);
+                killed.stop_after_chunks = Some(kill);
+                let partial = run(&trace, &killed).unwrap();
+                assert!(partial.stopped_early);
+                assert_eq!(partial.checkpoints_written, kill / every);
+
+                let resumed = run(&trace, &opts(after, &dir, every, true));
+                let case = format!("every={every} {before}->{after} kill={kill}");
+                if kill < every {
+                    assert!(
+                        matches!(resumed, Err(StreamError::Checkpoint(_))),
+                        "{case}: no checkpoint yet"
+                    );
+                } else {
+                    let got = resumed.unwrap();
+                    assert!(got.resumed_from.is_some(), "{case}");
+                    assert_eq!(got.render(), want, "{case}");
+                }
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
+    }
+}
+
+/// Replace the JSON token that follows the first `anchor` in `text`.
+fn mutate(text: &str, anchor: &str, replacement: &str) -> String {
+    let at = text.find(anchor).unwrap_or_else(|| panic!("no {anchor}")) + anchor.len();
+    let len = text[at..].find([',', ']', '}']).unwrap();
+    format!("{}{replacement}{}", &text[..at], &text[at + len..])
+}
+
+/// One persisted value per case pushed out of its type's range (or shape).
+/// Each loaded "successfully" as some other number before the typed
+/// decoder; each must now be refused, naming where the value sits.
+#[test]
+fn out_of_range_values_are_refused_with_their_path() {
+    let (manifest, users) = fixture_checkpoint();
+    let first_buckets = {
+        let from = manifest.find("\"object_bytes\":").unwrap();
+        let from = from + manifest[from..].find("\"buckets\":").unwrap();
+        let to = from + manifest[from..].find("]]").unwrap() + 2;
+        manifest[from..to].to_string()
+    };
+    let manifest_cases: Vec<(&str, String, &str)> = vec![
+        (
+            "a distinct-count register of 300",
+            mutate(&manifest, "\"users\":[", "300"),
+            "population.users[0]: expected u8",
+        ),
+        (
+            "an alert phase tag of 256",
+            mutate(&manifest, "\"phases\":[[", "256"),
+            "alerts.phases[0][0]: expected u8",
+        ),
+        (
+            "a quantile bucket index of 2^31",
+            mutate(
+                &manifest,
+                "\"object_bytes\":{\"zero\":0,\"buckets\":[[",
+                "2147483648",
+            ),
+            "population.object_bytes.buckets[0][0]: expected i32",
+        ),
+        (
+            "a window index of 2^63",
+            mutate(&manifest, "\"windows\":[{\"index\":", "9223372036854775808"),
+            "windows.windows[0].index: expected i64",
+        ),
+        (
+            "a boolean spelled as a string",
+            manifest.replacen(
+                "\"header_recovered\":false",
+                "\"header_recovered\":\"yes\"",
+                1,
+            ),
+            "codec.header_recovered: expected bool",
+        ),
+        (
+            "quantile bucket counts that overflow u64",
+            manifest.replacen(
+                &first_buckets,
+                "\"buckets\":[[1,18446744073709551615],[2,2]]",
+                1,
+            ),
+            "population.object_bytes.buckets: counts overflow u64",
+        ),
+        (
+            "a histogram one bucket short",
+            manifest.replacen("{\"buckets\":[0,", "{\"buckets\":[", 1),
+            "windows.windows[0].hists.rtb_gap_ms.buckets: expected 65 buckets",
+        ),
+        (
+            "an alert event kind nobody emits",
+            manifest.replacen("\"pending\"", "\"bogus\"", 1),
+            "alerts.events[0][2]: expected alert kind",
+        ),
+    ];
+    for (what, mutated, path) in &manifest_cases {
+        assert_ne!(mutated, &manifest, "{what}: mutation did not apply");
+        match resume_fixture(mutated, &users, 2) {
+            Err(StreamError::Checkpoint(msg)) => assert_eq!(&msg, path, "{what}"),
+            other => panic!("{what}: expected a refusal, loaded: {}", other.is_ok()),
+        }
+    }
+
+    // A `page_of` entry of arity 3 (its hop count dropped), in a user line.
+    let line = users
+        .iter()
+        .position(|u| u.contains("\"page_of\":[["))
+        .unwrap();
+    let mut bad_users = users.clone();
+    let u = &users[line];
+    let from = u.find("\"page_of\":[[").unwrap();
+    let close = from + u[from..].find(']').unwrap();
+    let comma = u[..close].rfind(',').unwrap();
+    bad_users[line] = format!("{}{}", &u[..comma], &u[close..]);
+    match resume_fixture(&manifest, &bad_users, 2) {
+        Err(StreamError::Checkpoint(msg)) => {
+            assert_eq!(msg, "page_of[0]: expected array of 4")
+        }
+        other => panic!("expected a refusal, loaded: {}", other.is_ok()),
+    }
+}

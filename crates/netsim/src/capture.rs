@@ -88,12 +88,6 @@ impl Capture {
         }
     }
 
-    /// Replace the latency model (for ablations).
-    pub fn with_latency(mut self, latency: LatencyModel) -> Capture {
-        self.latency = latency;
-        self
-    }
-
     /// Observe one request event; appends a record.
     pub fn observe<R: Rng + ?Sized>(&mut self, ev: &RequestEvent, rng: &mut R) {
         let client_ip = self.anonymizer.anonymize(ev.client_addr);

@@ -33,7 +33,7 @@
 //! the read buffer unless it straddles a refill, `decode_line_lossy` gives
 //! the verdict, and one tally updates [`CodecStats`] and the metrics.
 
-use crate::json::{self, Value};
+use crate::json::{self, DecodeError, Value};
 use crate::record::{Trace, TraceMeta, TraceRecord};
 use crate::scan::{scan_record, LineFramer};
 use crate::stream::TraceWriter;
@@ -182,127 +182,79 @@ pub fn write_trace<W: Write>(trace: &Trace, sink: W) -> Result<(), CodecError> {
 // Decoding
 // ---------------------------------------------------------------------------
 
-fn field<'v, 'a>(v: &'v Value<'a>, key: &str) -> Result<&'v Value<'a>, String> {
-    v.get(key).ok_or_else(|| format!("missing field `{key}`"))
-}
-
-/// The one place the generic path copies a string field out of the
-/// borrowed parse tree into the owned record — the parser itself does not
-/// allocate for escape-free strings, so decode does exactly one allocation
-/// per kept string field.
-fn field_str(v: &Value<'_>, key: &str) -> Result<String, String> {
-    field(v, key)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("field `{key}` must be a string"))
-}
-
-fn field_f64(v: &Value<'_>, key: &str) -> Result<f64, String> {
-    field(v, key)?
-        .as_f64()
-        .ok_or_else(|| format!("field `{key}` must be a number"))
-}
-
-fn field_u64(v: &Value<'_>, key: &str) -> Result<u64, String> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field `{key}` must be an unsigned integer"))
-}
-
-fn field_u32(v: &Value<'_>, key: &str) -> Result<u32, String> {
-    field(v, key)?
-        .as_u32()
-        .ok_or_else(|| format!("field `{key}` must be a u32"))
-}
-
-fn field_u16(v: &Value<'_>, key: &str) -> Result<u16, String> {
-    field(v, key)?
-        .as_u16()
-        .ok_or_else(|| format!("field `{key}` must be a u16"))
-}
-
-/// Optional string: absent or `null` → `None`; any non-string value errors.
-fn field_opt_str(v: &Value<'_>, key: &str) -> Result<Option<String>, String> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::Str(s)) => Ok(Some(s.as_ref().to_owned())),
-        Some(_) => Err(format!("field `{key}` must be a string or null")),
-    }
-}
-
-fn field_opt_u64(v: &Value<'_>, key: &str) -> Result<Option<u64>, String> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(other) => other
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("field `{key}` must be an unsigned integer or null")),
-    }
-}
-
-fn decode_meta(v: &Value<'_>) -> Result<TraceMeta, String> {
+fn decode_meta(v: &Value<'_>) -> Result<TraceMeta, DecodeError> {
     Ok(TraceMeta {
-        name: field_str(v, "name")?,
-        duration_secs: field_f64(v, "duration_secs")?,
-        subscribers: field_u64(v, "subscribers")? as usize,
-        start_hour: field_u32(v, "start_hour")?,
-        start_weekday: field_u32(v, "start_weekday")?,
+        name: v.field("name")?,
+        duration_secs: v.field("duration_secs")?,
+        subscribers: v.field("subscribers")?,
+        start_hour: v.field("start_hour")?,
+        start_weekday: v.field("start_weekday")?,
     })
 }
 
-fn decode_method(v: &Value<'_>, key: &str) -> Result<Method, String> {
-    match field(v, key)?.as_str() {
+fn decode_method(v: &Value<'_>) -> Result<Method, DecodeError> {
+    match v.as_str() {
         Some("Get") => Ok(Method::Get),
         Some("Post") => Ok(Method::Post),
         Some("Head") => Ok(Method::Head),
-        other => Err(format!("field `{key}` has unknown method {other:?}")),
+        other => Err(DecodeError::new(format!("unknown method {other:?}"))),
     }
 }
 
-fn decode_http(v: &Value<'_>) -> Result<HttpTransaction, String> {
-    let request = field(v, "request")?;
-    let response = field(v, "response")?;
+fn decode_http(v: &Value<'_>) -> Result<HttpTransaction, DecodeError> {
+    // Optional header fields: absent or `null` is `None`, any other
+    // non-string is refused.
+    let request = |r: &Value<'_>| {
+        Ok(RequestHeaders {
+            host: r.field("host")?,
+            uri: r.field("uri")?,
+            referer: r.opt_field("referer")?,
+            user_agent: r.opt_field("user_agent")?,
+        })
+    };
+    let response = |r: &Value<'_>| {
+        Ok(ResponseHeaders {
+            status: r.field("status")?,
+            content_type: r.opt_field("content_type")?,
+            content_length: r.opt_field("content_length")?,
+            location: r.opt_field("location")?,
+        })
+    };
     Ok(HttpTransaction {
-        ts: field_f64(v, "ts")?,
-        client_ip: field_u32(v, "client_ip")?,
-        server_ip: field_u32(v, "server_ip")?,
-        server_port: field_u16(v, "server_port")?,
-        method: decode_method(v, "method")?,
-        request: RequestHeaders {
-            host: field_str(request, "host")?,
-            uri: field_str(request, "uri")?,
-            referer: field_opt_str(request, "referer")?,
-            user_agent: field_opt_str(request, "user_agent")?,
-        },
-        response: ResponseHeaders {
-            status: field_u16(response, "status")?,
-            content_type: field_opt_str(response, "content_type")?,
-            content_length: field_opt_u64(response, "content_length")?,
-            location: field_opt_str(response, "location")?,
-        },
-        tcp_handshake_ms: field_f64(v, "tcp_handshake_ms")?,
-        http_handshake_ms: field_f64(v, "http_handshake_ms")?,
+        ts: v.field("ts")?,
+        client_ip: v.field("client_ip")?,
+        server_ip: v.field("server_ip")?,
+        server_port: v.field("server_port")?,
+        method: v.field_with("method", decode_method)?,
+        request: v.field_with("request", request)?,
+        response: v.field_with("response", response)?,
+        tcp_handshake_ms: v.field("tcp_handshake_ms")?,
+        http_handshake_ms: v.field("http_handshake_ms")?,
     })
 }
 
-fn decode_tls(v: &Value<'_>) -> Result<crate::record::TlsConnection, String> {
+fn decode_tls(v: &Value<'_>) -> Result<crate::record::TlsConnection, DecodeError> {
     Ok(crate::record::TlsConnection {
-        ts: field_f64(v, "ts")?,
-        client_ip: field_u32(v, "client_ip")?,
-        server_ip: field_u32(v, "server_ip")?,
-        server_port: field_u16(v, "server_port")?,
-        bytes: field_u64(v, "bytes")?,
+        ts: v.field("ts")?,
+        client_ip: v.field("client_ip")?,
+        server_ip: v.field("server_ip")?,
+        server_port: v.field("server_port")?,
+        bytes: v.field("bytes")?,
     })
 }
 
-fn decode_record(v: &Value<'_>) -> Result<TraceRecord, String> {
+fn decode_record(v: &Value<'_>) -> Result<TraceRecord, DecodeError> {
     match v {
         Value::Object(fields) if fields.len() == 1 => match fields[0].0.as_ref() {
             "Http" => Ok(TraceRecord::Http(decode_http(&fields[0].1)?)),
             "Https" => Ok(TraceRecord::Https(decode_tls(&fields[0].1)?)),
-            other => Err(format!("unknown record variant {other:?}")),
+            other => Err(DecodeError::new(format!(
+                "unknown record variant {other:?}"
+            ))),
         },
-        _ => Err("record must be an object with exactly one variant key".to_string()),
+        _ => Err(DecodeError::new(
+            "record must be an object with exactly one variant key",
+        )),
     }
 }
 
@@ -320,7 +272,7 @@ enum LineError {
 /// text, and the oracle the scanner is tested against.
 fn decode_text_generic(text: &str) -> Result<TraceRecord, LineError> {
     let value = json::parse(text).map_err(LineError::Json)?;
-    decode_record(&value).map_err(LineError::Schema)
+    decode_record(&value).map_err(|e| LineError::Schema(e.to_string()))
 }
 
 /// Decode one trimmed, non-empty line — the one point every reader, strict
@@ -336,26 +288,18 @@ fn decode_text(text: &str) -> Result<TraceRecord, LineError> {
 
 pub(crate) fn decode_header(line: &str) -> Result<TraceMeta, CodecError> {
     let v = json::parse(line.trim()).map_err(CodecError::BadHeader)?;
-    let format = v
-        .get("format")
-        .and_then(Value::as_str)
-        .ok_or_else(|| CodecError::BadHeader("missing field `format`".to_string()))?;
+    let bad_header = |e: DecodeError| CodecError::BadHeader(e.to_string());
+    let format: String = v.field("format").map_err(bad_header)?;
     if format != FORMAT_NAME {
         return Err(CodecError::BadHeader(format!(
             "unexpected format {format:?}"
         )));
     }
-    let version = v
-        .get("version")
-        .and_then(Value::as_u32)
-        .ok_or_else(|| CodecError::BadHeader("missing field `version`".to_string()))?;
+    let version: u32 = v.field("version").map_err(bad_header)?;
     if version != FORMAT_VERSION {
         return Err(CodecError::Version(version));
     }
-    let meta = v
-        .get("meta")
-        .ok_or_else(|| CodecError::BadHeader("missing field `meta`".to_string()))?;
-    decode_meta(meta).map_err(CodecError::BadHeader)
+    v.field_with("meta", decode_meta).map_err(bad_header)
 }
 
 /// Read a trace from any source, aborting on the first malformed line.
@@ -698,6 +642,11 @@ impl<R: Read> LossyLines<R> {
     }
 }
 
+/// The counter series a decode window carries, in the order
+/// [`DecodeWindows::new`] registers them. A checkpoint reader maps persisted
+/// series names back onto this table.
+pub const DECODE_COUNTERS: [&str; 4] = ["records", "http", "https", "bytes"];
+
 /// The decode-side window schema: per-window record/protocol/byte series
 /// keyed on each record's trace timestamp.
 ///
@@ -723,12 +672,14 @@ impl DecodeWindows {
             width_secs,
             watermark_secs: f64::INFINITY,
         });
+        let [c_records, c_http, c_https, c_bytes] =
+            DECODE_COUNTERS.map(|name| engine.counter_series(name));
         DecodeWindows {
-            c_records: engine.counter_series("records"),
-            c_http: engine.counter_series("http"),
-            c_https: engine.counter_series("https"),
-            c_bytes: engine.counter_series("bytes"),
             engine,
+            c_records,
+            c_http,
+            c_https,
+            c_bytes,
         }
     }
 

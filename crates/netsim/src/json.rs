@@ -24,8 +24,10 @@
 //! manifests, bench result files and every NDJSON artifact the tools
 //! validate.
 
+use http_model::Url;
 use std::borrow::Cow;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Maximum nesting depth the parser accepts. Trace records nest three
 /// levels deep; anything deeper than this is garbage or an attack.
@@ -88,16 +90,184 @@ impl<'a> Value<'a> {
         }
     }
 
-    /// Integer value as `u32`.
-    pub fn as_u32(&self) -> Option<u32> {
-        self.as_u64().and_then(|v| u32::try_from(v).ok())
+    /// The value under `key`, decoded as `T`. A missing key or a value that
+    /// does not fit `T` is an error that says where: `a.b[3][1]: expected u64`.
+    pub fn field<T: FromJson>(&self, key: &str) -> Result<T, DecodeError> {
+        self.field_with(key, T::from_json)
     }
 
-    /// Integer value as `u16`.
-    pub fn as_u16(&self) -> Option<u16> {
-        self.as_u64().and_then(|v| u16::try_from(v).ok())
+    /// Like [`Value::field`], but an absent key reads as `None`, as `null` does.
+    pub fn opt_field<T: FromJson>(&self, key: &str) -> Result<Option<T>, DecodeError> {
+        let present = self.get(key).map(Option::<T>::from_json);
+        present.map_or(Ok(None), |r| r.map_err(|e| e.at_key(key)))
+    }
+
+    /// [`Value::field`] for a value `decode` knows how to read (a nested
+    /// object, or a type that needs context [`FromJson`] cannot carry).
+    pub fn field_with<T>(
+        &self,
+        key: &str,
+        decode: impl FnOnce(&Value<'a>) -> Result<T, DecodeError>,
+    ) -> Result<T, DecodeError> {
+        let v = self
+            .get(key)
+            .ok_or_else(|| DecodeError::new("missing field").at_key(key))?;
+        decode(v).map_err(|e| e.at_key(key))
+    }
+
+    /// Every item of an array through `decode`; a failure names its index.
+    pub fn each<T>(
+        &self,
+        mut decode: impl FnMut(&Value<'a>) -> Result<T, DecodeError>,
+    ) -> Result<Vec<T>, DecodeError> {
+        let Value::Array(items) = self else {
+            return Err(DecodeError::new("expected array"));
+        };
+        let item = |(i, v)| decode(v).map_err(|e: DecodeError| e.at_index(i));
+        items.iter().enumerate().map(item).collect()
     }
 }
+
+/// Why a parsed value did not decode, and where. The path is assembled
+/// outward, one segment per level, as the error returns through
+/// [`Value::field`], [`Value::each`] and the tuple decoders.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DecodeError {
+    path: String,
+    what: String,
+}
+
+impl DecodeError {
+    /// A failure at the current value (`expected u64`, `missing field`).
+    pub fn new(what: impl Into<String>) -> DecodeError {
+        DecodeError {
+            path: String::new(),
+            what: what.into(),
+        }
+    }
+
+    /// The failing value sits under `key` of the enclosing object.
+    pub fn at_key(mut self, key: &str) -> DecodeError {
+        let dot = !self.path.is_empty() && !self.path.starts_with('[');
+        self.path.insert_str(0, if dot { "." } else { "" });
+        self.path.insert_str(0, key);
+        self
+    }
+
+    /// The failing value is item `index` of the enclosing array.
+    pub fn at_index(self, index: usize) -> DecodeError {
+        self.at_key(&format!("[{index}]"))
+    }
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let sep = if self.path.is_empty() { "" } else { ": " };
+        write!(f, "{}{sep}{}", self.path, self.what)
+    }
+}
+
+/// A type that reads itself out of a parsed [`Value`], refusing anything that
+/// does not fit: integers go through `try_from` on the parser's `i128`, so an
+/// out-of-range number is an error, never a narrowed one.
+pub trait FromJson: Sized {
+    /// Decode `v`, or say what was expected in its place.
+    fn from_json(v: &Value<'_>) -> Result<Self, DecodeError>;
+}
+
+fn expected<T>(got: Option<T>, what: &str) -> Result<T, DecodeError> {
+    got.ok_or_else(|| DecodeError::new(format!("expected {what}")))
+}
+
+macro_rules! int_from_json {
+    ($($t:ident)*) => {$(
+        impl FromJson for $t {
+            fn from_json(v: &Value<'_>) -> Result<$t, DecodeError> {
+                let int = match v {
+                    Value::Int(i) => $t::try_from(*i).ok(),
+                    _ => None,
+                };
+                expected(int, stringify!($t))
+            }
+        }
+    )*};
+}
+int_from_json!(u8 u16 u32 u64 usize i32 i64);
+
+impl FromJson for f64 {
+    fn from_json(v: &Value<'_>) -> Result<f64, DecodeError> {
+        expected(v.as_f64(), "number")
+    }
+}
+
+impl FromJson for bool {
+    fn from_json(v: &Value<'_>) -> Result<bool, DecodeError> {
+        let b = match v {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        };
+        expected(b, "bool")
+    }
+}
+
+/// The one place the generic trace decode copies a string out of the borrowed
+/// parse tree: the parser does not allocate for escape-free strings, so a
+/// kept string field costs exactly one allocation.
+impl FromJson for String {
+    fn from_json(v: &Value<'_>) -> Result<String, DecodeError> {
+        expected(v.as_str(), "string").map(str::to_string)
+    }
+}
+
+impl FromJson for Arc<str> {
+    fn from_json(v: &Value<'_>) -> Result<Arc<str>, DecodeError> {
+        expected(v.as_str(), "string").map(Arc::from)
+    }
+}
+
+impl FromJson for Url {
+    fn from_json(v: &Value<'_>) -> Result<Url, DecodeError> {
+        Url::parse(expected(v.as_str(), "url")?)
+            .map_err(|e| DecodeError::new(format!("bad url: {e}")))
+    }
+}
+
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_json(v: &Value<'_>) -> Result<Option<T>, DecodeError> {
+        match v {
+            Value::Null => Ok(None),
+            v => T::from_json(v).map(Some),
+        }
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<T> {
+    fn from_json(v: &Value<'_>) -> Result<Vec<T>, DecodeError> {
+        v.each(T::from_json)
+    }
+}
+
+/// Fixed-arity arrays: `[key, count, error]`, `[index, count]`, … decode as
+/// tuples; any other length is refused.
+macro_rules! tuple_from_json {
+    ($n:literal: $($t:ident $i:tt),+) => {
+        impl<$($t: FromJson),+> FromJson for ($($t,)+) {
+            fn from_json(v: &Value<'_>) -> Result<Self, DecodeError> {
+                match v {
+                    Value::Array(a) if a.len() == $n => Ok((
+                        $($t::from_json(&a[$i]).map_err(|e| e.at_index($i))?,)+
+                    )),
+                    _ => Err(DecodeError::new(concat!("expected array of ", $n))),
+                }
+            }
+        }
+    };
+}
+tuple_from_json!(2: A 0, B 1);
+tuple_from_json!(3: A 0, B 1, C 2);
+tuple_from_json!(4: A 0, B 1, C 2, D 3);
+tuple_from_json!(5: A 0, B 1, C 2, D 3, E 4);
+tuple_from_json!(6: A 0, B 1, C 2, D 3, E 4, F 5);
 
 /// Parse one complete JSON value; trailing non-whitespace is an error.
 /// The returned [`Value`] borrows from `input`.
@@ -405,6 +575,20 @@ pub fn write_f64(out: &mut String, f: f64) {
     let _ = write!(out, "{f:?}");
 }
 
+/// Append `items` separated by commas, each written by `write_item`.
+pub fn write_seq<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut write_item: impl FnMut(&mut String, T),
+) {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_item(out, item);
+    }
+}
+
 /// Append an optional JSON string (None → `null`).
 pub fn write_opt_str(out: &mut String, s: Option<&str>) {
     match s {
@@ -513,11 +697,136 @@ mod tests {
 
     #[test]
     fn numeric_accessors() {
-        assert_eq!(parse("65535").unwrap().as_u16(), Some(65535));
-        assert_eq!(parse("65536").unwrap().as_u16(), None);
         assert_eq!(parse("-1").unwrap().as_u64(), None);
         assert_eq!(parse("1.5").unwrap().as_u64(), None);
         assert_eq!(parse("3").unwrap().as_f64(), Some(3.0));
+    }
+
+    fn decode<T: FromJson>(text: &str) -> Result<T, String> {
+        T::from_json(&parse(text).unwrap()).map_err(|e| e.to_string())
+    }
+
+    /// Every integer type accepts exactly its own range: MIN and MAX decode
+    /// to themselves, one past either end is refused — not wrapped, not
+    /// saturated — and so is a float or a string holding the same digits.
+    #[test]
+    fn integers_decode_checked_at_both_ends() {
+        macro_rules! ends {
+            ($($t:ident)*) => {$(
+                let (min, max) = ($t::MIN as i128, $t::MAX as i128);
+                assert_eq!(decode::<$t>(&min.to_string()), Ok($t::MIN));
+                assert_eq!(decode::<$t>(&max.to_string()), Ok($t::MAX));
+                let refused = Err(concat!("expected ", stringify!($t)).to_string());
+                assert_eq!(decode::<$t>(&(min - 1).to_string()), refused);
+                assert_eq!(decode::<$t>(&(max + 1).to_string()), refused);
+                assert_eq!(decode::<$t>("1.0"), refused);
+                assert_eq!(decode::<$t>("\"1\""), refused);
+            )*};
+        }
+        ends!(u8 u16 u32 u64 usize i32 i64);
+    }
+
+    #[test]
+    fn scalars_options_and_sequences_decode() {
+        assert_eq!(decode::<f64>("3"), Ok(3.0));
+        assert_eq!(decode::<f64>("null"), Err("expected number".into()));
+        assert_eq!(decode::<bool>("true"), Ok(true));
+        assert_eq!(decode::<bool>("\"yes\""), Err("expected bool".into()));
+        assert_eq!(decode::<String>("\"a\\nb\""), Ok("a\nb".to_string()));
+        assert_eq!(decode::<Arc<str>>("\"x\"").as_deref(), Ok("x"));
+        assert_eq!(decode::<Option<u8>>("null"), Ok(None));
+        assert_eq!(decode::<Option<u8>>("7"), Ok(Some(7)));
+        assert_eq!(decode::<Vec<u8>>("[1,2,3]"), Ok(vec![1, 2, 3]));
+        assert_eq!(decode::<Vec<u8>>("[1,256]"), Err("[1]: expected u8".into()));
+        assert_eq!(decode::<Vec<u8>>("{}"), Err("expected array".into()));
+        let url = decode::<Url>("\"http://a.example/x?q=1\"").unwrap();
+        assert_eq!(url.host(), "a.example");
+        assert!(decode::<Url>("\"\"").unwrap_err().starts_with("bad url"));
+        assert_eq!(decode::<Url>("1"), Err("expected url".into()));
+    }
+
+    #[test]
+    fn tuples_decode_by_exact_arity() {
+        assert_eq!(
+            decode::<(String, u64, u64)>("[\"k\",3,0]"),
+            Ok(("k".to_string(), 3, 0))
+        );
+        assert_eq!(
+            decode::<(u8, u32, u32, i64)>("[2,1,0,-4]"),
+            Ok((2, 1, 0, -4))
+        );
+        for wrong in ["[1,2]", "[1,2,3,4]", "[]", "7", "{}"] {
+            assert_eq!(
+                decode::<(u8, u8, u8)>(wrong),
+                Err("expected array of 3".into()),
+                "{wrong}"
+            );
+        }
+        assert_eq!(
+            decode::<(u8, Option<u8>)>("[1,-1]"),
+            Err("[1]: expected u8".into())
+        );
+        assert_eq!(
+            decode::<(u8, u8, u8, u8, u8, u8)>("[1,2,3,4,5,6]"),
+            Ok((1, 2, 3, 4, 5, 6))
+        );
+    }
+
+    #[test]
+    fn field_errors_render_their_path() {
+        let v = parse(r#"{"population":{"tallies":[[1,2],[2,3],[3,4],[4,-5]]}}"#).unwrap();
+        let tallies = |p: &Value<'_>| p.field::<Vec<(u32, u64)>>("tallies");
+        assert_eq!(
+            v.field_with("population", tallies).unwrap_err().to_string(),
+            "population.tallies[3][1]: expected u64"
+        );
+        // Three levels down, past an index, into an object again.
+        let v = parse(r#"{"windows":{"windows":[{"index":0},{"index":"x"}]}}"#).unwrap();
+        let windows =
+            |w: &Value<'_>| w.field_with("windows", |a| a.each(|w| w.field::<i64>("index")));
+        assert_eq!(
+            v.field_with("windows", windows).unwrap_err().to_string(),
+            "windows.windows[1].index: expected i64"
+        );
+        assert_eq!(
+            v.field::<u8>("absent").unwrap_err().to_string(),
+            "absent: missing field"
+        );
+        assert_eq!(
+            parse("7")
+                .unwrap()
+                .field::<u8>("k")
+                .unwrap_err()
+                .to_string(),
+            "k: missing field"
+        );
+        assert_eq!(v.opt_field::<u8>("absent"), Ok(None));
+        assert_eq!(
+            parse(r#"{"k":null}"#).unwrap().opt_field::<u8>("k"),
+            Ok(None)
+        );
+        assert_eq!(
+            parse(r#"{"k":9}"#).unwrap().opt_field::<u8>("k"),
+            Ok(Some(9))
+        );
+        assert_eq!(
+            parse(r#"{"k":"9"}"#)
+                .unwrap()
+                .opt_field::<u8>("k")
+                .unwrap_err()
+                .to_string(),
+            "k: expected u8"
+        );
+    }
+
+    #[test]
+    fn write_seq_separates_with_commas() {
+        let mut s = String::new();
+        write_seq(&mut s, [1, 2, 3], |out, n| {
+            let _ = write!(out, "{n}");
+        });
+        write_seq(&mut s, std::iter::empty::<u8>(), |out, _| out.push('x'));
+        assert_eq!(s, "1,2,3");
     }
 
     #[test]

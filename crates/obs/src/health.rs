@@ -169,11 +169,6 @@ impl Health {
         *self.header.lock().expect("health header") = Some(header);
     }
 
-    /// Raise the known input total (e.g. discovered after open).
-    pub fn set_total_bytes(&self, total: u64) {
-        self.total_bytes.store(total, Ordering::Relaxed);
-    }
-
     /// Register (or fetch) the liveness slot for worker `id`.
     pub fn worker(&self, id: u64) -> Arc<WorkerHealth> {
         {

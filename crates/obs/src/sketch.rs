@@ -302,20 +302,23 @@ impl QuantileSketch {
         )
     }
 
-    /// Rebuild from serialized state.
+    /// Rebuild from serialized state. `None` when the counts do not sum
+    /// within `u64` — no sketch this code built can hold that, so the image
+    /// is corrupt and is refused rather than wrapped.
     pub fn from_state(
         gamma: f64,
         zero: u64,
         buckets: impl IntoIterator<Item = (i32, u64)>,
-    ) -> QuantileSketch {
+    ) -> Option<QuantileSketch> {
         let mut s = QuantileSketch::new(gamma);
         s.zero = zero;
         s.count = zero;
         for (i, c) in buckets {
-            s.count += c;
+            // No bucket can exceed the total, so this is the only check.
+            s.count = s.count.checked_add(c)?;
             *s.buckets.entry(i).or_insert(0) += c;
         }
-        s
+        Some(s)
     }
 }
 
@@ -533,7 +536,15 @@ mod tests {
         }
         let (zero, buckets) = s.state();
         let back = QuantileSketch::from_state(QUANTILE_GAMMA, zero, buckets);
-        assert_eq!(back, s);
+        assert_eq!(back, Some(s));
+    }
+
+    #[test]
+    fn quantile_state_whose_counts_overflow_is_refused() {
+        let g = QUANTILE_GAMMA;
+        assert!(QuantileSketch::from_state(g, 0, [(1, u64::MAX), (2, 2)]).is_none());
+        assert!(QuantileSketch::from_state(g, 1, [(1, u64::MAX)]).is_none());
+        assert!(QuantileSketch::from_state(g, 0, [(1, u64::MAX - 2), (1, 2)]).is_some());
     }
 
     #[test]

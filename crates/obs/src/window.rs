@@ -400,12 +400,6 @@ impl WindowEngine {
         &self.closed
     }
 
-    /// Take the windows closed so far, leaving the engine running — the
-    /// incremental drain a live replay uses between scrapes.
-    pub fn take_closed(&mut self) -> Vec<ClosedWindow> {
-        std::mem::take(&mut self.closed)
-    }
-
     /// Close everything and return the report.
     pub fn finish(mut self) -> WindowReport {
         while !self.open.is_empty() {
