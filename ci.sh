@@ -138,7 +138,7 @@ grep -q '^obs_alerts_firing' <<<"$alerts_metrics"
 ./target/release/experiments fetch --port "$SERVE_PORT" --path /quitz >/dev/null
 wait "$SERVE_PID"
 
-echo "==> checkpoint format gates (PR 16 fixture, every kill point, typed refusals)"
+echo "==> checkpoint gates (PR 16 fixture, every kill point, typed refusals, barrier cache + park + sweep, traced dirty_full_w1 smoke)"
 # By name, so a renamed or deleted test fails here instead of passing
 # vacuously: the committed checkpoint the PR 16 build wrote must resume
 # byte-identically, every kill point x thread change x cadence of one
@@ -147,8 +147,34 @@ ckfmt_out="$(cargo test -q -p adscope --test checkpoint_format -- --exact \
   fixture_written_at_pr16_resumes_byte_identically \
   fixture_trace_is_the_generated_one \
   every_kill_point_resumes_byte_identically \
-  out_of_range_values_are_refused_with_their_path 2>&1)" || { echo "$ckfmt_out"; exit 1; }
-grep -q 'test result: ok. 4 passed' <<<"$ckfmt_out"
+  out_of_range_values_are_refused_with_their_path \
+  a_lost_or_short_sidecar_is_refused 2>&1)" || { echo "$ckfmt_out"; exit 1; }
+grep -q 'test result: ok. 5 passed' <<<"$ckfmt_out"
+# The barrier's three moves, by name too: a worker re-renders only the users
+# a record touched, the router's parked checkpoint is on disk one chunk later
+# and when the run returns, a write error is never lost, and a run sweeps the
+# temp files a killed one left (the sweep itself is pinned in obs).
+barrier_out="$(cargo test -q -p adscope --lib -- --exact \
+  stream::worker::tests::a_barrier_renders_only_the_users_a_record_touched \
+  stream::worker::tests::a_poisoned_record_invalidates_its_users_line \
+  stream::router::tests::the_last_checkpoint_is_on_disk_when_the_run_returns \
+  stream::router::tests::a_parked_checkpoint_is_written_before_the_chunk_after_next_is_read \
+  stream::router::tests::a_checkpoint_write_error_is_never_lost \
+  stream::router::tests::a_run_sweeps_the_temp_files_a_killed_one_left 2>&1)" \
+  || { echo "$barrier_out"; exit 1; }
+grep -q 'test result: ok. 6 passed' <<<"$barrier_out"
+obs_out="$(cargo test -q -p obs --lib -- --exact \
+  manifest::tests::sweep_removes_orphaned_temp_files_and_nothing_else \
+  events::tests::run_copying_writer_matches_charwise \
+  events::tests::run_copying_writer_matches_charwise_at_every_stop_byte 2>&1)" \
+  || { echo "$obs_out"; exit 1; }
+grep -q 'test result: ok. 3 passed' <<<"$obs_out"
+# The checkpointing workload, traced: the stream with every plane on against
+# the lossy-read reference, the checkpoint on/off pairs and the half-way
+# resume probe.
+e2e_dirty="$(cargo run --release -q --offline -p bench --bin e2e -- \
+  --quick --workload dirty_full_w1 --trace 1)"
+grep -q '"failed": 0' <<<"$e2e_dirty"
 
 echo "==> experiments stream (bounded memory + kill/resume gate)"
 STREAM_DIR=target/experiments/stream
@@ -205,7 +231,10 @@ wait "$STREAM_PID" 2>/dev/null || true
   --checkpoint-dir "$STREAM_DIR/ck2" --resume \
   --report "$STREAM_DIR/killed.report" >/dev/null 2>&1
 cmp "$STREAM_DIR/full.report" "$STREAM_DIR/killed.report"
-echo "    SIGKILL mid-run + resume: report byte-identical"
+# A kill that lands mid-write leaves checkpoint.ndjson.<pid>.<seq>.tmp; the
+# resume swept it.
+test -z "$(find "$STREAM_DIR/ck2" -name '*.tmp')"
+echo "    SIGKILL mid-run + resume: report byte-identical, no temp file left"
 
 echo "==> experiments verify (run-manifest replay gate)"
 # Layer 1: every digest recorded in the manifest still matches the bytes

@@ -11,7 +11,7 @@
 //! narrowed into a different number.
 
 use super::router::{PopulationCum, RunState};
-use super::worker::{HeldRecord, RestoredUser, UserState, WorkerAck};
+use super::worker::{HeldRecord, RestoredUser, UserState};
 use super::{ck_err, StreamError, StreamOptions};
 use crate::degrade::DegradationReport;
 use crate::extract::WebObject;
@@ -100,14 +100,26 @@ fn write_url(out: &mut String, scratch: &mut String, url: Option<&Url>) {
 pub(super) fn serialize_user(key: &(u32, Option<Arc<str>>), st: &UserState) -> String {
     let mut out = String::with_capacity(256);
     let mut scratch = String::new();
-    let _ = write!(out, "{{\"client_ip\":{},\"user_agent\":", key.0);
+    // Integers go through `json::write_u64`, not `write!`: there is one per
+    // `page_of` entry, and this is the checkpointing run's hottest loop.
+    let num = |out: &mut String, key: &str, n: u64| {
+        out.push_str(key);
+        json::write_u64(out, n);
+    };
+    num(&mut out, "{\"client_ip\":", key.0.into());
+    out.push_str(",\"user_agent\":");
     json::write_opt_str(&mut out, key.1.as_deref());
-    let _ = write!(
-        out,
-        ",\"inserted\":{},\"consumed\":{},\"last_page\":",
-        st.map.redirects_inserted(),
-        st.map.redirects_consumed()
+    num(
+        &mut out,
+        ",\"inserted\":",
+        st.map.redirects_inserted() as u64,
     );
+    num(
+        &mut out,
+        ",\"consumed\":",
+        st.map.redirects_consumed() as u64,
+    );
+    out.push_str(",\"last_page\":");
     match &st.map.last_page {
         Some((url, ts)) => {
             out.push('[');
@@ -126,7 +138,8 @@ pub(super) fn serialize_user(key: &(u32, Option<Arc<str>>), st: &UserState) -> S
         write_url(out, &mut scratch, Some(root));
         out.push(',');
         json::write_f64(out, *ts);
-        let _ = write!(out, ",{hops}]");
+        num(out, ",", (*hops).into());
+        out.push(']');
     });
     out.push_str("],\"pending\":[");
     let pending = &st.map.pending_redirects;
@@ -135,25 +148,30 @@ pub(super) fn serialize_user(key: &(u32, Option<Arc<str>>), st: &UserState) -> S
         json::write_str(out, k);
         out.push(',');
         write_url(out, &mut scratch, root.as_ref());
-        let _ = write!(out, ",{idx},");
+        num(out, ",", *idx as u64);
+        out.push(',');
         json::write_f64(out, *ts);
-        let _ = write!(out, ",{hops}]");
+        num(out, ",", (*hops).into());
+        out.push(']');
     });
     out.push_str("],\"held\":[");
     json::write_seq(&mut out, st.held.values(), |out, h| {
-        let _ = write!(out, "{{\"pos\":{},\"idx\":{},\"ts\":", h.pos, h.obj.idx);
+        num(out, "{\"pos\":", h.pos);
+        num(out, ",\"idx\":", h.obj.idx as u64);
+        out.push_str(",\"ts\":");
         json::write_f64(out, h.obj.ts);
-        let _ = write!(out, ",\"server_ip\":{},\"url\":", h.obj.server_ip);
+        num(out, ",\"server_ip\":", h.obj.server_ip.into());
+        out.push_str(",\"url\":");
         write_url(out, &mut scratch, Some(&h.obj.url));
         out.push_str(",\"page\":");
         write_url(out, &mut scratch, h.page.as_ref());
-        let _ = write!(out, ",\"cat\":\"{}\",\"ct\":", h.category.keyword());
+        out.push_str(",\"cat\":\"");
+        out.push_str(h.category.keyword());
+        out.push_str("\",\"ct\":");
         json::write_opt_str(out, h.obj.content_type.as_deref());
-        let _ = write!(
-            out,
-            ",\"bytes\":{},\"status\":{},\"tcp\":",
-            h.obj.bytes, h.obj.status
-        );
+        num(out, ",\"bytes\":", h.obj.bytes);
+        num(out, ",\"status\":", h.obj.status.into());
+        out.push_str(",\"tcp\":");
         json::write_f64(out, h.obj.tcp_handshake_ms);
         out.push_str(",\"http\":");
         json::write_f64(out, h.obj.http_handshake_ms);
@@ -307,17 +325,15 @@ pub(super) fn manifest_to_json(hash: u64, st: &RunState) -> String {
     out
 }
 
-pub(super) fn write_checkpoint(dir: &Path, manifest: &str, acks: &[WorkerAck]) -> io::Result<()> {
+pub(super) fn write_checkpoint(dir: &Path, manifest: &str, users: &[Arc<str>]) -> io::Result<()> {
     fs::create_dir_all(dir)?;
     obs::atomic_write_with(&dir.join(CHECKPOINT_FILE), |file| {
         let mut f = BufWriter::new(file);
         f.write_all(manifest.as_bytes())?;
         f.write_all(b"\n")?;
-        for ack in acks {
-            for line in &ack.state_lines {
-                f.write_all(line.as_bytes())?;
-                f.write_all(b"\n")?;
-            }
+        for line in users {
+            f.write_all(line.as_bytes())?;
+            f.write_all(b"\n")?;
         }
         f.flush()
     })

@@ -34,12 +34,21 @@
 //!   Unparseable-URL records are quarantined to the same sidecar
 //!   verbatim.
 //! * **Checkpoint/resume.** Every N chunks the router injects a barrier:
-//!   workers cut their deltas and serialize per-user state; the
-//!   router writes `checkpoint.ndjson` (manifest line + one line per
-//!   user) atomically via rename. A killed run resumes from the last
-//!   checkpoint — at *any* thread count, since restored users re-route
-//!   by the same `shard_of` hash ([`crate::shard`]) — and produces a final
-//!   report byte-identical to an uninterrupted run.
+//!   workers cut their deltas and ack one state line per user, rendering
+//!   only the users a record touched since the last barrier (the others'
+//!   lines are kept and shared); the router merges the deltas, encodes
+//!   the manifest and *parks* the checkpoint, then writes
+//!   `checkpoint.ndjson` (manifest line + one line per user) atomically —
+//!   temp file, fsync, rename, directory fsync — right after the next
+//!   chunk's batches are sent, while the workers classify them, or after
+//!   the loop when it ends on a barrier; it is on disk before the call
+//!   returns. A killed run resumes from the last checkpoint written — at
+//!   *any* thread count, since restored users re-route by the same
+//!   `shard_of` hash ([`crate::shard`]) — and produces a final report
+//!   byte-identical to an uninterrupted run. A quarantine sidecar shorter
+//!   than the checkpoint recorded is refused, and temp files a killed
+//!   run left in the checkpoint directory are swept when the next one
+//!   opens it.
 //!
 //! Four modules: this one holds the options, the report and the two entry
 //! points; `worker` the quarantine sidecar, the held-record protocol and
@@ -310,6 +319,11 @@ pub fn classify_stream_file(
     registry: &obs::Registry,
 ) -> Result<StreamReport, StreamError> {
     let total_bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
+    if let Some(ck) = &opts.checkpoint {
+        // What a run killed mid-write left behind: one checkpoint-sized
+        // temp file per kill, which nothing else ever removes.
+        obs::sweep_temp_files(&ck.dir.join(CHECKPOINT_FILE))?;
+    }
     let (reader, state) = match &opts.checkpoint {
         Some(ck) if ck.resume => {
             let state = checkpoint::load_checkpoint(&ck.dir, opts)?;

@@ -140,6 +140,13 @@ struct Router<'a> {
     worker_labels: Vec<String>,
     last_stalls: Vec<u64>,
     run_chunks: u64,
+    /// The checkpoint the last barrier cut, until [`Router::write_parked`]
+    /// puts it on disk: its directory, its manifest line and every user
+    /// line (shared with the workers' caches, not copied). At a barrier the
+    /// workers have just drained, so writing there would spend the two
+    /// fsyncs with nothing else runnable; one chunk later they have a batch
+    /// to classify meanwhile. At most one is parked at a time.
+    parked: Option<(&'a Path, String, Vec<Arc<str>>)>,
     checkpoints_written: u64,
     stopped_early: bool,
 }
@@ -227,6 +234,7 @@ where
             worker_labels: (0..nworkers).map(|i| i.to_string()).collect(),
             last_stalls: vec![0u64; nworkers],
             run_chunks: 0,
+            parked: None,
             checkpoints_written: 0,
             stopped_early: false,
         };
@@ -234,8 +242,12 @@ where
         // Errors return through `loop_result` so the senders are always
         // dropped (and the workers joined) before this scope exits — an
         // early `?` here would deadlock the scope on workers still
-        // blocked in `recv`.
-        let loop_result = router.route(&mut chunks);
+        // blocked in `recv`. A checkpoint still parked when the loop ends (it
+        // ended on a barrier: end of trace or `stop_after_chunks`) goes to
+        // disk before anything is reported.
+        let loop_result = router
+            .route(&mut chunks)
+            .and_then(|()| router.write_parked());
         router.senders.clear();
         let mut finals = Vec::with_capacity(nworkers);
         for h in handles {
@@ -250,9 +262,10 @@ where
     })
 }
 
-impl Router<'_> {
+impl<'a> Router<'a> {
     /// The routing loop: per chunk, window the decoded records, extract
-    /// and shard the HTTP ones, hand each worker its batch, and every
+    /// and shard the HTTP ones, hand each worker its batch, write the
+    /// checkpoint the previous chunk's barrier parked, and every
     /// `every_chunks` chunks run a checkpoint barrier.
     fn route(&mut self, chunks: &mut impl Iterator<Item = StreamChunk>) -> Result<(), StreamError> {
         let opts = self.opts;
@@ -323,6 +336,10 @@ impl Router<'_> {
                 .health()
                 .advance(now, chunk.end_offset, n_records, 1);
 
+            // The workers are busy with this chunk: now is when the last
+            // barrier's checkpoint is written. A write error surfaces
+            // here, one chunk after the barrier that cut it.
+            self.write_parked()?;
             if let Some(ck) = &opts.checkpoint {
                 if self.state.chunks.is_multiple_of(ck.every_chunks.max(1)) {
                     self.barrier(&ck.dir)?;
@@ -373,8 +390,10 @@ impl Router<'_> {
     }
 
     /// A checkpoint barrier: every worker cuts its delta and serializes
-    /// its users, the router merges the deltas and writes the checkpoint.
-    fn barrier(&mut self, dir: &Path) -> Result<(), StreamError> {
+    /// the users a record touched since the last one, the router merges
+    /// the deltas, encodes the manifest and parks the checkpoint for
+    /// [`Router::write_parked`].
+    fn barrier(&mut self, dir: &'a Path) -> Result<(), StreamError> {
         let acks = collect_acks(&self.senders, &self.ack_rx)?;
         self.absorb(acks.iter().map(|a| &a.delta));
         // Flushed before the manifest is encoded, so the sidecar length
@@ -384,11 +403,26 @@ impl Router<'_> {
             None => 0,
         };
         let manifest = manifest_to_json(config_hash(self.opts), &self.state);
-        write_checkpoint(dir, &manifest, &acks)?;
-        self.checkpoints_written += 1;
-        self.registry
-            .counter("adscope_stream_checkpoints_total")
-            .add(1);
+        let lines = acks.into_iter().flat_map(|a| a.state_lines).collect();
+        debug_assert!(self.parked.is_none(), "the previous checkpoint is on disk");
+        self.parked = Some((dir, manifest, lines));
+        Ok(())
+    }
+
+    /// Put the parked checkpoint, if there is one, on disk (temp file,
+    /// fsync, rename, directory fsync — `obs::atomic_write_with`). Until
+    /// this returns a kill resumes from the checkpoint before it, exactly
+    /// as a kill between two barriers does: the sidecar may by then be
+    /// longer than that checkpoint's `quarantine_bytes`, never shorter, and
+    /// resume truncates it back.
+    fn write_parked(&mut self) -> Result<(), StreamError> {
+        if let Some((dir, manifest, lines)) = self.parked.take() {
+            write_checkpoint(dir, &manifest, &lines)?;
+            self.checkpoints_written += 1;
+            self.registry
+                .counter("adscope_stream_checkpoints_total")
+                .add(1);
+        }
         Ok(())
     }
 
@@ -530,9 +564,166 @@ fn publish_decode_windows(report: &WindowReport, registry: &obs::Registry) {
 
 #[cfg(test)]
 mod tests {
+    use super::*;
     use crate::stream::testutil::*;
-    use crate::stream::{classify_stream_file, CheckpointOptions};
+    use crate::stream::{classify_stream_file, CheckpointOptions, CHECKPOINT_FILE};
     use std::fs;
+
+    /// A barrier parks its checkpoint and the next chunk's send writes it;
+    /// whichever way the loop ends, the last one is on disk by the time
+    /// the call returns.
+    #[test]
+    fn the_last_checkpoint_is_on_disk_when_the_run_returns() {
+        let trace = messy_trace(160);
+        let path = write_trace_file(&trace, "parked");
+        let dir = temp_path("parked-ck");
+        let total = 10; // 160 records in chunks of 16
+        for k in [1, 2, 5, total] {
+            let _ = fs::remove_dir_all(&dir);
+            let mut o = stream_opts(2, 16);
+            o.checkpoint = Some(CheckpointOptions {
+                dir: dir.clone(),
+                every_chunks: 1,
+                resume: false,
+            });
+            o.stop_after_chunks = (k < total).then_some(k);
+            let rep =
+                classify_stream_file(&path, &classifier(), &o, &obs::Registry::new()).unwrap();
+            assert_eq!(rep.stopped_early, k < total);
+            assert_eq!(rep.chunks, k);
+            assert_eq!(rep.checkpoints_written, k);
+            let on_disk = fs::read_to_string(dir.join(CHECKPOINT_FILE)).unwrap();
+            let manifest = on_disk.lines().next().unwrap();
+            assert!(manifest.contains(&format!("\"chunks\":{k},")), "k={k}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_file(&path);
+    }
+
+    /// The checkpoint cut after chunk k is on disk before chunk k + 2 is
+    /// read: at most one is ever waiting.
+    #[test]
+    fn a_parked_checkpoint_is_written_before_the_chunk_after_next_is_read() {
+        let trace = messy_trace(96);
+        let dir = temp_path("parked-order-ck");
+        let _ = fs::remove_dir_all(&dir);
+        let mut o = stream_opts(2, 16);
+        o.checkpoint = Some(CheckpointOptions {
+            dir: dir.clone(),
+            every_chunks: 1,
+            resume: false,
+        });
+        // What the file on disk says when the router asks for each chunk.
+        let mut on_disk_at_read = Vec::new();
+        let chunks = trace.records.chunks(16).enumerate().map(|(i, batch)| {
+            let on_disk = fs::read_to_string(dir.join(CHECKPOINT_FILE)).ok();
+            on_disk_at_read.push(on_disk.map(|text| {
+                let from = text.find("\"chunks\":").unwrap() + "\"chunks\":".len();
+                let len = text[from..].find(',').unwrap();
+                text[from..from + len].parse::<u64>().unwrap()
+            }));
+            StreamChunk {
+                seq: i as u64,
+                records: batch.to_vec(),
+                stats: CodecStats::default(),
+                end_offset: (i as u64 + 1) * 1000,
+            }
+        });
+        let state = RunState::new(trace.meta.clone(), &o);
+        let rep = run_stream(chunks, state, &classifier(), &o, &obs::Registry::new(), 0).unwrap();
+        assert_eq!(rep.checkpoints_written, 6);
+        // Chunks 1 and 2 are read with nothing on disk yet; chunk k + 2
+        // finds the checkpoint cut after chunk k.
+        assert_eq!(
+            on_disk_at_read,
+            [None, None, Some(1), Some(2), Some(3), Some(4)]
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint that cannot be written fails the run — at the next
+    /// chunk or at the end of the loop, never not at all.
+    #[test]
+    fn a_checkpoint_write_error_is_never_lost() {
+        let trace = messy_trace(64);
+        let path = write_trace_file(&trace, "ck-error");
+        let file = temp_path("ck-error-file");
+        fs::write(&file, b"a regular file").unwrap();
+        let dir = temp_path("ck-error-dir");
+        let _ = fs::remove_dir_all(&dir);
+        // The checkpoint's own name taken by a directory: the temp file is
+        // written and synced, the rename over it fails.
+        fs::create_dir_all(dir.join(CHECKPOINT_FILE)).unwrap();
+        for (what, ck_dir) in [
+            ("parent is a file", file.join("ck")),
+            ("rename fails", dir.clone()),
+        ] {
+            // Stopped on the first barrier (the only write is the one after
+            // the loop); stopped one chunk later; run to the end of the four
+            // chunks; and with the only barrier after chunk 3, so the only
+            // write is the one after chunk 4's send.
+            for (every_chunks, stop) in [(1, Some(1)), (1, Some(2)), (1, None), (3, None)] {
+                let mut o = stream_opts(2, 16);
+                o.checkpoint = Some(CheckpointOptions {
+                    dir: ck_dir.clone(),
+                    every_chunks,
+                    resume: false,
+                });
+                o.stop_after_chunks = stop;
+                let got = classify_stream_file(&path, &classifier(), &o, &obs::Registry::new());
+                assert!(
+                    matches!(got, Err(StreamError::Io(_))),
+                    "{what}, every {every_chunks}, stop {stop:?}: {:?}",
+                    got.map(|r| r.checkpoints_written)
+                );
+            }
+        }
+        let left: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, [CHECKPOINT_FILE], "failed writes leave no temp file");
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_file(&file);
+        let _ = fs::remove_file(&path);
+    }
+
+    /// A SIGKILL mid-write leaves `checkpoint.ndjson.<pid>.<seq>.tmp`; the
+    /// next run on the directory, resuming or fresh, removes it.
+    #[test]
+    fn a_run_sweeps_the_temp_files_a_killed_one_left() {
+        let trace = messy_trace(96);
+        let path = write_trace_file(&trace, "sweep");
+        let dir = temp_path("sweep-ck");
+        let _ = fs::remove_dir_all(&dir);
+        let mut o = stream_opts(2, 16);
+        o.checkpoint = Some(CheckpointOptions {
+            dir: dir.clone(),
+            every_chunks: 1,
+            resume: false,
+        });
+        o.stop_after_chunks = Some(3);
+        classify_stream_file(&path, &classifier(), &o, &obs::Registry::new()).unwrap();
+        let checkpoint = fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
+
+        let orphan = dir.join(format!("{CHECKPOINT_FILE}.4242.7.tmp"));
+        let decoy = dir.join("notes.tmp");
+        for resume in [true, false] {
+            fs::write(&orphan, &checkpoint[..checkpoint.len() / 2]).unwrap();
+            fs::write(&decoy, b"not ours").unwrap();
+            o.checkpoint.as_mut().unwrap().resume = resume;
+            // Stopped before its first barrier: the sweep is the only thing
+            // this run does to the directory.
+            o.checkpoint.as_mut().unwrap().every_chunks = 64;
+            o.stop_after_chunks = Some(1);
+            classify_stream_file(&path, &classifier(), &o, &obs::Registry::new()).unwrap();
+            assert!(!orphan.exists(), "resume={resume}: orphan survived");
+            assert_eq!(fs::read(&decoy).unwrap(), b"not ours");
+            assert_eq!(fs::read(dir.join(CHECKPOINT_FILE)).unwrap(), checkpoint);
+        }
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_file(&path);
+    }
 
     #[test]
     fn checkpoint_resume_is_byte_identical() {

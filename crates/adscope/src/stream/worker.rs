@@ -4,6 +4,7 @@
 //! has accumulated whenever the router asks.
 
 use super::checkpoint::serialize_user;
+use super::{ck_err, StreamError};
 use crate::classify::PassiveClassifier;
 use crate::content::infer_category_traced;
 use crate::degrade::DegradationReport;
@@ -43,7 +44,11 @@ pub(super) struct Quarantine {
 }
 
 impl Quarantine {
-    pub(super) fn open(path: &Path, truncate_to: u64) -> io::Result<Quarantine> {
+    /// Open the sidecar at `path`, cut back to the `truncate_to` bytes the
+    /// checkpoint being resumed recorded (0 for a fresh run). A file
+    /// shorter than that has lost lines the checkpoint counts — `set_len`
+    /// would pad it with zeros — and is refused.
+    pub(super) fn open(path: &Path, truncate_to: u64) -> Result<Quarantine, StreamError> {
         // Not truncated wholesale: resume truncates to the recorded
         // length via `set_len` below.
         let mut f = OpenOptions::new()
@@ -51,6 +56,13 @@ impl Quarantine {
             .truncate(false)
             .write(true)
             .open(path)?;
+        let on_disk = f.metadata()?.len();
+        if on_disk < truncate_to {
+            return Err(ck_err(format!(
+                "quarantine sidecar {} holds {on_disk} bytes, the checkpoint recorded {truncate_to}",
+                path.display()
+            )));
+        }
         f.set_len(truncate_to)?;
         f.seek(SeekFrom::Start(truncate_to))?;
         Ok(Quarantine {
@@ -134,6 +146,11 @@ pub(super) struct HeldRecord {
 pub(super) struct UserState {
     pub(super) map: RefMap,
     pub(super) held: HashMap<usize, HeldRecord>,
+    /// The checkpoint line the last barrier rendered from `map` and `held`,
+    /// while no record has touched them since: a barrier re-renders only
+    /// the users a record reached. Never set in a run that does not
+    /// checkpoint (no barrier runs).
+    line: Option<Arc<str>>,
 }
 
 impl UserState {
@@ -143,6 +160,7 @@ impl UserState {
             // which the held-record protocol needs.
             map: RefMap::restore(opts, HashMap::new(), HashMap::new(), None, 0, 0, true),
             held: HashMap::new(),
+            line: None,
         }
     }
 }
@@ -296,10 +314,11 @@ pub(super) struct WorkerDelta {
     pub(super) population: Option<PopulationState>,
 }
 
-/// Barrier ack: the delta plus the serialized per-user state lines.
+/// Barrier ack: the delta plus the serialized per-user state lines, shared
+/// with the worker's per-user cache.
 pub(super) struct WorkerAck {
     pub(super) delta: WorkerDelta,
-    pub(super) state_lines: Vec<String>,
+    pub(super) state_lines: Vec<Arc<str>>,
 }
 
 /// End-of-stream result: the residual delta, the user count, and the
@@ -333,7 +352,12 @@ impl<'a> Worker<'a> {
             for h in u.held {
                 held.insert(h.obj.idx, h);
             }
-            users.insert((u.client_ip, u.user_agent), UserState { map: u.map, held });
+            let state = UserState {
+                map: u.map,
+                held,
+                line: None,
+            };
+            users.insert((u.client_ip, u.user_agent), state);
         }
         Worker {
             users,
@@ -362,15 +386,19 @@ impl<'a> Worker<'a> {
     /// Mirrors the materialized passes 1+2 incrementally (see module
     /// docs); the equivalence suite pins the two together.
     fn process_record(&mut self, pos: u64, obj: WebObject) {
-        if let Some(ph) = self.poison_host {
-            assert!(obj.url.host() != ph, "poison host hit: {}", obj.url.host());
-        }
         let refmap_opts = self.core.opts.refmap;
         let key = (obj.client_ip, obj.user_agent.clone());
         let state = self
             .users
             .entry(key)
             .or_insert_with(|| UserState::fresh(refmap_opts));
+        // First, before anything below can unwind (the poison hook stands
+        // for a panic anywhere in here): a record that dies half-way
+        // through must not leave a line rendered before it.
+        state.line = None;
+        if let Some(ph) = self.poison_host {
+            assert!(obj.url.host() != ph, "poison host hit: {}", obj.url.host());
+        }
         let entry = state.map.process(&obj);
         let released = state.map.take_released();
         let (cat, _src) = infer_category_traced(
@@ -434,8 +462,12 @@ impl<'a> Worker<'a> {
 
     fn barrier_ack(&mut self) -> WorkerAck {
         let mut state_lines = Vec::with_capacity(self.users.len());
-        for (key, st) in &self.users {
-            state_lines.push(serialize_user(key, st));
+        for (key, st) in &mut self.users {
+            let line = match st.line.take() {
+                Some(line) => line,
+                None => serialize_user(key, st).into(),
+            };
+            state_lines.push(Arc::clone(st.line.insert(line)));
         }
         WorkerAck {
             delta: self.core.cut(),
@@ -498,10 +530,113 @@ pub(super) fn worker_loop(
 
 #[cfg(test)]
 mod tests {
+    use super::*;
     use crate::stream::classify_stream_file;
     use crate::stream::testutil::*;
     use netsim::json;
     use std::fs;
+
+    fn obj(idx: usize, client: u32, url: &str, location: Option<&str>) -> WebObject {
+        WebObject {
+            idx,
+            ts: idx as f64 * 0.5,
+            client_ip: client,
+            server_ip: 9,
+            url: Url::parse(url).unwrap(),
+            referer: None,
+            content_type: None,
+            bytes: 100,
+            status: if location.is_some() { 302 } else { 200 },
+            location: location.map(|l| Url::parse(l).unwrap()),
+            user_agent: Some(Arc::from("UA")),
+            tcp_handshake_ms: 1.0,
+            http_handshake_ms: 4.0,
+        }
+    }
+
+    /// Three users, each with a page, a held redirect and a pending entry.
+    fn feed_three_users(w: &mut Worker<'_>) {
+        for (i, client) in [1u32, 2, 3, 1, 2, 3].into_iter().enumerate() {
+            let o = match i / 3 {
+                0 => obj(i, client, "http://pub.example/", None),
+                _ => obj(
+                    i,
+                    client,
+                    "http://r.example/go",
+                    Some("http://ads.example/b.gif"),
+                ),
+            };
+            w.handle(i as u64, o);
+        }
+    }
+
+    /// The barrier's line for `client`, found by the key every line opens with.
+    fn line_of(ack: &WorkerAck, client: u32) -> &Arc<str> {
+        let opens = format!("{{\"client_ip\":{client},");
+        let mut hits = ack.state_lines.iter().filter(|l| l.starts_with(&opens));
+        let line = hits.next().expect("one line per user");
+        assert!(hits.next().is_none(), "two lines for client {client}");
+        line
+    }
+
+    /// Every line a barrier acks is what `serialize_user` renders from the
+    /// live state right now, cached or not.
+    fn assert_lines_are_live(w: &Worker<'_>, ack: &WorkerAck) {
+        assert_eq!(ack.state_lines.len(), w.users.len());
+        for (key, st) in &w.users {
+            assert_eq!(**line_of(ack, key.0), *serialize_user(key, st));
+        }
+    }
+
+    #[test]
+    fn a_barrier_renders_only_the_users_a_record_touched() {
+        let (classifier, popts) = (classifier(), stream_opts(1, 16).pipeline);
+        let normalizer = UrlNormalizer::for_classifier(&classifier, popts.normalize);
+        let mut w = Worker::new(&classifier, &normalizer, popts, false, None, None, vec![]);
+        feed_three_users(&mut w);
+
+        // No record between two barriers: every line is the same allocation.
+        let first = w.barrier_ack();
+        let second = w.barrier_ack();
+        assert_lines_are_live(&w, &first);
+        for client in 1..=3 {
+            assert!(line_of(&first, client).contains("\"held\":[{"));
+            assert!(Arc::ptr_eq(
+                line_of(&first, client),
+                line_of(&second, client)
+            ));
+        }
+
+        // One record for one user: exactly that user's line is rendered anew.
+        w.handle(6, obj(6, 2, "http://ads.example/b.gif", None));
+        let third = w.barrier_ack();
+        assert_lines_are_live(&w, &third);
+        for client in 1..=3 {
+            let shared = Arc::ptr_eq(line_of(&second, client), line_of(&third, client));
+            assert_eq!(shared, client != 2, "client {client}");
+        }
+        assert_ne!(line_of(&second, 2), line_of(&third, 2));
+    }
+
+    /// A record that panics inside `process_record` may have got half-way
+    /// through its user's state: the line rendered before it is dropped.
+    #[test]
+    fn a_poisoned_record_invalidates_its_users_line() {
+        let (classifier, popts) = (classifier(), stream_opts(1, 16).pipeline);
+        let normalizer = UrlNormalizer::for_classifier(&classifier, popts.normalize);
+        let poison = Some("track.example");
+        let mut w = Worker::new(&classifier, &normalizer, popts, false, None, poison, vec![]);
+        feed_three_users(&mut w);
+        let before = w.barrier_ack();
+        w.handle(6, obj(6, 3, "http://track.example/pixel/1", None));
+        assert_eq!(w.core.degradation.poisoned_records, 1);
+        let after = w.barrier_ack();
+        assert_lines_are_live(&w, &after);
+        for client in 1..=3 {
+            let shared = Arc::ptr_eq(line_of(&before, client), line_of(&after, client));
+            assert_eq!(shared, client != 3, "client {client}");
+        }
+    }
 
     #[test]
     fn poison_records_are_quarantined_not_fatal() {

@@ -520,3 +520,37 @@ fn out_of_range_values_are_refused_with_their_path() {
         other => panic!("expected a refusal, loaded: {}", other.is_ok()),
     }
 }
+
+/// A sidecar shorter than the manifest's `quarantine_bytes` has lost lines
+/// the report counts. `set_len` used to pad it back with NUL bytes and the
+/// resume went on to a report counting records the sidecar no longer held;
+/// it is refused, naming both lengths.
+#[test]
+fn a_lost_or_short_sidecar_is_refused() {
+    let (manifest, users) = fixture_checkpoint();
+    let sidecar = std::fs::read(fixture_dir().join("quarantine.ndjson")).unwrap();
+    let recorded = sidecar.len();
+    assert!(manifest.contains(&format!("\"quarantine_bytes\":{recorded},")));
+    let checkpoint = format!("{manifest}\n{}\n", users.join("\n"));
+    let short = &sidecar[..recorded - 1];
+    for (what, on_disk) in [("missing", None), ("one byte short", Some(short))] {
+        let dir = temp_dir("sidecar");
+        std::fs::create_dir_all(dir.join("ck")).unwrap();
+        std::fs::write(dir.join("ck").join(CHECKPOINT_FILE), &checkpoint).unwrap();
+        if let Some(bytes) = on_disk {
+            std::fs::write(dir.join("quarantine.ndjson"), bytes).unwrap();
+        }
+        let held = on_disk.map_or(0, <[u8]>::len);
+        match run(&fixture_dir().join("trace.ndjson"), &opts(2, &dir, 1, true)) {
+            Err(StreamError::Checkpoint(msg)) => assert!(
+                msg.contains(&format!("holds {held} bytes"))
+                    && msg.contains(&format!("recorded {recorded}")),
+                "{what}: {msg}"
+            ),
+            other => panic!("{what}: expected a refusal, loaded: {}", other.is_ok()),
+        }
+        let left = std::fs::read(dir.join("quarantine.ndjson")).unwrap();
+        assert!(!left.contains(&0), "{what}: sidecar was zero-filled");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

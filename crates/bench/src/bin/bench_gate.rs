@@ -202,22 +202,6 @@ struct Check {
     ok: bool,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// `config_fnv` / dataset `fnv` lifted from a run manifest, for joining
 /// history rows to the run that produced them.
 #[derive(Default)]
@@ -260,11 +244,9 @@ fn load_manifest_join(path: &str) -> ManifestJoin {
 /// Render the run as one NDJSON history line (parseable by
 /// `netsim::json`, like every other artifact in the workspace).
 fn history_line(stamp: &str, passed: bool, checks: &[Check], join: &ManifestJoin) -> String {
-    let mut line = format!(
-        "{{\"event\":\"bench_gate\",\"stamp\":\"{}\",\"passed\":{},",
-        json_escape(stamp),
-        passed
-    );
+    let mut line = String::from("{\"event\":\"bench_gate\",\"stamp\":");
+    netsim::json::write_str(&mut line, stamp);
+    let _ = write!(line, ",\"passed\":{passed},");
     match join.config_fnv {
         Some(h) => {
             let _ = write!(line, "\"config_fnv\":{h},");
@@ -282,13 +264,18 @@ fn history_line(stamp: &str, passed: bool, checks: &[Check], join: &ManifestJoin
         if i > 0 {
             line.push(',');
         }
+        line.push_str("{\"check\":");
+        netsim::json::write_str(&mut line, &c.name);
         let _ = write!(
             line,
-            "{{\"check\":\"{}\",\"base_ns\":{},\"latest_ns\":{},\"ratio\":{:.4},\"ceiling\":{},\"ok\":{}}}",
-            json_escape(&c.name),
+            ",\"base_ns\":{},\"latest_ns\":{},\"ratio\":{:.4},\"ceiling\":{},\"ok\":{}}}",
             c.base_ns,
             c.latest_ns,
-            if c.base_ns > 0.0 { c.latest_ns / c.base_ns } else { 0.0 },
+            if c.base_ns > 0.0 {
+                c.latest_ns / c.base_ns
+            } else {
+                0.0
+            },
             c.ceiling,
             c.ok
         );

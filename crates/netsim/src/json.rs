@@ -544,23 +544,28 @@ impl<'a> Parser<'a> {
 // Writing
 // ---------------------------------------------------------------------------
 
-/// Append a JSON string literal (with escaping) to `out`.
+/// Append a JSON string literal (with escaping) to `out`: the workspace's
+/// one escaper, [`obs::write_json_str`], under the name this crate's
+/// writers have always called.
 pub fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    obs::write_json_str(out, s);
+}
+
+/// Append `n` in decimal: what `write!(out, "{n}")` appends, without the
+/// formatter (the per-entry integers of a checkpoint line are written
+/// millions of times a run).
+pub fn write_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
-    out.push('"');
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// Append a JSON number for `f`; non-finite values become `null`, matching
@@ -827,6 +832,29 @@ mod tests {
         });
         write_seq(&mut s, std::iter::empty::<u8>(), |out, _| out.push('x'));
         assert_eq!(s, "1,2,3");
+    }
+
+    /// `write_u64` appends exactly what the formatter does, at every digit
+    /// count boundary and over the whole range.
+    #[test]
+    fn write_u64_matches_the_formatter() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let random = std::iter::repeat_with(|| {
+            // SplitMix64, shifted so every digit count from 1 to 20 turns up.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            (z ^ (z >> 27)) >> (state % 64)
+        });
+        let powers = (0..20).map(|p| 10u64.pow(p));
+        let edges = powers.flat_map(|p| [p - 1, p, p + 1]);
+        for n in edges
+            .chain([u64::MAX - 1, u64::MAX])
+            .chain(random.take(4096))
+        {
+            let mut out = "x".to_string();
+            write_u64(&mut out, n);
+            assert_eq!(out, format!("x{n}"));
+        }
     }
 
     #[test]

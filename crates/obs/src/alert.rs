@@ -591,11 +591,15 @@ impl AlertEngine {
             self.firing().len()
         );
         for e in &self.events {
+            let _ = write!(
+                out,
+                "{{\"event\":\"alert\",\"window\":{},\"rule\":",
+                e.window_index
+            );
+            crate::events::write_json_str(&mut out, &self.rules[e.rule].name);
             let _ = writeln!(
                 out,
-                "{{\"event\":\"alert\",\"window\":{},\"rule\":\"{}\",\"kind\":\"{}\",\"severity\":\"{}\",\"value\":{},\"score\":{}}}",
-                e.window_index,
-                escape(&self.rules[e.rule].name),
+                ",\"kind\":\"{}\",\"severity\":\"{}\",\"value\":{},\"score\":{}}}",
                 e.kind.as_str(),
                 self.rules[e.rule].severity.as_str(),
                 fmt_val(e.value),
@@ -617,21 +621,6 @@ fn fmt_val(v: f64) -> String {
         // inputs); a guard keeps a corrupt line impossible.
         "null".into()
     }
-}
-
-/// Minimal JSON string escaping for rule names.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -1,10 +1,11 @@
 //! The structured event log: a bounded in-memory ring of timestamped
 //! events, rendered as NDJSON (one JSON object per line).
 //!
-//! The escaping rules here mirror `netsim::json::write_str` exactly —
-//! `obs` cannot depend on `netsim` (the dependency points the other
-//! way), but everything this sink writes must round-trip through
-//! `netsim::json::parse`, which the integration tests enforce.
+//! [`write_json_str`] is the workspace's one JSON string escaper: `obs`
+//! cannot depend on `netsim` (the dependency points the other way), so it
+//! lives here and `netsim::json::write_str` delegates to it. Everything
+//! this sink writes must round-trip through `netsim::json::parse`, which
+//! the integration tests enforce.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -110,23 +111,31 @@ impl Event {
     }
 }
 
-/// Append a JSON string literal for `s` (same escaping as
-/// `netsim::json::write_str`).
-pub(crate) fn write_json_str(out: &mut String, s: &str) {
+/// Append a JSON string literal for `s`: the workspace's one string
+/// escaper (`netsim::json::write_str` is this function). Escape-free runs
+/// are copied whole; only `"`, `\` and bytes below 0x20 stop the scan. All
+/// three are ASCII, so every cut falls on a character boundary.
+pub fn write_json_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut clean_from = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[clean_from..i]);
+        clean_from = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[clean_from..]);
     out.push('"');
 }
 
@@ -246,6 +255,69 @@ mod tests {
             e.to_json(),
             "{\"ts_ns\":0,\"event\":\"t\",\"msg\":\"a\\\"b\\\\c\\nd\\u0001\"}"
         );
+    }
+
+    /// The writer this crate and `netsim::json` each carried before the
+    /// run-copying one: a `char` at a time. Kept as the oracle.
+    fn write_json_str_charwise(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    fn assert_matches_charwise(s: &str) {
+        let (mut got, mut want) = (String::new(), String::new());
+        write_json_str(&mut got, s);
+        write_json_str_charwise(&mut want, s);
+        assert_eq!(got, want, "input {s:?}");
+    }
+
+    /// Every byte that must stop the scan, and DEL and the characters just
+    /// past 0x7f that must not, alone and with a multi-byte character
+    /// directly before and after.
+    #[test]
+    fn run_copying_writer_matches_charwise_at_every_stop_byte() {
+        let specials = (0u8..0x20).chain([b'"', b'\\', 0x7f]).map(char::from);
+        for c in specials.chain(['\u{80}', '\u{7ff}', '\u{ffff}', '\u{10000}']) {
+            for (before, after) in [("", ""), ("é", "中"), ("🦀", "\u{80}"), ("ab", "cd")] {
+                assert_matches_charwise(&format!("{before}{c}{after}"));
+                assert_matches_charwise(&format!("{before}{c}{c}{after}{c}"));
+            }
+        }
+        assert_matches_charwise("");
+    }
+
+    /// Strings cut from clean runs, stop bytes and multi-byte characters in
+    /// any order.
+    fn mixed_string() -> impl proptest::prelude::Strategy<Value = String> {
+        use proptest::prelude::*;
+        let piece = prop_oneof![
+            "[ -~]{0,12}",
+            (0u8..0x20).prop_map(|b| char::from(b).to_string()),
+            prop_oneof![Just("\""), Just("\\"), Just("\u{7f}")].prop_map(str::to_string),
+            prop_oneof![Just("é"), Just("\u{80}"), Just("中"), Just("🦀")].prop_map(str::to_string),
+        ];
+        proptest::collection::vec(piece, 0..12).prop_map(|pieces| pieces.concat())
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn run_copying_writer_matches_charwise(plain in "\\PC{0,60}", mixed in mixed_string()) {
+            assert_matches_charwise(&plain);
+            assert_matches_charwise(&mixed);
+        }
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! Design constraints, in order:
 //!
 //! 1. **Zero dependencies** — `obs` sits underneath `netsim`, `abp-filter`
-//!    and `adscope`, so it can only use `std`. (Its NDJSON output follows
-//!    the same escaping rules as `netsim::json::write_str`, and the
-//!    integration tests parse it back with that parser.)
+//!    and `adscope`, so it can only use `std`. (Its NDJSON output is
+//!    escaped by [`write_json_str`], which `netsim::json::write_str`
+//!    delegates to, and the integration tests parse it back with
+//!    `netsim::json::parse`.)
 //! 2. **Atomic hot paths** — [`Counter::add`] and [`Histogram::record`]
 //!    are one relaxed atomic RMW each. Registry lookups (hashing, a
 //!    read-write lock) happen only when a handle is acquired; hot loops
@@ -54,11 +55,11 @@ pub use alert::{
     Phase, SeriesSpec, Severity,
 };
 pub use detect::{Detector, DetectorSpec};
-pub use events::{Event, EventLog, FieldValue};
+pub use events::{write_json_str, Event, EventLog, FieldValue};
 pub use health::{spawn_watchdog, Health, HealthSnapshot, Verdict, Watchdog, WorkerHealth};
 pub use manifest::{
-    atomic_write, atomic_write_with, fnv64, fnv64_file, fnv64_lines_unordered, Artifact,
-    DigestMode, RunManifest,
+    atomic_write, atomic_write_with, fnv64, fnv64_file, fnv64_lines_unordered, sweep_temp_files,
+    Artifact, DigestMode, RunManifest,
 };
 pub use metric::{Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS};
 pub use process::{open_fds, peak_rss_bytes, record_peak_rss, record_process, start_time_seconds};

@@ -18,10 +18,9 @@
 //!   tamper-evidence only; replay comparison is skipped (timing-bearing
 //!   artifacts like `metrics.prom`, `events.ndjson`, checkpoints).
 //!
-//! The manifest is rendered as a single deterministic JSON object using
-//! the same escaping rules as `netsim::json::write_str` (this crate is
-//! dependency-free, so the writer lives here; `experiments verify`
-//! parses it back with `netsim::json::parse`) and written atomically —
+//! The manifest is rendered as a single deterministic JSON object
+//! (strings through [`write_json_str`]; `experiments verify` parses it
+//! back with `netsim::json::parse`) and written atomically —
 //! tmp file, then rename — so a crashed run never leaves a torn
 //! manifest next to a complete artifact.
 
@@ -58,7 +57,8 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
 /// rename survives a crash too). The temp name carries the pid and a
 /// process-wide counter, so writers of one path, in one process or in
 /// several, never share a temp file; the last rename wins. The directory
-/// must exist. On an error the temp file is removed.
+/// must exist. On an error the temp file is removed; a writer killed
+/// mid-write leaves it behind, for [`sweep_temp_files`].
 pub fn atomic_write_with(
     path: &Path,
     fill: impl FnOnce(&mut File) -> io::Result<()>,
@@ -96,6 +96,48 @@ pub fn atomic_write_with(
         File::open(dir)?.sync_all()?;
     }
     Ok(())
+}
+
+/// Remove the temp files [`atomic_write_with`] left beside `path` when their
+/// writer was killed mid-write: every sibling named
+/// `<file name>.<pid>.<seq>.tmp`. Returns how many went. Anything else in
+/// the directory, `path` itself included, is left alone, and a directory
+/// that does not exist yet holds nothing to sweep. For the start of a run
+/// that owns `path`: a second live writer of the same path would lose its
+/// temp file to this, and nothing guards against two runs on one directory
+/// (ROADMAP 5(e)).
+pub fn sweep_temp_files(path: &Path) -> io::Result<usize> {
+    let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
+        return Ok(0);
+    };
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    let entries = match std::fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
+        Err(e) => return Err(e),
+    };
+    let is_number = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    let mut removed = 0;
+    for entry in entries {
+        let entry = entry?;
+        let file_name = entry.file_name();
+        let pid_seq = file_name
+            .to_str()
+            .and_then(|f| {
+                f.strip_prefix(name)?
+                    .strip_prefix('.')?
+                    .strip_suffix(".tmp")
+            })
+            .and_then(|middle| middle.split_once('.'));
+        if pid_seq.is_some_and(|(pid, seq)| is_number(pid) && is_number(seq)) {
+            std::fs::remove_file(entry.path())?;
+            removed += 1;
+        }
+    }
+    Ok(removed)
 }
 
 /// FNV-1a 64-bit hash of a file's bytes, streamed in 64 KiB blocks
@@ -282,7 +324,7 @@ impl RunManifest {
     }
 
     /// Render the manifest as one deterministic JSON object (trailing
-    /// newline included). Escaping matches `netsim::json::write_str`.
+    /// newline included).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
         out.push_str("{\"kind\":\"annoyed-users-run\",\"version\":");
@@ -515,6 +557,43 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), b"old\n");
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
         assert!(atomic_write(Path::new("/"), b"x").is_err(), "no file name");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn sweep_removes_orphaned_temp_files_and_nothing_else() {
+        let dir = std::env::temp_dir().join(format!("obs-sweep-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("checkpoint.ndjson");
+        assert_eq!(sweep_temp_files(&path).unwrap(), 0, "no directory yet");
+        std::fs::create_dir_all(&dir).unwrap();
+        atomic_write(&path, b"the real one\n").unwrap();
+        let keep = [
+            "checkpoint.ndjson",
+            "notes.tmp",
+            "checkpoint.ndjson.tmp",
+            "checkpoint.ndjson.bak.1.tmp",
+            "checkpoint.ndjson.7.tmp",
+            "checkpoint.ndjson.7.8.tmp.old",
+            "other.ndjson.7.8.tmp",
+        ];
+        for decoy in &keep[1..] {
+            std::fs::write(dir.join(decoy), b"decoy").unwrap();
+        }
+        std::fs::write(dir.join("checkpoint.ndjson.4242.0.tmp"), b"orphan").unwrap();
+        std::fs::write(dir.join("checkpoint.ndjson.1.17.tmp"), b"orphan").unwrap();
+
+        assert_eq!(sweep_temp_files(&path).unwrap(), 2);
+        let mut left: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        left.sort();
+        let mut want = keep.map(str::to_string).to_vec();
+        want.sort();
+        assert_eq!(left, want);
+        assert_eq!(std::fs::read(&path).unwrap(), b"the real one\n");
+        assert_eq!(sweep_temp_files(&path).unwrap(), 0, "nothing left to sweep");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -163,10 +163,11 @@ impl ClosedWindow {
     pub fn to_json(&self, scope: &str) -> String {
         use std::fmt::Write;
         let mut out = String::with_capacity(128);
+        out.push_str("{\"event\":\"window\",\"scope\":");
+        crate::events::write_json_str(&mut out, scope);
         let _ = write!(
             out,
-            "{{\"event\":\"window\",\"scope\":\"{}\",\"index\":{},\"start_secs\":{},\"width_secs\":{}",
-            escape(scope),
+            ",\"index\":{},\"start_secs\":{},\"width_secs\":{}",
             self.index,
             fmt_f64(self.start_secs),
             fmt_f64(self.width_secs),
@@ -216,22 +217,6 @@ fn fmt_f64(v: f64) -> String {
     } else {
         format!("{v}")
     }
-}
-
-/// Minimal JSON string escaping for scope tags (static idents in
-/// practice, but a corrupt line must never be possible).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The deterministic sequence of closed windows one engine (or a merge
