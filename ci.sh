@@ -13,6 +13,22 @@ cargo test -q
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> experiments CLI grammar gate (one row per subcommand x flag)"
+# By name, so a renamed or deleted test fails here instead of passing
+# vacuously: a missing or malformed value, an unknown flag or id exit 2
+# naming it before a world is generated or a byte written; --help matches
+# the rows; a runtime failure exits 1 without the usage.
+cli_out="$(cargo test -q --test cli_errors -- --exact \
+  a_value_flag_given_last_is_refused \
+  a_malformed_number_is_refused \
+  an_unknown_flag_is_refused \
+  help_prints_exactly_the_flags_the_rows_name \
+  top_level_help_is_assembled_from_every_subcommand \
+  a_bad_id_is_refused_before_the_world_is_generated \
+  cross_flag_requirements_keep_their_messages \
+  a_runtime_failure_exits_1_without_the_usage 2>&1)" || { echo "$cli_out"; exit 1; }
+grep -q 'test result: ok. 8 passed' <<<"$cli_out"
+
 echo "==> golden suites 20x at --test-threads=8 (atomic-write flake gate)"
 # explain_golden and temporal_golden spawn `experiments` side by side;
 # with a shared temp-file name one run in two lost its manifest write.
@@ -351,10 +367,27 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc --no-deps -p netsim -p http-model -p adscope (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p netsim -p http-model -p adscope
 
-echo "==> size ledger (adscope + netsim lines above each file's first #[cfg(test)]; printed, not gated)"
-find crates/adscope/src crates/netsim/src -name '*.rs' | sort | while read -r f; do
-  awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n+0, FILENAME}' "$f"
-done | sort -n | awk '{s+=$1; last=$0} END{print "    total " s "  largest " last}'
+echo "==> DESIGN.md §6 module map (every named path exists, every source file is named)"
+sed -n '/^## 6\. Module map/,/^## 7\./p' DESIGN.md | grep -E '^(crates|src|tests|examples)/' \
+  | while read -r expr; do eval "printf '%s\n' $expr"; done | sort >target/module_map.txt
+test -s target/module_map.txt
+while read -r f; do
+  test -f "$f" || { echo "    DESIGN.md §6 names $f, which does not exist"; exit 1; }
+done <target/module_map.txt
+unnamed="$(find crates/*/src src -name '*.rs' | sort | comm -23 - target/module_map.txt)"
+test -z "$unnamed" || { echo "    DESIGN.md §6 does not name: $unnamed"; exit 1; }
+echo "    $(wc -l <target/module_map.txt) paths named, all present"
+
+echo "==> size ledger (lines above each file's first #[cfg(test)]; printed, not gated)"
+ledger() {
+  find "$@" -name '*.rs' | sort | while read -r f; do
+    awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n+0, FILENAME}' "$f"
+  done | sort -n | awk '{s+=$1; last=$0} END{print "total " s "  largest " last}'
+}
+echo "    adscope + netsim:     $(ledger crates/adscope/src crates/netsim/src)"
+echo "    src/bin/experiments:  $(ledger src/bin/experiments)"
+# One argv cursor (cli.rs): a hand-rolled flag loop must not come back.
+if grep -n 'while i < args.len()' src/bin/experiments/*.rs; then exit 1; fi
 
 echo "==> cargo fmt --check"
 cargo fmt --check

@@ -3,7 +3,7 @@
 use crate::classify::ListKind;
 use crate::pipeline::ClassifiedTrace;
 use http_model::registrable_domain;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Headline whitelist shares (§7.3's opening numbers).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -91,15 +91,15 @@ pub enum EntityKey {
     AdHost,
 }
 
-/// Compute per-entity whitelist benefits. Only requests that match a
-/// blacklist count ("match the blacklist" subset of §7.3); `min_requests`
-/// drops small entities like the paper's 1 K / 10 K thresholds.
+/// Compute per-entity whitelist benefits, best first, ties by name. Only
+/// requests that match a blacklist count ("match the blacklist" subset of
+/// §7.3); `min_requests` drops small entities (the paper's 1 K / 10 K cuts).
 pub fn entity_benefits(
     trace: &ClassifiedTrace,
     key: EntityKey,
     min_requests: u64,
 ) -> Vec<EntityBenefit> {
-    let mut map: HashMap<String, (u64, u64)> = HashMap::new();
+    let mut map: BTreeMap<String, (u64, u64)> = BTreeMap::new();
     for r in &trace.requests {
         // §7.3 scopes the benefit analysis to EasyList and its derivatives.
         if !(r.label.blocked_by(ListKind::EasyList) || r.label.blocked_by(ListKind::Regional)) {
@@ -190,6 +190,17 @@ mod tests {
             ),
         ]);
         classify_trace(&trace, &c, PipelineOptions::default())
+    }
+
+    #[test]
+    fn tied_benefits_are_ordered_by_entity() {
+        let records = (0..40)
+            .map(|i| tx(&format!("ads{i:02}.example"), "/banners/a.gif", None))
+            .collect();
+        let benefits = entity_benefits(&classified(records), EntityKey::AdHost, 1);
+        let names: Vec<&str> = benefits.iter().map(|b| b.entity.as_str()).collect();
+        assert_eq!(names.len(), 40);
+        assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
     }
 
     #[test]

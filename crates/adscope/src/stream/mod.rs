@@ -593,15 +593,7 @@ mod tests {
         let chunks = records
             .chunks(13)
             .enumerate()
-            .map(|(i, batch)| StreamChunk {
-                seq: i as u64,
-                records: batch.to_vec(),
-                stats: CodecStats {
-                    records_read: batch.len(),
-                    ..CodecStats::default()
-                },
-                end_offset: 0,
-            });
+            .map(|(i, batch)| StreamChunk::in_memory(i as u64, batch.to_vec()));
         let mut o = stream_opts(4, 13);
         let reg = obs::Registry::new();
         let rep = classify_stream_chunks(chunks, meta, &classifier(), &o, &reg).unwrap();

@@ -52,6 +52,18 @@ impl DriveConfig {
             seed: 0x0b52,
         }
     }
+
+    /// The metadata of the trace this configuration captures from
+    /// `households` subscribers.
+    pub fn meta(&self, households: usize) -> TraceMeta {
+        TraceMeta {
+            name: self.name.clone(),
+            duration_secs: self.duration_secs,
+            subscribers: households,
+            start_hour: self.start_hour,
+            start_weekday: self.start_weekday,
+        }
+    }
 }
 
 /// Ground-truth tallies accumulated while driving (per browser).
@@ -136,14 +148,7 @@ pub fn drive_stream<F: FnMut(Vec<TraceRecord>)>(
     let mut visits_total = 0u64;
     let mut bursts_total = 0u64;
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let meta = TraceMeta {
-        name: config.name.clone(),
-        duration_secs: config.duration_secs,
-        subscribers: population.households,
-        start_hour: config.start_hour,
-        start_weekday: config.start_weekday,
-    };
-    let mut capture = Capture::new(meta, config.seed ^ 0xA0A0);
+    let mut capture = Capture::new(config.meta(population.households), config.seed ^ 0xA0A0);
     let mut ground_truth = vec![BrowserGroundTruth::default(); population.browsers.len()];
     let mut was_active = vec![false; population.browsers.len()];
 

@@ -35,6 +35,21 @@ pub struct StreamChunk {
     pub end_offset: u64,
 }
 
+impl StreamChunk {
+    /// Records that never were bytes: all read, none skipped, no resume offset.
+    pub fn in_memory(seq: u64, records: Vec<TraceRecord>) -> StreamChunk {
+        StreamChunk {
+            seq,
+            stats: CodecStats {
+                records_read: records.len(),
+                ..CodecStats::default()
+            },
+            end_offset: 0,
+            records,
+        }
+    }
+}
+
 /// A loss-tolerant chunked trace reader with byte-offset accounting.
 ///
 /// Same decode policy as [`crate::codec::TraceReader`] — corrupt lines are

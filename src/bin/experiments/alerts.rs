@@ -1,12 +1,6 @@
 //! `experiments alerts` — the filter-list-lag drill: drive the built-in
 //! alert rule pack over a trace with an injected change point.
 //!
-//! ```text
-//! experiments alerts [--scale small|medium|large] [--seed N] [--threads N]
-//!                    [--chunk-records N] [--delist N] [--out PATH]
-//!                    [--ndjson PATH] [--manifest PATH] [--check]
-//! ```
-//!
 //! The scenario stitches two captures into one trace:
 //!
 //! 1. **Pre** — the plain RBN-1 world: the subscription's filter lists
@@ -30,15 +24,16 @@
 //! the rendered timeline is byte-identical across thread counts and
 //! chunk sizes.
 
-use crate::world::Scale;
-use adscope::stream::classify_stream_chunks;
-use adscope::{PassiveClassifier, StreamOptions};
-use annoyed_users::prelude::*;
-use browsersim::drive::drive_stream;
-use netsim::codec::CodecStats;
-use netsim::record::{Trace, TraceMeta, TraceRecord};
-use netsim::stream::StreamChunk;
+use crate::cli::{die, Args};
+use crate::manifest;
+use crate::world::{Rbn, Scale, World};
+use adscope::StreamOptions;
+use netsim::record::{Trace, TraceRecord};
 use std::path::PathBuf;
+
+pub const USAGE: &str = "experiments alerts [--scale small|medium|large] [--seed N] [--threads N]
+           [--chunk-records N] [--delist N] [--out PATH] [--ndjson PATH]
+           [--manifest PATH] [--check]";
 
 /// Entry point for the `alerts` subcommand. Exits the process.
 pub fn run(args: &[String]) -> ! {
@@ -50,108 +45,40 @@ pub fn run(args: &[String]) -> ! {
     let mut manifest_path: Option<PathBuf> = None;
     let mut check = false;
     let mut opts = StreamOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                scale = args
-                    .get(i)
-                    .and_then(|s| Scale::parse(s))
-                    .unwrap_or_else(|| fail("bad --scale value"));
-            }
-            "--seed" => {
-                i += 1;
-                seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| fail("bad --seed value"));
-            }
-            "--threads" => {
-                i += 1;
-                opts.threads = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| fail("bad --threads value"));
-            }
-            "--chunk-records" => {
-                i += 1;
-                opts.chunk_records = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| fail("bad --chunk-records value"));
-            }
-            "--delist" => {
-                i += 1;
-                delist = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| fail("bad --delist value"));
-            }
-            "--out" => {
-                i += 1;
-                let p = args.get(i).unwrap_or_else(|| fail("missing --out path"));
-                out_path = Some(PathBuf::from(p));
-            }
-            "--ndjson" => {
-                i += 1;
-                let p = args.get(i).unwrap_or_else(|| fail("missing --ndjson path"));
-                ndjson_path = Some(PathBuf::from(p));
-            }
-            "--manifest" => {
-                i += 1;
-                let p = args
-                    .get(i)
-                    .unwrap_or_else(|| fail("missing --manifest path"));
-                manifest_path = Some(PathBuf::from(p));
-            }
+    let mut a = Args::new("alerts", USAGE, args);
+    while let Some(flag) = a.next() {
+        match flag {
+            "--scale" => scale = a.parsed(flag),
+            "--seed" => seed = a.parsed(flag),
+            "--threads" => opts.threads = a.bounded(flag, 1..),
+            "--chunk-records" => opts.chunk_records = a.bounded(flag, 1..),
+            "--delist" => delist = a.bounded(flag, 1..),
+            "--out" => out_path = Some(a.path(flag)),
+            "--ndjson" => ndjson_path = Some(a.path(flag)),
+            "--manifest" => manifest_path = Some(a.path(flag)),
             "--check" => check = true,
-            other => fail(&format!("unknown alerts argument {other:?}")),
+            other => a.unknown(other),
         }
-        i += 1;
     }
 
-    // The base ecosystem and its lists — the subscription the classifier
+    // The base world and its lists — the subscription the classifier
     // keeps through the whole run (that is the point of the drill).
-    let (publishers, ad_companies, trackers, .., rbn1_households, rbn1_days) = scale.knobs();
-    let eco = Ecosystem::generate(EcosystemConfig {
-        publishers,
-        ad_companies,
-        trackers,
-        seed,
-        ..Default::default()
-    });
-    let classifier = PassiveClassifier::new(vec![
-        eco.lists.easylist(),
-        eco.lists.regional(),
-        eco.lists.easyprivacy(),
-        eco.lists.acceptable(),
-    ]);
-    opts.abp_ips = eco.abp_ips.clone();
+    let world = World::new(scale, seed, opts.threads);
+    opts.abp_ips = world.eco.abp_ips.clone();
     opts.alerts = adscope::alerts::rule_pack();
-    let registry = obs::global();
 
-    let mut m = crate::manifest::stamp("alerts");
-    m.config("scale", scale.as_str());
-    m.config("seed", seed);
+    let mut m = manifest::stamp_world("alerts", &world);
     m.config("chunk_records", opts.chunk_records);
-    m.config("threads", opts.threads);
     m.config("delist", delist);
     m.config(
         "rules_fnv",
         format!("{:016x}", obs::rules_fnv(&opts.alerts)),
     );
-    m.filter_fnv = Some(crate::manifest::filter_fnv(&eco));
-    registry
-        .health()
-        .set_header(format!("alerts config_fnv={:016x}", m.config_fnv()));
+    manifest::publish_header(&m);
 
     // The evolved world: the heaviest listed ad networks rotate onto
     // sibling domains the stale rules miss.
-    let (evolved, rotated) = eco.evolve_list_lag(delist);
+    let (evolved, rotated) = world.eco.evolve_list_lag(delist);
     eprintln!(
         "[alerts] list lag injected: {} network(s) rotated off the stale rules",
         rotated.len()
@@ -160,71 +87,41 @@ pub fn run(args: &[String]) -> ! {
     // Pre capture on the base world, post capture on the evolved one,
     // post timestamps shifted by the pre duration: one trace whose
     // change point sits at a known window boundary.
-    let config = DriveConfig::rbn1(rbn1_days);
-    let cut_secs = config.duration_secs;
-    let mut records = drive_world(&eco, &config, rbn1_households, "pre");
-    let mut post = drive_world(&evolved, &config, rbn1_households, "post");
+    let mut trace = world.generate(&world.eco, Rbn::One).0.trace;
+    let mut post = world.generate(&evolved, Rbn::One).0.trace.records;
+    let cut_secs = trace.meta.duration_secs;
     for r in &mut post {
         match r {
             TraceRecord::Http(t) => t.ts += cut_secs,
             TraceRecord::Https(c) => c.ts += cut_secs,
         }
     }
-    records.extend(post);
-    let meta = TraceMeta {
-        name: "RBN-LAG".to_string(),
-        duration_secs: cut_secs * 2.0,
-        subscribers: rbn1_households,
-        start_hour: config.start_hour,
-        start_weekday: config.start_weekday,
-    };
-    let trace = Trace {
-        meta: meta.clone(),
-        records,
-    };
+    trace.records.extend(post);
+    trace.meta.name = "RBN-LAG".to_string();
+    trace.meta.duration_secs = cut_secs * 2.0;
     let cut_window = (cut_secs / opts.pipeline.window.width_secs) as i64;
     eprintln!(
         "[alerts] {} records, cut-over at window {cut_window}",
         trace.records.len()
     );
 
-    let report = run_stream(&trace, &classifier, &opts, registry);
-    if std::env::var_os("ALERTS_DEBUG").is_some() {
-        for w in &report.windows.windows {
-            let req = w.counter("requests") as f64;
-            eprintln!(
-                "[alerts] w{} req={} ads={:.3} bel={:.3} bep={:.3}",
-                w.index,
-                req,
-                w.counter("ads") as f64 / req.max(1.0),
-                w.counter("blocked_easylist") as f64 / req.max(1.0),
-                w.counter("blocked_easyprivacy") as f64 / req.max(1.0),
-            );
-        }
-    }
+    let report = world.stream_trace(&trace, &opts);
     let engine = report.alerts.as_ref().expect("rule pack was enabled");
     let text = engine.render_text();
     let ndjson = engine.render_ndjson();
     println!("{text}");
 
     if check {
-        run_check(&trace, &classifier, &opts, cut_window, &text, &ndjson);
+        run_check(&world, &trace, &opts, engine, cut_window);
     }
 
     // Artifacts + manifest (lines digest mode; `experiments verify`
     // replays the argv below and re-checks both).
-    let dir = crate::manifest::out_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        fail(&format!("cannot create {}: {e}", dir.display()));
-    }
+    let dir = manifest::out_dir();
     let out_path = out_path.unwrap_or_else(|| dir.join("alerts.txt"));
     let ndjson_path = ndjson_path.unwrap_or_else(|| dir.join("alerts.ndjson"));
-    if let Err(e) = std::fs::write(&out_path, &text) {
-        fail(&format!("cannot write {}: {e}", out_path.display()));
-    }
-    if let Err(e) = std::fs::write(&ndjson_path, &ndjson) {
-        fail(&format!("cannot write {}: {e}", ndjson_path.display()));
-    }
+    manifest::write_artifact(&out_path, &text);
+    manifest::write_artifact(&ndjson_path, &ndjson);
     eprintln!(
         "[alerts] timeline written to {} (+ {})",
         out_path.display(),
@@ -245,84 +142,28 @@ pub fn run(args: &[String]) -> ! {
         "--ndjson".into(),
         ndjson_path.display().to_string(),
     ];
-    let mut stamp_artifact = |name: &str, path: &std::path::Path| {
-        if let Err(e) = m.add_artifact(name, path, obs::DigestMode::Lines) {
-            fail(&format!("cannot digest {}: {e}", path.display()));
-        }
-    };
-    stamp_artifact("alerts.txt", &out_path);
-    stamp_artifact("alerts.ndjson", &ndjson_path);
-    let manifest_out = manifest_path.unwrap_or_else(|| dir.join("alerts.manifest.json"));
-    crate::manifest::write(m, &manifest_out);
+    manifest::add_artifact(&mut m, "alerts.txt", &out_path, obs::DigestMode::Lines);
+    manifest::add_artifact(
+        &mut m,
+        "alerts.ndjson",
+        &ndjson_path,
+        obs::DigestMode::Lines,
+    );
+    manifest::write(m, manifest_path);
     std::process::exit(0);
-}
-
-/// Drive one capture and return its records (materialized — the two
-/// halves are stitched and re-chunked before streaming).
-fn drive_world(
-    eco: &Ecosystem,
-    config: &DriveConfig,
-    households: usize,
-    label: &str,
-) -> Vec<TraceRecord> {
-    let mut pop = Population::generate(
-        eco,
-        &PopulationConfig {
-            households,
-            seed: 0xB51,
-            ..Default::default()
-        },
-    );
-    let mut records = Vec::new();
-    drive_stream(
-        eco,
-        &mut pop,
-        &ActivityProfile::default(),
-        config,
-        |batch| records.extend(batch),
-    );
-    eprintln!("[alerts] {label} capture: {} records", records.len());
-    records
-}
-
-/// Chunk the stitched trace and stream-classify it with the rule pack.
-fn run_stream(
-    trace: &Trace,
-    classifier: &PassiveClassifier,
-    opts: &StreamOptions,
-    registry: &'static obs::Registry,
-) -> adscope::StreamReport {
-    let chunks = trace
-        .records
-        .chunks(opts.chunk_records)
-        .enumerate()
-        .map(|(seq, records)| StreamChunk {
-            seq: seq as u64,
-            stats: CodecStats {
-                records_read: records.len(),
-                ..CodecStats::default()
-            },
-            end_offset: 0,
-            records: records.to_vec(),
-        });
-    classify_stream_chunks(chunks, trace.meta.clone(), classifier, opts, registry)
-        .unwrap_or_else(|e| fail(&format!("stream failed: {e}")))
 }
 
 /// The `--check` gate: the page rule is quiet pre-cut, goes pending at
 /// the change point and fires, and the timeline is byte-identical
 /// across thread counts and chunk sizes.
 fn run_check(
+    world: &World,
     trace: &Trace,
-    classifier: &PassiveClassifier,
     opts: &StreamOptions,
+    engine: &obs::AlertEngine,
     cut_window: i64,
-    text: &str,
-    ndjson: &str,
 ) {
-    let registry = obs::global();
-    let report = run_stream(trace, classifier, opts, registry);
-    let engine = report.alerts.as_ref().expect("rule pack was enabled");
+    let (text, ndjson) = (engine.render_text(), engine.render_ndjson());
     let rule = engine
         .rules()
         .iter()
@@ -330,11 +171,10 @@ fn run_check(
         .expect("pack names blocked_share_drop");
     let events: Vec<_> = engine.events().iter().filter(|e| e.rule == rule).collect();
     if events.iter().any(|e| e.window_index < cut_window) {
-        eprintln!(
-            "error: check failed: blocked_share_drop event before the cut-over \
+        die(format!(
+            "check failed: blocked_share_drop event before the cut-over \
              (window {cut_window}):\n{text}"
-        );
-        std::process::exit(1);
+        ));
     }
     let pending = events
         .iter()
@@ -345,21 +185,22 @@ fn run_check(
     match pending {
         Some(e) if e.window_index <= cut_window + 3 => {}
         Some(e) => {
-            eprintln!(
-                "error: check failed: blocked_share_drop went pending at window {} \
+            die(format!(
+                "check failed: blocked_share_drop went pending at window {} \
                  but the cut-over was window {cut_window}:\n{text}",
                 e.window_index
-            );
-            std::process::exit(1);
+            ));
         }
         None => {
-            eprintln!("error: check failed: blocked_share_drop never went pending:\n{text}");
-            std::process::exit(1);
+            die(format!(
+                "check failed: blocked_share_drop never went pending:\n{text}"
+            ));
         }
     }
     if !events.iter().any(|e| e.kind == obs::AlertEventKind::Firing) {
-        eprintln!("error: check failed: blocked_share_drop never fired:\n{text}");
-        std::process::exit(1);
+        die(format!(
+            "check failed: blocked_share_drop never fired:\n{text}"
+        ));
     }
     eprintln!(
         "[alerts] check: blocked_share_drop pending at window {}, fired — pre-period quiet",
@@ -376,25 +217,14 @@ fn run_check(
             alerts: opts.alerts.clone(),
             ..StreamOptions::default()
         };
-        let rep = run_stream(trace, classifier, &sweep, registry);
+        let rep = world.stream_trace(trace, &sweep);
         let eng = rep.alerts.as_ref().expect("rule pack was enabled");
         if eng.render_text() != text || eng.render_ndjson() != ndjson {
-            eprintln!(
-                "error: check failed: timeline differs at threads={threads} \
+            die(format!(
+                "check failed: timeline differs at threads={threads} \
                  chunk_records={chunk_records}"
-            );
-            std::process::exit(1);
+            ));
         }
     }
     eprintln!("[alerts] check: timeline byte-identical across threads x chunk sizes");
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!(
-        "usage: experiments alerts [--scale small|medium|large] [--seed N] [--threads N]\n\
-         \x20      [--chunk-records N] [--delist N] [--out PATH] [--ndjson PATH]\n\
-         \x20      [--manifest PATH] [--check]"
-    );
-    std::process::exit(2);
 }

@@ -1186,15 +1186,11 @@ fn metrics(world: &mut World) -> String {
     let samples =
         obs::validate_exposition(&prom).expect("Prometheus exposition must be well-formed");
     let ndjson = registry.events_ndjson();
-    let mut events = 0usize;
-    for line in ndjson.lines() {
-        netsim::json::parse(line).expect("every NDJSON event line must parse as JSON");
-        events += 1;
-    }
+    let events =
+        crate::manifest::check_ndjson(&ndjson).expect("every NDJSON event line must parse as JSON");
     let dir = crate::manifest::out_dir();
-    std::fs::create_dir_all(&dir).expect("create the experiments output dir");
-    std::fs::write(dir.join("metrics.prom"), &prom).expect("write metrics.prom");
-    std::fs::write(dir.join("events.ndjson"), &ndjson).expect("write events.ndjson");
+    crate::manifest::write_artifact(&dir.join("metrics.prom"), &prom);
+    crate::manifest::write_artifact(&dir.join("events.ndjson"), &ndjson);
 
     format!(
         "## Metrics — per-stage observability exposition\n\

@@ -1,10 +1,6 @@
 //! `experiments explain` — print the verdict-provenance decision tree
 //! for one URL.
 //!
-//! ```text
-//! experiments explain --url <u> [--trace <file>]
-//! ```
-//!
 //! Without `--trace`, the URL is classified inside a small synthesized
 //! two-record capture (a page root on `pub.example` plus the target
 //! request referred by it) against a fixture rule set that includes a
@@ -22,6 +18,8 @@
 //! Everything printed is deterministic (derived trace/span ids, no
 //! wall-clock), which is what lets the golden test compare bytes.
 
+use crate::cli::{die, Args};
+use crate::manifest;
 use abp_filter::FilterList;
 use adscope::pipeline::classify_trace_in;
 use adscope::provenance::TraceOptions;
@@ -30,50 +28,31 @@ use http_model::headers::{RequestHeaders, ResponseHeaders};
 use http_model::transaction::{HttpTransaction, Method};
 use http_model::Url;
 use netsim::record::{Trace, TraceMeta, TraceRecord};
-use std::io::Write;
+use std::path::PathBuf;
+
+pub const USAGE: &str = "experiments explain --url <u> [--trace <file>]";
 
 /// Entry point for the `explain` subcommand. Exits the process.
 pub fn run(args: &[String]) -> ! {
-    let mut url_arg: Option<String> = None;
-    let mut trace_arg: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--url" => {
-                i += 1;
-                url_arg = args.get(i).cloned();
-            }
-            "--trace" => {
-                i += 1;
-                trace_arg = args.get(i).cloned();
-            }
-            other => fail(&format!("unknown explain argument {other:?}")),
+    let mut url_arg: Option<&str> = None;
+    let mut trace_arg: Option<PathBuf> = None;
+    let mut a = Args::new("explain", USAGE, args);
+    while let Some(flag) = a.next() {
+        match flag {
+            "--url" => url_arg = Some(a.value(flag)),
+            "--trace" => trace_arg = Some(a.path(flag)),
+            other => a.unknown(other),
         }
-        i += 1;
     }
     let Some(raw_url) = url_arg else {
-        fail("explain requires --url <u>");
+        a.usage_error("explain requires --url <u>");
     };
-    let Ok(url) = Url::parse(&raw_url) else {
-        fail(&format!("cannot parse URL {raw_url:?}"));
+    let Ok(url) = Url::parse(raw_url) else {
+        a.usage_error(&format!("bad --url value: cannot parse URL {raw_url:?}"));
     };
 
     let trace = match &trace_arg {
-        Some(path) => {
-            let bytes = match std::fs::read(path) {
-                Ok(b) => b,
-                Err(e) => fail(&format!("cannot read trace {path:?}: {e}")),
-            };
-            let (trace, stats) = netsim::codec::read_trace_lossy(bytes.as_slice())
-                .unwrap_or_else(|e| fail(&format!("cannot decode trace {path:?}: {e}")));
-            if stats.total_skipped() > 0 {
-                eprintln!(
-                    "[explain] lossy read skipped {} line(s) of {path}",
-                    stats.total_skipped()
-                );
-            }
-            trace
-        }
+        Some(path) => crate::world::read_trace_file("explain", path),
         None => synthesized_trace(&url),
     };
 
@@ -92,7 +71,7 @@ pub fn run(args: &[String]) -> ! {
     // form (provenance keeps both raw and normalized).
     let raw = url.as_string();
     let Some(vp) = out.provenance.iter().find(|vp| vp.url == raw) else {
-        fail(&format!(
+        die(format!(
             "URL {raw:?} not found among the trace's {} records",
             out.requests.len()
         ));
@@ -101,44 +80,31 @@ pub fn run(args: &[String]) -> ! {
 
     // Export the full provenance NDJSON and prove it parses.
     let ndjson = registry.traces_ndjson();
-    let dir = crate::manifest::out_dir();
-    let path = dir.join("explain_trace.ndjson");
-    if let Err(e) = std::fs::create_dir_all(&dir).and_then(|()| {
-        std::fs::File::create(&path).and_then(|mut f| f.write_all(ndjson.as_bytes()))
-    }) {
-        fail(&format!("cannot write {}: {e}", path.display()));
-    }
-    let mut parsed = 0usize;
-    for (lineno, line) in ndjson.lines().enumerate() {
-        if let Err(e) = netsim::json::parse(line) {
-            fail(&format!(
-                "invalid NDJSON at {}:{}: {e}",
-                path.display(),
-                lineno + 1
-            ));
-        }
-        parsed += 1;
-    }
+    let path = manifest::out_dir().join("explain_trace.ndjson");
+    manifest::write_artifact(&path, &ndjson);
+    let parsed = manifest::check_ndjson(&ndjson)
+        .unwrap_or_else(|e| die(format!("invalid NDJSON in {}: {e}", path.display())));
     println!("trace: VALID ({parsed} records) -> {}", path.display());
 
     // Manifest: the provenance NDJSON is fully deterministic (derived
     // ids, no wall clock), so it replays byte-exactly. Stdout is
     // golden-pinned; the stamp goes to files and stderr only.
-    let mut m = crate::manifest::stamp("explain");
+    let mut m = manifest::stamp("explain");
     m.config("url", &raw);
     let mut replay = vec!["explain".to_string(), "--url".into(), raw.clone()];
     if let Some(p) = &trace_arg {
-        m.config("trace", p);
-        if let Err(e) = m.set_dataset(std::path::Path::new(p)) {
-            fail(&format!("cannot hash dataset {p:?}: {e}"));
-        }
-        replay.extend(["--trace".into(), p.clone()]);
+        m.config("trace", p.display());
+        manifest::set_dataset(&mut m, p);
+        replay.extend(["--trace".into(), p.display().to_string()]);
     }
     m.replay = replay;
-    if let Err(e) = m.add_artifact("explain_trace.ndjson", &path, obs::DigestMode::Exact) {
-        fail(&format!("cannot digest {}: {e}", path.display()));
-    }
-    crate::manifest::write(m, &dir.join("explain.manifest.json"));
+    manifest::add_artifact(
+        &mut m,
+        "explain_trace.ndjson",
+        &path,
+        obs::DigestMode::Exact,
+    );
+    manifest::write(m, None);
     std::process::exit(0);
 }
 
@@ -216,10 +182,4 @@ fn synthesized_trace(url: &Url) -> Trace {
             }),
         ],
     }
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!("usage: experiments explain --url <u> [--trace <file>]");
-    std::process::exit(2);
 }

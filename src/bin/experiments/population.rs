@@ -1,12 +1,6 @@
 //! `experiments population` — streaming population analytics over an
 //! RBN-1-scale run.
 //!
-//! ```text
-//! experiments population [--scale small|medium|large] [--seed N] [--threads N]
-//!                        [--chunk-records N] [--out PATH] [--ndjson PATH]
-//!                        [--manifest PATH] [--exact-check]
-//! ```
-//!
 //! Generates the RBN-1 trace, stream-classifies it with population
 //! sketches enabled (the trace is chunked through the same scatter-merge
 //! dataflow `experiments stream` uses), and renders the paper-style
@@ -28,16 +22,18 @@
 //! run manifest in unordered-lines digest mode with a replay argv, so
 //! `experiments verify --manifest` covers them like every other run.
 
-use crate::world::Scale;
+use crate::cli::{die, Args};
+use crate::manifest;
+use crate::world::{Rbn, Scale, World};
 use adscope::population::{finish_trace, PopulationReport};
-use adscope::stream::classify_stream_chunks;
 use adscope::{PassiveClassifier, PipelineOptions, StreamOptions};
-use annoyed_users::prelude::*;
-use browsersim::drive::drive_stream;
-use netsim::codec::CodecStats;
-use netsim::record::{Trace, TraceMeta};
-use netsim::stream::StreamChunk;
+use netsim::record::Trace;
 use std::path::PathBuf;
+
+pub const USAGE: &str =
+    "experiments population [--scale small|medium|large] [--seed N] [--threads N]
+           [--chunk-records N] [--out PATH] [--ndjson PATH] [--manifest PATH]
+           [--exact-check]";
 
 /// Entry point for the `population` subcommand. Exits the process.
 pub fn run(args: &[String]) -> ! {
@@ -49,168 +45,53 @@ pub fn run(args: &[String]) -> ! {
     let mut exact_check = false;
     let mut opts = StreamOptions::default();
     opts.pipeline.population.enabled = true;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                scale = args
-                    .get(i)
-                    .and_then(|s| Scale::parse(s))
-                    .unwrap_or_else(|| fail("bad --scale value"));
-            }
-            "--seed" => {
-                i += 1;
-                seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| fail("bad --seed value"));
-            }
-            "--threads" => {
-                i += 1;
-                opts.threads = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| fail("bad --threads value"));
-            }
-            "--chunk-records" => {
-                i += 1;
-                opts.chunk_records = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| fail("bad --chunk-records value"));
-            }
-            "--out" => {
-                i += 1;
-                let p = args.get(i).unwrap_or_else(|| fail("missing --out path"));
-                out_path = Some(PathBuf::from(p));
-            }
-            "--ndjson" => {
-                i += 1;
-                let p = args.get(i).unwrap_or_else(|| fail("missing --ndjson path"));
-                ndjson_path = Some(PathBuf::from(p));
-            }
-            "--manifest" => {
-                i += 1;
-                let p = args
-                    .get(i)
-                    .unwrap_or_else(|| fail("missing --manifest path"));
-                manifest_path = Some(PathBuf::from(p));
-            }
+    let mut a = Args::new("population", USAGE, args);
+    while let Some(flag) = a.next() {
+        match flag {
+            "--scale" => scale = a.parsed(flag),
+            "--seed" => seed = a.parsed(flag),
+            "--threads" => opts.threads = a.bounded(flag, 1..),
+            "--chunk-records" => opts.chunk_records = a.bounded(flag, 1..),
+            "--out" => out_path = Some(a.path(flag)),
+            "--ndjson" => ndjson_path = Some(a.path(flag)),
+            "--manifest" => manifest_path = Some(a.path(flag)),
             "--exact-check" => exact_check = true,
-            other => fail(&format!("unknown population argument {other:?}")),
+            other => a.unknown(other),
         }
-        i += 1;
     }
 
-    // Same ecosystem derivation as `experiments stream`: scale + seed
-    // reproduce the filter lists, the ABP download hosts, and the trace.
-    let (publishers, ad_companies, trackers, .., rbn1_households, rbn1_days) = scale.knobs();
-    let eco = Ecosystem::generate(EcosystemConfig {
-        publishers,
-        ad_companies,
-        trackers,
-        seed,
-        ..Default::default()
-    });
-    let classifier = PassiveClassifier::new(vec![
-        eco.lists.easylist(),
-        eco.lists.regional(),
-        eco.lists.easyprivacy(),
-        eco.lists.acceptable(),
-    ]);
-    opts.abp_ips = eco.abp_ips.clone();
-    let registry = obs::global();
+    // Same world as `experiments stream`: scale + seed reproduce the
+    // filter lists, the ABP download hosts, and the trace.
+    let world = World::new(scale, seed, opts.threads);
+    opts.abp_ips = world.eco.abp_ips.clone();
 
-    let mut m = crate::manifest::stamp("population");
-    m.config("scale", scale.as_str());
-    m.config("seed", seed);
+    let mut m = manifest::stamp_world("population", &world);
     m.config("chunk_records", opts.chunk_records);
-    m.config("threads", opts.threads);
-    m.filter_fnv = Some(crate::manifest::filter_fnv(&eco));
-    registry
-        .health()
-        .set_header(format!("population config_fnv={:016x}", m.config_fnv()));
+    manifest::publish_header(&m);
 
     // Generate RBN-1 once, materialized, so the streamed run and the
     // exact-check both consume the identical records.
-    let config = DriveConfig::rbn1(rbn1_days);
-    let mut pop = Population::generate(
-        &eco,
-        &PopulationConfig {
-            households: rbn1_households,
-            seed: 0xB51,
-            ..Default::default()
-        },
-    );
-    eprintln!(
-        "[population] generating {} ({} households)",
-        config.name, rbn1_households
-    );
-    let meta = TraceMeta {
-        name: config.name.clone(),
-        duration_secs: config.duration_secs,
-        subscribers: rbn1_households,
-        start_hour: config.start_hour,
-        start_weekday: config.start_weekday,
-    };
-    let mut records = Vec::new();
-    drive_stream(
-        &eco,
-        &mut pop,
-        &ActivityProfile::default(),
-        &config,
-        |batch| records.extend(batch),
-    );
-    eprintln!("[population] {} records generated", records.len());
-    let trace = Trace {
-        meta: meta.clone(),
-        records,
-    };
+    let trace = world.generate(&world.eco, Rbn::One).0.trace;
 
     // Streamed run: the trace chunked through the scatter-merge dataflow
     // (the same router + shard workers as `experiments stream`).
-    let chunk_records = opts.chunk_records;
-    let chunks = trace
-        .records
-        .chunks(chunk_records)
-        .enumerate()
-        .map(|(seq, records)| StreamChunk {
-            seq: seq as u64,
-            stats: CodecStats {
-                records_read: records.len(),
-                ..CodecStats::default()
-            },
-            end_offset: 0,
-            records: records.to_vec(),
-        });
-    let report = classify_stream_chunks(chunks, meta, &classifier, &opts, registry)
-        .unwrap_or_else(|e| fail(&format!("stream failed: {e}")));
+    let report = world.stream_trace(&trace, &opts);
     let streamed = report.population.expect("population sketches were enabled");
     let text = streamed.render();
     let ndjson = streamed.render_ndjson();
     println!("{text}");
 
     if exact_check {
-        run_exact_check(&trace, &classifier, &opts, &eco.abp_ips, &streamed, &text);
+        run_exact_check(&trace, &world.classifier, &opts, &streamed, &text);
     }
 
     // Artifacts + manifest (lines digest mode; `experiments verify`
     // replays the argv below and re-checks both).
-    let dir = crate::manifest::out_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        fail(&format!("cannot create {}: {e}", dir.display()));
-    }
+    let dir = manifest::out_dir();
     let out_path = out_path.unwrap_or_else(|| dir.join("population.txt"));
     let ndjson_path = ndjson_path.unwrap_or_else(|| dir.join("population.ndjson"));
-    if let Err(e) = std::fs::write(&out_path, &text) {
-        fail(&format!("cannot write {}: {e}", out_path.display()));
-    }
-    if let Err(e) = std::fs::write(&ndjson_path, &ndjson) {
-        fail(&format!("cannot write {}: {e}", ndjson_path.display()));
-    }
+    manifest::write_artifact(&out_path, &text);
+    manifest::write_artifact(&ndjson_path, &ndjson);
     eprintln!(
         "[population] report written to {} (+ {})",
         out_path.display(),
@@ -223,21 +104,20 @@ pub fn run(args: &[String]) -> ! {
         "--seed".into(),
         seed.to_string(),
         "--chunk-records".into(),
-        chunk_records.to_string(),
+        opts.chunk_records.to_string(),
         "--out".into(),
         out_path.display().to_string(),
         "--ndjson".into(),
         ndjson_path.display().to_string(),
     ];
-    let mut stamp_artifact = |name: &str, path: &std::path::Path| {
-        if let Err(e) = m.add_artifact(name, path, obs::DigestMode::Lines) {
-            fail(&format!("cannot digest {}: {e}", path.display()));
-        }
-    };
-    stamp_artifact("population.txt", &out_path);
-    stamp_artifact("population.ndjson", &ndjson_path);
-    let manifest_out = manifest_path.unwrap_or_else(|| dir.join("population.manifest.json"));
-    crate::manifest::write(m, &manifest_out);
+    manifest::add_artifact(&mut m, "population.txt", &out_path, obs::DigestMode::Lines);
+    manifest::add_artifact(
+        &mut m,
+        "population.ndjson",
+        &ndjson_path,
+        obs::DigestMode::Lines,
+    );
+    manifest::write(m, manifest_path);
 
     if let Some(bytes) = obs::peak_rss_bytes() {
         eprintln!("[population] peak_rss_bytes={bytes}");
@@ -252,7 +132,6 @@ fn run_exact_check(
     trace: &Trace,
     classifier: &PassiveClassifier,
     opts: &StreamOptions,
-    abp_ips: &[u32],
     streamed: &PopulationReport,
     streamed_text: &str,
 ) {
@@ -264,8 +143,8 @@ fn run_exact_check(
     // so the materialized run is configured identically (the population
     // report itself is watermark-independent).
     popts.window.watermark_secs = f64::INFINITY;
-    let classified = adscope::pipeline::classify_trace_in(trace, classifier, popts, registry());
-    let exact = finish_trace(&classified, abp_ips, popts.population);
+    let classified = adscope::pipeline::classify_trace_in(trace, classifier, popts, obs::global());
+    let exact = finish_trace(&classified, &opts.abp_ips, popts.population);
     let exact_text = exact.render();
     if streamed_text != exact_text {
         eprintln!("error: exact-check failed: streamed render differs from materialized render");
@@ -273,12 +152,11 @@ fn run_exact_check(
         std::process::exit(1);
     }
     if !streamed.exact_topk {
-        eprintln!(
-            "error: exact-check failed: top-K sketches left the exact regime \
+        die(format!(
+            "exact-check failed: top-K sketches left the exact regime \
              (capacity {}) — rankings are not partition-invariant",
             streamed.opts.capacity
-        );
-        std::process::exit(1);
+        ));
     }
 
     // Quantile accuracy against the exact order statistics. The gamma
@@ -319,11 +197,10 @@ fn run_exact_check(
             // positive range.
             let tolerance = alpha * truth.abs().max(f64::MIN_POSITIVE);
             if (est - truth).abs() > tolerance && truth > 0.0 {
-                eprintln!(
-                    "error: exact-check failed: {name} p{q:.0} estimate {est} is outside \
+                die(format!(
+                    "exact-check failed: {name} p{q:.0} estimate {est} is outside \
                      the alpha={alpha:.4} bound of exact {truth}"
-                );
-                std::process::exit(1);
+                ));
             }
             checked += 1;
         }
@@ -333,10 +210,6 @@ fn run_exact_check(
          alpha={:.4}",
         streamed.quantile_alpha
     );
-}
-
-fn registry() -> &'static obs::Registry {
-    obs::global()
 }
 
 fn diff_first_line(a: &str, b: &str) {
@@ -353,14 +226,4 @@ fn diff_first_line(a: &str, b: &str) {
         a.len(),
         b.len()
     );
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!(
-        "usage: experiments population [--scale small|medium|large] [--seed N] [--threads N]\n\
-         \x20      [--chunk-records N] [--out PATH] [--ndjson PATH] [--manifest PATH]\n\
-         \x20      [--exact-check]"
-    );
-    std::process::exit(2);
 }

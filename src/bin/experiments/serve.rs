@@ -1,12 +1,5 @@
 //! `experiments serve` / `experiments fetch` — the live scrape mode.
 //!
-//! ```text
-//! experiments serve --port N [--port-file PATH] [--pace SECS]
-//!                   [--scale small|medium|large] [--seed N] [--threads N]
-//! experiments fetch --port N --path /metrics [--retries N] [--check-metrics]
-//!                   [--check-ndjson]
-//! ```
-//!
 //! `serve` binds the [`obs::serve`] endpoint on the global registry
 //! (`--port 0` picks an ephemeral port; `--port-file` writes the bound
 //! port for scripts to poll), then replays the shared world's RBN-1
@@ -27,69 +20,41 @@
 //! non-empty body whose every line parses as JSON (the `/windows`,
 //! `/events`, and `/population/ndjson` planes).
 
+use crate::cli::{die, Args};
+use crate::manifest;
 use crate::world::{Scale, World};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
+
+pub const SERVE_USAGE: &str = "experiments serve --port N [--port-file PATH] [--pace SECS]
+           [--scale small|medium|large] [--seed N] [--threads N]";
+pub const FETCH_USAGE: &str = "experiments fetch --port N --path <p> [--retries N]
+           [--check-metrics] [--check-ndjson]";
 
 /// Entry point for the `serve` subcommand. Exits the process.
 pub fn run_serve(args: &[String]) -> ! {
     let mut port: Option<u16> = None;
-    let mut port_file: Option<String> = None;
+    let mut port_file: Option<PathBuf> = None;
     let mut pace: f64 = 0.0;
     let mut scale = Scale::Small;
     let mut seed: u64 = 0x5eed;
     let mut threads = parallel::available_parallelism();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--port" => {
-                i += 1;
-                port = args.get(i).and_then(|s| s.parse().ok());
-                if port.is_none() {
-                    fail_serve("bad --port value");
-                }
-            }
-            "--port-file" => {
-                i += 1;
-                port_file = args.get(i).cloned();
-            }
-            "--pace" => {
-                i += 1;
-                pace = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|p: &f64| *p >= 0.0 && p.is_finite())
-                    .unwrap_or_else(|| fail_serve("bad --pace value"));
-            }
-            "--scale" => {
-                i += 1;
-                scale = args
-                    .get(i)
-                    .and_then(|s| Scale::parse(s))
-                    .unwrap_or_else(|| fail_serve("bad --scale value"));
-            }
-            "--seed" => {
-                i += 1;
-                seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| fail_serve("bad --seed value"));
-            }
-            "--threads" => {
-                i += 1;
-                threads = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| fail_serve("bad --threads value"));
-            }
-            other => fail_serve(&format!("unknown serve argument {other:?}")),
+    let mut a = Args::new("serve", SERVE_USAGE, args);
+    while let Some(flag) = a.next() {
+        match flag {
+            "--port" => port = Some(a.parsed(flag)),
+            "--port-file" => port_file = Some(a.path(flag)),
+            "--pace" => pace = a.bounded(flag, 0.0..=f64::MAX),
+            "--scale" => scale = a.parsed(flag),
+            "--seed" => seed = a.parsed(flag),
+            "--threads" => threads = a.bounded(flag, 1..),
+            other => a.unknown(other),
         }
-        i += 1;
     }
     let Some(port) = port else {
-        fail_serve("serve requires --port N (0 picks an ephemeral port)");
+        a.usage_error("serve requires --port N (0 picks an ephemeral port)");
     };
 
     let registry = obs::global();
@@ -97,19 +62,7 @@ pub fn run_serve(args: &[String]) -> ! {
     // (rightly) rejects an exposition with zero samples, and a fast
     // scraper can beat world construction to `/metrics`.
     registry.counter("obs_serve_starts_total").add(1);
-    let handle = match obs::serve(registry, port) {
-        Ok(h) => h,
-        Err(e) => fail_serve(&format!("cannot bind 127.0.0.1:{port}: {e}")),
-    };
-    eprintln!("[serve] listening on http://{}", handle.addr());
-    if let Some(path) = &port_file {
-        // Written atomically so a poller never reads a half-written port
-        // number.
-        let port_line = format!("{}\n", handle.port());
-        if let Err(e) = obs::atomic_write(std::path::Path::new(path), port_line.as_bytes()) {
-            fail_serve(&format!("cannot write port file {path:?}: {e}"));
-        }
-    }
+    let handle = bind(port, port_file.as_deref());
 
     // Replay: build the world and push RBN-1 through the sharded
     // pipeline. Classification records into the global registry, so
@@ -181,27 +134,16 @@ pub fn run_serve(args: &[String]) -> ! {
 
     // Export the profiler's collapsed stacks for flamegraph tooling.
     let folded = registry.profile().render_folded();
-    let dir = crate::manifest::out_dir();
-    let path = dir.join("profile.folded");
-    if std::fs::create_dir_all(&dir)
-        .and_then(|()| std::fs::write(&path, folded.as_bytes()))
-        .is_ok()
-    {
-        eprintln!("[serve] profile written to {}", path.display());
-    }
+    let path = manifest::out_dir().join("profile.folded");
+    manifest::write_artifact(&path, &folded);
+    eprintln!("[serve] profile written to {}", path.display());
 
     // Manifest: the profile is wall-time-bearing, so it is recorded for
     // tamper evidence only and the run carries no replay argv.
-    let mut m = crate::manifest::stamp("serve");
-    m.config("scale", scale.as_str());
-    m.config("seed", seed);
-    m.config("threads", threads);
+    let mut m = manifest::stamp_world("serve", &world);
     m.config("pace_secs", pace);
-    m.filter_fnv = Some(crate::manifest::filter_fnv(&world.eco));
-    if let Err(e) = m.add_artifact("profile.folded", &path, obs::DigestMode::Recorded) {
-        eprintln!("error: cannot digest {}: {e}", path.display());
-    }
-    crate::manifest::write(m, &dir.join("serve.manifest.json"));
+    manifest::add_artifact(&mut m, "profile.folded", &path, obs::DigestMode::Recorded);
+    manifest::write(m, None);
 
     eprintln!("[serve] ready; GET /quitz to stop");
     while !handle.shutdown_requested() {
@@ -215,85 +157,55 @@ pub fn run_serve(args: &[String]) -> ! {
 /// Entry point for the `fetch` subcommand. Exits the process.
 pub fn run_fetch(args: &[String]) -> ! {
     let mut port: Option<u16> = None;
-    let mut path: Option<String> = None;
+    let mut path: Option<&str> = None;
     let mut retries: u32 = 0;
     let mut check_metrics = false;
     let mut check_ndjson = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--port" => {
-                i += 1;
-                port = args.get(i).and_then(|s| s.parse().ok());
-                if port.is_none() {
-                    fail_fetch("bad --port value");
-                }
-            }
-            "--path" => {
-                i += 1;
-                path = args.get(i).cloned();
-            }
-            "--retries" => {
-                i += 1;
-                retries = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| fail_fetch("bad --retries value"));
-            }
+    let mut a = Args::new("fetch", FETCH_USAGE, args);
+    while let Some(flag) = a.next() {
+        match flag {
+            "--port" => port = Some(a.parsed(flag)),
+            "--path" => path = Some(a.value(flag)),
+            "--retries" => retries = a.parsed(flag),
             "--check-metrics" => check_metrics = true,
             "--check-ndjson" => check_ndjson = true,
-            other => fail_fetch(&format!("unknown fetch argument {other:?}")),
+            other => a.unknown(other),
         }
-        i += 1;
     }
     let Some(port) = port else {
-        fail_fetch("fetch requires --port N");
+        a.usage_error("fetch requires --port N");
     };
     let Some(path) = path else {
-        fail_fetch("fetch requires --path <p>");
+        a.usage_error("fetch requires --path <p>");
     };
 
     let mut attempt = 0;
     let (status, body) = loop {
-        match fetch_once(port, &path) {
+        match fetch_once(port, path) {
             Ok(r) => break r,
             Err(e) if attempt < retries => {
                 attempt += 1;
                 eprintln!("[fetch] attempt {attempt}/{retries} failed: {e}; retrying");
                 std::thread::sleep(Duration::from_millis(200));
             }
-            Err(e) => {
-                eprintln!("error: GET 127.0.0.1:{port}{path} failed: {e}");
-                std::process::exit(1);
-            }
+            Err(e) => die(format!("GET 127.0.0.1:{port}{path} failed: {e}")),
         }
     };
     if status != 200 {
-        eprintln!("error: GET {path} returned status {status}");
-        std::process::exit(1);
+        die(format!("GET {path} returned status {status}"));
     }
     if check_metrics {
         if let Err(e) = obs::validate_exposition(&body) {
-            eprintln!("error: exposition check failed: {e}");
-            std::process::exit(1);
+            die(format!("exposition check failed: {e}"));
         }
         eprintln!("[fetch] exposition OK ({} bytes)", body.len());
     }
     if check_ndjson {
-        let mut lines = 0usize;
-        for line in body.lines().filter(|l| !l.is_empty()) {
-            if let Err(e) = netsim::json::parse(line) {
-                eprintln!("error: NDJSON check failed on line {}: {e}", lines + 1);
-                eprintln!("  {line}");
-                std::process::exit(1);
-            }
-            lines += 1;
+        match manifest::check_ndjson(&body) {
+            Ok(0) => die("NDJSON check failed: body has no lines"),
+            Ok(lines) => eprintln!("[fetch] NDJSON OK ({lines} lines)"),
+            Err(e) => die(format!("NDJSON check failed on {e}")),
         }
-        if lines == 0 {
-            eprintln!("error: NDJSON check failed: body has no lines");
-            std::process::exit(1);
-        }
-        eprintln!("[fetch] NDJSON OK ({lines} lines)");
     }
     print!("{body}");
     std::process::exit(0);
@@ -342,20 +254,18 @@ fn fetch_once(port: u16, path: &str) -> std::io::Result<(u16, String)> {
     Ok((status, body))
 }
 
-fn fail_serve(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!(
-        "usage: experiments serve --port N [--port-file PATH] [--pace SECS] \
-         [--scale small|medium|large] [--seed N] [--threads N]"
-    );
-    std::process::exit(2);
-}
-
-fn fail_fetch(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!(
-        "usage: experiments fetch --port N --path <p> [--retries N] [--check-metrics] \
-         [--check-ndjson]"
-    );
-    std::process::exit(2);
+/// Bind the obs endpoint on the global registry and, for scripts that
+/// poll, write the bound port to `port_file` — atomically, so a poller
+/// never reads a half-written port number.
+pub fn bind(port: u16, port_file: Option<&Path>) -> obs::ServerHandle {
+    let handle = obs::serve(obs::global(), port)
+        .unwrap_or_else(|e| die(format!("cannot bind 127.0.0.1:{port}: {e}")));
+    eprintln!("[serve] listening on http://{}", handle.addr());
+    if let Some(path) = port_file {
+        let port_line = format!("{}\n", handle.port());
+        if let Err(e) = obs::atomic_write(path, port_line.as_bytes()) {
+            die(format!("cannot write port file {}: {e}", path.display()));
+        }
+    }
+    handle
 }

@@ -1,15 +1,5 @@
 //! `experiments stream` — the fault-tolerant streaming pipeline driver.
 //!
-//! ```text
-//! experiments stream --trace PATH [--checkpoint-dir D [--checkpoint-every N] [--resume]]
-//! experiments stream --rbn1|--rbn2 [--write-trace PATH] [--scale ...] [--seed N]
-//! common: [--chunk-records N] [--threads N] [--quarantine PATH] [--report PATH]
-//!         [--windows PATH] [--manifest PATH] [--throttle-ms N] [--stop-after-chunks N]
-//!         [--population]
-//! health: [--serve-port N] [--serve-port-file PATH] [--serve-linger]
-//!         [--watchdog-ms N] [--stall-after-chunks N] [--stall-ms N]
-//! ```
-//!
 //! Three source modes:
 //!
 //! * `--trace PATH` — stream-classify an existing trace file in bounded
@@ -41,21 +31,28 @@
 //! which a kill-and-resume run reproduces byte-identically (CI asserts
 //! exactly that). Peak RSS goes to stderr for the CI memory ceiling.
 
-use crate::world::Scale;
+use crate::cli::{die, Args};
+use crate::manifest;
+use crate::world::{Rbn, Scale, World};
 use adscope::stream::{classify_stream_chunks, classify_stream_file, CHECKPOINT_FILE};
-use adscope::{CheckpointOptions, PassiveClassifier, StreamOptions};
+use adscope::{CheckpointOptions, StreamOptions};
 use annoyed_users::prelude::*;
 use browsersim::drive::drive_stream;
-use netsim::codec::CodecStats;
-use netsim::record::TraceMeta;
 use netsim::stream::{StreamChunk, TraceWriter};
 use std::path::PathBuf;
 use std::time::Duration;
 
+pub const USAGE: &str = "experiments stream --trace PATH | --rbn1 | --rbn2 [--write-trace PATH]
+           [--chunk-records N] [--checkpoint-dir D] [--checkpoint-every N] [--resume]
+           [--quarantine PATH] [--report PATH] [--windows PATH] [--manifest PATH]
+           [--throttle-ms N] [--stop-after-chunks N] [--serve-port N]
+           [--serve-port-file PATH] [--serve-linger] [--watchdog-ms N]
+           [--stall-after-chunks N] [--stall-ms N] [--population]
+           [--scale small|medium|large] [--seed N] [--threads N]";
+
 enum Source {
     TraceFile(PathBuf),
-    Rbn1,
-    Rbn2,
+    Rbn(Rbn),
 }
 
 /// Entry point for the `stream` subcommand. Exits the process.
@@ -76,157 +73,38 @@ pub fn run(args: &[String]) -> ! {
     let mut seed: u64 = 0x5eed;
     let mut population = false;
     let mut opts = StreamOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--trace" => {
-                i += 1;
-                let p = args.get(i).unwrap_or_else(|| fail("missing --trace path"));
-                source = Some(Source::TraceFile(PathBuf::from(p)));
-            }
-            "--rbn1" => source = Some(Source::Rbn1),
-            "--rbn2" => source = Some(Source::Rbn2),
-            "--write-trace" => {
-                i += 1;
-                let p = args
-                    .get(i)
-                    .unwrap_or_else(|| fail("missing --write-trace path"));
-                write_trace = Some(PathBuf::from(p));
-            }
-            "--checkpoint-dir" => {
-                i += 1;
-                let p = args
-                    .get(i)
-                    .unwrap_or_else(|| fail("missing --checkpoint-dir path"));
-                checkpoint_dir = Some(PathBuf::from(p));
-            }
-            "--checkpoint-every" => {
-                i += 1;
-                checkpoint_every = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| fail("bad --checkpoint-every value"));
-            }
+    let mut a = Args::new("stream", USAGE, args);
+    while let Some(flag) = a.next() {
+        match flag {
+            "--trace" => source = Some(Source::TraceFile(a.path(flag))),
+            "--rbn1" => source = Some(Source::Rbn(Rbn::One)),
+            "--rbn2" => source = Some(Source::Rbn(Rbn::Two)),
+            "--write-trace" => write_trace = Some(a.path(flag)),
+            "--checkpoint-dir" => checkpoint_dir = Some(a.path(flag)),
+            "--checkpoint-every" => checkpoint_every = a.bounded(flag, 1..),
             "--resume" => resume = true,
             "--population" => population = true,
-            "--quarantine" => {
-                i += 1;
-                let p = args
-                    .get(i)
-                    .unwrap_or_else(|| fail("missing --quarantine path"));
-                opts.quarantine_path = Some(PathBuf::from(p));
-            }
-            "--report" => {
-                i += 1;
-                let p = args.get(i).unwrap_or_else(|| fail("missing --report path"));
-                report_path = Some(PathBuf::from(p));
-            }
-            "--windows" => {
-                i += 1;
-                let p = args
-                    .get(i)
-                    .unwrap_or_else(|| fail("missing --windows path"));
-                windows_path = Some(PathBuf::from(p));
-            }
-            "--manifest" => {
-                i += 1;
-                let p = args
-                    .get(i)
-                    .unwrap_or_else(|| fail("missing --manifest path"));
-                manifest_path = Some(PathBuf::from(p));
-            }
-            "--serve-port" => {
-                i += 1;
-                serve_port = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| fail("bad --serve-port value")),
-                );
-            }
-            "--serve-port-file" => {
-                i += 1;
-                let p = args
-                    .get(i)
-                    .unwrap_or_else(|| fail("missing --serve-port-file path"));
-                serve_port_file = Some(PathBuf::from(p));
-            }
+            "--quarantine" => opts.quarantine_path = Some(a.path(flag)),
+            "--report" => report_path = Some(a.path(flag)),
+            "--windows" => windows_path = Some(a.path(flag)),
+            "--manifest" => manifest_path = Some(a.path(flag)),
+            "--serve-port" => serve_port = Some(a.parsed(flag)),
+            "--serve-port-file" => serve_port_file = Some(a.path(flag)),
             "--serve-linger" => serve_linger = true,
-            "--watchdog-ms" => {
-                i += 1;
-                watchdog_ms = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| fail("bad --watchdog-ms value"));
-            }
-            "--stall-after-chunks" => {
-                i += 1;
-                opts.stall_after_chunks = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| fail("bad --stall-after-chunks value")),
-                );
-            }
-            "--stall-ms" => {
-                i += 1;
-                opts.stall_ms = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| fail("bad --stall-ms value"));
-            }
-            "--chunk-records" => {
-                i += 1;
-                opts.chunk_records = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| fail("bad --chunk-records value"));
-            }
-            "--throttle-ms" => {
-                i += 1;
-                opts.throttle_ms = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| fail("bad --throttle-ms value"));
-            }
-            "--stop-after-chunks" => {
-                i += 1;
-                opts.stop_after_chunks = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| fail("bad --stop-after-chunks value")),
-                );
-            }
-            "--scale" => {
-                i += 1;
-                scale = args
-                    .get(i)
-                    .and_then(|s| Scale::parse(s))
-                    .unwrap_or_else(|| fail("bad --scale value"));
-            }
-            "--seed" => {
-                i += 1;
-                seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| fail("bad --seed value"));
-            }
-            "--threads" => {
-                i += 1;
-                opts.threads = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| fail("bad --threads value"));
-            }
-            other => fail(&format!("unknown stream argument {other:?}")),
+            "--watchdog-ms" => watchdog_ms = a.bounded(flag, 1..),
+            "--stall-after-chunks" => opts.stall_after_chunks = Some(a.parsed(flag)),
+            "--stall-ms" => opts.stall_ms = a.parsed(flag),
+            "--chunk-records" => opts.chunk_records = a.bounded(flag, 1..),
+            "--throttle-ms" => opts.throttle_ms = a.parsed(flag),
+            "--stop-after-chunks" => opts.stop_after_chunks = Some(a.bounded(flag, 1..)),
+            "--scale" => scale = a.parsed(flag),
+            "--seed" => seed = a.parsed(flag),
+            "--threads" => opts.threads = a.bounded(flag, 1..),
+            other => a.unknown(other),
         }
-        i += 1;
     }
     let Some(source) = source else {
-        fail("stream requires a source: --trace PATH, --rbn1, or --rbn2");
+        a.usage_error("stream requires a source: --trace PATH, --rbn1, or --rbn2");
     };
     if let Some(dir) = checkpoint_dir.clone() {
         opts.checkpoint = Some(CheckpointOptions {
@@ -235,27 +113,19 @@ pub fn run(args: &[String]) -> ! {
             resume,
         });
     } else if resume {
-        fail("--resume requires --checkpoint-dir");
+        a.usage_error("--resume requires --checkpoint-dir");
+    }
+    if opts.checkpoint.is_some() && write_trace.is_none() && matches!(source, Source::Rbn(_)) {
+        // Checkpoints record byte offsets into a file.
+        a.usage_error("checkpointing requires a trace file; add --write-trace PATH");
     }
 
     // The classifier is derived from the generated ecosystem's filter
     // lists, exactly as the materialized experiments build it — the same
     // scale and seed reproduce the same lists, so a trace written by one
     // invocation classifies identically in another.
-    let (publishers, ad_companies, trackers, ..) = scale.knobs();
-    let eco = Ecosystem::generate(EcosystemConfig {
-        publishers,
-        ad_companies,
-        trackers,
-        seed,
-        ..Default::default()
-    });
-    let classifier = PassiveClassifier::new(vec![
-        eco.lists.easylist(),
-        eco.lists.regional(),
-        eco.lists.easyprivacy(),
-        eco.lists.acceptable(),
-    ]);
+    let world = World::new(scale, seed, opts.threads);
+    let (eco, classifier) = (&world.eco, &world.classifier);
     if population {
         // Population sketches ride the scatter-merge dataflow; the ABP
         // server addresses feed the household-download indicator, and
@@ -268,62 +138,32 @@ pub fn run(args: &[String]) -> ! {
 
     // The manifest skeleton is built before the run so /statusz can show
     // the run's config identity from the first scrape.
-    let mut m = crate::manifest::stamp("stream");
+    let mut m = manifest::stamp_world("stream", &world);
     let source_name = match &source {
         Source::TraceFile(p) => format!("trace:{}", p.display()),
-        Source::Rbn1 => "rbn1".to_string(),
-        Source::Rbn2 => "rbn2".to_string(),
+        Source::Rbn(Rbn::One) => "rbn1".to_string(),
+        Source::Rbn(Rbn::Two) => "rbn2".to_string(),
     };
     m.config("source", &source_name);
-    m.config("scale", scale.as_str());
-    m.config("seed", seed);
     m.config("chunk_records", opts.chunk_records);
-    m.config("threads", opts.threads);
-    m.filter_fnv = Some(crate::manifest::filter_fnv(&eco));
-    registry
-        .health()
-        .set_header(format!("stream config_fnv={:016x}", m.config_fnv()));
+    manifest::publish_header(&m);
 
     // Live health plane: the obs endpoint during (and optionally after)
     // the run, plus the stall watchdog.
-    let serve_handle = serve_port.map(|port| {
-        let handle = obs::serve(registry, port)
-            .unwrap_or_else(|e| fail(&format!("cannot bind 127.0.0.1:{port}: {e}")));
-        eprintln!("[stream] serving health plane on http://{}", handle.addr());
-        if let Some(path) = &serve_port_file {
-            // Written atomically so a poller never reads a half-written
-            // port number.
-            let port_line = format!("{}\n", handle.port());
-            if let Err(e) = obs::atomic_write(path, port_line.as_bytes()) {
-                fail(&format!("cannot write port file {}: {e}", path.display()));
-            }
-        }
-        handle
-    });
+    let serve_handle = serve_port.map(|port| crate::serve::bind(port, serve_port_file.as_deref()));
     let _watchdog = (watchdog_ms > 0).then(|| {
         obs::spawn_watchdog(registry, Duration::from_millis(watchdog_ms))
-            .unwrap_or_else(|e| fail(&format!("cannot spawn watchdog: {e}")))
+            .unwrap_or_else(|e| die(format!("cannot spawn watchdog: {e}")))
     });
 
     let report = match &source {
         Source::TraceFile(path) => {
             eprintln!("[stream] classifying {} in streaming mode", path.display());
-            classify_stream_file(path, &classifier, &opts, registry)
+            classify_stream_file(path, classifier, &opts, registry)
         }
-        rbn => {
-            let (.., rbn2_households, rbn2_hours, rbn1_households, rbn1_days) = scale.knobs();
-            let (config, households, pop_seed) = match rbn {
-                Source::Rbn1 => (DriveConfig::rbn1(rbn1_days), rbn1_households, 0xB51),
-                _ => (DriveConfig::rbn2(rbn2_hours), rbn2_households, 0xB52),
-            };
-            let mut pop = Population::generate(
-                &eco,
-                &PopulationConfig {
-                    households,
-                    seed: pop_seed,
-                    ..Default::default()
-                },
-            );
+        Source::Rbn(which) => {
+            let (config, mut pop) = world.rbn_setup(eco, *which);
+            let meta = config.meta(pop.households);
             match &write_trace {
                 Some(path) => {
                     // Generate straight to disk, slice by slice, then
@@ -332,22 +172,15 @@ pub fn run(args: &[String]) -> ! {
                         "[stream] generating {} to {} ({} households)",
                         config.name,
                         path.display(),
-                        households
+                        pop.households
                     );
-                    let meta = TraceMeta {
-                        name: config.name.clone(),
-                        duration_secs: config.duration_secs,
-                        subscribers: households,
-                        start_hour: config.start_hour,
-                        start_weekday: config.start_weekday,
-                    };
                     let file = std::fs::File::create(path)
-                        .unwrap_or_else(|e| fail(&format!("cannot create trace file: {e}")));
+                        .unwrap_or_else(|e| die(format!("cannot create trace file: {e}")));
                     let mut writer = TraceWriter::new(std::io::BufWriter::new(file), &meta)
-                        .unwrap_or_else(|e| fail(&format!("trace header write: {e}")));
+                        .unwrap_or_else(|e| die(format!("trace header write: {e}")));
                     let mut write_err = None;
                     drive_stream(
-                        &eco,
+                        eco,
                         &mut pop,
                         &ActivityProfile::default(),
                         &config,
@@ -364,35 +197,24 @@ pub fn run(args: &[String]) -> ! {
                         },
                     );
                     if let Some(e) = write_err {
-                        fail(&format!("trace write failed: {e}"));
+                        die(format!("trace write failed: {e}"));
                     }
                     let (records, bytes) = writer
                         .finish()
-                        .unwrap_or_else(|e| fail(&format!("trace finish failed: {e}")));
+                        .unwrap_or_else(|e| die(format!("trace finish failed: {e}")));
                     eprintln!("[stream] wrote {records} records ({bytes} bytes)");
-                    classify_stream_file(path, &classifier, &opts, registry)
+                    classify_stream_file(path, classifier, &opts, registry)
                 }
                 None => {
                     // No file anywhere: generator thread feeds the
                     // classifier over a bounded channel (a full queue
                     // pauses the simulation — backpressure end to end).
-                    if opts.checkpoint.is_some() {
-                        fail("checkpointing requires a trace file; add --write-trace PATH");
-                    }
                     eprintln!(
                         "[stream] piping {} generator -> classifier ({} households)",
-                        config.name, households
+                        config.name, pop.households
                     );
-                    let meta = TraceMeta {
-                        name: config.name.clone(),
-                        duration_secs: config.duration_secs,
-                        subscribers: households,
-                        start_hour: config.start_hour,
-                        start_weekday: config.start_weekday,
-                    };
                     let (tx, rx) = parallel::bounded::<Vec<netsim::record::TraceRecord>>(4);
                     std::thread::scope(|scope| {
-                        let eco = &eco;
                         let config = &config;
                         let pop = &mut pop;
                         scope.spawn(move || {
@@ -405,26 +227,14 @@ pub fn run(args: &[String]) -> ! {
                         let chunks = rx
                             .into_iter()
                             .enumerate()
-                            .map(|(seq, records)| StreamChunk {
-                                seq: seq as u64,
-                                stats: CodecStats {
-                                    records_read: records.len(),
-                                    ..CodecStats::default()
-                                },
-                                end_offset: 0,
-                                records,
-                            });
-                        classify_stream_chunks(chunks, meta, &classifier, &opts, registry)
+                            .map(|(seq, records)| StreamChunk::in_memory(seq as u64, records));
+                        classify_stream_chunks(chunks, meta, classifier, &opts, registry)
                     })
                 }
             }
         }
     };
-
-    let report = report.unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
+    let report = report.unwrap_or_else(|e| die(e));
 
     let rendered = report.render();
     println!("{rendered}");
@@ -438,10 +248,7 @@ pub fn run(args: &[String]) -> ! {
         eprintln!("[stream] resumed from byte offset {off}");
     }
     if let Some(path) = &report_path {
-        if let Err(e) = std::fs::write(path, &rendered) {
-            eprintln!("error: cannot write report {}: {e}", path.display());
-            std::process::exit(1);
-        }
+        manifest::write_artifact(path, &rendered);
         eprintln!("[stream] report written to {}", path.display());
     }
     if let Some(path) = &windows_path {
@@ -450,10 +257,7 @@ pub fn run(args: &[String]) -> ! {
         // run's (same property CI asserts for the report).
         let mut nd = report.windows.render_ndjson("adscope");
         nd.push_str(&report.decode_windows.render_ndjson("decode"));
-        if let Err(e) = std::fs::write(path, &nd) {
-            eprintln!("error: cannot write windows {}: {e}", path.display());
-            std::process::exit(1);
-        }
+        manifest::write_artifact(path, &nd);
         eprintln!("[stream] windows written to {}", path.display());
     }
 
@@ -461,17 +265,14 @@ pub fn run(args: &[String]) -> ! {
     // digests. A run stopped early by --stop-after-chunks is partial —
     // its artifacts get digests (drift detection) but no replay argv.
     if let Source::TraceFile(p) = &source {
-        if let Err(e) = m.set_dataset(p) {
-            eprintln!("error: cannot hash dataset {}: {e}", p.display());
-            std::process::exit(1);
-        }
+        manifest::set_dataset(&mut m, p);
     }
     if !report.stopped_early {
         let mut replay = vec!["stream".to_string()];
         match &source {
             Source::TraceFile(p) => replay.extend(["--trace".into(), p.display().to_string()]),
-            Source::Rbn1 => replay.push("--rbn1".into()),
-            Source::Rbn2 => replay.push("--rbn2".into()),
+            Source::Rbn(Rbn::One) => replay.push("--rbn1".into()),
+            Source::Rbn(Rbn::Two) => replay.push("--rbn2".into()),
         }
         if let Some(p) = &write_trace {
             replay.extend(["--write-trace".into(), p.display().to_string()]);
@@ -503,39 +304,31 @@ pub fn run(args: &[String]) -> ! {
         // --serve-* (timing-only), --threads (results thread-invariant).
         m.replay = replay;
     }
-    let mut stamp_artifact = |name: &str, path: &std::path::Path, mode: obs::DigestMode| {
-        if let Err(e) = m.add_artifact(name, path, mode) {
-            eprintln!("error: cannot digest {} {}: {e}", name, path.display());
-            std::process::exit(1);
-        }
-    };
     if let Some(p) = &report_path {
-        stamp_artifact("report", p, obs::DigestMode::Exact);
+        manifest::add_artifact(&mut m, "report", p, obs::DigestMode::Exact);
     }
     if let Some(p) = &windows_path {
-        stamp_artifact("windows", p, obs::DigestMode::Exact);
+        manifest::add_artifact(&mut m, "windows", p, obs::DigestMode::Exact);
     }
     if let Some(p) = &write_trace {
-        stamp_artifact("trace", p, obs::DigestMode::Exact);
+        manifest::add_artifact(&mut m, "trace", p, obs::DigestMode::Exact);
     }
     if let Some(p) = &opts.quarantine_path {
         // Line order across workers is nondeterministic; the digest is
         // the unordered-lines mode.
         if p.exists() {
-            stamp_artifact("quarantine", p, obs::DigestMode::Lines);
+            manifest::add_artifact(&mut m, "quarantine", p, obs::DigestMode::Lines);
         }
     }
     if let Some(dir) = &checkpoint_dir {
         let ck = dir.join(CHECKPOINT_FILE);
         if ck.exists() {
-            stamp_artifact("checkpoint", &ck, obs::DigestMode::Recorded);
+            manifest::add_artifact(&mut m, "checkpoint", &ck, obs::DigestMode::Recorded);
         }
     }
-    let manifest_out = manifest_path.unwrap_or_else(|| match &report_path {
-        Some(r) => PathBuf::from(format!("{}.manifest.json", r.display())),
-        None => crate::manifest::out_dir().join("stream.manifest.json"),
-    });
-    crate::manifest::write(m, &manifest_out);
+    let beside_report =
+        report_path.map(|r| PathBuf::from(format!("{}.manifest.json", r.display())));
+    manifest::write(m, manifest_path.or(beside_report));
 
     // Machine-parseable for the CI memory ceiling.
     if let Some(bytes) = obs::peak_rss_bytes() {
@@ -551,18 +344,4 @@ pub fn run(args: &[String]) -> ! {
         handle.join();
     }
     std::process::exit(0);
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!(
-        "usage: experiments stream --trace PATH | --rbn1 | --rbn2 [--write-trace PATH]\n\
-         \x20      [--chunk-records N] [--checkpoint-dir D] [--checkpoint-every N] [--resume]\n\
-         \x20      [--quarantine PATH] [--report PATH] [--windows PATH] [--manifest PATH]\n\
-         \x20      [--throttle-ms N] [--stop-after-chunks N] [--serve-port N]\n\
-         \x20      [--serve-port-file PATH] [--serve-linger] [--watchdog-ms N]\n\
-         \x20      [--stall-after-chunks N] [--stall-ms N] [--population]\n\
-         \x20      [--scale small|medium|large] [--seed N] [--threads N]"
-    );
-    std::process::exit(2);
 }

@@ -1,11 +1,6 @@
 //! `experiments temporal` — the per-hour-of-day ad-share table (the
 //! paper's §5 temporal characterization, Figure-5 shape).
 //!
-//! ```text
-//! experiments temporal [--trace <file>] [--width SECS]
-//!                      [--scale small|medium|large] [--seed N] [--threads N]
-//! ```
-//!
 //! With `--trace`, the NDJSON capture is replayed through the lossy
 //! reader and classified against the same fixture rule set `explain`
 //! uses, so the output is a pure function of the file bytes — which is
@@ -19,58 +14,34 @@
 //! record lands in its window and the table is a complete census
 //! (lateness is a live-scrape concern, not a batch-table one).
 
+use crate::cli::Args;
+use crate::manifest;
 use crate::world::{Scale, World};
 use adscope::pipeline::ClassifiedTrace;
 use adscope::window::WindowOptions;
 use adscope::PipelineOptions;
+use std::path::PathBuf;
+
+pub const USAGE: &str = "experiments temporal [--trace <file>] [--width SECS]
+           [--scale small|medium|large] [--seed N] [--threads N]";
 
 /// Entry point for the `temporal` subcommand. Exits the process.
 pub fn run(args: &[String]) -> ! {
-    let mut trace_arg: Option<String> = None;
+    let mut trace_arg: Option<PathBuf> = None;
     let mut width: f64 = 3600.0;
     let mut scale = Scale::Small;
     let mut seed: u64 = 0x5eed;
     let mut threads = parallel::available_parallelism();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--trace" => {
-                i += 1;
-                trace_arg = args.get(i).cloned();
-            }
-            "--width" => {
-                i += 1;
-                width = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|w: &f64| *w > 0.0 && w.is_finite())
-                    .unwrap_or_else(|| fail("bad --width value"));
-            }
-            "--scale" => {
-                i += 1;
-                scale = args
-                    .get(i)
-                    .and_then(|s| Scale::parse(s))
-                    .unwrap_or_else(|| fail("bad --scale value"));
-            }
-            "--seed" => {
-                i += 1;
-                seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| fail("bad --seed value"));
-            }
-            "--threads" => {
-                i += 1;
-                threads = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| fail("bad --threads value"));
-            }
-            other => fail(&format!("unknown temporal argument {other:?}")),
+    let mut a = Args::new("temporal", USAGE, args);
+    while let Some(flag) = a.next() {
+        match flag {
+            "--trace" => trace_arg = Some(a.path(flag)),
+            "--width" => width = a.bounded(flag, f64::MIN_POSITIVE..=f64::MAX),
+            "--scale" => scale = a.parsed(flag),
+            "--seed" => seed = a.parsed(flag),
+            "--threads" => threads = a.bounded(flag, 1..),
+            other => a.unknown(other),
         }
-        i += 1;
     }
 
     let opts = PipelineOptions {
@@ -85,18 +56,7 @@ pub fn run(args: &[String]) -> ! {
     let mut filter_hash: Option<u64> = None;
     let (meta, windows) = match &trace_arg {
         Some(path) => {
-            let bytes = match std::fs::read(path) {
-                Ok(b) => b,
-                Err(e) => fail(&format!("cannot read trace {path:?}: {e}")),
-            };
-            let (trace, stats) = netsim::codec::read_trace_lossy(bytes.as_slice())
-                .unwrap_or_else(|e| fail(&format!("cannot decode trace {path:?}: {e}")));
-            if stats.total_skipped() > 0 {
-                eprintln!(
-                    "[temporal] lossy read skipped {} line(s) of {path}",
-                    stats.total_skipped()
-                );
-            }
+            let trace = crate::world::read_trace_file("temporal", path);
             let out: ClassifiedTrace = adscope::classify_trace_sharded(
                 &trace,
                 &crate::explain::fixture_classifier(),
@@ -107,7 +67,7 @@ pub fn run(args: &[String]) -> ! {
         }
         None => {
             let mut world = World::new(scale, seed, threads);
-            filter_hash = Some(crate::manifest::filter_fnv(&world.eco));
+            filter_hash = Some(manifest::filter_fnv(&world.eco));
             // Reuse the world's classified requests and rerun only the
             // window pass, so `--width` is honored without a second
             // classification.
@@ -122,23 +82,18 @@ pub fn run(args: &[String]) -> ! {
 
     // Artifact + manifest. Stdout is golden-pinned, so everything below
     // goes to files and stderr only.
-    let dir = crate::manifest::out_dir();
-    let path = dir.join("temporal.txt");
-    if let Err(e) = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, &table)) {
-        fail(&format!("cannot write {}: {e}", path.display()));
-    }
-    let mut m = crate::manifest::stamp("temporal");
+    let path = manifest::out_dir().join("temporal.txt");
+    manifest::write_artifact(&path, &table);
+    let mut m = manifest::stamp("temporal");
     m.config("width_secs", width);
     m.config("threads", threads);
     m.filter_fnv = filter_hash;
     let mut replay = vec!["temporal".to_string()];
     match &trace_arg {
         Some(p) => {
-            m.config("trace", p);
-            if let Err(e) = m.set_dataset(std::path::Path::new(p)) {
-                fail(&format!("cannot hash dataset {p:?}: {e}"));
-            }
-            replay.extend(["--trace".into(), p.clone()]);
+            m.config("trace", p.display());
+            manifest::set_dataset(&mut m, p);
+            replay.extend(["--trace".into(), p.display().to_string()]);
         }
         None => {
             m.config("scale", scale.as_str());
@@ -153,10 +108,8 @@ pub fn run(args: &[String]) -> ! {
     }
     replay.extend(["--width".into(), width.to_string()]);
     m.replay = replay;
-    if let Err(e) = m.add_artifact("temporal.txt", &path, obs::DigestMode::Exact) {
-        fail(&format!("cannot digest {}: {e}", path.display()));
-    }
-    crate::manifest::write(m, &dir.join("temporal.manifest.json"));
+    manifest::add_artifact(&mut m, "temporal.txt", &path, obs::DigestMode::Exact);
+    manifest::write(m, None);
     std::process::exit(0);
 }
 
@@ -217,13 +170,4 @@ fn render(meta: &netsim::record::TraceMeta, w: &obs::WindowReport) -> String {
         whitelisted.iter().sum::<u64>()
     );
     s
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!(
-        "usage: experiments temporal [--trace <file>] [--width SECS] \
-         [--scale small|medium|large] [--seed N] [--threads N]"
-    );
-    std::process::exit(2);
 }

@@ -1,9 +1,5 @@
 //! `experiments verify` — re-check a run manifest.
 //!
-//! ```text
-//! experiments verify --manifest <path> [--scratch DIR] [--skip-replay]
-//! ```
-//!
 //! Two layers of checking, rendered as one per-artifact PASS/FAIL
 //! table:
 //!
@@ -24,9 +20,12 @@
 //! report is byte-identical to an uninterrupted run's — the
 //! fault-tolerance contract, checked by `ci.sh`.
 
+use crate::cli::{die, Args};
 use obs::manifest::DigestMode;
 use obs::{fnv64_file, fnv64_lines_unordered};
 use std::path::{Path, PathBuf};
+
+pub const USAGE: &str = "experiments verify --manifest <path> [--scratch DIR] [--skip-replay]";
 
 struct ArtifactRow {
     name: String,
@@ -61,45 +60,34 @@ pub fn run(args: &[String]) -> ! {
     let mut manifest_path: Option<PathBuf> = None;
     let mut scratch: Option<PathBuf> = None;
     let mut skip_replay = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--manifest" => {
-                i += 1;
-                let p = args
-                    .get(i)
-                    .unwrap_or_else(|| fail("missing --manifest path"));
-                manifest_path = Some(PathBuf::from(p));
-            }
-            "--scratch" => {
-                i += 1;
-                let p = args.get(i).unwrap_or_else(|| fail("missing --scratch dir"));
-                scratch = Some(PathBuf::from(p));
-            }
+    let mut a = Args::new("verify", USAGE, args);
+    while let Some(flag) = a.next() {
+        match flag {
+            "--manifest" => manifest_path = Some(a.path(flag)),
+            "--scratch" => scratch = Some(a.path(flag)),
             "--skip-replay" => skip_replay = true,
-            other => fail(&format!("unknown verify argument {other:?}")),
+            other => a.unknown(other),
         }
-        i += 1;
     }
     let Some(manifest_path) = manifest_path else {
-        fail("verify requires --manifest <path>");
+        a.usage_error("verify requires --manifest <path>");
     };
 
     let text = std::fs::read_to_string(&manifest_path).unwrap_or_else(|e| {
-        fail(&format!(
+        die(format!(
             "cannot read manifest {}: {e}",
             manifest_path.display()
         ))
     });
     let doc = netsim::json::parse(&text)
-        .unwrap_or_else(|e| fail(&format!("manifest is not valid JSON: {e}")));
+        .unwrap_or_else(|e| die(format!("manifest is not valid JSON: {e}")));
     if doc.get("kind").and_then(|v| v.as_str()) != Some("annoyed-users-run") {
-        fail("not an annoyed-users run manifest (kind mismatch)");
+        die("not an annoyed-users run manifest (kind mismatch)");
     }
     let subcommand = doc
         .get("subcommand")
         .and_then(|v| v.as_str())
-        .unwrap_or_else(|| fail("manifest has no subcommand"))
+        .unwrap_or_else(|| die("manifest has no subcommand"))
         .to_string();
     let out_dir_rec = doc
         .get("out_dir")
@@ -114,22 +102,22 @@ pub fn run(args: &[String]) -> ! {
                 name: a
                     .get("name")
                     .and_then(|v| v.as_str())
-                    .unwrap_or_else(|| fail("artifact without name"))
+                    .unwrap_or_else(|| die("artifact without name"))
                     .to_string(),
                 path: a
                     .get("path")
                     .and_then(|v| v.as_str())
-                    .unwrap_or_else(|| fail("artifact without path"))
+                    .unwrap_or_else(|| die("artifact without path"))
                     .to_string(),
                 fnv: a
                     .get("fnv")
                     .and_then(|v| v.as_u64())
-                    .unwrap_or_else(|| fail("artifact without fnv")),
+                    .unwrap_or_else(|| die("artifact without fnv")),
                 mode: a
                     .get("mode")
                     .and_then(|v| v.as_str())
                     .and_then(DigestMode::parse)
-                    .unwrap_or_else(|| fail("artifact with unknown digest mode")),
+                    .unwrap_or_else(|| die("artifact with unknown digest mode")),
             })
             .collect(),
         _ => Vec::new(),
@@ -223,7 +211,7 @@ fn run_replay(
     // can never masquerade as this replay's output.
     let _ = std::fs::remove_dir_all(&scratch);
     if let Err(e) = std::fs::create_dir_all(&scratch) {
-        fail(&format!(
+        die(format!(
             "cannot create scratch dir {}: {e}",
             scratch.display()
         ));
@@ -251,7 +239,7 @@ fn run_replay(
     }
 
     let exe = std::env::current_exe()
-        .unwrap_or_else(|e| fail(&format!("cannot locate the experiments binary: {e}")));
+        .unwrap_or_else(|e| die(format!("cannot locate the experiments binary: {e}")));
     eprintln!("[verify] replaying: experiments {}", child_args.join(" "));
     let status = std::process::Command::new(&exe)
         .args(&child_args)
@@ -298,10 +286,4 @@ fn str_array(doc: &netsim::json::Value<'_>, key: &str) -> Vec<String> {
             .collect(),
         _ => Vec::new(),
     }
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!("usage: experiments verify --manifest <path> [--scratch DIR] [--skip-replay]");
-    std::process::exit(2);
 }

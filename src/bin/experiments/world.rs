@@ -1,13 +1,17 @@
-//! Shared world construction for all experiments: one ecosystem, one
-//! active crawl, two RBN traces (classified), built lazily and reused.
+//! Shared world construction for every subcommand: one ecosystem and its
+//! four-list classifier, one active crawl, the one recipe for the two RBN
+//! traces (generated on request, classified lazily and reused).
 
+use crate::cli::die;
 use annoyed_users::prelude::*;
 use browsersim::active::{run_crawl, ActiveResults};
 use browsersim::drive::{drive, DriveOutput};
+use netsim::stream::StreamChunk;
+use std::path::Path;
 use std::time::Instant;
 
 /// Experiment scale presets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd)]
 pub enum Scale {
     /// Seconds-fast smoke scale.
     Small,
@@ -17,18 +21,42 @@ pub enum Scale {
     Large,
 }
 
-impl Scale {
-    pub fn parse(s: &str) -> Option<Scale> {
+/// What a [`Scale`] sizes.
+pub struct Knobs {
+    pub publishers: usize,
+    pub ad_companies: usize,
+    pub trackers: usize,
+    pub crawl_sites: usize,
+    pub rbn2_households: usize,
+    pub rbn2_hours: f64,
+    pub rbn1_households: usize,
+    pub rbn1_days: f64,
+}
+
+/// Which of the paper's two captures.
+#[derive(Debug, Clone, Copy)]
+pub enum Rbn {
+    /// RBN-1: the multi-day characterization trace.
+    One,
+    /// RBN-2: the 15.5 h peak trace, the usage-inference trace.
+    Two,
+}
+
+impl std::str::FromStr for Scale {
+    type Err = ();
+    fn from_str(s: &str) -> Result<Scale, ()> {
         match s {
-            "small" => Some(Scale::Small),
-            "medium" => Some(Scale::Medium),
-            "large" => Some(Scale::Large),
-            _ => None,
+            "small" => Ok(Scale::Small),
+            "medium" => Ok(Scale::Medium),
+            "large" => Ok(Scale::Large),
+            _ => Err(()),
         }
     }
+}
 
-    /// Canonical name, as accepted by [`Scale::parse`] (used in run
-    /// manifests and replay argvs).
+impl Scale {
+    /// Canonical name, as accepted by `--scale` (used in run manifests
+    /// and replay argvs).
     pub fn as_str(self) -> &'static str {
         match self {
             Scale::Small => "small",
@@ -37,15 +65,49 @@ impl Scale {
         }
     }
 
-    /// (publishers, ad_companies, trackers, crawl_sites, rbn2_households,
-    ///  rbn2_hours, rbn1_households, rbn1_days)
-    pub fn knobs(self) -> (usize, usize, usize, usize, usize, f64, usize, f64) {
-        match self {
+    pub fn knobs(self) -> Knobs {
+        let (
+            publishers,
+            ad_companies,
+            trackers,
+            crawl_sites,
+            rbn2_households,
+            rbn2_hours,
+            rbn1_households,
+            rbn1_days,
+        ) = match self {
             Scale::Small => (120, 14, 16, 120, 60, 6.0, 40, 1.0),
             Scale::Medium => (400, 28, 36, 1000, 300, 15.5, 150, 4.0),
             Scale::Large => (800, 40, 60, 1000, 900, 15.5, 400, 4.0),
+        };
+        Knobs {
+            publishers,
+            ad_companies,
+            trackers,
+            crawl_sites,
+            rbn2_households,
+            rbn2_hours,
+            rbn1_households,
+            rbn1_days,
         }
     }
+}
+
+/// Read a trace file through the lossy decoder; skipped lines are noted
+/// on stderr under `tag`.
+pub fn read_trace_file(tag: &str, path: &Path) -> Trace {
+    let shown = path.display();
+    let bytes =
+        std::fs::read(path).unwrap_or_else(|e| die(format!("cannot read trace {shown}: {e}")));
+    let (trace, stats) = netsim::codec::read_trace_lossy(bytes.as_slice())
+        .unwrap_or_else(|e| die(format!("cannot decode trace {shown}: {e}")));
+    if stats.total_skipped() > 0 {
+        eprintln!(
+            "[{tag}] lossy read skipped {} line(s) of {shown}",
+            stats.total_skipped()
+        );
+    }
+    trace
 }
 
 /// The lazily built shared world.
@@ -55,7 +117,8 @@ pub struct World {
     pub seed: u64,
     pub eco: Ecosystem,
     pub classifier: PassiveClassifier,
-    /// Worker threads for the sharded classification stage (`--threads`).
+    /// Worker threads for classification, sharded or streamed
+    /// (`--threads`; 0 = this machine's available parallelism).
     pub threads: usize,
     /// Which match-path implementation classifies (`--engine`).
     pub engine: adscope::EngineMode,
@@ -87,7 +150,13 @@ impl World {
         threads: usize,
         engine: adscope::EngineMode,
     ) -> World {
-        let (publishers, ad_companies, trackers, crawl_sites, ..) = scale.knobs();
+        let Knobs {
+            publishers,
+            ad_companies,
+            trackers,
+            crawl_sites,
+            ..
+        } = scale.knobs();
         let t = Instant::now();
         let eco = Ecosystem::generate(EcosystemConfig {
             publishers,
@@ -119,7 +188,7 @@ impl World {
             seed,
             eco,
             classifier,
-            threads: threads.max(1),
+            threads,
             engine,
             active: None,
             rbn1: None,
@@ -152,9 +221,7 @@ impl World {
     /// Build RBN-2 (15.5 h peak trace) if not yet built.
     pub fn ensure_rbn2(&mut self) {
         if self.rbn2.is_none() {
-            let (.., rbn2_households, rbn2_hours, _, _) = self.scale.knobs();
-            let data = self.drive_rbn(DriveConfig::rbn2(rbn2_hours), rbn2_households, 0xB52);
-            self.rbn2 = Some(data);
+            self.rbn2 = Some(self.drive_rbn(Rbn::Two));
         }
     }
 
@@ -172,9 +239,7 @@ impl World {
     /// Build RBN-1 (multi-day trace) if not yet built.
     pub fn ensure_rbn1(&mut self) {
         if self.rbn1.is_none() {
-            let (.., rbn1_households, rbn1_days) = self.scale.knobs();
-            let data = self.drive_rbn(DriveConfig::rbn1(rbn1_days), rbn1_households, 0xB51);
-            self.rbn1 = Some(data);
+            self.rbn1 = Some(self.drive_rbn(Rbn::One));
         }
     }
 
@@ -189,29 +254,66 @@ impl World {
         self.rbn1_ref()
     }
 
-    fn drive_rbn(&self, config: DriveConfig, households: usize, seed: u64) -> RbnData {
-        let t = Instant::now();
-        let mut pop = Population::generate(
-            &self.eco,
+    /// The one RBN recipe: the capture's shape and its seeded population
+    /// over `eco` — this world's ecosystem, or one evolved from it.
+    pub fn rbn_setup(&self, eco: &Ecosystem, which: Rbn) -> (DriveConfig, Population) {
+        let k = self.scale.knobs();
+        let (config, households, seed) = match which {
+            Rbn::One => (DriveConfig::rbn1(k.rbn1_days), k.rbn1_households, 0xB51),
+            Rbn::Two => (DriveConfig::rbn2(k.rbn2_hours), k.rbn2_households, 0xB52),
+        };
+        let pop = Population::generate(
+            eco,
             &PopulationConfig {
                 households,
                 seed,
                 ..Default::default()
             },
         );
+        (config, pop)
+    }
+
+    /// Generate one capture over `eco`, materialized, with the population
+    /// that produced it (the ground-truth side of the joins).
+    pub fn generate(&self, eco: &Ecosystem, which: Rbn) -> (DriveOutput, Population) {
+        let t = Instant::now();
+        let (config, mut pop) = self.rbn_setup(eco, which);
+        let out = drive(eco, &mut pop, &ActivityProfile::default(), &config);
+        eprintln!(
+            "[world] {}: {} households, {} HTTP + {} HTTPS records ({:.1}s)",
+            config.name,
+            pop.households,
+            out.trace.http_count(),
+            out.trace.https_count(),
+            t.elapsed().as_secs_f64()
+        );
+        (out, pop)
+    }
+
+    /// Chunk a materialized trace through the streaming engine — the same
+    /// router and shard workers `experiments stream` runs.
+    pub fn stream_trace(
+        &self,
+        trace: &Trace,
+        opts: &adscope::StreamOptions,
+    ) -> adscope::StreamReport {
+        let chunks = trace
+            .records
+            .chunks(opts.chunk_records)
+            .enumerate()
+            .map(|(seq, records)| StreamChunk::in_memory(seq as u64, records.to_vec()));
+        let meta = trace.meta.clone();
+        adscope::stream::classify_stream_chunks(chunks, meta, &self.classifier, opts, obs::global())
+            .unwrap_or_else(|e| die(format!("stream failed: {e}")))
+    }
+
+    fn drive_rbn(&self, which: Rbn) -> RbnData {
+        let (out, pop) = self.generate(&self.eco, which);
         let DriveOutput {
             trace,
             ground_truth,
             addr_map,
-        } = drive(&self.eco, &mut pop, &ActivityProfile::default(), &config);
-        eprintln!(
-            "[world] {}: {} households, {} HTTP + {} HTTPS records ({:.1}s)",
-            config.name,
-            households,
-            trace.http_count(),
-            trace.https_count(),
-            t.elapsed().as_secs_f64()
-        );
+        } = out;
         let t2 = Instant::now();
         let classified = adscope::classify_trace_sharded(
             &trace,
@@ -221,7 +323,7 @@ impl World {
         );
         eprintln!(
             "[world] {}: classified {} requests on {} thread(s) ({:.1}s)",
-            config.name,
+            trace.meta.name,
             classified.requests.len(),
             self.threads,
             t2.elapsed().as_secs_f64()
@@ -231,7 +333,7 @@ impl World {
             truth: pop.truth,
             ground: ground_truth,
             addr_map,
-            households,
+            households: pop.households,
         }
     }
 
