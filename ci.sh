@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Local CI: the exact gate the GitHub Actions workflow runs.
+# The CI gate, all of it: .github/workflows/ci.yml installs a toolchain and
+# runs this file, nothing else.
 # Usage: ./ci.sh
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -46,6 +47,15 @@ for i in $(seq 1 20); do
     >/dev/null 2>&1 || { echo "    obs health tests failed on run $i of 20"; exit 1; }
 done
 echo "    20 of 20 runs green"
+
+echo "==> obs serve request-head deadline (a trickling client cannot hold the accept thread)"
+# By name: one client sends a byte per 300 ms, the next one's /healthz is
+# answered within 3 s (a 2 s timeout per read used to let the first hold
+# the thread for hours).
+serve_out="$(cargo test -q -p obs --lib -- --exact \
+  serve::tests::a_trickling_client_is_cut_off_at_the_head_deadline 2>&1)" \
+  || { echo "$serve_out"; exit 1; }
+grep -q 'test result: ok. 1 passed' <<<"$serve_out"
 
 echo "==> e2e benchmark harness (unit tests + quick easylist_w1 smoke)"
 cargo test -q --offline -p bench --bin e2e
@@ -158,14 +168,16 @@ echo "==> checkpoint gates (PR 16 fixture, every kill point, typed refusals, bar
 # By name, so a renamed or deleted test fails here instead of passing
 # vacuously: the committed checkpoint the PR 16 build wrote must resume
 # byte-identically, every kill point x thread change x cadence of one
-# 19-chunk trace must too, and out-of-range persisted values are refused.
+# 19-chunk trace must too, its legacy `alerts` block garbled or gone changes
+# nothing, and out-of-range persisted values are refused.
 ckfmt_out="$(cargo test -q -p adscope --test checkpoint_format -- --exact \
   fixture_written_at_pr16_resumes_byte_identically \
+  the_legacy_alerts_block_is_neither_read_nor_written \
   fixture_trace_is_the_generated_one \
   every_kill_point_resumes_byte_identically \
   out_of_range_values_are_refused_with_their_path \
   a_lost_or_short_sidecar_is_refused 2>&1)" || { echo "$ckfmt_out"; exit 1; }
-grep -q 'test result: ok. 5 passed' <<<"$ckfmt_out"
+grep -q 'test result: ok. 6 passed' <<<"$ckfmt_out"
 # The barrier's three moves, by name too: a worker re-renders only the users
 # a record touched, the router's parked checkpoint is on disk one chunk later
 # and when the run returns, a write error is never lost, and a run sweeps the
@@ -385,6 +397,7 @@ ledger() {
   done | sort -n | awk '{s+=$1; last=$0} END{print "total " s "  largest " last}'
 }
 echo "    adscope + netsim:     $(ledger crates/adscope/src crates/netsim/src)"
+echo "    obs:                  $(ledger crates/obs/src)"
 echo "    src/bin/experiments:  $(ledger src/bin/experiments)"
 # One argv cursor (cli.rs): a hand-rolled flag loop must not come back.
 if grep -n 'while i < args.len()' src/bin/experiments/*.rs; then exit 1; fi

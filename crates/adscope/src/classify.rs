@@ -5,39 +5,6 @@ use abp_filter::{
 };
 use http_model::{ContentCategory, Url};
 
-/// Which match-path implementation the classifier runs.
-///
-/// Both produce byte-identical [`Classification`]s (the differential test
-/// suite pins this); `Compiled` is the default and is several times faster
-/// at EasyList scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineMode {
-    /// The arena-compiled, fingerprint-prefiltered engine.
-    #[default]
-    Compiled,
-    /// The original token-indexed `HashMap` engine.
-    Reference,
-}
-
-impl EngineMode {
-    /// Parse the `--engine` flag value.
-    pub fn parse(s: &str) -> Option<EngineMode> {
-        match s {
-            "compiled" => Some(EngineMode::Compiled),
-            "reference" => Some(EngineMode::Reference),
-            _ => None,
-        }
-    }
-
-    /// Canonical name, as accepted by [`EngineMode::parse`].
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EngineMode::Compiled => "compiled",
-            EngineMode::Reference => "reference",
-        }
-    }
-}
-
 /// Which conceptual list a verdict belongs to, independent of engine load
 /// order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -192,27 +159,28 @@ pub struct PassiveClassifier {
 
 impl PassiveClassifier {
     /// Build from filter lists (load order defines primary attribution for
-    /// multi-list hits; pass EasyList first like the paper). Uses the
-    /// compiled engine; see [`PassiveClassifier::with_mode`] to opt out.
+    /// multi-list hits; pass EasyList first like the paper). Classifies
+    /// through the arena-compiled, fingerprint-prefiltered engine.
     pub fn new(lists: Vec<FilterList>) -> PassiveClassifier {
-        PassiveClassifier::with_mode(lists, EngineMode::Compiled)
+        let mut c = PassiveClassifier::reference(lists);
+        c.compiled = Some(CompiledEngine::compile(&c.engine));
+        c
     }
 
-    /// Build with an explicit [`EngineMode`] (the `--engine` flag).
-    pub fn with_mode(lists: Vec<FilterList>, mode: EngineMode) -> PassiveClassifier {
+    /// The oracle: classifies through the original token-indexed `HashMap`
+    /// [`Engine`]. Byte-identical [`Classification`]s, several times slower
+    /// at EasyList scale; the differential suites compare [`Self::new`]
+    /// against it, nothing else calls it.
+    pub fn reference(lists: Vec<FilterList>) -> PassiveClassifier {
         let mut engine = Engine::new();
         let mut kinds = Vec::with_capacity(lists.len());
         for l in lists {
             kinds.push(ListKind::from_name(&l.name));
             engine.add_list(l);
         }
-        let compiled = match mode {
-            EngineMode::Compiled => Some(CompiledEngine::compile(&engine)),
-            EngineMode::Reference => None,
-        };
         PassiveClassifier {
             engine,
-            compiled,
+            compiled: None,
             kinds,
         }
     }
@@ -222,17 +190,9 @@ impl PassiveClassifier {
         &self.engine
     }
 
-    /// The compiled engine, when running in [`EngineMode::Compiled`].
+    /// The compiled engine (`None` only for [`Self::reference`]).
     pub fn compiled(&self) -> Option<&CompiledEngine> {
         self.compiled.as_ref()
-    }
-
-    /// The active engine mode.
-    pub fn mode(&self) -> EngineMode {
-        match self.compiled {
-            Some(_) => EngineMode::Compiled,
-            None => EngineMode::Reference,
-        }
     }
 
     /// Kind of an engine list id.

@@ -45,7 +45,7 @@ pub mod stream;
 pub mod users;
 pub mod window;
 
-pub use classify::{AdLabel, Attribution, EngineMode, ListKind, PassiveClassifier};
+pub use classify::{AdLabel, Attribution, ListKind, PassiveClassifier};
 pub use degrade::DegradationReport;
 pub use pipeline::{ClassifiedRequest, ClassifiedTrace, PipelineOptions};
 pub use population::{PopulationOptions, PopulationReport, PopulationSketches, UserTally};

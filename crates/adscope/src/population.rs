@@ -20,7 +20,7 @@
 //! * [`finish`] — the single report builder both paths share: streamed
 //!   runs call it over merged sketches + merged tallies, the
 //!   materialized path calls it via [`finish_trace`] over
-//!   `aggregate_users` output. One code path means `experiments
+//!   [`tally_users`] output. One code path means `experiments
 //!   population --exact-check` compares byte-identical renders.
 //!
 //! Everything here is a pure function of the classified request stream

@@ -239,32 +239,6 @@ fn population_to_json(out: &mut String, p: &PopulationCum) {
     out.push_str("]}");
 }
 
-fn alerts_to_json(out: &mut String, st: &obs::AlertEngineState) {
-    let _ = write!(
-        out,
-        ",\"alerts\":{{\"rules_fnv\":{},\"updates\":{},\"detectors\":[",
-        st.rules_fnv, st.updates
-    );
-    json::write_seq(out, &st.detectors, |out, words| {
-        out.push('[');
-        write_nums(out, words);
-        out.push(']');
-    });
-    out.push_str("],\"phases\":[");
-    json::write_seq(out, &st.phases, |out, (p, breach, clear, since)| {
-        let _ = write!(out, "[{p},{breach},{clear},{since}]");
-    });
-    out.push_str("],\"events\":[");
-    json::write_seq(
-        out,
-        &st.events,
-        |out, (rule, window, kind, value, score)| {
-            let _ = write!(out, "[{rule},{window},\"{kind}\",{value},{score}]");
-        },
-    );
-    out.push_str("]}");
-}
-
 /// The manifest line: the whole [`RunState`] under the config `hash`.
 pub(super) fn manifest_to_json(hash: u64, st: &RunState) -> String {
     let mut out = String::with_capacity(1024);
@@ -317,9 +291,6 @@ pub(super) fn manifest_to_json(hash: u64, st: &RunState) -> String {
     window_report_to_json(&mut out, &st.decode_windows);
     if let Some(p) = &st.population {
         population_to_json(&mut out, p);
-    }
-    if let Some(a) = &st.alerts {
-        alerts_to_json(&mut out, &a.state());
     }
     out.push('}');
     out
@@ -515,23 +486,6 @@ fn population_from_value(
     })
 }
 
-fn alerts_from_value(v: &Value<'_>) -> Result<obs::AlertEngineState, DecodeError> {
-    let event = |e: &Value<'_>| {
-        let (rule, window, kind, value, score) = <(_, _, String, _, _)>::from_json(e)?;
-        // Back onto the `&'static` keyword the state image references.
-        let kind = obs::AlertEventKind::from_keyword(&kind).map(obs::AlertEventKind::as_str);
-        let kind = kind.ok_or_else(|| DecodeError::new("expected alert kind").at_index(2))?;
-        Ok((rule, window, kind, value, score))
-    };
-    Ok(obs::AlertEngineState {
-        rules_fnv: v.field("rules_fnv")?,
-        detectors: v.field("detectors")?,
-        phases: v.field("phases")?,
-        events: v.field_with("events", |a| a.each(event))?,
-        updates: v.field("updates")?,
-    })
-}
-
 /// The [`RunState`] a manifest line holds. Starts from the fresh state
 /// `opts` asks for, so a plane that is on has a value either way.
 fn manifest_from_value(m: &Value<'_>, opts: &StreamOptions) -> Result<RunState, DecodeError> {
@@ -591,16 +545,11 @@ fn manifest_from_value(m: &Value<'_>, opts: &StreamOptions) -> Result<RunState, 
     })?;
     // The config hash covers which planes are on, so a plane that is on
     // was on when the checkpoint was written and its block is required.
+    // The alert plane has none: its timeline is recomputed from `windows`
+    // at the next merge (an `alerts` key in an older file is not looked up).
     if let Some(p) = &mut st.population {
         *p = m.field_with("population", |v| {
             population_from_value(v, opts.pipeline.population)
-        })?;
-    }
-    if let Some(engine) = &mut st.alerts {
-        // The pack hash inside the image guards compatibility.
-        *engine = m.field_with("alerts", |v| {
-            obs::AlertEngine::from_state(opts.alerts.clone(), alerts_from_value(v)?)
-                .map_err(DecodeError::new)
         })?;
     }
     Ok(st)

@@ -190,7 +190,10 @@ pub struct StreamOptions {
     /// Evaluation is a full recompute over the merged report (see
     /// [`obs::AlertEngine::eval_report`]), so the alert timeline is
     /// byte-identical at any thread count, chunk size, or kill/resume
-    /// schedule — and identical to the materialized path's.
+    /// schedule — and identical to the materialized path's. A checkpoint
+    /// carries none of it: the config hash covers the pack, and the first
+    /// merge after a resume recomputes the timeline from the restored
+    /// windows.
     pub alerts: Vec<obs::AlertRule>,
 }
 

@@ -86,10 +86,6 @@ pub(super) struct RunState {
     pub(super) decode_windows: WindowReport,
     /// Present when population analytics are on.
     pub(super) population: Option<PopulationCum>,
-    /// Present when [`StreamOptions::alerts`] names rules. The engine
-    /// re-evaluates the merged report at every merge — full recompute, so
-    /// where the barriers fall cannot change the timeline.
-    pub(super) alerts: Option<obs::AlertEngine>,
     /// The per-user state a checkpoint restored, until the workers that
     /// own it start (run-local; each barrier persists the live state).
     pub(super) restored: Vec<RestoredUser>,
@@ -116,7 +112,6 @@ impl RunState {
             windows: WindowReport::default(),
             decode_windows: WindowReport::default(),
             population: popts.enabled.then(|| PopulationCum::new(popts)),
-            alerts: (!opts.alerts.is_empty()).then(|| obs::AlertEngine::new(opts.alerts.clone())),
             restored: Vec::new(),
         }
     }
@@ -147,6 +142,11 @@ struct Router<'a> {
     /// fsyncs with nothing else runnable; one chunk later they have a batch
     /// to classify meanwhile. At most one is parked at a time.
     parked: Option<(&'a Path, String, Vec<Arc<str>>)>,
+    /// Present when [`StreamOptions::alerts`] names rules: the rule pack and
+    /// its last evaluation. Every merge re-evaluates `state.windows` from
+    /// scratch, so where the barriers fall cannot change the timeline and
+    /// there is nothing here for a checkpoint to carry.
+    alerts: Option<obs::AlertEngine>,
     checkpoints_written: u64,
     stopped_early: bool,
 }
@@ -235,6 +235,7 @@ where
             last_stalls: vec![0u64; nworkers],
             run_chunks: 0,
             parked: None,
+            alerts: (!opts.alerts.is_empty()).then(|| obs::AlertEngine::new(opts.alerts.clone())),
             checkpoints_written: 0,
             stopped_early: false,
         };
@@ -449,7 +450,7 @@ impl<'a> Router<'a> {
             }
         }
         st.windows.merge(&self.router_windows.cut());
-        if let Some(engine) = &mut st.alerts {
+        if let Some(engine) = &mut self.alerts {
             engine.eval_report(&st.windows);
             engine.publish(self.registry);
         }
@@ -514,7 +515,7 @@ impl<'a> Router<'a> {
             stopped_early: self.stopped_early,
             collected,
             population,
-            alerts: st.alerts,
+            alerts: self.alerts,
         }
     }
 }

@@ -4,28 +4,19 @@
 //! materialized evaluators, and preserved bit-for-bit across a
 //! kill-and-resume from checkpoint.
 
-use abp_filter::FilterList;
-use adscope::classify::PassiveClassifier;
+mod common;
+
 use adscope::pipeline::{classify_trace_in, PipelineOptions};
 use adscope::stream::{classify_stream_file, CheckpointOptions, StreamOptions};
+use common::{classifier, temp_path, write_trace_file};
 use http_model::headers::{RequestHeaders, ResponseHeaders};
 use http_model::transaction::Method;
 use http_model::HttpTransaction;
-use netsim::codec::write_trace;
 use netsim::record::{Trace, TraceMeta, TraceRecord};
 use obs::{AlertRule, DetectorSpec, Direction, SeriesSpec, Severity};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-fn classifier() -> PassiveClassifier {
-    PassiveClassifier::new(vec![
-        FilterList::parse("easylist", "||ads.example^$third-party\n/banners/\n"),
-        FilterList::parse("easyprivacy", "/pixel/\n"),
-    ])
-}
 
 /// A pack sized for hour-scale synthetic traces: the same detector
 /// shapes as the production pack, with evidence floors a few dozen
@@ -139,31 +130,10 @@ fn shift_trace(hours: usize, load: usize, cut: usize, seed: u64) -> Trace {
     }
 }
 
-/// A fresh temp path unique across parallel test threads and cases.
-fn temp_path(tag: &str) -> PathBuf {
-    static SERIAL: AtomicU64 = AtomicU64::new(0);
-    let n = SERIAL.fetch_add(1, Ordering::Relaxed);
-    let mut p = std::env::temp_dir();
-    p.push(format!(
-        "adscope-alertequiv-{}-{tag}-{n}",
-        std::process::id()
-    ));
-    p
-}
-
-fn write_trace_file(trace: &Trace, tag: &str) -> PathBuf {
-    let path = temp_path(tag);
-    let f = std::fs::File::create(&path).unwrap();
-    write_trace(trace, f).unwrap();
-    path
-}
-
 fn stream_opts(threads: usize, chunk: usize) -> StreamOptions {
     StreamOptions {
-        threads,
-        chunk_records: chunk,
         alerts: pack(),
-        ..StreamOptions::default()
+        ..common::stream_opts(threads, chunk)
     }
 }
 

@@ -53,7 +53,7 @@ fn classifier() -> PassiveClassifier {
 }
 
 /// Detector shapes of the production pack with evidence floors a 300-record
-/// trace can clear, so the manifest carries detector words, phases and events.
+/// trace can clear, so the timeline has events on both sides of a kill point.
 fn pack() -> Vec<AlertRule> {
     let share = |name: &str, num: &str, detector, direction, threshold| AlertRule {
         name: name.into(),
@@ -239,7 +239,8 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 /// Every plane on: population, the alert pack, the download indicator and the
-/// quarantine sidecar, so a checkpoint carries every manifest block.
+/// quarantine sidecar, so a checkpoint carries every manifest block (and the
+/// render an alert timeline to get wrong).
 fn opts(threads: usize, dir: &Path, every_chunks: u64, resume: bool) -> StreamOptions {
     let mut o = StreamOptions {
         threads,
@@ -365,6 +366,51 @@ fn fixture_written_at_pr16_resumes_byte_identically() {
     }
 }
 
+/// The alert timeline is recomputed from the restored `windows` at the first
+/// merge after a resume, so the `alerts` block the PR 16 build wrote is
+/// legacy: never looked up, whatever it holds, and no longer written. What
+/// still guards the rule pack is the config hash.
+#[test]
+fn the_legacy_alerts_block_is_neither_read_nor_written() {
+    let (manifest, users) = fixture_checkpoint();
+    let at = manifest
+        .find(",\"alerts\":{")
+        .expect("fixture has the block");
+    assert!(
+        manifest.ends_with("]}}"),
+        "the block is the manifest's last"
+    );
+    let garbled = format!("{},\"alerts\":7}}", &manifest[..at]);
+    let removed = format!("{}}}", &manifest[..at]);
+    let want = std::fs::read_to_string(fixture_dir().join("render.txt")).unwrap();
+    assert!(
+        want.contains("rule req_burst firing"),
+        "no timeline to lose"
+    );
+    for (what, manifest) in [("garbled", &garbled), ("removed", &removed)] {
+        for threads in [1, 3] {
+            let got = resume_fixture(manifest, &users, threads).unwrap();
+            assert!(got.resumed_from.is_some());
+            assert_eq!(got.render(), want, "{what}, threads={threads}");
+        }
+    }
+
+    let dir = temp_dir("no-alerts-key");
+    let mut killed = opts(2, &dir, 1, false);
+    killed.stop_after_chunks = Some(FIXTURE_KILL);
+    run(&fixture_dir().join("trace.ndjson"), &killed).unwrap();
+    let (written, _) = read_checkpoint(&dir.join("ck").join(CHECKPOINT_FILE));
+    assert!(written.contains("\"population\":{") && !written.contains("\"alerts\""));
+    // Same checkpoint, one threshold moved: refused by the config hash.
+    let mut other = opts(2, &dir, 1, true);
+    other.alerts[2].threshold = 0.75;
+    match run(&fixture_dir().join("trace.ndjson"), &other) {
+        Err(StreamError::Checkpoint(msg)) => assert!(msg.contains("configuration"), "{msg}"),
+        other => panic!("expected a refusal, loaded: {}", other.is_ok()),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Today's writer against the committed generator: the trace the sweep
 /// below runs on is the fixture's, byte for byte.
 #[test]
@@ -447,11 +493,6 @@ fn out_of_range_values_are_refused_with_their_path() {
             "population.users[0]: expected u8",
         ),
         (
-            "an alert phase tag of 256",
-            mutate(&manifest, "\"phases\":[[", "256"),
-            "alerts.phases[0][0]: expected u8",
-        ),
-        (
             "a quantile bucket index of 2^31",
             mutate(
                 &manifest,
@@ -487,11 +528,6 @@ fn out_of_range_values_are_refused_with_their_path() {
             "a histogram one bucket short",
             manifest.replacen("{\"buckets\":[0,", "{\"buckets\":[", 1),
             "windows.windows[0].hists.rtb_gap_ms.buckets: expected 65 buckets",
-        ),
-        (
-            "an alert event kind nobody emits",
-            manifest.replacen("\"pending\"", "\"bogus\"", 1),
-            "alerts.events[0][2]: expected alert kind",
         ),
     ];
     for (what, mutated, path) in &manifest_cases {

@@ -7,39 +7,26 @@
 //! within their documented relative-error bound of the exact
 //! `stats::percentile`.
 
-use abp_filter::FilterList;
-use adscope::classify::PassiveClassifier;
+mod common;
+
 use adscope::pipeline::{classify_trace_in, PipelineOptions};
 use adscope::population::{self, PopulationOptions, PopulationSketches};
 use adscope::stream::{classify_stream_file, CheckpointOptions, StreamOptions};
+use common::{classifier, temp_path, write_trace_file};
 use http_model::headers::{RequestHeaders, ResponseHeaders};
 use http_model::transaction::Method;
 use http_model::HttpTransaction;
-use netsim::codec::write_trace;
 use netsim::record::{TlsConnection, Trace, TraceMeta, TraceRecord};
 use obs::sketch::{QuantileSketch, QUANTILE_GAMMA};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 const THREAD_COUNTS: [usize; 2] = [1, 4];
 
 /// The EasyList-download server addresses the generated traces point
 /// HTTPS flows at.
 const ABP_IPS: [u32; 2] = [900, 901];
-
-fn classifier() -> PassiveClassifier {
-    PassiveClassifier::new(vec![
-        FilterList::parse(
-            "easylist",
-            "||ads.example^$third-party\n/banners/\n@@*callback=ok*\n",
-        ),
-        FilterList::parse("easyprivacy", "/pixel/\n"),
-        FilterList::parse("acceptable-ads", "@@||nice.example^\n"),
-    ])
-}
 
 fn popts() -> PopulationOptions {
     PopulationOptions {
@@ -126,22 +113,6 @@ fn population_trace(n: usize, users: u32, seed: u64) -> Trace {
     }
 }
 
-/// A fresh temp path unique across parallel test threads and cases.
-fn temp_path(tag: &str) -> PathBuf {
-    static SERIAL: AtomicU64 = AtomicU64::new(0);
-    let n = SERIAL.fetch_add(1, Ordering::Relaxed);
-    let mut p = std::env::temp_dir();
-    p.push(format!("adscope-popequiv-{}-{tag}-{n}", std::process::id()));
-    p
-}
-
-fn write_trace_file(trace: &Trace, tag: &str) -> PathBuf {
-    let path = temp_path(tag);
-    let f = std::fs::File::create(&path).unwrap();
-    write_trace(trace, f).unwrap();
-    path
-}
-
 /// The materialized reference render: full pipeline with population
 /// sketches attached, then the shared `finish_trace` report.
 fn reference_render(trace: &Trace) -> String {
@@ -154,10 +125,8 @@ fn reference_render(trace: &Trace) -> String {
 
 fn stream_opts(threads: usize, chunk: usize) -> StreamOptions {
     let mut opts = StreamOptions {
-        threads,
-        chunk_records: chunk,
         abp_ips: ABP_IPS.to_vec(),
-        ..StreamOptions::default()
+        ..common::stream_opts(threads, chunk)
     };
     opts.pipeline.population = popts();
     opts

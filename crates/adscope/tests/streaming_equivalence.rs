@@ -13,130 +13,17 @@
 //! Thread counts tested are {1, 4} — the same pair CI exercises for the
 //! sharded suite.
 
-use abp_filter::FilterList;
-use adscope::classify::PassiveClassifier;
+mod common;
+
 use adscope::pipeline::{classify_trace_in, ClassifiedTrace, PipelineOptions};
 use adscope::stream::{classify_stream_file, CheckpointOptions, StreamOptions};
-use http_model::headers::{RequestHeaders, ResponseHeaders};
-use http_model::transaction::Method;
-use http_model::HttpTransaction;
+use common::{classifier, messy_trace, temp_path, write_trace_file};
 use netsim::codec::{read_trace_lossy, write_trace};
 use netsim::faults::{FaultInjector, FaultProfile};
-use netsim::record::{Trace, TraceMeta, TraceRecord};
+use netsim::record::{Trace, TraceRecord};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 const THREAD_COUNTS: [usize; 2] = [1, 4];
-
-fn classifier() -> PassiveClassifier {
-    PassiveClassifier::new(vec![
-        FilterList::parse(
-            "easylist",
-            "||ads.example^$third-party\n/banners/\n@@*callback=ok*\n",
-        ),
-        FilterList::parse("easyprivacy", "/pixel/\n"),
-        FilterList::parse("acceptable-ads", "@@||nice.example^\n"),
-    ])
-}
-
-/// A randomized multi-user trace exercising every stream-sensitive
-/// feature: several ⟨IP, UA⟩ pairs (including absent UA), referers,
-/// redirects with backfill targets, missing content types, out-of-order
-/// timestamps, and quarantined (empty-host) records.
-fn messy_trace(n: usize, users: u32, seed: u64) -> Trace {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut records: Vec<TraceRecord> = Vec::with_capacity(n);
-    for i in 0..n {
-        let client = rng.gen_range(1..=users);
-        let ua = match rng.gen_range(0..4) {
-            0 => Some("UA-Desktop/1.0".to_string()),
-            1 => Some("UA-Mobile/2.0".to_string()),
-            2 => Some(String::new()),
-            _ => None,
-        };
-        let mut ts = i as f64 * 0.2;
-        if rng.gen_bool(0.1) {
-            ts -= 0.5; // out of order
-        }
-        let (host, uri, location, status) = match rng.gen_range(0..6) {
-            0 => ("pub.example", "/".to_string(), None, 200),
-            1 => ("ads.example", format!("/creative{i}.gif"), None, 200),
-            2 => ("x.example", format!("/banners/{i}.gif"), None, 200),
-            3 => (
-                "r.example",
-                format!("/go?id={i}"),
-                Some(format!("http://media.example/spot{i}.mp4")),
-                302,
-            ),
-            4 => ("media.example", format!("/spot{i}.mp4"), None, 200),
-            _ => ("", "/quarantined".to_string(), None, 200),
-        };
-        let referer = if rng.gen_bool(0.6) {
-            Some("http://pub.example/".to_string())
-        } else {
-            None
-        };
-        let content_type = match rng.gen_range(0..4) {
-            0 => Some("text/html".to_string()),
-            1 => Some("image/gif".to_string()),
-            2 => Some("video/mp4".to_string()),
-            _ => None,
-        };
-        records.push(TraceRecord::Http(HttpTransaction {
-            ts,
-            client_ip: client,
-            server_ip: rng.gen_range(10..20),
-            server_port: 80,
-            method: Method::Get,
-            request: RequestHeaders {
-                host: host.into(),
-                uri,
-                referer,
-                user_agent: ua,
-            },
-            response: ResponseHeaders {
-                status,
-                content_type,
-                content_length: Some(rng.gen_range(10..5000)),
-                location,
-            },
-            tcp_handshake_ms: 1.0,
-            http_handshake_ms: rng.gen_range(2.0..90.0),
-        }));
-    }
-    Trace {
-        meta: TraceMeta {
-            name: "stream-equiv".into(),
-            duration_secs: n as f64,
-            subscribers: users as usize,
-            start_hour: 0,
-            start_weekday: 0,
-        },
-        records,
-    }
-}
-
-/// A fresh temp path unique across parallel test threads and cases.
-fn temp_path(tag: &str) -> PathBuf {
-    static SERIAL: AtomicU64 = AtomicU64::new(0);
-    let n = SERIAL.fetch_add(1, Ordering::Relaxed);
-    let mut p = std::env::temp_dir();
-    p.push(format!(
-        "adscope-streamequiv-{}-{tag}-{n}",
-        std::process::id()
-    ));
-    p
-}
-
-fn write_trace_file(trace: &Trace, tag: &str) -> PathBuf {
-    let path = temp_path(tag);
-    let f = std::fs::File::create(&path).unwrap();
-    write_trace(trace, f).unwrap();
-    path
-}
 
 /// Materialized reference with the streaming window semantics
 /// (infinite watermark).
@@ -148,10 +35,8 @@ fn reference(trace: &Trace) -> ClassifiedTrace {
 
 fn stream_opts(threads: usize, chunk: usize) -> StreamOptions {
     StreamOptions {
-        threads,
-        chunk_records: chunk,
         collect_requests: true,
-        ..StreamOptions::default()
+        ..common::stream_opts(threads, chunk)
     }
 }
 

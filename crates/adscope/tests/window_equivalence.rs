@@ -4,11 +4,12 @@
 //! records must surface in a visible `obs_window_late_total` counter
 //! rather than vanish.
 
-use abp_filter::FilterList;
-use adscope::classify::PassiveClassifier;
+mod common;
+
 use adscope::pipeline::{classify_trace_in, PipelineOptions};
 use adscope::shard::classify_trace_sharded_in;
 use adscope::window::WindowOptions;
+use common::classifier;
 use http_model::headers::{RequestHeaders, ResponseHeaders};
 use http_model::transaction::Method;
 use http_model::HttpTransaction;
@@ -16,14 +17,6 @@ use netsim::record::{Trace, TraceMeta, TraceRecord};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-fn classifier() -> PassiveClassifier {
-    PassiveClassifier::new(vec![
-        FilterList::parse("easylist", "||ads.example^$third-party\n/banners/\n"),
-        FilterList::parse("easyprivacy", "/pixel/\n"),
-        FilterList::parse("acceptable-ads", "@@||nice.example^\n"),
-    ])
-}
 
 /// A multi-user trace spanning several windows, with occasional
 /// out-of-order timestamps (some beyond any reasonable watermark).
@@ -80,16 +73,7 @@ fn windowed_trace(n: usize, users: u32, span_secs: f64, seed: u64) -> Trace {
 /// Thread counts the determinism claim is checked at; `ANNOYED_THREADS`
 /// adds one more (CI runs the suite at 1 and 4).
 fn thread_counts() -> Vec<usize> {
-    let mut counts = vec![1usize, 4];
-    if let Some(extra) = std::env::var("ANNOYED_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        if !counts.contains(&extra) {
-            counts.push(extra);
-        }
-    }
-    counts
+    common::thread_counts(&[1, 4])
 }
 
 proptest! {

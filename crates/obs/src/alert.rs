@@ -186,16 +186,6 @@ impl AlertEventKind {
             AlertEventKind::Resolved => "resolved",
         }
     }
-
-    /// Inverse of [`AlertEventKind::as_str`] (checkpoint decode).
-    pub fn from_keyword(s: &str) -> Option<AlertEventKind> {
-        match s {
-            "pending" => Some(AlertEventKind::Pending),
-            "firing" => Some(AlertEventKind::Firing),
-            "resolved" => Some(AlertEventKind::Resolved),
-            _ => None,
-        }
-    }
 }
 
 /// One lifecycle transition on the logical clock.
@@ -214,9 +204,10 @@ pub struct AlertEvent {
 }
 
 /// A rule's lifecycle phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Phase {
     /// No active breach streak.
+    #[default]
     Idle,
     /// Breaching, but not yet for `for_windows` windows.
     Pending,
@@ -235,7 +226,7 @@ impl Phase {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 struct RuleState {
     phase: Phase,
     breach_streak: u32,
@@ -244,70 +235,29 @@ struct RuleState {
     since: i64,
 }
 
-impl RuleState {
-    fn idle() -> RuleState {
-        RuleState {
-            phase: Phase::Idle,
-            breach_streak: 0,
-            clear_streak: 0,
-            since: 0,
-        }
-    }
-}
-
-/// Plain-data image of an engine's evolving state, for checkpointing.
-/// `f64` fields travel as `to_bits` words (see
-/// [`Detector::state`]); the serialization envelope is the caller's.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AlertEngineState {
-    /// FNV-64 of the rule pack's debug rendering — a resumed engine
-    /// refuses state from a different pack.
-    pub rules_fnv: u64,
-    /// Per-rule detector state words.
-    pub detectors: Vec<Vec<u64>>,
-    /// Per-rule lifecycle: `(phase, breach_streak, clear_streak, since)`
-    /// with phase 0=idle 1=pending 2=firing.
-    pub phases: Vec<(u8, u32, u32, i64)>,
-    /// Timeline events: `(rule, window_index, kind keyword, value bits,
-    /// score bits)`.
-    pub events: Vec<(u64, i64, &'static str, u64, u64)>,
-    /// Cumulative detector updates across evaluations.
-    pub updates: u64,
-}
-
-/// The alert engine: a rule pack plus the state of its last evaluation.
+/// The alert engine: a rule pack plus the outcome of its last evaluation
+/// (each rule's lifecycle and the timeline). Detector state exists only
+/// inside [`AlertEngine::eval_report`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlertEngine {
     rules: Vec<AlertRule>,
-    detectors: Vec<Detector>,
     states: Vec<RuleState>,
     events: Vec<AlertEvent>,
-    updates: u64,
-    // Publish cursors are process-local (metrics are not checkpointed):
-    // a resumed process republishes its restored timeline from zero.
-    published_updates: u64,
-    published_resolved: u64,
 }
 
-/// FNV-64 over the debug rendering of a rule pack — the compatibility
-/// guard between an engine and a checkpointed state image.
+/// FNV-64 over the debug rendering of a rule pack: what a run manifest
+/// stamps to say which pack drew its timeline.
 pub fn rules_fnv(rules: &[AlertRule]) -> u64 {
     crate::manifest::fnv64(format!("{rules:?}").as_bytes())
 }
 
 impl AlertEngine {
-    /// An engine for `rules`, with all detectors fresh.
+    /// An engine for `rules` that has evaluated nothing yet.
     pub fn new(rules: Vec<AlertRule>) -> AlertEngine {
-        let detectors = rules.iter().map(|r| Detector::new(&r.detector)).collect();
-        let states = rules.iter().map(|_| RuleState::idle()).collect();
         AlertEngine {
+            states: vec![RuleState::default(); rules.len()],
             rules,
-            detectors,
-            states,
             events: Vec::new(),
-            updates: 0,
-            published_updates: 0,
-            published_resolved: 0,
         }
     }
 
@@ -337,14 +287,16 @@ impl AlertEngine {
             .collect()
     }
 
-    /// Evaluate the pack over a merged report: reset all state, fold
-    /// windows in index order (module docs explain why the recompute is
-    /// what makes the timeline deterministic).
+    /// Evaluate the pack over a merged report: fresh detectors, every
+    /// lifecycle back to idle, windows folded in index order (module docs
+    /// explain why the recompute is what makes the timeline deterministic).
     pub fn eval_report(&mut self, report: &WindowReport) {
-        for (i, rule) in self.rules.iter().enumerate() {
-            self.detectors[i] = Detector::new(&rule.detector);
-            self.states[i] = RuleState::idle();
-        }
+        let mut detectors: Vec<Detector> = self
+            .rules
+            .iter()
+            .map(|r| Detector::new(&r.detector))
+            .collect();
+        self.states.fill(RuleState::default());
         self.events.clear();
         for w in &report.windows {
             for (i, rule) in self.rules.iter().enumerate() {
@@ -352,8 +304,7 @@ impl AlertEngine {
                     continue;
                 }
                 let value = rule.series.value(w);
-                let score = self.detectors[i].update(value);
-                self.updates += 1;
+                let score = detectors[i].update(value);
                 let breached = match rule.direction {
                     Direction::Up => score >= rule.threshold,
                     Direction::Down => score <= -rule.threshold,
@@ -403,100 +354,9 @@ impl AlertEngine {
         }
     }
 
-    /// Snapshot the evolving state as plain data (checkpointing).
-    pub fn state(&self) -> AlertEngineState {
-        AlertEngineState {
-            rules_fnv: rules_fnv(&self.rules),
-            detectors: self.detectors.iter().map(Detector::state).collect(),
-            phases: self
-                .states
-                .iter()
-                .map(|s| {
-                    let p = match s.phase {
-                        Phase::Idle => 0u8,
-                        Phase::Pending => 1,
-                        Phase::Firing => 2,
-                    };
-                    (p, s.breach_streak, s.clear_streak, s.since)
-                })
-                .collect(),
-            events: self
-                .events
-                .iter()
-                .map(|e| {
-                    (
-                        e.rule as u64,
-                        e.window_index,
-                        e.kind.as_str(),
-                        e.value.to_bits(),
-                        e.score.to_bits(),
-                    )
-                })
-                .collect(),
-            updates: self.updates,
-        }
-    }
-
-    /// Rebuild an engine from a state image. Fails when the image does
-    /// not belong to this rule pack (hash, arity, or range mismatch).
-    pub fn from_state(rules: Vec<AlertRule>, st: AlertEngineState) -> Result<AlertEngine, String> {
-        if st.rules_fnv != rules_fnv(&rules) {
-            return Err("alert state belongs to a different rule pack".into());
-        }
-        if st.detectors.len() != rules.len() || st.phases.len() != rules.len() {
-            return Err("alert state arity does not match the rule pack".into());
-        }
-        let mut detectors = Vec::with_capacity(rules.len());
-        for (rule, words) in rules.iter().zip(&st.detectors) {
-            detectors.push(
-                Detector::from_state(&rule.detector, words)
-                    .ok_or_else(|| format!("bad detector state for rule `{}`", rule.name))?,
-            );
-        }
-        let mut states = Vec::with_capacity(rules.len());
-        for &(p, breach, clear, since) in &st.phases {
-            let phase = match p {
-                0 => Phase::Idle,
-                1 => Phase::Pending,
-                2 => Phase::Firing,
-                _ => return Err("bad phase tag in alert state".into()),
-            };
-            states.push(RuleState {
-                phase,
-                breach_streak: breach,
-                clear_streak: clear,
-                since,
-            });
-        }
-        let mut events = Vec::with_capacity(st.events.len());
-        for &(rule, window_index, kind, value, score) in &st.events {
-            if rule as usize >= rules.len() {
-                return Err("alert event references an unknown rule".into());
-            }
-            events.push(AlertEvent {
-                window_index,
-                rule: rule as usize,
-                kind: AlertEventKind::from_keyword(kind)
-                    .ok_or_else(|| format!("bad alert event kind `{kind}`"))?,
-                value: f64::from_bits(value),
-                score: f64::from_bits(score),
-            });
-        }
-        Ok(AlertEngine {
-            rules,
-            detectors,
-            states,
-            events,
-            updates: st.updates,
-            published_updates: 0,
-            published_resolved: 0,
-        })
-    }
-
-    /// Bridge the current state into `registry`: absolute firing gauges
-    /// per severity, monotonic update/resolved counters via delta
-    /// cursors, and the `/alerts` render slot.
-    pub fn publish(&mut self, registry: &Registry) {
+    /// Bridge the last evaluation into `registry`: absolute firing gauges
+    /// per severity and the `/alerts` render slot.
+    pub fn publish(&self, registry: &Registry) {
         for sev in [Severity::Info, Severity::Warn, Severity::Page] {
             let n = self
                 .states
@@ -507,26 +367,6 @@ impl AlertEngine {
             registry
                 .gauge_with("obs_alerts_firing", &[("severity", sev.as_str())])
                 .set(n as f64);
-        }
-        if self.updates > self.published_updates {
-            registry
-                .counter("obs_detector_updates_total")
-                .add(self.updates - self.published_updates);
-            self.published_updates = self.updates;
-        }
-        // A re-evaluation recomputes the timeline, so the resolved count
-        // can shrink when a retrofilled window rewrites history; the
-        // exported counter stays monotonic over the high-water mark.
-        let resolved = self
-            .events
-            .iter()
-            .filter(|e| e.kind == AlertEventKind::Resolved)
-            .count() as u64;
-        if resolved > self.published_resolved {
-            registry
-                .counter("obs_alerts_resolved_total")
-                .add(resolved - self.published_resolved);
-            self.published_resolved = resolved;
         }
         registry.set_alerts(self.render_text(), self.render_ndjson());
     }
@@ -611,8 +451,7 @@ impl AlertEngine {
 }
 
 /// Render a value or score with fixed 4-decimal precision: enough to
-/// read, deterministic, and a valid JSON number. (Exactness lives in the
-/// state/checkpoint path, which carries bit images, not renders.)
+/// read, deterministic, and a valid JSON number.
 fn fmt_val(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.4}")
@@ -738,19 +577,7 @@ mod tests {
     }
 
     #[test]
-    fn state_round_trips_and_renders_identically() {
-        let vals: Vec<u64> = (0..24).map(|i| if i % 9 == 8 { 90 } else { 10 }).collect();
-        let mut eng = AlertEngine::new(vec![jump_rule(2)]);
-        eng.eval_report(&report(&vals));
-        let back = AlertEngine::from_state(vec![jump_rule(2)], eng.state()).unwrap();
-        assert_eq!(back.render_text(), eng.render_text());
-        assert_eq!(back.state(), eng.state());
-        // A different pack refuses the image.
-        assert!(AlertEngine::from_state(vec![jump_rule(3)], eng.state()).is_err());
-    }
-
-    #[test]
-    fn publish_sets_gauges_and_counters() {
+    fn publish_sets_gauges_and_the_render_slot() {
         let mut vals = vec![10u64; 8];
         vals.push(70);
         let mut eng = AlertEngine::new(vec![jump_rule(1)]);
@@ -766,15 +593,7 @@ mod tests {
             snap.get("obs_alerts_firing", &[("severity", "warn")]),
             Some(crate::registry::SampleValue::Gauge(v)) if *v == 0.0
         ));
-        assert!(snap.counter("obs_detector_updates_total", &[]) > 0);
         assert!(reg.alerts_text().contains("ad_share_jump"));
-        // Publishing twice adds nothing new (delta cursors).
-        let updates = snap.counter("obs_detector_updates_total", &[]);
-        eng.publish(&reg);
-        assert_eq!(
-            reg.snapshot().counter("obs_detector_updates_total", &[]),
-            updates
-        );
     }
 
     #[test]

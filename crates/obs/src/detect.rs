@@ -19,10 +19,9 @@
 //! Every detector is a pure fold over its input sequence: same values in
 //! the same order ⇒ bit-identical state and scores, on any thread count,
 //! because evaluation happens only over merged, sorted window reports
-//! (see [`crate::alert`]). State is exposed as plain `u64` words
-//! ([`Detector::state`] / [`Detector::from_state`]) — `f64` fields
-//! travel as `to_bits` images, so a checkpointed detector resumes
-//! bit-exactly.
+//! (see [`crate::alert`]). The state lives only as long as one fold: the
+//! alert engine starts every evaluation from [`Detector::new`], so nothing
+//! persists it.
 
 use std::fmt::Write as _;
 
@@ -50,15 +49,6 @@ pub enum DetectorSpec {
 }
 
 impl DetectorSpec {
-    /// Short stable keyword used in renders and serialized rules.
-    pub fn keyword(&self) -> &'static str {
-        match self {
-            DetectorSpec::EwmaZ { .. } => "ewma_z",
-            DetectorSpec::Cusum { .. } => "cusum",
-            DetectorSpec::RateOfChange => "roc",
-        }
-    }
-
     /// Human-oriented rendering including the tuning knobs.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -84,23 +74,22 @@ const EWMA_WARMUP: u64 = 3;
 /// score.
 const VAR_FLOOR: f64 = 1e-12;
 
-/// A running change detector: spec plus evolving state. Create with
-/// [`Detector::new`], feed values in series order with
-/// [`Detector::update`], checkpoint with [`Detector::state`].
+/// A running change detector: a spec's knobs plus the evolving state of
+/// one fold. Create with [`Detector::new`], feed values in series order
+/// with [`Detector::update`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct Detector {
-    spec: DetectorSpec,
-    state: State,
-}
+pub struct Detector(Fold);
 
 #[derive(Debug, Clone, PartialEq)]
-enum State {
+enum Fold {
     EwmaZ {
+        alpha: f64,
         mean: f64,
         var: f64,
         n: u64,
     },
     Cusum {
+        drift: f64,
         mean: f64,
         n: u64,
         pos: f64,
@@ -114,37 +103,35 @@ enum State {
 impl Detector {
     /// A fresh detector for `spec`.
     pub fn new(spec: &DetectorSpec) -> Detector {
-        let state = match spec {
-            DetectorSpec::EwmaZ { .. } => State::EwmaZ {
+        Detector(match *spec {
+            DetectorSpec::EwmaZ { alpha } => Fold::EwmaZ {
+                alpha,
                 mean: 0.0,
                 var: 0.0,
                 n: 0,
             },
-            DetectorSpec::Cusum { .. } => State::Cusum {
+            DetectorSpec::Cusum { drift } => Fold::Cusum {
+                drift,
                 mean: 0.0,
                 n: 0,
                 pos: 0.0,
                 neg: 0.0,
             },
-            DetectorSpec::RateOfChange => State::RateOfChange { prev: None },
-        };
-        Detector {
-            spec: spec.clone(),
-            state,
-        }
-    }
-
-    /// The spec this detector runs.
-    pub fn spec(&self) -> &DetectorSpec {
-        &self.spec
+            DetectorSpec::RateOfChange => Fold::RateOfChange { prev: None },
+        })
     }
 
     /// Fold in the next value of the series and return its signed drift
     /// score (positive = upward change, negative = downward). A pure
     /// deterministic function of the value sequence.
     pub fn update(&mut self, x: f64) -> f64 {
-        match (&mut self.state, &self.spec) {
-            (State::EwmaZ { mean, var, n }, DetectorSpec::EwmaZ { alpha }) => {
+        match &mut self.0 {
+            Fold::EwmaZ {
+                alpha,
+                mean,
+                var,
+                n,
+            } => {
                 let score = if *n >= EWMA_WARMUP {
                     (x - *mean) / var.max(VAR_FLOOR).sqrt()
                 } else {
@@ -154,27 +141,33 @@ impl Detector {
                     *mean = x;
                 } else {
                     let diff = x - *mean;
-                    let incr = alpha * diff;
+                    let incr = *alpha * diff;
                     *mean += incr;
-                    *var = (1.0 - alpha) * (*var + diff * incr);
+                    *var = (1.0 - *alpha) * (*var + diff * incr);
                 }
                 *n += 1;
                 score
             }
-            (State::Cusum { mean, n, pos, neg }, DetectorSpec::Cusum { drift }) => {
+            Fold::Cusum {
+                drift,
+                mean,
+                n,
+                pos,
+                neg,
+            } => {
                 // Running mean includes the current value, so the very
                 // first observation scores 0 by construction.
                 *n += 1;
                 *mean += (x - *mean) / *n as f64;
-                *pos = (*pos + x - *mean - drift).max(0.0);
-                *neg = (*neg + x - *mean + drift).min(0.0);
+                *pos = (*pos + x - *mean - *drift).max(0.0);
+                *neg = (*neg + x - *mean + *drift).min(0.0);
                 if *pos >= -*neg {
                     *pos
                 } else {
                     *neg
                 }
             }
-            (State::RateOfChange { prev }, DetectorSpec::RateOfChange) => {
+            Fold::RateOfChange { prev } => {
                 let score = match *prev {
                     Some(p) => (x - p) / p.abs().max(1.0),
                     None => 0.0,
@@ -182,62 +175,7 @@ impl Detector {
                 *prev = Some(x);
                 score
             }
-            // `new`/`from_state` pair state with spec; the arms above are
-            // exhaustive for every constructible detector.
-            _ => unreachable!("detector state does not match its spec"),
         }
-    }
-
-    /// Serialize the evolving state as plain words. `f64` fields travel
-    /// as `to_bits` images so the round-trip is bit-exact; callers embed
-    /// the words in whatever envelope they checkpoint with.
-    pub fn state(&self) -> Vec<u64> {
-        match &self.state {
-            State::EwmaZ { mean, var, n } => vec![mean.to_bits(), var.to_bits(), *n],
-            State::Cusum { mean, n, pos, neg } => {
-                vec![mean.to_bits(), *n, pos.to_bits(), neg.to_bits()]
-            }
-            State::RateOfChange { prev } => match prev {
-                Some(p) => vec![1, p.to_bits()],
-                None => vec![0, 0],
-            },
-        }
-    }
-
-    /// Rebuild a detector from [`Detector::state`] words. Returns `None`
-    /// when the word count does not match the spec (a checkpoint from a
-    /// different configuration).
-    pub fn from_state(spec: &DetectorSpec, words: &[u64]) -> Option<Detector> {
-        let state = match spec {
-            DetectorSpec::EwmaZ { .. } => match words {
-                [mean, var, n] => State::EwmaZ {
-                    mean: f64::from_bits(*mean),
-                    var: f64::from_bits(*var),
-                    n: *n,
-                },
-                _ => return None,
-            },
-            DetectorSpec::Cusum { .. } => match words {
-                [mean, n, pos, neg] => State::Cusum {
-                    mean: f64::from_bits(*mean),
-                    n: *n,
-                    pos: f64::from_bits(*pos),
-                    neg: f64::from_bits(*neg),
-                },
-                _ => return None,
-            },
-            DetectorSpec::RateOfChange => match words {
-                [0, _] => State::RateOfChange { prev: None },
-                [1, p] => State::RateOfChange {
-                    prev: Some(f64::from_bits(*p)),
-                },
-                _ => return None,
-            },
-        };
-        Some(Detector {
-            spec: spec.clone(),
-            state,
-        })
     }
 }
 
@@ -283,31 +221,5 @@ mod tests {
             assert_eq!(d.update(0.0), 0.0);
         }
         assert_eq!(d.update(8.0), 8.0, "burst from zero scores the burst");
-    }
-
-    #[test]
-    fn state_round_trip_is_bit_exact() {
-        for spec in [
-            DetectorSpec::EwmaZ { alpha: 0.25 },
-            DetectorSpec::Cusum { drift: 0.1 },
-            DetectorSpec::RateOfChange,
-        ] {
-            let mut a = Detector::new(&spec);
-            for i in 0..20 {
-                a.update((i % 7) as f64 * 0.31 - 0.6);
-            }
-            let mut b = Detector::from_state(&spec, &a.state()).unwrap();
-            assert_eq!(a, b);
-            for i in 0..20 {
-                let x = (i % 5) as f64 * 1.7;
-                assert_eq!(a.update(x).to_bits(), b.update(x).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn from_state_rejects_wrong_arity() {
-        assert!(Detector::from_state(&DetectorSpec::RateOfChange, &[1, 2, 3]).is_none());
-        assert!(Detector::from_state(&DetectorSpec::EwmaZ { alpha: 0.5 }, &[0]).is_none());
     }
 }

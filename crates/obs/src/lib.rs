@@ -51,8 +51,8 @@ pub mod trace;
 pub mod window;
 
 pub use alert::{
-    rules_fnv, AlertEngine, AlertEngineState, AlertEvent, AlertEventKind, AlertRule, Direction,
-    Phase, SeriesSpec, Severity,
+    rules_fnv, AlertEngine, AlertEvent, AlertEventKind, AlertRule, Direction, Phase, SeriesSpec,
+    Severity,
 };
 pub use detect::{Detector, DetectorSpec};
 pub use events::{write_json_str, Event, EventLog, FieldValue};

@@ -37,13 +37,18 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a 64-bit hash of `bytes`.
+#[inline]
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    fnv64_fold(FNV_OFFSET, bytes)
+}
+
+/// Fold `bytes` into a running FNV-1a 64-bit state `h` — the crate's one
+/// copy of the loop (trace and span ids, sketch keys, file digests).
+#[inline]
+pub(crate) fn fnv64_fold(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
 }
 
 /// Replace `path` with `bytes` so that a reader sees the old file or the
@@ -153,10 +158,7 @@ pub fn fnv64_file(path: &Path) -> io::Result<(u64, u64)> {
             break;
         }
         len += n as u64;
-        for &b in &buf[..n] {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
+        h = fnv64_fold(h, &buf[..n]);
     }
     Ok((h, len))
 }

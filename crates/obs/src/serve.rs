@@ -30,7 +30,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Handle to a running scrape server.
 #[derive(Debug)]
@@ -117,14 +117,24 @@ fn accept_loop(listener: TcpListener, registry: &'static Registry, shutdown: &At
     }
 }
 
+/// How long a client has to deliver its whole request head.
+const HEAD_DEADLINE: Duration = Duration::from_secs(2);
+
 /// Read the request head (we only need the request line; headers are
 /// drained and discarded). Bounded at 8 KiB — anything larger is not a
-/// scrape request.
+/// scrape request — and at [`HEAD_DEADLINE`] for all of it: each read
+/// waits only for what is left, so a client trickling bytes cannot hold
+/// the one accept thread longer than a silent one.
 fn read_request_path(stream: &mut TcpStream) -> std::io::Result<String> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
+    let deadline = Instant::now() + HEAD_DEADLINE;
     let mut buf = Vec::with_capacity(512);
     let mut byte = [0u8; 1];
     while buf.len() < 8192 {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        stream.set_read_timeout(Some(left))?;
         match stream.read(&mut byte) {
             Ok(0) => break,
             Ok(_) => {
@@ -411,6 +421,45 @@ mod tests {
                   // The port is released once the loop exits (give the OS a beat).
         std::thread::sleep(Duration::from_millis(100));
         assert!(TcpListener::bind(("127.0.0.1", port)).is_ok());
+    }
+
+    /// One client sends a byte every 300 ms, each well inside a per-read
+    /// timeout; the next client must not wait for it past the deadline.
+    #[test]
+    fn a_trickling_client_is_cut_off_at_the_head_deadline() {
+        let r = static_registry();
+        let h = serve(r, 0).expect("bind");
+        let port = h.port();
+        let stop = Arc::new(AtomicBool::new(false));
+        let (connected_tx, connected_rx) = std::sync::mpsc::channel();
+        let trickler = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut s = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+                connected_tx.send(()).unwrap();
+                for b in b"GET /metrics HTTP/1.1\r\nX-Slow: "
+                    .iter()
+                    .chain([b'x'].iter().cycle())
+                {
+                    // A write error means the server hung up on us: done.
+                    if stop.load(Ordering::Relaxed) || s.write_all(&[*b]).is_err() {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(300));
+                }
+            })
+        };
+        connected_rx.recv().unwrap();
+        let mut s = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+        s.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+        write!(s, "GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
+        let mut buf = String::new();
+        let answered = s.read_to_string(&mut buf);
+        stop.store(true, Ordering::Relaxed);
+        trickler.join().unwrap();
+        h.join();
+        assert!(answered.is_ok(), "/healthz not answered within 3 s");
+        assert!(buf.starts_with("HTTP/1.1 200"), "{buf}");
     }
 
     #[test]

@@ -34,14 +34,9 @@ use std::collections::BTreeMap;
 
 /// FNV-1a 64-bit over a byte slice — the workspace's standard
 /// deterministic hash (same constants as `shard_of` and the manifest
-/// digests).
+/// digests) — with a mixing finish.
 fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-    }
+    let mut h = crate::manifest::fnv64(bytes);
     // FNV's high bits avalanche poorly; the Distinct64 rank needs them
     // uniform, so finish with the splitmix64 mixer (pure bit math,
     // deterministic).

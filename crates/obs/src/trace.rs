@@ -21,6 +21,7 @@
 //! off, and the pipeline allocates no provenance at all in that state
 //! (pinned by an allocation-counting test in `adscope`).
 
+use crate::manifest::{fnv64, fnv64_fold};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -28,10 +29,6 @@ use std::sync::Mutex;
 const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 /// FNV-1a 128-bit prime.
 const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-/// FNV-1a 64-bit offset basis.
-const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// One million, the denominator of [`Sampler`]'s parts-per-million rate.
 pub const PPM: u64 = 1_000_000;
@@ -44,19 +41,11 @@ fn fnv128(h: u128, bytes: &[u8]) -> u128 {
     h
 }
 
-fn fnv64(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV64_PRIME);
-    }
-    h
-}
-
 /// Derive a trace-level seed from a stable name (e.g. the input trace's
 /// metadata name): FNV-1a 64 over its bytes. Thread-count independent
 /// by construction.
 pub fn seed_from_name(name: &str) -> u64 {
-    fnv64(FNV64_OFFSET, name.as_bytes())
+    fnv64(name.as_bytes())
 }
 
 /// A 128-bit trace identifier, derived deterministically from a seed
@@ -92,9 +81,7 @@ pub struct SpanId(pub u64);
 impl SpanId {
     /// Derive the span id for `stage` within `trace`.
     pub fn derive(trace: TraceId, stage: &str) -> SpanId {
-        let mut h = fnv64(FNV64_OFFSET, &trace.0.to_le_bytes());
-        h = fnv64(h, stage.as_bytes());
-        SpanId(h)
+        SpanId(fnv64_fold(fnv64(&trace.0.to_le_bytes()), stage.as_bytes()))
     }
 
     /// 16 lowercase hex characters.

@@ -1061,7 +1061,7 @@ fn metrics(world: &mut World) -> String {
     // Alert plane: run the built-in rule pack over the RBN-2 windows and
     // publish before the snapshot, so the `obs_alerts_*` samples land in
     // the tables and the exposition artifact alike.
-    let mut alert_engine = adscope::alerts::evaluate(
+    let alert_engine = adscope::alerts::evaluate(
         &world.rbn2_ref().classified.windows,
         adscope::alerts::rule_pack(),
     );
@@ -1117,10 +1117,8 @@ fn metrics(world: &mut World) -> String {
     }
 
     // Compiled-engine layout gauges (rules, token buckets, arena bytes),
-    // published at compile time; the table shows the active engine mode so
-    // `--engine reference` runs are distinguishable in the artifact.
+    // published at compile time.
     let mut engine_tbl = TextTable::new("Filter engine", &["Stat", "Value"]);
-    engine_tbl.row(&["engine_mode".to_string(), world.engine.as_str().to_string()]);
     if let Some(compiled) = world.classifier.compiled() {
         let s = compiled.stats();
         engine_tbl.row(&["abp_compiled_rules".to_string(), fmt_count(s.rules as u64)]);

@@ -23,8 +23,7 @@ use experiments::ALL_IDS;
 use std::io::Write;
 use world::{Scale, World};
 
-const USAGE: &str = "experiments <id>... [--scale small|medium|large] [--seed N] [--threads N]
-           [--engine compiled|reference]";
+const USAGE: &str = "experiments <id>... [--scale small|medium|large] [--seed N] [--threads N]";
 
 /// A subcommand's entry point: parses its arguments, runs, exits.
 type Run = fn(&[String]) -> !;
@@ -60,17 +59,12 @@ fn main() {
     let mut scale = Scale::Medium;
     let mut seed: u64 = 0x5eed;
     let mut threads = parallel::available_parallelism();
-    let mut engine = adscope::EngineMode::Compiled;
     let mut a = cli::Args::new("experiments", &usage, &args);
     while let Some(token) = a.next() {
         match token {
             "--scale" => scale = a.parsed(token),
             "--seed" => seed = a.parsed(token),
             "--threads" => threads = a.bounded(token, 1..),
-            "--engine" => {
-                engine = adscope::EngineMode::parse(a.value(token))
-                    .unwrap_or_else(|| a.usage_error("bad --engine value (compiled|reference)"));
-            }
             flag if flag.starts_with("--") => a.usage_error(&format!("unknown flag {flag:?}")),
             id if id == "all" || ALL_IDS.contains(&id) => ids.push(id),
             id => a.usage_error(&format!("unknown experiment {id:?}")),
@@ -82,7 +76,7 @@ fn main() {
     if ids.contains(&"all") {
         ids = ALL_IDS.to_vec();
     }
-    let mut world = World::new_with_engine(scale, seed, threads, engine);
+    let mut world = World::new(scale, seed, threads);
     let mut out = String::new();
     for id in &ids {
         let section = experiments::run(id, &mut world).expect("ids were checked against ALL_IDS");
@@ -121,7 +115,6 @@ fn stamp_id(id: &str, section: &str, world: &World) {
     let txt = dir.join(format!("{id}.txt"));
     manifest::write_artifact(&txt, section);
     let mut m = manifest::stamp_world(id, world);
-    m.config("engine", world.engine.as_str());
     let mode = if id == "robustness" {
         m.replay = vec![
             id.to_string(),

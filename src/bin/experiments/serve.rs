@@ -101,8 +101,7 @@ pub fn run_serve(args: &[String]) -> ! {
     // `/statusz`, and the `obs_alerts_*` metrics serve real data. A
     // clean RBN-1 replay keeps every page-severity rule idle, so
     // `/healthz` stays "ok" — the CI smoke gate checks exactly that.
-    let mut alerts =
-        adscope::alerts::evaluate(&data.classified.windows, adscope::alerts::rule_pack());
+    let alerts = adscope::alerts::evaluate(&data.classified.windows, adscope::alerts::rule_pack());
     alerts.publish(registry);
     eprintln!(
         "[serve] alerts published: {} rules, {} events, {} firing",

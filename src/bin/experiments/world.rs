@@ -120,8 +120,6 @@ pub struct World {
     /// Worker threads for classification, sharded or streamed
     /// (`--threads`; 0 = this machine's available parallelism).
     pub threads: usize,
-    /// Which match-path implementation classifies (`--engine`).
-    pub engine: adscope::EngineMode,
     active: Option<ActiveResults>,
     rbn1: Option<RbnData>,
     rbn2: Option<RbnData>,
@@ -140,16 +138,6 @@ pub struct RbnData {
 
 impl World {
     pub fn new(scale: Scale, seed: u64, threads: usize) -> World {
-        World::new_with_engine(scale, seed, threads, adscope::EngineMode::Compiled)
-    }
-
-    /// [`World::new`] with an explicit classifier engine (`--engine`).
-    pub fn new_with_engine(
-        scale: Scale,
-        seed: u64,
-        threads: usize,
-        engine: adscope::EngineMode,
-    ) -> World {
         let Knobs {
             publishers,
             ad_companies,
@@ -165,22 +153,18 @@ impl World {
             seed,
             ..Default::default()
         });
-        let classifier = PassiveClassifier::with_mode(
-            vec![
-                eco.lists.easylist(),
-                eco.lists.regional(),
-                eco.lists.easyprivacy(),
-                eco.lists.acceptable(),
-            ],
-            engine,
-        );
+        let classifier = PassiveClassifier::new(vec![
+            eco.lists.easylist(),
+            eco.lists.regional(),
+            eco.lists.easyprivacy(),
+            eco.lists.acceptable(),
+        ]);
         eprintln!(
-            "[world] ecosystem: {} publishers, {} companies, {} servers, {} filter rules, {} engine ({:.1}s)",
+            "[world] ecosystem: {} publishers, {} companies, {} servers, {} filter rules ({:.1}s)",
             eco.publishers.len(),
             eco.companies.len(),
             eco.servers.len(),
             classifier.engine().filter_count(),
-            engine.as_str(),
             t.elapsed().as_secs_f64()
         );
         World {
@@ -189,7 +173,6 @@ impl World {
             eco,
             classifier,
             threads,
-            engine,
             active: None,
             rbn1: None,
             rbn2: None,

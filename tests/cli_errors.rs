@@ -46,7 +46,6 @@ const SUBS: &[Sub] = &[
             ("--scale", Parsed),
             ("--seed", Parsed),
             ("--threads", Positive),
-            ("--engine", Parsed),
         ],
     },
     Sub {

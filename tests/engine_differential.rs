@@ -9,7 +9,7 @@
 
 use abp_filter::tokenizer::{filter_index_token, filter_token, hash_token};
 use abp_filter::{ClassifyScratch, CompiledEngine, Engine, Request};
-use adscope::{classify_trace_sharded, EngineMode};
+use adscope::classify_trace_sharded;
 use annoyed_users::prelude::*;
 use browsersim::drive::{drive, DriveOutput};
 use webgen::{easylist_scale, ScaleConfig};
@@ -73,8 +73,8 @@ fn driven_trace(eco: &Ecosystem) -> Trace {
 fn trace_labels_identical_across_engines_and_threads() {
     let eco = eco();
     let trace = driven_trace(&eco);
-    let compiled = PassiveClassifier::with_mode(lists(&eco), EngineMode::Compiled);
-    let reference = PassiveClassifier::with_mode(lists(&eco), EngineMode::Reference);
+    let compiled = PassiveClassifier::new(lists(&eco));
+    let reference = PassiveClassifier::reference(lists(&eco));
     let opts = PipelineOptions::default();
     let base = classify_trace_sharded(&trace, &reference, opts, 1);
     for (name, classifier, threads) in [
@@ -103,7 +103,7 @@ fn trace_labels_identical_across_engines_and_threads() {
 fn trace_requests_identical_at_easylist_scale() {
     let eco = eco();
     let trace = driven_trace(&eco);
-    let classifier = PassiveClassifier::with_mode(easylist_scale_lists(&eco), EngineMode::Compiled);
+    let classifier = PassiveClassifier::new(easylist_scale_lists(&eco));
     let engine = classifier.engine();
     let compiled = classifier.compiled().expect("compiled mode");
     let requests = classify_trace_sharded(&trace, &classifier, PipelineOptions::default(), 1);
