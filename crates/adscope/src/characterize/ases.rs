@@ -68,7 +68,13 @@ where
             per_as_bytes_pct: stats::pct(c.ad_bytes, c.bytes),
         })
         .collect();
-    rows.sort_by(|a, b| b.ads_req_pct.partial_cmp(&a.ads_req_pct).expect("finite"));
+    // Ties go by name: `per_as` iterates in a different order every call.
+    rows.sort_by(|a, b| {
+        b.ads_req_pct
+            .partial_cmp(&a.ads_req_pct)
+            .expect("finite")
+            .then_with(|| a.name.cmp(&b.name))
+    });
     rows.truncate(n);
     let coverage = rows.iter().map(|r| r.ads_req_pct).sum();
     (rows, coverage)
@@ -163,5 +169,15 @@ mod tests {
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].name, "GiantAS");
         assert!((coverage - 66.666).abs() < 0.01);
+    }
+
+    #[test]
+    fn equal_shares_rank_by_name_on_every_call() {
+        let t = classified(vec![tx(1, "/banners/a.gif", 1), tx(2, "/banners/b.gif", 1)]);
+        // Each call's `HashMap` has a fresh `RandomState`.
+        for _ in 0..20 {
+            let (rows, _) = as_table(&t, lookup, 1);
+            assert_eq!(rows[0].name, "CloudAS");
+        }
     }
 }

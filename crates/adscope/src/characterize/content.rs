@@ -71,6 +71,8 @@ pub fn content_type_table(trace: &ClassifiedTrace, top_n: usize) -> Vec<ContentT
         (b.ad_req_pct + b.nonad_req_pct)
             .partial_cmp(&(a.ad_req_pct + a.nonad_req_pct))
             .expect("finite")
+            // Ties go by name: `map` iterates in a different order every call.
+            .then_with(|| a.mime.cmp(&b.mime))
     });
     rows.truncate(top_n);
     rows
@@ -166,6 +168,23 @@ mod tests {
         ]);
         let rows = content_type_table(&t, 2);
         assert_eq!(rows.len(), 2);
+    }
+
+    #[test]
+    fn equal_shares_rank_by_name_on_every_call() {
+        let t = classified(vec![
+            tx("/c", Some("c/c"), 1),
+            tx("/a", Some("a/a"), 1),
+            tx("/b", Some("b/b"), 1),
+        ]);
+        // Each call's `HashMap` has a fresh `RandomState`.
+        for _ in 0..20 {
+            let mimes: Vec<String> = content_type_table(&t, 2)
+                .into_iter()
+                .map(|r| r.mime)
+                .collect();
+            assert_eq!(mimes, ["a/a", "b/b"]);
+        }
     }
 
     #[test]

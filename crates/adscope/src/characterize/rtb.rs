@@ -84,7 +84,12 @@ pub fn rtb_organizations(
         .into_iter()
         .map(|(d, c)| (d, stats::pct(c, total)))
         .collect();
-    rows.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
+    // Ties go by name: `counts` iterates in a different order every call.
+    rows.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1)
+            .expect("finite")
+            .then_with(|| a.0.cmp(&b.0))
+    });
     rows.truncate(top_n);
     rows
 }
@@ -198,6 +203,23 @@ mod tests {
         assert_eq!(orgs[0].0, "exchange.example");
         assert!((orgs[0].1 - 90.0).abs() < 1e-9);
         assert_eq!(orgs.len(), 2);
+    }
+
+    #[test]
+    fn equal_counts_rank_by_name_on_every_call() {
+        let t = classified(vec![
+            tx("y.example", "/banners/slow.gif", 5.0, 140.0),
+            tx("x.example", "/banners/slow.gif", 5.0, 140.0),
+            tx("bid.exchange.example", "/bid", 5.0, 120.0),
+        ]);
+        // Each call's `HashMap` has a fresh `RandomState`.
+        for _ in 0..20 {
+            let names: Vec<String> = rtb_organizations(&t, 90.0, 2)
+                .into_iter()
+                .map(|(name, _)| name)
+                .collect();
+            assert_eq!(names, ["exchange.example", "x.example"]);
+        }
     }
 
     #[test]

@@ -1,522 +1,705 @@
-//! Benchmark regression gate.
+//! The performance gate: one process that builds the `bench` fixture once,
+//! measures, judges, and appends one row to `BENCH_history.ndjson`.
 //!
 //! ```text
-//! bench_gate [<baseline.json> [<latest.json>]] [--stamp S] [--history PATH]
-//!            [--manifest PATH]
+//! bench_gate [--stamp S] [--history PATH] [--manifest PATH]
 //! ```
 //!
-//! Reads two `BENCH_JSON` NDJSON files (default `BENCH_baseline.json`
-//! and `BENCH_latest.json` in the working directory) and:
+//! Everything is timed at one worker with the process pinned to one CPU
+//! (`sys::on_one_cpu`). There are two kinds of row, one table each in
+//! `main`:
 //!
-//! 1. fails (exit 1) when a *gated* benchmark regressed more than 20%
-//!    against the baseline — the gated set is `trace_io/read`,
-//!    `pipeline/full_pipeline_sharded`,
-//!    `streaming_pipeline/stream_file_sharded` and
-//!    `filter_engine/classify_compiled_easylist` (`GATES` below);
-//! 2. computes the verdict-provenance tracing overhead from the latest
-//!    run (`trace_overhead/sharded_ppm_10000` vs `sharded_ppm_0`) and
-//!    fails when 1% sampling costs more than 15% — a lenient ceiling
-//!    over the 5% design budget, so CI-machine noise doesn't flake the
-//!    build while a real regression still trips it;
-//! 3. computes the windowed-metrics overhead the same way
-//!    (`window_overhead/sharded_windows_on` vs `sharded_windows_off`)
-//!    against the same 15% ceiling over the 5% design budget;
-//! 4. computes the population-sketch overhead on the streaming path
-//!    (`sketch_overhead/stream_sketches_on` vs `stream_sketches_off`)
-//!    against the same 15% ceiling over the 5% design budget;
-//! 5. computes the alert-detector overhead the same way
-//!    (`detector_overhead/stream_alerts_on` vs `stream_alerts_off`)
-//!    against the same 15% ceiling — the per-barrier full recompute of
-//!    the rule pack must stay in the instrumentation noise;
-//! 6. holds absolute per-element ceilings on the latest run: the
-//!    compiled engine's 1 000 ns/request (on the mostly-miss and on the
-//!    trace-shaped request mix) and the normalizer's 1 500 ns/URL, all
-//!    at EasyList scale, the chunked trace reader's 900 ns/record and
-//!    the referrer-map pass's 450 ns/record.
+//! * **Paired** rows answer "does B cost more than A by more than the
+//!   limit allows" — a plane switched on against the same run with it off,
+//!   held to the 5 % design budget itself, or the compiled engine against
+//!   the reference engine, held to the 0.80 floor. Within a pair A and B
+//!   run alternately, `READS` times each, and the fastest run of each side
+//!   counts; odd pairs start with B, so that machine drift lands on both
+//!   sides; the reading is the median over `PAIRS` pairs of `(b − a) / a`.
+//!   Beside every A/B pair runs an A/A pair — the same closure on both
+//!   sides — and the interquartile distance of those differences is the
+//!   row's noise. Noise wider than the limit's own size means the row
+//!   cannot tell its effect from the box: it is measured again, up to
+//!   `ATTEMPTS` times, and if the noise stays the verdict is `inconclusive`,
+//!   which is printed and written to the history row and does not fail the
+//!   build. Otherwise a median at or under the limit is `pass`, one that
+//!   clears it by more than half the noise is `fail`, and one that clears
+//!   it by less is `inconclusive` too.
+//! * **Ceiling** rows hold an algorithmic trip-wire: best-of-N ns per
+//!   element, divided by the mean of `sys::slowdown()` read before and
+//!   after, against an absolute ceiling. The ceilings are set so that the
+//!   slower algorithm each row names trips it and a slow box does not.
 //!
-//! Every run appends one NDJSON line of its results to a history file
-//! (default `BENCH_history.ndjson`, committed, so the perf record
-//! travels with the repo). The line is stamped with `--stamp` —
-//! typically the short commit hash — never with in-process wall-clock,
-//! keeping the gate itself deterministic and replayable. With
-//! `--manifest PATH` the line also carries the named run manifest's
-//! `config_fnv` and dataset `fnv`, so a history row joins to the exact
-//! run configuration and input that produced the numbers.
-//!
-//! The compared statistic is `low_ns` — the best observed sample, not
-//! the median. On a loaded CI box, interference only ever *adds* time,
-//! so the minimum tracks the code's true cost while the median swings
-//! 20–30% with background load (observed on the 1-core reference
-//! container: identical code, median +28%, minimum +15%).
-//!
-//! Lines are parsed with `netsim::json` (no serde in the workspace);
-//! unknown groups and extra fields are ignored, so the gate tolerates
-//! baselines produced by older or newer bench sets.
+//! The history line is stamped with `--stamp` — the short commit hash in
+//! CI, never in-process wall-clock — and with `--manifest PATH` carries
+//! that run manifest's `config_fnv` and dataset `fnv`, so a row joins to
+//! the run configuration and input CI verified beside it. Lines are written
+//! and re-read with `netsim::json` (no serde in the workspace).
 
+use abp_filter::{ClassifyScratch, CompiledEngine, Engine, FilterList, Request};
+use adscope::normalize::UrlNormalizer;
+use adscope::pipeline::{classify_trace, extract_objects, PipelineOptions};
+use adscope::refmap::{RefMap, RefMapOptions};
+use adscope::shard::classify_trace_sharded;
+use adscope::stream::{classify_stream_file, StreamOptions};
+use bench::sys;
+use http_model::{ContentCategory, Url};
+use netsim::stream::ChunkReader;
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::process::exit;
+use std::hint::black_box;
+use std::time::Instant;
+use webgen::{easylist_scale, ScaleConfig, ScaleList};
 
-/// Gated benchmarks: (group, name, allowed latest/baseline ratio).
-const GATES: [(&str, &str, f64); 4] = [
-    ("trace_io", "read", 1.20),
-    ("pipeline", "full_pipeline_sharded", 1.20),
-    ("streaming_pipeline", "stream_file_sharded", 1.20),
-    ("filter_engine", "classify_compiled_easylist", 1.20),
-];
+/// A/B pairs per paired row, and as many A/A pairs beside them.
+const PAIRS: usize = 9;
+/// Runs of each side within one pair; the fastest counts.
+const READS: usize = 10;
+/// The box is disturbed for seconds at a time. A paired row whose A/A
+/// distance comes out wider than its limit is measured again, at most this
+/// many times in all; only the A/A sample decides that, never the A/B one.
+const ATTEMPTS: usize = 3;
+/// Timed repetitions per ceiling row; the fastest counts.
+const CEILING_REPS: usize = 10;
+/// The design budget of every on/off plane: on may cost 5 % over off.
+const BUDGET: f64 = 0.05;
+/// The population sketches were designed to the same 5 % when a record cost
+/// ≈100 µs; at today's ≈2.5 µs the paired row reads +11.5 … +13.2 % in ten
+/// runs of ten (CHANGES.md, PR 21; ROADMAP item 1(h)). Until the plane is
+/// back under its budget the row trips on the cost growing by half again.
+const SKETCH_LIMIT: f64 = 0.20;
+/// The compiled engine must take at most 0.80 of the reference engine's
+/// time: a relative difference of −20 % or lower.
+const ENGINE_FLOOR: f64 = -0.20;
+/// URLs per engine and normalizer corpus.
+const URLS: usize = 2_000;
+/// Records the `read_chunks` and `refmap_only` rows run per repetition:
+/// fixed, so ns/record does not move with the generated trace's length.
+const RECORDS: usize = 16_384;
 
-/// Self-relative overhead gates within the latest run:
-/// (group, on-name, off-name, label, ceiling).
-const OVERHEAD_GATES: [(&str, &str, &str, &str, f64); 4] = [
-    (
-        "trace_overhead",
-        "sharded_ppm_10000",
-        "sharded_ppm_0",
-        "1% sampling",
-        1.15,
-    ),
-    (
-        "window_overhead",
-        "sharded_windows_on",
-        "sharded_windows_off",
-        "hourly windowing",
-        1.15,
-    ),
-    (
-        "sketch_overhead",
-        "stream_sketches_on",
-        "stream_sketches_off",
-        "population sketches",
-        1.15,
-    ),
-    (
-        "detector_overhead",
-        "stream_alerts_on",
-        "stream_alerts_off",
-        "alert detectors",
-        1.15,
-    ),
-];
-
-/// Compiled-engine speedup floor, self-relative within the latest run:
-/// the compiled engine's `low_ns` must be at most this fraction of the
-/// reference engine's on the same corpus. (Measured ~0.55 on the 1-core
-/// reference container; 0.80 trips a real regression without flaking.)
-/// `_trace` is the same list size under trace-shaped requests, where the
-/// literal-alignment pre-filter does the work (measured ~0.2–0.26).
-const SPEEDUP_FLOORS: [(&str, &str, &str, f64); 2] = [
-    (
-        "filter_engine",
-        "classify_compiled_easylist",
-        "classify_reference_easylist",
-        0.80,
-    ),
-    (
-        "filter_engine",
-        "classify_compiled_easylist_trace",
-        "classify_reference_easylist_trace",
-        0.80,
-    ),
-];
-
-/// Absolute throughput floor: (group, name, elements per iteration,
-/// ceiling in ns per element, what an element is).
-/// `classify_compiled_easylist` classifies 2000 requests per iteration;
-/// 1000 ns/request is the 1 M req/s/core acceptance line, held on the
-/// mostly-miss mix and on the trace-shaped one (`_trace`, whose requests
-/// surface the ≈200-rule query buckets: ≈2 000 ns/request before the
-/// literal-alignment pre-filter).
-/// `normalize/easylist` normalizes 2000 URLs against ≈4 000 protected
-/// query literals; the indexed lookup reads a few hundred ns/URL where a
-/// scan of the literals read ≈100 000, so 1500 ns/URL trips on the scan
-/// coming back and on nothing else.
-/// `trace_io/read_chunks` decodes 16 384 records through `ChunkReader`
-/// (`CHUNKED_RECORDS` in `benches/trace_io.rs`); the schema-directed
-/// scanner with in-place framing reads ≈450–600 ns/record across this
-/// box's clock levels where the `Value`-tree decode read ≈1 450, so 900
-/// trips on the tree coming back. The relative `trace_io/read` gate above
-/// cannot: its baseline row predates the scanner.
-/// `pipeline/refmap_only` runs 16 384 extracted objects
-/// (`REFMAP_RECORDS` in `benches/pipeline.rs`) through the per-⟨IP, UA⟩
-/// referrer maps; with keys and page roots shared from the URL's buffer
-/// the pass reads ≈230–330 ns/record across this box's clock levels
-/// where owned keys and deep-copied roots (8.6 allocations per record)
-/// read ≈700 at the slow level, so 450 trips on the allocations coming
-/// back.
-const THROUGHPUT_FLOORS: [(&str, &str, f64, f64, &str); 5] = [
-    (
-        "filter_engine",
-        "classify_compiled_easylist",
-        2000.0,
-        1000.0,
-        "request",
-    ),
-    (
-        "filter_engine",
-        "classify_compiled_easylist_trace",
-        2000.0,
-        1000.0,
-        "request",
-    ),
-    ("normalize", "easylist", 2000.0, 1500.0, "URL"),
-    ("trace_io", "read_chunks", 16384.0, 900.0, "record"),
-    ("pipeline", "refmap_only", 16384.0, 450.0, "record"),
-];
-
-fn load(path: &str) -> HashMap<(String, String), f64> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("bench_gate: cannot read {path}: {e}");
-            exit(1);
-        }
-    };
-    let mut lows = HashMap::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let value = match netsim::json::parse(line) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("bench_gate: {path}:{}: bad JSON: {e}", lineno + 1);
-                exit(1);
-            }
-        };
-        let group = value.get("group").and_then(|v| v.as_str());
-        let name = value.get("name").and_then(|v| v.as_str());
-        let low = value.get("low_ns").and_then(|v| v.as_f64());
-        if let (Some(group), Some(name), Some(low)) = (group, name, low) {
-            lows.insert((group.to_string(), name.to_string()), low);
-        }
-    }
-    lows
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Verdict {
+    Pass,
+    Fail,
+    Inconclusive,
 }
 
-/// One check's outcome, kept for the history line.
-struct Check {
-    name: String,
-    base_ns: f64,
-    latest_ns: f64,
+impl Verdict {
+    fn as_str(self) -> &'static str {
+        match self {
+            Verdict::Pass => "pass",
+            Verdict::Fail => "fail",
+            Verdict::Inconclusive => "inconclusive",
+        }
+    }
+}
+
+/// A paired row's reading: the median of the A/B relative differences, the
+/// interquartile distance of the A/A ones, and what they say about `limit`
+/// (the largest relative difference allowed; negative for a speedup floor).
+/// Noise wider than the limit's own size is `inconclusive` whatever the
+/// median; and a `fail` needs the median to clear the limit by half the
+/// noise, so a build never fails on a difference the A/A pairs show the
+/// box producing by itself.
+fn judge_paired(ab: &[f64], aa: &[f64], limit: f64) -> (f64, f64, Verdict) {
+    let median = stats::percentile(ab, 50.0);
+    let noise = stats::percentile(aa, 75.0) - stats::percentile(aa, 25.0);
+    let verdict = if noise > limit.abs() {
+        Verdict::Inconclusive
+    } else if median <= limit {
+        Verdict::Pass
+    } else if median - noise / 2.0 > limit {
+        Verdict::Fail
+    } else {
+        Verdict::Inconclusive
+    };
+    (median, noise, verdict)
+}
+
+/// A ceiling row's reading: `ns` per element at the reference machine's
+/// speed (divided by the mean of the two `slowdown` readings around it),
+/// and whether that is under `ceiling`.
+fn judge_ceiling(ns: f64, slowdown: (f64, f64), ceiling: f64) -> (f64, Verdict) {
+    let scaled = ns / ((slowdown.0 + slowdown.1) / 2.0);
+    let verdict = if scaled <= ceiling {
+        Verdict::Pass
+    } else {
+        Verdict::Fail
+    };
+    (scaled, verdict)
+}
+
+struct Paired<'a> {
+    name: &'static str,
+    /// What B is, against what A is.
+    what: &'static str,
+    limit: f64,
+    a: Box<dyn Fn() + 'a>,
+    b: Box<dyn Fn() + 'a>,
+}
+
+struct Ceiling<'a> {
+    name: &'static str,
+    unit: &'static str,
+    elements: usize,
     ceiling: f64,
-    ok: bool,
+    /// What comes back when the row trips.
+    trips_on: &'static str,
+    run: Box<dyn Fn() + 'a>,
 }
 
-/// `config_fnv` / dataset `fnv` lifted from a run manifest, for joining
-/// history rows to the run that produced them.
-#[derive(Default)]
-struct ManifestJoin {
-    config_fnv: Option<u64>,
-    dataset_fnv: Option<u64>,
+fn time_ns(f: &dyn Fn()) -> f64 {
+    let t = Instant::now();
+    f();
+    t.elapsed().as_nanos() as f64
 }
 
-/// Read the two joinable hashes out of a run manifest written by
-/// `experiments` (`obs::RunManifest` JSON). Any parse problem is fatal:
-/// a history row silently missing its join key defeats the point.
-fn load_manifest_join(path: &str) -> ManifestJoin {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("bench_gate: cannot read manifest {path}: {e}");
-            exit(1);
-        }
-    };
-    let doc = match netsim::json::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("bench_gate: manifest {path} is not valid JSON: {e}");
-            exit(1);
-        }
-    };
+/// One pair: `first` and `second` run alternately `READS` times each and
+/// the fastest run of each side counts — interference only ever adds time,
+/// and alternating puts a drifting clock on both sides.
+fn time_pair(first: &dyn Fn(), second: &dyn Fn()) -> (f64, f64) {
+    let mut best = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..READS {
+        best.0 = best.0.min(time_ns(first));
+        best.1 = best.1.min(time_ns(second));
+    }
+    best
+}
+
+/// The relative differences of `PAIRS` A/B pairs and of as many A/A pairs
+/// taken beside them. Odd pairs start with the other side, the A/A ones
+/// too, so a cost of going second shows up in both samples alike.
+fn measure_paired(row: &Paired) -> (Vec<f64>, Vec<f64>) {
+    (row.a)();
+    (row.b)();
+    let (mut ab, mut aa) = (Vec::with_capacity(PAIRS), Vec::with_capacity(PAIRS));
+    for i in 0..PAIRS {
+        let (a, b) = if i % 2 == 0 {
+            time_pair(&row.a, &row.b)
+        } else {
+            let (b, a) = time_pair(&row.b, &row.a);
+            (a, b)
+        };
+        ab.push((b - a) / a);
+        let (first, second) = time_pair(&row.a, &row.a);
+        aa.push(if i % 2 == 0 {
+            (second - first) / first
+        } else {
+            (first - second) / second
+        });
+    }
+    (ab, aa)
+}
+
+/// Fastest of `CEILING_REPS` repetitions in ns per element, between two
+/// readings of the reference job.
+fn measure_ceiling(row: &Ceiling) -> (f64, (f64, f64)) {
+    (row.run)();
+    let before = sys::slowdown();
+    let best = (0..CEILING_REPS)
+        .map(|_| time_ns(&row.run))
+        .fold(f64::INFINITY, f64::min);
+    (best / row.elements as f64, (before, sys::slowdown()))
+}
+
+fn parsed_urls(raw: &[String]) -> Vec<(Url, ContentCategory)> {
+    raw.iter()
+        .enumerate()
+        .map(|(i, u)| {
+            (
+                Url::parse(u).expect("generated URL parses"),
+                ContentCategory::ALL[i % ContentCategory::ALL.len()],
+            )
+        })
+        .collect()
+}
+
+/// `ScaleList::sample_urls` carries no query strings, so the normalizer's
+/// corpus gets one per URL: the trace's own shape (`cb`, `ord`, `pub`),
+/// pairs the list's literals protect or nearly protect, an opaque token,
+/// static values.
+fn urls_with_queries(scale: &ScaleList) -> Vec<Url> {
+    const WORDS: [&str; 5] = ["ads", "track", "click", "pixel", "u"];
+    scale
+        .sample_urls(URLS, 0.05, 0xBE7C)
+        .iter()
+        .enumerate()
+        .map(|(i, raw)| {
+            let w = WORDS[i % WORDS.len()];
+            let query = match i % 4 {
+                0 => format!(
+                    "cb={}&ord={}&pub=site{}.example",
+                    100_000 + i * 7,
+                    1_000_000 + i * 7919,
+                    i % 400
+                ),
+                1 => format!("{w}_id={}&cb={}&lang=en", i % 97, i * 31),
+                2 => format!("sid=deadbeefcafe1234deadbeef&id={}&flag", i % 120),
+                _ => format!("callback=aslHandleAds{i}&{w}_id={}7", i % 89),
+            };
+            Url::parse(raw)
+                .expect("generated URL parses")
+                .with_query(Some(query))
+        })
+        .collect()
+}
+
+/// Classify every URL as a request from `page`; the count keeps the loop.
+fn classify_all(
+    urls: &[(Url, ContentCategory)],
+    page: &Url,
+    mut would_block: impl FnMut(&Request) -> bool,
+) {
+    let hits = urls
+        .iter()
+        .filter(|(url, category)| {
+            would_block(&Request {
+                url: black_box(url),
+                source_url: Some(page),
+                category: *category,
+            })
+        })
+        .count();
+    black_box(hits);
+}
+
+fn run_reference(engine: &Engine, urls: &[(Url, ContentCategory)], page: &Url) {
+    classify_all(urls, page, |r| engine.classify(r).would_block());
+}
+
+fn run_compiled(engine: &CompiledEngine, urls: &[(Url, ContentCategory)], page: &Url) {
+    let mut scratch = ClassifyScratch::new();
+    classify_all(urls, page, |r| {
+        engine.classify(r, &mut scratch).would_block()
+    });
+}
+
+fn die(msg: &str) -> ! {
+    eprintln!("bench_gate: {msg}");
+    std::process::exit(1);
+}
+
+/// `config_fnv` and dataset `fnv` of a run manifest written by
+/// `experiments` (`obs::RunManifest` JSON), as the history row's two join
+/// fields. Any problem is fatal: a row silently missing its join key
+/// defeats the point.
+fn manifest_join(path: &str) -> String {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| die(&format!("cannot read manifest {path}: {e}")));
+    let doc = netsim::json::parse(&text)
+        .unwrap_or_else(|e| die(&format!("manifest {path} is not valid JSON: {e}")));
     if doc.get("kind").and_then(|v| v.as_str()) != Some("annoyed-users-run") {
-        eprintln!("bench_gate: {path} is not an annoyed-users run manifest");
-        exit(1);
+        die(&format!("{path} is not an annoyed-users run manifest"));
     }
-    ManifestJoin {
-        config_fnv: doc.get("config_fnv").and_then(|v| v.as_u64()),
-        dataset_fnv: doc
-            .get("dataset")
-            .and_then(|d| d.get("fnv"))
-            .and_then(|v| v.as_u64()),
-    }
-}
-
-/// Render the run as one NDJSON history line (parseable by
-/// `netsim::json`, like every other artifact in the workspace).
-fn history_line(stamp: &str, passed: bool, checks: &[Check], join: &ManifestJoin) -> String {
-    let mut line = String::from("{\"event\":\"bench_gate\",\"stamp\":");
-    netsim::json::write_str(&mut line, stamp);
-    let _ = write!(line, ",\"passed\":{passed},");
-    match join.config_fnv {
-        Some(h) => {
-            let _ = write!(line, "\"config_fnv\":{h},");
-        }
-        None => line.push_str("\"config_fnv\":null,"),
-    }
-    match join.dataset_fnv {
-        Some(h) => {
-            let _ = write!(line, "\"dataset_fnv\":{h},");
-        }
-        None => line.push_str("\"dataset_fnv\":null,"),
-    }
-    line.push_str("\"checks\":[");
-    for (i, c) in checks.iter().enumerate() {
-        if i > 0 {
-            line.push(',');
-        }
-        line.push_str("{\"check\":");
-        netsim::json::write_str(&mut line, &c.name);
-        let _ = write!(
-            line,
-            ",\"base_ns\":{},\"latest_ns\":{},\"ratio\":{:.4},\"ceiling\":{},\"ok\":{}}}",
-            c.base_ns,
-            c.latest_ns,
-            if c.base_ns > 0.0 {
-                c.latest_ns / c.base_ns
-            } else {
-                0.0
-            },
-            c.ceiling,
-            c.ok
-        );
-    }
-    line.push_str("]}");
-    line
+    let field = |v: Option<u64>| v.map_or("null".to_string(), |h| h.to_string());
+    format!(
+        "\"config_fnv\":{},\"dataset_fnv\":{},",
+        field(doc.get("config_fnv").and_then(|v| v.as_u64())),
+        field(
+            doc.get("dataset")
+                .and_then(|d| d.get("fnv"))
+                .and_then(|v| v.as_u64())
+        ),
+    )
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut positional: Vec<String> = Vec::new();
-    let mut stamp = String::from("unstamped");
-    let mut history_path = String::from("BENCH_history.ndjson");
-    let mut manifest_arg: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--stamp" => {
-                i += 1;
-                match args.get(i) {
-                    Some(s) => stamp = s.clone(),
-                    None => {
-                        eprintln!("bench_gate: --stamp requires a value");
-                        exit(1);
-                    }
-                }
-            }
-            "--history" => {
-                i += 1;
-                match args.get(i) {
-                    Some(s) => history_path = s.clone(),
-                    None => {
-                        eprintln!("bench_gate: --history requires a value");
-                        exit(1);
-                    }
-                }
-            }
-            "--manifest" => {
-                i += 1;
-                match args.get(i) {
-                    Some(s) => manifest_arg = Some(s.clone()),
-                    None => {
-                        eprintln!("bench_gate: --manifest requires a value");
-                        exit(1);
-                    }
-                }
-            }
-            other => positional.push(other.to_string()),
-        }
-        i += 1;
-    }
-    let baseline_path = positional
-        .first()
-        .map(String::as_str)
-        .unwrap_or("BENCH_baseline.json");
-    let latest_path = positional
-        .get(1)
-        .map(String::as_str)
-        .unwrap_or("BENCH_latest.json");
-
-    let join = manifest_arg
-        .as_deref()
-        .map(load_manifest_join)
-        .unwrap_or_default();
-    let baseline = load(baseline_path);
-    let latest = load(latest_path);
-    let mut failed = false;
-    let mut checks: Vec<Check> = Vec::new();
-
-    for (group, name, ceiling) in GATES {
-        let key = (group.to_string(), name.to_string());
-        let Some(&new) = latest.get(&key) else {
-            eprintln!(
-                "bench_gate: FAIL {group}/{name}: missing from {latest_path} (bench did not run)"
-            );
-            failed = true;
-            continue;
+    let (mut stamp, mut history, mut manifest) = (None, None, None);
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let slot = match flag.as_str() {
+            "--stamp" => &mut stamp,
+            "--history" => &mut history,
+            "--manifest" => &mut manifest,
+            other => die(&format!("unknown argument {other:?}")),
         };
-        let Some(&old) = baseline.get(&key) else {
-            println!("bench_gate: skip {group}/{name}: not in baseline {baseline_path}");
-            continue;
-        };
-        let ratio = new / old;
-        let ok = ratio <= ceiling;
-        let verdict = if ok { "ok" } else { "FAIL" };
-        println!(
-            "bench_gate: {verdict} {group}/{name}: {:.2}ms -> {:.2}ms ({:+.1}%, ceiling {:+.0}%)",
-            old / 1e6,
-            new / 1e6,
-            (ratio - 1.0) * 100.0,
-            (ceiling - 1.0) * 100.0,
+        *slot = Some(
+            args.next()
+                .unwrap_or_else(|| die(&format!("{flag} requires a value"))),
         );
-        checks.push(Check {
-            name: format!("{group}/{name}"),
-            base_ns: old,
-            latest_ns: new,
-            ceiling,
-            ok,
-        });
-        if !ok {
-            failed = true;
-        }
     }
+    let stamp = stamp.unwrap_or_else(|| "unstamped".to_string());
+    let history = history.unwrap_or_else(|| "BENCH_history.ndjson".to_string());
+    let join = manifest.as_deref().map_or_else(
+        || "\"config_fnv\":null,\"dataset_fnv\":null,".to_string(),
+        manifest_join,
+    );
 
-    // Instrumentation overheads, measured within the latest run
-    // (self-relative, so machine speed cancels out). Missing pairs fail:
-    // an overhead we stopped measuring is an overhead we stopped
-    // bounding.
-    for (group, on_name, off_name, label, ceiling) in OVERHEAD_GATES {
-        let off = latest.get(&(group.to_string(), off_name.to_string()));
-        let on = latest.get(&(group.to_string(), on_name.to_string()));
-        match (off, on) {
-            (Some(&off), Some(&on)) if off > 0.0 => {
-                let ratio = on / off;
-                let ok = ratio <= ceiling;
-                let verdict = if ok { "ok" } else { "FAIL" };
-                println!(
-                    "bench_gate: {verdict} {group}: {label} costs {:+.1}% \
-                     ({:.2}ms -> {:.2}ms, ceiling {:+.0}%)",
-                    (ratio - 1.0) * 100.0,
-                    off / 1e6,
-                    on / 1e6,
-                    (ceiling - 1.0) * 100.0,
-                );
-                checks.push(Check {
-                    name: format!("{group}/{on_name}:{off_name}"),
-                    base_ns: off,
-                    latest_ns: on,
-                    ceiling,
-                    ok,
-                });
-                if !ok {
-                    failed = true;
-                }
-            }
-            _ => {
-                eprintln!(
-                    "bench_gate: FAIL {group}: {off_name}/{on_name} missing from {latest_path}"
-                );
-                failed = true;
-            }
-        }
-    }
+    // The fixture, once: ecosystem, classifier, trace (in memory, encoded,
+    // and on disk for the stream rows), the EasyList-scale list and the
+    // engines and corpora over it.
+    let started = Instant::now();
+    let eco = bench::bench_ecosystem();
+    let classifier = bench::bench_classifier(&eco);
+    let trace = bench::bench_trace(&eco);
+    let mut encoded = Vec::new();
+    netsim::codec::write_trace(&trace, &mut encoded).expect("in-memory trace write");
+    let path = std::env::temp_dir().join(format!("bench-gate-{}.trace", std::process::id()));
+    std::fs::write(&path, &encoded).unwrap_or_else(|e| die(&format!("cannot write trace: {e}")));
 
-    // Compiled-engine speedup floors, measured within the latest run
-    // (self-relative, so machine speed cancels out).
-    for (group, fast_name, slow_name, floor) in SPEEDUP_FLOORS {
-        let slow = latest.get(&(group.to_string(), slow_name.to_string()));
-        let fast = latest.get(&(group.to_string(), fast_name.to_string()));
-        match (slow, fast) {
-            (Some(&slow), Some(&fast)) if slow > 0.0 => {
-                let ratio = fast / slow;
-                let ok = ratio <= floor;
-                let verdict = if ok { "ok" } else { "FAIL" };
-                println!(
-                    "bench_gate: {verdict} {group}: {fast_name} is {:.2}x {slow_name} \
-                     ({:.2}ms vs {:.2}ms, floor {:.2}x)",
-                    ratio,
-                    fast / 1e6,
-                    slow / 1e6,
-                    floor,
-                );
-                checks.push(Check {
-                    name: format!("{group}/{fast_name}:{slow_name}"),
-                    base_ns: slow,
-                    latest_ns: fast,
-                    ceiling: floor,
-                    ok,
-                });
-                if !ok {
-                    failed = true;
-                }
-            }
-            _ => {
-                eprintln!(
-                    "bench_gate: FAIL {group}: {slow_name}/{fast_name} missing from {latest_path}"
-                );
-                failed = true;
-            }
-        }
-    }
+    let scale = easylist_scale(ScaleConfig {
+        rules: 40_000,
+        seed: 0xEA5E,
+    });
+    let scale_list = || FilterList::parse("easylist-scale", &scale.text);
+    // Miss mix: the EasyList-scale list alone against its own sampled URLs,
+    // ≈5 % of them ad-related. Trace mix: the ecosystem's four lists plus
+    // that list against the ecosystem's object URLs, query strings
+    // included, whose ad words surface the list's ≈200-rule query buckets.
+    let mut miss_engine = Engine::new();
+    miss_engine.add_list(scale_list());
+    let mut trace_engine = classifier.engine().clone();
+    trace_engine.add_list(scale_list());
+    let (miss_compiled, trace_compiled) = (
+        CompiledEngine::compile(&miss_engine),
+        CompiledEngine::compile(&trace_engine),
+    );
+    let miss_urls = parsed_urls(&scale.sample_urls(URLS, 0.05, 0xBE7C));
+    let trace_urls = bench::bench_urls(&eco, URLS);
+    let page = Url::parse("http://www.dailyherald000.example/").expect("page URL parses");
+    let normalizer = UrlNormalizer::from_engine(&trace_engine);
+    let query_urls = urls_with_queries(&scale);
 
-    // Absolute per-element ceilings: the one place the gate compares
-    // against a wall-clock constant instead of a ratio, because the
-    // claim itself ("over 1 M req/s/core") is absolute.
-    for (group, name, elements, ceiling_ns, unit) in THROUGHPUT_FLOORS {
-        match latest.get(&(group.to_string(), name.to_string())) {
-            Some(&low) if low > 0.0 => {
-                let per_elem = low / elements;
-                let ok = per_elem <= ceiling_ns;
-                let verdict = if ok { "ok" } else { "FAIL" };
-                println!(
-                    "bench_gate: {verdict} {group}/{name}: {:.0} ns/{unit} = \
-                     {:.2} M {unit}s/s/core (ceiling {:.0} ns/{unit})",
-                    per_elem,
-                    1e3 / per_elem,
-                    ceiling_ns,
-                );
-                checks.push(Check {
-                    name: format!("{group}/{name}:per_element"),
-                    base_ns: ceiling_ns,
-                    latest_ns: per_elem,
-                    ceiling: 1.0,
-                    ok,
-                });
-                if !ok {
-                    failed = true;
+    assert!(trace.records.len() >= RECORDS, "bench trace shrank");
+    let head = netsim::Trace {
+        meta: trace.meta.clone(),
+        records: trace.records[..RECORDS].to_vec(),
+    };
+    let mut head_encoded = Vec::new();
+    netsim::codec::write_trace(&head, &mut head_encoded).expect("in-memory trace write");
+    let objects = extract_objects(&trace);
+    assert!(objects.len() >= RECORDS, "bench trace shrank");
+    let objects = &objects[..RECORDS];
+    println!(
+        "bench_gate: fixture {} records, {} + {} rules, built in {:.1} s",
+        trace.records.len(),
+        miss_engine.filter_count(),
+        trace_engine.filter_count() - miss_engine.filter_count(),
+        started.elapsed().as_secs_f64()
+    );
+
+    let materialized = |opts: PipelineOptions| {
+        let (trace, classifier) = (&trace, &classifier);
+        Box::new(move || {
+            black_box(classify_trace_sharded(
+                black_box(trace),
+                classifier,
+                opts,
+                1,
+            ));
+        })
+    };
+    let streamed = |adjust: fn(&mut StreamOptions)| {
+        let mut opts = StreamOptions {
+            threads: 1,
+            abp_ips: eco.abp_ips.clone(),
+            ..StreamOptions::default()
+        };
+        adjust(&mut opts);
+        let (path, classifier) = (&path, &classifier);
+        Box::new(move || {
+            black_box(
+                classify_stream_file(path, classifier, &opts, &obs::Registry::new())
+                    .expect("stream classify"),
+            );
+        })
+    };
+    let read_classify = |recording: bool| {
+        let (encoded, classifier) = (&encoded, &classifier);
+        Box::new(move || {
+            obs::set_enabled(recording);
+            let trace = netsim::codec::read_trace(black_box(encoded.as_slice())).expect("read");
+            black_box(classify_trace(
+                &trace,
+                classifier,
+                PipelineOptions::default(),
+            ));
+            obs::set_enabled(true);
+        })
+    };
+    let mut sampled = PipelineOptions::default();
+    sampled.trace.sample_ppm = 10_000;
+    sampled.trace.always_sample_exceptional = false;
+    let mut unsampled = sampled;
+    unsampled.trace.sample_ppm = 0;
+    let mut unwindowed = PipelineOptions::default();
+    unwindowed.window.enabled = false;
+
+    let paired: Vec<Paired> = vec![
+        Paired {
+            name: "trace_sampling",
+            what: "1 % provenance head sampling vs none, materialized",
+            limit: BUDGET,
+            a: materialized(unsampled),
+            b: materialized(sampled),
+        },
+        Paired {
+            name: "windows",
+            what: "hourly windows on vs off, materialized",
+            limit: BUDGET,
+            a: materialized(unwindowed),
+            b: materialized(PipelineOptions::default()),
+        },
+        Paired {
+            name: "sketches",
+            what: "population sketches on vs off, stream",
+            limit: SKETCH_LIMIT,
+            a: streamed(|o| o.pipeline.population.enabled = false),
+            b: streamed(|o| o.pipeline.population.enabled = true),
+        },
+        Paired {
+            name: "alerts",
+            what: "alert rule pack vs no rules, stream",
+            limit: BUDGET,
+            a: streamed(|_| {}),
+            b: streamed(|o| o.alerts = adscope::alerts::rule_pack()),
+        },
+        Paired {
+            name: "obs",
+            what: "obs recording on vs off, strict read + classify",
+            limit: BUDGET,
+            a: read_classify(false),
+            b: read_classify(true),
+        },
+        Paired {
+            name: "engine_miss_mix",
+            what: "compiled vs reference engine, mostly-miss requests",
+            limit: ENGINE_FLOOR,
+            a: Box::new(|| run_reference(&miss_engine, &miss_urls, &page)),
+            b: Box::new(|| run_compiled(&miss_compiled, &miss_urls, &page)),
+        },
+        Paired {
+            name: "engine_trace_mix",
+            what: "compiled vs reference engine, trace-shaped requests",
+            limit: ENGINE_FLOOR,
+            a: Box::new(|| run_reference(&trace_engine, &trace_urls, &page)),
+            b: Box::new(|| run_compiled(&trace_compiled, &trace_urls, &page)),
+        },
+    ];
+    let ceilings: Vec<Ceiling> = vec![
+        Ceiling {
+            name: "compiled_miss_mix",
+            unit: "request",
+            elements: URLS,
+            ceiling: 1_000.0,
+            trips_on: "under 1 M requests/s/core",
+            run: Box::new(|| run_compiled(&miss_compiled, &miss_urls, &page)),
+        },
+        Ceiling {
+            name: "compiled_trace_mix",
+            unit: "request",
+            elements: URLS,
+            ceiling: 1_000.0,
+            trips_on: "the ≈200-rule query buckets compared rule by rule (≈2 000)",
+            run: Box::new(|| run_compiled(&trace_compiled, &trace_urls, &page)),
+        },
+        Ceiling {
+            name: "normalize",
+            unit: "URL",
+            elements: URLS,
+            ceiling: 1_500.0,
+            trips_on: "a scan of the ≈4 000 protected query literals (≈100 000)",
+            run: Box::new(|| {
+                let rewritten = query_urls
+                    .iter()
+                    .filter(|&url| normalizer.normalize(black_box(url)).query() != url.query())
+                    .count();
+                black_box(rewritten);
+            }),
+        },
+        Ceiling {
+            name: "read_chunks",
+            unit: "record",
+            elements: RECORDS,
+            ceiling: 900.0,
+            trips_on: "the `Value`-tree decode (≈1 450)",
+            run: Box::new(|| {
+                let reader = ChunkReader::new(black_box(head_encoded.as_slice()), 8192);
+                let records: usize = reader
+                    .expect("open")
+                    .map(|chunk| black_box(chunk).records.len())
+                    .sum();
+                assert_eq!(records, RECORDS);
+            }),
+        },
+        Ceiling {
+            name: "refmap_only",
+            unit: "record",
+            elements: RECORDS,
+            ceiling: 450.0,
+            trips_on: "owned keys and deep-copied page roots (≈700)",
+            run: Box::new(|| {
+                let mut per_user: HashMap<(u32, Option<&str>), RefMap> = HashMap::new();
+                let mut resolved = 0usize;
+                for obj in black_box(objects) {
+                    let entry = per_user
+                        .entry((obj.client_ip, obj.user_agent.as_deref()))
+                        .or_insert_with(|| RefMap::new(RefMapOptions::default()))
+                        .process(obj);
+                    resolved += usize::from(entry.ctx.page.is_some());
                 }
-            }
-            _ => {
-                eprintln!("bench_gate: FAIL {group}/{name}: missing from {latest_path}");
-                failed = true;
+                black_box(resolved);
+            }),
+        },
+    ];
+
+    let mut failed = Vec::new();
+    let mut rows = String::new();
+    let measured = Instant::now();
+    let cpu_before = sys::cpu_time_ns();
+    let ((), pinned) = sys::on_one_cpu(|| {
+        for row in &paired {
+            let mut attempts = 1;
+            let (median, noise, verdict) = loop {
+                let (ab, aa) = measure_paired(row);
+                let judged = judge_paired(&ab, &aa, row.limit);
+                if judged.1 <= row.limit.abs() || attempts == ATTEMPTS {
+                    break judged;
+                }
+                attempts += 1;
+            };
+            println!(
+                "bench_gate: {:<12} {:<18} {:+6.1} %  A/A {:4.1} %  limit {:+.0} %  try {attempts}  ({})",
+                verdict.as_str(),
+                row.name,
+                median * 100.0,
+                noise * 100.0,
+                row.limit * 100.0,
+                row.what,
+            );
+            let _ = write!(
+                rows,
+                "{{\"row\":\"{}\",\"kind\":\"paired\",\"median\":{median:.4},\"aa_iqr\":{noise:.4},\
+                 \"limit\":{:.2},\"attempts\":{attempts},\"verdict\":\"{}\"}},",
+                row.name,
+                row.limit,
+                verdict.as_str()
+            );
+            if verdict == Verdict::Fail {
+                failed.push(row.name);
             }
         }
-    }
+        for row in &ceilings {
+            let (ns, slowdown) = measure_ceiling(row);
+            let (scaled, verdict) = judge_ceiling(ns, slowdown, row.ceiling);
+            println!(
+                "bench_gate: {:<12} {:<18} {scaled:6.0} ns/{} at reference speed ({ns:.0} raw, \
+                 slowdown {:.2} .. {:.2})  ceiling {}  (trips on {})",
+                verdict.as_str(),
+                row.name,
+                row.unit,
+                slowdown.0,
+                slowdown.1,
+                row.ceiling,
+                row.trips_on,
+            );
+            let _ = write!(
+                rows,
+                "{{\"row\":\"{}\",\"kind\":\"ceiling\",\"ns\":{ns:.1},\"scaled_ns\":{scaled:.1},\
+                 \"ceiling\":{},\"verdict\":\"{}\"}},",
+                row.name,
+                row.ceiling,
+                verdict.as_str()
+            );
+            if verdict == Verdict::Fail {
+                failed.push(row.name);
+            }
+        }
+    });
+    let wall = measured.elapsed().as_secs_f64();
+    let cpu_over_wall = (sys::cpu_time_ns() - cpu_before) as f64 / 1e9 / wall;
+    let _ = std::fs::remove_file(&path);
+    println!(
+        "bench_gate: measured in {wall:.1} s, cpu/wall {cpu_over_wall:.2}, pinned to one CPU: {pinned}"
+    );
 
     // Append the run to the committed history (best-effort: a read-only
     // checkout must not turn a perf pass into a build failure).
-    let line = history_line(&stamp, !failed, &checks, &join);
-    match netsim::json::parse(&line) {
-        Ok(_) => {
-            use std::io::Write;
-            let appended = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&history_path)
-                .and_then(|mut f| writeln!(f, "{line}"));
-            match appended {
-                Ok(()) => println!("bench_gate: history appended to {history_path} ({stamp})"),
-                Err(e) => eprintln!("bench_gate: cannot append {history_path}: {e}"),
-            }
-        }
-        Err(e) => {
-            // Unreachable by construction; a corrupt line must never
-            // poison the committed history.
-            eprintln!("bench_gate: internal: history line does not parse: {e}");
+    let mut line = String::from("{\"event\":\"bench_gate\",\"stamp\":");
+    netsim::json::write_str(&mut line, &stamp);
+    let _ = write!(
+        line,
+        ",\"passed\":{},{join}\"cpu_over_wall\":{cpu_over_wall:.3},\"rows\":[{}]}}",
+        failed.is_empty(),
+        rows.trim_end_matches(',')
+    );
+    netsim::json::parse(&line).expect("the history line is valid JSON");
+    let appended = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(&history)
+        .and_then(|mut f| std::io::Write::write_all(&mut f, format!("{line}\n").as_bytes()));
+    match appended {
+        Ok(()) => println!("bench_gate: history appended to {history} ({stamp})"),
+        Err(e) => eprintln!("bench_gate: cannot append {history}: {e}"),
+    }
+
+    if !failed.is_empty() {
+        die(&format!("FAIL {}", failed.join(", ")));
+    }
+    println!("bench_gate: no row failed");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `n` differences centred on `shift`, spread evenly so that their
+    /// interquartile distance is `iqr`.
+    fn sample(n: usize, shift: f64, iqr: f64) -> Vec<f64> {
+        (0..n)
+            .map(|i| shift + (i as f64 / (n - 1) as f64 - 0.5) * 2.0 * iqr)
+            .collect()
+    }
+
+    #[test]
+    fn a_shift_over_the_budget_fails_and_one_under_it_passes() {
+        let quiet = sample(PAIRS, 0.0, 0.01);
+        let (median, noise, verdict) = judge_paired(&sample(PAIRS, 0.08, 0.01), &quiet, BUDGET);
+        assert!((median - 0.08).abs() < 1e-9 && (noise - 0.01).abs() < 1e-9);
+        assert_eq!(verdict, Verdict::Fail);
+        let (_, _, verdict) = judge_paired(&sample(PAIRS, 0.02, 0.01), &quiet, BUDGET);
+        assert_eq!(verdict, Verdict::Pass);
+    }
+
+    #[test]
+    fn a_median_over_the_budget_by_less_than_half_the_noise_is_inconclusive() {
+        let noisy = sample(PAIRS, 0.0, 0.04);
+        let (_, _, verdict) = judge_paired(&sample(PAIRS, 0.06, 0.04), &noisy, BUDGET);
+        assert_eq!(verdict, Verdict::Inconclusive);
+        let (_, _, verdict) = judge_paired(&sample(PAIRS, 0.08, 0.04), &noisy, BUDGET);
+        assert_eq!(verdict, Verdict::Fail);
+    }
+
+    #[test]
+    fn noise_wider_than_the_budget_is_inconclusive_whatever_the_median() {
+        let loud = sample(PAIRS, 0.0, 0.09);
+        for shift in [0.0, 0.08] {
+            let (_, noise, verdict) = judge_paired(&sample(PAIRS, shift, 0.09), &loud, BUDGET);
+            assert!((noise - 0.09).abs() < 1e-9);
+            assert_eq!(verdict, Verdict::Inconclusive);
         }
     }
 
-    if failed {
-        exit(1);
+    #[test]
+    fn a_speedup_floor_is_a_negative_limit() {
+        let quiet = sample(PAIRS, 0.0, 0.03);
+        // Compiled at 0.45 of the reference passes the 0.80 floor, at 0.9 fails.
+        let (_, _, fast) = judge_paired(&sample(PAIRS, -0.55, 0.03), &quiet, ENGINE_FLOOR);
+        let (_, _, slow) = judge_paired(&sample(PAIRS, -0.10, 0.03), &quiet, ENGINE_FLOOR);
+        assert_eq!((fast, slow), (Verdict::Pass, Verdict::Fail));
     }
-    println!("bench_gate: all gates passed");
+
+    #[test]
+    fn a_ceiling_is_held_at_the_reference_speed() {
+        // 800 ns on an undisturbed box is under 900; the same code on a box
+        // running 1.3× slow reads 1 040 raw and must still pass.
+        assert_eq!(judge_ceiling(800.0, (1.0, 1.0), 900.0).1, Verdict::Pass);
+        let (scaled, verdict) = judge_ceiling(1_040.0, (1.3, 1.3), 900.0);
+        assert!((scaled - 800.0).abs() < 1e-9);
+        assert_eq!(verdict, Verdict::Pass);
+        assert_eq!(judge_ceiling(1_040.0, (1.0, 1.0), 900.0).1, Verdict::Fail);
+        // The two readings around the row are averaged.
+        assert_eq!(judge_ceiling(1_040.0, (1.0, 1.6), 900.0).1, Verdict::Pass);
+    }
 }

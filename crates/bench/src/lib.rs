@@ -1,11 +1,17 @@
-//! Shared fixtures for the Criterion benches: a standard ecosystem, a
-//! standard captured trace, and URL corpora for the matcher benchmarks.
+//! What `bench_gate` and `e2e` share: the standard ecosystem, captured
+//! trace and URL corpus the gate measures over, and the process-level
+//! readings (`sys`) both binaries scale and pin their timings with.
+
+/// The e2e harness's readings, compiled from the file the benchmark
+/// contract owns so the gate cannot drift from it.
+#[path = "bin/e2e/sys.rs"]
+pub mod sys;
 
 use browsersim::{ActivityProfile, DriveConfig, Population, PopulationConfig};
 use netsim::Trace;
 use webgen::{Ecosystem, EcosystemConfig};
 
-/// The ecosystem used by every bench (deterministic).
+/// The ecosystem every gate row runs over (deterministic).
 pub fn bench_ecosystem() -> Ecosystem {
     Ecosystem::generate(EcosystemConfig {
         publishers: 150,
@@ -29,7 +35,7 @@ pub fn bench_classifier(eco: &Ecosystem) -> adscope::PassiveClassifier {
 }
 
 /// A ~1-hour evening trace of a small population (tens of thousands of
-/// requests) for pipeline and I/O benches.
+/// requests) for the pipeline, stream and trace-reader rows.
 pub fn bench_trace(eco: &Ecosystem) -> Trace {
     let mut pop = Population::generate(
         eco,
