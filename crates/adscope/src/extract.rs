@@ -8,8 +8,8 @@
 
 use crate::degrade::DegradationReport;
 use crate::intern::Interner;
-use http_model::{HttpTransaction, Url};
-use netsim::record::Trace;
+use http_model::url::{Url, UrlMemo};
+use netsim::record::{HttpView, Trace};
 use std::sync::Arc;
 
 /// One extracted HTTP log entry.
@@ -78,9 +78,9 @@ pub fn extract_full(trace: &Trace) -> (Vec<WebObject>, DegradationReport, Vec<f6
     let mut out = Vec::with_capacity(trace.records.len());
     let mut report = DegradationReport::default();
     let mut quarantined_ts = Vec::new();
-    let mut interner = Interner::new();
+    let mut extractor = Extractor::default();
     for (idx, tx) in trace.http_transactions().enumerate() {
-        match extract_one(idx, tx, &mut report, &mut interner) {
+        match extractor.extract_one(idx, &HttpView::of(tx), &mut report) {
             Some(o) => out.push(o),
             None => {
                 report.unparseable_urls += 1;
@@ -91,53 +91,64 @@ pub fn extract_full(trace: &Trace) -> (Vec<WebObject>, DegradationReport, Vec<f6
     (out, report, quarantined_ts)
 }
 
-pub(crate) fn extract_one(
-    idx: usize,
-    tx: &HttpTransaction,
-    report: &mut DegradationReport,
-    interner: &mut Interner,
-) -> Option<WebObject> {
-    let url = tx.url()?;
-    let referer = tx.referer_url();
-    if tx.request.referer.is_some() && referer.is_none() {
-        report.unparseable_referers += 1;
+/// What extraction keeps from one record to the next: the header-value
+/// interner, the buffer each request URL is put together in, and the memo
+/// that serves a page's objects their shared referer.
+#[derive(Debug, Default)]
+pub struct Extractor {
+    interner: Interner,
+    scratch: String,
+    referers: UrlMemo,
+}
+
+impl Extractor {
+    /// The log entry for one transaction, whether `tx` views a scanned line
+    /// or an owned record; `None` when its URL cannot be reassembled (the
+    /// caller counts and quarantines it).
+    pub fn extract_one(
+        &mut self,
+        idx: usize,
+        tx: &HttpView<'_>,
+        report: &mut DegradationReport,
+    ) -> Option<WebObject> {
+        let url = Url::from_host_and_uri(tx.host, tx.uri, &mut self.scratch)?;
+        let referer = tx.referer.and_then(|r| self.referers.parse(r));
+        if tx.referer.is_some() && referer.is_none() {
+            report.unparseable_referers += 1;
+        }
+        let location = tx.location.and_then(|l| Url::parse(l).ok());
+        if tx.location.is_some() && location.is_none() {
+            report.unparseable_locations += 1;
+        }
+        if tx.content_type.is_none() {
+            report.missing_content_type += 1;
+        }
+        if tx.user_agent.is_none() {
+            report.missing_user_agent += 1;
+        }
+        Some(WebObject {
+            idx,
+            ts: tx.ts,
+            client_ip: tx.client_ip,
+            server_ip: tx.server_ip,
+            url,
+            referer,
+            content_type: self.interner.intern_opt(tx.content_type),
+            bytes: tx.content_length.unwrap_or(0),
+            status: tx.status,
+            location,
+            user_agent: self.interner.intern_opt(tx.user_agent),
+            tcp_handshake_ms: tx.tcp_handshake_ms,
+            http_handshake_ms: tx.http_handshake_ms,
+        })
     }
-    let location = tx
-        .response
-        .location
-        .as_deref()
-        .and_then(|l| Url::parse(l).ok());
-    if tx.response.location.is_some() && location.is_none() {
-        report.unparseable_locations += 1;
-    }
-    if tx.response.content_type.is_none() {
-        report.missing_content_type += 1;
-    }
-    if tx.request.user_agent.is_none() {
-        report.missing_user_agent += 1;
-    }
-    Some(WebObject {
-        idx,
-        ts: tx.ts,
-        client_ip: tx.client_ip,
-        server_ip: tx.server_ip,
-        url,
-        referer,
-        content_type: interner.intern_opt(tx.response.content_type.as_deref()),
-        bytes: tx.response.content_length.unwrap_or(0),
-        status: tx.response.status,
-        location,
-        user_agent: interner.intern_opt(tx.request.user_agent.as_deref()),
-        tcp_handshake_ms: tx.tcp_handshake_ms,
-        http_handshake_ms: tx.http_handshake_ms,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use http_model::headers::{RequestHeaders, ResponseHeaders};
-    use http_model::transaction::Method;
+    use http_model::transaction::{HttpTransaction, Method};
     use netsim::record::{TraceMeta, TraceRecord};
 
     fn tx(host: &str, uri: &str, referer: Option<&str>, location: Option<&str>) -> TraceRecord {

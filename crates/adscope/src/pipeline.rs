@@ -200,9 +200,9 @@ pub(crate) fn classify_trace_on(
     // of record identity, so it does not depend on the shard layout.
     let tracer = Tracer::new(&trace.meta.name, opts.trace);
 
-    // One thread: one shard, and no hashing. Otherwise more shards than
-    // workers, which smooths out user-size skew; the layout changes
-    // wall-clock balance only.
+    // One thread: one shard. Otherwise more shards than workers, which
+    // smooths out user-size skew; the layout changes wall-clock balance
+    // only.
     let nshards = match pool.threads() {
         1 => 1,
         n => n * 4,
@@ -210,10 +210,7 @@ pub(crate) fn classify_trace_on(
     let mut owner: Vec<usize> = Vec::with_capacity(objects.len());
     let mut shards: Vec<Vec<usize>> = vec![Vec::new(); nshards];
     for (pos, o) in objects.iter().enumerate() {
-        let shard = match nshards {
-            1 => 0,
-            n => shard_of(o.client_ip, o.user_agent.as_deref(), n as u64),
-        };
+        let shard = shard_of(o.client_ip, o.user_agent.as_deref(), nshards as u64);
         owner.push(shard);
         shards[shard].push(pos);
     }

@@ -7,8 +7,12 @@ use netsim::record::Trace;
 
 /// Deterministic shard assignment: FNV-1a over the user key. A missing
 /// User-Agent hashes differently from an empty one, as in the per-user
-/// stages' `(u32, Option<&str>)` map key.
+/// stages' `(u32, Option<&str>)` map key. One shard holds every user and
+/// is not hashed for: the byte-serial walk costs ≈1 ns per User-Agent byte.
 pub(crate) fn shard_of(client_ip: u32, user_agent: Option<&str>, nshards: u64) -> usize {
+    if nshards == 1 {
+        return 0;
+    }
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mix = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(PRIME);

@@ -7,10 +7,11 @@
 //! module restructures the same stages as a streaming dataflow:
 //!
 //! ```text
-//!   ChunkReader ──► router (caller thread)             ┌► worker 0 ─┐
-//!     decode         extract + out-of-order pre-pass ──┼► worker 1 ─┼─► merge
-//!     chunk-by-      + decode windows + shard routing  └► worker N ─┘
-//!     chunk
+//!   ChunkSource ──► router (caller thread)             ┌► worker 0 ─┐
+//!     lends each     extract + out-of-order pre-pass ──┼► worker 1 ─┼─► merge
+//!     record as a    + decode windows + shard routing  └► worker N ─┘
+//!     RecordView     (view → WebObject, nothing owned
+//!     of its line     in between)
 //! ```
 //!
 //! * **Bounded memory.** Records flow through [`parallel::bounded`]
@@ -67,7 +68,7 @@ use crate::pipeline::{ClassifiedRequest, PipelineOptions};
 use crate::population::PopulationReport;
 use netsim::codec::CodecStats;
 use netsim::record::TraceMeta;
-use netsim::stream::{ChunkReader, StreamChunk};
+use netsim::stream::{ChunkReader, OwnedChunks, StreamChunk};
 use obs::window::WindowReport;
 use router::{run_stream, RunState};
 use std::fmt::Write as _;
@@ -367,7 +368,7 @@ where
         ));
     }
     let state = RunState::new(meta, opts);
-    run_stream(chunks, state, classifier, opts, registry, 0)
+    run_stream(OwnedChunks(chunks), state, classifier, opts, registry, 0)
 }
 
 /// Trace builders and option presets the in-file tests of this module

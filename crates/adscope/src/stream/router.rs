@@ -11,16 +11,15 @@ use super::worker::{
 use super::{ck_err, StreamError, StreamOptions, StreamReport};
 use crate::classify::PassiveClassifier;
 use crate::degrade::DegradationReport;
-use crate::extract::{extract_one, WebObject};
-use crate::intern::Interner;
+use crate::extract::{Extractor, WebObject};
 use crate::normalize::UrlNormalizer;
 use crate::pipeline::ClassifiedRequest;
 use crate::population::{self, PopulationOptions, PopulationReport, PopulationSketches, UserTally};
 use crate::shard::shard_of;
 use crate::window::WindowAggregator;
 use netsim::codec::{record_to_json, CodecStats, DecodeWindows};
-use netsim::record::{TraceMeta, TraceRecord};
-use netsim::stream::StreamChunk;
+use netsim::record::{RecordView, TraceMeta, TraceRecord};
+use netsim::stream::{ChunkSource, MAX_CHUNK_RESERVE};
 use obs::window::WindowReport;
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -130,7 +129,7 @@ struct Router<'a> {
     /// into the cumulative report exactly like worker deltas.
     router_windows: WindowAggregator,
     decode_engine: DecodeWindows,
-    interner: Interner,
+    extractor: Extractor,
     abp_set: HashSet<u32>,
     worker_labels: Vec<String>,
     last_stalls: Vec<u64>,
@@ -151,17 +150,14 @@ struct Router<'a> {
     stopped_early: bool,
 }
 
-pub(super) fn run_stream<I>(
-    mut chunks: I,
+pub(super) fn run_stream<S: ChunkSource>(
+    mut chunks: S,
     mut state: RunState,
     classifier: &PassiveClassifier,
     opts: &StreamOptions,
     registry: &obs::Registry,
     total_bytes: u64,
-) -> Result<StreamReport, StreamError>
-where
-    I: Iterator<Item = StreamChunk>,
-{
+) -> Result<StreamReport, StreamError> {
     let nworkers = if opts.threads == 0 {
         parallel::available_parallelism()
     } else {
@@ -229,7 +225,7 @@ where
             quarantine,
             router_windows: WindowAggregator::new(popts.window),
             decode_engine: DecodeWindows::hourly(),
-            interner: Interner::new(),
+            extractor: Extractor::default(),
             abp_set: opts.abp_ips.iter().copied().collect(),
             worker_labels: (0..nworkers).map(|i| i.to_string()).collect(),
             last_stalls: vec![0u64; nworkers],
@@ -264,60 +260,29 @@ where
 }
 
 impl<'a> Router<'a> {
-    /// The routing loop: per chunk, window the decoded records, extract
-    /// and shard the HTTP ones, hand each worker its batch, write the
+    /// The routing loop: per chunk, route every record the source lends
+    /// ([`Router::route_record`]), hand each worker its batch, write the
     /// checkpoint the previous chunk's barrier parked, and every
     /// `every_chunks` chunks run a checkpoint barrier.
-    fn route(&mut self, chunks: &mut impl Iterator<Item = StreamChunk>) -> Result<(), StreamError> {
+    fn route(&mut self, chunks: &mut impl ChunkSource) -> Result<(), StreamError> {
         let opts = self.opts;
         let nworkers = self.senders.len();
-        for chunk in chunks {
-            let st = &mut self.state;
-            st.codec.merge(&chunk.stats);
-            let n_records = chunk.records.len() as u64;
-            for rec in &chunk.records {
-                self.decode_engine.observe(rec);
-            }
-            let mut batches: Vec<Vec<(u64, WebObject)>> = vec![Vec::new(); nworkers];
-            for rec in chunk.records {
-                match rec {
-                    TraceRecord::Http(tx) => {
-                        let idx = st.next_http_idx as usize;
-                        st.next_http_idx += 1;
-                        match extract_one(idx, &tx, &mut st.degradation, &mut self.interner) {
-                            Some(obj) => {
-                                if obj.ts < st.prev_ts {
-                                    st.degradation.out_of_order_records += 1;
-                                }
-                                st.prev_ts = obj.ts;
-                                let pos = st.next_pos;
-                                st.next_pos += 1;
-                                let s = shard_of(
-                                    obj.client_ip,
-                                    obj.user_agent.as_deref(),
-                                    nworkers as u64,
-                                );
-                                batches[s].push((pos, obj));
-                            }
-                            None => {
-                                st.degradation.unparseable_urls += 1;
-                                self.router_windows.observe_quarantined(tx.ts);
-                                if let Some(q) = &self.quarantine {
-                                    q.write_line(&record_to_json(&TraceRecord::Http(tx)));
-                                }
-                            }
-                        }
-                    }
-                    TraceRecord::Https(conn) => {
-                        st.https_flows += 1;
-                        if let Some(cum) = &mut st.population {
-                            if conn.server_port == 443 && self.abp_set.contains(&conn.server_ip) {
-                                cum.households.insert(conn.client_ip);
-                            }
-                        }
-                    }
-                }
-            }
+        // A batch is reserved for its worker's even share of a chunk — all of
+        // it at one worker — of no more records than a chunk can plausibly
+        // hold, and grows from there.
+        let even_share = opts.chunk_records.min(MAX_CHUNK_RESERVE).div_ceil(nworkers);
+        loop {
+            let mut batches: Vec<Vec<(u64, WebObject)>> = (0..nworkers)
+                .map(|_| Vec::with_capacity(even_share))
+                .collect();
+            let mut n_records = 0u64;
+            let Some((stats, end_offset)) = chunks.next_chunk_with(|rec| {
+                n_records += 1;
+                self.route_record(rec, &mut batches);
+            }) else {
+                break;
+            };
+            self.state.codec.merge(&stats);
             if !self.send(batches) {
                 // A dead receiver means the worker panicked outside the
                 // guard; drop the senders and let the join in
@@ -325,7 +290,7 @@ impl<'a> Router<'a> {
                 break;
             }
             self.state.chunks += 1;
-            self.state.offset = chunk.end_offset;
+            self.state.offset = end_offset;
             self.run_chunks += 1;
             let registry = self.registry;
             registry.counter("adscope_stream_chunks_total").add(1);
@@ -333,9 +298,7 @@ impl<'a> Router<'a> {
                 .counter("adscope_stream_records_total")
                 .add(n_records);
             let now = registry.elapsed_ns();
-            registry
-                .health()
-                .advance(now, chunk.end_offset, n_records, 1);
+            registry.health().advance(now, end_offset, n_records, 1);
 
             // The workers are busy with this chunk: now is when the last
             // barrier's checkpoint is written. A write error surfaces
@@ -361,6 +324,49 @@ impl<'a> Router<'a> {
             }
         }
         Ok(())
+    }
+
+    /// One record on the router: window it, and extract, order-check and
+    /// shard an HTTP transaction straight from the view — nothing of the
+    /// record is owned before its [`WebObject`] is.
+    fn route_record(&mut self, rec: RecordView<'_>, batches: &mut [Vec<(u64, WebObject)>]) {
+        let st = &mut self.state;
+        self.decode_engine.observe(&rec);
+        match rec {
+            RecordView::Http(tx) => {
+                let idx = st.next_http_idx as usize;
+                st.next_http_idx += 1;
+                match self.extractor.extract_one(idx, &tx, &mut st.degradation) {
+                    Some(obj) => {
+                        if obj.ts < st.prev_ts {
+                            st.degradation.out_of_order_records += 1;
+                        }
+                        st.prev_ts = obj.ts;
+                        let pos = st.next_pos;
+                        st.next_pos += 1;
+                        let nshards = batches.len() as u64;
+                        let s = shard_of(obj.client_ip, obj.user_agent.as_deref(), nshards);
+                        batches[s].push((pos, obj));
+                    }
+                    None => {
+                        st.degradation.unparseable_urls += 1;
+                        self.router_windows.observe_quarantined(tx.ts);
+                        if let Some(q) = &self.quarantine {
+                            let rec = TraceRecord::Http(tx.to_transaction());
+                            q.write_line(&record_to_json(&rec));
+                        }
+                    }
+                }
+            }
+            RecordView::Https(conn) => {
+                st.https_flows += 1;
+                if let Some(cum) = &mut st.population {
+                    if conn.server_port == 443 && self.abp_set.contains(&conn.server_ip) {
+                        cum.households.insert(conn.client_ip);
+                    }
+                }
+            }
+        }
     }
 
     /// Hand each worker its batch. A blocking send against a full queue
@@ -568,6 +574,7 @@ mod tests {
     use super::*;
     use crate::stream::testutil::*;
     use crate::stream::{classify_stream_file, CheckpointOptions, CHECKPOINT_FILE};
+    use netsim::stream::{OwnedChunks, StreamChunk};
     use std::fs;
 
     /// A barrier parks its checkpoint and the next chunk's send writes it;
@@ -631,6 +638,7 @@ mod tests {
             }
         });
         let state = RunState::new(trace.meta.clone(), &o);
+        let chunks = OwnedChunks(chunks);
         let rep = run_stream(chunks, state, &classifier(), &o, &obs::Registry::new(), 0).unwrap();
         assert_eq!(rep.checkpoints_written, 6);
         // Chunks 1 and 2 are read with nothing on disk yet; chunk k + 2
@@ -723,6 +731,40 @@ mod tests {
             assert_eq!(fs::read(dir.join(CHECKPOINT_FILE)).unwrap(), checkpoint);
         }
         let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_file(&path);
+    }
+
+    /// The router extracts from a borrowed view and owns nothing of a
+    /// record it quarantines; what it writes to the sidecar is still the
+    /// codec's line for the decoded record — scanner-path and generic-path
+    /// (escaped) lines alike, at any chunk size the command line can name.
+    #[test]
+    fn unparseable_url_records_are_quarantined_as_their_codec_lines() {
+        let mut trace = messy_trace(96);
+        let escaped = "/x?q=\"quoted\"\\";
+        trace
+            .records
+            .push(tx(99.0, 1, Some("UA-A"), "", escaped, None, None, None));
+        let want: String = trace
+            .records
+            .iter()
+            .filter(|r| matches!(r, TraceRecord::Http(t) if t.request.host.is_empty()))
+            .map(|r| record_to_json(r) + "\n")
+            .collect();
+        assert_eq!(want.lines().count(), 13);
+        let path = write_trace_file(&trace, "sidecar");
+        let sidecar = temp_path("sidecar-q");
+        for (threads, chunk) in [(1, 16), (2, 16), (1, 100_000_000_000)] {
+            let _ = fs::remove_file(&sidecar);
+            let mut o = stream_opts(threads, chunk);
+            o.quarantine_path = Some(sidecar.clone());
+            let rep =
+                classify_stream_file(&path, &classifier(), &o, &obs::Registry::new()).unwrap();
+            assert_eq!(rep.degradation.unparseable_urls, 13);
+            let got = fs::read_to_string(&sidecar).unwrap();
+            assert_eq!(got, want, "threads={threads} chunk={chunk}");
+        }
+        let _ = fs::remove_file(&sidecar);
         let _ = fs::remove_file(&path);
     }
 

@@ -60,18 +60,10 @@ pub struct HttpTransaction {
 impl HttpTransaction {
     /// Reassemble the full request URL from Host + URI.
     pub fn url(&self) -> Option<Url> {
-        if self.request.host.is_empty() {
-            return None;
-        }
-        Url::from_host_and_uri(&self.request.host, &self.request.uri)
-    }
-
-    /// Parsed referer URL, when present and parseable.
-    pub fn referer_url(&self) -> Option<Url> {
-        self.request
-            .referer
-            .as_deref()
-            .and_then(|r| Url::parse(r).ok())
+        let (host, uri) = (&self.request.host, &self.request.uri);
+        // Room for the `http://` and `/` a host that needs the parser gets.
+        let mut scratch = String::with_capacity(host.len() + uri.len() + 8);
+        Url::from_host_and_uri(host, uri, &mut scratch)
     }
 
     /// Response body size with a missing `Content-Length` treated as zero.
@@ -135,15 +127,6 @@ mod tests {
         let mut t2 = tx("e.com", "/");
         t2.http_handshake_ms = 5.0;
         assert_eq!(t2.backend_gap_ms(), 0.0);
-    }
-
-    #[test]
-    fn referer_parsing() {
-        let mut t = tx("e.com", "/");
-        t.request.referer = Some("http://pub.com/page".into());
-        assert_eq!(t.referer_url().unwrap().host(), "pub.com");
-        t.request.referer = Some("not a url".into());
-        assert!(t.referer_url().is_none());
     }
 
     #[test]

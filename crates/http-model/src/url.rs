@@ -12,7 +12,9 @@
 //! no userinfo, port, fragment or dangling `?`: the request and referer
 //! URLs of a trace) is one allocation, and any other input is assembled
 //! and copied to the same result. The referrer map keys its tables by the
-//! buffer itself ([`Url::schemeless`], [`Url::schemeless_shared`]).
+//! buffer itself ([`Url::schemeless`], [`Url::schemeless_shared`]), and
+//! [`UrlMemo`] serves a repeated `http://` input from the buffer an earlier
+//! parse of it made.
 //! `tests/url_differential.rs` holds every accessor, `Debug`, `==` and
 //! `Hash` to the three-`String` implementation this replaced
 //! (DESIGN.md §19).
@@ -209,34 +211,44 @@ impl Url {
     }
 
     /// What `Url::parse(&format!("http://{host}{uri}"))` returns (with a
-    /// `/` put before a `uri` that lacks one), built without formatting
-    /// and re-parsing whenever `host` is plain — no ASCII upper case and
-    /// none of `/ ? # @ :`, so the parser would take all of it, and only
-    /// it, as the host. Any other host goes the old way.
-    pub(crate) fn from_host_and_uri(host: &str, uri: &str) -> Option<Url> {
+    /// `/` put before a `uri` that lacks one), built without re-parsing
+    /// whenever `host` is plain — no ASCII upper case and none of
+    /// `/ ? # @ :`, so the parser would take all of it, and only it, as the
+    /// host. Any other host goes the old way; an empty one is `None`
+    /// without a parse (and without a counted failure).
+    ///
+    /// Host and URI are put together in `scratch` and copied from there
+    /// into the shared buffer, so with a buffer the caller keeps from one
+    /// request to the next a request URL is one allocation.
+    pub fn from_host_and_uri(host: &str, uri: &str, scratch: &mut String) -> Option<Url> {
+        if host.is_empty() {
+            return None;
+        }
         let slash = if uri.starts_with('/') { "" } else { "/" };
-        let plain_host = !host.is_empty()
-            && !host
-                .bytes()
-                .any(|b| b.is_ascii_uppercase() || matches!(b, b'/' | b'?' | b'#' | b'@' | b':'));
+        let plain_host = !host
+            .bytes()
+            .any(|b| b.is_ascii_uppercase() || matches!(b, b'/' | b'?' | b'#' | b'@' | b':'));
         // The parser would also trim trailing whitespace, cut a fragment
         // and drop the `?` of an empty query.
         let question = uri.find('?');
         let dangling_question = question.is_some_and(|q| q + 1 == uri.len());
         let plain_uri =
             uri.len() == uri.trim_end().len() && !uri.contains('#') && !dangling_question;
-        if !(plain_host && plain_uri) {
-            return Url::parse(&format!("http://{host}{slash}{uri}")).ok();
+        let plain = plain_host && plain_uri;
+        scratch.clear();
+        if !plain {
+            scratch.push_str("http://");
         }
-        let mut s = String::with_capacity(host.len() + slash.len() + uri.len());
-        s.push_str(host);
-        s.push_str(slash);
-        s.push_str(uri);
-        let path_end = question.map_or(s.len(), |q| host.len() + slash.len() + q);
+        scratch.push_str(host);
+        scratch.push_str(slash);
+        scratch.push_str(uri);
+        if !plain {
+            return Url::parse(scratch).ok();
+        }
         Some(Url {
-            buf: Arc::from(s),
+            buf: Arc::from(scratch.as_str()),
             host_end: host.len(),
-            path_end,
+            path_end: question.map_or(scratch.len(), |q| host.len() + slash.len() + q),
             scheme: Scheme::Http,
             port: None,
         })
@@ -368,6 +380,61 @@ impl Url {
     /// reference-count bump, for a map that keeps the string as its key.
     pub fn schemeless_shared(&self) -> Arc<str> {
         Arc::clone(&self.buf)
+    }
+}
+
+/// A bounded memo in front of [`Url::parse`] for inputs that repeat in
+/// runs: the referers of a header trace, where every object of a page
+/// names the page. Direct-mapped over [`UrlMemo::SLOTS`] slots keyed by the
+/// text after `http://`; a hit is a clone of the remembered URL, i.e. a
+/// reference-count bump on its buffer. Only a URL whose scheme-less form
+/// is that text verbatim is remembered — its own buffer is then the key to
+/// compare against — so `https://`, protocol-relative and rebuilt inputs
+/// (port, userinfo, fragment, upper-case host, trimmed whitespace) are
+/// parsed every time, and a colliding input takes the slot over.
+#[derive(Debug, Clone)]
+pub struct UrlMemo {
+    slots: Box<[Option<Url>]>,
+}
+
+impl Default for UrlMemo {
+    fn default() -> UrlMemo {
+        UrlMemo {
+            slots: vec![None; UrlMemo::SLOTS].into(),
+        }
+    }
+}
+
+impl UrlMemo {
+    /// Number of slots: 40 KB of handles, and whatever buffers they keep
+    /// alive.
+    pub const SLOTS: usize = 1024;
+
+    /// `Url::parse(input).ok()`, failure counter included.
+    pub fn parse(&mut self, input: &str) -> Option<Url> {
+        let Some(tail) = input.strip_prefix("http://") else {
+            return Url::parse(input).ok();
+        };
+        // FNV-1a over 8-byte words: which slot, not whether it is a hit.
+        let hash = tail
+            .as_bytes()
+            .chunks(8)
+            .fold(tail.len() as u64, |h, word| {
+                let mut lanes = [0u8; 8];
+                lanes[..word.len()].copy_from_slice(word);
+                (h ^ u64::from_le_bytes(lanes)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        let slot = &mut self.slots[(hash >> 32) as usize % UrlMemo::SLOTS];
+        match slot {
+            Some(hit) if &*hit.buf == tail => Some(hit.clone()),
+            _ => {
+                let url = Url::parse(input).ok()?;
+                if &*url.buf == tail {
+                    *slot = Some(url.clone());
+                }
+                Some(url)
+            }
+        }
     }
 }
 

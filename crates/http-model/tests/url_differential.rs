@@ -14,14 +14,21 @@
 //! plain-URI test removed from `Url::from_host_and_uri`,
 //! `transaction_url_is_the_parsed_concatenation` fails.
 
+//!
+//! `UrlMemo` is held to `Url::parse` the same way
+//! (`memo_returns_what_parse_returns`, `a_slot_collision_replaces`): with
+//! the `== tail` test of a hit loosened to a length compare, or the
+//! verbatim test of an insert removed, the second fails.
+
 mod url_oracle;
 
 use http_model::headers::{RequestHeaders, ResponseHeaders};
-use http_model::url::{Scheme, Url};
+use http_model::url::{Scheme, Url, UrlMemo};
 use http_model::{HttpTransaction, Method};
 use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 use url_oracle::Url as OldUrl;
 
 // ---------------------------------------------------------------------------
@@ -315,6 +322,60 @@ proptest! {
         );
     }
 
+    /// Any interleaving of inputs through one memo — generated, mutated,
+    /// arbitrary, each likely to come round again — returns what
+    /// `Url::parse` returns. Whether an answer came out of the memo shows
+    /// in its buffer: the very allocation an earlier answer holds. Only an
+    /// `http://` input whose scheme-less form is its own tail verbatim may
+    /// be answered that way, and is when asked twice running.
+    #[test]
+    fn memo_returns_what_parse_returns(
+        inputs in proptest::collection::vec(any_input(), 1..12),
+        order in proptest::collection::vec(0usize..8, BATCH),
+    ) {
+        // Near-duplicates whose buffers are equal while their inputs are
+        // not: the same URL without its port, its userinfo, its upper case,
+        // its padding.
+        let mut pool = Vec::new();
+        for input in inputs {
+            for port in [":80", ":8443", ":65535", ":0"] {
+                pool.push(input.replacen(port, "", 1));
+            }
+            pool.push(input.replacen('@', "", 1));
+            pool.push(input.to_ascii_lowercase());
+            pool.push(input.trim().to_string());
+            pool.push(input);
+        }
+        let mut memo = UrlMemo::default();
+        let mut answers: Vec<Url> = Vec::new();
+        for at in 0..pool.len() * 2 {
+            // Twice through the pool, stirred by `order`.
+            let input = &pool[(at + order[at % order.len()]) % pool.len()];
+            let want = Url::parse(input).ok();
+            for _twice in 0..2 {
+                let got = memo.parse(input);
+                prop_assert_eq!(&got, &want, "{:?}", input);
+                prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+                let (Some(got), Some(want)) = (got, want.as_ref()) else {
+                    continue;
+                };
+                prop_assert_eq!(hash_of(&got), hash_of(want));
+                prop_assert_eq!((got.scheme(), got.port()), (want.scheme(), want.port()));
+                let cacheable = input
+                    .strip_prefix("http://")
+                    .is_some_and(|tail| tail == want.schemeless());
+                let served = answers
+                    .iter()
+                    .any(|a| Arc::ptr_eq(&a.schemeless_shared(), &got.schemeless_shared()));
+                prop_assert!(cacheable || !served, "{:?} came out of the memo", input);
+                if cacheable && _twice == 1 {
+                    prop_assert!(served, "{:?} was parsed twice running", input);
+                }
+                answers.push(got);
+            }
+        }
+    }
+
     #[test]
     fn transaction_url_is_the_parsed_concatenation(
         parts in proptest::collection::vec(
@@ -360,5 +421,49 @@ proptest! {
                 expected.as_ref().map(Url::as_string)
             );
         }
+    }
+}
+
+/// More distinct cacheable inputs than the memo has slots, each asked for
+/// again after all the others: collisions are certain, and an input that
+/// finds its slot taken is parsed afresh and takes it over — whatever the
+/// slot held, the answer is `Url::parse`'s.
+#[test]
+fn a_slot_collision_replaces() {
+    let mut memo = UrlMemo::default();
+    let inputs: Vec<String> = (0..3 * UrlMemo::SLOTS)
+        .map(|i| format!("http://h{}.example/page/{i}?ref={}", i % 97, i * 31))
+        .collect();
+    for _pass in 0..2 {
+        for input in &inputs {
+            let want = Url::parse(input).unwrap();
+            let first = memo.parse(input).unwrap();
+            assert_eq!(first, want, "{input}");
+            assert_eq!(first.as_string(), *input);
+            // It holds the slot now, whoever held it before.
+            let again = memo.parse(input).unwrap();
+            assert!(Arc::ptr_eq(
+                &first.schemeless_shared(),
+                &again.schemeless_shared()
+            ));
+        }
+    }
+    // A rebuilt URL has the buffer of its plain spelling but is not that
+    // URL (the port). It keys a different slot, so only a colliding pair
+    // could mix them up: over 20 000 pairs some twenty collide.
+    for i in 0..20_000 {
+        let (ported, plain) = (
+            format!("http://h{i}.example:8080/p"),
+            format!("http://h{i}.example/p"),
+        );
+        let first = memo.parse(&ported).unwrap();
+        assert_eq!(first.port(), Some(8080));
+        assert_eq!(memo.parse(&plain), Url::parse(&plain).ok(), "{plain}");
+        let again = memo.parse(&ported).unwrap();
+        assert_eq!(again, first);
+        assert!(
+            !Arc::ptr_eq(&first.schemeless_shared(), &again.schemeless_shared()),
+            "{ported} came out of the memo"
+        );
     }
 }

@@ -20,8 +20,9 @@
 //!
 //! Every reader here and in [`crate::stream`] decodes a record line at one
 //! point, `decode_text`: first the
-//! schema-directed scanner (`scan::scan_record`), which walks the exact
-//! bytes [`record_to_json`] writes and builds the record directly, and —
+//! schema-directed scanner (`scan::scan_view`), which walks the exact
+//! bytes [`record_to_json`] writes and yields a [`RecordView`] whose
+//! strings are slices of the line, and —
 //! whenever the scanner declines, for whatever reason — the generic
 //! `json::parse` + `decode_record` pair. The scanner never rejects a line,
 //! it only declines it, so the generic pair stays the single authority on
@@ -31,11 +32,12 @@
 //! readers ([`TraceReader`], [`crate::stream::ChunkReader`]) are one line
 //! loop, `LossyLines`: `scan::LineFramer` hands out each line in place from
 //! the read buffer unless it straddles a refill, `decode_line_lossy` gives
-//! the verdict, and one tally updates [`CodecStats`] and the metrics.
+//! the verdict, one tally updates [`CodecStats`] and the metrics, and a kept
+//! record goes to the caller as it came off the line (`Kept`).
 
 use crate::json::{self, DecodeError, Value};
-use crate::record::{Trace, TraceMeta, TraceRecord};
-use crate::scan::{scan_record, LineFramer};
+use crate::record::{RecordView, Trace, TraceMeta, TraceRecord};
+use crate::scan::{scan_view, LineFramer};
 use crate::stream::TraceWriter;
 use http_model::headers::{RequestHeaders, ResponseHeaders};
 use http_model::transaction::{HttpTransaction, Method};
@@ -275,14 +277,39 @@ fn decode_text_generic(text: &str) -> Result<TraceRecord, LineError> {
     decode_record(&value).map_err(|e| LineError::Schema(e.to_string()))
 }
 
+/// A decoded record as it came off its line: a view of the line when the
+/// scanner took it, the generic pair's owned record otherwise. Whichever
+/// form the caller wants costs one copy of each string at most.
+#[allow(clippy::large_enum_variant)] // consumed on the spot, like `LossyLine`
+pub(crate) enum Kept<'a> {
+    Scanned(RecordView<'a>),
+    Decoded(TraceRecord),
+}
+
+impl Kept<'_> {
+    pub(crate) fn view(&self) -> RecordView<'_> {
+        match self {
+            Kept::Scanned(view) => view.clone(),
+            Kept::Decoded(rec) => RecordView::of(rec),
+        }
+    }
+
+    pub(crate) fn into_record(self) -> TraceRecord {
+        match self {
+            Kept::Scanned(view) => view.to_record(),
+            Kept::Decoded(rec) => rec,
+        }
+    }
+}
+
 /// Decode one trimmed, non-empty line — the one point every reader, strict
 /// or lossy, sequential or chunked, goes through. Lines in the writer's own
-/// spelling are decoded by [`scan_record`] without building a tree; it
+/// spelling are decoded by [`scan_view`] without building a tree; it
 /// declines everything else, and then the generic path decides.
-fn decode_text(text: &str) -> Result<TraceRecord, LineError> {
-    match scan_record(text) {
-        Some(rec) => Ok(rec),
-        None => decode_text_generic(text),
+fn decode_text(text: &str) -> Result<Kept<'_>, LineError> {
+    match scan_view(text) {
+        Some(view) => Ok(Kept::Scanned(view)),
+        None => decode_text_generic(text).map(Kept::Decoded),
     }
 }
 
@@ -339,7 +366,7 @@ pub fn read_trace<R: Read>(source: R) -> Result<Trace, CodecError> {
                     error,
                 }
             })?;
-        records.push(rec);
+        records.push(rec.into_record());
     }
     span.count("records", records.len() as u64);
     span.count("bytes", bytes);
@@ -449,11 +476,11 @@ impl std::fmt::Display for CodecStats {
 // boxing it would trade one stack move per line for one heap
 // allocation per record on the hottest path in the codec.
 #[allow(clippy::large_enum_variant)]
-enum LossyLine {
+enum LossyLine<'a> {
     /// Whitespace-only line; tolerated, tallied separately.
     Blank,
     /// A decodable record.
-    Record(TraceRecord),
+    Record(Kept<'a>),
     /// Not valid JSON.
     BadJson,
     /// Valid JSON, wrong shape.
@@ -466,15 +493,15 @@ enum LossyLine {
 
 /// Decide what to do with one line (newline excluded). `overflow` marks a
 /// line the framer found longer than [`MAX_LINE_BYTES`].
-fn decode_line_lossy(buf: &[u8], overflow: bool) -> LossyLine {
+fn decode_line_lossy(buf: &[u8], overflow: bool) -> LossyLine<'_> {
     classify_line(buf, overflow, decode_text)
 }
 
-fn classify_line(
-    buf: &[u8],
+fn classify_line<'a>(
+    buf: &'a [u8],
     overflow: bool,
-    decode: impl Fn(&str) -> Result<TraceRecord, LineError>,
-) -> LossyLine {
+    decode: impl Fn(&'a str) -> Result<Kept<'a>, LineError>,
+) -> LossyLine<'a> {
     if overflow {
         return LossyLine::Oversize;
     }
@@ -499,9 +526,9 @@ fn classify_line(
 pub mod hooks {
     use super::*;
 
-    fn verdict(line: LossyLine) -> Result<Option<TraceRecord>, &'static str> {
+    fn verdict(line: LossyLine<'_>) -> Result<Option<TraceRecord>, &'static str> {
         match line {
-            LossyLine::Record(rec) => Ok(Some(rec)),
+            LossyLine::Record(rec) => Ok(Some(rec.into_record())),
             LossyLine::Blank => Ok(None),
             LossyLine::BadJson => Err("bad_json"),
             LossyLine::BadSchema => Err("bad_schema"),
@@ -517,16 +544,19 @@ pub mod hooks {
 
     /// What the generic path alone decides about `line`.
     pub fn line_verdict_generic(line: &[u8]) -> Result<Option<TraceRecord>, &'static str> {
-        verdict(classify_line(
-            line,
-            line.len() > MAX_LINE_BYTES,
-            decode_text_generic,
-        ))
+        verdict(classify_line(line, line.len() > MAX_LINE_BYTES, |text| {
+            decode_text_generic(text).map(Kept::Decoded)
+        }))
     }
 
     /// The scanner alone: `None` means it declined the line.
     pub fn scan(text: &str) -> Option<TraceRecord> {
-        scan_record(text)
+        scan_view(text).map(|view| view.to_record())
+    }
+
+    /// The scanner's borrowed view of `text`, as the stream router gets it.
+    pub fn scan_view(text: &str) -> Option<RecordView<'_>> {
+        crate::scan::scan_view(text)
     }
 }
 
@@ -594,10 +624,16 @@ impl<R: Read> LossyLines<R> {
         }
     }
 
-    /// The next decodable record, tallying every line on the way. `None`
-    /// at end of input or at the first I/O error (counted in `stats`).
+    /// Hand the next decodable record to `take`, tallying every line on
+    /// the way; the record may borrow the framed line, so it cannot outlive
+    /// the call. `None` at end of input or at the first I/O error (counted
+    /// in `stats`).
     #[inline]
-    pub(crate) fn next_record(&mut self, stats: &mut CodecStats) -> Option<TraceRecord> {
+    pub(crate) fn next_kept<T>(
+        &mut self,
+        stats: &mut CodecStats,
+        take: impl FnOnce(Kept<'_>) -> T,
+    ) -> Option<T> {
         while !self.done {
             let line = match self.framer.next_line() {
                 Ok(Some(line)) => line,
@@ -617,7 +653,7 @@ impl<R: Read> LossyLines<R> {
                     stats.records_read += 1;
                     self.metrics.records.inc();
                     self.metrics.bytes.add(line.consumed);
-                    return Some(rec);
+                    return Some(take(rec));
                 }
                 LossyLine::Blank => stats.blank_lines += 1,
                 LossyLine::BadJson => {
@@ -689,20 +725,14 @@ impl DecodeWindows {
     }
 
     /// Window one decoded record by its trace timestamp.
-    pub fn observe(&mut self, rec: &TraceRecord) {
-        let ts = rec.ts();
+    pub fn observe(&mut self, rec: &RecordView<'_>) {
+        let (ts, protocol, bytes) = match rec {
+            RecordView::Http(tx) => (tx.ts, self.c_http, tx.content_length.unwrap_or(0)),
+            RecordView::Https(conn) => (conn.ts, self.c_https, conn.bytes),
+        };
         self.engine.count(ts, self.c_records, 1);
-        match rec {
-            TraceRecord::Http(tx) => {
-                self.engine.count(ts, self.c_http, 1);
-                self.engine
-                    .count(ts, self.c_bytes, tx.response.content_length.unwrap_or(0));
-            }
-            TraceRecord::Https(conn) => {
-                self.engine.count(ts, self.c_https, 1);
-                self.engine.count(ts, self.c_bytes, conn.bytes);
-            }
-        }
+        self.engine.count(ts, protocol, 1);
+        self.engine.count(ts, self.c_bytes, bytes);
     }
 
     /// Close all windows and return the report.
@@ -767,7 +797,8 @@ impl<R: Read> TraceReader<R> {
 
     /// Next decodable record, skipping (and counting) corrupt lines.
     pub fn next_record(&mut self) -> Option<TraceRecord> {
-        self.lines.next_record(&mut self.stats)
+        self.lines
+            .next_kept(&mut self.stats, |kept| kept.into_record())
     }
 }
 

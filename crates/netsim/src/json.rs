@@ -17,7 +17,7 @@
 //!
 //! The `Value` tree is no longer the trace decode hot path: record lines
 //! in the writer's own spelling are read by the schema-directed scanner
-//! (`scan::scan_record`, see [`crate::codec`]) without building a tree.
+//! (`scan::scan_view`, see [`crate::codec`]) without building a tree.
 //! This parser still decides everything the scanner declines — lines with
 //! escapes, foreign spellings, and every corrupt line, so it alone defines
 //! what is bad JSON — and it reads the trace header, checkpoints, run

@@ -29,7 +29,8 @@
 //!   holds the schema-directed record scanner, the in-place line framer
 //!   and the word-at-a-time newline search the readers share.
 //! * [`stream`] — incremental chunk-by-chunk decode with byte-offset
-//!   accounting (the checkpoint/resume substrate) and a record-at-a-time
+//!   accounting (the checkpoint/resume substrate), owned or lent record by
+//!   record as [`record::RecordView`]s of the framed lines, and a
 //!   [`stream::TraceWriter`] dual of [`codec::write_trace`].
 
 #![forbid(unsafe_code)]

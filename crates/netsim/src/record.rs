@@ -1,5 +1,7 @@
 //! Trace records: what the DAG-style monitor writes to disk.
 
+use http_model::headers::{RequestHeaders, ResponseHeaders};
+use http_model::transaction::Method;
 use http_model::HttpTransaction;
 
 /// An opaque HTTPS flow record. Port-based classification tells the monitor
@@ -43,6 +45,106 @@ impl TraceRecord {
         match self {
             TraceRecord::Http(t) => t.client_ip,
             TraceRecord::Https(t) => t.client_ip,
+        }
+    }
+}
+
+/// An HTTP transaction whose header strings are borrowed: from the framed
+/// line the record scanner walked, or from an owned [`HttpTransaction`]
+/// ([`HttpView::of`]). Field for field the owned type, flattened.
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[allow(missing_docs)] // every field is documented on `HttpTransaction`
+pub struct HttpView<'a> {
+    pub ts: f64,
+    pub client_ip: u32,
+    pub server_ip: u32,
+    pub server_port: u16,
+    pub method: Method,
+    pub host: &'a str,
+    pub uri: &'a str,
+    pub referer: Option<&'a str>,
+    pub user_agent: Option<&'a str>,
+    pub status: u16,
+    pub content_type: Option<&'a str>,
+    pub content_length: Option<u64>,
+    pub location: Option<&'a str>,
+    pub tcp_handshake_ms: f64,
+    pub http_handshake_ms: f64,
+}
+
+impl<'a> HttpView<'a> {
+    /// View an owned transaction; nothing is copied.
+    pub fn of(tx: &'a HttpTransaction) -> HttpView<'a> {
+        HttpView {
+            ts: tx.ts,
+            client_ip: tx.client_ip,
+            server_ip: tx.server_ip,
+            server_port: tx.server_port,
+            method: tx.method,
+            host: &tx.request.host,
+            uri: &tx.request.uri,
+            referer: tx.request.referer.as_deref(),
+            user_agent: tx.request.user_agent.as_deref(),
+            status: tx.response.status,
+            content_type: tx.response.content_type.as_deref(),
+            content_length: tx.response.content_length,
+            location: tx.response.location.as_deref(),
+            tcp_handshake_ms: tx.tcp_handshake_ms,
+            http_handshake_ms: tx.http_handshake_ms,
+        }
+    }
+
+    /// The owned transaction: one copy of each header string.
+    pub fn to_transaction(&self) -> HttpTransaction {
+        let owned = |s: Option<&str>| s.map(str::to_owned);
+        HttpTransaction {
+            ts: self.ts,
+            client_ip: self.client_ip,
+            server_ip: self.server_ip,
+            server_port: self.server_port,
+            method: self.method,
+            request: RequestHeaders {
+                host: self.host.to_owned(),
+                uri: self.uri.to_owned(),
+                referer: owned(self.referer),
+                user_agent: owned(self.user_agent),
+            },
+            response: ResponseHeaders {
+                status: self.status,
+                content_type: owned(self.content_type),
+                content_length: self.content_length,
+                location: owned(self.location),
+            },
+            tcp_handshake_ms: self.tcp_handshake_ms,
+            http_handshake_ms: self.http_handshake_ms,
+        }
+    }
+}
+
+/// One record as the decoder lends it out: what [`TraceRecord`] owns,
+/// borrowed.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RecordView<'a> {
+    /// An HTTP transaction with header fields.
+    Http(HttpView<'a>),
+    /// An opaque TLS flow (nothing to borrow).
+    Https(TlsConnection),
+}
+
+impl<'a> RecordView<'a> {
+    /// View an owned record; nothing is copied.
+    pub fn of(rec: &'a TraceRecord) -> RecordView<'a> {
+        match rec {
+            TraceRecord::Http(tx) => RecordView::Http(HttpView::of(tx)),
+            TraceRecord::Https(conn) => RecordView::Https(conn.clone()),
+        }
+    }
+
+    /// The owned record.
+    pub fn to_record(&self) -> TraceRecord {
+        match self {
+            RecordView::Http(tx) => TraceRecord::Http(tx.to_transaction()),
+            RecordView::Https(conn) => TraceRecord::Https(conn.clone()),
         }
     }
 }
@@ -125,8 +227,6 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use http_model::headers::{RequestHeaders, ResponseHeaders};
-    use http_model::transaction::Method;
 
     fn http_record(ts: f64, bytes: u64) -> TraceRecord {
         TraceRecord::Http(HttpTransaction {

@@ -2,7 +2,7 @@
 //! in-place line framer every streaming reader shares, and the
 //! schema-directed record scanner that is the decode fast path.
 //!
-//! Nothing here decides a verdict on its own. [`scan_record`] accepts only
+//! Nothing here decides a verdict on its own. [`scan_view`] accepts only
 //! the exact byte sequence [`crate::codec::encode_record`] writes for a
 //! record whose strings needed no escaping; on any other input it returns
 //! `None` and the generic `json::parse` + `decode_record` pair decides, so
@@ -10,9 +10,8 @@
 //! schema, and what the strict readers' error text says.
 
 use crate::codec::{decode_header, recovered_meta, MAX_LINE_BYTES};
-use crate::record::{TlsConnection, TraceMeta, TraceRecord};
-use http_model::headers::{RequestHeaders, ResponseHeaders};
-use http_model::transaction::{HttpTransaction, Method};
+use crate::record::{HttpView, RecordView, TlsConnection, TraceMeta};
+use http_model::transaction::Method;
 use std::io::{self, BufRead, BufReader, Read};
 
 // ---------------------------------------------------------------------------
@@ -188,14 +187,15 @@ impl<R: Read> LineFramer<R> {
 /// whitespace, strings without escapes, unsigned integers of at most 19
 /// digits without leading zeros, floats with a fraction or exponent.
 /// Anything else — including every line the generic path would reject — is
-/// `None`, which means "ask the generic path", never "bad line".
-pub(crate) fn scan_record(text: &str) -> Option<TraceRecord> {
+/// `None`, which means "ask the generic path", never "bad line". The
+/// strings of the view are slices of `text`; nothing is copied.
+pub(crate) fn scan_view(text: &str) -> Option<RecordView<'_>> {
     let mut s = Scanner { text, pos: 0 };
     let record = if s.lit(b"{\"Http\":{\"ts\":").is_some() {
-        TraceRecord::Http(s.http_body()?)
+        RecordView::Http(s.http_body()?)
     } else {
         s.lit(b"{\"Https\":{\"ts\":")?;
-        TraceRecord::Https(s.tls_body()?)
+        RecordView::Https(s.tls_body()?)
     };
     s.lit(b"}}")?;
     (s.pos == text.len()).then_some(record)
@@ -281,11 +281,11 @@ impl<'a> Scanner<'a> {
         Some(s)
     }
 
-    fn opt_string(&mut self) -> Option<Option<String>> {
+    fn opt_string(&mut self) -> Option<Option<&'a str>> {
         if self.lit(b"null").is_some() {
             return Some(None);
         }
-        Some(Some(self.string()?.to_owned()))
+        Some(Some(self.string()?))
     }
 
     fn method(&mut self) -> Option<Method> {
@@ -311,14 +311,14 @@ impl<'a> Scanner<'a> {
     }
 
     /// Everything of an `Http` record after `"ts":` up to the closing `}}`.
-    fn http_body(&mut self) -> Option<HttpTransaction> {
+    fn http_body(&mut self) -> Option<HttpView<'a>> {
         let (ts, client_ip, server_ip, server_port) = self.flow_head()?;
         self.lit(b",\"method\":")?;
         let method = self.method()?;
         self.lit(b",\"request\":{\"host\":")?;
-        let host = self.string()?.to_owned();
+        let host = self.string()?;
         self.lit(b",\"uri\":")?;
-        let uri = self.string()?.to_owned();
+        let uri = self.string()?;
         self.lit(b",\"referer\":")?;
         let referer = self.opt_string()?;
         self.lit(b",\"user_agent\":")?;
@@ -339,24 +339,20 @@ impl<'a> Scanner<'a> {
         let tcp_handshake_ms = self.float()?;
         self.lit(b",\"http_handshake_ms\":")?;
         let http_handshake_ms = self.float()?;
-        Some(HttpTransaction {
+        Some(HttpView {
             ts,
             client_ip,
             server_ip,
             server_port,
             method,
-            request: RequestHeaders {
-                host,
-                uri,
-                referer,
-                user_agent,
-            },
-            response: ResponseHeaders {
-                status,
-                content_type,
-                content_length,
-                location,
-            },
+            host,
+            uri,
+            referer,
+            user_agent,
+            status,
+            content_type,
+            content_length,
+            location,
             tcp_handshake_ms,
             http_handshake_ms,
         })

@@ -9,15 +9,17 @@
 //! `TraceReader` runs (`codec::LossyLines`: header-recovery policy, line
 //! framer, per-line keep/skip verdict and tally, plus the input bytes
 //! consumed), so a chunked read yields byte-for-byte the same records and
-//! [`CodecStats`] totals as the one-shot lossy reader.
+//! [`CodecStats`] totals as the one-shot lossy reader. [`ChunkSource`] is
+//! the same chunking with each record lent as a [`RecordView`] of the framed
+//! line (the stream router's way in); `next_chunk` is the owned adapter.
 //!
 //! [`TraceWriter`] is the encode-side dual: it emits the same bytes as
 //! [`crate::codec::write_trace`] one record at a time, so the generator
 //! can persist a trace while streaming it without a full-trace `Vec`.
 
-use crate::codec::{self, CodecError, CodecStats, LossyLines, FORMAT_NAME, FORMAT_VERSION};
+use crate::codec::{self, CodecError, CodecStats, Kept, LossyLines, FORMAT_NAME, FORMAT_VERSION};
 use crate::json;
-use crate::record::{TraceMeta, TraceRecord};
+use crate::record::{RecordView, TraceMeta, TraceRecord};
 use std::io::{BufWriter, Read, Write};
 
 /// One decoded batch of records plus its accounting.
@@ -47,6 +49,31 @@ impl StreamChunk {
             end_offset: 0,
             records,
         }
+    }
+}
+
+/// The most records a chunk-sized buffer is reserved for up front (the
+/// command line bounds `chunk_records` below only); a larger chunk grows.
+pub const MAX_CHUNK_RESERVE: usize = 1 << 16;
+
+/// A chunk's accounting: its `stats` and its `end_offset`.
+pub type ChunkEnd = (CodecStats, u64);
+
+/// Where the stream router gets its records, each lent as a view for one
+/// call: the file reader ([`ChunkReader`]) or in-memory chunks ([`OwnedChunks`]).
+pub trait ChunkSource {
+    /// Lend the next chunk's records to `each` in stream order; `None` at end of stream.
+    fn next_chunk_with(&mut self, each: impl FnMut(RecordView<'_>)) -> Option<ChunkEnd>;
+}
+
+/// An iterator of in-memory chunks, its owned records viewed in place.
+pub struct OwnedChunks<I>(pub I);
+
+impl<I: Iterator<Item = StreamChunk>> ChunkSource for OwnedChunks<I> {
+    fn next_chunk_with(&mut self, mut each: impl FnMut(RecordView<'_>)) -> Option<ChunkEnd> {
+        let chunk = self.0.next()?;
+        chunk.records.iter().map(RecordView::of).for_each(&mut each);
+        Some((chunk.stats, chunk.end_offset))
     }
 }
 
@@ -124,30 +151,41 @@ impl<R: Read> ChunkReader<R> {
     /// holds at least one record except when trailing corrupt/blank lines
     /// leave a final chunk carrying only their accounting.
     pub fn next_chunk(&mut self) -> Option<StreamChunk> {
+        let seq = self.seq;
+        let mut records = Vec::with_capacity(self.chunk_records.min(MAX_CHUNK_RESERVE));
+        let (stats, end_offset) = self.chunk_of(|kept| records.push(kept.into_record()))?;
+        Some(StreamChunk {
+            seq,
+            records,
+            stats,
+            end_offset,
+        })
+    }
+
+    /// One chunk of the line loop: up to `chunk_records` kept records go to
+    /// `each` as they come off their lines.
+    #[inline]
+    fn chunk_of(&mut self, mut each: impl FnMut(Kept<'_>)) -> Option<ChunkEnd> {
         let mut stats = CodecStats {
             header_recovered: std::mem::take(&mut self.pending_header_recovered),
             ..CodecStats::default()
         };
-        let mut records = Vec::with_capacity(self.chunk_records);
-        while records.len() < self.chunk_records {
-            match self.lines.next_record(&mut stats) {
-                Some(rec) => records.push(rec),
-                None => break,
-            }
-        }
-        // An empty chunk means the loop hit end of input; one that also
-        // tallied nothing has nothing to report.
-        if records.is_empty() && stats == CodecStats::default() {
+        while stats.records_read < self.chunk_records
+            && self.lines.next_kept(&mut stats, &mut each).is_some()
+        {}
+        // A chunk without a record means the loop hit end of input; one
+        // that also tallied nothing has nothing to report.
+        if stats == CodecStats::default() {
             return None;
         }
-        let chunk = StreamChunk {
-            seq: self.seq,
-            records,
-            stats,
-            end_offset: self.lines.offset,
-        };
         self.seq += 1;
-        Some(chunk)
+        Some((stats, self.lines.offset))
+    }
+}
+
+impl<R: Read> ChunkSource for ChunkReader<R> {
+    fn next_chunk_with(&mut self, mut each: impl FnMut(RecordView<'_>)) -> Option<ChunkEnd> {
+        self.chunk_of(|kept| each(kept.view()))
     }
 }
 

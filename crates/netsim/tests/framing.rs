@@ -302,3 +302,28 @@ fn header_recovery_is_indifferent_to_the_read_pattern() {
         }
     }
 }
+
+/// `chunk_records` reaches the reader from the command line, bounded below
+/// only. The reader reserves for a chunk of plausible size and grows from
+/// there; it used to ask the allocator for `chunk_records × 208` bytes
+/// before reading one, and 20.8 TB aborted the process.
+#[test]
+fn a_huge_chunk_size_is_not_reserved_up_front() {
+    let trace = Trace {
+        meta: TraceMeta {
+            name: "RBN-H".into(),
+            duration_secs: 1.0,
+            subscribers: 1,
+            start_hour: 0,
+            start_weekday: 0,
+        },
+        records: (0..3).map(|i| http(i, 10)).collect(),
+    };
+    let mut bytes = Vec::new();
+    write_trace(&trace, &mut bytes).expect("encode");
+    let mut reader = ChunkReader::new(bytes.as_slice(), 100_000_000_000).expect("open");
+    let chunk = reader.next_chunk().expect("one chunk");
+    assert_eq!(chunk.records, trace.records);
+    assert_eq!(chunk.end_offset, bytes.len() as u64);
+    assert!(reader.next_chunk().is_none());
+}

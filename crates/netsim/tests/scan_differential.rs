@@ -10,12 +10,24 @@
 //! record without escapes must be accepted by the scanner itself, so a
 //! change to `encode_record` cannot silently demote every line to the
 //! generic path.
+//!
+//! A third follows the scanner's output to where the stream router uses
+//! it: the scanner yields a `RecordView` borrowing the line, and the router
+//! extracts its `WebObject` straight from that view, with one `Extractor`
+//! (URL scratch buffer, referer memo, interner) for the whole run. For
+//! every line here the view is the generic pair's record, field for field,
+//! and extraction from it — whatever state the extractor carries over from
+//! the lines before — is extraction from the generic pair's owned record
+//! with a fresh extractor (`assert_view_agrees`).
 
+use adscope::extract::Extractor;
+use adscope::DegradationReport;
 use http_model::headers::{RequestHeaders, ResponseHeaders};
 use http_model::transaction::Method;
-use http_model::HttpTransaction;
-use netsim::codec::{hooks, record_to_json};
-use netsim::record::{TlsConnection, TraceRecord};
+use http_model::{HttpTransaction, Url};
+use netsim::codec::{hooks, record_to_json, write_trace};
+use netsim::faults::{FaultInjector, FaultProfile};
+use netsim::record::{HttpView, RecordView, TlsConnection, Trace, TraceMeta, TraceRecord};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -214,6 +226,59 @@ fn assert_same_verdict(line: &[u8]) {
     );
 }
 
+/// Whenever the scanner takes `line` (trimmed, as the readers hand it
+/// over): its view is the generic pair's record, viewing that record gives
+/// the same view back, and `router` — an extractor that has seen every
+/// earlier line of the caller's, as the stream router's has — extracts from
+/// the borrowed view what a fresh extractor does from the owned record.
+fn assert_view_agrees(line: &[u8], router: &mut Extractor) {
+    let Ok(text) = std::str::from_utf8(line) else {
+        return;
+    };
+    let Some(view) = hooks::scan_view(text.trim()) else {
+        return;
+    };
+    let generic = hooks::line_verdict_generic(line)
+        .expect("the generic path keeps what the scanner takes")
+        .expect("as a record");
+    assert_eq!(view.to_record(), generic, "line: {text}");
+    assert_eq!(RecordView::of(&generic), view, "line: {text}");
+    assert_eq!(RecordView::of(&generic).to_record(), generic);
+    let (RecordView::Http(borrowed), TraceRecord::Http(owned)) = (&view, &generic) else {
+        return;
+    };
+    let mut fresh = Extractor::default();
+    let (mut from_view, mut from_owned) = <(DegradationReport, DegradationReport)>::default();
+    let got = router.extract_one(7, borrowed, &mut from_view);
+    let want = fresh.extract_one(7, &HttpView::of(owned), &mut from_owned);
+    assert_eq!(got, want, "line: {text}");
+    assert_eq!(from_view, from_owned, "line: {text}");
+    // Against the definition, not only against itself: the request URL is
+    // the parse of the concatenation, referer and location plain parses.
+    let slash = if owned.request.uri.starts_with('/') {
+        ""
+    } else {
+        "/"
+    };
+    let url = (!owned.request.host.is_empty())
+        .then(|| format!("http://{}{slash}{}", owned.request.host, owned.request.uri))
+        .and_then(|u| Url::parse(&u).ok());
+    assert_eq!(got.as_ref().map(|o| &o.url), url.as_ref(), "line: {text}");
+    if let Some(obj) = &got {
+        let parsed = |s: &Option<String>| s.as_deref().and_then(|s| Url::parse(s).ok());
+        assert_eq!(obj.referer, parsed(&owned.request.referer), "line: {text}");
+        assert_eq!(obj.location, parsed(&owned.response.location));
+        assert_eq!(
+            obj.user_agent.as_deref(),
+            owned.request.user_agent.as_deref()
+        );
+        assert_eq!(
+            obj.content_type.as_deref(),
+            owned.response.content_type.as_deref()
+        );
+    }
+}
+
 /// One record, clean, for the hand-made mutants below.
 fn sample_http_line() -> String {
     record_to_json(&TraceRecord::Http(HttpTransaction {
@@ -268,6 +333,7 @@ proptest! {
         let line = record_to_json(&r);
         let got = hooks::line_verdict(line.as_bytes());
         prop_assert_eq!(&got, &hooks::line_verdict_generic(line.as_bytes()), "line: {}", line);
+        assert_view_agrees(line.as_bytes(), &mut Extractor::default());
         if floats_of(&r).iter().all(|f| f.is_finite()) {
             let back = got.expect("kept").expect("a record");
             // Byte-compare the re-encoding: `-0.0 == 0.0` would pass a
@@ -331,7 +397,119 @@ proptest! {
             }
         }
         assert_same_verdict(&line);
+        assert_view_agrees(&line, &mut Extractor::default());
     }
+
+    /// A run of lines through one extractor, as the router sees them, then
+    /// the same run again: the second pass finds the referer memo, the
+    /// interner and the scratch buffer as the first left them.
+    #[test]
+    fn a_run_of_views_extracts_like_owned_records(
+        records in proptest::collection::vec(
+            prop_oneof![http_like_the_traces(), http_with_awkward_urls(), any_record()],
+            1..24,
+        ),
+    ) {
+        let mut router = Extractor::default();
+        for _pass in 0..2 {
+            for r in &records {
+                assert_view_agrees(record_to_json(r).as_bytes(), &mut router);
+            }
+        }
+    }
+}
+
+/// Every URL shape the one-allocation paths must hand to the parser —
+/// upper-case host, port, userinfo, fragment, dangling `?`, trailing
+/// whitespace, empty host — in host, URI, referer and location alike, none
+/// needing a JSON escape, so the scanner takes each line.
+fn http_with_awkward_urls() -> BoxedStrategy<TraceRecord> {
+    const HOSTS: &[&str] = &[
+        "pub.example",
+        "Ads.Example.COM",
+        "e.example:8080",
+        "user@e.example",
+        "u:p@e.example:81",
+        "",
+        "e.example/x",
+        "e.example?x",
+        "e.example#x",
+        "é.example",
+    ];
+    const URIS: &[&str] = &[
+        "/",
+        "/a/b.gif?x=1",
+        "/p#frag",
+        "/p?",
+        "/p?q=1#f",
+        "/p ",
+        "/p?q= ",
+        "p.gif",
+        "",
+        "?x=1",
+        "/a?b?c",
+    ];
+    let url = || {
+        (0..HOSTS.len(), 0..URIS.len(), 0usize..6).prop_map(|(h, u, scheme)| {
+            let scheme = ["http://", "http://", "https://", "//", "HTTP://", ""][scheme];
+            format!("{scheme}{}{}", HOSTS[h], URIS[u])
+        })
+    };
+    (
+        (0..HOSTS.len(), 0..URIS.len()),
+        proptest::option::of(url()),
+        proptest::option::of(url()),
+        http_like_the_traces(),
+    )
+        .prop_map(|((h, u), referer, location, base)| {
+            let TraceRecord::Http(mut tx) = base else {
+                unreachable!("http_like_the_traces yields Http");
+            };
+            tx.request.host = HOSTS[h].into();
+            tx.request.uri = URIS[u].into();
+            tx.request.referer = referer;
+            tx.response.location = location;
+            TraceRecord::Http(tx)
+        })
+        .boxed()
+}
+
+/// `FaultInjector`'s semantic faults on the records and wire faults on the
+/// encoded bytes, as the `dirty` benchmark input is made: every line of the
+/// result, through one extractor.
+#[test]
+fn fault_injected_lines_get_the_generic_verdict_and_view() {
+    let mut rng = proptest::TestRng::for_case(0);
+    let shapes = prop_oneof![http_like_the_traces(), http_with_awkward_urls()];
+    let records: Vec<TraceRecord> = (0..400).map(|_| shapes.generate(&mut rng)).collect();
+    let trace = Trace {
+        meta: TraceMeta {
+            name: "RBN-D".into(),
+            duration_secs: 86_400.0,
+            subscribers: 5000,
+            start_hour: 0,
+            start_weekday: 0,
+        },
+        records,
+    };
+    let mut faults = FaultInjector::new(FaultProfile::uniform(0.05), 20_150_811);
+    let mut encoded = Vec::new();
+    write_trace(&faults.corrupt_trace(&trace), &mut encoded).expect("encode");
+    let dirty = faults.corrupt_bytes(&encoded);
+    let mut router = Extractor::default();
+    let (mut lines, mut taken) = (0, 0);
+    for line in dirty.split(|&b| b == b'\n').skip(1) {
+        assert_same_verdict(line);
+        assert_view_agrees(line, &mut router);
+        lines += 1;
+        taken +=
+            usize::from(std::str::from_utf8(line).is_ok_and(|t| hooks::scan_view(t).is_some()));
+    }
+    assert!(
+        lines > 350 && taken * 2 > lines,
+        "{taken} of {lines} lines scanned"
+    );
+    assert!(faults.counts().total() > 20, "{:?}", faults.counts());
 }
 
 // ---------------------------------------------------------------------------
