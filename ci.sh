@@ -40,7 +40,7 @@ unnamed="$(find crates/*/src src -name '*.rs' | sort | comm -23 - target/module_
 test -z "$unnamed" || { echo "    DESIGN.md §6 does not name: $unnamed"; exit 1; }
 echo "    $(wc -l <target/module_map.txt) paths named, all present"
 
-gate "size ledger (lines above each file's first #[cfg(test)]; printed, not gated)"
+gate "size ledger (lines above each file's first #[cfg(test)]; printed) and structure greps (gated)"
 ledger() {
   find "$@" -name '*.rs' | sort | while read -r f; do
     awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n+0, FILENAME}' "$f"
@@ -51,6 +51,13 @@ echo "    obs:                  $(ledger crates/obs/src)"
 echo "    src/bin/experiments:  $(ledger src/bin/experiments)"
 # One argv cursor (cli.rs): a hand-rolled flag loop must not come back.
 if grep -n 'while i < args.len()' src/bin/experiments/*.rs; then exit 1; fi
+# One plane set (adscope::planes): the stream's worker and router carry it
+# whole and name no plane type, and a plane's checkpoint key is spelled in
+# stream/checkpoint.rs alone.
+if grep -nE 'WindowAggregator|PopulationSketches|UserTally|DecodeWindows' \
+  crates/adscope/src/stream/worker.rs crates/adscope/src/stream/router.rs; then exit 1; fi
+if grep -rnE '\\?"(tallies|households|decode_windows)\\?"' crates/adscope/src \
+  | grep -v '^crates/adscope/src/stream/checkpoint.rs:'; then exit 1; fi
 
 gate "cargo test -q"
 cargo test -q

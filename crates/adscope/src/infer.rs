@@ -70,14 +70,19 @@ pub struct InferredUser {
     pub class: UserClass,
 }
 
-/// The set of households (client IPs) with at least one HTTPS connection to
-/// an Adblock Plus server — the paper resolves the server IPs via DNS ahead
-/// of time and matches flows by address.
+/// The list-download predicate: an HTTPS connection on port 443 to one of
+/// the Adblock Plus servers — the paper resolves the server IPs via DNS
+/// ahead of time and matches flows by address.
+pub fn is_list_download(flow: &TlsConnection, abp_ips: &HashSet<u32>) -> bool {
+    flow.server_port == 443 && abp_ips.contains(&flow.server_ip)
+}
+
+/// The households (client IPs) with at least one [`is_list_download`] flow.
 pub fn households_with_downloads(flows: &[TlsConnection], abp_ips: &[u32]) -> HashSet<u32> {
     let ips: HashSet<u32> = abp_ips.iter().copied().collect();
     flows
         .iter()
-        .filter(|f| f.server_port == 443 && ips.contains(&f.server_ip))
+        .filter(|f| is_list_download(f, &ips))
         .map(|f| f.client_ip)
         .collect()
 }

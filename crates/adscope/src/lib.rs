@@ -37,6 +37,7 @@ pub mod infer;
 pub mod intern;
 pub mod normalize;
 pub mod pipeline;
+pub mod planes;
 pub mod population;
 pub mod provenance;
 pub mod refmap;

@@ -5,6 +5,7 @@ use crate::content::{infer_category_traced, ContentOptions, ContentSource};
 use crate::degrade::DegradationReport;
 use crate::extract::{extract, WebObject};
 use crate::normalize::UrlNormalizer;
+use crate::planes::Planes;
 use crate::population::{PopulationOptions, PopulationSketches};
 use crate::provenance::{self, RecordMeta, TraceOptions, Tracer, VerdictProvenance};
 use crate::refmap::{RefMap, RefMapOptions};
@@ -15,8 +16,7 @@ use http_model::{ContentCategory, Url};
 use netsim::record::{TlsConnection, Trace, TraceMeta};
 use std::collections::HashMap;
 
-/// Pipeline toggles — each disables one methodology component for the
-/// ablation benches.
+/// Pipeline toggles — each switches one methodology component or plane.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineOptions {
     /// Referrer-map options (redirect repair, embedded URLs).
@@ -251,31 +251,19 @@ pub(crate) fn classify_trace_on(
     }
     provenance::publish(&provenance, registry);
 
-    // Stage: windowed aggregation over the final request vector.
+    // Stage: the plane set, folded once over the final request vector.
+    let mut span = registry.span_with("adscope_stage", &[("stage", "planes")]);
+    span.count("records_in", requests.len() as u64);
+    let mut planes = Planes::new(opts, &[]);
+    planes.fold(&requests, &quarantined_ts);
+    let totals = planes.cut();
+    span.count("windows_out", totals.windows.windows.len() as u64);
+    drop(span);
     let windows = if opts.window.enabled {
-        let mut span = registry.span_with("adscope_stage", &[("stage", "window")]);
-        span.count("records_in", requests.len() as u64);
-        let windows = crate::window::aggregate(&requests, &quarantined_ts, opts.window);
-        span.count("windows_out", windows.windows.len() as u64);
-        drop(span);
-        crate::window::publish(&windows, registry);
-        windows
+        crate::window::publish(&totals.windows, registry);
+        totals.windows
     } else {
         obs::window::WindowReport::default()
-    };
-
-    // Stage: population sketches over the final request vector.
-    let population = if opts.population.enabled {
-        let mut span = registry.span_with("adscope_stage", &[("stage", "population")]);
-        span.count("records_in", requests.len() as u64);
-        let mut sketches = PopulationSketches::new(opts.population);
-        for r in &requests {
-            sketches.observe(r);
-        }
-        drop(span);
-        Some(sketches)
-    } else {
-        None
     };
 
     ClassifiedTrace {
@@ -286,7 +274,7 @@ pub(crate) fn classify_trace_on(
         degradation,
         provenance,
         windows,
-        population,
+        population: totals.population.map(|p| p.sketches),
     }
 }
 

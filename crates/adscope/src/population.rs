@@ -17,11 +17,11 @@
 //!   the ad-share distribution. Tallies are plain sums, so per-worker
 //!   partials merge losslessly by key; the sharded router keeps a user's
 //!   records on one worker, but the merge does not rely on it.
-//! * [`finish`] — the single report builder both paths share: streamed
-//!   runs call it over merged sketches + merged tallies, the
-//!   materialized path calls it via [`finish_trace`] over
-//!   [`tally_users`] output. One code path means `experiments
-//!   population --exact-check` compares byte-identical renders.
+//! * [`Population`] — the plane itself, one type on every path: sketches,
+//!   tally map and download households, with `observe`, `merge` and
+//!   [`Population::finish`], the single report builder. Stream workers and
+//!   router fold into it, the checkpoint persists their sum, and the
+//!   materialized path builds one with [`Population::of_trace`].
 //!
 //! Everything here is a pure function of the classified request stream
 //! (plus the household-download set), so renders are byte-identical at
@@ -32,6 +32,7 @@ use crate::pipeline::{ClassifiedRequest, ClassifiedTrace};
 use obs::sketch::{Distinct64, QuantileSketch, TopEntry, TopK, QUANTILE_GAMMA};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Population-analytics options, carried on
 /// [`crate::pipeline::PipelineOptions`]. Off by default — the sketches
@@ -267,105 +268,127 @@ pub struct PopulationReport {
     pub classes: Vec<ClassTally>,
 }
 
-/// Build the report. The one code path both the streamed and the
-/// materialized pipelines use — tallies and sketches are mergeable
-/// state, and everything rendered is a pure function of them, so the
-/// two paths produce byte-identical renders on the same input.
-pub fn finish(
-    sketches: &PopulationSketches,
-    users: &HashMap<(u32, String), UserTally>,
-    downloads: &HashSet<u32>,
-    opts: PopulationOptions,
-) -> PopulationReport {
-    let mut ad_share = QuantileSketch::new(QUANTILE_GAMMA);
-    let mut classes: Vec<ClassTally> = UserClass::ALL
-        .iter()
-        .map(|&class| ClassTally {
+/// The population plane, its own additive total: what a thread folds
+/// requests into is what a cut hands over, a merge sums and a checkpoint
+/// persists.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Population {
+    /// The mergeable sketches.
+    pub sketches: PopulationSketches,
+    /// Exact tallies per ⟨IP, UA⟩ pair, keyed by the interned UA handle
+    /// (upkeep and merge bump a refcount, allocate nothing); an absent UA is
+    /// the empty one, as in `aggregate_users`.
+    pub tallies: HashMap<(u32, Arc<str>), UserTally>,
+    /// Households (client IPs) seen in an [`infer::is_list_download`] flow.
+    pub households: HashSet<u32>,
+    empty_ua: Arc<str>,
+}
+
+impl Population {
+    /// An empty plane.
+    pub fn new(opts: PopulationOptions) -> Population {
+        Population {
+            sketches: PopulationSketches::new(opts),
+            tallies: HashMap::new(),
+            households: HashSet::new(),
+            empty_ua: Arc::from(""),
+        }
+    }
+
+    /// The plane of a materialized trace, folded from its requests and flows.
+    pub fn of_trace(
+        trace: &ClassifiedTrace,
+        abp_ips: &[u32],
+        opts: PopulationOptions,
+    ) -> Population {
+        let mut pop = Population::new(opts);
+        for r in &trace.requests {
+            pop.observe(r);
+        }
+        pop.households = infer::households_with_downloads(&trace.https_flows, abp_ips);
+        pop
+    }
+
+    /// Fold one classified request into the sketches and its user's tally.
+    pub fn observe(&mut self, r: &ClassifiedRequest) {
+        self.sketches.observe(r);
+        let ua = Arc::clone(r.user_agent.as_ref().unwrap_or(&self.empty_ua));
+        self.tallies
+            .entry((r.client_ip, ua))
+            .or_insert_with_key(|(_, ua)| UserTally::for_agent(ua))
+            .observe(r);
+    }
+
+    /// Add another partial in (sums and a union; worker-index order gives
+    /// the sketches canonical bytes).
+    pub fn merge(&mut self, other: &Population) {
+        self.sketches.merge(&other.sketches);
+        for ((ip, ua), t) in &other.tallies {
+            let mine = self.tallies.entry((*ip, Arc::clone(ua))).or_default();
+            mine.merge(t);
+        }
+        self.households.extend(&other.households);
+    }
+
+    /// Build the report: the one code path the streamed and materialized
+    /// pipelines share, a pure function of the plane.
+    pub fn finish(&self, opts: PopulationOptions) -> PopulationReport {
+        let sketches = &self.sketches;
+        let mut ad_share = QuantileSketch::new(QUANTILE_GAMMA);
+        let mut classes = UserClass::ALL.map(|class| ClassTally {
             class,
             instances: 0,
             requests: 0,
             ad_requests: 0,
-        })
-        .collect();
-    let mut active_browsers = 0u64;
-    for ((ip, _ua), t) in users {
-        if !t.is_browser || t.requests < opts.active_min_requests {
-            continue;
+        });
+        let mut active_browsers = 0u64;
+        for ((ip, _ua), t) in &self.tallies {
+            if !t.is_browser || t.requests < opts.active_min_requests {
+                continue;
+            }
+            active_browsers += 1;
+            ad_share.observe(t.ad_requests as f64 / t.requests as f64 * 100.0);
+            let ratio = t.easylist_blockable as f64 / t.requests as f64 * 100.0;
+            let low_ratio = ratio <= opts.ratio_threshold_pct;
+            let class = UserClass::from_indicators(low_ratio, self.households.contains(ip));
+            // `UserClass::ALL` is in declaration order.
+            let slot = &mut classes[class as usize];
+            slot.instances += 1;
+            slot.requests += t.requests;
+            slot.ad_requests += t.ad_requests;
         }
-        active_browsers += 1;
-        ad_share.observe(t.ad_requests as f64 / t.requests as f64 * 100.0);
-        let ratio = t.easylist_blockable as f64 / t.requests as f64 * 100.0;
-        let class =
-            UserClass::from_indicators(ratio <= opts.ratio_threshold_pct, downloads.contains(ip));
-        let slot = classes
-            .iter_mut()
-            .find(|c| c.class == class)
-            .expect("all classes present");
-        slot.instances += 1;
-        slot.requests += t.requests;
-        slot.ad_requests += t.ad_requests;
-    }
-    let quantiles = |s: &QuantileSketch| -> Vec<(f64, f64)> {
-        QUANTILES
-            .iter()
-            .map(|&q| (q, s.quantile(q).unwrap_or(0.0)))
-            .collect()
-    };
-    PopulationReport {
-        opts,
-        requests: sketches.requests,
-        ad_requests: sketches.ad_requests,
-        distinct_users: sketches.users.estimate(),
-        distinct_sites: sketches.sites.estimate(),
-        active_browsers,
-        top_ad_domains: sketches.ad_domains.top(opts.top_k),
-        top_rules: sketches.rules.top(opts.top_k),
-        exact_topk: sketches.ad_domains.is_exact() && sketches.rules.is_exact(),
-        ad_share_pct: quantiles(&ad_share),
-        object_bytes: quantiles(&sketches.object_bytes),
-        rtb_gap_ms: quantiles(&sketches.rtb_gap_ms),
-        quantile_alpha: sketches.object_bytes.alpha(),
-        classes,
+        let quantiles = |s: &QuantileSketch| -> Vec<(f64, f64)> {
+            QUANTILES
+                .iter()
+                .map(|&q| (q, s.quantile(q).unwrap_or(0.0)))
+                .collect()
+        };
+        PopulationReport {
+            opts,
+            requests: sketches.requests,
+            ad_requests: sketches.ad_requests,
+            distinct_users: sketches.users.estimate(),
+            distinct_sites: sketches.sites.estimate(),
+            active_browsers,
+            top_ad_domains: sketches.ad_domains.top(opts.top_k),
+            top_rules: sketches.rules.top(opts.top_k),
+            exact_topk: sketches.ad_domains.is_exact() && sketches.rules.is_exact(),
+            ad_share_pct: quantiles(&ad_share),
+            object_bytes: quantiles(&sketches.object_bytes),
+            rtb_gap_ms: quantiles(&sketches.rtb_gap_ms),
+            quantile_alpha: sketches.object_bytes.alpha(),
+            classes: classes.to_vec(),
+        }
     }
 }
 
-/// Build the per-user tally map from a materialized classified trace —
-/// the exact-path twin of the streaming workers' incremental tallies.
-pub fn tally_users(trace: &ClassifiedTrace) -> HashMap<(u32, String), UserTally> {
-    let mut map: HashMap<(u32, String), UserTally> = HashMap::new();
-    for r in &trace.requests {
-        let key = (
-            r.client_ip,
-            r.user_agent.as_deref().unwrap_or("").to_string(),
-        );
-        map.entry(key)
-            .or_insert_with(|| UserTally::for_agent(r.user_agent.as_deref().unwrap_or("")))
-            .observe(r);
-    }
-    map
-}
-
-/// The materialized path: sketches (reusing the pipeline's, or built on
-/// the fly), tallies from the request vector, downloads from the HTTPS
-/// flows — then the shared [`finish`].
+/// The materialized path's report: [`Population::of_trace`], finished.
 pub fn finish_trace(
     trace: &ClassifiedTrace,
     abp_ips: &[u32],
     opts: PopulationOptions,
 ) -> PopulationReport {
-    let sketches = match &trace.population {
-        Some(s) => s.clone(),
-        None => {
-            let mut s = PopulationSketches::new(opts);
-            for r in &trace.requests {
-                s.observe(r);
-            }
-            s
-        }
-    };
-    let users = tally_users(trace);
-    let downloads = infer::households_with_downloads(&trace.https_flows, abp_ips);
-    finish(&sketches, &users, &downloads, opts)
+    Population::of_trace(trace, abp_ips, opts).finish(opts)
 }
 
 impl PopulationReport {
@@ -683,26 +706,21 @@ mod tests {
     }
 
     #[test]
-    fn tallies_merge_losslessly() {
+    fn planes_merge_losslessly() {
         let trace = sample(on());
-        let whole = tally_users(&trace);
+        let whole = Population::of_trace(&trace, &[], on());
         // Split requests arbitrarily into two partials and merge.
-        let mut a: HashMap<(u32, String), UserTally> = HashMap::new();
-        let mut b: HashMap<(u32, String), UserTally> = HashMap::new();
+        let mut a = Population::new(on());
+        let mut b = Population::new(on());
         for (i, r) in trace.requests.iter().enumerate() {
-            let key = (
-                r.client_ip,
-                r.user_agent.as_deref().unwrap_or("").to_string(),
-            );
             let part = if i % 3 == 0 { &mut a } else { &mut b };
-            part.entry(key)
-                .or_insert_with(|| UserTally::for_agent(r.user_agent.as_deref().unwrap_or("")))
-                .observe(r);
+            part.observe(r);
         }
-        for (k, t) in b {
-            a.entry(k).or_default().merge(&t);
-        }
-        assert_eq!(a, whole);
+        b.households.insert(7);
+        a.merge(&b);
+        assert_eq!(a.tallies, whole.tallies);
+        assert_eq!(a.sketches, whole.sketches);
+        assert_eq!(a.households, HashSet::from([7]));
     }
 
     #[test]
@@ -724,15 +742,9 @@ mod tests {
     fn download_households_move_users_to_b_and_c() {
         let trace = sample(on());
         // Both users' households download EasyList: A -> B, D -> C.
-        let mut downloads = HashSet::new();
-        downloads.insert(1u32);
-        downloads.insert(2u32);
-        let report = finish(
-            trace.population.as_ref().unwrap(),
-            &tally_users(&trace),
-            &downloads,
-            on(),
-        );
+        let mut pop = Population::of_trace(&trace, &[], on());
+        pop.households = HashSet::from([1, 2]);
+        let report = pop.finish(on());
         assert_eq!(report.classes[1].instances, 1, "B");
         assert_eq!(report.classes[2].instances, 1, "C");
     }

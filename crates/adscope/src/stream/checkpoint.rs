@@ -1,6 +1,7 @@
 //! The persisted checkpoint: `checkpoint.ndjson`, one manifest line (the
-//! [`RunState`]) and one line per live user — the only module in this
-//! crate that names a checkpoint JSON key.
+//! [`RunState`], plane totals included) and one line per live user — the
+//! only module in this crate that names a checkpoint JSON key, so a plane
+//! added to `crate::planes` gets its encode / decode pair here.
 //!
 //! Writers are hand-written `write!` chains (the per-user line is the
 //! checkpointing run's hottest loop and must not allocate per field).
@@ -10,12 +11,12 @@
 //! path to it (`population.users[7]: expected u8`) instead of being
 //! narrowed into a different number.
 
-use super::router::{PopulationCum, RunState};
+use super::router::RunState;
 use super::worker::{HeldRecord, RestoredUser, UserState};
 use super::{ck_err, StreamError, StreamOptions};
 use crate::degrade::DegradationReport;
 use crate::extract::WebObject;
-use crate::population::{PopulationOptions, PopulationSketches, UserTally};
+use crate::population::{Population, PopulationOptions, UserTally};
 use crate::refmap::{RefMap, RefMapOptions};
 use crate::window::{COUNTERS as ADSCOPE_COUNTERS, RTB_HIST};
 use http_model::{ContentCategory, Url};
@@ -181,7 +182,7 @@ pub(super) fn serialize_user(key: &(u32, Option<Arc<str>>), st: &UserState) -> S
     out
 }
 
-fn population_to_json(out: &mut String, p: &PopulationCum) {
+fn population_to_json(out: &mut String, p: &Population) {
     let s = &p.sketches;
     let _ = write!(
         out,
@@ -217,7 +218,7 @@ fn population_to_json(out: &mut String, p: &PopulationCum) {
         });
         out.push_str("]}");
     }
-    let mut rows: Vec<(&(u32, String), &UserTally)> = p.tallies.iter().collect();
+    let mut rows: Vec<(&(u32, Arc<str>), &UserTally)> = p.tallies.iter().collect();
     rows.sort_by(|a, b| a.0.cmp(b.0));
     out.push_str(",\"tallies\":[");
     json::write_seq(out, rows, |out, ((ip, ua), t)| {
@@ -263,10 +264,11 @@ pub(super) fn manifest_to_json(hash: u64, st: &RunState) -> String {
     );
     // write_f64 renders non-finite as null; parse maps null back to -inf.
     json::write_f64(&mut out, st.prev_ts);
+    let t = &st.totals;
     let _ = write!(
         out,
         ",\"requests\":{},\"ads\":{},\"https_flows\":{},\"quarantine_bytes\":{}",
-        st.requests, st.ads, st.https_flows, st.quarantine_bytes
+        t.requests, t.ads, t.https_flows, st.quarantine_bytes
     );
     let c = &st.codec;
     let _ = write!(
@@ -282,14 +284,14 @@ pub(super) fn manifest_to_json(hash: u64, st: &RunState) -> String {
         c.header_recovered
     );
     out.push_str(",\"degradation\":{");
-    json::write_seq(&mut out, st.degradation.counts(), |out, (name, v)| {
+    json::write_seq(&mut out, t.degradation.counts(), |out, (name, v)| {
         let _ = write!(out, "\"{name}\":{v}");
     });
     out.push_str("},\"windows\":");
-    window_report_to_json(&mut out, &st.windows);
+    window_report_to_json(&mut out, &t.windows);
     out.push_str(",\"decode_windows\":");
-    window_report_to_json(&mut out, &st.decode_windows);
-    if let Some(p) = &st.population {
+    window_report_to_json(&mut out, &t.decode_windows);
+    if let Some(p) = &t.population {
         population_to_json(&mut out, p);
     }
     out.push('}');
@@ -441,7 +443,7 @@ fn user_from_line(line: &str, opts: RefMapOptions) -> Result<RestoredUser, Decod
 fn population_from_value(
     v: &Value<'_>,
     opts: PopulationOptions,
-) -> Result<PopulationCum, DecodeError> {
+) -> Result<Population, DecodeError> {
     let topk = |k: &str| {
         v.field_with(k, |t| {
             let entries: Vec<(String, u64, u64)> = t.field("entries")?;
@@ -460,7 +462,8 @@ fn population_from_value(
                 .ok_or_else(|| DecodeError::new("counts overflow u64").at_key("buckets"))
         })
     };
-    let mut sketches = PopulationSketches::new(opts);
+    let mut pop = Population::new(opts);
+    let sketches = &mut pop.sketches;
     sketches.ad_domains = topk("ad_domains")?;
     sketches.rules = topk("rules")?;
     sketches.users = regs("users")?;
@@ -469,7 +472,7 @@ fn population_from_value(
     sketches.rtb_gap_ms = qs("rtb_gap_ms")?;
     sketches.requests = v.field("requests")?;
     sketches.ad_requests = v.field("ad_requests")?;
-    let tallies: Vec<(u32, String, u64, u64, u64, u64)> = v.field("tallies")?;
+    let tallies: Vec<(u32, Arc<str>, u64, u64, u64, u64)> = v.field("tallies")?;
     let tally = |(ip, ua, requests, ad_requests, easylist_blockable, browser)| {
         let t = UserTally {
             requests,
@@ -479,11 +482,9 @@ fn population_from_value(
         };
         ((ip, ua), t)
     };
-    Ok(PopulationCum {
-        sketches,
-        tallies: tallies.into_iter().map(tally).collect(),
-        households: v.field::<Vec<u32>>("households")?.into_iter().collect(),
-    })
+    pop.tallies = tallies.into_iter().map(tally).collect();
+    pop.households = v.field::<Vec<u32>>("households")?.into_iter().collect();
+    Ok(pop)
 }
 
 /// The [`RunState`] a manifest line holds. Starts from the fresh state
@@ -506,9 +507,6 @@ fn manifest_from_value(m: &Value<'_>, opts: &StreamOptions) -> Result<RunState, 
     st.next_http_idx = m.field("next_http_idx")?;
     let prev_ts: Option<f64> = m.field("prev_ts")?;
     st.prev_ts = prev_ts.unwrap_or(f64::NEG_INFINITY);
-    st.requests = m.field("requests")?;
-    st.ads = m.field("ads")?;
-    st.https_flows = m.field("https_flows")?;
     st.quarantine_bytes = m.field("quarantine_bytes")?;
     st.codec = m.field_with("codec", |v| {
         Ok(CodecStats {
@@ -522,7 +520,11 @@ fn manifest_from_value(m: &Value<'_>, opts: &StreamOptions) -> Result<RunState, 
             header_recovered: v.field("header_recovered")?,
         })
     })?;
-    st.degradation = m.field_with("degradation", |v| {
+    let t = &mut st.totals;
+    t.requests = m.field("requests")?;
+    t.ads = m.field("ads")?;
+    t.https_flows = m.field("https_flows")?;
+    t.degradation = m.field_with("degradation", |v| {
         Ok(DegradationReport {
             unparseable_urls: v.field("unparseable_urls")?,
             unparseable_referers: v.field("unparseable_referers")?,
@@ -537,17 +539,17 @@ fn manifest_from_value(m: &Value<'_>, opts: &StreamOptions) -> Result<RunState, 
             poisoned_records: v.field("poisoned_records")?,
         })
     })?;
-    st.windows = m.field_with("windows", |v| {
+    t.windows = m.field_with("windows", |v| {
         window_report_from_value(v, ADSCOPE_COUNTERS, HIST_TABLE)
     })?;
-    st.decode_windows = m.field_with("decode_windows", |v| {
+    t.decode_windows = m.field_with("decode_windows", |v| {
         window_report_from_value(v, &DECODE_COUNTERS, &[])
     })?;
     // The config hash covers which planes are on, so a plane that is on
     // was on when the checkpoint was written and its block is required.
     // The alert plane has none: its timeline is recomputed from `windows`
     // at the next merge (an `alerts` key in an older file is not looked up).
-    if let Some(p) = &mut st.population {
+    if let Some(p) = &mut t.population {
         *p = m.field_with("population", |v| {
             population_from_value(v, opts.pipeline.population)
         })?;
@@ -686,6 +688,45 @@ mod tests {
         assert_eq!(restored.last_page, st.map.last_page);
         assert_eq!(restored.redirects_consumed(), 1);
     }
+    proptest::proptest! {
+        /// Totals → manifest line → totals is the identity, for every plane
+        /// at once: a cut part-way, the whole stream's sum, and nothing
+        /// (`broken_redirect_chains`, derived at end of stream rather than
+        /// persisted, is 0 in all three, as at any barrier).
+        #[test]
+        fn totals_round_trip_through_the_checkpoint_manifest(
+            n in 1usize..160,
+            cut in 0usize..160,
+            population in 0u8..2,
+        ) {
+            let trace = messy_trace(n);
+            let mut opts = stream_opts(1, 16);
+            opts.pipeline.population.enabled = population == 1;
+            opts.pipeline.population.active_min_requests = 2;
+            opts.abp_ips = vec![9];
+            let mut planes = crate::planes::Planes::new(opts.pipeline, &opts.abp_ips);
+            let requests = reference(&trace).requests;
+            let (first, rest) = requests.split_at(cut.min(requests.len()));
+            planes.fold(first, &[0.5]);
+            planes.degradation().unparseable_urls += 1;
+            let part = planes.cut();
+            for rec in &trace.records {
+                planes.observe_record(&netsim::record::RecordView::of(rec));
+            }
+            planes.fold(rest, &[]);
+            let mut whole = part.clone();
+            whole.merge(&planes.cut());
+            let nothing = crate::planes::PlaneTotals::new(opts.pipeline.population);
+            for totals in [part, whole, nothing] {
+                let mut st = RunState::new(trace.meta.clone(), &opts);
+                st.totals = totals;
+                let line = manifest_to_json(config_hash(&opts), &st);
+                let back = manifest_from_value(&json::parse(&line).unwrap(), &opts);
+                proptest::prop_assert_eq!(back.map(|st| st.totals), Ok(st.totals));
+            }
+        }
+    }
+
     #[test]
     fn window_report_round_trips_through_json() {
         let trace = messy_trace(128);

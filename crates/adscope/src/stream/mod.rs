@@ -15,7 +15,7 @@
 //! ```
 //!
 //! * **Bounded memory.** Records flow through [`parallel::bounded`]
-//!   channels of a few chunks each; a full queue blocks the router
+//!   channels of a few batches each; a full queue blocks the router
 //!   (backpressure) instead of buffering, so resident state is the
 //!   per-user referrer maps plus a few in-flight chunks — flat in trace
 //!   length.
@@ -55,6 +55,11 @@
 //! points; `worker` the quarantine sidecar, the held-record protocol and
 //! the per-shard worker; `router` the run state and the route / barrier /
 //! finalize steps that advance it; `checkpoint` the persisted format.
+//!
+//! What is folded per record is declared in [`crate::planes`]: workers and
+//! router each hold a `Planes`; a cut of either, like the run's cumulative
+//! state, is a `PlaneTotals`. **A plane is added in `planes.rs`** (field,
+//! `observe` and `merge` lines) **and in `checkpoint`** (encode / decode).
 
 mod checkpoint;
 mod router;
@@ -153,9 +158,6 @@ pub struct StreamOptions {
     /// Records per decoded chunk (the unit of routing and
     /// checkpointing).
     pub chunk_records: usize,
-    /// Bounded channel capacity, in batches, per worker. A full queue
-    /// blocks the router — this is the backpressure knob.
-    pub channel_capacity: usize,
     /// Checkpoint/resume; requires a seekable trace file.
     pub checkpoint: Option<CheckpointOptions>,
     /// Sidecar for quarantined records (unparseable URLs verbatim,
@@ -204,7 +206,6 @@ impl Default for StreamOptions {
             pipeline: PipelineOptions::default(),
             threads: 0,
             chunk_records: 8192,
-            channel_capacity: 4,
             checkpoint: None,
             quarantine_path: None,
             collect_requests: false,
@@ -256,8 +257,8 @@ pub struct StreamReport {
     pub collected: Option<Vec<(u64, ClassifiedRequest)>>,
     /// Population analytics (`None` unless
     /// [`crate::population::PopulationOptions::enabled`]). Built by the
-    /// same [`crate::population::finish`] as the materialized path, over
-    /// sketch/tally state merged in worker-index order, so it renders
+    /// same [`crate::population::Population::finish`] as the materialized
+    /// path, over sketch/tally state merged in worker-index order, so it renders
     /// byte-identically at any thread count, chunk size, or
     /// kill/resume schedule.
     pub population: Option<PopulationReport>,

@@ -5,63 +5,28 @@
 
 use super::checkpoint::{config_hash, manifest_to_json, write_checkpoint};
 use super::worker::{
-    worker_loop, PopulationState, Quarantine, RestoredUser, ToWorker, Worker, WorkerAck,
-    WorkerDelta, WorkerFinal,
+    worker_loop, Quarantine, RestoredUser, ToWorker, Worker, WorkerAck, WorkerFinal,
 };
 use super::{ck_err, StreamError, StreamOptions, StreamReport};
 use crate::classify::PassiveClassifier;
-use crate::degrade::DegradationReport;
 use crate::extract::{Extractor, WebObject};
 use crate::normalize::UrlNormalizer;
 use crate::pipeline::ClassifiedRequest;
-use crate::population::{self, PopulationOptions, PopulationReport, PopulationSketches, UserTally};
+use crate::planes::{PlaneTotals, Planes};
+use crate::population::PopulationReport;
 use crate::shard::shard_of;
-use crate::window::WindowAggregator;
-use netsim::codec::{record_to_json, CodecStats, DecodeWindows};
+use netsim::codec::{record_to_json, CodecStats};
 use netsim::record::{RecordView, TraceMeta, TraceRecord};
 use netsim::stream::{ChunkSource, MAX_CHUNK_RESERVE};
 use obs::window::WindowReport;
-use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-/// Router-side cumulative population state: worker deltas merged at
-/// each barrier (acks arrive indexed, so the merge runs in worker-index
-/// order — the canonical order the determinism contract names), plus
-/// the download households the router collects from HTTPS flows.
-/// Checkpointed whole in the manifest and restored verbatim on resume.
-pub(super) struct PopulationCum {
-    pub(super) sketches: PopulationSketches,
-    pub(super) tallies: HashMap<(u32, String), UserTally>,
-    pub(super) households: HashSet<u32>,
-}
-
-impl PopulationCum {
-    fn new(opts: PopulationOptions) -> PopulationCum {
-        PopulationCum {
-            sketches: PopulationSketches::new(opts),
-            tallies: HashMap::new(),
-            households: HashSet::new(),
-        }
-    }
-
-    fn merge_delta(&mut self, d: &PopulationState) {
-        self.sketches.merge(&d.sketches);
-        for ((ip, ua), t) in &d.tallies {
-            self.tallies
-                .entry((*ip, ua.to_string()))
-                .or_default()
-                .merge(t);
-        }
-    }
-}
-
 /// Everything a run has accumulated so far, cumulative across resumes:
-/// where the router stands in the trace, the totals, and the merged
-/// planes. It is what a checkpoint manifest persists, what
-/// `load_checkpoint` hands back, what the router mutates chunk by chunk,
-/// and what the final report is read out of.
+/// where the router stands in the trace and the plane totals. It is what a
+/// checkpoint manifest persists, what `load_checkpoint` hands back, what the
+/// router mutates chunk by chunk, and what the final report is read out of.
 pub(super) struct RunState {
     pub(super) meta: TraceMeta,
     /// Byte offset this run resumed from, if it did (run-local, not
@@ -73,18 +38,10 @@ pub(super) struct RunState {
     pub(super) next_http_idx: u64,
     pub(super) prev_ts: f64,
     pub(super) codec: CodecStats,
-    /// Router-side counters as they happen, worker-side ones as of the
-    /// last merge. `broken_redirect_chains` is derived from per-user
-    /// state at end of stream and stays 0 until then.
-    pub(super) degradation: DegradationReport,
-    pub(super) requests: u64,
-    pub(super) ads: u64,
-    pub(super) https_flows: u64,
     pub(super) quarantine_bytes: u64,
-    pub(super) windows: WindowReport,
-    pub(super) decode_windows: WindowReport,
-    /// Present when population analytics are on.
-    pub(super) population: Option<PopulationCum>,
+    /// Every cut merged so far. `broken_redirect_chains` is derived from
+    /// per-user state at end of stream and stays 0 until then.
+    pub(super) totals: PlaneTotals,
     /// The per-user state a checkpoint restored, until the workers that
     /// own it start (run-local; each barrier persists the live state).
     pub(super) restored: Vec<RestoredUser>,
@@ -93,7 +50,6 @@ pub(super) struct RunState {
 impl RunState {
     /// The state of a run that has not read a record yet.
     pub(super) fn new(meta: TraceMeta, opts: &StreamOptions) -> RunState {
-        let popts = opts.pipeline.population;
         RunState {
             meta,
             resumed_from: None,
@@ -103,14 +59,8 @@ impl RunState {
             next_http_idx: 0,
             prev_ts: f64::NEG_INFINITY,
             codec: CodecStats::default(),
-            degradation: DegradationReport::default(),
-            requests: 0,
-            ads: 0,
-            https_flows: 0,
             quarantine_bytes: 0,
-            windows: WindowReport::default(),
-            decode_windows: WindowReport::default(),
-            population: popts.enabled.then(|| PopulationCum::new(popts)),
+            totals: PlaneTotals::new(opts.pipeline.population),
             restored: Vec::new(),
         }
     }
@@ -124,13 +74,11 @@ struct Router<'a> {
     senders: Vec<parallel::Sender<ToWorker>>,
     ack_rx: mpsc::Receiver<(usize, WorkerAck)>,
     quarantine: Option<Arc<Quarantine>>,
-    /// Unparseable records never reach a worker, so the router counts
-    /// them into the `quarantined` window series itself; the cuts merge
-    /// into the cumulative report exactly like worker deltas.
-    router_windows: WindowAggregator,
-    decode_engine: DecodeWindows,
+    /// The router's own planes, for what only it sees: every record's view,
+    /// the unparseable records that never reach a worker and extraction's
+    /// degradation counters. Its cuts merge exactly like a worker's.
+    planes: Planes,
     extractor: Extractor,
-    abp_set: HashSet<u32>,
     worker_labels: Vec<String>,
     last_stalls: Vec<u64>,
     run_chunks: u64,
@@ -142,13 +90,17 @@ struct Router<'a> {
     /// to classify meanwhile. At most one is parked at a time.
     parked: Option<(&'a Path, String, Vec<Arc<str>>)>,
     /// Present when [`StreamOptions::alerts`] names rules: the rule pack and
-    /// its last evaluation. Every merge re-evaluates `state.windows` from
+    /// its last evaluation. Every merge re-evaluates the merged windows from
     /// scratch, so where the barriers fall cannot change the timeline and
     /// there is nothing here for a checkpoint to carry.
     alerts: Option<obs::AlertEngine>,
     checkpoints_written: u64,
     stopped_early: bool,
 }
+
+/// Bounded channel capacity, in batches, per worker. A full queue blocks
+/// the router — this is the backpressure point.
+const CHANNEL_CAPACITY: usize = 4;
 
 pub(super) fn run_stream<S: ChunkSource>(
     mut chunks: S,
@@ -202,7 +154,7 @@ pub(super) fn run_stream<S: ChunkSource>(
         let mut handles = Vec::with_capacity(nworkers);
         let normalizer = &normalizer;
         for (id, init) in per_worker_restores.into_iter().enumerate() {
-            let (tx, rx) = parallel::bounded::<ToWorker>(opts.channel_capacity);
+            let (tx, rx) = parallel::bounded::<ToWorker>(CHANNEL_CAPACITY);
             let ack_tx = ack_tx.clone();
             let q = quarantine.clone();
             let poison = opts.poison_host.as_deref();
@@ -223,10 +175,8 @@ pub(super) fn run_stream<S: ChunkSource>(
             senders,
             ack_rx,
             quarantine,
-            router_windows: WindowAggregator::new(popts.window),
-            decode_engine: DecodeWindows::hourly(),
+            planes: Planes::new(popts, &opts.abp_ips),
             extractor: Extractor::default(),
-            abp_set: opts.abp_ips.iter().copied().collect(),
             worker_labels: (0..nworkers).map(|i| i.to_string()).collect(),
             last_stalls: vec![0u64; nworkers],
             run_chunks: 0,
@@ -326,44 +276,36 @@ impl<'a> Router<'a> {
         Ok(())
     }
 
-    /// One record on the router: window it, and extract, order-check and
-    /// shard an HTTP transaction straight from the view — nothing of the
+    /// One record on the router: fold its view, and extract, order-check
+    /// and shard an HTTP transaction straight from it — nothing of the
     /// record is owned before its [`WebObject`] is.
     fn route_record(&mut self, rec: RecordView<'_>, batches: &mut [Vec<(u64, WebObject)>]) {
         let st = &mut self.state;
-        self.decode_engine.observe(&rec);
-        match rec {
-            RecordView::Http(tx) => {
-                let idx = st.next_http_idx as usize;
-                st.next_http_idx += 1;
-                match self.extractor.extract_one(idx, &tx, &mut st.degradation) {
-                    Some(obj) => {
-                        if obj.ts < st.prev_ts {
-                            st.degradation.out_of_order_records += 1;
-                        }
-                        st.prev_ts = obj.ts;
-                        let pos = st.next_pos;
-                        st.next_pos += 1;
-                        let nshards = batches.len() as u64;
-                        let s = shard_of(obj.client_ip, obj.user_agent.as_deref(), nshards);
-                        batches[s].push((pos, obj));
-                    }
-                    None => {
-                        st.degradation.unparseable_urls += 1;
-                        self.router_windows.observe_quarantined(tx.ts);
-                        if let Some(q) = &self.quarantine {
-                            let rec = TraceRecord::Http(tx.to_transaction());
-                            q.write_line(&record_to_json(&rec));
-                        }
-                    }
+        self.planes.observe_record(&rec);
+        let RecordView::Http(tx) = rec else {
+            return;
+        };
+        let idx = st.next_http_idx as usize;
+        st.next_http_idx += 1;
+        let degradation = self.planes.degradation();
+        match self.extractor.extract_one(idx, &tx, degradation) {
+            Some(obj) => {
+                if obj.ts < st.prev_ts {
+                    degradation.out_of_order_records += 1;
                 }
+                st.prev_ts = obj.ts;
+                let pos = st.next_pos;
+                st.next_pos += 1;
+                let nshards = batches.len() as u64;
+                let s = shard_of(obj.client_ip, obj.user_agent.as_deref(), nshards);
+                batches[s].push((pos, obj));
             }
-            RecordView::Https(conn) => {
-                st.https_flows += 1;
-                if let Some(cum) = &mut st.population {
-                    if conn.server_port == 443 && self.abp_set.contains(&conn.server_ip) {
-                        cum.households.insert(conn.client_ip);
-                    }
+            None => {
+                degradation.unparseable_urls += 1;
+                self.planes.observe_quarantined(tx.ts);
+                if let Some(q) = &self.quarantine {
+                    let rec = TraceRecord::Http(tx.to_transaction());
+                    q.write_line(&record_to_json(&rec));
                 }
             }
         }
@@ -433,39 +375,28 @@ impl<'a> Router<'a> {
         Ok(())
     }
 
-    /// The one merge, run at every barrier and at end of stream: fold
-    /// the workers' deltas (in worker-index order), the router's own
-    /// quarantine series and the decode windows cut since the last merge
-    /// into the run state, then re-evaluate and republish the planes that
-    /// read it. Every input merges additively, so where the cuts fall
-    /// cannot change the state they add up to.
+    /// The one merge, run at every barrier and at end of stream: add the
+    /// workers' deltas (in worker-index order), then the router's own cut,
+    /// into the run's totals, and re-evaluate and republish the planes that
+    /// read them. Every input is additive, so where the cuts fall is moot.
     fn absorb<'d>(
         &mut self,
-        deltas: impl Iterator<Item = &'d WorkerDelta>,
+        deltas: impl Iterator<Item = &'d PlaneTotals>,
     ) -> Option<PopulationReport> {
-        let st = &mut self.state;
-        let decode = std::mem::replace(&mut self.decode_engine, DecodeWindows::hourly());
-        st.decode_windows.merge(&decode.finish());
+        let totals = &mut self.state.totals;
         for d in deltas {
-            st.windows.merge(&d.windows);
-            st.degradation.absorb(&d.degradation);
-            st.requests += d.requests;
-            st.ads += d.ads;
-            if let (Some(cum), Some(p)) = (&mut st.population, &d.population) {
-                cum.merge_delta(p);
-            }
+            totals.merge(d);
         }
-        st.windows.merge(&self.router_windows.cut());
+        totals.merge(&self.planes.cut());
         if let Some(engine) = &mut self.alerts {
-            engine.eval_report(&st.windows);
+            engine.eval_report(&totals.windows);
             engine.publish(self.registry);
         }
         // The live annoyance plane: every merge republishes the
         // population-so-far, so /population and the class gauges move
         // while the run is going.
-        st.population.as_ref().map(|cum| {
-            let popts = self.opts.pipeline.population;
-            let report = population::finish(&cum.sketches, &cum.tallies, &cum.households, popts);
+        totals.population.as_ref().map(|pop| {
+            let report = pop.finish(self.opts.pipeline.population);
             report.publish(self.registry);
             report
         })
@@ -474,13 +405,14 @@ impl<'a> Router<'a> {
     /// End of stream: merge the workers' residual deltas, publish the
     /// cumulative totals and read the report out of the run state.
     fn finalize(mut self, finals: Vec<WorkerFinal>) -> StreamReport {
-        // The same `population::finish` the materialized path calls, on
+        // The same `Population::finish` the materialized path calls, on
         // identical merged inputs.
         let population = self.absorb(finals.iter().map(|f| &f.delta));
         if let Some(q) = &self.quarantine {
             let _ = q.flush_bytes();
         }
         let (st, registry) = (self.state, self.registry);
+        let t = st.totals;
 
         // Same metric bridge as the materialized path, over the
         // cumulative totals (a resumed run republishes the whole
@@ -488,15 +420,15 @@ impl<'a> Router<'a> {
         // the fraction this process happened to run).
         registry
             .counter("adscope_requests_classified_total")
-            .add(st.requests);
-        registry.counter("adscope_ad_requests_total").add(st.ads);
-        for (reason, count) in st.degradation.counts() {
+            .add(t.requests);
+        registry.counter("adscope_ad_requests_total").add(t.ads);
+        for (reason, count) in t.degradation.counts() {
             registry
                 .counter_with("adscope_degradation_total", &[("reason", reason)])
                 .add(count as u64);
         }
-        crate::window::publish(&st.windows, registry);
-        publish_decode_windows(&st.decode_windows, registry);
+        crate::window::publish(&t.windows, registry);
+        publish_decode_windows(&t.decode_windows, registry);
 
         let users = finals.iter().map(|f| f.users).sum();
         let collected = self.opts.collect_requests.then(|| {
@@ -508,12 +440,12 @@ impl<'a> Router<'a> {
         StreamReport {
             meta: st.meta,
             codec: st.codec,
-            degradation: st.degradation,
-            windows: st.windows,
-            decode_windows: st.decode_windows,
-            requests: st.requests,
-            ad_requests: st.ads,
-            https_flows: st.https_flows,
+            degradation: t.degradation,
+            windows: t.windows,
+            decode_windows: t.decode_windows,
+            requests: t.requests,
+            ad_requests: t.ads,
+            https_flows: t.https_flows,
             users,
             chunks: st.chunks,
             checkpoints_written: self.checkpoints_written,

@@ -1,23 +1,20 @@
 //! The worker side of the stream engine: the quarantine sidecar, the
 //! held-record protocol, and the per-shard [`Worker`] that runs the
-//! sequential per-user stages and cuts a [`WorkerDelta`] of everything it
-//! has accumulated whenever the router asks.
+//! sequential per-user stages, folds every finished request into its
+//! [`Planes`] and cuts them whenever the router asks.
 
 use super::checkpoint::serialize_user;
 use super::{ck_err, StreamError};
 use crate::classify::PassiveClassifier;
 use crate::content::infer_category_traced;
-use crate::degrade::DegradationReport;
 use crate::extract::WebObject;
 use crate::normalize::UrlNormalizer;
 use crate::pipeline::{ClassifiedRequest, PipelineOptions};
-use crate::population::{PopulationOptions, PopulationSketches, UserTally};
+use crate::planes::{PlaneTotals, Planes};
 use crate::refmap::{RefMap, RefMapOptions};
-use crate::window::WindowAggregator;
 use http_model::{ContentCategory, Url};
 use netsim::codec::record_to_json;
 use netsim::record::TraceRecord;
-use obs::window::WindowReport;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Seek, SeekFrom, Write};
@@ -179,64 +176,22 @@ struct Core<'a> {
     classifier: &'a PassiveClassifier,
     normalizer: &'a UrlNormalizer,
     opts: PipelineOptions,
-    windows: WindowAggregator,
-    /// `refmap_misses`, `content_type_fallbacks` and `poisoned_records`
-    /// since the last cut.
-    degradation: DegradationReport,
-    requests: u64,
-    ads: u64,
+    /// Everything folded since the last cut. A worker counts `refmap_misses`,
+    /// `content_type_fallbacks` and `poisoned_records` into its degradation.
+    planes: Planes,
     collect: bool,
     collected: Vec<(u64, ClassifiedRequest)>,
-    /// Population sketch + exact per-user tally state (present only
-    /// when [`crate::population::PopulationOptions::enabled`]).
-    population: Option<PopulationState>,
     /// Reusable classify scratch: the match path allocates nothing per
     /// record under the compiled engine.
     scratch: abp_filter::ClassifyScratch,
 }
 
-/// A worker's population-analytics accumulator: the mergeable sketches
-/// plus the exact per-⟨IP, UA⟩ tallies behind Table 3. Tally keys use
-/// the interned UA handle so per-record upkeep is a refcount bump, not a
-/// string allocation; absent UAs share one empty handle to keep the
-/// `aggregate_users` merge semantics (None and "" are the same user).
-/// A cut hands the whole accumulator to the router as the delta and
-/// starts a fresh one; deltas merge additively, mirroring the
-/// window-delta protocol.
-pub(super) struct PopulationState {
-    pub(super) sketches: PopulationSketches,
-    pub(super) tallies: HashMap<(u32, Arc<str>), UserTally>,
-    empty_ua: Arc<str>,
-}
-
-impl PopulationState {
-    fn new(opts: PopulationOptions) -> PopulationState {
-        PopulationState {
-            sketches: PopulationSketches::new(opts),
-            tallies: HashMap::new(),
-            empty_ua: Arc::from(""),
-        }
-    }
-
-    fn observe(&mut self, req: &ClassifiedRequest) {
-        self.sketches.observe(req);
-        let ua = match &req.user_agent {
-            Some(ua) => Arc::clone(ua),
-            None => Arc::clone(&self.empty_ua),
-        };
-        self.tallies
-            .entry((req.client_ip, ua))
-            .or_insert_with(|| UserTally::for_agent(req.user_agent.as_deref().unwrap_or("")))
-            .observe(req);
-    }
-}
-
 impl Core<'_> {
     /// Classify a record whose category is now final and fold it into
-    /// the worker's totals. Every record passes here exactly once.
+    /// the worker's planes. Every record passes here exactly once.
     fn finalize(&mut self, h: HeldRecord) {
         if h.obj.content_type.is_none() && h.category != ContentCategory::Other {
-            self.degradation.content_type_fallbacks += 1;
+            self.planes.degradation().content_type_fallbacks += 1;
         }
         let url = self.normalizer.normalize_owned(h.obj.url);
         let (label, c) = self.classifier.classify_traced_in(
@@ -261,32 +216,9 @@ impl Core<'_> {
             label,
             rule,
         };
-        self.requests += 1;
-        if req.label.is_ad() {
-            self.ads += 1;
-        }
-        self.windows.observe(&req);
-        if let Some(pop) = &mut self.population {
-            pop.observe(&req);
-        }
+        self.planes.observe(&req);
         if self.collect {
             self.collected.push((h.pos, req));
-        }
-    }
-
-    /// Take everything accumulated since the last cut, leaving the
-    /// accumulators empty but live.
-    fn cut(&mut self) -> WorkerDelta {
-        let popts = self.opts.population;
-        WorkerDelta {
-            windows: self.windows.cut(),
-            degradation: std::mem::take(&mut self.degradation),
-            requests: std::mem::take(&mut self.requests),
-            ads: std::mem::take(&mut self.ads),
-            population: self
-                .population
-                .as_mut()
-                .map(|p| std::mem::replace(p, PopulationState::new(popts))),
         }
     }
 }
@@ -299,32 +231,20 @@ pub(super) enum ToWorker {
     Barrier,
 }
 
-/// What one worker accumulated since its last cut. Everything in it
-/// merges additively into the run state, in any grouping — a barrier
-/// ack and the end-of-stream result carry the same struct and the
-/// router absorbs both with the same code.
-pub(super) struct WorkerDelta {
-    pub(super) windows: WindowReport,
-    /// The worker-side counters (`refmap_misses`,
-    /// `content_type_fallbacks`, `poisoned_records`); the end-of-stream
-    /// delta adds the state-derived `broken_redirect_chains`.
-    pub(super) degradation: DegradationReport,
-    pub(super) requests: u64,
-    pub(super) ads: u64,
-    pub(super) population: Option<PopulationState>,
-}
-
-/// Barrier ack: the delta plus the serialized per-user state lines, shared
+/// Barrier ack: the worker's planes cut since its last ack — the same
+/// [`PlaneTotals`] the end-of-stream result carries, absorbed by the router
+/// with the same code — plus the serialized per-user state lines, shared
 /// with the worker's per-user cache.
 pub(super) struct WorkerAck {
-    pub(super) delta: WorkerDelta,
+    pub(super) delta: PlaneTotals,
     pub(super) state_lines: Vec<Arc<str>>,
 }
 
-/// End-of-stream result: the residual delta, the user count, and the
+/// End-of-stream result: the residual delta (the one that adds the
+/// state-derived `broken_redirect_chains`), the user count, and the
 /// collected requests when collection was on.
 pub(super) struct WorkerFinal {
-    pub(super) delta: WorkerDelta,
+    pub(super) delta: PlaneTotals,
     pub(super) users: u64,
     pub(super) collected: Vec<(u64, ClassifiedRequest)>,
 }
@@ -365,16 +285,9 @@ impl<'a> Worker<'a> {
                 classifier,
                 normalizer,
                 opts,
-                windows: WindowAggregator::new(opts.window),
-                degradation: DegradationReport::default(),
-                requests: 0,
-                ads: 0,
+                planes: Planes::new(opts, &[]),
                 collect,
                 collected: Vec::new(),
-                population: opts
-                    .population
-                    .enabled
-                    .then(|| PopulationState::new(opts.population)),
                 scratch: abp_filter::ClassifyScratch::new(),
             },
             quarantine,
@@ -407,7 +320,7 @@ impl<'a> Worker<'a> {
             self.core.opts.content,
         );
         if entry.ctx.page.is_none() {
-            self.core.degradation.refmap_misses += 1;
+            self.core.planes.degradation().refmap_misses += 1;
         }
         // Consume: this record stitched a redirect chain — backfill the
         // held redirecting record with this record's provisional
@@ -452,8 +365,8 @@ impl<'a> Worker<'a> {
         let backup = self.quarantine.as_ref().map(|_| obj.clone());
         let res = catch_unwind(AssertUnwindSafe(|| self.process_record(pos, obj)));
         if res.is_err() {
-            self.core.degradation.poisoned_records += 1;
-            self.core.windows.observe_quarantined(ts);
+            self.core.planes.degradation().poisoned_records += 1;
+            self.core.planes.observe_quarantined(ts);
             if let (Some(q), Some(b)) = (self.quarantine.as_ref(), backup) {
                 q.write_line(&record_to_json(&reconstruct_record(&b)));
             }
@@ -470,7 +383,7 @@ impl<'a> Worker<'a> {
             state_lines.push(Arc::clone(st.line.insert(line)));
         }
         WorkerAck {
-            delta: self.core.cut(),
+            delta: self.core.planes.cut(),
             state_lines,
         }
     }
@@ -488,7 +401,7 @@ impl<'a> Worker<'a> {
         for h in leftovers {
             self.core.finalize(h);
         }
-        let mut delta = self.core.cut();
+        let mut delta = self.core.planes.cut();
         for st in self.users.values() {
             delta.degradation.broken_redirect_chains +=
                 st.map.redirects_inserted() - st.map.redirects_consumed();
@@ -629,7 +542,7 @@ mod tests {
         feed_three_users(&mut w);
         let before = w.barrier_ack();
         w.handle(6, obj(6, 3, "http://track.example/pixel/1", None));
-        assert_eq!(w.core.degradation.poisoned_records, 1);
+        assert_eq!(w.core.planes.degradation().poisoned_records, 1);
         let after = w.barrier_ack();
         assert_lines_are_live(&w, &after);
         for client in 1..=3 {

@@ -7,7 +7,7 @@
 //! back-office gap, ad requests only). The engine's logical clock is the
 //! trace timestamp, so the report is a pure function of the classified
 //! requests — byte-identical at any thread count, because
-//! [`crate::pipeline`] calls this helper once, on the merged request
+//! [`crate::pipeline`] folds the plane set once, over the merged request
 //! vector.
 //!
 //! [`publish`] bridges a report into a registry: one NDJSON line per
@@ -15,14 +15,15 @@
 //! `obs_window_late_total` / `adscope_windows_closed_total` counters and
 //! last-window gauges.
 
-use crate::pipeline::ClassifiedRequest;
+use crate::pipeline::{ClassifiedRequest, PipelineOptions};
+use crate::planes::Planes;
 use obs::window::{WindowConfig, WindowEngine, WindowReport};
 
 /// Windowed-aggregation options, carried on
 /// [`crate::pipeline::PipelineOptions`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowOptions {
-    /// Produce windowed series at all (the `window_overhead` bench
+    /// Produce windowed series at all (`bench_gate`'s `windows` row
     /// toggles this).
     pub enabled: bool,
     /// Window width in trace seconds (default one hour — the paper's §5
@@ -70,11 +71,9 @@ pub const COUNTERS: &[&str] = &[
 /// requests only).
 pub const RTB_HIST: &str = "rtb_gap_ms";
 
-/// An incremental adscope window aggregator: the per-record half of
-/// [`aggregate`], reusable by the streaming shard workers (which observe
-/// requests one at a time and cut partial reports at checkpoint
-/// barriers). Series are registered at construction, so even a
-/// zero-record [`WindowAggregator::finish`] carries the full schema.
+/// The live form of the adscope window plane ([`crate::planes`]): folds
+/// requests one at a time and cuts partial reports. Series are registered
+/// at construction, so even a zero-record cut carries the full schema.
 #[derive(Debug)]
 pub struct WindowAggregator {
     engine: WindowEngine,
@@ -150,41 +149,31 @@ impl WindowAggregator {
         self.engine.count(ts, self.c_quarantined, 1);
     }
 
-    /// Cut a partial report: close and return everything observed so far,
-    /// leaving the aggregator empty but live (checkpoint barriers). With
-    /// an infinite watermark the cut deltas merge back grouping-
-    /// independently, so *where* the cuts fall cannot change the merged
-    /// report.
+    /// Close and return everything observed so far, leaving the aggregator
+    /// empty but live. With an infinite watermark cuts merge back in any
+    /// grouping, so where they fall cannot change the merged report.
     pub fn cut(&mut self) -> WindowReport {
         std::mem::replace(self, WindowAggregator::new(self.opts))
             .engine
             .finish()
     }
-
-    /// Close all windows and return the final report.
-    pub fn finish(self) -> WindowReport {
-        self.engine.finish()
-    }
 }
 
 /// Fold classified requests — plus the timestamps of quarantined
-/// (unparseable) records — into per-window series. Returns an empty
-/// report when windowing is disabled.
+/// (unparseable) records — into per-window series: the window plane of
+/// [`Planes::fold`]. Returns an empty report when windowing is disabled.
 pub fn aggregate(
     requests: &[ClassifiedRequest],
     quarantined_ts: &[f64],
     opts: WindowOptions,
 ) -> WindowReport {
-    let mut agg = WindowAggregator::new(opts);
-    if opts.enabled {
-        for r in requests {
-            agg.observe(r);
-        }
-        for &ts in quarantined_ts {
-            agg.observe_quarantined(ts);
-        }
-    }
-    agg.finish()
+    let only_windows = PipelineOptions {
+        window: opts,
+        ..PipelineOptions::default()
+    };
+    let mut planes = Planes::new(only_windows, &[]);
+    planes.fold(requests, quarantined_ts);
+    planes.cut().windows
 }
 
 /// Publish a report into `registry`: NDJSON window lines (scope

@@ -679,7 +679,7 @@ impl<R: Read> LossyLines<R> {
 }
 
 /// The counter series a decode window carries, in the order
-/// [`DecodeWindows::new`] registers them. A checkpoint reader maps persisted
+/// [`DecodeWindows::hourly`] registers them. A checkpoint reader maps persisted
 /// series names back onto this table.
 pub const DECODE_COUNTERS: [&str; 4] = ["records", "http", "https", "bytes"];
 
@@ -701,11 +701,10 @@ pub struct DecodeWindows {
 }
 
 impl DecodeWindows {
-    /// An engine over `width_secs` windows (an hour by default via
-    /// [`DecodeWindows::hourly`]).
-    pub fn new(width_secs: f64) -> DecodeWindows {
+    /// Hour-wide windows, matching the adscope series granularity.
+    pub fn hourly() -> DecodeWindows {
         let mut engine = obs::WindowEngine::new(obs::WindowConfig {
-            width_secs,
+            width_secs: 3600.0,
             watermark_secs: f64::INFINITY,
         });
         let [c_records, c_http, c_https, c_bytes] =
@@ -717,11 +716,6 @@ impl DecodeWindows {
             c_https,
             c_bytes,
         }
-    }
-
-    /// Hour-wide windows, matching the adscope series granularity.
-    pub fn hourly() -> DecodeWindows {
-        DecodeWindows::new(3600.0)
     }
 
     /// Window one decoded record by its trace timestamp.

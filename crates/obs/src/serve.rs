@@ -181,9 +181,37 @@ fn handle(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    let deadline = Instant::now() + RESPONSE_DEADLINE;
+    write_all_by(&mut stream, head.as_bytes(), deadline)?;
+    write_all_by(&mut stream, body.as_bytes(), deadline)
+}
+
+/// How long a client has to take its whole response.
+const RESPONSE_DEADLINE: Duration = Duration::from_secs(2);
+
+/// `write_all` against a deadline for all of it: each write waits only for
+/// what is left, so a client that asks and never reads — a body larger than
+/// the socket buffers would otherwise park the one accept thread for as long
+/// as it likes — is cut off like one that never finishes asking.
+fn write_all_by(
+    stream: &mut TcpStream,
+    mut bytes: &[u8],
+    deadline: Instant,
+) -> std::io::Result<()> {
+    while !bytes.is_empty() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        stream.set_write_timeout(Some(left))?;
+        match stream.write(bytes) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => bytes = &bytes[n..],
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 fn route(
@@ -459,6 +487,38 @@ mod tests {
         trickler.join().unwrap();
         h.join();
         assert!(answered.is_ok(), "/healthz not answered within 3 s");
+        assert!(buf.starts_with("HTTP/1.1 200"), "{buf}");
+    }
+
+    /// One client asks for a `/metrics` body larger than the socket buffers
+    /// and never reads it; the next client must not wait for it past the
+    /// response deadline.
+    #[test]
+    fn a_client_that_never_reads_is_cut_off_at_the_response_deadline() {
+        let r = static_registry();
+        // ≈ 16 MiB of exposition; a loopback pair buffers a few.
+        let filler = "x".repeat(8192);
+        for i in 0..2048 {
+            r.counter_with("serve_big_total", &[("k", &format!("{i}-{filler}"))])
+                .inc();
+        }
+        let h = serve(r, 0).expect("bind");
+        let port = h.port();
+        // Connected and asked before the second client connects, so the
+        // accept loop takes it first.
+        let mut deaf = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+        write!(deaf, "GET /metrics HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
+        let mut s = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+        s.set_read_timeout(Some(RESPONSE_DEADLINE + Duration::from_secs(3)))
+            .unwrap();
+        write!(s, "GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
+        let mut buf = String::new();
+        let answered = s.read_to_string(&mut buf);
+        // Hung up before the join, so a server still writing to it fails
+        // this test instead of hanging it.
+        drop(deaf);
+        h.join();
+        assert!(answered.is_ok(), "/healthz not answered within 5 s");
         assert!(buf.starts_with("HTTP/1.1 200"), "{buf}");
     }
 
