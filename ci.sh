@@ -58,6 +58,10 @@ if grep -nE 'WindowAggregator|PopulationSketches|UserTally|DecodeWindows' \
   crates/adscope/src/stream/worker.rs crates/adscope/src/stream/router.rs; then exit 1; fi
 if grep -rnE '\\?"(tallies|households|decode_windows)\\?"' crates/adscope/src \
   | grep -v '^crates/adscope/src/stream/checkpoint.rs:'; then exit 1; fi
+# The driver runs on the stream engine: it holds no classified trace, and the
+# materialized kernel it still calls is the one-thread oracle.
+if grep -n 'classify_trace_sharded' src/bin/experiments/*.rs; then exit 1; fi
+if grep -n 'ClassifiedTrace' src/bin/experiments/world.rs; then exit 1; fi
 
 gate "cargo test -q"
 cargo test -q
@@ -115,6 +119,17 @@ done
 # {1, 2, 3, 4, 8} grid.
 gate "thread-count invariance at ANNOYED_THREADS=$(nproc)"
 ANNOYED_THREADS="$(nproc)" cargo test -q -p adscope --test parallel_equivalence
+
+gate "experiments all --scale small (every figure folded in bounded memory)"
+# Both captures are generated straight into the stream engine and every id
+# reads the folds; the parent of this gate held each classified trace
+# (297 MiB). Stderr carries the machine-parseable peak-RSS line.
+mkdir -p target/experiments
+./target/release/experiments all --scale small >/dev/null 2>target/experiments/all.stderr
+rss="$(sed -n 's/^\[experiments\] peak_rss_bytes=//p' target/experiments/all.stderr)"
+test -n "$rss"
+test "$rss" -lt $((100 * 1024 * 1024))
+echo "    peak RSS $((rss / 1024 / 1024)) MiB (ceiling 100 MiB)"
 
 gate "experiments metrics --scale small (exposition gate)"
 # Capture, then grep: `... | grep -q` would close the pipe mid-print and

@@ -5,21 +5,9 @@
 //! caller as a lookup function so this module stays independent of
 //! `webgen`.
 
-use crate::pipeline::ClassifiedTrace;
+use super::servers::ServerStudy;
+use super::Traffic;
 use std::collections::HashMap;
-
-/// Per-AS counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AsCounters {
-    /// Ad requests served from this AS.
-    pub ad_requests: u64,
-    /// Ad bytes.
-    pub ad_bytes: u64,
-    /// All requests served from this AS.
-    pub requests: u64,
-    /// All bytes.
-    pub bytes: u64,
-}
 
 /// One Table 5 row.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,34 +24,27 @@ pub struct AsRow {
     pub per_as_bytes_pct: f64,
 }
 
-/// Build the Table 5 rows. `as_of` maps a server IP to an AS name (`None`
-/// for unknown IPs, which are aggregated under "other"). Returns the
-/// top `n` ASes by ad-request share plus the total top-N coverage.
-pub fn as_table<F>(trace: &ClassifiedTrace, as_of: F, n: usize) -> (Vec<AsRow>, f64)
+/// Build the Table 5 rows from the per-server counters. `as_of` maps a
+/// server IP to an AS name (`None` for unknown IPs, which are aggregated
+/// under "other") and is asked once per server. Returns the top `n` ASes by
+/// ad-request share plus the total top-N coverage.
+pub fn as_table<F>(study: &ServerStudy, as_of: F, n: usize) -> (Vec<AsRow>, f64)
 where
     F: Fn(u32) -> Option<String>,
 {
-    let mut per_as: HashMap<String, AsCounters> = HashMap::new();
-    let mut total_ads = 0u64;
-    let mut total_ad_bytes = 0u64;
-    for r in &trace.requests {
-        let name = as_of(r.server_ip).unwrap_or_else(|| "other".to_string());
-        let c = per_as.entry(name).or_default();
-        c.requests += 1;
-        c.bytes += r.bytes;
-        if r.label.is_ad() {
-            c.ad_requests += 1;
-            c.ad_bytes += r.bytes;
-            total_ads += 1;
-            total_ad_bytes += r.bytes;
-        }
+    let mut per_as: HashMap<String, Traffic> = HashMap::new();
+    let mut total = Traffic::default();
+    for (&ip, server) in &study.servers {
+        let name = as_of(ip).unwrap_or_else(|| "other".to_string());
+        per_as.entry(name).or_default().merge(&server.traffic);
+        total.merge(&server.traffic);
     }
     let mut rows: Vec<AsRow> = per_as
         .into_iter()
         .map(|(name, c)| AsRow {
             name,
-            ads_req_pct: stats::pct(c.ad_requests, total_ads),
-            ads_bytes_pct: stats::pct(c.ad_bytes, total_ad_bytes),
+            ads_req_pct: stats::pct(c.ad_requests, total.ad_requests),
+            ads_bytes_pct: stats::pct(c.ad_bytes, total.ad_bytes),
             per_as_req_pct: stats::pct(c.ad_requests, c.requests),
             per_as_bytes_pct: stats::pct(c.ad_bytes, c.bytes),
         })
@@ -83,6 +64,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::characterize::Figures;
     use crate::classify::PassiveClassifier;
     use crate::pipeline::{classify_trace, PipelineOptions};
     use abp_filter::FilterList;
@@ -115,7 +97,7 @@ mod tests {
         })
     }
 
-    fn classified(records: Vec<TraceRecord>) -> ClassifiedTrace {
+    fn classified(records: Vec<TraceRecord>) -> ServerStudy {
         let trace = Trace {
             meta: TraceMeta {
                 name: "t".into(),
@@ -127,7 +109,7 @@ mod tests {
             records,
         };
         let c = PassiveClassifier::new(vec![FilterList::parse("easylist", "/banners/\n")]);
-        classify_trace(&trace, &c, PipelineOptions::default())
+        Figures::of_trace(&classify_trace(&trace, &c, PipelineOptions::default()), &[]).servers
     }
 
     fn lookup(ip: u32) -> Option<String> {

@@ -1,6 +1,8 @@
 //! Ad vs non-ad traffic by Content-Type (Table 4).
 
-use crate::pipeline::ClassifiedTrace;
+use super::{counters, merge_maps, Traffic};
+use crate::pipeline::ClassifiedRequest;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// One Table 4 row: a raw MIME type with its request/byte shares of the ad
@@ -19,63 +21,65 @@ pub struct ContentTypeRow {
     pub nonad_bytes_pct: f64,
 }
 
-/// Aggregate a classified trace into Table 4 rows, sorted by ad request
-/// share, truncated to the `top_n` most common types (the paper prints 10).
-pub fn content_type_table(trace: &ClassifiedTrace, top_n: usize) -> Vec<ContentTypeRow> {
-    #[derive(Default, Clone)]
-    struct Acc {
-        ad_reqs: u64,
-        ad_bytes: u64,
-        nonad_reqs: u64,
-        nonad_bytes: u64,
+/// The Table 4 fold: the [`Traffic`] of every raw MIME type (lower-cased,
+/// parameters stripped, `-` for an absent header) and of the whole trace —
+/// the latter is also Table 2's totals.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ContentTypes {
+    by_mime: HashMap<String, Traffic>,
+    /// The whole trace.
+    pub total: Traffic,
+}
+
+impl ContentTypes {
+    /// Fold one classified request.
+    pub fn observe(&mut self, r: &ClassifiedRequest) {
+        let mime = r.content_type.as_deref().unwrap_or("");
+        let mime = mime.split(';').next().unwrap_or("").trim();
+        let mime = if mime.is_empty() { "-" } else { mime };
+        // The common header is already lower-case: nothing to allocate.
+        let mime = match mime.bytes().any(|b| b.is_ascii_uppercase()) {
+            true => Cow::Owned(mime.to_ascii_lowercase()),
+            false => Cow::Borrowed(mime),
+        };
+        counters(&mut self.by_mime, &mime).observe(r);
+        self.total.observe(r);
     }
-    let mut map: HashMap<String, Acc> = HashMap::new();
-    let mut tot = Acc::default();
-    for r in &trace.requests {
-        let mime = r
-            .content_type
-            .as_deref()
-            .map(|m| {
-                m.split(';')
-                    .next()
-                    .unwrap_or("")
-                    .trim()
-                    .to_ascii_lowercase()
+
+    /// Add another part in, type by type.
+    pub fn merge(&mut self, other: &ContentTypes) {
+        merge_maps(&mut self.by_mime, &other.by_mime, Traffic::merge);
+        self.total.merge(&other.total);
+    }
+
+    /// The Table 4 rows, sorted by request share, truncated to the `top_n`
+    /// most common types (the paper prints 10).
+    pub fn table(&self, top_n: usize) -> Vec<ContentTypeRow> {
+        let tot = &self.total;
+        let mut rows: Vec<ContentTypeRow> = self
+            .by_mime
+            .iter()
+            .map(|(mime, a)| ContentTypeRow {
+                mime: mime.clone(),
+                ad_req_pct: stats::pct(a.ad_requests, tot.ad_requests),
+                ad_bytes_pct: stats::pct(a.ad_bytes, tot.ad_bytes),
+                nonad_req_pct: stats::pct(
+                    a.requests - a.ad_requests,
+                    tot.requests - tot.ad_requests,
+                ),
+                nonad_bytes_pct: stats::pct(a.bytes - a.ad_bytes, tot.bytes - tot.ad_bytes),
             })
-            .filter(|m| !m.is_empty())
-            .unwrap_or_else(|| "-".to_string());
-        let acc = map.entry(mime).or_default();
-        if r.label.is_ad() {
-            acc.ad_reqs += 1;
-            acc.ad_bytes += r.bytes;
-            tot.ad_reqs += 1;
-            tot.ad_bytes += r.bytes;
-        } else {
-            acc.nonad_reqs += 1;
-            acc.nonad_bytes += r.bytes;
-            tot.nonad_reqs += 1;
-            tot.nonad_bytes += r.bytes;
-        }
+            .collect();
+        rows.sort_by(|a, b| {
+            (b.ad_req_pct + b.nonad_req_pct)
+                .partial_cmp(&(a.ad_req_pct + a.nonad_req_pct))
+                .expect("finite")
+                // Ties go by name: the map iterates in a different order every call.
+                .then_with(|| a.mime.cmp(&b.mime))
+        });
+        rows.truncate(top_n);
+        rows
     }
-    let mut rows: Vec<ContentTypeRow> = map
-        .into_iter()
-        .map(|(mime, a)| ContentTypeRow {
-            mime,
-            ad_req_pct: stats::pct(a.ad_reqs, tot.ad_reqs),
-            ad_bytes_pct: stats::pct(a.ad_bytes, tot.ad_bytes),
-            nonad_req_pct: stats::pct(a.nonad_reqs, tot.nonad_reqs),
-            nonad_bytes_pct: stats::pct(a.nonad_bytes, tot.nonad_bytes),
-        })
-        .collect();
-    rows.sort_by(|a, b| {
-        (b.ad_req_pct + b.nonad_req_pct)
-            .partial_cmp(&(a.ad_req_pct + a.nonad_req_pct))
-            .expect("finite")
-            // Ties go by name: `map` iterates in a different order every call.
-            .then_with(|| a.mime.cmp(&b.mime))
-    });
-    rows.truncate(top_n);
-    rows
 }
 
 /// Find a row by MIME type.
@@ -86,6 +90,7 @@ pub fn row<'a>(rows: &'a [ContentTypeRow], mime: &str) -> Option<&'a ContentType
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::characterize::Figures;
     use crate::classify::PassiveClassifier;
     use crate::pipeline::{classify_trace, PipelineOptions};
     use abp_filter::FilterList;
@@ -118,7 +123,7 @@ mod tests {
         })
     }
 
-    fn classified(records: Vec<TraceRecord>) -> ClassifiedTrace {
+    fn classified(records: Vec<TraceRecord>) -> ContentTypes {
         let trace = Trace {
             meta: TraceMeta {
                 name: "t".into(),
@@ -130,7 +135,7 @@ mod tests {
             records,
         };
         let c = PassiveClassifier::new(vec![FilterList::parse("easylist", "/banners/\n")]);
-        classify_trace(&trace, &c, PipelineOptions::default())
+        Figures::of_trace(&classify_trace(&trace, &c, PipelineOptions::default()), &[]).content
     }
 
     #[test]
@@ -141,7 +146,7 @@ mod tests {
             tx("/photo.jpg", Some("image/jpeg"), 50_000),
             tx("/api", None, 100),
         ]);
-        let rows = content_type_table(&t, 10);
+        let rows = t.table(10);
         let gif = row(&rows, "image/gif").unwrap();
         assert_eq!(gif.ad_req_pct, 100.0);
         assert_eq!(gif.nonad_req_pct, 0.0);
@@ -155,7 +160,7 @@ mod tests {
     #[test]
     fn mime_parameters_stripped() {
         let t = classified(vec![tx("/a.bin", Some("Image/GIF; charset=x"), 1)]);
-        let rows = content_type_table(&t, 10);
+        let rows = t.table(10);
         assert!(row(&rows, "image/gif").is_some());
     }
 
@@ -166,7 +171,7 @@ mod tests {
             tx("/b", Some("b/b"), 1),
             tx("/c", Some("c/c"), 1),
         ]);
-        let rows = content_type_table(&t, 2);
+        let rows = t.table(2);
         assert_eq!(rows.len(), 2);
     }
 
@@ -179,10 +184,7 @@ mod tests {
         ]);
         // Each call's `HashMap` has a fresh `RandomState`.
         for _ in 0..20 {
-            let mimes: Vec<String> = content_type_table(&t, 2)
-                .into_iter()
-                .map(|r| r.mime)
-                .collect();
+            let mimes: Vec<String> = t.table(2).into_iter().map(|r| r.mime).collect();
             assert_eq!(mimes, ["a/a", "b/b"]);
         }
     }
@@ -194,7 +196,7 @@ mod tests {
             tx("/banners/v.mp4", Some("video/mp4"), 900),
             tx("/photo.jpg", Some("image/jpeg"), 500),
         ]);
-        let rows = content_type_table(&t, 10);
+        let rows = t.table(10);
         let ad_bytes: f64 = rows.iter().map(|r| r.ad_bytes_pct).sum();
         let nonad_bytes: f64 = rows.iter().map(|r| r.nonad_bytes_pct).sum();
         assert!((ad_bytes - 100.0).abs() < 1e-9);

@@ -6,97 +6,108 @@
 //! answering, so ad requests show a distinctive high-latency mode that
 //! ordinary content rarely exhibits.
 
-use crate::pipeline::ClassifiedTrace;
+use super::{counters, merge_maps};
+use crate::pipeline::ClassifiedRequest;
 use http_model::registrable_domain;
 use stats::LogDensity;
 use std::collections::HashMap;
 
-/// The handshake-gap densities of Figure 7 (ads vs rest), in milliseconds
-/// over a log axis from 10 µs to 10 s.
-pub struct RtbDensities {
+/// A handshake gap from which a response counts as high-latency (ms).
+pub const HIGH_LATENCY_MS: f64 = 100.0;
+/// The gap from which an ad response is attributed to an RTB organization
+/// (ms): the paper's "≥ 90 ms" list.
+pub const ORGANIZATION_MS: f64 = 90.0;
+
+/// One population of Figure 7 (ads, or the rest).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Gaps {
+    /// The handshake-gap density, in milliseconds over a log axis from
+    /// 10 µs to 10 s.
+    pub density: LogDensity,
+    /// Requests with a gap of at least [`HIGH_LATENCY_MS`].
+    pub high: u64,
+}
+
+impl Default for Gaps {
+    fn default() -> Gaps {
+        Gaps {
+            density: LogDensity::new(-2.0, 4.0, 180, 0.1),
+            high: 0,
+        }
+    }
+}
+
+impl Gaps {
+    fn merge(&mut self, other: &Gaps) {
+        self.density.merge(&other.density);
+        self.high += other.high;
+    }
+
+    /// Share of the population (percent) at or above [`HIGH_LATENCY_MS`] —
+    /// ads should be strongly overrepresented.
+    pub fn high_latency_pct(&self) -> f64 {
+        stats::pct(self.high, self.density.total())
+    }
+}
+
+/// The Figure 7 fold: the two populations and the organizations behind the
+/// slow ad responses.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Handshakes {
     /// Ad requests.
-    pub ads: LogDensity,
+    pub ads: Gaps,
     /// All other requests.
-    pub rest: LogDensity,
+    pub rest: Gaps,
+    /// Ad requests with a gap of at least [`ORGANIZATION_MS`], by the
+    /// registrable domain of the request host.
+    organizations: HashMap<String, u64>,
 }
 
-/// Build the Figure 7 densities.
-pub fn handshake_densities(trace: &ClassifiedTrace) -> RtbDensities {
-    let mut ads = LogDensity::new(-2.0, 4.0, 180, 0.1);
-    let mut rest = LogDensity::new(-2.0, 4.0, 180, 0.1);
-    for r in &trace.requests {
-        let gap = r.backend_gap_ms().max(0.01);
-        if r.label.is_ad() {
-            ads.add(gap);
-        } else {
-            rest.add(gap);
+impl Handshakes {
+    /// Fold one classified request.
+    pub fn observe(&mut self, r: &ClassifiedRequest) {
+        let (gap, is_ad) = (r.backend_gap_ms(), r.label.is_ad());
+        let population = if is_ad { &mut self.ads } else { &mut self.rest };
+        population.density.add(gap.max(0.01));
+        population.high += u64::from(gap >= HIGH_LATENCY_MS);
+        if is_ad && gap >= ORGANIZATION_MS {
+            *counters(&mut self.organizations, registrable_domain(r.url.host())) += 1;
         }
     }
-    RtbDensities { ads, rest }
-}
 
-/// Fraction of each population with a handshake gap at or above
-/// `threshold_ms` — ads should be strongly overrepresented.
-pub fn high_latency_shares(trace: &ClassifiedTrace, threshold_ms: f64) -> (f64, f64) {
-    let mut ad_total = 0u64;
-    let mut ad_high = 0u64;
-    let mut rest_total = 0u64;
-    let mut rest_high = 0u64;
-    for r in &trace.requests {
-        let high = r.backend_gap_ms() >= threshold_ms;
-        if r.label.is_ad() {
-            ad_total += 1;
-            if high {
-                ad_high += 1;
-            }
-        } else {
-            rest_total += 1;
-            if high {
-                rest_high += 1;
-            }
-        }
+    /// Add another part in.
+    pub fn merge(&mut self, other: &Handshakes) {
+        self.ads.merge(&other.ads);
+        self.rest.merge(&other.rest);
+        merge_maps(&mut self.organizations, &other.organizations, |a, b| {
+            *a += b
+        });
     }
-    (
-        stats::pct(ad_high, ad_total),
-        stats::pct(rest_high, rest_total),
-    )
-}
 
-/// The organizations behind high-latency ad requests: registrable domains
-/// of ad requests with gap ≥ `threshold_ms`, with their share of that
-/// population (the paper's DoubleClick/Mopub/Rubicon/Pubmatic/Criteo list).
-pub fn rtb_organizations(
-    trace: &ClassifiedTrace,
-    threshold_ms: f64,
-    top_n: usize,
-) -> Vec<(String, f64)> {
-    let mut counts: HashMap<String, u64> = HashMap::new();
-    let mut total = 0u64;
-    for r in &trace.requests {
-        if r.label.is_ad() && r.backend_gap_ms() >= threshold_ms {
-            *counts
-                .entry(registrable_domain(r.url.host()).to_string())
-                .or_default() += 1;
-            total += 1;
-        }
+    /// The `top_n` organizations with their share of the slow ad responses
+    /// (the paper's DoubleClick/Mopub/Rubicon/Pubmatic/Criteo list).
+    pub fn organizations(&self, top_n: usize) -> Vec<(String, f64)> {
+        let total = self.organizations.values().sum();
+        let mut rows: Vec<(String, f64)> = self
+            .organizations
+            .iter()
+            .map(|(d, &c)| (d.clone(), stats::pct(c, total)))
+            .collect();
+        // Ties go by name: the map iterates in a different order every call.
+        rows.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .expect("finite")
+                .then_with(|| a.0.cmp(&b.0))
+        });
+        rows.truncate(top_n);
+        rows
     }
-    let mut rows: Vec<(String, f64)> = counts
-        .into_iter()
-        .map(|(d, c)| (d, stats::pct(c, total)))
-        .collect();
-    // Ties go by name: `counts` iterates in a different order every call.
-    rows.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .expect("finite")
-            .then_with(|| a.0.cmp(&b.0))
-    });
-    rows.truncate(top_n);
-    rows
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::characterize::Figures;
     use crate::classify::PassiveClassifier;
     use crate::pipeline::{classify_trace, PipelineOptions};
     use abp_filter::FilterList;
@@ -129,7 +140,7 @@ mod tests {
         })
     }
 
-    fn classified(records: Vec<TraceRecord>) -> ClassifiedTrace {
+    fn classified(records: Vec<TraceRecord>) -> Handshakes {
         let trace = Trace {
             meta: TraceMeta {
                 name: "t".into(),
@@ -144,7 +155,7 @@ mod tests {
             "easylist",
             "/banners/\n||bid.exchange.example^\n",
         )]);
-        classify_trace(&trace, &c, PipelineOptions::default())
+        Figures::of_trace(&classify_trace(&trace, &c, PipelineOptions::default()), &[]).rtb
     }
 
     #[test]
@@ -163,9 +174,8 @@ mod tests {
             records.push(tx("x.example", "/logo.png", 10.0, 12.0));
         }
         let t = classified(records);
-        let (ad_share, rest_share) = high_latency_shares(&t, 100.0);
-        assert!((ad_share - 80.0).abs() < 1e-9);
-        assert_eq!(rest_share, 0.0);
+        assert!((t.ads.high_latency_pct() - 80.0).abs() < 1e-9);
+        assert_eq!(t.rest.high_latency_pct(), 0.0);
     }
 
     #[test]
@@ -177,14 +187,13 @@ mod tests {
         for _ in 0..300 {
             records.push(tx("x.example", "/logo.png", 10.0, 11.0));
         }
-        let t = classified(records);
-        let d = handshake_densities(&t);
-        let ad_modes = d.ads.modes(0.5);
+        let d = classified(records);
+        let ad_modes = d.ads.density.modes(0.5);
         assert!(
             ad_modes.iter().any(|&m| (60.0..250.0).contains(&m)),
             "ad modes {ad_modes:?}"
         );
-        let rest_modes = d.rest.modes(0.5);
+        let rest_modes = d.rest.density.modes(0.5);
         assert!(
             rest_modes.iter().all(|&m| m < 10.0),
             "rest modes {rest_modes:?}"
@@ -199,7 +208,7 @@ mod tests {
         }
         records.push(tx("x.example", "/banners/slow.gif", 5.0, 140.0));
         let t = classified(records);
-        let orgs = rtb_organizations(&t, 90.0, 5);
+        let orgs = t.organizations(5);
         assert_eq!(orgs[0].0, "exchange.example");
         assert!((orgs[0].1 - 90.0).abs() < 1e-9);
         assert_eq!(orgs.len(), 2);
@@ -214,7 +223,8 @@ mod tests {
         ]);
         // Each call's `HashMap` has a fresh `RandomState`.
         for _ in 0..20 {
-            let names: Vec<String> = rtb_organizations(&t, 90.0, 2)
+            let names: Vec<String> = t
+                .organizations(2)
                 .into_iter()
                 .map(|(name, _)| name)
                 .collect();
@@ -225,8 +235,7 @@ mod tests {
     #[test]
     fn zero_gap_clamped() {
         // http < tcp (noise): gap clamps to 0, density takes 0.01 ms floor.
-        let t = classified(vec![tx("x.example", "/logo.png", 10.0, 9.0)]);
-        let d = handshake_densities(&t);
-        assert_eq!(d.rest.total(), 1);
+        let d = classified(vec![tx("x.example", "/logo.png", 10.0, 9.0)]);
+        assert_eq!(d.rest.density.total(), 1);
     }
 }

@@ -1,47 +1,54 @@
-//! Server-side infrastructure analysis (§8.1).
+//! Server-side infrastructure analysis (§8.1), and the per-server counters
+//! Table 5 groups by AS ([`super::ases`]).
 
+use super::{merge_maps, Traffic};
 use crate::classify::ListKind;
-use crate::pipeline::ClassifiedTrace;
+use crate::pipeline::ClassifiedRequest;
+use std::cmp::Reverse;
 use std::collections::HashMap;
+
+/// The share of a server's objects (percent) from which §8.1 calls it an
+/// exclusive ad or tracking server.
+pub const EXCLUSIVE_PCT: f64 = 90.0;
 
 /// Per-server counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerCounters {
-    /// All requests served.
-    pub requests: u64,
+    /// What the server served, and how much of it was ads.
+    pub traffic: Traffic,
     /// Requests blacklisted by EasyList (or a derivative).
     pub easylist_objects: u64,
     /// Requests blacklisted by EasyPrivacy.
     pub easyprivacy_objects: u64,
-    /// Ad requests under the paper's full definition.
-    pub ad_objects: u64,
 }
 
-/// The §8.1 aggregate statistics.
-#[derive(Debug, Clone, PartialEq)]
+/// The per-server fold: one map feeds the §8.1 statistics and Table 5.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServerStudy {
     /// Per-server counters keyed by server IP.
     pub servers: HashMap<u32, ServerCounters>,
 }
 
 impl ServerStudy {
-    /// Build from a classified trace.
-    pub fn from_trace(trace: &ClassifiedTrace) -> ServerStudy {
-        let mut servers: HashMap<u32, ServerCounters> = HashMap::new();
-        for r in &trace.requests {
-            let c = servers.entry(r.server_ip).or_default();
-            c.requests += 1;
-            if r.label.blocked_by(ListKind::EasyList) || r.label.blocked_by(ListKind::Regional) {
-                c.easylist_objects += 1;
-            }
-            if r.label.blocked_by(ListKind::EasyPrivacy) {
-                c.easyprivacy_objects += 1;
-            }
-            if r.label.is_ad() {
-                c.ad_objects += 1;
-            }
+    /// Fold one classified request into its server's counters.
+    pub fn observe(&mut self, r: &ClassifiedRequest) {
+        let c = self.servers.entry(r.server_ip).or_default();
+        c.traffic.observe(r);
+        if r.label.blocked_by(ListKind::EasyList) || r.label.blocked_by(ListKind::Regional) {
+            c.easylist_objects += 1;
         }
-        ServerStudy { servers }
+        if r.label.blocked_by(ListKind::EasyPrivacy) {
+            c.easyprivacy_objects += 1;
+        }
+    }
+
+    /// Add another part's counters in, server by server.
+    pub fn merge(&mut self, other: &ServerStudy) {
+        merge_maps(&mut self.servers, &other.servers, |mine, theirs| {
+            mine.traffic.merge(&theirs.traffic);
+            mine.easylist_objects += theirs.easylist_objects;
+            mine.easyprivacy_objects += theirs.easyprivacy_objects;
+        });
     }
 
     /// Total distinct servers.
@@ -76,7 +83,10 @@ impl ServerStudy {
     /// Servers with at least one ad object (the "21.1 % of all servers"
     /// figure).
     pub fn servers_with_ads(&self) -> usize {
-        self.servers.values().filter(|c| c.ad_objects > 0).count()
+        self.servers
+            .values()
+            .filter(|c| c.traffic.ad_requests > 0)
+            .count()
     }
 
     /// Share of all *non-ad* objects served by servers that also serve ads
@@ -85,37 +95,37 @@ impl ServerStudy {
         let total_nonad: u64 = self
             .servers
             .values()
-            .map(|c| c.requests - c.ad_objects)
+            .map(|c| c.traffic.requests - c.traffic.ad_requests)
             .sum();
         let from_mixed: u64 = self
             .servers
             .values()
-            .filter(|c| c.ad_objects > 0)
-            .map(|c| c.requests - c.ad_objects)
+            .filter(|c| c.traffic.ad_requests > 0)
+            .map(|c| c.traffic.requests - c.traffic.ad_requests)
             .sum();
         stats::pct(from_mixed, total_nonad)
     }
 
-    /// Servers whose ad share exceeds `threshold_pct` — "exclusive" ad (or
+    /// Servers whose ad share reaches [`EXCLUSIVE_PCT`] — "exclusive" ad (or
     /// tracking) servers in the paper's sense.
-    pub fn exclusive_servers(&self, threshold_pct: f64) -> ExclusiveServers {
+    pub fn exclusive_servers(&self) -> ExclusiveServers {
         let mut ad_servers = 0usize;
         let mut ad_objects_from_exclusive = 0u64;
         let mut tracking_servers = 0usize;
         let mut ep_objects_from_tracking = 0u64;
-        let total_ads: u64 = self.servers.values().map(|c| c.ad_objects).sum();
+        let total_ads: u64 = self.servers.values().map(|c| c.traffic.ad_requests).sum();
         let total_ep: u64 = self.servers.values().map(|c| c.easyprivacy_objects).sum();
         for c in self.servers.values() {
-            if c.requests == 0 {
+            if c.traffic.requests == 0 {
                 continue;
             }
-            let ad_share = c.ad_objects as f64 / c.requests as f64 * 100.0;
-            if ad_share >= threshold_pct {
+            let ad_share = c.traffic.ad_requests as f64 / c.traffic.requests as f64 * 100.0;
+            if ad_share >= EXCLUSIVE_PCT {
                 ad_servers += 1;
-                ad_objects_from_exclusive += c.ad_objects;
+                ad_objects_from_exclusive += c.traffic.ad_requests;
             }
-            let ep_share = c.easyprivacy_objects as f64 / c.requests as f64 * 100.0;
-            if ep_share >= threshold_pct {
+            let ep_share = c.easyprivacy_objects as f64 / c.traffic.requests as f64 * 100.0;
+            if ep_share >= EXCLUSIVE_PCT {
                 tracking_servers += 1;
                 ep_objects_from_tracking += c.easyprivacy_objects;
             }
@@ -140,12 +150,13 @@ impl ServerStudy {
         stats::Summary::from_counts(&counts)
     }
 
-    /// The busiest ad server: `(ip, ad object count)`.
+    /// The busiest ad server: `(ip, ad object count)`; among equal counts
+    /// the lowest address (the map iterates in a different order every run).
     pub fn busiest_ad_server(&self) -> Option<(u32, u64)> {
         self.servers
             .iter()
-            .map(|(&ip, c)| (ip, c.ad_objects))
-            .max_by_key(|&(_, n)| n)
+            .map(|(&ip, c)| (ip, c.traffic.ad_requests))
+            .max_by_key(|&(ip, n)| (n, Reverse(ip)))
             .filter(|&(_, n)| n > 0)
     }
 }
@@ -166,6 +177,7 @@ pub struct ExclusiveServers {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::characterize::Figures;
     use crate::classify::PassiveClassifier;
     use crate::pipeline::{classify_trace, PipelineOptions};
     use abp_filter::FilterList;
@@ -213,7 +225,7 @@ mod tests {
             FilterList::parse("easylist", "/banners/\n"),
             FilterList::parse("easyprivacy", "/pixel/\n"),
         ]);
-        ServerStudy::from_trace(&classify_trace(&trace, &c, PipelineOptions::default()))
+        Figures::of_trace(&classify_trace(&trace, &c, PipelineOptions::default()), &[]).servers
     }
 
     #[test]
@@ -243,7 +255,7 @@ mod tests {
             records.push(tx(2, "/logo.png"));
         }
         let s = study(records);
-        let ex = s.exclusive_servers(90.0);
+        let ex = s.exclusive_servers();
         assert_eq!(ex.ad_servers, 1);
         // 10 of 11 ad objects come from the exclusive server.
         assert!((ex.ad_object_share_pct - 90.909).abs() < 0.01);
@@ -272,6 +284,16 @@ mod tests {
         assert_eq!(d.count, 2);
         assert_eq!(d.max, 7.0);
         assert_eq!(s.busiest_ad_server(), Some((1, 7)));
+    }
+
+    #[test]
+    fn equal_counts_pick_the_lowest_ip_on_every_call() {
+        let records = (0..40).rev().map(|ip| tx(100 + ip, "/banners/a.gif"));
+        // Each call's `HashMap` has a fresh `RandomState`.
+        for _ in 0..20 {
+            let s = study(records.clone().collect());
+            assert_eq!(s.busiest_ad_server(), Some((100, 1)));
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Object-size distributions by MIME class, ads vs non-ads (Figure 6).
 
-use crate::pipeline::ClassifiedTrace;
+use crate::pipeline::ClassifiedRequest;
 use stats::LogDensity;
 
 /// The four MIME classes of Figure 6.
@@ -48,63 +48,65 @@ impl MimeClass {
     }
 }
 
-/// The densities of one population (ads or non-ads).
-pub struct SizeDensities {
-    /// One density per [`MimeClass::ALL`] entry.
-    pub densities: Vec<(MimeClass, LogDensity)>,
+/// The densities of one population (ads or non-ads), over the paper's axis
+/// of 1 B .. 100 MB.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SizeDensities([LogDensity; 4]);
+
+impl Default for SizeDensities {
+    fn default() -> SizeDensities {
+        SizeDensities(MimeClass::ALL.map(|_| LogDensity::new(0.0, 8.0, 160, 0.12)))
+    }
 }
 
 impl SizeDensities {
     /// Density of a class.
     pub fn class(&self, class: MimeClass) -> &LogDensity {
-        &self
-            .densities
-            .iter()
-            .find(|(c, _)| *c == class)
-            .expect("all classes present")
-            .1
+        // `MimeClass::ALL` is in declaration order.
+        &self.0[class as usize]
     }
 }
 
-/// Build the Figure 6a (ads) and 6b (non-ads) densities. The x range spans
-/// 1 B .. 100 MB like the paper's axis.
-pub fn size_densities(trace: &ClassifiedTrace) -> (SizeDensities, SizeDensities) {
-    let mk = || -> Vec<(MimeClass, LogDensity)> {
-        MimeClass::ALL
-            .iter()
-            .map(|&c| (c, LogDensity::new(0.0, 8.0, 160, 0.12)))
-            .collect()
-    };
-    let mut ads = mk();
-    let mut nonads = mk();
-    for r in &trace.requests {
-        let Some(mime) = r.content_type.as_deref() else {
-            continue;
-        };
-        let Some(class) = MimeClass::from_mime(mime) else {
-            continue;
+/// The Figure 6 fold: 6a (ads) and 6b (non-ads).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Sizes {
+    /// Figure 6a.
+    pub ads: SizeDensities,
+    /// Figure 6b.
+    pub nonads: SizeDensities,
+}
+
+impl Sizes {
+    /// Fold one classified request (one of a figure class, that is).
+    pub fn observe(&mut self, r: &ClassifiedRequest) {
+        let Some(class) = r.content_type.as_deref().and_then(MimeClass::from_mime) else {
+            return;
         };
         let target = if r.label.is_ad() {
-            &mut ads
+            &mut self.ads
         } else {
-            &mut nonads
+            &mut self.nonads
         };
-        target
-            .iter_mut()
-            .find(|(c, _)| *c == class)
-            .expect("class present")
-            .1
-            .add(r.bytes as f64);
+        target.0[class as usize].add(r.bytes as f64);
     }
-    (
-        SizeDensities { densities: ads },
-        SizeDensities { densities: nonads },
-    )
+
+    /// Add another part's samples in.
+    pub fn merge(&mut self, other: &Sizes) {
+        for (mine, theirs) in [
+            (&mut self.ads, &other.ads),
+            (&mut self.nonads, &other.nonads),
+        ] {
+            for (mine, theirs) in mine.0.iter_mut().zip(&theirs.0) {
+                mine.merge(theirs);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::characterize::Figures;
     use crate::classify::PassiveClassifier;
     use crate::pipeline::{classify_trace, PipelineOptions};
     use abp_filter::FilterList;
@@ -137,7 +139,7 @@ mod tests {
         })
     }
 
-    fn classified(records: Vec<TraceRecord>) -> ClassifiedTrace {
+    fn classified(records: Vec<TraceRecord>) -> Sizes {
         let trace = Trace {
             meta: TraceMeta {
                 name: "t".into(),
@@ -149,7 +151,7 @@ mod tests {
             records,
         };
         let c = PassiveClassifier::new(vec![FilterList::parse("easylist", "/banners/\n")]);
-        classify_trace(&trace, &c, PipelineOptions::default())
+        Figures::of_trace(&classify_trace(&trace, &c, PipelineOptions::default()), &[]).sizes
     }
 
     #[test]
@@ -174,7 +176,7 @@ mod tests {
             records.push(tx("/photo.jpg", "image/jpeg", 40_000));
         }
         let t = classified(records);
-        let (ads, nonads) = size_densities(&t);
+        let Sizes { ads, nonads } = t;
         let ad_mode = ads.class(MimeClass::Image).modes(0.5);
         let nonad_mode = nonads.class(MimeClass::Image).modes(0.5);
         assert!(!ad_mode.is_empty() && ad_mode[0] < 200.0, "{ad_mode:?}");
@@ -198,7 +200,7 @@ mod tests {
                 _ => unreachable!(),
             }
         })]);
-        let (ads, nonads) = size_densities(&t);
+        let Sizes { ads, nonads } = t;
         let total: u64 = MimeClass::ALL
             .iter()
             .map(|&c| ads.class(c).total() + nonads.class(c).total())

@@ -1,9 +1,10 @@
 //! Effects of the non-intrusive-ads whitelist (§7.3).
 
+use super::{counters, merge_maps};
 use crate::classify::ListKind;
-use crate::pipeline::ClassifiedTrace;
-use http_model::registrable_domain;
-use std::collections::BTreeMap;
+use crate::pipeline::ClassifiedRequest;
+use http_model::{registrable_domain, Url};
+use std::collections::HashMap;
 
 /// Headline whitelist shares (§7.3's opening numbers).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -22,43 +23,98 @@ pub struct WhitelistShares {
     pub overridden_privacy_pct: f64,
 }
 
-/// Compute the headline shares.
-pub fn whitelist_shares(trace: &ClassifiedTrace) -> WhitelistShares {
-    let mut ads = 0u64;
-    let mut el_scope = 0u64;
-    let mut whitelisted = 0u64;
-    let mut el_scope_whitelisted = 0u64;
-    let mut overriding = 0u64;
-    let mut overriding_privacy = 0u64;
-    for r in &trace.requests {
+/// The §7.3 fold: the six counters behind the headline shares and the two
+/// entity maps of the benefit analysis.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Whitelist {
+    ads: u64,
+    el_scope: u64,
+    whitelisted: u64,
+    el_scope_whitelisted: u64,
+    overriding: u64,
+    overriding_privacy: u64,
+    /// `(blacklisted, whitelisted)` requests per registrable domain, by
+    /// [`EntityKey`].
+    entities: [HashMap<String, (u64, u64)>; 2],
+}
+
+impl Whitelist {
+    /// Fold one classified request.
+    pub fn observe(&mut self, r: &ClassifiedRequest) {
         if !r.label.is_ad() {
-            continue;
+            return;
         }
-        ads += 1;
+        self.ads += 1;
         let wl = r.label.exception() == Some(ListKind::Acceptable);
         let el = r.label.blocked_by(ListKind::EasyList) || r.label.blocked_by(ListKind::Regional);
         let ep = r.label.blocked_by(ListKind::EasyPrivacy);
         if el || (wl && !ep) {
-            el_scope += 1;
-            if wl {
-                el_scope_whitelisted += 1;
-            }
+            self.el_scope += 1;
+            self.el_scope_whitelisted += u64::from(wl);
         }
         if wl {
-            whitelisted += 1;
-            if el || ep {
-                overriding += 1;
-                if ep && !el {
-                    overriding_privacy += 1;
+            self.whitelisted += 1;
+            self.overriding += u64::from(el || ep);
+            self.overriding_privacy += u64::from(ep && !el);
+        }
+        // §7.3 scopes the benefit analysis to EasyList and its derivatives.
+        if el {
+            let hosts = [r.page.as_ref().map(Url::host), Some(r.url.host())];
+            for (map, host) in self.entities.iter_mut().zip(hosts) {
+                if let Some(entity) = host.map(registrable_domain) {
+                    let e = counters(map, entity);
+                    e.0 += 1;
+                    e.1 += u64::from(wl);
                 }
             }
         }
     }
-    WhitelistShares {
-        of_all_ads_pct: stats::pct(whitelisted, ads),
-        of_easylist_scope_pct: stats::pct(el_scope_whitelisted, el_scope),
-        overriding_block_pct: stats::pct(overriding, whitelisted),
-        overridden_privacy_pct: stats::pct(overriding_privacy, overriding),
+
+    /// Add another part in.
+    pub fn merge(&mut self, other: &Whitelist) {
+        self.ads += other.ads;
+        self.el_scope += other.el_scope;
+        self.whitelisted += other.whitelisted;
+        self.el_scope_whitelisted += other.el_scope_whitelisted;
+        self.overriding += other.overriding;
+        self.overriding_privacy += other.overriding_privacy;
+        for (mine, theirs) in self.entities.iter_mut().zip(&other.entities) {
+            merge_maps(mine, theirs, |a, b| *a = (a.0 + b.0, a.1 + b.1));
+        }
+    }
+
+    /// The headline shares.
+    pub fn shares(&self) -> WhitelistShares {
+        WhitelistShares {
+            of_all_ads_pct: stats::pct(self.whitelisted, self.ads),
+            of_easylist_scope_pct: stats::pct(self.el_scope_whitelisted, self.el_scope),
+            overriding_block_pct: stats::pct(self.overriding, self.whitelisted),
+            overridden_privacy_pct: stats::pct(self.overriding_privacy, self.overriding),
+        }
+    }
+
+    /// Per-entity whitelist benefits, best first, ties by name. Only
+    /// requests that match a blacklist count ("match the blacklist" subset
+    /// of §7.3); `min_requests` drops small entities (the paper's 1 K / 10 K
+    /// cuts).
+    pub fn entity_benefits(&self, key: EntityKey, min_requests: u64) -> Vec<EntityBenefit> {
+        let mut out: Vec<EntityBenefit> = self.entities[key as usize]
+            .iter()
+            .filter(|(_, (b, _))| *b >= min_requests)
+            .map(|(entity, &(blacklisted, whitelisted))| EntityBenefit {
+                entity: entity.clone(),
+                blacklisted,
+                whitelisted,
+            })
+            .collect();
+        out.sort_by(|a, b| {
+            b.benefit_pct()
+                .partial_cmp(&a.benefit_pct())
+                .expect("finite")
+                // Ties go by name: the map iterates in a different order every call.
+                .then_with(|| a.entity.cmp(&b.entity))
+        });
+        out
     }
 }
 
@@ -85,59 +141,17 @@ impl EntityBenefit {
 /// How entities are keyed for the benefit analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EntityKey {
-    /// Group by the page (publisher) that originated the requests.
+    /// Group by the page (publisher) that originated the requests; a
+    /// request whose page was not reconstructed counts for none.
     Publisher,
     /// Group by the host serving the ad (ad-tech company).
     AdHost,
 }
 
-/// Compute per-entity whitelist benefits, best first, ties by name. Only
-/// requests that match a blacklist count ("match the blacklist" subset of
-/// §7.3); `min_requests` drops small entities (the paper's 1 K / 10 K cuts).
-pub fn entity_benefits(
-    trace: &ClassifiedTrace,
-    key: EntityKey,
-    min_requests: u64,
-) -> Vec<EntityBenefit> {
-    let mut map: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-    for r in &trace.requests {
-        // §7.3 scopes the benefit analysis to EasyList and its derivatives.
-        if !(r.label.blocked_by(ListKind::EasyList) || r.label.blocked_by(ListKind::Regional)) {
-            continue;
-        }
-        let entity = match key {
-            EntityKey::Publisher => match &r.page {
-                Some(p) => registrable_domain(p.host()).to_string(),
-                None => continue,
-            },
-            EntityKey::AdHost => registrable_domain(r.url.host()).to_string(),
-        };
-        let e = map.entry(entity).or_default();
-        e.0 += 1;
-        if r.label.exception() == Some(ListKind::Acceptable) {
-            e.1 += 1;
-        }
-    }
-    let mut out: Vec<EntityBenefit> = map
-        .into_iter()
-        .filter(|(_, (b, _))| *b >= min_requests)
-        .map(|(entity, (blacklisted, whitelisted))| EntityBenefit {
-            entity,
-            blacklisted,
-            whitelisted,
-        })
-        .collect();
-    out.sort_by(|a, b| {
-        b.benefit_pct()
-            .partial_cmp(&a.benefit_pct())
-            .expect("finite")
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::characterize::Figures;
     use crate::classify::PassiveClassifier;
     use crate::pipeline::{classify_trace, PipelineOptions};
     use abp_filter::FilterList;
@@ -170,7 +184,7 @@ mod tests {
         })
     }
 
-    fn classified(records: Vec<TraceRecord>) -> ClassifiedTrace {
+    fn classified(records: Vec<TraceRecord>) -> Whitelist {
         let trace = Trace {
             meta: TraceMeta {
                 name: "t".into(),
@@ -189,7 +203,7 @@ mod tests {
                 "@@||goodads.example^\n@@||broad.example^\n",
             ),
         ]);
-        classify_trace(&trace, &c, PipelineOptions::default())
+        Figures::of_trace(&classify_trace(&trace, &c, PipelineOptions::default()), &[]).whitelist
     }
 
     #[test]
@@ -197,7 +211,7 @@ mod tests {
         let records = (0..40)
             .map(|i| tx(&format!("ads{i:02}.example"), "/banners/a.gif", None))
             .collect();
-        let benefits = entity_benefits(&classified(records), EntityKey::AdHost, 1);
+        let benefits = classified(records).entity_benefits(EntityKey::AdHost, 1);
         let names: Vec<&str> = benefits.iter().map(|b| b.entity.as_str()).collect();
         assert_eq!(names.len(), 40);
         assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
@@ -217,7 +231,7 @@ mod tests {
             // Whitelisted only (overly-broad rule).
             tx("broad.example", "/font.woff", page),
         ]);
-        let s = whitelist_shares(&t);
+        let s = t.shares();
         // 2 whitelisted of 5 ads.
         assert!((s.of_all_ads_pct - 40.0).abs() < 1e-9);
         // EL scope: 2 banners + goodads + broad = 4; of those 2 whitelisted.
@@ -238,7 +252,7 @@ mod tests {
             records.push(tx("x.example", "/banners/a.gif", page));
         }
         let t = classified(records);
-        let benefits = entity_benefits(&t, EntityKey::AdHost, 5);
+        let benefits = t.entity_benefits(EntityKey::AdHost, 5);
         let good = benefits
             .iter()
             .find(|b| b.entity == "goodads.example")
@@ -264,7 +278,7 @@ mod tests {
                 Some("http://www.grumpy.example/"),
             ),
         ]);
-        let benefits = entity_benefits(&t, EntityKey::Publisher, 1);
+        let benefits = t.entity_benefits(EntityKey::Publisher, 1);
         let happy = benefits
             .iter()
             .find(|b| b.entity == "happy.example")
@@ -281,7 +295,7 @@ mod tests {
     fn min_requests_filter() {
         let page = Some("http://pub.example/");
         let t = classified(vec![tx("x.example", "/banners/a.gif", page)]);
-        assert!(entity_benefits(&t, EntityKey::AdHost, 5).is_empty());
-        assert_eq!(entity_benefits(&t, EntityKey::AdHost, 1).len(), 1);
+        assert!(t.entity_benefits(EntityKey::AdHost, 5).is_empty());
+        assert_eq!(t.entity_benefits(EntityKey::AdHost, 1).len(), 1);
     }
 }

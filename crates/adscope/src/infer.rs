@@ -87,9 +87,27 @@ pub fn households_with_downloads(flows: &[TlsConnection], abp_ips: &[u32]) -> Ha
         .collect()
 }
 
-/// Classify the *active browsers* among `users` into the four classes.
-/// Non-browsers and inactive users are skipped (the paper's Table 3 covers
-/// the annotated active set only).
+/// Table 3's rule, written once: the EasyList ratio (percent) and class of
+/// a user with these counters, or `None` for a non-browser or an inactive
+/// one (the table covers the annotated active set only).
+pub fn user_class(
+    is_browser: bool,
+    requests: u64,
+    easylist_blockable: u64,
+    downloads: bool,
+    threshold_pct: f64,
+    min_requests: u64,
+) -> Option<(f64, UserClass)> {
+    if !is_browser || requests < min_requests {
+        return None;
+    }
+    let ratio = stats::pct(easylist_blockable, requests);
+    let class = UserClass::from_indicators(ratio <= threshold_pct, downloads);
+    Some((ratio, class))
+}
+
+/// Classify the *active browsers* among `users` into the four classes
+/// ([`user_class`]); everyone else is skipped.
 pub fn classify_users(
     users: &[UserAggregate],
     download_households: &HashSet<u32>,
@@ -99,17 +117,22 @@ pub fn classify_users(
     users
         .iter()
         .enumerate()
-        .filter(|(_, u)| u.is_browser() && u.is_active(min_requests))
-        .map(|(i, u)| {
-            let ratio = u.easylist_ratio_pct();
-            let low_ratio = ratio <= threshold_pct;
+        .filter_map(|(user_idx, u)| {
             let downloads = download_households.contains(&u.key.ip);
-            InferredUser {
-                user_idx: i,
-                ratio_pct: ratio,
+            let (ratio_pct, class) = user_class(
+                u.is_browser(),
+                u.requests,
+                u.easylist_blockable,
                 downloads,
-                class: UserClass::from_indicators(low_ratio, downloads),
-            }
+                threshold_pct,
+                min_requests,
+            )?;
+            Some(InferredUser {
+                user_idx,
+                ratio_pct,
+                downloads,
+                class,
+            })
         })
         .collect()
 }

@@ -343,14 +343,18 @@ impl Population {
         });
         let mut active_browsers = 0u64;
         for ((ip, _ua), t) in &self.tallies {
-            if !t.is_browser || t.requests < opts.active_min_requests {
+            let Some((_, class)) = infer::user_class(
+                t.is_browser,
+                t.requests,
+                t.easylist_blockable,
+                self.households.contains(ip),
+                opts.ratio_threshold_pct,
+                opts.active_min_requests,
+            ) else {
                 continue;
-            }
+            };
             active_browsers += 1;
             ad_share.observe(t.ad_requests as f64 / t.requests as f64 * 100.0);
-            let ratio = t.easylist_blockable as f64 / t.requests as f64 * 100.0;
-            let low_ratio = ratio <= opts.ratio_threshold_pct;
-            let class = UserClass::from_indicators(low_ratio, self.households.contains(ip));
             // `UserClass::ALL` is in declaration order.
             let slot = &mut classes[class as usize];
             slot.instances += 1;

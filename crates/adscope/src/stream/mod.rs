@@ -60,6 +60,10 @@
 //! router each hold a `Planes`; a cut of either, like the run's cumulative
 //! state, is a `PlaneTotals`. **A plane is added in `planes.rs`** (field,
 //! `observe` and `merge` lines) **and in `checkpoint`** (encode / decode).
+//!
+//! Beside the planes a run folds what its caller passes it, a [`Fold`]:
+//! [`crate::characterize::Figures`], every §6–§8 analysis of the paper, is
+//! one; `()` folds nothing.
 
 mod checkpoint;
 mod router;
@@ -72,7 +76,7 @@ use crate::degrade::DegradationReport;
 use crate::pipeline::{ClassifiedRequest, PipelineOptions};
 use crate::population::PopulationReport;
 use netsim::codec::CodecStats;
-use netsim::record::TraceMeta;
+use netsim::record::{TlsConnection, TraceMeta};
 use netsim::stream::{ChunkReader, OwnedChunks, StreamChunk};
 use obs::window::WindowReport;
 use router::{run_stream, RunState};
@@ -145,6 +149,48 @@ impl CheckpointOptions {
     }
 }
 
+/// A caller's mergeable fold over what a run classifies. The engine clones
+/// the (empty) fold it is handed once per worker; each worker folds the
+/// requests it finalizes, the router the HTTPS flows, and the parts come back
+/// merged in worker-index order, router last — so the result must not depend
+/// on which part saw which request, in what order, or on the grouping.
+pub trait Fold: Clone + Send {
+    /// A checkpoint carries nothing of a fold, so a resumed run hands back
+    /// only what was folded after it: `true` promises that this loses
+    /// nothing — the fold keeps no result, here or anywhere else — and only
+    /// then is [`StreamOptions::checkpoint`] accepted beside it.
+    const STATELESS: bool = false;
+    /// One classified request and its position in the trace's request
+    /// order (workers finalize held records out of it).
+    fn observe(&mut self, pos: u64, req: &ClassifiedRequest);
+    /// One opaque HTTPS flow.
+    fn observe_flow(&mut self, _flow: &TlsConnection) {}
+    /// Add another part in.
+    fn merge(&mut self, part: Self);
+}
+
+impl Fold for () {
+    const STATELESS: bool = true;
+    fn observe(&mut self, _pos: u64, _req: &ClassifiedRequest) {}
+    fn merge(&mut self, _part: ()) {}
+}
+
+impl<A: Fold, B: Fold> Fold for (A, B) {
+    const STATELESS: bool = A::STATELESS && B::STATELESS;
+    fn observe(&mut self, pos: u64, req: &ClassifiedRequest) {
+        self.0.observe(pos, req);
+        self.1.observe(pos, req);
+    }
+    fn observe_flow(&mut self, flow: &TlsConnection) {
+        self.0.observe_flow(flow);
+        self.1.observe_flow(flow);
+    }
+    fn merge(&mut self, part: (A, B)) {
+        self.0.merge(part.0);
+        self.1.merge(part.1);
+    }
+}
+
 /// Streaming pipeline configuration.
 #[derive(Debug, Clone)]
 pub struct StreamOptions {
@@ -165,9 +211,6 @@ pub struct StreamOptions {
     /// the per-record panic guard. Line order across workers is not
     /// deterministic.
     pub quarantine_path: Option<PathBuf>,
-    /// Collect `(position, request)` pairs into the report (equivalence
-    /// tests; defeats bounded memory).
-    pub collect_requests: bool,
     /// Stop (as if killed) after this many chunks *this run* — the
     /// kill-and-resume tests' deterministic kill switch.
     pub stop_after_chunks: Option<u64>,
@@ -208,7 +251,6 @@ impl Default for StreamOptions {
             chunk_records: 8192,
             checkpoint: None,
             quarantine_path: None,
-            collect_requests: false,
             stop_after_chunks: None,
             throttle_ms: 0,
             poison_host: None,
@@ -222,8 +264,7 @@ impl Default for StreamOptions {
 
 /// What a streaming run produces: the same totals, degradation and
 /// window series as a materialized [`crate::pipeline::ClassifiedTrace`],
-/// without materializing the requests (unless
-/// [`StreamOptions::collect_requests`] asked for them).
+/// without materializing the requests.
 #[derive(Debug)]
 pub struct StreamReport {
     /// Trace metadata (header or checkpoint).
@@ -252,9 +293,6 @@ pub struct StreamReport {
     pub resumed_from: Option<u64>,
     /// True when `stop_after_chunks` fired: the report is partial.
     pub stopped_early: bool,
-    /// Classified requests tagged with global position, sorted, when
-    /// collection was requested.
-    pub collected: Option<Vec<(u64, ClassifiedRequest)>>,
     /// Population analytics (`None` unless
     /// [`crate::population::PopulationOptions::enabled`]). Built by the
     /// same [`crate::population::Population::finish`] as the materialized
@@ -323,6 +361,36 @@ pub fn classify_stream_file(
     opts: &StreamOptions,
     registry: &obs::Registry,
 ) -> Result<StreamReport, StreamError> {
+    classify_stream_file_with(path, classifier, opts, registry, ()).map(|(report, ())| report)
+}
+
+/// [`classify_stream_file`] folding `fold` (empty as passed) beside the
+/// planes. Together with [`StreamOptions::checkpoint`] a fold that is not
+/// [`Fold::STATELESS`] is refused.
+pub fn classify_stream_file_with<F: Fold>(
+    path: &Path,
+    classifier: &PassiveClassifier,
+    opts: &StreamOptions,
+    registry: &obs::Registry,
+    fold: F,
+) -> Result<(StreamReport, F), StreamError> {
+    if opts.checkpoint.is_some() && !F::STATELESS {
+        return Err(StreamError::Config(
+            "a fold is not checkpointed: checkpointing requires a stateless fold".into(),
+        ));
+    }
+    stream_file(path, classifier, opts, registry, fold)
+}
+
+/// [`classify_stream_file_with`] behind its refusal: the resume test folds
+/// a collector over a resumed run to see exactly the part a checkpoint drops.
+fn stream_file<F: Fold>(
+    path: &Path,
+    classifier: &PassiveClassifier,
+    opts: &StreamOptions,
+    registry: &obs::Registry,
+    fold: F,
+) -> Result<(StreamReport, F), StreamError> {
     let total_bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
     if let Some(ck) = &opts.checkpoint {
         // What a run killed mid-write left behind: one checkpoint-sized
@@ -348,28 +416,31 @@ pub fn classify_stream_file(
             (reader, state)
         }
     };
-    run_stream(reader, state, classifier, opts, registry, total_bytes)
+    run_stream(reader, state, classifier, opts, registry, total_bytes, fold)
 }
 
-/// Stream-classify an in-memory chunk source (e.g. a generator bridge).
-/// Checkpointing requires byte offsets, so it is rejected here.
-pub fn classify_stream_chunks<I>(
+/// Stream-classify an in-memory chunk source (e.g. a generator bridge),
+/// folding `fold` (empty as passed) beside the planes. Checkpointing
+/// requires byte offsets, so it is rejected here.
+pub fn classify_stream_chunks<I, F>(
     chunks: I,
     meta: TraceMeta,
     classifier: &PassiveClassifier,
     opts: &StreamOptions,
     registry: &obs::Registry,
-) -> Result<StreamReport, StreamError>
+    fold: F,
+) -> Result<(StreamReport, F), StreamError>
 where
     I: Iterator<Item = StreamChunk>,
+    F: Fold,
 {
     if opts.checkpoint.is_some() {
         return Err(StreamError::Config(
             "checkpointing requires a seekable trace file".into(),
         ));
     }
-    let state = RunState::new(meta, opts);
-    run_stream(OwnedChunks(chunks), state, classifier, opts, registry, 0)
+    let (source, state) = (OwnedChunks(chunks), RunState::new(meta, opts));
+    run_stream(source, state, classifier, opts, registry, 0, fold)
 }
 
 /// Trace builders and option presets the in-file tests of this module
@@ -551,11 +622,23 @@ pub(crate) mod testutil {
         let mut o = StreamOptions {
             threads,
             chunk_records: chunk,
-            collect_requests: true,
             ..StreamOptions::default()
         };
         o.pipeline.window = WindowOptions::default();
         o
+    }
+
+    /// Every request a run finalized, by trace position.
+    #[derive(Clone, Default)]
+    pub(crate) struct Collect(pub(crate) Vec<(u64, ClassifiedRequest)>);
+
+    impl Fold for Collect {
+        fn observe(&mut self, pos: u64, req: &ClassifiedRequest) {
+            self.0.push((pos, req.clone()));
+        }
+        fn merge(&mut self, part: Collect) {
+            self.0.extend(part.0);
+        }
     }
 }
 
@@ -563,6 +646,7 @@ pub(crate) mod testutil {
 mod tests {
     use super::testutil::*;
     use super::*;
+    use crate::characterize::Figures;
     use std::fs;
 
     #[test]
@@ -570,18 +654,13 @@ mod tests {
         let trace = messy_trace(240);
         let seq = reference(&trace);
         let path = write_trace_file(&trace, "equiv");
+        let want = Figures::of_trace(&seq, &[9]);
         for threads in [1usize, 2, 4] {
-            let reg = obs::Registry::new();
-            let rep = classify_stream_file(&path, &classifier(), &stream_opts(threads, 17), &reg)
-                .unwrap();
-            let got: Vec<ClassifiedRequest> = rep
-                .collected
-                .as_ref()
-                .unwrap()
-                .iter()
-                .map(|(_, r)| r.clone())
-                .collect();
-            assert_eq!(got, seq.requests, "threads={threads}");
+            let (reg, opts) = (obs::Registry::new(), stream_opts(threads, 17));
+            let (rep, got) =
+                classify_stream_file_with(&path, &classifier(), &opts, &reg, Figures::new(&[9]))
+                    .unwrap();
+            assert_eq!(got, want, "threads={threads}");
             assert_eq!(rep.degradation, seq.degradation, "threads={threads}");
             assert_eq!(rep.windows, seq.windows, "threads={threads}");
             assert_eq!(rep.https_flows as usize, seq.https_flows.len());
@@ -601,19 +680,19 @@ mod tests {
             .map(|(i, batch)| StreamChunk::in_memory(i as u64, batch.to_vec()));
         let mut o = stream_opts(4, 13);
         let reg = obs::Registry::new();
-        let rep = classify_stream_chunks(chunks, meta, &classifier(), &o, &reg).unwrap();
-        let got: Vec<ClassifiedRequest> = rep
-            .collected
-            .as_ref()
-            .unwrap()
-            .iter()
-            .map(|(_, r)| r.clone())
-            .collect();
-        assert_eq!(got, seq.requests);
+        let (rep, got) =
+            classify_stream_chunks(chunks, meta, &classifier(), &o, &reg, Figures::new(&[9]))
+                .unwrap();
+        assert_eq!(got, Figures::of_trace(&seq, &[9]));
         assert_eq!(rep.windows, seq.windows);
 
-        // ... but checkpointing without a file is refused.
+        // ... but checkpointing without a file is refused, and so is a fold
+        // that holds state together with a checkpoint.
         o.checkpoint = Some(CheckpointOptions::new(temp_path("nope")));
+        let path = write_trace_file(&messy_trace(8), "fold-ck");
+        let err = classify_stream_file_with(&path, &classifier(), &o, &reg, Figures::new(&[]));
+        assert!(matches!(err, Err(StreamError::Config(_))));
+        let _ = fs::remove_file(&path);
         let err = classify_stream_chunks(
             std::iter::empty(),
             TraceMeta {
@@ -626,6 +705,7 @@ mod tests {
             &classifier(),
             &o,
             &reg,
+            (),
         );
         assert!(matches!(err, Err(StreamError::Config(_))));
     }

@@ -1,10 +1,11 @@
 //! The worker side of the stream engine: the quarantine sidecar, the
 //! held-record protocol, and the per-shard [`Worker`] that runs the
 //! sequential per-user stages, folds every finished request into its
-//! [`Planes`] and cuts them whenever the router asks.
+//! [`Planes`] (cut whenever the router asks) and into its copy of the run's
+//! [`Fold`] (handed back at end of stream).
 
 use super::checkpoint::serialize_user;
-use super::{ck_err, StreamError};
+use super::{ck_err, Fold, StreamError};
 use crate::classify::PassiveClassifier;
 use crate::content::infer_category_traced;
 use crate::extract::WebObject;
@@ -172,23 +173,22 @@ pub(super) struct RestoredUser {
 
 /// The classify half of a worker, split from the user-state map so
 /// borrow of one user's state and the shared counters can coexist.
-struct Core<'a> {
+struct Core<'a, F> {
     classifier: &'a PassiveClassifier,
     normalizer: &'a UrlNormalizer,
     opts: PipelineOptions,
     /// Everything folded since the last cut. A worker counts `refmap_misses`,
     /// `content_type_fallbacks` and `poisoned_records` into its degradation.
     planes: Planes,
-    collect: bool,
-    collected: Vec<(u64, ClassifiedRequest)>,
+    fold: F,
     /// Reusable classify scratch: the match path allocates nothing per
     /// record under the compiled engine.
     scratch: abp_filter::ClassifyScratch,
 }
 
-impl Core<'_> {
-    /// Classify a record whose category is now final and fold it into
-    /// the worker's planes. Every record passes here exactly once.
+impl<F: Fold> Core<'_, F> {
+    /// Classify a record whose category is now final and fold it into the
+    /// worker's planes and fold. Every record passes here exactly once.
     fn finalize(&mut self, h: HeldRecord) {
         if h.obj.content_type.is_none() && h.category != ContentCategory::Other {
             self.planes.degradation().content_type_fallbacks += 1;
@@ -217,9 +217,7 @@ impl Core<'_> {
             rule,
         };
         self.planes.observe(&req);
-        if self.collect {
-            self.collected.push((h.pos, req));
-        }
+        self.fold.observe(h.pos, &req);
     }
 }
 
@@ -242,30 +240,30 @@ pub(super) struct WorkerAck {
 
 /// End-of-stream result: the residual delta (the one that adds the
 /// state-derived `broken_redirect_chains`), the user count, and the
-/// collected requests when collection was on.
-pub(super) struct WorkerFinal {
+/// worker's part of the run's fold.
+pub(super) struct WorkerFinal<F> {
     pub(super) delta: PlaneTotals,
     pub(super) users: u64,
-    pub(super) collected: Vec<(u64, ClassifiedRequest)>,
+    pub(super) fold: F,
 }
 
-pub(super) struct Worker<'a> {
+pub(super) struct Worker<'a, F> {
     users: HashMap<(u32, Option<Arc<str>>), UserState>,
-    core: Core<'a>,
+    core: Core<'a, F>,
     quarantine: Option<Arc<Quarantine>>,
     poison_host: Option<&'a str>,
 }
 
-impl<'a> Worker<'a> {
+impl<'a, F: Fold> Worker<'a, F> {
     pub(super) fn new(
         classifier: &'a PassiveClassifier,
         normalizer: &'a UrlNormalizer,
         opts: PipelineOptions,
-        collect: bool,
+        fold: F,
         quarantine: Option<Arc<Quarantine>>,
         poison_host: Option<&'a str>,
         restored: Vec<RestoredUser>,
-    ) -> Worker<'a> {
+    ) -> Worker<'a, F> {
         let mut users = HashMap::with_capacity(restored.len());
         for u in restored {
             let mut held = HashMap::with_capacity(u.held.len());
@@ -286,8 +284,7 @@ impl<'a> Worker<'a> {
                 normalizer,
                 opts,
                 planes: Planes::new(opts, &[]),
-                collect,
-                collected: Vec::new(),
+                fold,
                 scratch: abp_filter::ClassifyScratch::new(),
             },
             quarantine,
@@ -388,7 +385,7 @@ impl<'a> Worker<'a> {
         }
     }
 
-    fn finish(mut self) -> WorkerFinal {
+    fn finish(mut self) -> WorkerFinal<F> {
         // End of stream: held records whose backfill never came are
         // finalized as-is (their chains stayed broken), in position
         // order.
@@ -409,19 +406,19 @@ impl<'a> Worker<'a> {
         WorkerFinal {
             delta,
             users: self.users.len() as u64,
-            collected: self.core.collected,
+            fold: self.core.fold,
         }
     }
 }
 
-pub(super) fn worker_loop(
-    mut w: Worker<'_>,
+pub(super) fn worker_loop<F: Fold>(
+    mut w: Worker<'_, F>,
     rx: parallel::Receiver<ToWorker>,
     ack_tx: mpsc::Sender<(usize, WorkerAck)>,
     id: usize,
     slot: Arc<obs::health::WorkerHealth>,
     registry: &obs::Registry,
-) -> WorkerFinal {
+) -> WorkerFinal<F> {
     for msg in rx {
         match msg {
             ToWorker::Batch(batch) => {
@@ -468,7 +465,7 @@ mod tests {
     }
 
     /// Three users, each with a page, a held redirect and a pending entry.
-    fn feed_three_users(w: &mut Worker<'_>) {
+    fn feed_three_users(w: &mut Worker<'_, ()>) {
         for (i, client) in [1u32, 2, 3, 1, 2, 3].into_iter().enumerate() {
             let o = match i / 3 {
                 0 => obj(i, client, "http://pub.example/", None),
@@ -494,7 +491,7 @@ mod tests {
 
     /// Every line a barrier acks is what `serialize_user` renders from the
     /// live state right now, cached or not.
-    fn assert_lines_are_live(w: &Worker<'_>, ack: &WorkerAck) {
+    fn assert_lines_are_live(w: &Worker<'_, ()>, ack: &WorkerAck) {
         assert_eq!(ack.state_lines.len(), w.users.len());
         for (key, st) in &w.users {
             assert_eq!(**line_of(ack, key.0), *serialize_user(key, st));
@@ -505,7 +502,7 @@ mod tests {
     fn a_barrier_renders_only_the_users_a_record_touched() {
         let (classifier, popts) = (classifier(), stream_opts(1, 16).pipeline);
         let normalizer = UrlNormalizer::for_classifier(&classifier, popts.normalize);
-        let mut w = Worker::new(&classifier, &normalizer, popts, false, None, None, vec![]);
+        let mut w = Worker::new(&classifier, &normalizer, popts, (), None, None, vec![]);
         feed_three_users(&mut w);
 
         // No record between two barriers: every line is the same allocation.
@@ -538,7 +535,7 @@ mod tests {
         let (classifier, popts) = (classifier(), stream_opts(1, 16).pipeline);
         let normalizer = UrlNormalizer::for_classifier(&classifier, popts.normalize);
         let poison = Some("track.example");
-        let mut w = Worker::new(&classifier, &normalizer, popts, false, None, poison, vec![]);
+        let mut w = Worker::new(&classifier, &normalizer, popts, (), None, poison, vec![]);
         feed_three_users(&mut w);
         let before = w.barrier_ack();
         w.handle(6, obj(6, 3, "http://track.example/pixel/1", None));

@@ -6,9 +6,10 @@
 //! 1 K requests) are the "active users" the headline 22 % figure refers to.
 
 use crate::classify::ListKind;
-use crate::pipeline::ClassifiedTrace;
+use crate::pipeline::{ClassifiedRequest, ClassifiedTrace};
 use http_model::{BrowserFamily, DeviceClass, UserAgent};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::sync::Arc;
 
 /// The user key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -80,56 +81,89 @@ impl UserAggregate {
     }
 }
 
-/// Aggregate a classified trace into per-user counters.
-pub fn aggregate_users(trace: &ClassifiedTrace) -> Vec<UserAggregate> {
-    let mut map: HashMap<UserKey, UserAggregate> = HashMap::new();
-    for r in &trace.requests {
-        let key = UserKey {
-            ip: r.client_ip,
-            user_agent: r.user_agent.as_deref().unwrap_or_default().to_owned(),
-        };
-        let agg = map.entry(key.clone()).or_insert_with(|| {
-            let ua = UserAgent {
-                raw: key.user_agent.clone(),
-            };
-            UserAggregate {
-                family: ua.family(),
-                device: ua.device_class(),
-                key,
-                requests: 0,
-                bytes: 0,
-                ad_requests: 0,
-                easylist_blockable: 0,
-                easylist_hits: 0,
-                regional_hits: 0,
-                easyprivacy_hits: 0,
-                whitelist_hits: 0,
-            }
-        });
+/// The per-user fold behind Table 3, Figures 3–4, §6.3 and the threshold
+/// sweep: one [`UserAggregate`] per ⟨IP, User-Agent⟩ pair, keyed by the
+/// interned UA handle (an absent UA is the empty one).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Users(HashMap<(u32, Arc<str>), UserAggregate>);
+
+impl Users {
+    /// Fold one classified request into its user's counters.
+    pub fn observe(&mut self, r: &ClassifiedRequest) {
+        let ua = r.user_agent.clone().unwrap_or_default();
+        let agg = self
+            .0
+            .entry((r.client_ip, ua))
+            .or_insert_with_key(|(ip, ua)| {
+                let agent = UserAgent {
+                    raw: ua.to_string(),
+                };
+                UserAggregate {
+                    family: agent.family(),
+                    device: agent.device_class(),
+                    key: UserKey {
+                        ip: *ip,
+                        user_agent: agent.raw,
+                    },
+                    requests: 0,
+                    bytes: 0,
+                    ad_requests: 0,
+                    easylist_blockable: 0,
+                    easylist_hits: 0,
+                    regional_hits: 0,
+                    easyprivacy_hits: 0,
+                    whitelist_hits: 0,
+                }
+            });
         agg.requests += 1;
         agg.bytes += r.bytes;
-        if r.label.is_ad() {
-            agg.ad_requests += 1;
-        }
-        if r.label.easylist_only_blocks() {
-            agg.easylist_blockable += 1;
-        }
-        if r.label.blocked_by(ListKind::EasyList) {
-            agg.easylist_hits += 1;
-        }
-        if r.label.blocked_by(ListKind::Regional) {
-            agg.regional_hits += 1;
-        }
-        if r.label.blocked_by(ListKind::EasyPrivacy) {
-            agg.easyprivacy_hits += 1;
-        }
-        if r.label.exception() == Some(ListKind::Acceptable) {
-            agg.whitelist_hits += 1;
+        agg.ad_requests += u64::from(r.label.is_ad());
+        agg.easylist_blockable += u64::from(r.label.easylist_only_blocks());
+        agg.easylist_hits += u64::from(r.label.blocked_by(ListKind::EasyList));
+        agg.regional_hits += u64::from(r.label.blocked_by(ListKind::Regional));
+        agg.easyprivacy_hits += u64::from(r.label.blocked_by(ListKind::EasyPrivacy));
+        agg.whitelist_hits += u64::from(r.label.exception() == Some(ListKind::Acceptable));
+    }
+
+    /// Add another part's counters in, user by user.
+    pub fn merge(&mut self, other: Users) {
+        for (key, theirs) in other.0 {
+            match self.0.entry(key) {
+                Entry::Vacant(slot) => {
+                    slot.insert(theirs);
+                }
+                Entry::Occupied(mut slot) => {
+                    let mine = slot.get_mut();
+                    mine.requests += theirs.requests;
+                    mine.bytes += theirs.bytes;
+                    mine.ad_requests += theirs.ad_requests;
+                    mine.easylist_blockable += theirs.easylist_blockable;
+                    mine.easylist_hits += theirs.easylist_hits;
+                    mine.regional_hits += theirs.regional_hits;
+                    mine.easyprivacy_hits += theirs.easyprivacy_hits;
+                    mine.whitelist_hits += theirs.whitelist_hits;
+                }
+            }
         }
     }
-    let mut out: Vec<UserAggregate> = map.into_values().collect();
-    out.sort_by_key(|u| std::cmp::Reverse(u.requests));
-    out
+
+    /// The users, busiest first; equal volumes by address, then User-Agent.
+    pub fn finish(&self) -> Vec<UserAggregate> {
+        let mut out: Vec<UserAggregate> = self.0.values().cloned().collect();
+        out.sort_by(|a, b| {
+            let by_name = (a.key.ip, &a.key.user_agent).cmp(&(b.key.ip, &b.key.user_agent));
+            b.requests.cmp(&a.requests).then(by_name)
+        });
+        out
+    }
+}
+
+/// Aggregate a classified trace into per-user counters: the [`Users`] fold
+/// over its requests.
+pub fn aggregate_users(trace: &ClassifiedTrace) -> Vec<UserAggregate> {
+    let mut users = Users::default();
+    trace.requests.iter().for_each(|r| users.observe(r));
+    users.finish()
 }
 
 /// Summary counts over a user set, in the shape §6.1 reports.

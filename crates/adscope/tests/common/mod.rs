@@ -7,7 +7,8 @@
 
 use abp_filter::FilterList;
 use adscope::classify::PassiveClassifier;
-use adscope::stream::StreamOptions;
+use adscope::pipeline::ClassifiedRequest;
+use adscope::stream::{Fold, StreamOptions};
 use http_model::headers::{RequestHeaders, ResponseHeaders};
 use http_model::transaction::Method;
 use http_model::HttpTransaction;
@@ -24,6 +25,7 @@ pub fn classifier() -> PassiveClassifier {
             "easylist",
             "||ads.example^$third-party\n/banners/\n@@*callback=ok*\n",
         ),
+        FilterList::parse("easylist-regionalia", "/werbung/\n"),
         FilterList::parse("easyprivacy", "/pixel/\n"),
         FilterList::parse("acceptable-ads", "@@||nice.example^\n"),
     ])
@@ -32,7 +34,10 @@ pub fn classifier() -> PassiveClassifier {
 /// A randomized multi-user trace exercising every feature that is
 /// sensitive to sharding or streaming: several ⟨IP, UA⟩ pairs (including
 /// absent UA), referers, redirects with backfill targets, missing content
-/// types, out-of-order timestamps, and quarantined (empty-host) records.
+/// types, out-of-order timestamps (one of them a garbled, far-future one),
+/// and quarantined (empty-host) records —
+/// and a hit on every list, alone and under the whitelist, with handshake
+/// gaps on both sides of 100 ms, so that no counter of a fold stays zero.
 pub fn messy_trace(n: usize, users: u32, seed: u64) -> Trace {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut records: Vec<TraceRecord> = Vec::with_capacity(n);
@@ -48,7 +53,10 @@ pub fn messy_trace(n: usize, users: u32, seed: u64) -> Trace {
         if rng.gen_bool(0.1) {
             ts -= 0.5; // out of order
         }
-        let (host, uri, location, status) = match rng.gen_range(0..6) {
+        if i == n / 2 {
+            ts = 1234.56789e12; // `1234.56789012`, one byte garbled: finite, far ahead
+        }
+        let (host, uri, location, status) = match rng.gen_range(0..9) {
             0 => ("pub.example", "/".to_string(), None, 200),
             1 => ("ads.example", format!("/creative{i}.gif"), None, 200),
             2 => ("x.example", format!("/banners/{i}.gif"), None, 200),
@@ -59,7 +67,15 @@ pub fn messy_trace(n: usize, users: u32, seed: u64) -> Trace {
                 302,
             ),
             4 => ("media.example", format!("/spot{i}.mp4"), None, 200),
-            _ => ("", "/quarantined".to_string(), None, 200),
+            5 => ("", "/quarantined".to_string(), None, 200),
+            6 => ("track.example", format!("/pixel/{i}.gif"), None, 200),
+            7 => ("x.example", format!("/werbung/{i}.gif"), None, 200),
+            // Whitelisted: over an EasyList hit, over an EasyPrivacy hit, alone.
+            _ => match i % 3 {
+                0 => ("nice.example", format!("/banners/{i}.gif"), None, 200),
+                1 => ("nice.example", format!("/pixel/{i}.gif"), None, 200),
+                _ => ("nice.example", format!("/font{i}.woff"), None, 200),
+            },
         };
         let referer = if rng.gen_bool(0.6) {
             Some("http://pub.example/".to_string())
@@ -91,7 +107,7 @@ pub fn messy_trace(n: usize, users: u32, seed: u64) -> Trace {
                 location,
             },
             tcp_handshake_ms: 1.0,
-            http_handshake_ms: rng.gen_range(2.0..90.0),
+            http_handshake_ms: rng.gen_range(2.0..250.0),
         }));
     }
     Trace {
@@ -141,5 +157,27 @@ pub fn stream_opts(threads: usize, chunk: usize) -> StreamOptions {
         threads,
         chunk_records: chunk,
         ..StreamOptions::default()
+    }
+}
+
+/// The equivalence suites' fold: every request a run classified, to be
+/// compared with the oracle's vector.
+#[derive(Clone, Default)]
+pub struct Collect(Vec<(u64, ClassifiedRequest)>);
+
+impl Fold for Collect {
+    fn observe(&mut self, pos: u64, req: &ClassifiedRequest) {
+        self.0.push((pos, req.clone()));
+    }
+    fn merge(&mut self, part: Collect) {
+        self.0.extend(part.0);
+    }
+}
+
+impl Collect {
+    /// The requests in trace order (workers finalize out of it).
+    pub fn requests(mut self) -> Vec<ClassifiedRequest> {
+        self.0.sort_by_key(|(pos, _)| *pos);
+        self.0.into_iter().map(|(_, req)| req).collect()
     }
 }

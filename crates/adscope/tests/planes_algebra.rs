@@ -4,14 +4,17 @@
 //! the stream never cut. That is what lets a worker cut at any barrier and
 //! the router merge cuts from any number of workers. (That the totals survive
 //! the checkpoint manifest exactly is held beside the codec, which keeps its
-//! keys to itself: `stream::checkpoint::tests`.)
+//! keys to itself: `stream::checkpoint::tests`.) The same stream, cuts and
+//! groupings carry a `Figures` beside each `Planes`: the run's fold argument
+//! obeys the same algebra.
 
 mod common;
 
+use adscope::characterize::Figures;
 use adscope::extract::extract_full;
 use adscope::pipeline::{classify_trace_in, ClassifiedRequest, PipelineOptions};
 use adscope::planes::{PlaneTotals, Planes};
-use adscope::stream::StreamOptions;
+use adscope::stream::{Fold, StreamOptions};
 use common::{classifier, messy_trace};
 use netsim::record::{RecordView, TlsConnection, Trace, TraceRecord};
 use proptest::prelude::*;
@@ -40,14 +43,20 @@ impl Event<'_> {
 
     /// Fold the event, bumping a degradation counter beside it so that
     /// plane is exercised as the stages that own its counters would.
-    fn fold_into(&self, planes: &mut Planes) {
+    fn fold_into(&self, (planes, figures): &mut (Planes, Figures)) {
         match self {
-            Event::Record(rec) => planes.observe_record(&RecordView::of(rec)),
+            Event::Record(rec) => {
+                planes.observe_record(&RecordView::of(rec));
+                if let TraceRecord::Https(flow) = rec {
+                    figures.observe_flow(flow);
+                }
+            }
             Event::Request(req) => {
                 if req.page.is_none() {
                     planes.degradation().refmap_misses += 1;
                 }
                 planes.observe(req);
+                figures.observe(0, req);
             }
             Event::Quarantined(ts) => {
                 planes.degradation().unparseable_urls += 1;
@@ -114,18 +123,37 @@ fn events<'a>(
     events
 }
 
-fn sum<'a>(opts: &StreamOptions, parts: impl IntoIterator<Item = &'a PlaneTotals>) -> PlaneTotals {
-    let mut total = PlaneTotals::new(opts.pipeline.population);
-    for p in parts {
-        total.merge(p);
+/// One thread's live state: its planes and its part of the run's fold.
+fn thread(opts: &StreamOptions) -> (Planes, Figures) {
+    (Planes::new(opts.pipeline, &ABP_IPS), Figures::new(&ABP_IPS))
+}
+
+/// Cut both: the planes' totals since the last cut, and the figures so far.
+fn cut((planes, figures): &mut (Planes, Figures)) -> (PlaneTotals, Figures) {
+    let part = std::mem::replace(figures, Figures::new(&ABP_IPS));
+    (planes.cut(), part)
+}
+
+fn sum<'a>(
+    opts: &StreamOptions,
+    parts: impl IntoIterator<Item = &'a (PlaneTotals, Figures)>,
+) -> (PlaneTotals, Figures) {
+    let mut total = (
+        PlaneTotals::new(opts.pipeline.population),
+        Figures::new(&ABP_IPS),
+    );
+    for (totals, figures) in parts {
+        total.0.merge(totals);
+        total.1.merge(figures.clone());
     }
     total
 }
 
 proptest! {
     /// Cut anywhere, merge in any grouping and any order == never cut, on
-    /// the totals type: windows, decode windows, sketches, tallies,
-    /// households, the three counters and the degradation counters at once.
+    /// the totals type — windows, decode windows, sketches, tallies,
+    /// households, the three counters and the degradation counters at once —
+    /// and on every figure of `Figures`.
     #[test]
     fn cut_anywhere_and_merged_in_any_grouping_and_order_equals_never_cut(
         n in 1usize..120,
@@ -137,35 +165,32 @@ proptest! {
         let opts = stream_opts(population == 1);
         let (trace, requests, quarantined_ts) = generated(n, users, seed, opts.pipeline);
         let events = events(&trace.records, &requests, &quarantined_ts);
-        let mut never_cut = Planes::new(opts.pipeline, &ABP_IPS);
+        let mut never_cut = thread(&opts);
         for e in &events {
             e.fold_into(&mut never_cut);
         }
-        let want = never_cut.cut();
+        let want = cut(&mut never_cut);
 
         // Two threads' worth of planes, each event folded by one of them,
         // both cut at every cut point: barriers at random places.
         let mut rng = StdRng::seed_from_u64(seed ^ 0xC07);
         let mut cut_at: Vec<usize> = (0..cuts).map(|_| rng.gen_range(0..=events.len())).collect();
         cut_at.sort_unstable();
-        let mut threads = [
-            Planes::new(opts.pipeline, &ABP_IPS),
-            Planes::new(opts.pipeline, &ABP_IPS),
-        ];
-        let mut parts: Vec<PlaneTotals> = Vec::new();
+        let mut threads = [thread(&opts), thread(&opts)];
+        let mut parts: Vec<(PlaneTotals, Figures)> = Vec::new();
         for (i, e) in events.iter().enumerate() {
             while cut_at.first() == Some(&i) {
                 cut_at.remove(0);
-                parts.extend(threads.iter_mut().map(Planes::cut));
+                parts.extend(threads.iter_mut().map(cut));
             }
             e.fold_into(&mut threads[rng.gen_range(0..2)]);
         }
-        parts.extend(threads.iter_mut().map(Planes::cut));
+        parts.extend(threads.iter_mut().map(cut));
 
         prop_assert_eq!(&sum(&opts, &parts), &want, "in order");
         prop_assert_eq!(&sum(&opts, parts.iter().rev()), &want, "in reverse");
         // Grouped: neighbours summed first, then the sums, last group first.
-        let groups: Vec<PlaneTotals> = parts.chunks(3).map(|g| sum(&opts, g)).collect();
+        let groups: Vec<_> = parts.chunks(3).map(|g| sum(&opts, g)).collect();
         prop_assert_eq!(&sum(&opts, groups.iter().rev()), &want, "grouped");
     }
 }

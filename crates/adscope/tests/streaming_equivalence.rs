@@ -1,5 +1,5 @@
 //! Streaming-pipeline equivalence: `classify_stream_file` must produce
-//! the same classified requests, degradation accounting, and window
+//! the same classified requests, figures, degradation accounting, and window
 //! series as the materialized `classify_trace_in` — for any trace,
 //! chunk size, and thread count, including traces degraded by
 //! `netsim::faults` at the in-memory and wire levels — and a run killed
@@ -10,20 +10,26 @@
 //! merge grouping-independently), so the materialized reference runs
 //! with `watermark_secs = f64::INFINITY` too.
 //!
-//! Thread counts tested are {1, 4} — the same pair CI exercises for the
-//! sharded suite.
+//! Thread counts tested are {1, 2, 3, 4}.
 
 mod common;
 
+use adscope::characterize::Figures;
 use adscope::pipeline::{classify_trace_in, ClassifiedTrace, PipelineOptions};
-use adscope::stream::{classify_stream_file, CheckpointOptions, StreamOptions};
-use common::{classifier, messy_trace, temp_path, write_trace_file};
+use adscope::stream::{classify_stream_file, classify_stream_file_with, CheckpointOptions};
+use common::{classifier, messy_trace, stream_opts, temp_path, write_trace_file, Collect};
 use netsim::codec::{read_trace_lossy, write_trace};
 use netsim::faults::{FaultInjector, FaultProfile};
 use netsim::record::{Trace, TraceRecord};
 use proptest::prelude::*;
+use std::path::Path;
 
-const THREAD_COUNTS: [usize; 2] = [1, 4];
+const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 4];
+
+/// Filter-list servers: `messy_trace` has no HTTPS flows, the fault
+/// injector's duplicates neither, so the household fold stays empty here
+/// (`planes_algebra` feeds it).
+const ABP_IPS: [u32; 1] = [900];
 
 /// Materialized reference with the streaming window semantics
 /// (infinite watermark).
@@ -33,11 +39,32 @@ fn reference(trace: &Trace) -> ClassifiedTrace {
     classify_trace_in(trace, &classifier(), opts, &obs::Registry::new())
 }
 
-fn stream_opts(threads: usize, chunk: usize) -> StreamOptions {
-    StreamOptions {
-        collect_requests: true,
-        ..common::stream_opts(threads, chunk)
-    }
+/// Stream the file at `path`, collecting every request and the figures, and
+/// hold both — and the report — to the oracle's `seq`.
+fn assert_streams_like(path: &Path, seq: &ClassifiedTrace, threads: usize, chunk: usize) {
+    let fold = (Collect::default(), Figures::new(&ABP_IPS));
+    let (rep, (collected, figures)) = classify_stream_file_with(
+        path,
+        &classifier(),
+        &stream_opts(threads, chunk),
+        &obs::Registry::new(),
+        fold,
+    )
+    .unwrap();
+    assert_eq!(
+        collected.requests(),
+        seq.requests,
+        "requests, threads={threads}"
+    );
+    assert_eq!(
+        figures,
+        Figures::of_trace(seq, &ABP_IPS),
+        "figures, threads={threads}"
+    );
+    assert_eq!(rep.degradation, seq.degradation, "threads={threads}");
+    assert_eq!(rep.windows, seq.windows, "windows, threads={threads}");
+    assert_eq!(rep.requests as usize, seq.requests.len());
+    assert_eq!(rep.https_flows as usize, seq.https_flows.len());
 }
 
 /// Full equality of the streaming and materialized outputs for one
@@ -46,25 +73,7 @@ fn assert_stream_equivalent(trace: &Trace, chunk: usize) {
     let seq = reference(trace);
     let path = write_trace_file(trace, "equiv");
     for threads in THREAD_COUNTS {
-        let rep = classify_stream_file(
-            &path,
-            &classifier(),
-            &stream_opts(threads, chunk),
-            &obs::Registry::new(),
-        )
-        .unwrap();
-        let got: Vec<_> = rep
-            .collected
-            .as_ref()
-            .unwrap()
-            .iter()
-            .map(|(_, r)| r.clone())
-            .collect();
-        assert_eq!(got, seq.requests, "requests, threads={threads}");
-        assert_eq!(rep.degradation, seq.degradation, "threads={threads}");
-        assert_eq!(rep.windows, seq.windows, "windows, threads={threads}");
-        assert_eq!(rep.requests as usize, seq.requests.len());
-        assert_eq!(rep.https_flows as usize, seq.https_flows.len());
+        assert_streams_like(&path, &seq, threads, chunk);
     }
     let _ = std::fs::remove_file(&path);
 }
@@ -117,23 +126,7 @@ proptest! {
         let path = temp_path("garbage");
         std::fs::write(&path, &corrupted).unwrap();
         for threads in THREAD_COUNTS {
-            let rep = classify_stream_file(
-                &path,
-                &classifier(),
-                &stream_opts(threads, chunk),
-                &obs::Registry::new(),
-            )
-            .unwrap();
-            let got: Vec<_> = rep
-                .collected
-                .as_ref()
-                .unwrap()
-                .iter()
-                .map(|(_, r)| r.clone())
-                .collect();
-            prop_assert_eq!(&got, &seq.requests, "requests, threads={}", threads);
-            prop_assert_eq!(&rep.degradation, &seq.degradation, "threads={}", threads);
-            prop_assert_eq!(&rep.windows, &seq.windows, "windows, threads={}", threads);
+            assert_streams_like(&path, &seq, threads, chunk);
         }
         let _ = std::fs::remove_file(&path);
     }
@@ -154,14 +147,12 @@ proptest! {
         let ckdir = temp_path("ckdir");
         std::fs::create_dir_all(&ckdir).unwrap();
 
-        let mut full = stream_opts(4, chunk);
-        full.collect_requests = false;
+        let full = stream_opts(4, chunk);
         let want = classify_stream_file(&path, &classifier(), &full, &obs::Registry::new())
             .unwrap()
             .render();
 
         let mut partial = stream_opts(3, chunk);
-        partial.collect_requests = false;
         partial.stop_after_chunks = Some(kill_after);
         partial.checkpoint = Some(CheckpointOptions {
             dir: ckdir.clone(),
@@ -171,7 +162,6 @@ proptest! {
         classify_stream_file(&path, &classifier(), &partial, &obs::Registry::new()).unwrap();
 
         let mut resumed = stream_opts(1, chunk);
-        resumed.collect_requests = false;
         resumed.checkpoint = Some(CheckpointOptions {
             dir: ckdir.clone(),
             every_chunks: 1,

@@ -274,52 +274,59 @@ impl FaultInjector {
     pub fn corrupt_bytes(&mut self, bytes: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(bytes.len());
         for (i, line) in bytes.split(|&b| b == b'\n').enumerate() {
-            if i == 0 {
-                out.extend_from_slice(line);
-                out.push(b'\n');
-                continue;
-            }
-            if line.is_empty() {
-                continue;
-            }
-            if self.rng.gen_bool(self.profile.record_drop) {
-                self.counts.records_dropped += 1;
-                continue;
-            }
-            if line.len() > 1 && self.rng.gen_bool(self.profile.line_truncation) {
-                let cut = self.rng.gen_range(1..line.len());
-                out.extend_from_slice(&line[..cut]);
-                out.push(b'\n');
-                self.counts.lines_truncated += 1;
-                continue;
-            }
-            if self.rng.gen_bool(self.profile.byte_garble) {
-                let mut garbled = line.to_vec();
-                let hits = self.rng.gen_range(1..=8usize.min(garbled.len()));
-                for _ in 0..hits {
-                    let pos = self.rng.gen_range(0..garbled.len());
-                    // Never write a newline: that would split the line and
-                    // break the one-fault-per-line accounting.
-                    let mut b = self.rng.gen_range(0..=254u32) as u8;
-                    if b == b'\n' {
-                        b = b'\xff';
-                    }
-                    garbled[pos] = b;
-                }
-                out.extend_from_slice(&garbled);
-                out.push(b'\n');
-                self.counts.lines_garbled += 1;
-                continue;
-            }
-            if self.rng.gen_bool(self.profile.record_duplication) {
-                out.extend_from_slice(line);
-                out.push(b'\n');
-                self.counts.records_duplicated += 1;
-            }
-            out.extend_from_slice(line);
-            out.push(b'\n');
+            self.corrupt_line(i, line, &mut out);
         }
         out
+    }
+
+    /// What [`FaultInjector::corrupt_bytes`] makes of line `i` of a trace,
+    /// appended to `out`: for a caller that cannot hold the corrupted copy
+    /// whole and feeds the lines in order itself.
+    pub fn corrupt_line(&mut self, i: usize, line: &[u8], out: &mut Vec<u8>) {
+        if i == 0 {
+            out.extend_from_slice(line);
+            out.push(b'\n');
+            return;
+        }
+        if line.is_empty() {
+            return;
+        }
+        if self.rng.gen_bool(self.profile.record_drop) {
+            self.counts.records_dropped += 1;
+            return;
+        }
+        if line.len() > 1 && self.rng.gen_bool(self.profile.line_truncation) {
+            let cut = self.rng.gen_range(1..line.len());
+            out.extend_from_slice(&line[..cut]);
+            out.push(b'\n');
+            self.counts.lines_truncated += 1;
+            return;
+        }
+        if self.rng.gen_bool(self.profile.byte_garble) {
+            let mut garbled = line.to_vec();
+            let hits = self.rng.gen_range(1..=8usize.min(garbled.len()));
+            for _ in 0..hits {
+                let pos = self.rng.gen_range(0..garbled.len());
+                // Never write a newline: that would split the line and
+                // break the one-fault-per-line accounting.
+                let mut b = self.rng.gen_range(0..=254u32) as u8;
+                if b == b'\n' {
+                    b = b'\xff';
+                }
+                garbled[pos] = b;
+            }
+            out.extend_from_slice(&garbled);
+            out.push(b'\n');
+            self.counts.lines_garbled += 1;
+            return;
+        }
+        if self.rng.gen_bool(self.profile.record_duplication) {
+            out.extend_from_slice(line);
+            out.push(b'\n');
+            self.counts.records_duplicated += 1;
+        }
+        out.extend_from_slice(line);
+        out.push(b'\n');
     }
 }
 

@@ -39,6 +39,12 @@ impl LogDensity {
         }
     }
 
+    /// Add another estimator's samples in (same range, bins and bandwidth;
+    /// see [`LogHistogram::merge`]).
+    pub fn merge(&mut self, other: &LogDensity) {
+        self.hist.merge(&other.hist);
+    }
+
     /// Total samples recorded.
     pub fn total(&self) -> u64 {
         self.hist.total()

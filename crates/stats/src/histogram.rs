@@ -52,6 +52,23 @@ impl Histogram {
         }
     }
 
+    /// Add another histogram of the same range and bin count in, bin by bin.
+    ///
+    /// # Panics
+    /// Panics when the two shapes differ.
+    pub fn merge(&mut self, other: &Histogram) {
+        assert!(
+            (self.lo, self.hi, self.bins.len()) == (other.lo, other.hi, other.bins.len()),
+            "histograms of different shapes do not merge"
+        );
+        for (mine, theirs) in self.bins.iter_mut().zip(&other.bins) {
+            *mine += theirs;
+        }
+        self.underflow += other.underflow;
+        self.overflow += other.overflow;
+        self.total += other.total;
+    }
+
     /// Number of recorded samples (including out-of-range ones).
     pub fn total(&self) -> u64 {
         self.total
@@ -120,6 +137,13 @@ impl LogHistogram {
         } else {
             self.inner.add(x.log10());
         }
+    }
+
+    /// Add another log histogram of the same shape in, bin by bin (see
+    /// [`Histogram::merge`]).
+    pub fn merge(&mut self, other: &LogHistogram) {
+        self.inner.merge(&other.inner);
+        self.nonpositive += other.nonpositive;
     }
 
     /// Total samples recorded, including non-positive ones.
@@ -272,6 +296,26 @@ mod tests {
         }
         let sum: f64 = h.mass().iter().sum();
         assert!((sum - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn merged_halves_equal_the_whole() {
+        let samples = [0.0, 0.5, 43.0, 43.0, 2_000_000.0, 1e12, -1.0, 7.0];
+        let mut whole = LogHistogram::new(0.0, 8.0, 16);
+        let mut halves = [whole.clone(), whole.clone()];
+        for (i, x) in samples.into_iter().enumerate() {
+            whole.add(x);
+            halves[i % 2].add(x);
+        }
+        let [mut merged, other] = halves;
+        merged.merge(&other);
+        assert_eq!(merged, whole);
+    }
+
+    #[test]
+    #[should_panic(expected = "different shapes")]
+    fn merging_different_shapes_panics() {
+        LogHistogram::new(0.0, 8.0, 16).merge(&LogHistogram::new(0.0, 8.0, 8));
     }
 
     #[test]

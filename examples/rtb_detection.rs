@@ -7,7 +7,7 @@
 //! cargo run --release --example rtb_detection
 //! ```
 
-use adscope::characterize::rtb;
+use adscope::characterize::Figures;
 use annoyed_users::prelude::*;
 
 fn main() {
@@ -46,24 +46,24 @@ fn main() {
     let classified =
         adscope::pipeline::classify_trace(&out.trace, &classifier, PipelineOptions::default());
 
-    let densities = rtb::handshake_densities(&classified);
+    let rtb = Figures::of_trace(&classified, &eco.abp_ips).rtb;
     println!("density of HTTP−TCP handshake difference (log ms axis):\n");
     println!(
         "ads:  modes at {:?} ms",
-        round_all(&densities.ads.modes(0.25))
+        round_all(&rtb.ads.density.modes(0.25))
     );
     println!(
         "rest: modes at {:?} ms",
-        round_all(&densities.rest.modes(0.25))
+        round_all(&rtb.rest.density.modes(0.25))
     );
 
-    let (ads_high, rest_high) = rtb::high_latency_shares(&classified, 100.0);
+    let (ads_high, rest_high) = (rtb.ads.high_latency_pct(), rtb.rest.high_latency_pct());
     println!(
         "\nshare of requests with >=100 ms server-side delay: ads {ads_high:.1}% vs rest {rest_high:.1}%"
     );
 
     println!("\norganizations behind the slow (>=90 ms) ad responses:");
-    for (org, pct) in rtb::rtb_organizations(&classified, 90.0, 8) {
+    for (org, pct) in rtb.organizations(8) {
         println!("  {org:<36} {pct:>5.1}%");
     }
     println!(

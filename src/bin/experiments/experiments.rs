@@ -1,13 +1,14 @@
 //! One function per paper artifact. Each returns a printable section that
 //! states what the paper reported and what this reproduction measures.
 
-use crate::world::{Scale, World};
-use adscope::characterize::{ases, content, rtb, servers, sizes, timeseries, whitelist};
+use crate::world::{Rbn, Scale, World};
+use adscope::characterize::servers::ServerStudy;
+use adscope::characterize::{ases, rtb, sizes, timeseries, whitelist, Figures};
 use adscope::infer::{self, UserClass, ACTIVE_USER_MIN_REQUESTS, AD_RATIO_THRESHOLD_PCT};
-use adscope::users::{aggregate_users, annotation_summary};
-use adscope::ListKind;
+use adscope::users::annotation_summary;
+use adscope::StreamOptions;
 use annoyed_users::prelude::*;
-use browsersim::drive::{drive, DriveOutput};
+use browsersim::drive::{drive, drive_stream, DriveOutput};
 use obs::SampleValue;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -40,7 +41,7 @@ pub const ALL_IDS: [&str; 19] = [
 ];
 
 /// Dispatch one experiment.
-pub fn run(id: &str, world: &mut World) -> Option<String> {
+pub fn run(id: &str, world: &World) -> Option<String> {
     Some(match id {
         "table1" => table1(world),
         "fig2" => fig2(world),
@@ -69,30 +70,19 @@ pub fn run(id: &str, world: &mut World) -> Option<String> {
 fn classify_profile(world: &World, trace: &Trace) -> (usize, usize, u64, u64) {
     let classified =
         adscope::pipeline::classify_trace(trace, &world.classifier, PipelineOptions::default());
-    let el = classified
-        .requests
-        .iter()
-        .filter(|r| {
-            r.label.blocked_by(ListKind::EasyList) || r.label.blocked_by(ListKind::Regional)
-        })
-        .count() as u64;
-    let ep = classified
-        .requests
-        .iter()
-        .filter(|r| r.label.blocked_by(ListKind::EasyPrivacy))
-        .count() as u64;
+    let (el, ep) = list_hits(&Figures::of_trace(&classified, &[]).servers);
     (trace.https_count(), trace.http_count(), el, ep)
 }
 
-fn table1(world: &mut World) -> String {
-    // Snapshot profile traces so `world` isn't mutably borrowed during
-    // classification.
-    let runs: Vec<(BrowserProfile, Trace)> = world
-        .active()
-        .runs
-        .iter()
-        .map(|r| (r.profile, r.trace.clone()))
-        .collect();
+/// EasyList (or derivative) and EasyPrivacy hits, summed over the servers.
+fn list_hits(servers: &ServerStudy) -> (u64, u64) {
+    let servers = servers.servers.values();
+    let el = servers.clone().map(|s| s.easylist_objects).sum();
+    (el, servers.map(|s| s.easyprivacy_objects).sum())
+}
+
+fn table1(world: &World) -> String {
+    let active = world.active();
     let mut t = TextTable::new(
         "Table 1 — Active measurements: aggregate results per browser mode",
         &["Browser Mode", "#HTTPS", "#HTTP", "ELhits", "EPhits"],
@@ -100,16 +90,16 @@ fn table1(world: &mut World) -> String {
     let mut summary = String::new();
     let mut vanilla_http = 0u64;
     let mut adbp_pa_http = 0u64;
-    for (profile, trace) in &runs {
-        let (https, http, el, ep) = classify_profile(world, trace);
-        if *profile == BrowserProfile::Vanilla {
+    for run in &active.runs {
+        let (https, http, el, ep) = classify_profile(world, &run.trace);
+        if run.profile == BrowserProfile::Vanilla {
             vanilla_http = http as u64;
         }
-        if *profile == BrowserProfile::AdbpParanoia {
+        if run.profile == BrowserProfile::AdbpParanoia {
             adbp_pa_http = http as u64;
         }
         t.row(&[
-            profile.label().to_string(),
+            run.profile.label().to_string(),
             fmt_count(https as u64),
             fmt_count(http as u64),
             fmt_count(el),
@@ -126,7 +116,7 @@ fn table1(world: &mut World) -> String {
     format!("{}{}", t.render(), summary)
 }
 
-fn fig2(world: &mut World) -> String {
+fn fig2(world: &World) -> String {
     // Per-visit (total, ad) counts per profile: visits are 12 s apart in the
     // crawl, so bin classified requests by floor(ts / 12).
     let profiles = [
@@ -136,14 +126,9 @@ fn fig2(world: &mut World) -> String {
     ];
     let mut out = String::from("## Figure 2 — Ratio of ad requests per browser configuration\n");
     let mut per_profile: Vec<(BrowserProfile, Vec<(u64, u64)>)> = Vec::new();
-    let traces: Vec<(BrowserProfile, Trace)> = world
-        .active()
-        .runs
-        .iter()
-        .filter(|r| profiles.contains(&r.profile))
-        .map(|r| (r.profile, r.trace.clone()))
-        .collect();
-    for (profile, trace) in &traces {
+    let active = world.active();
+    for run in active.runs.iter().filter(|r| profiles.contains(&r.profile)) {
+        let trace = &run.trace;
         let classified =
             adscope::pipeline::classify_trace(trace, &world.classifier, PipelineOptions::default());
         let n_visits = (trace.meta.duration_secs / 12.0).ceil() as usize;
@@ -155,7 +140,7 @@ fn fig2(world: &mut World) -> String {
                 visits[v].1 += 1;
             }
         }
-        per_profile.push((*profile, visits));
+        per_profile.push((run.profile, visits));
     }
     let mut rng = StdRng::seed_from_u64(0xF162);
     for &loads in &[1usize, 5, 10] {
@@ -203,34 +188,28 @@ fn fig2(world: &mut World) -> String {
     out
 }
 
-fn table2(world: &mut World) -> String {
+fn table2(world: &World) -> String {
     let mut t = TextTable::new(
         "Table 2 — Data sets (scaled reproduction)",
         &["Trace", "Duration", "Subscribers", "HTTPbytes", "HTTPreqs"],
     );
     // Build both traces.
-    {
-        let r1 = world.rbn1();
-        let bytes: u64 = r1.classified.requests.iter().map(|r| r.bytes).sum();
-        t.row(&[
-            "RBN-1".to_string(),
-            format!("{:.1} days", r1.classified.meta.duration_secs / 86_400.0),
-            fmt_count(r1.households as u64),
-            fmt_bytes(bytes),
-            fmt_count(r1.classified.requests.len() as u64),
-        ]);
-    }
-    {
-        let r2 = world.rbn2();
-        let bytes: u64 = r2.classified.requests.iter().map(|r| r.bytes).sum();
-        t.row(&[
-            "RBN-2".to_string(),
-            format!("{:.1} hours", r2.classified.meta.duration_secs / 3600.0),
-            fmt_count(r2.households as u64),
-            fmt_bytes(bytes),
-            fmt_count(r2.classified.requests.len() as u64),
-        ]);
-    }
+    let r1 = world.rbn(Rbn::One);
+    t.row(&[
+        "RBN-1".to_string(),
+        format!("{:.1} days", r1.report.meta.duration_secs / 86_400.0),
+        fmt_count(r1.households as u64),
+        fmt_bytes(r1.figures.content.total.bytes),
+        fmt_count(r1.report.requests),
+    ]);
+    let r2 = world.rbn(Rbn::Two);
+    t.row(&[
+        "RBN-2".to_string(),
+        format!("{:.1} hours", r2.report.meta.duration_secs / 3600.0),
+        fmt_count(r2.households as u64),
+        fmt_bytes(r2.figures.content.total.bytes),
+        fmt_count(r2.report.requests),
+    ]);
     format!(
         "{}\nPaper: RBN-1 = 4 days / 7.5K subscribers / 18.8TB / 131.95M reqs;\n\
          RBN-2 = 15.5h / 19.7K / 11.4TB / 85.09M. We run the same shapes at\n\
@@ -239,9 +218,8 @@ fn table2(world: &mut World) -> String {
     )
 }
 
-fn fig3(world: &mut World) -> String {
-    let r2 = world.rbn2();
-    let users = aggregate_users(&r2.classified);
+fn fig3(world: &World) -> String {
+    let users = world.rbn(Rbn::Two).figures.users.finish();
     let mut heat = HeatMap2d::new(0.0, 5.0, 56, 0.0, 4.0, 24);
     for u in &users {
         heat.add(u.requests as f64, u.ad_requests as f64);
@@ -276,10 +254,9 @@ fn fig3(world: &mut World) -> String {
     out
 }
 
-fn fig4(world: &mut World) -> String {
+fn fig4(world: &World) -> String {
     let threshold = world.active_threshold();
-    let r2 = world.rbn2();
-    let users = aggregate_users(&r2.classified);
+    let users = world.rbn(Rbn::Two).figures.users.finish();
     let mut out =
         String::from("## Figure 4 — ECDF of % ad requests per active browser, by family\n");
     let families = [
@@ -325,16 +302,13 @@ fn fig4(world: &mut World) -> String {
     out
 }
 
-fn table3(world: &mut World) -> String {
+fn table3(world: &World) -> String {
     let threshold = world.active_threshold();
-    world.ensure_rbn2();
-    let r2 = world.rbn2_ref();
-    let users = aggregate_users(&r2.classified);
-    let downloads =
-        infer::households_with_downloads(&r2.classified.https_flows, &world.eco.abp_ips);
-    let inferred = infer::classify_users(&users, &downloads, AD_RATIO_THRESHOLD_PCT, threshold);
-    let total_reqs: u64 = r2.classified.requests.len() as u64;
-    let total_ads: u64 = r2.classified.ad_request_count() as u64;
+    let r2 = world.rbn(Rbn::Two);
+    let users = r2.figures.users.finish();
+    let downloads = &r2.figures.households;
+    let inferred = infer::classify_users(&users, downloads, AD_RATIO_THRESHOLD_PCT, threshold);
+    let (total_reqs, total_ads) = (r2.report.requests, r2.report.ad_requests);
     let rows = infer::table3(&users, &inferred, total_reqs, total_ads);
     let mut t = TextTable::new(
         "Table 3 — Ad-blocker usage classes (active browsers)",
@@ -393,14 +367,12 @@ fn table3(world: &mut World) -> String {
     )
 }
 
-fn sec63(world: &mut World) -> String {
+fn sec63(world: &World) -> String {
     let threshold = world.active_threshold();
-    world.ensure_rbn2();
-    let r2 = world.rbn2_ref();
-    let users = aggregate_users(&r2.classified);
-    let downloads =
-        infer::households_with_downloads(&r2.classified.https_flows, &world.eco.abp_ips);
-    let inferred = infer::classify_users(&users, &downloads, AD_RATIO_THRESHOLD_PCT, threshold);
+    let r2 = world.rbn(Rbn::Two);
+    let users = r2.figures.users.finish();
+    let downloads = &r2.figures.households;
+    let inferred = infer::classify_users(&users, downloads, AD_RATIO_THRESHOLD_PCT, threshold);
     let strict = infer::subscription_estimates(&users, &inferred, 0, 0);
     let tolerant = infer::subscription_estimates(&users, &inferred, 10, 10);
     format!(
@@ -424,9 +396,9 @@ fn sec63(world: &mut World) -> String {
     )
 }
 
-fn fig5a(world: &mut World) -> String {
-    let r1 = world.rbn1();
-    let ts = timeseries::request_series(&r1.classified, 3600);
+fn fig5a(world: &World) -> String {
+    let r1 = world.rbn(Rbn::One);
+    let ts = r1.figures.time.request_series(&r1.report.meta);
     let mut out = String::from("## Figure 5a — Requests over time (1 h bins, RBN-1)\n");
     for (i, name) in ts.names().iter().enumerate() {
         let _ = writeln!(out, "{:<14} {}", name, render::sparkline(ts.values(i)));
@@ -436,14 +408,14 @@ fn fig5a(world: &mut World) -> String {
         .iter()
         .enumerate()
         .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-        .map(|(i, _)| (i as u32 + r1.classified.meta.start_hour) % 24)
+        .map(|(i, _)| (i as u32 + r1.report.meta.start_hour) % 24)
         .unwrap_or(0);
     let trough_hour = nonad
         .iter()
         .enumerate()
         .filter(|(_, &v)| v > 0.0)
         .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-        .map(|(i, _)| (i as u32 + r1.classified.meta.start_hour) % 24)
+        .map(|(i, _)| (i as u32 + r1.report.meta.start_hour) % 24)
         .unwrap_or(0);
     let _ = writeln!(
         out,
@@ -455,9 +427,9 @@ fn fig5a(world: &mut World) -> String {
     out
 }
 
-fn fig5b(world: &mut World) -> String {
-    let r1 = world.rbn1();
-    let shares = timeseries::share_series(&r1.classified, 3600);
+fn fig5b(world: &World) -> String {
+    let r1 = world.rbn(Rbn::One);
+    let shares = r1.figures.time.share_series(&r1.report.meta);
     let combined = timeseries::combined_ad_share(&shares);
     let mut out =
         String::from("## Figure 5b — % ad requests and bytes over time (EL vs EP, RBN-1)\n");
@@ -507,9 +479,9 @@ fn fig5b(world: &mut World) -> String {
     out
 }
 
-fn table4(world: &mut World) -> String {
-    let r1 = world.rbn1();
-    let rows = content::content_type_table(&r1.classified, 10);
+fn table4(world: &World) -> String {
+    let r1 = world.rbn(Rbn::One);
+    let rows = r1.figures.content.table(10);
     let mut t = TextTable::new(
         "Table 4 — RBN-1 ad traffic by Content-Type",
         &[
@@ -529,35 +501,22 @@ fn table4(world: &mut World) -> String {
             fmt_pct(r.nonad_bytes_pct),
         ]);
     }
-    let ads: u64 = r1
-        .classified
-        .requests
-        .iter()
-        .filter(|r| r.label.is_ad())
-        .count() as u64;
-    let ad_bytes: u64 = r1
-        .classified
-        .requests
-        .iter()
-        .filter(|r| r.label.is_ad())
-        .map(|r| r.bytes)
-        .sum();
-    let total_bytes: u64 = r1.classified.requests.iter().map(|r| r.bytes).sum();
+    let total = &r1.figures.content.total;
     format!(
         "{}\nOverall ad share: {} of requests, {} of bytes\n\
          Paper: 17.25% of requests / 1.13% of bytes are ads; ads dominated by\n\
          image/gif + text/plain requests; ad video bytes large but rare.\n",
         t.render(),
-        fmt_pct(stats::pct(ads, r1.classified.requests.len() as u64)),
-        fmt_pct(stats::pct(ad_bytes, total_bytes)),
+        fmt_pct(stats::pct(total.ad_requests, total.requests)),
+        fmt_pct(stats::pct(total.ad_bytes, total.bytes)),
     )
 }
 
-fn fig6(world: &mut World) -> String {
-    let r1 = world.rbn1();
-    let (ads, nonads) = sizes::size_densities(&r1.classified);
+fn fig6(world: &World) -> String {
+    let r1 = world.rbn(Rbn::One);
+    let sizes::Sizes { ads, nonads } = &r1.figures.sizes;
     let mut out = String::from("## Figure 6 — Object-size distributions by MIME class\n");
-    for (name, pop) in [("Ads (6a)", &ads), ("Non-ads (6b)", &nonads)] {
+    for (name, pop) in [("Ads (6a)", ads), ("Non-ads (6b)", nonads)] {
         let _ = writeln!(out, "{name}:");
         for class in sizes::MimeClass::ALL {
             let d = pop.class(class);
@@ -593,13 +552,12 @@ fn fig6(world: &mut World) -> String {
     out
 }
 
-fn sec73(world: &mut World) -> String {
-    let r2 = world.rbn2();
-    let shares = whitelist::whitelist_shares(&r2.classified);
-    let pub_benefits =
-        whitelist::entity_benefits(&r2.classified, whitelist::EntityKey::Publisher, 50);
-    let adtech_benefits =
-        whitelist::entity_benefits(&r2.classified, whitelist::EntityKey::AdHost, 100);
+fn sec73(world: &World) -> String {
+    let r2 = world.rbn(Rbn::Two);
+    let wl = &r2.figures.whitelist;
+    let shares = wl.shares();
+    let pub_benefits = wl.entity_benefits(whitelist::EntityKey::Publisher, 50);
+    let adtech_benefits = wl.entity_benefits(whitelist::EntityKey::AdHost, 100);
     let mut out = String::from("## §7.3 — Non-intrusive advertisements\n");
     let _ = writeln!(
         out,
@@ -662,11 +620,11 @@ fn sec73(world: &mut World) -> String {
     out
 }
 
-fn sec81(world: &mut World) -> String {
-    let r1 = world.rbn1();
-    let study = servers::ServerStudy::from_trace(&r1.classified);
+fn sec81(world: &World) -> String {
+    let r1 = world.rbn(Rbn::One);
+    let study = &r1.figures.servers;
     let dist = study.easylist_distribution();
-    let ex = study.exclusive_servers(90.0);
+    let ex = study.exclusive_servers();
     let mut out = String::from("## §8.1 — Server-side ad infrastructure (RBN-1)\n");
     let _ = writeln!(
         out,
@@ -716,10 +674,9 @@ fn sec81(world: &mut World) -> String {
     out
 }
 
-fn table5(world: &mut World) -> String {
-    world.ensure_rbn1();
-    let r1 = world.rbn1_ref();
-    let (rows, coverage) = ases::as_table(&r1.classified, |ip| world.as_name_of(ip), 10);
+fn table5(world: &World) -> String {
+    let r1 = world.rbn(Rbn::One);
+    let (rows, coverage) = ases::as_table(&r1.figures.servers, |ip| world.as_name_of(ip), 10);
     let mut t = TextTable::new(
         "Table 5 — RBN-1 ad traffic by AS (top 10)",
         &[
@@ -758,15 +715,14 @@ fn table5(world: &mut World) -> String {
     )
 }
 
-fn fig7(world: &mut World) -> String {
-    let r2 = world.rbn2();
-    let densities = rtb::handshake_densities(&r2.classified);
-    let (ad_high, rest_high) = rtb::high_latency_shares(&r2.classified, 100.0);
-    let orgs = rtb::rtb_organizations(&r2.classified, 90.0, 6);
+fn fig7(world: &World) -> String {
+    let r2 = world.rbn(Rbn::Two);
+    let rtb::Handshakes { ads, rest, .. } = &r2.figures.rtb;
+    let orgs = r2.figures.rtb.organizations(6);
     let mut out =
         String::from("## Figure 7 — HTTP−TCP handshake difference density: ads vs rest\n");
-    let ad_modes = densities.ads.modes(0.25);
-    let rest_modes = densities.rest.modes(0.25);
+    let ad_modes = ads.density.modes(0.25);
+    let rest_modes = rest.density.modes(0.25);
     let fmt_modes = |m: &[f64]| -> String {
         m.iter()
             .map(|x| format!("{:.1}ms", x))
@@ -778,7 +734,8 @@ fn fig7(world: &mut World) -> String {
     let _ = writeln!(
         out,
         "share with gap >=100ms: ads {:.1}% vs rest {:.1}%",
-        ad_high, rest_high
+        ads.high_latency_pct(),
+        rest.high_latency_pct()
     );
     out.push_str("organizations behind >=90ms ad responses:\n");
     for (org, pct) in &orgs {
@@ -792,22 +749,20 @@ fn fig7(world: &mut World) -> String {
     out
 }
 
-fn sensitivity(world: &mut World) -> String {
+fn sensitivity(world: &World) -> String {
     // Section 4.3: "Using a slightly higher or lower threshold does not
     // alter the results significantly." Sweep the ratio threshold and
     // report the class shares plus the ground-truth precision of type C.
     let activity = world.active_threshold();
-    world.ensure_rbn2();
-    let r2 = world.rbn2_ref();
-    let users = aggregate_users(&r2.classified);
-    let downloads =
-        infer::households_with_downloads(&r2.classified.https_flows, &world.eco.abp_ips);
+    let r2 = world.rbn(Rbn::Two);
+    let users = r2.figures.users.finish();
+    let downloads = &r2.figures.households;
     let mut out = String::from(
         "## Threshold sensitivity - the 5% ratio cut of Sections 4.3/6.2\n\
          threshold   A%     B%     C%     D%   C-precision\n",
     );
     for threshold in [1.0, 2.0, 3.0, 5.0, 7.0, 10.0] {
-        let inferred = infer::classify_users(&users, &downloads, threshold, activity);
+        let inferred = infer::classify_users(&users, downloads, threshold, activity);
         let share = |class: UserClass| {
             stats::pct(
                 inferred.iter().filter(|u| u.class == class).count() as u64,
@@ -849,37 +804,31 @@ fn sensitivity(world: &mut World) -> String {
     out
 }
 
-fn robustness(world: &mut World) -> String {
+fn robustness(world: &World) -> String {
     // Beyond the paper: how stable are the headline numbers when the input
     // trace degrades the way real captures do (drops, truncation, garbling,
     // header loss, clock skew)? Sweep a uniform fault rate through both the
     // in-memory fault model and the NDJSON wire level, recover with the
-    // lossy reader, and re-run the full pipeline each time.
-    use netsim::codec::{read_trace_lossy, write_trace};
+    // lossy reader, and re-run the full pipeline each time. Nothing is held
+    // but one serialized trace: every rate generates the clean capture anew,
+    // a slice at a time through the in-memory faults into its wire form, and
+    // the stream engine reads that through the wire faults (`WireFaults`).
     use netsim::faults::{FaultInjector, FaultProfile};
+    use netsim::stream::{ChunkReader, TraceWriter};
 
     let (households, hours) = match world.scale {
         Scale::Small => (40, 3.0),
         Scale::Medium | Scale::Large => (120, 6.0),
     };
-    let mut pop = Population::generate(
-        &world.eco,
-        &PopulationConfig {
-            households,
-            seed: 0xFA17,
-            ..Default::default()
-        },
-    );
-    let driven = browsersim::drive::drive(
-        &world.eco,
-        &mut pop,
-        &ActivityProfile::default(),
-        &DriveConfig::rbn2(hours),
-    );
-    let baseline_trace = driven.trace;
+    let config = DriveConfig::rbn2(hours);
+    let meta = config.meta(households);
     // A fixed activity cut for this shorter trace keeps class shares
     // comparable across fault rates.
     let activity = 100u64;
+    let opts = StreamOptions {
+        threads: world.threads,
+        ..StreamOptions::default()
+    };
 
     let mut out = String::from(
         "## Robustness — headline metrics under injected trace corruption\n\
@@ -889,42 +838,63 @@ fn robustness(world: &mut World) -> String {
          can and the full pipeline re-runs.\n\n\
          rate    records    ad%      EL       EP      A%    B%    C%    D%   skipped  degraded\n",
     );
+    const IN_MEMORY: &str = "writing to and streaming from memory cannot fail";
+    let mut bytes = Vec::new();
     let mut baseline_ad_pct = 0.0f64;
     let mut worst_drift = 0.0f64;
     let mut last_detail = String::new();
     for &rate in &[0.0, 0.005, 0.01, 0.02, 0.05, 0.10] {
         let mut injector =
             FaultInjector::new(FaultProfile::uniform(rate), 0xFA17 ^ (rate * 1e4) as u64);
-        let faulted = injector.corrupt_trace(&baseline_trace);
-        let mut bytes = Vec::new();
-        write_trace(&faulted, &mut bytes).expect("in-memory serialization cannot fail");
-        let wire = injector.corrupt_bytes(&bytes);
-        let (recovered, stats) =
-            read_trace_lossy(&wire[..]).expect("lossy reader absorbs corruption");
-        let classified = adscope::pipeline::classify_trace(
-            &recovered,
-            &world.classifier,
-            PipelineOptions::default(),
+        let mut pop = Population::generate(
+            &world.eco,
+            &PopulationConfig {
+                households,
+                seed: 0xFA17,
+                ..Default::default()
+            },
         );
-        let total = classified.requests.len() as u64;
-        let ads = classified.ad_request_count() as u64;
-        let ad_pct = stats::pct(ads, total);
-        let el = classified
-            .requests
-            .iter()
-            .filter(|r| {
-                r.label.blocked_by(ListKind::EasyList) || r.label.blocked_by(ListKind::Regional)
-            })
-            .count() as u64;
-        let ep = classified
-            .requests
-            .iter()
-            .filter(|r| r.label.blocked_by(ListKind::EasyPrivacy))
-            .count() as u64;
-        let users = aggregate_users(&classified);
-        let downloads =
-            infer::households_with_downloads(&classified.https_flows, &world.eco.abp_ips);
-        let inferred = infer::classify_users(&users, &downloads, AD_RATIO_THRESHOLD_PCT, activity);
+        bytes.clear();
+        let mut writer = TraceWriter::new(&mut bytes, &meta).expect(IN_MEMORY);
+        drive_stream(
+            &world.eco,
+            &mut pop,
+            &ActivityProfile::default(),
+            &config,
+            |records| {
+                let slice = Trace {
+                    meta: meta.clone(),
+                    records,
+                };
+                for r in &injector.corrupt_trace(&slice).records {
+                    writer.write_record(r).expect(IN_MEMORY);
+                }
+            },
+        );
+        writer.finish().expect(IN_MEMORY);
+        let wire = WireFaults {
+            injector: &mut injector,
+            lines: bytes.split(|&b| b == b'\n').enumerate(),
+            line: Vec::new(),
+            at: 0,
+        };
+        let reader =
+            ChunkReader::new(wire, opts.chunk_records).expect("lossy reader absorbs corruption");
+        let meta = reader.meta().clone();
+        let (report, figures) = adscope::classify_stream_chunks(
+            reader,
+            meta,
+            &world.classifier,
+            &opts,
+            obs::global(),
+            Figures::new(&world.eco.abp_ips),
+        )
+        .expect(IN_MEMORY);
+        let ad_pct = stats::pct(report.ad_requests, report.requests);
+        let (el, ep) = list_hits(&figures.servers);
+        let users = figures.users.finish();
+        let downloads = &figures.households;
+        let inferred = infer::classify_users(&users, downloads, AD_RATIO_THRESHOLD_PCT, activity);
         let share = |class: UserClass| {
             stats::pct(
                 inferred.iter().filter(|u| u.class == class).count() as u64,
@@ -940,7 +910,7 @@ fn robustness(world: &mut World) -> String {
             out,
             " {:>4.1}%  {:>8}  {:>5.1}%  {:>7}  {:>7}  {:>4.1}  {:>4.1}  {:>4.1}  {:>4.1}  {:>7}  {:>8}",
             rate * 100.0,
-            fmt_count(classified.requests.len() as u64),
+            fmt_count(report.requests),
             ad_pct,
             fmt_count(el),
             fmt_count(ep),
@@ -948,8 +918,8 @@ fn robustness(world: &mut World) -> String {
             share(UserClass::B),
             share(UserClass::C),
             share(UserClass::D),
-            fmt_count(stats.total_skipped() as u64),
-            fmt_count(classified.degradation.total() as u64),
+            fmt_count(report.codec.total_skipped() as u64),
+            fmt_count(report.degradation.total() as u64),
         );
         last_detail = format!(
             "at {:.1}% faults: injected [{}]\n\
@@ -957,8 +927,8 @@ fn robustness(world: &mut World) -> String {
              pipeline: {}\n",
             rate * 100.0,
             injector.counts(),
-            stats,
-            classified.degradation
+            report.codec,
+            report.degradation
         );
     }
     let _ = writeln!(
@@ -975,25 +945,36 @@ fn robustness(world: &mut World) -> String {
     out
 }
 
-fn validation(world: &mut World) -> String {
+/// A serialized trace read through an injector's wire faults: what
+/// `corrupt_bytes` returns, a line at a time and never held whole.
+struct WireFaults<'a, L> {
+    injector: &'a mut netsim::faults::FaultInjector,
+    lines: L,
+    line: Vec<u8>,
+    at: usize,
+}
+
+impl<'a, L: Iterator<Item = (usize, &'a [u8])>> std::io::Read for WireFaults<'_, L> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        while self.at == self.line.len() {
+            let Some((i, line)) = self.lines.next() else {
+                return Ok(0);
+            };
+            self.line.clear();
+            self.at = 0;
+            self.injector.corrupt_line(i, line, &mut self.line);
+        }
+        let n = (&self.line[self.at..]).read(buf)?;
+        self.at += n;
+        Ok(n)
+    }
+}
+
+fn validation(world: &World) -> String {
     // Beyond the paper: with generator ground truth we can compute the
     // passive classifier's precision/recall directly.
-    world.ensure_rbn2();
-    let r2 = world.rbn2_ref();
-    let mut tp = 0u64;
-    let mut fp = 0u64;
-    let mut fn_ = 0u64;
-    let mut tn = 0u64;
-    for r in &r2.classified.requests {
-        let truth = world.ground_truth_is_ad(&r.url);
-        let predicted = r.label.is_ad();
-        match (truth, predicted) {
-            (true, true) => tp += 1,
-            (false, true) => fp += 1,
-            (true, false) => fn_ += 1,
-            (false, false) => tn += 1,
-        }
-    }
+    let r2 = world.rbn(Rbn::Two);
+    let [[tn, fp], [fn_, tp]] = r2.confusion;
     let precision = stats::pct(tp, tp + fp);
     let recall = stats::pct(tp, tp + fn_);
     // The passive observer's structural blind spots, from simulation ground
@@ -1031,8 +1012,7 @@ fn validation(world: &mut World) -> String {
 /// adscope pipeline; a codec round-trip covers the netsim reader and
 /// writer), prints per-stage wall-time and counter tables, and writes
 /// `metrics.prom` + `events.ndjson` under `target/experiments/`.
-fn metrics(world: &mut World) -> String {
-    world.ensure_rbn2();
+fn metrics(world: &World) -> String {
     let mut pop = Population::generate(
         &world.eco,
         &PopulationConfig {
@@ -1057,12 +1037,21 @@ fn metrics(world: &mut World) -> String {
     );
 
     let registry = obs::global();
+    // The stream that folded RBN-2 has no per-stage spans: the materialized
+    // oracle over the round-tripped trace gives the stage table its
+    // `adscope_stage` rows.
+    adscope::pipeline::classify_trace_in(
+        &reread,
+        &world.classifier,
+        PipelineOptions::default(),
+        registry,
+    );
 
     // Alert plane: run the built-in rule pack over the RBN-2 windows and
     // publish before the snapshot, so the `obs_alerts_*` samples land in
     // the tables and the exposition artifact alike.
     let alert_engine = adscope::alerts::evaluate(
-        &world.rbn2_ref().classified.windows,
+        &world.rbn(Rbn::Two).report.windows,
         adscope::alerts::rule_pack(),
     );
     alert_engine.publish(registry);

@@ -76,10 +76,10 @@ fn main() {
     if ids.contains(&"all") {
         ids = ALL_IDS.to_vec();
     }
-    let mut world = World::new(scale, seed, threads);
+    let world = World::new(scale, seed, threads);
     let mut out = String::new();
     for id in &ids {
-        let section = experiments::run(id, &mut world).expect("ids were checked against ALL_IDS");
+        let section = experiments::run(id, &world).expect("ids were checked against ALL_IDS");
         println!("{section}");
         stamp_id(id, &section, &world);
         out.push_str(&section);
@@ -100,6 +100,10 @@ fn main() {
                 );
             }
         }
+    }
+    // Machine-parseable for the CI memory ceiling.
+    if let Some(bytes) = obs::peak_rss_bytes() {
+        eprintln!("[experiments] peak_rss_bytes={bytes}");
     }
 }
 

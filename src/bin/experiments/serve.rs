@@ -2,9 +2,10 @@
 //!
 //! `serve` binds the [`obs::serve`] endpoint on the global registry
 //! (`--port 0` picks an ephemeral port; `--port-file` writes the bound
-//! port for scripts to poll), then replays the shared world's RBN-1
-//! trace through the sharded pipeline so every scrape of `/metrics`,
-//! `/windows`, and `/profile` sees real data. With `--pace`, the
+//! port for scripts to poll), then generates the shared world's RBN-1
+//! capture straight into the stream engine, population and alert planes
+//! on, so every scrape of `/metrics`, `/windows`, `/population` and
+//! `/alerts` sees real data. With `--pace`, the
 //! last-window gauges are re-published one closed window at a time with
 //! that many wall-clock seconds between windows — a slow-motion replay
 //! of trace time for watching a live dashboard. After the replay the
@@ -22,7 +23,8 @@
 
 use crate::cli::{die, Args};
 use crate::manifest;
-use crate::world::{Scale, World};
+use crate::world::{Rbn, Scale, World};
+use adscope::StreamOptions;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -64,28 +66,30 @@ pub fn run_serve(args: &[String]) -> ! {
     registry.counter("obs_serve_starts_total").add(1);
     let handle = bind(port, port_file.as_deref());
 
-    // Replay: build the world and push RBN-1 through the sharded
-    // pipeline. Classification records into the global registry, so
-    // scrapes see stage counters and spans grow live.
-    let mut world = World::new(scale, seed, threads);
-    let abp_ips = world.eco.abp_ips.clone();
-    let data = world.rbn1();
+    // Replay: build the world and stream RBN-1 through the engine, which
+    // records into the global registry and publishes what it merges: the
+    // window series; the population plane, so `/population`,
+    // `/population/ndjson` and the `obs_sketch_*` / class gauges serve real
+    // data; and the built-in rule pack's timeline, so `/alerts`,
+    // `/alerts/ndjson`, `/statusz` and the `obs_alerts_*` metrics do. A
+    // clean RBN-1 replay keeps every page-severity rule idle, so `/healthz`
+    // stays "ok" — the CI smoke gate checks exactly that.
+    let world = World::new(scale, seed, threads);
+    let mut opts = StreamOptions {
+        threads,
+        abp_ips: world.eco.abp_ips.clone(),
+        alerts: adscope::alerts::rule_pack(),
+        ..StreamOptions::default()
+    };
+    opts.pipeline.population.enabled = true;
+    let report = world.stream_rbn(Rbn::One, &opts, ()).0;
     eprintln!(
         "[serve] replayed RBN-1: {} classified requests, {} closed windows, {} late",
-        data.classified.requests.len(),
-        data.classified.windows.windows.len(),
-        data.classified.windows.late
+        report.requests,
+        report.windows.windows.len(),
+        report.windows.late
     );
-
-    // Population plane: build the sketch report over the replayed trace
-    // and publish it, so `/population`, `/population/ndjson`, and the
-    // `obs_sketch_*` / class gauges serve real data.
-    let popts = adscope::PopulationOptions {
-        enabled: true,
-        ..adscope::PopulationOptions::default()
-    };
-    let population = adscope::population::finish_trace(&data.classified, &abp_ips, popts);
-    population.publish(registry);
+    let population = report.population.expect("the population plane was on");
     eprintln!(
         "[serve] population published: {} active browsers, topk {}",
         population.active_browsers,
@@ -96,13 +100,7 @@ pub fn run_serve(args: &[String]) -> ! {
         }
     );
 
-    // Alert plane: evaluate the built-in rule pack over the replayed
-    // windows and publish the timeline, so `/alerts`, `/alerts/ndjson`,
-    // `/statusz`, and the `obs_alerts_*` metrics serve real data. A
-    // clean RBN-1 replay keeps every page-severity rule idle, so
-    // `/healthz` stays "ok" — the CI smoke gate checks exactly that.
-    let alerts = adscope::alerts::evaluate(&data.classified.windows, adscope::alerts::rule_pack());
-    alerts.publish(registry);
+    let alerts = report.alerts.expect("the rule pack was passed");
     eprintln!(
         "[serve] alerts published: {} rules, {} events, {} firing",
         alerts.rules().len(),
@@ -113,7 +111,7 @@ pub fn run_serve(args: &[String]) -> ! {
     // Optional slow-motion replay of the windowed series for dashboard
     // watching: re-publish the last-window gauges one window at a time.
     if pace > 0.0 {
-        for w in &data.classified.windows.windows {
+        for w in &report.windows.windows {
             let requests = w.counter("requests");
             let ads = w.counter("ads");
             registry

@@ -9,8 +9,9 @@
 //!   slice-by-slice straight to disk (never materializing it), then
 //!   stream-classify the file. Checkpointing works here too.
 //! * `--rbn1`/`--rbn2` alone — wire the generator to the classifier
-//!   through a bounded channel: records flow generator → router →
-//!   shard workers with no file and no full-trace buffer anywhere.
+//!   through a bounded channel (`World::stream_rbn`): records flow
+//!   generator → router → shard workers with no file and no full-trace
+//!   buffer anywhere.
 //!
 //! Every run stamps a run manifest (default `<report>.manifest.json`
 //! next to the report, or `stream.manifest.json` under the experiments
@@ -34,11 +35,11 @@
 use crate::cli::{die, Args};
 use crate::manifest;
 use crate::world::{Rbn, Scale, World};
-use adscope::stream::{classify_stream_chunks, classify_stream_file, CHECKPOINT_FILE};
+use adscope::stream::{classify_stream_file, CHECKPOINT_FILE};
 use adscope::{CheckpointOptions, StreamOptions};
 use annoyed_users::prelude::*;
 use browsersim::drive::drive_stream;
-use netsim::stream::{StreamChunk, TraceWriter};
+use netsim::stream::TraceWriter;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -161,78 +162,52 @@ pub fn run(args: &[String]) -> ! {
             eprintln!("[stream] classifying {} in streaming mode", path.display());
             classify_stream_file(path, classifier, &opts, registry)
         }
-        Source::Rbn(which) => {
-            let (config, mut pop) = world.rbn_setup(eco, *which);
-            let meta = config.meta(pop.households);
-            match &write_trace {
-                Some(path) => {
-                    // Generate straight to disk, slice by slice, then
-                    // stream-classify the file (checkpointable).
-                    eprintln!(
-                        "[stream] generating {} to {} ({} households)",
-                        config.name,
-                        path.display(),
-                        pop.households
-                    );
-                    let file = std::fs::File::create(path)
-                        .unwrap_or_else(|e| die(format!("cannot create trace file: {e}")));
-                    let mut writer = TraceWriter::new(std::io::BufWriter::new(file), &meta)
-                        .unwrap_or_else(|e| die(format!("trace header write: {e}")));
-                    let mut write_err = None;
-                    drive_stream(
-                        eco,
-                        &mut pop,
-                        &ActivityProfile::default(),
-                        &config,
-                        |batch| {
-                            if write_err.is_some() {
-                                return;
+        Source::Rbn(which) => match &write_trace {
+            Some(path) => {
+                // Generate straight to disk, slice by slice, then
+                // stream-classify the file (checkpointable).
+                let (config, mut pop) = world.rbn_setup(eco, *which);
+                let meta = config.meta(pop.households);
+                eprintln!(
+                    "[stream] generating {} to {} ({} households)",
+                    config.name,
+                    path.display(),
+                    pop.households
+                );
+                let file = std::fs::File::create(path)
+                    .unwrap_or_else(|e| die(format!("cannot create trace file: {e}")));
+                let mut writer = TraceWriter::new(std::io::BufWriter::new(file), &meta)
+                    .unwrap_or_else(|e| die(format!("trace header write: {e}")));
+                let mut write_err = None;
+                drive_stream(
+                    eco,
+                    &mut pop,
+                    &ActivityProfile::default(),
+                    &config,
+                    |batch| {
+                        if write_err.is_some() {
+                            return;
+                        }
+                        for r in &batch {
+                            if let Err(e) = writer.write_record(r) {
+                                write_err = Some(e);
+                                break;
                             }
-                            for r in &batch {
-                                if let Err(e) = writer.write_record(r) {
-                                    write_err = Some(e);
-                                    break;
-                                }
-                            }
-                        },
-                    );
-                    if let Some(e) = write_err {
-                        die(format!("trace write failed: {e}"));
-                    }
-                    let (records, bytes) = writer
-                        .finish()
-                        .unwrap_or_else(|e| die(format!("trace finish failed: {e}")));
-                    eprintln!("[stream] wrote {records} records ({bytes} bytes)");
-                    classify_stream_file(path, classifier, &opts, registry)
+                        }
+                    },
+                );
+                if let Some(e) = write_err {
+                    die(format!("trace write failed: {e}"));
                 }
-                None => {
-                    // No file anywhere: generator thread feeds the
-                    // classifier over a bounded channel (a full queue
-                    // pauses the simulation — backpressure end to end).
-                    eprintln!(
-                        "[stream] piping {} generator -> classifier ({} households)",
-                        config.name, pop.households
-                    );
-                    let (tx, rx) = parallel::bounded::<Vec<netsim::record::TraceRecord>>(4);
-                    std::thread::scope(|scope| {
-                        let config = &config;
-                        let pop = &mut pop;
-                        scope.spawn(move || {
-                            drive_stream(eco, pop, &ActivityProfile::default(), config, |batch| {
-                                // A dead receiver means the classifier
-                                // failed; drop remaining batches.
-                                let _ = tx.send(batch);
-                            });
-                        });
-                        let chunks = rx
-                            .into_iter()
-                            .enumerate()
-                            .map(|(seq, records)| StreamChunk::in_memory(seq as u64, records));
-                        classify_stream_chunks(chunks, meta, classifier, &opts, registry)
-                    })
-                }
+                let (records, bytes) = writer
+                    .finish()
+                    .unwrap_or_else(|e| die(format!("trace finish failed: {e}")));
+                eprintln!("[stream] wrote {records} records ({bytes} bytes)");
+                classify_stream_file(path, classifier, &opts, registry)
             }
-        }
+            // No file anywhere: the generator feeds the classifier.
+            None => Ok(world.stream_rbn(*which, &opts, ()).0),
+        },
     };
     let report = report.unwrap_or_else(|e| die(e));
 

@@ -1,25 +1,25 @@
 //! `experiments temporal` — the per-hour-of-day ad-share table (the
 //! paper's §5 temporal characterization, Figure-5 shape).
 //!
-//! With `--trace`, the NDJSON capture is replayed through the lossy
+//! With `--trace`, the NDJSON capture is streamed through the lossy
 //! reader and classified against the same fixture rule set `explain`
 //! uses, so the output is a pure function of the file bytes — which is
 //! what lets the golden test pin it. Without `--trace`, the shared
-//! world's RBN-1 trace is built at the requested scale and its windowed
-//! series are collapsed onto the 24-hour clock.
+//! world's RBN-1 capture is generated at the requested scale straight into
+//! the stream engine and its windowed series are collapsed onto the
+//! 24-hour clock.
 //!
-//! The table collapses the pipeline's windowed series
+//! The table collapses the engine's windowed series
 //! ([`adscope::window`]) onto the hour-of-day axis using the trace's
-//! wall-clock `start_hour`; the watermark is infinite here so every
+//! wall-clock `start_hour`; the stream's watermark is infinite so every
 //! record lands in its window and the table is a complete census
-//! (lateness is a live-scrape concern, not a batch-table one).
+//! (lateness is a live-scrape concern, not a batch-table one). A window is
+//! filed under the hour it starts in, so `--width` must divide the hour.
 
-use crate::cli::Args;
+use crate::cli::{die, Args};
 use crate::manifest;
-use crate::world::{Scale, World};
-use adscope::pipeline::ClassifiedTrace;
-use adscope::window::WindowOptions;
-use adscope::PipelineOptions;
+use crate::world::{Rbn, Scale, World};
+use adscope::StreamOptions;
 use std::path::PathBuf;
 
 pub const USAGE: &str = "experiments temporal [--trace <file>] [--width SECS]
@@ -43,41 +43,41 @@ pub fn run(args: &[String]) -> ! {
             other => a.unknown(other),
         }
     }
+    if (3600.0 / width).fract() != 0.0 {
+        // A window wider than an hour, or one straddling the turn of one,
+        // would be counted whole under the hour of its start.
+        a.usage_error(&format!(
+            "bad --width value {width}: a window must divide the hour"
+        ));
+    }
 
-    let opts = PipelineOptions {
-        window: WindowOptions {
-            enabled: true,
-            width_secs: width,
-            watermark_secs: f64::INFINITY,
-        },
-        ..Default::default()
+    let mut opts = StreamOptions {
+        threads,
+        ..StreamOptions::default()
     };
+    opts.pipeline.window.width_secs = width;
 
     let mut filter_hash: Option<u64> = None;
-    let (meta, windows) = match &trace_arg {
+    let report = match &trace_arg {
         Some(path) => {
-            let trace = crate::world::read_trace_file("temporal", path);
-            let out: ClassifiedTrace = adscope::classify_trace_sharded(
-                &trace,
-                &crate::explain::fixture_classifier(),
-                opts,
-                threads,
-            );
-            (out.meta, out.windows)
+            let classifier = crate::explain::fixture_classifier();
+            let shown = path.display();
+            let report = adscope::classify_stream_file(path, &classifier, &opts, obs::global())
+                .unwrap_or_else(|e| die(format!("cannot read trace {shown}: {e}")));
+            if report.codec.total_skipped() > 0 {
+                let skipped = report.codec.total_skipped();
+                eprintln!("[temporal] lossy read skipped {skipped} line(s) of {shown}");
+            }
+            report
         }
         None => {
-            let mut world = World::new(scale, seed, threads);
+            let world = World::new(scale, seed, threads);
             filter_hash = Some(manifest::filter_fnv(&world.eco));
-            // Reuse the world's classified requests and rerun only the
-            // window pass, so `--width` is honored without a second
-            // classification.
-            let data = world.rbn1();
-            let windows = adscope::window::aggregate(&data.classified.requests, &[], opts.window);
-            (data.classified.meta.clone(), windows)
+            world.stream_rbn(Rbn::One, &opts, ()).0
         }
     };
 
-    let table = render(&meta, &windows);
+    let table = render(&report.meta, &report.windows);
     print!("{table}");
 
     // Artifact + manifest. Stdout is golden-pinned, so everything below

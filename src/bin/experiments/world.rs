@@ -1,12 +1,18 @@
 //! Shared world construction for every subcommand: one ecosystem and its
 //! four-list classifier, one active crawl, the one recipe for the two RBN
-//! traces (generated on request, classified lazily and reused).
+//! captures (generated on request straight into the stream engine, which
+//! folds every figure of the paper; never materialized; folded once and
+//! reused).
 
 use crate::cli::die;
+use adscope::characterize::Figures;
+use adscope::stream::{classify_stream_chunks, Fold};
+use adscope::{StreamOptions, StreamReport};
 use annoyed_users::prelude::*;
 use browsersim::active::{run_crawl, ActiveResults};
-use browsersim::drive::{drive, DriveOutput};
+use browsersim::drive::{drive, drive_stream, DriveOutput, StreamDriveOutput};
 use netsim::stream::StreamChunk;
+use std::cell::OnceCell;
 use std::path::Path;
 use std::time::Instant;
 
@@ -117,18 +123,22 @@ pub struct World {
     pub seed: u64,
     pub eco: Ecosystem,
     pub classifier: PassiveClassifier,
-    /// Worker threads for classification, sharded or streamed
-    /// (`--threads`; 0 = this machine's available parallelism).
+    /// The stream engine's worker threads (`--threads`; 0 = this machine's
+    /// available parallelism).
     pub threads: usize,
-    active: Option<ActiveResults>,
-    rbn1: Option<RbnData>,
-    rbn2: Option<RbnData>,
-    crawl_sites: usize,
+    rbn: [OnceCell<RbnData>; 2],
 }
 
-/// One RBN trace with its classification and population ground truth.
+/// One RBN capture as the stream engine folded it, with the population's
+/// ground truth.
 pub struct RbnData {
-    pub classified: ClassifiedTrace,
+    /// Totals, windows and the capture's metadata.
+    pub report: StreamReport,
+    /// Every §6–§8 figure.
+    pub figures: Figures,
+    /// The classifier against the generator's ground truth: requests by
+    /// `[is an ad in truth][classified as one]`.
+    pub confusion: [[u64; 2]; 2],
     pub truth: Vec<browsersim::population::BrowserTruth>,
     pub ground: Vec<browsersim::drive::BrowserGroundTruth>,
     /// Raw→anonymized address mapping (ground-truth joins only).
@@ -142,7 +152,6 @@ impl World {
             publishers,
             ad_companies,
             trackers,
-            crawl_sites,
             ..
         } = scale.knobs();
         let t = Instant::now();
@@ -173,68 +182,33 @@ impl World {
             eco,
             classifier,
             threads,
-            active: None,
-            rbn1: None,
-            rbn2: None,
-            crawl_sites: crawl_sites.min(publishers),
+            rbn: Default::default(),
         }
     }
 
-    /// The §4 active crawl (cached).
-    pub fn active(&mut self) -> &ActiveResults {
-        if self.active.is_none() {
-            let t = Instant::now();
-            let res = run_crawl(
-                &self.eco,
-                &ActiveConfig {
-                    sites: self.crawl_sites,
-                    seed: 0xAC71,
-                },
-            );
-            eprintln!(
-                "[world] active crawl: {} sites x 7 profiles ({:.1}s)",
-                self.crawl_sites,
-                t.elapsed().as_secs_f64()
-            );
-            self.active = Some(res);
-        }
-        self.active.as_ref().expect("just built")
+    /// The §4 active crawl: seven profile traces, run anew for the id that
+    /// asks and dropped with it.
+    pub fn active(&self) -> ActiveResults {
+        let t = Instant::now();
+        let Knobs { crawl_sites, .. } = self.scale.knobs();
+        let sites = crawl_sites.min(self.eco.publishers.len());
+        let res = run_crawl(
+            &self.eco,
+            &ActiveConfig {
+                sites,
+                seed: 0xAC71,
+            },
+        );
+        eprintln!(
+            "[world] active crawl: {sites} sites x 7 profiles ({:.1}s)",
+            t.elapsed().as_secs_f64()
+        );
+        res
     }
 
-    /// Build RBN-2 (15.5 h peak trace) if not yet built.
-    pub fn ensure_rbn2(&mut self) {
-        if self.rbn2.is_none() {
-            self.rbn2 = Some(self.drive_rbn(Rbn::Two));
-        }
-    }
-
-    /// RBN-2 data (call [`Self::ensure_rbn2`] first or use via `rbn2()`).
-    pub fn rbn2_ref(&self) -> &RbnData {
-        self.rbn2.as_ref().expect("ensure_rbn2 first")
-    }
-
-    /// RBN-2 (15.5 h peak trace, the usage-inference trace).
-    pub fn rbn2(&mut self) -> &RbnData {
-        self.ensure_rbn2();
-        self.rbn2_ref()
-    }
-
-    /// Build RBN-1 (multi-day trace) if not yet built.
-    pub fn ensure_rbn1(&mut self) {
-        if self.rbn1.is_none() {
-            self.rbn1 = Some(self.drive_rbn(Rbn::One));
-        }
-    }
-
-    /// RBN-1 data (call [`Self::ensure_rbn1`] first or use via `rbn1()`).
-    pub fn rbn1_ref(&self) -> &RbnData {
-        self.rbn1.as_ref().expect("ensure_rbn1 first")
-    }
-
-    /// RBN-1 (multi-day trace, the characterization trace).
-    pub fn rbn1(&mut self) -> &RbnData {
-        self.ensure_rbn1();
-        self.rbn1_ref()
+    /// One of the two captures, generated and folded on first use.
+    pub fn rbn(&self, which: Rbn) -> &RbnData {
+        self.rbn[which as usize].get_or_init(|| self.drive_rbn(which))
     }
 
     /// The one RBN recipe: the capture's shape and its seeded population
@@ -275,78 +249,86 @@ impl World {
 
     /// Chunk a materialized trace through the streaming engine — the same
     /// router and shard workers `experiments stream` runs.
-    pub fn stream_trace(
-        &self,
-        trace: &Trace,
-        opts: &adscope::StreamOptions,
-    ) -> adscope::StreamReport {
+    pub fn stream_trace(&self, trace: &Trace, opts: &StreamOptions) -> StreamReport {
         let chunks = trace
             .records
             .chunks(opts.chunk_records)
             .enumerate()
             .map(|(seq, records)| StreamChunk::in_memory(seq as u64, records.to_vec()));
         let meta = trace.meta.clone();
-        adscope::stream::classify_stream_chunks(chunks, meta, &self.classifier, opts, obs::global())
+        classify_stream_chunks(chunks, meta, &self.classifier, opts, obs::global(), ())
             .unwrap_or_else(|e| die(format!("stream failed: {e}")))
+            .0
+    }
+
+    /// Generate one capture over this world's ecosystem straight into the
+    /// stream engine: records flow generator → router → shard workers over a
+    /// bounded channel (a full queue pauses the simulation), with no file and
+    /// no full-trace buffer anywhere, and `fold` sees every classified
+    /// request. Returns the population beside what the two ends produced.
+    pub fn stream_rbn<F: Fold>(
+        &self,
+        which: Rbn,
+        opts: &StreamOptions,
+        fold: F,
+    ) -> (StreamReport, F, StreamDriveOutput, Population) {
+        let t = Instant::now();
+        let (config, mut pop) = self.rbn_setup(&self.eco, which);
+        let meta = config.meta(pop.households);
+        let (tx, rx) = parallel::bounded::<Vec<netsim::record::TraceRecord>>(4);
+        let (driven, classified) = std::thread::scope(|scope| {
+            let (eco, config, pop) = (&self.eco, &config, &mut pop);
+            let generator = scope.spawn(move || {
+                // A dead receiver means the classifier failed; the remaining
+                // batches are dropped.
+                drive_stream(eco, pop, &ActivityProfile::default(), config, |batch| {
+                    let _ = tx.send(batch);
+                })
+            });
+            let chunks = rx
+                .into_iter()
+                .enumerate()
+                .map(|(seq, records)| StreamChunk::in_memory(seq as u64, records));
+            let classified =
+                classify_stream_chunks(chunks, meta, &self.classifier, opts, obs::global(), fold);
+            (generator.join(), classified)
+        });
+        let driven = driven.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        let (report, fold) = classified.unwrap_or_else(|e| die(format!("stream failed: {e}")));
+        eprintln!(
+            "[world] {}: {} households, {} requests + {} HTTPS flows streamed on {} thread(s) ({:.1}s)",
+            config.name,
+            pop.households,
+            report.requests,
+            report.https_flows,
+            opts.threads,
+            t.elapsed().as_secs_f64()
+        );
+        (report, fold, driven, pop)
     }
 
     fn drive_rbn(&self, which: Rbn) -> RbnData {
-        let (out, pop) = self.generate(&self.eco, which);
-        let DriveOutput {
-            trace,
-            ground_truth,
-            addr_map,
-        } = out;
-        let t2 = Instant::now();
-        let classified = adscope::classify_trace_sharded(
-            &trace,
-            &self.classifier,
-            PipelineOptions::default(),
-            self.threads,
+        let opts = StreamOptions {
+            threads: self.threads,
+            ..StreamOptions::default()
+        };
+        let fold = (
+            Figures::new(&self.eco.abp_ips),
+            Confusion {
+                eco: &self.eco,
+                counts: Default::default(),
+            },
         );
-        eprintln!(
-            "[world] {}: classified {} requests on {} thread(s) ({:.1}s)",
-            trace.meta.name,
-            classified.requests.len(),
-            self.threads,
-            t2.elapsed().as_secs_f64()
-        );
+        let (report, (figures, confusion), driven, pop) = self.stream_rbn(which, &opts, fold);
         RbnData {
-            classified,
+            report,
+            figures,
+            confusion: confusion.counts,
             truth: pop.truth,
-            ground: ground_truth,
-            addr_map,
+            ground: driven.ground_truth,
+            addr_map: driven.addr_map,
             households: pop.households,
         }
-    }
-
-    /// Ground-truth oracle: is this URL ad-related by construction of the
-    /// synthetic web? (Company hosts and the generator's path markers.)
-    pub fn ground_truth_is_ad(&self, url: &Url) -> bool {
-        let host = url.host();
-        let path = url.path();
-        // The giant's static CDN is *content* infrastructure (fonts etc.)
-        // unless the ad path markers appear — the overly-broad whitelist
-        // rule covering it is precisely the §7.3 accuracy hazard.
-        let is_static_cdn = host.contains("-cdn.");
-        if !is_static_cdn
-            && self.eco.companies.iter().any(|c| {
-                c.domains
-                    .iter()
-                    .any(|d| http_model::is_subdomain_or_same(host, d))
-            })
-        {
-            return true;
-        }
-        webgen::adtech::AD_PATH_MARKERS
-            .iter()
-            .chain(webgen::adtech::TRACK_PATH_MARKERS.iter())
-            .any(|m| path.starts_with(m))
-            || path.starts_with("/sponsor/")
-            // Unlisted networks' markers (list lag — still ads in truth).
-            || path.starts_with("/native/")
-            || path.starts_with("/promo/")
-            || path.starts_with("/stats/")
     }
 
     /// Map a server IP to its AS name.
@@ -366,4 +348,54 @@ impl World {
             Scale::Medium | Scale::Large => 1_000,
         }
     }
+}
+
+/// The driver's own fold beside [`Figures`]: the classifier's verdict on
+/// every request against the generator's ground truth (`validation`).
+#[derive(Clone)]
+struct Confusion<'a> {
+    eco: &'a Ecosystem,
+    counts: [[u64; 2]; 2],
+}
+
+impl Fold for Confusion<'_> {
+    fn observe(&mut self, _pos: u64, r: &ClassifiedRequest) {
+        let truth = ground_truth_is_ad(self.eco, &r.url);
+        self.counts[usize::from(truth)][usize::from(r.label.is_ad())] += 1;
+    }
+    fn merge(&mut self, part: Self) {
+        let theirs = part.counts.iter().flatten();
+        for (mine, theirs) in self.counts.iter_mut().flatten().zip(theirs) {
+            *mine += theirs;
+        }
+    }
+}
+
+/// Ground-truth oracle: is this URL ad-related by construction of the
+/// synthetic web? (Company hosts and the generator's path markers.)
+fn ground_truth_is_ad(eco: &Ecosystem, url: &Url) -> bool {
+    let host = url.host();
+    let path = url.path();
+    // The giant's static CDN is *content* infrastructure (fonts etc.)
+    // unless the ad path markers appear — the overly-broad whitelist
+    // rule covering it is precisely the §7.3 accuracy hazard.
+    let is_static_cdn = host.contains("-cdn.");
+    if !is_static_cdn
+        && eco.companies.iter().any(|c| {
+            c.domains
+                .iter()
+                .any(|d| http_model::is_subdomain_or_same(host, d))
+        })
+    {
+        return true;
+    }
+    webgen::adtech::AD_PATH_MARKERS
+        .iter()
+        .chain(webgen::adtech::TRACK_PATH_MARKERS.iter())
+        .any(|m| path.starts_with(m))
+        || path.starts_with("/sponsor/")
+        // Unlisted networks' markers (list lag — still ads in truth).
+        || path.starts_with("/native/")
+        || path.starts_with("/promo/")
+        || path.starts_with("/stats/")
 }

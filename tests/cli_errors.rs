@@ -333,6 +333,12 @@ fn cross_flag_requirements_keep_their_messages() {
     assert_refused(&out, &dir, "stream requires a source", "no source");
     let out = run(&dir, sub("stream"), &["--checkpoint-dir", "ck"]);
     assert_refused(&out, &dir, "add --write-trace PATH", "checkpoint, no file");
+    // A window is filed under the hour it starts in: one that does not
+    // divide the hour used to print a table with every second row empty.
+    for width in ["7200", "5400", "2700"] {
+        let out = run(&dir, sub("temporal"), &["--width", width]);
+        assert_refused(&out, &dir, "--width", "temporal, width off the hour");
+    }
     let out = run(&dir, &bare("explain"), &[]);
     assert_refused(&out, &dir, "explain requires --url", "explain, no url");
     let out = run(&dir, &bare("explain"), &["--url", "not a url"]);
