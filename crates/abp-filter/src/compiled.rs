@@ -38,6 +38,7 @@ use crate::tokenizer::{
     filter_index_token, hash_token, url_tokens_with_starts_into, IndexToken, MIN_TOKEN_LEN,
 };
 use http_model::{is_third_party, ContentCategory};
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -555,27 +556,19 @@ impl CompiledEngine {
         let url = scratch.url_buf.as_bytes();
         let (hs, he) = host_span(&scratch.url_buf);
         let page_host = req.source_url.map(|u| u.host());
-        let has_page = match page_host {
-            Some(h) => {
-                host_suffix_hashes(h, &mut scratch.host_hashes);
-                true
-            }
-            None => {
-                scratch.host_hashes.clear();
-                false
-            }
-        };
         let ctx = RequestCtx {
             url,
             hs,
             he,
             sig: signature(&scratch.tokens),
             category: req.category,
-            has_page,
-            third_party: page_host
-                .map(|ph| is_third_party(req.url.host(), ph))
-                .unwrap_or(false),
-            page_hashes: &scratch.host_hashes,
+            host: req.url.host(),
+            page_host,
+            third_party: OnceCell::new(),
+            page_hashes: match page_host {
+                Some(h) => scratch.page_memo.hashes(h),
+                None => &[],
+            },
         };
         let tokens = scratch.tokens.as_slice();
         let starts = scratch.token_starts.as_slice();
@@ -650,23 +643,23 @@ impl CompiledEngine {
         if exception.is_none() && !(self.doc.keys.is_empty() && self.doc.fallback.is_empty()) {
             let is_doc = req.category == ContentCategory::Document;
             // Candidate discovery needs only the target's host-suffix
-            // hashes: non-document requests reuse the page hashes computed
-            // up top (`hash_token` case-folds, so raw and lowered hosts
+            // hashes: non-document requests reuse the page hashes of the
+            // context (`hash_token` case-folds, so raw and lowered hosts
             // hash alike); document requests hash their own host, already
             // lowered in the URL buffer.
-            let have_target = if is_doc {
+            let target_hashes = if is_doc {
                 host_suffix_hashes(
                     &scratch.url_buf[hs..he.min(url.len())],
                     &mut scratch.host_hashes,
                 );
-                true
+                Some(scratch.host_hashes.as_slice())
             } else {
-                has_page
+                ctx.page_host.map(|_| ctx.page_hashes)
             };
-            if have_target {
+            if let Some(target_hashes) = target_hashes {
                 scratch.candidates.clear();
                 scratch.candidates.extend_from_slice(&self.doc.fallback);
-                for h in &scratch.host_hashes {
+                for h in target_hashes {
                     if let Ok(i) = self.doc.keys.binary_search(h) {
                         let (s, e) = self.doc.buckets[i];
                         scratch
@@ -818,13 +811,13 @@ impl CompiledEngine {
         if rule.type_mask & FilterOptions::type_bit(ctx.category) == 0 {
             return false;
         }
-        if !self.domain_applies(rule, ctx.has_page, ctx.page_hashes) {
+        if !self.domain_applies(rule, ctx.page_host.is_some(), ctx.page_hashes) {
             return false;
         }
         let party_ok = match rule.party {
             PartyConstraint::Any => true,
-            PartyConstraint::ThirdOnly => ctx.third_party,
-            PartyConstraint::FirstOnly => !ctx.third_party,
+            PartyConstraint::ThirdOnly => ctx.third_party(),
+            PartyConstraint::FirstOnly => !ctx.third_party(),
         };
         party_ok && self.match_pattern(rule, ctx.url, ctx.hs, ctx.he)
     }
@@ -933,10 +926,25 @@ struct RequestCtx<'a> {
     /// Token signature of the URL.
     sig: u64,
     category: ContentCategory,
-    has_page: bool,
-    third_party: bool,
+    /// The request's and the page's host, as parsed.
+    host: &'a str,
+    page_host: Option<&'a str>,
+    /// `$third-party`-ness, resolved by the first candidate with a party
+    /// constraint that gets that far; most requests never need it.
+    third_party: OnceCell<bool>,
     /// Dot-suffix hashes of the page host (empty without a page).
     page_hashes: &'a [u64],
+}
+
+impl RequestCtx<'_> {
+    /// Are request and page on different registrable domains? False
+    /// without a page, as in the reference engine.
+    fn third_party(&self) -> bool {
+        *self.third_party.get_or_init(|| {
+            self.page_host
+                .is_some_and(|page| is_third_party(self.host, page))
+        })
+    }
 }
 
 /// Gather into `occ` the start offset of every occurrence of `token` among

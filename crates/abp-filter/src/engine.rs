@@ -152,6 +152,9 @@ pub struct ClassifyScratch {
     pub(crate) occurrences: Vec<usize>,
     /// FNV hashes of every dot-suffix of a host.
     pub(crate) host_hashes: Vec<u64>,
+    /// The page host's dot-suffix hashes, kept while the page host repeats
+    /// (compiled engine only).
+    pub(crate) page_memo: PageHostMemo,
     /// Candidate rule indices gathered from host-keyed buckets.
     pub(crate) candidates: Vec<u32>,
 }
@@ -160,6 +163,32 @@ impl ClassifyScratch {
     /// A fresh scratch (buffers grow on first use).
     pub fn new() -> ClassifyScratch {
         ClassifyScratch::default()
+    }
+}
+
+/// The dot-suffix hashes of the last page host seen: the requests of one
+/// page view arrive together, so most requests reuse them instead of
+/// rehashing every suffix. The memo owns its buffer — the `$document` path
+/// hashes document hosts into `ClassifyScratch::host_hashes`, never here,
+/// so nothing else can leave it stale.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct PageHostMemo {
+    host: String,
+    /// Empty until first filled: a filled memo holds at least the host's
+    /// own hash.
+    hashes: Vec<u64>,
+}
+
+impl PageHostMemo {
+    /// `host_suffix_hashes` of `host`, recomputed only when `host` differs
+    /// from the last one asked for.
+    pub(crate) fn hashes(&mut self, host: &str) -> &[u64] {
+        if self.hashes.is_empty() || self.host != host {
+            host_suffix_hashes(host, &mut self.hashes);
+            self.host.clear();
+            self.host.push_str(host);
+        }
+        &self.hashes
     }
 }
 

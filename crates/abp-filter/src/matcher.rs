@@ -131,12 +131,19 @@ fn find(haystack: &[u8], needle: &[u8], from: usize) -> Option<usize> {
 
 /// Locate the host within a full URL string: returns `(host_start, host_end)`.
 /// Assumes the URL has a scheme (`http://`, `https://`).
+///
+/// Two forward byte scans: the host starts after the first `://` (or at 0)
+/// and ends at the next `/`, `?` or `:` (or at the end). Every delimiter is
+/// ASCII, so byte positions are the `str::find` positions.
 pub fn host_span(url: &str) -> (usize, usize) {
-    let start = url.find("://").map(|p| p + 3).unwrap_or(0);
-    let end = url[start..]
-        .find(['/', '?', ':'])
-        .map(|p| p + start)
-        .unwrap_or(url.len());
+    let bytes = url.as_bytes();
+    let start = (0..bytes.len())
+        .find(|&i| bytes[i] == b':' && bytes[i + 1..].starts_with(b"//"))
+        .map_or(0, |p| p + 3);
+    let end = bytes[start..]
+        .iter()
+        .position(|&b| matches!(b, b'/' | b'?' | b':'))
+        .map_or(bytes.len(), |p| p + start);
     (start, end)
 }
 

@@ -11,19 +11,26 @@
 /// discriminate.
 pub const MIN_TOKEN_LEN: usize = 3;
 
-/// FNV-1a hash of a lowercase alphanumeric token.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// One FNV-1a step.
 #[inline]
-pub fn hash_token(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b.to_ascii_lowercase() as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+fn fnv_step(h: u64, b: u8) -> u64 {
+    (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
 }
 
-/// Iterate the token hashes of a URL string: every maximal alphanumeric run
-/// of length >= [`MIN_TOKEN_LEN`].
+/// FNV-1a hash of an alphanumeric token, ASCII case-folded: `ADS` and
+/// `ads` hash alike.
+#[inline]
+pub fn hash_token(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(FNV_OFFSET, |h, &b| fnv_step(h, b.to_ascii_lowercase()))
+}
+
+/// Iterate the token hashes of a lowercased URL string: every maximal
+/// alphanumeric run of length >= [`MIN_TOKEN_LEN`].
 pub fn url_tokens(url: &str) -> Vec<u64> {
     let mut out = Vec::with_capacity(16);
     url_tokens_into(url, &mut out);
@@ -32,26 +39,28 @@ pub fn url_tokens(url: &str) -> Vec<u64> {
 
 /// The one pass over a URL's tokens: calls `emit(hash, start)` for every
 /// maximal alphanumeric run of length >= [`MIN_TOKEN_LEN`], in URL order,
-/// with the run's byte offset.
+/// with the run's byte offset. Each run's FNV-1a hash is folded in while
+/// the run is scanned, without [`hash_token`]'s case fold, so no byte is
+/// visited twice; `url` must be lowercased already (both engines tokenize
+/// their lowered URL buffer), which makes it the run's [`hash_token`].
 #[inline]
 fn for_each_url_token(url: &str, mut emit: impl FnMut(u64, usize)) {
-    let bytes = url.as_bytes();
-    let mut start = None;
-    for (i, &b) in bytes.iter().enumerate() {
+    debug_assert!(!url.bytes().any(|b| b.is_ascii_uppercase()), "{url}");
+    let mut start = 0;
+    let mut h = FNV_OFFSET;
+    for (i, &b) in url.as_bytes().iter().enumerate() {
         if b.is_ascii_alphanumeric() {
-            if start.is_none() {
-                start = Some(i);
+            h = fnv_step(h, b);
+        } else {
+            if i - start >= MIN_TOKEN_LEN {
+                emit(h, start);
             }
-        } else if let Some(s) = start.take() {
-            if i - s >= MIN_TOKEN_LEN {
-                emit(hash_token(&bytes[s..i]), s);
-            }
+            start = i + 1;
+            h = FNV_OFFSET;
         }
     }
-    if let Some(s) = start {
-        if bytes.len() - s >= MIN_TOKEN_LEN {
-            emit(hash_token(&bytes[s..]), s);
-        }
+    if url.len() - start >= MIN_TOKEN_LEN {
+        emit(h, start);
     }
 }
 

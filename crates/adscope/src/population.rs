@@ -30,6 +30,7 @@
 use crate::infer::{self, UserClass};
 use crate::pipeline::{ClassifiedRequest, ClassifiedTrace};
 use obs::sketch::{Distinct64, QuantileSketch, TopEntry, TopK, QUANTILE_GAMMA};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -91,9 +92,11 @@ pub struct PopulationSketches {
     /// Total ad requests observed.
     pub ad_requests: u64,
     // Reusable key scratch — per-record upkeep must not allocate on the
-    // streaming hot path. Not part of the sketch state.
+    // streaming hot path — and the last site host fed to `sites`. Not part
+    // of the sketch state.
     key_buf: Vec<u8>,
     rule_buf: String,
+    last_site: Option<String>,
 }
 
 /// Equality is over the sketch *state* only — the scratch buffers are
@@ -125,24 +128,42 @@ impl PopulationSketches {
             ad_requests: 0,
             key_buf: Vec::new(),
             rule_buf: String::new(),
+            last_site: None,
         }
     }
 
     /// Fold one classified request into every sketch.
     pub fn observe(&mut self, r: &ClassifiedRequest) {
-        self.requests += 1;
+        self.observe_user(r);
+        self.observe_traffic(r);
+    }
+
+    /// Feed the request's ⟨IP, UA⟩ key to `users`.
+    fn observe_user(&mut self, r: &ClassifiedRequest) {
         self.key_buf.clear();
         self.key_buf.extend_from_slice(&r.client_ip.to_le_bytes());
         self.key_buf.push(0);
         self.key_buf
             .extend_from_slice(r.user_agent.as_deref().unwrap_or("").as_bytes());
         self.users.observe(&self.key_buf);
+    }
+
+    /// Fold one request into every sketch but `users`. An HLL observation
+    /// is idempotent, so `sites` is fed only when the site host differs
+    /// from the previous request's: the requests of one page view share it.
+    fn observe_traffic(&mut self, r: &ClassifiedRequest) {
+        self.requests += 1;
         let site = r
             .page
             .as_ref()
             .map(|p| p.host())
             .unwrap_or_else(|| r.url.host());
-        self.sites.observe(site.as_bytes());
+        if self.last_site.as_deref() != Some(site) {
+            self.sites.observe(site.as_bytes());
+            let last = self.last_site.get_or_insert_with(String::new);
+            last.clear();
+            last.push_str(site);
+        }
         if let Some((kind, rule)) = &r.rule {
             self.rule_buf.clear();
             self.rule_buf.push_str(kind.label());
@@ -310,13 +331,21 @@ impl Population {
     }
 
     /// Fold one classified request into the sketches and its user's tally.
+    /// The user's ⟨IP, UA⟩ key reaches the `users` HLL once, when its tally
+    /// is created: every later observation would leave the registers as
+    /// they are, and a merge keeps "every tallied user was observed".
     pub fn observe(&mut self, r: &ClassifiedRequest) {
-        self.sketches.observe(r);
+        self.sketches.observe_traffic(r);
         let ua = Arc::clone(r.user_agent.as_ref().unwrap_or(&self.empty_ua));
-        self.tallies
-            .entry((r.client_ip, ua))
-            .or_insert_with_key(|(_, ua)| UserTally::for_agent(ua))
-            .observe(r);
+        let tally = match self.tallies.entry((r.client_ip, ua)) {
+            Entry::Occupied(seen) => seen.into_mut(),
+            Entry::Vacant(new) => {
+                self.sketches.observe_user(r);
+                let fresh = UserTally::for_agent(&new.key().1);
+                new.insert(fresh)
+            }
+        };
+        tally.observe(r);
     }
 
     /// Add another partial in (sums and a union; worker-index order gives
@@ -707,6 +736,24 @@ mod tests {
         let mut rev = b;
         rev.merge(&a);
         assert_eq!(rev, whole, "merge is commutative in the exact regime");
+    }
+
+    #[test]
+    fn hll_fed_once_per_user_and_site_run_equals_hll_fed_every_request() {
+        let trace = sample(on());
+        let pop = Population::of_trace(&trace, &[], on());
+        let (mut users, mut sites) = (Distinct64::new(), Distinct64::new());
+        for r in &trace.requests {
+            let mut key = r.client_ip.to_le_bytes().to_vec();
+            key.push(0);
+            key.extend_from_slice(r.user_agent.as_deref().unwrap_or("").as_bytes());
+            users.observe(&key);
+            let site = r.page.as_ref().map_or_else(|| r.url.host(), |p| p.host());
+            sites.observe(site.as_bytes());
+        }
+        assert_eq!(users.estimate(), 2);
+        assert_eq!(pop.sketches.users, users);
+        assert_eq!(pop.sketches.sites, sites);
     }
 
     #[test]

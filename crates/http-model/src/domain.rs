@@ -24,35 +24,22 @@ const TWO_LEVEL_SUFFIXES: &[&str] = &[
 /// ```
 pub fn registrable_domain(host: &str) -> &str {
     let host = host.trim_end_matches('.');
-    if host.is_empty() {
-        return host;
-    }
     // IP literals have no registrable domain.
-    if host.chars().all(|c| c.is_ascii_digit() || c == '.') {
+    if host.bytes().all(|b| b.is_ascii_digit() || b == b'.') {
         return host;
     }
-    let labels: Vec<&str> = host.split('.').collect();
-    if labels.len() <= 1 {
+    // The last two labels, then (behind a two-level suffix) the last
+    // three: found by scanning back for dots, never by splitting.
+    let Some(last) = host.rfind('.') else {
         return host;
+    };
+    let after = |dot: Option<usize>| dot.map_or(host, |d| &host[d + 1..]);
+    let second = host[..last].rfind('.');
+    let last2 = after(second);
+    match second {
+        Some(d) if TWO_LEVEL_SUFFIXES.contains(&last2) => after(host[..d].rfind('.')),
+        _ => last2,
     }
-    // Check two-level public suffixes.
-    if labels.len() >= 2 {
-        let last2 = join_from(host, &labels, labels.len() - 2);
-        if TWO_LEVEL_SUFFIXES.contains(&last2) {
-            return if labels.len() >= 3 {
-                join_from(host, &labels, labels.len() - 3)
-            } else {
-                host
-            };
-        }
-    }
-    join_from(host, &labels, labels.len() - 2)
-}
-
-/// Slice `host` starting at label index `from` without allocating.
-fn join_from<'a>(host: &'a str, labels: &[&str], from: usize) -> &'a str {
-    let skip: usize = labels[..from].iter().map(|l| l.len() + 1).sum();
-    &host[skip..]
 }
 
 /// True when `host` equals `domain` or is a subdomain of it. This is the
