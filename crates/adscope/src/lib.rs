@@ -51,7 +51,6 @@ pub use degrade::DegradationReport;
 pub use pipeline::{ClassifiedRequest, ClassifiedTrace, PipelineOptions};
 pub use population::{PopulationOptions, PopulationReport, PopulationSketches, UserTally};
 pub use provenance::{TraceOptions, Tracer, VerdictProvenance};
-pub use shard::{classify_trace_sharded, classify_trace_sharded_in};
 pub use stream::{
     classify_stream_chunks, classify_stream_file, CheckpointOptions, StreamError, StreamOptions,
     StreamReport,

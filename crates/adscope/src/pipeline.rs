@@ -9,9 +9,7 @@ use crate::planes::Planes;
 use crate::population::{PopulationOptions, PopulationSketches};
 use crate::provenance::{self, RecordMeta, TraceOptions, Tracer, VerdictProvenance};
 use crate::refmap::{RefMap, RefMapOptions};
-use crate::shard::shard_of;
 use crate::window::WindowOptions;
-use ::parallel::Pool;
 use http_model::{ContentCategory, Url};
 use netsim::record::{TlsConnection, Trace, TraceMeta};
 use std::collections::HashMap;
@@ -107,11 +105,11 @@ pub struct ClassifiedTrace {
     pub provenance: Vec<VerdictProvenance>,
     /// Windowed time series over the classified requests (empty when
     /// [`PipelineOptions::window`] is disabled). A pure function of
-    /// `requests`, so it is byte-identical at any thread count.
+    /// `requests` and the quarantined records' timestamps.
     pub windows: obs::window::WindowReport,
     /// Mergeable population sketches over the classified requests
-    /// (`None` unless [`PipelineOptions::population`] is enabled). Like
-    /// `windows`, a pure function of `requests`.
+    /// (`None` unless [`PipelineOptions::population`] is enabled). A pure
+    /// function of `requests`.
     pub population: Option<PopulationSketches>,
 }
 
@@ -134,49 +132,29 @@ pub fn classify_trace(
 
 /// Run the full pipeline over a captured trace on the calling thread,
 /// recording metrics into an explicit registry (tests inject a hermetic
-/// one): the materialized flow, `classify_trace_on`, at one thread.
+/// one). This is the one-thread oracle the stream engine is held to: every
+/// stage is a whole-trace pass over the records in trace order.
+///
+/// Stage order: extract → referrer map and provisional content type →
+/// redirect type backfill → URL normalization and classification.
+/// Classification must run *after* the backfill pass because redirect
+/// targets fix the redirecting request's type (§3.1). The referrer map is
+/// kept per user, ⟨anonymized IP, User-Agent⟩ (the paper's user axis,
+/// §6.1), and a redirect's backfill target is an earlier request of the
+/// same user.
+///
+/// Each stage runs under an `adscope_stage` span (wall time in
+/// `adscope_stage_duration_ns{stage=...}`, records in/out on the span
+/// event), and every [`DegradationReport`] counter is bridged into
+/// `adscope_degradation_total{reason=...}` so the exposition and the
+/// report always agree.
 pub fn classify_trace_in(
     trace: &Trace,
     classifier: &PassiveClassifier,
     opts: PipelineOptions,
     registry: &obs::Registry,
 ) -> ClassifiedTrace {
-    classify_trace_on(trace, classifier, opts, 1, registry)
-}
-
-/// The materialized flow at `threads` workers (`0` means
-/// [`parallel::available_parallelism`]).
-///
-/// The pipeline's only cross-record state is per user: the referrer map,
-/// redirect repair and type backfill all key off the ⟨anonymized IP,
-/// User-Agent⟩ pair (the paper's user axis, §6.1), and a redirect's
-/// backfill target is an earlier request of the *same* user. So after
-/// extraction and the one order-sensitive count (`out_of_order_records`,
-/// which observes the global timestamp sequence) the record positions are
-/// partitioned by [`shard_of`] — deterministic FNV-1a, never `HashMap`'s
-/// seeded state — and [`classify_shard`] runs over each shard on a
-/// [`Pool`]; one thread means one shard holding every position. The
-/// output is the same for any thread count: requests come back in trace
-/// order whatever the shard layout, every degradation counter is a sum
-/// over records or users, and metric counters are shared atomics.
-///
-/// Each stage runs under an `adscope_stage` span (wall time in
-/// `adscope_stage_duration_ns{stage=...}`, records in/out on the span
-/// event; `refmap`, `backfill` and `classify` once per shard), and every
-/// [`DegradationReport`] counter is bridged into
-/// `adscope_degradation_total{reason=...}` so the exposition and the
-/// report always agree.
-pub(crate) fn classify_trace_on(
-    trace: &Trace,
-    classifier: &PassiveClassifier,
-    opts: PipelineOptions,
-    threads: usize,
-    registry: &obs::Registry,
-) -> ClassifiedTrace {
-    let pool = Pool::new(threads);
-
-    // Stage: extract (URL reassembly + quarantine). Sequential: it
-    // assigns the global record order.
+    // Stage: extract (URL reassembly + quarantine).
     let mut span = registry.span_with("adscope_stage", &[("stage", "extract")]);
     span.count("records_in", trace.records.len() as u64);
     let (objects, mut degradation, quarantined_ts) = crate::extract::extract_full(trace);
@@ -184,7 +162,6 @@ pub(crate) fn classify_trace_on(
     span.count("records_out", objects.len() as u64);
     drop(span);
 
-    // Global timestamp order: counted before the records are partitioned.
     let mut prev_ts = f64::NEG_INFINITY;
     for obj in &objects {
         if obj.ts < prev_ts {
@@ -196,51 +173,136 @@ pub(crate) fn classify_trace_on(
     let normalizer = UrlNormalizer::for_classifier(classifier, opts.normalize);
 
     // Verdict-provenance tracer: `None` (the default) keeps every tracing
-    // branch off the hot path. Each sampling decision is a pure function
-    // of record identity, so it does not depend on the shard layout.
+    // branch off the hot path.
     let tracer = Tracer::new(&trace.meta.name, opts.trace);
 
-    // One thread: one shard. Otherwise more shards than workers, which
-    // smooths out user-size skew; the layout changes wall-clock balance
-    // only.
-    let nshards = match pool.threads() {
-        1 => 1,
-        n => n * 4,
-    };
-    let mut owner: Vec<usize> = Vec::with_capacity(objects.len());
-    let mut shards: Vec<Vec<usize>> = vec![Vec::new(); nshards];
-    for (pos, o) in objects.iter().enumerate() {
-        let shard = shard_of(o.client_ip, o.user_agent.as_deref(), nshards as u64);
-        owner.push(shard);
-        shards[shard].push(pos);
-    }
-    let outputs = pool.map(shards, |_, positions| {
-        classify_shard(
-            &objects,
-            &positions,
-            classifier,
-            &normalizer,
-            opts,
-            tracer.as_ref(),
-            registry,
-        )
-    });
+    // Pass 1: per-user referrer map + provisional types.
+    let mut span = registry.span_with("adscope_stage", &[("stage", "refmap")]);
+    span.count("records_in", objects.len() as u64);
+    let mut per_user: HashMap<(u32, Option<&str>), RefMap> = HashMap::new();
+    let mut pages: Vec<Option<Url>> = Vec::with_capacity(objects.len());
+    let mut categories: Vec<ContentCategory> = Vec::with_capacity(objects.len());
+    // Per-record stage facts (Copy), collected only while tracing.
+    let mut metas: Vec<RecordMeta> = Vec::new();
+    let mut backfills: Vec<(usize, ContentCategory)> = Vec::new();
 
-    // Merge: each shard's requests are in trace order, so walking the
-    // owners restores the global order; provenance sorts back by record
-    // index, so the trace sink's bytes are the same at any thread count.
-    let mut provenance: Vec<VerdictProvenance> = Vec::new();
-    let mut by_shard = Vec::with_capacity(outputs.len());
-    for out in outputs {
-        degradation.absorb(&out.degradation);
-        provenance.extend(out.provenance);
-        by_shard.push(out.requests.into_iter());
+    for obj in &objects {
+        let user_key = (obj.client_ip, obj.user_agent.as_deref());
+        let map = per_user
+            .entry(user_key)
+            .or_insert_with(|| RefMap::new(opts.refmap));
+        let entry = map.process(obj);
+        let (cat, cat_src) =
+            infer_category_traced(&obj.url, obj.content_type.as_deref(), opts.content);
+        if tracer.is_some() {
+            metas.push(RecordMeta {
+                page_source: entry.ctx.source,
+                hops: entry.ctx.hops,
+                via_redirect: entry.ctx.via_redirect,
+                content_source: cat_src,
+            });
+        }
+        if let Some(redirecting_idx) = entry.backfill_type_to {
+            backfills.push((redirecting_idx, cat));
+        }
+        if entry.ctx.page.is_none() {
+            degradation.refmap_misses += 1;
+        }
+        pages.push(entry.ctx.page);
+        categories.push(cat);
     }
-    let requests: Vec<ClassifiedRequest> = owner
+    for map in per_user.values() {
+        degradation.broken_redirect_chains += map.redirects_inserted() - map.redirects_consumed();
+    }
+    span.count("users", per_user.len() as u64);
+    span.count("records_out", pages.len() as u64);
+    drop(span);
+
+    // Pass 2: redirect type backfill. The target is an earlier request,
+    // found by its record index (extraction keeps the indices ascending).
+    let mut span = registry.span_with("adscope_stage", &[("stage", "backfill")]);
+    span.count("records_in", backfills.len() as u64);
+    let mut backfilled = 0u64;
+    for (idx, cat) in backfills {
+        if let Ok(pos) = objects.binary_search_by_key(&idx, |o| o.idx) {
+            if cat != ContentCategory::Other {
+                categories[pos] = cat;
+                backfilled += 1;
+                if tracer.is_some() {
+                    metas[pos].content_source = ContentSource::Redirect;
+                }
+            }
+        }
+    }
+    // A missing Content-Type that still ended with a usable category means
+    // the extension/backfill fallback recovered it.
+    for (obj, cat) in objects.iter().zip(&categories) {
+        if obj.content_type.is_none() && *cat != ContentCategory::Other {
+            degradation.content_type_fallbacks += 1;
+        }
+    }
+    span.count("records_out", backfilled);
+    drop(span);
+
+    // Pass 3: normalize + classify. One scratch keeps the compiled match
+    // path allocation-free.
+    let mut span = registry.span_with("adscope_stage", &[("stage", "classify")]);
+    span.count("records_in", objects.len() as u64);
+    let mut provenance: Vec<VerdictProvenance> = Vec::new();
+    let mut scratch = abp_filter::ClassifyScratch::new();
+    let requests: Vec<ClassifiedRequest> = objects
         .iter()
-        .map(|&shard| by_shard[shard].next().expect("one request per position"))
+        .enumerate()
+        .map(|(pos, obj)| {
+            let url = normalizer.normalize(&obj.url);
+            let (label, c) = classifier.classify_traced_in(
+                &url,
+                pages[pos].as_ref(),
+                categories[pos],
+                &mut scratch,
+            );
+            if let Some(t) = &tracer {
+                if let Some(cause) = t.cause(obj.idx as u64, &c, pages[pos].is_none()) {
+                    provenance.push(t.build(
+                        cause,
+                        obj,
+                        &normalizer,
+                        classifier,
+                        pages[pos].as_ref(),
+                        metas[pos],
+                        categories[pos],
+                        &c,
+                    ));
+                }
+            }
+            let rule = classifier.primary_rule(&c);
+            ClassifiedRequest {
+                ts: obj.ts,
+                client_ip: obj.client_ip,
+                server_ip: obj.server_ip,
+                url,
+                page: pages[pos].clone(),
+                category: categories[pos],
+                content_type: obj.content_type.clone(),
+                bytes: obj.bytes,
+                user_agent: obj.user_agent.clone(),
+                tcp_handshake_ms: obj.tcp_handshake_ms,
+                http_handshake_ms: obj.http_handshake_ms,
+                label,
+                rule,
+            }
+        })
         .collect();
-    provenance.sort_unstable_by_key(|vp| vp.record);
+    let ad_count = requests.iter().filter(|r| r.label.is_ad()).count();
+    span.count("records_out", requests.len() as u64);
+    span.count("ads", ad_count as u64);
+    drop(span);
+    registry
+        .counter("adscope_requests_classified_total")
+        .add(requests.len() as u64);
+    registry
+        .counter("adscope_ad_requests_total")
+        .add(ad_count as u64);
 
     // Bridge every degradation counter into label space so the
     // exposition and the report always reconcile.
@@ -275,176 +337,6 @@ pub(crate) fn classify_trace_on(
         provenance,
         windows,
         population: totals.population.map(|p| p.sketches),
-    }
-}
-
-/// What [`classify_shard`] hands back.
-struct ShardOutput {
-    /// One request per position, in the shard's order.
-    requests: Vec<ClassifiedRequest>,
-    /// Sampled verdict provenance, in the same order.
-    provenance: Vec<VerdictProvenance>,
-    /// The shard's share of the per-record and per-user degradation
-    /// counters; everything else is zero.
-    degradation: DegradationReport,
-}
-
-/// The per-user stages over one shard. `positions` are indices into
-/// `objects`, ascending (= global time order restricted to the shard's
-/// users).
-///
-/// Stage order per user, in time order: referrer map → content type
-/// (extension/header now, redirect backfill after) → URL normalization →
-/// classification. Classification must run *after* the backfill pass
-/// because redirect targets fix the redirecting request's type (§3.1).
-fn classify_shard(
-    objects: &[WebObject],
-    positions: &[usize],
-    classifier: &PassiveClassifier,
-    normalizer: &UrlNormalizer,
-    opts: PipelineOptions,
-    tracer: Option<&Tracer>,
-    registry: &obs::Registry,
-) -> ShardOutput {
-    let mut degradation = DegradationReport::default();
-
-    // Pass 1: per-user referrer map + provisional types.
-    let mut span = registry.span_with("adscope_stage", &[("stage", "refmap")]);
-    span.count("records_in", positions.len() as u64);
-    let mut per_user: HashMap<(u32, Option<&str>), RefMap> = HashMap::new();
-    let mut pages: Vec<Option<Url>> = Vec::with_capacity(positions.len());
-    let mut categories: Vec<ContentCategory> = Vec::with_capacity(positions.len());
-    // Per-record stage facts (Copy), collected only while tracing.
-    let mut metas: Vec<RecordMeta> = Vec::new();
-    // idx (trace position) → index into `positions`, for backfill.
-    let mut local_of_idx: HashMap<usize, usize> = HashMap::with_capacity(positions.len());
-    let mut backfills: Vec<(usize, ContentCategory)> = Vec::new();
-
-    for (local, &pos) in positions.iter().enumerate() {
-        let obj = &objects[pos];
-        local_of_idx.insert(obj.idx, local);
-        let user_key = (obj.client_ip, obj.user_agent.as_deref());
-        let map = per_user
-            .entry(user_key)
-            .or_insert_with(|| RefMap::new(opts.refmap));
-        let entry = map.process(obj);
-        let (cat, cat_src) =
-            infer_category_traced(&obj.url, obj.content_type.as_deref(), opts.content);
-        if tracer.is_some() {
-            metas.push(RecordMeta {
-                page_source: entry.ctx.source,
-                hops: entry.ctx.hops,
-                via_redirect: entry.ctx.via_redirect,
-                content_source: cat_src,
-            });
-        }
-        if let Some(redirecting_idx) = entry.backfill_type_to {
-            backfills.push((redirecting_idx, cat));
-        }
-        if entry.ctx.page.is_none() {
-            degradation.refmap_misses += 1;
-        }
-        pages.push(entry.ctx.page);
-        categories.push(cat);
-    }
-    for map in per_user.values() {
-        degradation.broken_redirect_chains += map.redirects_inserted() - map.redirects_consumed();
-    }
-    span.count("users", per_user.len() as u64);
-    span.count("records_out", pages.len() as u64);
-    drop(span);
-
-    // Pass 2: redirect type backfill. The target is an earlier request
-    // of the same user, so it is always inside this shard.
-    let mut span = registry.span_with("adscope_stage", &[("stage", "backfill")]);
-    span.count("records_in", backfills.len() as u64);
-    let mut backfilled = 0u64;
-    for (idx, cat) in backfills {
-        if let Some(&local) = local_of_idx.get(&idx) {
-            if cat != ContentCategory::Other {
-                categories[local] = cat;
-                backfilled += 1;
-                if tracer.is_some() {
-                    metas[local].content_source = ContentSource::Redirect;
-                }
-            }
-        }
-    }
-    // A missing Content-Type that still ended with a usable category means
-    // the extension/backfill fallback recovered it.
-    for (local, &pos) in positions.iter().enumerate() {
-        if objects[pos].content_type.is_none() && categories[local] != ContentCategory::Other {
-            degradation.content_type_fallbacks += 1;
-        }
-    }
-    span.count("records_out", backfilled);
-    drop(span);
-
-    // Pass 3: normalize + classify. One scratch per shard keeps the
-    // compiled match path allocation-free.
-    let mut span = registry.span_with("adscope_stage", &[("stage", "classify")]);
-    span.count("records_in", positions.len() as u64);
-    let mut provenance: Vec<VerdictProvenance> = Vec::new();
-    let mut scratch = abp_filter::ClassifyScratch::new();
-    let requests: Vec<ClassifiedRequest> = positions
-        .iter()
-        .enumerate()
-        .map(|(local, &pos)| {
-            let obj = &objects[pos];
-            let url = normalizer.normalize(&obj.url);
-            let (label, c) = classifier.classify_traced_in(
-                &url,
-                pages[local].as_ref(),
-                categories[local],
-                &mut scratch,
-            );
-            if let Some(t) = tracer {
-                if let Some(cause) = t.cause(obj.idx as u64, &c, pages[local].is_none()) {
-                    provenance.push(t.build(
-                        cause,
-                        obj,
-                        normalizer,
-                        classifier,
-                        pages[local].as_ref(),
-                        metas[local],
-                        categories[local],
-                        &c,
-                    ));
-                }
-            }
-            let rule = classifier.primary_rule(&c);
-            ClassifiedRequest {
-                ts: obj.ts,
-                client_ip: obj.client_ip,
-                server_ip: obj.server_ip,
-                url,
-                page: pages[local].clone(),
-                category: categories[local],
-                content_type: obj.content_type.clone(),
-                bytes: obj.bytes,
-                user_agent: obj.user_agent.clone(),
-                tcp_handshake_ms: obj.tcp_handshake_ms,
-                http_handshake_ms: obj.http_handshake_ms,
-                label,
-                rule,
-            }
-        })
-        .collect();
-    let ad_count = requests.iter().filter(|r| r.label.is_ad()).count();
-    span.count("records_out", requests.len() as u64);
-    span.count("ads", ad_count as u64);
-    drop(span);
-    registry
-        .counter("adscope_requests_classified_total")
-        .add(requests.len() as u64);
-    registry
-        .counter("adscope_ad_requests_total")
-        .add(ad_count as u64);
-
-    ShardOutput {
-        requests,
-        provenance,
-        degradation,
     }
 }
 
@@ -702,6 +594,13 @@ mod tests {
         let out = classify_trace(&t, &classifier(), PipelineOptions::default());
         assert_eq!(out.degradation, DegradationReport::default());
         assert_eq!(out.degradation.total(), 0);
+    }
+
+    #[test]
+    fn empty_trace_classifies_to_empty() {
+        let out = classify_trace(&trace(vec![]), &classifier(), PipelineOptions::default());
+        assert!(out.requests.is_empty());
+        assert_eq!(out.degradation, DegradationReport::default());
     }
 
     #[test]

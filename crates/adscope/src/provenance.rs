@@ -11,10 +11,10 @@
 //!
 //! Determinism contract: a request's [`VerdictProvenance`] — trace id,
 //! span ids, every field, the rendered NDJSON bytes — is a pure function
-//! of the input trace and pipeline options. The materialized pipeline
-//! merges its shards' provenance by record index, so output is
-//! byte-identical at any `--threads` count (pinned by the equivalence
-//! proptest).
+//! of the input trace and pipeline options. The one-thread oracle
+//! ([`crate::pipeline::classify_trace_in`]) samples in record order, so the
+//! trace sink's lines are the sampled records' `to_json`, in that order
+//! (pinned by `proptest_pipeline.rs`).
 //!
 //! Cost contract: while the tracer is inactive (`sample_ppm == 0` or the
 //! `obs` kill switch is off) the pipeline allocates nothing for tracing;
@@ -94,7 +94,7 @@ pub struct RuleMatch {
 /// The causal stage spans of one request trace, parent → child. The
 /// request root span covers the whole decision; each stage span is its
 /// child. Ids are derived from the trace id and stage name, never drawn,
-/// so the structure is identical on every thread.
+/// so the structure is identical on every run.
 pub const STAGES: [&str; 5] = ["extract", "refmap", "content", "normalize", "classify"];
 
 /// The root ("request") span of a trace.
@@ -369,8 +369,7 @@ impl Tracer {
     }
 
     /// Post-verdict sampling decision for one record. Pure in
-    /// (record index, classification, page presence): every shard
-    /// agrees. Cause precedence: anomalous > whitelisted > degraded >
+    /// (record index, classification, page presence). Cause precedence: anomalous > whitelisted > degraded >
     /// head.
     pub fn cause(
         &self,
@@ -440,8 +439,8 @@ impl Tracer {
 }
 
 /// Push rendered provenance into the registry's trace sink and bump the
-/// per-cause sample counters. Called once post-merge, in record order,
-/// so the sink contents are deterministic.
+/// per-cause sample counters. Called once after classification, in record
+/// order, so the sink contents are deterministic.
 pub fn publish(provenance: &[VerdictProvenance], registry: &obs::Registry) {
     for vp in provenance {
         registry.traces().push(vp.to_json());

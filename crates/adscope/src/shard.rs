@@ -1,8 +1,8 @@
-//! Thread-count adapters over the materialized flow in [`crate::pipeline`],
-//! and the user → shard hash that flow and [`crate::stream`] partition by.
+//! The user → shard hash [`crate::stream`] routes by, and the thread-count
+//! adapter the e2e harness still calls.
 
 use crate::classify::PassiveClassifier;
-use crate::pipeline::{classify_trace_on, ClassifiedTrace, PipelineOptions};
+use crate::pipeline::{classify_trace_in, ClassifiedTrace, PipelineOptions};
 use netsim::record::Trace;
 
 /// Deterministic shard assignment: FNV-1a over the user key. A missing
@@ -24,119 +24,22 @@ pub(crate) fn shard_of(client_ip: u32, user_agent: Option<&str>, nshards: u64) -
     (h % nshards) as usize
 }
 
-/// [`crate::pipeline::classify_trace`] with the per-user stages fanned out
-/// over `threads` workers (`0` means [`parallel::available_parallelism`]):
-/// identical output at any count. Metrics go to the global [`obs`] registry.
-pub fn classify_trace_sharded(
-    trace: &Trace,
-    classifier: &PassiveClassifier,
-    opts: PipelineOptions,
-    threads: usize,
-) -> ClassifiedTrace {
-    classify_trace_on(trace, classifier, opts, threads, obs::global())
-}
-
-/// Like [`classify_trace_sharded`], recording metrics into `registry`.
+/// [`classify_trace_in`], the one-thread oracle, under the signature the
+/// e2e harness calls. `threads` is ignored: the oracle runs on the calling
+/// thread, and thread-count invariance belongs to the stream engine.
 pub fn classify_trace_sharded_in(
     trace: &Trace,
     classifier: &PassiveClassifier,
     opts: PipelineOptions,
-    threads: usize,
+    _threads: usize,
     registry: &obs::Registry,
 ) -> ClassifiedTrace {
-    classify_trace_on(trace, classifier, opts, threads, registry)
+    classify_trace_in(trace, classifier, opts, registry)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::degrade::DegradationReport;
-    use crate::pipeline::classify_trace_in;
-    use abp_filter::FilterList;
-    use http_model::headers::{RequestHeaders, ResponseHeaders};
-    use http_model::transaction::{HttpTransaction, Method};
-    use netsim::record::{TraceMeta, TraceRecord};
-
-    fn classifier() -> PassiveClassifier {
-        PassiveClassifier::new(vec![
-            FilterList::parse(
-                "easylist",
-                "||ads.example^$third-party\n/banners/\n@@*callback=ok*\n",
-            ),
-            FilterList::parse("easyprivacy", "/pixel/\n"),
-        ])
-    }
-
-    fn tx(ts: f64, client: u32, ua: Option<&str>, host: &str, uri: &str) -> TraceRecord {
-        TraceRecord::Http(HttpTransaction {
-            ts,
-            client_ip: client,
-            server_ip: 1,
-            server_port: 80,
-            method: Method::Get,
-            request: RequestHeaders {
-                host: host.into(),
-                uri: uri.into(),
-                referer: Some("http://pub.example/".into()),
-                user_agent: ua.map(str::to_string),
-            },
-            response: ResponseHeaders {
-                status: 200,
-                content_type: Some("image/gif".into()),
-                content_length: Some(100),
-                location: None,
-            },
-            tcp_handshake_ms: 1.0,
-            http_handshake_ms: 2.0,
-        })
-    }
-
-    fn mixed_trace() -> Trace {
-        let mut records = vec![];
-        for i in 0..60u32 {
-            let client = i % 7;
-            let ua = match i % 3 {
-                0 => Some("UA-A"),
-                1 => Some("UA-B"),
-                _ => None,
-            };
-            let (host, uri) = match i % 4 {
-                0 => ("pub.example", "/".to_string()),
-                1 => ("ads.example", format!("/creative{i}.gif")),
-                2 => ("x.example", format!("/banners/{i}.gif")),
-                _ => ("cdn.example", format!("/lib{i}.js")),
-            };
-            records.push(tx(i as f64 * 0.1, client, ua, host, &uri));
-        }
-        Trace {
-            meta: TraceMeta {
-                name: "shard-t".into(),
-                duration_secs: 10.0,
-                subscribers: 7,
-                start_hour: 0,
-                start_weekday: 0,
-            },
-            records,
-        }
-    }
-
-    #[test]
-    fn sharded_equals_sequential_across_thread_counts() {
-        let trace = mixed_trace();
-        let c = classifier();
-        let seq_reg = obs::Registry::new();
-        let seq = classify_trace_in(&trace, &c, PipelineOptions::default(), &seq_reg);
-        for threads in [1usize, 2, 3, 8] {
-            let reg = obs::Registry::new();
-            let par =
-                classify_trace_sharded_in(&trace, &c, PipelineOptions::default(), threads, &reg);
-            assert_eq!(par.requests, seq.requests, "threads={threads}");
-            assert_eq!(par.degradation, seq.degradation, "threads={threads}");
-            assert_eq!(par.dropped, seq.dropped);
-            assert_eq!(par.https_flows, seq.https_flows);
-            assert_eq!(par.meta, seq.meta);
-        }
-    }
 
     #[test]
     fn shard_assignment_is_deterministic_and_distinguishes_absent_ua() {
@@ -146,24 +49,5 @@ mod tests {
         for _ in 0..3 {
             assert_eq!(shard_of(7, Some("UA-A"), 16), shard_of(7, Some("UA-A"), 16));
         }
-    }
-
-    #[test]
-    fn empty_trace_classifies_to_empty() {
-        let trace = Trace {
-            meta: TraceMeta {
-                name: "empty".into(),
-                duration_secs: 0.0,
-                subscribers: 0,
-                start_hour: 0,
-                start_weekday: 0,
-            },
-            records: vec![],
-        };
-        let reg = obs::Registry::new();
-        let out =
-            classify_trace_sharded_in(&trace, &classifier(), PipelineOptions::default(), 4, &reg);
-        assert!(out.requests.is_empty());
-        assert_eq!(out.degradation, DegradationReport::default());
     }
 }

@@ -6,9 +6,8 @@
 //! byte volume, refmap misses, and an RTB-latency histogram (the §8.2
 //! back-office gap, ad requests only). The engine's logical clock is the
 //! trace timestamp, so the report is a pure function of the classified
-//! requests — byte-identical at any thread count, because
-//! [`crate::pipeline`] folds the plane set once, over the merged request
-//! vector.
+//! requests: [`crate::pipeline`] folds the plane set once, over the whole
+//! request vector.
 //!
 //! [`publish`] bridges a report into a registry: one NDJSON line per
 //! closed window into the window log (served at `/windows`), plus the

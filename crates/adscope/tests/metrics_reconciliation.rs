@@ -2,11 +2,16 @@
 //! report counter is bridged into exactly one
 //! `adscope_degradation_total{reason=...}` sample, and their totals
 //! reconcile. A reason added to the report but not the bridge (or vice
-//! versa) fails here.
+//! versa) fails here. The oracle and the stream engine each hold a copy of
+//! the bridge, and each is held to it.
+
+mod common;
 
 use abp_filter::FilterList;
 use adscope::pipeline::{classify_trace_in, PipelineOptions};
+use adscope::stream::classify_stream_file;
 use adscope::PassiveClassifier;
+use common::{stream_opts, write_trace_file};
 use http_model::headers::{RequestHeaders, ResponseHeaders};
 use http_model::transaction::Method;
 use http_model::HttpTransaction;
@@ -113,25 +118,19 @@ fn degradation_report_reconciles_with_exposition() {
     );
 }
 
-/// The bijection must also hold after the sharded pipeline's merge: the
-/// per-shard degradation partials bridge into exactly the same labeled
-/// samples with the same totals as the sequential path.
+/// The bijection must also hold for the stream engine, whose bridge runs
+/// once at the end of the run over the degradation its workers' partials
+/// merged into: at any worker count the labeled samples are exactly the
+/// merged report's reasons, with the same totals.
 #[test]
-fn degradation_report_reconciles_after_sharded_merge() {
-    use adscope::shard::classify_trace_sharded_in;
-
-    let trace = degraded_trace();
+fn stream_degradation_bridge_reconciles_at_every_thread_count() {
+    let path = write_trace_file(&degraded_trace(), "reconcile");
     let classifier = PassiveClassifier::new(vec![FilterList::parse("easylist", "/banner\n")]);
     for threads in [1usize, 2, 4, 8] {
         let registry = obs::Registry::new();
-        let classified = classify_trace_sharded_in(
-            &trace,
-            &classifier,
-            PipelineOptions::default(),
-            threads,
-            &registry,
-        );
-        let report = &classified.degradation;
+        let report = classify_stream_file(&path, &classifier, &stream_opts(threads, 2), &registry)
+            .unwrap()
+            .degradation;
         assert!(report.total() > 0, "fixture must actually degrade");
 
         let snap = registry.snapshot();
@@ -154,6 +153,7 @@ fn degradation_report_reconciles_after_sharded_merge() {
             "threads={threads}"
         );
     }
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

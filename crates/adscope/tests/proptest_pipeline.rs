@@ -1,18 +1,28 @@
 //! Property tests for the passive pipeline: normalization is idempotent and
 //! conservative, content inference is total, the referrer map never panics
-//! on arbitrary orderings, and per-user aggregation conserves counts.
+//! on arbitrary orderings, and per-user aggregation conserves counts. The
+//! one-thread oracle's registry carries what its report holds: the sampled
+//! provenance in the trace sink, the window series in the window log, and
+//! the late-observation tally in `obs_window_late_total`.
+
+mod common;
 
 use abp_filter::FilterList;
 use adscope::classify::PassiveClassifier;
 use adscope::content::{infer_category, ContentOptions};
 use adscope::normalize::UrlNormalizer;
-use adscope::pipeline::{classify_trace, PipelineOptions};
+use adscope::pipeline::{classify_trace, classify_trace_in, PipelineOptions};
+use adscope::provenance::TraceOptions;
 use adscope::users::aggregate_users;
+use adscope::window::WindowOptions;
+use common::{classifier, messy_trace};
 use http_model::headers::{RequestHeaders, ResponseHeaders};
 use http_model::transaction::Method;
 use http_model::{HttpTransaction, Url};
 use netsim::record::{Trace, TraceMeta, TraceRecord};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn url_strategy() -> impl Strategy<Value = String> {
     (
@@ -38,7 +48,149 @@ fn url_strategy() -> impl Strategy<Value = String> {
         })
 }
 
+/// A multi-user trace spanning several windows, with occasional
+/// out-of-order timestamps (some beyond any reasonable watermark).
+fn windowed_trace(n: usize, users: u32, span_secs: f64, seed: u64) -> Trace {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut records: Vec<TraceRecord> = Vec::with_capacity(n);
+    for i in 0..n {
+        let client = rng.gen_range(1..=users);
+        let mut ts = i as f64 / n.max(1) as f64 * span_secs;
+        if rng.gen_bool(0.05) {
+            ts -= span_secs / 2.0; // far out of order — candidate latecomer
+        }
+        let (host, uri) = match rng.gen_range(0..5) {
+            0 => ("pub.example", "/".to_string()),
+            1 => ("ads.example", format!("/creative{i}.gif")),
+            2 => ("x.example", format!("/banners/{i}.gif")),
+            3 => ("nice.example", format!("/w{i}.js")),
+            _ => ("t.example", format!("/pixel/{i}.gif")),
+        };
+        records.push(TraceRecord::Http(HttpTransaction {
+            ts,
+            client_ip: client,
+            server_ip: rng.gen_range(10..14),
+            server_port: 80,
+            method: Method::Get,
+            request: RequestHeaders {
+                host: host.into(),
+                uri,
+                referer: Some("http://pub.example/".into()),
+                user_agent: Some("UA/1.0".into()),
+            },
+            response: ResponseHeaders {
+                status: 200,
+                content_type: Some("image/gif".into()),
+                content_length: Some(rng.gen_range(10..5000)),
+                location: None,
+            },
+            tcp_handshake_ms: 1.0,
+            http_handshake_ms: rng.gen_range(2.0..90.0),
+        }));
+    }
+    Trace {
+        meta: TraceMeta {
+            name: "windowed".into(),
+            duration_secs: span_secs,
+            subscribers: users as usize,
+            start_hour: 0,
+            start_weekday: 0,
+        },
+        records,
+    }
+}
+
 proptest! {
+    /// With tracing on, the trace sink's lines are exactly the sampled
+    /// records' `to_json`, in record order.
+    #[test]
+    fn trace_sink_holds_the_sampled_provenance_in_record_order(
+        n in 1usize..100,
+        users in 1u32..8,
+        seed in 0u64..500,
+    ) {
+        let opts = PipelineOptions {
+            trace: TraceOptions { sample_ppm: 300_000, always_sample_exceptional: true },
+            ..Default::default()
+        };
+        let registry = obs::Registry::new();
+        let out =
+            classify_trace_in(&messy_trace(n, users, seed), &classifier(), opts, &registry);
+        let lines = registry.traces().snapshot();
+        prop_assert_eq!(lines.len(), out.provenance.len());
+        prop_assert!(out.provenance.windows(2).all(|w| w[0].record < w[1].record));
+        for (line, vp) in lines.iter().zip(&out.provenance) {
+            prop_assert_eq!(line, &vp.to_json());
+        }
+    }
+
+    /// The registry's window log carries exactly the report's NDJSON lines,
+    /// for narrow and wide windows and tight and loose watermarks.
+    #[test]
+    fn window_log_is_the_rendered_report(
+        n in 1usize..150,
+        users in 1u32..7,
+        span_secs in 100.0f64..20_000.0,
+        width in prop_oneof![Just(60.0f64), Just(600.0), Just(3600.0)],
+        watermark in prop_oneof![Just(0.0f64), Just(60.0), Just(3600.0)],
+        seed in 0u64..500,
+    ) {
+        let opts = PipelineOptions {
+            window: WindowOptions { enabled: true, width_secs: width, watermark_secs: watermark },
+            ..PipelineOptions::default()
+        };
+        let registry = obs::Registry::new();
+        let trace = windowed_trace(n, users, span_secs, seed);
+        let out = classify_trace_in(&trace, &classifier(), opts, &registry);
+        let logged = registry.windows().snapshot().join("\n");
+        let rendered = out.windows.render_ndjson("adscope");
+        prop_assert_eq!(logged.as_str(), rendered.trim_end_matches('\n'));
+    }
+
+    /// Late records are counted, not silently dropped: the report's late
+    /// total matches a visible `obs_window_late_total` counter, which
+    /// reaches the Prometheus exposition.
+    #[test]
+    fn late_records_increment_visible_counter(seed in 0u64..200) {
+        let mut trace = windowed_trace(40, 3, 10_000.0, seed);
+        // Force a latecomer: one record far behind the final high
+        // timestamp, beyond the 60 s watermark used below.
+        if let TraceRecord::Http(tx) = &mut trace.records[0] {
+            tx.ts = 9_999.0;
+        }
+        if let TraceRecord::Http(tx) = &mut trace.records[1] {
+            tx.ts = 1.0;
+        }
+        let opts = PipelineOptions {
+            window: WindowOptions { enabled: true, width_secs: 60.0, watermark_secs: 60.0 },
+            ..PipelineOptions::default()
+        };
+        let registry = obs::Registry::new();
+        let out = classify_trace_in(&trace, &classifier(), opts, &registry);
+        prop_assert!(out.windows.late > 0, "fixture must produce a latecomer");
+        prop_assert_eq!(
+            registry.snapshot().counter("obs_window_late_total", &[]),
+            out.windows.late,
+            "late counter mirrors the report"
+        );
+        prop_assert!(
+            registry.render_prometheus().contains("obs_window_late_total"),
+            "late counter reaches /metrics"
+        );
+        // Conservation: the engine counts lateness per observation (a
+        // request makes one observation per touched series), so every
+        // request missing from the "requests" series accounts for at
+        // least one late observation — nothing vanishes untallied.
+        let missing = out.requests.len() as u64 - out.windows.total("requests");
+        prop_assert!(missing > 0, "fixture latecomer missed its window");
+        prop_assert!(
+            out.windows.late >= missing,
+            "late {} < missing {}",
+            out.windows.late,
+            missing
+        );
+    }
+
     #[test]
     fn normalization_is_idempotent(url_str in url_strategy()) {
         let n = UrlNormalizer::with_protected(vec!["callback=keepme".into()]);
@@ -74,8 +226,6 @@ proptest! {
         n_users in 1u32..6,
         seed in 0u64..1000,
     ) {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
         let records: Vec<TraceRecord> = (0..n_requests)
             .map(|i| {
@@ -129,8 +279,6 @@ proptest! {
         n in 1usize..40,
         seed in 0u64..500,
     ) {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
         let records: Vec<TraceRecord> = (0..n)
             .map(|i| {
@@ -192,8 +340,6 @@ proptest! {
     ) {
         use netsim::codec::{read_trace_lossy, write_trace};
         use netsim::faults::{FaultInjector, FaultProfile};
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
 
         let mut rng = StdRng::seed_from_u64(seed);
         let records: Vec<TraceRecord> = (0..n)

@@ -10,21 +10,31 @@
 //! merge grouping-independently), so the materialized reference runs
 //! with `watermark_secs = f64::INFINITY` too.
 //!
-//! Thread counts tested are {1, 2, 3, 4}.
+//! This is the one thread-count sweep: the oracle runs on one thread, and
+//! the engine must equal it at every count. Thread counts tested are
+//! {1, 2, 3, 4}; set `ANNOYED_THREADS` to add an extra count (CI adds the
+//! machine's own). Two hand-worked traces at the end pin the oracle's
+//! output itself.
 
 mod common;
 
 use adscope::characterize::Figures;
-use adscope::pipeline::{classify_trace_in, ClassifiedTrace, PipelineOptions};
+use adscope::classify::ListKind;
+use adscope::pipeline::{classify_trace_in, ClassifiedRequest, ClassifiedTrace, PipelineOptions};
 use adscope::stream::{classify_stream_file, classify_stream_file_with, CheckpointOptions};
 use common::{classifier, messy_trace, stream_opts, temp_path, write_trace_file, Collect};
+use http_model::headers::{RequestHeaders, ResponseHeaders};
+use http_model::transaction::Method;
+use http_model::{ContentCategory, HttpTransaction};
 use netsim::codec::{read_trace_lossy, write_trace};
 use netsim::faults::{FaultInjector, FaultProfile};
-use netsim::record::{Trace, TraceRecord};
+use netsim::record::{Trace, TraceMeta, TraceRecord};
 use proptest::prelude::*;
 use std::path::Path;
 
-const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 4];
+fn thread_counts() -> Vec<usize> {
+    common::thread_counts(&[1, 2, 3, 4])
+}
 
 /// Filter-list servers: `messy_trace` has no HTTPS flows, the fault
 /// injector's duplicates neither, so the household fold stays empty here
@@ -33,24 +43,25 @@ const ABP_IPS: [u32; 1] = [900];
 
 /// Materialized reference with the streaming window semantics
 /// (infinite watermark).
-fn reference(trace: &Trace) -> ClassifiedTrace {
-    let mut opts = PipelineOptions::default();
+fn reference(trace: &Trace, mut opts: PipelineOptions) -> ClassifiedTrace {
     opts.window.watermark_secs = f64::INFINITY;
     classify_trace_in(trace, &classifier(), opts, &obs::Registry::new())
 }
 
-/// Stream the file at `path`, collecting every request and the figures, and
-/// hold both — and the report — to the oracle's `seq`.
-fn assert_streams_like(path: &Path, seq: &ClassifiedTrace, threads: usize, chunk: usize) {
+/// Stream the file at `path` under `pipeline`, collecting every request and
+/// the figures, and hold both — and the report — to the oracle's `seq`.
+fn assert_streams_like(
+    path: &Path,
+    seq: &ClassifiedTrace,
+    pipeline: PipelineOptions,
+    threads: usize,
+    chunk: usize,
+) {
     let fold = (Collect::default(), Figures::new(&ABP_IPS));
-    let (rep, (collected, figures)) = classify_stream_file_with(
-        path,
-        &classifier(),
-        &stream_opts(threads, chunk),
-        &obs::Registry::new(),
-        fold,
-    )
-    .unwrap();
+    let mut opts = stream_opts(threads, chunk);
+    opts.pipeline = pipeline;
+    let (rep, (collected, figures)) =
+        classify_stream_file_with(path, &classifier(), &opts, &obs::Registry::new(), fold).unwrap();
     assert_eq!(
         collected.requests(),
         seq.requests,
@@ -69,25 +80,28 @@ fn assert_streams_like(path: &Path, seq: &ClassifiedTrace, threads: usize, chunk
 
 /// Full equality of the streaming and materialized outputs for one
 /// trace at every tested thread count.
-fn assert_stream_equivalent(trace: &Trace, chunk: usize) {
-    let seq = reference(trace);
+fn assert_stream_equivalent(trace: &Trace, opts: PipelineOptions, chunk: usize) {
+    let seq = reference(trace, opts);
     let path = write_trace_file(trace, "equiv");
-    for threads in THREAD_COUNTS {
-        assert_streams_like(&path, &seq, threads, chunk);
+    for threads in thread_counts() {
+        assert_streams_like(&path, &seq, opts, threads, chunk);
     }
     let _ = std::fs::remove_file(&path);
 }
 
 proptest! {
-    /// Clean (but messy) traces: streaming == materialized.
+    /// Clean (but messy) traces: streaming == materialized, with URL
+    /// normalization on and (the ablation) off.
     #[test]
     fn streaming_equals_materialized(
         n in 1usize..120,
         users in 1u32..10,
         chunk in 1usize..40,
+        normalize in prop_oneof![Just(true), Just(false)],
         seed in 0u64..1000,
     ) {
-        assert_stream_equivalent(&messy_trace(n, users, seed), chunk);
+        let opts = PipelineOptions { normalize, ..PipelineOptions::default() };
+        assert_stream_equivalent(&messy_trace(n, users, seed), opts, chunk);
     }
 
     /// In-memory fault injection (dropped headers, skewed clocks,
@@ -102,7 +116,7 @@ proptest! {
     ) {
         let mut injector = FaultInjector::new(FaultProfile::uniform(rate), seed);
         let faulted = injector.corrupt_trace(&messy_trace(n, users, seed));
-        assert_stream_equivalent(&faulted, chunk);
+        assert_stream_equivalent(&faulted, PipelineOptions::default(), chunk);
     }
 
     /// Wire-level garbage: whatever the incremental decoder salvages
@@ -121,12 +135,12 @@ proptest! {
         write_trace(&messy_trace(n, users, seed), &mut bytes).expect("write");
         let corrupted = injector.corrupt_bytes(&bytes);
         let (recovered, _) = read_trace_lossy(corrupted.as_slice()).expect("lossy read");
-        let seq = reference(&recovered);
+        let seq = reference(&recovered, PipelineOptions::default());
 
         let path = temp_path("garbage");
         std::fs::write(&path, &corrupted).unwrap();
-        for threads in THREAD_COUNTS {
-            assert_streams_like(&path, &seq, threads, chunk);
+        for threads in thread_counts() {
+            assert_streams_like(&path, &seq, PipelineOptions::default(), threads, chunk);
         }
         let _ = std::fs::remove_file(&path);
     }
@@ -188,14 +202,14 @@ proptest! {
         seed in 0u64..500,
     ) {
         let trace = messy_trace(n, users, seed);
-        let seq = reference(&trace);
+        let seq = reference(&trace, PipelineOptions::default());
         let poison_hits = trace
             .records
             .iter()
             .filter(|r| matches!(r, TraceRecord::Http(h) if h.request.host == "ads.example"))
             .count();
         let path = write_trace_file(&trace, "poison");
-        for threads in THREAD_COUNTS {
+        for threads in thread_counts() {
             let qpath = temp_path("q");
             let mut opts = stream_opts(threads, chunk);
             opts.quarantine_path = Some(qpath.clone());
@@ -224,4 +238,264 @@ proptest! {
         }
         let _ = std::fs::remove_file(&path);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Hand-worked traces: the oracle's output pinned, the stream held to it
+// ---------------------------------------------------------------------------
+
+const UA: &str = "UA-Desktop/1.0";
+
+#[allow(clippy::too_many_arguments)]
+fn rec(
+    ts: f64,
+    client: u32,
+    ua: Option<&str>,
+    host: &str,
+    uri: &str,
+    referer: Option<&str>,
+    ct: Option<&str>,
+    location: Option<&str>,
+) -> TraceRecord {
+    TraceRecord::Http(HttpTransaction {
+        ts,
+        client_ip: client,
+        server_ip: 1,
+        server_port: 80,
+        method: Method::Get,
+        request: RequestHeaders {
+            host: host.into(),
+            uri: uri.into(),
+            referer: referer.map(str::to_string),
+            user_agent: ua.map(str::to_string),
+        },
+        response: ResponseHeaders {
+            status: if location.is_some() { 302 } else { 200 },
+            content_type: ct.map(str::to_string),
+            content_length: Some(500),
+            location: location.map(str::to_string),
+        },
+        tcp_handshake_ms: 1.0,
+        http_handshake_ms: 2.0,
+    })
+}
+
+fn hand_trace(records: Vec<TraceRecord>) -> Trace {
+    Trace {
+        meta: TraceMeta {
+            name: "hand-worked".into(),
+            duration_secs: 1.0,
+            subscribers: 2,
+            start_hour: 0,
+            start_weekday: 0,
+        },
+        records,
+    }
+}
+
+fn page_host(r: &ClassifiedRequest) -> Option<&str> {
+    r.page.as_ref().map(|p| p.host())
+}
+
+/// User ⟨1, UA⟩ owns a redirect chain (page, untyped redirector, target
+/// without a referer) and shares the trace with three other users — one
+/// behind the same address on another device, one with no User-Agent that
+/// fetches the very redirect target in between, one elsewhere. Its FNV-1a
+/// hash puts it alone on its worker at two and four workers; the chain
+/// must come out stitched and backfilled all the same, and nobody else's
+/// page context may leak in.
+#[test]
+fn redirect_chain_of_a_user_alone_in_its_shard() {
+    let trace = hand_trace(vec![
+        rec(
+            0.0,
+            1,
+            Some(UA),
+            "pub.example",
+            "/",
+            None,
+            Some("text/html"),
+            None,
+        ),
+        rec(
+            0.1,
+            1,
+            Some("UA-Mobile/2.0"),
+            "other.example",
+            "/",
+            None,
+            Some("text/html"),
+            None,
+        ),
+        rec(
+            0.2,
+            1,
+            Some(UA),
+            "r.example",
+            "/go?id=1",
+            Some("http://pub.example/"),
+            None,
+            Some("http://media.example/spot.mp4"),
+        ),
+        rec(
+            0.25,
+            1,
+            None,
+            "media.example",
+            "/spot.mp4",
+            None,
+            Some("video/mp4"),
+            None,
+        ),
+        rec(
+            0.3,
+            1,
+            Some(UA),
+            "media.example",
+            "/spot.mp4",
+            None,
+            Some("video/mp4"),
+            None,
+        ),
+        rec(
+            0.4,
+            1,
+            Some("UA-Mobile/2.0"),
+            "ads.example",
+            "/creative.gif",
+            Some("http://other.example/"),
+            Some("image/gif"),
+            None,
+        ),
+        rec(
+            0.5,
+            2,
+            Some(UA),
+            "x.example",
+            "/banners/a.gif",
+            None,
+            Some("image/gif"),
+            None,
+        ),
+    ]);
+    let out = reference(&trace, PipelineOptions::default());
+    let r = &out.requests;
+    assert_eq!(r.len(), 7);
+    // The chain: the redirector takes the target's type, the target the
+    // redirector's page.
+    assert_eq!(r[2].category, ContentCategory::Media);
+    assert_eq!(page_host(&r[2]), Some("pub.example"));
+    assert_eq!(r[4].category, ContentCategory::Media);
+    assert_eq!(page_host(&r[4]), Some("pub.example"));
+    assert!(!r[2].label.is_ad() && !r[4].label.is_ad());
+    // The same URL fetched by the user with no User-Agent, before the
+    // chain's owner got to it: no context of its own, and it must not have
+    // consumed the owner's pending redirect.
+    assert_eq!(page_host(&r[3]), None);
+    assert_eq!(out.degradation.broken_redirect_chains, 0);
+    // The other device behind address 1: third-party ad on its own page.
+    assert_eq!(page_host(&r[5]), Some("other.example"));
+    assert!(r[5].label.blocked_by(ListKind::EasyList));
+    // Address 2: `/banners/` needs no page context.
+    assert!(r[6].label.blocked_by(ListKind::EasyList));
+    assert_eq!(out.ad_request_count(), 2);
+    assert_eq!(out.degradation.missing_user_agent, 1);
+    assert_eq!(out.degradation.content_type_fallbacks, 1, "the redirector");
+    assert_stream_equivalent(&trace, PipelineOptions::default(), 3);
+}
+
+/// ⟨1, UA⟩, ⟨2, ""⟩ and ⟨12, no User-Agent⟩ all hash to shard 2 of 16, so
+/// at two and four workers one worker holds the whole trace and the others
+/// run empty. User 12 never loads a page, so the `$third-party` rule has
+/// nothing to compare its creative against.
+#[test]
+fn all_users_in_one_shard_leaves_the_others_empty() {
+    let trace = hand_trace(vec![
+        rec(
+            0.0,
+            1,
+            Some(UA),
+            "pub.example",
+            "/",
+            None,
+            Some("text/html"),
+            None,
+        ),
+        rec(
+            0.1,
+            2,
+            Some(""),
+            "pub.example",
+            "/",
+            None,
+            Some("text/html"),
+            None,
+        ),
+        rec(
+            0.2,
+            1,
+            Some(UA),
+            "ads.example",
+            "/creative.gif",
+            Some("http://pub.example/"),
+            Some("image/gif"),
+            None,
+        ),
+        // Same creative, no referer, a user that never loaded a page.
+        rec(
+            0.3,
+            12,
+            None,
+            "ads.example",
+            "/creative.gif",
+            None,
+            Some("image/gif"),
+            None,
+        ),
+        rec(
+            0.4,
+            2,
+            Some(""),
+            "r.example",
+            "/go",
+            Some("http://pub.example/"),
+            None,
+            Some("http://media.example/spot.mp4"),
+        ),
+        rec(
+            0.5,
+            2,
+            Some(""),
+            "media.example",
+            "/spot.mp4",
+            None,
+            Some("video/mp4"),
+            None,
+        ),
+        rec(
+            0.6,
+            12,
+            None,
+            "t.example",
+            "/pixel/p.gif",
+            None,
+            Some("image/gif"),
+            None,
+        ),
+    ]);
+    let out = reference(&trace, PipelineOptions::default());
+    let r = &out.requests;
+    assert_eq!(r.len(), 7);
+    assert_eq!(page_host(&r[2]), Some("pub.example"));
+    assert!(r[2].label.blocked_by(ListKind::EasyList));
+    assert_eq!(page_host(&r[3]), None);
+    assert!(!r[3].label.is_ad());
+    assert_eq!(r[4].category, ContentCategory::Media);
+    assert_eq!(page_host(&r[5]), Some("pub.example"));
+    assert_eq!(page_host(&r[6]), None);
+    assert!(r[6].label.blocked_by(ListKind::EasyPrivacy));
+    assert_eq!(out.ad_request_count(), 2);
+    assert_eq!(out.degradation.refmap_misses, 2, "both requests of user 12");
+    assert_eq!(out.degradation.broken_redirect_chains, 0);
+    assert_stream_equivalent(&trace, PipelineOptions::default(), 3);
 }

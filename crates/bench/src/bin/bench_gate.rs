@@ -40,7 +40,6 @@ use abp_filter::{ClassifyScratch, CompiledEngine, Engine, FilterList, Request};
 use adscope::normalize::UrlNormalizer;
 use adscope::pipeline::{classify_trace, extract_objects, PipelineOptions};
 use adscope::refmap::{RefMap, RefMapOptions};
-use adscope::shard::classify_trace_sharded;
 use adscope::stream::{classify_stream_file, StreamOptions};
 use bench::sys;
 use http_model::{ContentCategory, Url};
@@ -382,12 +381,7 @@ fn main() {
     let materialized = |opts: PipelineOptions| {
         let (trace, classifier) = (&trace, &classifier);
         Box::new(move || {
-            black_box(classify_trace_sharded(
-                black_box(trace),
-                classifier,
-                opts,
-                1,
-            ));
+            black_box(classify_trace(black_box(trace), classifier, opts));
         })
     };
     let streamed = |adjust: fn(&mut StreamOptions)| {

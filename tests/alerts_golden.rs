@@ -9,6 +9,12 @@
 //! evolution → browsing drive → stream classification → windowed
 //! series → detectors → lifecycle → rendering. Everything is seeded,
 //! so the timeline is reproducible byte-for-byte.
+//!
+//! The one run is taken at `--threads 4 --chunk-records 97`, so it also
+//! checks that both flags reach the stream and leave the timeline alone.
+//! The thread × chunk sweep itself is the in-process proptest in
+//! `crates/adscope/tests/alerts_equivalence.rs`, and `experiments alerts
+//! --check` in `ci.sh` asserts it once more.
 
 use std::process::Command;
 
@@ -35,7 +41,10 @@ const GOLDEN: &str = "tests/golden/alerts_timeline.txt";
 
 #[test]
 fn alerts_timeline_matches_golden() {
-    let stdout = run_alerts("target/experiments/alerts_golden", &["--threads", "1"]);
+    let stdout = run_alerts(
+        "target/experiments/alerts_golden",
+        &["--threads", "4", "--chunk-records", "97"],
+    );
     // `BLESS=1 cargo test alerts_timeline_matches_golden` regenerates
     // the pinned file after an intentional rule-pack or format change.
     if std::env::var_os("BLESS").is_some() {
@@ -69,22 +78,5 @@ fn alerts_timeline_matches_golden() {
     assert!(
         lines.iter().any(|l| l.contains(" firing ")),
         "the drop never fired:\n{stdout}"
-    );
-}
-
-/// CLI wiring only: `--threads` and `--chunk-records` reach the stream and
-/// leave the timeline alone — one comparison, `--threads 1` (the file the
-/// test above pins) against `--threads 4 --chunk-records 97`. The thread ×
-/// chunk sweep itself belongs to the in-process proptest in
-/// `crates/adscope/tests/alerts_equivalence.rs`, and `experiments alerts
-/// --check` in `ci.sh` asserts it once more; a subprocess here is ≈15 s of
-/// unoptimized build, which is why this is not a sweep.
-#[test]
-fn alerts_timeline_is_thread_and_chunk_invariant() {
-    let extra = ["--threads", "4", "--chunk-records", "97"];
-    assert_eq!(
-        run_alerts("target/experiments/alerts_threads", &extra),
-        std::fs::read_to_string(GOLDEN).expect("read the golden file"),
-        "timeline drifts from the --threads 1 one at {extra:?}"
     );
 }

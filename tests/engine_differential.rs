@@ -1,17 +1,20 @@
 //! End-to-end differential gates for the compiled filter engine: the
 //! compiled and reference engines must classify identical labels over a
-//! full synthetic trace (at 1 and 4 worker threads), and over an
-//! EasyList-scale generated list the per-request `Classification`s must be
-//! byte-identical — clean, fault-injected, and adversarial inputs alike.
+//! full synthetic trace (in the one-thread oracle, and in the stream engine
+//! at 4 workers), and over an EasyList-scale generated list the per-request
+//! `Classification`s must be byte-identical — clean, fault-injected, and
+//! adversarial inputs alike.
 //! The driven trace's own requests are also classified at EasyList scale
 //! (the request mix the fat token buckets see), and every alignment record
 //! of the compiled engine is audited against its bucket key.
 
 use abp_filter::tokenizer::{filter_index_token, filter_token, hash_token};
 use abp_filter::{ClassifyScratch, CompiledEngine, Engine, Request};
-use adscope::classify_trace_sharded;
+use adscope::pipeline::classify_trace;
+use adscope::stream::{classify_stream_chunks, Fold, StreamOptions};
 use annoyed_users::prelude::*;
 use browsersim::drive::{drive, DriveOutput};
+use netsim::stream::StreamChunk;
 use webgen::{easylist_scale, ScaleConfig};
 
 fn eco() -> Ecosystem {
@@ -66,9 +69,54 @@ fn driven_trace(eco: &Ecosystem) -> Trace {
     trace
 }
 
+/// Each request's label and URL by its position in the trace.
+#[derive(Clone, Default)]
+struct Labels(Vec<(u64, AdLabel, Url)>);
+
+impl Fold for Labels {
+    fn observe(&mut self, pos: u64, req: &ClassifiedRequest) {
+        self.0.push((pos, req.label.clone(), req.url.clone()));
+    }
+    fn merge(&mut self, part: Labels) {
+        self.0.extend(part.0);
+    }
+}
+
+/// `trace` through the stream engine at `threads` workers: (label, URL)
+/// in trace order.
+fn streamed_labels(
+    trace: &Trace,
+    classifier: &PassiveClassifier,
+    threads: usize,
+) -> Vec<(AdLabel, Url)> {
+    let chunks = trace
+        .records
+        .chunks(512)
+        .enumerate()
+        .map(|(i, batch)| StreamChunk::in_memory(i as u64, batch.to_vec()));
+    let opts = StreamOptions {
+        threads,
+        ..StreamOptions::default()
+    };
+    let registry = obs::Registry::new();
+    let (_, Labels(mut labels)) = classify_stream_chunks(
+        chunks,
+        trace.meta.clone(),
+        classifier,
+        &opts,
+        &registry,
+        Labels::default(),
+    )
+    .expect("stream classify");
+    labels.sort_unstable_by_key(|(pos, _, _)| *pos);
+    labels.into_iter().map(|(_, l, u)| (l, u)).collect()
+}
+
 /// Compiled vs reference over a driven trace, including the pipeline's
 /// fault injection (mislabeled content types, broken referrer chains are
-/// part of every driven trace), at both thread counts.
+/// part of every driven trace): the reference engine in the one-thread
+/// oracle is the base, and the compiled engine in the oracle and both
+/// engines in the stream engine at 4 workers must match it.
 #[test]
 fn trace_labels_identical_across_engines_and_threads() {
     let eco = eco();
@@ -76,21 +124,22 @@ fn trace_labels_identical_across_engines_and_threads() {
     let compiled = PassiveClassifier::new(lists(&eco));
     let reference = PassiveClassifier::reference(lists(&eco));
     let opts = PipelineOptions::default();
-    let base = classify_trace_sharded(&trace, &reference, opts, 1);
-    for (name, classifier, threads) in [
-        ("compiled/1", &compiled, 1usize),
-        ("compiled/4", &compiled, 4),
-        ("reference/4", &reference, 4),
+    let labels = |ct: ClassifiedTrace| -> Vec<(AdLabel, Url)> {
+        ct.requests.into_iter().map(|r| (r.label, r.url)).collect()
+    };
+    let base = labels(classify_trace(&trace, &reference, opts));
+    for (name, got) in [
+        (
+            "compiled/1",
+            labels(classify_trace(&trace, &compiled, opts)),
+        ),
+        ("compiled/4", streamed_labels(&trace, &compiled, 4)),
+        ("reference/4", streamed_labels(&trace, &reference, 4)),
     ] {
-        let got = classify_trace_sharded(&trace, classifier, opts, threads);
-        assert_eq!(
-            base.requests.len(),
-            got.requests.len(),
-            "{name}: request count diverged"
-        );
-        for (a, b) in base.requests.iter().zip(&got.requests) {
-            assert_eq!(a.label, b.label, "{name}: label diverged on {}", a.url);
-            assert_eq!(a.url, b.url, "{name}: url diverged");
+        assert_eq!(base.len(), got.len(), "{name}: request count diverged");
+        for ((a_label, a_url), (b_label, b_url)) in base.iter().zip(&got) {
+            assert_eq!(a_label, b_label, "{name}: label diverged on {a_url}");
+            assert_eq!(a_url, b_url, "{name}: url diverged");
         }
     }
 }
@@ -106,7 +155,7 @@ fn trace_requests_identical_at_easylist_scale() {
     let classifier = PassiveClassifier::new(easylist_scale_lists(&eco));
     let engine = classifier.engine();
     let compiled = classifier.compiled().expect("compiled mode");
-    let requests = classify_trace_sharded(&trace, &classifier, PipelineOptions::default(), 1);
+    let requests = classify_trace(&trace, &classifier, PipelineOptions::default());
     assert!(requests.requests.len() > 1_000, "trace too small to matter");
     let mut scratch = ClassifyScratch::new();
     let (mut ads, mut deep) = (0usize, 0usize);
