@@ -235,26 +235,30 @@ half=$((chunks / 2))
 cmp "$STREAM_DIR/full.report" "$STREAM_DIR/resumed.report"
 cmp "$STREAM_DIR/full.windows" "$STREAM_DIR/resumed.windows"
 echo "    kill at chunk $half/$chunks + resume: report + windows byte-identical"
-# A real SIGKILL mid-run (atomic checkpoint writes mean the survivor is
-# always loadable): throttle the run, kill -9 once the first checkpoint
-# lands, resume, byte-compare again.
+# A real SIGKILL mid-run, aimed where appends happen: the log's first
+# segment is written whole and atomically, later ones are appended, and each
+# carries a checksummed trailer, so a segment the kill tears is skipped and
+# the resume starts from the last whole one. Throttle the run, kill -9 once
+# the log holds two segment trailers, resume (the killed run's
+# checkpoint.lock must not block it), byte-compare again.
 ./target/release/experiments stream --trace "$STREAM_DIR/rbn1.trace" \
   --checkpoint-dir "$STREAM_DIR/ck2" --checkpoint-every 2 \
   --throttle-ms 40 >/dev/null 2>&1 &
 STREAM_PID=$!
-for _ in $(seq 1 200); do
-  [ -s "$STREAM_DIR/ck2/checkpoint.ndjson" ] && break
+segments() { grep -c '^{"segment":' "$STREAM_DIR/ck2/checkpoint.ndjson" 2>/dev/null || true; }
+for _ in $(seq 1 400); do
+  [ "$(segments)" -ge 2 ] 2>/dev/null && break
   sleep 0.05
 done
-test -s "$STREAM_DIR/ck2/checkpoint.ndjson"
+test "$(segments)" -ge 2
 kill -9 "$STREAM_PID" 2>/dev/null || true
 wait "$STREAM_PID" 2>/dev/null || true
 ./target/release/experiments stream --trace "$STREAM_DIR/rbn1.trace" \
   --checkpoint-dir "$STREAM_DIR/ck2" --resume \
   --report "$STREAM_DIR/killed.report" >/dev/null 2>&1
 cmp "$STREAM_DIR/full.report" "$STREAM_DIR/killed.report"
-# A kill that lands mid-write leaves checkpoint.ndjson.<pid>.<seq>.tmp; the
-# resume swept it.
+# A kill that lands mid-rewrite leaves checkpoint.ndjson.<pid>.<seq>.tmp;
+# the resume swept it.
 test -z "$(find "$STREAM_DIR/ck2" -name '*.tmp')"
 echo "    SIGKILL mid-run + resume: report byte-identical, no temp file left"
 

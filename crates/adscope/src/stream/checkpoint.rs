@@ -1,7 +1,23 @@
-//! The persisted checkpoint: `checkpoint.ndjson`, one manifest line (the
-//! [`RunState`], plane totals included) and one line per live user — the
-//! only module in this crate that names a checkpoint JSON key, so a plane
-//! added to `crate::planes` gets its encode / decode pair here.
+//! The persisted checkpoint: `checkpoint.ndjson`, an append-only log of
+//! segments (format version 2). A segment is one manifest line (the
+//! [`RunState`], plane totals included), the lines of the users a record
+//! touched since the segment before it, and a trailer
+//! `{"segment":{"lines":n,"bytes":b,"sum":s}}` that counts and checksums
+//! those lines ([`obs::Sum64`]). A run's first barrier, and any barrier
+//! after which the log would pass [`COMPACT_RATIO`] times the bytes of a
+//! whole-state segment, rewrites the log as one segment holding every user
+//! (`obs::atomic_write_with`); every other barrier appends one and
+//! `sync_data`s it. So a run only ever appends to a log it created. Resume
+//! reads the segments in order up to the first that does not validate, and
+//! takes the last one's manifest and each user's last line. Every `f64` is
+//! stored as the integer of its bit pattern, so a resumed run starts from
+//! exactly the bits the checkpointing run held.
+//!
+//! A version-1 file (one manifest line and one line per user, floats as
+//! shortest round-trip decimals, no trailer) still resumes, through the same
+//! decoders reading floats as decimals. This is the only module in this
+//! crate that names a checkpoint JSON key, so a plane added to
+//! `crate::planes` gets its encode / decode pair here.
 //!
 //! Writers are hand-written `write!` chains (the per-user line is the
 //! checkpointing run's hottest loop and must not allocate per field).
@@ -26,16 +42,26 @@ use netsim::record::TraceMeta;
 use obs::sketch::{Distinct64, QuantileSketch, TopK, QUANTILE_GAMMA};
 use obs::window::{ClosedWindow, WindowReport};
 use obs::HistogramSnapshot;
+use std::collections::HashMap;
 use std::fmt::{Display, Write as _};
-use std::fs;
+use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::Arc;
 
 /// Checkpoint file name inside the checkpoint directory.
 pub const CHECKPOINT_FILE: &str = "checkpoint.ndjson";
+/// Lock file inside the checkpoint directory, locked for as long as a run
+/// checkpointing there is live.
+pub(super) const LOCK_FILE: &str = "checkpoint.lock";
 /// Manifest schema version (bumped on incompatible layout changes).
-const CHECKPOINT_VERSION: u64 = 1;
+const CHECKPOINT_VERSION: u64 = 2;
+/// A barrier rewrites the log once appending would take it past this many
+/// times the bytes of a whole-state segment.
+const COMPACT_RATIO: u64 = 2;
+/// What a segment's trailer line opens with. No other line can: a manifest
+/// opens with `{"kind":`, a user line with `{"client_ip":`.
+const TRAILER: &[u8] = b"{\"segment\":";
 /// Manifest `kind` tag.
 const CHECKPOINT_KIND: &str = "annoyed-users-checkpoint";
 /// Histogram series an adscope window may carry.
@@ -52,9 +78,33 @@ pub(super) fn config_hash(opts: &StreamOptions) -> u64 {
     obs::fnv64(s.as_bytes())
 }
 
+/// Take `dir`'s lock, creating the directory, or refuse: another live run
+/// checkpoints there. The lock lives as long as the returned file, and the
+/// OS drops it when its holder exits, however it exits, so a lock file a
+/// finished or killed run left behind blocks nothing.
+pub(super) fn lock_dir(dir: &Path) -> Result<File, StreamError> {
+    fs::create_dir_all(dir)?;
+    let file = OpenOptions::new()
+        .create(true)
+        .truncate(false)
+        .write(true)
+        .open(dir.join(LOCK_FILE))?;
+    match file.try_lock() {
+        Ok(()) => Ok(file),
+        Err(fs::TryLockError::WouldBlock) => Err(StreamError::Locked(dir.to_path_buf())),
+        Err(fs::TryLockError::Error(e)) => Err(e.into()),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------------
+
+/// Append `f` as the integer of its bit pattern: exact, and without the
+/// shortest-decimal search `{:?}` runs.
+fn write_bits(out: &mut String, f: f64) {
+    json::write_u64(out, f.to_bits());
+}
 
 fn write_nums<T: Display>(out: &mut String, nums: impl IntoIterator<Item = T>) {
     json::write_seq(out, nums, |out, n| {
@@ -64,13 +114,13 @@ fn write_nums<T: Display>(out: &mut String, nums: impl IntoIterator<Item = T>) {
 
 fn window_report_to_json(out: &mut String, r: &WindowReport) {
     out.push_str("{\"width\":");
-    json::write_f64(out, r.width_secs);
+    write_bits(out, r.width_secs);
     let _ = write!(out, ",\"late\":{},\"windows\":[", r.late);
     json::write_seq(out, &r.windows, |out, w| {
         let _ = write!(out, "{{\"index\":{},\"start\":", w.index);
-        json::write_f64(out, w.start_secs);
+        write_bits(out, w.start_secs);
         out.push_str(",\"width\":");
-        json::write_f64(out, w.width_secs);
+        write_bits(out, w.width_secs);
         out.push_str(",\"counters\":{");
         json::write_seq(out, &w.counters, |out, (name, v)| {
             let _ = write!(out, "\"{name}\":{v}");
@@ -126,7 +176,7 @@ pub(super) fn serialize_user(key: &(u32, Option<Arc<str>>), st: &UserState) -> S
             out.push('[');
             write_url(&mut out, &mut scratch, Some(url));
             out.push(',');
-            json::write_f64(&mut out, *ts);
+            write_bits(&mut out, *ts);
             out.push(']');
         }
         None => out.push_str("null"),
@@ -138,7 +188,7 @@ pub(super) fn serialize_user(key: &(u32, Option<Arc<str>>), st: &UserState) -> S
         out.push(',');
         write_url(out, &mut scratch, Some(root));
         out.push(',');
-        json::write_f64(out, *ts);
+        write_bits(out, *ts);
         num(out, ",", (*hops).into());
         out.push(']');
     });
@@ -151,7 +201,7 @@ pub(super) fn serialize_user(key: &(u32, Option<Arc<str>>), st: &UserState) -> S
         write_url(out, &mut scratch, root.as_ref());
         num(out, ",", *idx as u64);
         out.push(',');
-        json::write_f64(out, *ts);
+        write_bits(out, *ts);
         num(out, ",", (*hops).into());
         out.push(']');
     });
@@ -160,7 +210,7 @@ pub(super) fn serialize_user(key: &(u32, Option<Arc<str>>), st: &UserState) -> S
         num(out, "{\"pos\":", h.pos);
         num(out, ",\"idx\":", h.obj.idx as u64);
         out.push_str(",\"ts\":");
-        json::write_f64(out, h.obj.ts);
+        write_bits(out, h.obj.ts);
         num(out, ",\"server_ip\":", h.obj.server_ip.into());
         out.push_str(",\"url\":");
         write_url(out, &mut scratch, Some(&h.obj.url));
@@ -173,9 +223,9 @@ pub(super) fn serialize_user(key: &(u32, Option<Arc<str>>), st: &UserState) -> S
         num(out, ",\"bytes\":", h.obj.bytes);
         num(out, ",\"status\":", h.obj.status.into());
         out.push_str(",\"tcp\":");
-        json::write_f64(out, h.obj.tcp_handshake_ms);
+        write_bits(out, h.obj.tcp_handshake_ms);
         out.push_str(",\"http\":");
-        json::write_f64(out, h.obj.http_handshake_ms);
+        write_bits(out, h.obj.http_handshake_ms);
         out.push('}');
     });
     out.push_str("]}");
@@ -249,7 +299,7 @@ pub(super) fn manifest_to_json(hash: u64, st: &RunState) -> String {
     );
     json::write_str(&mut out, &st.meta.name);
     out.push_str(",\"duration\":");
-    json::write_f64(&mut out, st.meta.duration_secs);
+    write_bits(&mut out, st.meta.duration_secs);
     let _ = write!(
         out,
         ",\"subscribers\":{},\"start_hour\":{},\"start_weekday\":{}}}",
@@ -262,8 +312,8 @@ pub(super) fn manifest_to_json(hash: u64, st: &RunState) -> String {
         ",\"offset\":{},\"chunks\":{},\"seq\":{},\"next_pos\":{},\"next_http_idx\":{},\"prev_ts\":",
         st.offset, st.chunks, st.chunks, st.next_pos, st.next_http_idx
     );
-    // write_f64 renders non-finite as null; parse maps null back to -inf.
-    json::write_f64(&mut out, st.prev_ts);
+    // −∞ before the first record: a bit pattern like any other.
+    write_bits(&mut out, st.prev_ts);
     let t = &st.totals;
     let _ = write!(
         out,
@@ -298,18 +348,71 @@ pub(super) fn manifest_to_json(hash: u64, st: &RunState) -> String {
     out
 }
 
-pub(super) fn write_checkpoint(dir: &Path, manifest: &str, users: &[Arc<str>]) -> io::Result<()> {
-    fs::create_dir_all(dir)?;
-    obs::atomic_write_with(&dir.join(CHECKPOINT_FILE), |file| {
-        let mut f = BufWriter::new(file);
-        f.write_all(manifest.as_bytes())?;
-        f.write_all(b"\n")?;
-        for line in users {
-            f.write_all(line.as_bytes())?;
-            f.write_all(b"\n")?;
+/// Write one segment to `w`: the `manifest` line, the `users` lines and the
+/// trailer that counts and checksums them, the sum folded line by line as
+/// the bytes go out (nothing of the segment is assembled in memory).
+/// Returns the bytes written.
+fn write_segment<'a>(
+    w: &mut impl Write,
+    manifest: &str,
+    users: impl IntoIterator<Item = &'a Arc<str>>,
+) -> io::Result<u64> {
+    let mut sum = obs::Sum64::default();
+    let (mut lines, mut bytes) = (0u64, 0u64);
+    for line in std::iter::once(manifest).chain(users.into_iter().map(|l| &**l)) {
+        for part in [line.as_bytes(), b"\n"] {
+            w.write_all(part)?;
+            sum.update(part);
         }
-        f.flush()
-    })
+        lines += 1;
+        bytes += line.len() as u64 + 1;
+    }
+    let trailer = format!(
+        "{{\"segment\":{{\"lines\":{lines},\"bytes\":{bytes},\"sum\":{}}}}}\n",
+        sum.finish()
+    );
+    w.write_all(trailer.as_bytes())?;
+    Ok(bytes + trailer.len() as u64)
+}
+
+/// Put one checkpoint into `dir`'s log and return the log's new length
+/// (`log_bytes` is its length once this run has written it). The manifest
+/// and the users `rendered` at this barrier are appended as one segment and
+/// `sync_data`'d — unless this is the run's first checkpoint, or the append
+/// would take the log past [`COMPACT_RATIO`] times a whole-state segment:
+/// then the log is rewritten through `obs::atomic_write_with` as one
+/// segment holding the `kept` users too.
+pub(super) fn write_checkpoint(
+    dir: &Path,
+    log_bytes: Option<u64>,
+    manifest: &str,
+    rendered: &[Arc<str>],
+    kept: &[Arc<str>],
+) -> io::Result<u64> {
+    let size = |lines: &[Arc<str>]| lines.iter().map(|l| l.len() as u64 + 1).sum::<u64>();
+    let appended = manifest.len() as u64 + 1 + size(rendered);
+    let whole = appended + size(kept);
+    let path = dir.join(CHECKPOINT_FILE);
+    match log_bytes {
+        Some(log) if log + appended <= COMPACT_RATIO * whole => {
+            let file = OpenOptions::new().append(true).open(&path)?;
+            let mut w = BufWriter::new(&file);
+            let written = write_segment(&mut w, manifest, rendered)?;
+            w.flush()?;
+            file.sync_data()?;
+            Ok(log + written)
+        }
+        _ => {
+            fs::create_dir_all(dir)?;
+            let mut written = 0;
+            obs::atomic_write_with(&path, |file| {
+                let mut w = BufWriter::new(file);
+                written = write_segment(&mut w, manifest, rendered.iter().chain(kept))?;
+                w.flush()
+            })?;
+            Ok(written)
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -319,6 +422,28 @@ pub(super) fn write_checkpoint(dir: &Path, manifest: &str, users: &[Arc<str>]) -
 impl From<DecodeError> for StreamError {
     fn from(e: DecodeError) -> Self {
         StreamError::Checkpoint(e.to_string())
+    }
+}
+
+/// How a format version spells an `f64`: version 1 as the shortest decimal
+/// that round-trips (`f64` itself), version 2 as the integer of its bit
+/// pattern ([`Bits`]).
+trait Float: FromJson + Into<f64> {}
+
+impl<T: FromJson + Into<f64>> Float for T {}
+
+/// An `f64` read from the integer of its bit pattern.
+struct Bits(f64);
+
+impl FromJson for Bits {
+    fn from_json(v: &Value<'_>) -> Result<Bits, DecodeError> {
+        u64::from_json(v).map(|bits| Bits(f64::from_bits(bits)))
+    }
+}
+
+impl From<Bits> for f64 {
+    fn from(b: Bits) -> f64 {
+        b.0
     }
 }
 
@@ -352,7 +477,7 @@ fn series<T>(
     })
 }
 
-fn window_report_from_value(
+fn window_report_from_value<F: Float>(
     v: &Value<'_>,
     counters: &'static [&'static str],
     hists: &'static [&'static str],
@@ -371,8 +496,8 @@ fn window_report_from_value(
     let window = |w: &Value<'_>| {
         Ok(ClosedWindow {
             index: w.field("index")?,
-            start_secs: w.field("start")?,
-            width_secs: w.field("width")?,
+            start_secs: w.field::<F>("start")?.into(),
+            width_secs: w.field::<F>("width")?.into(),
             counters: series(w, "counters", counters, u64::from_json)?,
             hists: series(w, "hists", hists, hist)?,
         })
@@ -380,13 +505,13 @@ fn window_report_from_value(
     let mut windows = v.field_with("windows", |ws| ws.each(window))?;
     windows.sort_by_key(|w| w.index);
     Ok(WindowReport {
-        width_secs: v.field("width")?,
+        width_secs: v.field::<F>("width")?.into(),
         windows,
         late: v.field("late")?,
     })
 }
 
-fn user_from_line(line: &str, opts: RefMapOptions) -> Result<RestoredUser, DecodeError> {
+fn user_from_line<F: Float>(line: &str, opts: RefMapOptions) -> Result<RestoredUser, DecodeError> {
     let v = json::parse(line).map_err(|e| DecodeError::new(format!("bad user line: {e}")))?;
     let client_ip = v.field("client_ip")?;
     let user_agent: Option<Arc<str>> = v.field("user_agent")?;
@@ -401,7 +526,7 @@ fn user_from_line(line: &str, opts: RefMapOptions) -> Result<RestoredUser, Decod
             category: e.field_with("cat", category)?,
             obj: WebObject {
                 idx: e.field("idx")?,
-                ts: e.field("ts")?,
+                ts: e.field::<F>("ts")?.into(),
                 client_ip,
                 server_ip: e.field("server_ip")?,
                 url: e.field("url")?,
@@ -413,21 +538,28 @@ fn user_from_line(line: &str, opts: RefMapOptions) -> Result<RestoredUser, Decod
                 status: e.field("status")?,
                 location: None,
                 user_agent: user_agent.clone(),
-                tcp_handshake_ms: e.field("tcp")?,
-                http_handshake_ms: e.field("http")?,
+                tcp_handshake_ms: e.field::<F>("tcp")?.into(),
+                http_handshake_ms: e.field::<F>("http")?.into(),
             },
         })
     };
     let held = v.field_with("held", |h| h.each(held_record))?;
     // `[key, root, ts, hops]` and `[key, root, backfill idx, ts, hops]`:
-    // the element types come from the maps `restore` takes.
-    let page_of = v.field::<Vec<_>>("page_of")?.into_iter();
-    let pending = v.field::<Vec<_>>("pending")?.into_iter();
+    // the other element types come from the maps `restore` takes.
+    let page_of: Vec<(_, _, F, _)> = v.field("page_of")?;
+    let pending: Vec<(_, _, _, F, _)> = v.field("pending")?;
+    let last_page: Option<(_, F)> = v.field("last_page")?;
     let map = RefMap::restore(
         opts,
-        page_of.map(|(k, r, t, h)| (k, (r, t, h))).collect(),
-        pending.map(|(k, r, i, t, h)| (k, (r, i, t, h))).collect(),
-        v.field("last_page")?,
+        page_of
+            .into_iter()
+            .map(|(k, r, t, h)| (k, (r, t.into(), h)))
+            .collect(),
+        pending
+            .into_iter()
+            .map(|(k, r, i, t, h)| (k, (r, i, t.into(), h)))
+            .collect(),
+        last_page.map(|(url, t)| (url, t.into())),
         v.field("inserted")?,
         v.field("consumed")?,
         true,
@@ -489,11 +621,14 @@ fn population_from_value(
 
 /// The [`RunState`] a manifest line holds. Starts from the fresh state
 /// `opts` asks for, so a plane that is on has a value either way.
-fn manifest_from_value(m: &Value<'_>, opts: &StreamOptions) -> Result<RunState, DecodeError> {
+fn manifest_from_value<F: Float>(
+    m: &Value<'_>,
+    opts: &StreamOptions,
+) -> Result<RunState, DecodeError> {
     let meta = m.field_with("meta", |v| {
         Ok(TraceMeta {
             name: v.field("name")?,
-            duration_secs: v.field("duration")?,
+            duration_secs: v.field::<F>("duration")?.into(),
             subscribers: v.field("subscribers")?,
             start_hour: v.field("start_hour")?,
             start_weekday: v.field("start_weekday")?,
@@ -505,8 +640,9 @@ fn manifest_from_value(m: &Value<'_>, opts: &StreamOptions) -> Result<RunState, 
     st.chunks = m.field("chunks")?;
     st.next_pos = m.field("next_pos")?;
     st.next_http_idx = m.field("next_http_idx")?;
-    let prev_ts: Option<f64> = m.field("prev_ts")?;
-    st.prev_ts = prev_ts.unwrap_or(f64::NEG_INFINITY);
+    // Version 1 wrote −∞ as `null`.
+    let prev_ts: Option<F> = m.field("prev_ts")?;
+    st.prev_ts = prev_ts.map_or(f64::NEG_INFINITY, Into::into);
     st.quarantine_bytes = m.field("quarantine_bytes")?;
     st.codec = m.field_with("codec", |v| {
         Ok(CodecStats {
@@ -540,10 +676,10 @@ fn manifest_from_value(m: &Value<'_>, opts: &StreamOptions) -> Result<RunState, 
         })
     })?;
     t.windows = m.field_with("windows", |v| {
-        window_report_from_value(v, ADSCOPE_COUNTERS, HIST_TABLE)
+        window_report_from_value::<F>(v, ADSCOPE_COUNTERS, HIST_TABLE)
     })?;
     t.decode_windows = m.field_with("decode_windows", |v| {
-        window_report_from_value(v, &DECODE_COUNTERS, &[])
+        window_report_from_value::<F>(v, &DECODE_COUNTERS, &[])
     })?;
     // The config hash covers which planes are on, so a plane that is on
     // was on when the checkpoint was written and its block is required.
@@ -557,38 +693,123 @@ fn manifest_from_value(m: &Value<'_>, opts: &StreamOptions) -> Result<RunState, 
     Ok(st)
 }
 
+/// The run state a manifest and its user lines hold, floats spelled `F`. A
+/// user with more than one line is the state of its last.
+fn decode<F: Float>(
+    m: &Value<'_>,
+    users: &[&str],
+    opts: &StreamOptions,
+) -> Result<RunState, DecodeError> {
+    let mut state = manifest_from_value::<F>(m, opts)?;
+    let mut restored = HashMap::with_capacity(users.len());
+    for line in users {
+        let user = user_from_line::<F>(line, opts.pipeline.refmap)?;
+        restored.insert((user.client_ip, user.user_agent.clone()), user);
+    }
+    state.restored = restored.into_values().collect();
+    Ok(state)
+}
+
+/// The segments of a version-2 log that validate, in file order, each as
+/// the bytes of its lines up to its trailer. Reading stops at the first one
+/// that does not: a segment holds only the users a record touched since
+/// the one before it, so nothing past a torn or damaged one applies.
+fn valid_segments(log: &[u8]) -> Vec<&[u8]> {
+    let (mut segments, mut start, mut lines, mut at) = (Vec::new(), 0, 0u64, 0);
+    while let Some(len) = obs::find_newline(&log[at..]) {
+        let line = &log[at..at + len];
+        if line.starts_with(TRAILER) {
+            let body = &log[start..at];
+            let want = (lines, body.len() as u64, obs::sum64(body));
+            if lines == 0 || trailer_counts(line) != Some(want) {
+                break;
+            }
+            segments.push(body);
+            (start, lines) = (at + len + 1, 0);
+        } else {
+            lines += 1;
+        }
+        at += len + 1;
+    }
+    segments
+}
+
+/// A trailer line's line count, byte count and sum.
+fn trailer_counts(line: &[u8]) -> Option<(u64, u64, u64)> {
+    let v = json::parse(std::str::from_utf8(line).ok()?).ok()?;
+    let counts = |s: &Value<'_>| Ok((s.field("lines")?, s.field("bytes")?, s.field("sum")?));
+    v.field_with("segment", counts).ok()
+}
+
+/// The manifest line of `log`'s last valid segment: what a resume from it
+/// would start from.
+#[cfg(test)]
+pub(super) fn last_manifest(log: &[u8]) -> Option<&str> {
+    lines_of(valid_segments(log).last()?).next()?.ok()
+}
+
+/// The lines of a segment (or of a version-1 file), without their newlines.
+fn lines_of(bytes: &[u8]) -> impl Iterator<Item = Result<&str, StreamError>> {
+    let body = bytes.strip_suffix(b"\n").unwrap_or(bytes);
+    let line = |l| std::str::from_utf8(l).map_err(|_| ck_err("checkpoint line is not UTF-8"));
+    body.split(|&b| b == b'\n')
+        .filter(|l| !l.is_empty())
+        .map(line)
+}
+
 /// Read `dir`'s checkpoint back: the run state, every user's state in it.
+/// A version-2 log resumes from its last valid segment; a file with none
+/// that is not a version-1 checkpoint either is refused.
 pub(super) fn load_checkpoint(dir: &Path, opts: &StreamOptions) -> Result<RunState, StreamError> {
     let path = dir.join(CHECKPOINT_FILE);
-    let text = fs::read_to_string(&path)
-        .map_err(|e| ck_err(format!("cannot read {}: {e}", path.display())))?;
-    let mut lines = text.lines();
-    let manifest_line = lines.next().ok_or_else(|| ck_err("empty checkpoint"))?;
-    let m = json::parse(manifest_line).map_err(|e| ck_err(format!("bad manifest: {e}")))?;
+    let bytes =
+        fs::read(&path).map_err(|e| ck_err(format!("cannot read {}: {e}", path.display())))?;
+    let segments = valid_segments(&bytes);
+    // A version-1 file reads as one segment without a trailer. Each segment
+    // opens with its manifest: the last one's is the run state, and every
+    // other line is a user's.
+    let version1 = segments.is_empty();
+    let parts = if version1 { vec![&bytes[..]] } else { segments };
+    let (mut manifest, mut users) = (None, Vec::new());
+    for part in parts {
+        let mut lines = lines_of(part);
+        manifest = lines.next().transpose()?;
+        for line in lines {
+            users.push(line?);
+        }
+    }
+    let manifest = manifest.ok_or_else(|| ck_err("empty checkpoint"))?;
+    let m = json::parse(manifest).map_err(|e| ck_err(format!("bad manifest: {e}")))?;
     if m.field::<String>("kind")? != CHECKPOINT_KIND {
         return Err(ck_err("not an annoyed-users checkpoint"));
     }
-    if m.field::<u64>("version")? != CHECKPOINT_VERSION {
-        return Err(ck_err("unsupported checkpoint version"));
+    match (m.field::<u64>("version")?, version1) {
+        (1, true) | (CHECKPOINT_VERSION, false) => {}
+        (CHECKPOINT_VERSION, true) => {
+            return Err(ck_err("no segment of the checkpoint log validates"))
+        }
+        _ => return Err(ck_err("unsupported checkpoint version")),
     }
     if m.field::<u64>("config")? != config_hash(opts) {
         return Err(ck_err(
             "checkpoint was written under a different pipeline configuration",
         ));
     }
-    let mut state = manifest_from_value(&m, opts)?;
-    for line in lines.filter(|l| !l.is_empty()) {
-        let user = user_from_line(line, opts.pipeline.refmap)?;
-        state.restored.push(user);
-    }
-    Ok(state)
+    Ok(if version1 {
+        decode::<f64>(&m, &users, opts)?
+    } else {
+        decode::<Bits>(&m, &users, opts)?
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::ClassifiedRequest;
     use crate::stream::testutil::*;
-    use crate::stream::{classify_stream_file, CheckpointOptions};
+    use crate::stream::{classify_stream_file, stream_file, CheckpointOptions, Fold};
+    use netsim::record::TlsConnection;
+    use std::path::PathBuf;
 
     #[test]
     fn resume_refuses_config_mismatch() {
@@ -656,7 +877,7 @@ mod tests {
         );
         let key = (7u32, Some(Arc::from("UA \"quoted\"")));
         let line = serialize_user(&key, &st);
-        let back = user_from_line(&line, opts).unwrap();
+        let back = user_from_line::<Bits>(&line, opts).unwrap();
         assert_eq!(back.client_ip, 7);
         assert_eq!(back.user_agent.as_deref(), Some("UA \"quoted\""));
         assert_eq!(back.map.page_of.len(), st.map.page_of.len());
@@ -721,7 +942,7 @@ mod tests {
                 let mut st = RunState::new(trace.meta.clone(), &opts);
                 st.totals = totals;
                 let line = manifest_to_json(config_hash(&opts), &st);
-                let back = manifest_from_value(&json::parse(&line).unwrap(), &opts);
+                let back = manifest_from_value::<Bits>(&json::parse(&line).unwrap(), &opts);
                 proptest::prop_assert_eq!(back.map(|st| st.totals), Ok(st.totals));
             }
         }
@@ -734,7 +955,171 @@ mod tests {
         let mut s = String::new();
         window_report_to_json(&mut s, &seq.windows);
         let v = json::parse(&s).unwrap();
-        let back = window_report_from_value(&v, ADSCOPE_COUNTERS, HIST_TABLE).unwrap();
+        let back = window_report_from_value::<Bits>(&v, ADSCOPE_COUNTERS, HIST_TABLE).unwrap();
         assert_eq!(back, seq.windows);
+    }
+
+    /// A run's first write rewrites the log whole; the next ones append in
+    /// place, leaving the bytes before them alone, until one would take the
+    /// log past twice a whole-state segment, which rewrites it again. Read
+    /// back, the last segment's manifest and each user's last line are the
+    /// live state.
+    #[test]
+    fn the_log_appends_until_it_would_pass_twice_a_whole_segment() {
+        let dir = temp_path("log-ck");
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(CHECKPOINT_FILE);
+        let line = |u: usize, rev: usize| -> Arc<str> {
+            format!("{{\"client_ip\":{u},\"rev\":{rev}}}").into()
+        };
+        let size = |lines: &[Arc<str>]| lines.iter().map(|l| l.len() + 1).sum::<usize>();
+        let mut users: Vec<Arc<str>> = (0..8).map(|u| line(u, 0)).collect();
+        let (mut log_bytes, mut rewrites) = (None, 0);
+        for barrier in 0..16 {
+            // Each barrier after the first touches two of the eight users.
+            let touched = |u: usize| barrier == 0 || u == barrier % 8 || u == (barrier + 3) % 8;
+            for (u, l) in users.iter_mut().enumerate().filter(|(u, _)| touched(*u)) {
+                *l = line(u, barrier);
+            }
+            let (rendered, kept): (Vec<_>, Vec<_>) = (0..8).partition(|&u| touched(u));
+            let rendered: Vec<Arc<str>> = rendered.iter().map(|&u| users[u].clone()).collect();
+            let kept: Vec<Arc<str>> = kept.iter().map(|&u| users[u].clone()).collect();
+            let manifest = format!("{{\"barrier\":{barrier}}}");
+            let before = fs::read(&path).unwrap_or_default();
+            let appended = manifest.len() + 1 + size(&rendered);
+            let whole = appended + size(&kept);
+            let append = log_bytes.is_some() && before.len() + appended <= 2 * whole;
+
+            let len = write_checkpoint(&dir, log_bytes, &manifest, &rendered, &kept).unwrap();
+            let after = fs::read(&path).unwrap();
+            assert_eq!(len, after.len() as u64, "barrier {barrier}");
+            let segments = valid_segments(&after);
+            if append {
+                assert!(
+                    after.starts_with(&before),
+                    "barrier {barrier}: not appended"
+                );
+                assert_eq!(segments.len(), valid_segments(&before).len() + 1);
+            } else {
+                rewrites += 1;
+                assert_eq!(segments.len(), 1, "barrier {barrier}: not rewritten");
+            }
+            let mut last = HashMap::new();
+            let mut manifests = Vec::new();
+            for segment in &segments {
+                let mut lines = lines_of(segment).map(Result::unwrap);
+                manifests.push(lines.next().unwrap());
+                for l in lines {
+                    last.insert(
+                        json::parse(l).unwrap().field::<u32>("client_ip").unwrap(),
+                        l,
+                    );
+                }
+            }
+            assert_eq!(manifests.last(), Some(&manifest.as_str()));
+            let live: Vec<&str> = (0..8).map(|u| last[&(u as u32)]).collect();
+            assert_eq!(live, users.iter().map(|l| &**l).collect::<Vec<_>>());
+            log_bytes = Some(len);
+        }
+        assert!(rewrites > 1, "never compacted");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A fold the router calls between two of its log writes: once the log
+    /// exists, it starts a fresh and a resuming run on the live run's
+    /// directory and notes whether each was refused as locked and whether
+    /// the log was the same bytes afterwards.
+    #[derive(Clone)]
+    struct Intruder {
+        trace: PathBuf,
+        opts: StreamOptions,
+        seen: Vec<(bool, bool)>,
+    }
+
+    impl Fold for Intruder {
+        fn observe(&mut self, _pos: u64, _req: &ClassifiedRequest) {}
+        fn observe_flow(&mut self, _flow: &TlsConnection) {
+            let dir = self.opts.checkpoint.as_ref().unwrap().dir.clone();
+            let Ok(before) = fs::read(dir.join(CHECKPOINT_FILE)) else {
+                return;
+            };
+            if !self.seen.is_empty() {
+                return;
+            }
+            for resume in [false, true] {
+                let mut o = self.opts.clone();
+                o.checkpoint.as_mut().unwrap().resume = resume;
+                let got =
+                    classify_stream_file(&self.trace, &classifier(), &o, &obs::Registry::new());
+                let locked = matches!(got, Err(StreamError::Locked(ref d)) if *d == dir);
+                let after = fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
+                self.seen.push((locked, after == before));
+            }
+        }
+        fn merge(&mut self, part: Intruder) {
+            self.seen.extend(part.seen);
+        }
+    }
+
+    #[test]
+    fn a_second_run_on_a_live_runs_directory_is_refused() {
+        let trace = messy_trace(96);
+        let path = write_trace_file(&trace, "locked");
+        let dir = temp_path("locked-ck");
+        let _ = fs::remove_dir_all(&dir);
+        let mut o = stream_opts(1, 16);
+        o.checkpoint = Some(CheckpointOptions {
+            dir: dir.clone(),
+            every_chunks: 1,
+            resume: false,
+        });
+        let intruder = Intruder {
+            trace: path.clone(),
+            opts: o.clone(),
+            seen: Vec::new(),
+        };
+        let (rep, got) =
+            stream_file(&path, &classifier(), &o, &obs::Registry::new(), intruder).unwrap();
+        assert_eq!(
+            got.seen,
+            [(true, true), (true, true)],
+            "fresh, then resuming"
+        );
+        assert_eq!(rep.checkpoints_written, rep.chunks);
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_file(&path);
+    }
+
+    /// The lock goes with its holder: the `checkpoint.lock` a finished run,
+    /// or one stopped part-way, left behind blocks no resume. (The OS drops
+    /// a SIGKILLed holder's lock the same way; ci.sh kills a run with
+    /// `kill -9` and resumes it.)
+    #[test]
+    fn a_lock_left_by_a_finished_or_stopped_run_does_not_block_resume() {
+        let trace = messy_trace(160);
+        let path = write_trace_file(&trace, "stale-lock");
+        let dir = temp_path("stale-lock-ck");
+        let mut o = stream_opts(2, 16);
+        let want = classify_stream_file(&path, &classifier(), &o, &obs::Registry::new()).unwrap();
+        for stop in [None, Some(3)] {
+            let _ = fs::remove_dir_all(&dir);
+            o.checkpoint = Some(CheckpointOptions {
+                dir: dir.clone(),
+                every_chunks: 2,
+                resume: false,
+            });
+            o.stop_after_chunks = stop;
+            classify_stream_file(&path, &classifier(), &o, &obs::Registry::new()).unwrap();
+            assert!(dir.join(LOCK_FILE).exists(), "stop {stop:?}");
+            o.checkpoint.as_mut().unwrap().resume = true;
+            o.stop_after_chunks = None;
+            let got = classify_stream_file(&path, &classifier(), &o, &obs::Registry::new());
+            let got = got.unwrap_or_else(|e| panic!("stop {stop:?}: {e}"));
+            assert!(got.resumed_from.is_some());
+            assert_eq!(got.render(), want.render(), "stop {stop:?}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_file(&path);
     }
 }

@@ -38,18 +38,22 @@
 //!   workers cut their deltas and ack one state line per user, rendering
 //!   only the users a record touched since the last barrier (the others'
 //!   lines are kept and shared); the router merges the deltas, encodes
-//!   the manifest and *parks* the checkpoint, then writes
-//!   `checkpoint.ndjson` (manifest line + one line per user) atomically —
-//!   temp file, fsync, rename, directory fsync — right after the next
-//!   chunk's batches are sent, while the workers classify them, or after
-//!   the loop when it ends on a barrier; it is on disk before the call
-//!   returns. A killed run resumes from the last checkpoint written — at
-//!   *any* thread count, since restored users re-route by the same
+//!   the manifest and *parks* the checkpoint, then puts it into the
+//!   append-only log `checkpoint.ndjson` right after the next chunk's
+//!   batches are sent, while the workers classify them, or after the loop
+//!   when it ends on a barrier; it is on disk before the call returns. A
+//!   checkpoint is one segment — manifest line, the rendered users' lines,
+//!   a checksummed trailer — appended with one `sync_data`; a run's first
+//!   barrier, and one that would take the log past twice its live bytes,
+//!   rewrites it whole instead (temp file, fsync, rename, directory
+//!   fsync). A killed run resumes from the last segment that validates —
+//!   at *any* thread count, since restored users re-route by the same
 //!   `shard_of` hash ([`crate::shard`]) — and produces a final report
-//!   byte-identical to an uninterrupted run. A quarantine sidecar shorter
-//!   than the checkpoint recorded is refused, and temp files a killed
-//!   run left in the checkpoint directory are swept when the next one
-//!   opens it.
+//!   byte-identical to an uninterrupted run. A run holds the directory's
+//!   `checkpoint.lock` while it is live, so a second one is refused
+//!   ([`StreamError::Locked`]); a quarantine sidecar shorter than the
+//!   checkpoint recorded is refused, and temp files a killed run left in
+//!   the checkpoint directory are swept when the next one opens it.
 //!
 //! Four modules: this one holds the options, the report and the two entry
 //! points; `worker` the quarantine sidecar, the held-record protocol and
@@ -94,6 +98,9 @@ pub enum StreamError {
     Codec(netsim::codec::CodecError),
     /// Checkpoint missing, malformed, or from an incompatible config.
     Checkpoint(String),
+    /// Another live run checkpoints into this directory (it holds the
+    /// directory's `checkpoint.lock`).
+    Locked(PathBuf),
     /// Invalid option combination.
     Config(String),
 }
@@ -104,6 +111,11 @@ impl std::fmt::Display for StreamError {
             StreamError::Io(e) => write!(f, "stream i/o: {e}"),
             StreamError::Codec(e) => write!(f, "stream codec: {e}"),
             StreamError::Checkpoint(m) => write!(f, "checkpoint: {m}"),
+            StreamError::Locked(dir) => write!(
+                f,
+                "checkpoint: another live run checkpoints into {}",
+                dir.display()
+            ),
             StreamError::Config(m) => write!(f, "stream config: {m}"),
         }
     }
@@ -392,11 +404,19 @@ fn stream_file<F: Fold>(
     fold: F,
 ) -> Result<(StreamReport, F), StreamError> {
     let total_bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-    if let Some(ck) = &opts.checkpoint {
-        // What a run killed mid-write left behind: one checkpoint-sized
-        // temp file per kill, which nothing else ever removes.
-        obs::sweep_temp_files(&ck.dir.join(CHECKPOINT_FILE))?;
-    }
+    // Held until the run returns, and taken first: a second live run on
+    // the directory is refused before it could sweep this one's temp file
+    // or replace its log.
+    let _lock = match &opts.checkpoint {
+        Some(ck) => {
+            let lock = checkpoint::lock_dir(&ck.dir)?;
+            // What a run killed mid-rewrite left behind: one log-sized temp
+            // file per kill, which nothing else ever removes.
+            obs::sweep_temp_files(&ck.dir.join(CHECKPOINT_FILE))?;
+            Some(lock)
+        }
+        None => None,
+    };
     let (reader, state) = match &opts.checkpoint {
         Some(ck) if ck.resume => {
             let state = checkpoint::load_checkpoint(&ck.dir, opts)?;

@@ -84,12 +84,14 @@ struct Router<'a, F> {
     last_stalls: Vec<u64>,
     run_chunks: u64,
     /// The checkpoint the last barrier cut, until [`Router::write_parked`]
-    /// puts it on disk: its directory, its manifest line and every user
-    /// line (shared with the workers' caches, not copied). At a barrier the
-    /// workers have just drained, so writing there would spend the two
-    /// fsyncs with nothing else runnable; one chunk later they have a batch
-    /// to classify meanwhile. At most one is parked at a time.
-    parked: Option<(&'a Path, String, Vec<Arc<str>>)>,
+    /// puts it on disk. At a barrier the workers have just drained, so
+    /// writing there would spend the sync with nothing else runnable; one
+    /// chunk later they have a batch to classify meanwhile. At most one is
+    /// parked at a time.
+    parked: Option<Parked<'a>>,
+    /// The length of the checkpoint log once this run has written it: a
+    /// run's first checkpoint rewrites the log, later ones append to it.
+    log_bytes: Option<u64>,
     /// Present when [`StreamOptions::alerts`] names rules: the rule pack and
     /// its last evaluation. Every merge re-evaluates the merged windows from
     /// scratch, so where the barriers fall cannot change the timeline and
@@ -97,6 +99,16 @@ struct Router<'a, F> {
     alerts: Option<obs::AlertEngine>,
     checkpoints_written: u64,
     stopped_early: bool,
+}
+
+/// A checkpoint cut and not yet written: its directory, its manifest line,
+/// and the user lines the workers rendered at the barrier and kept from
+/// earlier ones (shared with the workers' caches, not copied).
+struct Parked<'a> {
+    dir: &'a Path,
+    manifest: String,
+    rendered: Vec<Arc<str>>,
+    kept: Vec<Arc<str>>,
 }
 
 /// Bounded channel capacity, in batches, per worker. A full queue blocks
@@ -184,6 +196,7 @@ pub(super) fn run_stream<S: ChunkSource, F: Fold>(
             last_stalls: vec![0u64; nworkers],
             run_chunks: 0,
             parked: None,
+            log_bytes: None,
             alerts: (!opts.alerts.is_empty()).then(|| obs::AlertEngine::new(opts.alerts.clone())),
             checkpoints_written: 0,
             stopped_early: false,
@@ -356,21 +369,32 @@ impl<'a, F: Fold> Router<'a, F> {
             None => 0,
         };
         let manifest = manifest_to_json(config_hash(self.opts), &self.state);
-        let lines = acks.into_iter().flat_map(|a| a.state_lines).collect();
+        let mut parked = Parked {
+            dir,
+            manifest,
+            rendered: Vec::new(),
+            kept: Vec::new(),
+        };
+        for ack in acks {
+            parked.rendered.extend(ack.rendered);
+            parked.kept.extend(ack.kept);
+        }
         debug_assert!(self.parked.is_none(), "the previous checkpoint is on disk");
-        self.parked = Some((dir, manifest, lines));
+        self.parked = Some(parked);
         Ok(())
     }
 
-    /// Put the parked checkpoint, if there is one, on disk (temp file,
-    /// fsync, rename, directory fsync — `obs::atomic_write_with`). Until
-    /// this returns a kill resumes from the checkpoint before it, exactly
-    /// as a kill between two barriers does: the sidecar may by then be
-    /// longer than that checkpoint's `quarantine_bytes`, never shorter, and
-    /// resume truncates it back.
+    /// Put the parked checkpoint, if there is one, into the log: one
+    /// segment appended and `sync_data`'d, or the log rewritten whole
+    /// (`checkpoint::write_checkpoint` decides). Until this returns a kill
+    /// resumes from the checkpoint before it, exactly as a kill between two
+    /// barriers does: the sidecar may by then be longer than that
+    /// checkpoint's `quarantine_bytes`, never shorter, and resume truncates
+    /// it back; a torn segment is not read.
     fn write_parked(&mut self) -> Result<(), StreamError> {
-        if let Some((dir, manifest, lines)) = self.parked.take() {
-            write_checkpoint(dir, &manifest, &lines)?;
+        if let Some(p) = self.parked.take() {
+            let log = write_checkpoint(p.dir, self.log_bytes, &p.manifest, &p.rendered, &p.kept)?;
+            self.log_bytes = Some(log);
             self.checkpoints_written += 1;
             self.registry
                 .counter("adscope_stream_checkpoints_total")
@@ -507,11 +531,22 @@ fn publish_decode_windows(report: &WindowReport, registry: &obs::Registry) {
 mod tests {
     use super::*;
     use crate::pipeline::ClassifiedRequest;
+    use crate::stream::checkpoint::{last_manifest, LOCK_FILE};
     use crate::stream::testutil::*;
     use crate::stream::{classify_stream_file, stream_file, CheckpointOptions, CHECKPOINT_FILE};
     use netsim::stream::{OwnedChunks, StreamChunk};
     use std::collections::HashMap;
     use std::fs;
+
+    /// The `"chunks"` count of the manifest of the last valid segment of
+    /// `dir`'s checkpoint log, if there is one.
+    fn chunks_on_disk(dir: &Path) -> Option<u64> {
+        let log = fs::read(dir.join(CHECKPOINT_FILE)).ok()?;
+        let manifest = last_manifest(&log)?;
+        let from = manifest.find("\"chunks\":")? + "\"chunks\":".len();
+        let len = manifest[from..].find(',')?;
+        manifest[from..from + len].parse().ok()
+    }
 
     /// A barrier parks its checkpoint and the next chunk's send writes it;
     /// whichever way the loop ends, the last one is on disk by the time
@@ -536,9 +571,7 @@ mod tests {
             assert_eq!(rep.stopped_early, k < total);
             assert_eq!(rep.chunks, k);
             assert_eq!(rep.checkpoints_written, k);
-            let on_disk = fs::read_to_string(dir.join(CHECKPOINT_FILE)).unwrap();
-            let manifest = on_disk.lines().next().unwrap();
-            assert!(manifest.contains(&format!("\"chunks\":{k},")), "k={k}");
+            assert_eq!(chunks_on_disk(&dir), Some(k), "k={k}");
         }
         let _ = fs::remove_dir_all(&dir);
         let _ = fs::remove_file(&path);
@@ -560,12 +593,7 @@ mod tests {
         // What the file on disk says when the router asks for each chunk.
         let mut on_disk_at_read = Vec::new();
         let chunks = trace.records.chunks(16).enumerate().map(|(i, batch)| {
-            let on_disk = fs::read_to_string(dir.join(CHECKPOINT_FILE)).ok();
-            on_disk_at_read.push(on_disk.map(|text| {
-                let from = text.find("\"chunks\":").unwrap() + "\"chunks\":".len();
-                let len = text[from..].find(',').unwrap();
-                text[from..from + len].parse::<u64>().unwrap()
-            }));
+            on_disk_at_read.push(chunks_on_disk(&dir));
             StreamChunk {
                 seq: i as u64,
                 records: batch.to_vec(),
@@ -635,6 +663,7 @@ mod tests {
         let left: Vec<_> = fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name())
+            .filter(|name| name != LOCK_FILE)
             .collect();
         assert_eq!(left, [CHECKPOINT_FILE], "failed writes leave no temp file");
         let _ = fs::remove_dir_all(&dir);

@@ -231,11 +231,16 @@ pub(super) enum ToWorker {
 
 /// Barrier ack: the worker's planes cut since its last ack — the same
 /// [`PlaneTotals`] the end-of-stream result carries, absorbed by the router
-/// with the same code — plus the serialized per-user state lines, shared
+/// with the same code — plus every user's serialized state line, shared
 /// with the worker's per-user cache.
 pub(super) struct WorkerAck {
     pub(super) delta: PlaneTotals,
-    pub(super) state_lines: Vec<Arc<str>>,
+    /// The lines rendered at this barrier: the users a record touched since
+    /// the last one (every user, at a worker's first barrier). An appended
+    /// checkpoint segment holds these.
+    pub(super) rendered: Vec<Arc<str>>,
+    /// The other users' lines, as the barrier that rendered them left them.
+    pub(super) kept: Vec<Arc<str>>,
 }
 
 /// End-of-stream result: the residual delta (the one that adds the
@@ -371,17 +376,20 @@ impl<'a, F: Fold> Worker<'a, F> {
     }
 
     fn barrier_ack(&mut self) -> WorkerAck {
-        let mut state_lines = Vec::with_capacity(self.users.len());
+        let (mut rendered, mut kept) = (Vec::new(), Vec::with_capacity(self.users.len()));
         for (key, st) in &mut self.users {
-            let line = match st.line.take() {
-                Some(line) => line,
-                None => serialize_user(key, st).into(),
-            };
-            state_lines.push(Arc::clone(st.line.insert(line)));
+            match &st.line {
+                Some(line) => kept.push(Arc::clone(line)),
+                None => {
+                    let line = st.line.insert(serialize_user(key, st).into());
+                    rendered.push(Arc::clone(line));
+                }
+            }
         }
         WorkerAck {
             delta: self.core.planes.cut(),
-            state_lines,
+            rendered,
+            kept,
         }
     }
 
@@ -483,7 +491,8 @@ mod tests {
     /// The barrier's line for `client`, found by the key every line opens with.
     fn line_of(ack: &WorkerAck, client: u32) -> &Arc<str> {
         let opens = format!("{{\"client_ip\":{client},");
-        let mut hits = ack.state_lines.iter().filter(|l| l.starts_with(&opens));
+        let lines = ack.rendered.iter().chain(&ack.kept);
+        let mut hits = lines.filter(|l| l.starts_with(&opens));
         let line = hits.next().expect("one line per user");
         assert!(hits.next().is_none(), "two lines for client {client}");
         line
@@ -492,7 +501,7 @@ mod tests {
     /// Every line a barrier acks is what `serialize_user` renders from the
     /// live state right now, cached or not.
     fn assert_lines_are_live(w: &Worker<'_, ()>, ack: &WorkerAck) {
-        assert_eq!(ack.state_lines.len(), w.users.len());
+        assert_eq!(ack.rendered.len() + ack.kept.len(), w.users.len());
         for (key, st) in &w.users {
             assert_eq!(**line_of(ack, key.0), *serialize_user(key, st));
         }
@@ -508,6 +517,7 @@ mod tests {
         // No record between two barriers: every line is the same allocation.
         let first = w.barrier_ack();
         let second = w.barrier_ack();
+        assert_eq!((first.rendered.len(), second.rendered.len()), (3, 0));
         assert_lines_are_live(&w, &first);
         for client in 1..=3 {
             assert!(line_of(&first, client).contains("\"held\":[{"));
@@ -520,6 +530,7 @@ mod tests {
         // One record for one user: exactly that user's line is rendered anew.
         w.handle(6, obj(6, 2, "http://ads.example/b.gif", None));
         let third = w.barrier_ack();
+        assert_eq!(third.rendered.len(), 1);
         assert_lines_are_live(&w, &third);
         for client in 1..=3 {
             let shared = Arc::ptr_eq(line_of(&second, client), line_of(&third, client));

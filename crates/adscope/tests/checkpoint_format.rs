@@ -8,7 +8,10 @@
 //!   checkpoint with the same build, so they cannot see a format change that
 //!   is symmetric in writer and reader; this can.
 //! * **Every kill point** of one 19-chunk trace, at four thread-count changes
-//!   and two checkpoint cadences, instead of the handful the proptests sample.
+//!   and two checkpoint cadences, instead of the handful the proptests sample;
+//!   and **every prefix** of a killed run's segment log (format 2), and a bit
+//!   flip in each of its segments: each resumes to the same report or is
+//!   refused.
 //! * **Refusal**: a persisted value that does not fit its type is refused with
 //!   an error that names where it sits, never narrowed into a different number.
 
@@ -267,11 +270,66 @@ fn run(trace: &Path, o: &StreamOptions) -> Result<StreamReport, StreamError> {
     classify_stream_file(trace, &classifier(), o, &obs::Registry::new())
 }
 
-/// The checkpoint file as (manifest line, user lines).
+/// The segments of a version-2 log, read here independently of the crate's
+/// reader: in order, up to the first whose trailer does not count and
+/// checksum (`obs::sum64`) the lines before it, each as the byte range of
+/// its lines, trailer included.
+fn segments(log: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let (mut out, mut start, mut at, mut lines) = (Vec::new(), 0, 0, 0u64);
+    for line in log.split_inclusive(|&b| b == b'\n') {
+        let Some(text) = line.strip_suffix(b"\n") else {
+            break;
+        };
+        let end = at + line.len();
+        if text.starts_with(b"{\"segment\":") {
+            let trailer = std::str::from_utf8(text).map(netsim::json::parse);
+            let count = |k: &str| {
+                trailer
+                    .as_ref()
+                    .ok()?
+                    .as_ref()
+                    .ok()?
+                    .get("segment")?
+                    .get(k)?
+                    .as_u64()
+            };
+            let body = &log[start..at];
+            let valid = lines > 0
+                && count("lines") == Some(lines)
+                && count("bytes") == Some(body.len() as u64)
+                && count("sum") == Some(obs::sum64(body));
+            if !valid {
+                break;
+            }
+            out.push(start..end);
+            (start, lines) = (end, 0);
+        } else {
+            lines += 1;
+        }
+        at = end;
+    }
+    out
+}
+
+/// The checkpoint file as (manifest line, user lines), as resume reads it:
+/// a version-2 log's manifest is its last valid segment's, and its users
+/// the lines of every valid segment, in order; a version-1 file has no
+/// trailer, and its first line is the manifest.
 fn read_checkpoint(path: &Path) -> (String, Vec<String>) {
-    let text = std::fs::read_to_string(path).unwrap();
-    let mut lines = text.lines().map(str::to_string);
-    (lines.next().expect("manifest line"), lines.collect())
+    let log = std::fs::read(path).unwrap();
+    let mut segments = segments(&log);
+    if segments.is_empty() {
+        segments.push(0..log.len());
+    }
+    let mut manifest = String::new();
+    let mut users = Vec::new();
+    for range in segments {
+        let text = std::str::from_utf8(&log[range]).unwrap();
+        let mut lines = text.lines().filter(|l| !l.starts_with("{\"segment\":"));
+        manifest = lines.next().expect("manifest line").to_string();
+        users.extend(lines.map(str::to_string));
+    }
+    (manifest, users)
 }
 
 /// The fixture's checkpoint with `"config":` patched to the hash today's
@@ -296,29 +354,35 @@ fn fixture_checkpoint() -> (String, Vec<String>) {
     (manifest.replacen(&old, &new, 1), users)
 }
 
-/// Resume the fixture trace from `manifest` + `users` at `threads`.
-fn resume_fixture(
-    manifest: &str,
-    users: &[String],
+/// How a resumed run goes on: its threads, records a chunk (which must be
+/// the killed run's), checkpoint cadence, and where it stops, if it does.
+#[derive(Clone, Copy)]
+struct Resume {
     threads: usize,
-) -> Result<StreamReport, StreamError> {
-    let dir = temp_dir("resume");
-    std::fs::create_dir_all(dir.join("ck")).unwrap();
-    let mut text = format!("{manifest}\n");
-    for u in users {
-        text.push_str(u);
-        text.push('\n');
+    chunk: usize,
+    every: u64,
+    stop: Option<u64>,
+}
+
+impl Resume {
+    /// At `threads`, the fixture's chunk size and cadence, to the end.
+    fn at(threads: usize) -> Resume {
+        Resume {
+            threads,
+            chunk: CHUNK,
+            every: 1,
+            stop: None,
+        }
     }
-    std::fs::write(dir.join("ck").join(CHECKPOINT_FILE), text).unwrap();
-    std::fs::copy(
-        fixture_dir().join("quarantine.ndjson"),
-        dir.join("quarantine.ndjson"),
-    )
-    .unwrap();
-    let result = run(
-        &fixture_dir().join("trace.ndjson"),
-        &opts(threads, &dir, 1, true),
-    );
+}
+
+/// Resume the fixture trace in `dir`, which holds the checkpoint and the
+/// sidecar as a killed run left them.
+fn resume_in(dir: &Path, r: Resume) -> Result<StreamReport, StreamError> {
+    let mut o = opts(r.threads, dir, r.every, true);
+    o.chunk_records = r.chunk;
+    o.stop_after_chunks = r.stop;
+    let result = run(&fixture_dir().join("trace.ndjson"), &o);
     if let Ok(report) = &result {
         let sidecar = std::fs::read_to_string(dir.join("quarantine.ndjson")).unwrap();
         assert_eq!(
@@ -327,8 +391,33 @@ fn resume_fixture(
             "one sidecar line per quarantined record across the resume"
         );
     }
+    result
+}
+
+/// [`resume_in`] a fresh directory holding `checkpoint` and `sidecar`.
+fn resume_from(checkpoint: &[u8], sidecar: &[u8], r: Resume) -> Result<StreamReport, StreamError> {
+    let dir = temp_dir("resume");
+    std::fs::create_dir_all(dir.join("ck")).unwrap();
+    std::fs::write(dir.join("ck").join(CHECKPOINT_FILE), checkpoint).unwrap();
+    std::fs::write(dir.join("quarantine.ndjson"), sidecar).unwrap();
+    let result = resume_in(&dir, r);
     let _ = std::fs::remove_dir_all(&dir);
     result
+}
+
+/// Resume the fixture trace from `manifest` + `users` at `threads`.
+fn resume_fixture(
+    manifest: &str,
+    users: &[String],
+    threads: usize,
+) -> Result<StreamReport, StreamError> {
+    let mut text = format!("{manifest}\n");
+    for u in users {
+        text.push_str(u);
+        text.push('\n');
+    }
+    let sidecar = std::fs::read(fixture_dir().join("quarantine.ndjson")).unwrap();
+    resume_from(text.as_bytes(), &sidecar, Resume::at(threads))
 }
 
 #[test]
@@ -464,6 +553,117 @@ fn every_kill_point_resumes_byte_identically() {
                 let _ = std::fs::remove_dir_all(&dir);
             }
         }
+    }
+}
+
+/// The spec every persisted byte answers to, held over the version-2 log:
+/// the fixture trace run at cadence 1 on 2 threads and killed at the first
+/// chunk whose log holds a whole-state segment and `appended` ones after
+/// it; that log cut at every line boundary, one byte either side of each
+/// and at 256 seeded offsets, and, apart, with one seeded bit flipped in
+/// each segment. A damaged log that still holds its first segment whole
+/// resumes, from the last segment it holds whole up to the first damaged
+/// one, to the uninterrupted run's report, byte for byte (`render.txt` at
+/// the fixture's chunk size); one that does not is refused with
+/// `StreamError::Checkpoint`. Nothing panics, nothing renders another
+/// report. After a resume from a torn tail, a second kill and resume
+/// renders the same report too.
+///
+/// At the fixture's 16 records a chunk every user is touched between any
+/// two barriers, so each append is a whole state's worth and the 2× rule
+/// rewrites the log at the third barrier: it never holds more than one
+/// appended segment. At 2 records a chunk a barrier touches one or two of
+/// the six users, and the log holds two appended segments and more.
+#[test]
+fn every_log_prefix_resumes_or_refuses() {
+    let trace = fixture_dir().join("trace.ndjson");
+    for (chunk, appended) in [(CHUNK, 1), (2, 2)] {
+        let dir = temp_dir("prefix-kill");
+        let mut full = opts(2, &dir, 1, false);
+        (full.checkpoint, full.chunk_records) = (None, chunk);
+        let want = run(&trace, &full).unwrap().render();
+        if chunk == CHUNK {
+            let committed = std::fs::read_to_string(fixture_dir().join("render.txt")).unwrap();
+            assert_eq!(want, committed);
+        }
+        let (log, sidecar) = (1..)
+            .find_map(|kill| {
+                let mut killed = opts(2, &dir, 1, false);
+                (killed.chunk_records, killed.stop_after_chunks) = (chunk, Some(kill));
+                assert!(run(&trace, &killed).unwrap().stopped_early, "chunk {chunk}");
+                let log = std::fs::read(dir.join("ck").join(CHECKPOINT_FILE)).unwrap();
+                let sidecar = std::fs::read(dir.join("quarantine.ndjson")).unwrap();
+                (segments(&log).len() > appended).then_some((log, sidecar))
+            })
+            .unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let segments = segments(&log);
+        assert_eq!(segments.last().unwrap().end, log.len(), "the log validates");
+        let check = |case: String, damaged: &[u8], resumes: bool| {
+            let case = format!("chunk {chunk}, {case}");
+            // Checkpointing nothing: the cadence is not part of the config.
+            let r = Resume {
+                chunk,
+                every: u64::MAX,
+                ..Resume::at(2)
+            };
+            match resume_from(damaged, &sidecar, r) {
+                Ok(got) if resumes => assert_eq!(got.render(), want, "{case}"),
+                Err(StreamError::Checkpoint(_)) if !resumes => {}
+                Ok(_) => panic!("{case}: resumed from a log without a whole segment"),
+                Err(e) => panic!("{case}: {e}"),
+            }
+        };
+
+        let mut state = 0x2545_F491_4F6C_DD1Du64 ^ chunk as u64;
+        let mut seeded = move |below: usize| {
+            // xorshift64*
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            (state.wrapping_mul(0x2545_F491_4F6C_DD1D) % below as u64) as usize
+        };
+        let newlines = log.iter().enumerate().filter(|(_, &b)| b == b'\n');
+        let boundaries = std::iter::once(0).chain(newlines.map(|(i, _)| i + 1));
+        let mut cuts: std::collections::BTreeSet<usize> = boundaries
+            .flat_map(|b| [b.saturating_sub(1), b, (b + 1).min(log.len())])
+            .collect();
+        cuts.extend((0..256).map(|_| seeded(log.len())));
+        for cut in cuts {
+            let whole = cut >= segments[0].end;
+            check(format!("cut at {cut}"), &log[..cut], whole);
+        }
+        for (i, segment) in segments.iter().enumerate() {
+            let mut flipped = log.clone();
+            let at = segment.start + seeded(segment.len());
+            flipped[at] ^= 1 << seeded(8);
+            check(format!("bit flipped at {at}, segment {i}"), &flipped, i > 0);
+        }
+
+        // A torn last segment: resumed from the one before it, killed again
+        // after the resumed run's first (rewritten) and second (appended)
+        // checkpoints, and resumed again.
+        let last = segments.last().unwrap();
+        let dir = temp_dir("torn");
+        std::fs::create_dir_all(dir.join("ck")).unwrap();
+        let torn = &log[..(last.start + last.end) / 2];
+        std::fs::write(dir.join("ck").join(CHECKPOINT_FILE), torn).unwrap();
+        std::fs::write(dir.join("quarantine.ndjson"), &sidecar).unwrap();
+        let r = Resume {
+            chunk,
+            ..Resume::at(2)
+        };
+        let stop = Resume { stop: Some(2), ..r };
+        assert!(resume_in(&dir, stop).unwrap().stopped_early);
+        let log = std::fs::read(dir.join("ck").join(CHECKPOINT_FILE)).unwrap();
+        assert_eq!(self::segments(&log).len(), 2, "rewritten, then appended to");
+        let got = resume_in(&dir, r).unwrap();
+        assert_eq!(
+            got.render(),
+            want,
+            "chunk {chunk}: second resume after a torn tail"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

@@ -1,6 +1,7 @@
-//! Byte-level scanning under the codec: word-at-a-time byte search, the
-//! in-place line framer every streaming reader shares, and the
-//! schema-directed record scanner that is the decode fast path.
+//! Byte-level scanning under the codec: the in-place line framer every
+//! streaming reader shares, and the schema-directed record scanner that is
+//! the decode fast path. Both find bytes eight at a time through
+//! [`obs::find_newline`] and [`obs::find_string_stop`].
 //!
 //! Nothing here decides a verdict on its own. [`scan_view`] accepts only
 //! the exact byte sequence [`crate::codec::encode_record`] writes for a
@@ -12,71 +13,8 @@
 use crate::codec::{decode_header, recovered_meta, MAX_LINE_BYTES};
 use crate::record::{HttpView, RecordView, TlsConnection, TraceMeta};
 use http_model::transaction::Method;
+use obs::{find_newline, find_string_stop};
 use std::io::{self, BufRead, BufReader, Read};
-
-// ---------------------------------------------------------------------------
-// Word-at-a-time byte search
-// ---------------------------------------------------------------------------
-
-const ONES: u64 = 0x0101_0101_0101_0101;
-const HIGHS: u64 = 0x8080_8080_8080_8080;
-
-/// High bit set in every byte lane of `w` that is zero. Borrows only
-/// travel upward, so lanes above the first zero lane may be flagged
-/// falsely but the lowest flagged lane is exact — and with a
-/// little-endian load the lowest lane is the first byte in memory.
-#[inline]
-fn zero_lanes(w: u64) -> u64 {
-    w.wrapping_sub(ONES) & !w & HIGHS
-}
-
-/// High bit set in every lane of `w` below `0x20`; lowest flagged lane
-/// exact, for the same reason.
-#[inline]
-fn control_lanes(w: u64) -> u64 {
-    w.wrapping_sub(ONES * 0x20) & !w & HIGHS
-}
-
-/// First index in `hay` whose word-wise `lanes` test (or, in the tail
-/// shorter than a word, byte-wise `byte` test) fires.
-#[inline]
-fn find_by(hay: &[u8], lanes: impl Fn(u64) -> u64, byte: impl Fn(u8) -> bool) -> Option<usize> {
-    let mut words = hay.chunks_exact(8);
-    let mut base = 0;
-    for word in words.by_ref() {
-        let w = u64::from_le_bytes(word.try_into().expect("chunks_exact(8) yields 8 bytes"));
-        let hit = lanes(w);
-        if hit != 0 {
-            return Some(base + (hit.trailing_zeros() / 8) as usize);
-        }
-        base += 8;
-    }
-    let tail = words.remainder();
-    tail.iter().position(|&b| byte(b)).map(|i| base + i)
-}
-
-/// `hay.iter().position(|&b| b == b'\n')`, eight bytes at a time.
-fn find_newline(hay: &[u8]) -> Option<usize> {
-    find_by(
-        hay,
-        |w| zero_lanes(w ^ (ONES * b'\n' as u64)),
-        |b| b == b'\n',
-    )
-}
-
-/// First byte in `hay` that ends or disqualifies an escape-free JSON
-/// string body: `"`, `\`, or a control byte below `0x20`.
-fn find_string_stop(hay: &[u8]) -> Option<usize> {
-    find_by(
-        hay,
-        |w| {
-            zero_lanes(w ^ (ONES * b'"' as u64))
-                | zero_lanes(w ^ (ONES * b'\\' as u64))
-                | control_lanes(w)
-        },
-        |b| b == b'"' || b == b'\\' || b < 0x20,
-    )
-}
 
 // ---------------------------------------------------------------------------
 // Line framing
@@ -370,76 +308,5 @@ impl<'a> Scanner<'a> {
             server_port,
             bytes,
         })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The word-wise search against `position`, at every alignment of a
-    /// 48-byte backing buffer and every length 0–40, with the needle at
-    /// every position and absent.
-    #[test]
-    fn find_newline_matches_position_at_every_alignment_and_length() {
-        let mut backing = [0u8; 48];
-        for offset in 0..8 {
-            for len in 0..=40 {
-                for needle in 0..=len {
-                    for filler in [b'a', 0x0b, 0x8a, 0xff] {
-                        let hay = &mut backing[offset..offset + len];
-                        hay.fill(filler);
-                        if needle < len {
-                            hay[needle] = b'\n';
-                            // A second newline later must not win.
-                            if needle + 3 < len {
-                                hay[needle + 3] = b'\n';
-                            }
-                        }
-                        let want = hay.iter().position(|&b| b == b'\n');
-                        assert_eq!(
-                            find_newline(hay),
-                            want,
-                            "offset {offset} len {len} needle {needle} filler {filler:#x}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Same for the string-stop search: every stop byte, every position,
-    /// surrounded by bytes one off from each stop class (`!`, `#`, `[`,
-    /// `]`, 0x20) and by high bytes whose low bits look like a stop byte.
-    #[test]
-    fn find_string_stop_matches_position() {
-        let is_stop = |b: u8| b == b'"' || b == b'\\' || b < 0x20;
-        let fillers = [b'!', b'#', b'[', b']', 0x20, 0x7f, 0xa2, 0xdc, 0x80, 0x9f];
-        for len in 0..=40usize {
-            for at in 0..=len {
-                for stop in [b'"', b'\\', 0x00, 0x0a, 0x1f] {
-                    for &filler in &fillers {
-                        let mut hay = vec![filler; len];
-                        if at < len {
-                            hay[at] = stop;
-                        }
-                        let want = hay.iter().position(|&b| is_stop(b));
-                        assert_eq!(
-                            find_string_stop(&hay),
-                            want,
-                            "len {len} at {at} stop {stop:#x} filler {filler:#x}"
-                        );
-                    }
-                }
-            }
-        }
-        // Every byte value on its own, in the first and the last lane.
-        for b in 0..=255u8 {
-            for lane in [0usize, 7] {
-                let mut hay = [b'x'; 8];
-                hay[lane] = b;
-                assert_eq!(find_string_stop(&hay), is_stop(b).then_some(lane), "{b:#x}");
-            }
-        }
     }
 }

@@ -55,11 +55,11 @@ pub use alert::{
     Severity,
 };
 pub use detect::{Detector, DetectorSpec};
-pub use events::{write_json_str, Event, EventLog, FieldValue};
+pub use events::{find_newline, find_string_stop, write_json_str, Event, EventLog, FieldValue};
 pub use health::{spawn_watchdog, Health, HealthSnapshot, Verdict, Watchdog, WorkerHealth};
 pub use manifest::{
-    atomic_write, atomic_write_with, fnv64, fnv64_file, fnv64_lines_unordered, sweep_temp_files,
-    Artifact, DigestMode, RunManifest,
+    atomic_write, atomic_write_with, fnv64, fnv64_file, fnv64_lines_unordered, sum64,
+    sweep_temp_files, Artifact, DigestMode, RunManifest, Sum64,
 };
 pub use metric::{Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS};
 pub use process::{open_fds, peak_rss_bytes, record_peak_rss, record_process, start_time_seconds};
