@@ -5,18 +5,34 @@
 //! Location header of redirects. This module turns a captured trace into
 //! that log: a vector of [`WebObject`]s with parsed URLs, ready for the
 //! page-metadata reconstruction.
+//!
+//! It is also where a record meets its user (§6.1: ⟨anonymized IP,
+//! User-Agent⟩): the [`Extractor`] hashes that key once per record and
+//! hands every later stage a dense [`UserId`] to index by instead.
 
 use crate::degrade::DegradationReport;
 use crate::intern::Interner;
+use crate::prehash::{self, PassThrough};
 use http_model::url::{Url, UrlMemo};
 use netsim::record::{HttpView, Trace};
+use std::collections::HashMap;
 use std::sync::Arc;
 
+/// A ⟨client IP, User-Agent⟩ user, numbered densely from 0 in the order an
+/// [`Extractor`] first meets it. Local to one run and never persisted: a
+/// missing and an empty User-Agent are two users.
+pub type UserId = u32;
+
 /// One extracted HTTP log entry.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality is over the entry's content: [`WebObject::user`] is a run-local
+/// handle, and two extractors may number one user differently.
+#[derive(Debug, Clone)]
 pub struct WebObject {
     /// Index of the transaction within the trace's HTTP records (stable id).
     pub idx: usize,
+    /// The record's ⟨client IP, User-Agent⟩ user.
+    pub user: UserId,
     /// Seconds since trace start.
     pub ts: f64,
     /// Anonymized client address.
@@ -37,13 +53,31 @@ pub struct WebObject {
     pub status: u16,
     /// Location header of 3xx responses.
     pub location: Option<Url>,
-    /// User-Agent string, interned like `content_type` (one allocation
-    /// per distinct device/browser string).
+    /// User-Agent string, shared by every record of the user (one
+    /// allocation per ⟨IP, UA⟩ pair).
     pub user_agent: Option<Arc<str>>,
     /// TCP handshake (ms) — the RTT proxy.
     pub tcp_handshake_ms: f64,
     /// HTTP handshake (ms).
     pub http_handshake_ms: f64,
+}
+
+impl PartialEq for WebObject {
+    fn eq(&self, other: &WebObject) -> bool {
+        self.idx == other.idx
+            && self.ts == other.ts
+            && self.client_ip == other.client_ip
+            && self.server_ip == other.server_ip
+            && self.url == other.url
+            && self.referer == other.referer
+            && self.content_type == other.content_type
+            && self.bytes == other.bytes
+            && self.status == other.status
+            && self.location == other.location
+            && self.user_agent == other.user_agent
+            && self.tcp_handshake_ms == other.tcp_handshake_ms
+            && self.http_handshake_ms == other.http_handshake_ms
+    }
 }
 
 impl WebObject {
@@ -91,17 +125,94 @@ pub fn extract_full(trace: &Trace) -> (Vec<WebObject>, DegradationReport, Vec<f6
     (out, report, quarantined_ts)
 }
 
-/// What extraction keeps from one record to the next: the header-value
-/// interner, the buffer each request URL is put together in, and the memo
-/// that serves a page's objects their shared referer.
+/// What extraction keeps from one record to the next: the user table, the
+/// Content-Type interner, the buffer each request URL is put together in,
+/// and the memo that serves a page's objects their shared referer.
 #[derive(Debug, Default)]
 pub struct Extractor {
+    users: UserTable,
     interner: Interner,
     scratch: String,
     referers: UrlMemo,
 }
 
+/// Every user met so far, indexed by [`UserId`], and an index from the
+/// keyed hash of ⟨IP, UA⟩ to the newest user with that hash. A record's
+/// key is hashed at most once, and not at all when it is the previous
+/// record's user; the index stores hashes, so it never re-hashes one.
+#[derive(Debug, Default)]
+struct UserTable {
+    index: HashMap<u64, UserId, PassThrough>,
+    users: Vec<KnownUser>,
+    last: Option<UserId>,
+}
+
+#[derive(Debug)]
+struct KnownUser {
+    client_ip: u32,
+    user_agent: Option<Arc<str>>,
+    /// The user before this one whose key has the same 64-bit hash.
+    collides: Option<UserId>,
+}
+
+impl UserTable {
+    /// The id of ⟨`client_ip`, `user_agent`⟩ and its shared UA, numbering
+    /// it next if it is new; `shared` makes the UA of a new user.
+    fn intern(
+        &mut self,
+        client_ip: u32,
+        user_agent: Option<&str>,
+        shared: impl FnOnce() -> Option<Arc<str>>,
+    ) -> (UserId, Option<Arc<str>>) {
+        let is = |u: &KnownUser| u.client_ip == client_ip && u.user_agent.as_deref() == user_agent;
+        if let Some(id) = self.last.filter(|&id| is(&self.users[id as usize])) {
+            return (id, self.users[id as usize].user_agent.clone());
+        }
+        // The IP and a present/absent tag in one word, then the UA bytes.
+        let tag = u64::from(user_agent.is_some()) << 32;
+        let hash = prehash::hash_one((u64::from(client_ip) | tag, user_agent.unwrap_or("")));
+        let mut at = self.index.get(&hash).copied();
+        while let Some(id) = at {
+            let u = &self.users[id as usize];
+            if is(u) {
+                self.last = Some(id);
+                return (id, u.user_agent.clone());
+            }
+            at = u.collides;
+        }
+        let id = UserId::try_from(self.users.len()).expect("fewer than 2^32 users");
+        let user_agent = shared();
+        let collides = self.index.insert(hash, id);
+        self.users.push(KnownUser {
+            client_ip,
+            user_agent: user_agent.clone(),
+            collides,
+        });
+        self.last = Some(id);
+        (id, user_agent)
+    }
+}
+
 impl Extractor {
+    /// Number a restored user as the extractor numbers one it meets, the
+    /// UA kept as given. A resumed run restores its users first, so they
+    /// get the ids `0..` in the order it restores them.
+    pub(crate) fn restore_user(&mut self, client_ip: u32, user_agent: Option<Arc<str>>) -> UserId {
+        let ua = user_agent.as_deref();
+        self.users.intern(client_ip, ua, || user_agent.clone()).0
+    }
+
+    /// The ⟨client IP, User-Agent⟩ of `user`.
+    pub(crate) fn user(&self, user: UserId) -> (u32, Option<&str>) {
+        let u = &self.users.users[user as usize];
+        (u.client_ip, u.user_agent.as_deref())
+    }
+
+    /// Number of distinct users met so far.
+    pub(crate) fn users(&self) -> usize {
+        self.users.users.len()
+    }
+
     /// The log entry for one transaction, whether `tx` views a scanned line
     /// or an owned record; `None` when its URL cannot be reassembled (the
     /// caller counts and quarantines it).
@@ -126,8 +237,12 @@ impl Extractor {
         if tx.user_agent.is_none() {
             report.missing_user_agent += 1;
         }
+        let (user, user_agent) = self
+            .users
+            .intern(tx.client_ip, tx.user_agent, || tx.user_agent.map(Arc::from));
         Some(WebObject {
             idx,
+            user,
             ts: tx.ts,
             client_ip: tx.client_ip,
             server_ip: tx.server_ip,
@@ -137,7 +252,7 @@ impl Extractor {
             bytes: tx.content_length.unwrap_or(0),
             status: tx.status,
             location,
-            user_agent: self.interner.intern_opt(tx.user_agent),
+            user_agent,
             tcp_handshake_ms: tx.tcp_handshake_ms,
             http_handshake_ms: tx.http_handshake_ms,
         })
@@ -257,6 +372,54 @@ mod tests {
         assert_eq!(report.missing_user_agent, 1);
         // Absent referer on the clean record is not an error.
         assert_eq!(report.quarantined(), 1);
+    }
+
+    #[test]
+    fn user_ids_are_dense_and_in_arrival_order() {
+        let with_ua = |client: u32, ua: Option<&str>| {
+            let mut r = tx("a.example", "/x", None, None);
+            if let TraceRecord::Http(h) = &mut r {
+                h.client_ip = client;
+                h.request.user_agent = ua.map(str::to_string);
+            }
+            r
+        };
+        let t = trace(vec![
+            with_ua(5, Some("UA")),
+            with_ua(6, Some("UA")),
+            with_ua(5, None),
+            with_ua(5, Some("")),
+            tx("", "/quarantined", None, None),
+            with_ua(6, Some("UA")),
+            with_ua(5, Some("UA")),
+            with_ua(7, Some("UA")),
+            with_ua(5, None),
+        ]);
+        let mut extractor = Extractor::default();
+        let mut report = DegradationReport::default();
+        let objs: Vec<WebObject> = t
+            .http_transactions()
+            .enumerate()
+            .filter_map(|(idx, h)| extractor.extract_one(idx, &HttpView::of(h), &mut report))
+            .collect();
+        let ids: Vec<UserId> = objs.iter().map(|o| o.user).collect();
+        assert_eq!(ids, [0, 1, 2, 3, 1, 0, 4, 2]);
+        assert_eq!(extractor.users(), 5);
+        assert_eq!(extractor.user(2), (5, None));
+        assert_eq!(extractor.user(3), (5, Some("")));
+        // One UA allocation per user, shared by its records.
+        assert!(Arc::ptr_eq(
+            objs[0].user_agent.as_ref().unwrap(),
+            objs[5].user_agent.as_ref().unwrap()
+        ));
+        assert!(!Arc::ptr_eq(
+            objs[0].user_agent.as_ref().unwrap(),
+            objs[1].user_agent.as_ref().unwrap()
+        ));
+        // A restored user is numbered like a met one, and found again.
+        let restored = extractor.restore_user(8, Some(Arc::from("UA")));
+        assert_eq!(restored, 5);
+        assert_eq!(extractor.restore_user(5, None), 2);
     }
 
     #[test]

@@ -1,13 +1,16 @@
-//! Header-value interning for the extraction hot path.
+//! Content-Type interning for the extraction hot path.
 //!
-//! A residential trace carries a handful of distinct Content-Type and
-//! User-Agent strings repeated across millions of requests (the paper's
-//! Table 4 prints ten MIME types; §6.1 annotates UA strings per
-//! subscriber device). Owning a fresh `String` per request for values
-//! drawn from such a tiny alphabet is pure allocator churn, and cloning
-//! them again into [`crate::pipeline::ClassifiedRequest`] doubles it.
-//! Interning turns each distinct value into one shared `Arc<str>`; every
-//! later occurrence and every downstream clone is a refcount bump.
+//! A residential trace carries a handful of distinct Content-Type strings
+//! repeated across millions of requests (the paper's Table 4 prints ten
+//! MIME types). Owning a fresh `String` per request for values drawn from
+//! such a tiny alphabet is pure allocator churn, and cloning them again
+//! into [`crate::pipeline::ClassifiedRequest`] doubles it. Interning turns
+//! each distinct value into one shared `Arc<str>`; every later occurrence
+//! and every downstream clone is a refcount bump.
+//!
+//! The User-Agent is not interned here: it is part of the user key, and the
+//! extractor's user table (`crate::extract::Extractor`) shares one UA per
+//! ⟨IP, UA⟩ user out of the same lookup that numbers the user.
 
 use std::collections::HashSet;
 use std::sync::Arc;

@@ -39,6 +39,7 @@ pub mod normalize;
 pub mod pipeline;
 pub mod planes;
 pub mod population;
+mod prehash;
 pub mod provenance;
 pub mod refmap;
 pub mod shard;

@@ -19,7 +19,7 @@
 use crate::degrade::DegradationReport;
 use crate::infer;
 use crate::pipeline::{ClassifiedRequest, PipelineOptions};
-use crate::population::{Population, PopulationOptions};
+use crate::population::{Population, PopulationOptions, UserTally};
 use crate::window::WindowAggregator;
 use netsim::codec::DecodeWindows;
 use netsim::record::RecordView;
@@ -69,6 +69,29 @@ impl PlaneTotals {
     }
 }
 
+/// The planes' state that is kept per ⟨IP, UA⟩ user rather than per run:
+/// the population tally, when that plane is on. The stream engine keeps one
+/// in each user's worker state and checkpoint line, and the router the
+/// latest of each by user id; the materialized path keeps its tallies
+/// inside [`Population`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct UserPlanes {
+    /// Cumulative over the user's finalized requests.
+    pub(crate) tally: Option<UserTally>,
+}
+
+impl UserPlanes {
+    /// A user's state before its first request; its UA is annotated here,
+    /// once per user.
+    pub(crate) fn new(opts: PopulationOptions, user_agent: Option<&str>) -> UserPlanes {
+        UserPlanes {
+            tally: opts
+                .enabled
+                .then(|| UserTally::for_agent(user_agent.unwrap_or(""))),
+        }
+    }
+}
+
 /// The live form of the set: one thread's accumulators since its last cut.
 #[derive(Debug)]
 pub struct Planes {
@@ -96,14 +119,27 @@ impl Planes {
 
     /// Fold one classified request into every plane that reads requests.
     pub fn observe(&mut self, req: &ClassifiedRequest) {
+        self.observe_counts(req);
+        if let Some(pop) = &mut self.acc.population {
+            pop.observe(req);
+        }
+    }
+
+    /// [`Planes::observe`] for the stream engine, which keeps each user's
+    /// per-user state itself: `user` is the request's user's.
+    pub(crate) fn observe_user(&mut self, req: &ClassifiedRequest, user: &mut UserPlanes) {
+        self.observe_counts(req);
+        if let (Some(pop), Some(tally)) = (&mut self.acc.population, &mut user.tally) {
+            pop.observe_tallied(req, tally);
+        }
+    }
+
+    fn observe_counts(&mut self, req: &ClassifiedRequest) {
         self.acc.requests += 1;
         if req.label.is_ad() {
             self.acc.ads += 1;
         }
         self.windows.observe(req);
-        if let Some(pop) = &mut self.acc.population {
-            pop.observe(req);
-        }
     }
 
     /// Count one quarantined record (unparseable URL or poisoned).

@@ -14,9 +14,11 @@
 //!   exact regime — capacity is sized well above the generated domain
 //!   space, and the render flags the approximate regime explicitly).
 //! * [`UserTally`] — the exact per-⟨IP, UA⟩ counters behind Table 3 and
-//!   the ad-share distribution. Tallies are plain sums, so per-worker
-//!   partials merge losslessly by key; the sharded router keeps a user's
-//!   records on one worker, but the merge does not rely on it.
+//!   the ad-share distribution. Tallies are plain sums. The materialized
+//!   path keeps them in a map keyed by ⟨IP, UA⟩; the stream engine keeps
+//!   each in its user's worker state, ships it to the router at barriers and
+//!   checkpoints it in the user's line, and the router finishes over its
+//!   table of them (`Population::finish_users`).
 //! * [`Population`] — the plane itself, one type on every path: sketches,
 //!   tally map and download households, with `observe`, `merge` and
 //!   [`Population::finish`], the single report builder. Stream workers and
@@ -296,9 +298,11 @@ pub struct PopulationReport {
 pub struct Population {
     /// The mergeable sketches.
     pub sketches: PopulationSketches,
-    /// Exact tallies per ⟨IP, UA⟩ pair, keyed by the interned UA handle
+    /// Exact tallies per ⟨IP, UA⟩ pair, keyed by the shared UA handle
     /// (upkeep and merge bump a refcount, allocate nothing); an absent UA is
-    /// the empty one, as in `aggregate_users`.
+    /// the empty one, as in `aggregate_users`. Filled by
+    /// [`Population::observe`]; the stream engine keeps its tallies per user
+    /// instead, and this map stays empty there.
     pub tallies: HashMap<(u32, Arc<str>), UserTally>,
     /// Households (client IPs) seen in an [`infer::is_list_download`] flow.
     pub households: HashSet<u32>,
@@ -348,6 +352,18 @@ impl Population {
         tally.observe(r);
     }
 
+    /// [`Population::observe`] for a caller that keeps the request's user's
+    /// tally itself, made by [`UserTally::for_agent`] when it met the user:
+    /// no ⟨IP, UA⟩ lookup. The user's key reaches the `users` HLL with its
+    /// first request.
+    pub(crate) fn observe_tallied(&mut self, r: &ClassifiedRequest, tally: &mut UserTally) {
+        self.sketches.observe_traffic(r);
+        if tally.requests == 0 {
+            self.sketches.observe_user(r);
+        }
+        tally.observe(r);
+    }
+
     /// Add another partial in (sums and a union; worker-index order gives
     /// the sketches canonical bytes).
     pub fn merge(&mut self, other: &Population) {
@@ -359,9 +375,46 @@ impl Population {
         self.households.extend(&other.households);
     }
 
-    /// Build the report: the one code path the streamed and materialized
-    /// pipelines share, a pure function of the plane.
+    /// Build the report over the plane's own tallies: the materialized
+    /// pipeline's.
     pub fn finish(&self, opts: PopulationOptions) -> PopulationReport {
+        let rows = self.tallies.iter().map(|((ip, _), t)| (*ip, *t));
+        self.report(opts, rows)
+    }
+
+    /// Build the report over the stream engine's tallies, one per
+    /// ⟨IP, UA⟩ user as `(ip, ua, tally)`. A missing and an empty UA on one
+    /// IP are two users of the referrer map but one here, as in
+    /// [`Population::observe`]: their tallies are summed first. A user with
+    /// no request finalized yet has no tally there, and none here.
+    pub(crate) fn finish_users<'a>(
+        &self,
+        opts: PopulationOptions,
+        users: impl IntoIterator<Item = (u32, Option<&'a str>, &'a UserTally)>,
+    ) -> PopulationReport {
+        let mut blank: HashMap<u32, UserTally> = HashMap::new();
+        let mut rows = Vec::new();
+        for (ip, ua, t) in users {
+            if t.requests == 0 {
+                continue;
+            }
+            if ua.is_none_or(str::is_empty) {
+                blank.entry(ip).or_default().merge(t);
+            } else {
+                rows.push((ip, *t));
+            }
+        }
+        rows.extend(blank);
+        self.report(opts, rows)
+    }
+
+    /// The report: the one code path the streamed and materialized pipelines
+    /// share, a pure function of the plane and the per-user tallies.
+    fn report(
+        &self,
+        opts: PopulationOptions,
+        tallies: impl IntoIterator<Item = (u32, UserTally)>,
+    ) -> PopulationReport {
         let sketches = &self.sketches;
         let mut ad_share = QuantileSketch::new(QUANTILE_GAMMA);
         let mut classes = UserClass::ALL.map(|class| ClassTally {
@@ -371,12 +424,12 @@ impl Population {
             ad_requests: 0,
         });
         let mut active_browsers = 0u64;
-        for ((ip, _ua), t) in &self.tallies {
+        for (ip, t) in tallies {
             let Some((_, class)) = infer::user_class(
                 t.is_browser,
                 t.requests,
                 t.easylist_blockable,
-                self.households.contains(ip),
+                self.households.contains(&ip),
                 opts.ratio_threshold_pct,
                 opts.active_min_requests,
             ) else {

@@ -18,11 +18,14 @@
 //! LRU-ish horizon so state stays bounded on long traces.
 //!
 //! The maps are keyed by the scheme-less URL, which is the `Url`'s own
-//! shared buffer: lookups borrow it, a first insertion takes a handle on
-//! it, and page roots are handles on the root's buffer. In steady state
-//! the pass allocates only when a map grows (DESIGN.md §19).
+//! shared buffer, together with its hash (`prehash::UrlKey`): a record's URL and
+//! its referer are each hashed once, a first insertion takes a handle on the
+//! buffer, growth moves stored hashes instead of re-hashing URLs, and page
+//! roots are handles on the root's buffer. In steady state the pass
+//! allocates only when a map grows (DESIGN.md §19).
 
 use crate::extract::WebObject;
+use crate::prehash::{UrlKey, UrlMap};
 use http_model::Url;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -106,10 +109,10 @@ impl Default for RefMapOptions {
 pub struct RefMap {
     /// url (scheme-less: http/https referers must not break chains) →
     /// (page root url, last seen ts, hops to root).
-    pub(crate) page_of: HashMap<Arc<str>, (Url, f64, u16)>,
+    pub(crate) page_of: UrlMap<(Url, f64, u16)>,
     /// pending redirect target (scheme-less) → (page root, expected type
     /// backfill index, ts, hops of the redirecting request).
-    pub(crate) pending_redirects: HashMap<Arc<str>, (Option<Url>, usize, f64, u16)>,
+    pub(crate) pending_redirects: UrlMap<(Option<Url>, usize, f64, u16)>,
     /// The user's most recent page root (fallback context).
     pub(crate) last_page: Option<(Url, f64)>,
     opts: RefMapOptions,
@@ -124,6 +127,9 @@ pub struct RefMap {
     /// release them.
     pub(crate) track_releases: bool,
     released: Vec<usize>,
+    /// The last referer looked up, with its hash: a page's objects name one
+    /// referer, so most records reuse the hash instead of computing it.
+    last_referer: Option<UrlKey>,
 }
 
 /// Output entry: page context plus an optional "backfill" instruction
@@ -169,11 +175,13 @@ impl RefMap {
         let mut backfill_type_to = None;
         let mut source = PageSource::None;
         let mut hops = 0u16;
+        // Hashed once, for the redirect lookup and the `page_of` insertion.
+        let url_key = UrlKey::new(obj.url.schemeless_shared());
 
         // 1. Redirect repair: am I the target of a recent redirect?
         let mut page: Option<Url> = if self.opts.redirect_repair {
             if let Some((root, redirecting_idx, _, redirect_hops)) =
-                self.pending_redirects.remove(obj.url.schemeless())
+                self.pending_redirects.remove(&url_key)
             {
                 self.redirects_consumed += 1;
                 via_redirect = true;
@@ -193,7 +201,11 @@ impl RefMap {
         // 2. Referer chain.
         if page.is_none() {
             if let Some(referer) = &obj.referer {
-                page = match self.page_of.get(referer.schemeless()) {
+                let key = match self.last_referer.take() {
+                    Some(key) if **key.text() == *referer.schemeless() => key,
+                    _ => UrlKey::new(referer.schemeless_shared()),
+                };
+                page = match self.page_of.get(self.last_referer.insert(key)) {
                     Some((root, _, referer_hops)) => {
                         source = PageSource::RefererChain;
                         hops = referer_hops.saturating_add(1);
@@ -229,8 +241,7 @@ impl RefMap {
         // Update state. `insert` keeps the key of an entry that is already
         // there, so a URL seen again is updated in place.
         if let Some(root) = &page {
-            self.page_of
-                .insert(obj.url.schemeless_shared(), (root.clone(), obj.ts, hops));
+            self.page_of.insert(url_key, (root.clone(), obj.ts, hops));
             self.last_page = Some((root.clone(), obj.ts));
         } else if Self::looks_like_document(obj) {
             self.last_page = Some((obj.url.clone(), obj.ts));
@@ -241,7 +252,7 @@ impl RefMap {
             if let Some(loc) = &obj.location {
                 self.redirects_inserted += 1;
                 let displaced = self.pending_redirects.insert(
-                    loc.schemeless_shared(),
+                    UrlKey::new(loc.schemeless_shared()),
                     (page.clone(), obj.idx, obj.ts, hops),
                 );
                 if self.track_releases {
@@ -256,7 +267,7 @@ impl RefMap {
             if let Some(root) = &page {
                 for emb in embedded_urls(&obj.url) {
                     self.page_of.insert(
-                        emb.schemeless_shared(),
+                        UrlKey::new(emb.schemeless_shared()),
                         (root.clone(), obj.ts, hops.saturating_add(1)),
                     );
                 }
@@ -291,7 +302,8 @@ impl RefMap {
         std::mem::take(&mut self.released)
     }
 
-    /// Rebuild a map from checkpointed state (streaming resume).
+    /// Rebuild a map from checkpointed state (streaming resume); each key
+    /// is hashed once, here.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn restore(
         opts: RefMapOptions,
@@ -302,15 +314,19 @@ impl RefMap {
         redirects_consumed: usize,
         track_releases: bool,
     ) -> RefMap {
+        fn keyed<V>(map: HashMap<Arc<str>, V>) -> UrlMap<V> {
+            map.into_iter().map(|(k, v)| (UrlKey::new(k), v)).collect()
+        }
         RefMap {
-            page_of,
-            pending_redirects,
+            page_of: keyed(page_of),
+            pending_redirects: keyed(pending_redirects),
             last_page,
             opts,
             redirects_inserted,
             redirects_consumed,
             track_releases,
             released: Vec::new(),
+            last_referer: None,
         }
     }
 
@@ -366,6 +382,7 @@ mod tests {
     ) -> WebObject {
         WebObject {
             idx,
+            user: 0,
             ts,
             client_ip: 1,
             server_ip: 2,
@@ -619,7 +636,7 @@ mod tests {
         assert_eq!(m.page_of.len(), 1);
         let (key, (root, ts, hops)) = m.page_of.iter().next().unwrap();
         assert!(
-            Arc::ptr_eq(key, &first.url.schemeless_shared()),
+            Arc::ptr_eq(key.text(), &first.url.schemeless_shared()),
             "the key of the first insertion stays"
         );
         assert_eq!((root, *ts, *hops), (&second.url, 9.0, 0));

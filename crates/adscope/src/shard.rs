@@ -1,27 +1,19 @@
-//! The user → shard hash [`crate::stream`] routes by, and the thread-count
-//! adapter the e2e harness still calls.
+//! The user → shard assignment [`crate::stream`] routes by, and the
+//! thread-count adapter the e2e harness still calls.
 
 use crate::classify::PassiveClassifier;
+use crate::extract::UserId;
 use crate::pipeline::{classify_trace_in, ClassifiedTrace, PipelineOptions};
 use netsim::record::Trace;
 
-/// Deterministic shard assignment: FNV-1a over the user key. A missing
-/// User-Agent hashes differently from an empty one, as in the per-user
-/// stages' `(u32, Option<&str>)` map key. One shard holds every user and
-/// is not hashed for: the byte-serial walk costs ≈1 ns per User-Agent byte.
-pub(crate) fn shard_of(client_ip: u32, user_agent: Option<&str>, nshards: u64) -> usize {
-    if nshards == 1 {
-        return 0;
-    }
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mix = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(PRIME);
-    let h = client_ip.to_le_bytes().into_iter().fold(OFFSET, mix);
-    let h = match user_agent {
-        None => mix(h, 0xff),
-        Some(ua) => ua.bytes().fold(mix(h, 0x01), mix),
-    };
-    (h % nshards) as usize
+/// Deterministic shard assignment by the user's dense id: users take the
+/// shards in turn, in the order the router first met them. A missing
+/// User-Agent and an empty one are two users here, as in every per-user
+/// stage that keeps referrer-map state; the population plane alone folds
+/// them into one (`crate::population`). Ids are local to a run, so a
+/// resumed run shards its restored users by the ids it gives them.
+pub(crate) fn shard_of(user: UserId, nshards: usize) -> usize {
+    user as usize % nshards
 }
 
 /// [`classify_trace_in`], the one-thread oracle, under the signature the
@@ -42,12 +34,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn shard_assignment_is_deterministic_and_distinguishes_absent_ua() {
-        let a = shard_of(1, Some(""), 1 << 32);
-        let b = shard_of(1, None, 1 << 32);
-        assert_ne!(a, b, "empty UA and absent UA are distinct users");
-        for _ in 0..3 {
-            assert_eq!(shard_of(7, Some("UA-A"), 16), shard_of(7, Some("UA-A"), 16));
-        }
+    fn users_take_the_shards_in_turn() {
+        let shards: Vec<usize> = (0..7).map(|u| shard_of(u, 3)).collect();
+        assert_eq!(shards, [0, 1, 2, 0, 1, 2, 0]);
+        assert!((0..100).all(|u| shard_of(u, 1) == 0));
     }
 }

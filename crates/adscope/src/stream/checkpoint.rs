@@ -1,7 +1,8 @@
 //! The persisted checkpoint: `checkpoint.ndjson`, an append-only log of
-//! segments (format version 2). A segment is one manifest line (the
+//! segments (format version 3). A segment is one manifest line (the
 //! [`RunState`], plane totals included), the lines of the users a record
-//! touched since the segment before it, and a trailer
+//! touched since the segment before it (each user's referrer map, held
+//! records and population tally), and a trailer
 //! `{"segment":{"lines":n,"bytes":b,"sum":s}}` that counts and checksums
 //! those lines ([`obs::Sum64`]). A run's first barrier, and any barrier
 //! after which the log would pass [`COMPACT_RATIO`] times the bytes of a
@@ -13,9 +14,12 @@
 //! stored as the integer of its bit pattern, so a resumed run starts from
 //! exactly the bits the checkpointing run held.
 //!
-//! A version-1 file (one manifest line and one line per user, floats as
-//! shortest round-trip decimals, no trailer) still resumes, through the same
-//! decoders reading floats as decimals. This is the only module in this
+//! Versions 1 and 2 kept the population tallies in the manifest, keyed by
+//! ⟨IP, UA-or-empty⟩; their files still resume, each tally attached to a
+//! restored user with that key. A version-2 log is read as a version-3 one;
+//! a version-1 file (one manifest line and one line per user, floats as
+//! shortest round-trip decimals, no trailer) through the same decoders
+//! reading floats as decimals. This is the only module in this
 //! crate that names a checkpoint JSON key, so a plane added to
 //! `crate::planes` gets its encode / decode pair here.
 //!
@@ -28,12 +32,13 @@
 //! narrowed into a different number.
 
 use super::router::RunState;
-use super::worker::{HeldRecord, RestoredUser, UserState};
+use super::worker::{HeldRecord, UserState};
 use super::{ck_err, StreamError, StreamOptions};
 use crate::degrade::DegradationReport;
 use crate::extract::WebObject;
+use crate::planes::UserPlanes;
 use crate::population::{Population, PopulationOptions, UserTally};
-use crate::refmap::{RefMap, RefMapOptions};
+use crate::refmap::RefMap;
 use crate::window::{COUNTERS as ADSCOPE_COUNTERS, RTB_HIST};
 use http_model::{ContentCategory, Url};
 use netsim::codec::{CodecStats, DECODE_COUNTERS, FORMAT_VERSION};
@@ -42,7 +47,7 @@ use netsim::record::TraceMeta;
 use obs::sketch::{Distinct64, QuantileSketch, TopK, QUANTILE_GAMMA};
 use obs::window::{ClosedWindow, WindowReport};
 use obs::HistogramSnapshot;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt::{Display, Write as _};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Write};
@@ -55,7 +60,7 @@ pub const CHECKPOINT_FILE: &str = "checkpoint.ndjson";
 /// checkpointing there is live.
 pub(super) const LOCK_FILE: &str = "checkpoint.lock";
 /// Manifest schema version (bumped on incompatible layout changes).
-const CHECKPOINT_VERSION: u64 = 2;
+const CHECKPOINT_VERSION: u64 = 3;
 /// A barrier rewrites the log once appending would take it past this many
 /// times the bytes of a whole-state segment.
 const COMPACT_RATIO: u64 = 2;
@@ -69,7 +74,8 @@ const HIST_TABLE: &[&str] = &[RTB_HIST];
 
 /// Hash of everything that must match between the checkpointing run and
 /// the resuming run for the state to be meaningful. Thread count is
-/// deliberately excluded: restored users re-route by `shard_of`.
+/// deliberately excluded: restored users are numbered again and re-route by
+/// `shard_of`.
 pub(super) fn config_hash(opts: &StreamOptions) -> u64 {
     let s = format!(
         "{:?}|{}|{}|{:?}|{:?}",
@@ -148,7 +154,7 @@ fn write_url(out: &mut String, scratch: &mut String, url: Option<&Url>) {
     }
 }
 
-pub(super) fn serialize_user(key: &(u32, Option<Arc<str>>), st: &UserState) -> String {
+pub(super) fn serialize_user(st: &UserState) -> String {
     let mut out = String::with_capacity(256);
     let mut scratch = String::new();
     // Integers go through `json::write_u64`, not `write!`: there is one per
@@ -157,9 +163,19 @@ pub(super) fn serialize_user(key: &(u32, Option<Arc<str>>), st: &UserState) -> S
         out.push_str(key);
         json::write_u64(out, n);
     };
-    num(&mut out, "{\"client_ip\":", key.0.into());
+    num(&mut out, "{\"client_ip\":", st.client_ip.into());
     out.push_str(",\"user_agent\":");
-    json::write_opt_str(&mut out, key.1.as_deref());
+    json::write_opt_str(&mut out, st.user_agent.as_deref());
+    // `[requests, ad_requests, easylist_blockable, is_browser]`.
+    match &st.planes.tally {
+        Some(t) => {
+            num(&mut out, ",\"tally\":[", t.requests);
+            num(&mut out, ",", t.ad_requests);
+            num(&mut out, ",", t.easylist_blockable);
+            out.push_str(if t.is_browser { ",true]" } else { ",false]" });
+        }
+        None => out.push_str(",\"tally\":null"),
+    }
     num(
         &mut out,
         ",\"inserted\":",
@@ -184,7 +200,7 @@ pub(super) fn serialize_user(key: &(u32, Option<Arc<str>>), st: &UserState) -> S
     out.push_str(",\"page_of\":[");
     json::write_seq(&mut out, &st.map.page_of, |out, (k, (root, ts, hops))| {
         out.push('[');
-        json::write_str(out, k);
+        json::write_str(out, k.text());
         out.push(',');
         write_url(out, &mut scratch, Some(root));
         out.push(',');
@@ -196,7 +212,7 @@ pub(super) fn serialize_user(key: &(u32, Option<Arc<str>>), st: &UserState) -> S
     let pending = &st.map.pending_redirects;
     json::write_seq(&mut out, pending, |out, (k, (root, idx, ts, hops))| {
         out.push('[');
-        json::write_str(out, k);
+        json::write_str(out, k.text());
         out.push(',');
         write_url(out, &mut scratch, root.as_ref());
         num(out, ",", *idx as u64);
@@ -268,22 +284,7 @@ fn population_to_json(out: &mut String, p: &Population) {
         });
         out.push_str("]}");
     }
-    let mut rows: Vec<(&(u32, Arc<str>), &UserTally)> = p.tallies.iter().collect();
-    rows.sort_by(|a, b| a.0.cmp(b.0));
-    out.push_str(",\"tallies\":[");
-    json::write_seq(out, rows, |out, ((ip, ua), t)| {
-        let _ = write!(out, "[{ip},");
-        json::write_str(out, ua);
-        let _ = write!(
-            out,
-            ",{},{},{},{}]",
-            t.requests,
-            t.ad_requests,
-            t.easylist_blockable,
-            u8::from(t.is_browser)
-        );
-    });
-    out.push_str("],\"households\":[");
+    out.push_str(",\"households\":[");
     let mut hh: Vec<u32> = p.households.iter().copied().collect();
     hh.sort_unstable();
     write_nums(out, hh);
@@ -426,8 +427,8 @@ impl From<DecodeError> for StreamError {
 }
 
 /// How a format version spells an `f64`: version 1 as the shortest decimal
-/// that round-trips (`f64` itself), version 2 as the integer of its bit
-/// pattern ([`Bits`]).
+/// that round-trips (`f64` itself), versions 2 and 3 as the integer of its
+/// bit pattern ([`Bits`]).
 trait Float: FromJson + Into<f64> {}
 
 impl<T: FromJson + Into<f64>> Float for T {}
@@ -511,21 +512,41 @@ fn window_report_from_value<F: Float>(
     })
 }
 
-fn user_from_line<F: Float>(line: &str, opts: RefMapOptions) -> Result<RestoredUser, DecodeError> {
+/// One user line. From version 3 on it carries the user's tally, which is
+/// read when the population plane is on; an older line's comes from its
+/// manifest ([`attach_legacy_tallies`]).
+fn user_from_line<F: Float>(
+    line: &str,
+    opts: &StreamOptions,
+    version: u64,
+) -> Result<UserState, DecodeError> {
     let v = json::parse(line).map_err(|e| DecodeError::new(format!("bad user line: {e}")))?;
     let client_ip = v.field("client_ip")?;
     let user_agent: Option<Arc<str>> = v.field("user_agent")?;
+    let mut planes = UserPlanes::default();
+    if version >= 3 && opts.pipeline.population.enabled {
+        let (requests, ad_requests, easylist_blockable, is_browser) = v.field("tally")?;
+        planes.tally = Some(UserTally {
+            requests,
+            ad_requests,
+            easylist_blockable,
+            is_browser,
+        });
+    }
     let category = |c: &Value<'_>| {
         let known = c.as_str().and_then(ContentCategory::from_keyword);
         known.ok_or_else(|| DecodeError::new("expected category keyword"))
     };
     let held_record = |e: &Value<'_>| {
-        Ok(HeldRecord {
+        let idx = e.field("idx")?;
+        let h = HeldRecord {
             pos: e.field("pos")?,
             page: e.field("page")?,
             category: e.field_with("cat", category)?,
             obj: WebObject {
-                idx: e.field("idx")?,
+                idx,
+                // Numbered when the run restores the user.
+                user: 0,
                 ts: e.field::<F>("ts")?.into(),
                 client_ip,
                 server_ip: e.field("server_ip")?,
@@ -541,7 +562,8 @@ fn user_from_line<F: Float>(line: &str, opts: RefMapOptions) -> Result<RestoredU
                 tcp_handshake_ms: e.field::<F>("tcp")?.into(),
                 http_handshake_ms: e.field::<F>("http")?.into(),
             },
-        })
+        };
+        Ok((idx, h))
     };
     let held = v.field_with("held", |h| h.each(held_record))?;
     // `[key, root, ts, hops]` and `[key, root, backfill idx, ts, hops]`:
@@ -550,7 +572,7 @@ fn user_from_line<F: Float>(line: &str, opts: RefMapOptions) -> Result<RestoredU
     let pending: Vec<(_, _, _, F, _)> = v.field("pending")?;
     let last_page: Option<(_, F)> = v.field("last_page")?;
     let map = RefMap::restore(
-        opts,
+        opts.pipeline.refmap,
         page_of
             .into_iter()
             .map(|(k, r, t, h)| (k, (r, t.into(), h)))
@@ -564,12 +586,54 @@ fn user_from_line<F: Float>(line: &str, opts: RefMapOptions) -> Result<RestoredU
         v.field("consumed")?,
         true,
     );
-    Ok(RestoredUser {
-        client_ip,
-        user_agent,
-        map,
-        held,
-    })
+    let held = held.into_iter().collect();
+    Ok(UserState::new(client_ip, user_agent, map, held, planes))
+}
+
+/// Versions 1 and 2 kept the tallies in the manifest's population block,
+/// keyed by ⟨IP, UA-or-empty⟩. Each goes to the first restored user with
+/// that key: a missing and an empty UA on one IP share one tally, which the
+/// population report sums them into anyway. A tally no user line matches
+/// is refused. Every other user starts from a fresh tally.
+fn attach_legacy_tallies(
+    m: &Value<'_>,
+    users: &mut [UserState],
+    opts: PopulationOptions,
+) -> Result<(), DecodeError> {
+    let mut first: HashMap<(u32, &str), usize> = HashMap::with_capacity(users.len());
+    for (i, u) in users.iter().enumerate() {
+        let ua = u.user_agent.as_deref().unwrap_or("");
+        first.entry((u.client_ip, ua)).or_insert(i);
+    }
+    let tally = |row: &Value<'_>| {
+        let (ip, ua, requests, ad_requests, easylist_blockable, browser): (
+            u32,
+            String,
+            u64,
+            u64,
+            u64,
+            u8,
+        ) = FromJson::from_json(row)?;
+        let user = first.get(&(ip, ua.as_str()));
+        let user = user.ok_or_else(|| DecodeError::new("no user line matches this tally"))?;
+        let t = UserTally {
+            requests,
+            ad_requests,
+            easylist_blockable,
+            is_browser: browser != 0,
+        };
+        Ok((*user, t))
+    };
+    let tallies = m.field_with("population", |p| {
+        p.field_with("tallies", |rows| rows.each(tally))
+    })?;
+    for (user, t) in tallies {
+        users[user].planes.tally = Some(t);
+    }
+    for u in users.iter_mut().filter(|u| u.planes.tally.is_none()) {
+        u.planes = UserPlanes::new(opts, u.user_agent.as_deref());
+    }
+    Ok(())
 }
 
 fn population_from_value(
@@ -604,17 +668,6 @@ fn population_from_value(
     sketches.rtb_gap_ms = qs("rtb_gap_ms")?;
     sketches.requests = v.field("requests")?;
     sketches.ad_requests = v.field("ad_requests")?;
-    let tallies: Vec<(u32, Arc<str>, u64, u64, u64, u64)> = v.field("tallies")?;
-    let tally = |(ip, ua, requests, ad_requests, easylist_blockable, browser)| {
-        let t = UserTally {
-            requests,
-            ad_requests,
-            easylist_blockable,
-            is_browser: browser != 0,
-        };
-        ((ip, ua), t)
-    };
-    pop.tallies = tallies.into_iter().map(tally).collect();
     pop.households = v.field::<Vec<u32>>("households")?.into_iter().collect();
     Ok(pop)
 }
@@ -693,24 +746,36 @@ fn manifest_from_value<F: Float>(
     Ok(st)
 }
 
-/// The run state a manifest and its user lines hold, floats spelled `F`. A
-/// user with more than one line is the state of its last.
+/// The run state a manifest and its user lines hold, in format `version`,
+/// floats spelled `F`. The users are in the order they first come off the
+/// log, each the state of its last line.
 fn decode<F: Float>(
     m: &Value<'_>,
-    users: &[&str],
+    lines: &[&str],
     opts: &StreamOptions,
+    version: u64,
 ) -> Result<RunState, DecodeError> {
     let mut state = manifest_from_value::<F>(m, opts)?;
-    let mut restored = HashMap::with_capacity(users.len());
-    for line in users {
-        let user = user_from_line::<F>(line, opts.pipeline.refmap)?;
-        restored.insert((user.client_ip, user.user_agent.clone()), user);
+    let mut at = HashMap::with_capacity(lines.len());
+    let mut users: Vec<UserState> = Vec::with_capacity(lines.len());
+    for line in lines {
+        let user = user_from_line::<F>(line, opts, version)?;
+        match at.entry((user.client_ip, user.user_agent.clone())) {
+            Entry::Occupied(seen) => users[*seen.get()] = user,
+            Entry::Vacant(new) => {
+                new.insert(users.len());
+                users.push(user);
+            }
+        }
     }
-    state.restored = restored.into_values().collect();
+    if version < 3 && opts.pipeline.population.enabled {
+        attach_legacy_tallies(m, &mut users, opts.pipeline.population)?;
+    }
+    state.restored = users;
     Ok(state)
 }
 
-/// The segments of a version-2 log that validate, in file order, each as
+/// The segments of a segment log that validate, in file order, each as
 /// the bytes of its lines up to its trailer. Reading stops at the first one
 /// that does not: a segment holds only the users a record touched since
 /// the one before it, so nothing past a torn or damaged one applies.
@@ -758,8 +823,8 @@ fn lines_of(bytes: &[u8]) -> impl Iterator<Item = Result<&str, StreamError>> {
 }
 
 /// Read `dir`'s checkpoint back: the run state, every user's state in it.
-/// A version-2 log resumes from its last valid segment; a file with none
-/// that is not a version-1 checkpoint either is refused.
+/// A segment log (version 2 or 3) resumes from its last valid segment; a
+/// file with none that is not a version-1 checkpoint either is refused.
 pub(super) fn load_checkpoint(dir: &Path, opts: &StreamOptions) -> Result<RunState, StreamError> {
     let path = dir.join(CHECKPOINT_FILE);
     let bytes =
@@ -783,9 +848,10 @@ pub(super) fn load_checkpoint(dir: &Path, opts: &StreamOptions) -> Result<RunSta
     if m.field::<String>("kind")? != CHECKPOINT_KIND {
         return Err(ck_err("not an annoyed-users checkpoint"));
     }
-    match (m.field::<u64>("version")?, version1) {
-        (1, true) | (CHECKPOINT_VERSION, false) => {}
-        (CHECKPOINT_VERSION, true) => {
+    let version = m.field::<u64>("version")?;
+    match (version, version1) {
+        (1, true) | (2..=CHECKPOINT_VERSION, false) => {}
+        (2..=CHECKPOINT_VERSION, true) => {
             return Err(ck_err("no segment of the checkpoint log validates"))
         }
         _ => return Err(ck_err("unsupported checkpoint version")),
@@ -796,9 +862,9 @@ pub(super) fn load_checkpoint(dir: &Path, opts: &StreamOptions) -> Result<RunSta
         ));
     }
     Ok(if version1 {
-        decode::<f64>(&m, &users, opts)?
+        decode::<f64>(&m, &users, opts, version)?
     } else {
-        decode::<Bits>(&m, &users, opts)?
+        decode::<Bits>(&m, &users, opts, version)?
     })
 }
 
@@ -840,10 +906,14 @@ mod tests {
     }
     #[test]
     fn user_state_round_trips_through_serialization() {
-        let opts = RefMapOptions::default();
-        let mut st = UserState::fresh(opts);
+        let mut opts = StreamOptions::default();
+        opts.pipeline.population.enabled = true;
+        let ua: Option<Arc<str>> = Some(Arc::from("UA \"quoted\""));
+        let mut st = UserState::fresh(7, ua.clone(), opts.pipeline);
+        st.planes.tally.as_mut().unwrap().requests = 3;
         let mk = |idx: usize, ts: f64, url: &str, loc: Option<&str>| WebObject {
             idx,
+            user: 0,
             ts,
             client_ip: 7,
             server_ip: 3,
@@ -875,18 +945,18 @@ mod tests {
                 obj: redir,
             },
         );
-        let key = (7u32, Some(Arc::from("UA \"quoted\"")));
-        let line = serialize_user(&key, &st);
-        let back = user_from_line::<Bits>(&line, opts).unwrap();
+        let line = serialize_user(&st);
+        let back = user_from_line::<Bits>(&line, &opts, CHECKPOINT_VERSION).unwrap();
         assert_eq!(back.client_ip, 7);
-        assert_eq!(back.user_agent.as_deref(), Some("UA \"quoted\""));
+        assert_eq!(back.user_agent, ua);
+        assert_eq!(back.planes, st.planes);
         assert_eq!(back.map.page_of.len(), st.map.page_of.len());
         assert_eq!(back.map.pending_redirects.len(), 1);
         assert_eq!(back.map.redirects_inserted(), st.map.redirects_inserted());
         assert_eq!(back.held.len(), 1);
-        assert_eq!(back.held[0].obj.ts, 0.5);
+        assert_eq!(back.held[&1].obj.ts, 0.5);
         assert_eq!(
-            back.held[0].page.as_ref().map(Url::as_string),
+            back.held[&1].page.as_ref().map(Url::as_string),
             st.held[&1].page.as_ref().map(Url::as_string)
         );
 
@@ -913,7 +983,9 @@ mod tests {
         /// Totals → manifest line → totals is the identity, for every plane
         /// at once: a cut part-way, the whole stream's sum, and nothing
         /// (`broken_redirect_chains`, derived at end of stream rather than
-        /// persisted, is 0 in all three, as at any barrier).
+        /// persisted, is 0 in all three, as at any barrier). The population
+        /// tally map is the materialized path's: the stream engine's tallies
+        /// ride in the user lines, and the manifest carries none.
         #[test]
         fn totals_round_trip_through_the_checkpoint_manifest(
             n in 1usize..160,
@@ -938,7 +1010,10 @@ mod tests {
             let mut whole = part.clone();
             whole.merge(&planes.cut());
             let nothing = crate::planes::PlaneTotals::new(opts.pipeline.population);
-            for totals in [part, whole, nothing] {
+            for mut totals in [part, whole, nothing] {
+                if let Some(p) = &mut totals.population {
+                    p.tallies.clear();
+                }
                 let mut st = RunState::new(trace.meta.clone(), &opts);
                 st.totals = totals;
                 let line = manifest_to_json(config_hash(&opts), &st);

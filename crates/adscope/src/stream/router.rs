@@ -4,14 +4,12 @@
 //! merge, checkpoint) and [`Router::finalize`] (merge, publish, report).
 
 use super::checkpoint::{config_hash, manifest_to_json, write_checkpoint};
-use super::worker::{
-    worker_loop, Quarantine, RestoredUser, ToWorker, Worker, WorkerAck, WorkerFinal,
-};
+use super::worker::{worker_loop, Quarantine, ToWorker, UserState, Worker, WorkerAck, WorkerFinal};
 use super::{ck_err, Fold, StreamError, StreamOptions, StreamReport};
 use crate::classify::PassiveClassifier;
-use crate::extract::{Extractor, WebObject};
+use crate::extract::{Extractor, UserId, WebObject};
 use crate::normalize::UrlNormalizer;
-use crate::planes::{PlaneTotals, Planes};
+use crate::planes::{PlaneTotals, Planes, UserPlanes};
 use crate::population::PopulationReport;
 use crate::shard::shard_of;
 use netsim::codec::{record_to_json, CodecStats};
@@ -41,9 +39,10 @@ pub(super) struct RunState {
     /// Every cut merged so far. `broken_redirect_chains` is derived from
     /// per-user state at end of stream and stays 0 until then.
     pub(super) totals: PlaneTotals,
-    /// The per-user state a checkpoint restored, until the workers that
-    /// own it start (run-local; each barrier persists the live state).
-    pub(super) restored: Vec<RestoredUser>,
+    /// The per-user state a checkpoint restored, in the order its users come
+    /// off the log, until the workers that own it start (run-local; each
+    /// barrier persists the live state).
+    pub(super) restored: Vec<UserState>,
 }
 
 impl RunState {
@@ -79,7 +78,11 @@ struct Router<'a, F> {
     planes: Planes,
     /// The router's part of the run's fold: the HTTPS flows.
     fold: F,
+    /// Extraction's state, and the table that numbers the run's users.
     extractor: Extractor,
+    /// Every user's plane state as the workers last reported it, indexed by
+    /// [`UserId`].
+    user_planes: Vec<UserPlanes>,
     worker_labels: Vec<String>,
     last_stalls: Vec<u64>,
     run_chunks: u64,
@@ -141,12 +144,8 @@ pub(super) fn run_stream<S: ChunkSource, F: Fold>(
         Some(p) => Some(Arc::new(Quarantine::open(p, state.quarantine_bytes)?)),
         None => None,
     };
-    let mut per_worker_restores: Vec<Vec<RestoredUser>> =
-        (0..nworkers).map(|_| Vec::new()).collect();
-    for u in std::mem::take(&mut state.restored) {
-        let s = shard_of(u.client_ip, u.user_agent.as_deref(), nworkers as u64);
-        per_worker_restores[s].push(u);
-    }
+    let (extractor, per_worker_restores) =
+        number_restored(std::mem::take(&mut state.restored), nworkers);
 
     // The live health plane: the router advances the progress ledger
     // per chunk, each worker beats its slot per batch, and /statusz on
@@ -191,7 +190,8 @@ pub(super) fn run_stream<S: ChunkSource, F: Fold>(
             quarantine,
             planes: Planes::new(popts, &opts.abp_ips),
             fold,
-            extractor: Extractor::default(),
+            extractor,
+            user_planes: Vec::new(),
             worker_labels: (0..nworkers).map(|i| i.to_string()).collect(),
             last_stalls: vec![0u64; nworkers],
             run_chunks: 0,
@@ -223,6 +223,25 @@ pub(super) fn run_stream<S: ChunkSource, F: Fold>(
         loop_result?;
         Ok(router.finalize(finals))
     })
+}
+
+/// Number the users a checkpoint restored before the first record is read,
+/// in the order they come off the log (so `0..`), and hand each to the worker
+/// of `nworkers` its new id routes it to.
+fn number_restored(
+    restored: Vec<UserState>,
+    nworkers: usize,
+) -> (Extractor, Vec<Vec<(UserId, UserState)>>) {
+    let mut extractor = Extractor::default();
+    let mut per_worker: Vec<Vec<(UserId, UserState)>> = (0..nworkers).map(|_| Vec::new()).collect();
+    for mut user in restored {
+        let id = extractor.restore_user(user.client_ip, user.user_agent.clone());
+        for h in user.held.values_mut() {
+            h.obj.user = id;
+        }
+        per_worker[shard_of(id, nworkers)].push((id, user));
+    }
+    (extractor, per_worker)
 }
 
 impl<'a, F: Fold> Router<'a, F> {
@@ -313,8 +332,7 @@ impl<'a, F: Fold> Router<'a, F> {
                 st.prev_ts = obj.ts;
                 let pos = st.next_pos;
                 st.next_pos += 1;
-                let nshards = batches.len() as u64;
-                let s = shard_of(obj.client_ip, obj.user_agent.as_deref(), nshards);
+                let s = shard_of(obj.user, batches.len());
                 batches[s].push((pos, obj));
             }
             None => {
@@ -361,7 +379,7 @@ impl<'a, F: Fold> Router<'a, F> {
     /// [`Router::write_parked`].
     fn barrier(&mut self, dir: &'a Path) -> Result<(), StreamError> {
         let acks = collect_acks(&self.senders, &self.ack_rx)?;
-        self.absorb(acks.iter().map(|a| &a.delta));
+        self.absorb(acks.iter().map(|a| (&a.delta, &a.user_planes[..])));
         // Flushed before the manifest is encoded, so the sidecar length
         // the manifest records is durable by the time it is.
         self.state.quarantine_bytes = match &self.quarantine {
@@ -405,15 +423,25 @@ impl<'a, F: Fold> Router<'a, F> {
 
     /// The one merge, run at every barrier and at end of stream: add the
     /// workers' deltas (in worker-index order), then the router's own cut,
-    /// into the run's totals, and re-evaluate and republish the planes that
-    /// read them. Every input is additive, so where the cuts fall is moot.
+    /// into the run's totals, take the users' plane state the workers
+    /// reported, and re-evaluate and republish the planes that read them.
+    /// Every delta is additive and every user's state cumulative, so where
+    /// the cuts fall is moot.
     fn absorb<'d>(
         &mut self,
-        deltas: impl Iterator<Item = &'d PlaneTotals>,
+        parts: impl Iterator<Item = (&'d PlaneTotals, &'d [(UserId, UserPlanes)])>,
     ) -> Option<PopulationReport> {
         let totals = &mut self.state.totals;
-        for d in deltas {
-            totals.merge(d);
+        for (delta, users) in parts {
+            totals.merge(delta);
+            for &(user, planes) in users {
+                let at = user as usize;
+                if at >= self.user_planes.len() {
+                    let users = self.extractor.users();
+                    self.user_planes.resize(users, UserPlanes::default());
+                }
+                self.user_planes[at] = planes;
+            }
         }
         totals.merge(&self.planes.cut());
         if let Some(engine) = &mut self.alerts {
@@ -423,8 +451,17 @@ impl<'a, F: Fold> Router<'a, F> {
         // The live annoyance plane: every merge republishes the
         // population-so-far, so /population and the class gauges move
         // while the run is going.
+        let extractor = &self.extractor;
+        let users = self
+            .user_planes
+            .iter()
+            .enumerate()
+            .filter_map(|(id, planes)| {
+                let (ip, ua) = extractor.user(id as UserId);
+                planes.tally.as_ref().map(|tally| (ip, ua, tally))
+            });
         totals.population.as_ref().map(|pop| {
-            let report = pop.finish(self.opts.pipeline.population);
+            let report = pop.finish_users(self.opts.pipeline.population, users);
             report.publish(self.registry);
             report
         })
@@ -434,9 +471,9 @@ impl<'a, F: Fold> Router<'a, F> {
     /// cumulative totals, read the report out of the run state and merge the
     /// fold's parts in the deltas' order.
     fn finalize(mut self, finals: Vec<WorkerFinal<F>>) -> (StreamReport, F) {
-        // The same `Population::finish` the materialized path calls, on
-        // identical merged inputs.
-        let population = self.absorb(finals.iter().map(|f| &f.delta));
+        // The report builder the materialized path's `Population::finish`
+        // calls, on identical merged inputs.
+        let population = self.absorb(finals.iter().map(|f| (&f.delta, &f.user_planes[..])));
         if let Some(q) = &self.quarantine {
             let _ = q.flush_bytes();
         }
@@ -739,6 +776,80 @@ mod tests {
             assert_eq!(got, want, "threads={threads} chunk={chunk}");
         }
         let _ = fs::remove_file(&sidecar);
+        let _ = fs::remove_file(&path);
+    }
+
+    /// A resumed run numbers the users it restores `0..`, in the order they
+    /// come off the log, before it reads a record: at another thread count,
+    /// each goes to the worker its new id routes it to, its held records
+    /// carry the id, a record of it is given that id, and a user met after
+    /// the resume the next one.
+    #[test]
+    fn restored_users_get_ids_before_the_first_record() {
+        let trace = messy_trace(160);
+        let path = write_trace_file(&trace, "renumber");
+        let dir = temp_path("renumber-ck");
+        let _ = fs::remove_dir_all(&dir);
+        let mut o = stream_opts(2, 16);
+        o.checkpoint = Some(CheckpointOptions {
+            dir: dir.clone(),
+            every_chunks: 1,
+            resume: false,
+        });
+        o.stop_after_chunks = Some(4);
+        classify_stream_file(&path, &classifier(), &o, &obs::Registry::new()).unwrap();
+
+        let state = super::super::checkpoint::load_checkpoint(&dir, &o).unwrap();
+        let keys: Vec<(u32, Option<Arc<str>>)> = state
+            .restored
+            .iter()
+            .map(|u| (u.client_ip, u.user_agent.clone()))
+            .collect();
+        assert!(keys.len() > 3, "{} users", keys.len());
+        assert!(state.restored.iter().any(|u| !u.held.is_empty()));
+        let (mut extractor, per_worker) = number_restored(state.restored, 3);
+        assert_eq!(extractor.users(), keys.len());
+        for (id, (ip, ua)) in keys.iter().enumerate() {
+            assert_eq!(extractor.user(id as UserId), (*ip, ua.as_deref()));
+        }
+        for (w, users) in per_worker.iter().enumerate() {
+            for (id, user) in users {
+                assert_eq!(shard_of(*id, 3), w);
+                assert_eq!(
+                    keys[*id as usize],
+                    (user.client_ip, user.user_agent.clone())
+                );
+                assert!(user.held.values().all(|h| h.obj.user == *id));
+            }
+        }
+        let mut http = |client: u32, ua: Option<&str>| {
+            let TraceRecord::Http(h) = tx(1.0, client, ua, "a.example", "/", None, None, None)
+            else {
+                unreachable!()
+            };
+            let mut report = crate::degrade::DegradationReport::default();
+            let view = netsim::record::HttpView::of(&h);
+            extractor.extract_one(0, &view, &mut report).unwrap().user
+        };
+        let last = keys.len() - 1;
+        assert_eq!(http(keys[last].0, keys[last].1.as_deref()), last as UserId);
+        assert_eq!(http(77, Some("UA-new")), keys.len() as UserId);
+
+        // And the resume at 3 threads reads as the uninterrupted run.
+        let want = classify_stream_file(
+            &path,
+            &classifier(),
+            &stream_opts(2, 16),
+            &obs::Registry::new(),
+        )
+        .unwrap()
+        .render();
+        o.threads = 3;
+        o.stop_after_chunks = None;
+        o.checkpoint.as_mut().unwrap().resume = true;
+        let got = classify_stream_file(&path, &classifier(), &o, &obs::Registry::new()).unwrap();
+        assert_eq!(got.render(), want);
+        let _ = fs::remove_dir_all(&dir);
         let _ = fs::remove_file(&path);
     }
 

@@ -8,11 +8,11 @@ use super::checkpoint::serialize_user;
 use super::{ck_err, Fold, StreamError};
 use crate::classify::PassiveClassifier;
 use crate::content::infer_category_traced;
-use crate::extract::WebObject;
+use crate::extract::{UserId, WebObject};
 use crate::normalize::UrlNormalizer;
 use crate::pipeline::{ClassifiedRequest, PipelineOptions};
-use crate::planes::{PlaneTotals, Planes};
-use crate::refmap::{RefMap, RefMapOptions};
+use crate::planes::{PlaneTotals, Planes, UserPlanes};
+use crate::refmap::RefMap;
 use http_model::{ContentCategory, Url};
 use netsim::codec::record_to_json;
 use netsim::record::TraceRecord;
@@ -139,36 +139,63 @@ pub(super) struct HeldRecord {
     pub(super) obj: WebObject,
 }
 
-/// One ⟨IP, UA⟩ user's live state: the referrer map and the records it
-/// is holding. A checkpoint persists exactly this, one line per user.
+/// One ⟨IP, UA⟩ user's live state: its key, its referrer map, the records
+/// it is holding and its per-user plane state. A checkpoint persists
+/// exactly this, one line per user.
 pub(super) struct UserState {
+    pub(super) client_ip: u32,
+    pub(super) user_agent: Option<Arc<str>>,
     pub(super) map: RefMap,
+    /// Held records by their `idx`.
     pub(super) held: HashMap<usize, HeldRecord>,
-    /// The checkpoint line the last barrier rendered from `map` and `held`,
-    /// while no record has touched them since: a barrier re-renders only
-    /// the users a record reached. Never set in a run that does not
-    /// checkpoint (no barrier runs).
+    /// Made with the user, so its UA is annotated once.
+    pub(super) planes: UserPlanes,
+    /// The checkpoint line the last barrier rendered from this state, while
+    /// no record has touched it since: a barrier re-renders only the users
+    /// a record reached. Never set in a run that does not checkpoint (no
+    /// barrier runs).
     line: Option<Arc<str>>,
 }
 
 impl UserState {
-    pub(super) fn fresh(opts: RefMapOptions) -> UserState {
+    /// A user as a checkpoint line holds it, with no line rendered yet.
+    pub(super) fn new(
+        client_ip: u32,
+        user_agent: Option<Arc<str>>,
+        map: RefMap,
+        held: HashMap<usize, HeldRecord>,
+        planes: UserPlanes,
+    ) -> UserState {
         UserState {
-            // `restore` with empty state is `new` plus release tracking,
-            // which the held-record protocol needs.
-            map: RefMap::restore(opts, HashMap::new(), HashMap::new(), None, 0, 0, true),
-            held: HashMap::new(),
+            client_ip,
+            user_agent,
+            map,
+            held,
+            planes,
             line: None,
         }
     }
-}
 
-/// One user as a checkpoint line restored it.
-pub(super) struct RestoredUser {
-    pub(super) client_ip: u32,
-    pub(super) user_agent: Option<Arc<str>>,
-    pub(super) map: RefMap,
-    pub(super) held: Vec<HeldRecord>,
+    /// The state of a user met for the first time.
+    pub(super) fn fresh(
+        client_ip: u32,
+        user_agent: Option<Arc<str>>,
+        opts: PipelineOptions,
+    ) -> UserState {
+        // `restore` with empty state is `new` plus release tracking, which
+        // the held-record protocol needs.
+        let map = RefMap::restore(
+            opts.refmap,
+            HashMap::new(),
+            HashMap::new(),
+            None,
+            0,
+            0,
+            true,
+        );
+        let planes = UserPlanes::new(opts.population, user_agent.as_deref());
+        UserState::new(client_ip, user_agent, map, HashMap::new(), planes)
+    }
 }
 
 /// The classify half of a worker, split from the user-state map so
@@ -188,8 +215,9 @@ struct Core<'a, F> {
 
 impl<F: Fold> Core<'_, F> {
     /// Classify a record whose category is now final and fold it into the
-    /// worker's planes and fold. Every record passes here exactly once.
-    fn finalize(&mut self, h: HeldRecord) {
+    /// worker's planes, its `user`'s and the fold. Every record passes here
+    /// exactly once.
+    fn finalize(&mut self, h: HeldRecord, user: &mut UserPlanes) {
         if h.obj.content_type.is_none() && h.category != ContentCategory::Other {
             self.planes.degradation().content_type_fallbacks += 1;
         }
@@ -216,7 +244,7 @@ impl<F: Fold> Core<'_, F> {
             label,
             rule,
         };
-        self.planes.observe(&req);
+        self.planes.observe_user(&req, user);
         self.fold.observe(h.pos, &req);
     }
 }
@@ -241,19 +269,25 @@ pub(super) struct WorkerAck {
     pub(super) rendered: Vec<Arc<str>>,
     /// The other users' lines, as the barrier that rendered them left them.
     pub(super) kept: Vec<Arc<str>>,
+    /// The per-user plane state of the rendered users: only a record can
+    /// move it.
+    pub(super) user_planes: Vec<(UserId, UserPlanes)>,
 }
 
 /// End-of-stream result: the residual delta (the one that adds the
-/// state-derived `broken_redirect_chains`), the user count, and the
-/// worker's part of the run's fold.
+/// state-derived `broken_redirect_chains`), the user count, every user's
+/// plane state, and the worker's part of the run's fold.
 pub(super) struct WorkerFinal<F> {
     pub(super) delta: PlaneTotals,
     pub(super) users: u64,
+    pub(super) user_planes: Vec<(UserId, UserPlanes)>,
     pub(super) fold: F,
 }
 
 pub(super) struct Worker<'a, F> {
-    users: HashMap<(u32, Option<Arc<str>>), UserState>,
+    /// Indexed by [`UserId`]: this worker's users hold their slots, the
+    /// other workers' are `None`.
+    users: Vec<Option<UserState>>,
     core: Core<'a, F>,
     quarantine: Option<Arc<Quarantine>>,
     poison_host: Option<&'a str>,
@@ -267,20 +301,11 @@ impl<'a, F: Fold> Worker<'a, F> {
         fold: F,
         quarantine: Option<Arc<Quarantine>>,
         poison_host: Option<&'a str>,
-        restored: Vec<RestoredUser>,
+        restored: Vec<(UserId, UserState)>,
     ) -> Worker<'a, F> {
-        let mut users = HashMap::with_capacity(restored.len());
-        for u in restored {
-            let mut held = HashMap::with_capacity(u.held.len());
-            for h in u.held {
-                held.insert(h.obj.idx, h);
-            }
-            let state = UserState {
-                map: u.map,
-                held,
-                line: None,
-            };
-            users.insert((u.client_ip, u.user_agent), state);
+        let mut users = Vec::new();
+        for (id, state) in restored {
+            *slot(&mut users, id) = Some(state);
         }
         Worker {
             users,
@@ -301,12 +326,9 @@ impl<'a, F: Fold> Worker<'a, F> {
     /// Mirrors the materialized passes 1+2 incrementally (see module
     /// docs); the equivalence suite pins the two together.
     fn process_record(&mut self, pos: u64, obj: WebObject) {
-        let refmap_opts = self.core.opts.refmap;
-        let key = (obj.client_ip, obj.user_agent.clone());
-        let state = self
-            .users
-            .entry(key)
-            .or_insert_with(|| UserState::fresh(refmap_opts));
+        let opts = self.core.opts;
+        let state = slot(&mut self.users, obj.user)
+            .get_or_insert_with(|| UserState::fresh(obj.client_ip, obj.user_agent.clone(), opts));
         // First, before anything below can unwind (the poison hook stands
         // for a panic anywhere in here): a record that dies half-way
         // through must not leave a line rendered before it.
@@ -316,11 +338,8 @@ impl<'a, F: Fold> Worker<'a, F> {
         }
         let entry = state.map.process(&obj);
         let released = state.map.take_released();
-        let (cat, _src) = infer_category_traced(
-            &obj.url,
-            obj.content_type.as_deref(),
-            self.core.opts.content,
-        );
+        let (cat, _src) =
+            infer_category_traced(&obj.url, obj.content_type.as_deref(), opts.content);
         if entry.ctx.page.is_none() {
             self.core.planes.degradation().refmap_misses += 1;
         }
@@ -332,14 +351,14 @@ impl<'a, F: Fold> Worker<'a, F> {
                 if cat != ContentCategory::Other {
                     h.category = cat;
                 }
-                self.core.finalize(h);
+                self.core.finalize(h, &mut state.planes);
             }
         }
         // Displaced or evicted pendings can never be backfilled —
         // release their holds as-is.
         for idx in released {
             if let Some(h) = state.held.remove(&idx) {
-                self.core.finalize(h);
+                self.core.finalize(h, &mut state.planes);
             }
         }
         let rec = HeldRecord {
@@ -348,10 +367,10 @@ impl<'a, F: Fold> Worker<'a, F> {
             category: cat,
             obj,
         };
-        if refmap_opts.redirect_repair && rec.obj.location.is_some() {
+        if opts.refmap.redirect_repair && rec.obj.location.is_some() {
             state.held.insert(rec.obj.idx, rec);
         } else {
-            self.core.finalize(rec);
+            self.core.finalize(rec, &mut state.planes);
         }
     }
 
@@ -375,14 +394,22 @@ impl<'a, F: Fold> Worker<'a, F> {
         }
     }
 
+    /// This worker's users, with their ids.
+    fn users(&self) -> impl Iterator<Item = (UserId, &UserState)> {
+        let users = self.users.iter().enumerate();
+        users.filter_map(|(id, st)| st.as_ref().map(|st| (id as UserId, st)))
+    }
+
     fn barrier_ack(&mut self) -> WorkerAck {
-        let (mut rendered, mut kept) = (Vec::new(), Vec::with_capacity(self.users.len()));
-        for (key, st) in &mut self.users {
+        let (mut rendered, mut kept, mut user_planes) = (Vec::new(), Vec::new(), Vec::new());
+        for (id, st) in self.users.iter_mut().enumerate() {
+            let Some(st) = st else { continue };
             match &st.line {
                 Some(line) => kept.push(Arc::clone(line)),
                 None => {
-                    let line = st.line.insert(serialize_user(key, st).into());
+                    let line = st.line.insert(serialize_user(st).into());
                     rendered.push(Arc::clone(line));
+                    user_planes.push((id as UserId, st.planes));
                 }
             }
         }
@@ -390,6 +417,7 @@ impl<'a, F: Fold> Worker<'a, F> {
             delta: self.core.planes.cut(),
             rendered,
             kept,
+            user_planes,
         }
     }
 
@@ -399,24 +427,39 @@ impl<'a, F: Fold> Worker<'a, F> {
         // order.
         let mut leftovers: Vec<HeldRecord> = self
             .users
-            .values_mut()
+            .iter_mut()
+            .flatten()
             .flat_map(|s| s.held.drain().map(|(_, h)| h))
             .collect();
         leftovers.sort_by_key(|h| h.pos);
         for h in leftovers {
-            self.core.finalize(h);
+            let user = self.users[h.obj.user as usize].as_mut();
+            let user = user.expect("a held record's user is this worker's");
+            self.core.finalize(h, &mut user.planes);
         }
         let mut delta = self.core.planes.cut();
-        for st in self.users.values() {
+        let mut user_planes = Vec::new();
+        for (id, st) in self.users() {
             delta.degradation.broken_redirect_chains +=
                 st.map.redirects_inserted() - st.map.redirects_consumed();
+            user_planes.push((id, st.planes));
         }
         WorkerFinal {
             delta,
-            users: self.users.len() as u64,
+            users: user_planes.len() as u64,
+            user_planes,
             fold: self.core.fold,
         }
     }
+}
+
+/// `user`'s slot in a table indexed by [`UserId`], grown to hold it.
+fn slot<T>(table: &mut Vec<Option<T>>, user: UserId) -> &mut Option<T> {
+    let at = user as usize;
+    if at >= table.len() {
+        table.resize_with(at + 1, || None);
+    }
+    &mut table[at]
 }
 
 pub(super) fn worker_loop<F: Fold>(
@@ -457,6 +500,7 @@ mod tests {
     fn obj(idx: usize, client: u32, url: &str, location: Option<&str>) -> WebObject {
         WebObject {
             idx,
+            user: client,
             ts: idx as f64 * 0.5,
             client_ip: client,
             server_ip: 9,
@@ -501,9 +545,9 @@ mod tests {
     /// Every line a barrier acks is what `serialize_user` renders from the
     /// live state right now, cached or not.
     fn assert_lines_are_live(w: &Worker<'_, ()>, ack: &WorkerAck) {
-        assert_eq!(ack.rendered.len() + ack.kept.len(), w.users.len());
-        for (key, st) in &w.users {
-            assert_eq!(**line_of(ack, key.0), *serialize_user(key, st));
+        assert_eq!(ack.rendered.len() + ack.kept.len(), w.users().count());
+        for (_, st) in w.users() {
+            assert_eq!(**line_of(ack, st.client_ip), *serialize_user(st));
         }
     }
 

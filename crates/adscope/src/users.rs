@@ -4,6 +4,12 @@
 //! the annotation step classifies the UA into a browser family / device
 //! class and restricts the analysis to browsers. Heavy hitters (more than
 //! 1 K requests) are the "active users" the headline 22 % figure refers to.
+//!
+//! The figures key a user by ⟨IP, UA⟩ with an absent UA folded into the
+//! empty one, as the population plane does. The referrer map keeps the two
+//! apart: there a user is the extractor's dense `UserId`
+//! ([`crate::extract::UserId`]), which numbers a missing and an empty UA
+//! separately.
 
 use crate::classify::ListKind;
 use crate::pipeline::{ClassifiedRequest, ClassifiedTrace};
@@ -83,7 +89,7 @@ impl UserAggregate {
 
 /// The per-user fold behind Table 3, Figures 3–4, §6.3 and the threshold
 /// sweep: one [`UserAggregate`] per ⟨IP, User-Agent⟩ pair, keyed by the
-/// interned UA handle (an absent UA is the empty one).
+/// user's shared UA handle (an absent UA is the empty one).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Users(HashMap<(u32, Arc<str>), UserAggregate>);
 

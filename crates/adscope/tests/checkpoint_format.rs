@@ -1,12 +1,14 @@
 //! The persisted checkpoint format, held from three sides.
 //!
-//! * **A committed fixture** (`tests/fixtures/checkpoint_v1/`): a trace, the
+//! * **Committed fixtures** (`tests/fixtures/checkpoint_v1/`): a trace, the
 //!   `checkpoint.ndjson` a 3-thread run of the code at PR 16 wrote when it was
-//!   stopped after 8 of 19 chunks, and that code's uninterrupted `render()`.
-//!   Today's code must resume from those bytes — at 1 and at 3 threads — to the
-//!   same report, byte for byte. The equivalence suites write and read a
-//!   checkpoint with the same build, so they cannot see a format change that
-//!   is symmetric in writer and reader; this can.
+//!   stopped after 8 of 19 chunks, and that code's uninterrupted `render()`;
+//!   and (`tests/fixtures/checkpoint_v2/`) the segment log the last
+//!   version-2 build wrote for the same run. Today's code must resume from
+//!   those bytes — at 1 and at 3 threads — to the same report, byte for byte.
+//!   The equivalence suites write and read a checkpoint with the same build,
+//!   so they cannot see a format change that is symmetric in writer and
+//!   reader; this can.
 //! * **Every kill point** of one 19-chunk trace, at four thread-count changes
 //!   and two checkpoint cadences, instead of the handful the proptests sample;
 //!   and **every prefix** of a killed run's segment log (format 2), and a bit
@@ -42,6 +44,11 @@ const ABP_IP: u32 = 900;
 
 fn fixture_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoint_v1")
+}
+
+/// The version-2 fixture: a segment log of the run `fixture_dir` holds.
+fn fixture_v2_log() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoint_v2/checkpoint.ndjson")
 }
 
 fn classifier() -> PassiveClassifier {
@@ -332,26 +339,53 @@ fn read_checkpoint(path: &Path) -> (String, Vec<String>) {
     (manifest, users)
 }
 
-/// The fixture's checkpoint with `"config":` patched to the hash today's
-/// code computes for [`opts`], so a later `PipelineOptions` field (which
-/// changes every hash) does not strand it. `config_hash` is private; a
+/// `manifest` with its `"config":` value replaced by the hash today's code
+/// computes for [`opts`], so a later `PipelineOptions` field (which changes
+/// every hash) does not strand a fixture. `config_hash` is private; a
 /// one-chunk run writes it for us.
-fn fixture_checkpoint() -> (String, Vec<String>) {
+fn with_todays_config(manifest: &str) -> String {
     let dir = temp_dir("probe");
     let mut probe = opts(1, &dir, 1, false);
     probe.stop_after_chunks = Some(1);
     run(&fixture_dir().join("trace.ndjson"), &probe).unwrap();
     let (probe_manifest, _) = read_checkpoint(&dir.join("ck").join(CHECKPOINT_FILE));
+    let _ = std::fs::remove_dir_all(&dir);
     let config = |manifest: &str| {
         let from = manifest.find("\"config\":").expect("config key") + "\"config\":".len();
         let len = manifest[from..].find(',').unwrap();
-        manifest[from..from + len].to_string()
+        format!("\"config\":{}", &manifest[from..from + len])
     };
+    manifest.replacen(&config(manifest), &config(&probe_manifest), 1)
+}
+
+/// The version-1 fixture's checkpoint, its config patched to today's.
+fn fixture_checkpoint() -> (String, Vec<String>) {
     let (manifest, users) = read_checkpoint(&fixture_dir().join(CHECKPOINT_FILE));
-    let old = format!("\"config\":{}", config(&manifest));
-    let new = format!("\"config\":{}", config(&probe_manifest));
-    let _ = std::fs::remove_dir_all(&dir);
-    (manifest.replacen(&old, &new, 1), users)
+    (with_todays_config(&manifest), users)
+}
+
+/// The version-2 fixture's log with each segment's manifest passed through
+/// `edit` after its config is patched to today's, and the segment's trailer
+/// recomputed over the bytes that result. User lines are kept as written.
+fn fixture_v2(edit: impl Fn(String) -> String) -> Vec<u8> {
+    let log = std::fs::read(fixture_v2_log()).unwrap();
+    let mut out = Vec::new();
+    for range in segments(&log) {
+        let text = std::str::from_utf8(&log[range]).unwrap();
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        assert!(lines.pop().unwrap().starts_with("{\"segment\":"));
+        lines[0] = edit(with_todays_config(&lines[0]));
+        let body: String = lines.iter().map(|l| format!("{l}\n")).collect();
+        out.extend_from_slice(body.as_bytes());
+        let trailer = format!(
+            "{{\"segment\":{{\"lines\":{},\"bytes\":{},\"sum\":{}}}}}\n",
+            lines.len(),
+            body.len(),
+            obs::sum64(body.as_bytes())
+        );
+        out.extend_from_slice(trailer.as_bytes());
+    }
+    out
 }
 
 /// How a resumed run goes on: its threads, records a chunk (which must be
@@ -452,6 +486,45 @@ fn fixture_written_at_pr16_resumes_byte_identically() {
         assert!(got.resumed_from.is_some());
         assert_eq!(got.chunks, CHUNKS);
         assert_eq!(got.render(), want, "threads={threads}");
+    }
+}
+
+/// The segment log the last version-2 build wrote resumes to the same report:
+/// the population tallies its manifests keep by ⟨IP, UA-or-empty⟩ attach to
+/// the restored users, whose lines have none.
+#[test]
+fn fixture_written_at_pr27_resumes_byte_identically() {
+    let log = fixture_v2(|manifest| manifest);
+    let segments = segments(&log);
+    assert_eq!(segments.len(), 2, "a rewrite and an append");
+    let last = std::str::from_utf8(&log[segments[1].clone()]).unwrap();
+    assert!(last.starts_with("{\"kind\":\"annoyed-users-checkpoint\",\"version\":2,"));
+    assert!(last.contains("\"tallies\":[[1,") && !last.contains("\"tally\":"));
+    assert!(last.contains("\"user_agent\":null,") && last.contains("\"held\":[{"));
+    assert!(last.contains(&format!("\"chunks\":{FIXTURE_KILL},")));
+
+    let sidecar = std::fs::read(fixture_dir().join("quarantine.ndjson")).unwrap();
+    let want = std::fs::read_to_string(fixture_dir().join("render.txt")).unwrap();
+    for threads in [1, 3] {
+        let got = resume_from(&log, &sidecar, Resume::at(threads)).unwrap();
+        assert!(got.resumed_from.is_some());
+        assert_eq!(got.chunks, CHUNKS);
+        assert_eq!(got.render(), want, "threads={threads}");
+    }
+}
+
+/// A version-2 tally belongs to a restored user: one whose ⟨IP, UA⟩ no user
+/// line has is refused, naming the tally, never dropped or made a user.
+#[test]
+fn a_legacy_tally_that_matches_no_user_line_is_refused_with_its_path() {
+    let sidecar = std::fs::read(fixture_dir().join("quarantine.ndjson")).unwrap();
+    let log = fixture_v2(|manifest| manifest.replacen("\"tallies\":[[1,", "\"tallies\":[[99,", 1));
+    match resume_from(&log, &sidecar, Resume::at(2)) {
+        Err(StreamError::Checkpoint(msg)) => assert_eq!(
+            msg,
+            "population.tallies[0]: no user line matches this tally"
+        ),
+        other => panic!("expected a refusal, loaded: {}", other.is_ok()),
     }
 }
 

@@ -132,6 +132,80 @@ fn stream_opts(threads: usize, chunk: usize) -> StreamOptions {
     opts
 }
 
+/// One IP whose requests carry no UA, an empty UA and a browser UA in turn.
+/// The referrer map keeps a missing and an empty UA apart, so the stream
+/// counts three users. Population folds an absent UA into the empty one, so
+/// those two share one tally. The render matches the materialized path,
+/// and so does a run resumed from its checkpoint, whose lines hold the two
+/// users' tallies apart.
+#[test]
+fn a_missing_and_an_empty_ua_are_two_refmap_users_but_one_tally() {
+    let mut trace = population_trace(60, 1, 7);
+    let browser = http_model::UserAgent::desktop(
+        http_model::BrowserFamily::Firefox,
+        http_model::useragent::Os::Windows,
+        38,
+    )
+    .raw;
+    let (mut http, mut blank) = (0, 0);
+    for r in &mut trace.records {
+        if let TraceRecord::Http(h) = r {
+            h.request.user_agent =
+                [None, Some(String::new()), Some(browser.clone())][http % 3].clone();
+            blank += u64::from(http % 3 != 2);
+            http += 1;
+        }
+    }
+    let want = reference_render(&trace);
+    let path = write_trace_file(&trace, "blank-ua");
+    let ckdir = temp_path("blank-ua-ck");
+    let checkpointed = |threads: usize, resume: bool, stop: Option<u64>| {
+        let mut o = stream_opts(threads, 5);
+        o.checkpoint = Some(CheckpointOptions {
+            dir: ckdir.clone(),
+            every_chunks: 1,
+            resume,
+        });
+        o.stop_after_chunks = stop;
+        classify_stream_file(&path, &classifier(), &o, &obs::Registry::new()).unwrap()
+    };
+
+    let whole = checkpointed(2, false, None);
+    assert_eq!(whole.users, 3, "absent, empty and browser UA");
+    let pop = whole.population.as_ref().expect("population enabled");
+    assert_eq!(
+        pop.distinct_users, 2,
+        "absent and empty UA are one population user"
+    );
+    assert_eq!(pop.render(), want);
+
+    let log = std::fs::read_to_string(ckdir.join("checkpoint.ndjson")).unwrap();
+    let tally_of = |ua: &str| {
+        let line = log
+            .lines()
+            .rfind(|l| l.contains(&format!("\"user_agent\":{ua},")));
+        let line = line.unwrap_or_else(|| panic!("no user line for UA {ua}"));
+        let from = line
+            .find("\"tally\":[")
+            .expect("the line carries its tally")
+            + 9;
+        line[from..from + line[from..].find(',').unwrap()]
+            .parse::<u64>()
+            .unwrap()
+    };
+    let (absent, empty) = (tally_of("null"), tally_of("\"\""));
+    assert!(absent > 0 && empty > 0, "{absent} and {empty} requests");
+    assert_eq!(absent + empty, blank);
+
+    checkpointed(3, false, Some(4));
+    let resumed = checkpointed(1, true, None);
+    assert!(resumed.resumed_from.is_some());
+    assert_eq!(resumed.users, 3);
+    assert_eq!(resumed.render(), whole.render());
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&ckdir);
+}
+
 proptest! {
     /// Sketch merging is associative and commutative: any partition of
     /// the requests, merged in any order, yields the same state as one

@@ -6,7 +6,9 @@
 //! (five header strings copied out of the line and dropped again, and the
 //! request URL built in a `String` of its own before the shared buffer),
 //! then 4.03 while every third-party check split both hosts into a
-//! `Vec<&str>`; it reads 2.52.
+//! `Vec<&str>`; it reads 2.53. The test prints the bytes allocated per record
+//! beside the count: 673, of which the 8-byte hash each referrer-map key
+//! carries adds ≈15 (658 before).
 //!
 //! The counter is process-wide, not per thread as in `refmap_alloc.rs`:
 //! the router and its worker are two threads. This file holds one test, so
