@@ -72,8 +72,8 @@ impl PlaneTotals {
 /// The planes' state that is kept per ⟨IP, UA⟩ user rather than per run:
 /// the population tally, when that plane is on. The stream engine keeps one
 /// in each user's worker state and checkpoint line, and the router the
-/// latest of each by user id; the materialized path keeps its tallies
-/// inside [`Population`].
+/// latest of each by user id; the one-thread oracle reads its tallies off
+/// the `Users` fold instead ([`crate::population::finish_trace`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct UserPlanes {
     /// Cumulative over the user's finalized requests.
@@ -121,7 +121,7 @@ impl Planes {
     pub fn observe(&mut self, req: &ClassifiedRequest) {
         self.observe_counts(req);
         if let Some(pop) = &mut self.acc.population {
-            pop.observe(req);
+            pop.sketches.observe(req);
         }
     }
 

@@ -14,14 +14,14 @@
 //!   exact regime — capacity is sized well above the generated domain
 //!   space, and the render flags the approximate regime explicitly).
 //! * [`UserTally`] — the exact per-⟨IP, UA⟩ counters behind Table 3 and
-//!   the ad-share distribution. Tallies are plain sums. The materialized
-//!   path keeps them in a map keyed by ⟨IP, UA⟩; the stream engine keeps
-//!   each in its user's worker state, ships it to the router at barriers and
-//!   checkpoints it in the user's line, and the router finishes over its
-//!   table of them (`Population::finish_users`).
-//! * [`Population`] — the plane itself, one type on every path: sketches,
-//!   tally map and download households, with `observe`, `merge` and
-//!   [`Population::finish`], the single report builder. Stream workers and
+//!   the ad-share distribution. Tallies are plain sums, kept per user outside
+//!   the plane: the stream engine keeps each in its user's worker state, ships
+//!   it to the router at barriers and checkpoints it in the user's line; the
+//!   materialized path reads them off the `Users` fold
+//!   ([`crate::users::UserAggregate::tally`]).
+//! * [`Population`] — the plane itself, one type on every path: sketches and
+//!   download households, with `merge` and [`Population::finish`], the single
+//!   report builder, which takes the tallies as rows. Stream workers and
 //!   router fold into it, the checkpoint persists their sum, and the
 //!   materialized path builds one with [`Population::of_trace`].
 //!
@@ -32,10 +32,8 @@
 use crate::infer::{self, UserClass};
 use crate::pipeline::{ClassifiedRequest, ClassifiedTrace};
 use obs::sketch::{Distinct64, QuantileSketch, TopEntry, TopK, QUANTILE_GAMMA};
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 /// Population-analytics options, carried on
 /// [`crate::pipeline::PipelineOptions`]. Off by default — the sketches
@@ -298,15 +296,8 @@ pub struct PopulationReport {
 pub struct Population {
     /// The mergeable sketches.
     pub sketches: PopulationSketches,
-    /// Exact tallies per ⟨IP, UA⟩ pair, keyed by the shared UA handle
-    /// (upkeep and merge bump a refcount, allocate nothing); an absent UA is
-    /// the empty one, as in `aggregate_users`. Filled by
-    /// [`Population::observe`]; the stream engine keeps its tallies per user
-    /// instead, and this map stays empty there.
-    pub tallies: HashMap<(u32, Arc<str>), UserTally>,
     /// Households (client IPs) seen in an [`infer::is_list_download`] flow.
     pub households: HashSet<u32>,
-    empty_ua: Arc<str>,
 }
 
 impl Population {
@@ -314,9 +305,7 @@ impl Population {
     pub fn new(opts: PopulationOptions) -> Population {
         Population {
             sketches: PopulationSketches::new(opts),
-            tallies: HashMap::new(),
             households: HashSet::new(),
-            empty_ua: Arc::from(""),
         }
     }
 
@@ -328,34 +317,18 @@ impl Population {
     ) -> Population {
         let mut pop = Population::new(opts);
         for r in &trace.requests {
-            pop.observe(r);
+            pop.sketches.observe(r);
         }
         pop.households = infer::households_with_downloads(&trace.https_flows, abp_ips);
         pop
     }
 
-    /// Fold one classified request into the sketches and its user's tally.
-    /// The user's ⟨IP, UA⟩ key reaches the `users` HLL once, when its tally
-    /// is created: every later observation would leave the registers as
-    /// they are, and a merge keeps "every tallied user was observed".
-    pub fn observe(&mut self, r: &ClassifiedRequest) {
-        self.sketches.observe_traffic(r);
-        let ua = Arc::clone(r.user_agent.as_ref().unwrap_or(&self.empty_ua));
-        let tally = match self.tallies.entry((r.client_ip, ua)) {
-            Entry::Occupied(seen) => seen.into_mut(),
-            Entry::Vacant(new) => {
-                self.sketches.observe_user(r);
-                let fresh = UserTally::for_agent(&new.key().1);
-                new.insert(fresh)
-            }
-        };
-        tally.observe(r);
-    }
-
-    /// [`Population::observe`] for a caller that keeps the request's user's
-    /// tally itself, made by [`UserTally::for_agent`] when it met the user:
-    /// no ⟨IP, UA⟩ lookup. The user's key reaches the `users` HLL with its
-    /// first request.
+    /// Fold one request into the sketches, for a caller that keeps the
+    /// request's user's tally itself, made by [`UserTally::for_agent`] when it
+    /// met the user: no ⟨IP, UA⟩ lookup. The user's key reaches the `users`
+    /// HLL with its first request only: every later observation would leave
+    /// the registers as they are, and a merged or resumed plane keeps "every
+    /// tallied user was observed", since both halves travel together.
     pub(crate) fn observe_tallied(&mut self, r: &ClassifiedRequest, tally: &mut UserTally) {
         self.sketches.observe_traffic(r);
         if tally.requests == 0 {
@@ -368,53 +341,33 @@ impl Population {
     /// the sketches canonical bytes).
     pub fn merge(&mut self, other: &Population) {
         self.sketches.merge(&other.sketches);
-        for ((ip, ua), t) in &other.tallies {
-            let mine = self.tallies.entry((*ip, Arc::clone(ua))).or_default();
-            mine.merge(t);
-        }
         self.households.extend(&other.households);
     }
 
-    /// Build the report over the plane's own tallies: the materialized
-    /// pipeline's.
-    pub fn finish(&self, opts: PopulationOptions) -> PopulationReport {
-        let rows = self.tallies.iter().map(|((ip, _), t)| (*ip, *t));
-        self.report(opts, rows)
-    }
-
-    /// Build the report over the stream engine's tallies, one per
-    /// ⟨IP, UA⟩ user as `(ip, ua, tally)`. A missing and an empty UA on one
-    /// IP are two users of the referrer map but one here, as in
-    /// [`Population::observe`]: their tallies are summed first. A user with
-    /// no request finalized yet has no tally there, and none here.
-    pub(crate) fn finish_users<'a>(
+    /// Build the report: the one code path the streamed and materialized
+    /// pipelines share, a pure function of the plane and the per-user tallies,
+    /// one `(ip, ua, tally)` row per ⟨IP, UA⟩ user. A missing and an empty UA
+    /// on one IP are two users of the referrer map but one here, as in the
+    /// `Users` fold: their tallies are summed first. A user with no request
+    /// finalized yet counts nothing.
+    pub fn finish<'a>(
         &self,
         opts: PopulationOptions,
-        users: impl IntoIterator<Item = (u32, Option<&'a str>, &'a UserTally)>,
+        users: impl IntoIterator<Item = (u32, Option<&'a str>, UserTally)>,
     ) -> PopulationReport {
         let mut blank: HashMap<u32, UserTally> = HashMap::new();
-        let mut rows = Vec::new();
+        let mut tallies = Vec::new();
         for (ip, ua, t) in users {
             if t.requests == 0 {
                 continue;
             }
             if ua.is_none_or(str::is_empty) {
-                blank.entry(ip).or_default().merge(t);
+                blank.entry(ip).or_default().merge(&t);
             } else {
-                rows.push((ip, *t));
+                tallies.push((ip, t));
             }
         }
-        rows.extend(blank);
-        self.report(opts, rows)
-    }
-
-    /// The report: the one code path the streamed and materialized pipelines
-    /// share, a pure function of the plane and the per-user tallies.
-    fn report(
-        &self,
-        opts: PopulationOptions,
-        tallies: impl IntoIterator<Item = (u32, UserTally)>,
-    ) -> PopulationReport {
+        tallies.extend(blank);
         let sketches = &self.sketches;
         let mut ad_share = QuantileSketch::new(QUANTILE_GAMMA);
         let mut classes = UserClass::ALL.map(|class| ClassTally {
@@ -468,13 +421,18 @@ impl Population {
     }
 }
 
-/// The materialized path's report: [`Population::of_trace`], finished.
+/// The materialized path's report: [`Population::of_trace`], finished over
+/// the `Users` fold's tallies.
 pub fn finish_trace(
     trace: &ClassifiedTrace,
     abp_ips: &[u32],
     opts: PopulationOptions,
 ) -> PopulationReport {
-    Population::of_trace(trace, abp_ips, opts).finish(opts)
+    let users = crate::users::aggregate_users(trace);
+    let rows = users
+        .iter()
+        .map(|u| (u.key.ip, Some(u.key.user_agent.as_str()), u.tally()));
+    Population::of_trace(trace, abp_ips, opts).finish(opts, rows)
 }
 
 impl PopulationReport {
@@ -638,11 +596,13 @@ mod tests {
     use super::*;
     use crate::classify::PassiveClassifier;
     use crate::pipeline::{classify_trace_in, PipelineOptions};
+    use crate::planes::{Planes, UserPlanes};
     use abp_filter::FilterList;
     use http_model::headers::{RequestHeaders, ResponseHeaders};
     use http_model::transaction::Method;
     use http_model::{BrowserFamily, HttpTransaction, UserAgent};
-    use netsim::record::{Trace, TraceMeta, TraceRecord};
+    use netsim::record::{TlsConnection, Trace, TraceMeta, TraceRecord};
+    use std::sync::Arc;
 
     fn tx(ts: f64, client: u32, ua: &str, host: &str, uri: &str) -> TraceRecord {
         TraceRecord::Http(HttpTransaction {
@@ -791,12 +751,27 @@ mod tests {
         assert_eq!(rev, whole, "merge is commutative in the exact regime");
     }
 
+    /// The stream's path: each user's planes made once, its key fed to the
+    /// `users` HLL with its first request only. User 3 makes one request, so
+    /// feeding any request but a user's first would leave it out.
     #[test]
     fn hll_fed_once_per_user_and_site_run_equals_hll_fed_every_request() {
-        let trace = sample(on());
-        let pop = Population::of_trace(&trace, &[], on());
+        let mut requests = sample(on()).requests;
+        let mut lone = requests[0].clone();
+        lone.client_ip = 3;
+        requests.push(lone);
+        let popts = PipelineOptions {
+            population: on(),
+            ..PipelineOptions::default()
+        };
+        let mut planes = Planes::new(popts, &[]);
+        let mut per_user: HashMap<(u32, Option<Arc<str>>), UserPlanes> = HashMap::new();
         let (mut users, mut sites) = (Distinct64::new(), Distinct64::new());
-        for r in &trace.requests {
+        for r in &requests {
+            let user = per_user
+                .entry((r.client_ip, r.user_agent.clone()))
+                .or_insert_with(|| UserPlanes::new(on(), r.user_agent.as_deref()));
+            planes.observe_user(r, user);
             let mut key = r.client_ip.to_le_bytes().to_vec();
             key.push(0);
             key.extend_from_slice(r.user_agent.as_deref().unwrap_or("").as_bytes());
@@ -804,7 +779,8 @@ mod tests {
             let site = r.page.as_ref().map_or_else(|| r.url.host(), |p| p.host());
             sites.observe(site.as_bytes());
         }
-        assert_eq!(users.estimate(), 2);
+        assert_eq!(users.estimate(), 3);
+        let pop = planes.cut().population.expect("population on");
         assert_eq!(pop.sketches.users, users);
         assert_eq!(pop.sketches.sites, sites);
     }
@@ -818,11 +794,10 @@ mod tests {
         let mut b = Population::new(on());
         for (i, r) in trace.requests.iter().enumerate() {
             let part = if i % 3 == 0 { &mut a } else { &mut b };
-            part.observe(r);
+            part.sketches.observe(r);
         }
         b.households.insert(7);
         a.merge(&b);
-        assert_eq!(a.tallies, whole.tallies);
         assert_eq!(a.sketches, whole.sketches);
         assert_eq!(a.households, HashSet::from([7]));
     }
@@ -844,11 +819,17 @@ mod tests {
 
     #[test]
     fn download_households_move_users_to_b_and_c() {
-        let trace = sample(on());
+        let mut trace = sample(on());
         // Both users' households download EasyList: A -> B, D -> C.
-        let mut pop = Population::of_trace(&trace, &[], on());
-        pop.households = HashSet::from([1, 2]);
-        let report = pop.finish(on());
+        let download = |client_ip| TlsConnection {
+            ts: 0.0,
+            client_ip,
+            server_ip: 9,
+            server_port: 443,
+            bytes: 1,
+        };
+        trace.https_flows = vec![download(1), download(2)];
+        let report = finish_trace(&trace, &[9], on());
         assert_eq!(report.classes[1].instances, 1, "B");
         assert_eq!(report.classes[2].instances, 1, "C");
     }

@@ -14,13 +14,9 @@
 //! stored as the integer of its bit pattern, so a resumed run starts from
 //! exactly the bits the checkpointing run held.
 //!
-//! Versions 1 and 2 kept the population tallies in the manifest, keyed by
-//! ⟨IP, UA-or-empty⟩; their files still resume, each tally attached to a
-//! restored user with that key. A version-2 log is read as a version-3 one;
-//! a version-1 file (one manifest line and one line per user, floats as
-//! shortest round-trip decimals, no trailer) through the same decoders
-//! reading floats as decimals. This is the only module in this
-//! crate that names a checkpoint JSON key, so a plane added to
+//! Resume reads only the version this build writes: a checkpoint of any
+//! other format version is refused, naming it. This is the only module in
+//! this crate that names a checkpoint JSON key, so a plane added to
 //! `crate::planes` gets its encode / decode pair here.
 //!
 //! Writers are hand-written `write!` chains (the per-user line is the
@@ -426,25 +422,12 @@ impl From<DecodeError> for StreamError {
     }
 }
 
-/// How a format version spells an `f64`: version 1 as the shortest decimal
-/// that round-trips (`f64` itself), versions 2 and 3 as the integer of its
-/// bit pattern ([`Bits`]).
-trait Float: FromJson + Into<f64> {}
-
-impl<T: FromJson + Into<f64>> Float for T {}
-
 /// An `f64` read from the integer of its bit pattern.
 struct Bits(f64);
 
 impl FromJson for Bits {
     fn from_json(v: &Value<'_>) -> Result<Bits, DecodeError> {
         u64::from_json(v).map(|bits| Bits(f64::from_bits(bits)))
-    }
-}
-
-impl From<Bits> for f64 {
-    fn from(b: Bits) -> f64 {
-        b.0
     }
 }
 
@@ -478,7 +461,7 @@ fn series<T>(
     })
 }
 
-fn window_report_from_value<F: Float>(
+fn window_report_from_value(
     v: &Value<'_>,
     counters: &'static [&'static str],
     hists: &'static [&'static str],
@@ -497,8 +480,8 @@ fn window_report_from_value<F: Float>(
     let window = |w: &Value<'_>| {
         Ok(ClosedWindow {
             index: w.field("index")?,
-            start_secs: w.field::<F>("start")?.into(),
-            width_secs: w.field::<F>("width")?.into(),
+            start_secs: w.field::<Bits>("start")?.0,
+            width_secs: w.field::<Bits>("width")?.0,
             counters: series(w, "counters", counters, u64::from_json)?,
             hists: series(w, "hists", hists, hist)?,
         })
@@ -506,25 +489,19 @@ fn window_report_from_value<F: Float>(
     let mut windows = v.field_with("windows", |ws| ws.each(window))?;
     windows.sort_by_key(|w| w.index);
     Ok(WindowReport {
-        width_secs: v.field::<F>("width")?.into(),
+        width_secs: v.field::<Bits>("width")?.0,
         windows,
         late: v.field("late")?,
     })
 }
 
-/// One user line. From version 3 on it carries the user's tally, which is
-/// read when the population plane is on; an older line's comes from its
-/// manifest ([`attach_legacy_tallies`]).
-fn user_from_line<F: Float>(
-    line: &str,
-    opts: &StreamOptions,
-    version: u64,
-) -> Result<UserState, DecodeError> {
+/// One user line. Its tally is read when the population plane is on.
+fn user_from_line(line: &str, opts: &StreamOptions) -> Result<UserState, DecodeError> {
     let v = json::parse(line).map_err(|e| DecodeError::new(format!("bad user line: {e}")))?;
     let client_ip = v.field("client_ip")?;
     let user_agent: Option<Arc<str>> = v.field("user_agent")?;
     let mut planes = UserPlanes::default();
-    if version >= 3 && opts.pipeline.population.enabled {
+    if opts.pipeline.population.enabled {
         let (requests, ad_requests, easylist_blockable, is_browser) = v.field("tally")?;
         planes.tally = Some(UserTally {
             requests,
@@ -547,7 +524,7 @@ fn user_from_line<F: Float>(
                 idx,
                 // Numbered when the run restores the user.
                 user: 0,
-                ts: e.field::<F>("ts")?.into(),
+                ts: e.field::<Bits>("ts")?.0,
                 client_ip,
                 server_ip: e.field("server_ip")?,
                 url: e.field("url")?,
@@ -559,8 +536,8 @@ fn user_from_line<F: Float>(
                 status: e.field("status")?,
                 location: None,
                 user_agent: user_agent.clone(),
-                tcp_handshake_ms: e.field::<F>("tcp")?.into(),
-                http_handshake_ms: e.field::<F>("http")?.into(),
+                tcp_handshake_ms: e.field::<Bits>("tcp")?.0,
+                http_handshake_ms: e.field::<Bits>("http")?.0,
             },
         };
         Ok((idx, h))
@@ -568,72 +545,26 @@ fn user_from_line<F: Float>(
     let held = v.field_with("held", |h| h.each(held_record))?;
     // `[key, root, ts, hops]` and `[key, root, backfill idx, ts, hops]`:
     // the other element types come from the maps `restore` takes.
-    let page_of: Vec<(_, _, F, _)> = v.field("page_of")?;
-    let pending: Vec<(_, _, _, F, _)> = v.field("pending")?;
-    let last_page: Option<(_, F)> = v.field("last_page")?;
+    let page_of: Vec<(_, _, Bits, _)> = v.field("page_of")?;
+    let pending: Vec<(_, _, _, Bits, _)> = v.field("pending")?;
+    let last_page: Option<(_, Bits)> = v.field("last_page")?;
     let map = RefMap::restore(
         opts.pipeline.refmap,
         page_of
             .into_iter()
-            .map(|(k, r, t, h)| (k, (r, t.into(), h)))
+            .map(|(k, r, t, h)| (k, (r, t.0, h)))
             .collect(),
         pending
             .into_iter()
-            .map(|(k, r, i, t, h)| (k, (r, i, t.into(), h)))
+            .map(|(k, r, i, t, h)| (k, (r, i, t.0, h)))
             .collect(),
-        last_page.map(|(url, t)| (url, t.into())),
+        last_page.map(|(url, t)| (url, t.0)),
         v.field("inserted")?,
         v.field("consumed")?,
         true,
     );
     let held = held.into_iter().collect();
     Ok(UserState::new(client_ip, user_agent, map, held, planes))
-}
-
-/// Versions 1 and 2 kept the tallies in the manifest's population block,
-/// keyed by ⟨IP, UA-or-empty⟩. Each goes to the first restored user with
-/// that key: a missing and an empty UA on one IP share one tally, which the
-/// population report sums them into anyway. A tally no user line matches
-/// is refused. Every other user starts from a fresh tally.
-fn attach_legacy_tallies(
-    m: &Value<'_>,
-    users: &mut [UserState],
-    opts: PopulationOptions,
-) -> Result<(), DecodeError> {
-    let mut first: HashMap<(u32, &str), usize> = HashMap::with_capacity(users.len());
-    for (i, u) in users.iter().enumerate() {
-        let ua = u.user_agent.as_deref().unwrap_or("");
-        first.entry((u.client_ip, ua)).or_insert(i);
-    }
-    let tally = |row: &Value<'_>| {
-        let (ip, ua, requests, ad_requests, easylist_blockable, browser): (
-            u32,
-            String,
-            u64,
-            u64,
-            u64,
-            u8,
-        ) = FromJson::from_json(row)?;
-        let user = first.get(&(ip, ua.as_str()));
-        let user = user.ok_or_else(|| DecodeError::new("no user line matches this tally"))?;
-        let t = UserTally {
-            requests,
-            ad_requests,
-            easylist_blockable,
-            is_browser: browser != 0,
-        };
-        Ok((*user, t))
-    };
-    let tallies = m.field_with("population", |p| {
-        p.field_with("tallies", |rows| rows.each(tally))
-    })?;
-    for (user, t) in tallies {
-        users[user].planes.tally = Some(t);
-    }
-    for u in users.iter_mut().filter(|u| u.planes.tally.is_none()) {
-        u.planes = UserPlanes::new(opts, u.user_agent.as_deref());
-    }
-    Ok(())
 }
 
 fn population_from_value(
@@ -674,14 +605,11 @@ fn population_from_value(
 
 /// The [`RunState`] a manifest line holds. Starts from the fresh state
 /// `opts` asks for, so a plane that is on has a value either way.
-fn manifest_from_value<F: Float>(
-    m: &Value<'_>,
-    opts: &StreamOptions,
-) -> Result<RunState, DecodeError> {
+fn manifest_from_value(m: &Value<'_>, opts: &StreamOptions) -> Result<RunState, DecodeError> {
     let meta = m.field_with("meta", |v| {
         Ok(TraceMeta {
             name: v.field("name")?,
-            duration_secs: v.field::<F>("duration")?.into(),
+            duration_secs: v.field::<Bits>("duration")?.0,
             subscribers: v.field("subscribers")?,
             start_hour: v.field("start_hour")?,
             start_weekday: v.field("start_weekday")?,
@@ -693,9 +621,7 @@ fn manifest_from_value<F: Float>(
     st.chunks = m.field("chunks")?;
     st.next_pos = m.field("next_pos")?;
     st.next_http_idx = m.field("next_http_idx")?;
-    // Version 1 wrote −∞ as `null`.
-    let prev_ts: Option<F> = m.field("prev_ts")?;
-    st.prev_ts = prev_ts.map_or(f64::NEG_INFINITY, Into::into);
+    st.prev_ts = m.field::<Bits>("prev_ts")?.0;
     st.quarantine_bytes = m.field("quarantine_bytes")?;
     st.codec = m.field_with("codec", |v| {
         Ok(CodecStats {
@@ -729,15 +655,15 @@ fn manifest_from_value<F: Float>(
         })
     })?;
     t.windows = m.field_with("windows", |v| {
-        window_report_from_value::<F>(v, ADSCOPE_COUNTERS, HIST_TABLE)
+        window_report_from_value(v, ADSCOPE_COUNTERS, HIST_TABLE)
     })?;
     t.decode_windows = m.field_with("decode_windows", |v| {
-        window_report_from_value::<F>(v, &DECODE_COUNTERS, &[])
+        window_report_from_value(v, &DECODE_COUNTERS, &[])
     })?;
     // The config hash covers which planes are on, so a plane that is on
     // was on when the checkpoint was written and its block is required.
     // The alert plane has none: its timeline is recomputed from `windows`
-    // at the next merge (an `alerts` key in an older file is not looked up).
+    // at the next merge.
     if let Some(p) = &mut t.population {
         *p = m.field_with("population", |v| {
             population_from_value(v, opts.pipeline.population)
@@ -746,20 +672,14 @@ fn manifest_from_value<F: Float>(
     Ok(st)
 }
 
-/// The run state a manifest and its user lines hold, in format `version`,
-/// floats spelled `F`. The users are in the order they first come off the
-/// log, each the state of its last line.
-fn decode<F: Float>(
-    m: &Value<'_>,
-    lines: &[&str],
-    opts: &StreamOptions,
-    version: u64,
-) -> Result<RunState, DecodeError> {
-    let mut state = manifest_from_value::<F>(m, opts)?;
+/// The run state a manifest and its user lines hold. The users are in the
+/// order they first come off the log, each the state of its last line.
+fn decode(m: &Value<'_>, lines: &[&str], opts: &StreamOptions) -> Result<RunState, DecodeError> {
+    let mut state = manifest_from_value(m, opts)?;
     let mut at = HashMap::with_capacity(lines.len());
     let mut users: Vec<UserState> = Vec::with_capacity(lines.len());
     for line in lines {
-        let user = user_from_line::<F>(line, opts, version)?;
+        let user = user_from_line(line, opts)?;
         match at.entry((user.client_ip, user.user_agent.clone())) {
             Entry::Occupied(seen) => users[*seen.get()] = user,
             Entry::Vacant(new) => {
@@ -767,9 +687,6 @@ fn decode<F: Float>(
                 users.push(user);
             }
         }
-    }
-    if version < 3 && opts.pipeline.population.enabled {
-        attach_legacy_tallies(m, &mut users, opts.pipeline.population)?;
     }
     state.restored = users;
     Ok(state)
@@ -813,7 +730,8 @@ pub(super) fn last_manifest(log: &[u8]) -> Option<&str> {
     lines_of(valid_segments(log).last()?).next()?.ok()
 }
 
-/// The lines of a segment (or of a version-1 file), without their newlines.
+/// The lines of a segment (or of a file without one), without their
+/// newlines.
 fn lines_of(bytes: &[u8]) -> impl Iterator<Item = Result<&str, StreamError>> {
     let body = bytes.strip_suffix(b"\n").unwrap_or(bytes);
     let line = |l| std::str::from_utf8(l).map_err(|_| ck_err("checkpoint line is not UTF-8"));
@@ -823,18 +741,19 @@ fn lines_of(bytes: &[u8]) -> impl Iterator<Item = Result<&str, StreamError>> {
 }
 
 /// Read `dir`'s checkpoint back: the run state, every user's state in it.
-/// A segment log (version 2 or 3) resumes from its last valid segment; a
-/// file with none that is not a version-1 checkpoint either is refused.
+/// The log resumes from its last valid segment. A checkpoint of another
+/// format version is refused, naming it, and so is a file with no valid
+/// segment.
 pub(super) fn load_checkpoint(dir: &Path, opts: &StreamOptions) -> Result<RunState, StreamError> {
     let path = dir.join(CHECKPOINT_FILE);
     let bytes =
         fs::read(&path).map_err(|e| ck_err(format!("cannot read {}: {e}", path.display())))?;
     let segments = valid_segments(&bytes);
-    // A version-1 file reads as one segment without a trailer. Each segment
-    // opens with its manifest: the last one's is the run state, and every
-    // other line is a user's.
-    let version1 = segments.is_empty();
-    let parts = if version1 { vec![&bytes[..]] } else { segments };
+    // Each segment opens with its manifest: the last one's is the run state,
+    // and every other line is a user's. A file with no valid segment is read
+    // whole, for its first line to name its version.
+    let torn = segments.is_empty();
+    let parts = if torn { vec![&bytes[..]] } else { segments };
     let (mut manifest, mut users) = (None, Vec::new());
     for part in parts {
         let mut lines = lines_of(part);
@@ -849,23 +768,20 @@ pub(super) fn load_checkpoint(dir: &Path, opts: &StreamOptions) -> Result<RunSta
         return Err(ck_err("not an annoyed-users checkpoint"));
     }
     let version = m.field::<u64>("version")?;
-    match (version, version1) {
-        (1, true) | (2..=CHECKPOINT_VERSION, false) => {}
-        (2..=CHECKPOINT_VERSION, true) => {
-            return Err(ck_err("no segment of the checkpoint log validates"))
-        }
-        _ => return Err(ck_err("unsupported checkpoint version")),
+    if version != CHECKPOINT_VERSION {
+        return Err(ck_err(format!(
+            "checkpoint format version {version}; this build reads {CHECKPOINT_VERSION}"
+        )));
+    }
+    if torn {
+        return Err(ck_err("no segment of the checkpoint log validates"));
     }
     if m.field::<u64>("config")? != config_hash(opts) {
         return Err(ck_err(
             "checkpoint was written under a different pipeline configuration",
         ));
     }
-    Ok(if version1 {
-        decode::<f64>(&m, &users, opts, version)?
-    } else {
-        decode::<Bits>(&m, &users, opts, version)?
-    })
+    Ok(decode(&m, &users, opts)?)
 }
 
 #[cfg(test)]
@@ -946,7 +862,7 @@ mod tests {
             },
         );
         let line = serialize_user(&st);
-        let back = user_from_line::<Bits>(&line, &opts, CHECKPOINT_VERSION).unwrap();
+        let back = user_from_line(&line, &opts).unwrap();
         assert_eq!(back.client_ip, 7);
         assert_eq!(back.user_agent, ua);
         assert_eq!(back.planes, st.planes);
@@ -984,8 +900,7 @@ mod tests {
         /// at once: a cut part-way, the whole stream's sum, and nothing
         /// (`broken_redirect_chains`, derived at end of stream rather than
         /// persisted, is 0 in all three, as at any barrier). The population
-        /// tally map is the materialized path's: the stream engine's tallies
-        /// ride in the user lines, and the manifest carries none.
+        /// tallies ride in the user lines, and the manifest carries none.
         #[test]
         fn totals_round_trip_through_the_checkpoint_manifest(
             n in 1usize..160,
@@ -1010,14 +925,11 @@ mod tests {
             let mut whole = part.clone();
             whole.merge(&planes.cut());
             let nothing = crate::planes::PlaneTotals::new(opts.pipeline.population);
-            for mut totals in [part, whole, nothing] {
-                if let Some(p) = &mut totals.population {
-                    p.tallies.clear();
-                }
+            for totals in [part, whole, nothing] {
                 let mut st = RunState::new(trace.meta.clone(), &opts);
                 st.totals = totals;
                 let line = manifest_to_json(config_hash(&opts), &st);
-                let back = manifest_from_value::<Bits>(&json::parse(&line).unwrap(), &opts);
+                let back = manifest_from_value(&json::parse(&line).unwrap(), &opts);
                 proptest::prop_assert_eq!(back.map(|st| st.totals), Ok(st.totals));
             }
         }
@@ -1030,7 +942,7 @@ mod tests {
         let mut s = String::new();
         window_report_to_json(&mut s, &seq.windows);
         let v = json::parse(&s).unwrap();
-        let back = window_report_from_value::<Bits>(&v, ADSCOPE_COUNTERS, HIST_TABLE).unwrap();
+        let back = window_report_from_value(&v, ADSCOPE_COUNTERS, HIST_TABLE).unwrap();
         assert_eq!(back, seq.windows);
     }
 

@@ -308,9 +308,9 @@ pub struct StreamReport {
     /// Population analytics (`None` unless
     /// [`crate::population::PopulationOptions::enabled`]). Built by the
     /// same [`crate::population::Population::finish`] as the materialized
-    /// path, over sketch/tally state merged in worker-index order, so it renders
-    /// byte-identically at any thread count, chunk size, or
-    /// kill/resume schedule.
+    /// path, over the sketches merged in worker-index order and each user's
+    /// tally, so it renders byte-identically at any thread count, chunk size,
+    /// or kill/resume schedule.
     pub population: Option<PopulationReport>,
     /// The alert engine after the final evaluation (`None` unless
     /// [`StreamOptions::alerts`] named rules). Its timeline is a pure

@@ -458,10 +458,10 @@ impl<'a, F: Fold> Router<'a, F> {
             .enumerate()
             .filter_map(|(id, planes)| {
                 let (ip, ua) = extractor.user(id as UserId);
-                planes.tally.as_ref().map(|tally| (ip, ua, tally))
+                planes.tally.map(|tally| (ip, ua, tally))
             });
         totals.population.as_ref().map(|pop| {
-            let report = pop.finish_users(self.opts.pipeline.population, users);
+            let report = pop.finish(self.opts.pipeline.population, users);
             report.publish(self.registry);
             report
         })
@@ -471,8 +471,8 @@ impl<'a, F: Fold> Router<'a, F> {
     /// cumulative totals, read the report out of the run state and merge the
     /// fold's parts in the deltas' order.
     fn finalize(mut self, finals: Vec<WorkerFinal<F>>) -> (StreamReport, F) {
-        // The report builder the materialized path's `Population::finish`
-        // calls, on identical merged inputs.
+        // `Population::finish`, the report builder the materialized path's
+        // `finish_trace` calls, over the merged plane and the users' tallies.
         let population = self.absorb(finals.iter().map(|f| (&f.delta, &f.user_planes[..])));
         if let Some(q) = &self.quarantine {
             let _ = q.flush_bytes();

@@ -6,13 +6,15 @@
 //! 1 K requests) are the "active users" the headline 22 % figure refers to.
 //!
 //! The figures key a user by ⟨IP, UA⟩ with an absent UA folded into the
-//! empty one, as the population plane does. The referrer map keeps the two
-//! apart: there a user is the extractor's dense `UserId`
-//! ([`crate::extract::UserId`]), which numbers a missing and an empty UA
-//! separately.
+//! empty one, as the population report does; the one-thread oracle's
+//! population tallies are this fold's ([`UserAggregate::tally`]). The
+//! referrer map keeps the two apart: there a user is the extractor's dense
+//! `UserId` ([`crate::extract::UserId`]), which numbers a missing and an
+//! empty UA separately.
 
 use crate::classify::ListKind;
 use crate::pipeline::{ClassifiedRequest, ClassifiedTrace};
+use crate::population::UserTally;
 use http_model::{BrowserFamily, DeviceClass, UserAgent};
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
@@ -84,6 +86,16 @@ impl UserAggregate {
     /// Is this user a browser (desktop or mobile)?
     pub fn is_browser(&self) -> bool {
         self.device.is_browser()
+    }
+
+    /// The user's population tally: the counters Table 3's classes read.
+    pub fn tally(&self) -> UserTally {
+        UserTally {
+            requests: self.requests,
+            ad_requests: self.ad_requests,
+            easylist_blockable: self.easylist_blockable,
+            is_browser: self.is_browser(),
+        }
     }
 }
 

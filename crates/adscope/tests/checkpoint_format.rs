@@ -1,21 +1,19 @@
 //! The persisted checkpoint format, held from three sides.
 //!
-//! * **Committed fixtures** (`tests/fixtures/checkpoint_v1/`): a trace, the
-//!   `checkpoint.ndjson` a 3-thread run of the code at PR 16 wrote when it was
-//!   stopped after 8 of 19 chunks, and that code's uninterrupted `render()`;
-//!   and (`tests/fixtures/checkpoint_v2/`) the segment log the last
-//!   version-2 build wrote for the same run. Today's code must resume from
-//!   those bytes — at 1 and at 3 threads — to the same report, byte for byte.
-//!   The equivalence suites write and read a checkpoint with the same build,
-//!   so they cannot see a format change that is symmetric in writer and
-//!   reader; this can.
+//! * **The committed log** (`tests/fixtures/checkpoint/`): a trace, the
+//!   segment log a 3-thread run wrote when it was stopped after 8 of 19
+//!   chunks, and the uninterrupted run's `render()`. Today's code must resume
+//!   from those bytes — at 1 and at 3 threads — to the same report, byte for
+//!   byte. The equivalence suites write and read a checkpoint with the same
+//!   build, so they cannot see a format change that is symmetric in writer
+//!   and reader; this can.
 //! * **Every kill point** of one 19-chunk trace, at four thread-count changes
 //!   and two checkpoint cadences, instead of the handful the proptests sample;
-//!   and **every prefix** of a killed run's segment log (format 2), and a bit
-//!   flip in each of its segments: each resumes to the same report or is
-//!   refused.
-//! * **Refusal**: a persisted value that does not fit its type is refused with
-//!   an error that names where it sits, never narrowed into a different number.
+//!   and **every prefix** of a killed run's segment log, and a bit flip in
+//!   each of its segments: each resumes to the same report or is refused.
+//! * **Refusal**: a checkpoint of another format version is refused, naming
+//!   it; a persisted value that does not fit its type is refused with an
+//!   error that names where it sits, never narrowed into a different number.
 
 use abp_filter::FilterList;
 use adscope::classify::PassiveClassifier;
@@ -32,6 +30,7 @@ use netsim::record::{TlsConnection, Trace, TraceMeta, TraceRecord};
 use obs::{AlertRule, DetectorSpec, Direction, SeriesSpec, Severity};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Records per chunk; [`RECORDS`] of them make 19 chunks.
 const CHUNK: usize = 16;
@@ -43,12 +42,12 @@ const FIXTURE_KILL: u64 = 8;
 const ABP_IP: u32 = 900;
 
 fn fixture_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoint_v1")
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoint")
 }
 
-/// The version-2 fixture: a segment log of the run `fixture_dir` holds.
-fn fixture_v2_log() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoint_v2/checkpoint.ndjson")
+/// The quarantine sidecar of the stopped run the committed log is from.
+fn fixture_sidecar() -> Vec<u8> {
+    std::fs::read(fixture_dir().join("quarantine.ndjson")).unwrap()
 }
 
 fn classifier() -> PassiveClassifier {
@@ -277,7 +276,7 @@ fn run(trace: &Path, o: &StreamOptions) -> Result<StreamReport, StreamError> {
     classify_stream_file(trace, &classifier(), o, &obs::Registry::new())
 }
 
-/// The segments of a version-2 log, read here independently of the crate's
+/// The segments of a log, read here independently of the crate's
 /// reader: in order, up to the first whose trailer does not count and
 /// checksum (`obs::sum64`) the lines before it, each as the byte range of
 /// its lines, trailer included.
@@ -318,19 +317,14 @@ fn segments(log: &[u8]) -> Vec<std::ops::Range<usize>> {
     out
 }
 
-/// The checkpoint file as (manifest line, user lines), as resume reads it:
-/// a version-2 log's manifest is its last valid segment's, and its users
-/// the lines of every valid segment, in order; a version-1 file has no
-/// trailer, and its first line is the manifest.
+/// The log at `path` as (manifest line, user lines), as resume reads it: the
+/// manifest is its last valid segment's, and its users the lines of every
+/// valid segment, in order.
 fn read_checkpoint(path: &Path) -> (String, Vec<String>) {
     let log = std::fs::read(path).unwrap();
-    let mut segments = segments(&log);
-    if segments.is_empty() {
-        segments.push(0..log.len());
-    }
     let mut manifest = String::new();
     let mut users = Vec::new();
-    for range in segments {
+    for range in segments(&log) {
         let text = std::str::from_utf8(&log[range]).unwrap();
         let mut lines = text.lines().filter(|l| !l.starts_with("{\"segment\":"));
         manifest = lines.next().expect("manifest line").to_string();
@@ -344,37 +338,37 @@ fn read_checkpoint(path: &Path) -> (String, Vec<String>) {
 /// every hash) does not strand a fixture. `config_hash` is private; a
 /// one-chunk run writes it for us.
 fn with_todays_config(manifest: &str) -> String {
-    let dir = temp_dir("probe");
-    let mut probe = opts(1, &dir, 1, false);
-    probe.stop_after_chunks = Some(1);
-    run(&fixture_dir().join("trace.ndjson"), &probe).unwrap();
-    let (probe_manifest, _) = read_checkpoint(&dir.join("ck").join(CHECKPOINT_FILE));
-    let _ = std::fs::remove_dir_all(&dir);
+    static TODAYS: OnceLock<String> = OnceLock::new();
     let config = |manifest: &str| {
         let from = manifest.find("\"config\":").expect("config key") + "\"config\":".len();
         let len = manifest[from..].find(',').unwrap();
         format!("\"config\":{}", &manifest[from..from + len])
     };
-    manifest.replacen(&config(manifest), &config(&probe_manifest), 1)
+    let todays = TODAYS.get_or_init(|| {
+        let dir = temp_dir("probe");
+        let mut probe = opts(1, &dir, 1, false);
+        probe.stop_after_chunks = Some(1);
+        run(&fixture_dir().join("trace.ndjson"), &probe).unwrap();
+        let (probe_manifest, _) = read_checkpoint(&dir.join("ck").join(CHECKPOINT_FILE));
+        let _ = std::fs::remove_dir_all(&dir);
+        config(&probe_manifest)
+    });
+    manifest.replacen(&config(manifest), todays, 1)
 }
 
-/// The version-1 fixture's checkpoint, its config patched to today's.
-fn fixture_checkpoint() -> (String, Vec<String>) {
-    let (manifest, users) = read_checkpoint(&fixture_dir().join(CHECKPOINT_FILE));
-    (with_todays_config(&manifest), users)
-}
-
-/// The version-2 fixture's log with each segment's manifest passed through
-/// `edit` after its config is patched to today's, and the segment's trailer
-/// recomputed over the bytes that result. User lines are kept as written.
-fn fixture_v2(edit: impl Fn(String) -> String) -> Vec<u8> {
-    let log = std::fs::read(fixture_v2_log()).unwrap();
+/// The committed log with each segment's manifest passed through `manifest`
+/// after its config is patched to today's, each user line through `user`,
+/// and each segment's trailer recomputed over the bytes that result.
+fn fixture_log(manifest: impl Fn(String) -> String, user: impl Fn(String) -> String) -> Vec<u8> {
+    let log = std::fs::read(fixture_dir().join(CHECKPOINT_FILE)).unwrap();
     let mut out = Vec::new();
     for range in segments(&log) {
         let text = std::str::from_utf8(&log[range]).unwrap();
         let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
         assert!(lines.pop().unwrap().starts_with("{\"segment\":"));
-        lines[0] = edit(with_todays_config(&lines[0]));
+        let users = lines.split_off(1);
+        lines[0] = manifest(with_todays_config(&lines[0]));
+        lines.extend(users.into_iter().map(&user));
         let body: String = lines.iter().map(|l| format!("{l}\n")).collect();
         out.extend_from_slice(body.as_bytes());
         let trailer = format!(
@@ -428,50 +422,41 @@ fn resume_in(dir: &Path, r: Resume) -> Result<StreamReport, StreamError> {
     result
 }
 
-/// [`resume_in`] a fresh directory holding `checkpoint` and `sidecar`.
-fn resume_from(checkpoint: &[u8], sidecar: &[u8], r: Resume) -> Result<StreamReport, StreamError> {
+/// A fresh directory holding `checkpoint` and `sidecar` as a killed run left
+/// them.
+fn killed_dir(checkpoint: &[u8], sidecar: &[u8]) -> PathBuf {
     let dir = temp_dir("resume");
     std::fs::create_dir_all(dir.join("ck")).unwrap();
     std::fs::write(dir.join("ck").join(CHECKPOINT_FILE), checkpoint).unwrap();
     std::fs::write(dir.join("quarantine.ndjson"), sidecar).unwrap();
+    dir
+}
+
+/// [`resume_in`] a [`killed_dir`].
+fn resume_from(checkpoint: &[u8], sidecar: &[u8], r: Resume) -> Result<StreamReport, StreamError> {
+    let dir = killed_dir(checkpoint, sidecar);
     let result = resume_in(&dir, r);
     let _ = std::fs::remove_dir_all(&dir);
     result
 }
 
-/// Resume the fixture trace from `manifest` + `users` at `threads`.
-fn resume_fixture(
-    manifest: &str,
-    users: &[String],
-    threads: usize,
-) -> Result<StreamReport, StreamError> {
-    let mut text = format!("{manifest}\n");
-    for u in users {
-        text.push_str(u);
-        text.push('\n');
-    }
-    let sidecar = std::fs::read(fixture_dir().join("quarantine.ndjson")).unwrap();
-    resume_from(text.as_bytes(), &sidecar, Resume::at(threads))
-}
-
+/// The committed log resumes to the uninterrupted run's report at 1 and 3
+/// threads. The alert plane persists nothing: the timeline is recomputed
+/// from the restored `windows` at the first merge, so no `alerts` key is
+/// written, and what guards the rule pack is the config hash.
 #[test]
-fn fixture_written_at_pr16_resumes_byte_identically() {
-    let (manifest, users) = fixture_checkpoint();
+fn the_committed_log_resumes_byte_identically() {
+    let (manifest, users) = read_checkpoint(&fixture_dir().join(CHECKPOINT_FILE));
     // Not vacuous: the checkpoint holds work in flight on every plane.
-    assert!(
-        users.iter().any(|u| u.contains("\"held\":[{")),
-        "no held record"
-    );
-    assert!(
-        users.iter().any(|u| u.contains("\"pending\":[[")),
-        "no pending redirect"
-    );
-    for block in [
-        "\"population\":{",
-        "\"alerts\":{",
-        "\"events\":[[",
-        "\"households\":[1",
+    for (what, block) in [
+        ("held record", "\"held\":[{"),
+        ("pending redirect", "\"pending\":[["),
+        ("tally", "\"tally\":["),
+        ("user without a UA", "\"user_agent\":null"),
     ] {
+        assert!(users.iter().any(|u| u.contains(block)), "no {what}");
+    }
+    for block in ["\"population\":{", "\"households\":[1"] {
         assert!(manifest.contains(block), "manifest lacks {block}");
     }
     assert!(
@@ -480,90 +465,29 @@ fn fixture_written_at_pr16_resumes_byte_identically() {
     );
     assert!(manifest.contains(&format!("\"chunks\":{FIXTURE_KILL},")));
 
-    let want = std::fs::read_to_string(fixture_dir().join("render.txt")).unwrap();
-    for threads in [1, 3] {
-        let got = resume_fixture(&manifest, &users, threads).unwrap();
-        assert!(got.resumed_from.is_some());
-        assert_eq!(got.chunks, CHUNKS);
-        assert_eq!(got.render(), want, "threads={threads}");
-    }
-}
-
-/// The segment log the last version-2 build wrote resumes to the same report:
-/// the population tallies its manifests keep by ⟨IP, UA-or-empty⟩ attach to
-/// the restored users, whose lines have none.
-#[test]
-fn fixture_written_at_pr27_resumes_byte_identically() {
-    let log = fixture_v2(|manifest| manifest);
-    let segments = segments(&log);
-    assert_eq!(segments.len(), 2, "a rewrite and an append");
-    let last = std::str::from_utf8(&log[segments[1].clone()]).unwrap();
-    assert!(last.starts_with("{\"kind\":\"annoyed-users-checkpoint\",\"version\":2,"));
-    assert!(last.contains("\"tallies\":[[1,") && !last.contains("\"tally\":"));
-    assert!(last.contains("\"user_agent\":null,") && last.contains("\"held\":[{"));
-    assert!(last.contains(&format!("\"chunks\":{FIXTURE_KILL},")));
-
-    let sidecar = std::fs::read(fixture_dir().join("quarantine.ndjson")).unwrap();
-    let want = std::fs::read_to_string(fixture_dir().join("render.txt")).unwrap();
-    for threads in [1, 3] {
-        let got = resume_from(&log, &sidecar, Resume::at(threads)).unwrap();
-        assert!(got.resumed_from.is_some());
-        assert_eq!(got.chunks, CHUNKS);
-        assert_eq!(got.render(), want, "threads={threads}");
-    }
-}
-
-/// A version-2 tally belongs to a restored user: one whose ⟨IP, UA⟩ no user
-/// line has is refused, naming the tally, never dropped or made a user.
-#[test]
-fn a_legacy_tally_that_matches_no_user_line_is_refused_with_its_path() {
-    let sidecar = std::fs::read(fixture_dir().join("quarantine.ndjson")).unwrap();
-    let log = fixture_v2(|manifest| manifest.replacen("\"tallies\":[[1,", "\"tallies\":[[99,", 1));
-    match resume_from(&log, &sidecar, Resume::at(2)) {
-        Err(StreamError::Checkpoint(msg)) => assert_eq!(
-            msg,
-            "population.tallies[0]: no user line matches this tally"
-        ),
-        other => panic!("expected a refusal, loaded: {}", other.is_ok()),
-    }
-}
-
-/// The alert timeline is recomputed from the restored `windows` at the first
-/// merge after a resume, so the `alerts` block the PR 16 build wrote is
-/// legacy: never looked up, whatever it holds, and no longer written. What
-/// still guards the rule pack is the config hash.
-#[test]
-fn the_legacy_alerts_block_is_neither_read_nor_written() {
-    let (manifest, users) = fixture_checkpoint();
-    let at = manifest
-        .find(",\"alerts\":{")
-        .expect("fixture has the block");
-    assert!(
-        manifest.ends_with("]}}"),
-        "the block is the manifest's last"
-    );
-    let garbled = format!("{},\"alerts\":7}}", &manifest[..at]);
-    let removed = format!("{}}}", &manifest[..at]);
+    let log = fixture_log(|m| m, |u| u);
     let want = std::fs::read_to_string(fixture_dir().join("render.txt")).unwrap();
     assert!(
         want.contains("rule req_burst firing"),
         "no timeline to lose"
     );
-    for (what, manifest) in [("garbled", &garbled), ("removed", &removed)] {
-        for threads in [1, 3] {
-            let got = resume_fixture(manifest, &users, threads).unwrap();
-            assert!(got.resumed_from.is_some());
-            assert_eq!(got.render(), want, "{what}, threads={threads}");
-        }
+    for threads in [1, 3] {
+        let got = resume_from(&log, &fixture_sidecar(), Resume::at(threads)).unwrap();
+        assert!(got.resumed_from.is_some());
+        assert_eq!(got.chunks, CHUNKS);
+        assert_eq!(got.render(), want, "threads={threads}");
     }
 
     let dir = temp_dir("no-alerts-key");
-    let mut killed = opts(2, &dir, 1, false);
+    let mut killed = opts(3, &dir, 1, false);
     killed.stop_after_chunks = Some(FIXTURE_KILL);
     run(&fixture_dir().join("trace.ndjson"), &killed).unwrap();
-    let (written, _) = read_checkpoint(&dir.join("ck").join(CHECKPOINT_FILE));
+    let written = std::fs::read_to_string(dir.join("ck").join(CHECKPOINT_FILE)).unwrap();
     assert!(written.contains("\"population\":{") && !written.contains("\"alerts\""));
-    // Same checkpoint, one threshold moved: refused by the config hash.
+    assert!(!log.windows(8).any(|w| w == b"\"alerts\""));
+    let _ = std::fs::remove_dir_all(&dir);
+    // The committed log, one threshold moved: refused by the config hash.
+    let dir = killed_dir(&log, &fixture_sidecar());
     let mut other = opts(2, &dir, 1, true);
     other.alerts[2].threshold = 0.75;
     match run(&fixture_dir().join("trace.ndjson"), &other) {
@@ -571,6 +495,41 @@ fn the_legacy_alerts_block_is_neither_read_nor_written() {
         other => panic!("expected a refusal, loaded: {}", other.is_ok()),
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Resume reads only the format version this build writes. A file with no
+/// trailer (the shape of version 1), and the committed log with its
+/// manifests' version set to 2 and to 4 (trailers valid), are each refused
+/// naming their version; the sidecar, which a resume truncates only once the
+/// load succeeds, is left as it was.
+#[test]
+fn a_checkpoint_of_another_format_version_is_refused_naming_it() {
+    let version =
+        |v: u64| move |m: String| m.replacen("\"version\":3,", &format!("\"version\":{v},"), 1);
+    let (manifest, users) = read_checkpoint(&fixture_dir().join(CHECKPOINT_FILE));
+    let trailerless = format!(
+        "{}\n{}\n",
+        version(1)(with_todays_config(&manifest)),
+        users.join("\n")
+    );
+    let sidecar = fixture_sidecar();
+    for (v, checkpoint) in [
+        (1, trailerless.into_bytes()),
+        (2, fixture_log(version(2), |u| u)),
+        (4, fixture_log(version(4), |u| u)),
+    ] {
+        let dir = killed_dir(&checkpoint, &sidecar);
+        match run(&fixture_dir().join("trace.ndjson"), &opts(2, &dir, 1, true)) {
+            Err(StreamError::Checkpoint(msg)) => assert_eq!(
+                msg,
+                format!("checkpoint format version {v}; this build reads 3")
+            ),
+            other => panic!("version {v}: expected a refusal, loaded: {}", other.is_ok()),
+        }
+        let left = std::fs::read(dir.join("quarantine.ndjson")).unwrap();
+        assert!(left == sidecar, "version {v}: the sidecar changed");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Today's writer against the committed generator: the trace the sweep
@@ -629,7 +588,7 @@ fn every_kill_point_resumes_byte_identically() {
     }
 }
 
-/// The spec every persisted byte answers to, held over the version-2 log:
+/// The spec every persisted byte answers to, held over the segment log:
 /// the fixture trace run at cadence 1 on 2 threads and killed at the first
 /// chunk whose log holds a whole-state segment and `appended` ones after
 /// it; that log cut at every line boundary, one byte either side of each
@@ -747,86 +706,97 @@ fn mutate(text: &str, anchor: &str, replacement: &str) -> String {
     format!("{}{replacement}{}", &text[..at], &text[at + len..])
 }
 
-/// One persisted value per case pushed out of its type's range (or shape).
-/// Each loaded "successfully" as some other number before the typed
-/// decoder; each must now be refused, naming where the value sits.
+/// Drop the last element of the first array that closes after the first
+/// `anchor` in `text`.
+fn drop_last(text: &str, anchor: &str) -> String {
+    let from = text.find(anchor).unwrap_or_else(|| panic!("no {anchor}"));
+    let close = from + text[from..].find(']').unwrap();
+    let comma = text[..close].rfind(',').unwrap();
+    format!("{}{}", &text[..comma], &text[close..])
+}
+
+/// One persisted value per case pushed out of its type's range (or shape),
+/// in every manifest or every user line of the committed log. Each loaded
+/// "successfully" as some other number before the typed decoder; each must
+/// now be refused, naming where the value sits.
 #[test]
 fn out_of_range_values_are_refused_with_their_path() {
-    let (manifest, users) = fixture_checkpoint();
+    type Edit = Box<dyn Fn(String) -> String>;
+    let (manifest, _) = read_checkpoint(&fixture_dir().join(CHECKPOINT_FILE));
     let first_buckets = {
         let from = manifest.find("\"object_bytes\":").unwrap();
         let from = from + manifest[from..].find("\"buckets\":").unwrap();
         let to = from + manifest[from..].find("]]").unwrap() + 2;
         manifest[from..to].to_string()
     };
-    let manifest_cases: Vec<(&str, String, &str)> = vec![
+    let keep = || -> Edit { Box::new(|line| line) };
+    let cases: Vec<(&str, Edit, Edit, &str)> = vec![
         (
             "a distinct-count register of 300",
-            mutate(&manifest, "\"users\":[", "300"),
+            Box::new(|m| mutate(&m, "\"users\":[", "300")),
+            keep(),
             "population.users[0]: expected u8",
         ),
         (
             "a quantile bucket index of 2^31",
-            mutate(
-                &manifest,
-                "\"object_bytes\":{\"zero\":0,\"buckets\":[[",
-                "2147483648",
-            ),
+            Box::new(|m| {
+                let anchor = "\"object_bytes\":{\"zero\":0,\"buckets\":[[";
+                mutate(&m, anchor, "2147483648")
+            }),
+            keep(),
             "population.object_bytes.buckets[0][0]: expected i32",
         ),
         (
             "a window index of 2^63",
-            mutate(&manifest, "\"windows\":[{\"index\":", "9223372036854775808"),
+            Box::new(|m| mutate(&m, "\"windows\":[{\"index\":", "9223372036854775808")),
+            keep(),
             "windows.windows[0].index: expected i64",
         ),
         (
             "a boolean spelled as a string",
-            manifest.replacen(
-                "\"header_recovered\":false",
-                "\"header_recovered\":\"yes\"",
-                1,
-            ),
+            Box::new(|m| {
+                let yes = "\"header_recovered\":\"yes\"";
+                m.replacen("\"header_recovered\":false", yes, 1)
+            }),
+            keep(),
             "codec.header_recovered: expected bool",
         ),
         (
             "quantile bucket counts that overflow u64",
-            manifest.replacen(
-                &first_buckets,
-                "\"buckets\":[[1,18446744073709551615],[2,2]]",
-                1,
-            ),
+            Box::new(move |m| {
+                let overflow = "\"buckets\":[[1,18446744073709551615],[2,2]]";
+                m.replacen(&first_buckets, overflow, 1)
+            }),
+            keep(),
             "population.object_bytes.buckets: counts overflow u64",
         ),
         (
             "a histogram one bucket short",
-            manifest.replacen("{\"buckets\":[0,", "{\"buckets\":[", 1),
+            Box::new(|m| m.replacen("{\"buckets\":[0,", "{\"buckets\":[", 1)),
+            keep(),
             "windows.windows[0].hists.rtb_gap_ms.buckets: expected 65 buckets",
         ),
+        (
+            "a `page_of` entry of arity 3 (its hop count dropped)",
+            keep(),
+            Box::new(|u| drop_last(&u, "\"page_of\":[[")),
+            "page_of[0]: expected array of 4",
+        ),
+        (
+            "a `tally` of arity 3 (its browser flag dropped)",
+            keep(),
+            Box::new(|u| drop_last(&u, "\"tally\":[")),
+            "tally: expected array of 4",
+        ),
     ];
-    for (what, mutated, path) in &manifest_cases {
-        assert_ne!(mutated, &manifest, "{what}: mutation did not apply");
-        match resume_fixture(mutated, &users, 2) {
-            Err(StreamError::Checkpoint(msg)) => assert_eq!(&msg, path, "{what}"),
+    let as_committed = fixture_log(|m| m, |u| u);
+    for (what, manifest, user, path) in cases {
+        let log = fixture_log(manifest, user);
+        assert!(log != as_committed, "{what}: mutation did not apply");
+        match resume_from(&log, &fixture_sidecar(), Resume::at(2)) {
+            Err(StreamError::Checkpoint(msg)) => assert_eq!(msg, path, "{what}"),
             other => panic!("{what}: expected a refusal, loaded: {}", other.is_ok()),
         }
-    }
-
-    // A `page_of` entry of arity 3 (its hop count dropped), in a user line.
-    let line = users
-        .iter()
-        .position(|u| u.contains("\"page_of\":[["))
-        .unwrap();
-    let mut bad_users = users.clone();
-    let u = &users[line];
-    let from = u.find("\"page_of\":[[").unwrap();
-    let close = from + u[from..].find(']').unwrap();
-    let comma = u[..close].rfind(',').unwrap();
-    bad_users[line] = format!("{}{}", &u[..comma], &u[close..]);
-    match resume_fixture(&manifest, &bad_users, 2) {
-        Err(StreamError::Checkpoint(msg)) => {
-            assert_eq!(msg, "page_of[0]: expected array of 4")
-        }
-        other => panic!("expected a refusal, loaded: {}", other.is_ok()),
     }
 }
 
@@ -836,11 +806,11 @@ fn out_of_range_values_are_refused_with_their_path() {
 /// it is refused, naming both lengths.
 #[test]
 fn a_lost_or_short_sidecar_is_refused() {
-    let (manifest, users) = fixture_checkpoint();
-    let sidecar = std::fs::read(fixture_dir().join("quarantine.ndjson")).unwrap();
+    let (manifest, _) = read_checkpoint(&fixture_dir().join(CHECKPOINT_FILE));
+    let sidecar = fixture_sidecar();
     let recorded = sidecar.len();
     assert!(manifest.contains(&format!("\"quarantine_bytes\":{recorded},")));
-    let checkpoint = format!("{manifest}\n{}\n", users.join("\n"));
+    let checkpoint = fixture_log(|m| m, |u| u);
     let short = &sidecar[..recorded - 1];
     for (what, on_disk) in [("missing", None), ("one byte short", Some(short))] {
         let dir = temp_dir("sidecar");

@@ -10,7 +10,7 @@
 //!
 //! `--exact-check` is the determinism-and-accuracy gate: it re-runs the
 //! *materialized* pipeline over the identical records, builds the same
-//! report through [`adscope::population::Population::of_trace`], and requires
+//! report through [`adscope::population::finish_trace`], and requires
 //!
 //! * the streamed render to be **byte-identical** to the materialized
 //!   one (top-K rankings, class counts, every line), and
@@ -25,7 +25,8 @@
 use crate::cli::{die, Args};
 use crate::manifest;
 use crate::world::{Rbn, Scale, World};
-use adscope::population::{Population, PopulationReport};
+use adscope::population::{finish_trace, PopulationReport};
+use adscope::users::aggregate_users;
 use adscope::{PassiveClassifier, PipelineOptions, StreamOptions};
 use netsim::record::Trace;
 use std::path::PathBuf;
@@ -144,8 +145,7 @@ fn run_exact_check(
     // report itself is watermark-independent).
     popts.window.watermark_secs = f64::INFINITY;
     let classified = adscope::pipeline::classify_trace_in(trace, classifier, popts, obs::global());
-    let exact_plane = Population::of_trace(&classified, &opts.abp_ips, popts.population);
-    let exact_text = exact_plane.finish(popts.population).render();
+    let exact_text = finish_trace(&classified, &opts.abp_ips, popts.population).render();
     if streamed_text != exact_text {
         eprintln!("error: exact-check failed: streamed render differs from materialized render");
         diff_first_line(streamed_text, &exact_text);
@@ -165,9 +165,9 @@ fn run_exact_check(
     // stays within the same bound (plus float noise).
     let alpha = streamed.quantile_alpha + 1e-9;
     let mut ad_share: Vec<f64> = Vec::new();
-    for t in exact_plane.tallies.values() {
-        if t.is_browser && t.requests >= popts.population.active_min_requests {
-            ad_share.push(t.ad_requests as f64 / t.requests as f64 * 100.0);
+    for u in aggregate_users(&classified) {
+        if u.is_browser() && u.is_active(popts.population.active_min_requests) {
+            ad_share.push(u.ad_ratio_pct());
         }
     }
     let mut object_bytes: Vec<f64> = Vec::new();
