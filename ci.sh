@@ -53,13 +53,18 @@ echo "    src/bin/experiments:  $(ledger src/bin/experiments)"
 if grep -n 'while i < args.len()' src/bin/experiments/*.rs; then exit 1; fi
 # One plane set (adscope::planes): the stream's worker and router carry it
 # whole and name no plane type, and a plane's checkpoint key is spelled in
-# stream/checkpoint.rs alone. The population tallies ride in the user lines,
-# so no manifest key names them, there or anywhere.
-if grep -nE 'WindowAggregator|PopulationSketches|UserTally|DecodeWindows' \
+# stream/checkpoint.rs alone. Each user's counters ride in its own line, so
+# no manifest key names them, there or anywhere.
+if grep -nE 'WindowAggregator|PopulationSketches|DecodeWindows' \
   crates/adscope/src/stream/worker.rs crates/adscope/src/stream/router.rs; then exit 1; fi
 if grep -rnE '\\?"(households|decode_windows)\\?"' crates/adscope/src \
   | grep -v '^crates/adscope/src/stream/checkpoint.rs:'; then exit 1; fi
 if grep -rnE '\\?"tallies\\?"' crates/adscope/src; then exit 1; fi
+# One user table: the engine keeps the per-user counters and the download
+# households once per run, so a caller's fold sees requests only and no
+# figure keeps either a second time.
+if grep -rn 'observe_flow' crates/adscope/src; then exit 1; fi
+if grep -rn 'households' crates/adscope/src/characterize; then exit 1; fi
 # The driver runs on the stream engine: it holds no classified trace, and the
 # materialized kernel it still calls is the one-thread oracle.
 if grep -n 'classify_trace_sharded' src/bin/experiments/*.rs; then exit 1; fi

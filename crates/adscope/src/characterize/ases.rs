@@ -109,7 +109,7 @@ mod tests {
             records,
         };
         let c = PassiveClassifier::new(vec![FilterList::parse("easylist", "/banners/\n")]);
-        Figures::of_trace(&classify_trace(&trace, &c, PipelineOptions::default()), &[]).servers
+        Figures::of_trace(&classify_trace(&trace, &c, PipelineOptions::default())).servers
     }
 
     fn lookup(ip: u32) -> Option<String> {

@@ -5,7 +5,14 @@
 //! the accessor that reads its typed result out) in a module of its own, and
 //! a field of [`Figures`] with one line in each of its `observe` and `merge`.
 //! No pipeline stage, option or checkpoint code knows what is folded: the
-//! stream engine takes the whole set as its [`Fold`] argument.
+//! stream engine takes the whole set as its [`Fold`] argument. What is kept
+//! per ⟨IP, UA⟩ user, and §6.2's download indicator, are not figures here:
+//! the engine keeps them once per run, in its user table and its planes,
+//! checkpoints them, and reports them beside the fold
+//! ([`crate::stream::StreamReport`]); over a materialized trace they are
+//! [`crate::users::aggregate_users`] and the download set [`crate::infer`]
+//! finds in its flows. Table 3, Figures 3–4, §6.3 and the threshold sweep
+//! read those.
 
 pub mod ases;
 pub mod content;
@@ -15,12 +22,9 @@ pub mod sizes;
 pub mod timeseries;
 pub mod whitelist;
 
-use crate::infer;
 use crate::pipeline::{ClassifiedRequest, ClassifiedTrace};
 use crate::stream::Fold;
-use crate::users::Users;
-use netsim::record::TlsConnection;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::Hash;
 
 /// Requests and bytes, all and ads: the counters Tables 2, 4 and 5 and §8.1
@@ -75,15 +79,11 @@ fn merge_maps<K: Clone + Eq + Hash, V: Default>(
     }
 }
 
-/// Every table and figure of §6–§8, folded in one pass: whatever order the
-/// requests and flows arrive in, and however they are split into parts that
-/// are merged afterwards, the result is the same.
+/// Every table and figure of §6–§8 but the per-user ones, folded in one
+/// pass: whatever order the requests arrive in, and however they are split
+/// into parts that are merged afterwards, the result is the same.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Figures {
-    /// Per-user counters: Table 3, Figures 3–4, §6.3, the threshold sweep.
-    pub users: Users,
-    /// Households seen in an [`infer::is_list_download`] flow (§6.2).
-    pub households: HashSet<u32>,
     /// Per-server counters: §8.1, and Table 5 through [`ases::as_table`].
     pub servers: servers::ServerStudy,
     /// Table 4; its [`content::ContentTypes::total`] is Table 2's row.
@@ -96,37 +96,26 @@ pub struct Figures {
     pub time: timeseries::TimeBins,
     /// §7.3.
     pub whitelist: whitelist::Whitelist,
-    abp_ips: HashSet<u32>,
 }
 
 impl Figures {
-    /// Nothing folded yet. `abp_ips` are the filter-list servers the
-    /// download households are matched against.
-    pub fn new(abp_ips: &[u32]) -> Figures {
-        Figures {
-            abp_ips: abp_ips.iter().copied().collect(),
-            ..Figures::default()
-        }
+    /// Nothing folded yet.
+    pub fn new() -> Figures {
+        Figures::default()
     }
 
-    /// The figures of a materialized trace: the fold over its requests and
-    /// its flows.
-    pub fn of_trace(trace: &ClassifiedTrace, abp_ips: &[u32]) -> Figures {
-        let mut figures = Figures::new(abp_ips);
+    /// The figures of a materialized trace: the fold over its requests.
+    pub fn of_trace(trace: &ClassifiedTrace) -> Figures {
+        let mut figures = Figures::new();
         for (pos, r) in trace.requests.iter().enumerate() {
             figures.observe(pos as u64, r);
         }
-        trace
-            .https_flows
-            .iter()
-            .for_each(|f| figures.observe_flow(f));
         figures
     }
 }
 
 impl Fold for Figures {
     fn observe(&mut self, _pos: u64, r: &ClassifiedRequest) {
-        self.users.observe(r);
         self.servers.observe(r);
         self.content.observe(r);
         self.sizes.observe(r);
@@ -135,15 +124,7 @@ impl Fold for Figures {
         self.whitelist.observe(r);
     }
 
-    fn observe_flow(&mut self, flow: &TlsConnection) {
-        if infer::is_list_download(flow, &self.abp_ips) {
-            self.households.insert(flow.client_ip);
-        }
-    }
-
     fn merge(&mut self, other: Figures) {
-        self.users.merge(other.users);
-        self.households.extend(other.households);
         self.servers.merge(&other.servers);
         self.content.merge(&other.content);
         self.sizes.merge(&other.sizes);

@@ -155,7 +155,7 @@ mod tests {
             "easylist",
             "/banners/\n||bid.exchange.example^\n",
         )]);
-        Figures::of_trace(&classify_trace(&trace, &c, PipelineOptions::default()), &[]).rtb
+        Figures::of_trace(&classify_trace(&trace, &c, PipelineOptions::default())).rtb
     }
 
     #[test]

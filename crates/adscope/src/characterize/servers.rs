@@ -225,7 +225,7 @@ mod tests {
             FilterList::parse("easylist", "/banners/\n"),
             FilterList::parse("easyprivacy", "/pixel/\n"),
         ]);
-        Figures::of_trace(&classify_trace(&trace, &c, PipelineOptions::default()), &[]).servers
+        Figures::of_trace(&classify_trace(&trace, &c, PipelineOptions::default())).servers
     }
 
     #[test]

@@ -151,7 +151,7 @@ mod tests {
             records,
         };
         let c = PassiveClassifier::new(vec![FilterList::parse("easylist", "/banners/\n")]);
-        Figures::of_trace(&classify_trace(&trace, &c, PipelineOptions::default()), &[]).sizes
+        Figures::of_trace(&classify_trace(&trace, &c, PipelineOptions::default())).sizes
     }
 
     #[test]

@@ -172,7 +172,7 @@ mod tests {
             FilterList::parse("acceptable-ads", "@@/nice/\n"),
         ]);
         let trace = classify_trace(&trace, &c, PipelineOptions::default());
-        (Figures::of_trace(&trace, &[]).time, trace.meta)
+        (Figures::of_trace(&trace).time, trace.meta)
     }
 
     #[test]

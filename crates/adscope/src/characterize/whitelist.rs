@@ -203,7 +203,7 @@ mod tests {
                 "@@||goodads.example^\n@@||broad.example^\n",
             ),
         ]);
-        Figures::of_trace(&classify_trace(&trace, &c, PipelineOptions::default()), &[]).whitelist
+        Figures::of_trace(&classify_trace(&trace, &c, PipelineOptions::default())).whitelist
     }
 
     #[test]

@@ -209,6 +209,7 @@ impl Extractor {
     }
 
     /// Number of distinct users met so far.
+    #[cfg(test)]
     pub(crate) fn users(&self) -> usize {
         self.users.users.len()
     }

@@ -121,8 +121,8 @@ pub fn classify_users(
             let downloads = download_households.contains(&u.key.ip);
             let (ratio_pct, class) = user_class(
                 u.is_browser(),
-                u.requests,
-                u.easylist_blockable,
+                u.counters.requests,
+                u.counters.easylist_blockable,
                 downloads,
                 threshold_pct,
                 min_requests,
@@ -164,10 +164,13 @@ pub fn table3(
         .map(|&class| {
             let members: Vec<&InferredUser> =
                 inferred.iter().filter(|iu| iu.class == class).collect();
-            let reqs: u64 = members.iter().map(|iu| users[iu.user_idx].requests).sum();
+            let reqs: u64 = members
+                .iter()
+                .map(|iu| users[iu.user_idx].counters.requests)
+                .sum();
             let ads: u64 = members
                 .iter()
-                .map(|iu| users[iu.user_idx].ad_requests)
+                .map(|iu| users[iu.user_idx].counters.ad_requests)
                 .sum();
             ClassRow {
                 class,
@@ -214,20 +217,20 @@ pub fn subscription_estimates(
         }
         members.iter().filter(|u| pred(u)).count() as f64 / members.len() as f64 * 100.0
     };
+    let trackers = |u: &UserAggregate| u.counters.easyprivacy_hits <= tracker_tolerance;
+    let whitelisted = |u: &UserAggregate| u.counters.whitelist_hits <= whitelist_tolerance;
     SubscriptionEstimates {
-        easyprivacy_pct: frac(UserClass::C, &|u| u.easyprivacy_hits <= tracker_tolerance),
-        easyprivacy_baseline_pct: frac(UserClass::A, &|u| u.easyprivacy_hits <= tracker_tolerance),
-        acceptable_optout_pct: frac(UserClass::C, &|u| u.whitelist_hits <= whitelist_tolerance),
-        acceptable_optout_baseline_pct: frac(UserClass::A, &|u| {
-            u.whitelist_hits <= whitelist_tolerance
-        }),
+        easyprivacy_pct: frac(UserClass::C, &trackers),
+        easyprivacy_baseline_pct: frac(UserClass::A, &trackers),
+        acceptable_optout_pct: frac(UserClass::C, &whitelisted),
+        acceptable_optout_baseline_pct: frac(UserClass::A, &whitelisted),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::users::UserKey;
+    use crate::users::{UserKey, UserTally};
     use http_model::{BrowserFamily, DeviceClass};
 
     fn user(ip: u32, requests: u64, el_hits: u64, ep_hits: u64, wl_hits: u64) -> UserAggregate {
@@ -238,14 +241,16 @@ mod tests {
             },
             family: BrowserFamily::Firefox,
             device: DeviceClass::DesktopBrowser,
-            requests,
-            bytes: requests * 100,
-            ad_requests: el_hits + ep_hits + wl_hits,
-            easylist_blockable: el_hits,
-            easylist_hits: el_hits,
-            regional_hits: 0,
-            easyprivacy_hits: ep_hits,
-            whitelist_hits: wl_hits,
+            counters: UserTally {
+                requests,
+                bytes: requests * 100,
+                ad_requests: el_hits + ep_hits + wl_hits,
+                easylist_blockable: el_hits,
+                easylist_hits: el_hits,
+                regional_hits: 0,
+                easyprivacy_hits: ep_hits,
+                whitelist_hits: wl_hits,
+            },
         }
     }
 
@@ -317,8 +322,8 @@ mod tests {
         ];
         let downloads: HashSet<u32> = [2u32, 3u32].into_iter().collect();
         let inferred = classify_users(&users, &downloads, 5.0, 1000);
-        let total_reqs: u64 = users.iter().map(|u| u.requests).sum();
-        let total_ads: u64 = users.iter().map(|u| u.ad_requests).sum();
+        let total_reqs: u64 = users.iter().map(|u| u.counters.requests).sum();
+        let total_ads: u64 = users.iter().map(|u| u.counters.ad_requests).sum();
         let rows = table3(&users, &inferred, total_reqs, total_ads);
         assert_eq!(rows.len(), 4);
         let a = &rows[0];

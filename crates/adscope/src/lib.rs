@@ -50,13 +50,13 @@ pub mod window;
 pub use classify::{AdLabel, Attribution, ListKind, PassiveClassifier};
 pub use degrade::DegradationReport;
 pub use pipeline::{ClassifiedRequest, ClassifiedTrace, PipelineOptions};
-pub use population::{PopulationOptions, PopulationReport, PopulationSketches, UserTally};
+pub use population::{PopulationOptions, PopulationReport, PopulationSketches};
 pub use provenance::{TraceOptions, Tracer, VerdictProvenance};
 pub use stream::{
     classify_stream_chunks, classify_stream_file, CheckpointOptions, StreamError, StreamOptions,
     StreamReport,
 };
-pub use users::{UserAggregate, UserKey};
+pub use users::{UserAggregate, UserKey, UserTally};
 pub use window::WindowOptions;
 
 /// This crate's version, recorded in run manifests.

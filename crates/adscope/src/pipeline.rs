@@ -336,7 +336,7 @@ pub fn classify_trace_in(
         degradation,
         provenance,
         windows,
-        population: totals.population.map(|p| p.sketches),
+        population: totals.population,
     }
 }
 

@@ -11,6 +11,11 @@
 //! and cut it at barriers, the run's cumulative state is a `PlaneTotals`, and
 //! the materialized kernel folds one over its request vector.
 //!
+//! What is kept per ⟨IP, UA⟩ user is not a plane: it is the user's counter
+//! block ([`UserTally`]), which the stream engine keeps in each user's worker
+//! state and sums into its user table ([`crate::users`]). A plane that reads
+//! it takes it beside the request (`Planes::observe_user`).
+//!
 //! **Adding a plane** is two places: here — a field on [`PlaneTotals`] (and
 //! a live accumulator on [`Planes`] when its live form is not its total),
 //! a line in the `observe` that feeds it and one in `merge` — and its
@@ -19,7 +24,8 @@
 use crate::degrade::DegradationReport;
 use crate::infer;
 use crate::pipeline::{ClassifiedRequest, PipelineOptions};
-use crate::population::{Population, PopulationOptions, UserTally};
+use crate::population::{PopulationOptions, PopulationSketches};
+use crate::users::UserTally;
 use crate::window::WindowAggregator;
 use netsim::codec::DecodeWindows;
 use netsim::record::RecordView;
@@ -33,8 +39,11 @@ pub struct PlaneTotals {
     pub windows: WindowReport,
     /// Decode-side window series (records / http / https / bytes).
     pub decode_windows: WindowReport,
-    /// The population plane; `None` unless [`PopulationOptions::enabled`].
-    pub population: Option<Population>,
+    /// The population sketches; `None` unless [`PopulationOptions::enabled`].
+    pub population: Option<PopulationSketches>,
+    /// Households (client IPs) seen in an [`infer::is_list_download`] flow
+    /// (§6.2): the download indicator of Table 3.
+    pub households: HashSet<u32>,
     /// Requests classified.
     pub requests: u64,
     /// Ad requests among them.
@@ -49,7 +58,9 @@ impl PlaneTotals {
     /// Totals of nothing.
     pub fn new(population: PopulationOptions) -> PlaneTotals {
         PlaneTotals {
-            population: population.enabled.then(|| Population::new(population)),
+            population: population
+                .enabled
+                .then(|| PopulationSketches::new(population)),
             ..PlaneTotals::default()
         }
     }
@@ -62,33 +73,11 @@ impl PlaneTotals {
         if let (Some(mine), Some(theirs)) = (&mut self.population, &other.population) {
             mine.merge(theirs);
         }
+        self.households.extend(&other.households);
         self.requests += other.requests;
         self.ads += other.ads;
         self.https_flows += other.https_flows;
         self.degradation.absorb(&other.degradation);
-    }
-}
-
-/// The planes' state that is kept per ⟨IP, UA⟩ user rather than per run:
-/// the population tally, when that plane is on. The stream engine keeps one
-/// in each user's worker state and checkpoint line, and the router the
-/// latest of each by user id; the one-thread oracle reads its tallies off
-/// the `Users` fold instead ([`crate::population::finish_trace`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub(crate) struct UserPlanes {
-    /// Cumulative over the user's finalized requests.
-    pub(crate) tally: Option<UserTally>,
-}
-
-impl UserPlanes {
-    /// A user's state before its first request; its UA is annotated here,
-    /// once per user.
-    pub(crate) fn new(opts: PopulationOptions, user_agent: Option<&str>) -> UserPlanes {
-        UserPlanes {
-            tally: opts
-                .enabled
-                .then(|| UserTally::for_agent(user_agent.unwrap_or(""))),
-        }
     }
 }
 
@@ -120,18 +109,19 @@ impl Planes {
     /// Fold one classified request into every plane that reads requests.
     pub fn observe(&mut self, req: &ClassifiedRequest) {
         self.observe_counts(req);
-        if let Some(pop) = &mut self.acc.population {
-            pop.sketches.observe(req);
+        if let Some(sketches) = &mut self.acc.population {
+            sketches.observe(req);
         }
     }
 
     /// [`Planes::observe`] for the stream engine, which keeps each user's
-    /// per-user state itself: `user` is the request's user's.
-    pub(crate) fn observe_user(&mut self, req: &ClassifiedRequest, user: &mut UserPlanes) {
+    /// counters itself: `user` is the request's user's, and counts it too.
+    pub(crate) fn observe_user(&mut self, req: &ClassifiedRequest, user: &mut UserTally) {
         self.observe_counts(req);
-        if let (Some(pop), Some(tally)) = (&mut self.acc.population, &mut user.tally) {
-            pop.observe_tallied(req, tally);
+        if let Some(sketches) = &mut self.acc.population {
+            sketches.observe_counted(req, user.requests == 0);
         }
+        user.observe(req);
     }
 
     fn observe_counts(&mut self, req: &ClassifiedRequest) {
@@ -153,10 +143,8 @@ impl Planes {
         self.decode.observe(rec);
         if let RecordView::Https(conn) = rec {
             self.acc.https_flows += 1;
-            if let Some(pop) = &mut self.acc.population {
-                if infer::is_list_download(conn, &self.abp_ips) {
-                    pop.households.insert(conn.client_ip);
-                }
+            if infer::is_list_download(conn, &self.abp_ips) {
+                self.acc.households.insert(conn.client_ip);
             }
         }
     }

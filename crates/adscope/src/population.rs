@@ -6,24 +6,22 @@
 //! streaming pipeline never holds that vector, so this module keeps a
 //! bounded, order-insensitively-mergeable summary instead:
 //!
-//! * [`PopulationSketches`] — the per-worker mergeable core: top
-//!   ad-serving domains and top fired rules ([`obs::TopK`]), distinct
+//! * [`PopulationSketches`] — the population plane, one type on every path:
+//!   top ad-serving domains and top fired rules ([`obs::TopK`]), distinct
 //!   users/sites ([`obs::Distinct64`]), and object-size / `rtb_gap_ms`
 //!   distributions ([`obs::QuantileSketch`]). All merges are
 //!   associative, commutative, and partition-invariant (the TopK in its
 //!   exact regime — capacity is sized well above the generated domain
 //!   space, and the render flags the approximate regime explicitly).
-//! * [`UserTally`] — the exact per-⟨IP, UA⟩ counters behind Table 3 and
-//!   the ad-share distribution. Tallies are plain sums, kept per user outside
-//!   the plane: the stream engine keeps each in its user's worker state, ships
-//!   it to the router at barriers and checkpoints it in the user's line; the
-//!   materialized path reads them off the `Users` fold
-//!   ([`crate::users::UserAggregate::tally`]).
-//! * [`Population`] — the plane itself, one type on every path: sketches and
-//!   download households, with `merge` and [`Population::finish`], the single
-//!   report builder, which takes the tallies as rows. Stream workers and
-//!   router fold into it, the checkpoint persists their sum, and the
-//!   materialized path builds one with [`Population::of_trace`].
+//! * [`PopulationSketches::finish`] — the single report builder. Beside the
+//!   sketches it reads two inputs that are not this module's: the user table
+//!   ([`crate::users::UserAggregate`] rows, whose exact counters Table 3's
+//!   classes and the ad-share distribution come from) and the download
+//!   households. The stream engine builds both once per run, from its
+//!   workers' per-user counters and its planes
+//!   (`StreamReport::{user_table, households}`); the materialized path from
+//!   [`crate::users::aggregate_users`] and
+//!   [`infer::households_with_downloads`] ([`finish_trace`]).
 //!
 //! Everything here is a pure function of the classified request stream
 //! (plus the household-download set), so renders are byte-identical at
@@ -31,8 +29,9 @@
 
 use crate::infer::{self, UserClass};
 use crate::pipeline::{ClassifiedRequest, ClassifiedTrace};
+use crate::users::{aggregate_users, UserAggregate};
 use obs::sketch::{Distinct64, QuantileSketch, TopEntry, TopK, QUANTILE_GAMMA};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt::Write as _;
 
 /// Population-analytics options, carried on
@@ -138,6 +137,18 @@ impl PopulationSketches {
         self.observe_traffic(r);
     }
 
+    /// [`PopulationSketches::observe`] for the stream engine, which counts
+    /// each user's requests itself: the user's key reaches the `users` HLL
+    /// with its `first` request only. Every later observation would leave
+    /// the registers as they are, and a merged or resumed plane keeps "every
+    /// counted user was observed", since both halves travel together.
+    pub(crate) fn observe_counted(&mut self, r: &ClassifiedRequest, first: bool) {
+        if first {
+            self.observe_user(r);
+        }
+        self.observe_traffic(r);
+    }
+
     /// Feed the request's ⟨IP, UA⟩ key to `users`.
     fn observe_user(&mut self, r: &ClassifiedRequest) {
         self.key_buf.clear();
@@ -192,53 +203,71 @@ impl PopulationSketches {
         self.requests += other.requests;
         self.ad_requests += other.ad_requests;
     }
-}
 
-/// Exact per-⟨IP, UA⟩ counters for Table 3 and the ad-share
-/// distribution — the additive per-user state the streaming workers
-/// checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct UserTally {
-    /// Total requests.
-    pub requests: u64,
-    /// Ad requests (paper definition).
-    pub ad_requests: u64,
-    /// Default-install-blockable requests (the §6.2 ratio numerator).
-    pub easylist_blockable: u64,
-    /// UA annotated as a browser (pure function of the UA string,
-    /// computed once at first sight).
-    pub is_browser: bool,
-}
-
-impl UserTally {
-    /// A fresh tally for a user with the given UA.
-    pub fn for_agent(user_agent: &str) -> UserTally {
-        let ua = http_model::UserAgent {
-            raw: user_agent.to_string(),
+    /// Build the report: the one code path the streamed and materialized
+    /// pipelines share, a pure function of the sketches, the download
+    /// `households` and the user table (one row per ⟨IP, UA⟩ user, an absent
+    /// UA the empty one, as [`crate::users::aggregate_users`] keys them). A
+    /// row with no request finalized yet counts nothing.
+    pub fn finish(
+        &self,
+        opts: PopulationOptions,
+        households: &HashSet<u32>,
+        users: &[UserAggregate],
+    ) -> PopulationReport {
+        let mut ad_share = QuantileSketch::new(QUANTILE_GAMMA);
+        let mut classes = UserClass::ALL.map(|class| ClassTally {
+            class,
+            instances: 0,
+            requests: 0,
+            ad_requests: 0,
+        });
+        let mut active_browsers = 0u64;
+        for u in users {
+            let t = &u.counters;
+            if t.requests == 0 {
+                continue;
+            }
+            let Some((_, class)) = infer::user_class(
+                u.is_browser(),
+                t.requests,
+                t.easylist_blockable,
+                households.contains(&u.key.ip),
+                opts.ratio_threshold_pct,
+                opts.active_min_requests,
+            ) else {
+                continue;
+            };
+            active_browsers += 1;
+            ad_share.observe(t.ad_requests as f64 / t.requests as f64 * 100.0);
+            // `UserClass::ALL` is in declaration order.
+            let slot = &mut classes[class as usize];
+            slot.instances += 1;
+            slot.requests += t.requests;
+            slot.ad_requests += t.ad_requests;
+        }
+        let quantiles = |s: &QuantileSketch| -> Vec<(f64, f64)> {
+            QUANTILES
+                .iter()
+                .map(|&q| (q, s.quantile(q).unwrap_or(0.0)))
+                .collect()
         };
-        UserTally {
-            is_browser: ua.device_class().is_browser(),
-            ..UserTally::default()
+        PopulationReport {
+            opts,
+            requests: self.requests,
+            ad_requests: self.ad_requests,
+            distinct_users: self.users.estimate(),
+            distinct_sites: self.sites.estimate(),
+            active_browsers,
+            top_ad_domains: self.ad_domains.top(opts.top_k),
+            top_rules: self.rules.top(opts.top_k),
+            exact_topk: self.ad_domains.is_exact() && self.rules.is_exact(),
+            ad_share_pct: quantiles(&ad_share),
+            object_bytes: quantiles(&self.object_bytes),
+            rtb_gap_ms: quantiles(&self.rtb_gap_ms),
+            quantile_alpha: self.object_bytes.alpha(),
+            classes: classes.to_vec(),
         }
-    }
-
-    /// Fold one request of this user.
-    pub fn observe(&mut self, r: &ClassifiedRequest) {
-        self.requests += 1;
-        if r.label.is_ad() {
-            self.ad_requests += 1;
-        }
-        if r.label.easylist_only_blocks() {
-            self.easylist_blockable += 1;
-        }
-    }
-
-    /// Merge another partial tally of the same user (plain sums).
-    pub fn merge(&mut self, other: &UserTally) {
-        self.requests += other.requests;
-        self.ad_requests += other.ad_requests;
-        self.easylist_blockable += other.easylist_blockable;
-        self.is_browser |= other.is_browser;
     }
 }
 
@@ -256,7 +285,7 @@ pub struct ClassTally {
 }
 
 /// The finished population report — a pure function of the merged
-/// sketches, merged tallies, and the download-household set.
+/// sketches, the user table, and the download-household set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PopulationReport {
     /// The options the report was built under.
@@ -289,150 +318,17 @@ pub struct PopulationReport {
     pub classes: Vec<ClassTally>,
 }
 
-/// The population plane, its own additive total: what a thread folds
-/// requests into is what a cut hands over, a merge sums and a checkpoint
-/// persists.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Population {
-    /// The mergeable sketches.
-    pub sketches: PopulationSketches,
-    /// Households (client IPs) seen in an [`infer::is_list_download`] flow.
-    pub households: HashSet<u32>,
-}
-
-impl Population {
-    /// An empty plane.
-    pub fn new(opts: PopulationOptions) -> Population {
-        Population {
-            sketches: PopulationSketches::new(opts),
-            households: HashSet::new(),
-        }
-    }
-
-    /// The plane of a materialized trace, folded from its requests and flows.
-    pub fn of_trace(
-        trace: &ClassifiedTrace,
-        abp_ips: &[u32],
-        opts: PopulationOptions,
-    ) -> Population {
-        let mut pop = Population::new(opts);
-        for r in &trace.requests {
-            pop.sketches.observe(r);
-        }
-        pop.households = infer::households_with_downloads(&trace.https_flows, abp_ips);
-        pop
-    }
-
-    /// Fold one request into the sketches, for a caller that keeps the
-    /// request's user's tally itself, made by [`UserTally::for_agent`] when it
-    /// met the user: no ⟨IP, UA⟩ lookup. The user's key reaches the `users`
-    /// HLL with its first request only: every later observation would leave
-    /// the registers as they are, and a merged or resumed plane keeps "every
-    /// tallied user was observed", since both halves travel together.
-    pub(crate) fn observe_tallied(&mut self, r: &ClassifiedRequest, tally: &mut UserTally) {
-        self.sketches.observe_traffic(r);
-        if tally.requests == 0 {
-            self.sketches.observe_user(r);
-        }
-        tally.observe(r);
-    }
-
-    /// Add another partial in (sums and a union; worker-index order gives
-    /// the sketches canonical bytes).
-    pub fn merge(&mut self, other: &Population) {
-        self.sketches.merge(&other.sketches);
-        self.households.extend(&other.households);
-    }
-
-    /// Build the report: the one code path the streamed and materialized
-    /// pipelines share, a pure function of the plane and the per-user tallies,
-    /// one `(ip, ua, tally)` row per ⟨IP, UA⟩ user. A missing and an empty UA
-    /// on one IP are two users of the referrer map but one here, as in the
-    /// `Users` fold: their tallies are summed first. A user with no request
-    /// finalized yet counts nothing.
-    pub fn finish<'a>(
-        &self,
-        opts: PopulationOptions,
-        users: impl IntoIterator<Item = (u32, Option<&'a str>, UserTally)>,
-    ) -> PopulationReport {
-        let mut blank: HashMap<u32, UserTally> = HashMap::new();
-        let mut tallies = Vec::new();
-        for (ip, ua, t) in users {
-            if t.requests == 0 {
-                continue;
-            }
-            if ua.is_none_or(str::is_empty) {
-                blank.entry(ip).or_default().merge(&t);
-            } else {
-                tallies.push((ip, t));
-            }
-        }
-        tallies.extend(blank);
-        let sketches = &self.sketches;
-        let mut ad_share = QuantileSketch::new(QUANTILE_GAMMA);
-        let mut classes = UserClass::ALL.map(|class| ClassTally {
-            class,
-            instances: 0,
-            requests: 0,
-            ad_requests: 0,
-        });
-        let mut active_browsers = 0u64;
-        for (ip, t) in tallies {
-            let Some((_, class)) = infer::user_class(
-                t.is_browser,
-                t.requests,
-                t.easylist_blockable,
-                self.households.contains(&ip),
-                opts.ratio_threshold_pct,
-                opts.active_min_requests,
-            ) else {
-                continue;
-            };
-            active_browsers += 1;
-            ad_share.observe(t.ad_requests as f64 / t.requests as f64 * 100.0);
-            // `UserClass::ALL` is in declaration order.
-            let slot = &mut classes[class as usize];
-            slot.instances += 1;
-            slot.requests += t.requests;
-            slot.ad_requests += t.ad_requests;
-        }
-        let quantiles = |s: &QuantileSketch| -> Vec<(f64, f64)> {
-            QUANTILES
-                .iter()
-                .map(|&q| (q, s.quantile(q).unwrap_or(0.0)))
-                .collect()
-        };
-        PopulationReport {
-            opts,
-            requests: sketches.requests,
-            ad_requests: sketches.ad_requests,
-            distinct_users: sketches.users.estimate(),
-            distinct_sites: sketches.sites.estimate(),
-            active_browsers,
-            top_ad_domains: sketches.ad_domains.top(opts.top_k),
-            top_rules: sketches.rules.top(opts.top_k),
-            exact_topk: sketches.ad_domains.is_exact() && sketches.rules.is_exact(),
-            ad_share_pct: quantiles(&ad_share),
-            object_bytes: quantiles(&sketches.object_bytes),
-            rtb_gap_ms: quantiles(&sketches.rtb_gap_ms),
-            quantile_alpha: sketches.object_bytes.alpha(),
-            classes: classes.to_vec(),
-        }
-    }
-}
-
-/// The materialized path's report: [`Population::of_trace`], finished over
-/// the `Users` fold's tallies.
+/// The materialized path's report: the sketches of the trace's requests,
+/// finished over its download households and its [`aggregate_users`] table.
 pub fn finish_trace(
     trace: &ClassifiedTrace,
     abp_ips: &[u32],
     opts: PopulationOptions,
 ) -> PopulationReport {
-    let users = crate::users::aggregate_users(trace);
-    let rows = users
-        .iter()
-        .map(|u| (u.key.ip, Some(u.key.user_agent.as_str()), u.tally()));
-    Population::of_trace(trace, abp_ips, opts).finish(opts, rows)
+    let mut sketches = PopulationSketches::new(opts);
+    trace.requests.iter().for_each(|r| sketches.observe(r));
+    let households = infer::households_with_downloads(&trace.https_flows, abp_ips);
+    sketches.finish(opts, &households, &aggregate_users(trace))
 }
 
 impl PopulationReport {
@@ -596,12 +492,14 @@ mod tests {
     use super::*;
     use crate::classify::PassiveClassifier;
     use crate::pipeline::{classify_trace_in, PipelineOptions};
-    use crate::planes::{Planes, UserPlanes};
+    use crate::planes::Planes;
+    use crate::users::UserTally;
     use abp_filter::FilterList;
     use http_model::headers::{RequestHeaders, ResponseHeaders};
     use http_model::transaction::Method;
     use http_model::{BrowserFamily, HttpTransaction, UserAgent};
     use netsim::record::{TlsConnection, Trace, TraceMeta, TraceRecord};
+    use std::collections::HashMap;
     use std::sync::Arc;
 
     fn tx(ts: f64, client: u32, ua: &str, host: &str, uri: &str) -> TraceRecord {
@@ -751,9 +649,10 @@ mod tests {
         assert_eq!(rev, whole, "merge is commutative in the exact regime");
     }
 
-    /// The stream's path: each user's planes made once, its key fed to the
-    /// `users` HLL with its first request only. User 3 makes one request, so
-    /// feeding any request but a user's first would leave it out.
+    /// The stream's path: each user's counters kept beside the planes, its
+    /// key fed to the `users` HLL with its first request only. User 3 makes
+    /// one request, so feeding any request but a user's first would leave it
+    /// out.
     #[test]
     fn hll_fed_once_per_user_and_site_run_equals_hll_fed_every_request() {
         let mut requests = sample(on()).requests;
@@ -765,12 +664,12 @@ mod tests {
             ..PipelineOptions::default()
         };
         let mut planes = Planes::new(popts, &[]);
-        let mut per_user: HashMap<(u32, Option<Arc<str>>), UserPlanes> = HashMap::new();
+        let mut per_user: HashMap<(u32, Option<Arc<str>>), UserTally> = HashMap::new();
         let (mut users, mut sites) = (Distinct64::new(), Distinct64::new());
         for r in &requests {
             let user = per_user
                 .entry((r.client_ip, r.user_agent.clone()))
-                .or_insert_with(|| UserPlanes::new(on(), r.user_agent.as_deref()));
+                .or_default();
             planes.observe_user(r, user);
             let mut key = r.client_ip.to_le_bytes().to_vec();
             key.push(0);
@@ -780,26 +679,9 @@ mod tests {
             sites.observe(site.as_bytes());
         }
         assert_eq!(users.estimate(), 3);
-        let pop = planes.cut().population.expect("population on");
-        assert_eq!(pop.sketches.users, users);
-        assert_eq!(pop.sketches.sites, sites);
-    }
-
-    #[test]
-    fn planes_merge_losslessly() {
-        let trace = sample(on());
-        let whole = Population::of_trace(&trace, &[], on());
-        // Split requests arbitrarily into two partials and merge.
-        let mut a = Population::new(on());
-        let mut b = Population::new(on());
-        for (i, r) in trace.requests.iter().enumerate() {
-            let part = if i % 3 == 0 { &mut a } else { &mut b };
-            part.sketches.observe(r);
-        }
-        b.households.insert(7);
-        a.merge(&b);
-        assert_eq!(a.sketches, whole.sketches);
-        assert_eq!(a.households, HashSet::from([7]));
+        let sketches = planes.cut().population.expect("population on");
+        assert_eq!(sketches.users, users);
+        assert_eq!(sketches.sites, sites);
     }
 
     #[test]

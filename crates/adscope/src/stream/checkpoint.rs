@@ -1,8 +1,8 @@
 //! The persisted checkpoint: `checkpoint.ndjson`, an append-only log of
-//! segments (format version 3). A segment is one manifest line (the
+//! segments (format version 4). A segment is one manifest line (the
 //! [`RunState`], plane totals included), the lines of the users a record
-//! touched since the segment before it (each user's referrer map, held
-//! records and population tally), and a trailer
+//! touched since the segment before it (each user's counters, referrer map
+//! and held records), and a trailer
 //! `{"segment":{"lines":n,"bytes":b,"sum":s}}` that counts and checksums
 //! those lines ([`obs::Sum64`]). A run's first barrier, and any barrier
 //! after which the log would pass [`COMPACT_RATIO`] times the bytes of a
@@ -32,9 +32,9 @@ use super::worker::{HeldRecord, UserState};
 use super::{ck_err, StreamError, StreamOptions};
 use crate::degrade::DegradationReport;
 use crate::extract::WebObject;
-use crate::planes::UserPlanes;
-use crate::population::{Population, PopulationOptions, UserTally};
+use crate::population::{PopulationOptions, PopulationSketches};
 use crate::refmap::RefMap;
+use crate::users::UserTally;
 use crate::window::{COUNTERS as ADSCOPE_COUNTERS, RTB_HIST};
 use http_model::{ContentCategory, Url};
 use netsim::codec::{CodecStats, DECODE_COUNTERS, FORMAT_VERSION};
@@ -56,7 +56,7 @@ pub const CHECKPOINT_FILE: &str = "checkpoint.ndjson";
 /// checkpointing there is live.
 pub(super) const LOCK_FILE: &str = "checkpoint.lock";
 /// Manifest schema version (bumped on incompatible layout changes).
-const CHECKPOINT_VERSION: u64 = 3;
+const CHECKPOINT_VERSION: u64 = 4;
 /// A barrier rewrites the log once appending would take it past this many
 /// times the bytes of a whole-state segment.
 const COMPACT_RATIO: u64 = 2;
@@ -162,16 +162,21 @@ pub(super) fn serialize_user(st: &UserState) -> String {
     num(&mut out, "{\"client_ip\":", st.client_ip.into());
     out.push_str(",\"user_agent\":");
     json::write_opt_str(&mut out, st.user_agent.as_deref());
-    // `[requests, ad_requests, easylist_blockable, is_browser]`.
-    match &st.planes.tally {
-        Some(t) => {
-            num(&mut out, ",\"tally\":[", t.requests);
-            num(&mut out, ",", t.ad_requests);
-            num(&mut out, ",", t.easylist_blockable);
-            out.push_str(if t.is_browser { ",true]" } else { ",false]" });
-        }
-        None => out.push_str(",\"tally\":null"),
+    // `UserTally`'s fields, in declaration order.
+    let c = &st.counters;
+    num(&mut out, ",\"counters\":[", c.requests);
+    for n in [
+        c.bytes,
+        c.ad_requests,
+        c.easylist_blockable,
+        c.easylist_hits,
+        c.regional_hits,
+        c.easyprivacy_hits,
+        c.whitelist_hits,
+    ] {
+        num(&mut out, ",", n);
     }
+    out.push(']');
     num(
         &mut out,
         ",\"inserted\":",
@@ -244,8 +249,7 @@ pub(super) fn serialize_user(st: &UserState) -> String {
     out
 }
 
-fn population_to_json(out: &mut String, p: &Population) {
-    let s = &p.sketches;
+fn population_to_json(out: &mut String, s: &PopulationSketches) {
     let _ = write!(
         out,
         ",\"population\":{{\"requests\":{},\"ad_requests\":{}",
@@ -280,11 +284,7 @@ fn population_to_json(out: &mut String, p: &Population) {
         });
         out.push_str("]}");
     }
-    out.push_str(",\"households\":[");
-    let mut hh: Vec<u32> = p.households.iter().copied().collect();
-    hh.sort_unstable();
-    write_nums(out, hh);
-    out.push_str("]}");
+    out.push('}');
 }
 
 /// The manifest line: the whole [`RunState`] under the config `hash`.
@@ -338,6 +338,11 @@ pub(super) fn manifest_to_json(hash: u64, st: &RunState) -> String {
     window_report_to_json(&mut out, &t.windows);
     out.push_str(",\"decode_windows\":");
     window_report_to_json(&mut out, &t.decode_windows);
+    out.push_str(",\"households\":[");
+    let mut households: Vec<u32> = t.households.iter().copied().collect();
+    households.sort_unstable();
+    write_nums(&mut out, households);
+    out.push(']');
     if let Some(p) = &t.population {
         population_to_json(&mut out, p);
     }
@@ -495,21 +500,31 @@ fn window_report_from_value(
     })
 }
 
-/// One user line. Its tally is read when the population plane is on.
+/// One user line.
 fn user_from_line(line: &str, opts: &StreamOptions) -> Result<UserState, DecodeError> {
     let v = json::parse(line).map_err(|e| DecodeError::new(format!("bad user line: {e}")))?;
     let client_ip = v.field("client_ip")?;
     let user_agent: Option<Arc<str>> = v.field("user_agent")?;
-    let mut planes = UserPlanes::default();
-    if opts.pipeline.population.enabled {
-        let (requests, ad_requests, easylist_blockable, is_browser) = v.field("tally")?;
-        planes.tally = Some(UserTally {
-            requests,
-            ad_requests,
-            easylist_blockable,
-            is_browser,
-        });
-    }
+    let (
+        requests,
+        bytes,
+        ad_requests,
+        easylist_blockable,
+        easylist_hits,
+        regional_hits,
+        easyprivacy_hits,
+        whitelist_hits,
+    ) = v.field("counters")?;
+    let counters = UserTally {
+        requests,
+        bytes,
+        ad_requests,
+        easylist_blockable,
+        easylist_hits,
+        regional_hits,
+        easyprivacy_hits,
+        whitelist_hits,
+    };
     let category = |c: &Value<'_>| {
         let known = c.as_str().and_then(ContentCategory::from_keyword);
         known.ok_or_else(|| DecodeError::new("expected category keyword"))
@@ -564,13 +579,13 @@ fn user_from_line(line: &str, opts: &StreamOptions) -> Result<UserState, DecodeE
         true,
     );
     let held = held.into_iter().collect();
-    Ok(UserState::new(client_ip, user_agent, map, held, planes))
+    Ok(UserState::new(client_ip, user_agent, map, held, counters))
 }
 
 fn population_from_value(
     v: &Value<'_>,
     opts: PopulationOptions,
-) -> Result<Population, DecodeError> {
+) -> Result<PopulationSketches, DecodeError> {
     let topk = |k: &str| {
         v.field_with(k, |t| {
             let entries: Vec<(String, u64, u64)> = t.field("entries")?;
@@ -589,8 +604,7 @@ fn population_from_value(
                 .ok_or_else(|| DecodeError::new("counts overflow u64").at_key("buckets"))
         })
     };
-    let mut pop = Population::new(opts);
-    let sketches = &mut pop.sketches;
+    let mut sketches = PopulationSketches::new(opts);
     sketches.ad_domains = topk("ad_domains")?;
     sketches.rules = topk("rules")?;
     sketches.users = regs("users")?;
@@ -599,8 +613,7 @@ fn population_from_value(
     sketches.rtb_gap_ms = qs("rtb_gap_ms")?;
     sketches.requests = v.field("requests")?;
     sketches.ad_requests = v.field("ad_requests")?;
-    pop.households = v.field::<Vec<u32>>("households")?.into_iter().collect();
-    Ok(pop)
+    Ok(sketches)
 }
 
 /// The [`RunState`] a manifest line holds. Starts from the fresh state
@@ -660,6 +673,7 @@ fn manifest_from_value(m: &Value<'_>, opts: &StreamOptions) -> Result<RunState, 
     t.decode_windows = m.field_with("decode_windows", |v| {
         window_report_from_value(v, &DECODE_COUNTERS, &[])
     })?;
+    t.households = m.field::<Vec<u32>>("households")?.into_iter().collect();
     // The config hash covers which planes are on, so a plane that is on
     // was on when the checkpoint was written and its block is required.
     // The alert plane has none: its timeline is recomputed from `windows`
@@ -790,7 +804,6 @@ mod tests {
     use crate::pipeline::ClassifiedRequest;
     use crate::stream::testutil::*;
     use crate::stream::{classify_stream_file, stream_file, CheckpointOptions, Fold};
-    use netsim::record::TlsConnection;
     use std::path::PathBuf;
 
     #[test]
@@ -822,11 +835,20 @@ mod tests {
     }
     #[test]
     fn user_state_round_trips_through_serialization() {
-        let mut opts = StreamOptions::default();
-        opts.pipeline.population.enabled = true;
+        let opts = StreamOptions::default();
         let ua: Option<Arc<str>> = Some(Arc::from("UA \"quoted\""));
         let mut st = UserState::fresh(7, ua.clone(), opts.pipeline);
-        st.planes.tally.as_mut().unwrap().requests = 3;
+        // Each counter its own value, so a swapped pair shows.
+        st.counters = UserTally {
+            requests: 3,
+            bytes: 5,
+            ad_requests: 7,
+            easylist_blockable: 11,
+            easylist_hits: 13,
+            regional_hits: 17,
+            easyprivacy_hits: 19,
+            whitelist_hits: 23,
+        };
         let mk = |idx: usize, ts: f64, url: &str, loc: Option<&str>| WebObject {
             idx,
             user: 0,
@@ -865,7 +887,7 @@ mod tests {
         let back = user_from_line(&line, &opts).unwrap();
         assert_eq!(back.client_ip, 7);
         assert_eq!(back.user_agent, ua);
-        assert_eq!(back.planes, st.planes);
+        assert_eq!(back.counters, st.counters);
         assert_eq!(back.map.page_of.len(), st.map.page_of.len());
         assert_eq!(back.map.pending_redirects.len(), 1);
         assert_eq!(back.map.redirects_inserted(), st.map.redirects_inserted());
@@ -899,8 +921,8 @@ mod tests {
         /// Totals → manifest line → totals is the identity, for every plane
         /// at once: a cut part-way, the whole stream's sum, and nothing
         /// (`broken_redirect_chains`, derived at end of stream rather than
-        /// persisted, is 0 in all three, as at any barrier). The population
-        /// tallies ride in the user lines, and the manifest carries none.
+        /// persisted, is 0 in all three, as at any barrier). Each user's
+        /// counters ride in its line, and the manifest carries none.
         #[test]
         fn totals_round_trip_through_the_checkpoint_manifest(
             n in 1usize..160,
@@ -1013,10 +1035,12 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// A fold the router calls between two of its log writes: once the log
-    /// exists, it starts a fresh and a resuming run on the live run's
-    /// directory and notes whether each was refused as locked and whether
-    /// the log was the same bytes afterwards.
+    /// A fold a worker of a live run calls: once the run's log exists, it
+    /// starts a fresh and a resuming run on the live run's directory and
+    /// notes whether each was refused as locked and whether the directory
+    /// was left alone. The live run writes its log meanwhile, so what a run
+    /// that got past the lock would have touched first is planted: a temp
+    /// file as a killed run leaves one, which that run would sweep.
     #[derive(Clone)]
     struct Intruder {
         trace: PathBuf,
@@ -1025,23 +1049,20 @@ mod tests {
     }
 
     impl Fold for Intruder {
-        fn observe(&mut self, _pos: u64, _req: &ClassifiedRequest) {}
-        fn observe_flow(&mut self, _flow: &TlsConnection) {
+        fn observe(&mut self, _pos: u64, _req: &ClassifiedRequest) {
             let dir = self.opts.checkpoint.as_ref().unwrap().dir.clone();
-            let Ok(before) = fs::read(dir.join(CHECKPOINT_FILE)) else {
-                return;
-            };
-            if !self.seen.is_empty() {
+            if !self.seen.is_empty() || !dir.join(CHECKPOINT_FILE).exists() {
                 return;
             }
+            let orphan = dir.join(format!("{CHECKPOINT_FILE}.4242.7.tmp"));
+            fs::write(&orphan, b"left by a killed run").unwrap();
             for resume in [false, true] {
                 let mut o = self.opts.clone();
                 o.checkpoint.as_mut().unwrap().resume = resume;
                 let got =
                     classify_stream_file(&self.trace, &classifier(), &o, &obs::Registry::new());
                 let locked = matches!(got, Err(StreamError::Locked(ref d)) if *d == dir);
-                let after = fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
-                self.seen.push((locked, after == before));
+                self.seen.push((locked, orphan.exists()));
             }
         }
         fn merge(&mut self, part: Intruder) {

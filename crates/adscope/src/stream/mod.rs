@@ -64,10 +64,13 @@
 //! router each hold a `Planes`; a cut of either, like the run's cumulative
 //! state, is a `PlaneTotals`. **A plane is added in `planes.rs`** (field,
 //! `observe` and `merge` lines) **and in `checkpoint`** (encode / decode).
+//! What is counted per user is the user's [`crate::users::UserTally`], kept
+//! in its worker state and its checkpoint line; the router sums the users'
+//! counters into the run's user table ([`StreamReport::user_table`]).
 //!
-//! Beside the planes a run folds what its caller passes it, a [`Fold`]:
-//! [`crate::characterize::Figures`], every §6–§8 analysis of the paper, is
-//! one; `()` folds nothing.
+//! Beside the planes a run folds what its caller passes it, a [`Fold`] over
+//! the requests: [`crate::characterize::Figures`], the §6–§8 analyses of the
+//! paper, is one; `()` folds nothing.
 
 mod checkpoint;
 mod router;
@@ -79,11 +82,13 @@ use crate::classify::PassiveClassifier;
 use crate::degrade::DegradationReport;
 use crate::pipeline::{ClassifiedRequest, PipelineOptions};
 use crate::population::PopulationReport;
+use crate::users::UserAggregate;
 use netsim::codec::CodecStats;
-use netsim::record::{TlsConnection, TraceMeta};
+use netsim::record::TraceMeta;
 use netsim::stream::{ChunkReader, OwnedChunks, StreamChunk};
 use obs::window::WindowReport;
 use router::{run_stream, RunState};
+use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, Seek, SeekFrom};
@@ -161,11 +166,11 @@ impl CheckpointOptions {
     }
 }
 
-/// A caller's mergeable fold over what a run classifies. The engine clones
-/// the (empty) fold it is handed once per worker; each worker folds the
-/// requests it finalizes, the router the HTTPS flows, and the parts come back
-/// merged in worker-index order, router last — so the result must not depend
-/// on which part saw which request, in what order, or on the grouping.
+/// A caller's mergeable fold over the requests a run classifies. The engine
+/// clones the (empty) fold it is handed once per worker; each worker folds the
+/// requests it finalizes, and the parts come back merged in worker-index
+/// order — so the result must not depend on which part saw which request, in
+/// what order, or on the grouping.
 pub trait Fold: Clone + Send {
     /// A checkpoint carries nothing of a fold, so a resumed run hands back
     /// only what was folded after it: `true` promises that this loses
@@ -175,8 +180,6 @@ pub trait Fold: Clone + Send {
     /// One classified request and its position in the trace's request
     /// order (workers finalize held records out of it).
     fn observe(&mut self, pos: u64, req: &ClassifiedRequest);
-    /// One opaque HTTPS flow.
-    fn observe_flow(&mut self, _flow: &TlsConnection) {}
     /// Add another part in.
     fn merge(&mut self, part: Self);
 }
@@ -192,10 +195,6 @@ impl<A: Fold, B: Fold> Fold for (A, B) {
     fn observe(&mut self, pos: u64, req: &ClassifiedRequest) {
         self.0.observe(pos, req);
         self.1.observe(pos, req);
-    }
-    fn observe_flow(&mut self, flow: &TlsConnection) {
-        self.0.observe_flow(flow);
-        self.1.observe_flow(flow);
     }
     fn merge(&mut self, part: (A, B)) {
         self.0.merge(part.0);
@@ -238,10 +237,9 @@ pub struct StreamOptions {
     /// How long the injected stall lasts (milliseconds).
     pub stall_ms: u64,
     /// Server addresses hosting filter-list downloads — the §6.2
-    /// download-indicator input. Only consulted when
-    /// [`crate::population::PopulationOptions::enabled`]: HTTPS flows to
-    /// these addresses on port 443 mark the client household as a
-    /// list-downloading one (Table 3 classes B/C).
+    /// download-indicator input: HTTPS flows to these addresses on port 443
+    /// mark the client household as a list-downloading one
+    /// ([`StreamReport::households`]; Table 3 classes B/C).
     pub abp_ips: Vec<u32>,
     /// Alert rules evaluated over the merged window report at every
     /// checkpoint barrier and at the final merge (empty = alerting off).
@@ -295,8 +293,18 @@ pub struct StreamReport {
     pub ad_requests: u64,
     /// Opaque HTTPS flows seen.
     pub https_flows: u64,
-    /// Distinct ⟨client IP, User-Agent⟩ users.
+    /// Distinct ⟨client IP, User-Agent⟩ users, a missing and an empty UA
+    /// apart (the referrer map's users).
     pub users: u64,
+    /// The user table: one row per ⟨client IP, User-Agent⟩ user, a missing
+    /// UA the empty one, with its exact counters, busiest first —
+    /// [`crate::users::aggregate_users`]' table of the same requests, at any
+    /// thread count, chunk size or kill/resume schedule. Table 3, Figures
+    /// 3–4, §6.3 and the threshold sweep read it.
+    pub user_table: Vec<UserAggregate>,
+    /// Households (client IPs) seen in a flow to one of
+    /// [`StreamOptions::abp_ips`] ([`crate::infer::is_list_download`]).
+    pub households: HashSet<u32>,
     /// Chunks processed, cumulative across resumes.
     pub chunks: u64,
     /// Checkpoints written this run.
@@ -307,10 +315,10 @@ pub struct StreamReport {
     pub stopped_early: bool,
     /// Population analytics (`None` unless
     /// [`crate::population::PopulationOptions::enabled`]). Built by the
-    /// same [`crate::population::Population::finish`] as the materialized
-    /// path, over the sketches merged in worker-index order and each user's
-    /// tally, so it renders byte-identically at any thread count, chunk size,
-    /// or kill/resume schedule.
+    /// same [`crate::population::PopulationSketches::finish`] as the
+    /// materialized path, over the sketches merged in worker-index order, the
+    /// households and the user table, so it renders byte-identically at any
+    /// thread count, chunk size, or kill/resume schedule.
     pub population: Option<PopulationReport>,
     /// The alert engine after the final evaluation (`None` unless
     /// [`StreamOptions::alerts`] named rules). Its timeline is a pure
@@ -667,6 +675,8 @@ mod tests {
     use super::testutil::*;
     use super::*;
     use crate::characterize::Figures;
+    use crate::infer::households_with_downloads;
+    use crate::users::aggregate_users;
     use std::fs;
 
     #[test]
@@ -674,13 +684,20 @@ mod tests {
         let trace = messy_trace(240);
         let seq = reference(&trace);
         let path = write_trace_file(&trace, "equiv");
-        let want = Figures::of_trace(&seq, &[9]);
+        let want = Figures::of_trace(&seq);
         for threads in [1usize, 2, 4] {
-            let (reg, opts) = (obs::Registry::new(), stream_opts(threads, 17));
+            let reg = obs::Registry::new();
+            let opts = StreamOptions {
+                abp_ips: vec![9],
+                ..stream_opts(threads, 17)
+            };
             let (rep, got) =
-                classify_stream_file_with(&path, &classifier(), &opts, &reg, Figures::new(&[9]))
+                classify_stream_file_with(&path, &classifier(), &opts, &reg, Figures::new())
                     .unwrap();
             assert_eq!(got, want, "threads={threads}");
+            assert_eq!(rep.user_table, aggregate_users(&seq), "threads={threads}");
+            let households = households_with_downloads(&seq.https_flows, &[9]);
+            assert_eq!(rep.households, households, "threads={threads}");
             assert_eq!(rep.degradation, seq.degradation, "threads={threads}");
             assert_eq!(rep.windows, seq.windows, "threads={threads}");
             assert_eq!(rep.https_flows as usize, seq.https_flows.len());
@@ -698,19 +715,24 @@ mod tests {
             .chunks(13)
             .enumerate()
             .map(|(i, batch)| StreamChunk::in_memory(i as u64, batch.to_vec()));
-        let mut o = stream_opts(4, 13);
+        let mut o = StreamOptions {
+            abp_ips: vec![9],
+            ..stream_opts(4, 13)
+        };
         let reg = obs::Registry::new();
         let (rep, got) =
-            classify_stream_chunks(chunks, meta, &classifier(), &o, &reg, Figures::new(&[9]))
-                .unwrap();
-        assert_eq!(got, Figures::of_trace(&seq, &[9]));
+            classify_stream_chunks(chunks, meta, &classifier(), &o, &reg, Figures::new()).unwrap();
+        assert_eq!(got, Figures::of_trace(&seq));
+        assert_eq!(rep.user_table, aggregate_users(&seq));
+        let households = households_with_downloads(&seq.https_flows, &[9]);
+        assert_eq!(rep.households, households);
         assert_eq!(rep.windows, seq.windows);
 
         // ... but checkpointing without a file is refused, and so is a fold
         // that holds state together with a checkpoint.
         o.checkpoint = Some(CheckpointOptions::new(temp_path("nope")));
         let path = write_trace_file(&messy_trace(8), "fold-ck");
-        let err = classify_stream_file_with(&path, &classifier(), &o, &reg, Figures::new(&[]));
+        let err = classify_stream_file_with(&path, &classifier(), &o, &reg, Figures::new());
         assert!(matches!(err, Err(StreamError::Config(_))));
         let _ = fs::remove_file(&path);
         let err = classify_stream_chunks(

@@ -9,9 +9,10 @@ use super::{ck_err, Fold, StreamError, StreamOptions, StreamReport};
 use crate::classify::PassiveClassifier;
 use crate::extract::{Extractor, UserId, WebObject};
 use crate::normalize::UrlNormalizer;
-use crate::planes::{PlaneTotals, Planes, UserPlanes};
+use crate::planes::{PlaneTotals, Planes};
 use crate::population::PopulationReport;
 use crate::shard::shard_of;
+use crate::users::{UserTable, UserTally};
 use netsim::codec::{record_to_json, CodecStats};
 use netsim::record::{RecordView, TraceMeta, TraceRecord};
 use netsim::stream::{ChunkSource, MAX_CHUNK_RESERVE};
@@ -65,24 +66,22 @@ impl RunState {
 }
 
 /// The router: the run state plus what it takes to advance it.
-struct Router<'a, F> {
+struct Router<'a> {
     opts: &'a StreamOptions,
     registry: &'a obs::Registry,
     state: RunState,
     senders: Vec<parallel::Sender<ToWorker>>,
     ack_rx: mpsc::Receiver<(usize, WorkerAck)>,
     quarantine: Option<Arc<Quarantine>>,
-    /// The router's own planes, for what only it sees: every record's view,
-    /// the unparseable records that never reach a worker and extraction's
-    /// degradation counters. Its cuts merge exactly like a worker's.
+    /// The router's own planes, for what only it sees: every record's view
+    /// (the HTTPS flows among them), the unparseable records that never reach
+    /// a worker and extraction's degradation counters. Its cuts merge exactly
+    /// like a worker's.
     planes: Planes,
-    /// The router's part of the run's fold: the HTTPS flows.
-    fold: F,
     /// Extraction's state, and the table that numbers the run's users.
     extractor: Extractor,
-    /// Every user's plane state as the workers last reported it, indexed by
-    /// [`UserId`].
-    user_planes: Vec<UserPlanes>,
+    /// Every user's counters as its worker last reported them.
+    users: UserTable,
     worker_labels: Vec<String>,
     last_stalls: Vec<u64>,
     run_chunks: u64,
@@ -189,9 +188,8 @@ pub(super) fn run_stream<S: ChunkSource, F: Fold>(
             ack_rx,
             quarantine,
             planes: Planes::new(popts, &opts.abp_ips),
-            fold,
             extractor,
-            user_planes: Vec::new(),
+            users: UserTable::default(),
             worker_labels: (0..nworkers).map(|i| i.to_string()).collect(),
             last_stalls: vec![0u64; nworkers],
             run_chunks: 0,
@@ -244,7 +242,7 @@ fn number_restored(
     (extractor, per_worker)
 }
 
-impl<'a, F: Fold> Router<'a, F> {
+impl<'a> Router<'a> {
     /// The routing loop: per chunk, route every record the source lends
     /// ([`Router::route_record`]), hand each worker its batch, write the
     /// checkpoint the previous chunk's barrier parked, and every
@@ -317,9 +315,8 @@ impl<'a, F: Fold> Router<'a, F> {
     fn route_record(&mut self, rec: RecordView<'_>, batches: &mut [Vec<(u64, WebObject)>]) {
         let st = &mut self.state;
         self.planes.observe_record(&rec);
-        let tx = match rec {
-            RecordView::Http(tx) => tx,
-            RecordView::Https(flow) => return self.fold.observe_flow(&flow),
+        let RecordView::Http(tx) = rec else {
+            return;
         };
         let idx = st.next_http_idx as usize;
         st.next_http_idx += 1;
@@ -379,7 +376,7 @@ impl<'a, F: Fold> Router<'a, F> {
     /// [`Router::write_parked`].
     fn barrier(&mut self, dir: &'a Path) -> Result<(), StreamError> {
         let acks = collect_acks(&self.senders, &self.ack_rx)?;
-        self.absorb(acks.iter().map(|a| (&a.delta, &a.user_planes[..])));
+        self.absorb(acks.iter().map(|a| (&a.delta, &a.counters[..])));
         // Flushed before the manifest is encoded, so the sidecar length
         // the manifest records is durable by the time it is.
         self.state.quarantine_bytes = match &self.quarantine {
@@ -423,24 +420,19 @@ impl<'a, F: Fold> Router<'a, F> {
 
     /// The one merge, run at every barrier and at end of stream: add the
     /// workers' deltas (in worker-index order), then the router's own cut,
-    /// into the run's totals, take the users' plane state the workers
-    /// reported, and re-evaluate and republish the planes that read them.
-    /// Every delta is additive and every user's state cumulative, so where
-    /// the cuts fall is moot.
+    /// into the run's totals, take the users' counters the workers reported,
+    /// and re-evaluate and republish the planes that read them. Every delta
+    /// is additive and every user's counters cumulative, so where the cuts
+    /// fall is moot.
     fn absorb<'d>(
         &mut self,
-        parts: impl Iterator<Item = (&'d PlaneTotals, &'d [(UserId, UserPlanes)])>,
+        parts: impl Iterator<Item = (&'d PlaneTotals, &'d [(UserId, UserTally)])>,
     ) -> Option<PopulationReport> {
         let totals = &mut self.state.totals;
         for (delta, users) in parts {
             totals.merge(delta);
-            for &(user, planes) in users {
-                let at = user as usize;
-                if at >= self.user_planes.len() {
-                    let users = self.extractor.users();
-                    self.user_planes.resize(users, UserPlanes::default());
-                }
-                self.user_planes[at] = planes;
+            for &(user, counters) in users {
+                self.users.set(user, counters);
             }
         }
         totals.merge(&self.planes.cut());
@@ -451,29 +443,20 @@ impl<'a, F: Fold> Router<'a, F> {
         // The live annoyance plane: every merge republishes the
         // population-so-far, so /population and the class gauges move
         // while the run is going.
-        let extractor = &self.extractor;
-        let users = self
-            .user_planes
-            .iter()
-            .enumerate()
-            .filter_map(|(id, planes)| {
-                let (ip, ua) = extractor.user(id as UserId);
-                planes.tally.map(|tally| (ip, ua, tally))
-            });
-        totals.population.as_ref().map(|pop| {
-            let report = pop.finish(self.opts.pipeline.population, users);
-            report.publish(self.registry);
-            report
-        })
+        let sketches = totals.population.as_ref()?;
+        let users = self.users.rows(&self.extractor);
+        let report = sketches.finish(self.opts.pipeline.population, &totals.households, users);
+        report.publish(self.registry);
+        Some(report)
     }
 
     /// End of stream: merge the workers' residual deltas, publish the
     /// cumulative totals, read the report out of the run state and merge the
     /// fold's parts in the deltas' order.
-    fn finalize(mut self, finals: Vec<WorkerFinal<F>>) -> (StreamReport, F) {
-        // `Population::finish`, the report builder the materialized path's
-        // `finish_trace` calls, over the merged plane and the users' tallies.
-        let population = self.absorb(finals.iter().map(|f| (&f.delta, &f.user_planes[..])));
+    fn finalize<F: Fold>(mut self, finals: Vec<WorkerFinal<F>>) -> (StreamReport, F) {
+        // The population report comes from the builder the materialized
+        // path's `finish_trace` calls, over the merged plane and user table.
+        let population = self.absorb(finals.iter().map(|f| (&f.delta, &f.counters[..])));
         if let Some(q) = &self.quarantine {
             let _ = q.flush_bytes();
         }
@@ -496,7 +479,7 @@ impl<'a, F: Fold> Router<'a, F> {
         crate::window::publish(&t.windows, registry);
         publish_decode_windows(&t.decode_windows, registry);
 
-        let users = finals.iter().map(|f| f.users).sum();
+        let users = finals.iter().map(|f| f.counters.len() as u64).sum();
         let report = StreamReport {
             meta: st.meta,
             codec: st.codec,
@@ -507,6 +490,8 @@ impl<'a, F: Fold> Router<'a, F> {
             ad_requests: t.ads,
             https_flows: t.https_flows,
             users,
+            user_table: self.users.finish(&self.extractor),
+            households: t.households,
             chunks: st.chunks,
             checkpoints_written: self.checkpoints_written,
             resumed_from: st.resumed_from,
@@ -514,8 +499,8 @@ impl<'a, F: Fold> Router<'a, F> {
             population,
             alerts: self.alerts,
         };
-        let mut parts = finals.into_iter().map(|f| f.fold).chain([self.fold]);
-        let mut fold = parts.next().expect("the router's part");
+        let mut parts = finals.into_iter().map(|f| f.fold);
+        let mut fold = parts.next().expect("one worker at least");
         parts.for_each(|part| fold.merge(part));
         (report, fold)
     }

@@ -1,8 +1,8 @@
 //! The worker side of the stream engine: the quarantine sidecar, the
 //! held-record protocol, and the per-shard [`Worker`] that runs the
 //! sequential per-user stages, folds every finished request into its
-//! [`Planes`] (cut whenever the router asks) and into its copy of the run's
-//! [`Fold`] (handed back at end of stream).
+//! [`Planes`] (cut whenever the router asks), into its user's counters and
+//! into its copy of the run's [`Fold`] (handed back at end of stream).
 
 use super::checkpoint::serialize_user;
 use super::{ck_err, Fold, StreamError};
@@ -11,8 +11,9 @@ use crate::content::infer_category_traced;
 use crate::extract::{UserId, WebObject};
 use crate::normalize::UrlNormalizer;
 use crate::pipeline::{ClassifiedRequest, PipelineOptions};
-use crate::planes::{PlaneTotals, Planes, UserPlanes};
+use crate::planes::{PlaneTotals, Planes};
 use crate::refmap::RefMap;
+use crate::users::UserTally;
 use http_model::{ContentCategory, Url};
 use netsim::codec::record_to_json;
 use netsim::record::TraceRecord;
@@ -140,16 +141,16 @@ pub(super) struct HeldRecord {
 }
 
 /// One ⟨IP, UA⟩ user's live state: its key, its referrer map, the records
-/// it is holding and its per-user plane state. A checkpoint persists
-/// exactly this, one line per user.
+/// it is holding and its counters. A checkpoint persists exactly this, one
+/// line per user.
 pub(super) struct UserState {
     pub(super) client_ip: u32,
     pub(super) user_agent: Option<Arc<str>>,
     pub(super) map: RefMap,
     /// Held records by their `idx`.
     pub(super) held: HashMap<usize, HeldRecord>,
-    /// Made with the user, so its UA is annotated once.
-    pub(super) planes: UserPlanes,
+    /// Cumulative over the user's finalized requests.
+    pub(super) counters: UserTally,
     /// The checkpoint line the last barrier rendered from this state, while
     /// no record has touched it since: a barrier re-renders only the users
     /// a record reached. Never set in a run that does not checkpoint (no
@@ -164,14 +165,14 @@ impl UserState {
         user_agent: Option<Arc<str>>,
         map: RefMap,
         held: HashMap<usize, HeldRecord>,
-        planes: UserPlanes,
+        counters: UserTally,
     ) -> UserState {
         UserState {
             client_ip,
             user_agent,
             map,
             held,
-            planes,
+            counters,
             line: None,
         }
     }
@@ -193,8 +194,8 @@ impl UserState {
             0,
             true,
         );
-        let planes = UserPlanes::new(opts.population, user_agent.as_deref());
-        UserState::new(client_ip, user_agent, map, HashMap::new(), planes)
+        let counters = UserTally::default();
+        UserState::new(client_ip, user_agent, map, HashMap::new(), counters)
     }
 }
 
@@ -215,9 +216,9 @@ struct Core<'a, F> {
 
 impl<F: Fold> Core<'_, F> {
     /// Classify a record whose category is now final and fold it into the
-    /// worker's planes, its `user`'s and the fold. Every record passes here
-    /// exactly once.
-    fn finalize(&mut self, h: HeldRecord, user: &mut UserPlanes) {
+    /// worker's planes, its `user`'s counters and the fold. Every record
+    /// passes here exactly once.
+    fn finalize(&mut self, h: HeldRecord, user: &mut UserTally) {
         if h.obj.content_type.is_none() && h.category != ContentCategory::Other {
             self.planes.degradation().content_type_fallbacks += 1;
         }
@@ -260,7 +261,7 @@ pub(super) enum ToWorker {
 /// Barrier ack: the worker's planes cut since its last ack — the same
 /// [`PlaneTotals`] the end-of-stream result carries, absorbed by the router
 /// with the same code — plus every user's serialized state line, shared
-/// with the worker's per-user cache.
+/// with the worker's per-user cache, and the counters of the users rendered.
 pub(super) struct WorkerAck {
     pub(super) delta: PlaneTotals,
     /// The lines rendered at this barrier: the users a record touched since
@@ -269,18 +270,16 @@ pub(super) struct WorkerAck {
     pub(super) rendered: Vec<Arc<str>>,
     /// The other users' lines, as the barrier that rendered them left them.
     pub(super) kept: Vec<Arc<str>>,
-    /// The per-user plane state of the rendered users: only a record can
-    /// move it.
-    pub(super) user_planes: Vec<(UserId, UserPlanes)>,
+    /// The counters of the rendered users: only a record can move them.
+    pub(super) counters: Vec<(UserId, UserTally)>,
 }
 
 /// End-of-stream result: the residual delta (the one that adds the
-/// state-derived `broken_redirect_chains`), the user count, every user's
-/// plane state, and the worker's part of the run's fold.
+/// state-derived `broken_redirect_chains`), every user's counters, and the
+/// worker's part of the run's fold.
 pub(super) struct WorkerFinal<F> {
     pub(super) delta: PlaneTotals,
-    pub(super) users: u64,
-    pub(super) user_planes: Vec<(UserId, UserPlanes)>,
+    pub(super) counters: Vec<(UserId, UserTally)>,
     pub(super) fold: F,
 }
 
@@ -351,14 +350,14 @@ impl<'a, F: Fold> Worker<'a, F> {
                 if cat != ContentCategory::Other {
                     h.category = cat;
                 }
-                self.core.finalize(h, &mut state.planes);
+                self.core.finalize(h, &mut state.counters);
             }
         }
         // Displaced or evicted pendings can never be backfilled —
         // release their holds as-is.
         for idx in released {
             if let Some(h) = state.held.remove(&idx) {
-                self.core.finalize(h, &mut state.planes);
+                self.core.finalize(h, &mut state.counters);
             }
         }
         let rec = HeldRecord {
@@ -370,7 +369,7 @@ impl<'a, F: Fold> Worker<'a, F> {
         if opts.refmap.redirect_repair && rec.obj.location.is_some() {
             state.held.insert(rec.obj.idx, rec);
         } else {
-            self.core.finalize(rec, &mut state.planes);
+            self.core.finalize(rec, &mut state.counters);
         }
     }
 
@@ -401,7 +400,7 @@ impl<'a, F: Fold> Worker<'a, F> {
     }
 
     fn barrier_ack(&mut self) -> WorkerAck {
-        let (mut rendered, mut kept, mut user_planes) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut rendered, mut kept, mut counters) = (Vec::new(), Vec::new(), Vec::new());
         for (id, st) in self.users.iter_mut().enumerate() {
             let Some(st) = st else { continue };
             match &st.line {
@@ -409,7 +408,7 @@ impl<'a, F: Fold> Worker<'a, F> {
                 None => {
                     let line = st.line.insert(serialize_user(st).into());
                     rendered.push(Arc::clone(line));
-                    user_planes.push((id as UserId, st.planes));
+                    counters.push((id as UserId, st.counters));
                 }
             }
         }
@@ -417,7 +416,7 @@ impl<'a, F: Fold> Worker<'a, F> {
             delta: self.core.planes.cut(),
             rendered,
             kept,
-            user_planes,
+            counters,
         }
     }
 
@@ -435,19 +434,18 @@ impl<'a, F: Fold> Worker<'a, F> {
         for h in leftovers {
             let user = self.users[h.obj.user as usize].as_mut();
             let user = user.expect("a held record's user is this worker's");
-            self.core.finalize(h, &mut user.planes);
+            self.core.finalize(h, &mut user.counters);
         }
         let mut delta = self.core.planes.cut();
-        let mut user_planes = Vec::new();
+        let mut counters = Vec::new();
         for (id, st) in self.users() {
             delta.degradation.broken_redirect_chains +=
                 st.map.redirects_inserted() - st.map.redirects_consumed();
-            user_planes.push((id, st.planes));
+            counters.push((id, st.counters));
         }
         WorkerFinal {
             delta,
-            users: user_planes.len() as u64,
-            user_planes,
+            counters,
             fold: self.core.fold,
         }
     }

@@ -5,19 +5,19 @@
 //! class and restricts the analysis to browsers. Heavy hitters (more than
 //! 1 K requests) are the "active users" the headline 22 % figure refers to.
 //!
-//! The figures key a user by ⟨IP, UA⟩ with an absent UA folded into the
-//! empty one, as the population report does; the one-thread oracle's
-//! population tallies are this fold's ([`UserAggregate::tally`]). The
-//! referrer map keeps the two apart: there a user is the extractor's dense
-//! `UserId` ([`crate::extract::UserId`]), which numbers a missing and an
-//! empty UA separately.
+//! One counter block, [`UserTally`], is everything counted per user, on every
+//! path. The one-thread oracle folds it per ⟨IP, UA⟩ ([`aggregate_users`]);
+//! the stream engine keeps one per user in its workers and sums them into its
+//! user table by the same rules (`UserTable`): an absent UA is the empty
+//! one, and the busiest user comes first. The referrer map keeps a missing and
+//! an empty UA apart: there a user is the extractor's dense [`UserId`], which
+//! numbers the two separately.
 
 use crate::classify::ListKind;
+use crate::extract::{Extractor, UserId};
 use crate::pipeline::{ClassifiedRequest, ClassifiedTrace};
-use crate::population::UserTally;
 use http_model::{BrowserFamily, DeviceClass, UserAgent};
-use std::collections::hash_map::{Entry, HashMap};
-use std::sync::Arc;
+use std::collections::HashMap;
 
 /// The user key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -28,15 +28,11 @@ pub struct UserKey {
     pub user_agent: String,
 }
 
-/// Aggregated per-user counters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct UserAggregate {
-    /// The key.
-    pub key: UserKey,
-    /// Annotated browser family.
-    pub family: BrowserFamily,
-    /// Annotated device class.
-    pub device: DeviceClass,
+/// One user's exact counters: what Table 3, Figures 3–4, §6.3 and the
+/// population report read of a user. Plain sums, so the parts of one user add
+/// up in any grouping.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct UserTally {
     /// Total requests.
     pub requests: u64,
     /// Total bytes.
@@ -58,130 +54,183 @@ pub struct UserAggregate {
     pub whitelist_hits: u64,
 }
 
+impl UserTally {
+    /// Count one request of this user.
+    pub fn observe(&mut self, r: &ClassifiedRequest) {
+        self.requests += 1;
+        self.bytes += r.bytes;
+        self.ad_requests += u64::from(r.label.is_ad());
+        self.easylist_blockable += u64::from(r.label.easylist_only_blocks());
+        self.easylist_hits += u64::from(r.label.blocked_by(ListKind::EasyList));
+        self.regional_hits += u64::from(r.label.blocked_by(ListKind::Regional));
+        self.easyprivacy_hits += u64::from(r.label.blocked_by(ListKind::EasyPrivacy));
+        self.whitelist_hits += u64::from(r.label.exception() == Some(ListKind::Acceptable));
+    }
+
+    /// Add another part of the same user in.
+    pub fn merge(&mut self, other: &UserTally) {
+        self.requests += other.requests;
+        self.bytes += other.bytes;
+        self.ad_requests += other.ad_requests;
+        self.easylist_blockable += other.easylist_blockable;
+        self.easylist_hits += other.easylist_hits;
+        self.regional_hits += other.regional_hits;
+        self.easyprivacy_hits += other.easyprivacy_hits;
+        self.whitelist_hits += other.whitelist_hits;
+    }
+}
+
+/// One user: its key, its UA's annotation and its counters.
+#[derive(Debug, Clone, PartialEq)]
+pub struct UserAggregate {
+    /// The key.
+    pub key: UserKey,
+    /// Annotated browser family.
+    pub family: BrowserFamily,
+    /// Annotated device class.
+    pub device: DeviceClass,
+    /// The counters.
+    pub counters: UserTally,
+}
+
 impl UserAggregate {
+    /// A user with nothing counted yet; its UA is annotated here.
+    pub fn new(ip: u32, user_agent: &str) -> UserAggregate {
+        let agent = UserAgent {
+            raw: user_agent.to_string(),
+        };
+        UserAggregate {
+            family: agent.family(),
+            device: agent.device_class(),
+            key: UserKey {
+                ip,
+                user_agent: agent.raw,
+            },
+            counters: UserTally::default(),
+        }
+    }
+
     /// The §6.2 ratio indicator: default-install-blockable requests over
     /// all requests, percent.
     pub fn easylist_ratio_pct(&self) -> f64 {
-        if self.requests == 0 {
+        let c = &self.counters;
+        if c.requests == 0 {
             0.0
         } else {
-            self.easylist_blockable as f64 / self.requests as f64 * 100.0
+            c.easylist_blockable as f64 / c.requests as f64 * 100.0
         }
     }
 
     /// Ad-request ratio under the paper's full ad definition, percent.
     pub fn ad_ratio_pct(&self) -> f64 {
-        if self.requests == 0 {
+        let c = &self.counters;
+        if c.requests == 0 {
             0.0
         } else {
-            self.ad_requests as f64 / self.requests as f64 * 100.0
+            c.ad_requests as f64 / c.requests as f64 * 100.0
         }
     }
 
     /// Is this an "active user" (heavy hitter)?
     pub fn is_active(&self, min_requests: u64) -> bool {
-        self.requests >= min_requests
+        self.counters.requests >= min_requests
     }
 
     /// Is this user a browser (desktop or mobile)?
     pub fn is_browser(&self) -> bool {
         self.device.is_browser()
     }
-
-    /// The user's population tally: the counters Table 3's classes read.
-    pub fn tally(&self) -> UserTally {
-        UserTally {
-            requests: self.requests,
-            ad_requests: self.ad_requests,
-            easylist_blockable: self.easylist_blockable,
-            is_browser: self.is_browser(),
-        }
-    }
 }
 
-/// The per-user fold behind Table 3, Figures 3–4, §6.3 and the threshold
-/// sweep: one [`UserAggregate`] per ⟨IP, User-Agent⟩ pair, keyed by the
-/// user's shared UA handle (an absent UA is the empty one).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Users(HashMap<(u32, Arc<str>), UserAggregate>);
-
-impl Users {
-    /// Fold one classified request into its user's counters.
-    pub fn observe(&mut self, r: &ClassifiedRequest) {
-        let ua = r.user_agent.clone().unwrap_or_default();
-        let agg = self
-            .0
-            .entry((r.client_ip, ua))
-            .or_insert_with_key(|(ip, ua)| {
-                let agent = UserAgent {
-                    raw: ua.to_string(),
-                };
-                UserAggregate {
-                    family: agent.family(),
-                    device: agent.device_class(),
-                    key: UserKey {
-                        ip: *ip,
-                        user_agent: agent.raw,
-                    },
-                    requests: 0,
-                    bytes: 0,
-                    ad_requests: 0,
-                    easylist_blockable: 0,
-                    easylist_hits: 0,
-                    regional_hits: 0,
-                    easyprivacy_hits: 0,
-                    whitelist_hits: 0,
-                }
-            });
-        agg.requests += 1;
-        agg.bytes += r.bytes;
-        agg.ad_requests += u64::from(r.label.is_ad());
-        agg.easylist_blockable += u64::from(r.label.easylist_only_blocks());
-        agg.easylist_hits += u64::from(r.label.blocked_by(ListKind::EasyList));
-        agg.regional_hits += u64::from(r.label.blocked_by(ListKind::Regional));
-        agg.easyprivacy_hits += u64::from(r.label.blocked_by(ListKind::EasyPrivacy));
-        agg.whitelist_hits += u64::from(r.label.exception() == Some(ListKind::Acceptable));
-    }
-
-    /// Add another part's counters in, user by user.
-    pub fn merge(&mut self, other: Users) {
-        for (key, theirs) in other.0 {
-            match self.0.entry(key) {
-                Entry::Vacant(slot) => {
-                    slot.insert(theirs);
-                }
-                Entry::Occupied(mut slot) => {
-                    let mine = slot.get_mut();
-                    mine.requests += theirs.requests;
-                    mine.bytes += theirs.bytes;
-                    mine.ad_requests += theirs.ad_requests;
-                    mine.easylist_blockable += theirs.easylist_blockable;
-                    mine.easylist_hits += theirs.easylist_hits;
-                    mine.regional_hits += theirs.regional_hits;
-                    mine.easyprivacy_hits += theirs.easyprivacy_hits;
-                    mine.whitelist_hits += theirs.whitelist_hits;
-                }
-            }
-        }
-    }
-
-    /// The users, busiest first; equal volumes by address, then User-Agent.
-    pub fn finish(&self) -> Vec<UserAggregate> {
-        let mut out: Vec<UserAggregate> = self.0.values().cloned().collect();
-        out.sort_by(|a, b| {
-            let by_name = (a.key.ip, &a.key.user_agent).cmp(&(b.key.ip, &b.key.user_agent));
-            b.requests.cmp(&a.requests).then(by_name)
-        });
-        out
-    }
+/// Order a user table: busiest first, equal volumes by address, then
+/// User-Agent.
+fn rank(users: &mut [UserAggregate]) {
+    users.sort_by(|a, b| {
+        let by_name = (a.key.ip, &a.key.user_agent).cmp(&(b.key.ip, &b.key.user_agent));
+        b.counters.requests.cmp(&a.counters.requests).then(by_name)
+    });
 }
 
-/// Aggregate a classified trace into per-user counters: the [`Users`] fold
-/// over its requests.
+/// Aggregate a classified trace into per-user counters: Table 3, Figures 3–4,
+/// §6.3 and the threshold sweep read this table. One row per ⟨IP,
+/// User-Agent⟩ pair (an absent UA is the empty one), busiest first.
 pub fn aggregate_users(trace: &ClassifiedTrace) -> Vec<UserAggregate> {
-    let mut users = Users::default();
-    trace.requests.iter().for_each(|r| users.observe(r));
-    users.finish()
+    let mut users: HashMap<(u32, &str), UserAggregate> = HashMap::new();
+    for r in &trace.requests {
+        let ua = r.user_agent.as_deref().unwrap_or("");
+        let user = users.entry((r.client_ip, ua));
+        let user = user.or_insert_with(|| UserAggregate::new(r.client_ip, ua));
+        user.counters.observe(r);
+    }
+    let mut out: Vec<UserAggregate> = users.into_values().collect();
+    rank(&mut out);
+    out
+}
+
+/// The stream engine's user table. The router takes each user's counters as
+/// its worker last reported them, by the extractor's [`UserId`], and sums
+/// them into rows by [`aggregate_users`]' rules. A row is made, its UA
+/// annotated and its key string built, once per user, the first time the
+/// rows are read after its counters arrive.
+#[derive(Debug, Default)]
+pub(crate) struct UserTable {
+    /// By id: the user's counters, cumulative.
+    counters: Vec<UserTally>,
+    /// By id: the user's row in `rows`.
+    row_of: Vec<usize>,
+    rows: Vec<UserAggregate>,
+    /// The row of each address's blank (absent or empty) UA.
+    blank: HashMap<u32, usize>,
+}
+
+impl UserTable {
+    /// Take `user`'s counters, which replace the ones it reported before.
+    pub(crate) fn set(&mut self, user: UserId, counters: UserTally) {
+        let at = user as usize;
+        if at >= self.counters.len() {
+            self.counters.resize(at + 1, UserTally::default());
+        }
+        self.counters[at] = counters;
+    }
+
+    /// The rows so far, each the sum of its users' counters; `extractor`
+    /// holds the users' keys. A row whose users have finalized no request
+    /// yet counts nothing.
+    pub(crate) fn rows(&mut self, extractor: &Extractor) -> &[UserAggregate] {
+        for id in self.row_of.len()..self.counters.len() {
+            let (ip, ua) = extractor.user(id as UserId);
+            let blank = ua.is_none_or(str::is_empty);
+            let known = if blank { self.blank.get(&ip) } else { None };
+            let row = match known {
+                Some(&row) => row,
+                None => {
+                    self.rows.push(UserAggregate::new(ip, ua.unwrap_or("")));
+                    self.rows.len() - 1
+                }
+            };
+            if blank {
+                self.blank.insert(ip, row);
+            }
+            self.row_of.push(row);
+        }
+        for row in &mut self.rows {
+            row.counters = UserTally::default();
+        }
+        for (&row, counters) in self.row_of.iter().zip(&self.counters) {
+            self.rows[row].counters.merge(counters);
+        }
+        &self.rows
+    }
+
+    /// The finished table: [`aggregate_users`]' table of the requests the
+    /// run finalized.
+    pub(crate) fn finish(mut self, extractor: &Extractor) -> Vec<UserAggregate> {
+        self.rows(extractor);
+        let mut rows = self.rows;
+        rows.retain(|u| u.counters.requests > 0);
+        rank(&mut rows);
+        rows
+    }
 }
 
 /// Summary counts over a user set, in the shape §6.1 reports.
@@ -294,12 +343,13 @@ mod tests {
         let users = aggregate_users(&trace);
         assert_eq!(users.len(), 2);
         let u1 = users.iter().find(|u| u.key.ip == 1).unwrap();
-        assert_eq!(u1.requests, 4);
-        assert_eq!(u1.easylist_hits, 1);
-        assert_eq!(u1.easyprivacy_hits, 1);
-        assert_eq!(u1.whitelist_hits, 1);
-        assert_eq!(u1.ad_requests, 3);
-        assert_eq!(u1.bytes, 5343);
+        let c = &u1.counters;
+        assert_eq!(c.requests, 4);
+        assert_eq!(c.easylist_hits, 1);
+        assert_eq!(c.easyprivacy_hits, 1);
+        assert_eq!(c.whitelist_hits, 1);
+        assert_eq!(c.ad_requests, 3);
+        assert_eq!(c.bytes, 5343);
         assert_eq!(u1.family, BrowserFamily::Firefox);
         assert_eq!(u1.easylist_ratio_pct(), 25.0);
         assert_eq!(u1.ad_ratio_pct(), 75.0);
@@ -349,27 +399,14 @@ mod tests {
         let trace = run(records);
         let users = aggregate_users(&trace);
         assert_eq!(users[0].key.ip, 2);
-        assert!(users[0].requests > users[1].requests);
+        assert!(users[0].counters.requests > users[1].counters.requests);
     }
 
     #[test]
     fn zero_request_ratio_is_zero() {
-        let u = UserAggregate {
-            key: UserKey {
-                ip: 1,
-                user_agent: "".into(),
-            },
-            family: BrowserFamily::NonBrowser,
-            device: DeviceClass::Unknown,
-            requests: 0,
-            bytes: 0,
-            ad_requests: 0,
-            easylist_blockable: 0,
-            easylist_hits: 0,
-            regional_hits: 0,
-            easyprivacy_hits: 0,
-            whitelist_hits: 0,
-        };
+        let u = UserAggregate::new(1, "");
+        assert_eq!(u.family, BrowserFamily::NonBrowser);
+        assert_eq!(u.device, DeviceClass::Unknown);
         assert_eq!(u.easylist_ratio_pct(), 0.0);
         assert_eq!(u.ad_ratio_pct(), 0.0);
     }

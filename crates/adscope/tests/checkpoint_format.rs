@@ -451,7 +451,7 @@ fn the_committed_log_resumes_byte_identically() {
     for (what, block) in [
         ("held record", "\"held\":[{"),
         ("pending redirect", "\"pending\":[["),
-        ("tally", "\"tally\":["),
+        ("counter block", "\"counters\":["),
         ("user without a UA", "\"user_agent\":null"),
     ] {
         assert!(users.iter().any(|u| u.contains(block)), "no {what}");
@@ -459,6 +459,10 @@ fn the_committed_log_resumes_byte_identically() {
     for block in ["\"population\":{", "\"households\":[1"] {
         assert!(manifest.contains(block), "manifest lacks {block}");
     }
+    // The households are the run's, not the population plane's: they sit
+    // before its block, which closes the manifest.
+    let households = manifest.find("\"households\":[").unwrap();
+    assert!(households < manifest.find("\"population\":{").unwrap());
     assert!(
         !manifest.contains("\"quarantine_bytes\":0,"),
         "quarantine off"
@@ -499,13 +503,13 @@ fn the_committed_log_resumes_byte_identically() {
 
 /// Resume reads only the format version this build writes. A file with no
 /// trailer (the shape of version 1), and the committed log with its
-/// manifests' version set to 2 and to 4 (trailers valid), are each refused
+/// manifests' version set to 2, 3 and 5 (trailers valid), are each refused
 /// naming their version; the sidecar, which a resume truncates only once the
 /// load succeeds, is left as it was.
 #[test]
 fn a_checkpoint_of_another_format_version_is_refused_naming_it() {
     let version =
-        |v: u64| move |m: String| m.replacen("\"version\":3,", &format!("\"version\":{v},"), 1);
+        |v: u64| move |m: String| m.replacen("\"version\":4,", &format!("\"version\":{v},"), 1);
     let (manifest, users) = read_checkpoint(&fixture_dir().join(CHECKPOINT_FILE));
     let trailerless = format!(
         "{}\n{}\n",
@@ -516,13 +520,14 @@ fn a_checkpoint_of_another_format_version_is_refused_naming_it() {
     for (v, checkpoint) in [
         (1, trailerless.into_bytes()),
         (2, fixture_log(version(2), |u| u)),
-        (4, fixture_log(version(4), |u| u)),
+        (3, fixture_log(version(3), |u| u)),
+        (5, fixture_log(version(5), |u| u)),
     ] {
         let dir = killed_dir(&checkpoint, &sidecar);
         match run(&fixture_dir().join("trace.ndjson"), &opts(2, &dir, 1, true)) {
             Err(StreamError::Checkpoint(msg)) => assert_eq!(
                 msg,
-                format!("checkpoint format version {v}; this build reads 3")
+                format!("checkpoint format version {v}; this build reads 4")
             ),
             other => panic!("version {v}: expected a refusal, loaded: {}", other.is_ok()),
         }
@@ -783,10 +788,16 @@ fn out_of_range_values_are_refused_with_their_path() {
             "page_of[0]: expected array of 4",
         ),
         (
-            "a `tally` of arity 3 (its browser flag dropped)",
+            "a counter block one counter short",
             keep(),
-            Box::new(|u| drop_last(&u, "\"tally\":[")),
-            "tally: expected array of 4",
+            Box::new(|u| drop_last(&u, "\"counters\":[")),
+            "counters: expected array of 8",
+        ),
+        (
+            "a counter block one counter long",
+            keep(),
+            Box::new(|u| u.replacen("\"counters\":[", "\"counters\":[0,", 1)),
+            "counters: expected array of 8",
         ),
     ];
     let as_committed = fixture_log(|m| m, |u| u);

@@ -45,12 +45,7 @@ impl Event<'_> {
     /// plane is exercised as the stages that own its counters would.
     fn fold_into(&self, (planes, figures): &mut (Planes, Figures)) {
         match self {
-            Event::Record(rec) => {
-                planes.observe_record(&RecordView::of(rec));
-                if let TraceRecord::Https(flow) = rec {
-                    figures.observe_flow(flow);
-                }
-            }
+            Event::Record(rec) => planes.observe_record(&RecordView::of(rec)),
             Event::Request(req) => {
                 if req.page.is_none() {
                     planes.degradation().refmap_misses += 1;
@@ -125,12 +120,12 @@ fn events<'a>(
 
 /// One thread's live state: its planes and its part of the run's fold.
 fn thread(opts: &StreamOptions) -> (Planes, Figures) {
-    (Planes::new(opts.pipeline, &ABP_IPS), Figures::new(&ABP_IPS))
+    (Planes::new(opts.pipeline, &ABP_IPS), Figures::new())
 }
 
 /// Cut both: the planes' totals since the last cut, and the figures so far.
 fn cut((planes, figures): &mut (Planes, Figures)) -> (PlaneTotals, Figures) {
-    let part = std::mem::replace(figures, Figures::new(&ABP_IPS));
+    let part = std::mem::replace(figures, Figures::new());
     (planes.cut(), part)
 }
 
@@ -138,10 +133,7 @@ fn sum<'a>(
     opts: &StreamOptions,
     parts: impl IntoIterator<Item = &'a (PlaneTotals, Figures)>,
 ) -> (PlaneTotals, Figures) {
-    let mut total = (
-        PlaneTotals::new(opts.pipeline.population),
-        Figures::new(&ABP_IPS),
-    );
+    let mut total = (PlaneTotals::new(opts.pipeline.population), Figures::new());
     for (totals, figures) in parts {
         total.0.merge(totals);
         total.1.merge(figures.clone());
@@ -151,9 +143,9 @@ fn sum<'a>(
 
 proptest! {
     /// Cut anywhere, merge in any grouping and any order == never cut, on
-    /// the totals type — windows, decode windows, sketches, tallies,
-    /// households, the three counters and the degradation counters at once —
-    /// and on every figure of `Figures`.
+    /// the totals type — windows, decode windows, sketches, households, the
+    /// three counters and the degradation counters at once — and on every
+    /// figure of `Figures`.
     #[test]
     fn cut_anywhere_and_merged_in_any_grouping_and_order_equals_never_cut(
         n in 1usize..120,

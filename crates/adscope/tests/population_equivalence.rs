@@ -134,10 +134,10 @@ fn stream_opts(threads: usize, chunk: usize) -> StreamOptions {
 
 /// One IP whose requests carry no UA, an empty UA and a browser UA in turn.
 /// The referrer map keeps a missing and an empty UA apart, so the stream
-/// counts three users. Population folds an absent UA into the empty one, so
-/// those two share one tally. The render matches the materialized path,
-/// and so does a run resumed from its checkpoint, whose lines hold the two
-/// users' tallies apart.
+/// counts three users. The user table folds an absent UA into the empty one,
+/// so those two are one population user. The render matches the materialized
+/// path, and so does a run resumed from its checkpoint, whose lines hold the
+/// two users' counters apart.
 #[test]
 fn a_missing_and_an_empty_ua_are_two_refmap_users_but_one_tally() {
     let mut trace = population_trace(60, 1, 7);
@@ -185,10 +185,8 @@ fn a_missing_and_an_empty_ua_are_two_refmap_users_but_one_tally() {
             .lines()
             .rfind(|l| l.contains(&format!("\"user_agent\":{ua},")));
         let line = line.unwrap_or_else(|| panic!("no user line for UA {ua}"));
-        let from = line
-            .find("\"tally\":[")
-            .expect("the line carries its tally")
-            + 9;
+        let key = "\"counters\":[";
+        let from = line.find(key).expect("the line carries its counters") + key.len();
         line[from..from + line[from..].find(',').unwrap()]
             .parse::<u64>()
             .unwrap()
@@ -286,8 +284,8 @@ proptest! {
     }
 
     /// Kill-and-resume with population enabled: the checkpoint round-trips
-    /// the cumulative sketches, tallies, and household set, so the resumed
-    /// report (population section included) renders byte-identically.
+    /// the cumulative sketches, user counters, and household set, so the
+    /// resumed report (population section included) renders byte-identically.
     #[test]
     fn checkpoint_resume_preserves_population(
         n in 20usize..100,

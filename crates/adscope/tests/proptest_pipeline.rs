@@ -265,12 +265,12 @@ proptest! {
         let classifier = PassiveClassifier::new(vec![FilterList::parse("easylist", "/ads/\n")]);
         let classified = classify_trace(&trace, &classifier, PipelineOptions::default());
         let users = aggregate_users(&classified);
-        let total: u64 = users.iter().map(|u| u.requests).sum();
+        let total: u64 = users.iter().map(|u| u.counters.requests).sum();
         prop_assert_eq!(total as usize, n_requests);
         // No user aggregate can exceed the trace totals.
         for u in &users {
-            prop_assert!(u.ad_requests <= u.requests);
-            prop_assert!(u.easylist_blockable <= u.requests);
+            prop_assert!(u.counters.ad_requests <= u.counters.requests);
+            prop_assert!(u.counters.easylist_blockable <= u.counters.requests);
         }
     }
 

@@ -1,6 +1,7 @@
 //! Streaming-pipeline equivalence: `classify_stream_file` must produce
-//! the same classified requests, figures, degradation accounting, and window
-//! series as the materialized `classify_trace_in` — for any trace,
+//! the same classified requests, figures, user table, download households,
+//! degradation accounting, and window series as the materialized
+//! `classify_trace_in` — for any trace,
 //! chunk size, and thread count, including traces degraded by
 //! `netsim::faults` at the in-memory and wire levels — and a run killed
 //! mid-stream must resume from its checkpoint to a byte-identical final
@@ -20,15 +21,19 @@ mod common;
 
 use adscope::characterize::Figures;
 use adscope::classify::ListKind;
+use adscope::infer::households_with_downloads;
 use adscope::pipeline::{classify_trace_in, ClassifiedRequest, ClassifiedTrace, PipelineOptions};
-use adscope::stream::{classify_stream_file, classify_stream_file_with, CheckpointOptions};
+use adscope::stream::{
+    classify_stream_file, classify_stream_file_with, CheckpointOptions, StreamOptions,
+};
+use adscope::users::{aggregate_users, UserTally};
 use common::{classifier, messy_trace, stream_opts, temp_path, write_trace_file, Collect};
 use http_model::headers::{RequestHeaders, ResponseHeaders};
 use http_model::transaction::Method;
 use http_model::{ContentCategory, HttpTransaction};
 use netsim::codec::{read_trace_lossy, write_trace};
 use netsim::faults::{FaultInjector, FaultProfile};
-use netsim::record::{Trace, TraceMeta, TraceRecord};
+use netsim::record::{TlsConnection, Trace, TraceMeta, TraceRecord};
 use proptest::prelude::*;
 use std::path::Path;
 
@@ -37,8 +42,8 @@ fn thread_counts() -> Vec<usize> {
 }
 
 /// Filter-list servers: `messy_trace` has no HTTPS flows, the fault
-/// injector's duplicates neither, so the household fold stays empty here
-/// (`planes_algebra` feeds it).
+/// injector's duplicates neither, so the download households stay empty in
+/// the proptests (`planes_algebra` and the user-table test below feed them).
 const ABP_IPS: [u32; 1] = [900];
 
 /// Materialized reference with the streaming window semantics
@@ -49,7 +54,8 @@ fn reference(trace: &Trace, mut opts: PipelineOptions) -> ClassifiedTrace {
 }
 
 /// Stream the file at `path` under `pipeline`, collecting every request and
-/// the figures, and hold both — and the report — to the oracle's `seq`.
+/// the figures, and hold both — and the report, its user table and download
+/// households included — to the oracle's `seq`.
 fn assert_streams_like(
     path: &Path,
     seq: &ClassifiedTrace,
@@ -57,9 +63,10 @@ fn assert_streams_like(
     threads: usize,
     chunk: usize,
 ) {
-    let fold = (Collect::default(), Figures::new(&ABP_IPS));
+    let fold = (Collect::default(), Figures::new());
     let mut opts = stream_opts(threads, chunk);
     opts.pipeline = pipeline;
+    opts.abp_ips = ABP_IPS.to_vec();
     let (rep, (collected, figures)) =
         classify_stream_file_with(path, &classifier(), &opts, &obs::Registry::new(), fold).unwrap();
     assert_eq!(
@@ -69,9 +76,13 @@ fn assert_streams_like(
     );
     assert_eq!(
         figures,
-        Figures::of_trace(seq, &ABP_IPS),
+        Figures::of_trace(seq),
         "figures, threads={threads}"
     );
+    let users = aggregate_users(seq);
+    assert_eq!(rep.user_table, users, "user table, threads={threads}");
+    let households = households_with_downloads(&seq.https_flows, &ABP_IPS);
+    assert_eq!(rep.households, households, "households, threads={threads}");
     assert_eq!(rep.degradation, seq.degradation, "threads={threads}");
     assert_eq!(rep.windows, seq.windows, "windows, threads={threads}");
     assert_eq!(rep.requests as usize, seq.requests.len());
@@ -238,6 +249,105 @@ proptest! {
         }
         let _ = std::fs::remove_file(&path);
     }
+}
+
+/// The engine's user table and download households are the oracle's —
+/// `aggregate_users` and `households_with_downloads` over the one-thread run —
+/// at threads {1, 2, 4} × a chunk sweep, population plane off and on, and
+/// after a kill and a resume at another thread count at every kill point. An
+/// address of the trace carries both a missing and an empty UA, which the
+/// table sums into one user as the oracle does, and no counter stays zero.
+#[test]
+fn the_engines_user_table_and_households_equal_the_oracles() {
+    let mut trace = messy_trace(160, 3, 17);
+    // A download from address 1, and two flows that are none: the wrong port
+    // to a list server, the right one elsewhere.
+    for (i, (client, server, port)) in [(1, 900, 443), (2, 900, 8443), (3, 9, 443)]
+        .into_iter()
+        .cycle()
+        .take(9)
+        .enumerate()
+    {
+        let at = i * 17;
+        trace.records.insert(
+            at,
+            TraceRecord::Https(TlsConnection {
+                ts: at as f64 * 0.2,
+                client_ip: client,
+                server_ip: server,
+                server_port: port,
+                bytes: 4242,
+            }),
+        );
+    }
+    let seq = reference(&trace, PipelineOptions::default());
+    let users = aggregate_users(&seq);
+    let households = households_with_downloads(&seq.https_flows, &ABP_IPS);
+    assert_eq!(households, [1].into());
+    let has = |ip: u32, ua: Option<&str>| {
+        (seq.requests.iter()).any(|r| r.client_ip == ip && r.user_agent.as_deref() == ua)
+    };
+    let both = (1..=3).any(|ip| has(ip, None) && has(ip, Some("")));
+    assert!(both, "no address has a missing and an empty UA");
+    let mut t = UserTally::default();
+    seq.requests.iter().for_each(|r| t.observe(r));
+    for (counter, n) in [
+        ("requests", t.requests),
+        ("bytes", t.bytes),
+        ("ad_requests", t.ad_requests),
+        ("easylist_blockable", t.easylist_blockable),
+        ("easylist_hits", t.easylist_hits),
+        ("regional_hits", t.regional_hits),
+        ("easyprivacy_hits", t.easyprivacy_hits),
+        ("whitelist_hits", t.whitelist_hits),
+    ] {
+        assert!(n > 0, "{counter} is 0");
+    }
+
+    let path = write_trace_file(&trace, "user-table");
+    let opts = |threads: usize, chunk: usize, population: bool| {
+        let mut o = stream_opts(threads, chunk);
+        o.abp_ips = ABP_IPS.to_vec();
+        o.pipeline.population.enabled = population;
+        o
+    };
+    let run = |o: &StreamOptions| {
+        classify_stream_file(&path, &classifier(), o, &obs::Registry::new()).unwrap()
+    };
+    for threads in [1, 2, 4] {
+        for chunk in [1, 3, 16, 100_000] {
+            for population in [false, true] {
+                let rep = run(&opts(threads, chunk, population));
+                let case = format!("threads={threads} chunk={chunk} population={population}");
+                assert_eq!(rep.user_table, users, "{case}");
+                assert_eq!(rep.households, households, "{case}");
+            }
+        }
+    }
+
+    let chunk = 16;
+    for kill in 1..trace.records.len().div_ceil(chunk) as u64 {
+        let ckdir = temp_path("user-table-ck");
+        let mut killed = opts(3, chunk, true);
+        killed.stop_after_chunks = Some(kill);
+        killed.checkpoint = Some(CheckpointOptions {
+            dir: ckdir.clone(),
+            every_chunks: 1,
+            resume: false,
+        });
+        assert!(run(&killed).stopped_early);
+        let mut resumed = opts(2, chunk, true);
+        resumed.checkpoint = Some(CheckpointOptions {
+            resume: true,
+            ..killed.checkpoint.clone().unwrap()
+        });
+        let rep = run(&resumed);
+        assert!(rep.resumed_from.is_some());
+        assert_eq!(rep.user_table, users, "kill={kill}");
+        assert_eq!(rep.households, households, "kill={kill}");
+        let _ = std::fs::remove_dir_all(&ckdir);
+    }
+    let _ = std::fs::remove_file(&path);
 }
 
 // ---------------------------------------------------------------------------

@@ -268,6 +268,7 @@ tuple_from_json!(3: A 0, B 1, C 2);
 tuple_from_json!(4: A 0, B 1, C 2, D 3);
 tuple_from_json!(5: A 0, B 1, C 2, D 3, E 4);
 tuple_from_json!(6: A 0, B 1, C 2, D 3, E 4, F 5);
+tuple_from_json!(8: A 0, B 1, C 2, D 3, E 4, F 5, G 6, H 7);
 
 /// Parse one complete JSON value; trailing non-whitespace is an error.
 /// The returned [`Value`] borrows from `input`.

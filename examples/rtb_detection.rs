@@ -46,7 +46,7 @@ fn main() {
     let classified =
         adscope::pipeline::classify_trace(&out.trace, &classifier, PipelineOptions::default());
 
-    let rtb = Figures::of_trace(&classified, &eco.abp_ips).rtb;
+    let rtb = Figures::of_trace(&classified).rtb;
     println!("density of HTTP−TCP handshake difference (log ms axis):\n");
     println!(
         "ads:  modes at {:?} ms",

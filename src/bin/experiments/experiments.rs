@@ -70,7 +70,7 @@ pub fn run(id: &str, world: &World) -> Option<String> {
 fn classify_profile(world: &World, trace: &Trace) -> (usize, usize, u64, u64) {
     let classified =
         adscope::pipeline::classify_trace(trace, &world.classifier, PipelineOptions::default());
-    let (el, ep) = list_hits(&Figures::of_trace(&classified, &[]).servers);
+    let (el, ep) = list_hits(&Figures::of_trace(&classified).servers);
     (trace.https_count(), trace.http_count(), el, ep)
 }
 
@@ -219,14 +219,14 @@ fn table2(world: &World) -> String {
 }
 
 fn fig3(world: &World) -> String {
-    let users = world.rbn(Rbn::Two).figures.users.finish();
+    let users = &world.rbn(Rbn::Two).report.user_table;
     let mut heat = HeatMap2d::new(0.0, 5.0, 56, 0.0, 4.0, 24);
-    for u in &users {
-        heat.add(u.requests as f64, u.ad_requests as f64);
+    for u in users {
+        heat.add(u.counters.requests as f64, u.counters.ad_requests as f64);
     }
-    let total_reqs: u64 = users.iter().map(|u| u.requests).sum();
-    let total_ads: u64 = users.iter().map(|u| u.ad_requests).sum();
-    let summary = annotation_summary(&users, world.active_threshold());
+    let total_reqs: u64 = users.iter().map(|u| u.counters.requests).sum();
+    let total_ads: u64 = users.iter().map(|u| u.counters.ad_requests).sum();
+    let summary = annotation_summary(users, world.active_threshold());
     let mut out = String::from(
         "## Figure 3 — RBN-2 heat map: total requests vs ad requests per (IP, User-Agent) pair\n",
     );
@@ -256,7 +256,7 @@ fn fig3(world: &World) -> String {
 
 fn fig4(world: &World) -> String {
     let threshold = world.active_threshold();
-    let users = world.rbn(Rbn::Two).figures.users.finish();
+    let users = &world.rbn(Rbn::Two).report.user_table;
     let mut out =
         String::from("## Figure 4 — ECDF of % ad requests per active browser, by family\n");
     let families = [
@@ -305,11 +305,10 @@ fn fig4(world: &World) -> String {
 fn table3(world: &World) -> String {
     let threshold = world.active_threshold();
     let r2 = world.rbn(Rbn::Two);
-    let users = r2.figures.users.finish();
-    let downloads = &r2.figures.households;
-    let inferred = infer::classify_users(&users, downloads, AD_RATIO_THRESHOLD_PCT, threshold);
+    let (users, downloads) = (&r2.report.user_table, &r2.report.households);
+    let inferred = infer::classify_users(users, downloads, AD_RATIO_THRESHOLD_PCT, threshold);
     let (total_reqs, total_ads) = (r2.report.requests, r2.report.ad_requests);
-    let rows = infer::table3(&users, &inferred, total_reqs, total_ads);
+    let rows = infer::table3(users, &inferred, total_reqs, total_ads);
     let mut t = TextTable::new(
         "Table 3 — Ad-blocker usage classes (active browsers)",
         &[
@@ -370,11 +369,10 @@ fn table3(world: &World) -> String {
 fn sec63(world: &World) -> String {
     let threshold = world.active_threshold();
     let r2 = world.rbn(Rbn::Two);
-    let users = r2.figures.users.finish();
-    let downloads = &r2.figures.households;
-    let inferred = infer::classify_users(&users, downloads, AD_RATIO_THRESHOLD_PCT, threshold);
-    let strict = infer::subscription_estimates(&users, &inferred, 0, 0);
-    let tolerant = infer::subscription_estimates(&users, &inferred, 10, 10);
+    let (users, downloads) = (&r2.report.user_table, &r2.report.households);
+    let inferred = infer::classify_users(users, downloads, AD_RATIO_THRESHOLD_PCT, threshold);
+    let strict = infer::subscription_estimates(users, &inferred, 0, 0);
+    let tolerant = infer::subscription_estimates(users, &inferred, 10, 10);
     format!(
         "## §6.3 — Adblock Plus configurations\n\
          EasyPrivacy estimate (type-C users with 0 tracker hits):      {:.1}%  (baseline non-adblock: {:.1}%)\n\
@@ -755,14 +753,13 @@ fn sensitivity(world: &World) -> String {
     // report the class shares plus the ground-truth precision of type C.
     let activity = world.active_threshold();
     let r2 = world.rbn(Rbn::Two);
-    let users = r2.figures.users.finish();
-    let downloads = &r2.figures.households;
+    let (users, downloads) = (&r2.report.user_table, &r2.report.households);
     let mut out = String::from(
         "## Threshold sensitivity - the 5% ratio cut of Sections 4.3/6.2\n\
          threshold   A%     B%     C%     D%   C-precision\n",
     );
     for threshold in [1.0, 2.0, 3.0, 5.0, 7.0, 10.0] {
-        let inferred = infer::classify_users(&users, downloads, threshold, activity);
+        let inferred = infer::classify_users(users, downloads, threshold, activity);
         let share = |class: UserClass| {
             stats::pct(
                 inferred.iter().filter(|u| u.class == class).count() as u64,
@@ -827,6 +824,7 @@ fn robustness(world: &World) -> String {
     let activity = 100u64;
     let opts = StreamOptions {
         threads: world.threads,
+        abp_ips: world.eco.abp_ips.clone(),
         ..StreamOptions::default()
     };
 
@@ -887,14 +885,13 @@ fn robustness(world: &World) -> String {
             &world.classifier,
             &opts,
             obs::global(),
-            Figures::new(&world.eco.abp_ips),
+            Figures::new(),
         )
         .expect(IN_MEMORY);
         let ad_pct = stats::pct(report.ad_requests, report.requests);
         let (el, ep) = list_hits(&figures.servers);
-        let users = figures.users.finish();
-        let downloads = &figures.households;
-        let inferred = infer::classify_users(&users, downloads, AD_RATIO_THRESHOLD_PCT, activity);
+        let (users, downloads) = (&report.user_table, &report.households);
+        let inferred = infer::classify_users(users, downloads, AD_RATIO_THRESHOLD_PCT, activity);
         let share = |class: UserClass| {
             stats::pct(
                 inferred.iter().filter(|u| u.class == class).count() as u64,

@@ -132,9 +132,10 @@ pub struct World {
 /// One RBN capture as the stream engine folded it, with the population's
 /// ground truth.
 pub struct RbnData {
-    /// Totals, windows and the capture's metadata.
+    /// Totals, windows, the user table, the download households and the
+    /// capture's metadata.
     pub report: StreamReport,
-    /// Every §6–§8 figure.
+    /// Every other §6–§8 figure.
     pub figures: Figures,
     /// The classifier against the generator's ground truth: requests by
     /// `[is an ad in truth][classified as one]`.
@@ -310,10 +311,11 @@ impl World {
     fn drive_rbn(&self, which: Rbn) -> RbnData {
         let opts = StreamOptions {
             threads: self.threads,
+            abp_ips: self.eco.abp_ips.clone(),
             ..StreamOptions::default()
         };
         let fold = (
-            Figures::new(&self.eco.abp_ips),
+            Figures::new(),
             Confusion {
                 eco: &self.eco,
                 counts: Default::default(),

@@ -89,7 +89,7 @@ fn abp_users_have_lower_easylist_ratio() {
     let mut abp_ratios = Vec::new();
     let mut plain_ratios = Vec::new();
     for u in &users {
-        if !u.is_browser() || u.requests < 300 {
+        if !u.is_browser() || u.counters.requests < 300 {
             continue;
         }
         let truth = pop.truth.iter().find(|t| {
