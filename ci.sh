@@ -72,6 +72,12 @@ if grep -n 'ClassifiedTrace' src/bin/experiments/world.rs; then exit 1; fi
 # One engine fans out: the oracle (adscope::pipeline) runs on one thread, so
 # no pool and no per-shard kernel may come back beside the stream engine.
 if grep -rnE 'Pool|pool\.map|classify_shard' crates/adscope/src; then exit 1; fi
+# The oracle is a pure computation: above its tests it records into no
+# registry. The span histograms are the one record of wall time, so no
+# call-tree profiler and no provenance sink may come back in obs.
+if sed '/^#\[cfg(test)\]/q' crates/adscope/src/pipeline.rs \
+  | grep -nE 'registry\.|span_with|counter'; then exit 1; fi
+if grep -rnE 'ProfileStore|push_frame|traces_ndjson' crates/obs/src; then exit 1; fi
 
 gate "cargo test -q"
 cargo test -q

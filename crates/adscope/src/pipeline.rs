@@ -7,7 +7,7 @@ use crate::extract::{extract, WebObject};
 use crate::normalize::UrlNormalizer;
 use crate::planes::Planes;
 use crate::population::{PopulationOptions, PopulationSketches};
-use crate::provenance::{self, RecordMeta, TraceOptions, Tracer, VerdictProvenance};
+use crate::provenance::{RecordMeta, TraceOptions, Tracer, VerdictProvenance};
 use crate::refmap::{RefMap, RefMapOptions};
 use crate::window::WindowOptions;
 use http_model::{ContentCategory, Url};
@@ -120,20 +120,10 @@ impl ClassifiedTrace {
     }
 }
 
-/// Run the full pipeline over a captured trace, recording metrics into
-/// the global [`obs`] registry. See [`classify_trace_in`].
-pub fn classify_trace(
-    trace: &Trace,
-    classifier: &PassiveClassifier,
-    opts: PipelineOptions,
-) -> ClassifiedTrace {
-    classify_trace_in(trace, classifier, opts, obs::global())
-}
-
-/// Run the full pipeline over a captured trace on the calling thread,
-/// recording metrics into an explicit registry (tests inject a hermetic
-/// one). This is the one-thread oracle the stream engine is held to: every
-/// stage is a whole-trace pass over the records in trace order.
+/// Run the full pipeline over a captured trace on the calling thread. This
+/// is the one-thread oracle the stream engine is held to: every stage is a
+/// whole-trace pass over the records in trace order, and the result is the
+/// return value alone — nothing is written into any [`obs::Registry`].
 ///
 /// Stage order: extract → referrer map and provisional content type →
 /// redirect type backfill → URL normalization and classification.
@@ -142,25 +132,14 @@ pub fn classify_trace(
 /// kept per user, ⟨anonymized IP, User-Agent⟩ (the paper's user axis,
 /// §6.1), and a redirect's backfill target is an earlier request of the
 /// same user.
-///
-/// Each stage runs under an `adscope_stage` span (wall time in
-/// `adscope_stage_duration_ns{stage=...}`, records in/out on the span
-/// event), and every [`DegradationReport`] counter is bridged into
-/// `adscope_degradation_total{reason=...}` so the exposition and the
-/// report always agree.
-pub fn classify_trace_in(
+pub fn classify_trace(
     trace: &Trace,
     classifier: &PassiveClassifier,
     opts: PipelineOptions,
-    registry: &obs::Registry,
 ) -> ClassifiedTrace {
     // Stage: extract (URL reassembly + quarantine).
-    let mut span = registry.span_with("adscope_stage", &[("stage", "extract")]);
-    span.count("records_in", trace.records.len() as u64);
     let (objects, mut degradation, quarantined_ts) = crate::extract::extract_full(trace);
     let dropped = degradation.quarantined();
-    span.count("records_out", objects.len() as u64);
-    drop(span);
 
     let mut prev_ts = f64::NEG_INFINITY;
     for obj in &objects {
@@ -177,8 +156,6 @@ pub fn classify_trace_in(
     let tracer = Tracer::new(&trace.meta.name, opts.trace);
 
     // Pass 1: per-user referrer map + provisional types.
-    let mut span = registry.span_with("adscope_stage", &[("stage", "refmap")]);
-    span.count("records_in", objects.len() as u64);
     let mut per_user: HashMap<(u32, Option<&str>), RefMap> = HashMap::new();
     let mut pages: Vec<Option<Url>> = Vec::with_capacity(objects.len());
     let mut categories: Vec<ContentCategory> = Vec::with_capacity(objects.len());
@@ -214,20 +191,13 @@ pub fn classify_trace_in(
     for map in per_user.values() {
         degradation.broken_redirect_chains += map.redirects_inserted() - map.redirects_consumed();
     }
-    span.count("users", per_user.len() as u64);
-    span.count("records_out", pages.len() as u64);
-    drop(span);
 
     // Pass 2: redirect type backfill. The target is an earlier request,
     // found by its record index (extraction keeps the indices ascending).
-    let mut span = registry.span_with("adscope_stage", &[("stage", "backfill")]);
-    span.count("records_in", backfills.len() as u64);
-    let mut backfilled = 0u64;
     for (idx, cat) in backfills {
         if let Ok(pos) = objects.binary_search_by_key(&idx, |o| o.idx) {
             if cat != ContentCategory::Other {
                 categories[pos] = cat;
-                backfilled += 1;
                 if tracer.is_some() {
                     metas[pos].content_source = ContentSource::Redirect;
                 }
@@ -241,13 +211,9 @@ pub fn classify_trace_in(
             degradation.content_type_fallbacks += 1;
         }
     }
-    span.count("records_out", backfilled);
-    drop(span);
 
     // Pass 3: normalize + classify. One scratch keeps the compiled match
     // path allocation-free.
-    let mut span = registry.span_with("adscope_stage", &[("stage", "classify")]);
-    span.count("records_in", objects.len() as u64);
     let mut provenance: Vec<VerdictProvenance> = Vec::new();
     let mut scratch = abp_filter::ClassifyScratch::new();
     let requests: Vec<ClassifiedRequest> = objects
@@ -293,36 +259,12 @@ pub fn classify_trace_in(
             }
         })
         .collect();
-    let ad_count = requests.iter().filter(|r| r.label.is_ad()).count();
-    span.count("records_out", requests.len() as u64);
-    span.count("ads", ad_count as u64);
-    drop(span);
-    registry
-        .counter("adscope_requests_classified_total")
-        .add(requests.len() as u64);
-    registry
-        .counter("adscope_ad_requests_total")
-        .add(ad_count as u64);
 
-    // Bridge every degradation counter into label space so the
-    // exposition and the report always reconcile.
-    for (reason, count) in degradation.counts() {
-        registry
-            .counter_with("adscope_degradation_total", &[("reason", reason)])
-            .add(count as u64);
-    }
-    provenance::publish(&provenance, registry);
-
-    // Stage: the plane set, folded once over the final request vector.
-    let mut span = registry.span_with("adscope_stage", &[("stage", "planes")]);
-    span.count("records_in", requests.len() as u64);
+    // The plane set, folded once over the final request vector.
     let mut planes = Planes::new(opts, &[]);
     planes.fold(&requests, &quarantined_ts);
     let totals = planes.cut();
-    span.count("windows_out", totals.windows.windows.len() as u64);
-    drop(span);
     let windows = if opts.window.enabled {
-        crate::window::publish(&totals.windows, registry);
         totals.windows
     } else {
         obs::window::WindowReport::default()
@@ -338,6 +280,16 @@ pub fn classify_trace_in(
         windows,
         population: totals.population,
     }
+}
+
+/// [`classify_trace`] under the signature the e2e harness calls; the registry is ignored.
+pub fn classify_trace_in(
+    trace: &Trace,
+    classifier: &PassiveClassifier,
+    opts: PipelineOptions,
+    _registry: &obs::Registry,
+) -> ClassifiedTrace {
+    classify_trace(trace, classifier, opts)
 }
 
 /// Convenience used across experiments and tests: objects list (extraction
@@ -575,6 +527,46 @@ mod tests {
         assert_eq!(d.missing_content_type, 2);
         assert_eq!(d.content_type_fallbacks, 1, "only the .gif recovered");
         assert!(d.total() >= d.quarantined());
+    }
+
+    /// The oracle is a pure computation: with every plane it has on, a
+    /// registry handed to it stays untouched.
+    #[test]
+    fn the_oracle_writes_nothing_into_a_registry() {
+        let t = trace(vec![
+            tx(0.0, 5, "pub.example", "/", None, Some("text/html"), None),
+            tx(
+                0.1,
+                5,
+                "x.example",
+                "/banners/a.gif",
+                Some("http://pub.example/"),
+                Some("image/gif"),
+                None,
+            ),
+            tx(0.2, 5, "", "/lost", None, None, None),
+            tx(
+                0.05,
+                6,
+                "ads.example",
+                "/c.gif",
+                None,
+                Some("image/gif"),
+                None,
+            ),
+        ]);
+        let mut opts = PipelineOptions::default();
+        opts.trace.sample_ppm = 1_000_000;
+        opts.population.enabled = true;
+        let registry = obs::Registry::new();
+        let out = classify_trace_in(&t, &classifier(), opts, &registry);
+        assert!(!out.provenance.is_empty(), "the tracer sampled");
+        assert!(!out.windows.windows.is_empty(), "the window plane folded");
+        assert!(out.population.is_some(), "the population plane folded");
+        assert!(out.degradation.total() > 0, "the input degraded");
+        assert!(registry.snapshot().samples.is_empty(), "no metric");
+        assert!(registry.events().is_empty(), "no event");
+        assert!(registry.windows().is_empty(), "no window line");
     }
 
     #[test]

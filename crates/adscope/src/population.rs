@@ -491,7 +491,7 @@ impl PopulationReport {
 mod tests {
     use super::*;
     use crate::classify::PassiveClassifier;
-    use crate::pipeline::{classify_trace_in, PipelineOptions};
+    use crate::pipeline::{classify_trace, PipelineOptions};
     use crate::planes::Planes;
     use crate::users::UserTally;
     use abp_filter::FilterList;
@@ -541,14 +541,13 @@ mod tests {
             FilterList::parse("easylist", "/banners/\n"),
             FilterList::parse("acceptable-ads", "@@||nice.example^\n"),
         ]);
-        classify_trace_in(
+        classify_trace(
             &trace,
             &classifier,
             PipelineOptions {
                 population: popts,
                 ..PipelineOptions::default()
             },
-            &obs::Registry::new(),
         )
     }
 

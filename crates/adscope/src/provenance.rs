@@ -12,9 +12,12 @@
 //! Determinism contract: a request's [`VerdictProvenance`] — trace id,
 //! span ids, every field, the rendered NDJSON bytes — is a pure function
 //! of the input trace and pipeline options. The one-thread oracle
-//! ([`crate::pipeline::classify_trace_in`]) samples in record order, so the
-//! trace sink's lines are the sampled records' `to_json`, in that order
-//! (pinned by `proptest_pipeline.rs`).
+//! ([`crate::pipeline::classify_trace`]) samples in record order and
+//! returns the records in [`ClassifiedTrace::provenance`], in that order
+//! (pinned by `proptest_pipeline.rs`); `experiments explain` writes their
+//! `to_json` lines as its NDJSON artifact.
+//!
+//! [`ClassifiedTrace::provenance`]: crate::pipeline::ClassifiedTrace::provenance
 //!
 //! Cost contract: while the tracer is inactive (`sample_ppm == 0` or the
 //! `obs` kill switch is off) the pipeline allocates nothing for tracing;
@@ -435,21 +438,6 @@ impl Tracer {
             page_whitelisted: c.page_whitelisted,
             first_match_depth: c.first_match_depth,
         }
-    }
-}
-
-/// Push rendered provenance into the registry's trace sink and bump the
-/// per-cause sample counters. Called once after classification, in record
-/// order, so the sink contents are deterministic.
-pub fn publish(provenance: &[VerdictProvenance], registry: &obs::Registry) {
-    for vp in provenance {
-        registry.traces().push(vp.to_json());
-        registry
-            .counter_with(
-                "adscope_traces_sampled_total",
-                &[("cause", vp.cause.label())],
-            )
-            .inc();
     }
 }
 

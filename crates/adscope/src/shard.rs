@@ -3,7 +3,7 @@
 
 use crate::classify::PassiveClassifier;
 use crate::extract::UserId;
-use crate::pipeline::{classify_trace_in, ClassifiedTrace, PipelineOptions};
+use crate::pipeline::{classify_trace, ClassifiedTrace, PipelineOptions};
 use netsim::record::Trace;
 
 /// Deterministic shard assignment by the user's dense id: users take the
@@ -16,17 +16,18 @@ pub(crate) fn shard_of(user: UserId, nshards: usize) -> usize {
     user as usize % nshards
 }
 
-/// [`classify_trace_in`], the one-thread oracle, under the signature the
-/// e2e harness calls. `threads` is ignored: the oracle runs on the calling
-/// thread, and thread-count invariance belongs to the stream engine.
+/// [`classify_trace`], the one-thread oracle, under the signature the e2e
+/// harness calls. `threads` is ignored: the oracle runs on the calling
+/// thread, and thread-count invariance belongs to the stream engine. So is
+/// `registry`: the oracle records nothing.
 pub fn classify_trace_sharded_in(
     trace: &Trace,
     classifier: &PassiveClassifier,
     opts: PipelineOptions,
     _threads: usize,
-    registry: &obs::Registry,
+    _registry: &obs::Registry,
 ) -> ClassifiedTrace {
-    classify_trace_in(trace, classifier, opts, registry)
+    classify_trace(trace, classifier, opts)
 }
 
 #[cfg(test)]

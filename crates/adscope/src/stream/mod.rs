@@ -476,7 +476,7 @@ where
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::*;
-    use crate::pipeline::classify_trace_in;
+    use crate::pipeline::classify_trace;
     use crate::window::WindowOptions;
     use abp_filter::FilterList;
     use http_model::headers::{RequestHeaders, ResponseHeaders};
@@ -643,7 +643,7 @@ pub(crate) mod testutil {
     pub(crate) fn reference(trace: &Trace) -> crate::pipeline::ClassifiedTrace {
         let mut opts = PipelineOptions::default();
         opts.window.watermark_secs = f64::INFINITY;
-        classify_trace_in(trace, &classifier(), opts, &obs::Registry::new())
+        classify_trace(trace, &classifier(), opts)
     }
 
     pub(crate) fn stream_opts(threads: usize, chunk: usize) -> StreamOptions {

@@ -463,7 +463,7 @@ impl<'a> Router<'a> {
         let (st, registry) = (self.state, self.registry);
         let t = st.totals;
 
-        // Same metric bridge as the materialized path, over the
+        // The one metric bridge (the oracle records nothing), over the
         // cumulative totals (a resumed run republishes the whole
         // logical stream's counts, so /metrics describes the trace, not
         // the fraction this process happened to run).

@@ -6,7 +6,7 @@
 
 mod common;
 
-use adscope::pipeline::{classify_trace_in, PipelineOptions};
+use adscope::pipeline::{classify_trace, PipelineOptions};
 use adscope::stream::{classify_stream_file, CheckpointOptions, StreamOptions};
 use common::{classifier, temp_path, write_trace_file};
 use http_model::headers::{RequestHeaders, ResponseHeaders};
@@ -153,7 +153,7 @@ proptest! {
 
         let mut popts = PipelineOptions::default();
         popts.window.watermark_secs = f64::INFINITY;
-        let seq = classify_trace_in(&trace, &classifier(), popts, &obs::Registry::new());
+        let seq = classify_trace(&trace, &classifier(), popts);
         let want = adscope::alerts::evaluate(&seq.windows, pack());
         let (want_text, want_ndjson) = (want.render_text(), want.render_ndjson());
 

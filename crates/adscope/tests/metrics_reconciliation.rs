@@ -2,15 +2,15 @@
 //! report counter is bridged into exactly one
 //! `adscope_degradation_total{reason=...}` sample, and their totals
 //! reconcile. A reason added to the report but not the bridge (or vice
-//! versa) fails here. The oracle and the stream engine each hold a copy of
-//! the bridge, and each is held to it.
+//! versa) fails here. The stream engine holds the one bridge; the oracle
+//! records nothing, and its report is held to the engine's.
 
 mod common;
 
 use abp_filter::FilterList;
-use adscope::pipeline::{classify_trace_in, PipelineOptions};
+use adscope::pipeline::{classify_trace, PipelineOptions};
 use adscope::stream::classify_stream_file;
-use adscope::PassiveClassifier;
+use adscope::{DegradationReport, PassiveClassifier};
 use common::{stream_opts, write_trace_file};
 use http_model::headers::{RequestHeaders, ResponseHeaders};
 use http_model::transaction::Method;
@@ -82,87 +82,81 @@ fn degraded_trace() -> Trace {
     }
 }
 
-#[test]
-fn degradation_report_reconciles_with_exposition() {
-    let trace = degraded_trace();
-    let classifier = PassiveClassifier::new(vec![FilterList::parse("easylist", "/banner\n")]);
-    let registry = obs::Registry::new();
-    let classified = classify_trace_in(&trace, &classifier, PipelineOptions::default(), &registry);
-    let report = &classified.degradation;
-    assert!(
-        report.total() > 0,
-        "fixture must actually degrade, or the test is vacuous"
-    );
-
+/// Every report counter appears under its own reason label with the exact
+/// same count, and nothing else does: the labeled samples are exactly the
+/// report's reasons, so the totals reconcile by construction.
+fn assert_bridged(registry: &obs::Registry, report: &DegradationReport, context: &str) {
     let snap = registry.snapshot();
-    // Every report counter appears under its own reason label with the
-    // exact same count.
     for (reason, count) in report.counts() {
         assert_eq!(
             snap.counter("adscope_degradation_total", &[("reason", reason)]),
             count as u64,
-            "reason {reason:?} out of sync with the report"
+            "{context}: reason {reason:?} out of sync with the report"
         );
     }
-    // ... and nothing else does: the labeled samples are exactly the
-    // report's reasons, so the totals reconcile by construction.
     let labeled = snap
         .samples
         .iter()
         .filter(|(k, _)| k.name == "adscope_degradation_total")
         .count();
-    assert_eq!(labeled, report.counts().len());
+    assert_eq!(labeled, report.counts().len(), "{context}");
     assert_eq!(
         snap.counter_sum("adscope_degradation_total"),
-        report.total() as u64
+        report.total() as u64,
+        "{context}"
     );
 }
 
-/// The bijection must also hold for the stream engine, whose bridge runs
-/// once at the end of the run over the degradation its workers' partials
-/// merged into: at any worker count the labeled samples are exactly the
-/// merged report's reasons, with the same totals.
+fn classifier() -> PassiveClassifier {
+    PassiveClassifier::new(vec![FilterList::parse("easylist", "/banner\n")])
+}
+
+/// The oracle records nothing, so its report reaches an exposition only as
+/// the engine's: the one-worker stream's bridged report is the oracle's.
+#[test]
+fn degradation_report_reconciles_with_exposition() {
+    let trace = degraded_trace();
+    let oracle = classify_trace(&trace, &classifier(), PipelineOptions::default()).degradation;
+    assert!(
+        oracle.total() > 0,
+        "fixture must actually degrade, or the test is vacuous"
+    );
+    let path = write_trace_file(&trace, "reconcile-one");
+    let registry = obs::Registry::new();
+    let report = classify_stream_file(&path, &classifier(), &stream_opts(1, 2), &registry)
+        .unwrap()
+        .degradation;
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(report, oracle, "the engine's report is the oracle's");
+    assert_bridged(&registry, &report, "one worker");
+}
+
+/// The bijection must also hold at any worker count: the bridge runs once
+/// at the end of the run over the degradation its workers' partials merged
+/// into.
 #[test]
 fn stream_degradation_bridge_reconciles_at_every_thread_count() {
     let path = write_trace_file(&degraded_trace(), "reconcile");
-    let classifier = PassiveClassifier::new(vec![FilterList::parse("easylist", "/banner\n")]);
     for threads in [1usize, 2, 4, 8] {
         let registry = obs::Registry::new();
-        let report = classify_stream_file(&path, &classifier, &stream_opts(threads, 2), &registry)
-            .unwrap()
-            .degradation;
+        let report =
+            classify_stream_file(&path, &classifier(), &stream_opts(threads, 2), &registry)
+                .unwrap()
+                .degradation;
         assert!(report.total() > 0, "fixture must actually degrade");
-
-        let snap = registry.snapshot();
-        for (reason, count) in report.counts() {
-            assert_eq!(
-                snap.counter("adscope_degradation_total", &[("reason", reason)]),
-                count as u64,
-                "threads={threads}: reason {reason:?} out of sync with the merged report"
-            );
-        }
-        let labeled = snap
-            .samples
-            .iter()
-            .filter(|(k, _)| k.name == "adscope_degradation_total")
-            .count();
-        assert_eq!(labeled, report.counts().len(), "threads={threads}");
-        assert_eq!(
-            snap.counter_sum("adscope_degradation_total"),
-            report.total() as u64,
-            "threads={threads}"
-        );
+        assert_bridged(&registry, &report, &format!("threads={threads}"));
     }
     let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn repeated_runs_accumulate_in_the_same_registry() {
-    let trace = degraded_trace();
-    let classifier = PassiveClassifier::new(vec![FilterList::parse("easylist", "/banner\n")]);
+    let path = write_trace_file(&degraded_trace(), "reconcile-twice");
     let registry = obs::Registry::new();
-    let first = classify_trace_in(&trace, &classifier, PipelineOptions::default(), &registry);
-    classify_trace_in(&trace, &classifier, PipelineOptions::default(), &registry);
+    let run = || classify_stream_file(&path, &classifier(), &stream_opts(1, 2), &registry).unwrap();
+    let first = run();
+    run();
+    let _ = std::fs::remove_file(&path);
     let snap = registry.snapshot();
     assert_eq!(
         snap.counter_sum("adscope_degradation_total"),
@@ -170,6 +164,6 @@ fn repeated_runs_accumulate_in_the_same_registry() {
     );
     assert_eq!(
         snap.counter("adscope_requests_classified_total", &[]),
-        2 * first.requests.len() as u64
+        2 * first.requests
     );
 }

@@ -12,7 +12,7 @@ mod common;
 
 use adscope::characterize::Figures;
 use adscope::extract::extract_full;
-use adscope::pipeline::{classify_trace_in, ClassifiedRequest, PipelineOptions};
+use adscope::pipeline::{classify_trace, ClassifiedRequest, PipelineOptions};
 use adscope::planes::{PlaneTotals, Planes};
 use adscope::stream::{Fold, StreamOptions};
 use common::{classifier, messy_trace};
@@ -100,7 +100,7 @@ fn generated(
         };
         trace.records.push(TraceRecord::Https(flow));
     }
-    let classified = classify_trace_in(&trace, &classifier(), opts, &obs::Registry::new());
+    let classified = classify_trace(&trace, &classifier(), opts);
     let (_, _, quarantined_ts) = extract_full(&trace);
     (trace, classified.requests, quarantined_ts)
 }

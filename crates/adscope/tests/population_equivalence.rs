@@ -9,7 +9,7 @@
 
 mod common;
 
-use adscope::pipeline::{classify_trace_in, PipelineOptions};
+use adscope::pipeline::{classify_trace, PipelineOptions};
 use adscope::population::{self, PopulationOptions, PopulationSketches};
 use adscope::stream::{classify_stream_file, CheckpointOptions, StreamOptions};
 use common::{classifier, temp_path, write_trace_file};
@@ -119,7 +119,7 @@ fn reference_render(trace: &Trace) -> String {
     let mut opts = PipelineOptions::default();
     opts.window.watermark_secs = f64::INFINITY;
     opts.population = popts();
-    let classified = classify_trace_in(trace, &classifier(), opts, &obs::Registry::new());
+    let classified = classify_trace(trace, &classifier(), opts);
     population::finish_trace(&classified, &ABP_IPS, popts()).render()
 }
 
@@ -216,11 +216,10 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let trace = population_trace(n, users, seed);
-        let classified = classify_trace_in(
+        let classified = classify_trace(
             &trace,
             &classifier(),
             PipelineOptions::default(),
-            &obs::Registry::new(),
         );
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
         let mut whole = PopulationSketches::new(popts());

@@ -1,9 +1,9 @@
 //! Property tests for the passive pipeline: normalization is idempotent and
 //! conservative, content inference is total, the referrer map never panics
 //! on arbitrary orderings, and per-user aggregation conserves counts. The
-//! one-thread oracle's registry carries what its report holds: the sampled
-//! provenance in the trace sink, the window series in the window log, and
-//! the late-observation tally in `obs_window_late_total`.
+//! one-thread oracle returns its sampled provenance in record order, and its
+//! window report, published, puts the series in the window log and the
+//! late-observation tally in `obs_window_late_total`.
 
 mod common;
 
@@ -11,7 +11,7 @@ use abp_filter::FilterList;
 use adscope::classify::PassiveClassifier;
 use adscope::content::{infer_category, ContentOptions};
 use adscope::normalize::UrlNormalizer;
-use adscope::pipeline::{classify_trace, classify_trace_in, PipelineOptions};
+use adscope::pipeline::{classify_trace, PipelineOptions};
 use adscope::provenance::TraceOptions;
 use adscope::users::aggregate_users;
 use adscope::window::WindowOptions;
@@ -101,10 +101,10 @@ fn windowed_trace(n: usize, users: u32, span_secs: f64, seed: u64) -> Trace {
 }
 
 proptest! {
-    /// With tracing on, the trace sink's lines are exactly the sampled
-    /// records' `to_json`, in record order.
+    /// With tracing on, the oracle returns the sampled provenance in record
+    /// order.
     #[test]
-    fn trace_sink_holds_the_sampled_provenance_in_record_order(
+    fn sampled_provenance_comes_back_in_record_order(
         n in 1usize..100,
         users in 1u32..8,
         seed in 0u64..500,
@@ -113,19 +113,14 @@ proptest! {
             trace: TraceOptions { sample_ppm: 300_000, always_sample_exceptional: true },
             ..Default::default()
         };
-        let registry = obs::Registry::new();
-        let out =
-            classify_trace_in(&messy_trace(n, users, seed), &classifier(), opts, &registry);
-        let lines = registry.traces().snapshot();
-        prop_assert_eq!(lines.len(), out.provenance.len());
+        let out = classify_trace(&messy_trace(n, users, seed), &classifier(), opts);
         prop_assert!(out.provenance.windows(2).all(|w| w[0].record < w[1].record));
-        for (line, vp) in lines.iter().zip(&out.provenance) {
-            prop_assert_eq!(line, &vp.to_json());
-        }
     }
 
-    /// The registry's window log carries exactly the report's NDJSON lines,
-    /// for narrow and wide windows and tight and loose watermarks.
+    /// Publishing the oracle's report puts exactly its NDJSON lines in the
+    /// registry's window log, for narrow and wide windows and tight and
+    /// loose watermarks (so finite watermarks, which the stream never uses,
+    /// stay covered).
     #[test]
     fn window_log_is_the_rendered_report(
         n in 1usize..150,
@@ -139,17 +134,18 @@ proptest! {
             window: WindowOptions { enabled: true, width_secs: width, watermark_secs: watermark },
             ..PipelineOptions::default()
         };
-        let registry = obs::Registry::new();
         let trace = windowed_trace(n, users, span_secs, seed);
-        let out = classify_trace_in(&trace, &classifier(), opts, &registry);
+        let out = classify_trace(&trace, &classifier(), opts);
+        let registry = obs::Registry::new();
+        adscope::window::publish(&out.windows, &registry);
         let logged = registry.windows().snapshot().join("\n");
         let rendered = out.windows.render_ndjson("adscope");
         prop_assert_eq!(logged.as_str(), rendered.trim_end_matches('\n'));
     }
 
     /// Late records are counted, not silently dropped: the report's late
-    /// total matches a visible `obs_window_late_total` counter, which
-    /// reaches the Prometheus exposition.
+    /// total, published, matches a visible `obs_window_late_total` counter,
+    /// which reaches the Prometheus exposition.
     #[test]
     fn late_records_increment_visible_counter(seed in 0u64..200) {
         let mut trace = windowed_trace(40, 3, 10_000.0, seed);
@@ -165,8 +161,9 @@ proptest! {
             window: WindowOptions { enabled: true, width_secs: 60.0, watermark_secs: 60.0 },
             ..PipelineOptions::default()
         };
+        let out = classify_trace(&trace, &classifier(), opts);
         let registry = obs::Registry::new();
-        let out = classify_trace_in(&trace, &classifier(), opts, &registry);
+        adscope::window::publish(&out.windows, &registry);
         prop_assert!(out.windows.late > 0, "fixture must produce a latecomer");
         prop_assert_eq!(
             registry.snapshot().counter("obs_window_late_total", &[]),

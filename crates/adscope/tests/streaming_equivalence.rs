@@ -1,7 +1,7 @@
 //! Streaming-pipeline equivalence: `classify_stream_file` must produce
 //! the same classified requests, figures, user table, download households,
 //! degradation accounting, and window series as the materialized
-//! `classify_trace_in` — for any trace,
+//! `classify_trace` — for any trace,
 //! chunk size, and thread count, including traces degraded by
 //! `netsim::faults` at the in-memory and wire levels — and a run killed
 //! mid-stream must resume from its checkpoint to a byte-identical final
@@ -22,7 +22,7 @@ mod common;
 use adscope::characterize::Figures;
 use adscope::classify::ListKind;
 use adscope::infer::households_with_downloads;
-use adscope::pipeline::{classify_trace_in, ClassifiedRequest, ClassifiedTrace, PipelineOptions};
+use adscope::pipeline::{classify_trace, ClassifiedRequest, ClassifiedTrace, PipelineOptions};
 use adscope::stream::{
     classify_stream_file, classify_stream_file_with, CheckpointOptions, StreamOptions,
 };
@@ -50,7 +50,7 @@ const ABP_IPS: [u32; 1] = [900];
 /// (infinite watermark).
 fn reference(trace: &Trace, mut opts: PipelineOptions) -> ClassifiedTrace {
     opts.window.watermark_secs = f64::INFINITY;
-    classify_trace_in(trace, &classifier(), opts, &obs::Registry::new())
+    classify_trace(trace, &classifier(), opts)
 }
 
 /// Stream the file at `path` under `pipeline`, collecting every request and

@@ -9,7 +9,7 @@
 //! `obs/tests/kill_switch.rs`.
 
 use abp_filter::FilterList;
-use adscope::pipeline::classify_trace_in;
+use adscope::pipeline::classify_trace;
 use adscope::provenance::TraceOptions;
 use adscope::{PassiveClassifier, PipelineOptions};
 use http_model::headers::{RequestHeaders, ResponseHeaders};
@@ -113,11 +113,10 @@ fn opts(sample_ppm: u32) -> PipelineOptions {
     }
 }
 
-/// Allocations of one full pipeline run against a fresh registry.
+/// Allocations of one full pipeline run.
 fn allocations_of_run(trace: &Trace, c: &PassiveClassifier, o: PipelineOptions) -> (u64, usize) {
-    let registry = obs::Registry::new();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let out = classify_trace_in(trace, c, o, &registry);
+    let out = classify_trace(trace, c, o);
     let after = ALLOCATIONS.load(Ordering::Relaxed);
     (after - before, out.provenance.len())
 }
@@ -127,7 +126,7 @@ fn disabled_tracer_allocates_exactly_nothing_extra() {
     let trace = sample_trace();
     let c = classifier();
 
-    // Warm up: interner pools, registry handle paths, lazy statics.
+    // Warm up: interner pools, lazy statics.
     for _ in 0..2 {
         let _ = allocations_of_run(&trace, &c, opts(0));
     }

@@ -429,7 +429,6 @@ pub fn verdict(registry: &Registry) -> Verdict {
     }
     let snap = registry.snapshot();
     let lossy = snap.counter_sum("obs_events_dropped_total")
-        + snap.counter_sum("obs_traces_dropped_total")
         + snap.counter_sum("obs_windows_dropped_total")
         + snap.counter(
             "adscope_degradation_total",

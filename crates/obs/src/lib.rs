@@ -25,11 +25,11 @@
 //!    suite measures the instrumentation overhead against an
 //!    uninstrumented baseline.
 //!
-//! Three snapshot-consistent sinks render a [`Registry`]:
-//! [`Registry::render_prometheus`] (text exposition, see [`prometheus`]),
-//! [`Registry::events_ndjson`] (the structured span/event log, see
-//! [`events`]), and [`Registry::traces_ndjson`] (per-request verdict
-//! provenance collected under the deterministic sampler, see [`trace`]).
+//! Two snapshot-consistent sinks render a [`Registry`]:
+//! [`Registry::render_prometheus`] (text exposition, see [`prometheus`])
+//! and [`Registry::events_ndjson`] (the structured span/event log, see
+//! [`events`]). The span histograms are the one record of wall time;
+//! [`span::render_stages`] renders them as the stage table.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,7 +41,6 @@ pub mod health;
 pub mod manifest;
 pub mod metric;
 pub mod process;
-pub mod profile;
 pub mod prometheus;
 pub mod registry;
 pub mod serve;
@@ -63,7 +62,6 @@ pub use manifest::{
 };
 pub use metric::{Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS};
 pub use process::{open_fds, peak_rss_bytes, record_peak_rss, record_process, start_time_seconds};
-pub use profile::{NodeStats, ProfileStore};
 pub use prometheus::{escape_label, unescape_label, validate_exposition};
 pub use registry::{MetricKey, Registry, SampleValue, Snapshot};
 pub use serve::{serve, ServerHandle};

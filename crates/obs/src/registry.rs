@@ -4,7 +4,6 @@
 use crate::events::{Event, EventLog, FieldValue};
 use crate::health::Health;
 use crate::metric::{Counter, Gauge, Histogram, HistogramSnapshot};
-use crate::profile::ProfileStore;
 use crate::span::Span;
 use crate::trace::TraceLog;
 use std::collections::HashMap;
@@ -131,9 +130,7 @@ pub struct Registry {
     start: Instant,
     metrics: RwLock<HashMap<MetricKey, MetricEntry>>,
     events: EventLog,
-    traces: TraceLog,
     windows: TraceLog,
-    profile: ProfileStore,
     health: Health,
     population: RwLock<(String, String)>,
     alerts: RwLock<(String, String)>,
@@ -152,12 +149,10 @@ impl Registry {
             start: Instant::now(),
             metrics: RwLock::new(HashMap::new()),
             events: EventLog::default(),
-            traces: TraceLog::default(),
             windows: TraceLog::with_capacity_and_marker(
                 crate::trace::TRACE_LOG_CAPACITY,
                 "windows_dropped",
             ),
-            profile: ProfileStore::default(),
             health: Health::default(),
             population: RwLock::new((String::new(), String::new())),
             alerts: RwLock::new((String::new(), String::new())),
@@ -263,21 +258,10 @@ impl Registry {
         &self.events
     }
 
-    /// The verdict-provenance trace log (pre-rendered NDJSON lines,
-    /// pushed in deterministic record order by the pipeline).
-    pub fn traces(&self) -> &TraceLog {
-        &self.traces
-    }
-
     /// The closed-window log (pre-rendered NDJSON window lines, pushed
     /// in window order by the pipeline; served at `/windows`).
     pub fn windows(&self) -> &TraceLog {
         &self.windows
-    }
-
-    /// The per-stage wall-time profile fed by [`Span`]s.
-    pub fn profile(&self) -> &ProfileStore {
-        &self.profile
     }
 
     /// The live run-health plane (heartbeats, progress ledger, stall
@@ -291,7 +275,7 @@ impl Registry {
     /// Bounded-sink drop counts surface here as synthetic
     /// `obs_*_dropped_total` counters — but only once non-zero, so
     /// truncation is visible in `/metrics` without padding every
-    /// snapshot with three zero samples.
+    /// snapshot with two zero samples.
     pub fn snapshot(&self) -> Snapshot {
         let map = self.metrics.read().expect("registry");
         let mut samples: Vec<(MetricKey, SampleValue)> = map
@@ -308,7 +292,6 @@ impl Registry {
         drop(map);
         for (name, dropped) in [
             ("obs_events_dropped_total", self.events.dropped()),
-            ("obs_traces_dropped_total", self.traces.dropped()),
             ("obs_windows_dropped_total", self.windows.dropped()),
         ] {
             if dropped > 0 {
@@ -327,11 +310,6 @@ impl Registry {
     /// Render the event log as NDJSON.
     pub fn events_ndjson(&self) -> String {
         self.events.render_ndjson()
-    }
-
-    /// Render the verdict-provenance trace log as NDJSON.
-    pub fn traces_ndjson(&self) -> String {
-        self.traces.render_ndjson()
     }
 
     /// Render the closed-window log as NDJSON.

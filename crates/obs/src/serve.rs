@@ -1,7 +1,9 @@
 //! Std-only live scrape endpoint: a tiny HTTP/1.1 server over
 //! [`std::net::TcpListener`] exposing one [`Registry`].
 //!
-//! Routes:
+//! The routes are the one [`ROUTES`] table: `/` lists it, the
+//! `obs_http_requests_total{path}` label set is it, and [`route`]
+//! dispatches on it. Among them:
 //!
 //! * `/metrics`  — Prometheus text exposition (the existing encoder).
 //! * `/healthz`  — liveness JSON (tri-state `ok`/`degraded`/`stalled`
@@ -9,10 +11,9 @@
 //! * `/statusz`  — the live run-health plane: manifest header, progress
 //!   ledger, per-worker liveness, ETA (`/statusz/ndjson` for machines).
 //! * `/windows`  — NDJSON of closed time windows (see [`crate::window`]).
-//! * `/profile`  — collapsed-stack profile (see [`crate::profile`]);
-//!   `/profile/table` renders the self/total table instead.
+//! * `/profile`  — the stage table of the span histograms (see
+//!   [`crate::span::render_stages`]).
 //! * `/quitz`    — request a clean shutdown (used by the CI smoke test).
-//! * `/`         — a plain-text index of the above.
 //!
 //! One accept loop on one thread, one connection at a time: a scrape
 //! endpoint for a handful of clients, not a web server. The listener is
@@ -26,6 +27,7 @@
 //! the bug this signature makes unrepresentable.
 
 use crate::registry::Registry;
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -168,12 +170,10 @@ fn handle(
     let (status, content_type, body) = route(&path, registry, shutdown);
     // Known routes get a labeled hit counter; everything else folds into
     // "other" so request paths can't explode metric cardinality.
-    let label = match path.as_str() {
-        "/" | "/metrics" | "/healthz" | "/statusz" | "/statusz/ndjson" | "/windows"
-        | "/population" | "/population/ndjson" | "/alerts" | "/alerts/ndjson" | "/profile"
-        | "/profile/table" | "/quitz" => path.as_str(),
-        _ => "other",
-    };
+    let label = ROUTES
+        .iter()
+        .find(|(known, _)| *known == path)
+        .map_or("other", |(known, _)| known);
     registry
         .counter_with("obs_http_requests_total", &[("path", label)])
         .inc();
@@ -214,30 +214,36 @@ fn write_all_by(
     Ok(())
 }
 
+/// Every route and the line `/` lists it with. The index and the hit
+/// counter's label set are read from here; [`route`] answers each entry.
+const ROUTES: [(&str, &str); 12] = [
+    ("/", "this index"),
+    ("/metrics", "Prometheus text exposition"),
+    ("/healthz", "liveness JSON (ok|degraded|stalled)"),
+    ("/statusz", "run health plane (human table)"),
+    ("/statusz/ndjson", "run health plane (NDJSON)"),
+    ("/windows", "closed time windows (NDJSON)"),
+    ("/population", "population analytics (human table)"),
+    ("/population/ndjson", "population analytics (NDJSON)"),
+    ("/alerts", "alert timeline (human table)"),
+    ("/alerts/ndjson", "alert timeline (NDJSON)"),
+    ("/profile", "stage wall-time table (span histograms)"),
+    ("/quitz", "request clean shutdown"),
+];
+
 fn route(
     path: &str,
     registry: &'static Registry,
     shutdown: &AtomicBool,
 ) -> (&'static str, &'static str, String) {
     match path {
-        "/" => (
-            "200 OK",
-            "text/plain; charset=utf-8",
-            "annoyed-users obs endpoint\n\
-             /metrics        Prometheus text exposition\n\
-             /healthz        liveness JSON (ok|degraded|stalled)\n\
-             /statusz        run health plane (human table)\n\
-             /statusz/ndjson run health plane (NDJSON)\n\
-             /windows        closed time windows (NDJSON)\n\
-             /population     population analytics (human table)\n\
-             /population/ndjson population analytics (NDJSON)\n\
-             /alerts         alert timeline (human table)\n\
-             /alerts/ndjson  alert timeline (NDJSON)\n\
-             /profile        collapsed-stack profile (folded)\n\
-             /profile/table  self/total time table\n\
-             /quitz          request clean shutdown\n"
-                .to_string(),
-        ),
+        "/" => {
+            let mut index = String::from("annoyed-users obs endpoint\n");
+            for (path, what) in ROUTES {
+                let _ = writeln!(index, "{path:<19}{what}");
+            }
+            ("200 OK", "text/plain; charset=utf-8", index)
+        }
         "/metrics" => {
             // Refresh point-in-time process and health gauges so every
             // scrape sees current values, not the ones at publish time.
@@ -257,12 +263,11 @@ fn route(
                 "application/json",
                 format!(
                     "{{\"status\":\"{}\",\"uptime_ns\":{},\"events\":{},\"windows\":{},\
-                     \"traces\":{},\"run_active\":{},\"stalls\":{}}}\n",
+                     \"run_active\":{},\"stalls\":{}}}\n",
                     verdict.as_str(),
                     registry.elapsed_ns(),
                     registry.events().len(),
                     registry.windows().len(),
-                    registry.traces().len(),
                     health.active,
                     health.stalls,
                 ),
@@ -313,12 +318,7 @@ fn route(
         "/profile" => (
             "200 OK",
             "text/plain; charset=utf-8",
-            registry.profile().render_folded(),
-        ),
-        "/profile/table" => (
-            "200 OK",
-            "text/plain; charset=utf-8",
-            registry.profile().render_table(),
+            crate::span::render_stages(&registry.snapshot()),
         ),
         "/quitz" => {
             shutdown.store(true, Ordering::Relaxed);
@@ -381,9 +381,7 @@ mod tests {
         assert!(body.contains("\"scope\":\"test\""));
 
         let (_, body) = get(port, "/profile");
-        assert!(body.contains("serve_stage"));
-        let (_, body) = get(port, "/profile/table");
-        assert!(body.contains("path"));
+        assert!(body.contains("  serve_stage\n"), "{body}");
 
         let (head, _) = get(port, "/nope");
         assert!(head.starts_with("HTTP/1.1 404"));
@@ -399,6 +397,36 @@ mod tests {
             1
         );
         h.join();
+    }
+
+    /// The one table: each route answers 200 (`/quitz` last, so the loop
+    /// only stops after it) and `/` names exactly the table's paths.
+    #[test]
+    fn every_route_answers_and_the_index_names_exactly_the_routes() {
+        let r = static_registry();
+        let h = serve(r, 0).expect("bind");
+        let port = h.port();
+        assert_eq!(ROUTES[ROUTES.len() - 1].0, "/quitz");
+        let mut index = String::new();
+        for (path, _) in ROUTES {
+            let (head, body) = get(port, path);
+            assert!(head.starts_with("HTTP/1.1 200"), "{path}: {head}");
+            if path == "/" {
+                index = body;
+            }
+        }
+        h.join();
+        let named: Vec<&str> = index
+            .lines()
+            .skip(1)
+            .map(|l| l.split_whitespace().next().unwrap_or(""))
+            .collect();
+        assert_eq!(named, ROUTES.map(|(path, _)| path));
+        let snap = r.snapshot();
+        for (path, _) in ROUTES {
+            let hits = snap.counter("obs_http_requests_total", &[("path", path)]);
+            assert_eq!(hits, 1, "{path}");
+        }
     }
 
     #[test]

@@ -4,9 +4,15 @@
 //! log. Extra counts attached with [`Span::count`] ride along on the
 //! event, which is how stages report records-in/records-out without a
 //! second logging call.
+//!
+//! The histograms are the one record of wall time: [`render_stages`]
+//! turns them into the stage table `/profile` serves. Every span opened
+//! outside tests is a root on its thread, so a stage's self time is its
+//! total and no call tree is kept.
 
 use crate::events::FieldValue;
-use crate::registry::Registry;
+use crate::registry::{Registry, SampleValue, Snapshot};
+use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 /// A running span timer (see module docs). Ends when dropped, or
@@ -20,9 +26,6 @@ pub struct Span<'r> {
     counts: Vec<(&'static str, u64)>,
     start: Instant,
     finished: bool,
-    /// Profiler frame handle; 0 means no frame was pushed (recording
-    /// was disabled when the span started).
-    profile_token: u64,
 }
 
 impl<'r> Span<'r> {
@@ -39,11 +42,6 @@ impl<'r> Span<'r> {
         } else {
             Vec::new()
         };
-        let profile_token = if crate::enabled() {
-            crate::profile::push_frame(registry, name, &labels)
-        } else {
-            0
-        };
         Span {
             registry,
             name,
@@ -51,7 +49,6 @@ impl<'r> Span<'r> {
             counts: Vec::new(),
             start: Instant::now(),
             finished: false,
-            profile_token,
         }
     }
 
@@ -81,12 +78,6 @@ impl<'r> Span<'r> {
         }
         self.finished = true;
         let ns = elapsed.as_nanos() as u64;
-        // The profiler frame must pop even if recording was switched off
-        // mid-span, or the thread-local stack would leak the frame and
-        // misattribute later spans' ancestry.
-        if self.profile_token != 0 {
-            crate::profile::pop_frame(self.registry, self.profile_token, ns);
-        }
         if !crate::enabled() {
             return;
         }
@@ -126,6 +117,41 @@ impl Drop for Span<'_> {
         let elapsed = self.start.elapsed();
         self.finish(elapsed);
     }
+}
+
+/// The stage table: one row per non-empty `*_duration_ns` histogram in
+/// `snap` — calls, total, mean and p95 wall time (the p95 is its log2
+/// bucket's upper bound), then the span name and labels — in snapshot
+/// order.
+pub fn render_stages(snap: &Snapshot) -> String {
+    let ms = |ns: f64| ns / 1e6;
+    let mut out = format!(
+        "{:>10}  {:>12}  {:>12}  {:>12}  stage\n",
+        "calls", "total_ms", "mean_ms", "p95_ms"
+    );
+    for (key, value) in &snap.samples {
+        let (Some(stage), SampleValue::Histogram(h)) =
+            (key.name.strip_suffix("_duration_ns"), value)
+        else {
+            continue;
+        };
+        if h.count() == 0 {
+            continue;
+        }
+        let _ = write!(
+            out,
+            "{:>10}  {:>12.3}  {:>12.3}  {:>12.3}  {stage}",
+            h.count(),
+            ms(h.sum as f64),
+            ms(h.mean()),
+            ms(h.approx_quantile(0.95) as f64),
+        );
+        for (k, v) in &key.labels {
+            let _ = write!(out, " {k}={v}");
+        }
+        out.push('\n');
+    }
+    out
 }
 
 #[cfg(test)]
@@ -170,5 +196,21 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap.histogram("once_duration_ns", &[]).unwrap().count(), 1);
         assert_eq!(r.events().len(), 1);
+    }
+
+    #[test]
+    fn stage_table_has_one_row_per_span_histogram() {
+        let r = Registry::new();
+        drop(r.span_with("stage", &[("stage", "extract")]));
+        drop(r.span_with("stage", &[("stage", "extract")]));
+        drop(r.span("codec_read"));
+        r.histogram("not_a_span_ns").record(5);
+        let table = render_stages(&r.snapshot());
+        let rows: Vec<&str> = table.lines().skip(1).collect();
+        assert!(table.starts_with("     calls"), "{table}");
+        assert_eq!(rows.len(), 2, "{table}");
+        assert!(rows[0].trim_start().starts_with("1 ") && rows[0].ends_with("  codec_read"));
+        assert!(rows[1].trim_start().starts_with("2 "));
+        assert!(rows[1].ends_with("  stage stage=extract"), "{table}");
     }
 }

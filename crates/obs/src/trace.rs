@@ -104,7 +104,7 @@ pub enum SampleCause {
 }
 
 impl SampleCause {
-    /// Stable lowercase label (NDJSON field + metric label).
+    /// Stable lowercase label (the provenance record's `cause` field).
     pub fn label(self) -> &'static str {
         match self {
             SampleCause::Head => "head",
@@ -152,35 +152,22 @@ impl Sampler {
 /// Default capacity of a [`TraceLog`].
 pub const TRACE_LOG_CAPACITY: usize = 65_536;
 
-/// A bounded sink of rendered provenance lines (NDJSON, one record per
-/// line). Unlike the event log, entries carry no wall-clock timestamp —
-/// they are pre-rendered deterministic strings, pushed post-merge in
-/// record order, so the log contents are byte-identical across thread
-/// counts. Overflow drops the *newest* lines (and counts them): keeping
-/// a deterministic prefix beats keeping a racy suffix.
+/// A bounded sink of pre-rendered NDJSON lines (the registry's window
+/// log). Unlike the event log, entries carry no wall-clock timestamp —
+/// they are deterministic strings pushed in a deterministic order, so the
+/// log contents are byte-identical across thread counts. Overflow drops
+/// the *newest* lines (and counts them): keeping a deterministic prefix
+/// beats keeping a racy suffix.
 #[derive(Debug)]
 pub struct TraceLog {
     lines: Mutex<Vec<String>>,
     capacity: usize,
     dropped: AtomicU64,
-    /// `event` value of the trailing drop-marker line
-    /// (`traces_dropped` here; the window log reuses this type with its
-    /// own marker).
+    /// `event` value of the trailing drop-marker line.
     marker: &'static str,
 }
 
-impl Default for TraceLog {
-    fn default() -> TraceLog {
-        TraceLog::with_capacity(TRACE_LOG_CAPACITY)
-    }
-}
-
 impl TraceLog {
-    /// A log holding at most `capacity` lines.
-    pub fn with_capacity(capacity: usize) -> TraceLog {
-        TraceLog::with_capacity_and_marker(capacity, "traces_dropped")
-    }
-
     /// A log holding at most `capacity` lines whose NDJSON drop marker
     /// is `{"event":"<marker>","count":N}`.
     pub fn with_capacity_and_marker(capacity: usize, marker: &'static str) -> TraceLog {
@@ -192,7 +179,7 @@ impl TraceLog {
         }
     }
 
-    /// Append one rendered provenance line (no trailing newline).
+    /// Append one rendered line (no trailing newline).
     pub fn push(&self, line: String) {
         let mut lines = self.lines.lock().expect("trace log poisoned");
         if lines.len() >= self.capacity {
@@ -223,8 +210,8 @@ impl TraceLog {
     }
 
     /// Render the contents as NDJSON. If lines were dropped, a final
-    /// `traces_dropped` marker line says how many — the log is a prefix,
-    /// not the whole story.
+    /// marker line says how many — the log is a prefix, not the whole
+    /// story.
     pub fn render_ndjson(&self) -> String {
         let lines = self.snapshot();
         let dropped = self.dropped();
@@ -292,7 +279,7 @@ mod tests {
 
     #[test]
     fn trace_log_bounds_and_renders() {
-        let log = TraceLog::with_capacity(2);
+        let log = TraceLog::with_capacity_and_marker(2, "lines_dropped");
         log.push("{\"a\":1}".to_string());
         log.push("{\"a\":2}".to_string());
         log.push("{\"a\":3}".to_string());
@@ -302,7 +289,7 @@ mod tests {
         assert!(ndjson.starts_with("{\"a\":1}\n{\"a\":2}\n"));
         assert!(ndjson
             .trim_end()
-            .ends_with("{\"event\":\"traces_dropped\",\"count\":1}"));
+            .ends_with("{\"event\":\"lines_dropped\",\"count\":1}"));
     }
 
     #[test]

@@ -142,20 +142,6 @@ pub fn fmt_bytes(b: u64) -> String {
     }
 }
 
-/// Format a duration given in nanoseconds in a human unit (ns/µs/ms/s)
-/// with one decimal — the stage-table companion to [`fmt_bytes`].
-pub fn fmt_duration_ns(ns: u64) -> String {
-    if ns < 1_000 {
-        format!("{}ns", ns)
-    } else if ns < 1_000_000 {
-        format!("{:.1}µs", ns as f64 / 1_000.0)
-    } else if ns < 1_000_000_000 {
-        format!("{:.1}ms", ns as f64 / 1_000_000.0)
-    } else {
-        format!("{:.2}s", ns as f64 / 1_000_000_000.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,14 +188,6 @@ mod tests {
     fn pct_formatting() {
         assert_eq!(fmt_pct(18.89), "18.9%");
         assert_eq!(fmt_pct(0.0), "0.0%");
-    }
-
-    #[test]
-    fn duration_formatting() {
-        assert_eq!(fmt_duration_ns(750), "750ns");
-        assert_eq!(fmt_duration_ns(1_500), "1.5µs");
-        assert_eq!(fmt_duration_ns(2_500_000), "2.5ms");
-        assert_eq!(fmt_duration_ns(3_210_000_000), "3.21s");
     }
 
     #[test]

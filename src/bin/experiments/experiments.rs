@@ -13,7 +13,7 @@ use obs::SampleValue;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use stats::render;
-use stats::table::{fmt_bytes, fmt_count, fmt_duration_ns, fmt_pct};
+use stats::table::{fmt_bytes, fmt_count, fmt_pct};
 use stats::{BoxPlot, Ecdf, HeatMap2d, TextTable, TimeSeries};
 use std::fmt::Write as _;
 
@@ -1005,9 +1005,10 @@ fn validation(world: &World) -> String {
 
 /// Beyond the paper: the observability exposition. Runs the standard
 /// world under the global `obs` registry (webgen + the ABP engine were
-/// exercised at world construction; RBN-2 covers browsersim and the
-/// adscope pipeline; a codec round-trip covers the netsim reader and
-/// writer), prints per-stage wall-time and counter tables, and writes
+/// exercised at world construction; RBN-2 covers the stream engine; a
+/// four-household drive covers browsersim, and its codec round-trip the
+/// netsim reader and writer), prints the stage table `/profile` serves
+/// (one row per span histogram) and the counter tables, and writes
 /// `metrics.prom` + `events.ndjson` under `target/experiments/`.
 fn metrics(world: &World) -> String {
     let mut pop = Population::generate(
@@ -1034,15 +1035,6 @@ fn metrics(world: &World) -> String {
     );
 
     let registry = obs::global();
-    // The stream that folded RBN-2 has no per-stage spans: the materialized
-    // oracle over the round-tripped trace gives the stage table its
-    // `adscope_stage` rows.
-    adscope::pipeline::classify_trace_in(
-        &reread,
-        &world.classifier,
-        PipelineOptions::default(),
-        registry,
-    );
 
     // Alert plane: run the built-in rule pack over the RBN-2 windows and
     // publish before the snapshot, so the `obs_alerts_*` samples land in
@@ -1054,34 +1046,6 @@ fn metrics(world: &World) -> String {
     alert_engine.publish(registry);
 
     let snap = registry.snapshot();
-
-    // Per-stage wall-time table, one row per `*_duration_ns` histogram.
-    let mut stages = TextTable::new(
-        "Pipeline stages (wall time)",
-        &["Stage", "Calls", "Total", "Mean", "p95"],
-    );
-    for (key, value) in &snap.samples {
-        let SampleValue::Histogram(h) = value else {
-            continue;
-        };
-        let Some(stage) = key.name.strip_suffix("_duration_ns") else {
-            continue;
-        };
-        if h.count() == 0 {
-            continue;
-        }
-        let mut label = stage.to_string();
-        for (lk, lv) in &key.labels {
-            let _ = write!(label, " {lk}={lv}");
-        }
-        stages.row(&[
-            label,
-            fmt_count(h.count()),
-            fmt_duration_ns(h.sum),
-            fmt_duration_ns(h.mean() as u64),
-            fmt_duration_ns(h.approx_quantile(0.95)),
-        ]);
-    }
 
     let mut counters = TextTable::new("Counters", &["Counter", "Value"]);
     for (key, value) in &snap.samples {
@@ -1178,10 +1142,10 @@ fn metrics(world: &World) -> String {
 
     format!(
         "## Metrics — per-stage observability exposition\n\
-         {}\n{}\n{}\n{}\n{}\n\
+         ## Stages (wall time, span histograms)\n{}\n{}\n{}\n{}\n{}\n\
          exposition: VALID ({samples} samples) -> {dir}/metrics.prom\n\
          event log:  VALID ({events} events)   -> {dir}/events.ndjson\n",
-        stages.render(),
+        obs::span::render_stages(&snap),
         counters.render(),
         engine_tbl.render(),
         alerts_tbl.render(),

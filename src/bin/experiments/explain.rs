@@ -21,7 +21,7 @@
 use crate::cli::{die, Args};
 use crate::manifest;
 use abp_filter::FilterList;
-use adscope::pipeline::classify_trace_in;
+use adscope::pipeline::classify_trace;
 use adscope::provenance::TraceOptions;
 use adscope::{PassiveClassifier, PipelineOptions};
 use http_model::headers::{RequestHeaders, ResponseHeaders};
@@ -64,8 +64,7 @@ pub fn run(args: &[String]) -> ! {
         },
         ..Default::default()
     };
-    let registry = obs::Registry::new();
-    let out = classify_trace_in(&trace, &classifier, opts, &registry);
+    let out = classify_trace(&trace, &classifier, opts);
 
     // Look the URL up among the sampled records by its *raw* captured
     // form (provenance keeps both raw and normalized).
@@ -78,8 +77,13 @@ pub fn run(args: &[String]) -> ! {
     };
     print!("{}", vp.render_tree());
 
-    // Export the full provenance NDJSON and prove it parses.
-    let ndjson = registry.traces_ndjson();
+    // Export the full provenance NDJSON, one record a line in record
+    // order, and prove it parses.
+    let ndjson: String = out
+        .provenance
+        .iter()
+        .map(|vp| vp.to_json() + "\n")
+        .collect();
     let path = manifest::out_dir().join("explain_trace.ndjson");
     manifest::write_artifact(&path, &ndjson);
     let parsed = manifest::check_ndjson(&ndjson)

@@ -144,7 +144,7 @@ fn run_exact_check(
     // so the materialized run is configured identically (the population
     // report itself is watermark-independent).
     popts.window.watermark_secs = f64::INFINITY;
-    let classified = adscope::pipeline::classify_trace_in(trace, classifier, popts, obs::global());
+    let classified = adscope::pipeline::classify_trace(trace, classifier, popts);
     let exact_text = finish_trace(&classified, &opts.abp_ips, popts.population).render();
     if streamed_text != exact_text {
         eprintln!("error: exact-check failed: streamed render differs from materialized render");

@@ -9,9 +9,8 @@
 //! last-window gauges are re-published one closed window at a time with
 //! that many wall-clock seconds between windows — a slow-motion replay
 //! of trace time for watching a live dashboard. After the replay the
-//! profiler's collapsed stacks land in
-//! `target/experiments/profile.folded`, and the process keeps serving
-//! until `GET /quitz` (or SIGKILL).
+//! process keeps serving until `GET /quitz` (or SIGKILL); `/profile`
+//! serves the stage table of the span histograms.
 //!
 //! `fetch` is the zero-dependency counterpart of `curl` for CI smoke
 //! tests: it GETs one path, prints the body to stdout, and exits
@@ -129,17 +128,10 @@ pub fn run_serve(args: &[String]) -> ! {
         }
     }
 
-    // Export the profiler's collapsed stacks for flamegraph tooling.
-    let folded = registry.profile().render_folded();
-    let path = manifest::out_dir().join("profile.folded");
-    manifest::write_artifact(&path, &folded);
-    eprintln!("[serve] profile written to {}", path.display());
-
-    // Manifest: the profile is wall-time-bearing, so it is recorded for
-    // tamper evidence only and the run carries no replay argv.
+    // Manifest: a live endpoint writes no artifact, so the run carries no
+    // replay argv; the stamp records the world it served.
     let mut m = manifest::stamp_world("serve", &world);
     m.config("pace_secs", pace);
-    manifest::add_artifact(&mut m, "profile.folded", &path, obs::DigestMode::Recorded);
     manifest::write(m, None);
 
     eprintln!("[serve] ready; GET /quitz to stop");
