@@ -78,6 +78,16 @@ if grep -rnE 'Pool|pool\.map|classify_shard' crates/adscope/src; then exit 1; fi
 if sed '/^#\[cfg(test)\]/q' crates/adscope/src/pipeline.rs \
   | grep -nE 'registry\.|span_with|counter'; then exit 1; fi
 if grep -rnE 'ProfileStore|push_frame|traces_ndjson' crates/obs/src; then exit 1; fi
+# One value in use is a constant: windows close only at the end of a run (the
+# watermark field is read by nothing; only the e2e harness still writes it),
+# provenance is the oracle's `explain_trace` entry point rather than a sampled
+# option, the lossy reader is the one trace reader, and a stall is a throttle.
+if grep -rn --include='*.rs' 'watermark_secs' crates src tests examples \
+  | grep -v '^crates/bench/src/bin/e2e/' \
+  | grep -vE '^crates/adscope/src/window.rs:[0-9]+: +(pub )?watermark_secs: f64(::INFINITY)?,$'; then exit 1; fi
+if grep -rnE 'Sampler|sample_ppm|TraceOptions' crates/*/src src; then exit 1; fi
+if grep -rnE 'fn read_trace\(|TraceReader' crates/netsim/src; then exit 1; fi
+if grep -rn 'stall_ms' crates src tests examples; then exit 1; fi
 
 gate "cargo test -q"
 cargo test -q
@@ -320,12 +330,13 @@ grep -q '"event":"alert"' "$STREAM_DIR/alerts.ndjson"
 echo "    list-lag drill fired at the cut-over; timeline deterministic; manifest verifies"
 
 gate "stream health plane (stall watchdog gate)"
-# Deterministic stall injection: the router sleeps 1.2 s after chunk 2
-# against a 250 ms watchdog budget. /healthz must flip to "stalled"
-# while the sleep holds, then recover to "ok" once the run finishes.
+# Deterministic stalls: streaming the RBN-1 trace written above, the router
+# sleeps 600 ms after each of its five chunks against a 250 ms watchdog
+# budget. /healthz must flip to "stalled" while a sleep holds, then recover
+# to "ok" once the run finishes.
 rm -f "$STREAM_DIR/health.port"
-./target/release/experiments stream --rbn1 --scale small --chunk-records 2048 \
-  --throttle-ms 60 --watchdog-ms 250 --stall-after-chunks 2 --stall-ms 1200 \
+./target/release/experiments stream --trace "$STREAM_DIR/rbn1.trace" --chunk-records 50000 \
+  --throttle-ms 600 --watchdog-ms 250 \
   --population \
   --serve-port 0 --serve-port-file "$STREAM_DIR/health.port" --serve-linger \
   >/dev/null 2>"$STREAM_DIR/health.stderr" &

@@ -116,10 +116,7 @@ mod tests {
     use obs::window::{WindowConfig, WindowEngine};
 
     fn steady_report(hours: usize, blocked_after: Option<usize>) -> WindowReport {
-        let mut e = WindowEngine::new(WindowConfig {
-            width_secs: 3600.0,
-            watermark_secs: f64::INFINITY,
-        });
+        let mut e = WindowEngine::new(WindowConfig::default());
         let req = e.counter_series("requests");
         let ads = e.counter_series("ads");
         let bel = e.counter_series("blocked_easylist");

@@ -222,7 +222,7 @@ impl PassiveClassifier {
     /// [`Classification`] (matched rule texts, first-match depth). Costs
     /// the same as [`classify`](Self::classify) — the engine builds the
     /// structure either way; this variant hands it back instead of
-    /// dropping it, so the provenance layer can keep it for sampled
+    /// dropping it, so the provenance layer can keep it for explained
     /// records.
     pub fn classify_traced(
         &self,

@@ -225,9 +225,8 @@ impl UrlNormalizer {
     }
 
     /// Like [`normalize`](Self::normalize), also reporting which query
-    /// keys were rewritten. Only the provenance layer calls this, and
-    /// only for sampled records — the hot path never pays for the key
-    /// list.
+    /// keys were rewritten. Only the provenance layer calls this, for
+    /// `explain_trace` — the hot path never pays for the key list.
     pub fn normalize_explain(&self, url: &Url) -> (Url, Vec<String>) {
         let mut rewrites = Vec::new();
         let out = self.rewrite(url, Some(&mut rewrites));

@@ -7,7 +7,7 @@ use crate::extract::{extract, WebObject};
 use crate::normalize::UrlNormalizer;
 use crate::planes::Planes;
 use crate::population::{PopulationOptions, PopulationSketches};
-use crate::provenance::{RecordMeta, TraceOptions, Tracer, VerdictProvenance};
+use crate::provenance::{RecordMeta, Tracer, VerdictProvenance};
 use crate::refmap::{RefMap, RefMapOptions};
 use crate::window::WindowOptions;
 use http_model::{ContentCategory, Url};
@@ -23,9 +23,7 @@ pub struct PipelineOptions {
     pub content: ContentOptions,
     /// Normalize query strings before classification.
     pub normalize: bool,
-    /// Verdict-provenance tracing (off by default).
-    pub trace: TraceOptions,
-    /// Windowed time-series aggregation (on by default; see
+    /// Windowed time-series aggregation (always on; see
     /// [`crate::window`]).
     pub window: WindowOptions,
     /// Population sketch analytics (off by default; see
@@ -39,7 +37,6 @@ impl Default for PipelineOptions {
             refmap: RefMapOptions::default(),
             content: ContentOptions::default(),
             normalize: true,
-            trace: TraceOptions::default(),
             window: WindowOptions::default(),
             population: PopulationOptions::default(),
         }
@@ -100,12 +97,11 @@ pub struct ClassifiedTrace {
     pub dropped: usize,
     /// Per-stage accounting of degraded input the pipeline absorbed.
     pub degradation: DegradationReport,
-    /// Verdict provenance of sampled requests, in record order. Empty
-    /// unless [`PipelineOptions::trace`] enables the tracer.
+    /// Verdict provenance, one record per request in record order, from
+    /// [`explain_trace`]; empty from [`classify_trace`].
     pub provenance: Vec<VerdictProvenance>,
-    /// Windowed time series over the classified requests (empty when
-    /// [`PipelineOptions::window`] is disabled). A pure function of
-    /// `requests` and the quarantined records' timestamps.
+    /// Windowed time series over the classified requests. A pure function
+    /// of `requests` and the quarantined records' timestamps.
     pub windows: obs::window::WindowReport,
     /// Mergeable population sketches over the classified requests
     /// (`None` unless [`PipelineOptions::population`] is enabled). A pure
@@ -137,6 +133,29 @@ pub fn classify_trace(
     classifier: &PassiveClassifier,
     opts: PipelineOptions,
 ) -> ClassifiedTrace {
+    classify(trace, classifier, opts, false)
+}
+
+/// [`classify_trace`] that also explains every verdict: one
+/// [`VerdictProvenance`] per request, in record order, in
+/// [`ClassifiedTrace::provenance`] — the inputs the decision procedure
+/// consumed (rule, page context, content-type source, rewrites).
+pub fn explain_trace(
+    trace: &Trace,
+    classifier: &PassiveClassifier,
+    opts: PipelineOptions,
+) -> ClassifiedTrace {
+    classify(trace, classifier, opts, true)
+}
+
+/// The kernel of [`classify_trace`] and [`explain_trace`]. Without
+/// `explain` it keeps no per-record stage facts.
+fn classify(
+    trace: &Trace,
+    classifier: &PassiveClassifier,
+    opts: PipelineOptions,
+    explain: bool,
+) -> ClassifiedTrace {
     // Stage: extract (URL reassembly + quarantine).
     let (objects, mut degradation, quarantined_ts) = crate::extract::extract_full(trace);
     let dropped = degradation.quarantined();
@@ -151,15 +170,13 @@ pub fn classify_trace(
 
     let normalizer = UrlNormalizer::for_classifier(classifier, opts.normalize);
 
-    // Verdict-provenance tracer: `None` (the default) keeps every tracing
-    // branch off the hot path.
-    let tracer = Tracer::new(&trace.meta.name, opts.trace);
+    let tracer = explain.then(|| Tracer::new(&trace.meta.name));
 
     // Pass 1: per-user referrer map + provisional types.
     let mut per_user: HashMap<(u32, Option<&str>), RefMap> = HashMap::new();
     let mut pages: Vec<Option<Url>> = Vec::with_capacity(objects.len());
     let mut categories: Vec<ContentCategory> = Vec::with_capacity(objects.len());
-    // Per-record stage facts (Copy), collected only while tracing.
+    // Per-record stage facts (Copy), collected only while explaining.
     let mut metas: Vec<RecordMeta> = Vec::new();
     let mut backfills: Vec<(usize, ContentCategory)> = Vec::new();
 
@@ -228,18 +245,15 @@ pub fn classify_trace(
                 &mut scratch,
             );
             if let Some(t) = &tracer {
-                if let Some(cause) = t.cause(obj.idx as u64, &c, pages[pos].is_none()) {
-                    provenance.push(t.build(
-                        cause,
-                        obj,
-                        &normalizer,
-                        classifier,
-                        pages[pos].as_ref(),
-                        metas[pos],
-                        categories[pos],
-                        &c,
-                    ));
-                }
+                provenance.push(t.build(
+                    obj,
+                    &normalizer,
+                    classifier,
+                    pages[pos].as_ref(),
+                    metas[pos],
+                    categories[pos],
+                    &c,
+                ));
             }
             let rule = classifier.primary_rule(&c);
             ClassifiedRequest {
@@ -264,11 +278,6 @@ pub fn classify_trace(
     let mut planes = Planes::new(opts, &[]);
     planes.fold(&requests, &quarantined_ts);
     let totals = planes.cut();
-    let windows = if opts.window.enabled {
-        totals.windows
-    } else {
-        obs::window::WindowReport::default()
-    };
 
     ClassifiedTrace {
         meta: trace.meta.clone(),
@@ -277,7 +286,7 @@ pub fn classify_trace(
         dropped,
         degradation,
         provenance,
-        windows,
+        windows: totals.windows,
         population: totals.population,
     }
 }
@@ -556,11 +565,10 @@ mod tests {
             ),
         ]);
         let mut opts = PipelineOptions::default();
-        opts.trace.sample_ppm = 1_000_000;
         opts.population.enabled = true;
         let registry = obs::Registry::new();
         let out = classify_trace_in(&t, &classifier(), opts, &registry);
-        assert!(!out.provenance.is_empty(), "the tracer sampled");
+        assert!(out.provenance.is_empty(), "classify_trace explains nothing");
         assert!(!out.windows.windows.is_empty(), "the window plane folded");
         assert!(out.population.is_some(), "the population plane folded");
         assert!(out.degradation.total() > 0, "the input degraded");

@@ -4,8 +4,8 @@
 //! [`Planes`], the live accumulators one thread folds records into, and
 //! [`PlaneTotals`], the additive totals a [`Planes::cut`] produces, a
 //! [`PlaneTotals::merge`] sums and a checkpoint persists. Every field merges
-//! in any grouping (the window series given the infinite watermark the
-//! stream engine forces), so where the cuts fall cannot change the sum.
+//! in any grouping (the window series too: windows close only at the end of
+//! a run), so where the cuts fall cannot change the sum.
 //!
 //! Every path folds the same set: each stream worker and the router hold one
 //! and cut it at barriers, the run's cumulative state is a `PlaneTotals`, and
@@ -155,7 +155,7 @@ impl Planes {
     }
 
     /// Fold a request vector, then the timestamps of the records quarantined
-    /// before classification: an order a finite watermark can tell apart.
+    /// before classification.
     pub fn fold(&mut self, requests: &[ClassifiedRequest], quarantined_ts: &[f64]) {
         for r in requests {
             self.observe(r);

@@ -42,29 +42,26 @@ use std::fmt::Write as _;
 pub struct PopulationOptions {
     /// Produce population sketches at all.
     pub enabled: bool,
-    /// TopK sketch capacity (keys tracked per sketch). Size it above the
-    /// expected key cardinality to stay in the exact regime, where
-    /// merges are partition-invariant.
-    pub capacity: usize,
-    /// How many ranked rows the report renders.
-    pub top_k: usize,
     /// The "active user" floor (requests) for Table 3 membership.
     pub active_min_requests: u64,
-    /// The §6.2 EasyList-ratio threshold (percent) splitting low/high.
-    pub ratio_threshold_pct: f64,
 }
 
 impl Default for PopulationOptions {
     fn default() -> Self {
         PopulationOptions {
             enabled: false,
-            capacity: 512,
-            top_k: 10,
             active_min_requests: infer::ACTIVE_USER_MIN_REQUESTS,
-            ratio_threshold_pct: infer::AD_RATIO_THRESHOLD_PCT,
         }
     }
 }
+
+/// TopK sketch capacity (keys tracked per sketch): well above the
+/// generated key cardinality, so the sketches stay in the exact regime,
+/// where merges are partition-invariant.
+pub const TOPK_CAPACITY: usize = 512;
+
+/// How many ranked rows the report renders.
+pub const TOP_ROWS: usize = 10;
 
 /// The quantiles every distribution row reports.
 pub const QUANTILES: [f64; 5] = [25.0, 50.0, 75.0, 90.0, 99.0];
@@ -114,11 +111,12 @@ impl PartialEq for PopulationSketches {
 }
 
 impl PopulationSketches {
-    /// Fresh sketches with the configured capacity.
-    pub fn new(opts: PopulationOptions) -> PopulationSketches {
+    /// Fresh sketches of [`TOPK_CAPACITY`]. `_opts` is ignored; the e2e
+    /// harness passes it.
+    pub fn new(_opts: PopulationOptions) -> PopulationSketches {
         PopulationSketches {
-            ad_domains: TopK::new(opts.capacity),
-            rules: TopK::new(opts.capacity),
+            ad_domains: TopK::new(TOPK_CAPACITY),
+            rules: TopK::new(TOPK_CAPACITY),
             users: Distinct64::new(),
             sites: Distinct64::new(),
             object_bytes: QuantileSketch::new(QUANTILE_GAMMA),
@@ -233,7 +231,7 @@ impl PopulationSketches {
                 t.requests,
                 t.easylist_blockable,
                 households.contains(&u.key.ip),
-                opts.ratio_threshold_pct,
+                infer::AD_RATIO_THRESHOLD_PCT,
                 opts.active_min_requests,
             ) else {
                 continue;
@@ -259,8 +257,8 @@ impl PopulationSketches {
             distinct_users: self.users.estimate(),
             distinct_sites: self.sites.estimate(),
             active_browsers,
-            top_ad_domains: self.ad_domains.top(opts.top_k),
-            top_rules: self.rules.top(opts.top_k),
+            top_ad_domains: self.ad_domains.top(TOP_ROWS),
+            top_rules: self.rules.top(TOP_ROWS),
             exact_topk: self.ad_domains.is_exact() && self.rules.is_exact(),
             ad_share_pct: quantiles(&ad_share),
             object_bytes: quantiles(&self.object_bytes),
@@ -354,7 +352,7 @@ impl PopulationReport {
             } else {
                 "approximate"
             },
-            self.opts.capacity
+            TOPK_CAPACITY
         );
         let _ = writeln!(
             out,
@@ -577,7 +575,6 @@ mod tests {
         PopulationOptions {
             enabled: true,
             active_min_requests: 5,
-            ..PopulationOptions::default()
         }
     }
 

@@ -1,8 +1,8 @@
 //! Verdict provenance: the per-request decision trace.
 //!
 //! Aggregate counters say *how many* requests were classified as ads;
-//! they cannot say *why this one* was. This module records, for sampled
-//! requests, every input the decision procedure consumed: the matched
+//! they cannot say *why this one* was. This module records, for each
+//! request, every input the decision procedure consumed: the matched
 //! rule text and its source list, the engine's first-match depth, the
 //! referrer-chain hops behind the page context, the content-type
 //! inference path (extension vs. header vs. redirect propagation), and
@@ -11,18 +11,16 @@
 //!
 //! Determinism contract: a request's [`VerdictProvenance`] — trace id,
 //! span ids, every field, the rendered NDJSON bytes — is a pure function
-//! of the input trace and pipeline options. The one-thread oracle
-//! ([`crate::pipeline::classify_trace`]) samples in record order and
-//! returns the records in [`ClassifiedTrace::provenance`], in that order
-//! (pinned by `proptest_pipeline.rs`); `experiments explain` writes their
-//! `to_json` lines as its NDJSON artifact.
+//! of the input trace and pipeline options. The one-thread oracle's
+//! [`crate::pipeline::explain_trace`] returns one record per request in
+//! [`ClassifiedTrace::provenance`], in record order (pinned by
+//! `proptest_pipeline.rs`); `experiments explain` writes their `to_json`
+//! lines as its NDJSON artifact.
 //!
 //! [`ClassifiedTrace::provenance`]: crate::pipeline::ClassifiedTrace::provenance
 //!
-//! Cost contract: while the tracer is inactive (`sample_ppm == 0` or the
-//! `obs` kill switch is off) the pipeline allocates nothing for tracing;
-//! expensive pieces (rule text clones, the rewrite key list) are
-//! materialized only for records that sampled in.
+//! Cost contract: [`crate::pipeline::classify_trace`] builds no provenance
+//! and keeps no per-record stage facts; only `explain_trace` pays for them.
 
 use crate::classify::PassiveClassifier;
 use crate::content::ContentSource;
@@ -31,34 +29,12 @@ use crate::normalize::UrlNormalizer;
 use crate::refmap::PageSource;
 use abp_filter::{Classification, FilterRef};
 use http_model::ContentCategory;
-use obs::trace::{SampleCause, Sampler, SpanId, TraceId};
+use obs::trace::{SampleCause, SpanId, TraceId};
 use std::fmt::Write as _;
 
-/// Tracing options, carried on
-/// [`PipelineOptions`](crate::pipeline::PipelineOptions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceOptions {
-    /// Head-sampling rate in parts per million. `0` disables the tracer
-    /// entirely (the default — tracing is strictly opt-in).
-    pub sample_ppm: u32,
-    /// Also sample every whitelisted, degraded, or anomalous verdict
-    /// regardless of the head decision (see [`SampleCause`]).
-    pub always_sample_exceptional: bool,
-}
-
-impl Default for TraceOptions {
-    fn default() -> Self {
-        TraceOptions {
-            sample_ppm: 0,
-            always_sample_exceptional: true,
-        }
-    }
-}
-
-/// Per-record stage facts tracked while the tracer is active. All
-/// `Copy`, collected from stages that compute them anyway — only the
-/// containing `Vec` costs anything, and the pipeline skips even that
-/// when tracing is off.
+/// Per-record stage facts kept while explaining. All `Copy`, collected
+/// from stages that compute them anyway — only the containing `Vec` costs
+/// anything, and the pipeline skips even that when not explaining.
 #[derive(Debug, Clone, Copy)]
 pub struct RecordMeta {
     /// Which referrer-map signal produced the page context.
@@ -112,7 +88,7 @@ pub struct VerdictProvenance {
     pub trace_id: TraceId,
     /// Global record index in the input trace (extraction `idx`).
     pub record: u64,
-    /// Why this request was sampled.
+    /// The verdict's exceptional cause, if any (`head` otherwise).
     pub cause: SampleCause,
     /// Seconds since trace start.
     pub ts: f64,
@@ -340,30 +316,33 @@ fn write_rule(out: &mut String, m: &RuleMatch) {
     out.push('}');
 }
 
-/// The pipeline's tracing driver: holds the derived seed and sampler,
-/// decides which records sample in, and materializes their provenance.
-/// Construction returns `None` while the tracer is inactive, so the
-/// pipeline's hot paths branch once, not per record.
+/// The cause of one verdict. Pure in (classification, page presence).
+/// Precedence: anomalous > whitelisted > degraded > head.
+fn cause(c: &Classification, page_missing: bool) -> SampleCause {
+    if c.whitelisted_overriding_block() {
+        SampleCause::Anomalous
+    } else if c.exception.is_some() || c.page_whitelisted {
+        SampleCause::Whitelisted
+    } else if c.is_ad() && page_missing {
+        SampleCause::Degraded
+    } else {
+        SampleCause::Head
+    }
+}
+
+/// The oracle's provenance builder: holds the seed the trace ids derive
+/// from and materializes each verdict's provenance.
 #[derive(Debug, Clone, Copy)]
 pub struct Tracer {
     seed: u64,
-    sampler: Sampler,
-    always_sample_exceptional: bool,
 }
 
 impl Tracer {
-    /// Build a tracer for the input trace named `meta_name`. `None` when
-    /// `opts.sample_ppm == 0` or the `obs` kill switch is off.
-    pub fn new(meta_name: &str, opts: TraceOptions) -> Option<Tracer> {
-        let sampler = Sampler::new(opts.sample_ppm);
-        if !sampler.is_active() {
-            return None;
-        }
-        Some(Tracer {
+    /// A tracer for the input trace named `meta_name`.
+    pub fn new(meta_name: &str) -> Tracer {
+        Tracer {
             seed: obs::trace::seed_from_name(meta_name),
-            sampler,
-            always_sample_exceptional: opts.always_sample_exceptional,
-        })
+        }
     }
 
     /// The trace id of record `record_idx`.
@@ -371,39 +350,12 @@ impl Tracer {
         TraceId::derive(self.seed, record_idx)
     }
 
-    /// Post-verdict sampling decision for one record. Pure in
-    /// (record index, classification, page presence). Cause precedence: anomalous > whitelisted > degraded >
-    /// head.
-    pub fn cause(
-        &self,
-        record_idx: u64,
-        c: &Classification,
-        page_missing: bool,
-    ) -> Option<SampleCause> {
-        if self.always_sample_exceptional {
-            if c.whitelisted_overriding_block() {
-                return Some(SampleCause::Anomalous);
-            }
-            if c.exception.is_some() || c.page_whitelisted {
-                return Some(SampleCause::Whitelisted);
-            }
-            if c.is_ad() && page_missing {
-                return Some(SampleCause::Degraded);
-            }
-        }
-        if self.sampler.head_sample(self.trace_id(record_idx)) {
-            return Some(SampleCause::Head);
-        }
-        None
-    }
-
-    /// Materialize the provenance record for a sampled request. This is
-    /// the expensive path (rule text clones, a second normalization pass
-    /// for the rewrite keys) and runs only for sampled records.
+    /// Materialize the provenance record of one request. This is the
+    /// expensive path (rule text clones, a second normalization pass for
+    /// the rewrite keys), which only `explain_trace` runs.
     #[allow(clippy::too_many_arguments)]
     pub fn build(
         &self,
-        cause: SampleCause,
         obj: &WebObject,
         normalizer: &UrlNormalizer,
         classifier: &PassiveClassifier,
@@ -421,7 +373,7 @@ impl Tracer {
         VerdictProvenance {
             trace_id: self.trace_id(obj.idx as u64),
             record: obj.idx as u64,
-            cause,
+            cause: cause(c, page.is_none()),
             ts: obj.ts,
             client_ip: obj.client_ip,
             url: obj.url.as_string(),
@@ -518,18 +470,5 @@ mod tests {
         assert!(tree.contains("referer_chain"));
         assert!(tree.contains("extension"));
         assert!(tree.contains("Non-intrusive"));
-    }
-
-    #[test]
-    fn inactive_tracer_is_none() {
-        assert!(Tracer::new("t", TraceOptions::default()).is_none());
-        assert!(Tracer::new(
-            "t",
-            TraceOptions {
-                sample_ppm: 1,
-                ..Default::default()
-            }
-        )
-        .is_some());
     }
 }

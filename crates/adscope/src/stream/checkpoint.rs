@@ -812,7 +812,7 @@ mod tests {
         // the same options would strand checkpoints written before it.
         assert_eq!(
             config_hash(&StreamOptions::default()),
-            0x9fb9_64c8_47b6_4d7d
+            0x9e45_d938_af5f_8137
         );
         let trace = messy_trace(64);
         let path = write_trace_file(&trace, "mismatch");

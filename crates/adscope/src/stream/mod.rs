@@ -25,9 +25,8 @@
 //!   becomes a *held-record* protocol: a redirecting record is held by
 //!   its worker until its pending entry is consumed (backfill applies),
 //!   displaced, or evicted (released as-is), mirroring pass-2 semantics
-//!   record for record. Streaming windows always run with an infinite
-//!   watermark so partition merges are grouping-independent; compare
-//!   against a materialized run configured the same way.
+//!   record for record. Windows close only at the end of a run, so
+//!   partition merges are grouping-independent.
 //! * **Poison quarantine.** With a sidecar configured, each record is
 //!   processed under `catch_unwind`: a panicking record is appended to
 //!   `quarantine.ndjson` (one trace-codec line, replayable) and counted
@@ -205,9 +204,7 @@ impl<A: Fold, B: Fold> Fold for (A, B) {
 /// Streaming pipeline configuration.
 #[derive(Debug, Clone)]
 pub struct StreamOptions {
-    /// Stage options, shared with the materialized pipeline. The window
-    /// watermark is forced to infinity in streaming mode (see module
-    /// docs).
+    /// Stage options, shared with the materialized pipeline.
     pub pipeline: PipelineOptions,
     /// Worker count (0 = available parallelism). Workers and shards are
     /// one-to-one; the count does not affect output.
@@ -230,12 +227,6 @@ pub struct StreamOptions {
     /// Test hook: records for this host panic mid-worker, exercising the
     /// poison path.
     pub poison_host: Option<String>,
-    /// Test hook: after routing this many chunks, the router sleeps
-    /// [`StreamOptions::stall_ms`] once — a deterministic injected
-    /// stall for the health-plane watchdog checks.
-    pub stall_after_chunks: Option<u64>,
-    /// How long the injected stall lasts (milliseconds).
-    pub stall_ms: u64,
     /// Server addresses hosting filter-list downloads — the §6.2
     /// download-indicator input: HTTPS flows to these addresses on port 443
     /// mark the client household as a list-downloading one
@@ -264,8 +255,6 @@ impl Default for StreamOptions {
             stop_after_chunks: None,
             throttle_ms: 0,
             poison_host: None,
-            stall_after_chunks: None,
-            stall_ms: 0,
             abp_ips: Vec::new(),
             alerts: Vec::new(),
         }
@@ -283,7 +272,7 @@ pub struct StreamReport {
     pub codec: CodecStats,
     /// Degradation accounting, cumulative across resumes.
     pub degradation: DegradationReport,
-    /// Adscope window series (infinite watermark).
+    /// Adscope window series.
     pub windows: WindowReport,
     /// Decode-side window series (records/http/https/bytes per hour).
     pub decode_windows: WindowReport,
@@ -477,7 +466,6 @@ where
 pub(crate) mod testutil {
     use super::*;
     use crate::pipeline::classify_trace;
-    use crate::window::WindowOptions;
     use abp_filter::FilterList;
     use http_model::headers::{RequestHeaders, ResponseHeaders};
     use http_model::transaction::{HttpTransaction, Method};
@@ -638,22 +626,17 @@ pub(crate) mod testutil {
         path
     }
 
-    /// Materialized reference with the streaming window semantics
-    /// (infinite watermark).
+    /// The materialized reference under default options.
     pub(crate) fn reference(trace: &Trace) -> crate::pipeline::ClassifiedTrace {
-        let mut opts = PipelineOptions::default();
-        opts.window.watermark_secs = f64::INFINITY;
-        classify_trace(trace, &classifier(), opts)
+        classify_trace(trace, &classifier(), PipelineOptions::default())
     }
 
     pub(crate) fn stream_opts(threads: usize, chunk: usize) -> StreamOptions {
-        let mut o = StreamOptions {
+        StreamOptions {
             threads,
             chunk_records: chunk,
             ..StreamOptions::default()
-        };
-        o.pipeline.window = WindowOptions::default();
-        o
+        }
     }
 
     /// Every request a run finalized, by trace position.
@@ -750,6 +733,42 @@ mod tests {
             (),
         );
         assert!(matches!(err, Err(StreamError::Config(_))));
+    }
+
+    /// Windows close only at the end of a run, in the oracle as in the
+    /// stream: under default options a record more than an hour behind the
+    /// highest timestamp lands in its window on both paths.
+    #[test]
+    fn the_oracle_under_default_options_windows_like_the_stream() {
+        let mut trace = messy_trace(120);
+        let page = |ts, client| {
+            tx(
+                ts,
+                client,
+                Some("UA-A"),
+                "pub.example",
+                "/",
+                None,
+                None,
+                Some("text/html"),
+            )
+        };
+        trace.records.push(page(10_000.0, 1));
+        trace.records.push(page(1.0, 2));
+        let seq =
+            crate::pipeline::classify_trace(&trace, &classifier(), PipelineOptions::default());
+        let path = write_trace_file(&trace, "late-by-an-hour");
+        let rep = classify_stream_file(
+            &path,
+            &classifier(),
+            &stream_opts(2, 16),
+            &obs::Registry::new(),
+        )
+        .unwrap();
+        assert_eq!(rep.windows, seq.windows);
+        assert_eq!(seq.windows.late, 0);
+        assert_eq!(seq.windows.total("requests") as usize, seq.requests.len());
+        let _ = fs::remove_file(&path);
     }
 
     #[test]

@@ -133,11 +133,7 @@ pub(super) fn run_stream<S: ChunkSource, F: Fold>(
     }
     .max(1);
     let normalizer = UrlNormalizer::for_classifier(classifier, opts.pipeline.normalize);
-    // Streaming windows merge across partitions and checkpoint cuts;
-    // only an infinite watermark makes those merges grouping-independent
-    // (module docs), so it is forced here.
-    let mut popts = opts.pipeline;
-    popts.window.watermark_secs = f64::INFINITY;
+    let popts = opts.pipeline;
 
     let quarantine = match &opts.quarantine_path {
         Some(p) => Some(Arc::new(Quarantine::open(p, state.quarantine_bytes)?)),
@@ -298,12 +294,6 @@ impl<'a> Router<'a> {
             }
             if opts.throttle_ms > 0 {
                 std::thread::sleep(Duration::from_millis(opts.throttle_ms));
-            }
-            if opts.stall_after_chunks == Some(self.run_chunks) && opts.stall_ms > 0 {
-                // Injected stall: the router (and, once their queues
-                // drain, the workers) goes quiet for long enough that a
-                // watchdog with a smaller budget must flag it.
-                std::thread::sleep(Duration::from_millis(opts.stall_ms));
             }
         }
         Ok(())

@@ -22,32 +22,19 @@ use obs::window::{WindowConfig, WindowEngine, WindowReport};
 /// [`crate::pipeline::PipelineOptions`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowOptions {
-    /// Produce windowed series at all (`bench_gate`'s `windows` row
-    /// toggles this).
-    pub enabled: bool,
     /// Window width in trace seconds (default one hour — the paper's §5
     /// granularity).
     pub width_secs: f64,
-    /// How far behind the high timestamp a record may arrive before it
-    /// counts late instead of landing in its window.
+    /// Ignored: every window closes at the end of the run. Kept, at its
+    /// default of infinity, for the e2e harness, which writes it.
     pub watermark_secs: f64,
 }
 
 impl Default for WindowOptions {
     fn default() -> Self {
         WindowOptions {
-            enabled: true,
             width_secs: 3600.0,
-            watermark_secs: 3600.0,
-        }
-    }
-}
-
-impl WindowOptions {
-    fn config(self) -> WindowConfig {
-        WindowConfig {
-            width_secs: self.width_secs,
-            watermark_secs: self.watermark_secs,
+            watermark_secs: f64::INFINITY,
         }
     }
 }
@@ -91,7 +78,9 @@ pub struct WindowAggregator {
 impl WindowAggregator {
     /// A fresh aggregator with every adscope series registered.
     pub fn new(opts: WindowOptions) -> WindowAggregator {
-        let mut engine = WindowEngine::new(opts.config());
+        let mut engine = WindowEngine::new(WindowConfig {
+            width_secs: opts.width_secs,
+        });
         WindowAggregator {
             c_requests: engine.counter_series("requests"),
             c_ads: engine.counter_series("ads"),
@@ -107,12 +96,8 @@ impl WindowAggregator {
         }
     }
 
-    /// Fold one classified request into its window. No-op when windowing
-    /// is disabled.
+    /// Fold one classified request into its window.
     pub fn observe(&mut self, r: &ClassifiedRequest) {
-        if !self.opts.enabled {
-            return;
-        }
         self.engine.count(r.ts, self.c_requests, 1);
         self.engine.count(r.ts, self.c_bytes, r.bytes);
         if r.page.is_none() {
@@ -142,15 +127,12 @@ impl WindowAggregator {
     /// counters are elided from closed windows, so clean traces render
     /// exactly as before this series existed.
     pub fn observe_quarantined(&mut self, ts: f64) {
-        if !self.opts.enabled {
-            return;
-        }
         self.engine.count(ts, self.c_quarantined, 1);
     }
 
     /// Close and return everything observed so far, leaving the aggregator
-    /// empty but live. With an infinite watermark cuts merge back in any
-    /// grouping, so where they fall cannot change the merged report.
+    /// empty but live. Cuts merge back in any grouping, so where they fall
+    /// cannot change the merged report.
     pub fn cut(&mut self) -> WindowReport {
         std::mem::replace(self, WindowAggregator::new(self.opts))
             .engine
@@ -160,7 +142,7 @@ impl WindowAggregator {
 
 /// Fold classified requests — plus the timestamps of quarantined
 /// (unparseable) records — into per-window series: the window plane of
-/// [`Planes::fold`]. Returns an empty report when windowing is disabled.
+/// [`Planes::fold`].
 pub fn aggregate(
     requests: &[ClassifiedRequest],
     quarantined_ts: &[f64],
@@ -262,21 +244,6 @@ mod tests {
         let h = report.windows[0].hist(RTB_HIST).expect("rtb histogram");
         assert_eq!(h.count(), 2, "only ad requests observe the RTB gap");
         assert_eq!(h.sum, 60);
-    }
-
-    #[test]
-    fn disabled_options_produce_empty_report() {
-        let rs = vec![req(10.0, "http://ads.example/banners/a.gif")];
-        let report = aggregate(
-            &rs,
-            &[],
-            WindowOptions {
-                enabled: false,
-                ..WindowOptions::default()
-            },
-        );
-        assert!(report.windows.is_empty());
-        assert_eq!(report.late, 0);
     }
 
     #[test]

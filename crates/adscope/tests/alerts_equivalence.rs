@@ -151,9 +151,7 @@ proptest! {
         let cut = cut_num.min(hours - 1);
         let trace = shift_trace(hours, load, cut, seed);
 
-        let mut popts = PipelineOptions::default();
-        popts.window.watermark_secs = f64::INFINITY;
-        let seq = classify_trace(&trace, &classifier(), popts);
+        let seq = classify_trace(&trace, &classifier(), PipelineOptions::default());
         let want = adscope::alerts::evaluate(&seq.windows, pack());
         let (want_text, want_ndjson) = (want.render_text(), want.render_ndjson());
 

@@ -267,7 +267,6 @@ fn opts(threads: usize, dir: &Path, every_chunks: u64, resume: bool) -> StreamOp
     o.pipeline.population = PopulationOptions {
         enabled: true,
         active_min_requests: 3,
-        ..PopulationOptions::default()
     };
     o
 }

@@ -61,15 +61,12 @@ impl Event<'_> {
     }
 }
 
-/// The streaming configuration: population on or off, an infinite window
-/// watermark (the stream engine forces it — it is what makes the window
-/// planes mergeable in any grouping).
+/// The streaming configuration, population on or off.
 fn stream_opts(population: bool) -> StreamOptions {
     let mut opts = StreamOptions {
         abp_ips: ABP_IPS.to_vec(),
         ..common::stream_opts(1, 16)
     };
-    opts.pipeline.window.watermark_secs = f64::INFINITY;
     opts.pipeline.population.enabled = population;
     opts.pipeline.population.active_min_requests = 3;
     opts

@@ -32,7 +32,6 @@ fn popts() -> PopulationOptions {
     PopulationOptions {
         enabled: true,
         active_min_requests: 3,
-        ..PopulationOptions::default()
     }
 }
 
@@ -116,9 +115,10 @@ fn population_trace(n: usize, users: u32, seed: u64) -> Trace {
 /// The materialized reference render: full pipeline with population
 /// sketches attached, then the shared `finish_trace` report.
 fn reference_render(trace: &Trace) -> String {
-    let mut opts = PipelineOptions::default();
-    opts.window.watermark_secs = f64::INFINITY;
-    opts.population = popts();
+    let opts = PipelineOptions {
+        population: popts(),
+        ..PipelineOptions::default()
+    };
     let classified = classify_trace(trace, &classifier(), opts);
     population::finish_trace(&classified, &ABP_IPS, popts()).render()
 }

@@ -1,7 +1,7 @@
 //! Property tests for the passive pipeline: normalization is idempotent and
 //! conservative, content inference is total, the referrer map never panics
 //! on arbitrary orderings, and per-user aggregation conserves counts. The
-//! one-thread oracle returns its sampled provenance in record order, and its
+//! one-thread oracle explains every request once, in record order, and its
 //! window report, published, puts the series in the window log and the
 //! late-observation tally in `obs_window_late_total`.
 
@@ -11,8 +11,7 @@ use abp_filter::FilterList;
 use adscope::classify::PassiveClassifier;
 use adscope::content::{infer_category, ContentOptions};
 use adscope::normalize::UrlNormalizer;
-use adscope::pipeline::{classify_trace, PipelineOptions};
-use adscope::provenance::TraceOptions;
+use adscope::pipeline::{classify_trace, explain_trace, PipelineOptions};
 use adscope::users::aggregate_users;
 use adscope::window::WindowOptions;
 use common::{classifier, messy_trace};
@@ -49,7 +48,7 @@ fn url_strategy() -> impl Strategy<Value = String> {
 }
 
 /// A multi-user trace spanning several windows, with occasional
-/// out-of-order timestamps (some beyond any reasonable watermark).
+/// out-of-order timestamps (some hours behind the highest).
 fn windowed_trace(n: usize, users: u32, span_secs: f64, seed: u64) -> Trace {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut records: Vec<TraceRecord> = Vec::with_capacity(n);
@@ -57,7 +56,7 @@ fn windowed_trace(n: usize, users: u32, span_secs: f64, seed: u64) -> Trace {
         let client = rng.gen_range(1..=users);
         let mut ts = i as f64 / n.max(1) as f64 * span_secs;
         if rng.gen_bool(0.05) {
-            ts -= span_secs / 2.0; // far out of order — candidate latecomer
+            ts -= span_secs / 2.0; // far out of order
         }
         let (host, uri) = match rng.gen_range(0..5) {
             0 => ("pub.example", "/".to_string()),
@@ -101,37 +100,41 @@ fn windowed_trace(n: usize, users: u32, span_secs: f64, seed: u64) -> Trace {
 }
 
 proptest! {
-    /// With tracing on, the oracle returns the sampled provenance in record
-    /// order.
+    /// `explain_trace` explains every request exactly once, in record order,
+    /// and classifies exactly as `classify_trace` does.
     #[test]
-    fn sampled_provenance_comes_back_in_record_order(
+    fn explain_trace_gives_one_record_per_request_in_record_order(
         n in 1usize..100,
         users in 1u32..8,
         seed in 0u64..500,
     ) {
-        let opts = PipelineOptions {
-            trace: TraceOptions { sample_ppm: 300_000, always_sample_exceptional: true },
-            ..Default::default()
-        };
-        let out = classify_trace(&messy_trace(n, users, seed), &classifier(), opts);
+        let trace = messy_trace(n, users, seed);
+        let out = explain_trace(&trace, &classifier(), PipelineOptions::default());
+        prop_assert_eq!(out.provenance.len(), out.requests.len());
         prop_assert!(out.provenance.windows(2).all(|w| w[0].record < w[1].record));
+        for (vp, r) in out.provenance.iter().zip(&out.requests) {
+            prop_assert_eq!(vp.ts.to_bits(), r.ts.to_bits());
+            prop_assert_eq!(vp.client_ip, r.client_ip);
+            prop_assert_eq!(&vp.normalized_url, &r.url.as_string());
+        }
+        let plain = classify_trace(&trace, &classifier(), PipelineOptions::default());
+        prop_assert!(plain.provenance.is_empty());
+        prop_assert_eq!(plain.requests, out.requests);
+        prop_assert_eq!(plain.windows, out.windows);
     }
 
     /// Publishing the oracle's report puts exactly its NDJSON lines in the
-    /// registry's window log, for narrow and wide windows and tight and
-    /// loose watermarks (so finite watermarks, which the stream never uses,
-    /// stay covered).
+    /// registry's window log, for narrow and wide windows.
     #[test]
     fn window_log_is_the_rendered_report(
         n in 1usize..150,
         users in 1u32..7,
         span_secs in 100.0f64..20_000.0,
         width in prop_oneof![Just(60.0f64), Just(600.0), Just(3600.0)],
-        watermark in prop_oneof![Just(0.0f64), Just(60.0), Just(3600.0)],
         seed in 0u64..500,
     ) {
         let opts = PipelineOptions {
-            window: WindowOptions { enabled: true, width_secs: width, watermark_secs: watermark },
+            window: WindowOptions { width_secs: width, ..WindowOptions::default() },
             ..PipelineOptions::default()
         };
         let trace = windowed_trace(n, users, span_secs, seed);
@@ -149,19 +152,11 @@ proptest! {
     #[test]
     fn late_records_increment_visible_counter(seed in 0u64..200) {
         let mut trace = windowed_trace(40, 3, 10_000.0, seed);
-        // Force a latecomer: one record far behind the final high
-        // timestamp, beyond the 60 s watermark used below.
-        if let TraceRecord::Http(tx) = &mut trace.records[0] {
-            tx.ts = 9_999.0;
-        }
+        // Force a latecomer: a record whose timestamp has no window.
         if let TraceRecord::Http(tx) = &mut trace.records[1] {
-            tx.ts = 1.0;
+            tx.ts = f64::NAN;
         }
-        let opts = PipelineOptions {
-            window: WindowOptions { enabled: true, width_secs: 60.0, watermark_secs: 60.0 },
-            ..PipelineOptions::default()
-        };
-        let out = classify_trace(&trace, &classifier(), opts);
+        let out = classify_trace(&trace, &classifier(), PipelineOptions::default());
         let registry = obs::Registry::new();
         adscope::window::publish(&out.windows, &registry);
         prop_assert!(out.windows.late > 0, "fixture must produce a latecomer");

@@ -7,10 +7,6 @@
 //! mid-stream must resume from its checkpoint to a byte-identical final
 //! report, even on a different thread count.
 //!
-//! Streaming forces the window watermark to infinity (cut deltas must
-//! merge grouping-independently), so the materialized reference runs
-//! with `watermark_secs = f64::INFINITY` too.
-//!
 //! This is the one thread-count sweep: the oracle runs on one thread, and
 //! the engine must equal it at every count. Thread counts tested are
 //! {1, 2, 3, 4}; set `ANNOYED_THREADS` to add an extra count (CI adds the
@@ -46,10 +42,8 @@ fn thread_counts() -> Vec<usize> {
 /// the proptests (`planes_algebra` and the user-table test below feed them).
 const ABP_IPS: [u32; 1] = [900];
 
-/// Materialized reference with the streaming window semantics
-/// (infinite watermark).
-fn reference(trace: &Trace, mut opts: PipelineOptions) -> ClassifiedTrace {
-    opts.window.watermark_secs = f64::INFINITY;
+/// The materialized reference under `opts`.
+fn reference(trace: &Trace, opts: PipelineOptions) -> ClassifiedTrace {
     classify_trace(trace, &classifier(), opts)
 }
 

@@ -38,7 +38,7 @@
 
 use abp_filter::{ClassifyScratch, CompiledEngine, Engine, FilterList, Request};
 use adscope::normalize::UrlNormalizer;
-use adscope::pipeline::{classify_trace, extract_objects, PipelineOptions};
+use adscope::pipeline::extract_objects;
 use adscope::refmap::{RefMap, RefMapOptions};
 use adscope::stream::{classify_stream_file, StreamOptions};
 use bench::sys;
@@ -378,12 +378,6 @@ fn main() {
         started.elapsed().as_secs_f64()
     );
 
-    let materialized = |opts: PipelineOptions| {
-        let (trace, classifier) = (&trace, &classifier);
-        Box::new(move || {
-            black_box(classify_trace(black_box(trace), classifier, opts));
-        })
-    };
     let streamed = |adjust: fn(&mut StreamOptions)| {
         let mut opts = StreamOptions {
             threads: 1,
@@ -409,29 +403,7 @@ fn main() {
             obs::set_enabled(true);
         })
     };
-    let mut sampled = PipelineOptions::default();
-    sampled.trace.sample_ppm = 10_000;
-    sampled.trace.always_sample_exceptional = false;
-    let mut unsampled = sampled;
-    unsampled.trace.sample_ppm = 0;
-    let mut unwindowed = PipelineOptions::default();
-    unwindowed.window.enabled = false;
-
     let paired: Vec<Paired> = vec![
-        Paired {
-            name: "trace_sampling",
-            what: "1 % provenance head sampling vs none, materialized",
-            limit: BUDGET,
-            a: materialized(unsampled),
-            b: materialized(sampled),
-        },
-        Paired {
-            name: "windows",
-            what: "hourly windows on vs off, materialized",
-            limit: BUDGET,
-            a: materialized(unwindowed),
-            b: materialized(PipelineOptions::default()),
-        },
         Paired {
             name: "sketches",
             what: "population sketches on vs off, stream",

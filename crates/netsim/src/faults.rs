@@ -17,7 +17,7 @@
 //!   zeroing, timestamp skew (which also reorders), duplication.
 //! * [`FaultInjector::corrupt_bytes`] — *wire* faults applied to the
 //!   serialized NDJSON: line drops, truncation, byte garbling,
-//!   duplication. These are what the lossy [`crate::codec::TraceReader`]
+//!   duplication. These are what the lossy [`crate::stream::ChunkReader`]
 //!   must survive.
 //!
 //! Everything is driven by a seeded [`rand::rngs::StdRng`], so a given
@@ -270,7 +270,7 @@ impl FaultInjector {
     /// truncated line is guaranteed unparseable (a strict prefix of a
     /// JSON object never parses). The header line is left untouched —
     /// header corruption is exercised separately via
-    /// [`crate::codec::TraceReader`]'s recovery path.
+    /// [`crate::stream::ChunkReader`]'s recovery path.
     pub fn corrupt_bytes(&mut self, bytes: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(bytes.len());
         for (i, line) in bytes.split(|&b| b == b'\n').enumerate() {

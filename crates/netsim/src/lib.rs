@@ -17,9 +17,9 @@
 //!   [`record::TraceRecord`]s, keeping per-connection TCP handshake times
 //!   for persistent connections and reducing HTTPS to opaque flow records.
 //! * [`codec`] — a newline-delimited JSON trace format with a versioned
-//!   header, so experiments can persist and re-read captures. Ships both a
-//!   strict reader and a lossy [`codec::TraceReader`] that resyncs after
-//!   corrupt lines and accounts for what it skipped.
+//!   header, so experiments can persist and re-read captures. Its one
+//!   reader is lossy ([`codec::read_trace_lossy`], [`stream::ChunkReader`]):
+//!   it resyncs after corrupt lines and accounts for what it skipped.
 //! * [`faults`] — deterministic, seeded fault injection ([`FaultInjector`])
 //!   modelling the degradations a live vantage point produces: capture
 //!   loss, truncation, garbling, missing headers, clock skew, duplicates.

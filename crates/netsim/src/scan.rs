@@ -107,7 +107,7 @@ impl<R: Read> LineFramer<R> {
         let decoded = if line.overflow {
             None
         } else {
-            decode_header(&String::from_utf8_lossy(line.bytes)).ok()
+            decode_header(&String::from_utf8_lossy(line.bytes))
         };
         Ok(match decoded {
             Some(meta) => (meta, false, line.consumed),

@@ -1,15 +1,14 @@
 //! Incremental trace streaming: chunk-by-chunk decode and record-by-record
 //! encode, with byte-offset accounting for checkpoint/resume.
 //!
-//! [`crate::codec::TraceReader`] already decodes without materializing the
-//! trace, but it neither batches records (the unit the streaming pipeline
-//! sends over its bounded channels) nor tracks how many input bytes each
-//! record consumed (the unit a checkpoint manifest must store to resume a
-//! killed run). [`ChunkReader`] adds both over the very line loop
-//! `TraceReader` runs (`codec::LossyLines`: header-recovery policy, line
-//! framer, per-line keep/skip verdict and tally, plus the input bytes
-//! consumed), so a chunked read yields byte-for-byte the same records and
-//! [`CodecStats`] totals as the one-shot lossy reader. [`ChunkSource`] is
+//! [`ChunkReader`] is the trace reader. It decodes without materializing
+//! the trace, batches records (the unit the streaming pipeline sends over
+//! its bounded channels) and tracks how many input bytes each chunk
+//! consumed (the unit a checkpoint manifest must store to resume a killed
+//! run), over one line loop (`codec::LossyLines`: header-recovery policy,
+//! line framer, per-line keep/skip verdict and tally), so any chunk size
+//! yields byte-for-byte the same records and [`CodecStats`] totals as
+//! [`crate::codec::read_trace_lossy`], its one chunk. [`ChunkSource`] is
 //! the same chunking with each record lent as a [`RecordView`] of the framed
 //! line (the stream router's way in); `next_chunk` is the owned adapter.
 //!
@@ -79,11 +78,12 @@ impl<I: Iterator<Item = StreamChunk>> ChunkSource for OwnedChunks<I> {
 
 /// A loss-tolerant chunked trace reader with byte-offset accounting.
 ///
-/// Same decode policy as [`crate::codec::TraceReader`] — corrupt lines are
-/// skipped and tallied, a damaged header is replaced with placeholder
-/// metadata — but records arrive in batches of up to `chunk_records`, each
-/// carrying the byte offset of its end so a checkpoint can name an exact
-/// resume point.
+/// Corrupt lines are skipped and tallied, a damaged header is replaced with
+/// placeholder metadata, and records arrive in batches of up to
+/// `chunk_records`, each carrying the byte offset of its end so a
+/// checkpoint can name an exact resume point. Throughput and resync metrics
+/// (`netsim_lossy_*`, `netsim_resync_total{reason=...}`) go to the global
+/// [`obs`] registry or the one passed to [`ChunkReader::with_registry`].
 pub struct ChunkReader<R: Read> {
     lines: LossyLines<R>,
     meta: TraceMeta,

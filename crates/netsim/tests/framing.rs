@@ -4,7 +4,7 @@
 //! `BufReader`'s buffer and reassemble it only when it straddles a refill.
 //! Which of the two happens depends on how the source hands out bytes, so
 //! here a `Read` that dribbles 1…k bytes per call drives `ChunkReader` and
-//! `TraceReader` over an input with every framing hazard — CRLF, blank
+//! `read_trace_lossy` over an input with every framing hazard — CRLF, blank
 //! lines, corrupt and non-UTF-8 lines, a record longer than the read
 //! buffer, a line longer than `MAX_LINE_BYTES`, no final newline — and the
 //! records, per-chunk `CodecStats` and `end_offset`s must equal both a
@@ -14,7 +14,7 @@ use http_model::headers::{RequestHeaders, ResponseHeaders};
 use http_model::transaction::Method;
 use http_model::HttpTransaction;
 use netsim::codec::{
-    hooks, read_trace_lossy, record_to_json, write_trace, CodecStats, TraceReader, MAX_LINE_BYTES,
+    hooks, read_trace_lossy, record_to_json, write_trace, CodecStats, MAX_LINE_BYTES,
 };
 use netsim::record::{TlsConnection, Trace, TraceMeta, TraceRecord};
 use netsim::stream::ChunkReader;
@@ -267,11 +267,10 @@ fn trace_reader_is_indifferent_to_the_read_pattern() {
         assert_eq!(whole_stats.skipped_non_utf8, 1);
         assert_eq!(whole_stats.blank_lines, 3);
         for k in DRIBBLES {
-            let mut reader = TraceReader::new(Dribble::new(&bytes, k)).expect("open");
-            assert_eq!(reader.meta(), &whole.meta);
-            let records: Vec<TraceRecord> = reader.by_ref().collect();
-            assert_eq!(&records, want_records, "k={k}");
-            assert_eq!(reader.stats(), want_stats, "k={k}");
+            let (trace, stats) = read_trace_lossy(Dribble::new(&bytes, k)).expect("read");
+            assert_eq!(trace.meta, whole.meta, "k={k}");
+            assert_eq!(&trace.records, want_records, "k={k}");
+            assert_eq!(&stats, want_stats, "k={k}");
         }
     }
 }

@@ -1,11 +1,11 @@
-//! The lossy reader's metrics must reconcile with its own `CodecStats`:
+//! The reader's metrics must reconcile with its own `CodecStats`:
 //! same record count, and one `netsim_resync_total{reason=...}` increment
 //! per skipped line, under the matching reason.
 
 use http_model::headers::{RequestHeaders, ResponseHeaders};
 use http_model::transaction::Method;
 use http_model::HttpTransaction;
-use netsim::codec::{write_trace, TraceReader};
+use netsim::codec::{write_trace, CodecStats};
 use netsim::record::{Trace, TraceMeta, TraceRecord};
 use netsim::stream::ChunkReader;
 
@@ -61,14 +61,17 @@ fn lossy_reader_metrics_reconcile_with_stats() {
     corrupted.extend_from_slice(&bytes[header_end..]);
 
     let registry = obs::Registry::new();
-    let mut reader =
-        TraceReader::with_registry(corrupted.as_slice(), &registry).expect("reader opens");
-    let mut kept = 0u64;
-    while reader.next_record().is_some() {
-        kept += 1;
+    let reader =
+        ChunkReader::with_registry(corrupted.as_slice(), 3, &registry).expect("reader opens");
+    let mut stats = CodecStats::default();
+    for chunk in reader {
+        assert_eq!(chunk.records.len(), chunk.stats.records_read);
+        stats.merge(&chunk.stats);
     }
-    let stats = reader.stats().clone();
-    assert_eq!(kept, 8, "all genuine records survive the corruption");
+    assert_eq!(
+        stats.records_read, 8,
+        "all genuine records survive the corruption"
+    );
     assert_eq!(stats.skipped_bad_json, 1);
     assert_eq!(stats.skipped_bad_schema, 1);
     assert_eq!(stats.skipped_non_utf8, 1);
@@ -102,25 +105,22 @@ fn lossy_reader_metrics_reconcile_with_stats() {
     assert!(snap.counter("netsim_lossy_bytes_read_total", &[]) > 0);
 }
 
-/// Both lossy readers count the input bytes a kept line took, so on an
-/// all-valid stream whose last line has no newline they agree with each
-/// other and with the input length past the header.
+/// The reader counts the input bytes a kept line took, so on an all-valid
+/// stream whose last line has no newline every chunk size agrees with the
+/// input length past the header.
 #[test]
-fn lossy_bytes_read_agree_across_readers_on_unterminated_input() {
+fn lossy_bytes_read_agree_across_chunk_sizes_on_unterminated_input() {
     let mut bytes = Vec::new();
     write_trace(&small_trace(5), &mut bytes).expect("write");
     assert_eq!(bytes.pop(), Some(b'\n'), "drop the final newline");
     let header_len = bytes.iter().position(|&b| b == b'\n').expect("header") + 1;
     let want = (bytes.len() - header_len) as u64;
 
-    let one_shot = obs::Registry::new();
-    let reader = TraceReader::with_registry(bytes.as_slice(), &one_shot).expect("reader opens");
-    assert_eq!(reader.count(), 5);
-    let chunked = obs::Registry::new();
-    let reader = ChunkReader::with_registry(bytes.as_slice(), 2, &chunked).expect("reader opens");
-    assert_eq!(reader.map(|c| c.records.len()).sum::<usize>(), 5);
-
-    for registry in [&one_shot, &chunked] {
+    for chunk_records in [2, usize::MAX] {
+        let registry = obs::Registry::new();
+        let reader = ChunkReader::with_registry(bytes.as_slice(), chunk_records, &registry)
+            .expect("reader opens");
+        assert_eq!(reader.map(|c| c.records.len()).sum::<usize>(), 5);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("netsim_lossy_bytes_read_total", &[]), want);
     }

@@ -4,9 +4,10 @@
 use http_model::headers::{RequestHeaders, ResponseHeaders};
 use http_model::transaction::Method;
 use http_model::HttpTransaction;
-use netsim::codec::{read_trace_lossy, write_trace, TraceReader};
+use netsim::codec::{read_trace_lossy, write_trace, CodecStats};
 use netsim::faults::{FaultInjector, FaultProfile};
 use netsim::record::{Trace, TraceMeta, TraceRecord};
+use netsim::stream::ChunkReader;
 use proptest::prelude::*;
 
 fn small_trace(n: usize) -> Trace {
@@ -135,7 +136,7 @@ proptest! {
         prop_assert_eq!(back.records.len(), faulted.records.len());
     }
 
-    /// The streaming reader and the one-shot lossy reader agree.
+    /// Small chunks and the one chunk of `read_trace_lossy` agree.
     #[test]
     fn streaming_and_oneshot_agree(
         n in 1usize..40,
@@ -148,10 +149,13 @@ proptest! {
         let corrupted = injector.corrupt_bytes(&bytes);
         let (oneshot, oneshot_stats) =
             read_trace_lossy(corrupted.as_slice()).expect("oneshot");
-        let mut reader = TraceReader::new(corrupted.as_slice()).expect("stream open");
-        let streamed: Vec<_> = (&mut reader).collect();
-        prop_assert_eq!(streamed.len(), oneshot.records.len());
-        prop_assert_eq!(reader.stats().records_read, oneshot_stats.records_read);
-        prop_assert_eq!(reader.stats().total_skipped(), oneshot_stats.total_skipped());
+        let reader = ChunkReader::new(corrupted.as_slice(), 7).expect("stream open");
+        let (mut streamed, mut stats) = (Vec::new(), CodecStats::default());
+        for chunk in reader {
+            stats.merge(&chunk.stats);
+            streamed.extend(chunk.records);
+        }
+        prop_assert_eq!(streamed, oneshot.records);
+        prop_assert_eq!(stats, oneshot_stats);
     }
 }

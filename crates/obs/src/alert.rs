@@ -468,10 +468,7 @@ mod tests {
     use crate::window::{WindowConfig, WindowEngine};
 
     fn report(values: &[u64]) -> WindowReport {
-        let mut e = WindowEngine::new(WindowConfig {
-            width_secs: 3600.0,
-            watermark_secs: f64::INFINITY,
-        });
+        let mut e = WindowEngine::new(WindowConfig::default());
         let c = e.counter_series("requests");
         let a = e.counter_series("ads");
         for (hour, &v) in values.iter().enumerate() {
@@ -600,10 +597,7 @@ mod tests {
     fn min_den_skips_thin_windows() {
         // A 100-request steady series with one 3-request tail window at
         // a wild share: gated, the tail is invisible; ungated, it spikes.
-        let mut e = WindowEngine::new(WindowConfig {
-            width_secs: 3600.0,
-            watermark_secs: f64::INFINITY,
-        });
+        let mut e = WindowEngine::new(WindowConfig::default());
         let c = e.counter_series("requests");
         let a = e.counter_series("ads");
         for hour in 0..10 {

@@ -1,25 +1,16 @@
-//! Deterministic request tracing: trace/span identity and sampling.
+//! Deterministic request identity: trace and span ids.
 //!
-//! The pipeline's determinism contract (sharded output is byte-identical
-//! to sequential at any thread count) extends to tracing, so identity
-//! here is *derived*, never drawn: a [`TraceId`] is a 128-bit FNV-1a
-//! hash of ⟨trace seed, record index⟩ and a [`SpanId`] a 64-bit FNV-1a
-//! hash of ⟨trace id, stage name⟩. The same record therefore carries the
-//! same trace through scatter-merge regardless of which shard or worker
-//! classified it, and provenance output can be compared byte-for-byte
-//! across thread counts.
+//! The pipeline's determinism contract (output is byte-identical at any
+//! thread count) extends to verdict provenance, so identity here is
+//! *derived*, never drawn: a [`TraceId`] is a 128-bit FNV-1a hash of
+//! ⟨trace seed, record index⟩ and a [`SpanId`] a 64-bit FNV-1a hash of
+//! ⟨trace id, stage name⟩. The same record therefore carries the same
+//! trace id on every run, and provenance output can be compared
+//! byte-for-byte.
 //!
-//! Sampling is head-based: a trace is selected when a fold of its id
-//! lands under `sample_ppm` parts-per-million — again a pure function of
-//! identity, so every worker agrees on the decision without
-//! coordination. Verdict-triggered causes ([`SampleCause::Whitelisted`],
-//! [`SampleCause::Degraded`], [`SampleCause::Anomalous`]) are decided by
-//! the pipeline after classification and override the head decision.
-//!
-//! Everything is subordinate to the crate-wide kill switch:
-//! [`Sampler::is_active`] returns `false` while [`crate::enabled`] is
-//! off, and the pipeline allocates no provenance at all in that state
-//! (pinned by an allocation-counting test in `adscope`).
+//! [`SampleCause`] names why a provenance record was kept; the caller
+//! decides it from the verdict. Provenance is a return value, not
+//! telemetry, so the crate's kill switch does not touch it.
 
 use crate::manifest::{fnv64, fnv64_fold};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,9 +20,6 @@ use std::sync::Mutex;
 const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 /// FNV-1a 128-bit prime.
 const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-
-/// One million, the denominator of [`Sampler`]'s parts-per-million rate.
-pub const PPM: u64 = 1_000_000;
 
 fn fnv128(h: u128, bytes: &[u8]) -> u128 {
     let mut h = h;
@@ -66,11 +54,6 @@ impl TraceId {
     pub fn to_hex(self) -> String {
         format!("{:032x}", self.0)
     }
-
-    /// Fold the id into the sampling key: xor of the two 64-bit halves.
-    pub fn sample_key(self) -> u64 {
-        (self.0 as u64) ^ ((self.0 >> 64) as u64)
-    }
 }
 
 /// A 64-bit span identifier, derived from the owning trace and a stage
@@ -93,7 +76,7 @@ impl SpanId {
 /// Why a request's provenance was collected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SampleCause {
-    /// Selected by the head sampler (trace-id hash under the ppm rate).
+    /// No exceptional cause: an ordinary verdict.
     Head,
     /// Verdict involved an exception rule or page whitelist.
     Whitelisted,
@@ -112,40 +95,6 @@ impl SampleCause {
             SampleCause::Degraded => "degraded",
             SampleCause::Anomalous => "anomalous",
         }
-    }
-}
-
-/// The head sampler: selects traces by id hash, honouring the global
-/// kill switch. `sample_ppm` is parts per million; `0` disables the
-/// tracer entirely (no provenance is collected for any cause).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Sampler {
-    sample_ppm: u32,
-}
-
-impl Sampler {
-    /// A sampler selecting `sample_ppm` out of every million traces.
-    pub fn new(sample_ppm: u32) -> Sampler {
-        Sampler {
-            sample_ppm: sample_ppm.min(PPM as u32),
-        }
-    }
-
-    /// The configured rate in parts per million.
-    pub fn sample_ppm(self) -> u32 {
-        self.sample_ppm
-    }
-
-    /// Is the tracer on at all? False when the rate is zero **or** the
-    /// process-wide kill switch ([`crate::set_enabled`]) is off.
-    pub fn is_active(self) -> bool {
-        self.sample_ppm > 0 && crate::enabled()
-    }
-
-    /// Head-sampling decision for one trace. Pure in the trace id, so
-    /// every shard agrees; `false` whenever the tracer is inactive.
-    pub fn head_sample(self, id: TraceId) -> bool {
-        self.is_active() && id.sample_key() % PPM < u64::from(self.sample_ppm)
     }
 }
 
@@ -252,30 +201,6 @@ mod tests {
         assert_ne!(s, SpanId::derive(TraceId::derive(7, 4), "classify"));
         assert_eq!(s.to_hex().len(), 16);
     }
-
-    #[test]
-    fn sampler_rate_is_roughly_honoured() {
-        let s = Sampler::new(250_000); // 25%
-        let hits = (0..4000)
-            .filter(|&i| s.head_sample(TraceId::derive(0xA, i)))
-            .count();
-        // FNV output is well spread; allow wide slack.
-        assert!((600..1800).contains(&hits), "hits={hits}");
-    }
-
-    #[test]
-    fn sampler_zero_and_full_rates() {
-        let off = Sampler::new(0);
-        assert!(!off.is_active());
-        assert!(!off.head_sample(TraceId::derive(1, 1)));
-        let full = Sampler::new(PPM as u32);
-        for i in 0..100 {
-            assert!(full.head_sample(TraceId::derive(1, i)));
-        }
-    }
-
-    // The kill-switch interaction is asserted in tests/kill_switch.rs,
-    // which owns the process-wide toggle.
 
     #[test]
     fn trace_log_bounds_and_renders() {

@@ -1,28 +1,25 @@
-//! Deterministic rolling time-window engine.
+//! Deterministic time-window engine.
 //!
 //! Aggregate-at-exit snapshots (the [`crate::registry::Snapshot`] model)
 //! cannot answer "what did hour 14 look like" — the paper's §5 temporal
 //! characterization, and any live view of a long replay, need *windowed*
-//! series. The engine here is a ring of fixed-width buckets keyed on a
-//! **logical clock fed from trace timestamps**, never the wall clock, so
-//! the output is a pure function of the observed `(ts, series, value)`
-//! stream: reproducible across runs and merge-safe across shards.
+//! series. The engine here keeps fixed-width buckets keyed on a **logical
+//! clock fed from trace timestamps**, never the wall clock, so the output
+//! is a pure function of the observed `(ts, series, value)` stream:
+//! reproducible across runs and merge-safe across shards.
 //!
 //! Model:
 //!
 //! * Window `i` covers `[i·width, (i+1)·width)` seconds. The index is
 //!   derived from each observation's timestamp, so there is no "current"
 //!   window in wall-clock terms.
-//! * The **watermark** is `high_ts − watermark_secs`, where `high_ts` is
-//!   the highest timestamp seen. A window *closes* once its end falls at
-//!   or below the watermark; closed windows are immutable snapshots.
-//!   With an infinite watermark nothing closes before
-//!   [`WindowEngine::finish`], and windows may open in any index order —
-//!   the order-insensitive mode the merge contract below relies on.
-//! * Observations behind the watermark (into an already-closed window)
-//!   are **late**: they increment a visible counter instead of being
-//!   silently dropped — the pipeline bridges it to
-//!   `obs_window_late_total`. Non-finite timestamps count as late too.
+//! * Every window closes at [`WindowEngine::finish`], and windows may open
+//!   in any index order: the result does not depend on arrival order. The
+//!   paper's traces are counted offline, a full census, so no record can
+//!   arrive too late for its hour.
+//! * Observations with a non-finite timestamp have no window: they are
+//!   **late**, and increment a visible counter instead of being silently
+//!   dropped — the stream engine bridges it to `obs_window_late_total`.
 //! * Only windows that record something exist at all: the open set is
 //!   sparse (sorted by index), so an outlier timestamp costs one
 //!   window's allocation, never a dense span — a corrupt-but-finite
@@ -34,7 +31,7 @@
 //!
 //! Series are registered up front and addressed by dense ids
 //! ([`CounterId`], [`HistId`]), keeping the per-observation cost at a
-//! ring lookup plus a vector index — no hashing on the hot path.
+//! sparse lookup plus a vector index — no hashing on the hot path.
 //! Histogram series reuse the crate's log2 buckets
 //! ([`HistogramSnapshot`]), so per-window histograms merge bucket-wise
 //! exactly like registry ones.
@@ -44,10 +41,10 @@
 //! that merges losslessly with reports built over other partitions of
 //! the same stream ([`WindowReport::merge`]): counters add, histograms
 //! add bucket-wise, lateness adds. Partition a trace by records, window
-//! each part with an infinite watermark, merge in any order — the result
-//! is byte-identical to windowing the whole trace, which is what lets
-//! the streaming engine cut window deltas per worker and per checkpoint
-//! barrier without giving up determinism.
+//! each part, merge in any order — the result is byte-identical to
+//! windowing the whole trace, which is what lets the streaming engine cut
+//! window deltas per worker and per checkpoint barrier without giving up
+//! determinism.
 
 use crate::metric::{bucket_index, HistogramSnapshot, BUCKETS};
 use std::collections::VecDeque;
@@ -61,24 +58,16 @@ fn empty_hist() -> HistogramSnapshot {
     }
 }
 
-/// Window geometry and lateness tolerance.
+/// Window geometry.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowConfig {
     /// Window width in (trace) seconds.
     pub width_secs: f64,
-    /// Allowed lateness: a window closes once `high_ts` passes its end
-    /// by this much. `f64::INFINITY` keeps every window open until
-    /// [`WindowEngine::finish`] — the order-insensitive mode used for
-    /// per-shard partials.
-    pub watermark_secs: f64,
 }
 
 impl Default for WindowConfig {
     fn default() -> WindowConfig {
-        WindowConfig {
-            width_secs: 3600.0,
-            watermark_secs: 3600.0,
-        }
+        WindowConfig { width_secs: 3600.0 }
     }
 }
 
@@ -91,8 +80,8 @@ pub struct CounterId(usize);
 pub struct HistId(usize);
 
 /// Hard cap on simultaneously open windows. The open set is sparse, so
-/// only pathological input (thousands of distinct far-apart timestamps,
-/// none closing) can approach this; past it the engine force-closes the
+/// only pathological input (thousands of distinct far-apart timestamps)
+/// can approach this; past it the engine force-closes the
 /// extreme window rather than growing, and [`WindowEngine::finish`]
 /// re-merges any index that was closed early and touched again.
 pub const MAX_OPEN_WINDOWS: usize = 4096;
@@ -228,9 +217,8 @@ pub struct WindowReport {
     /// Closed windows, sorted by index; indices are sparse (empty
     /// windows are elided).
     pub windows: Vec<ClosedWindow>,
-    /// Observations that arrived behind the watermark (plus non-finite
-    /// timestamps). Never silently dropped: bridged to
-    /// `obs_window_late_total`.
+    /// Observations whose timestamp is not finite, so has no window.
+    /// Never silently dropped: bridged to `obs_window_late_total`.
     pub late: u64,
 }
 
@@ -298,13 +286,8 @@ pub struct WindowEngine {
     hist_names: Vec<&'static str>,
     /// Open windows, sparse, sorted by index. Only indices that recorded
     /// an observation exist; the set extends backward as well as forward
-    /// (out-of-order streams under a loose or infinite watermark).
+    /// (out-of-order streams).
     open: VecDeque<(i64, OpenWindow)>,
-    /// Lowest index still allowed to open (finite watermark only):
-    /// observations below it are late. Never advances under an infinite
-    /// watermark, so that mode is fully order-insensitive.
-    frontier: i64,
-    high_ts: f64,
     closed: Vec<ClosedWindow>,
     late: u64,
 }
@@ -319,17 +302,10 @@ impl WindowEngine {
                 } else {
                     WindowConfig::default().width_secs
                 },
-                watermark_secs: if cfg.watermark_secs >= 0.0 {
-                    cfg.watermark_secs
-                } else {
-                    0.0
-                },
             },
             counter_names: Vec::new(),
             hist_names: Vec::new(),
             open: VecDeque::new(),
-            frontier: i64::MIN,
-            high_ts: f64::NEG_INFINITY,
             closed: Vec::new(),
             late: 0,
         }
@@ -375,14 +351,9 @@ impl WindowEngine {
         }
     }
 
-    /// Observations behind the watermark so far.
+    /// Observations without a finite timestamp so far.
     pub fn late(&self) -> u64 {
         self.late
-    }
-
-    /// Windows closed so far (watermark passed them).
-    pub fn closed(&self) -> &[ClosedWindow] {
-        &self.closed
     }
 
     /// Close everything and return the report.
@@ -408,36 +379,15 @@ impl WindowEngine {
         }
     }
 
-    /// Locate (creating as needed) the open window containing `ts`,
-    /// after advancing the watermark. `None` means the observation was
-    /// late (or the timestamp unusable) and has been counted as such.
+    /// Locate (creating as needed) the open window containing `ts`.
+    /// `None` means the timestamp is not finite; the observation has been
+    /// counted late.
     fn slot(&mut self, ts: f64) -> Option<&mut OpenWindow> {
         if !ts.is_finite() {
             self.late += 1;
             return None;
         }
         let idx = (ts / self.cfg.width_secs).floor() as i64;
-        if ts > self.high_ts {
-            self.high_ts = ts;
-        }
-        // Advance the watermark: the frontier is the lowest index whose
-        // end is still above high_ts − watermark; everything below it
-        // closes, and later arrivals below it are late. An infinite
-        // watermark never moves the frontier.
-        if self.cfg.watermark_secs.is_finite() {
-            let cutoff = self.high_ts - self.cfg.watermark_secs;
-            let frontier = ((cutoff / self.cfg.width_secs - 1.0).floor() as i64).saturating_add(1);
-            if frontier > self.frontier {
-                self.frontier = frontier;
-            }
-            while self.open.front().is_some_and(|(i, _)| *i < self.frontier) {
-                self.close_front();
-            }
-            if idx < self.frontier {
-                self.late += 1;
-                return None;
-            }
-        }
         // Sparse sorted lookup; the monotonic hot path hits the back.
         let pos = match self.open.back() {
             Some((i, _)) if *i == idx => self.open.len() - 1,
@@ -518,11 +468,8 @@ impl WindowEngine {
 mod tests {
     use super::*;
 
-    fn engine(width: f64, watermark: f64) -> (WindowEngine, CounterId, HistId) {
-        let mut e = WindowEngine::new(WindowConfig {
-            width_secs: width,
-            watermark_secs: watermark,
-        });
+    fn engine(width: f64) -> (WindowEngine, CounterId, HistId) {
+        let mut e = WindowEngine::new(WindowConfig { width_secs: width });
         let c = e.counter_series("requests");
         let h = e.hist_series("lat_ms");
         (e, c, h)
@@ -530,12 +477,10 @@ mod tests {
 
     #[test]
     fn buckets_by_timestamp_not_arrival() {
-        // Watermark 20 keeps window 0 (end 10) open at high 25
-        // (cutoff 5), so the out-of-order record at ts 3 still lands.
-        let (mut e, c, _) = engine(10.0, 20.0);
+        let (mut e, c, _) = engine(10.0);
         e.count(1.0, c, 1);
         e.count(25.0, c, 2);
-        e.count(3.0, c, 4); // within watermark: window 0 still open
+        e.count(3.0, c, 4); // out of order: lands in window 0 all the same
         let r = e.finish();
         assert_eq!(r.late, 0);
         assert_eq!(r.windows.len(), 2);
@@ -547,20 +492,8 @@ mod tests {
     }
 
     #[test]
-    fn watermark_closes_and_late_counts() {
-        let (mut e, c, _) = engine(10.0, 5.0);
-        e.count(1.0, c, 1);
-        e.count(20.0, c, 1); // high=20, cutoff=15: window 0 (end 10) closes
-        assert_eq!(e.closed().len(), 1);
-        e.count(2.0, c, 1); // behind the watermark
-        let r = e.finish();
-        assert_eq!(r.late, 1);
-        assert_eq!(r.total("requests"), 2, "late observation not recorded");
-    }
-
-    #[test]
     fn non_finite_ts_counts_late() {
-        let (mut e, c, _) = engine(10.0, 5.0);
+        let (mut e, c, _) = engine(10.0);
         e.count(f64::NAN, c, 1);
         e.count(f64::INFINITY, c, 1);
         let r = e.finish();
@@ -569,19 +502,8 @@ mod tests {
     }
 
     #[test]
-    fn long_gap_does_not_grow_the_ring() {
-        let (mut e, c, _) = engine(1.0, 2.0);
-        e.count(0.5, c, 1);
-        e.count(1_000_000.5, c, 1);
-        assert!(e.open.len() <= 4, "ring stays bounded across gaps");
-        let r = e.finish();
-        assert_eq!(r.windows.len(), 2);
-        assert_eq!(r.late, 0);
-    }
-
-    #[test]
     fn histograms_bucket_per_window() {
-        let (mut e, _, h) = engine(10.0, f64::INFINITY);
+        let (mut e, _, h) = engine(10.0);
         e.observe(1.0, h, 100);
         e.observe(2.0, h, 200);
         e.observe(15.0, h, 1000);
@@ -594,7 +516,7 @@ mod tests {
 
     #[test]
     fn empty_windows_are_elided() {
-        let (mut e, c, _) = engine(1.0, f64::INFINITY);
+        let (mut e, c, _) = engine(1.0);
         e.count(0.5, c, 1);
         e.count(5.5, c, 1);
         let r = e.finish();
@@ -604,11 +526,11 @@ mod tests {
 
     #[test]
     fn merge_of_partitions_equals_whole() {
-        // Partition an observation stream in two, window each part with
-        // an infinite watermark, merge — must equal windowing the whole.
+        // Partition an observation stream in two, window each part,
+        // merge — must equal windowing the whole.
         let obs: Vec<(f64, u64)> = (0..200).map(|i| ((i * 7 % 100) as f64, i as u64)).collect();
         let run = |items: &[(f64, u64)]| {
-            let (mut e, c, h) = engine(10.0, f64::INFINITY);
+            let (mut e, c, h) = engine(10.0);
             for (ts, v) in items {
                 e.count(*ts, c, 1);
                 e.observe(*ts, h, *v);
@@ -628,7 +550,7 @@ mod tests {
 
     #[test]
     fn hour_totals_rotate_by_start_hour() {
-        let (mut e, c, _) = engine(3600.0, f64::INFINITY);
+        let (mut e, c, _) = engine(3600.0);
         e.count(100.0, c, 5); // trace hour 0
         e.count(3700.0, c, 7); // trace hour 1
         e.count(90_000.0, c, 11); // trace hour 25 → same clock hour as 1
@@ -640,7 +562,7 @@ mod tests {
 
     #[test]
     fn ndjson_lines_are_valid_and_tagged() {
-        let (mut e, c, h) = engine(10.0, f64::INFINITY);
+        let (mut e, c, h) = engine(10.0);
         e.count(1.0, c, 3);
         e.observe(1.0, h, 50);
         let r = e.finish();
@@ -654,7 +576,7 @@ mod tests {
 
     #[test]
     fn negative_timestamps_window_correctly() {
-        let (mut e, c, _) = engine(10.0, f64::INFINITY);
+        let (mut e, c, _) = engine(10.0);
         e.count(-5.0, c, 1);
         e.count(5.0, c, 1);
         let r = e.finish();
@@ -666,9 +588,9 @@ mod tests {
     #[test]
     fn outlier_timestamp_does_not_balloon_the_open_set() {
         // One corrupt-but-finite timestamp must cost one window, not a
-        // dense span — under an infinite watermark (decode partials) the
-        // old ring allocated every index up to the outlier and OOMed.
-        let (mut e, c, _) = engine(3600.0, f64::INFINITY);
+        // dense span — a ring would allocate every index up to the
+        // outlier.
+        let (mut e, c, _) = engine(3600.0);
         e.count(10.0, c, 1);
         e.count(1.0e15, c, 1);
         e.count(20.0, c, 1);
@@ -685,21 +607,38 @@ mod tests {
     }
 
     #[test]
-    fn infinite_watermark_is_order_insensitive() {
-        // A chunk whose first record is not its minimum timestamp must
-        // still window everything — nothing is late without a watermark.
-        let (mut e, c, _) = engine(10.0, f64::INFINITY);
-        e.count(100.0, c, 1);
-        e.count(5.0, c, 1);
-        let r = e.finish();
-        assert_eq!(r.late, 0);
-        let indices: Vec<i64> = r.windows.iter().map(|w| w.index).collect();
-        assert_eq!(indices, vec![0, 10]);
+    fn windows_are_order_insensitive() {
+        // Every arrival order of the same observations gives the same
+        // report: a record an hour (or a day) behind the highest timestamp
+        // still lands in its window, and nothing finite is late.
+        let obs: Vec<(f64, u64)> = vec![(5.0, 1), (100.0, 2), (3.0, 4), (86_400.0, 8), (15.0, 16)];
+        let run = |items: &[(f64, u64)]| {
+            let (mut e, c, h) = engine(10.0);
+            for (ts, v) in items {
+                e.count(*ts, c, *v);
+                e.observe(*ts, h, *v);
+            }
+            e.finish()
+        };
+        let sorted = {
+            let mut s = obs.clone();
+            s.sort_by(|a, b| a.0.total_cmp(&b.0));
+            run(&s)
+        };
+        let mut reversed = obs.clone();
+        reversed.reverse();
+        for order in [obs.clone(), reversed] {
+            assert_eq!(run(&order), sorted);
+        }
+        assert_eq!(sorted.late, 0);
+        let indices: Vec<i64> = sorted.windows.iter().map(|w| w.index).collect();
+        assert_eq!(indices, vec![0, 1, 10, 8640]);
+        assert_eq!(sorted.windows[0].counter("requests"), 5);
     }
 
     #[test]
     fn open_cap_force_closes_and_finish_refolds() {
-        let (mut e, c, _) = engine(1.0, f64::INFINITY);
+        let (mut e, c, _) = engine(1.0);
         let n = MAX_OPEN_WINDOWS + 10;
         for i in 0..n {
             e.count(i as f64 + 0.5, c, 1);
@@ -719,11 +658,7 @@ mod tests {
 
     #[test]
     fn zero_or_bad_width_falls_back_to_default() {
-        let e = WindowEngine::new(WindowConfig {
-            width_secs: 0.0,
-            watermark_secs: -3.0,
-        });
+        let e = WindowEngine::new(WindowConfig { width_secs: 0.0 });
         assert_eq!(e.cfg.width_secs, 3600.0);
-        assert_eq!(e.cfg.watermark_secs, 0.0);
     }
 }

@@ -10,9 +10,9 @@
 //! NDJSON capture is replayed through the lossy reader instead and the
 //! URL is looked up among its records.
 //!
-//! The pipeline runs with the provenance sampler wide open
-//! (`sample_ppm = 1_000_000`), the decision tree is printed, and the
-//! full provenance NDJSON is written to
+//! The oracle explains every verdict ([`adscope::pipeline::explain_trace`]:
+//! one provenance record per request), the decision tree is printed, and
+//! the full provenance NDJSON is written to
 //! `target/experiments/explain_trace.ndjson` — then re-parsed line by
 //! line with `netsim::json` and reported as `trace: VALID (N records)`.
 //! Everything printed is deterministic (derived trace/span ids, no
@@ -21,8 +21,7 @@
 use crate::cli::{die, Args};
 use crate::manifest;
 use abp_filter::FilterList;
-use adscope::pipeline::classify_trace;
-use adscope::provenance::TraceOptions;
+use adscope::pipeline::explain_trace;
 use adscope::{PassiveClassifier, PipelineOptions};
 use http_model::headers::{RequestHeaders, ResponseHeaders};
 use http_model::transaction::{HttpTransaction, Method};
@@ -56,17 +55,9 @@ pub fn run(args: &[String]) -> ! {
         None => synthesized_trace(&url),
     };
 
-    let classifier = fixture_classifier();
-    let opts = PipelineOptions {
-        trace: TraceOptions {
-            sample_ppm: 1_000_000,
-            always_sample_exceptional: true,
-        },
-        ..Default::default()
-    };
-    let out = classify_trace(&trace, &classifier, opts);
+    let out = explain_trace(&trace, &fixture_classifier(), PipelineOptions::default());
 
-    // Look the URL up among the sampled records by its *raw* captured
+    // Look the URL up among the explained records by its *raw* captured
     // form (provenance keeps both raw and normalized).
     let raw = url.as_string();
     let Some(vp) = out.provenance.iter().find(|vp| vp.url == raw) else {

@@ -25,9 +25,9 @@
 use crate::cli::{die, Args};
 use crate::manifest;
 use crate::world::{Rbn, Scale, World};
-use adscope::population::{finish_trace, PopulationReport};
+use adscope::population::{finish_trace, PopulationReport, TOPK_CAPACITY};
 use adscope::users::aggregate_users;
-use adscope::{PassiveClassifier, PipelineOptions, StreamOptions};
+use adscope::{PassiveClassifier, StreamOptions};
 use netsim::record::Trace;
 use std::path::PathBuf;
 
@@ -136,14 +136,7 @@ fn run_exact_check(
     streamed: &PopulationReport,
     streamed_text: &str,
 ) {
-    let mut popts = PipelineOptions {
-        population: opts.pipeline.population,
-        ..opts.pipeline
-    };
-    // The streaming path forces an infinite window watermark; mirror it
-    // so the materialized run is configured identically (the population
-    // report itself is watermark-independent).
-    popts.window.watermark_secs = f64::INFINITY;
+    let popts = opts.pipeline;
     let classified = adscope::pipeline::classify_trace(trace, classifier, popts);
     let exact_text = finish_trace(&classified, &opts.abp_ips, popts.population).render();
     if streamed_text != exact_text {
@@ -154,8 +147,7 @@ fn run_exact_check(
     if !streamed.exact_topk {
         die(format!(
             "exact-check failed: top-K sketches left the exact regime \
-             (capacity {}) — rankings are not partition-invariant",
-            streamed.opts.capacity
+             (capacity {TOPK_CAPACITY}) — rankings are not partition-invariant"
         ));
     }
 

@@ -24,8 +24,8 @@
 //! With `--serve-port`, the obs endpoint serves `/metrics`, `/statusz`
 //! and `/healthz` live during the run (`--serve-linger` keeps it up
 //! after the run until `GET /quitz`, for CI polling). `--watchdog-ms`
-//! arms the stall watchdog; `--stall-after-chunks`/`--stall-ms` inject
-//! one deterministic router stall to test it.
+//! arms the stall watchdog; a `--throttle-ms` above it makes every chunk
+//! a stall, which is how CI tests it.
 //!
 //! The final report is printed to stdout; `--report PATH` additionally
 //! writes the deterministic [`adscope::StreamReport::render`] form,
@@ -47,8 +47,7 @@ pub const USAGE: &str = "experiments stream --trace PATH | --rbn1 | --rbn2 [--wr
            [--chunk-records N] [--checkpoint-dir D] [--checkpoint-every N] [--resume]
            [--quarantine PATH] [--report PATH] [--windows PATH] [--manifest PATH]
            [--throttle-ms N] [--stop-after-chunks N] [--serve-port N]
-           [--serve-port-file PATH] [--serve-linger] [--watchdog-ms N]
-           [--stall-after-chunks N] [--stall-ms N] [--population]
+           [--serve-port-file PATH] [--serve-linger] [--watchdog-ms N] [--population]
            [--scale small|medium|large] [--seed N] [--threads N]";
 
 enum Source {
@@ -93,8 +92,6 @@ pub fn run(args: &[String]) -> ! {
             "--serve-port-file" => serve_port_file = Some(a.path(flag)),
             "--serve-linger" => serve_linger = true,
             "--watchdog-ms" => watchdog_ms = a.bounded(flag, 1..),
-            "--stall-after-chunks" => opts.stall_after_chunks = Some(a.parsed(flag)),
-            "--stall-ms" => opts.stall_ms = a.parsed(flag),
             "--chunk-records" => opts.chunk_records = a.bounded(flag, 1..),
             "--throttle-ms" => opts.throttle_ms = a.parsed(flag),
             "--stop-after-chunks" => opts.stop_after_chunks = Some(a.bounded(flag, 1..)),
@@ -275,7 +272,7 @@ pub fn run(args: &[String]) -> ! {
             replay.extend(["--windows".into(), p.display().to_string()]);
         }
         // Deliberately excluded: --resume/--checkpoint-dir (so a resumed
-        // run's manifest replays uninterrupted), --throttle-ms/--stall-*/
+        // run's manifest replays uninterrupted), --throttle-ms/
         // --serve-* (timing-only), --threads (results thread-invariant).
         m.replay = replay;
     }

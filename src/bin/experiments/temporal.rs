@@ -11,9 +11,8 @@
 //!
 //! The table collapses the engine's windowed series
 //! ([`adscope::window`]) onto the hour-of-day axis using the trace's
-//! wall-clock `start_hour`; the stream's watermark is infinite so every
-//! record lands in its window and the table is a complete census
-//! (lateness is a live-scrape concern, not a batch-table one). A window is
+//! wall-clock `start_hour`; windows close only at the end of the run, so
+//! every record lands in its window and the table is a complete census. A window is
 //! filed under the hour it starts in, so `--width` must divide the hour.
 
 use crate::cli::{die, Args};

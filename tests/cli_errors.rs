@@ -109,8 +109,6 @@ const SUBS: &[Sub] = &[
             ("--serve-port-file", Text),
             ("--serve-linger", Switch),
             ("--watchdog-ms", Positive),
-            ("--stall-after-chunks", Parsed),
-            ("--stall-ms", Parsed),
             ("--population", Switch),
             ("--scale", Parsed),
             ("--seed", Parsed),

@@ -245,7 +245,8 @@ fn trace_roundtrip_preserves_classification() {
     );
     let mut buf = Vec::new();
     netsim::codec::write_trace(&out.trace, &mut buf).expect("write");
-    let back = netsim::codec::read_trace(buf.as_slice()).expect("read");
+    let (back, stats) = netsim::codec::read_trace_lossy(buf.as_slice()).expect("read");
+    assert_eq!(stats.total_skipped(), 0);
     assert_eq!(back, out.trace);
     let a = classify(&eco, &out.trace);
     let b = classify(&eco, &back);
