@@ -14,10 +14,12 @@
 //!   token signature is rejected without touching rule memory;
 //! * every bucket entry whose index token is *sealed* inside its literal
 //!   carries a [`LiteralAlignment`]: the literal must then sit around one
-//!   of the token's occurrences in the URL, so one short compare at
-//!   `occurrence − offset` rejects the candidate before the pattern
-//!   matcher runs — what keeps a bucket of hundreds of rules sharing one
-//!   token (`&ads_id=1`, `&ads_id=2`, …) cheap;
+//!   of the token's occurrences in the URL. Each bucket groups these
+//!   entries by [`Shape`] and sorts them by literal bytes, so a visit
+//!   binary-searches the URL window at `occurrence − offset` once per
+//!   shape instead of comparing every entry — what keeps a bucket of
+//!   hundreds of rules sharing one token (`&ads_id=1`, `&ads_id=2`, …)
+//!   cheap;
 //! * `$document` exceptions reuse the host-keyed layout of the reference
 //!   engine as a sorted flat table over rule ids.
 //!
@@ -72,9 +74,9 @@ struct CompiledRule {
 /// Where a bucket entry's index token sits inside its literal. Recorded
 /// only when that run is sealed (see [`prefilter`]): every URL the rule
 /// matches then has the run as one of its own tokens, with the literal
-/// around it. 8 bytes per entry; `len == 0` means "no alignment" (an
-/// unsealed run, the untokenized tail, or a literal longer than `u16`).
-#[derive(Debug, Clone, Copy, Default)]
+/// around it. Compile time only: the index keeps it as the entry's
+/// [`Shape`] and [`Member`].
+#[derive(Debug, Clone, Copy)]
 struct LiteralAlignment {
     /// Start of the literal in the literal arena.
     lit: u32,
@@ -84,9 +86,31 @@ struct LiteralAlignment {
     off: u16,
 }
 
+/// One shape of a bucket's entries: the aligned entries whose index token
+/// sits at offset `off` of a literal `len` bytes long, sorted by literal
+/// bytes — or, with `len == 0`, the bucket's unaligned entries (an
+/// unsealed run, the untokenized tail, a literal longer than `u16`), which
+/// every visit passes.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    off: u16,
+    len: u16,
+    /// The shape's first member; the next shape's `start` ends them.
+    start: u32,
+}
+
+/// One entry of a [`Shape`]: the start of its literal in the literal
+/// arena (unused in an unaligned shape) and its position in `entries`.
+#[derive(Debug, Clone, Copy)]
+struct Member {
+    lit: u32,
+    pos: u32,
+}
+
 /// Sorted flat token table: `keys[i]` owns `entries[buckets[i].0 ..
 /// buckets[i].1]`; `bucket_fp[i]` is the AND of those entries'
 /// fingerprints, so a whole bucket can be rejected with one mask test.
+/// The untokenized tail is one more bucket, at index `keys.len()`.
 /// Lookup goes through `slots`, an open-addressed probe table over the
 /// (already FNV-mixed) token hashes — one or two cache lines per probe
 /// instead of the ~15 dependent loads of a binary search at EasyList
@@ -115,13 +139,88 @@ struct CompiledIndex {
     entries: Vec<u32>,
     /// Required-token fingerprints parallel to `entries`.
     fps: Vec<u64>,
-    /// Literal alignments parallel to `entries`.
-    aligns: Vec<LiteralAlignment>,
-    /// Span of the always-evaluated untokenized tail within `entries`.
-    untok: (u32, u32),
+    /// Bucket `b`'s shapes are `shapes[bucket_shapes[b]..bucket_shapes[b +
+    /// 1]]`, its unaligned shape (if any) first.
+    bucket_shapes: Vec<u32>,
+    /// Every bucket's shapes, then a sentinel whose `start` ends the last.
+    shapes: Vec<Shape>,
+    members: Vec<Member>,
 }
 
 impl CompiledIndex {
+    /// The bucket index of the untokenized tail.
+    #[inline]
+    fn tail(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Visit bucket `b`'s `survivors` (see [`CompiledEngine::survivors`])
+    /// in bucket order — `visit` gets each one's position in the bucket and
+    /// its rule id — until `visit` returns `Some`. Every entry before that
+    /// point (all of them, if it never does) that did not survive adds one
+    /// to `rejects`.
+    fn walk<R>(
+        &self,
+        b: usize,
+        survivors: &[u32],
+        rejects: &mut u64,
+        mut visit: impl FnMut(u64, u32) -> Option<R>,
+    ) -> Option<R> {
+        let (start, end) = self.buckets[b];
+        for (passed, &j) in survivors.iter().enumerate() {
+            let pos = u64::from(j - start);
+            if let Some(r) = visit(pos, self.entries[j as usize]) {
+                *rejects += pos - passed as u64;
+                return Some(r);
+            }
+        }
+        *rejects += u64::from(end - start) - survivors.len() as u64;
+        None
+    }
+
+    /// The members of shape `k`.
+    #[inline]
+    fn members(&self, k: usize) -> &[Member] {
+        &self.members[self.shapes[k].start as usize..self.shapes[k + 1].start as usize]
+    }
+
+    /// Close the bucket whose entries start at `start`: record its span and
+    /// its shapes, the `loose` (unaligned) entries first, then the
+    /// `aligned` ones grouped by (offset, length) and sorted by literal.
+    fn push_bucket(
+        &mut self,
+        start: u32,
+        loose: &[u32],
+        aligned: &mut [(LiteralAlignment, u32)],
+        lit_arena: &[u8],
+    ) {
+        self.buckets.push((start, self.entries.len() as u32));
+        self.bucket_shapes.push(self.shapes.len() as u32);
+        if !loose.is_empty() {
+            self.shapes.push(Shape {
+                off: 0,
+                len: 0,
+                start: self.members.len() as u32,
+            });
+            self.members
+                .extend(loose.iter().map(|&pos| Member { lit: 0, pos }));
+        }
+        let bytes = |a: &LiteralAlignment| &lit_arena[a.lit as usize..][..usize::from(a.len)];
+        aligned.sort_unstable_by(|(a, i), (b, j)| {
+            (a.off, a.len, bytes(a), i).cmp(&(b.off, b.len, bytes(b), j))
+        });
+        for (i, &(a, pos)) in aligned.iter().enumerate() {
+            if i == 0 || (aligned[i - 1].0.off, aligned[i - 1].0.len) != (a.off, a.len) {
+                self.shapes.push(Shape {
+                    off: a.off,
+                    len: a.len,
+                    start: self.members.len() as u32,
+                });
+            }
+            self.members.push(Member { lit: a.lit, pos });
+        }
+    }
+
     /// Build the probe table and bloom from the sorted `keys`.
     fn build_slots(&mut self) {
         let cap = (self.keys.len() * 2).next_power_of_two().max(8);
@@ -297,20 +396,23 @@ impl Builder {
         id
     }
 
-    /// Lower one index entry — the rule, its fingerprint, its alignment —
-    /// and return the fingerprint. `index` is the token the entry is
-    /// bucketed under (`None` in the untokenized tail).
-    fn add_entry(&mut self, out: &mut CompiledIndex, e: &Entry, index: Option<IndexToken>) -> u64 {
+    /// Lower one index entry — the rule and its fingerprint — and return
+    /// the fingerprint with the entry's alignment. `index` is the token the
+    /// entry is bucketed under (`None` in the untokenized tail).
+    fn add_entry(
+        &mut self,
+        out: &mut CompiledIndex,
+        e: &Entry,
+        index: Option<IndexToken>,
+    ) -> (u64, Option<LiteralAlignment>) {
         let id = self.add_rule(e);
         let (fp, index_sealed) = prefilter(&e.filter.pattern, index);
         let align = index
             .filter(|_| index_sealed)
-            .and_then(|t| self.alignment(id, t))
-            .unwrap_or_default();
+            .and_then(|t| self.alignment(id, t));
         out.entries.push(id);
         out.fps.push(fp);
-        out.aligns.push(align);
-        fp
+        (fp, align)
     }
 
     /// The alignment record of rule `id` for its (sealed) index token;
@@ -335,6 +437,7 @@ impl Builder {
         let mut keys: Vec<u64> = idx.by_token.keys().copied().collect();
         keys.sort_unstable();
         let mut out = CompiledIndex::default();
+        let (mut loose, mut aligned) = (Vec::new(), Vec::new());
         for &k in &keys {
             let start = out.entries.len() as u32;
             let mut and_fp = !0u64;
@@ -344,20 +447,35 @@ impl Builder {
                 // with, so the alignment describes the bucket's own run.
                 let index = filter_index_token(e.filter.pattern.literals());
                 debug_assert_eq!(index.map(|t| t.hash), Some(k));
-                and_fp &= self.add_entry(&mut out, e, index);
+                let pos = out.entries.len() as u32;
+                let (fp, align) = self.add_entry(&mut out, e, index);
+                match align {
+                    Some(a) => aligned.push((a, pos)),
+                    None => loose.push(pos),
+                }
+                and_fp &= fp;
                 lists |= list_bit(e.list.0);
             }
-            out.buckets.push((start, out.entries.len() as u32));
+            out.push_bucket(start, &loose, &mut aligned, &self.lit_arena);
+            loose.clear();
+            aligned.clear();
             out.bucket_fp.push(and_fp);
             out.bucket_lists.push(lists);
         }
         out.keys = keys;
         let untok_start = out.entries.len() as u32;
         for e in &idx.untokenized {
+            loose.push(out.entries.len() as u32);
             self.add_entry(&mut out, e, None);
             out.untok_lists |= list_bit(e.list.0);
         }
-        out.untok = (untok_start, out.entries.len() as u32);
+        out.push_bucket(untok_start, &loose, &mut [], &self.lit_arena);
+        out.bucket_shapes.push(out.shapes.len() as u32);
+        out.shapes.push(Shape {
+            off: 0,
+            len: 0,
+            start: out.members.len() as u32,
+        });
         out.build_slots();
         out
     }
@@ -477,8 +595,10 @@ impl CompiledEngine {
                 + b.domain_arena.len() * 8
                 + (blocking.entries.len() + exceptions.entries.len() + doc.entries.len()) * 4
                 + (blocking.fps.len() + exceptions.fps.len()) * 8
-                + (blocking.aligns.len() + exceptions.aligns.len())
-                    * std::mem::size_of::<LiteralAlignment>()
+                + (blocking.bucket_shapes.len() + exceptions.bucket_shapes.len()) * 4
+                + (blocking.shapes.len() + exceptions.shapes.len()) * std::mem::size_of::<Shape>()
+                + (blocking.members.len() + exceptions.members.len())
+                    * std::mem::size_of::<Member>()
                 + (blocking.slots.len() + exceptions.slots.len())
                     * std::mem::size_of::<(u64, u32)>(),
         };
@@ -511,15 +631,17 @@ impl CompiledEngine {
         [&self.blocking, &self.exceptions]
             .into_iter()
             .flat_map(move |idx| {
-                idx.keys
-                    .iter()
-                    .zip(&idx.buckets)
-                    .flat_map(move |(&key, &(s, e))| {
-                        idx.aligns[s as usize..e as usize]
-                            .iter()
-                            .filter(|a| a.len != 0)
-                            .map(move |&a| (key, self.aligned_literal(a), usize::from(a.off)))
-                    })
+                idx.keys.iter().enumerate().flat_map(move |(b, &key)| {
+                    let shapes = idx.bucket_shapes[b] as usize..idx.bucket_shapes[b + 1] as usize;
+                    shapes
+                        .filter(|&k| idx.shapes[k].len != 0)
+                        .flat_map(move |k| {
+                            let Shape { off, len, .. } = idx.shapes[k];
+                            idx.members(k).iter().map(move |m| {
+                                (key, self.lit(m.lit, usize::from(len)), usize::from(off))
+                            })
+                        })
+                })
             })
     }
 
@@ -573,6 +695,7 @@ impl CompiledEngine {
         let tokens = scratch.tokens.as_slice();
         let starts = scratch.token_starts.as_slice();
         let occ = &mut scratch.occurrences;
+        let survivors = &mut scratch.survivors;
 
         let mut tally = Tally::default();
 
@@ -602,17 +725,18 @@ impl CompiledEngine {
                 }
                 occurrences_into(t, tokens, starts, occ);
                 let before = blocking.len();
-                self.block_span(start, end, occ, &ctx, &mut blocking, &mut tally);
+                self.block_span(bi, occ, &ctx, survivors, &mut blocking, &mut tally);
                 for f in &blocking[before..] {
                     matched_mask |= list_bit(f.list.0);
                 }
             }
         }
-        let (ustart, uend) = self.blocking.untok;
+        let tail = self.blocking.tail();
+        let (ustart, uend) = self.blocking.buckets[tail];
         if matched_mask != 0 && self.blocking.untok_lists & !matched_mask == 0 {
             tally.candidates += u64::from(uend - ustart);
         } else {
-            self.block_span(ustart, uend, &[], &ctx, &mut blocking, &mut tally);
+            self.block_span(tail, &[], &ctx, survivors, &mut blocking, &mut tally);
         }
         blocking.sort_by_key(|f| f.list);
         let tokenizer_hits = tally.candidates.saturating_sub(u64::from(uend - ustart));
@@ -627,13 +751,13 @@ impl CompiledEngine {
                         continue;
                     }
                     occurrences_into(t, tokens, starts, occ);
-                    if let Some(f) = self.exception_span(start, end, occ, &ctx, &mut tally) {
+                    if let Some(f) = self.exception_span(bi, occ, &ctx, survivors, &mut tally) {
                         break 'exceptions Some(f);
                     }
                 }
             }
-            let (ustart, uend) = self.exceptions.untok;
-            self.exception_span(ustart, uend, &[], &ctx, &mut tally)
+            let tail = self.exceptions.tail();
+            self.exception_span(tail, &[], &ctx, survivors, &mut tally)
         };
 
         // `$document` exceptions against the page URL (and, for document
@@ -718,91 +842,120 @@ impl CompiledEngine {
         }
     }
 
-    /// The literal bytes an alignment record points at.
+    /// `len` literal bytes at `lit` in the literal arena.
     #[inline]
-    fn aligned_literal(&self, a: LiteralAlignment) -> &[u8] {
-        &self.lit_arena[a.lit as usize..a.lit as usize + usize::from(a.len)]
+    fn lit(&self, lit: u32, len: usize) -> &[u8] {
+        &self.lit_arena[lit as usize..lit as usize + len]
     }
 
-    /// True when the entry's literal sits around one of the occurrences
-    /// of the bucket's token in the URL (`occ`: their start offsets) — or
-    /// when the entry carries no alignment and nothing can be said.
-    #[inline]
-    fn aligned(&self, a: LiteralAlignment, occ: &[usize], url: &[u8]) -> bool {
-        if a.len == 0 {
-            return true;
-        }
-        let lit = self.aligned_literal(a);
-        occ.iter().any(|&s| {
-            s.checked_sub(usize::from(a.off))
-                .and_then(|at| url.get(at..at + lit.len()))
-                .is_some_and(|window| window == lit)
-        })
-    }
-
-    /// Evaluate one span of blocking candidates.
-    fn block_span(
+    /// Gather into `out`, ascending, the positions of bucket `b`'s entries
+    /// that pass both pre-filters: the required-token fingerprint, and for
+    /// an aligned entry a literal equal to the URL window at `occurrence −
+    /// off` for one of the token's occurrences `occ`. One binary search per
+    /// occurrence and shape finds every such entry, so a fat bucket costs
+    /// its shapes, not its entries.
+    fn survivors(
         &self,
-        start: u32,
-        end: u32,
+        idx: &CompiledIndex,
+        b: usize,
         occ: &[usize],
         ctx: &RequestCtx<'_>,
+        out: &mut Vec<u32>,
+    ) {
+        out.clear();
+        let fp_ok = |m: &&Member| idx.fps[m.pos as usize] & !ctx.sig == 0;
+        for k in idx.bucket_shapes[b] as usize..idx.bucket_shapes[b + 1] as usize {
+            let members = idx.members(k);
+            let Shape { off, len, .. } = idx.shapes[k];
+            if len == 0 {
+                out.extend(members.iter().filter(fp_ok).map(|m| m.pos));
+                continue;
+            }
+            let (off, len) = (usize::from(off), usize::from(len));
+            for &at in occ {
+                let Some(window) = at.checked_sub(off).and_then(|w| ctx.url.get(w..w + len)) else {
+                    continue;
+                };
+                let same = |m: &&Member| self.lit(m.lit, len) == window;
+                let Ok(hit) = members.binary_search_by(|m| self.lit(m.lit, len).cmp(window)) else {
+                    continue;
+                };
+                // Entries sharing one literal (several options or lists)
+                // sit side by side.
+                let lo = hit - members[..hit].iter().rev().take_while(same).count();
+                let hi = hit + 1 + members[hit + 1..].iter().take_while(same).count();
+                out.extend(members[lo..hi].iter().filter(fp_ok).map(|m| m.pos));
+            }
+        }
+        if out.len() > 1 {
+            out.sort_unstable();
+            out.dedup();
+        }
+    }
+
+    /// Evaluate blocking bucket `b`: at most one match per list, the
+    /// depth of the first counting every candidate before it.
+    fn block_span(
+        &self,
+        b: usize,
+        occ: &[usize],
+        ctx: &RequestCtx<'_>,
+        survivors: &mut Vec<u32>,
         blocking: &mut Vec<FilterRef>,
         tally: &mut Tally,
     ) {
-        for j in start as usize..end as usize {
-            tally.candidates += 1;
-            if self.blocking.fps[j] & !ctx.sig != 0
-                || !self.aligned(self.blocking.aligns[j], occ, ctx.url)
-            {
-                tally.prefilter_rejects += 1;
-                continue;
-            }
-            let id = self.blocking.entries[j];
-            let rule = &self.rules[id as usize];
-            if blocking.iter().any(|f| f.list.0 == rule.list as usize) {
-                continue;
-            }
-            tally.rules_evaluated += 1;
-            if self.rule_applies(rule, ctx) {
-                if tally.first_match_depth.is_none() {
-                    tally.first_match_depth = Some(tally.candidates - 1);
+        let (start, end) = self.blocking.buckets[b];
+        let before = tally.candidates;
+        tally.candidates += u64::from(end - start);
+        let Tally {
+            prefilter_rejects,
+            rules_evaluated,
+            first_match_depth,
+            ..
+        } = tally;
+        self.survivors(&self.blocking, b, occ, ctx, survivors);
+        self.blocking
+            .walk(b, survivors, prefilter_rejects, |pos, id| {
+                let rule = &self.rules[id as usize];
+                if blocking.iter().any(|f| f.list.0 == rule.list as usize) {
+                    return None::<()>;
                 }
-                blocking.push(FilterRef {
-                    list: ListId(rule.list as usize),
-                    filter: Arc::clone(&self.raw[id as usize]),
-                });
-            }
-        }
+                *rules_evaluated += 1;
+                if self.rule_applies(rule, ctx) {
+                    first_match_depth.get_or_insert(before + pos);
+                    blocking.push(FilterRef {
+                        list: ListId(rule.list as usize),
+                        filter: Arc::clone(&self.raw[id as usize]),
+                    });
+                }
+                None
+            });
     }
 
-    /// Evaluate one span of exception candidates; `Some` on first match.
+    /// Evaluate exception bucket `b`; `Some` on the first match.
     fn exception_span(
         &self,
-        start: u32,
-        end: u32,
+        b: usize,
         occ: &[usize],
         ctx: &RequestCtx<'_>,
+        survivors: &mut Vec<u32>,
         tally: &mut Tally,
     ) -> Option<FilterRef> {
-        for j in start as usize..end as usize {
-            if self.exceptions.fps[j] & !ctx.sig != 0
-                || !self.aligned(self.exceptions.aligns[j], occ, ctx.url)
-            {
-                tally.prefilter_rejects += 1;
-                continue;
-            }
-            let id = self.exceptions.entries[j];
-            let rule = &self.rules[id as usize];
-            tally.rules_evaluated += 1;
-            if self.rule_applies(rule, ctx) {
-                return Some(FilterRef {
+        let Tally {
+            prefilter_rejects,
+            rules_evaluated,
+            ..
+        } = tally;
+        self.survivors(&self.exceptions, b, occ, ctx, survivors);
+        self.exceptions
+            .walk(b, survivors, prefilter_rejects, |_, id| {
+                let rule = &self.rules[id as usize];
+                *rules_evaluated += 1;
+                self.rule_applies(rule, ctx).then(|| FilterRef {
                     list: ListId(rule.list as usize),
                     filter: Arc::clone(&self.raw[id as usize]),
-                });
-            }
-        }
-        None
+                })
+            })
     }
 
     /// The compiled form of the reference `applies` closure: type mask,
@@ -1213,13 +1366,18 @@ mod tests {
     /// The stored alignment of the blocking rule with this raw text, as
     /// `(literal, offset of the index token)`.
     fn alignment_of(c: &CompiledEngine, raw: &str) -> Option<(String, usize)> {
-        let j = (0..c.blocking.entries.len())
-            .find(|&j| &*c.raw[c.blocking.entries[j] as usize] == raw)
+        let idx = &c.blocking;
+        let j = (0..idx.entries.len())
+            .find(|&j| &*c.raw[idx.entries[j] as usize] == raw)
             .expect("rule is in the blocking index");
-        let a = c.blocking.aligns[j];
-        (a.len != 0).then(|| {
-            let lit = c.aligned_literal(a).to_vec();
-            (String::from_utf8(lit).unwrap(), usize::from(a.off))
+        let k = (0..idx.shapes.len() - 1)
+            .find(|&k| idx.members(k).iter().any(|m| m.pos as usize == j))
+            .expect("every entry is a member of one shape");
+        let Shape { off, len, .. } = idx.shapes[k];
+        let m = idx.members(k).iter().find(|m| m.pos as usize == j).unwrap();
+        (len != 0).then(|| {
+            let lit = c.lit(m.lit, usize::from(len)).to_vec();
+            (String::from_utf8(lit).unwrap(), usize::from(off))
         })
     }
 
@@ -1390,6 +1548,35 @@ mod tests {
         // (the second visit meets `&ads_id=7` as a dup-list skip, after
         // its alignment passed again).
         assert_eq!((cands, rej), (12, 10));
+    }
+
+    #[test]
+    fn exception_rejects_stop_at_the_match() {
+        // The exception bucket `ads` holds `&ads_id=7` twice: the first
+        // passes both pre-filters but not its `$script`, the second
+        // matches. Only `&ads_id=1`, between them, is rejected; `&ads_id=9`
+        // after the match is never reached.
+        let lists = [
+            ("easylist", "/ads/x\n"),
+            (
+                "acceptable-ads",
+                "@@&ads_id=7$script\n@@&ads_id=1\n@@&ads_id=7\n@@&ads_id=9\n",
+            ),
+        ];
+        let (verdict, cands, rej) = audited(
+            &lists,
+            "http://x.com/ads/x?a&ads_id=7",
+            Some("http://pub.com/"),
+            ContentCategory::Image,
+        );
+        assert_eq!(verdict.blocking.len(), 1);
+        assert_eq!(
+            verdict.exception.map(|f| f.filter),
+            Some("@@&ads_id=7".into())
+        );
+        // `/ads/x` once per occurrence of `ads`, the second visit skipped
+        // as fully matched.
+        assert_eq!((cands, rej), (2, 1));
     }
 
     #[test]

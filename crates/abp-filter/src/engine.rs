@@ -150,6 +150,9 @@ pub struct ClassifyScratch {
     /// Start offsets of the occurrences of the token whose bucket is being
     /// evaluated (compiled engine only).
     pub(crate) occurrences: Vec<usize>,
+    /// Positions of the entries of that bucket that pass its pre-filters
+    /// (compiled engine only).
+    pub(crate) survivors: Vec<u32>,
     /// FNV hashes of every dot-suffix of a host.
     pub(crate) host_hashes: Vec<u64>,
     /// The page host's dot-suffix hashes, kept while the page host repeats

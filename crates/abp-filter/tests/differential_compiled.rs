@@ -159,7 +159,9 @@ fn fat_rule_strategy() -> impl Strategy<Value = String> {
 /// token as it is and embedded in a longer run on either side; each of
 /// those alone, with a second occurrence of the token after it (so the
 /// bucket is surfaced even when the rule's own run is embedded) and with
-/// two more in host and path; and the plain one upper-cased.
+/// two more in host and path; the plain one upper-cased; and the plain one
+/// with the rule's text again after it, or another `&<token>_id=` literal
+/// — two occurrences that each find an entry, the same one or another.
 fn fat_urls(rule: &str, n: u32) -> Vec<String> {
     let stripped = rule
         .trim_start_matches("@@")
@@ -177,7 +179,11 @@ fn fat_urls(rule: &str, n: u32) -> Vec<String> {
         format!("http://{body}")
     };
     let w = FAT_WORD;
-    let mut out = vec![base.to_uppercase()];
+    let mut out = vec![
+        base.to_uppercase(),
+        format!("{base}{body}"),
+        format!("{base}&{w}_id={}", n + 1),
+    ];
     for shape in [
         base.replacen(w, &format!("my{w}"), 1),
         base.replacen(w, &format!("{w}{n}"), 1),
@@ -198,6 +204,13 @@ proptest! {
         picks in proptest::collection::vec((0..10_000usize, 0..100u32), 6..16),
         with_page in 0..2u8,
     ) {
+        // Every list also puts an aligned and an unaligned entry of its
+        // own into the bucket, so it always mixes both across lists.
+        let mut lists = lists;
+        for (i, rules) in lists.iter_mut().enumerate() {
+            rules.push(format!("&{FAT_WORD}_id={i}"));
+            rules.push(format!("{FAT_WORD}_id={i}"));
+        }
         let (engine, compiled) = build(&lists);
         let mut scratch = ClassifyScratch::new();
         let page = Url::parse("http://page.example/").unwrap();

@@ -211,17 +211,16 @@ impl UrlNormalizer {
 
     /// Normalize one URL: dynamic query values become `X` unless protected.
     pub fn normalize(&self, url: &Url) -> Url {
-        self.rewrite(url, None)
+        self.rewritten(url, None, &mut String::new())
+            .unwrap_or_else(|| url.clone())
     }
 
-    /// [`normalize`](Self::normalize) for a caller that owns the URL: an
-    /// untouched URL is handed back as it came, a rewritten one gets its
-    /// new buffer in place.
-    pub fn normalize_owned(&self, mut url: Url) -> Url {
-        if let Some(query) = self.rewritten_query(&url, None) {
-            url.set_query(Some(query));
-        }
-        url
+    /// [`normalize`](Self::normalize) for a caller that owns the URL and
+    /// keeps `scratch` from one call to the next: an untouched URL is
+    /// handed back as it came, a rewritten one is built in `scratch` and
+    /// copied out once.
+    pub fn normalize_owned(&self, url: Url, scratch: &mut String) -> Url {
+        self.rewritten(&url, None, scratch).unwrap_or(url)
     }
 
     /// Like [`normalize`](Self::normalize), also reporting which query
@@ -229,49 +228,51 @@ impl UrlNormalizer {
     /// `explain_trace` — the hot path never pays for the key list.
     pub fn normalize_explain(&self, url: &Url) -> (Url, Vec<String>) {
         let mut rewrites = Vec::new();
-        let out = self.rewrite(url, Some(&mut rewrites));
+        let out = self
+            .rewritten(url, Some(&mut rewrites), &mut String::new())
+            .unwrap_or_else(|| url.clone());
         (out, rewrites)
     }
 
-    fn rewrite(&self, url: &Url, rewrites: Option<&mut Vec<String>>) -> Url {
-        match self.rewritten_query(url, rewrites) {
-            Some(query) => url.with_query(Some(query)),
-            None => url.clone(),
-        }
-    }
-
-    /// The query string after rewriting, or `None` when nothing changes
+    /// The URL with its query rewritten, or `None` when nothing changes
     /// (no query, nothing dynamic, everything protected, or disabled).
-    fn rewritten_query(&self, url: &Url, mut rewrites: Option<&mut Vec<String>>) -> Option<String> {
+    fn rewritten(
+        &self,
+        url: &Url,
+        mut rewrites: Option<&mut Vec<String>>,
+        scratch: &mut String,
+    ) -> Option<Url> {
         if !self.enabled {
             return None;
         }
-        let query = url.query()?;
-        // Allocated at the first rewrite; `query[..copied]` is in it.
-        let mut out: Option<String> = None;
-        let mut copied = 0;
-        let mut next = 0;
-        for kv in query.split('&') {
-            let start = next;
-            next += kv.len() + 1;
-            let Some((k, v)) = kv.split_once('=') else {
-                continue;
-            };
-            if !Self::is_dynamic(v) || self.protected.protects(k, v) {
-                continue;
+        url.rewrite_query(scratch, |query, out| {
+            // `query[..copied]` is in `out`.
+            let mut copied = 0;
+            let mut next = 0;
+            let mut changed = false;
+            for kv in query.split('&') {
+                let start = next;
+                next += kv.len() + 1;
+                let Some((k, v)) = kv.split_once('=') else {
+                    continue;
+                };
+                if !Self::is_dynamic(v) || self.protected.protects(k, v) {
+                    continue;
+                }
+                let value_start = start + k.len() + 1;
+                out.push_str(&query[copied..value_start]);
+                out.push_str(PLACEHOLDER);
+                copied = start + kv.len();
+                changed = true;
+                if let Some(keys) = rewrites.as_deref_mut() {
+                    keys.push(k.to_string());
+                }
             }
-            let out = out.get_or_insert_with(|| String::with_capacity(query.len()));
-            let value_start = start + k.len() + 1;
-            out.push_str(&query[copied..value_start]);
-            out.push_str(PLACEHOLDER);
-            copied = start + kv.len();
-            if let Some(keys) = rewrites.as_deref_mut() {
-                keys.push(k.to_string());
+            if changed {
+                out.push_str(&query[copied..]);
             }
-        }
-        let mut out = out?;
-        out.push_str(&query[copied..]);
-        Some(out)
+            changed
+        })
     }
 }
 
@@ -356,7 +357,11 @@ mod tests {
         let expected = oracle.normalize_explain(url);
         assert_eq!(n.normalize_explain(url), expected, "{url}");
         assert_eq!(n.normalize(url), expected.0, "{url}");
-        assert_eq!(n.normalize_owned(url.clone()), expected.0, "{url}");
+        assert_eq!(
+            n.normalize_owned(url.clone(), &mut String::new()),
+            expected.0,
+            "{url}"
+        );
     }
 
     fn url(s: &str) -> Url {
@@ -454,7 +459,7 @@ mod tests {
         let n = UrlNormalizer::disabled();
         let u = url("http://a.example/x?cb=123456");
         assert_eq!(n.normalize(&u), u);
-        assert_eq!(n.normalize_owned(u.clone()), u);
+        assert_eq!(n.normalize_owned(u.clone(), &mut String::new()), u);
         assert_eq!(n.normalize_explain(&u), (u, vec![]));
     }
 
@@ -710,7 +715,10 @@ mod tests {
                 let u = Url::from_parts(Scheme::Http, "h.example", "/p", Some(&query));
                 let expected = oracle.normalize_explain(&u);
                 prop_assert_eq!(n.normalize_explain(&u), expected.clone());
-                prop_assert_eq!(n.normalize_owned(u.clone()), expected.0.clone());
+                prop_assert_eq!(
+                    n.normalize_owned(u.clone(), &mut String::new()),
+                    expected.0.clone()
+                );
                 prop_assert_eq!(n.normalize(&u), expected.0);
             }
         }

@@ -212,6 +212,8 @@ struct Core<'a, F> {
     /// Reusable classify scratch: the match path allocates nothing per
     /// record under the compiled engine.
     scratch: abp_filter::ClassifyScratch,
+    /// Reusable buffer the normalizer builds a rewritten URL in.
+    query_buf: String,
 }
 
 impl<F: Fold> Core<'_, F> {
@@ -222,7 +224,9 @@ impl<F: Fold> Core<'_, F> {
         if h.obj.content_type.is_none() && h.category != ContentCategory::Other {
             self.planes.degradation().content_type_fallbacks += 1;
         }
-        let url = self.normalizer.normalize_owned(h.obj.url);
+        let url = self
+            .normalizer
+            .normalize_owned(h.obj.url, &mut self.query_buf);
         let (label, c) = self.classifier.classify_traced_in(
             &url,
             h.page.as_ref(),
@@ -315,6 +319,7 @@ impl<'a, F: Fold> Worker<'a, F> {
                 planes: Planes::new(opts, &[]),
                 fold,
                 scratch: abp_filter::ClassifyScratch::new(),
+                query_buf: String::new(),
             },
             quarantine,
             poison_host,

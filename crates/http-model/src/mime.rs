@@ -2,6 +2,48 @@
 
 use std::fmt;
 
+/// `(type, subtypes, category)` rows of [`ContentCategory::from_mime`]: an
+/// empty subtype list takes every subtype, and anything no row names is
+/// `Other` — `application/octet-stream`, and the paper's misclassification
+/// example, Bro reporting `text/x-c` for a JavaScript object: a general
+/// category mapper cannot know better, so `x-*` text subtypes become
+/// `Other`.
+const MIME_CATEGORIES: &[(&str, &[&str], ContentCategory)] = &[
+    ("image", &[], ContentCategory::Image),
+    ("video", &[], ContentCategory::Media),
+    ("audio", &[], ContentCategory::Media),
+    ("font", &[], ContentCategory::Font),
+    ("text", &["html"], ContentCategory::Document),
+    ("text", &["css"], ContentCategory::Stylesheet),
+    (
+        "text",
+        &["javascript", "ecmascript"],
+        ContentCategory::Script,
+    ),
+    ("text", &["plain"], ContentCategory::Xhr),
+    (
+        "application",
+        &["javascript", "x-javascript", "ecmascript", "json"],
+        ContentCategory::Script,
+    ),
+    ("application", &["xhtml+xml"], ContentCategory::Document),
+    (
+        "application",
+        &["xml", "rss+xml", "atom+xml"],
+        ContentCategory::Xhr,
+    ),
+    (
+        "application",
+        &["x-shockwave-flash"],
+        ContentCategory::Object,
+    ),
+    (
+        "application",
+        &["font-woff", "font-woff2", "x-font-ttf", "x-font-opentype"],
+        ContentCategory::Font,
+    ),
+];
+
 /// The general content categories the Adblock Plus matcher distinguishes.
 ///
 /// The paper (§3.1) feeds libadblockplus one of `document`, `script`,
@@ -84,44 +126,21 @@ impl ContentCategory {
     /// a general category. Mismatches *within* a category (jpeg vs png) are
     /// harmless per Schneider et al. and §3.1 of the paper; this function
     /// implements exactly the general-category reduction the paper relies on.
+    ///
+    /// Type and subtype are compared ASCII-case-insensitively in place, so
+    /// a call allocates nothing.
     pub fn from_mime(mime: &str) -> ContentCategory {
-        let essence = mime
-            .split(';')
-            .next()
-            .unwrap_or("")
-            .trim()
-            .to_ascii_lowercase();
-        let (top, sub) = match essence.split_once('/') {
-            Some((t, s)) => (t, s),
-            None => return ContentCategory::Other,
+        let essence = mime.split(';').next().unwrap_or("").trim();
+        let Some((top, sub)) = essence.split_once('/') else {
+            return ContentCategory::Other;
         };
-        match top {
-            "image" => ContentCategory::Image,
-            "video" | "audio" => ContentCategory::Media,
-            "font" => ContentCategory::Font,
-            "text" => match sub {
-                "html" => ContentCategory::Document,
-                "css" => ContentCategory::Stylesheet,
-                "javascript" | "ecmascript" => ContentCategory::Script,
-                "plain" => ContentCategory::Xhr,
-                // The paper's misclassification example: Bro reporting
-                // text/x-c for a JavaScript object. A general category mapper
-                // cannot know better, so x-* text subtypes become Other.
-                _ => ContentCategory::Other,
-            },
-            "application" => match sub {
-                "javascript" | "x-javascript" | "ecmascript" | "json" => ContentCategory::Script,
-                "xhtml+xml" => ContentCategory::Document,
-                "xml" | "rss+xml" | "atom+xml" => ContentCategory::Xhr,
-                "x-shockwave-flash" => ContentCategory::Object,
-                "font-woff" | "font-woff2" | "x-font-ttf" | "x-font-opentype" => {
-                    ContentCategory::Font
-                }
-                "octet-stream" => ContentCategory::Other,
-                _ => ContentCategory::Other,
-            },
-            _ => ContentCategory::Other,
-        }
+        MIME_CATEGORIES
+            .iter()
+            .find(|(t, subs, _)| {
+                top.eq_ignore_ascii_case(t)
+                    && (subs.is_empty() || subs.iter().any(|s| sub.eq_ignore_ascii_case(s)))
+            })
+            .map_or(ContentCategory::Other, |&(_, _, cat)| cat)
     }
 
     /// A representative MIME string for synthesizing response headers.

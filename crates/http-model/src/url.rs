@@ -290,25 +290,40 @@ impl Url {
         self.buf.get(self.path_end + 1..)
     }
 
-    /// A copy with the query string replaced (used by the URL normalizer
-    /// in `adscope`).
+    /// A copy with the query string replaced, in a buffer of its own: this
+    /// URL and its other clones keep the one they share.
     pub fn with_query(&self, query: Option<String>) -> Url {
-        let mut url = self.clone();
-        url.set_query(query);
-        url
-    }
-
-    /// Replace the query string in place: what [`Url::with_query`] does
-    /// for a caller that owns the URL. Other clones keep the buffer they
-    /// share; this one gets a new one.
-    pub fn set_query(&mut self, query: Option<String>) {
-        *self = Url::assemble(
+        Url::assemble(
             self.scheme,
             self.host(),
             self.port,
             self.path(),
             query.as_deref(),
-        );
+        )
+    }
+
+    /// A copy with the query `write` makes of this URL's own, built in one
+    /// buffer: `write` gets the query and the emptied `scratch`, appends
+    /// the new query to it and says whether it did rewrite. `None` when it
+    /// did not, or there is no query. Host, path and `?` go in front, and
+    /// the copy's buffer is copied out of `scratch` once, so with a buffer
+    /// the caller keeps from one call to the next a rewrite is one
+    /// allocation.
+    pub fn rewrite_query(
+        &self,
+        scratch: &mut String,
+        write: impl FnOnce(&str, &mut String) -> bool,
+    ) -> Option<Url> {
+        let query = self.query()?;
+        scratch.clear();
+        if !write(query, scratch) {
+            return None;
+        }
+        scratch.insert_str(0, &self.buf[..=self.path_end]);
+        Some(Url {
+            buf: Arc::from(scratch.as_str()),
+            ..*self
+        })
     }
 
     /// Iterate `(key, value)` pairs of the query string. Pairs without `=`
@@ -608,9 +623,6 @@ mod tests {
         assert_eq!(v.host(), "e.com");
         let w = u.with_query(None);
         assert_eq!(w.query(), None);
-        let mut owned = u.clone();
-        owned.set_query(Some("q=X".into()));
-        assert_eq!(owned, v);
     }
 
     #[test]
@@ -639,8 +651,7 @@ mod tests {
         assert!(Arc::ptr_eq(&u.schemeless_shared(), &v.schemeless_shared()));
         assert_eq!(u.schemeless(), "e.com/p?q=1");
         // Replacing one's query leaves the other alone.
-        let mut w = v.clone();
-        w.set_query(None);
+        let w = v.with_query(None);
         assert_eq!(w.as_string(), "http://e.com/p");
         assert_eq!(v, u);
     }

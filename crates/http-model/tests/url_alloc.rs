@@ -1,6 +1,7 @@
 //! Allocation budget of `Url`, pinned with a counting global allocator:
 //! a clone allocates nothing, parsing a plain lowercase URL allocates
-//! once, and the build-then-copy paths at most twice.
+//! once, the build-then-copy paths at most twice, and a query rewritten
+//! into a buffer the caller keeps once.
 //!
 //! The counter is per thread, so the tests of this binary may run side by
 //! side.
@@ -133,4 +134,27 @@ fn rebuilt_urls_allocate_twice_at_most() {
         "host + uri: one String, one shared buffer; made {n}"
     );
     assert_eq!(url.unwrap().as_string(), "http://ads.example/pixel.gif?x=1");
+}
+
+#[test]
+fn a_query_rewritten_into_a_kept_buffer_allocates_once() {
+    let mut scratch = String::new();
+    for input in [PLAIN, "http://E.com:8080/x?cb=1&ord=2"] {
+        let url = Url::parse(input).unwrap();
+        let rewrite = |query: &str, out: &mut String| {
+            out.push_str("cb=X&");
+            out.push_str(query.rsplit('&').next().unwrap());
+            true
+        };
+        // The first call grows the buffer; from then on only the copy's
+        // own buffer is allocated.
+        url.rewrite_query(&mut scratch, rewrite);
+        let (n, copy) = allocations_of(|| url.rewrite_query(&mut scratch, rewrite));
+        assert_eq!(n, 1, "{input}");
+        let expected = format!("cb=X&{}", url.query().unwrap().rsplit('&').next().unwrap());
+        assert_eq!(copy, Some(url.with_query(Some(expected))), "{input}");
+        assert_eq!(url.rewrite_query(&mut scratch, |_, _| false), None);
+    }
+    let bare = Url::parse("http://e.com/x?").unwrap();
+    assert_eq!(bare.rewrite_query(&mut scratch, |_, _| true), None);
 }

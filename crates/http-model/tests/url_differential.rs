@@ -232,12 +232,7 @@ fn check_input(input: &str, query: &Option<String>) {
     let what = format!("{input:?} with query {query:?}");
     let (old_with, new_with) = (old.with_query(query.clone()), new.with_query(query.clone()));
     assert_agree(&old_with, &new_with, &what);
-    let (mut old_set, mut new_set) = (old.clone(), new.clone());
-    old_set.set_query(query.clone());
-    new_set.set_query(query.clone());
-    assert_agree(&old_set, &new_set, &what);
-    assert_eq!(new_set, new_with, "{what}");
-    // The original is untouched by either.
+    // The original is untouched.
     assert_agree(&old, &new, input);
 }
 

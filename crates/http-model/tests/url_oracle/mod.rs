@@ -144,12 +144,6 @@ impl Url {
         }
     }
 
-    /// Replace the query string in place: what [`Url::with_query`] does
-    /// for a caller that owns the URL.
-    pub fn set_query(&mut self, query: Option<String>) {
-        self.query = query;
-    }
-
     /// Iterate `(key, value)` pairs of the query string. Pairs without `=`
     /// yield an empty value.
     pub fn query_pairs(&self) -> impl Iterator<Item = (&str, &str)> {

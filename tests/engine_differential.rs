@@ -5,8 +5,9 @@
 //! `Classification`s must be byte-identical — clean, fault-injected, and
 //! adversarial inputs alike.
 //! The driven trace's own requests are also classified at EasyList scale
-//! (the request mix the fat token buckets see), and every alignment record
-//! of the compiled engine is audited against its bucket key.
+//! (the request mix the fat token buckets see), with the compiled engine's
+//! tallies over them pinned, and every alignment record of the compiled
+//! engine is audited against its bucket key.
 
 use abp_filter::tokenizer::{filter_index_token, filter_token, hash_token};
 use abp_filter::{ClassifyScratch, CompiledEngine, Engine, Request};
@@ -172,6 +173,59 @@ fn trace_requests_identical_at_easylist_scale() {
     }
     assert!(ads > 100, "only {ads} ad requests in the trace");
     assert!(deep > 0, "no request matched behind a fat bucket");
+}
+
+/// The compiled engine's tallies over the driven trace's requests at
+/// EasyList scale, pinned to the counts of the entry-by-entry bucket scan:
+/// how a bucket finds its aligned entries may change, how many candidates
+/// are surfaced, pre-filter rejected and evaluated, and at what depth each
+/// first match sits, may not.
+#[test]
+fn easylist_scale_tallies_are_pinned() {
+    let eco = eco();
+    let trace = driven_trace(&eco);
+    let classifier = PassiveClassifier::new(easylist_scale_lists(&eco));
+    let requests = classify_trace(&trace, &classifier, PipelineOptions::default());
+    let mut compiled = CompiledEngine::compile(classifier.engine());
+    let registry = obs::Registry::new();
+    compiled.bind_metrics(&registry);
+    let mut scratch = ClassifyScratch::new();
+    for r in &requests.requests {
+        let req = Request {
+            url: &r.url,
+            source_url: r.page.as_ref(),
+            category: r.category,
+        };
+        compiled.classify(&req, &mut scratch);
+    }
+    let s = registry.snapshot();
+    let depth = s
+        .histogram("abp_first_match_depth", &[])
+        .expect("some request matched");
+    let depth_buckets: Vec<(usize, u64)> = depth
+        .buckets
+        .iter()
+        .enumerate()
+        .filter(|&(_, &n)| n > 0)
+        .map(|(i, &n)| (i, n))
+        .collect();
+    assert_eq!(
+        (
+            s.counter("abp_candidates_total", &[]),
+            s.counter("abp_prefilter_rejects_total", &[]),
+            s.counter("abp_rules_evaluated_total", &[]),
+        ),
+        (70_712, 69_498, 784),
+        "(candidates, pre-filter rejects, rules evaluated)"
+    );
+    assert_eq!(
+        (depth_buckets.as_slice(), depth.sum),
+        (
+            &[(0, 182), (1, 108), (2, 45), (3, 12), (8, 258)][..],
+            50_003
+        ),
+        "abp_first_match_depth (non-empty buckets, sum)"
+    );
 }
 
 /// One source of truth for the index token: over every rule of the
