@@ -88,6 +88,12 @@ if grep -rn --include='*.rs' 'watermark_secs' crates src tests examples \
 if grep -rnE 'Sampler|sample_ppm|TraceOptions' crates/*/src src; then exit 1; fi
 if grep -rnE 'fn read_trace\(|TraceReader' crates/netsim/src; then exit 1; fi
 if grep -rn 'stall_ms' crates src tests examples; then exit 1; fi
+# The paper's method has no off switch: redirect repair, embedded URLs, both
+# content-type signals and query normalization always run, and provenance is
+# built by a free function from a seed.
+if grep -rnE --include='*.rs' \
+  '\.(redirect_repair|embedded_urls)\b|\b(redirect_repair|embedded_urls):|use_extension|use_header|UrlNormalizer::disabled|for_classifier|\bTracer\b' \
+  crates/*/src crates/*/tests src tests examples | grep -v '^crates/bench/src/bin/e2e/'; then exit 1; fi
 
 gate "cargo test -q"
 cargo test -q

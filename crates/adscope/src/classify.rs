@@ -201,40 +201,17 @@ impl PassiveClassifier {
     }
 
     /// Classify one request (convenience wrapper allocating fresh scratch;
-    /// hot paths use [`PassiveClassifier::classify_in`]).
+    /// hot paths use [`PassiveClassifier::classify_traced_in`]).
     pub fn classify(&self, url: &Url, page: Option<&Url>, category: ContentCategory) -> AdLabel {
-        self.classify_traced(url, page, category).0
+        self.classify_traced_in(url, page, category, &mut ClassifyScratch::new())
+            .0
     }
 
     /// Classify one request with caller-owned scratch (zero-alloc match
-    /// path under the compiled engine).
-    pub fn classify_in(
-        &self,
-        url: &Url,
-        page: Option<&Url>,
-        category: ContentCategory,
-        scratch: &mut ClassifyScratch,
-    ) -> AdLabel {
-        self.classify_traced_in(url, page, category, scratch).0
-    }
-
-    /// Classify one request, also returning the engine's full
-    /// [`Classification`] (matched rule texts, first-match depth). Costs
-    /// the same as [`classify`](Self::classify) — the engine builds the
-    /// structure either way; this variant hands it back instead of
-    /// dropping it, so the provenance layer can keep it for explained
-    /// records.
-    pub fn classify_traced(
-        &self,
-        url: &Url,
-        page: Option<&Url>,
-        category: ContentCategory,
-    ) -> (AdLabel, Classification) {
-        let mut scratch = ClassifyScratch::new();
-        self.classify_traced_in(url, page, category, &mut scratch)
-    }
-
-    /// [`PassiveClassifier::classify_traced`] with caller-owned scratch.
+    /// path under the compiled engine), also returning the engine's full
+    /// [`Classification`] (matched rule texts, first-match depth): the
+    /// engine builds it either way, and the provenance layer keeps it for
+    /// explained records.
     pub fn classify_traced_in(
         &self,
         url: &Url,

@@ -2,30 +2,18 @@
 //!
 //! The rule of thumb from the paper: trust the file extension when it
 //! determines a type; otherwise fall back to the `Content-Type` response
-//! header reduced to its general category. Redirect-type backfill (the
-//! third signal) is applied by the pipeline using the referrer map's
-//! backfill instructions.
+//! header reduced to its general category. Both signals always run, in that
+//! order. Redirect-type backfill (the third signal) is applied by the
+//! pipeline using the referrer map's backfill instructions.
 
 use http_model::extension::category_for_extension;
 use http_model::{ContentCategory, Url};
 
-/// Options for content-type inference (ablation toggles).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ContentOptions {
-    /// Use the file-extension map before the header.
-    pub use_extension: bool,
-    /// Use the Content-Type header as fallback.
-    pub use_header: bool,
-}
-
-impl Default for ContentOptions {
-    fn default() -> Self {
-        ContentOptions {
-            use_extension: true,
-            use_header: true,
-        }
-    }
-}
+/// No options: inference always tries the extension, then the header.
+/// Kept, empty, for the e2e harness alone, which passes
+/// `PipelineOptions::content` to [`infer_category_traced`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ContentOptions {}
 
 /// Which signal decided a request's content category — the inference
 /// path the verdict-provenance layer exports (§3.1 lists three: file
@@ -58,33 +46,26 @@ impl ContentSource {
 
 /// Infer the general content category of a request from its URL and
 /// response Content-Type.
-pub fn infer_category(
-    url: &Url,
-    content_type: Option<&str>,
-    opts: ContentOptions,
-) -> ContentCategory {
-    infer_category_traced(url, content_type, opts).0
+pub fn infer_category(url: &Url, content_type: Option<&str>) -> ContentCategory {
+    infer_category_traced(url, content_type, ContentOptions::default()).0
 }
 
 /// Like [`infer_category`], also reporting which signal decided. The
 /// source is a `Copy` byte, so the traced variant costs nothing extra —
 /// the pipeline always calls it and only keeps the source when tracing.
+/// `_opts` is ignored; the e2e harness passes it.
 pub fn infer_category_traced(
     url: &Url,
     content_type: Option<&str>,
-    opts: ContentOptions,
+    _opts: ContentOptions,
 ) -> (ContentCategory, ContentSource) {
-    if opts.use_extension {
-        if let Some(cat) = url.extension_str().and_then(category_for_mixed_case) {
-            return (cat, ContentSource::Extension);
-        }
+    if let Some(cat) = url.extension_str().and_then(category_for_mixed_case) {
+        return (cat, ContentSource::Extension);
     }
-    if opts.use_header {
-        if let Some(ct) = content_type {
-            let cat = ContentCategory::from_mime(ct);
-            if cat != ContentCategory::Other {
-                return (cat, ContentSource::Header);
-            }
+    if let Some(ct) = content_type {
+        let cat = ContentCategory::from_mime(ct);
+        if cat != ContentCategory::Other {
+            return (cat, ContentSource::Header);
         }
     }
     (ContentCategory::Other, ContentSource::None)
@@ -112,60 +93,24 @@ mod tests {
     #[test]
     fn extension_wins_over_header() {
         // A .js served as text/html (the §4.2 mislabeling) is still script.
-        let cat = infer_category(
-            &url("http://x.example/app.js"),
-            Some("text/html"),
-            ContentOptions::default(),
-        );
+        let cat = infer_category(&url("http://x.example/app.js"), Some("text/html"));
         assert_eq!(cat, ContentCategory::Script);
     }
 
     #[test]
     fn header_fallback_when_no_extension() {
-        let cat = infer_category(
-            &url("http://x.example/api/suggest"),
-            Some("text/plain"),
-            ContentOptions::default(),
-        );
+        let cat = infer_category(&url("http://x.example/api/suggest"), Some("text/plain"));
         assert_eq!(cat, ContentCategory::Xhr);
     }
 
     #[test]
     fn unknown_everything_is_other() {
-        let cat = infer_category(
-            &url("http://x.example/mystery"),
-            None,
-            ContentOptions::default(),
-        );
+        let cat = infer_category(&url("http://x.example/mystery"), None);
         assert_eq!(cat, ContentCategory::Other);
         let cat2 = infer_category(
             &url("http://x.example/mystery.weirdext"),
             Some("application/octet-stream"),
-            ContentOptions::default(),
         );
-        assert_eq!(cat2, ContentCategory::Other);
-    }
-
-    #[test]
-    fn ablation_header_only() {
-        let opts = ContentOptions {
-            use_extension: false,
-            use_header: true,
-        };
-        // Without the extension map the mislabeled script becomes document.
-        let cat = infer_category(&url("http://x.example/app.js"), Some("text/html"), opts);
-        assert_eq!(cat, ContentCategory::Document);
-    }
-
-    #[test]
-    fn ablation_extension_only() {
-        let opts = ContentOptions {
-            use_extension: true,
-            use_header: false,
-        };
-        let cat = infer_category(&url("http://x.example/pic.gif"), None, opts);
-        assert_eq!(cat, ContentCategory::Image);
-        let cat2 = infer_category(&url("http://x.example/api"), Some("text/plain"), opts);
         assert_eq!(cat2, ContentCategory::Other);
     }
 
@@ -198,11 +143,7 @@ mod tests {
             ("/a.WOFF2", ContentCategory::Font),
             ("/a.ÉÉ", ContentCategory::Other),
         ] {
-            let got = infer_category(
-                &url(&format!("http://x.example{path}")),
-                None,
-                ContentOptions::default(),
-            );
+            let got = infer_category(&url(&format!("http://x.example{path}")), None);
             assert_eq!(got, want, "{path}");
         }
     }

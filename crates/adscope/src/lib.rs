@@ -51,7 +51,7 @@ pub use classify::{AdLabel, Attribution, ListKind, PassiveClassifier};
 pub use degrade::DegradationReport;
 pub use pipeline::{ClassifiedRequest, ClassifiedTrace, PipelineOptions};
 pub use population::{PopulationOptions, PopulationReport, PopulationSketches};
-pub use provenance::{Tracer, VerdictProvenance};
+pub use provenance::VerdictProvenance;
 pub use stream::{
     classify_stream_chunks, classify_stream_file, CheckpointOptions, StreamError, StreamOptions,
     StreamReport,

@@ -6,13 +6,13 @@
 //! the current one. The paper normalizes query strings by replacing dynamic
 //! values, but takes care **not** to rewrite values that appear in filter
 //! rules (e.g. `@@*jsp?callback=aslHandleAds*`), which would break those
-//! rules.
+//! rules. Every classify path normalizes, with the normalizer
+//! [`UrlNormalizer::from_engine`] builds from its classifier's engine.
 //!
 //! Whether a rule mentions a `key=value` pair is answered from a
 //! `ProtectedIndex` built once per normalizer, so the cost per pair does
 //! not grow with the number of literals the lists carry (DESIGN.md §18).
 
-use crate::classify::PassiveClassifier;
 use http_model::Url;
 use std::collections::HashSet;
 
@@ -60,7 +60,7 @@ struct EqSite {
 /// index holds one [`EqSite`] per `=`, sorted by the text before the `=`
 /// read backwards, so the sites whose preceding text ends with a given key
 /// are one contiguous run, starting at the key's lower bound.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct ProtectedIndex {
     /// The distinct literals that contain `=`, concatenated.
     text: Vec<u8>,
@@ -158,42 +158,21 @@ impl ProtectedIndex {
 #[derive(Debug, Clone)]
 pub struct UrlNormalizer {
     protected: ProtectedIndex,
-    /// Ablation toggle: a disabled normalizer returns URLs untouched.
-    enabled: bool,
 }
 
 impl UrlNormalizer {
-    /// Build from an engine's query literals.
+    /// Build from an engine's query literals: the normalizer every classify
+    /// path runs with.
     pub fn from_engine(engine: &abp_filter::Engine) -> UrlNormalizer {
         UrlNormalizer {
             protected: ProtectedIndex::build(engine.query_literals()),
-            enabled: true,
         }
     }
 
-    /// Build with explicit protected fragments (tests, ablations).
+    /// Build with explicit protected fragments (tests).
     pub fn with_protected(protected: Vec<String>) -> UrlNormalizer {
         UrlNormalizer {
             protected: ProtectedIndex::build(&protected),
-            enabled: true,
-        }
-    }
-
-    /// The ablation: every URL comes back untouched.
-    pub fn disabled() -> UrlNormalizer {
-        UrlNormalizer {
-            protected: ProtectedIndex::default(),
-            enabled: false,
-        }
-    }
-
-    /// The normalizer a classify path runs with: the classifier's lists
-    /// protect their literals, or nothing is rewritten at all.
-    pub fn for_classifier(classifier: &PassiveClassifier, enabled: bool) -> UrlNormalizer {
-        if enabled {
-            UrlNormalizer::from_engine(classifier.engine())
-        } else {
-            UrlNormalizer::disabled()
         }
     }
 
@@ -235,16 +214,13 @@ impl UrlNormalizer {
     }
 
     /// The URL with its query rewritten, or `None` when nothing changes
-    /// (no query, nothing dynamic, everything protected, or disabled).
+    /// (no query, nothing dynamic, or everything protected).
     fn rewritten(
         &self,
         url: &Url,
         mut rewrites: Option<&mut Vec<String>>,
         scratch: &mut String,
     ) -> Option<Url> {
-        if !self.enabled {
-            return None;
-        }
         url.rewrite_query(scratch, |query, out| {
             // `query[..copied]` is in `out`.
             let mut copied = 0;
@@ -455,15 +431,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_normalizer_is_identity() {
-        let n = UrlNormalizer::disabled();
-        let u = url("http://a.example/x?cb=123456");
-        assert_eq!(n.normalize(&u), u);
-        assert_eq!(n.normalize_owned(u.clone(), &mut String::new()), u);
-        assert_eq!(n.normalize_explain(&u), (u, vec![]));
-    }
-
-    #[test]
     fn no_query_untouched() {
         let n = UrlNormalizer::with_protected(vec![]);
         let u = url("http://a.example/path.js");
@@ -479,30 +446,15 @@ mod tests {
 
     #[test]
     fn from_engine_collects_literals() {
-        let mut e = abp_filter::Engine::new();
-        e.add_list(abp_filter::FilterList::parse(
-            "el",
-            "@@*jsp?callback=aslHandleAds*\n",
-        ));
-        let n = UrlNormalizer::from_engine(&e);
-        let u = n.normalize(&url("http://a.example/p.jsp?callback=aslHandleAds12345678"));
-        assert!(u.query().unwrap().contains("aslHandleAds"), "{u}");
-    }
-
-    #[test]
-    fn for_classifier_protects_the_lists_literals_or_nothing() {
-        let classifier = PassiveClassifier::new(vec![abp_filter::FilterList::parse(
+        let classifier = crate::PassiveClassifier::new(vec![abp_filter::FilterList::parse(
             "el",
             "@@*jsp?callback=aslHandleAds*\n",
         )]);
-        let u = url("http://a.example/p.jsp?callback=aslHandleAds12345678&cb=123456");
-        let on = UrlNormalizer::for_classifier(&classifier, true);
-        assert_eq!(
-            on.normalize(&u).query(),
-            Some("callback=aslHandleAds12345678&cb=X")
-        );
-        let off = UrlNormalizer::for_classifier(&classifier, false);
-        assert_eq!(off.normalize(&u), u);
+        let n = UrlNormalizer::from_engine(classifier.engine());
+        let u = n.normalize(&url(
+            "http://a.example/p.jsp?callback=aslHandleAds12345678&cb=123456",
+        ));
+        assert_eq!(u.query(), Some("callback=aslHandleAds12345678&cb=X"));
     }
 
     #[test]

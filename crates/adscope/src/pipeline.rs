@@ -7,40 +7,29 @@ use crate::extract::{extract, WebObject};
 use crate::normalize::UrlNormalizer;
 use crate::planes::Planes;
 use crate::population::{PopulationOptions, PopulationSketches};
-use crate::provenance::{RecordMeta, Tracer, VerdictProvenance};
+use crate::provenance::{RecordMeta, VerdictProvenance};
 use crate::refmap::{RefMap, RefMapOptions};
 use crate::window::WindowOptions;
 use http_model::{ContentCategory, Url};
 use netsim::record::{TlsConnection, Trace, TraceMeta};
 use std::collections::HashMap;
 
-/// Pipeline toggles — each switches one methodology component or plane.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// What a run varies: the window width and the population plane. Every
+/// §3.1 stage (redirect repair, embedded URLs, both content-type signals,
+/// query normalization) always runs.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PipelineOptions {
-    /// Referrer-map options (redirect repair, embedded URLs).
+    /// Empty; kept for the e2e harness, which passes it to `RefMap::new`.
     pub refmap: RefMapOptions,
-    /// Content-type inference options.
+    /// Empty; kept for the e2e harness, which passes it to
+    /// `infer_category_traced`.
     pub content: ContentOptions,
-    /// Normalize query strings before classification.
-    pub normalize: bool,
     /// Windowed time-series aggregation (always on; see
     /// [`crate::window`]).
     pub window: WindowOptions,
     /// Population sketch analytics (off by default; see
     /// [`crate::population`]).
     pub population: PopulationOptions,
-}
-
-impl Default for PipelineOptions {
-    fn default() -> Self {
-        PipelineOptions {
-            refmap: RefMapOptions::default(),
-            content: ContentOptions::default(),
-            normalize: true,
-            window: WindowOptions::default(),
-            population: PopulationOptions::default(),
-        }
-    }
 }
 
 /// One classified request — the record every characterization consumes.
@@ -133,7 +122,7 @@ pub fn classify_trace(
     classifier: &PassiveClassifier,
     opts: PipelineOptions,
 ) -> ClassifiedTrace {
-    classify(trace, classifier, opts, false)
+    classify(trace, classifier, opts, None)
 }
 
 /// [`classify_trace`] that also explains every verdict: one
@@ -145,16 +134,18 @@ pub fn explain_trace(
     classifier: &PassiveClassifier,
     opts: PipelineOptions,
 ) -> ClassifiedTrace {
-    classify(trace, classifier, opts, true)
+    let seed = obs::trace::seed_from_name(&trace.meta.name);
+    classify(trace, classifier, opts, Some(seed))
 }
 
-/// The kernel of [`classify_trace`] and [`explain_trace`]. Without
-/// `explain` it keeps no per-record stage facts.
+/// The kernel of [`classify_trace`] and [`explain_trace`]. `explain` is
+/// the seed the trace ids derive from; without it the kernel keeps no
+/// per-record stage facts.
 fn classify(
     trace: &Trace,
     classifier: &PassiveClassifier,
     opts: PipelineOptions,
-    explain: bool,
+    explain: Option<u64>,
 ) -> ClassifiedTrace {
     // Stage: extract (URL reassembly + quarantine).
     let (objects, mut degradation, quarantined_ts) = crate::extract::extract_full(trace);
@@ -168,9 +159,7 @@ fn classify(
         prev_ts = obj.ts;
     }
 
-    let normalizer = UrlNormalizer::for_classifier(classifier, opts.normalize);
-
-    let tracer = explain.then(|| Tracer::new(&trace.meta.name));
+    let normalizer = UrlNormalizer::from_engine(classifier.engine());
 
     // Pass 1: per-user referrer map + provisional types.
     let mut per_user: HashMap<(u32, Option<&str>), RefMap> = HashMap::new();
@@ -182,13 +171,13 @@ fn classify(
 
     for obj in &objects {
         let user_key = (obj.client_ip, obj.user_agent.as_deref());
-        let map = per_user
-            .entry(user_key)
-            .or_insert_with(|| RefMap::new(opts.refmap));
-        let entry = map.process(obj);
-        let (cat, cat_src) =
-            infer_category_traced(&obj.url, obj.content_type.as_deref(), opts.content);
-        if tracer.is_some() {
+        let entry = per_user.entry(user_key).or_default().process(obj);
+        let (cat, cat_src) = infer_category_traced(
+            &obj.url,
+            obj.content_type.as_deref(),
+            ContentOptions::default(),
+        );
+        if explain.is_some() {
             metas.push(RecordMeta {
                 page_source: entry.ctx.source,
                 hops: entry.ctx.hops,
@@ -215,7 +204,7 @@ fn classify(
         if let Ok(pos) = objects.binary_search_by_key(&idx, |o| o.idx) {
             if cat != ContentCategory::Other {
                 categories[pos] = cat;
-                if tracer.is_some() {
+                if explain.is_some() {
                     metas[pos].content_source = ContentSource::Redirect;
                 }
             }
@@ -244,8 +233,9 @@ fn classify(
                 categories[pos],
                 &mut scratch,
             );
-            if let Some(t) = &tracer {
-                provenance.push(t.build(
+            if let Some(seed) = explain {
+                provenance.push(crate::provenance::build(
+                    seed,
                     obj,
                     &normalizer,
                     classifier,
@@ -442,16 +432,6 @@ mod tests {
         let out = classify_trace(&t, &classifier(), PipelineOptions::default());
         assert_eq!(out.requests[0].url.query(), Some("cb=X"));
         assert!(out.requests[0].label.is_ad());
-        // Ablation: normalization off keeps the raw query.
-        let out2 = classify_trace(
-            &t,
-            &classifier(),
-            PipelineOptions {
-                normalize: false,
-                ..Default::default()
-            },
-        );
-        assert_eq!(out2.requests[0].url.query(), Some("cb=1234567"));
     }
 
     #[test]

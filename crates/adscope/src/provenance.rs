@@ -47,17 +47,6 @@ pub struct RecordMeta {
     pub content_source: ContentSource,
 }
 
-impl Default for RecordMeta {
-    fn default() -> Self {
-        RecordMeta {
-            page_source: PageSource::None,
-            hops: 0,
-            via_redirect: false,
-            content_source: ContentSource::None,
-        }
-    }
-}
-
 /// One matched rule with its list attribution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuleMatch {
@@ -330,66 +319,46 @@ fn cause(c: &Classification, page_missing: bool) -> SampleCause {
     }
 }
 
-/// The oracle's provenance builder: holds the seed the trace ids derive
-/// from and materializes each verdict's provenance.
-#[derive(Debug, Clone, Copy)]
-pub struct Tracer {
+/// Materialize the provenance record of one request, its trace id derived
+/// from `seed` (`obs::trace::seed_from_name` of the input trace). This is
+/// the expensive path (rule text clones, a second normalization pass for
+/// the rewrite keys), which only `explain_trace` runs.
+#[allow(clippy::too_many_arguments)]
+pub fn build(
     seed: u64,
-}
-
-impl Tracer {
-    /// A tracer for the input trace named `meta_name`.
-    pub fn new(meta_name: &str) -> Tracer {
-        Tracer {
-            seed: obs::trace::seed_from_name(meta_name),
-        }
-    }
-
-    /// The trace id of record `record_idx`.
-    pub fn trace_id(&self, record_idx: u64) -> TraceId {
-        TraceId::derive(self.seed, record_idx)
-    }
-
-    /// Materialize the provenance record of one request. This is the
-    /// expensive path (rule text clones, a second normalization pass for
-    /// the rewrite keys), which only `explain_trace` runs.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build(
-        &self,
-        obj: &WebObject,
-        normalizer: &UrlNormalizer,
-        classifier: &PassiveClassifier,
-        page: Option<&http_model::Url>,
-        meta: RecordMeta,
-        category: ContentCategory,
-        c: &Classification,
-    ) -> VerdictProvenance {
-        let (normalized, rewrites) = normalizer.normalize_explain(&obj.url);
-        let rule = |f: &FilterRef| RuleMatch {
-            kind: classifier.kind_of(f.list).label(),
-            list: classifier.engine().list_name(f.list).to_string(),
-            rule: f.filter.to_string(),
-        };
-        VerdictProvenance {
-            trace_id: self.trace_id(obj.idx as u64),
-            record: obj.idx as u64,
-            cause: cause(c, page.is_none()),
-            ts: obj.ts,
-            client_ip: obj.client_ip,
-            url: obj.url.as_string(),
-            normalized_url: normalized.as_string(),
-            rewrites,
-            page: page.map(|p| p.as_string()),
-            page_source: meta.page_source,
-            hops: meta.hops,
-            via_redirect: meta.via_redirect,
-            category,
-            content_source: meta.content_source,
-            blocking: c.blocking.iter().map(rule).collect(),
-            exception: c.exception.as_ref().map(rule),
-            page_whitelisted: c.page_whitelisted,
-            first_match_depth: c.first_match_depth,
-        }
+    obj: &WebObject,
+    normalizer: &UrlNormalizer,
+    classifier: &PassiveClassifier,
+    page: Option<&http_model::Url>,
+    meta: RecordMeta,
+    category: ContentCategory,
+    c: &Classification,
+) -> VerdictProvenance {
+    let (normalized, rewrites) = normalizer.normalize_explain(&obj.url);
+    let rule = |f: &FilterRef| RuleMatch {
+        kind: classifier.kind_of(f.list).label(),
+        list: classifier.engine().list_name(f.list).to_string(),
+        rule: f.filter.to_string(),
+    };
+    VerdictProvenance {
+        trace_id: TraceId::derive(seed, obj.idx as u64),
+        record: obj.idx as u64,
+        cause: cause(c, page.is_none()),
+        ts: obj.ts,
+        client_ip: obj.client_ip,
+        url: obj.url.as_string(),
+        normalized_url: normalized.as_string(),
+        rewrites,
+        page: page.map(|p| p.as_string()),
+        page_source: meta.page_source,
+        hops: meta.hops,
+        via_redirect: meta.via_redirect,
+        category,
+        content_source: meta.content_source,
+        blocking: c.blocking.iter().map(rule).collect(),
+        exception: c.exception.as_ref().map(rule),
+        page_whitelisted: c.page_whitelisted,
+        first_match_depth: c.first_match_depth,
     }
 }
 

@@ -14,8 +14,9 @@
 //!    `?dest=http://...`) are inserted into the map as children of the
 //!    carrying request's page.
 //!
-//! Processing is per user (⟨client IP, User-Agent⟩) in time order, with an
-//! LRU-ish horizon so state stays bounded on long traces.
+//! Every map runs all three, as the paper's classifier does; none can be
+//! switched off. Processing is per user (⟨client IP, User-Agent⟩) in time
+//! order, with an LRU-ish horizon so state stays bounded on long traces.
 //!
 //! The maps are keyed by the scheme-less URL, which is the `Url`'s own
 //! shared buffer, together with its hash (`prehash::UrlKey`): a record's URL and
@@ -82,23 +83,10 @@ pub struct PageContext {
     pub hops: u16,
 }
 
-/// Options for the referrer map (ablation toggles).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RefMapOptions {
-    /// Repair chains across redirects using the Location header.
-    pub redirect_repair: bool,
-    /// Insert URLs embedded in query strings.
-    pub embedded_urls: bool,
-}
-
-impl Default for RefMapOptions {
-    fn default() -> Self {
-        RefMapOptions {
-            redirect_repair: true,
-            embedded_urls: true,
-        }
-    }
-}
+/// No options: every map runs all three signals. Kept, empty, for the e2e
+/// harness alone, which passes `PipelineOptions::refmap` to [`RefMap::new`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RefMapOptions {}
 
 /// Per-user referrer-map state.
 ///
@@ -115,7 +103,6 @@ pub struct RefMap {
     pub(crate) pending_redirects: UrlMap<(Option<Url>, usize, f64, u16)>,
     /// The user's most recent page root (fallback context).
     pub(crate) last_page: Option<(Url, f64)>,
-    opts: RefMapOptions,
     /// Redirect targets registered from `Location` headers.
     pub(crate) redirects_inserted: usize,
     /// Redirect targets that were later observed (chain stitched).
@@ -146,12 +133,10 @@ pub struct RefMapEntry {
 }
 
 impl RefMap {
-    /// New map with options.
-    pub fn new(opts: RefMapOptions) -> RefMap {
-        RefMap {
-            opts,
-            ..Default::default()
-        }
+    /// An empty map, the same as `RefMap::default()`. `_opts` is ignored;
+    /// the e2e harness passes it.
+    pub fn new(_opts: RefMapOptions) -> RefMap {
+        RefMap::default()
     }
 
     /// Does this object look like a page root? Heuristic: topmost documents
@@ -179,24 +164,19 @@ impl RefMap {
         let url_key = UrlKey::new(obj.url.schemeless_shared());
 
         // 1. Redirect repair: am I the target of a recent redirect?
-        let mut page: Option<Url> = if self.opts.redirect_repair {
-            if let Some((root, redirecting_idx, _, redirect_hops)) =
-                self.pending_redirects.remove(&url_key)
-            {
-                self.redirects_consumed += 1;
-                via_redirect = true;
-                backfill_type_to = Some(redirecting_idx);
-                if root.is_some() {
-                    source = PageSource::RedirectRepair;
-                    hops = redirect_hops.saturating_add(1);
-                }
-                root
-            } else {
-                None
+        let mut page: Option<Url> = None;
+        if let Some((root, redirecting_idx, _, redirect_hops)) =
+            self.pending_redirects.remove(&url_key)
+        {
+            self.redirects_consumed += 1;
+            via_redirect = true;
+            backfill_type_to = Some(redirecting_idx);
+            if root.is_some() {
+                source = PageSource::RedirectRepair;
+                hops = redirect_hops.saturating_add(1);
             }
-        } else {
-            None
-        };
+            page = root;
+        }
 
         // 2. Referer chain.
         if page.is_none() {
@@ -248,29 +228,25 @@ impl RefMap {
         }
         // Record pending redirects. A newer redirect to the same target
         // displaces the old entry, whose backfill can then never fire.
-        if self.opts.redirect_repair {
-            if let Some(loc) = &obj.location {
-                self.redirects_inserted += 1;
-                let displaced = self.pending_redirects.insert(
-                    UrlKey::new(loc.schemeless_shared()),
-                    (page.clone(), obj.idx, obj.ts, hops),
-                );
-                if self.track_releases {
-                    if let Some((_, old_idx, _, _)) = displaced {
-                        self.released.push(old_idx);
-                    }
+        if let Some(loc) = &obj.location {
+            self.redirects_inserted += 1;
+            let displaced = self.pending_redirects.insert(
+                UrlKey::new(loc.schemeless_shared()),
+                (page.clone(), obj.idx, obj.ts, hops),
+            );
+            if self.track_releases {
+                if let Some((_, old_idx, _, _)) = displaced {
+                    self.released.push(old_idx);
                 }
             }
         }
         // Embedded URLs in the query string join the same page.
-        if self.opts.embedded_urls {
-            if let Some(root) = &page {
-                for emb in embedded_urls(&obj.url) {
-                    self.page_of.insert(
-                        UrlKey::new(emb.schemeless_shared()),
-                        (root.clone(), obj.ts, hops.saturating_add(1)),
-                    );
-                }
+        if let Some(root) = &page {
+            for emb in embedded_urls(&obj.url) {
+                self.page_of.insert(
+                    UrlKey::new(emb.schemeless_shared()),
+                    (root.clone(), obj.ts, hops.saturating_add(1)),
+                );
             }
         }
         RefMapEntry {
@@ -304,9 +280,7 @@ impl RefMap {
 
     /// Rebuild a map from checkpointed state (streaming resume); each key
     /// is hashed once, here.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn restore(
-        opts: RefMapOptions,
         page_of: HashMap<Arc<str>, (Url, f64, u16)>,
         pending_redirects: HashMap<Arc<str>, (Option<Url>, usize, f64, u16)>,
         last_page: Option<(Url, f64)>,
@@ -321,7 +295,6 @@ impl RefMap {
             page_of: keyed(page_of),
             pending_redirects: keyed(pending_redirects),
             last_page,
-            opts,
             redirects_inserted,
             redirects_consumed,
             track_releases,
@@ -400,7 +373,7 @@ mod tests {
 
     #[test]
     fn referer_chain_resolves_to_root() {
-        let mut m = RefMap::new(RefMapOptions::default());
+        let mut m = RefMap::default();
         // Page load: document, then script referencing it, then image
         // referenced from the script's URL.
         let doc = obj(0, 0.0, "http://pub.example/", None, Some("text/html"), None);
@@ -442,7 +415,7 @@ mod tests {
 
     #[test]
     fn redirect_repair_stitches_broken_chain() {
-        let mut m = RefMap::new(RefMapOptions::default());
+        let mut m = RefMap::default();
         m.process(&obj(
             0,
             0.0,
@@ -486,47 +459,8 @@ mod tests {
     }
 
     #[test]
-    fn redirect_repair_can_be_disabled() {
-        let mut m = RefMap::new(RefMapOptions {
-            redirect_repair: false,
-            embedded_urls: true,
-        });
-        m.process(&obj(
-            0,
-            0.0,
-            "http://pub.example/",
-            None,
-            Some("text/html"),
-            None,
-        ));
-        m.process(&obj(
-            1,
-            0.4,
-            "http://exchange.example/r?id=1",
-            Some("http://pub.example/"),
-            None,
-            Some("http://ads.example/banner.gif"),
-        ));
-        let e = m.process(&obj(
-            2,
-            0.5,
-            "http://ads.example/banner.gif",
-            None,
-            Some("image/gif"),
-            None,
-        ));
-        assert!(!e.ctx.via_redirect);
-        // Falls back to the most recent page context.
-        assert_eq!(
-            e.ctx.page.as_ref().unwrap().as_string(),
-            "http://pub.example/"
-        );
-        assert_eq!(e.backfill_type_to, None);
-    }
-
-    #[test]
     fn unseen_referer_becomes_page_root() {
-        let mut m = RefMap::new(RefMapOptions::default());
+        let mut m = RefMap::default();
         // An HTTPS page invisible to the monitor: its HTTP child names it.
         let e = m.process(&obj(
             0,
@@ -541,7 +475,7 @@ mod tests {
 
     #[test]
     fn orphan_attaches_to_recent_page() {
-        let mut m = RefMap::new(RefMapOptions::default());
+        let mut m = RefMap::default();
         m.process(&obj(
             0,
             0.0,
@@ -586,7 +520,7 @@ mod tests {
 
     #[test]
     fn embedded_url_requests_join_page() {
-        let mut m = RefMap::new(RefMapOptions::default());
+        let mut m = RefMap::default();
         m.process(&obj(
             0,
             0.0,
@@ -619,7 +553,7 @@ mod tests {
 
     #[test]
     fn a_url_seen_again_updates_its_entry_in_place() {
-        let mut m = RefMap::new(RefMapOptions::default());
+        let mut m = RefMap::default();
         let first = obj(0, 0.0, "http://pub.example/", None, Some("text/html"), None);
         m.process(&first);
         // Same URL from a fresh parse (its own buffer), later, via https.
@@ -664,7 +598,7 @@ mod tests {
 
     #[test]
     fn scheme_differences_do_not_break_chains() {
-        let mut m = RefMap::new(RefMapOptions::default());
+        let mut m = RefMap::default();
         m.process(&obj(
             0,
             0.0,

@@ -501,7 +501,7 @@ fn window_report_from_value(
 }
 
 /// One user line.
-fn user_from_line(line: &str, opts: &StreamOptions) -> Result<UserState, DecodeError> {
+fn user_from_line(line: &str) -> Result<UserState, DecodeError> {
     let v = json::parse(line).map_err(|e| DecodeError::new(format!("bad user line: {e}")))?;
     let client_ip = v.field("client_ip")?;
     let user_agent: Option<Arc<str>> = v.field("user_agent")?;
@@ -564,7 +564,6 @@ fn user_from_line(line: &str, opts: &StreamOptions) -> Result<UserState, DecodeE
     let pending: Vec<(_, _, _, Bits, _)> = v.field("pending")?;
     let last_page: Option<(_, Bits)> = v.field("last_page")?;
     let map = RefMap::restore(
-        opts.pipeline.refmap,
         page_of
             .into_iter()
             .map(|(k, r, t, h)| (k, (r, t.0, h)))
@@ -693,7 +692,7 @@ fn decode(m: &Value<'_>, lines: &[&str], opts: &StreamOptions) -> Result<RunStat
     let mut at = HashMap::with_capacity(lines.len());
     let mut users: Vec<UserState> = Vec::with_capacity(lines.len());
     for line in lines {
-        let user = user_from_line(line, opts)?;
+        let user = user_from_line(line)?;
         match at.entry((user.client_ip, user.user_agent.clone())) {
             Entry::Occupied(seen) => users[*seen.get()] = user,
             Entry::Vacant(new) => {
@@ -812,7 +811,7 @@ mod tests {
         // the same options would strand checkpoints written before it.
         assert_eq!(
             config_hash(&StreamOptions::default()),
-            0x9e45_d938_af5f_8137
+            0x6bfb_ee8f_513e_11a5
         );
         let trace = messy_trace(64);
         let path = write_trace_file(&trace, "mismatch");
@@ -826,7 +825,7 @@ mod tests {
         });
         classify_stream_file(&path, &classifier(), &o, &obs::Registry::new()).unwrap();
         let mut other = o.clone();
-        other.pipeline.refmap.redirect_repair = false;
+        other.pipeline.window.width_secs /= 2.0;
         other.checkpoint.as_mut().unwrap().resume = true;
         let err = classify_stream_file(&path, &classifier(), &other, &obs::Registry::new());
         assert!(matches!(err, Err(StreamError::Checkpoint(_))));
@@ -835,9 +834,8 @@ mod tests {
     }
     #[test]
     fn user_state_round_trips_through_serialization() {
-        let opts = StreamOptions::default();
         let ua: Option<Arc<str>> = Some(Arc::from("UA \"quoted\""));
-        let mut st = UserState::fresh(7, ua.clone(), opts.pipeline);
+        let mut st = UserState::fresh(7, ua.clone());
         // Each counter its own value, so a swapped pair shows.
         st.counters = UserTally {
             requests: 3,
@@ -884,7 +882,7 @@ mod tests {
             },
         );
         let line = serialize_user(&st);
-        let back = user_from_line(&line, &opts).unwrap();
+        let back = user_from_line(&line).unwrap();
         assert_eq!(back.client_ip, 7);
         assert_eq!(back.user_agent, ua);
         assert_eq!(back.counters, st.counters);

@@ -132,7 +132,7 @@ pub(super) fn run_stream<S: ChunkSource, F: Fold>(
         opts.threads
     }
     .max(1);
-    let normalizer = UrlNormalizer::for_classifier(classifier, opts.pipeline.normalize);
+    let normalizer = UrlNormalizer::from_engine(classifier.engine());
     let popts = opts.pipeline;
 
     let quarantine = match &opts.quarantine_path {

@@ -7,7 +7,7 @@
 use super::checkpoint::serialize_user;
 use super::{ck_err, Fold, StreamError};
 use crate::classify::PassiveClassifier;
-use crate::content::infer_category_traced;
+use crate::content::{infer_category_traced, ContentOptions};
 use crate::extract::{UserId, WebObject};
 use crate::normalize::UrlNormalizer;
 use crate::pipeline::{ClassifiedRequest, PipelineOptions};
@@ -178,22 +178,10 @@ impl UserState {
     }
 
     /// The state of a user met for the first time.
-    pub(super) fn fresh(
-        client_ip: u32,
-        user_agent: Option<Arc<str>>,
-        opts: PipelineOptions,
-    ) -> UserState {
+    pub(super) fn fresh(client_ip: u32, user_agent: Option<Arc<str>>) -> UserState {
         // `restore` with empty state is `new` plus release tracking, which
         // the held-record protocol needs.
-        let map = RefMap::restore(
-            opts.refmap,
-            HashMap::new(),
-            HashMap::new(),
-            None,
-            0,
-            0,
-            true,
-        );
+        let map = RefMap::restore(HashMap::new(), HashMap::new(), None, 0, 0, true);
         let counters = UserTally::default();
         UserState::new(client_ip, user_agent, map, HashMap::new(), counters)
     }
@@ -204,7 +192,6 @@ impl UserState {
 struct Core<'a, F> {
     classifier: &'a PassiveClassifier,
     normalizer: &'a UrlNormalizer,
-    opts: PipelineOptions,
     /// Everything folded since the last cut. A worker counts `refmap_misses`,
     /// `content_type_fallbacks` and `poisoned_records` into its degradation.
     planes: Planes,
@@ -315,7 +302,6 @@ impl<'a, F: Fold> Worker<'a, F> {
             core: Core {
                 classifier,
                 normalizer,
-                opts,
                 planes: Planes::new(opts, &[]),
                 fold,
                 scratch: abp_filter::ClassifyScratch::new(),
@@ -330,9 +316,8 @@ impl<'a, F: Fold> Worker<'a, F> {
     /// Mirrors the materialized passes 1+2 incrementally (see module
     /// docs); the equivalence suite pins the two together.
     fn process_record(&mut self, pos: u64, obj: WebObject) {
-        let opts = self.core.opts;
         let state = slot(&mut self.users, obj.user)
-            .get_or_insert_with(|| UserState::fresh(obj.client_ip, obj.user_agent.clone(), opts));
+            .get_or_insert_with(|| UserState::fresh(obj.client_ip, obj.user_agent.clone()));
         // First, before anything below can unwind (the poison hook stands
         // for a panic anywhere in here): a record that dies half-way
         // through must not leave a line rendered before it.
@@ -342,8 +327,11 @@ impl<'a, F: Fold> Worker<'a, F> {
         }
         let entry = state.map.process(&obj);
         let released = state.map.take_released();
-        let (cat, _src) =
-            infer_category_traced(&obj.url, obj.content_type.as_deref(), opts.content);
+        let (cat, _src) = infer_category_traced(
+            &obj.url,
+            obj.content_type.as_deref(),
+            ContentOptions::default(),
+        );
         if entry.ctx.page.is_none() {
             self.core.planes.degradation().refmap_misses += 1;
         }
@@ -371,7 +359,7 @@ impl<'a, F: Fold> Worker<'a, F> {
             category: cat,
             obj,
         };
-        if opts.refmap.redirect_repair && rec.obj.location.is_some() {
+        if rec.obj.location.is_some() {
             state.held.insert(rec.obj.idx, rec);
         } else {
             self.core.finalize(rec, &mut state.counters);
@@ -557,7 +545,7 @@ mod tests {
     #[test]
     fn a_barrier_renders_only_the_users_a_record_touched() {
         let (classifier, popts) = (classifier(), stream_opts(1, 16).pipeline);
-        let normalizer = UrlNormalizer::for_classifier(&classifier, popts.normalize);
+        let normalizer = UrlNormalizer::from_engine(classifier.engine());
         let mut w = Worker::new(&classifier, &normalizer, popts, (), None, None, vec![]);
         feed_three_users(&mut w);
 
@@ -591,7 +579,7 @@ mod tests {
     #[test]
     fn a_poisoned_record_invalidates_its_users_line() {
         let (classifier, popts) = (classifier(), stream_opts(1, 16).pipeline);
-        let normalizer = UrlNormalizer::for_classifier(&classifier, popts.normalize);
+        let normalizer = UrlNormalizer::from_engine(classifier.engine());
         let poison = Some("track.example");
         let mut w = Worker::new(&classifier, &normalizer, popts, (), None, poison, vec![]);
         feed_three_users(&mut w);

@@ -9,7 +9,7 @@ mod common;
 
 use abp_filter::FilterList;
 use adscope::classify::PassiveClassifier;
-use adscope::content::{infer_category, ContentOptions};
+use adscope::content::infer_category;
 use adscope::normalize::UrlNormalizer;
 use adscope::pipeline::{classify_trace, explain_trace, PipelineOptions};
 use adscope::users::aggregate_users;
@@ -209,7 +209,7 @@ proptest! {
     #[test]
     fn content_inference_is_total(url_str in url_strategy(), ct in proptest::option::of("[a-z]{1,10}/[a-z0-9.+-]{1,15}")) {
         let url = Url::parse(&url_str).unwrap();
-        let _ = infer_category(&url, ct.as_deref(), ContentOptions::default());
+        let _ = infer_category(&url, ct.as_deref());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! handles on buffers the extracted objects already own.
 
 use adscope::extract::extract;
-use adscope::refmap::{RefMap, RefMapOptions};
+use adscope::refmap::RefMap;
 use browsersim::{ActivityProfile, DriveConfig, Population, PopulationConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -75,7 +75,7 @@ fn refmap_pass_allocates_a_quarter_per_record_at_most() {
     for obj in &objects {
         let map = per_user
             .entry((obj.client_ip, obj.user_agent.as_deref()))
-            .or_insert_with(|| RefMap::new(RefMapOptions::default()));
+            .or_default();
         let before = ALLOCATIONS.with(Cell::get);
         let entry = map.process(obj);
         allocations += ALLOCATIONS.with(Cell::get) - before;

@@ -42,24 +42,17 @@ fn thread_counts() -> Vec<usize> {
 /// the proptests (`planes_algebra` and the user-table test below feed them).
 const ABP_IPS: [u32; 1] = [900];
 
-/// The materialized reference under `opts`.
-fn reference(trace: &Trace, opts: PipelineOptions) -> ClassifiedTrace {
-    classify_trace(trace, &classifier(), opts)
+/// The materialized reference.
+fn reference(trace: &Trace) -> ClassifiedTrace {
+    classify_trace(trace, &classifier(), PipelineOptions::default())
 }
 
-/// Stream the file at `path` under `pipeline`, collecting every request and
-/// the figures, and hold both — and the report, its user table and download
-/// households included — to the oracle's `seq`.
-fn assert_streams_like(
-    path: &Path,
-    seq: &ClassifiedTrace,
-    pipeline: PipelineOptions,
-    threads: usize,
-    chunk: usize,
-) {
+/// Stream the file at `path`, collecting every request and the figures, and
+/// hold both — and the report, its user table and download households
+/// included — to the oracle's `seq`.
+fn assert_streams_like(path: &Path, seq: &ClassifiedTrace, threads: usize, chunk: usize) {
     let fold = (Collect::default(), Figures::new());
     let mut opts = stream_opts(threads, chunk);
-    opts.pipeline = pipeline;
     opts.abp_ips = ABP_IPS.to_vec();
     let (rep, (collected, figures)) =
         classify_stream_file_with(path, &classifier(), &opts, &obs::Registry::new(), fold).unwrap();
@@ -85,28 +78,25 @@ fn assert_streams_like(
 
 /// Full equality of the streaming and materialized outputs for one
 /// trace at every tested thread count.
-fn assert_stream_equivalent(trace: &Trace, opts: PipelineOptions, chunk: usize) {
-    let seq = reference(trace, opts);
+fn assert_stream_equivalent(trace: &Trace, chunk: usize) {
+    let seq = reference(trace);
     let path = write_trace_file(trace, "equiv");
     for threads in thread_counts() {
-        assert_streams_like(&path, &seq, opts, threads, chunk);
+        assert_streams_like(&path, &seq, threads, chunk);
     }
     let _ = std::fs::remove_file(&path);
 }
 
 proptest! {
-    /// Clean (but messy) traces: streaming == materialized, with URL
-    /// normalization on and (the ablation) off.
+    /// Clean (but messy) traces: streaming == materialized.
     #[test]
     fn streaming_equals_materialized(
         n in 1usize..120,
         users in 1u32..10,
         chunk in 1usize..40,
-        normalize in prop_oneof![Just(true), Just(false)],
         seed in 0u64..1000,
     ) {
-        let opts = PipelineOptions { normalize, ..PipelineOptions::default() };
-        assert_stream_equivalent(&messy_trace(n, users, seed), opts, chunk);
+        assert_stream_equivalent(&messy_trace(n, users, seed), chunk);
     }
 
     /// In-memory fault injection (dropped headers, skewed clocks,
@@ -121,7 +111,7 @@ proptest! {
     ) {
         let mut injector = FaultInjector::new(FaultProfile::uniform(rate), seed);
         let faulted = injector.corrupt_trace(&messy_trace(n, users, seed));
-        assert_stream_equivalent(&faulted, PipelineOptions::default(), chunk);
+        assert_stream_equivalent(&faulted, chunk);
     }
 
     /// Wire-level garbage: whatever the incremental decoder salvages
@@ -140,12 +130,12 @@ proptest! {
         write_trace(&messy_trace(n, users, seed), &mut bytes).expect("write");
         let corrupted = injector.corrupt_bytes(&bytes);
         let (recovered, _) = read_trace_lossy(corrupted.as_slice()).expect("lossy read");
-        let seq = reference(&recovered, PipelineOptions::default());
+        let seq = reference(&recovered);
 
         let path = temp_path("garbage");
         std::fs::write(&path, &corrupted).unwrap();
         for threads in thread_counts() {
-            assert_streams_like(&path, &seq, PipelineOptions::default(), threads, chunk);
+            assert_streams_like(&path, &seq, threads, chunk);
         }
         let _ = std::fs::remove_file(&path);
     }
@@ -207,7 +197,7 @@ proptest! {
         seed in 0u64..500,
     ) {
         let trace = messy_trace(n, users, seed);
-        let seq = reference(&trace, PipelineOptions::default());
+        let seq = reference(&trace);
         let poison_hits = trace
             .records
             .iter()
@@ -274,7 +264,7 @@ fn the_engines_user_table_and_households_equal_the_oracles() {
             }),
         );
     }
-    let seq = reference(&trace, PipelineOptions::default());
+    let seq = reference(&trace);
     let users = aggregate_users(&seq);
     let households = households_with_downloads(&seq.https_flows, &ABP_IPS);
     assert_eq!(households, [1].into());
@@ -482,7 +472,7 @@ fn redirect_chain_of_a_user_alone_in_its_shard() {
             None,
         ),
     ]);
-    let out = reference(&trace, PipelineOptions::default());
+    let out = reference(&trace);
     let r = &out.requests;
     assert_eq!(r.len(), 7);
     // The chain: the redirector takes the target's type, the target the
@@ -505,7 +495,7 @@ fn redirect_chain_of_a_user_alone_in_its_shard() {
     assert_eq!(out.ad_request_count(), 2);
     assert_eq!(out.degradation.missing_user_agent, 1);
     assert_eq!(out.degradation.content_type_fallbacks, 1, "the redirector");
-    assert_stream_equivalent(&trace, PipelineOptions::default(), 3);
+    assert_stream_equivalent(&trace, 3);
 }
 
 /// ⟨1, UA⟩, ⟨2, ""⟩ and ⟨12, no User-Agent⟩ all hash to shard 2 of 16, so
@@ -587,7 +577,7 @@ fn all_users_in_one_shard_leaves_the_others_empty() {
             None,
         ),
     ]);
-    let out = reference(&trace, PipelineOptions::default());
+    let out = reference(&trace);
     let r = &out.requests;
     assert_eq!(r.len(), 7);
     assert_eq!(page_host(&r[2]), Some("pub.example"));
@@ -601,5 +591,5 @@ fn all_users_in_one_shard_leaves_the_others_empty() {
     assert_eq!(out.ad_request_count(), 2);
     assert_eq!(out.degradation.refmap_misses, 2, "both requests of user 12");
     assert_eq!(out.degradation.broken_redirect_chains, 0);
-    assert_stream_equivalent(&trace, PipelineOptions::default(), 3);
+    assert_stream_equivalent(&trace, 3);
 }

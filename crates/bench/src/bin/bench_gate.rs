@@ -39,7 +39,7 @@
 use abp_filter::{ClassifyScratch, CompiledEngine, Engine, FilterList, Request};
 use adscope::normalize::UrlNormalizer;
 use adscope::pipeline::extract_objects;
-use adscope::refmap::{RefMap, RefMapOptions};
+use adscope::refmap::RefMap;
 use adscope::stream::{classify_stream_file, StreamOptions};
 use bench::sys;
 use http_model::{ContentCategory, Url};
@@ -537,7 +537,7 @@ fn main() {
                 for obj in black_box(objects) {
                     let entry = per_user
                         .entry((obj.client_ip, obj.user_agent.as_deref()))
-                        .or_insert_with(|| RefMap::new(RefMapOptions::default()))
+                        .or_default()
                         .process(obj);
                     resolved += usize::from(entry.ctx.page.is_some());
                 }

@@ -191,17 +191,6 @@ impl Trace {
             .count()
     }
 
-    /// Total HTTP body bytes (the Table 2 "HTTPbytes" figure).
-    pub fn http_bytes(&self) -> u64 {
-        self.records
-            .iter()
-            .filter_map(|r| match r {
-                TraceRecord::Http(t) => Some(t.body_bytes()),
-                TraceRecord::Https(_) => None,
-            })
-            .sum()
-    }
-
     /// Iterate the HTTP transactions.
     pub fn http_transactions(&self) -> impl Iterator<Item = &HttpTransaction> {
         self.records.iter().filter_map(|r| match r {
@@ -275,7 +264,6 @@ mod tests {
         };
         assert_eq!(trace.http_count(), 2);
         assert_eq!(trace.https_count(), 1);
-        assert_eq!(trace.http_bytes(), 150);
         assert!(trace.is_time_ordered());
         assert_eq!(trace.http_transactions().count(), 2);
         assert_eq!(trace.https_flows().count(), 1);
