@@ -268,8 +268,9 @@ echo "    kill at chunk $half/$chunks + resume: report + windows byte-identical"
 # segment is written whole and atomically, later ones are appended, and each
 # carries a checksummed trailer, so a segment the kill tears is skipped and
 # the resume starts from the last whole one. Throttle the run, kill -9 once
-# the log holds two segment trailers, resume (the killed run's
-# checkpoint.lock must not block it), byte-compare again.
+# the log holds two segment trailers, check that it held a delta line (a
+# user line that updates the one before it, `"full":false`), resume (the
+# killed run's checkpoint.lock must not block it), byte-compare again.
 ./target/release/experiments stream --trace "$STREAM_DIR/rbn1.trace" \
   --checkpoint-dir "$STREAM_DIR/ck2" --checkpoint-every 2 \
   --throttle-ms 40 >/dev/null 2>&1 &
@@ -282,6 +283,7 @@ done
 test "$(segments)" -ge 2
 kill -9 "$STREAM_PID" 2>/dev/null || true
 wait "$STREAM_PID" 2>/dev/null || true
+grep -q '"full":false' "$STREAM_DIR/ck2/checkpoint.ndjson"
 ./target/release/experiments stream --trace "$STREAM_DIR/rbn1.trace" \
   --checkpoint-dir "$STREAM_DIR/ck2" --resume \
   --report "$STREAM_DIR/killed.report" >/dev/null 2>&1
@@ -289,7 +291,7 @@ cmp "$STREAM_DIR/full.report" "$STREAM_DIR/killed.report"
 # A kill that lands mid-rewrite leaves checkpoint.ndjson.<pid>.<seq>.tmp;
 # the resume swept it.
 test -z "$(find "$STREAM_DIR/ck2" -name '*.tmp')"
-echo "    SIGKILL mid-run + resume: report byte-identical, no temp file left"
+echo "    SIGKILL mid-run + resume (the log held a delta line): report byte-identical, no temp file left"
 
 gate "experiments verify (run-manifest replay gate)"
 # Layer 1: every digest recorded in the manifest still matches the bytes

@@ -28,8 +28,6 @@
 use crate::extract::WebObject;
 use crate::prehash::{UrlKey, UrlMap};
 use http_model::Url;
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// How long a page context stays alive without new children.
 const PAGE_HORIZON_SECS: f64 = 120.0;
@@ -96,8 +94,9 @@ pub struct RefMapOptions {}
 #[derive(Debug, Default)]
 pub struct RefMap {
     /// url (scheme-less: http/https referers must not break chains) →
-    /// (page root url, last seen ts, hops to root).
-    pub(crate) page_of: UrlMap<(Url, f64, u16)>,
+    /// (page root url, last seen ts, hops to root, the [`RefMap::epoch`] of
+    /// the insert or update that wrote it).
+    pub(crate) page_of: UrlMap<(Url, f64, u16, u32)>,
     /// pending redirect target (scheme-less) → (page root, expected type
     /// backfill index, ts, hops of the redirecting request).
     pub(crate) pending_redirects: UrlMap<(Option<Url>, usize, f64, u16)>,
@@ -114,6 +113,15 @@ pub struct RefMap {
     /// release them.
     pub(crate) track_releases: bool,
     released: Vec<usize>,
+    /// What an insert or update of `page_of` stamps its entry with: the
+    /// stream worker's barrier epoch, so that a checkpoint line can hold only
+    /// the entries written since the user's last one (0 outside the engine).
+    pub(crate) epoch: u32,
+    /// Set while the user's next checkpoint line must hold `page_of` whole:
+    /// no line holds it yet (a stream worker's map starts so), or an
+    /// eviction sweep removed entries, which a line holding only the
+    /// entries written since the last one cannot say.
+    pub(crate) whole: bool,
     /// The last referer looked up, with its hash: a page's objects name one
     /// referer, so most records reuse the hash instead of computing it.
     last_referer: Option<UrlKey>,
@@ -186,7 +194,7 @@ impl RefMap {
                     _ => UrlKey::new(referer.schemeless_shared()),
                 };
                 page = match self.page_of.get(self.last_referer.insert(key)) {
-                    Some((root, _, referer_hops)) => {
+                    Some((root, _, referer_hops, _)) => {
                         source = PageSource::RefererChain;
                         hops = referer_hops.saturating_add(1);
                         Some(root.clone())
@@ -221,7 +229,8 @@ impl RefMap {
         // Update state. `insert` keeps the key of an entry that is already
         // there, so a URL seen again is updated in place.
         if let Some(root) = &page {
-            self.page_of.insert(url_key, (root.clone(), obj.ts, hops));
+            let entry = (root.clone(), obj.ts, hops, self.epoch);
+            self.page_of.insert(url_key, entry);
             self.last_page = Some((root.clone(), obj.ts));
         } else if Self::looks_like_document(obj) {
             self.last_page = Some((obj.url.clone(), obj.ts));
@@ -245,7 +254,7 @@ impl RefMap {
             for emb in embedded_urls(&obj.url) {
                 self.page_of.insert(
                     UrlKey::new(emb.schemeless_shared()),
-                    (root.clone(), obj.ts, hops.saturating_add(1)),
+                    (root.clone(), obj.ts, hops.saturating_add(1), self.epoch),
                 );
             }
         }
@@ -278,35 +287,23 @@ impl RefMap {
         std::mem::take(&mut self.released)
     }
 
-    /// Rebuild a map from checkpointed state (streaming resume); each key
-    /// is hashed once, here.
-    pub(crate) fn restore(
-        page_of: HashMap<Arc<str>, (Url, f64, u16)>,
-        pending_redirects: HashMap<Arc<str>, (Option<Url>, usize, f64, u16)>,
-        last_page: Option<(Url, f64)>,
-        redirects_inserted: usize,
-        redirects_consumed: usize,
-        track_releases: bool,
-    ) -> RefMap {
-        fn keyed<V>(map: HashMap<Arc<str>, V>) -> UrlMap<V> {
-            map.into_iter().map(|(k, v)| (UrlKey::new(k), v)).collect()
-        }
+    /// An empty map for a stream worker's user: it records the backfill
+    /// indexes of the pending redirects that die unconsumed, and its first
+    /// checkpoint line is whole.
+    pub(crate) fn releasing() -> RefMap {
         RefMap {
-            page_of: keyed(page_of),
-            pending_redirects: keyed(pending_redirects),
-            last_page,
-            redirects_inserted,
-            redirects_consumed,
-            track_releases,
-            released: Vec::new(),
-            last_referer: None,
+            track_releases: true,
+            whole: true,
+            ..RefMap::default()
         }
     }
 
     fn evict(&mut self, now: f64) {
         if self.page_of.len() > 4096 {
+            let live = self.page_of.len();
             self.page_of
-                .retain(|_, (_, ts, _)| now - *ts <= PAGE_HORIZON_SECS);
+                .retain(|_, (_, ts, _, _)| now - *ts <= PAGE_HORIZON_SECS);
+            self.whole |= self.page_of.len() < live;
         }
         if self.pending_redirects.len() > 256 {
             let track = self.track_releases;
@@ -344,6 +341,7 @@ pub fn embedded_urls(url: &Url) -> Vec<Url> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn obj(
         idx: usize,
@@ -568,7 +566,7 @@ mod tests {
         let e = m.process(&second);
         assert_eq!(e.ctx.source, PageSource::DocumentSelf);
         assert_eq!(m.page_of.len(), 1);
-        let (key, (root, ts, hops)) = m.page_of.iter().next().unwrap();
+        let (key, (root, ts, hops, _)) = m.page_of.iter().next().unwrap();
         assert!(
             Arc::ptr_eq(key.text(), &first.url.schemeless_shared()),
             "the key of the first insertion stays"

@@ -1,18 +1,17 @@
 //! The persisted checkpoint: `checkpoint.ndjson`, an append-only log of
-//! segments (format version 4). A segment is one manifest line (the
+//! segments (format version 5). A segment is one manifest line (the
 //! [`RunState`], plane totals included), the lines of the users a record
-//! touched since the segment before it (each user's counters, referrer map
-//! and held records), and a trailer
+//! touched since the segment before it, and a trailer
 //! `{"segment":{"lines":n,"bytes":b,"sum":s}}` that counts and checksums
-//! those lines ([`obs::Sum64`]). A run's first barrier, and any barrier
-//! after which the log would pass [`COMPACT_RATIO`] times the bytes of a
-//! whole-state segment, rewrites the log as one segment holding every user
-//! (`obs::atomic_write_with`); every other barrier appends one and
-//! `sync_data`s it. So a run only ever appends to a log it created. Resume
-//! reads the segments in order up to the first that does not validate, and
-//! takes the last one's manifest and each user's last line. Every `f64` is
-//! stored as the integer of its bit pattern, so a resumed run starts from
-//! exactly the bits the checkpointing run held.
+//! those lines ([`obs::Sum64`]). A user line is whole, or a delta whose
+//! `page_of` holds only the entries written since the user's last line; the
+//! page roots it names are listed once, by index. A run's first barrier, and
+//! a compaction the router announces ([`CheckpointLog::rewrites`]), rewrites
+//! the log as one segment of whole lines (`obs::atomic_write_with`); every
+//! other barrier appends one and `sync_data`s it. Resume reads the segments
+//! up to the first that does not validate, takes the last manifest and
+//! applies each user's lines in log order. Every `f64` is its bit image in
+//! 16 hex digits, so a resumed run starts from exactly the bits it held.
 //!
 //! Resume reads only the version this build writes: a checkpoint of any
 //! other format version is refused, naming it. This is the only module in
@@ -33,7 +32,7 @@ use super::{ck_err, StreamError, StreamOptions};
 use crate::degrade::DegradationReport;
 use crate::extract::WebObject;
 use crate::population::{PopulationOptions, PopulationSketches};
-use crate::refmap::RefMap;
+use crate::prehash::UrlKey;
 use crate::users::UserTally;
 use crate::window::{COUNTERS as ADSCOPE_COUNTERS, RTB_HIST};
 use http_model::{ContentCategory, Url};
@@ -44,8 +43,10 @@ use obs::sketch::{Distinct64, QuantileSketch, TopK, QUANTILE_GAMMA};
 use obs::window::{ClosedWindow, WindowReport};
 use obs::HistogramSnapshot;
 use std::collections::hash_map::{Entry, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::{Display, Write as _};
 use std::fs::{self, File, OpenOptions};
+use std::hash::{BuildHasher, Hash};
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::Arc;
@@ -56,7 +57,7 @@ pub const CHECKPOINT_FILE: &str = "checkpoint.ndjson";
 /// checkpointing there is live.
 pub(super) const LOCK_FILE: &str = "checkpoint.lock";
 /// Manifest schema version (bumped on incompatible layout changes).
-const CHECKPOINT_VERSION: u64 = 4;
+const CHECKPOINT_VERSION: u64 = 5;
 /// A barrier rewrites the log once appending would take it past this many
 /// times the bytes of a whole-state segment.
 const COMPACT_RATIO: u64 = 2;
@@ -102,10 +103,17 @@ pub(super) fn lock_dir(dir: &Path) -> Result<File, StreamError> {
 // Encoding
 // ---------------------------------------------------------------------------
 
-/// Append `f` as the integer of its bit pattern: exact, and without the
-/// shortest-decimal search `{:?}` runs.
+/// Append `f` as its bit image: a JSON string of exactly 16 lowercase hex
+/// digits. Exact, fixed-width, and without the shortest-decimal search
+/// `{:?}` runs or a decimal's division chain.
 fn write_bits(out: &mut String, f: f64) {
-    json::write_u64(out, f.to_bits());
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bits = f.to_bits();
+    let mut image = [b'"'; 18];
+    for (i, digit) in image[1..17].iter_mut().enumerate() {
+        *digit = HEX[(bits >> (60 - 4 * i)) as usize & 0xf];
+    }
+    out.push_str(std::str::from_utf8(&image).expect("ASCII hex"));
 }
 
 fn write_nums<T: Display>(out: &mut String, nums: impl IntoIterator<Item = T>) {
@@ -138,33 +146,58 @@ fn window_report_to_json(out: &mut String, r: &WindowReport) {
     out.push_str("]}");
 }
 
-/// Append `url` as a JSON string, rendered through `scratch` so one
-/// buffer serves every URL of a checkpoint line; `None` is `null`.
-fn write_url(out: &mut String, scratch: &mut String, url: Option<&Url>) {
-    match url {
-        Some(url) => {
-            url.write_into(scratch);
-            json::write_str(out, scratch);
-        }
-        None => out.push_str("null"),
-    }
+/// What rendering one user line after another reuses: a URL buffer, and the
+/// roots the line has named, each under the address of its buffer (clones
+/// share it; every `Url` constructor allocates its own) with its index in
+/// the line's `"roots"` list.
+#[derive(Default)]
+pub(super) struct LineScratch {
+    url: String,
+    roots: Vec<Url>,
+    index: BTreeMap<usize, u64>,
 }
 
-pub(super) fn serialize_user(st: &UserState) -> String {
-    let mut out = String::with_capacity(256);
-    let mut scratch = String::new();
-    // Integers go through `json::write_u64`, not `write!`: there is one per
-    // `page_of` entry, and this is the checkpointing run's hottest loop.
+/// Append `st`'s line to `out`, newline included. Whole (`"full":true`), or,
+/// given the worker's barrier `epoch`, a delta (`"full":false`) whose
+/// `page_of` holds only the entries stamped with it: the ones a record wrote
+/// since the user's last line. Every other field is whole either way. Page
+/// roots are written once, in the `"roots"` list that closes the line, and
+/// named by their index in it.
+pub(super) fn write_user(
+    out: &mut String,
+    st: &UserState,
+    delta: Option<u32>,
+    s: &mut LineScratch,
+) {
+    s.roots.clear();
+    s.index.clear();
+    // Integers go through `json::write_u64`, not `write!`: there are several
+    // per `page_of` entry, and this is the checkpointing run's hottest loop.
     let num = |out: &mut String, key: &str, n: u64| {
         out.push_str(key);
         json::write_u64(out, n);
     };
-    num(&mut out, "{\"client_ip\":", st.client_ip.into());
+    // A root's index in the line's `"roots"` list, added to it if new.
+    let root = |out: &mut String, s: &mut LineScratch, url: Option<&Url>| {
+        let Some(url) = url else {
+            return out.push_str("null");
+        };
+        let next = s.roots.len() as u64;
+        let addr = url.schemeless().as_ptr() as usize;
+        let at = *s.index.entry(addr).or_insert(next);
+        if at == next {
+            s.roots.push(url.clone());
+        }
+        debug_assert!(s.roots[at as usize] == *url);
+        json::write_u64(out, at);
+    };
+    num(out, "{\"client_ip\":", st.client_ip.into());
     out.push_str(",\"user_agent\":");
-    json::write_opt_str(&mut out, st.user_agent.as_deref());
+    json::write_opt_str(out, st.user_agent.as_deref());
+    let _ = write!(out, ",\"full\":{}", delta.is_none());
     // `UserTally`'s fields, in declaration order.
     let c = &st.counters;
-    num(&mut out, ",\"counters\":[", c.requests);
+    num(out, ",\"counters\":[", c.requests);
     for n in [
         c.bytes,
         c.ad_requests,
@@ -174,36 +207,30 @@ pub(super) fn serialize_user(st: &UserState) -> String {
         c.easyprivacy_hits,
         c.whitelist_hits,
     ] {
-        num(&mut out, ",", n);
+        num(out, ",", n);
     }
     out.push(']');
-    num(
-        &mut out,
-        ",\"inserted\":",
-        st.map.redirects_inserted() as u64,
-    );
-    num(
-        &mut out,
-        ",\"consumed\":",
-        st.map.redirects_consumed() as u64,
-    );
+    num(out, ",\"inserted\":", st.map.redirects_inserted() as u64);
+    num(out, ",\"consumed\":", st.map.redirects_consumed() as u64);
     out.push_str(",\"last_page\":");
     match &st.map.last_page {
         Some((url, ts)) => {
             out.push('[');
-            write_url(&mut out, &mut scratch, Some(url));
+            root(out, s, Some(url));
             out.push(',');
-            write_bits(&mut out, *ts);
+            write_bits(out, *ts);
             out.push(']');
         }
         None => out.push_str("null"),
     }
     out.push_str(",\"page_of\":[");
-    json::write_seq(&mut out, &st.map.page_of, |out, (k, (root, ts, hops))| {
+    let written = st.map.page_of.iter();
+    let written = written.filter(|(_, (.., stamp))| delta.is_none_or(|epoch| *stamp == epoch));
+    json::write_seq(out, written, |out, (k, (url, ts, hops, _))| {
         out.push('[');
         json::write_str(out, k.text());
         out.push(',');
-        write_url(out, &mut scratch, Some(root));
+        root(out, s, Some(url));
         out.push(',');
         write_bits(out, *ts);
         num(out, ",", (*hops).into());
@@ -211,11 +238,11 @@ pub(super) fn serialize_user(st: &UserState) -> String {
     });
     out.push_str("],\"pending\":[");
     let pending = &st.map.pending_redirects;
-    json::write_seq(&mut out, pending, |out, (k, (root, idx, ts, hops))| {
+    json::write_seq(out, pending, |out, (k, (url, idx, ts, hops))| {
         out.push('[');
         json::write_str(out, k.text());
         out.push(',');
-        write_url(out, &mut scratch, root.as_ref());
+        root(out, s, url.as_ref());
         num(out, ",", *idx as u64);
         out.push(',');
         write_bits(out, *ts);
@@ -223,16 +250,17 @@ pub(super) fn serialize_user(st: &UserState) -> String {
         out.push(']');
     });
     out.push_str("],\"held\":[");
-    json::write_seq(&mut out, st.held.values(), |out, h| {
+    json::write_seq(out, st.held.values(), |out, h| {
         num(out, "{\"pos\":", h.pos);
         num(out, ",\"idx\":", h.obj.idx as u64);
         out.push_str(",\"ts\":");
         write_bits(out, h.obj.ts);
         num(out, ",\"server_ip\":", h.obj.server_ip.into());
         out.push_str(",\"url\":");
-        write_url(out, &mut scratch, Some(&h.obj.url));
+        h.obj.url.write_into(&mut s.url);
+        json::write_str(out, &s.url);
         out.push_str(",\"page\":");
-        write_url(out, &mut scratch, h.page.as_ref());
+        root(out, s, h.page.as_ref());
         out.push_str(",\"cat\":\"");
         out.push_str(h.category.keyword());
         out.push_str("\",\"ct\":");
@@ -245,8 +273,12 @@ pub(super) fn serialize_user(st: &UserState) -> String {
         write_bits(out, h.obj.http_handshake_ms);
         out.push('}');
     });
-    out.push_str("]}");
-    out
+    out.push_str("],\"roots\":[");
+    json::write_seq(out, &s.roots, |out, url| {
+        url.write_into(&mut s.url);
+        json::write_str(out, &s.url);
+    });
+    out.push_str("]}\n");
 }
 
 fn population_to_json(out: &mut String, s: &PopulationSketches) {
@@ -350,71 +382,107 @@ pub(super) fn manifest_to_json(hash: u64, st: &RunState) -> String {
     out
 }
 
-/// Write one segment to `w`: the `manifest` line, the `users` lines and the
-/// trailer that counts and checksums them, the sum folded line by line as
-/// the bytes go out (nothing of the segment is assembled in memory).
+/// The log a run writes, as far as it has written it: what the next
+/// barrier's announcement — append, or rewrite — is decided from.
+#[derive(Default)]
+pub(super) struct CheckpointLog {
+    /// The log's length, once this run has written it.
+    bytes: Option<u64>,
+    /// The last segment's manifest bytes, and the bytes of the last append
+    /// since the last rewrite (0 if none).
+    last: (u64, u64),
+    /// The user-line bytes and the live `page_of` entries of the last rewrite.
+    rewrite: (u64, u64),
+    /// Live `page_of` entries at the last barrier.
+    entries: u64,
+}
+
+impl CheckpointLog {
+    /// Whether the next barrier rewrites the log: it is announced before a
+    /// line is rendered, so it is decided from what the log knows. A run's
+    /// first barrier does. A later one does when an append the size of the
+    /// last would take the log past [`COMPACT_RATIO`] times a whole-state
+    /// segment, estimated as the last manifest plus the last rewrite's
+    /// user-line bytes per live `page_of` entry times the entries live now.
+    /// An append larger than the last can pass that by the difference; the
+    /// barrier after it rewrites.
+    pub(super) fn rewrites(&self) -> bool {
+        let Some(log) = self.bytes else { return true };
+        let ((manifest, appended), (lines, then)) = (self.last, self.rewrite);
+        let users = u128::from(lines) * u128::from(self.entries) / u128::from(then.max(1));
+        u128::from(log + appended) > u128::from(COMPACT_RATIO) * (u128::from(manifest) + users)
+    }
+
+    /// Put one checkpoint into `dir`'s log: the manifest and the `users`
+    /// blocks of newline-terminated lines (`lines` of them), taken with
+    /// `entries` live `page_of` entries, as one segment — appended and
+    /// `sync_data`'d, or, for a `rewrite`, as the whole log, replaced through
+    /// `obs::atomic_write_with`.
+    pub(super) fn write(
+        &mut self,
+        dir: &Path,
+        rewrite: bool,
+        manifest: &str,
+        users: &[String],
+        (lines, entries): (u64, u64),
+    ) -> io::Result<()> {
+        let path = dir.join(CHECKPOINT_FILE);
+        let mut written = 0;
+        let mut segment = |file: &File| {
+            let mut w = BufWriter::new(file);
+            written += write_segment(&mut w, manifest, users, lines)?;
+            w.flush()
+        };
+        match self.bytes {
+            Some(log) if !rewrite => {
+                let file = OpenOptions::new().append(true).open(&path)?;
+                segment(&file)?;
+                file.sync_data()?;
+                written += log;
+            }
+            _ => {
+                fs::create_dir_all(dir)?;
+                obs::atomic_write_with(&path, |file| segment(file))?;
+            }
+        }
+        let user_bytes = users.iter().map(|b| b.len() as u64).sum();
+        let manifest = manifest.len() as u64 + 1;
+        self.bytes = Some(written);
+        self.last = (manifest, if rewrite { 0 } else { manifest + user_bytes });
+        if rewrite {
+            self.rewrite = (user_bytes, entries);
+        }
+        self.entries = entries;
+        Ok(())
+    }
+}
+
+/// Write one segment to `w`: the `manifest` line, the `users` blocks of
+/// newline-terminated user lines (`lines` of them in all) and the trailer
+/// that counts and checksums them, the sum folded as the bytes go out.
 /// Returns the bytes written.
-fn write_segment<'a>(
+fn write_segment(
     w: &mut impl Write,
     manifest: &str,
-    users: impl IntoIterator<Item = &'a Arc<str>>,
+    users: &[String],
+    lines: u64,
 ) -> io::Result<u64> {
-    let mut sum = obs::Sum64::default();
-    let (mut lines, mut bytes) = (0u64, 0u64);
-    for line in std::iter::once(manifest).chain(users.into_iter().map(|l| &**l)) {
-        for part in [line.as_bytes(), b"\n"] {
-            w.write_all(part)?;
-            sum.update(part);
-        }
-        lines += 1;
-        bytes += line.len() as u64 + 1;
+    let (mut sum, mut bytes) = (obs::Sum64::default(), 0);
+    for part in [manifest, "\n"]
+        .into_iter()
+        .chain(users.iter().map(String::as_str))
+    {
+        w.write_all(part.as_bytes())?;
+        sum.update(part.as_bytes());
+        bytes += part.len() as u64;
     }
     let trailer = format!(
-        "{{\"segment\":{{\"lines\":{lines},\"bytes\":{bytes},\"sum\":{}}}}}\n",
+        "{{\"segment\":{{\"lines\":{},\"bytes\":{bytes},\"sum\":{}}}}}\n",
+        lines + 1,
         sum.finish()
     );
     w.write_all(trailer.as_bytes())?;
     Ok(bytes + trailer.len() as u64)
-}
-
-/// Put one checkpoint into `dir`'s log and return the log's new length
-/// (`log_bytes` is its length once this run has written it). The manifest
-/// and the users `rendered` at this barrier are appended as one segment and
-/// `sync_data`'d — unless this is the run's first checkpoint, or the append
-/// would take the log past [`COMPACT_RATIO`] times a whole-state segment:
-/// then the log is rewritten through `obs::atomic_write_with` as one
-/// segment holding the `kept` users too.
-pub(super) fn write_checkpoint(
-    dir: &Path,
-    log_bytes: Option<u64>,
-    manifest: &str,
-    rendered: &[Arc<str>],
-    kept: &[Arc<str>],
-) -> io::Result<u64> {
-    let size = |lines: &[Arc<str>]| lines.iter().map(|l| l.len() as u64 + 1).sum::<u64>();
-    let appended = manifest.len() as u64 + 1 + size(rendered);
-    let whole = appended + size(kept);
-    let path = dir.join(CHECKPOINT_FILE);
-    match log_bytes {
-        Some(log) if log + appended <= COMPACT_RATIO * whole => {
-            let file = OpenOptions::new().append(true).open(&path)?;
-            let mut w = BufWriter::new(&file);
-            let written = write_segment(&mut w, manifest, rendered)?;
-            w.flush()?;
-            file.sync_data()?;
-            Ok(log + written)
-        }
-        _ => {
-            fs::create_dir_all(dir)?;
-            let mut written = 0;
-            obs::atomic_write_with(&path, |file| {
-                let mut w = BufWriter::new(file);
-                written = write_segment(&mut w, manifest, rendered.iter().chain(kept))?;
-                w.flush()
-            })?;
-            Ok(written)
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -427,12 +495,18 @@ impl From<DecodeError> for StreamError {
     }
 }
 
-/// An `f64` read from the integer of its bit pattern.
+/// An `f64` read from its bit image: a string of exactly 16 hex digits.
 struct Bits(f64);
 
 impl FromJson for Bits {
     fn from_json(v: &Value<'_>) -> Result<Bits, DecodeError> {
-        u64::from_json(v).map(|bits| Bits(f64::from_bits(bits)))
+        let hex = |s: &&str| s.len() == 16 && s.bytes().all(|b| b.is_ascii_hexdigit());
+        let bits = v
+            .as_str()
+            .filter(hex)
+            .and_then(|s| u64::from_str_radix(s, 16).ok());
+        let image = || DecodeError::new("expected a bit image of 16 hex digits");
+        bits.map(|b| Bits(f64::from_bits(b))).ok_or_else(image)
     }
 }
 
@@ -500,11 +574,30 @@ fn window_report_from_value(
     })
 }
 
-/// One user line.
-fn user_from_line(line: &str) -> Result<UserState, DecodeError> {
+/// `entries` as a map, refusing a key named twice: a line that named it
+/// twice would mean whichever value came last (`page_of[3]: key named twice`).
+fn unique<K: Hash + Eq, V, S: BuildHasher + Default>(
+    entries: Vec<(K, V)>,
+    field: &str,
+    what: &str,
+) -> Result<HashMap<K, V, S>, DecodeError> {
+    let mut map = HashMap::with_capacity_and_hasher(entries.len(), S::default());
+    for (i, (k, v)) in entries.into_iter().enumerate() {
+        if map.insert(k, v).is_some() {
+            let twice = DecodeError::new(format!("{what} named twice"));
+            return Err(twice.at_index(i).at_key(field));
+        }
+    }
+    Ok(map)
+}
+
+/// One user line: whether it is whole, and the user's state as it holds it
+/// (a delta's `page_of` holds only the entries it updates).
+fn user_from_line(line: &str) -> Result<(bool, UserState), DecodeError> {
     let v = json::parse(line).map_err(|e| DecodeError::new(format!("bad user line: {e}")))?;
     let client_ip = v.field("client_ip")?;
     let user_agent: Option<Arc<str>> = v.field("user_agent")?;
+    let mut st = UserState::fresh(client_ip, user_agent.clone());
     let (
         requests,
         bytes,
@@ -515,7 +608,7 @@ fn user_from_line(line: &str) -> Result<UserState, DecodeError> {
         easyprivacy_hits,
         whitelist_hits,
     ) = v.field("counters")?;
-    let counters = UserTally {
+    st.counters = UserTally {
         requests,
         bytes,
         ad_requests,
@@ -525,15 +618,22 @@ fn user_from_line(line: &str) -> Result<UserState, DecodeError> {
         easyprivacy_hits,
         whitelist_hits,
     };
+    let roots: Vec<Url> = v.field("roots")?;
+    let root = |i: usize| {
+        let n = roots.len();
+        let what = || DecodeError::new(format!("expected an index below {n}, the number of roots"));
+        roots.get(i).cloned().ok_or_else(what)
+    };
     let category = |c: &Value<'_>| {
         let known = c.as_str().and_then(ContentCategory::from_keyword);
         known.ok_or_else(|| DecodeError::new("expected category keyword"))
     };
     let held_record = |e: &Value<'_>| {
         let idx = e.field("idx")?;
+        let page = e.field_with("page", |p| Option::from_json(p)?.map(root).transpose())?;
         let h = HeldRecord {
             pos: e.field("pos")?,
-            page: e.field("page")?,
+            page,
             category: e.field_with("cat", category)?,
             obj: WebObject {
                 idx,
@@ -557,28 +657,38 @@ fn user_from_line(line: &str) -> Result<UserState, DecodeError> {
         };
         Ok((idx, h))
     };
-    let held = v.field_with("held", |h| h.each(held_record))?;
-    // `[key, root, ts, hops]` and `[key, root, backfill idx, ts, hops]`:
-    // the other element types come from the maps `restore` takes.
-    let page_of: Vec<(_, _, Bits, _)> = v.field("page_of")?;
-    let pending: Vec<(_, _, _, Bits, _)> = v.field("pending")?;
-    let last_page: Option<(_, Bits)> = v.field("last_page")?;
-    let map = RefMap::restore(
-        page_of
-            .into_iter()
-            .map(|(k, r, t, h)| (k, (r, t.0, h)))
-            .collect(),
-        pending
-            .into_iter()
-            .map(|(k, r, i, t, h)| (k, (r, i, t.0, h)))
-            .collect(),
-        last_page.map(|(url, t)| (url, t.0)),
-        v.field("inserted")?,
-        v.field("consumed")?,
-        true,
-    );
-    let held = held.into_iter().collect();
-    Ok(UserState::new(client_ip, user_agent, map, held, counters))
+    st.held = unique(
+        v.field_with("held", |h| h.each(held_record))?,
+        "held",
+        "idx",
+    )?;
+    // `[key, root, ts, hops]` and `[key, root, backfill idx, ts, hops]`.
+    let page_of = v.field_with("page_of", |p| {
+        p.each(|e| {
+            let (k, r, ts, hops): (Arc<str>, _, Bits, u16) = FromJson::from_json(e)?;
+            let url = root(r).map_err(|e| e.at_index(1))?;
+            Ok((UrlKey::new(k), (url, ts.0, hops, 0)))
+        })
+    })?;
+    st.map.page_of = unique(page_of, "page_of", "key")?;
+    let pending = v.field_with("pending", |p| {
+        p.each(|e| {
+            let (k, r, idx, ts, hops): (Arc<str>, Option<usize>, _, Bits, _) =
+                FromJson::from_json(e)?;
+            let url = r.map(root).transpose().map_err(|e| e.at_index(1))?;
+            Ok((UrlKey::new(k), (url, idx, ts.0, hops)))
+        })
+    })?;
+    st.map.pending_redirects = unique(pending, "pending", "key")?;
+    st.map.last_page = v.field_with("last_page", |p| {
+        let Some((r, ts)) = Option::<(usize, Bits)>::from_json(p)? else {
+            return Ok(None);
+        };
+        Ok(Some((root(r).map_err(|e| e.at_index(0))?, ts.0)))
+    })?;
+    st.map.redirects_inserted = v.field("inserted")?;
+    st.map.redirects_consumed = v.field("consumed")?;
+    Ok((v.field("full")?, st))
 }
 
 fn population_from_value(
@@ -686,18 +796,33 @@ fn manifest_from_value(m: &Value<'_>, opts: &StreamOptions) -> Result<RunState, 
 }
 
 /// The run state a manifest and its user lines hold. The users are in the
-/// order they first come off the log, each the state of its last line.
+/// order they first come off the log. A whole line replaces its user's state;
+/// a delta upserts its `page_of` entries into the state the lines before it
+/// left and replaces the rest. A delta for a user no whole line has named
+/// yet is refused.
 fn decode(m: &Value<'_>, lines: &[&str], opts: &StreamOptions) -> Result<RunState, DecodeError> {
     let mut state = manifest_from_value(m, opts)?;
-    let mut at = HashMap::with_capacity(lines.len());
+    let mut at: HashMap<_, usize> = HashMap::with_capacity(lines.len());
     let mut users: Vec<UserState> = Vec::with_capacity(lines.len());
     for line in lines {
-        let user = user_from_line(line)?;
+        let (full, mut user) = user_from_line(line)?;
         match at.entry((user.client_ip, user.user_agent.clone())) {
-            Entry::Occupied(seen) => users[*seen.get()] = user,
-            Entry::Vacant(new) => {
+            Entry::Occupied(seen) => {
+                let before = &mut users[*seen.get()];
+                if !full {
+                    let mut page_of = std::mem::take(&mut before.map.page_of);
+                    page_of.extend(user.map.page_of.drain());
+                    user.map.page_of = page_of;
+                }
+                *before = user;
+            }
+            Entry::Vacant(new) if full => {
                 new.insert(users.len());
                 users.push(user);
+            }
+            Entry::Vacant(_) => {
+                let orphan = DecodeError::new("a delta for a user no whole line names before it");
+                return Err(orphan.at_key("full"));
             }
         }
     }
@@ -801,8 +926,11 @@ pub(super) fn load_checkpoint(dir: &Path, opts: &StreamOptions) -> Result<RunSta
 mod tests {
     use super::*;
     use crate::pipeline::ClassifiedRequest;
+    use crate::refmap::RefMap;
+    use crate::stream::router::run_stream;
     use crate::stream::testutil::*;
     use crate::stream::{classify_stream_file, stream_file, CheckpointOptions, Fold};
+    use netsim::stream::{OwnedChunks, StreamChunk};
     use std::path::PathBuf;
 
     #[test]
@@ -881,8 +1009,10 @@ mod tests {
                 obj: redir,
             },
         );
-        let line = serialize_user(&st);
-        let back = user_from_line(&line).unwrap();
+        let mut line = String::new();
+        write_user(&mut line, &st, None, &mut LineScratch::default());
+        let (full, back) = user_from_line(line.trim_end()).unwrap();
+        assert!(full);
         assert_eq!(back.client_ip, 7);
         assert_eq!(back.user_agent, ua);
         assert_eq!(back.counters, st.counters);
@@ -910,7 +1040,16 @@ mod tests {
         for obj in [&target, &child, &again, &orphan] {
             assert_eq!(restored.process(obj), st.map.process(obj), "{}", obj.url);
         }
-        assert_eq!(restored.page_of, st.map.page_of);
+        let entries = |m: &RefMap| -> Vec<(String, (Url, f64, u16))> {
+            let mut v: Vec<_> = m
+                .page_of
+                .iter()
+                .map(|(k, (url, ts, hops, _))| (k.text().to_string(), (url.clone(), *ts, *hops)))
+                .collect();
+            v.sort_by(|a, b| a.0.cmp(&b.0));
+            v
+        };
+        assert_eq!(entries(&restored), entries(&st.map));
         assert_eq!(restored.pending_redirects, st.map.pending_redirects);
         assert_eq!(restored.last_page, st.map.last_page);
         assert_eq!(restored.redirects_consumed(), 1);
@@ -966,70 +1105,89 @@ mod tests {
         assert_eq!(back, seq.windows);
     }
 
-    /// A run's first write rewrites the log whole; the next ones append in
-    /// place, leaving the bytes before them alone, until one would take the
-    /// log past twice a whole-state segment, which rewrites it again. Read
-    /// back, the last segment's manifest and each user's last line are the
-    /// live state.
+    /// A run's first barrier rewrites the log whole; the next ones append
+    /// in place, leaving the bytes before them alone, each a segment of the
+    /// lines of the users a record reached (deltas, for users the log names
+    /// already), until one would take the log past twice the estimated
+    /// whole-state segment, which rewrites it again: one segment, every
+    /// line whole.
     #[test]
     fn the_log_appends_until_it_would_pass_twice_a_whole_segment() {
+        // A 20-byte manifest and 80 bytes of users at 10 entries: twice the
+        // whole is 200; at 20 live entries it is 360. The last append, 50
+        // bytes, is what the next is expected to weigh.
+        let log = |bytes, entries| CheckpointLog {
+            bytes: Some(bytes),
+            last: (20, 50),
+            rewrite: (80, 10),
+            entries,
+        };
+        assert!(CheckpointLog::default().rewrites(), "a run's first barrier");
+        assert!(!log(150, 10).rewrites() && log(151, 10).rewrites());
+        assert!(!log(310, 20).rewrites() && log(311, 20).rewrites());
+
+        let trace = messy_trace(480);
         let dir = temp_path("log-ck");
         let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
         let path = dir.join(CHECKPOINT_FILE);
-        let line = |u: usize, rev: usize| -> Arc<str> {
-            format!("{{\"client_ip\":{u},\"rev\":{rev}}}").into()
-        };
-        let size = |lines: &[Arc<str>]| lines.iter().map(|l| l.len() + 1).sum::<usize>();
-        let mut users: Vec<Arc<str>> = (0..8).map(|u| line(u, 0)).collect();
-        let (mut log_bytes, mut rewrites) = (None, 0);
-        for barrier in 0..16 {
-            // Each barrier after the first touches two of the eight users.
-            let touched = |u: usize| barrier == 0 || u == barrier % 8 || u == (barrier + 3) % 8;
-            for (u, l) in users.iter_mut().enumerate().filter(|(u, _)| touched(*u)) {
-                *l = line(u, barrier);
+        let mut o = stream_opts(2, 4);
+        o.checkpoint = Some(CheckpointOptions {
+            dir: dir.clone(),
+            every_chunks: 1,
+            resume: false,
+        });
+        // The log as the router finds it when it asks for each chunk: the
+        // barrier of chunk k is on disk when chunk k + 2 is read.
+        let mut logs = Vec::new();
+        let chunks = trace.records.chunks(4).enumerate().map(|(i, batch)| {
+            logs.push(fs::read(&path).unwrap_or_default());
+            StreamChunk {
+                seq: i as u64,
+                records: batch.to_vec(),
+                stats: CodecStats::default(),
+                end_offset: (i as u64 + 1) * 1000,
             }
-            let (rendered, kept): (Vec<_>, Vec<_>) = (0..8).partition(|&u| touched(u));
-            let rendered: Vec<Arc<str>> = rendered.iter().map(|&u| users[u].clone()).collect();
-            let kept: Vec<Arc<str>> = kept.iter().map(|&u| users[u].clone()).collect();
-            let manifest = format!("{{\"barrier\":{barrier}}}");
-            let before = fs::read(&path).unwrap_or_default();
-            let appended = manifest.len() + 1 + size(&rendered);
-            let whole = appended + size(&kept);
-            let append = log_bytes.is_some() && before.len() + appended <= 2 * whole;
+        });
+        let state = RunState::new(trace.meta.clone(), &o);
+        let registry = obs::Registry::new();
+        run_stream(
+            OwnedChunks(chunks),
+            state,
+            &classifier(),
+            &o,
+            &registry,
+            0,
+            (),
+        )
+        .unwrap();
+        logs.push(fs::read(&path).unwrap());
 
-            let len = write_checkpoint(&dir, log_bytes, &manifest, &rendered, &kept).unwrap();
-            let after = fs::read(&path).unwrap();
-            assert_eq!(len, after.len() as u64, "barrier {barrier}");
-            let segments = valid_segments(&after);
-            if append {
-                assert!(
-                    after.starts_with(&before),
-                    "barrier {barrier}: not appended"
-                );
-                assert_eq!(segments.len(), valid_segments(&before).len() + 1);
+        let (mut rewrites, mut appends, mut deltas) = (0, 0, 0);
+        for pair in logs.windows(2).filter(|p| p[0] != p[1]) {
+            let (before, after) = (&pair[0], &pair[1]);
+            let segments = valid_segments(after);
+            let last: Vec<&str> = lines_of(segments.last().unwrap())
+                .skip(1)
+                .map(Result::unwrap)
+                .collect();
+            if !before.is_empty() && after.starts_with(before) {
+                appends += 1;
+                // The run's last two land together: one when the last chunk
+                // is sent, one when the loop ends.
+                assert!(segments.len() > valid_segments(before).len());
+                deltas += last.iter().filter(|l| l.contains("\"full\":false")).count();
             } else {
                 rewrites += 1;
-                assert_eq!(segments.len(), 1, "barrier {barrier}: not rewritten");
+                assert_eq!(segments.len(), 1, "a rewrite is one segment");
+                assert!(last.len() > 3);
+                assert!(last.iter().all(|l| l.contains("\"full\":true")));
             }
-            let mut last = HashMap::new();
-            let mut manifests = Vec::new();
-            for segment in &segments {
-                let mut lines = lines_of(segment).map(Result::unwrap);
-                manifests.push(lines.next().unwrap());
-                for l in lines {
-                    last.insert(
-                        json::parse(l).unwrap().field::<u32>("client_ip").unwrap(),
-                        l,
-                    );
-                }
-            }
-            assert_eq!(manifests.last(), Some(&manifest.as_str()));
-            let live: Vec<&str> = (0..8).map(|u| last[&(u as u32)]).collect();
-            assert_eq!(live, users.iter().map(|l| &**l).collect::<Vec<_>>());
-            log_bytes = Some(len);
         }
         assert!(rewrites > 1, "never compacted");
+        assert!(
+            appends > rewrites && deltas > 0,
+            "{appends} appends, {deltas} deltas"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

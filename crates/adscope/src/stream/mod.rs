@@ -33,26 +33,25 @@
 //!   in [`DegradationReport::poisoned_records`] instead of aborting.
 //!   Unparseable-URL records are quarantined to the same sidecar
 //!   verbatim.
-//! * **Checkpoint/resume.** Every N chunks the router injects a barrier:
-//!   workers cut their deltas and ack one state line per user, rendering
-//!   only the users a record touched since the last barrier (the others'
-//!   lines are kept and shared); the router merges the deltas, encodes
-//!   the manifest and *parks* the checkpoint, then puts it into the
+//! * **Checkpoint/resume.** Every N chunks the router injects a barrier,
+//!   announcing whether it rewrites the log: workers ack their cut deltas,
+//!   then render the lines of the users a record reached since the last
+//!   barrier — a delta of the `page_of` entries it wrote, or the user whole
+//!   (every user, at a rewrite) — while the router merges the deltas,
+//!   encodes the manifest and *parks* the checkpoint. It goes into the
 //!   append-only log `checkpoint.ndjson` right after the next chunk's
-//!   batches are sent, while the workers classify them, or after the loop
-//!   when it ends on a barrier; it is on disk before the call returns. A
-//!   checkpoint is one segment — manifest line, the rendered users' lines,
-//!   a checksummed trailer — appended with one `sync_data`; a run's first
-//!   barrier, and one that would take the log past twice its live bytes,
-//!   rewrites it whole instead (temp file, fsync, rename, directory
-//!   fsync). A killed run resumes from the last segment that validates —
-//!   at *any* thread count, since restored users re-route by the same
-//!   `shard_of` hash ([`crate::shard`]) — and produces a final report
-//!   byte-identical to an uninterrupted run. A run holds the directory's
-//!   `checkpoint.lock` while it is live, so a second one is refused
-//!   ([`StreamError::Locked`]); a quarantine sidecar shorter than the
-//!   checkpoint recorded is refused, and temp files a killed run left in
-//!   the checkpoint directory are swept when the next one opens it.
+//!   batches are sent, or after the loop when it ends on a barrier: one
+//!   segment — manifest line, user lines, a checksummed trailer — appended
+//!   with one `sync_data`, or, at a run's first barrier and at a compaction,
+//!   the whole log rewritten (temp file, fsync, rename, directory fsync). A
+//!   killed run resumes from the last segment that validates, applying each
+//!   user's lines in log order — at *any* thread count, since restored users
+//!   re-route by the same `shard_of` hash ([`crate::shard`]) — and produces
+//!   a final report byte-identical to an uninterrupted run. A run holds the
+//!   directory's `checkpoint.lock` while it is live, so a second one is
+//!   refused ([`StreamError::Locked`]); a quarantine sidecar shorter than the
+//!   checkpoint recorded is refused, and temp files a killed run left in the
+//!   checkpoint directory are swept when the next one opens it.
 //!
 //! Four modules: this one holds the options, the report and the two entry
 //! points; `worker` the quarantine sidecar, the held-record protocol and

@@ -3,8 +3,10 @@
 //! [`Router::route`] (extract, shard, send), [`Router::barrier`] (cut,
 //! merge, checkpoint) and [`Router::finalize`] (merge, publish, report).
 
-use super::checkpoint::{config_hash, manifest_to_json, write_checkpoint};
-use super::worker::{worker_loop, Quarantine, ToWorker, UserState, Worker, WorkerAck, WorkerFinal};
+use super::checkpoint::{config_hash, manifest_to_json, CheckpointLog};
+use super::worker::{
+    worker_loop, Quarantine, ToWorker, UserState, Worker, WorkerAck, WorkerFinal, WorkerLines,
+};
 use super::{ck_err, Fold, StreamError, StreamOptions, StreamReport};
 use crate::classify::PassiveClassifier;
 use crate::extract::{Extractor, UserId, WebObject};
@@ -72,6 +74,9 @@ struct Router<'a> {
     state: RunState,
     senders: Vec<parallel::Sender<ToWorker>>,
     ack_rx: mpsc::Receiver<(usize, WorkerAck)>,
+    /// Each worker's own channel for the lines it renders once it has acked
+    /// a barrier: a worker that died is a closed channel, not a hang.
+    lines_rx: Vec<mpsc::Receiver<WorkerLines>>,
     quarantine: Option<Arc<Quarantine>>,
     /// The router's own planes, for what only it sees: every record's view
     /// (the HTTPS flows among them), the unparseable records that never reach
@@ -91,9 +96,8 @@ struct Router<'a> {
     /// chunk later they have a batch to classify meanwhile. At most one is
     /// parked at a time.
     parked: Option<Parked<'a>>,
-    /// The length of the checkpoint log once this run has written it: a
-    /// run's first checkpoint rewrites the log, later ones append to it.
-    log_bytes: Option<u64>,
+    /// The checkpoint log as far as this run has written it.
+    log: CheckpointLog,
     /// Present when [`StreamOptions::alerts`] names rules: the rule pack and
     /// its last evaluation. Every merge re-evaluates the merged windows from
     /// scratch, so where the barriers fall cannot change the timeline and
@@ -104,13 +108,13 @@ struct Router<'a> {
 }
 
 /// A checkpoint cut and not yet written: its directory, its manifest line,
-/// and the user lines the workers rendered at the barrier and kept from
-/// earlier ones (shared with the workers' caches, not copied).
+/// whether it rewrites the log, and the live `page_of` entries. Its user
+/// lines are the workers' to render and send meanwhile.
 struct Parked<'a> {
     dir: &'a Path,
     manifest: String,
-    rendered: Vec<Arc<str>>,
-    kept: Vec<Arc<str>>,
+    rewrite: bool,
+    entries: u64,
 }
 
 /// Bounded channel capacity, in batches, per worker. A full queue blocks
@@ -159,18 +163,21 @@ pub(super) fn run_stream<S: ChunkSource, F: Fold>(
     std::thread::scope(|scope| -> Result<(StreamReport, F), StreamError> {
         let (ack_tx, ack_rx) = mpsc::channel::<(usize, WorkerAck)>();
         let mut senders: Vec<parallel::Sender<ToWorker>> = Vec::with_capacity(nworkers);
+        let mut lines_rx = Vec::with_capacity(nworkers);
         let mut handles = Vec::with_capacity(nworkers);
         let normalizer = &normalizer;
         for (id, init) in per_worker_restores.into_iter().enumerate() {
             let (tx, rx) = parallel::bounded::<ToWorker>(CHANNEL_CAPACITY);
             let ack_tx = ack_tx.clone();
+            let (lines_tx, rx_lines) = mpsc::channel();
+            lines_rx.push(rx_lines);
             let q = quarantine.clone();
             let poison = opts.poison_host.as_deref();
             let part = fold.clone();
             let slot = health.worker(id as u64);
             handles.push(scope.spawn(move || {
                 let w = Worker::new(classifier, normalizer, popts, part, q, poison, init);
-                worker_loop(w, rx, ack_tx, id, slot, registry)
+                worker_loop(w, rx, ack_tx, lines_tx, id, slot, registry)
             }));
             senders.push(tx);
         }
@@ -182,6 +189,7 @@ pub(super) fn run_stream<S: ChunkSource, F: Fold>(
             state,
             senders,
             ack_rx,
+            lines_rx,
             quarantine,
             planes: Planes::new(popts, &opts.abp_ips),
             extractor,
@@ -190,7 +198,7 @@ pub(super) fn run_stream<S: ChunkSource, F: Fold>(
             last_stalls: vec![0u64; nworkers],
             run_chunks: 0,
             parked: None,
-            log_bytes: None,
+            log: CheckpointLog::default(),
             alerts: (!opts.alerts.is_empty()).then(|| obs::AlertEngine::new(opts.alerts.clone())),
             checkpoints_written: 0,
             stopped_early: false,
@@ -360,12 +368,13 @@ impl<'a> Router<'a> {
         true
     }
 
-    /// A checkpoint barrier: every worker cuts its delta and serializes
-    /// the users a record touched since the last one, the router merges
-    /// the deltas, encodes the manifest and parks the checkpoint for
-    /// [`Router::write_parked`].
+    /// A checkpoint barrier: announce whether it rewrites the log
+    /// ([`CheckpointLog::rewrites`]), collect each worker's cut (it renders
+    /// its user lines after acking), merge the cuts, encode the manifest and
+    /// park the checkpoint for [`Router::write_parked`].
     fn barrier(&mut self, dir: &'a Path) -> Result<(), StreamError> {
-        let acks = collect_acks(&self.senders, &self.ack_rx)?;
+        let rewrite = self.log.rewrites();
+        let acks = collect_acks(&self.senders, &self.ack_rx, rewrite)?;
         self.absorb(acks.iter().map(|a| (&a.delta, &a.counters[..])));
         // Flushed before the manifest is encoded, so the sidecar length
         // the manifest records is durable by the time it is.
@@ -373,33 +382,36 @@ impl<'a> Router<'a> {
             Some(q) => q.flush_bytes()?,
             None => 0,
         };
-        let manifest = manifest_to_json(config_hash(self.opts), &self.state);
-        let mut parked = Parked {
-            dir,
-            manifest,
-            rendered: Vec::new(),
-            kept: Vec::new(),
-        };
-        for ack in acks {
-            parked.rendered.extend(ack.rendered);
-            parked.kept.extend(ack.kept);
-        }
         debug_assert!(self.parked.is_none(), "the previous checkpoint is on disk");
-        self.parked = Some(parked);
+        self.parked = Some(Parked {
+            dir,
+            manifest: manifest_to_json(config_hash(self.opts), &self.state),
+            rewrite,
+            entries: acks.iter().map(|a| a.entries).sum(),
+        });
         Ok(())
     }
 
     /// Put the parked checkpoint, if there is one, into the log: one
-    /// segment appended and `sync_data`'d, or the log rewritten whole
-    /// (`checkpoint::write_checkpoint` decides). Until this returns a kill
+    /// segment appended and `sync_data`'d, or the log rewritten whole, as
+    /// the barrier decided. Until this returns a kill
     /// resumes from the checkpoint before it, exactly as a kill between two
     /// barriers does: the sidecar may by then be longer than that
     /// checkpoint's `quarantine_bytes`, never shorter, and resume truncates
     /// it back; a torn segment is not read.
     fn write_parked(&mut self) -> Result<(), StreamError> {
         if let Some(p) = self.parked.take() {
-            let log = write_checkpoint(p.dir, self.log_bytes, &p.manifest, &p.rendered, &p.kept)?;
-            self.log_bytes = Some(log);
+            let (mut users, mut lines) = (Vec::with_capacity(self.lines_rx.len()), 0);
+            for rx in &self.lines_rx {
+                let (block, n) = rx
+                    .recv()
+                    .map_err(|_| ck_err("a worker exited before rendering its lines"))?;
+                users.push(block);
+                lines += n;
+            }
+            let counts = (lines, p.entries);
+            self.log
+                .write(p.dir, p.rewrite, &p.manifest, &users, counts)?;
             self.checkpoints_written += 1;
             self.registry
                 .counter("adscope_stream_checkpoints_total")
@@ -496,13 +508,15 @@ impl<'a> Router<'a> {
     }
 }
 
-/// Inject a barrier and collect one ack per worker, in worker order.
+/// Inject a barrier, announcing whether it is a `rewrite`, and collect one
+/// ack per worker, in worker order.
 fn collect_acks(
     senders: &[parallel::Sender<ToWorker>],
     ack_rx: &mpsc::Receiver<(usize, WorkerAck)>,
+    rewrite: bool,
 ) -> Result<Vec<WorkerAck>, StreamError> {
     for s in senders {
-        if s.send(ToWorker::Barrier).is_err() {
+        if s.send(ToWorker::Barrier(rewrite)).is_err() {
             return Err(ck_err("a worker exited before the barrier"));
         }
     }

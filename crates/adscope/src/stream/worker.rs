@@ -4,7 +4,7 @@
 //! [`Planes`] (cut whenever the router asks), into its user's counters and
 //! into its copy of the run's [`Fold`] (handed back at end of stream).
 
-use super::checkpoint::serialize_user;
+use super::checkpoint::{write_user, LineScratch};
 use super::{ck_err, Fold, StreamError};
 use crate::classify::PassiveClassifier;
 use crate::content::{infer_category_traced, ContentOptions};
@@ -151,39 +151,22 @@ pub(super) struct UserState {
     pub(super) held: HashMap<usize, HeldRecord>,
     /// Cumulative over the user's finalized requests.
     pub(super) counters: UserTally,
-    /// The checkpoint line the last barrier rendered from this state, while
-    /// no record has touched it since: a barrier re-renders only the users
-    /// a record reached. Never set in a run that does not checkpoint (no
-    /// barrier runs).
-    line: Option<Arc<str>>,
+    /// A record reached this user since its last line: the next barrier
+    /// renders one.
+    dirty: bool,
 }
 
 impl UserState {
-    /// A user as a checkpoint line holds it, with no line rendered yet.
-    pub(super) fn new(
-        client_ip: u32,
-        user_agent: Option<Arc<str>>,
-        map: RefMap,
-        held: HashMap<usize, HeldRecord>,
-        counters: UserTally,
-    ) -> UserState {
+    /// The state of a user met for the first time.
+    pub(super) fn fresh(client_ip: u32, user_agent: Option<Arc<str>>) -> UserState {
         UserState {
             client_ip,
             user_agent,
-            map,
-            held,
-            counters,
-            line: None,
+            map: RefMap::releasing(),
+            held: HashMap::new(),
+            counters: UserTally::default(),
+            dirty: false,
         }
-    }
-
-    /// The state of a user met for the first time.
-    pub(super) fn fresh(client_ip: u32, user_agent: Option<Arc<str>>) -> UserState {
-        // `restore` with empty state is `new` plus release tracking, which
-        // the held-record protocol needs.
-        let map = RefMap::restore(HashMap::new(), HashMap::new(), None, 0, 0, true);
-        let counters = UserTally::default();
-        UserState::new(client_ip, user_agent, map, HashMap::new(), counters)
     }
 }
 
@@ -245,25 +228,27 @@ pub(super) enum ToWorker {
     /// `(global position, object)` pairs, in global time order
     /// restricted to this worker's users.
     Batch(Vec<(u64, WebObject)>),
-    /// Checkpoint barrier: cut a delta, serialize state, ack.
-    Barrier,
+    /// Checkpoint barrier: cut a delta and ack it, then render the users'
+    /// lines and send them. Set for a rewrite of the log, which renders
+    /// every user whole.
+    Barrier(bool),
 }
 
 /// Barrier ack: the worker's planes cut since its last ack — the same
 /// [`PlaneTotals`] the end-of-stream result carries, absorbed by the router
-/// with the same code — plus every user's serialized state line, shared
-/// with the worker's per-user cache, and the counters of the users rendered.
+/// with the same code — and the counters of the users the barrier renders.
+/// It goes before any line is rendered, so the router moves on meanwhile.
 pub(super) struct WorkerAck {
     pub(super) delta: PlaneTotals,
-    /// The lines rendered at this barrier: the users a record touched since
-    /// the last one (every user, at a worker's first barrier). An appended
-    /// checkpoint segment holds these.
-    pub(super) rendered: Vec<Arc<str>>,
-    /// The other users' lines, as the barrier that rendered them left them.
-    pub(super) kept: Vec<Arc<str>>,
-    /// The counters of the rendered users: only a record can move them.
+    /// The counters of the users rendered: only a record can move them.
     pub(super) counters: Vec<(UserId, UserTally)>,
+    /// The `page_of` entries of every user of the worker, rendered or not:
+    /// what the router estimates a whole-state segment from.
+    pub(super) entries: u64,
 }
+
+/// The user lines a barrier rendered, each ending in a newline, and how many.
+pub(super) type WorkerLines = (String, u64);
 
 /// End-of-stream result: the residual delta (the one that adds the
 /// state-derived `broken_redirect_chains`), every user's counters, and the
@@ -281,6 +266,11 @@ pub(super) struct Worker<'a, F> {
     core: Core<'a, F>,
     quarantine: Option<Arc<Quarantine>>,
     poison_host: Option<&'a str>,
+    /// The barrier epoch: a record stamps the `page_of` entries it writes
+    /// with it, a barrier's deltas hold the entries stamped with it, and
+    /// every barrier moves it on. Restored entries carry 0.
+    epoch: u32,
+    scratch: LineScratch,
 }
 
 impl<'a, F: Fold> Worker<'a, F> {
@@ -309,6 +299,8 @@ impl<'a, F: Fold> Worker<'a, F> {
             },
             quarantine,
             poison_host,
+            epoch: 1,
+            scratch: LineScratch::default(),
         }
     }
 
@@ -318,15 +310,17 @@ impl<'a, F: Fold> Worker<'a, F> {
     fn process_record(&mut self, pos: u64, obj: WebObject) {
         let state = slot(&mut self.users, obj.user)
             .get_or_insert_with(|| UserState::fresh(obj.client_ip, obj.user_agent.clone()));
-        // First, before anything below can unwind (the poison hook stands
-        // for a panic anywhere in here): a record that dies half-way
-        // through must not leave a line rendered before it.
-        state.line = None;
+        // First, before anything below can unwind: a record that dies
+        // half-way through may have written to the map all the same, and
+        // the next barrier must render what it wrote.
+        state.dirty = true;
+        state.map.epoch = self.epoch;
+        let entry = state.map.process(&obj);
+        let released = state.map.take_released();
+        // The poison hook stands for a panic anywhere past this point.
         if let Some(ph) = self.poison_host {
             assert!(obj.url.host() != ph, "poison host hit: {}", obj.url.host());
         }
-        let entry = state.map.process(&obj);
-        let released = state.map.take_released();
         let (cat, _src) = infer_category_traced(
             &obj.url,
             obj.content_type.as_deref(),
@@ -392,25 +386,38 @@ impl<'a, F: Fold> Worker<'a, F> {
         users.filter_map(|(id, st)| st.as_ref().map(|st| (id as UserId, st)))
     }
 
-    fn barrier_ack(&mut self) -> WorkerAck {
-        let (mut rendered, mut kept, mut counters) = (Vec::new(), Vec::new(), Vec::new());
-        for (id, st) in self.users.iter_mut().enumerate() {
-            let Some(st) = st else { continue };
-            match &st.line {
-                Some(line) => kept.push(Arc::clone(line)),
-                None => {
-                    let line = st.line.insert(serialize_user(st).into());
-                    rendered.push(Arc::clone(line));
-                    counters.push((id as UserId, st.counters));
-                }
+    /// A barrier's ack: the planes' cut, the counters of the users it
+    /// renders — every user for a `rewrite`, else those a record reached
+    /// since the last barrier — and the live `page_of` entries.
+    fn barrier_ack(&mut self, rewrite: bool) -> WorkerAck {
+        let (mut counters, mut entries) = (Vec::new(), 0);
+        for (id, st) in self.users() {
+            entries += st.map.page_of.len() as u64;
+            if rewrite || st.dirty {
+                counters.push((id, st.counters));
             }
         }
         WorkerAck {
             delta: self.core.planes.cut(),
-            rendered,
-            kept,
             counters,
+            entries,
         }
+    }
+
+    /// Then the same users' lines. The epoch moves on.
+    fn barrier_lines(&mut self, rewrite: bool) -> WorkerLines {
+        let (mut lines, mut users) = (String::new(), 0);
+        for st in self.users.iter_mut().flatten() {
+            if !std::mem::take(&mut st.dirty) && !rewrite {
+                continue;
+            }
+            let whole = std::mem::take(&mut st.map.whole) || rewrite;
+            let delta = (!whole).then_some(self.epoch);
+            write_user(&mut lines, st, delta, &mut self.scratch);
+            users += 1;
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        (lines, users)
     }
 
     fn finish(mut self) -> WorkerFinal<F> {
@@ -457,6 +464,7 @@ pub(super) fn worker_loop<F: Fold>(
     mut w: Worker<'_, F>,
     rx: parallel::Receiver<ToWorker>,
     ack_tx: mpsc::Sender<(usize, WorkerAck)>,
+    lines_tx: mpsc::Sender<WorkerLines>,
     id: usize,
     slot: Arc<obs::health::WorkerHealth>,
     registry: &obs::Registry,
@@ -470,8 +478,10 @@ pub(super) fn worker_loop<F: Fold>(
                 }
                 slot.beat(registry.elapsed_ns(), n);
             }
-            ToWorker::Barrier => {
-                if ack_tx.send((id, w.barrier_ack())).is_err() {
+            ToWorker::Barrier(rewrite) => {
+                if ack_tx.send((id, w.barrier_ack(rewrite))).is_err()
+                    || lines_tx.send(w.barrier_lines(rewrite)).is_err()
+                {
                     break;
                 }
             }
@@ -523,75 +533,117 @@ mod tests {
         }
     }
 
-    /// The barrier's line for `client`, found by the key every line opens with.
-    fn line_of(ack: &WorkerAck, client: u32) -> &Arc<str> {
+    /// One barrier, both halves: the ack, and the lines with their count.
+    fn barrier(w: &mut Worker<'_, ()>, rewrite: bool) -> (WorkerAck, String, u64) {
+        let ack = w.barrier_ack(rewrite);
+        let (lines, users) = w.barrier_lines(rewrite);
+        assert_eq!(ack.counters.len() as u64, users, "one counter block a line");
+        (ack, lines, users)
+    }
+
+    /// The barrier's line for `client`, found by the key every line opens
+    /// with, if it rendered one.
+    fn line_of(lines: &str, client: u32) -> Option<json::Value<'_>> {
         let opens = format!("{{\"client_ip\":{client},");
-        let lines = ack.rendered.iter().chain(&ack.kept);
-        let mut hits = lines.filter(|l| l.starts_with(&opens));
-        let line = hits.next().expect("one line per user");
+        let mut hits = lines.lines().filter(|l| l.starts_with(&opens));
+        let line = hits.next().map(|l| json::parse(l).unwrap());
         assert!(hits.next().is_none(), "two lines for client {client}");
         line
     }
 
-    /// Every line a barrier acks is what `serialize_user` renders from the
-    /// live state right now, cached or not.
-    fn assert_lines_are_live(w: &Worker<'_, ()>, ack: &WorkerAck) {
-        assert_eq!(ack.rendered.len() + ack.kept.len(), w.users().count());
-        for (_, st) in w.users() {
-            assert_eq!(**line_of(ack, st.client_ip), *serialize_user(st));
-        }
+    /// Whether `client`'s line is whole, and the keys of its `page_of`.
+    fn page_of(lines: &str, client: u32) -> (bool, Vec<String>) {
+        let line = line_of(lines, client).expect("a line for the client");
+        let entries: Vec<(String, usize, String, u16)> = line.field("page_of").unwrap();
+        let keys = entries.into_iter().map(|(k, ..)| k).collect();
+        (line.field("full").unwrap(), keys)
+    }
+
+    fn worker<'a>(
+        classifier: &'a PassiveClassifier,
+        normalizer: &'a UrlNormalizer,
+        poison: Option<&'a str>,
+    ) -> Worker<'a, ()> {
+        let popts = stream_opts(1, 16).pipeline;
+        Worker::new(classifier, normalizer, popts, (), None, poison, vec![])
     }
 
     #[test]
     fn a_barrier_renders_only_the_users_a_record_touched() {
-        let (classifier, popts) = (classifier(), stream_opts(1, 16).pipeline);
+        let classifier = classifier();
         let normalizer = UrlNormalizer::from_engine(classifier.engine());
-        let mut w = Worker::new(&classifier, &normalizer, popts, (), None, None, vec![]);
+        let mut w = worker(&classifier, &normalizer, None);
         feed_three_users(&mut w);
 
-        // No record between two barriers: every line is the same allocation.
-        let first = w.barrier_ack();
-        let second = w.barrier_ack();
-        assert_eq!((first.rendered.len(), second.rendered.len()), (3, 0));
-        assert_lines_are_live(&w, &first);
+        // A rewrite renders every user whole; with no record since, the next
+        // barrier renders nobody.
+        let (first, lines, users) = barrier(&mut w, true);
+        assert_eq!(users, 3);
         for client in 1..=3 {
-            assert!(line_of(&first, client).contains("\"held\":[{"));
-            assert!(Arc::ptr_eq(
-                line_of(&first, client),
-                line_of(&second, client)
-            ));
+            let line = line_of(&lines, client).unwrap();
+            assert!(line.field::<bool>("full").unwrap());
+            let held = line.get("held");
+            assert!(matches!(held, Some(json::Value::Array(h)) if !h.is_empty()));
         }
+        let (second, lines, users) = barrier(&mut w, false);
+        assert_eq!((users, lines.as_str()), (0, ""));
+        assert_eq!(second.entries, first.entries);
 
-        // One record for one user: exactly that user's line is rendered anew.
+        // One record for one user: exactly that user's line, a delta.
         w.handle(6, obj(6, 2, "http://ads.example/b.gif", None));
-        let third = w.barrier_ack();
-        assert_eq!(third.rendered.len(), 1);
-        assert_lines_are_live(&w, &third);
-        for client in 1..=3 {
-            let shared = Arc::ptr_eq(line_of(&second, client), line_of(&third, client));
-            assert_eq!(shared, client != 2, "client {client}");
-        }
-        assert_ne!(line_of(&second, 2), line_of(&third, 2));
+        let (_, lines, users) = barrier(&mut w, false);
+        assert_eq!(users, 1);
+        assert!(!page_of(&lines, 2).0);
+        assert!(line_of(&lines, 1).is_none() && line_of(&lines, 3).is_none());
+
+        // A user first met after the rewrite renders whole: the log holds no
+        // line of it to update.
+        w.handle(7, obj(7, 4, "http://pub.example/", None));
+        assert!(page_of(&barrier(&mut w, false).1, 4).0);
+        // And a rewrite renders everybody whole again.
+        let (_, lines, users) = barrier(&mut w, true);
+        assert_eq!(users, 4);
+        assert!((1..=4).all(|client| page_of(&lines, client).0));
     }
 
-    /// A record that panics inside `process_record` may have got half-way
-    /// through its user's state: the line rendered before it is dropped.
+    /// A delta holds the `page_of` entries a record wrote since the user's
+    /// last line, not the user's whole map, and a record that panics after
+    /// the map took it still leaves its user to render what it wrote.
     #[test]
-    fn a_poisoned_record_invalidates_its_users_line() {
-        let (classifier, popts) = (classifier(), stream_opts(1, 16).pipeline);
+    fn a_barrier_renders_only_the_entries_a_record_touched() {
+        let classifier = classifier();
         let normalizer = UrlNormalizer::from_engine(classifier.engine());
-        let poison = Some("track.example");
-        let mut w = Worker::new(&classifier, &normalizer, popts, (), None, poison, vec![]);
-        feed_three_users(&mut w);
-        let before = w.barrier_ack();
-        w.handle(6, obj(6, 3, "http://track.example/pixel/1", None));
-        assert_eq!(w.core.planes.degradation().poisoned_records, 1);
-        let after = w.barrier_ack();
-        assert_lines_are_live(&w, &after);
-        for client in 1..=3 {
-            let shared = Arc::ptr_eq(line_of(&before, client), line_of(&after, client));
-            assert_eq!(shared, client != 3, "client {client}");
+        let mut w = worker(&classifier, &normalizer, Some("track.example"));
+        let mut page = obj(0, 1, "http://pub.example/", None);
+        page.content_type = Some(Arc::from("text/html"));
+        w.handle(0, page);
+        let child = |i: usize, url: &str| {
+            let mut o = obj(i, 1, url, None);
+            o.referer = Some(Url::parse("http://pub.example/").unwrap());
+            o
+        };
+        for i in 1..40 {
+            w.handle(i as u64, child(i, &format!("http://cdn.example/{i}.js")));
         }
+        let (_, whole, _) = barrier(&mut w, true);
+        let (full, keys) = page_of(&whole, 1);
+        assert!(full && keys.len() == 40, "{} entries", keys.len());
+        // Every entry names the one page root, written once.
+        let roots: Vec<String> = line_of(&whole, 1).unwrap().field("roots").unwrap();
+        assert_eq!(roots, ["http://pub.example/"]);
+
+        // One record at one URL seen before: its entry alone.
+        w.handle(40, child(40, "http://cdn.example/7.js"));
+        let (_, lines, _) = barrier(&mut w, false);
+        assert_eq!(page_of(&lines, 1), (false, vec!["cdn.example/7.js".into()]));
+
+        // A record that panics once the map has taken it: quarantined, and
+        // its entry is in the user's next line all the same.
+        w.handle(41, child(41, "http://track.example/pixel/1"));
+        assert_eq!(w.core.planes.degradation().poisoned_records, 1);
+        let (_, lines, _) = barrier(&mut w, false);
+        let poisoned = vec!["track.example/pixel/1".to_string()];
+        assert_eq!(page_of(&lines, 1), (false, poisoned));
     }
 
     #[test]

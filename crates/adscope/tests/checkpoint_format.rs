@@ -458,6 +458,14 @@ fn the_committed_log_resumes_byte_identically() {
     for block in ["\"population\":{", "\"households\":[1"] {
         assert!(manifest.contains(block), "manifest lacks {block}");
     }
+    // And the log holds a segment appended after its whole-state one, of
+    // delta lines: resume has to apply them on top of the lines before.
+    let committed = std::fs::read(fixture_dir().join(CHECKPOINT_FILE)).unwrap();
+    let appended = segments(&committed).into_iter().skip(1).any(|range| {
+        let text = std::str::from_utf8(&committed[range]).unwrap();
+        text.lines().any(|l| l.contains("\"full\":false"))
+    });
+    assert!(appended, "no appended segment with a delta line");
     // The households are the run's, not the population plane's: they sit
     // before its block, which closes the manifest.
     let households = manifest.find("\"households\":[").unwrap();
@@ -502,13 +510,13 @@ fn the_committed_log_resumes_byte_identically() {
 
 /// Resume reads only the format version this build writes. A file with no
 /// trailer (the shape of version 1), and the committed log with its
-/// manifests' version set to 2, 3 and 5 (trailers valid), are each refused
+/// manifests' version set to 2, 3, 4 and 6 (trailers valid), are each refused
 /// naming their version; the sidecar, which a resume truncates only once the
 /// load succeeds, is left as it was.
 #[test]
 fn a_checkpoint_of_another_format_version_is_refused_naming_it() {
     let version =
-        |v: u64| move |m: String| m.replacen("\"version\":4,", &format!("\"version\":{v},"), 1);
+        |v: u64| move |m: String| m.replacen("\"version\":5,", &format!("\"version\":{v},"), 1);
     let (manifest, users) = read_checkpoint(&fixture_dir().join(CHECKPOINT_FILE));
     let trailerless = format!(
         "{}\n{}\n",
@@ -520,13 +528,14 @@ fn a_checkpoint_of_another_format_version_is_refused_naming_it() {
         (1, trailerless.into_bytes()),
         (2, fixture_log(version(2), |u| u)),
         (3, fixture_log(version(3), |u| u)),
-        (5, fixture_log(version(5), |u| u)),
+        (4, fixture_log(version(4), |u| u)),
+        (6, fixture_log(version(6), |u| u)),
     ] {
         let dir = killed_dir(&checkpoint, &sidecar);
         match run(&fixture_dir().join("trace.ndjson"), &opts(2, &dir, 1, true)) {
             Err(StreamError::Checkpoint(msg)) => assert_eq!(
                 msg,
-                format!("checkpoint format version {v}; this build reads 4")
+                format!("checkpoint format version {v}; this build reads 5")
             ),
             other => panic!("version {v}: expected a refusal, loaded: {}", other.is_ok()),
         }
@@ -605,11 +614,10 @@ fn every_kill_point_resumes_byte_identically() {
 /// report. After a resume from a torn tail, a second kill and resume
 /// renders the same report too.
 ///
-/// At the fixture's 16 records a chunk every user is touched between any
-/// two barriers, so each append is a whole state's worth and the 2× rule
-/// rewrites the log at the third barrier: it never holds more than one
-/// appended segment. At 2 records a chunk a barrier touches one or two of
-/// the six users, and the log holds two appended segments and more.
+/// On this trace each segment's manifest outweighs its user lines, so the
+/// 2× rule rewrites the log every two or three barriers: at 16 records a
+/// chunk the first log holding an appended segment is the second barrier's,
+/// and at 2 records a chunk the first holding two is the fifth's.
 #[test]
 fn every_log_prefix_resumes_or_refuses() {
     let trace = fixture_dir().join("trace.ndjson");
@@ -703,20 +711,71 @@ fn every_log_prefix_resumes_or_refuses() {
     }
 }
 
-/// Replace the JSON token that follows the first `anchor` in `text`.
+/// A log of deltas and the same state written whole are one state: for
+/// every kill point, the log of a run that checkpoints every chunk (a whole
+/// segment, then appended ones of delta lines until the 2× rule compacts)
+/// and the log of a run whose only checkpoint is at the same chunk (one
+/// segment of whole lines, as a rewrite writes it) each resume to the
+/// uninterrupted run's report, byte for byte.
+#[test]
+fn a_log_of_deltas_resumes_like_its_rewrite() {
+    let trace = fixture_dir().join("trace.ndjson");
+    let want = std::fs::read_to_string(fixture_dir().join("render.txt")).unwrap();
+    let mut deltas = 0;
+    for kill in 1..CHUNKS {
+        for every in [1, kill] {
+            let dir = temp_dir("deltas");
+            let mut killed = opts(3, &dir, every, false);
+            killed.stop_after_chunks = Some(kill);
+            run(&trace, &killed).unwrap();
+            let log = std::fs::read(dir.join("ck").join(CHECKPOINT_FILE)).unwrap();
+            let text = std::str::from_utf8(&log).unwrap();
+            let delta_lines = text.matches("\"full\":false").count();
+            if every == kill {
+                assert_eq!(segments(&log).len(), 1, "kill {kill}: rewritten whole");
+                assert_eq!(delta_lines, 0, "kill {kill}: a rewrite is whole lines");
+            }
+            deltas += delta_lines;
+            let got = resume_in(&dir, Resume::at(2)).unwrap();
+            let case = format!("kill {kill}, every {every}");
+            assert_eq!(got.render(), want, "{case}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+    assert!(deltas > 0, "no log held a delta line");
+}
+
+/// Replace the JSON token that follows the first `anchor` in `text`; a text
+/// without `anchor` (a delta line naming no `page_of` entry) is kept as it
+/// is.
 fn mutate(text: &str, anchor: &str, replacement: &str) -> String {
-    let at = text.find(anchor).unwrap_or_else(|| panic!("no {anchor}")) + anchor.len();
+    let Some(at) = text.find(anchor).map(|at| at + anchor.len()) else {
+        return text.to_string();
+    };
     let len = text[at..].find([',', ']', '}']).unwrap();
     format!("{}{replacement}{}", &text[..at], &text[at + len..])
 }
 
 /// Drop the last element of the first array that closes after the first
-/// `anchor` in `text`.
+/// `anchor` in `text`, if `text` has one.
 fn drop_last(text: &str, anchor: &str) -> String {
-    let from = text.find(anchor).unwrap_or_else(|| panic!("no {anchor}"));
+    let Some(from) = text.find(anchor) else {
+        return text.to_string();
+    };
     let close = from + text[from..].find(']').unwrap();
     let comma = text[..close].rfind(',').unwrap();
     format!("{}{}", &text[..comma], &text[close..])
+}
+
+/// Name the first element of the array that opens with the first `anchor`
+/// in `text` twice: the element, up to the first `close` after the anchor,
+/// repeated. A text without the anchor is kept as it is.
+fn name_twice(text: &str, anchor: &str, close: char) -> String {
+    let Some(from) = text.find(anchor).map(|at| at + anchor.len()) else {
+        return text.to_string();
+    };
+    let to = from + text[from..].find(close).unwrap() + 1;
+    format!("{},{}{}", &text[..to], &text[from..to], &text[to..])
 }
 
 /// One persisted value per case pushed out of its type's range (or shape),
@@ -797,6 +856,48 @@ fn out_of_range_values_are_refused_with_their_path() {
             keep(),
             Box::new(|u| u.replacen("\"counters\":[", "\"counters\":[0,", 1)),
             "counters: expected array of 8",
+        ),
+        (
+            "a `page_of` key named twice",
+            keep(),
+            Box::new(|u| name_twice(&u, "\"page_of\":[", ']')),
+            "page_of[1]: key named twice",
+        ),
+        (
+            "a `pending` key named twice",
+            keep(),
+            Box::new(|u| name_twice(&u, "\"pending\":[", ']')),
+            "pending[1]: key named twice",
+        ),
+        (
+            "a held record's idx named twice",
+            keep(),
+            Box::new(|u| name_twice(&u, "\"held\":[", '}')),
+            "held[1]: idx named twice",
+        ),
+        (
+            "a delta line for a user no whole line names before it",
+            keep(),
+            Box::new(|u| u.replacen("\"full\":true", "\"full\":false", 1)),
+            "full: a delta for a user no whole line names before it",
+        ),
+        (
+            "a bit image one hex digit short",
+            Box::new(|m| mutate(&m, "\"duration\":", "\"40dde2000000000\"")),
+            keep(),
+            "meta.duration: expected a bit image of 16 hex digits",
+        ),
+        (
+            "a bit image with a digit that is not hex",
+            Box::new(|m| mutate(&m, "\"duration\":", "\"40dde200000000g0\"")),
+            keep(),
+            "meta.duration: expected a bit image of 16 hex digits",
+        ),
+        (
+            "a root index past the line's roots",
+            keep(),
+            Box::new(|u| mutate(&u, "\"last_page\":[", "7")),
+            "last_page[0]: expected an index below 1, the number of roots",
         ),
     ];
     let as_committed = fixture_log(|m| m, |u| u);

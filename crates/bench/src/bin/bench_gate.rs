@@ -11,8 +11,9 @@
 //!
 //! * **Paired** rows answer "does B cost more than A by more than the
 //!   limit allows" — a plane switched on against the same run with it off,
-//!   held to the 5 % design budget itself, or the compiled engine against
-//!   the reference engine, held to the 0.80 floor. Within a pair A and B
+//!   held to the 5 % design budget itself; checkpointing on against off,
+//!   held between the costs of delta and whole-map user lines; or the
+//!   compiled engine against the reference engine, held to the 0.80 floor. Within a pair A and B
 //!   run alternately, `READS` times each, and the fastest run of each side
 //!   counts; odd pairs start with B, so that machine drift lands on both
 //!   sides; the reading is the median over `PAIRS` pairs of `(b − a) / a`.
@@ -40,7 +41,7 @@ use abp_filter::{ClassifyScratch, CompiledEngine, Engine, FilterList, Request};
 use adscope::normalize::UrlNormalizer;
 use adscope::pipeline::extract_objects;
 use adscope::refmap::RefMap;
-use adscope::stream::{classify_stream_file, StreamOptions};
+use adscope::stream::{classify_stream_file, CheckpointOptions, StreamOptions};
 use bench::sys;
 use http_model::{ContentCategory, Url};
 use netsim::stream::ChunkReader;
@@ -68,6 +69,15 @@ const BUDGET: f64 = 0.05;
 /// ⟨IP, UA⟩ and each run of one site fed to its HLL once); the limit is
 /// that budget restated (DESIGN §16, ROADMAP item 1(h)).
 const SKETCH_LIMIT: f64 = 0.15;
+/// What checkpointing every 2 chunks may add to the 1-worker stream. With
+/// user lines that hold only the `page_of` entries written since the user's
+/// last line (checkpoint format 5) the row reads +20.4 … +25.0 % (three gate
+/// runs); re-rendering each touched user's whole map (format 4) read
+/// +65.3 % (one run) and trips it. 2-vCPU VM, ext4 temp dir.
+const CHECKPOINT_LIMIT: f64 = 0.40;
+/// Records a chunk on both sides of the `checkpoint` row: the fixture's
+/// ≈20 K records make ten barriers, not the one 8 192 would.
+const CKPT_CHUNK: usize = 1024;
 /// The compiled engine must take at most 0.80 of the reference engine's
 /// time: a relative difference of −20 % or lower.
 const ENGINE_FLOOR: f64 = -0.20;
@@ -406,7 +416,8 @@ fn main() {
         started.elapsed().as_secs_f64()
     );
 
-    let streamed = |adjust: fn(&mut StreamOptions)| {
+    let ck_dir = std::env::temp_dir().join(format!("bench-gate-{}-ck", std::process::id()));
+    let streamed = |adjust: &dyn Fn(&mut StreamOptions)| {
         let mut opts = StreamOptions {
             threads: 1,
             abp_ips: eco.abp_ips.clone(),
@@ -424,7 +435,7 @@ fn main() {
     // The stream with recording on or off: the oracle records nothing, so
     // the engine is what recording can slow.
     let recorded = |recording: bool| {
-        let run = streamed(|_| {});
+        let run = streamed(&|_| {});
         Box::new(move || {
             obs::set_enabled(recording);
             run();
@@ -436,15 +447,29 @@ fn main() {
             name: "sketches",
             what: "population sketches on vs off, stream",
             limit: SKETCH_LIMIT,
-            a: streamed(|o| o.pipeline.population.enabled = false),
-            b: streamed(|o| o.pipeline.population.enabled = true),
+            a: streamed(&|o| o.pipeline.population.enabled = false),
+            b: streamed(&|o| o.pipeline.population.enabled = true),
         },
         Paired {
             name: "alerts",
             what: "alert rule pack vs no rules, stream",
             limit: BUDGET,
-            a: streamed(|_| {}),
-            b: streamed(|o| o.alerts = adscope::alerts::rule_pack()),
+            a: streamed(&|_| {}),
+            b: streamed(&|o| o.alerts = adscope::alerts::rule_pack()),
+        },
+        Paired {
+            name: "checkpoint",
+            what: "a checkpoint every 2 chunks vs none, stream",
+            limit: CHECKPOINT_LIMIT,
+            a: streamed(&|o| o.chunk_records = CKPT_CHUNK),
+            b: streamed(&|o| {
+                o.chunk_records = CKPT_CHUNK;
+                let every_2 = CheckpointOptions::new(&ck_dir);
+                o.checkpoint = Some(CheckpointOptions {
+                    every_chunks: 2,
+                    ..every_2
+                });
+            }),
         },
         Paired {
             name: "obs",
@@ -612,6 +637,7 @@ fn main() {
     let wall = measured.elapsed().as_secs_f64();
     let cpu_over_wall = (sys::cpu_time_ns() - cpu_before) as f64 / 1e9 / wall;
     let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&ck_dir);
     println!(
         "bench_gate: measured in {wall:.1} s, cpu/wall {cpu_over_wall:.2}, pinned to one CPU: {pinned}"
     );
