@@ -60,6 +60,11 @@ if grep -nE 'WindowAggregator|PopulationSketches|DecodeWindows' \
 if grep -rnE '\\?"(households|decode_windows)\\?"' crates/adscope/src \
   | grep -v '^crates/adscope/src/stream/checkpoint.rs:'; then exit 1; fi
 if grep -rnE '\\?"tallies\\?"' crates/adscope/src; then exit 1; fi
+# A plane is its own total: one plane-set type, and one form of window series
+# (a dense, additive accumulator over a static schema), so no totals twin, no
+# series registration and no open-window cap may come back.
+if grep -rnE 'PlaneTotals|counter_series|hist_series|CounterId|HistId|MAX_OPEN_WINDOWS' \
+  crates/*/src; then exit 1; fi
 # One user table: the engine keeps the per-user counters and the download
 # households once per run, so a caller's fold sees requests only and no
 # figure keeps either a second time.

@@ -15,7 +15,9 @@
 //! recompute over a materialized report — so the two timelines are
 //! byte-identical by construction.
 
-use crate::window::RTB_HIST;
+use crate::window::{
+    ADS, COUNTERS, EASYLIST, EASYPRIVACY, QUARANTINED, REFMAP_MISS, REQUESTS, RTB_HIST,
+};
 use obs::window::WindowReport;
 use obs::{AlertEngine, AlertRule, DetectorSpec, Direction, SeriesSpec, Severity};
 
@@ -35,12 +37,13 @@ use obs::{AlertEngine, AlertRule, DetectorSpec, Direction, SeriesSpec, Severity}
 /// `min_den` floor so a trace's ragged tail hour (a handful of
 /// requests) reads as absent rather than as a wild share swing.
 pub fn rule_pack() -> Vec<AlertRule> {
+    let name = |at: usize| COUNTERS[at].to_string();
     vec![
         AlertRule {
             name: "ad_share_jump".into(),
             series: SeriesSpec::Share {
-                num: vec!["ads".into()],
-                den: "requests".into(),
+                num: vec![name(ADS)],
+                den: name(REQUESTS),
             },
             detector: DetectorSpec::EwmaZ { alpha: 0.3 },
             direction: Direction::Up,
@@ -52,8 +55,8 @@ pub fn rule_pack() -> Vec<AlertRule> {
         AlertRule {
             name: "blocked_share_drop".into(),
             series: SeriesSpec::Share {
-                num: vec!["blocked_easylist".into(), "blocked_easyprivacy".into()],
-                den: "requests".into(),
+                num: vec![name(EASYLIST), name(EASYPRIVACY)],
+                den: name(REQUESTS),
             },
             detector: DetectorSpec::Cusum { drift: 0.02 },
             direction: Direction::Down,
@@ -65,8 +68,8 @@ pub fn rule_pack() -> Vec<AlertRule> {
         AlertRule {
             name: "refmap_miss_spike".into(),
             series: SeriesSpec::Share {
-                num: vec!["refmap_miss".into()],
-                den: "requests".into(),
+                num: vec![name(REFMAP_MISS)],
+                den: name(REQUESTS),
             },
             detector: DetectorSpec::EwmaZ { alpha: 0.3 },
             direction: Direction::Up,
@@ -77,7 +80,7 @@ pub fn rule_pack() -> Vec<AlertRule> {
         },
         AlertRule {
             name: "quarantine_burst".into(),
-            series: SeriesSpec::Counter("quarantined".into()),
+            series: SeriesSpec::Counter(name(QUARANTINED)),
             detector: DetectorSpec::RateOfChange,
             direction: Direction::Up,
             threshold: 3.0,
@@ -113,24 +116,21 @@ pub fn evaluate(windows: &WindowReport, rules: Vec<AlertRule>) -> AlertEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs::window::{WindowConfig, WindowEngine};
+    use obs::window::WindowSeries;
 
     fn steady_report(hours: usize, blocked_after: Option<usize>) -> WindowReport {
-        let mut e = WindowEngine::new(WindowConfig::default());
-        let req = e.counter_series("requests");
-        let ads = e.counter_series("ads");
-        let bel = e.counter_series("blocked_easylist");
+        let mut e = WindowSeries::new(&["requests", "ads", "blocked_easylist"], &[], 3600.0);
         for h in 0..hours {
-            let ts = h as f64 * 3600.0 + 1.0;
-            e.count(ts, req, 1000);
-            e.count(ts, ads, 200);
+            let mut slot = e.at(h as f64 * 3600.0 + 1.0);
+            slot.count(0, 1000);
+            slot.count(1, 200);
             let blocked = match blocked_after {
                 Some(cut) if h >= cut => 20,
                 _ => 180,
             };
-            e.count(ts, bel, blocked);
+            slot.count(2, blocked);
         }
-        e.finish()
+        e.report()
     }
 
     #[test]

@@ -265,9 +265,8 @@ fn classify(
         .collect();
 
     // The plane set, folded once over the final request vector.
-    let mut planes = Planes::new(opts, &[]);
+    let mut planes = Planes::new(opts);
     planes.fold(&requests, &quarantined_ts);
-    let totals = planes.cut();
 
     ClassifiedTrace {
         meta: trace.meta.clone(),
@@ -276,8 +275,8 @@ fn classify(
         dropped,
         degradation,
         provenance,
-        windows: totals.windows,
-        population: totals.population,
+        windows: planes.windows.report(),
+        population: planes.population,
     }
 }
 

@@ -1,45 +1,45 @@
 //! The plane set: everything this crate folds per record, declared once.
 //!
-//! A *plane* is a mergeable per-record aggregate. The set has two forms:
-//! [`Planes`], the live accumulators one thread folds records into, and
-//! [`PlaneTotals`], the additive totals a [`Planes::cut`] produces, a
-//! [`PlaneTotals::merge`] sums and a checkpoint persists. Every field merges
-//! in any grouping (the window series too: windows close only at the end of
-//! a run), so where the cuts fall cannot change the sum.
+//! A *plane* is a mergeable per-record aggregate, and [`Planes`] is the set
+//! of them in one form: each plane is its own total, additive in place. A
+//! thread observes records into one; a cut replaces it with a fresh one
+//! ([`Planes::cut`]); [`Planes::merge`] adds one set into another and a
+//! checkpoint persists one. Every field merges in any grouping (the window
+//! series too: windows close only at the end of a run), so where the cuts
+//! fall cannot change the sum.
 //!
-//! Every path folds the same set: each stream worker and the router hold one
-//! and cut it at barriers, the run's cumulative state is a `PlaneTotals`, and
-//! the materialized kernel folds one over its request vector.
+//! Every path folds the same set: each stream worker and the router observe
+//! one and cut it at barriers, the run's cumulative state is one, and the
+//! materialized kernel folds one over its request vector.
 //!
 //! What is kept per ⟨IP, UA⟩ user is not a plane: it is the user's counter
 //! block ([`UserTally`]), which the stream engine keeps in each user's worker
 //! state and sums into its user table ([`crate::users`]). A plane that reads
 //! it takes it beside the request (`Planes::observe_user`).
 //!
-//! **Adding a plane** is two places: here — a field on [`PlaneTotals`] (and
-//! a live accumulator on [`Planes`] when its live form is not its total),
-//! a line in the `observe` that feeds it and one in `merge` — and its
-//! encode / decode pair in `stream::checkpoint`.
+//! **Adding a plane** is a field here, with one line in the `observe` that
+//! feeds it and one in [`Planes::merge`], and its encode / decode pair in
+//! `stream::checkpoint`.
 
 use crate::degrade::DegradationReport;
 use crate::infer;
 use crate::pipeline::{ClassifiedRequest, PipelineOptions};
-use crate::population::{PopulationOptions, PopulationSketches};
+use crate::population::PopulationSketches;
 use crate::users::UserTally;
-use crate::window::WindowAggregator;
-use netsim::codec::DecodeWindows;
+use crate::window;
+use netsim::codec::{observe_decode, DECODE_COUNTERS};
 use netsim::record::RecordView;
-use obs::window::WindowReport;
+use obs::window::WindowSeries;
 use std::collections::HashSet;
 
-/// The additive form: one thread's fold between two cuts, or a whole run's.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PlaneTotals {
+/// One thread's fold between two cuts, or a whole run's.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Planes {
     /// Adscope window series: classified requests and quarantined records.
-    pub windows: WindowReport,
-    /// Decode-side window series (records / http / https / bytes).
-    pub decode_windows: WindowReport,
-    /// The population sketches; `None` unless [`PopulationOptions::enabled`].
+    pub windows: WindowSeries,
+    /// Decode-side window series (records / http / https / bytes), hourly.
+    pub decode_windows: WindowSeries,
+    /// The population sketches; `None` unless the population plane is on.
     pub population: Option<PopulationSketches>,
     /// Households (client IPs) seen in an [`infer::is_list_download`] flow
     /// (§6.2): the download indicator of Table 3.
@@ -52,22 +52,32 @@ pub struct PlaneTotals {
     pub https_flows: u64,
     /// Degraded input absorbed, counted by the stage that meets it.
     pub degradation: DegradationReport,
+    /// What a fresh set is built from.
+    opts: PipelineOptions,
 }
 
-impl PlaneTotals {
-    /// Totals of nothing.
-    pub fn new(population: PopulationOptions) -> PlaneTotals {
-        PlaneTotals {
-            population: population
+impl Planes {
+    /// An empty set under `opts`.
+    pub fn new(opts: PipelineOptions) -> Planes {
+        Planes {
+            windows: window::series(opts.window),
+            decode_windows: WindowSeries::new(&DECODE_COUNTERS, &[], 3600.0),
+            population: opts
+                .population
                 .enabled
-                .then(|| PopulationSketches::new(population)),
-            ..PlaneTotals::default()
+                .then(|| PopulationSketches::new(opts.population)),
+            households: HashSet::new(),
+            requests: 0,
+            ads: 0,
+            https_flows: 0,
+            degradation: DegradationReport::default(),
+            opts,
         }
     }
 
     /// Add `other` in (the stream merges workers in index order, the router
     /// last: the canonical order of its determinism contract).
-    pub fn merge(&mut self, other: &PlaneTotals) {
+    pub fn merge(&mut self, other: &Planes) {
         self.windows.merge(&other.windows);
         self.decode_windows.merge(&other.decode_windows);
         if let (Some(mine), Some(theirs)) = (&mut self.population, &other.population) {
@@ -79,37 +89,17 @@ impl PlaneTotals {
         self.https_flows += other.https_flows;
         self.degradation.absorb(&other.degradation);
     }
-}
 
-/// The live form of the set: one thread's accumulators since its last cut.
-#[derive(Debug)]
-pub struct Planes {
-    windows: WindowAggregator,
-    decode: DecodeWindows,
-    abp_ips: HashSet<u32>,
-    population: PopulationOptions,
-    /// The planes whose live form is their total; its two window reports
-    /// stay empty until [`Planes::cut`] closes the engines into them.
-    acc: PlaneTotals,
-}
-
-impl Planes {
-    /// An empty set under `opts`. `abp_ips` are the filter-list servers
-    /// [`infer::is_list_download`] matches record views against.
-    pub fn new(opts: PipelineOptions, abp_ips: &[u32]) -> Planes {
-        Planes {
-            windows: WindowAggregator::new(opts.window),
-            decode: DecodeWindows::hourly(),
-            abp_ips: abp_ips.iter().copied().collect(),
-            population: opts.population,
-            acc: PlaneTotals::new(opts.population),
-        }
+    /// Everything folded since the last cut, leaving a fresh set in its place.
+    pub fn cut(&mut self) -> Planes {
+        let fresh = Planes::new(self.opts);
+        std::mem::replace(self, fresh)
     }
 
     /// Fold one classified request into every plane that reads requests.
     pub fn observe(&mut self, req: &ClassifiedRequest) {
         self.observe_counts(req);
-        if let Some(sketches) = &mut self.acc.population {
+        if let Some(sketches) = &mut self.population {
             sketches.observe(req);
         }
     }
@@ -118,40 +108,39 @@ impl Planes {
     /// counters itself: `user` is the request's user's, and counts it too.
     pub(crate) fn observe_user(&mut self, req: &ClassifiedRequest, user: &mut UserTally) {
         self.observe_counts(req);
-        if let Some(sketches) = &mut self.acc.population {
+        if let Some(sketches) = &mut self.population {
             sketches.observe_counted(req, user.requests == 0);
         }
         user.observe(req);
     }
 
     fn observe_counts(&mut self, req: &ClassifiedRequest) {
-        self.acc.requests += 1;
+        self.requests += 1;
         if req.label.is_ad() {
-            self.acc.ads += 1;
+            self.ads += 1;
         }
-        self.windows.observe(req);
+        window::observe(&mut self.windows, req);
     }
 
-    /// Count one quarantined record (unparseable URL or poisoned).
+    /// Count one quarantined record (unparseable URL or poisoned) in its
+    /// window: the `quarantine_burst` alert rule's input series. Zero
+    /// counters are elided from a report's windows, so clean traces render
+    /// without it.
     pub fn observe_quarantined(&mut self, ts: f64) {
-        self.windows.observe_quarantined(ts);
+        self.windows.at(ts).count(window::QUARANTINED, 1);
     }
 
     /// Fold one decoded record, as its reader lends it: the decode windows,
-    /// and for an HTTPS flow the flow count and the download households.
-    pub fn observe_record(&mut self, rec: &RecordView<'_>) {
-        self.decode.observe(rec);
+    /// and for an HTTPS flow the flow count and, if it fetches a filter list
+    /// from one of `abp_ips`, the download households.
+    pub fn observe_record(&mut self, rec: &RecordView<'_>, abp_ips: &HashSet<u32>) {
+        observe_decode(&mut self.decode_windows, rec);
         if let RecordView::Https(conn) = rec {
-            self.acc.https_flows += 1;
-            if infer::is_list_download(conn, &self.abp_ips) {
-                self.acc.households.insert(conn.client_ip);
+            self.https_flows += 1;
+            if infer::is_list_download(conn, abp_ips) {
+                self.households.insert(conn.client_ip);
             }
         }
-    }
-
-    /// The degradation counters since the last cut, to count into.
-    pub fn degradation(&mut self) -> &mut DegradationReport {
-        &mut self.acc.degradation
     }
 
     /// Fold a request vector, then the timestamps of the records quarantined
@@ -163,14 +152,5 @@ impl Planes {
         for &ts in quarantined_ts {
             self.observe_quarantined(ts);
         }
-    }
-
-    /// Take everything accumulated since the last cut; the set stays live.
-    pub fn cut(&mut self) -> PlaneTotals {
-        let mut totals = std::mem::replace(&mut self.acc, PlaneTotals::new(self.population));
-        totals.windows = self.windows.cut();
-        totals.decode_windows =
-            std::mem::replace(&mut self.decode, DecodeWindows::hourly()).finish();
-        totals
     }
 }

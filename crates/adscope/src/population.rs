@@ -659,7 +659,7 @@ mod tests {
             population: on(),
             ..PipelineOptions::default()
         };
-        let mut planes = Planes::new(popts, &[]);
+        let mut planes = Planes::new(popts);
         let mut per_user: HashMap<(u32, Option<Arc<str>>), UserTally> = HashMap::new();
         let (mut users, mut sites) = (Distinct64::new(), Distinct64::new());
         for r in &requests {
@@ -675,7 +675,7 @@ mod tests {
             sites.observe(site.as_bytes());
         }
         assert_eq!(users.estimate(), 3);
-        let sketches = planes.cut().population.expect("population on");
+        let sketches = planes.population.expect("population on");
         assert_eq!(sketches.users, users);
         assert_eq!(sketches.sites, sites);
     }

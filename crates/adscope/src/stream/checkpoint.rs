@@ -34,13 +34,12 @@ use crate::extract::WebObject;
 use crate::population::{PopulationOptions, PopulationSketches};
 use crate::prehash::UrlKey;
 use crate::users::UserTally;
-use crate::window::{COUNTERS as ADSCOPE_COUNTERS, RTB_HIST};
 use http_model::{ContentCategory, Url};
-use netsim::codec::{CodecStats, DECODE_COUNTERS, FORMAT_VERSION};
+use netsim::codec::{CodecStats, FORMAT_VERSION};
 use netsim::json::{self, DecodeError, FromJson, Value};
 use netsim::record::TraceMeta;
 use obs::sketch::{Distinct64, QuantileSketch, TopK, QUANTILE_GAMMA};
-use obs::window::{ClosedWindow, WindowReport};
+use obs::window::{WindowReport, WindowSeries};
 use obs::HistogramSnapshot;
 use std::collections::hash_map::{Entry, HashMap};
 use std::collections::BTreeMap;
@@ -66,8 +65,6 @@ const COMPACT_RATIO: u64 = 2;
 const TRAILER: &[u8] = b"{\"segment\":";
 /// Manifest `kind` tag.
 const CHECKPOINT_KIND: &str = "annoyed-users-checkpoint";
-/// Histogram series an adscope window may carry.
-const HIST_TABLE: &[&str] = &[RTB_HIST];
 
 /// Hash of everything that must match between the checkpointing run and
 /// the resuming run for the state to be meaningful. Thread count is
@@ -367,9 +364,9 @@ pub(super) fn manifest_to_json(hash: u64, st: &RunState) -> String {
         let _ = write!(out, "\"{name}\":{v}");
     });
     out.push_str("},\"windows\":");
-    window_report_to_json(&mut out, &t.windows);
+    window_report_to_json(&mut out, &t.windows.report());
     out.push_str(",\"decode_windows\":");
-    window_report_to_json(&mut out, &t.decode_windows);
+    window_report_to_json(&mut out, &t.decode_windows.report());
     out.push_str(",\"households\":[");
     let mut households: Vec<u32> = t.households.iter().copied().collect();
     households.sort_unstable();
@@ -510,68 +507,79 @@ impl FromJson for Bits {
     }
 }
 
-/// Map a serialized series name back onto the `&'static` name table the
-/// window engine uses. An unknown name means the checkpoint came from a
-/// different schema — refuse rather than misattribute.
-fn static_name(table: &'static [&'static str], s: &str) -> Result<&'static str, DecodeError> {
-    let known = table.iter().find(|n| **n == s).copied();
-    known.ok_or_else(|| DecodeError::new(format!("unknown window series `{s}`")))
-}
-
-/// The `{"name": value, …}` object under `key`, as the name-sorted pairs
-/// a [`ClosedWindow`] holds.
-fn series<T>(
+/// Add each `"name": value` of the object under `key` into its cell: the
+/// name's position in `names`, the schema's table of that kind of series. An
+/// unknown name means the checkpoint came from a different schema — refuse
+/// rather than misattribute — and a name given twice would add its values.
+fn cells(
     w: &Value<'_>,
     key: &str,
-    table: &'static [&'static str],
-    decode: impl Fn(&Value<'_>) -> Result<T, DecodeError>,
-) -> Result<Vec<(&'static str, T)>, DecodeError> {
+    names: &[&str],
+    mut add: impl FnMut(usize, &Value<'_>) -> Result<(), DecodeError>,
+) -> Result<(), DecodeError> {
     w.field_with(key, |obj| {
         let Value::Object(fields) = obj else {
             return Err(DecodeError::new("expected object"));
         };
-        let mut out = Vec::with_capacity(fields.len());
+        let mut seen = vec![false; names.len()];
         for (name, v) in fields {
-            let name = static_name(table, name)?;
-            out.push((name, decode(v).map_err(|e| e.at_key(name))?));
+            let unknown = || DecodeError::new(format!("unknown window series `{name}`"));
+            let at = names.iter().position(|n| n == name).ok_or_else(unknown)?;
+            if std::mem::replace(&mut seen[at], true) {
+                return Err(DecodeError::new("series named twice").at_key(name));
+            }
+            add(at, v).map_err(|e| e.at_key(name))?;
         }
-        out.sort_by_key(|(name, _)| *name);
-        Ok(out)
+        Ok(())
     })
 }
 
-fn window_report_from_value(
-    v: &Value<'_>,
-    counters: &'static [&'static str],
-    hists: &'static [&'static str],
-) -> Result<WindowReport, DecodeError> {
-    let hist = |h: &Value<'_>| {
-        let buckets: Vec<u64> = h.field("buckets")?;
-        // `HistogramSnapshot::merge` zips bucket vectors: a short one
-        // would silently drop the other side's tail.
-        if buckets.len() != obs::BUCKETS {
-            let what = format!("expected {} buckets", obs::BUCKETS);
-            return Err(DecodeError::new(what).at_key("buckets"));
-        }
-        let sum = h.field("sum")?;
-        Ok(HistogramSnapshot { buckets, sum })
+/// Add a persisted window report into `into`, a fresh series of the run's
+/// schema and width. What a report derives — its width, each window's
+/// start — must be what `into` derives, and its windows come in increasing
+/// index order, as a report holds them.
+fn window_series_from_value(v: &Value<'_>, into: &mut WindowSeries) -> Result<(), DecodeError> {
+    let width = into.width_secs();
+    let derived = |w: &Value<'_>, key: &str, want: f64| {
+        let wrong = || DecodeError::new(format!("expected {want}")).at_key(key);
+        (w.field::<Bits>(key)?.0 == want)
+            .then_some(())
+            .ok_or_else(wrong)
     };
-    let window = |w: &Value<'_>| {
-        Ok(ClosedWindow {
-            index: w.field("index")?,
-            start_secs: w.field::<Bits>("start")?.0,
-            width_secs: w.field::<Bits>("width")?.0,
-            counters: series(w, "counters", counters, u64::from_json)?,
-            hists: series(w, "hists", hists, hist)?,
+    derived(v, "width", width)?;
+    into.late = v.field("late")?;
+    let (counters, hists) = (into.counter_names(), into.hist_names());
+    let mut last = None;
+    v.field_with("windows", |ws| {
+        ws.each(|w| {
+            let index: i64 = w.field("index")?;
+            if last >= Some(index) {
+                let order = DecodeError::new("expected an index above the previous window's");
+                return Err(order.at_key("index"));
+            }
+            last = Some(index);
+            derived(w, "start", index as f64 * width)?;
+            derived(w, "width", width)?;
+            let mut window = into.window(index);
+            cells(w, "counters", counters, |at, n| {
+                window.count(at, u64::from_json(n)?);
+                Ok(())
+            })?;
+            cells(w, "hists", hists, |at, h| {
+                let buckets: Vec<u64> = h.field("buckets")?;
+                // `HistogramSnapshot::merge` zips bucket vectors: a short one
+                // would silently drop the other side's tail.
+                if buckets.len() != obs::BUCKETS {
+                    let what = format!("expected {} buckets", obs::BUCKETS);
+                    return Err(DecodeError::new(what).at_key("buckets"));
+                }
+                let sum = h.field("sum")?;
+                window.merge_hist(at, &HistogramSnapshot { buckets, sum });
+                Ok(())
+            })
         })
-    };
-    let mut windows = v.field_with("windows", |ws| ws.each(window))?;
-    windows.sort_by_key(|w| w.index);
-    Ok(WindowReport {
-        width_secs: v.field::<Bits>("width")?.0,
-        windows,
-        late: v.field("late")?,
-    })
+    })?;
+    Ok(())
 }
 
 /// `entries` as a map, refusing a key named twice: a line that named it
@@ -776,11 +784,9 @@ fn manifest_from_value(m: &Value<'_>, opts: &StreamOptions) -> Result<RunState, 
             poisoned_records: v.field("poisoned_records")?,
         })
     })?;
-    t.windows = m.field_with("windows", |v| {
-        window_report_from_value(v, ADSCOPE_COUNTERS, HIST_TABLE)
-    })?;
-    t.decode_windows = m.field_with("decode_windows", |v| {
-        window_report_from_value(v, &DECODE_COUNTERS, &[])
+    m.field_with("windows", |v| window_series_from_value(v, &mut t.windows))?;
+    m.field_with("decode_windows", |v| {
+        window_series_from_value(v, &mut t.decode_windows)
     })?;
     t.households = m.field::<Vec<u32>>("households")?.into_iter().collect();
     // The config hash covers which planes are on, so a plane that is on
@@ -1071,19 +1077,19 @@ mod tests {
             opts.pipeline.population.enabled = population == 1;
             opts.pipeline.population.active_min_requests = 2;
             opts.abp_ips = vec![9];
-            let mut planes = crate::planes::Planes::new(opts.pipeline, &opts.abp_ips);
+            let mut planes = crate::planes::Planes::new(opts.pipeline);
             let requests = reference(&trace).requests;
             let (first, rest) = requests.split_at(cut.min(requests.len()));
             planes.fold(first, &[0.5]);
-            planes.degradation().unparseable_urls += 1;
+            planes.degradation.unparseable_urls += 1;
             let part = planes.cut();
             for rec in &trace.records {
-                planes.observe_record(&netsim::record::RecordView::of(rec));
+                planes.observe_record(&netsim::record::RecordView::of(rec), &[9].into());
             }
             planes.fold(rest, &[]);
             let mut whole = part.clone();
             whole.merge(&planes.cut());
-            let nothing = crate::planes::PlaneTotals::new(opts.pipeline.population);
+            let nothing = crate::planes::Planes::new(opts.pipeline);
             for totals in [part, whole, nothing] {
                 let mut st = RunState::new(trace.meta.clone(), &opts);
                 st.totals = totals;
@@ -1101,8 +1107,36 @@ mod tests {
         let mut s = String::new();
         window_report_to_json(&mut s, &seq.windows);
         let v = json::parse(&s).unwrap();
-        let back = window_report_from_value(&v, ADSCOPE_COUNTERS, HIST_TABLE).unwrap();
-        assert_eq!(back, seq.windows);
+        let mut back = crate::window::series(Default::default());
+        window_series_from_value(&v, &mut back).unwrap();
+        assert_eq!(back.report(), seq.windows);
+    }
+
+    /// A window given twice, or a series given twice in one window, would
+    /// add up: each is refused with its path.
+    #[test]
+    fn a_window_or_series_given_twice_is_refused() {
+        let decode = |windows: &str| {
+            let v = format!(r#"{{"width":"40ac200000000000","late":0,"windows":[{windows}]}}"#);
+            let mut into = crate::window::series(Default::default());
+            let v = json::parse(&v).unwrap();
+            window_series_from_value(&v, &mut into).map_err(|e| e.to_string())
+        };
+        let window = |index: usize, counters: &str| {
+            let start = ["0000000000000000", "40ac200000000000"][index];
+            format!(
+                r#"{{"index":{index},"start":"{start}","width":"40ac200000000000","counters":{{{counters}}},"hists":{{}}}}"#
+            )
+        };
+        let (zero, one) = (window(0, r#""requests":1"#), window(1, r#""ads":1"#));
+        assert_eq!(decode(&format!("{zero},{one}")), Ok(()));
+        let order = "windows[1].index: expected an index above the previous window's";
+        assert_eq!(decode(&format!("{one},{zero}")), Err(order.into()));
+        let twice = "windows[0].counters.requests: series named twice";
+        assert_eq!(
+            decode(&window(0, r#""requests":1,"requests":2"#)),
+            Err(twice.into())
+        );
     }
 
     /// A run's first barrier rewrites the log whole; the next ones append

@@ -59,9 +59,10 @@
 //! finalize steps that advance it; `checkpoint` the persisted format.
 //!
 //! What is folded per record is declared in [`crate::planes`]: workers and
-//! router each hold a `Planes`; a cut of either, like the run's cumulative
-//! state, is a `PlaneTotals`. **A plane is added in `planes.rs`** (field,
-//! `observe` and `merge` lines) **and in `checkpoint`** (encode / decode).
+//! router each observe a `Planes`, a cut of either is one, and so is the
+//! run's cumulative state. **A plane is added in `planes.rs`** (a field, one
+//! `observe` line and one `merge` line) **and in `checkpoint`** (its encode /
+//! decode pair).
 //! What is counted per user is the user's [`crate::users::UserTally`], kept
 //! in its worker state and its checkpoint line; the router sums the users'
 //! counters into the run's user table ([`StreamReport::user_table`]).

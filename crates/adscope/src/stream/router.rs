@@ -11,14 +11,14 @@ use super::{ck_err, Fold, StreamError, StreamOptions, StreamReport};
 use crate::classify::PassiveClassifier;
 use crate::extract::{Extractor, UserId, WebObject};
 use crate::normalize::UrlNormalizer;
-use crate::planes::{PlaneTotals, Planes};
+use crate::planes::Planes;
 use crate::population::PopulationReport;
 use crate::shard::shard_of;
 use crate::users::{UserTable, UserTally};
 use netsim::codec::{record_to_json, CodecStats};
 use netsim::record::{RecordView, TraceMeta, TraceRecord};
 use netsim::stream::{ChunkSource, MAX_CHUNK_RESERVE};
-use obs::window::WindowReport;
+use std::collections::HashSet;
 use std::path::Path;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -41,7 +41,7 @@ pub(super) struct RunState {
     pub(super) quarantine_bytes: u64,
     /// Every cut merged so far. `broken_redirect_chains` is derived from
     /// per-user state at end of stream and stays 0 until then.
-    pub(super) totals: PlaneTotals,
+    pub(super) totals: Planes,
     /// The per-user state a checkpoint restored, in the order its users come
     /// off the log, until the workers that own it start (run-local; each
     /// barrier persists the live state).
@@ -61,7 +61,7 @@ impl RunState {
             prev_ts: f64::NEG_INFINITY,
             codec: CodecStats::default(),
             quarantine_bytes: 0,
-            totals: PlaneTotals::new(opts.pipeline.population),
+            totals: Planes::new(opts.pipeline),
             restored: Vec::new(),
         }
     }
@@ -83,6 +83,9 @@ struct Router<'a> {
     /// a worker and extraction's degradation counters. Its cuts merge exactly
     /// like a worker's.
     planes: Planes,
+    /// The filter-list servers a download flow goes to
+    /// ([`StreamOptions::abp_ips`]).
+    abp_ips: HashSet<u32>,
     /// Extraction's state, and the table that numbers the run's users.
     extractor: Extractor,
     /// Every user's counters as its worker last reported them.
@@ -191,7 +194,8 @@ pub(super) fn run_stream<S: ChunkSource, F: Fold>(
             ack_rx,
             lines_rx,
             quarantine,
-            planes: Planes::new(popts, &opts.abp_ips),
+            planes: Planes::new(popts),
+            abp_ips: opts.abp_ips.iter().copied().collect(),
             extractor,
             users: UserTable::default(),
             worker_labels: (0..nworkers).map(|i| i.to_string()).collect(),
@@ -312,13 +316,13 @@ impl<'a> Router<'a> {
     /// record is owned before its [`WebObject`] is.
     fn route_record(&mut self, rec: RecordView<'_>, batches: &mut [Vec<(u64, WebObject)>]) {
         let st = &mut self.state;
-        self.planes.observe_record(&rec);
+        self.planes.observe_record(&rec, &self.abp_ips);
         let RecordView::Http(tx) = rec else {
             return;
         };
         let idx = st.next_http_idx as usize;
         st.next_http_idx += 1;
-        let degradation = self.planes.degradation();
+        let degradation = &mut self.planes.degradation;
         match self.extractor.extract_one(idx, &tx, degradation) {
             Some(obj) => {
                 if obj.ts < st.prev_ts {
@@ -428,7 +432,7 @@ impl<'a> Router<'a> {
     /// fall is moot.
     fn absorb<'d>(
         &mut self,
-        parts: impl Iterator<Item = (&'d PlaneTotals, &'d [(UserId, UserTally)])>,
+        parts: impl Iterator<Item = (&'d Planes, &'d [(UserId, UserTally)])>,
     ) -> Option<PopulationReport> {
         let totals = &mut self.state.totals;
         for (delta, users) in parts {
@@ -439,7 +443,7 @@ impl<'a> Router<'a> {
         }
         totals.merge(&self.planes.cut());
         if let Some(engine) = &mut self.alerts {
-            engine.eval_report(&totals.windows);
+            engine.eval_report(&totals.windows.report());
             engine.publish(self.registry);
         }
         // The live annoyance plane: every merge republishes the
@@ -464,6 +468,7 @@ impl<'a> Router<'a> {
         }
         let (st, registry) = (self.state, self.registry);
         let t = st.totals;
+        let (windows, decode_windows) = (t.windows.report(), t.decode_windows.report());
 
         // The one metric bridge (the oracle records nothing), over the
         // cumulative totals (a resumed run republishes the whole
@@ -478,16 +483,17 @@ impl<'a> Router<'a> {
                 .counter_with("adscope_degradation_total", &[("reason", reason)])
                 .add(count as u64);
         }
-        crate::window::publish(&t.windows, registry);
-        publish_decode_windows(&t.decode_windows, registry);
+        crate::window::publish(&windows, registry);
+        let decode_closed = "netsim_decode_windows_closed_total";
+        crate::window::publish_scope(&decode_windows, "decode", decode_closed, registry);
 
         let users = finals.iter().map(|f| f.counters.len() as u64).sum();
         let report = StreamReport {
             meta: st.meta,
             codec: st.codec,
             degradation: t.degradation,
-            windows: t.windows,
-            decode_windows: t.decode_windows,
+            windows,
+            decode_windows,
             requests: t.requests,
             ad_requests: t.ads,
             https_flows: t.https_flows,
@@ -533,24 +539,6 @@ fn collect_acks(
         .into_iter()
         .map(|a| a.expect("one ack per worker"))
         .collect())
-}
-
-/// Publish the decode-side window series: the rendered lines into the
-/// registry's window log under the `decode` scope, plus the closed and
-/// late counters.
-fn publish_decode_windows(report: &WindowReport, registry: &obs::Registry) {
-    if report.late > 0 {
-        registry.counter("obs_window_late_total").add(report.late);
-    }
-    if report.windows.is_empty() {
-        return;
-    }
-    for line in report.render_ndjson("decode").lines() {
-        registry.windows().push(line.to_string());
-    }
-    registry
-        .counter("netsim_decode_windows_closed_total")
-        .add(report.windows.len() as u64);
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use crate::content::{infer_category_traced, ContentOptions};
 use crate::extract::{UserId, WebObject};
 use crate::normalize::UrlNormalizer;
 use crate::pipeline::{ClassifiedRequest, PipelineOptions};
-use crate::planes::{PlaneTotals, Planes};
+use crate::planes::Planes;
 use crate::refmap::RefMap;
 use crate::users::UserTally;
 use http_model::{ContentCategory, Url};
@@ -192,7 +192,7 @@ impl<F: Fold> Core<'_, F> {
     /// passes here exactly once.
     fn finalize(&mut self, h: HeldRecord, user: &mut UserTally) {
         if h.obj.content_type.is_none() && h.category != ContentCategory::Other {
-            self.planes.degradation().content_type_fallbacks += 1;
+            self.planes.degradation.content_type_fallbacks += 1;
         }
         let url = self
             .normalizer
@@ -234,12 +234,12 @@ pub(super) enum ToWorker {
     Barrier(bool),
 }
 
-/// Barrier ack: the worker's planes cut since its last ack — the same
-/// [`PlaneTotals`] the end-of-stream result carries, absorbed by the router
-/// with the same code — and the counters of the users the barrier renders.
+/// Barrier ack: the worker's planes cut since its last ack — absorbed by the
+/// router with the same code as the end-of-stream result's — and the
+/// counters of the users the barrier renders.
 /// It goes before any line is rendered, so the router moves on meanwhile.
 pub(super) struct WorkerAck {
-    pub(super) delta: PlaneTotals,
+    pub(super) delta: Planes,
     /// The counters of the users rendered: only a record can move them.
     pub(super) counters: Vec<(UserId, UserTally)>,
     /// The `page_of` entries of every user of the worker, rendered or not:
@@ -254,7 +254,7 @@ pub(super) type WorkerLines = (String, u64);
 /// state-derived `broken_redirect_chains`), every user's counters, and the
 /// worker's part of the run's fold.
 pub(super) struct WorkerFinal<F> {
-    pub(super) delta: PlaneTotals,
+    pub(super) delta: Planes,
     pub(super) counters: Vec<(UserId, UserTally)>,
     pub(super) fold: F,
 }
@@ -292,7 +292,7 @@ impl<'a, F: Fold> Worker<'a, F> {
             core: Core {
                 classifier,
                 normalizer,
-                planes: Planes::new(opts, &[]),
+                planes: Planes::new(opts),
                 fold,
                 scratch: abp_filter::ClassifyScratch::new(),
                 query_buf: String::new(),
@@ -327,7 +327,7 @@ impl<'a, F: Fold> Worker<'a, F> {
             ContentOptions::default(),
         );
         if entry.ctx.page.is_none() {
-            self.core.planes.degradation().refmap_misses += 1;
+            self.core.planes.degradation.refmap_misses += 1;
         }
         // Consume: this record stitched a redirect chain — backfill the
         // held redirecting record with this record's provisional
@@ -372,7 +372,7 @@ impl<'a, F: Fold> Worker<'a, F> {
         let backup = self.quarantine.as_ref().map(|_| obj.clone());
         let res = catch_unwind(AssertUnwindSafe(|| self.process_record(pos, obj)));
         if res.is_err() {
-            self.core.planes.degradation().poisoned_records += 1;
+            self.core.planes.degradation.poisoned_records += 1;
             self.core.planes.observe_quarantined(ts);
             if let (Some(q), Some(b)) = (self.quarantine.as_ref(), backup) {
                 q.write_line(&record_to_json(&reconstruct_record(&b)));
@@ -640,7 +640,7 @@ mod tests {
         // A record that panics once the map has taken it: quarantined, and
         // its entry is in the user's next line all the same.
         w.handle(41, child(41, "http://track.example/pixel/1"));
-        assert_eq!(w.core.planes.degradation().poisoned_records, 1);
+        assert_eq!(w.core.planes.degradation.poisoned_records, 1);
         let (_, lines, _) = barrier(&mut w, false);
         let poisoned = vec!["track.example/pixel/1".to_string()];
         assert_eq!(page_of(&lines, 1), (false, poisoned));

@@ -1,22 +1,24 @@
 //! Windowed time-series aggregation over classified requests — the
 //! streaming view the paper's §5 temporal characterization needs.
 //!
-//! [`aggregate`] folds a time-ordered request slice into an
-//! [`obs::WindowReport`]: per-window request/ad/block/whitelist counts,
-//! byte volume, refmap misses, and an RTB-latency histogram (the §8.2
-//! back-office gap, ad requests only). The engine's logical clock is the
-//! trace timestamp, so the report is a pure function of the classified
-//! requests: [`crate::pipeline`] folds the plane set once, over the whole
-//! request vector.
+//! [`observe`] folds one request into an [`obs::WindowSeries`] of this
+//! module's schema ([`COUNTERS`], [`RTB_HIST`]): per-window
+//! request/ad/block/whitelist counts, byte volume, refmap misses,
+//! quarantined records, and an RTB-latency histogram (the §8.2 back-office
+//! gap, ad requests only). The series' logical clock is the trace timestamp,
+//! so the report is a pure function of the classified requests; [`aggregate`]
+//! folds a request slice through [`crate::planes::Planes`], as
+//! [`crate::pipeline`] does over the whole request vector.
 //!
 //! [`publish`] bridges a report into a registry: one NDJSON line per
-//! closed window into the window log (served at `/windows`), plus the
+//! window into the window log (served at `/windows`), plus the
 //! `obs_window_late_total` / `adscope_windows_closed_total` counters and
 //! last-window gauges.
 
+use crate::classify::Attribution;
 use crate::pipeline::{ClassifiedRequest, PipelineOptions};
 use crate::planes::Planes;
-use obs::window::{WindowConfig, WindowEngine, WindowReport};
+use obs::window::{WindowReport, WindowSeries};
 
 /// Windowed-aggregation options, carried on
 /// [`crate::pipeline::PipelineOptions`].
@@ -39,9 +41,8 @@ impl Default for WindowOptions {
     }
 }
 
-/// The counter series every adscope window carries. Shared between
-/// [`aggregate`] and anything reading the report back, so names can't
-/// drift.
+/// The counter series every adscope window carries, in cell order: the one
+/// place their names are spelled.
 pub const COUNTERS: &[&str] = &[
     "requests",
     "ads",
@@ -54,89 +55,41 @@ pub const COUNTERS: &[&str] = &[
 ];
 
 /// The RTB back-office latency histogram series (§8.2 gap, ms, ad
-/// requests only).
+/// requests only), the one histogram series.
 pub const RTB_HIST: &str = "rtb_gap_ms";
 
-/// The live form of the adscope window plane ([`crate::planes`]): folds
-/// requests one at a time and cuts partial reports. Series are registered
-/// at construction, so even a zero-record cut carries the full schema.
-#[derive(Debug)]
-pub struct WindowAggregator {
-    engine: WindowEngine,
-    opts: WindowOptions,
-    c_requests: obs::window::CounterId,
-    c_ads: obs::window::CounterId,
-    c_easylist: obs::window::CounterId,
-    c_easyprivacy: obs::window::CounterId,
-    c_whitelisted: obs::window::CounterId,
-    c_refmap_miss: obs::window::CounterId,
-    c_quarantined: obs::window::CounterId,
-    c_bytes: obs::window::CounterId,
-    h_rtb: obs::window::HistId,
+// Cell positions in [`COUNTERS`].
+pub(crate) const REQUESTS: usize = 0;
+pub(crate) const ADS: usize = 1;
+pub(crate) const EASYLIST: usize = 2;
+pub(crate) const EASYPRIVACY: usize = 3;
+const WHITELISTED: usize = 4;
+pub(crate) const REFMAP_MISS: usize = 5;
+pub(crate) const QUARANTINED: usize = 6;
+const BYTES: usize = 7;
+
+/// An empty adscope series at `opts`' width.
+pub fn series(opts: WindowOptions) -> WindowSeries {
+    WindowSeries::new(COUNTERS, &[RTB_HIST], opts.width_secs)
 }
 
-impl WindowAggregator {
-    /// A fresh aggregator with every adscope series registered.
-    pub fn new(opts: WindowOptions) -> WindowAggregator {
-        let mut engine = WindowEngine::new(WindowConfig {
-            width_secs: opts.width_secs,
-        });
-        WindowAggregator {
-            c_requests: engine.counter_series("requests"),
-            c_ads: engine.counter_series("ads"),
-            c_easylist: engine.counter_series("blocked_easylist"),
-            c_easyprivacy: engine.counter_series("blocked_easyprivacy"),
-            c_whitelisted: engine.counter_series("whitelisted"),
-            c_refmap_miss: engine.counter_series("refmap_miss"),
-            c_quarantined: engine.counter_series("quarantined"),
-            c_bytes: engine.counter_series("bytes"),
-            h_rtb: engine.hist_series(RTB_HIST),
-            engine,
-            opts,
-        }
+/// Fold one classified request into its window.
+pub fn observe(windows: &mut WindowSeries, r: &ClassifiedRequest) {
+    let mut w = windows.at(r.ts);
+    w.count(REQUESTS, 1);
+    w.count(BYTES, r.bytes);
+    if r.page.is_none() {
+        w.count(REFMAP_MISS, 1);
     }
-
-    /// Fold one classified request into its window.
-    pub fn observe(&mut self, r: &ClassifiedRequest) {
-        self.engine.count(r.ts, self.c_requests, 1);
-        self.engine.count(r.ts, self.c_bytes, r.bytes);
-        if r.page.is_none() {
-            self.engine.count(r.ts, self.c_refmap_miss, 1);
-        }
-        if r.label.is_ad() {
-            self.engine.count(r.ts, self.c_ads, 1);
-            self.engine
-                .observe(r.ts, self.h_rtb, r.backend_gap_ms().max(0.0) as u64);
-        }
-        match r.label.attribution() {
-            Some(crate::classify::Attribution::EasyList) => {
-                self.engine.count(r.ts, self.c_easylist, 1)
-            }
-            Some(crate::classify::Attribution::EasyPrivacy) => {
-                self.engine.count(r.ts, self.c_easyprivacy, 1)
-            }
-            Some(crate::classify::Attribution::NonIntrusive) => {
-                self.engine.count(r.ts, self.c_whitelisted, 1)
-            }
-            None => {}
-        }
+    if r.label.is_ad() {
+        w.count(ADS, 1);
+        w.observe(0, r.backend_gap_ms().max(0.0) as u64);
     }
-
-    /// Count one quarantined record (unparseable URL or poisoned) in its
-    /// window: the `quarantine_burst` alert rule's input series. Zero
-    /// counters are elided from closed windows, so clean traces render
-    /// exactly as before this series existed.
-    pub fn observe_quarantined(&mut self, ts: f64) {
-        self.engine.count(ts, self.c_quarantined, 1);
-    }
-
-    /// Close and return everything observed so far, leaving the aggregator
-    /// empty but live. Cuts merge back in any grouping, so where they fall
-    /// cannot change the merged report.
-    pub fn cut(&mut self) -> WindowReport {
-        std::mem::replace(self, WindowAggregator::new(self.opts))
-            .engine
-            .finish()
+    match r.label.attribution() {
+        Some(Attribution::EasyList) => w.count(EASYLIST, 1),
+        Some(Attribution::EasyPrivacy) => w.count(EASYPRIVACY, 1),
+        Some(Attribution::NonIntrusive) => w.count(WHITELISTED, 1),
+        None => {}
     }
 }
 
@@ -152,30 +105,21 @@ pub fn aggregate(
         window: opts,
         ..PipelineOptions::default()
     };
-    let mut planes = Planes::new(only_windows, &[]);
+    let mut planes = Planes::new(only_windows);
     planes.fold(requests, quarantined_ts);
-    planes.cut().windows
+    planes.windows.report()
 }
 
 /// Publish a report into `registry`: NDJSON window lines (scope
 /// `adscope`), late/closed counters, and last-window gauges for live
 /// scrapes.
 pub fn publish(report: &WindowReport, registry: &obs::Registry) {
-    if !obs::enabled() {
+    if !publish_scope(report, "adscope", "adscope_windows_closed_total", registry) {
         return;
     }
-    for line in report.render_ndjson("adscope").lines() {
-        registry.windows().push(line.to_string());
-    }
-    registry
-        .counter("adscope_windows_closed_total")
-        .add(report.windows.len() as u64);
-    if report.late > 0 {
-        registry.counter("obs_window_late_total").add(report.late);
-    }
     if let Some(last) = report.windows.last() {
-        let requests = last.counter("requests");
-        let ads = last.counter("ads");
+        let requests = last.counter(COUNTERS[REQUESTS]);
+        let ads = last.counter(COUNTERS[ADS]);
         registry
             .gauge("adscope_window_last_requests")
             .set(requests as f64);
@@ -185,6 +129,30 @@ pub fn publish(report: &WindowReport, registry: &obs::Registry) {
                 .set(100.0 * ads as f64 / requests as f64);
         }
     }
+}
+
+/// The one bridge of a window scope into `registry`, and the one check of
+/// the kill switch for it: the report's NDJSON lines into the window log
+/// under `scope`, its windows into the `closed` counter and its late
+/// observations into `obs_window_late_total`. `false`, publishing nothing,
+/// when recording is off.
+pub(crate) fn publish_scope(
+    report: &WindowReport,
+    scope: &str,
+    closed: &str,
+    registry: &obs::Registry,
+) -> bool {
+    if !obs::enabled() {
+        return false;
+    }
+    for line in report.render_ndjson(scope).lines() {
+        registry.windows().push(line.to_string());
+    }
+    registry.counter(closed).add(report.windows.len() as u64);
+    if report.late > 0 {
+        registry.counter("obs_window_late_total").add(report.late);
+    }
+    true
 }
 
 #[cfg(test)]

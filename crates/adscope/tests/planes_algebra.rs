@@ -13,13 +13,14 @@ mod common;
 use adscope::characterize::Figures;
 use adscope::extract::extract_full;
 use adscope::pipeline::{classify_trace, ClassifiedRequest, PipelineOptions};
-use adscope::planes::{PlaneTotals, Planes};
+use adscope::planes::Planes;
 use adscope::stream::{Fold, StreamOptions};
 use common::{classifier, messy_trace};
 use netsim::record::{RecordView, TlsConnection, Trace, TraceRecord};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 
 /// Filter-list server addresses: some of the generated HTTPS flows point at
 /// them (the download-household plane), some elsewhere.
@@ -45,16 +46,19 @@ impl Event<'_> {
     /// plane is exercised as the stages that own its counters would.
     fn fold_into(&self, (planes, figures): &mut (Planes, Figures)) {
         match self {
-            Event::Record(rec) => planes.observe_record(&RecordView::of(rec)),
+            Event::Record(rec) => {
+                let abp_ips: HashSet<u32> = ABP_IPS.into();
+                planes.observe_record(&RecordView::of(rec), &abp_ips);
+            }
             Event::Request(req) => {
                 if req.page.is_none() {
-                    planes.degradation().refmap_misses += 1;
+                    planes.degradation.refmap_misses += 1;
                 }
                 planes.observe(req);
                 figures.observe(0, req);
             }
             Event::Quarantined(ts) => {
-                planes.degradation().unparseable_urls += 1;
+                planes.degradation.unparseable_urls += 1;
                 planes.observe_quarantined(*ts);
             }
         }
@@ -117,20 +121,20 @@ fn events<'a>(
 
 /// One thread's live state: its planes and its part of the run's fold.
 fn thread(opts: &StreamOptions) -> (Planes, Figures) {
-    (Planes::new(opts.pipeline, &ABP_IPS), Figures::new())
+    (Planes::new(opts.pipeline), Figures::new())
 }
 
-/// Cut both: the planes' totals since the last cut, and the figures so far.
-fn cut((planes, figures): &mut (Planes, Figures)) -> (PlaneTotals, Figures) {
+/// Cut both: the planes since the last cut, and the figures so far.
+fn cut((planes, figures): &mut (Planes, Figures)) -> (Planes, Figures) {
     let part = std::mem::replace(figures, Figures::new());
     (planes.cut(), part)
 }
 
 fn sum<'a>(
     opts: &StreamOptions,
-    parts: impl IntoIterator<Item = &'a (PlaneTotals, Figures)>,
-) -> (PlaneTotals, Figures) {
-    let mut total = (PlaneTotals::new(opts.pipeline.population), Figures::new());
+    parts: impl IntoIterator<Item = &'a (Planes, Figures)>,
+) -> (Planes, Figures) {
+    let mut total = (Planes::new(opts.pipeline), Figures::new());
     for (totals, figures) in parts {
         total.0.merge(totals);
         total.1.merge(figures.clone());
@@ -140,7 +144,7 @@ fn sum<'a>(
 
 proptest! {
     /// Cut anywhere, merge in any grouping and any order == never cut, on
-    /// the totals type — windows, decode windows, sketches, households, the
+    /// the plane set — windows, decode windows, sketches, households, the
     /// three counters and the degradation counters at once — and on every
     /// figure of `Figures`.
     #[test]
@@ -166,7 +170,7 @@ proptest! {
         let mut cut_at: Vec<usize> = (0..cuts).map(|_| rng.gen_range(0..=events.len())).collect();
         cut_at.sort_unstable();
         let mut threads = [thread(&opts), thread(&opts)];
-        let mut parts: Vec<(PlaneTotals, Figures)> = Vec::new();
+        let mut parts: Vec<(Planes, Figures)> = Vec::new();
         for (i, e) in events.iter().enumerate() {
             while cut_at.first() == Some(&i) {
                 cut_at.remove(0);

@@ -594,58 +594,21 @@ impl<R: Read> LossyLines<R> {
     }
 }
 
-/// The counter series a decode window carries, in the order
-/// [`DecodeWindows::hourly`] registers them. A checkpoint reader maps persisted
-/// series names back onto this table.
+/// The counter series a decode window carries, in cell order: the one place
+/// their names are spelled.
 pub const DECODE_COUNTERS: [&str; 4] = ["records", "http", "https", "bytes"];
 
-/// The decode-side window schema: per-window record/protocol/byte series
-/// keyed on each record's trace timestamp.
-///
-/// Windows close only at the end, so windowing here is
-/// **order-insensitive**: partials merged with [`obs::WindowReport::merge`]
-/// equal the whole-stream report however the stream was cut into chunks —
-/// the property that lets the streaming router cut a delta at every
-/// checkpoint barrier.
-#[derive(Debug)]
-pub struct DecodeWindows {
-    engine: obs::WindowEngine,
-    c_records: obs::window::CounterId,
-    c_http: obs::window::CounterId,
-    c_https: obs::window::CounterId,
-    c_bytes: obs::window::CounterId,
-}
-
-impl DecodeWindows {
-    /// Hour-wide windows, matching the adscope series granularity.
-    pub fn hourly() -> DecodeWindows {
-        let mut engine = obs::WindowEngine::new(obs::WindowConfig::default());
-        let [c_records, c_http, c_https, c_bytes] =
-            DECODE_COUNTERS.map(|name| engine.counter_series(name));
-        DecodeWindows {
-            engine,
-            c_records,
-            c_http,
-            c_https,
-            c_bytes,
-        }
-    }
-
-    /// Window one decoded record by its trace timestamp.
-    pub fn observe(&mut self, rec: &RecordView<'_>) {
-        let (ts, protocol, bytes) = match rec {
-            RecordView::Http(tx) => (tx.ts, self.c_http, tx.content_length.unwrap_or(0)),
-            RecordView::Https(conn) => (conn.ts, self.c_https, conn.bytes),
-        };
-        self.engine.count(ts, self.c_records, 1);
-        self.engine.count(ts, protocol, 1);
-        self.engine.count(ts, self.c_bytes, bytes);
-    }
-
-    /// Close all windows and return the report.
-    pub fn finish(self) -> obs::WindowReport {
-        self.engine.finish()
-    }
+/// Window one decoded record by its trace timestamp into a series of
+/// [`DECODE_COUNTERS`]: its record, its protocol and its bytes.
+pub fn observe_decode(windows: &mut obs::WindowSeries, rec: &RecordView<'_>) {
+    let (ts, protocol, bytes) = match rec {
+        RecordView::Http(tx) => (tx.ts, 1, tx.content_length.unwrap_or(0)),
+        RecordView::Https(conn) => (conn.ts, 2, conn.bytes),
+    };
+    let mut w = windows.at(ts);
+    w.count(0, 1);
+    w.count(protocol, 1);
+    w.count(3, bytes);
 }
 
 pub(crate) fn recovered_meta() -> TraceMeta {

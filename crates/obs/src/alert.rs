@@ -357,6 +357,9 @@ impl AlertEngine {
     /// Bridge the last evaluation into `registry`: absolute firing gauges
     /// per severity and the `/alerts` render slot.
     pub fn publish(&self, registry: &Registry) {
+        if !crate::enabled() {
+            return;
+        }
         for sev in [Severity::Info, Severity::Warn, Severity::Page] {
             let n = self
                 .states
@@ -465,18 +468,16 @@ fn fmt_val(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::window::{WindowConfig, WindowEngine};
+    use crate::window::WindowSeries;
 
     fn report(values: &[u64]) -> WindowReport {
-        let mut e = WindowEngine::new(WindowConfig::default());
-        let c = e.counter_series("requests");
-        let a = e.counter_series("ads");
+        let mut e = WindowSeries::new(&["requests", "ads"], &[], 3600.0);
         for (hour, &v) in values.iter().enumerate() {
-            let ts = hour as f64 * 3600.0 + 1.0;
-            e.count(ts, c, 100);
-            e.count(ts, a, v);
+            let mut slot = e.at(hour as f64 * 3600.0 + 1.0);
+            slot.count(0, 100);
+            slot.count(1, v);
         }
-        e.finish()
+        e.report()
     }
 
     fn jump_rule(for_windows: u32) -> AlertRule {
@@ -597,16 +598,14 @@ mod tests {
     fn min_den_skips_thin_windows() {
         // A 100-request steady series with one 3-request tail window at
         // a wild share: gated, the tail is invisible; ungated, it spikes.
-        let mut e = WindowEngine::new(WindowConfig::default());
-        let c = e.counter_series("requests");
-        let a = e.counter_series("ads");
+        let mut e = WindowSeries::new(&["requests", "ads"], &[], 3600.0);
         for hour in 0..10 {
-            let ts = hour as f64 * 3600.0 + 1.0;
+            let mut slot = e.at(hour as f64 * 3600.0 + 1.0);
             let (req, ads) = if hour == 9 { (3, 3) } else { (100, 10) };
-            e.count(ts, c, req);
-            e.count(ts, a, ads);
+            slot.count(0, req);
+            slot.count(1, ads);
         }
-        let r = e.finish();
+        let r = e.report();
         let mut gated = jump_rule(1);
         gated.min_den = 50;
         let mut eng = AlertEngine::new(vec![gated]);

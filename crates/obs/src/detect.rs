@@ -1,6 +1,6 @@
 //! Streaming change detectors over windowed series.
 //!
-//! The window engine ([`crate::window`]) turns a trace into a
+//! The window series ([`crate::window`]) turn a trace into a
 //! deterministic sequence of hourly buckets; this module watches such a
 //! sequence and scores each new value for *drift*: has the series moved
 //! away from its own recent history? Three detectors cover the shapes

@@ -68,7 +68,7 @@ pub use serve::{serve, ServerHandle};
 pub use sketch::{Distinct64, QuantileSketch, TopEntry, TopK, QUANTILE_GAMMA};
 pub use span::Span;
 pub use trace::{SampleCause, SpanId, TraceId, TraceLog};
-pub use window::{ClosedWindow, WindowConfig, WindowEngine, WindowReport};
+pub use window::{ClosedWindow, Slot, WindowReport, WindowSeries};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
