@@ -99,6 +99,11 @@ if grep -rn 'stall_ms' crates src tests examples; then exit 1; fi
 if grep -rnE --include='*.rs' \
   '\.(redirect_repair|embedded_urls)\b|\b(redirect_repair|embedded_urls):|use_extension|use_header|UrlNormalizer::disabled|for_classifier|\bTracer\b' \
   crates/*/src crates/*/tests src tests examples | grep -v '^crates/bench/src/bin/e2e/'; then exit 1; fi
+# A classifier holds one engine: `PassiveClassifier::engine` parses the
+# reference `Engine` again on first call, so outside the e2e ledger and the
+# test suites nothing asks for it.
+if grep -rn --include='*.rs' '\.engine()' crates/*/src src examples \
+  | grep -vE '^crates/(bench/src/bin/e2e/|adscope/src/classify\.rs:)'; then exit 1; fi
 
 gate "cargo test -q"
 cargo test -q

@@ -1,7 +1,9 @@
 //! The compiled filter engine: arena-backed, fingerprint-prefiltered
 //! matching at EasyList scale.
 //!
-//! [`CompiledEngine::compile`] lowers a loaded [`Engine`] into flat arrays:
+//! [`CompiledEngine::from_lists`] lowers parsed filter lists, and
+//! [`CompiledEngine::compile`] a loaded [`Engine`], through one routine
+//! into flat arrays:
 //!
 //! * every literal's bytes live in one byte arena, every pattern is a span
 //!   of compact [`CompiledSegment`]s, and every `$domain=` list is a span
@@ -31,13 +33,15 @@
 
 use crate::engine::{
     host_key, host_suffix_hashes, write_lower_url, Classification, ClassifyScratch, Engine, Entry,
-    FilterRef, ListId, Request, TokenIndex,
+    FilterRef, ListId, Request,
 };
 use crate::matcher::{host_span, is_separator};
 use crate::options::{FilterOptions, PartyConstraint};
-use crate::rule::{Anchor, Pattern, Segment};
+use crate::rule::{Anchor, NetFilter, Pattern, Segment};
+use crate::subscription::FilterList;
 use crate::tokenizer::{
-    filter_index_token, hash_token, url_tokens_with_starts_into, IndexToken, MIN_TOKEN_LEN,
+    filter_index_token, filter_token, hash_token, url_tokens_with_starts_into, IndexToken,
+    MIN_TOKEN_LEN,
 };
 use http_model::{is_third_party, ContentCategory};
 use std::cell::OnceCell;
@@ -182,6 +186,29 @@ impl CompiledIndex {
     #[inline]
     fn members(&self, k: usize) -> &[Member] {
         &self.members[self.shapes[k].start as usize..self.shapes[k + 1].start as usize]
+    }
+
+    /// Close a bucket `build_index` filled — `(key, first entry, AND of
+    /// fingerprints, list mask)`, key `None` for the untokenized tail —
+    /// with its `loose` and `aligned` entries, and clear those for the next.
+    fn close_bucket(
+        &mut self,
+        (key, start, and_fp, lists): (Option<u64>, u32, u64, u64),
+        loose: &mut Vec<u32>,
+        aligned: &mut Vec<(LiteralAlignment, u32)>,
+        lit_arena: &[u8],
+    ) {
+        self.push_bucket(start, loose, aligned, lit_arena);
+        loose.clear();
+        aligned.clear();
+        match key {
+            Some(key) => {
+                self.keys.push(key);
+                self.bucket_fp.push(and_fp);
+                self.bucket_lists.push(lists);
+            }
+            None => self.untok_lists = lists,
+        }
     }
 
     /// Close the bucket whose entries start at `start`: record its span and
@@ -329,9 +356,9 @@ impl CompiledMetrics {
     }
 }
 
-/// The compiled engine. Build once with [`CompiledEngine::compile`]; all
-/// classify state lives in the caller's [`ClassifyScratch`], so one
-/// engine serves any number of threads.
+/// The compiled engine. Build once with [`CompiledEngine::from_lists`] or
+/// [`CompiledEngine::compile`]; all classify state lives in the caller's
+/// [`ClassifyScratch`], so one engine serves any number of threads.
 #[derive(Debug, Clone)]
 pub struct CompiledEngine {
     rules: Vec<CompiledRule>,
@@ -358,10 +385,10 @@ struct Builder {
 }
 
 impl Builder {
-    fn add_rule(&mut self, e: &Entry) -> u32 {
+    fn add_rule(&mut self, list: ListId, f: &NetFilter) -> u32 {
         let id = self.rules.len() as u32;
         let seg_start = self.segs.len() as u32;
-        for s in &e.filter.pattern.segments {
+        for s in &f.pattern.segments {
             match s {
                 Segment::Literal(l) => {
                     let off = self.lit_arena.len() as u32;
@@ -374,25 +401,25 @@ impl Builder {
         }
         let seg_end = self.segs.len() as u32;
         let inc_start = self.domain_arena.len() as u32;
-        for d in &e.filter.options.include_domains {
+        for d in &f.options.include_domains {
             self.domain_arena.push(hash_token(d.as_bytes()));
         }
         let inc_end = self.domain_arena.len() as u32;
-        for d in &e.filter.options.exclude_domains {
+        for d in &f.options.exclude_domains {
             self.domain_arena.push(hash_token(d.as_bytes()));
         }
         let exc_end = self.domain_arena.len() as u32;
         self.rules.push(CompiledRule {
-            list: e.list.0 as u32,
-            anchor: e.filter.pattern.anchor,
-            end_anchor: e.filter.pattern.end_anchor,
-            type_mask: e.filter.options.type_mask_bits(),
-            party: e.filter.options.party,
+            list: list.0 as u32,
+            anchor: f.pattern.anchor,
+            end_anchor: f.pattern.end_anchor,
+            type_mask: f.options.type_mask_bits(),
+            party: f.options.party,
             seg: (seg_start, seg_end),
             include: (inc_start, inc_end),
             exclude: (inc_end, exc_end),
         });
-        self.raw.push(Arc::clone(&e.raw));
+        self.raw.push(Arc::clone(&f.raw));
         id
     }
 
@@ -402,11 +429,12 @@ impl Builder {
     fn add_entry(
         &mut self,
         out: &mut CompiledIndex,
-        e: &Entry,
+        list: ListId,
+        f: &NetFilter,
         index: Option<IndexToken>,
     ) -> (u64, Option<LiteralAlignment>) {
-        let id = self.add_rule(e);
-        let (fp, index_sealed) = prefilter(&e.filter.pattern, index);
+        let id = self.add_rule(list, f);
+        let (fp, index_sealed) = prefilter(&f.pattern, index);
         let align = index
             .filter(|_| index_sealed)
             .and_then(|t| self.alignment(id, t));
@@ -433,43 +461,50 @@ impl Builder {
         })
     }
 
-    fn build_index(&mut self, idx: &TokenIndex) -> CompiledIndex {
-        let mut keys: Vec<u64> = idx.by_token.keys().copied().collect();
-        keys.sort_unstable();
+    /// Lower one token table from its rules in bucket order: ascending
+    /// index token, the rules of one token in load order, the untokenized
+    /// rules last (see [`in_bucket_order`]).
+    fn build_index<'a>(
+        &mut self,
+        rules: impl IntoIterator<Item = (ListId, &'a NetFilter)>,
+    ) -> CompiledIndex {
         let mut out = CompiledIndex::default();
         let (mut loose, mut aligned) = (Vec::new(), Vec::new());
-        for &k in &keys {
-            let start = out.entries.len() as u32;
-            let mut and_fp = !0u64;
-            let mut lists = 0u64;
-            for e in &idx.by_token[&k] {
-                // The same function `TokenIndex::insert` keyed the entry
-                // with, so the alignment describes the bucket's own run.
-                let index = filter_index_token(e.filter.pattern.literals());
-                debug_assert_eq!(index.map(|t| t.hash), Some(k));
-                let pos = out.entries.len() as u32;
-                let (fp, align) = self.add_entry(&mut out, e, index);
-                match align {
-                    Some(a) => aligned.push((a, pos)),
-                    None => loose.push(pos),
+        // The bucket being filled: its key (`None` for the untokenized
+        // tail), first entry, AND of fingerprints and list mask.
+        let mut open: Option<(Option<u64>, u32, u64, u64)> = None;
+        for (list, f) in rules {
+            // The same function `TokenIndex::insert` keys an entry with,
+            // so the alignment describes the bucket's own run.
+            let index = filter_index_token(f.pattern.literals());
+            let key = index.map(|t| t.hash);
+            if open.is_none_or(|(k, ..)| k != key) {
+                if let Some(bucket) = open.take() {
+                    debug_assert!(bucket.0.is_some_and(|k| key.is_none_or(|key| k < key)));
+                    out.close_bucket(bucket, &mut loose, &mut aligned, &self.lit_arena);
                 }
-                and_fp &= fp;
-                lists |= list_bit(e.list.0);
+                open = Some((key, out.entries.len() as u32, !0, 0));
             }
-            out.push_bucket(start, &loose, &mut aligned, &self.lit_arena);
-            loose.clear();
-            aligned.clear();
-            out.bucket_fp.push(and_fp);
-            out.bucket_lists.push(lists);
+            let pos = out.entries.len() as u32;
+            let (fp, align) = self.add_entry(&mut out, list, f, index);
+            match align {
+                Some(a) => aligned.push((a, pos)),
+                None => loose.push(pos),
+            }
+            if let Some((_, _, and_fp, lists)) = &mut open {
+                *and_fp &= fp;
+                *lists |= list_bit(list.0);
+            }
         }
-        out.keys = keys;
-        let untok_start = out.entries.len() as u32;
-        for e in &idx.untokenized {
-            loose.push(out.entries.len() as u32);
-            self.add_entry(&mut out, e, None);
-            out.untok_lists |= list_bit(e.list.0);
-        }
-        out.push_bucket(untok_start, &loose, &mut [], &self.lit_arena);
+        let tail = match open {
+            Some(bucket @ (Some(_), ..)) => {
+                out.close_bucket(bucket, &mut loose, &mut aligned, &self.lit_arena);
+                (None, out.entries.len() as u32, !0, 0)
+            }
+            Some(tail) => tail,
+            None => (None, 0, !0, 0),
+        };
+        out.close_bucket(tail, &mut loose, &mut aligned, &self.lit_arena);
         out.bucket_shapes.push(out.shapes.len() as u32);
         out.shapes.push(Shape {
             off: 0,
@@ -479,6 +514,95 @@ impl Builder {
         out.build_slots();
         out
     }
+
+    /// Lower the `$document` rules, in insertion order (rule ids ascend
+    /// with insertion, so sorted candidate ids replay the linear scan).
+    fn build_doc<'a>(
+        &mut self,
+        rules: impl IntoIterator<Item = (ListId, &'a NetFilter)>,
+    ) -> CompiledDocIndex {
+        let mut doc = CompiledDocIndex::default();
+        let mut doc_map: HashMap<u64, Vec<u32>> = HashMap::new();
+        for (list, f) in rules {
+            let id = self.add_rule(list, f);
+            match host_key(&f.pattern) {
+                Some(key) => doc_map
+                    .entry(hash_token(key.as_bytes()))
+                    .or_default()
+                    .push(id),
+                None => doc.fallback.push(id),
+            }
+        }
+        let mut doc_keys: Vec<u64> = doc_map.keys().copied().collect();
+        doc_keys.sort_unstable();
+        for &k in &doc_keys {
+            let start = doc.entries.len() as u32;
+            doc.entries.extend_from_slice(&doc_map[&k]);
+            doc.buckets.push((start, doc.entries.len() as u32));
+        }
+        doc.keys = doc_keys;
+        doc
+    }
+
+    /// Assemble the engine from its three lowered tables.
+    fn finish(
+        self,
+        blocking: CompiledIndex,
+        exceptions: CompiledIndex,
+        doc: CompiledDocIndex,
+    ) -> CompiledEngine {
+        let stats = CompileStats {
+            rules: self.rules.len(),
+            buckets: blocking.keys.len() + exceptions.keys.len(),
+            arena_bytes: self.lit_arena.len()
+                + self.segs.len() * std::mem::size_of::<CompiledSegment>()
+                + self.domain_arena.len() * 8
+                + (blocking.entries.len() + exceptions.entries.len() + doc.entries.len()) * 4
+                + (blocking.fps.len() + exceptions.fps.len()) * 8
+                + (blocking.bucket_shapes.len() + exceptions.bucket_shapes.len()) * 4
+                + (blocking.shapes.len() + exceptions.shapes.len()) * std::mem::size_of::<Shape>()
+                + (blocking.members.len() + exceptions.members.len())
+                    * std::mem::size_of::<Member>()
+                + (blocking.slots.len() + exceptions.slots.len())
+                    * std::mem::size_of::<(u64, u32)>(),
+        };
+        let engine = CompiledEngine {
+            rules: self.rules,
+            raw: self.raw,
+            segs: self.segs,
+            lit_arena: self.lit_arena,
+            domain_arena: self.domain_arena,
+            blocking,
+            exceptions,
+            doc,
+            stats,
+            metrics: CompiledMetrics::bind(obs::global()),
+        };
+        engine.publish_stats(obs::global());
+        engine
+    }
+}
+
+/// Every rule of `tables` — one per list, in load order — with its list.
+fn with_list(tables: &[Vec<NetFilter>]) -> impl Iterator<Item = (ListId, &NetFilter)> {
+    tables
+        .iter()
+        .enumerate()
+        .flat_map(|(i, t)| t.iter().map(move |f| (ListId(i), f)))
+}
+
+/// One table's rules, given in load order, in the order an [`Engine`]'s
+/// token index buckets them: stable-sorted by index token, the untokenized
+/// rules last.
+fn in_bucket_order<'a>(
+    rules: impl Iterator<Item = (ListId, &'a NetFilter)>,
+) -> Vec<(ListId, &'a NetFilter)> {
+    let mut rules: Vec<_> = rules.collect();
+    rules.sort_by_cached_key(|(_, f)| {
+        let token = filter_token(f.pattern.literals());
+        (token.is_none(), token)
+    });
+    rules
 }
 
 /// One scan of a pattern for both pre-filters, under one sealedness rule.
@@ -561,61 +685,30 @@ impl CompiledEngine {
     /// compares against).
     pub fn compile(engine: &Engine) -> CompiledEngine {
         let mut b = Builder::default();
-        let blocking = b.build_index(&engine.blocking);
-        let exceptions = b.build_index(&engine.exceptions);
+        let blocking = b.build_index(engine.blocking.in_bucket_order());
+        let exceptions = b.build_index(engine.exceptions.in_bucket_order());
+        let doc = b.build_doc(engine.document_exceptions.entries.iter().map(Entry::rule));
+        b.finish(blocking, exceptions, doc)
+    }
 
-        // `$document` rules, in insertion order (rule ids ascend with
-        // insertion, so sorted candidate ids replay the linear scan).
-        let mut doc = CompiledDocIndex::default();
-        let mut doc_map: HashMap<u64, Vec<u32>> = HashMap::new();
-        for e in &engine.document_exceptions.entries {
-            let id = b.add_rule(e);
-            match host_key(&e.filter.pattern) {
-                Some(key) => doc_map
-                    .entry(hash_token(key.as_bytes()))
-                    .or_default()
-                    .push(id),
-                None => doc.fallback.push(id),
-            }
-        }
-        let mut doc_keys: Vec<u64> = doc_map.keys().copied().collect();
-        doc_keys.sort_unstable();
-        for &k in &doc_keys {
-            let start = doc.entries.len() as u32;
-            doc.entries.extend_from_slice(&doc_map[&k]);
-            doc.buckets.push((start, doc.entries.len() as u32));
-        }
-        doc.keys = doc_keys;
-
-        let stats = CompileStats {
-            rules: b.rules.len(),
-            buckets: blocking.keys.len() + exceptions.keys.len(),
-            arena_bytes: b.lit_arena.len()
-                + b.segs.len() * std::mem::size_of::<CompiledSegment>()
-                + b.domain_arena.len() * 8
-                + (blocking.entries.len() + exceptions.entries.len() + doc.entries.len()) * 4
-                + (blocking.fps.len() + exceptions.fps.len()) * 8
-                + (blocking.bucket_shapes.len() + exceptions.bucket_shapes.len()) * 4
-                + (blocking.shapes.len() + exceptions.shapes.len()) * std::mem::size_of::<Shape>()
-                + (blocking.members.len() + exceptions.members.len())
-                    * std::mem::size_of::<Member>()
-                + (blocking.slots.len() + exceptions.slots.len())
-                    * std::mem::size_of::<(u64, u32)>(),
-        };
-        let engine_out = CompiledEngine {
-            rules: b.rules,
-            raw: b.raw,
-            segs: b.segs,
-            lit_arena: b.lit_arena,
-            domain_arena: b.domain_arena,
-            blocking,
-            exceptions,
-            doc,
-            stats,
-            metrics: CompiledMetrics::bind(obs::global()),
-        };
-        engine_out.publish_stats(obs::global());
-        engine_out
+    /// Lower filter lists straight into the compiled form, without an
+    /// [`Engine`] between: the same engine [`Self::compile`] makes of the
+    /// lists loaded in this order, holding the lists' own rule texts. Each
+    /// table's parsed rules are dropped once it is lowered; element-hiding
+    /// rules are not kept.
+    pub fn from_lists(lists: Vec<FilterList>) -> CompiledEngine {
+        let (blocking_rules, exception_rules): (Vec<_>, Vec<_>) = lists
+            .into_iter()
+            .map(|l| (l.blocking, l.exceptions))
+            .unzip();
+        let mut b = Builder::default();
+        let blocking = b.build_index(in_bucket_order(with_list(&blocking_rules)));
+        drop(blocking_rules);
+        let exceptions = b.build_index(in_bucket_order(
+            with_list(&exception_rules).filter(|(_, f)| !f.options.document),
+        ));
+        let doc = b.build_doc(with_list(&exception_rules).filter(|(_, f)| f.options.document));
+        b.finish(blocking, exceptions, doc)
     }
 
     /// Compile-time figures (rules, buckets, arena bytes).
@@ -1288,6 +1381,19 @@ mod tests {
         let (e, c) = engines(LISTS);
         for &(url, page, cat) in URLS {
             assert_same(&e, &c, url, page, cat);
+        }
+    }
+
+    #[test]
+    fn from_lists_lowers_what_compile_lowers() {
+        let (e, c) = engines(LISTS);
+        let lists = LISTS.iter().map(|(n, t)| FilterList::parse(n, t)).collect();
+        let lowered = CompiledEngine::from_lists(lists);
+        assert_eq!(lowered.stats(), c.stats());
+        assert_eq!(lowered.raw, c.raw);
+        assert!(lowered.alignment_records().eq(c.alignment_records()));
+        for &(url, page, cat) in URLS {
+            assert_same(&e, &lowered, url, page, cat);
         }
     }
 

@@ -89,13 +89,19 @@ impl Classification {
     }
 }
 
-/// One compiled filter plus its provenance. `raw` shares the rule text
-/// with every [`FilterRef`] handed out for this filter.
+/// One compiled filter plus its provenance. The filter's `raw` shares the
+/// rule text with every [`FilterRef`] handed out for it.
 #[derive(Debug, Clone)]
 pub(crate) struct Entry {
     pub(crate) list: ListId,
-    pub(crate) raw: Arc<str>,
     pub(crate) filter: NetFilter,
+}
+
+impl Entry {
+    /// The filter with its list, as the compiled engine lowers it.
+    pub(crate) fn rule(&self) -> (ListId, &NetFilter) {
+        (self.list, &self.filter)
+    }
 }
 
 /// Token-hash indexed filter store.
@@ -121,6 +127,18 @@ impl TokenIndex {
             .filter_map(move |t| self.by_token.get(t))
             .flatten()
             .chain(self.untokenized.iter())
+    }
+
+    /// Every entry in bucket order: ascending token, each bucket in
+    /// insertion order, the untokenized tail last — the order
+    /// [`CompiledEngine`](crate::CompiledEngine) lowers a table in.
+    pub(crate) fn in_bucket_order(&self) -> impl Iterator<Item = (ListId, &NetFilter)> {
+        let mut keys: Vec<u64> = self.by_token.keys().copied().collect();
+        keys.sort_unstable();
+        keys.into_iter()
+            .flat_map(|k| &self.by_token[&k])
+            .chain(&self.untokenized)
+            .map(Entry::rule)
     }
 
     fn len(&self) -> usize {
@@ -355,23 +373,17 @@ impl Engine {
     pub fn add_list(&mut self, list: FilterList) -> ListId {
         let id = ListId(self.lists.len());
         self.lists.push(list.name.clone());
+        self.query_literals
+            .extend(list.query_literals().map(str::to_string));
         for f in list.blocking {
-            for lit in f.query_literals() {
-                self.query_literals.push(lit.to_string());
-            }
             self.blocking.insert(Entry {
                 list: id,
-                raw: Arc::from(f.raw.as_str()),
                 filter: f,
             });
         }
         for f in list.exceptions {
-            for lit in f.query_literals() {
-                self.query_literals.push(lit.to_string());
-            }
             let entry = Entry {
                 list: id,
-                raw: Arc::from(f.raw.as_str()),
                 filter: f,
             };
             if entry.filter.options.document {
@@ -475,7 +487,7 @@ impl Engine {
                 }
                 blocking.push(FilterRef {
                     list: e.list,
-                    filter: Arc::clone(&e.raw),
+                    filter: Arc::clone(&e.filter.raw),
                 });
             }
         }
@@ -489,7 +501,7 @@ impl Engine {
             if applies(e) {
                 exception = Some(FilterRef {
                     list: e.list,
-                    filter: Arc::clone(&e.raw),
+                    filter: Arc::clone(&e.filter.raw),
                 });
                 break;
             }
@@ -517,7 +529,7 @@ impl Engine {
                     if matches(&e.filter.pattern, page_string, phs, phe) {
                         exception = Some(FilterRef {
                             list: e.list,
-                            filter: Arc::clone(&e.raw),
+                            filter: Arc::clone(&e.filter.raw),
                         });
                         page_whitelisted = req.category != ContentCategory::Document;
                         break;

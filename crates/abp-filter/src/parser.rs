@@ -79,7 +79,6 @@ fn find_hiding_separator(line: &str) -> Option<usize> {
 }
 
 fn parse_net_filter(line: &str) -> ParsedLine {
-    let raw = line.to_string();
     let (is_exception, rest) = match line.strip_prefix("@@") {
         Some(r) => (true, r),
         None => (false, line),
@@ -93,7 +92,7 @@ fn parse_net_filter(line: &str) -> ParsedLine {
                 Ok(o) => (&rest[..idx], o),
                 Err(e) => {
                     return ParsedLine::Invalid {
-                        line: raw,
+                        line: line.to_string(),
                         reason: e.to_string(),
                     }
                 }
@@ -116,12 +115,12 @@ fn parse_net_filter(line: &str) -> ParsedLine {
     let pattern = Pattern::compile(body, anchor, end_anchor, options.match_case);
     if pattern.is_trivial() && options.is_unrestricted() && !options.document {
         return ParsedLine::Invalid {
-            line: raw,
+            line: line.to_string(),
             reason: "filter matches everything".to_string(),
         };
     }
     ParsedLine::Net(NetFilter {
-        raw,
+        raw: line.into(),
         is_exception,
         pattern,
         options,

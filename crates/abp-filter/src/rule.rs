@@ -1,6 +1,7 @@
 //! Parsed network-filter representation.
 
 use crate::options::FilterOptions;
+use std::sync::Arc;
 
 /// Where the pattern is anchored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -108,8 +109,9 @@ fn take_lit(lit: &mut String, match_case: bool) -> String {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetFilter {
     /// The original filter line, for reporting (the paper prints matched
-    /// rules like `@@*jsp?callback=aslHandleAds*`).
-    pub raw: String,
+    /// rules like `@@*jsp?callback=aslHandleAds*`). Shared, not copied, by
+    /// every engine the filter is loaded into and every match reported.
+    pub raw: Arc<str>,
     /// True for `@@` exception rules.
     pub is_exception: bool,
     /// Compiled pattern.
@@ -211,7 +213,7 @@ mod tests {
     #[test]
     fn query_literals() {
         let f = NetFilter {
-            raw: "@@*jsp?callback=aslHandleAds*".to_string(),
+            raw: Arc::from("@@*jsp?callback=aslHandleAds*"),
             is_exception: true,
             pattern: Pattern::compile("jsp?callback=aslHandleAds", Anchor::None, false, false),
             options: FilterOptions::default(),

@@ -59,6 +59,18 @@ impl FilterList {
         }
     }
 
+    /// The network rules, blocking then exceptions: the order an engine
+    /// loads them in.
+    pub fn network_rules(&self) -> impl Iterator<Item = &NetFilter> {
+        self.blocking.iter().chain(&self.exceptions)
+    }
+
+    /// The query literals of the network rules, in their order (see
+    /// [`NetFilter::query_literals`]).
+    pub fn query_literals(&self) -> impl Iterator<Item = &str> {
+        self.network_rules().flat_map(NetFilter::query_literals)
+    }
+
     /// Total number of rules.
     pub fn rule_count(&self) -> usize {
         self.blocking.len() + self.exceptions.len() + self.hiding.len()

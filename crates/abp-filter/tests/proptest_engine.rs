@@ -40,7 +40,7 @@ proptest! {
         match parse_line(&line) {
             ParsedLine::Net(f) => {
                 // Round-trip sanity: raw text preserved (modulo trimming).
-                prop_assert_eq!(f.raw, line.trim());
+                prop_assert_eq!(&*f.raw, line.trim());
             }
             ParsedLine::Hiding(_) | ParsedLine::Ignored | ParsedLine::Invalid { .. } => {}
         }

@@ -4,6 +4,7 @@ use abp_filter::{
     Classification, ClassifyScratch, CompiledEngine, Engine, FilterList, ListId, Request,
 };
 use http_model::{ContentCategory, Url};
+use std::sync::{Arc, OnceLock};
 
 /// Which conceptual list a verdict belongs to, independent of engine load
 /// order.
@@ -152,19 +153,50 @@ impl AdLabel {
 /// The passive classifier: an engine plus the list-kind map, wrapping the
 /// `(url, page, type)` invocation of §3.1.
 pub struct PassiveClassifier {
-    engine: Engine,
+    /// The engine [`Self::new`] classifies through (`None` under
+    /// [`Self::reference`]).
     compiled: Option<CompiledEngine>,
+    /// The reference engine: built by [`Self::reference`], else parsed
+    /// again from `rules` the first time [`Self::engine`] asks for it.
+    reference: OnceLock<Engine>,
+    /// Under [`Self::new`], each list's network-rule texts in load order
+    /// (blocking, then exceptions): the compiled engine's own handles.
+    rules: Vec<Vec<Arc<str>>>,
+    names: Vec<String>,
     kinds: Vec<ListKind>,
+    /// The lists' query literals in load order: what the URL normalizer
+    /// must not rewrite.
+    query_literals: Vec<String>,
 }
 
 impl PassiveClassifier {
     /// Build from filter lists (load order defines primary attribution for
     /// multi-list hits; pass EasyList first like the paper). Classifies
-    /// through the arena-compiled, fingerprint-prefiltered engine.
-    pub fn new(lists: Vec<FilterList>) -> PassiveClassifier {
-        let mut c = PassiveClassifier::reference(lists);
-        c.compiled = Some(CompiledEngine::compile(&c.engine));
-        c
+    /// through the arena-compiled, fingerprint-prefiltered engine, lowered
+    /// straight from the lists: no [`Engine`] is built.
+    pub fn new(mut lists: Vec<FilterList>) -> PassiveClassifier {
+        // The rule texts move out of the parsed rules into allocations of
+        // their own, which the compiled engine then shares: left where the
+        // parser put them, between the pattern strings lowering frees, they
+        // would pin that heap into small holes that the stream's
+        // per-record allocations scatter over, slowing the match at
+        // EasyList scale (DESIGN.md §15). All are copied before any is
+        // released, so no copy reuses a hole its original leaves.
+        let rules: Vec<Vec<Arc<str>>> = lists
+            .iter()
+            .map(|l| l.network_rules().map(|f| Arc::from(&*f.raw)).collect())
+            .collect();
+        for (l, texts) in lists.iter_mut().zip(&rules) {
+            for (f, text) in l.blocking.iter_mut().chain(&mut l.exceptions).zip(texts) {
+                f.raw = Arc::clone(text);
+            }
+        }
+        let described = PassiveClassifier::described(&lists);
+        PassiveClassifier {
+            compiled: Some(CompiledEngine::from_lists(lists)),
+            rules,
+            ..described
+        }
     }
 
     /// The oracle: classifies through the original token-indexed `HashMap`
@@ -172,27 +204,71 @@ impl PassiveClassifier {
     /// at EasyList scale; the differential suites compare [`Self::new`]
     /// against it, nothing else calls it.
     pub fn reference(lists: Vec<FilterList>) -> PassiveClassifier {
+        let described = PassiveClassifier::described(&lists);
         let mut engine = Engine::new();
-        let mut kinds = Vec::with_capacity(lists.len());
         for l in lists {
-            kinds.push(ListKind::from_name(&l.name));
             engine.add_list(l);
         }
         PassiveClassifier {
-            engine,
-            compiled: None,
-            kinds,
+            reference: OnceLock::from(engine),
+            ..described
         }
     }
 
-    /// The underlying engine (for the normalizer's query literals).
+    /// The list names, kinds and query literals of `lists`, with no engine.
+    fn described(lists: &[FilterList]) -> PassiveClassifier {
+        let names: Vec<String> = lists.iter().map(|l| l.name.clone()).collect();
+        PassiveClassifier {
+            compiled: None,
+            reference: OnceLock::new(),
+            rules: Vec::new(),
+            kinds: names.iter().map(|n| ListKind::from_name(n)).collect(),
+            names,
+            query_literals: lists
+                .iter()
+                .flat_map(FilterList::query_literals)
+                .map(str::to_string)
+                .collect(),
+        }
+    }
+
+    /// The token-indexed reference [`Engine`] over the network rules (the
+    /// e2e ledger and the tests read it; element-hiding rules are not
+    /// kept). Under [`Self::new`] it is parsed again from the rule texts
+    /// on first call, so only a caller that asks pays for it.
     pub fn engine(&self) -> &Engine {
-        &self.engine
+        self.reference.get_or_init(|| {
+            let mut engine = Engine::new();
+            for (name, rules) in self.names.iter().zip(&self.rules) {
+                engine.add_list(FilterList::parse(name, &rules.join("\n")));
+            }
+            engine
+        })
     }
 
     /// The compiled engine (`None` only for [`Self::reference`]).
     pub fn compiled(&self) -> Option<&CompiledEngine> {
         self.compiled.as_ref()
+    }
+
+    /// The query literals of every network rule, in load order: what
+    /// [`UrlNormalizer::from_literals`](crate::normalize::UrlNormalizer::from_literals)
+    /// protects.
+    pub fn query_literals(&self) -> &[String] {
+        &self.query_literals
+    }
+
+    /// Number of network rules loaded.
+    pub fn rule_count(&self) -> usize {
+        match &self.compiled {
+            Some(compiled) => compiled.stats().rules,
+            None => self.engine().filter_count(),
+        }
+    }
+
+    /// Name of an engine list id.
+    pub fn list_name(&self, id: ListId) -> &str {
+        &self.names[id.0]
     }
 
     /// Kind of an engine list id.
@@ -226,7 +302,7 @@ impl PassiveClassifier {
         };
         let c = match &self.compiled {
             Some(compiled) => compiled.classify(&req, scratch),
-            None => self.engine.classify_in(&req, scratch),
+            None => self.engine().classify_in(&req, scratch),
         };
         (AdLabel::from_classification(&c, &self.kinds), c)
     }
@@ -235,11 +311,11 @@ impl PassiveClassifier {
     /// filter in list order, else the exception that whitelisted the
     /// request. `Some` exactly when the label is an ad — this is what
     /// population analytics attributes a fired request to.
-    pub fn primary_rule(&self, c: &Classification) -> Option<(ListKind, std::sync::Arc<str>)> {
+    pub fn primary_rule(&self, c: &Classification) -> Option<(ListKind, Arc<str>)> {
         c.blocking
             .first()
             .or(c.exception.as_ref())
-            .map(|f| (self.kind_of(f.list), std::sync::Arc::clone(&f.filter)))
+            .map(|f| (self.kind_of(f.list), Arc::clone(&f.filter)))
     }
 }
 

@@ -7,7 +7,8 @@
 //! values, but takes care **not** to rewrite values that appear in filter
 //! rules (e.g. `@@*jsp?callback=aslHandleAds*`), which would break those
 //! rules. Every classify path normalizes, with the normalizer
-//! [`UrlNormalizer::from_engine`] builds from its classifier's engine.
+//! [`UrlNormalizer::from_literals`] builds from its classifier's query
+//! literals.
 //!
 //! Whether a rule mentions a `key=value` pair is answered from a
 //! `ProtectedIndex` built once per normalizer, so the cost per pair does
@@ -161,12 +162,18 @@ pub struct UrlNormalizer {
 }
 
 impl UrlNormalizer {
-    /// Build from an engine's query literals: the normalizer every classify
-    /// path runs with.
-    pub fn from_engine(engine: &abp_filter::Engine) -> UrlNormalizer {
+    /// Build from the filter lists' query literals
+    /// ([`PassiveClassifier::query_literals`](crate::PassiveClassifier::query_literals)):
+    /// the normalizer every classify path runs with.
+    pub fn from_literals(literals: &[String]) -> UrlNormalizer {
         UrlNormalizer {
-            protected: ProtectedIndex::build(engine.query_literals()),
+            protected: ProtectedIndex::build(literals),
         }
+    }
+
+    /// [`Self::from_literals`] over an engine's query literals.
+    pub fn from_engine(engine: &abp_filter::Engine) -> UrlNormalizer {
+        UrlNormalizer::from_literals(engine.query_literals())
     }
 
     /// Build with explicit protected fragments (tests).
@@ -445,12 +452,12 @@ mod tests {
     }
 
     #[test]
-    fn from_engine_collects_literals() {
+    fn from_literals_protects_the_classifier_literals() {
         let classifier = crate::PassiveClassifier::new(vec![abp_filter::FilterList::parse(
             "el",
             "@@*jsp?callback=aslHandleAds*\n",
         )]);
-        let n = UrlNormalizer::from_engine(classifier.engine());
+        let n = UrlNormalizer::from_literals(classifier.query_literals());
         let u = n.normalize(&url(
             "http://a.example/p.jsp?callback=aslHandleAds12345678&cb=123456",
         ));

@@ -159,7 +159,7 @@ fn classify(
         prev_ts = obj.ts;
     }
 
-    let normalizer = UrlNormalizer::from_engine(classifier.engine());
+    let normalizer = UrlNormalizer::from_literals(classifier.query_literals());
 
     // Pass 1: per-user referrer map + provisional types.
     let mut per_user: HashMap<(u32, Option<&str>), RefMap> = HashMap::new();

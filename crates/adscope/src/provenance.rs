@@ -337,7 +337,7 @@ pub fn build(
     let (normalized, rewrites) = normalizer.normalize_explain(&obj.url);
     let rule = |f: &FilterRef| RuleMatch {
         kind: classifier.kind_of(f.list).label(),
-        list: classifier.engine().list_name(f.list).to_string(),
+        list: classifier.list_name(f.list).to_string(),
         rule: f.filter.to_string(),
     };
     VerdictProvenance {

@@ -139,7 +139,7 @@ pub(super) fn run_stream<S: ChunkSource, F: Fold>(
         opts.threads
     }
     .max(1);
-    let normalizer = UrlNormalizer::from_engine(classifier.engine());
+    let normalizer = UrlNormalizer::from_literals(classifier.query_literals());
     let popts = opts.pipeline;
 
     let quarantine = match &opts.quarantine_path {

@@ -571,7 +571,7 @@ mod tests {
     #[test]
     fn a_barrier_renders_only_the_users_a_record_touched() {
         let classifier = classifier();
-        let normalizer = UrlNormalizer::from_engine(classifier.engine());
+        let normalizer = UrlNormalizer::from_literals(classifier.query_literals());
         let mut w = worker(&classifier, &normalizer, None);
         feed_three_users(&mut w);
 
@@ -612,7 +612,7 @@ mod tests {
     #[test]
     fn a_barrier_renders_only_the_entries_a_record_touched() {
         let classifier = classifier();
-        let normalizer = UrlNormalizer::from_engine(classifier.engine());
+        let normalizer = UrlNormalizer::from_literals(classifier.query_literals());
         let mut w = worker(&classifier, &normalizer, Some("track.example"));
         let mut page = obj(0, 1, "http://pub.example/", None);
         page.content_type = Some(Arc::from("text/html"));

@@ -1,0 +1,99 @@
+//! Heap a `PassiveClassifier::new` costs, pinned with a counting global
+//! allocator that tracks live and peak bytes: over the ecosystem's four
+//! lists plus a 40 000-rule EasyList-scale list (≈38 K network rules), the
+//! heap from the parsed lists on — at its peak while the classifier is
+//! built, and what stays live once it is — with the parsed lists consumed.
+//!
+//! When `new` built the token-indexed reference `Engine` and compiled it
+//! beside itself, keeping both, these read 35.0 MiB at the peak and
+//! 35.0 MiB once built (38 070 rules). Lowered straight from the lists
+//! into the compiled form, with the reference `Engine` built only when
+//! asked for, they read 23.1 and 11.7 MiB.
+//!
+//! The counter is process-wide; this file holds one test, so nothing else
+//! allocates while it counts.
+
+use abp_filter::FilterList;
+use adscope::PassiveClassifier;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use webgen::{easylist_scale, Ecosystem, EcosystemConfig, ScaleConfig};
+
+struct CountingAlloc;
+
+// Statistics only: nothing is published through them.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        grow(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        grow(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+const MIB: f64 = 1024.0 * 1024.0;
+/// Bounds on the heap above the baseline, in MiB: the readings above plus
+/// ≈10 % headroom, each well under the two-engine figures.
+const PEAK_BOUND_MIB: f64 = 26.0;
+const BUILT_BOUND_MIB: f64 = 13.0;
+
+#[test]
+fn new_holds_one_engine() {
+    let eco = Ecosystem::generate(EcosystemConfig {
+        publishers: 120,
+        ad_companies: 14,
+        trackers: 16,
+        seed: 20_150_811,
+        ..Default::default()
+    });
+    let scale = easylist_scale(ScaleConfig {
+        rules: 40_000,
+        seed: 0xEA5E,
+    });
+
+    let base = LIVE.load(Ordering::Relaxed);
+    PEAK.store(base, Ordering::Relaxed);
+    let lists = vec![
+        eco.lists.easylist(),
+        eco.lists.regional(),
+        eco.lists.easyprivacy(),
+        eco.lists.acceptable(),
+        FilterList::parse("easylist-scale", &scale.text),
+    ];
+    let classifier = PassiveClassifier::new(lists);
+    let peak = (PEAK.load(Ordering::Relaxed) - base) as f64 / MIB;
+    let built = (LIVE.load(Ordering::Relaxed) - base) as f64 / MIB;
+    let rules = classifier.rule_count();
+    drop(classifier);
+
+    println!("{rules} rules: peak {peak:.1} MiB, built {built:.1} MiB");
+    assert!(rules > 35_000, "only {rules} network rules");
+    assert!(
+        peak <= PEAK_BOUND_MIB,
+        "building the classifier peaked at {peak:.1} MiB (bound {PEAK_BOUND_MIB})"
+    );
+    assert!(
+        built <= BUILT_BOUND_MIB,
+        "the built classifier holds {built:.1} MiB (bound {BUILT_BOUND_MIB})"
+    );
+}

@@ -385,8 +385,10 @@ fn main() {
     // included, whose ad words surface the list's ≈200-rule query buckets.
     let mut miss_engine = Engine::new();
     miss_engine.add_list(scale_list());
-    let mut trace_engine = classifier.engine().clone();
-    trace_engine.add_list(scale_list());
+    let mut trace_engine = Engine::new();
+    for list in bench::bench_lists(&eco).into_iter().chain([scale_list()]) {
+        trace_engine.add_list(list);
+    }
     let (miss_compiled, trace_compiled) = (
         CompiledEngine::compile(&miss_engine),
         CompiledEngine::compile(&trace_engine),

@@ -24,14 +24,19 @@ pub fn bench_ecosystem() -> Ecosystem {
     })
 }
 
-/// The passive classifier over the ecosystem's four lists.
-pub fn bench_classifier(eco: &Ecosystem) -> adscope::PassiveClassifier {
-    adscope::PassiveClassifier::new(vec![
+/// The ecosystem's four lists, in the paper's load order.
+pub fn bench_lists(eco: &Ecosystem) -> Vec<abp_filter::FilterList> {
+    vec![
         eco.lists.easylist(),
         eco.lists.regional(),
         eco.lists.easyprivacy(),
         eco.lists.acceptable(),
-    ])
+    ]
+}
+
+/// The passive classifier over the ecosystem's four lists.
+pub fn bench_classifier(eco: &Ecosystem) -> adscope::PassiveClassifier {
+    adscope::PassiveClassifier::new(bench_lists(eco))
 }
 
 /// A ~1-hour evening trace of a small population (tens of thousands of

@@ -174,7 +174,7 @@ impl World {
             eco.publishers.len(),
             eco.companies.len(),
             eco.servers.len(),
-            classifier.engine().filter_count(),
+            classifier.rule_count(),
             t.elapsed().as_secs_f64()
         );
         World {

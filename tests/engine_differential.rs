@@ -7,7 +7,9 @@
 //! The driven trace's own requests are also classified at EasyList scale
 //! (the request mix the fat token buckets see), with the compiled engine's
 //! tallies over them pinned, and every alignment record of the compiled
-//! engine is audited against its bucket key.
+//! engine is audited against its bucket key. The compiled engine
+//! `PassiveClassifier::new` lowers straight from the lists is held to the
+//! one compiled from the reference engine.
 
 use abp_filter::tokenizer::{filter_index_token, filter_token, hash_token};
 use abp_filter::{ClassifyScratch, CompiledEngine, Engine, Request};
@@ -226,6 +228,57 @@ fn easylist_scale_tallies_are_pinned() {
         ),
         "abp_first_match_depth (non-empty buckets, sum)"
     );
+}
+
+/// `PassiveClassifier::new` lowers the lists straight into the compiled
+/// form; that must be the engine `CompiledEngine::compile` makes of the
+/// reference `Engine` over the same lists, at EasyList scale: the same
+/// layout (compile stats and every alignment record, in order), the same
+/// tallies and byte-identical `Classification`s over the driven trace's
+/// requests. The reference `Engine` the classifier builds on demand must
+/// hold the same lists, rules and query literals as one loaded directly.
+#[test]
+fn new_lowers_the_lists_like_the_reference_engine() {
+    let eco = eco();
+    let trace = driven_trace(&eco);
+    let classifier = PassiveClassifier::new(easylist_scale_lists(&eco));
+    let reference = PassiveClassifier::reference(easylist_scale_lists(&eco));
+    let mut lowered = classifier.compiled().expect("compiled mode").clone();
+    let mut compiled = CompiledEngine::compile(reference.engine());
+    assert_eq!(lowered.stats(), compiled.stats());
+    assert!(lowered.stats().rules > 35_000);
+    assert!(
+        lowered.alignment_records().eq(compiled.alignment_records()),
+        "alignment records differ"
+    );
+
+    let (lowered_registry, compiled_registry) = (obs::Registry::new(), obs::Registry::new());
+    lowered.bind_metrics(&lowered_registry);
+    compiled.bind_metrics(&compiled_registry);
+    let requests = classify_trace(&trace, &reference, PipelineOptions::default());
+    assert!(requests.requests.len() > 1_000, "trace too small to matter");
+    let mut scratch = ClassifyScratch::new();
+    for r in &requests.requests {
+        let req = Request {
+            url: &r.url,
+            source_url: r.page.as_ref(),
+            category: r.category,
+        };
+        assert_eq!(
+            lowered.classify(&req, &mut scratch),
+            compiled.classify(&req, &mut scratch),
+            "diverged on {}",
+            r.url
+        );
+    }
+    assert_eq!(lowered_registry.snapshot(), compiled_registry.snapshot());
+
+    let (lazy, loaded) = (classifier.engine(), reference.engine());
+    assert_eq!(lazy.filter_count(), loaded.filter_count());
+    assert_eq!(lazy.list_names(), loaded.list_names());
+    assert_eq!(lazy.query_literals(), loaded.query_literals());
+    assert_eq!(classifier.query_literals(), loaded.query_literals());
+    assert_eq!(classifier.rule_count(), loaded.filter_count());
 }
 
 /// One source of truth for the index token: over every rule of the
