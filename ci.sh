@@ -60,6 +60,10 @@ if grep -nE 'WindowAggregator|PopulationSketches|DecodeWindows' \
 if grep -rnE '\\?"(households|decode_windows)\\?"' crates/adscope/src \
   | grep -v '^crates/adscope/src/stream/checkpoint.rs:'; then exit 1; fi
 if grep -rnE '\\?"tallies\\?"' crates/adscope/src; then exit 1; fi
+# One reply channel of each kind per worker: a barrier's acks come back each
+# on its worker's own channel, so a worker that died is a closed channel, not
+# a hang on an ack channel the live workers keep open.
+if grep -rnF '(usize, WorkerAck)' crates/adscope/src/stream/; then exit 1; fi
 # A plane is its own total: one plane-set type, and one form of window series
 # (a dense, additive accumulator over a static schema), so no totals twin, no
 # series registration and no open-window cap may come back.

@@ -14,12 +14,13 @@
 //!   exact regime — capacity is sized well above the generated domain
 //!   space, and the render flags the approximate regime explicitly).
 //! * [`PopulationSketches::finish`] — the single report builder. Beside the
-//!   sketches it reads two inputs that are not this module's: the user table
-//!   ([`crate::users::UserAggregate`] rows, whose exact counters Table 3's
-//!   classes and the ad-share distribution come from) and the download
-//!   households. The stream engine builds both once per run, from its
-//!   workers' per-user counters and its planes
-//!   (`StreamReport::{user_table, households}`); the materialized path from
+//!   sketches it reads three inputs that are not this module's: the request
+//!   and ad-request counts, the user table ([`crate::users::UserAggregate`]
+//!   rows, whose exact counters Table 3's classes and the ad-share
+//!   distribution come from) and the download households. The stream engine
+//!   builds them once per run, from its planes and its workers' per-user
+//!   counters (`StreamReport::{requests, ad_requests, user_table,
+//!   households}`); the materialized path from the trace's requests,
 //!   [`crate::users::aggregate_users`] and
 //!   [`infer::households_with_downloads`] ([`finish_trace`]).
 //!
@@ -83,10 +84,6 @@ pub struct PopulationSketches {
     pub object_bytes: QuantileSketch,
     /// RTB back-office gap (ms, ad requests only; Fig. 7).
     pub rtb_gap_ms: QuantileSketch,
-    /// Total requests observed.
-    pub requests: u64,
-    /// Total ad requests observed.
-    pub ad_requests: u64,
     // Reusable key scratch — per-record upkeep must not allocate on the
     // streaming hot path — and the last site host fed to `sites`. Not part
     // of the sketch state.
@@ -105,8 +102,6 @@ impl PartialEq for PopulationSketches {
             && self.sites == other.sites
             && self.object_bytes == other.object_bytes
             && self.rtb_gap_ms == other.rtb_gap_ms
-            && self.requests == other.requests
-            && self.ad_requests == other.ad_requests
     }
 }
 
@@ -121,8 +116,6 @@ impl PopulationSketches {
             sites: Distinct64::new(),
             object_bytes: QuantileSketch::new(QUANTILE_GAMMA),
             rtb_gap_ms: QuantileSketch::new(QUANTILE_GAMMA),
-            requests: 0,
-            ad_requests: 0,
             key_buf: Vec::new(),
             rule_buf: String::new(),
             last_site: None,
@@ -161,7 +154,6 @@ impl PopulationSketches {
     /// is idempotent, so `sites` is fed only when the site host differs
     /// from the previous request's: the requests of one page view share it.
     fn observe_traffic(&mut self, r: &ClassifiedRequest) {
-        self.requests += 1;
         let site = r
             .page
             .as_ref()
@@ -181,7 +173,6 @@ impl PopulationSketches {
             self.rules.observe(&self.rule_buf, 1);
         }
         if r.label.is_ad() {
-            self.ad_requests += 1;
             self.ad_domains.observe(r.url.host(), 1);
             self.object_bytes.observe(r.bytes as f64);
             self.rtb_gap_ms.observe(r.backend_gap_ms());
@@ -198,18 +189,18 @@ impl PopulationSketches {
         self.sites.merge(&other.sites);
         self.object_bytes.merge(&other.object_bytes);
         self.rtb_gap_ms.merge(&other.rtb_gap_ms);
-        self.requests += other.requests;
-        self.ad_requests += other.ad_requests;
     }
 
     /// Build the report: the one code path the streamed and materialized
-    /// pipelines share, a pure function of the sketches, the download
-    /// `households` and the user table (one row per ⟨IP, UA⟩ user, an absent
-    /// UA the empty one, as [`crate::users::aggregate_users`] keys them). A
-    /// row with no request finalized yet counts nothing.
+    /// pipelines share, a pure function of the sketches, the run's
+    /// `(requests, ad requests)` counts, the download `households` and the
+    /// user table (one row per ⟨IP, UA⟩ user, an absent UA the empty one, as
+    /// [`crate::users::aggregate_users`] keys them). A row with no request
+    /// finalized yet counts nothing.
     pub fn finish(
         &self,
         opts: PopulationOptions,
+        (requests, ad_requests): (u64, u64),
         households: &HashSet<u32>,
         users: &[UserAggregate],
     ) -> PopulationReport {
@@ -251,9 +242,8 @@ impl PopulationSketches {
                 .collect()
         };
         PopulationReport {
-            opts,
-            requests: self.requests,
-            ad_requests: self.ad_requests,
+            requests,
+            ad_requests,
             distinct_users: self.users.estimate(),
             distinct_sites: self.sites.estimate(),
             active_browsers,
@@ -286,8 +276,6 @@ pub struct ClassTally {
 /// sketches, the user table, and the download-household set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PopulationReport {
-    /// The options the report was built under.
-    pub opts: PopulationOptions,
     /// Total requests.
     pub requests: u64,
     /// Total ad requests.
@@ -325,8 +313,10 @@ pub fn finish_trace(
 ) -> PopulationReport {
     let mut sketches = PopulationSketches::new(opts);
     trace.requests.iter().for_each(|r| sketches.observe(r));
+    let ads = trace.requests.iter().filter(|r| r.label.is_ad()).count();
+    let counts = (trace.requests.len() as u64, ads as u64);
     let households = infer::households_with_downloads(&trace.https_flows, abp_ips);
-    sketches.finish(opts, &households, &aggregate_users(trace))
+    sketches.finish(opts, counts, &households, &aggregate_users(trace))
 }
 
 impl PopulationReport {
@@ -584,8 +574,7 @@ mod tests {
         assert!(off.population.is_none());
         let on = sample(on());
         let sk = on.population.as_ref().expect("sketches attached");
-        assert_eq!(sk.requests, 20);
-        assert_eq!(sk.ad_requests, 6);
+        assert_eq!(sk.object_bytes.count(), 6, "one size per ad request");
         assert!(sk.ad_domains.is_exact());
     }
 

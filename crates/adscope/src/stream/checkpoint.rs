@@ -1,17 +1,20 @@
 //! The persisted checkpoint: `checkpoint.ndjson`, an append-only log of
-//! segments (format version 5). A segment is one manifest line (the
-//! [`RunState`], plane totals included), the lines of the users a record
-//! touched since the segment before it, and a trailer
+//! segments (format version 6). A segment is one manifest line (the
+//! [`RunState`], plane totals included, and no fact twice: nothing the
+//! config hash or a window's index fixes, and the population block carries
+//! no count the manifest does), the lines of the users a record touched
+//! since the segment before it, and a trailer
 //! `{"segment":{"lines":n,"bytes":b,"sum":s}}` that counts and checksums
 //! those lines ([`obs::Sum64`]). A user line is whole, or a delta whose
 //! `page_of` holds only the entries written since the user's last line; the
-//! page roots it names are listed once, by index. A run's first barrier, and
-//! a compaction the router announces ([`CheckpointLog::rewrites`]), rewrites
-//! the log as one segment of whole lines (`obs::atomic_write_with`); every
-//! other barrier appends one and `sync_data`s it. Resume reads the segments
-//! up to the first that does not validate, takes the last manifest and
-//! applies each user's lines in log order. Every `f64` is its bit image in
-//! 16 hex digits, so a resumed run starts from exactly the bits it held.
+//! page roots it names are listed once per `Url` buffer, by index. A run's
+//! first barrier, and a compaction the router announces
+//! ([`CheckpointLog::rewrites`]), rewrites the log as one segment of whole
+//! lines (`obs::atomic_write_with`); every other barrier appends one and
+//! `sync_data`s it. Resume reads the segments up to the first that does not
+//! validate, takes the last manifest and applies each user's lines in log
+//! order. Every `f64` is its bit image in 16 hex digits, so a resumed run
+//! starts from exactly the bits it held.
 //!
 //! Resume reads only the version this build writes: a checkpoint of any
 //! other format version is refused, naming it. This is the only module in
@@ -56,7 +59,7 @@ pub const CHECKPOINT_FILE: &str = "checkpoint.ndjson";
 /// checkpointing there is live.
 pub(super) const LOCK_FILE: &str = "checkpoint.lock";
 /// Manifest schema version (bumped on incompatible layout changes).
-const CHECKPOINT_VERSION: u64 = 5;
+const CHECKPOINT_VERSION: u64 = 6;
 /// A barrier rewrites the log once appending would take it past this many
 /// times the bytes of a whole-state segment.
 const COMPACT_RATIO: u64 = 2;
@@ -119,16 +122,12 @@ fn write_nums<T: Display>(out: &mut String, nums: impl IntoIterator<Item = T>) {
     });
 }
 
+/// A window report without its width, which the config hash covers, or
+/// each window's start, which is its index times that width.
 fn window_report_to_json(out: &mut String, r: &WindowReport) {
-    out.push_str("{\"width\":");
-    write_bits(out, r.width_secs);
-    let _ = write!(out, ",\"late\":{},\"windows\":[", r.late);
+    let _ = write!(out, "{{\"late\":{},\"windows\":[", r.late);
     json::write_seq(out, &r.windows, |out, w| {
-        let _ = write!(out, "{{\"index\":{},\"start\":", w.index);
-        write_bits(out, w.start_secs);
-        out.push_str(",\"width\":");
-        write_bits(out, w.width_secs);
-        out.push_str(",\"counters\":{");
+        let _ = write!(out, "{{\"index\":{},\"counters\":{{", w.index);
         json::write_seq(out, &w.counters, |out, (name, v)| {
             let _ = write!(out, "\"{name}\":{v}");
         });
@@ -279,11 +278,11 @@ pub(super) fn write_user(
 }
 
 fn population_to_json(out: &mut String, s: &PopulationSketches) {
-    let _ = write!(
-        out,
-        ",\"population\":{{\"requests\":{},\"ad_requests\":{}",
-        s.requests, s.ad_requests
-    );
+    out.push_str(",\"population\":{\"users\":[");
+    write_nums(out, s.users.state());
+    out.push_str("],\"sites\":[");
+    write_nums(out, s.sites.state());
+    out.push(']');
     for (name, t) in [("ad_domains", &s.ad_domains), ("rules", &s.rules)] {
         let _ = write!(
             out,
@@ -296,11 +295,6 @@ fn population_to_json(out: &mut String, s: &PopulationSketches) {
             let _ = write!(out, ",{c},{e}]");
         });
         out.push_str("]}");
-    }
-    for (name, d) in [("users", &s.users), ("sites", &s.sites)] {
-        let _ = write!(out, ",\"{name}\":[");
-        write_nums(out, d.state());
-        out.push(']');
     }
     for (name, q) in [
         ("object_bytes", &s.object_bytes),
@@ -331,12 +325,10 @@ pub(super) fn manifest_to_json(hash: u64, st: &RunState) -> String {
         ",\"subscribers\":{},\"start_hour\":{},\"start_weekday\":{}}}",
         st.meta.subscribers, st.meta.start_hour, st.meta.start_weekday
     );
-    // `seq`, the next chunk's sequence number, is the chunk count: a
-    // checkpoint is cut on a chunk boundary. Written for the format's sake.
     let _ = write!(
         out,
-        ",\"offset\":{},\"chunks\":{},\"seq\":{},\"next_pos\":{},\"next_http_idx\":{},\"prev_ts\":",
-        st.offset, st.chunks, st.chunks, st.next_pos, st.next_http_idx
+        ",\"offset\":{},\"chunks\":{},\"next_pos\":{},\"next_http_idx\":{},\"prev_ts\":",
+        st.offset, st.chunks, st.next_pos, st.next_http_idx
     );
     // −∞ before the first record: a bit pattern like any other.
     write_bits(&mut out, st.prev_ts);
@@ -535,18 +527,9 @@ fn cells(
 }
 
 /// Add a persisted window report into `into`, a fresh series of the run's
-/// schema and width. What a report derives — its width, each window's
-/// start — must be what `into` derives, and its windows come in increasing
-/// index order, as a report holds them.
+/// schema and width. Its windows come in increasing index order, as a report
+/// holds them.
 fn window_series_from_value(v: &Value<'_>, into: &mut WindowSeries) -> Result<(), DecodeError> {
-    let width = into.width_secs();
-    let derived = |w: &Value<'_>, key: &str, want: f64| {
-        let wrong = || DecodeError::new(format!("expected {want}")).at_key(key);
-        (w.field::<Bits>(key)?.0 == want)
-            .then_some(())
-            .ok_or_else(wrong)
-    };
-    derived(v, "width", width)?;
     into.late = v.field("late")?;
     let (counters, hists) = (into.counter_names(), into.hist_names());
     let mut last = None;
@@ -558,8 +541,6 @@ fn window_series_from_value(v: &Value<'_>, into: &mut WindowSeries) -> Result<()
                 return Err(order.at_key("index"));
             }
             last = Some(index);
-            derived(w, "start", index as f64 * width)?;
-            derived(w, "width", width)?;
             let mut window = into.window(index);
             cells(w, "counters", counters, |at, n| {
                 window.count(at, u64::from_json(n)?);
@@ -728,8 +709,6 @@ fn population_from_value(
     sketches.sites = regs("sites")?;
     sketches.object_bytes = qs("object_bytes")?;
     sketches.rtb_gap_ms = qs("rtb_gap_ms")?;
-    sketches.requests = v.field("requests")?;
-    sketches.ad_requests = v.field("ad_requests")?;
     Ok(sketches)
 }
 
@@ -1117,16 +1096,13 @@ mod tests {
     #[test]
     fn a_window_or_series_given_twice_is_refused() {
         let decode = |windows: &str| {
-            let v = format!(r#"{{"width":"40ac200000000000","late":0,"windows":[{windows}]}}"#);
+            let v = format!(r#"{{"late":0,"windows":[{windows}]}}"#);
             let mut into = crate::window::series(Default::default());
             let v = json::parse(&v).unwrap();
             window_series_from_value(&v, &mut into).map_err(|e| e.to_string())
         };
         let window = |index: usize, counters: &str| {
-            let start = ["0000000000000000", "40ac200000000000"][index];
-            format!(
-                r#"{{"index":{index},"start":"{start}","width":"40ac200000000000","counters":{{{counters}}},"hists":{{}}}}"#
-            )
+            format!(r#"{{"index":{index},"counters":{{{counters}}},"hists":{{}}}}"#)
         };
         let (zero, one) = (window(0, r#""requests":1"#), window(1, r#""ads":1"#));
         assert_eq!(decode(&format!("{zero},{one}")), Ok(()));

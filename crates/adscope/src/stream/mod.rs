@@ -35,9 +35,10 @@
 //!   verbatim.
 //! * **Checkpoint/resume.** Every N chunks the router injects a barrier,
 //!   announcing whether it rewrites the log: workers ack their cut deltas,
-//!   then render the lines of the users a record reached since the last
-//!   barrier — a delta of the `page_of` entries it wrote, or the user whole
-//!   (every user, at a rewrite) — while the router merges the deltas,
+//!   each on a channel of its own (a worker that died is a closed channel,
+//!   not a hang), then render the lines of the users a record reached since
+//!   the last barrier — a delta of the `page_of` entries it wrote, or the
+//!   user whole (every user, at a rewrite) — while the router merges the deltas,
 //!   encodes the manifest and *parks* the checkpoint. It goes into the
 //!   append-only log `checkpoint.ndjson` right after the next chunk's
 //!   batches are sent, or after the loop when it ends on a barrier: one
@@ -50,8 +51,9 @@
 //!   a final report byte-identical to an uninterrupted run. A run holds the
 //!   directory's `checkpoint.lock` while it is live, so a second one is
 //!   refused ([`StreamError::Locked`]); a quarantine sidecar shorter than the
-//!   checkpoint recorded is refused, and temp files a killed run left in the
-//!   checkpoint directory are swept when the next one opens it.
+//!   checkpoint recorded is refused, and so is a trace shorter than its
+//!   offset or whose header is not the manifest's; temp files a killed run
+//!   left in the checkpoint directory are swept when the next one opens it.
 //!
 //! Four modules: this one holds the options, the report and the two entry
 //! points; `worker` the quarantine sidecar, the held-record protocol and
@@ -393,6 +395,11 @@ pub fn classify_stream_file_with<F: Fold>(
 
 /// [`classify_stream_file_with`] behind its refusal: the resume test folds
 /// a collector over a resumed run to see exactly the part a checkpoint drops.
+///
+/// A resume refuses a trace that cannot be the one the checkpoint was cut
+/// from: a file shorter than the checkpoint's offset, or one whose header
+/// names other trace metadata than the manifest's. Two traces whose headers
+/// are byte-identical are still not told apart.
 fn stream_file<F: Fold>(
     path: &Path,
     classifier: &PassiveClassifier,
@@ -418,6 +425,16 @@ fn stream_file<F: Fold>(
         Some(ck) if ck.resume => {
             let state = checkpoint::load_checkpoint(&ck.dir, opts)?;
             let mut f = File::open(path)?;
+            let len = f.metadata()?.len();
+            if len < state.offset {
+                let at = state.offset;
+                return Err(ck_err(format!(
+                    "the trace holds {len} bytes, the checkpoint resumes at {at}"
+                )));
+            }
+            if *ChunkReader::with_registry(&f, 1, registry)?.meta() != state.meta {
+                return Err(ck_err("the trace's header is not the checkpointed trace's"));
+            }
             f.seek(SeekFrom::Start(state.offset))?;
             let (meta, at) = (state.meta.clone(), state.offset);
             // A checkpoint is cut on a chunk boundary: the next chunk's
@@ -787,6 +804,46 @@ mod tests {
         assert!(reg.windows_ndjson().contains("\"scope\":\"decode\""));
         let _ = fs::remove_file(&path);
     }
+    /// A resume refuses a trace that is not the checkpoint's: the same trace
+    /// cut short of the checkpoint's offset, and another trace, whose header
+    /// differs. Each used to resume to a report of some other trace.
+    #[test]
+    fn resume_refuses_a_trace_that_is_not_the_checkpoints() {
+        let path = write_trace_file(&messy_trace(300), "wrong-trace");
+        let dir = temp_path("wrong-trace-ck");
+        let _ = fs::remove_dir_all(&dir);
+        let mut o = stream_opts(2, 16);
+        o.checkpoint = Some(CheckpointOptions {
+            dir: dir.clone(),
+            every_chunks: 1,
+            resume: false,
+        });
+        o.stop_after_chunks = Some(8);
+        classify_stream_file(&path, &classifier(), &o, &obs::Registry::new()).unwrap();
+        (o.stop_after_chunks, o.checkpoint.as_mut().unwrap().resume) = (None, true);
+
+        let bytes = fs::read(&path).unwrap();
+        let cut = temp_path("wrong-trace-cut");
+        fs::write(&cut, &bytes[..bytes.len() / 4]).unwrap();
+        let other = write_trace_file(&messy_trace(400), "wrong-trace-other");
+        for (what, trace, says) in [
+            ("cut to a quarter", &cut, "the checkpoint resumes at"),
+            ("another trace", &other, "header"),
+        ] {
+            match classify_stream_file(trace, &classifier(), &o, &obs::Registry::new()) {
+                Err(StreamError::Checkpoint(msg)) => assert!(msg.contains(says), "{what}: {msg}"),
+                got => panic!("{what}: resumed to {:?}", got.map(|r| r.requests)),
+            }
+        }
+        // The checkpoint's own trace still resumes.
+        let got = classify_stream_file(&path, &classifier(), &o, &obs::Registry::new());
+        assert!(got.unwrap().resumed_from.is_some());
+        let _ = fs::remove_dir_all(&dir);
+        for f in [path, cut, other] {
+            let _ = fs::remove_file(f);
+        }
+    }
+
     /// A referer that is valid UTF-8 and valid JSON but has a multi-byte
     /// char where the scheme test ends used to panic `Url::parse` on the
     /// router thread; it is one unparseable referer.

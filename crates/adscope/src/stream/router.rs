@@ -73,9 +73,10 @@ struct Router<'a> {
     registry: &'a obs::Registry,
     state: RunState,
     senders: Vec<parallel::Sender<ToWorker>>,
-    ack_rx: mpsc::Receiver<(usize, WorkerAck)>,
-    /// Each worker's own channel for the lines it renders once it has acked
-    /// a barrier: a worker that died is a closed channel, not a hang.
+    /// Each worker's own channels for what it hands back at a barrier: its
+    /// ack, then the lines it renders once it has acked. A worker that died
+    /// is a closed channel, not a hang.
+    ack_rx: Vec<mpsc::Receiver<WorkerAck>>,
     lines_rx: Vec<mpsc::Receiver<WorkerLines>>,
     quarantine: Option<Arc<Quarantine>>,
     /// The router's own planes, for what only it sees: every record's view
@@ -164,15 +165,15 @@ pub(super) fn run_stream<S: ChunkSource, F: Fold>(
     }
 
     std::thread::scope(|scope| -> Result<(StreamReport, F), StreamError> {
-        let (ack_tx, ack_rx) = mpsc::channel::<(usize, WorkerAck)>();
         let mut senders: Vec<parallel::Sender<ToWorker>> = Vec::with_capacity(nworkers);
-        let mut lines_rx = Vec::with_capacity(nworkers);
+        let (mut ack_rx, mut lines_rx) = (Vec::new(), Vec::new());
         let mut handles = Vec::with_capacity(nworkers);
         let normalizer = &normalizer;
         for (id, init) in per_worker_restores.into_iter().enumerate() {
             let (tx, rx) = parallel::bounded::<ToWorker>(CHANNEL_CAPACITY);
-            let ack_tx = ack_tx.clone();
+            let (ack_tx, rx_ack) = mpsc::channel();
             let (lines_tx, rx_lines) = mpsc::channel();
+            ack_rx.push(rx_ack);
             lines_rx.push(rx_lines);
             let q = quarantine.clone();
             let poison = opts.poison_host.as_deref();
@@ -180,11 +181,10 @@ pub(super) fn run_stream<S: ChunkSource, F: Fold>(
             let slot = health.worker(id as u64);
             handles.push(scope.spawn(move || {
                 let w = Worker::new(classifier, normalizer, popts, part, q, poison, init);
-                worker_loop(w, rx, ack_tx, lines_tx, id, slot, registry)
+                worker_loop(w, rx, ack_tx, lines_tx, slot, registry)
             }));
             senders.push(tx);
         }
-        drop(ack_tx);
 
         let mut router = Router {
             opts,
@@ -451,7 +451,9 @@ impl<'a> Router<'a> {
         // while the run is going.
         let sketches = totals.population.as_ref()?;
         let users = self.users.rows(&self.extractor);
-        let report = sketches.finish(self.opts.pipeline.population, &totals.households, users);
+        let popts = self.opts.pipeline.population;
+        let counts = (totals.requests, totals.ads);
+        let report = sketches.finish(popts, counts, &totals.households, users);
         report.publish(self.registry);
         Some(report)
     }
@@ -515,10 +517,10 @@ impl<'a> Router<'a> {
 }
 
 /// Inject a barrier, announcing whether it is a `rewrite`, and collect one
-/// ack per worker, in worker order.
+/// ack per worker, in worker order, each from the worker's own channel.
 fn collect_acks(
     senders: &[parallel::Sender<ToWorker>],
-    ack_rx: &mpsc::Receiver<(usize, WorkerAck)>,
+    ack_rx: &[mpsc::Receiver<WorkerAck>],
     rewrite: bool,
 ) -> Result<Vec<WorkerAck>, StreamError> {
     for s in senders {
@@ -526,19 +528,13 @@ fn collect_acks(
             return Err(ck_err("a worker exited before the barrier"));
         }
     }
-    // A worker acks a barrier exactly once, so one receive per worker
-    // fills every slot.
-    let mut acks: Vec<Option<WorkerAck>> = senders.iter().map(|_| None).collect();
-    for _ in senders {
-        let (w, ack) = ack_rx
-            .recv()
-            .map_err(|_| ck_err("workers hung up during the barrier"))?;
-        acks[w] = Some(ack);
-    }
-    Ok(acks
-        .into_iter()
-        .map(|a| a.expect("one ack per worker"))
-        .collect())
+    ack_rx
+        .iter()
+        .map(|rx| {
+            rx.recv()
+                .map_err(|_| ck_err("a worker exited during the barrier"))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -547,7 +543,10 @@ mod tests {
     use crate::pipeline::ClassifiedRequest;
     use crate::stream::checkpoint::{last_manifest, LOCK_FILE};
     use crate::stream::testutil::*;
-    use crate::stream::{classify_stream_file, stream_file, CheckpointOptions, CHECKPOINT_FILE};
+    use crate::stream::{
+        classify_stream_file, classify_stream_file_with, stream_file, CheckpointOptions,
+        CHECKPOINT_FILE,
+    };
     use netsim::stream::{OwnedChunks, StreamChunk};
     use std::collections::HashMap;
     use std::fs;
@@ -826,6 +825,53 @@ mod tests {
         o.checkpoint.as_mut().unwrap().resume = true;
         let got = classify_stream_file(&path, &classifier(), &o, &obs::Registry::new()).unwrap();
         assert_eq!(got.render(), want);
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_file(&path);
+    }
+
+    /// A fold that dies on client 2's first `ads.example` request, 100 ms
+    /// late, so that the barrier after its chunk is queued by then.
+    #[derive(Clone)]
+    struct DiesAtTheBarrier;
+
+    impl Fold for DiesAtTheBarrier {
+        const STATELESS: bool = true;
+        fn observe(&mut self, _pos: u64, req: &ClassifiedRequest) {
+            if req.client_ip == 2 && req.url.host() == "ads.example" {
+                std::thread::sleep(Duration::from_millis(100));
+                panic!("the fold dies");
+            }
+        }
+        fn merge(&mut self, _part: DiesAtTheBarrier) {}
+    }
+
+    /// A worker that panics outside the quarantine guard while a barrier is
+    /// queued for it ends the run with its own panic. With one ack channel
+    /// shared by every worker, the live worker kept it open and the router
+    /// waited for the dead one's ack forever.
+    #[test]
+    fn a_worker_that_dies_at_a_barrier_ends_the_run() {
+        let path = write_trace_file(&messy_trace(160), "dies");
+        let dir = temp_path("dies-ck");
+        let _ = fs::remove_dir_all(&dir);
+        let mut o = stream_opts(2, 16);
+        o.checkpoint = Some(CheckpointOptions {
+            dir: dir.clone(),
+            every_chunks: 1,
+            resume: false,
+        });
+        let (done, ended) = mpsc::channel();
+        let trace = path.clone();
+        std::thread::spawn(move || {
+            let run = std::panic::catch_unwind(|| {
+                let registry = obs::Registry::new();
+                classify_stream_file_with(&trace, &classifier(), &o, &registry, DiesAtTheBarrier)
+            });
+            let panic = run.err().and_then(|p| p.downcast_ref::<&str>().copied());
+            let _ = done.send(panic);
+        });
+        let panic = ended.recv_timeout(Duration::from_secs(30));
+        assert_eq!(panic, Ok(Some("the fold dies")));
         let _ = fs::remove_dir_all(&dir);
         let _ = fs::remove_file(&path);
     }

@@ -463,9 +463,8 @@ fn slot<T>(table: &mut Vec<Option<T>>, user: UserId) -> &mut Option<T> {
 pub(super) fn worker_loop<F: Fold>(
     mut w: Worker<'_, F>,
     rx: parallel::Receiver<ToWorker>,
-    ack_tx: mpsc::Sender<(usize, WorkerAck)>,
+    ack_tx: mpsc::Sender<WorkerAck>,
     lines_tx: mpsc::Sender<WorkerLines>,
-    id: usize,
     slot: Arc<obs::health::WorkerHealth>,
     registry: &obs::Registry,
 ) -> WorkerFinal<F> {
@@ -479,7 +478,7 @@ pub(super) fn worker_loop<F: Fold>(
                 slot.beat(registry.elapsed_ns(), n);
             }
             ToWorker::Barrier(rewrite) => {
-                if ack_tx.send((id, w.barrier_ack(rewrite))).is_err()
+                if ack_tx.send(w.barrier_ack(rewrite)).is_err()
                     || lines_tx.send(w.barrier_lines(rewrite)).is_err()
                 {
                     break;

@@ -270,11 +270,6 @@ impl WindowSeries {
         self.hist_names
     }
 
-    /// Window width in seconds.
-    pub fn width_secs(&self) -> f64 {
-        self.width_secs
-    }
-
     /// Where observations at `ts` land.
     #[inline]
     pub fn at(&mut self, ts: f64) -> Slot<'_> {
@@ -485,7 +480,7 @@ mod tests {
     #[test]
     fn zero_or_bad_width_falls_back_to_default() {
         for width in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            assert_eq!(series(width).width_secs(), 3600.0);
+            assert_eq!(series(width).report().width_secs, 3600.0);
         }
     }
 
