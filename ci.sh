@@ -73,6 +73,10 @@ if grep -rnE 'PlaneTotals|counter_series|hist_series|CounterId|HistId|MAX_OPEN_W
 # households once per run, so a caller's fold sees requests only and no
 # figure keeps either a second time.
 if grep -rn 'observe_flow' crates/adscope/src; then exit 1; fi
+# Table 3 is counted once, from the exact user table: the population plane
+# estimates no users and keeps no second class tally, so every plane has the
+# one observe path.
+if grep -rnE 'observe_counted|ClassRow|users: Distinct64' crates/adscope/src; then exit 1; fi
 if grep -rn 'households' crates/adscope/src/characterize; then exit 1; fi
 # The driver runs on the stream engine: it holds no classified trace, and the
 # materialized kernel it still calls is the one-thread oracle.
@@ -330,6 +334,8 @@ gate "experiments population (streamed sketches vs materialized exact gate)"
 grep -q 'exact-check ok' "$STREAM_DIR/population.stderr"
 grep -q '^# population' "$STREAM_DIR/population.txt"
 grep -q '"event":"population"' "$STREAM_DIR/population.ndjson"
+# Table 3 at the floor the `table3` experiment uses at this scale.
+grep -q '"active_min_requests":"300"' "$STREAM_DIR/population.manifest.json"
 ./target/release/experiments verify --manifest "$STREAM_DIR/population.manifest.json" \
   --scratch "$STREAM_DIR/verify-population"
 echo "    streamed render == materialized exact render; manifest verifies"

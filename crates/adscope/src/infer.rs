@@ -89,7 +89,8 @@ pub fn households_with_downloads(flows: &[TlsConnection], abp_ips: &[u32]) -> Ha
 
 /// Table 3's rule, written once: the EasyList ratio (percent) and class of
 /// a user with these counters, or `None` for a non-browser or an inactive
-/// one (the table covers the annotated active set only).
+/// one (the table covers the annotated active set only). A user with no
+/// request is inactive at any floor.
 pub fn user_class(
     is_browser: bool,
     requests: u64,
@@ -98,7 +99,7 @@ pub fn user_class(
     threshold_pct: f64,
     min_requests: u64,
 ) -> Option<(f64, UserClass)> {
-    if !is_browser || requests < min_requests {
+    if !is_browser || requests < min_requests.max(1) {
         return None;
     }
     let ratio = stats::pct(easylist_blockable, requests);
@@ -137,50 +138,36 @@ pub fn classify_users(
         .collect()
 }
 
-/// Row of the Table 3 summary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClassRow {
-    /// Class.
+/// One class's row of Table 3, as counts: callers turn them into shares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClassTally {
+    /// The class.
     pub class: UserClass,
-    /// Share of active browsers in this class (percent).
-    pub instance_pct: f64,
-    /// Share of all trace requests issued by this class (percent).
-    pub request_pct: f64,
-    /// Share of all trace ad requests issued by this class (percent).
-    pub ad_request_pct: f64,
-    /// Absolute instance count.
-    pub instances: usize,
+    /// Active browsers in this class.
+    pub instances: u64,
+    /// Their total requests.
+    pub requests: u64,
+    /// Their total ad requests.
+    pub ad_requests: u64,
 }
 
-/// Build the Table 3 rows.
-pub fn table3(
-    users: &[UserAggregate],
-    inferred: &[InferredUser],
-    total_requests: u64,
-    total_ad_requests: u64,
-) -> Vec<ClassRow> {
-    UserClass::ALL
-        .iter()
-        .map(|&class| {
-            let members: Vec<&InferredUser> =
-                inferred.iter().filter(|iu| iu.class == class).collect();
-            let reqs: u64 = members
-                .iter()
-                .map(|iu| users[iu.user_idx].counters.requests)
-                .sum();
-            let ads: u64 = members
-                .iter()
-                .map(|iu| users[iu.user_idx].counters.ad_requests)
-                .sum();
-            ClassRow {
-                class,
-                instance_pct: stats::pct(members.len() as u64, inferred.len() as u64),
-                request_pct: stats::pct(reqs, total_requests),
-                ad_request_pct: stats::pct(ads, total_ad_requests),
-                instances: members.len(),
-            }
-        })
-        .collect()
+/// Tally Table 3 over the classified users, in class order A–D.
+pub fn table3(users: &[UserAggregate], inferred: &[InferredUser]) -> [ClassTally; 4] {
+    let mut classes = UserClass::ALL.map(|class| ClassTally {
+        class,
+        instances: 0,
+        requests: 0,
+        ad_requests: 0,
+    });
+    for iu in inferred {
+        let c = &users[iu.user_idx].counters;
+        // `UserClass::ALL` is in declaration order.
+        let slot = &mut classes[iu.class as usize];
+        slot.instances += 1;
+        slot.requests += c.requests;
+        slot.ad_requests += c.ad_requests;
+    }
+    classes
 }
 
 /// §6.3 subscription estimates for the likely-ABP population (type C).
@@ -322,17 +309,31 @@ mod tests {
         ];
         let downloads: HashSet<u32> = [2u32, 3u32].into_iter().collect();
         let inferred = classify_users(&users, &downloads, 5.0, 1000);
-        let total_reqs: u64 = users.iter().map(|u| u.counters.requests).sum();
-        let total_ads: u64 = users.iter().map(|u| u.counters.ad_requests).sum();
-        let rows = table3(&users, &inferred, total_reqs, total_ads);
-        assert_eq!(rows.len(), 4);
-        let a = &rows[0];
-        assert_eq!(a.instances, 1);
-        assert!((a.instance_pct - 33.333).abs() < 0.01);
-        let c = &rows[2];
-        assert_eq!(c.instances, 2);
-        // Class C carries 4000/5000 of the requests.
-        assert!((c.request_pct - 80.0).abs() < 0.01);
+        let tally = |class, instances, requests, ad_requests| ClassTally {
+            class,
+            instances,
+            requests,
+            ad_requests,
+        };
+        assert_eq!(
+            table3(&users, &inferred),
+            [
+                tally(UserClass::A, 1, 1000, 300),
+                tally(UserClass::B, 0, 0, 0),
+                tally(UserClass::C, 2, 4000, 30),
+                tally(UserClass::D, 0, 0, 0),
+            ]
+        );
+    }
+
+    /// No request is inactive even at a floor of 0: the stream's user table
+    /// holds a row before its first request is classified.
+    #[test]
+    fn a_user_with_no_request_is_never_active() {
+        let users = vec![user(1, 0, 0, 0, 0), user(2, 1, 0, 0, 0)];
+        let inferred = classify_users(&users, &HashSet::new(), 5.0, 0);
+        assert_eq!(inferred.len(), 1);
+        assert_eq!(inferred[0].user_idx, 1);
     }
 
     #[test]

@@ -13,9 +13,12 @@
 //! materialized kernel folds one over its request vector.
 //!
 //! What is kept per ⟨IP, UA⟩ user is not a plane: it is the user's counter
-//! block ([`UserTally`]), which the stream engine keeps in each user's worker
-//! state and sums into its user table ([`crate::users`]). A plane that reads
-//! it takes it beside the request (`Planes::observe_user`).
+//! block ([`crate::users::UserTally`]), which the stream engine keeps in each
+//! user's worker state and sums into its user table ([`crate::users`]). No
+//! plane reads it while records are folded: every count per user, distinct
+//! users among them, is read from that table when a report is built
+//! ([`PopulationSketches::finish`]). So every path folds a request into the
+//! planes the same way, through [`Planes::observe`].
 //!
 //! **Adding a plane** is a field here, with one line in the `observe` that
 //! feeds it and one in [`Planes::merge`], and its encode / decode pair in
@@ -25,7 +28,6 @@ use crate::degrade::DegradationReport;
 use crate::infer;
 use crate::pipeline::{ClassifiedRequest, PipelineOptions};
 use crate::population::PopulationSketches;
-use crate::users::UserTally;
 use crate::window;
 use netsim::codec::{observe_decode, DECODE_COUNTERS};
 use netsim::record::RecordView;
@@ -98,28 +100,14 @@ impl Planes {
 
     /// Fold one classified request into every plane that reads requests.
     pub fn observe(&mut self, req: &ClassifiedRequest) {
-        self.observe_counts(req);
-        if let Some(sketches) = &mut self.population {
-            sketches.observe(req);
-        }
-    }
-
-    /// [`Planes::observe`] for the stream engine, which keeps each user's
-    /// counters itself: `user` is the request's user's, and counts it too.
-    pub(crate) fn observe_user(&mut self, req: &ClassifiedRequest, user: &mut UserTally) {
-        self.observe_counts(req);
-        if let Some(sketches) = &mut self.population {
-            sketches.observe_counted(req, user.requests == 0);
-        }
-        user.observe(req);
-    }
-
-    fn observe_counts(&mut self, req: &ClassifiedRequest) {
         self.requests += 1;
         if req.label.is_ad() {
             self.ads += 1;
         }
         window::observe(&mut self.windows, req);
+        if let Some(sketches) = &mut self.population {
+            sketches.observe(req);
+        }
     }
 
     /// Count one quarantined record (unparseable URL or poisoned) in its

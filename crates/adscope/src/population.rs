@@ -8,19 +8,19 @@
 //!
 //! * [`PopulationSketches`] — the population plane, one type on every path:
 //!   top ad-serving domains and top fired rules ([`obs::TopK`]), distinct
-//!   users/sites ([`obs::Distinct64`]), and object-size / `rtb_gap_ms`
+//!   sites ([`obs::Distinct64`]), and object-size / `rtb_gap_ms`
 //!   distributions ([`obs::QuantileSketch`]). All merges are
 //!   associative, commutative, and partition-invariant (the TopK in its
 //!   exact regime — capacity is sized well above the generated domain
 //!   space, and the render flags the approximate regime explicitly).
 //! * [`PopulationSketches::finish`] — the single report builder. Beside the
-//!   sketches it reads three inputs that are not this module's: the request
-//!   and ad-request counts, the user table ([`crate::users::UserAggregate`]
-//!   rows, whose exact counters Table 3's classes and the ad-share
-//!   distribution come from) and the download households. The stream engine
-//!   builds them once per run, from its planes and its workers' per-user
-//!   counters (`StreamReport::{requests, ad_requests, user_table,
-//!   households}`); the materialized path from the trace's requests,
+//!   sketches it reads two inputs that are not this module's: the user table
+//!   ([`crate::users::UserAggregate`] rows) and the download households. The
+//!   exact counts come from the table: distinct users, requests and ad
+//!   requests, and Table 3 through [`infer::classify_users`] and
+//!   [`infer::table3`], the same calls the `table3` experiment makes. The
+//!   stream engine keeps both inputs once per run (`StreamReport::{user_table,
+//!   households}`); the materialized path builds them with
 //!   [`crate::users::aggregate_users`] and
 //!   [`infer::households_with_downloads`] ([`finish_trace`]).
 //!
@@ -28,7 +28,7 @@
 //! (plus the household-download set), so renders are byte-identical at
 //! any thread count and chunk size — the workspace equivalence contract.
 
-use crate::infer::{self, UserClass};
+use crate::infer::{self, ClassTally};
 use crate::pipeline::{ClassifiedRequest, ClassifiedTrace};
 use crate::users::{aggregate_users, UserAggregate};
 use obs::sketch::{Distinct64, QuantileSketch, TopEntry, TopK, QUANTILE_GAMMA};
@@ -75,8 +75,6 @@ pub struct PopulationSketches {
     pub ad_domains: TopK,
     /// Top fired rules, keyed `"<list-label>|<rule-text>"`.
     pub rules: TopK,
-    /// Distinct ⟨IP, UA⟩ pairs.
-    pub users: Distinct64,
     /// Distinct site hosts (page host when reconstruction succeeded,
     /// else the request host).
     pub sites: Distinct64,
@@ -87,7 +85,6 @@ pub struct PopulationSketches {
     // Reusable key scratch — per-record upkeep must not allocate on the
     // streaming hot path — and the last site host fed to `sites`. Not part
     // of the sketch state.
-    key_buf: Vec<u8>,
     rule_buf: String,
     last_site: Option<String>,
 }
@@ -98,7 +95,6 @@ impl PartialEq for PopulationSketches {
     fn eq(&self, other: &PopulationSketches) -> bool {
         self.ad_domains == other.ad_domains
             && self.rules == other.rules
-            && self.users == other.users
             && self.sites == other.sites
             && self.object_bytes == other.object_bytes
             && self.rtb_gap_ms == other.rtb_gap_ms
@@ -112,48 +108,18 @@ impl PopulationSketches {
         PopulationSketches {
             ad_domains: TopK::new(TOPK_CAPACITY),
             rules: TopK::new(TOPK_CAPACITY),
-            users: Distinct64::new(),
             sites: Distinct64::new(),
             object_bytes: QuantileSketch::new(QUANTILE_GAMMA),
             rtb_gap_ms: QuantileSketch::new(QUANTILE_GAMMA),
-            key_buf: Vec::new(),
             rule_buf: String::new(),
             last_site: None,
         }
     }
 
-    /// Fold one classified request into every sketch.
+    /// Fold one classified request into every sketch. An HLL observation is
+    /// idempotent, so `sites` is fed only when the site host differs from the
+    /// previous request's: the requests of one page view share it.
     pub fn observe(&mut self, r: &ClassifiedRequest) {
-        self.observe_user(r);
-        self.observe_traffic(r);
-    }
-
-    /// [`PopulationSketches::observe`] for the stream engine, which counts
-    /// each user's requests itself: the user's key reaches the `users` HLL
-    /// with its `first` request only. Every later observation would leave
-    /// the registers as they are, and a merged or resumed plane keeps "every
-    /// counted user was observed", since both halves travel together.
-    pub(crate) fn observe_counted(&mut self, r: &ClassifiedRequest, first: bool) {
-        if first {
-            self.observe_user(r);
-        }
-        self.observe_traffic(r);
-    }
-
-    /// Feed the request's ⟨IP, UA⟩ key to `users`.
-    fn observe_user(&mut self, r: &ClassifiedRequest) {
-        self.key_buf.clear();
-        self.key_buf.extend_from_slice(&r.client_ip.to_le_bytes());
-        self.key_buf.push(0);
-        self.key_buf
-            .extend_from_slice(r.user_agent.as_deref().unwrap_or("").as_bytes());
-        self.users.observe(&self.key_buf);
-    }
-
-    /// Fold one request into every sketch but `users`. An HLL observation
-    /// is idempotent, so `sites` is fed only when the site host differs
-    /// from the previous request's: the requests of one page view share it.
-    fn observe_traffic(&mut self, r: &ClassifiedRequest) {
         let site = r
             .page
             .as_ref()
@@ -185,55 +151,28 @@ impl PopulationSketches {
     pub fn merge(&mut self, other: &PopulationSketches) {
         self.ad_domains.merge(&other.ad_domains);
         self.rules.merge(&other.rules);
-        self.users.merge(&other.users);
         self.sites.merge(&other.sites);
         self.object_bytes.merge(&other.object_bytes);
         self.rtb_gap_ms.merge(&other.rtb_gap_ms);
     }
 
     /// Build the report: the one code path the streamed and materialized
-    /// pipelines share, a pure function of the sketches, the run's
-    /// `(requests, ad requests)` counts, the download `households` and the
-    /// user table (one row per ⟨IP, UA⟩ user, an absent UA the empty one, as
-    /// [`crate::users::aggregate_users`] keys them). A row with no request
-    /// finalized yet counts nothing.
+    /// pipelines share, a pure function of the sketches, the download
+    /// `households` and the user table (one row per ⟨IP, UA⟩ user, an absent
+    /// UA the empty one, as [`crate::users::aggregate_users`] keys them). A
+    /// row with no request finalized yet counts nothing.
     pub fn finish(
         &self,
         opts: PopulationOptions,
-        (requests, ad_requests): (u64, u64),
         households: &HashSet<u32>,
         users: &[UserAggregate],
     ) -> PopulationReport {
+        let threshold = infer::AD_RATIO_THRESHOLD_PCT;
+        let inferred =
+            infer::classify_users(users, households, threshold, opts.active_min_requests);
         let mut ad_share = QuantileSketch::new(QUANTILE_GAMMA);
-        let mut classes = UserClass::ALL.map(|class| ClassTally {
-            class,
-            instances: 0,
-            requests: 0,
-            ad_requests: 0,
-        });
-        let mut active_browsers = 0u64;
-        for u in users {
-            let t = &u.counters;
-            if t.requests == 0 {
-                continue;
-            }
-            let Some((_, class)) = infer::user_class(
-                u.is_browser(),
-                t.requests,
-                t.easylist_blockable,
-                households.contains(&u.key.ip),
-                infer::AD_RATIO_THRESHOLD_PCT,
-                opts.active_min_requests,
-            ) else {
-                continue;
-            };
-            active_browsers += 1;
-            ad_share.observe(t.ad_requests as f64 / t.requests as f64 * 100.0);
-            // `UserClass::ALL` is in declaration order.
-            let slot = &mut classes[class as usize];
-            slot.instances += 1;
-            slot.requests += t.requests;
-            slot.ad_requests += t.ad_requests;
+        for iu in &inferred {
+            ad_share.observe(users[iu.user_idx].ad_ratio_pct());
         }
         let quantiles = |s: &QuantileSketch| -> Vec<(f64, f64)> {
             QUANTILES
@@ -242,11 +181,11 @@ impl PopulationSketches {
                 .collect()
         };
         PopulationReport {
-            requests,
-            ad_requests,
-            distinct_users: self.users.estimate(),
+            requests: users.iter().map(|u| u.counters.requests).sum(),
+            ad_requests: users.iter().map(|u| u.counters.ad_requests).sum(),
+            distinct_users: users.iter().filter(|u| u.counters.requests > 0).count() as u64,
             distinct_sites: self.sites.estimate(),
-            active_browsers,
+            active_browsers: inferred.len() as u64,
             top_ad_domains: self.ad_domains.top(TOP_ROWS),
             top_rules: self.rules.top(TOP_ROWS),
             exact_topk: self.ad_domains.is_exact() && self.rules.is_exact(),
@@ -254,22 +193,9 @@ impl PopulationSketches {
             object_bytes: quantiles(&self.object_bytes),
             rtb_gap_ms: quantiles(&self.rtb_gap_ms),
             quantile_alpha: self.object_bytes.alpha(),
-            classes: classes.to_vec(),
+            classes: infer::table3(users, &inferred),
         }
     }
-}
-
-/// Per-class Table 3 tallies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClassTally {
-    /// The class.
-    pub class: UserClass,
-    /// Active browsers in this class.
-    pub instances: u64,
-    /// Their total requests.
-    pub requests: u64,
-    /// Their total ad requests.
-    pub ad_requests: u64,
 }
 
 /// The finished population report — a pure function of the merged
@@ -280,7 +206,7 @@ pub struct PopulationReport {
     pub requests: u64,
     /// Total ad requests.
     pub ad_requests: u64,
-    /// Estimated distinct ⟨IP, UA⟩ pairs.
+    /// Distinct ⟨IP, UA⟩ users: the user table's rows with a request.
     pub distinct_users: u64,
     /// Estimated distinct site hosts.
     pub distinct_sites: u64,
@@ -301,7 +227,7 @@ pub struct PopulationReport {
     /// The quantile sketches' guaranteed relative-error bound.
     pub quantile_alpha: f64,
     /// Table 3 tallies in class order A–D.
-    pub classes: Vec<ClassTally>,
+    pub classes: [ClassTally; 4],
 }
 
 /// The materialized path's report: the sketches of the trace's requests,
@@ -313,10 +239,8 @@ pub fn finish_trace(
 ) -> PopulationReport {
     let mut sketches = PopulationSketches::new(opts);
     trace.requests.iter().for_each(|r| sketches.observe(r));
-    let ads = trace.requests.iter().filter(|r| r.label.is_ad()).count();
-    let counts = (trace.requests.len() as u64, ads as u64);
     let households = infer::households_with_downloads(&trace.https_flows, abp_ips);
-    sketches.finish(opts, counts, &households, &aggregate_users(trace))
+    sketches.finish(opts, &households, &aggregate_users(trace))
 }
 
 impl PopulationReport {
@@ -331,7 +255,7 @@ impl PopulationReport {
             self.ad_requests,
             stats::pct(self.ad_requests, self.requests)
         );
-        let _ = writeln!(out, "distinct users   ~{}", self.distinct_users);
+        let _ = writeln!(out, "distinct users   {}", self.distinct_users);
         let _ = writeln!(out, "distinct sites   ~{}", self.distinct_sites);
         let _ = writeln!(out, "active browsers  {}", self.active_browsers);
         let _ = writeln!(
@@ -479,16 +403,13 @@ impl PopulationReport {
 mod tests {
     use super::*;
     use crate::classify::PassiveClassifier;
+    use crate::infer::UserClass;
     use crate::pipeline::{classify_trace, PipelineOptions};
-    use crate::planes::Planes;
-    use crate::users::UserTally;
     use abp_filter::FilterList;
     use http_model::headers::{RequestHeaders, ResponseHeaders};
     use http_model::transaction::Method;
     use http_model::{BrowserFamily, HttpTransaction, UserAgent};
     use netsim::record::{TlsConnection, Trace, TraceMeta, TraceRecord};
-    use std::collections::HashMap;
-    use std::sync::Arc;
 
     fn tx(ts: f64, client: u32, ua: &str, host: &str, uri: &str) -> TraceRecord {
         TraceRecord::Http(HttpTransaction {
@@ -634,38 +555,21 @@ mod tests {
         assert_eq!(rev, whole, "merge is commutative in the exact regime");
     }
 
-    /// The stream's path: each user's counters kept beside the planes, its
-    /// key fed to the `users` HLL with its first request only. User 3 makes
-    /// one request, so feeding any request but a user's first would leave it
-    /// out.
+    /// `sites` is fed only when a request's site host differs from the
+    /// previous request's: the registers of feeding every request's. Every
+    /// other request loses its page, so the site host alternates.
     #[test]
-    fn hll_fed_once_per_user_and_site_run_equals_hll_fed_every_request() {
+    fn hll_fed_once_per_site_run_equals_hll_fed_every_request() {
         let mut requests = sample(on()).requests;
-        let mut lone = requests[0].clone();
-        lone.client_ip = 3;
-        requests.push(lone);
-        let popts = PipelineOptions {
-            population: on(),
-            ..PipelineOptions::default()
-        };
-        let mut planes = Planes::new(popts);
-        let mut per_user: HashMap<(u32, Option<Arc<str>>), UserTally> = HashMap::new();
-        let (mut users, mut sites) = (Distinct64::new(), Distinct64::new());
+        requests.iter_mut().step_by(2).for_each(|r| r.page = None);
+        let mut sketches = PopulationSketches::new(on());
+        let mut sites = Distinct64::new();
         for r in &requests {
-            let user = per_user
-                .entry((r.client_ip, r.user_agent.clone()))
-                .or_default();
-            planes.observe_user(r, user);
-            let mut key = r.client_ip.to_le_bytes().to_vec();
-            key.push(0);
-            key.extend_from_slice(r.user_agent.as_deref().unwrap_or("").as_bytes());
-            users.observe(&key);
+            sketches.observe(r);
             let site = r.page.as_ref().map_or_else(|| r.url.host(), |p| p.host());
             sites.observe(site.as_bytes());
         }
-        assert_eq!(users.estimate(), 3);
-        let sketches = planes.population.expect("population on");
-        assert_eq!(sketches.users, users);
+        assert_eq!(sites.estimate(), 2);
         assert_eq!(sketches.sites, sites);
     }
 

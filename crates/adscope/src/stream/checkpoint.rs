@@ -1,5 +1,5 @@
 //! The persisted checkpoint: `checkpoint.ndjson`, an append-only log of
-//! segments (format version 6). A segment is one manifest line (the
+//! segments (format version 7). A segment is one manifest line (the
 //! [`RunState`], plane totals included, and no fact twice: nothing the
 //! config hash or a window's index fixes, and the population block carries
 //! no count the manifest does), the lines of the users a record touched
@@ -26,7 +26,7 @@
 //! Readers go through [`netsim::json::FromJson`]: every integer is
 //! range-checked into its own type, every fixed-arity array is a tuple of
 //! exactly that arity, and a value that does not fit is refused with the
-//! path to it (`population.users[7]: expected u8`) instead of being
+//! path to it (`population.sites[7]: expected u8`) instead of being
 //! narrowed into a different number.
 
 use super::router::RunState;
@@ -59,7 +59,7 @@ pub const CHECKPOINT_FILE: &str = "checkpoint.ndjson";
 /// checkpointing there is live.
 pub(super) const LOCK_FILE: &str = "checkpoint.lock";
 /// Manifest schema version (bumped on incompatible layout changes).
-const CHECKPOINT_VERSION: u64 = 6;
+const CHECKPOINT_VERSION: u64 = 7;
 /// A barrier rewrites the log once appending would take it past this many
 /// times the bytes of a whole-state segment.
 const COMPACT_RATIO: u64 = 2;
@@ -278,9 +278,7 @@ pub(super) fn write_user(
 }
 
 fn population_to_json(out: &mut String, s: &PopulationSketches) {
-    out.push_str(",\"population\":{\"users\":[");
-    write_nums(out, s.users.state());
-    out.push_str("],\"sites\":[");
+    out.push_str(",\"population\":{\"sites\":[");
     write_nums(out, s.sites.state());
     out.push(']');
     for (name, t) in [("ad_domains", &s.ad_domains), ("rules", &s.rules)] {
@@ -690,11 +688,8 @@ fn population_from_value(
             Ok(TopK::from_state(t.field("capacity")?, entries))
         })
     };
-    let regs = |k: &str| {
-        let regs = <[u8; 64]>::try_from(v.field::<Vec<u8>>(k)?);
-        let regs = regs.map_err(|_| DecodeError::new("expected 64 registers").at_key(k))?;
-        Ok::<_, DecodeError>(Distinct64::from_state(regs))
-    };
+    let sites = <[u8; 64]>::try_from(v.field::<Vec<u8>>("sites")?);
+    let sites = sites.map_err(|_| DecodeError::new("expected 64 registers").at_key("sites"))?;
     let qs = |k: &str| {
         v.field_with(k, |q| {
             let buckets: Vec<(i32, u64)> = q.field("buckets")?;
@@ -705,8 +700,7 @@ fn population_from_value(
     let mut sketches = PopulationSketches::new(opts);
     sketches.ad_domains = topk("ad_domains")?;
     sketches.rules = topk("rules")?;
-    sketches.users = regs("users")?;
-    sketches.sites = regs("sites")?;
+    sketches.sites = Distinct64::from_state(sites);
     sketches.object_bytes = qs("object_bytes")?;
     sketches.rtb_gap_ms = qs("rtb_gap_ms")?;
     Ok(sketches)

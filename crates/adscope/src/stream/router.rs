@@ -452,8 +452,7 @@ impl<'a> Router<'a> {
         let sketches = totals.population.as_ref()?;
         let users = self.users.rows(&self.extractor);
         let popts = self.opts.pipeline.population;
-        let counts = (totals.requests, totals.ads);
-        let report = sketches.finish(popts, counts, &totals.households, users);
+        let report = sketches.finish(popts, &totals.households, users);
         report.publish(self.registry);
         Some(report)
     }
@@ -467,6 +466,12 @@ impl<'a> Router<'a> {
         let population = self.absorb(finals.iter().map(|f| (&f.delta, &f.counters[..])));
         if let Some(q) = &self.quarantine {
             let _ = q.flush_bytes();
+        }
+        // The workers are joined: no batch waits in any queue.
+        for label in &self.worker_labels {
+            self.registry
+                .gauge_with("adscope_stream_queue_depth", &[("worker", label.as_str())])
+                .set(0.0);
         }
         let (st, registry) = (self.state, self.registry);
         let t = st.totals;
@@ -873,6 +878,39 @@ mod tests {
         let panic = ended.recv_timeout(Duration::from_secs(30));
         assert_eq!(panic, Ok(Some("the fold dies")));
         let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_file(&path);
+    }
+
+    /// A fold that takes 2 ms a request, so the router outruns the workers.
+    #[derive(Clone)]
+    struct Slow;
+
+    impl Fold for Slow {
+        fn observe(&mut self, _pos: u64, _req: &ClassifiedRequest) {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        fn merge(&mut self, _part: Slow) {}
+    }
+
+    /// Once a run returns no batch waits in any queue, and each worker's
+    /// queue-depth gauge says so. It used to hold the depth its last send
+    /// left, which `/statusz` showed for a finished run.
+    #[test]
+    fn the_queue_gauge_reads_zero_after_a_run() {
+        let path = write_trace_file(&messy_trace(160), "queue-gauge");
+        let registry = obs::Registry::new();
+        let o = stream_opts(2, 16);
+        classify_stream_file_with(&path, &classifier(), &o, &registry, Slow).unwrap();
+        let mut stalls = 0;
+        for worker in ["0", "1"] {
+            let label = [("worker", worker)];
+            stalls += registry
+                .counter_with("adscope_stream_send_stalls_total", &label)
+                .get();
+            let depth = registry.gauge_with("adscope_stream_queue_depth", &label);
+            assert_eq!(depth.get(), 0.0, "worker {worker}");
+        }
+        assert!(stalls > 0, "no send found a full queue");
         let _ = fs::remove_file(&path);
     }
 

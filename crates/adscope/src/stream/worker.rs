@@ -219,7 +219,8 @@ impl<F: Fold> Core<'_, F> {
             label,
             rule,
         };
-        self.planes.observe_user(&req, user);
+        self.planes.observe(&req);
+        user.observe(&req);
         self.fold.observe(h.pos, &req);
     }
 }

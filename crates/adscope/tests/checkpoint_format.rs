@@ -510,13 +510,13 @@ fn the_committed_log_resumes_byte_identically() {
 
 /// Resume reads only the format version this build writes. A file with no
 /// trailer (the shape of version 1), and the committed log with its
-/// manifests' version set to 2, 3, 4 and 5 (trailers valid), are each refused
+/// manifests' version set to 2, 3, 4, 5 and 6 (trailers valid), are each refused
 /// naming their version; the sidecar, which a resume truncates only once the
 /// load succeeds, is left as it was.
 #[test]
 fn a_checkpoint_of_another_format_version_is_refused_naming_it() {
     let version =
-        |v: u64| move |m: String| m.replacen("\"version\":6,", &format!("\"version\":{v},"), 1);
+        |v: u64| move |m: String| m.replacen("\"version\":7,", &format!("\"version\":{v},"), 1);
     let (manifest, users) = read_checkpoint(&fixture_dir().join(CHECKPOINT_FILE));
     let trailerless = format!(
         "{}\n{}\n",
@@ -530,12 +530,13 @@ fn a_checkpoint_of_another_format_version_is_refused_naming_it() {
         (3, fixture_log(version(3), |u| u)),
         (4, fixture_log(version(4), |u| u)),
         (5, fixture_log(version(5), |u| u)),
+        (6, fixture_log(version(6), |u| u)),
     ] {
         let dir = killed_dir(&checkpoint, &sidecar);
         match run(&fixture_dir().join("trace.ndjson"), &opts(2, &dir, 1, true)) {
             Err(StreamError::Checkpoint(msg)) => assert_eq!(
                 msg,
-                format!("checkpoint format version {v}; this build reads 6")
+                format!("checkpoint format version {v}; this build reads 7")
             ),
             other => panic!("version {v}: expected a refusal, loaded: {}", other.is_ok()),
         }
@@ -796,9 +797,9 @@ fn out_of_range_values_are_refused_with_their_path() {
     let cases: Vec<(&str, Edit, Edit, &str)> = vec![
         (
             "a distinct-count register of 300",
-            Box::new(|m| mutate(&m, "\"users\":[", "300")),
+            Box::new(|m| mutate(&m, "\"sites\":[", "300")),
             keep(),
-            "population.users[0]: expected u8",
+            "population.sites[0]: expected u8",
         ),
         (
             "a quantile bucket index of 2^31",

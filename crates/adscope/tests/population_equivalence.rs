@@ -204,6 +204,45 @@ fn a_missing_and_an_empty_ua_are_two_refmap_users_but_one_tally() {
     let _ = std::fs::remove_dir_all(&ckdir);
 }
 
+/// The population's distinct users are counted, not estimated: the user
+/// table's rows with a request, which are the oracle's `aggregate_users` rows,
+/// at 1 and 3 threads and across a kill and a resume. Its request and ad
+/// counts are that table's sums, which are the run's.
+#[test]
+fn distinct_users_are_the_user_tables_rows_with_a_request() {
+    let trace = population_trace(240, 40, 11);
+    let oracle = classify_trace(&trace, &classifier(), PipelineOptions::default());
+    let want = adscope::users::aggregate_users(&oracle).len() as u64;
+    assert!(want > 20, "{want} users");
+    let path = write_trace_file(&trace, "distinct-users");
+    let ckdir = temp_path("distinct-users-ck");
+    let run = |threads: usize, resume: bool, stop: Option<u64>| {
+        let mut o = stream_opts(threads, 7);
+        o.checkpoint = Some(CheckpointOptions {
+            dir: ckdir.clone(),
+            every_chunks: 1,
+            resume,
+        });
+        o.stop_after_chunks = stop;
+        classify_stream_file(&path, &classifier(), &o, &obs::Registry::new()).unwrap()
+    };
+    let killed = run(3, false, Some(9));
+    assert!(killed.stopped_early);
+    for (what, report) in [
+        ("1 thread", run(1, false, None)),
+        ("3 threads", run(3, false, None)),
+        ("killed at 3, resumed at 1", run(1, true, None)),
+    ] {
+        let pop = report.population.as_ref().expect("population enabled");
+        assert_eq!(report.user_table.len() as u64, want, "{what}");
+        assert_eq!(pop.distinct_users, want, "{what}");
+        assert_eq!(pop.requests, report.requests, "{what}");
+        assert_eq!(pop.ad_requests, report.ad_requests, "{what}");
+    }
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&ckdir);
+}
+
 proptest! {
     /// Sketch merging is associative and commutative: any partition of
     /// the requests, merged in any order, yields the same state as one

@@ -81,21 +81,19 @@ fn main() {
     let downloads =
         adscope::infer::households_with_downloads(&classified.https_flows, &eco.abp_ips);
     let inferred = adscope::infer::classify_users(&users, &downloads, 5.0, 500);
-    let rows = adscope::infer::table3(
-        &users,
-        &inferred,
+    let (requests, ads) = (
         classified.requests.len() as u64,
         classified.ad_request_count() as u64,
     );
     println!("\nTable-3-style classification of active browsers:");
     println!("  type  instances  %reqs  %ad-reqs");
-    for row in rows {
+    for row in adscope::infer::table3(&users, &inferred) {
         println!(
             "  {:>4}  {:>9}  {:>5.1}  {:>8.1}",
             row.class.label(),
             row.instances,
-            row.request_pct,
-            row.ad_request_pct
+            stats::pct(row.requests, requests),
+            stats::pct(row.ad_requests, ads)
         );
     }
 

@@ -308,7 +308,7 @@ fn table3(world: &World) -> String {
     let (users, downloads) = (&r2.report.user_table, &r2.report.households);
     let inferred = infer::classify_users(users, downloads, AD_RATIO_THRESHOLD_PCT, threshold);
     let (total_reqs, total_ads) = (r2.report.requests, r2.report.ad_requests);
-    let rows = infer::table3(users, &inferred, total_reqs, total_ads);
+    let active = inferred.len() as u64;
     let mut t = TextTable::new(
         "Table 3 — Ad-blocker usage classes (active browsers)",
         &[
@@ -320,7 +320,7 @@ fn table3(world: &World) -> String {
             "% ad reqs",
         ],
     );
-    for row in &rows {
+    for row in infer::table3(users, &inferred) {
         let (ratio, easylist) = match row.class {
             UserClass::A => ("high", "no"),
             UserClass::B => ("high", "yes"),
@@ -331,9 +331,13 @@ fn table3(world: &World) -> String {
             row.class.label().to_string(),
             ratio.to_string(),
             easylist.to_string(),
-            format!("{} ({})", fmt_pct(row.instance_pct), row.instances),
-            fmt_pct(row.request_pct),
-            fmt_pct(row.ad_request_pct),
+            format!(
+                "{} ({})",
+                fmt_pct(stats::pct(row.instances, active)),
+                row.instances
+            ),
+            fmt_pct(stats::pct(row.requests, total_reqs)),
+            fmt_pct(stats::pct(row.ad_requests, total_ads)),
         ]);
     }
     // Ground-truth check (beyond the paper: we know who really runs ABP).

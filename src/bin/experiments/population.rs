@@ -65,9 +65,12 @@ pub fn run(args: &[String]) -> ! {
     // filter lists, the ABP download hosts, and the trace.
     let world = World::new(scale, seed, opts.threads);
     opts.abp_ips = world.eco.abp_ips.clone();
+    // Table 3 at the floor the `table3` experiment uses.
+    opts.pipeline.population.active_min_requests = world.active_threshold();
 
     let mut m = manifest::stamp_world("population", &world);
     m.config("chunk_records", opts.chunk_records);
+    m.config("active_min_requests", world.active_threshold());
     manifest::publish_header(&m);
 
     // Generate RBN-1 once, materialized, so the streamed run and the

@@ -81,6 +81,7 @@ pub fn run_serve(args: &[String]) -> ! {
         ..StreamOptions::default()
     };
     opts.pipeline.population.enabled = true;
+    opts.pipeline.population.active_min_requests = world.active_threshold();
     let report = world.stream_rbn(Rbn::One, &opts, ()).0;
     eprintln!(
         "[serve] replayed RBN-1: {} classified requests, {} closed windows, {} late",

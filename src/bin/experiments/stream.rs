@@ -130,6 +130,7 @@ pub fn run(args: &[String]) -> ! {
         // every checkpoint barrier republishes the live `/population`
         // plane.
         opts.pipeline.population.enabled = true;
+        opts.pipeline.population.active_min_requests = world.active_threshold();
         opts.abp_ips = eco.abp_ips.clone();
     }
     let registry = obs::global();
@@ -144,6 +145,9 @@ pub fn run(args: &[String]) -> ! {
     };
     m.config("source", &source_name);
     m.config("chunk_records", opts.chunk_records);
+    if population {
+        m.config("active_min_requests", world.active_threshold());
+    }
     manifest::publish_header(&m);
 
     // Live health plane: the obs endpoint during (and optionally after)
