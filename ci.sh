@@ -261,10 +261,11 @@ mkdir -p "$STREAM_DIR"
 grep -q '^trace RBN-1 ' "$STREAM_DIR/full.report"
 rss="$(sed -n 's/^\[stream\] peak_rss_bytes=//p' "$STREAM_DIR/full.stderr")"
 test -n "$rss"
-# RSS ceiling: the small-scale pass must stay under 256 MiB. (The
-# materialized path holds the whole trace; streaming must not.)
-test "$rss" -lt $((256 * 1024 * 1024))
-echo "    peak RSS $((rss / 1024 / 1024)) MiB (ceiling 256 MiB)"
+# RSS ceiling: the small-scale pass must stay under 32 MiB. (The
+# materialized path holds the whole trace; streaming must not, and a
+# referrer map holds the pages of its horizon, not of the trace.)
+test "$rss" -lt $((32 * 1024 * 1024))
+echo "    peak RSS $((rss / 1024 / 1024)) MiB (ceiling 32 MiB)"
 # Deterministic kill at ~50% of the chunk count ("as if SIGKILLed"),
 # then resume on a different thread count: the resumed report must be
 # byte-identical to the uninterrupted run.

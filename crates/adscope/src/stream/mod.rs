@@ -24,9 +24,9 @@
 //!   backfill, which the materialized path resolves in a second pass —
 //!   becomes a *held-record* protocol: a redirecting record is held by
 //!   its worker until its pending entry is consumed (backfill applies),
-//!   displaced, or evicted (released as-is), mirroring pass-2 semantics
-//!   record for record. Windows close only at the end of a run, so
-//!   partition merges are grouping-independent.
+//!   displaced, or past its horizon (released as-is), mirroring pass-2
+//!   semantics record for record. Windows close only at the end of a run,
+//!   so partition merges are grouping-independent.
 //! * **Poison quarantine.** With a sidecar configured, each record is
 //!   processed under `catch_unwind`: a panicking record is appended to
 //!   `quarantine.ndjson` (one trace-codec line, replayable) and counted
