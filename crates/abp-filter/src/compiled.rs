@@ -188,7 +188,7 @@ impl CompiledIndex {
         &self.members[self.shapes[k].start as usize..self.shapes[k + 1].start as usize]
     }
 
-    /// Close a bucket `build_index` filled — `(key, first entry, AND of
+    /// Close a bucket [`Builder::index`] filled — `(key, first entry, AND of
     /// fingerprints, list mask)`, key `None` for the untokenized tail —
     /// with its `loose` and `aligned` entries, and clear those for the next.
     fn close_bucket(
@@ -374,6 +374,16 @@ pub struct CompiledEngine {
     metrics: CompiledMetrics,
 }
 
+/// One lowered index entry: its rule id, bucket key (`None` in the
+/// untokenized tail), list, required-token fingerprint and alignment.
+struct Lowered {
+    id: u32,
+    key: Option<u64>,
+    list: ListId,
+    fp: u64,
+    align: Option<LiteralAlignment>,
+}
+
 /// Mutable arenas shared while lowering rules.
 #[derive(Default)]
 struct Builder {
@@ -423,26 +433,6 @@ impl Builder {
         id
     }
 
-    /// Lower one index entry — the rule and its fingerprint — and return
-    /// the fingerprint with the entry's alignment. `index` is the token the
-    /// entry is bucketed under (`None` in the untokenized tail).
-    fn add_entry(
-        &mut self,
-        out: &mut CompiledIndex,
-        list: ListId,
-        f: &NetFilter,
-        index: Option<IndexToken>,
-    ) -> (u64, Option<LiteralAlignment>) {
-        let id = self.add_rule(list, f);
-        let (fp, index_sealed) = prefilter(&f.pattern, index);
-        let align = index
-            .filter(|_| index_sealed)
-            .and_then(|t| self.alignment(id, t));
-        out.entries.push(id);
-        out.fps.push(fp);
-        (fp, align)
-    }
-
     /// The alignment record of rule `id` for its (sealed) index token;
     /// `None` when the literal or the offset exceeds the stored width.
     fn alignment(&self, id: u32, t: IndexToken) -> Option<LiteralAlignment> {
@@ -461,39 +451,66 @@ impl Builder {
         })
     }
 
-    /// Lower one token table from its rules in bucket order: ascending
+    /// Lower one token table's rules, given in bucket order: ascending
     /// index token, the rules of one token in load order, the untokenized
-    /// rules last (see [`in_bucket_order`]).
-    fn build_index<'a>(
+    /// rules last (see [`in_bucket_order`]). Returns the entries
+    /// [`Self::index`] builds the table from; the rules are not read again.
+    fn lower<'a>(
         &mut self,
         rules: impl IntoIterator<Item = (ListId, &'a NetFilter)>,
-    ) -> CompiledIndex {
-        let mut out = CompiledIndex::default();
+    ) -> Vec<Lowered> {
+        rules
+            .into_iter()
+            .map(|(list, f)| {
+                // The same function `TokenIndex::insert` keys an entry with,
+                // so the alignment describes the bucket's own run.
+                let index = filter_index_token(f.pattern.literals());
+                let id = self.add_rule(list, f);
+                let (fp, index_sealed) = prefilter(&f.pattern, index);
+                let align = index
+                    .filter(|_| index_sealed)
+                    .and_then(|t| self.alignment(id, t));
+                Lowered {
+                    id,
+                    key: index.map(|t| t.hash),
+                    list,
+                    fp,
+                    align,
+                }
+            })
+            .collect()
+    }
+
+    /// Build one token table from its [`Self::lower`]ed entries: buckets,
+    /// shapes, probe slots and bloom.
+    fn index(&self, lowered: Vec<Lowered>) -> CompiledIndex {
+        let mut out = CompiledIndex {
+            entries: Vec::with_capacity(lowered.len()),
+            fps: Vec::with_capacity(lowered.len()),
+            ..CompiledIndex::default()
+        };
         let (mut loose, mut aligned) = (Vec::new(), Vec::new());
         // The bucket being filled: its key (`None` for the untokenized
         // tail), first entry, AND of fingerprints and list mask.
         let mut open: Option<(Option<u64>, u32, u64, u64)> = None;
-        for (list, f) in rules {
-            // The same function `TokenIndex::insert` keys an entry with,
-            // so the alignment describes the bucket's own run.
-            let index = filter_index_token(f.pattern.literals());
-            let key = index.map(|t| t.hash);
-            if open.is_none_or(|(k, ..)| k != key) {
+        for e in lowered {
+            if open.is_none_or(|(k, ..)| k != e.key) {
                 if let Some(bucket) = open.take() {
-                    debug_assert!(bucket.0.is_some_and(|k| key.is_none_or(|key| k < key)));
+                    debug_assert!(bucket.0.is_some_and(|k| e.key.is_none_or(|key| k < key)));
                     out.close_bucket(bucket, &mut loose, &mut aligned, &self.lit_arena);
                 }
-                open = Some((key, out.entries.len() as u32, !0, 0));
+                open = Some((e.key, out.entries.len() as u32, !0, 0));
             }
             let pos = out.entries.len() as u32;
-            let (fp, align) = self.add_entry(&mut out, list, f, index);
-            match align {
+            out.entries.push(e.id);
+            out.fps.push(e.fp);
+            match e.align {
                 Some(a) => aligned.push((a, pos)),
                 None => loose.push(pos),
             }
             if let Some((_, _, and_fp, lists)) = &mut open {
-                *and_fp &= fp;
-                *lists |= list_bit(list.0);
+                *and_fp &= e.fp;
+                *lists |= list_bit(e.list.0);
             }
         }
         let tail = match open {
@@ -685,8 +702,10 @@ impl CompiledEngine {
     /// compares against).
     pub fn compile(engine: &Engine) -> CompiledEngine {
         let mut b = Builder::default();
-        let blocking = b.build_index(engine.blocking.in_bucket_order());
-        let exceptions = b.build_index(engine.exceptions.in_bucket_order());
+        let blocking = b.lower(engine.blocking.in_bucket_order());
+        let blocking = b.index(blocking);
+        let exceptions = b.lower(engine.exceptions.in_bucket_order());
+        let exceptions = b.index(exceptions);
         let doc = b.build_doc(engine.document_exceptions.entries.iter().map(Entry::rule));
         b.finish(blocking, exceptions, doc)
     }
@@ -694,20 +713,24 @@ impl CompiledEngine {
     /// Lower filter lists straight into the compiled form, without an
     /// [`Engine`] between: the same engine [`Self::compile`] makes of the
     /// lists loaded in this order, holding the lists' own rule texts. Each
-    /// table's parsed rules are dropped once it is lowered; element-hiding
-    /// rules are not kept.
+    /// table's parsed rules are dropped once lowered, before its buckets,
+    /// shapes and probe slots are built, so the index never sits beside
+    /// them; element-hiding rules are not kept.
     pub fn from_lists(lists: Vec<FilterList>) -> CompiledEngine {
         let (blocking_rules, exception_rules): (Vec<_>, Vec<_>) = lists
             .into_iter()
             .map(|l| (l.blocking, l.exceptions))
             .unzip();
         let mut b = Builder::default();
-        let blocking = b.build_index(in_bucket_order(with_list(&blocking_rules)));
+        let blocking = b.lower(in_bucket_order(with_list(&blocking_rules)));
         drop(blocking_rules);
-        let exceptions = b.build_index(in_bucket_order(
+        let blocking = b.index(blocking);
+        let exceptions = b.lower(in_bucket_order(
             with_list(&exception_rules).filter(|(_, f)| !f.options.document),
         ));
         let doc = b.build_doc(with_list(&exception_rules).filter(|(_, f)| f.options.document));
+        drop(exception_rules);
+        let exceptions = b.index(exceptions);
         b.finish(blocking, exceptions, doc)
     }
 

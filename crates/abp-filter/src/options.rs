@@ -133,16 +133,20 @@ impl FilterOptions {
                     opts.elemhide = true;
                 }
                 _ if lower.starts_with("domain=") => {
-                    let domains = &name["domain=".len()..];
-                    for d in domains.split('|') {
-                        let d = d.trim().to_ascii_lowercase();
-                        if d.is_empty() {
-                            continue;
-                        }
-                        if let Some(ex) = d.strip_prefix('~') {
-                            opts.exclude_domains.push(ex.to_string());
-                        } else {
-                            opts.include_domains.push(d);
+                    // Each list is reserved at its final size, each domain
+                    // lowercased in its one allocation.
+                    let domains = || {
+                        let domains = name["domain=".len()..].split('|').map(str::trim);
+                        domains.filter(|d| !d.is_empty())
+                    };
+                    let excluded = domains().filter(|d| d.starts_with('~')).count();
+                    let included = domains().count() - excluded;
+                    opts.exclude_domains.reserve_exact(excluded);
+                    opts.include_domains.reserve_exact(included);
+                    for d in domains() {
+                        match d.strip_prefix('~') {
+                            Some(ex) => opts.exclude_domains.push(ex.to_ascii_lowercase()),
+                            None => opts.include_domains.push(d.to_ascii_lowercase()),
                         }
                     }
                 }

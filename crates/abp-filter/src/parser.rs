@@ -14,6 +14,7 @@
 use crate::hiding::HidingRule;
 use crate::options::FilterOptions;
 use crate::rule::{Anchor, NetFilter, Pattern};
+use std::sync::Arc;
 
 /// The result of parsing one filter-list line.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,6 +38,12 @@ pub enum ParsedLine {
 /// Parse a single filter-list line.
 pub fn parse_line(line: &str) -> ParsedLine {
     let line = line.trim();
+    parse_trimmed(line, || line.into())
+}
+
+/// Parse a trimmed line; a network filter's `raw` text comes from `raw`,
+/// called once the filter is known to be valid.
+fn parse_trimmed(line: &str, raw: impl FnOnce() -> Arc<str>) -> ParsedLine {
     if line.is_empty() || line.starts_with('!') || line.starts_with("[Adblock") {
         return ParsedLine::Ignored;
     }
@@ -58,7 +65,7 @@ pub fn parse_line(line: &str) -> ParsedLine {
         }
         return ParsedLine::Hiding(HidingRule::new(domains_part, selector, is_exception));
     }
-    parse_net_filter(line)
+    parse_net_filter(line, raw)
 }
 
 /// Locate `##` or `#@#` outside of any other context. EasyList guarantees
@@ -78,7 +85,7 @@ fn find_hiding_separator(line: &str) -> Option<usize> {
     None
 }
 
-fn parse_net_filter(line: &str) -> ParsedLine {
+fn parse_net_filter(line: &str, raw: impl FnOnce() -> Arc<str>) -> ParsedLine {
     let (is_exception, rest) = match line.strip_prefix("@@") {
         Some(r) => (true, r),
         None => (false, line),
@@ -120,7 +127,7 @@ fn parse_net_filter(line: &str) -> ParsedLine {
         };
     }
     ParsedLine::Net(NetFilter {
-        raw: line.into(),
+        raw: raw(),
         is_exception,
         pattern,
         options,
@@ -141,21 +148,38 @@ fn looks_like_options(s: &str) -> bool {
 
 /// Parse a whole filter-list document, returning valid rules and counting
 /// invalid ones.
+///
+/// The network rules' `raw` texts are allocated last, in one run in load
+/// order (blocking, then exceptions), once every pattern is parsed. The
+/// texts outlive the parsed rules — every engine the rules are lowered into
+/// shares them — while the patterns are freed by lowering, so the texts sit
+/// together above that freed heap instead of pinning it into small holes.
 pub fn parse_document(text: &str) -> ParsedDocument {
     let mut doc = ParsedDocument::default();
+    // Until the texts are allocated, every rule holds this one placeholder,
+    // and each table its rules' trimmed lines.
+    let placeholder: Arc<str> = Arc::from("");
+    let (mut blocking, mut exceptions) = (Vec::new(), Vec::new());
     for line in text.lines() {
-        match parse_line(line) {
+        let line = line.trim();
+        match parse_trimmed(line, || Arc::clone(&placeholder)) {
             ParsedLine::Ignored => doc.ignored += 1,
             ParsedLine::Net(f) => {
                 if f.is_exception {
                     doc.exceptions.push(f);
+                    exceptions.push(line);
                 } else {
                     doc.blocking.push(f);
+                    blocking.push(line);
                 }
             }
             ParsedLine::Hiding(h) => doc.hiding.push(h),
             ParsedLine::Invalid { line, reason } => doc.invalid.push((line, reason)),
         }
+    }
+    let rules = doc.blocking.iter_mut().chain(&mut doc.exceptions);
+    for (f, line) in rules.zip(blocking.into_iter().chain(exceptions)) {
+        f.raw = Arc::from(line);
     }
     doc
 }
@@ -318,6 +342,103 @@ mod tests {
         assert_eq!(doc.hiding.len(), 1);
         assert_eq!(doc.invalid.len(), 1);
         assert_eq!(doc.ignored, 2);
+    }
+
+    #[test]
+    fn patterns_and_domain_lists_allocate_exactly() {
+        let doc = parse_document(
+            "||ads.example^*banner**.gif^$domain=News.com|~sports.news.com|~x.org|y.net\n\
+             |http://a.example/*x^|\n\
+             @@*jsp?callback=aslHandleAds*$script,domain=~Shop.example\n\
+             /trailing/literal\n\
+             ^^sep**\n",
+        );
+        let rules: Vec<&NetFilter> = doc.blocking.iter().chain(&doc.exceptions).collect();
+        assert_eq!(rules.len(), 5);
+        for f in rules {
+            let segments = &f.pattern.segments;
+            assert_eq!(segments.capacity(), segments.len(), "{}", f.raw);
+            for s in segments {
+                if let Segment::Literal(l) = s {
+                    assert_eq!(l.capacity(), l.len(), "{}: {l}", f.raw);
+                }
+            }
+            for domains in [&f.options.include_domains, &f.options.exclude_domains] {
+                assert_eq!(domains.capacity(), domains.len(), "{}", f.raw);
+                for d in domains {
+                    assert_eq!(d.capacity(), d.len(), "{}: {d}", f.raw);
+                }
+            }
+        }
+        let f = &doc.blocking[0];
+        assert_eq!(
+            f.pattern.segments,
+            vec![
+                Segment::Literal("ads.example".to_string()),
+                Segment::Separator,
+                Segment::Star,
+                Segment::Literal("banner".to_string()),
+                Segment::Star,
+                Segment::Literal(".gif".to_string()),
+                Segment::Separator,
+            ]
+        );
+        assert_eq!(f.options.include_domains, ["news.com", "y.net"]);
+        assert_eq!(f.options.exclude_domains, ["sports.news.com", "x.org"]);
+        assert_eq!(doc.exceptions[0].options.exclude_domains, ["shop.example"]);
+        assert!(doc.blocking[1].pattern.end_anchor);
+        assert_eq!(
+            doc.blocking[3].pattern.segments,
+            [
+                Segment::Separator,
+                Segment::Separator,
+                Segment::Literal("sep".to_string()),
+                Segment::Star
+            ]
+        );
+    }
+
+    #[test]
+    fn raw_texts_are_the_trimmed_lines_in_load_order() {
+        let text = "! comment\n\
+                    \t||ads.example^  \n\
+                    @@||good.example^$document\n\
+                    example.com##.ad\n\
+                    \x20/banners/*.gif\n\
+                    ||x.com^$bogusoption\n\
+                    @@*jsp?callback=aslHandleAds*\r\n\
+                    |http://a.example/|\n";
+        let doc = parse_document(text);
+        let lines: Vec<&str> = text.lines().map(str::trim).collect();
+        let net = |exception: bool| -> Vec<&str> {
+            lines
+                .iter()
+                .copied()
+                .filter(
+                    |l| matches!(parse_line(l), ParsedLine::Net(f) if f.is_exception == exception),
+                )
+                .collect()
+        };
+        let raw = |rules: &[NetFilter]| -> Vec<String> {
+            rules.iter().map(|f| f.raw.to_string()).collect()
+        };
+        assert_eq!(
+            net(false),
+            ["||ads.example^", "/banners/*.gif", "|http://a.example/|"]
+        );
+        assert_eq!(raw(&doc.blocking), net(false));
+        assert_eq!(
+            net(true),
+            [
+                "@@||good.example^$document",
+                "@@*jsp?callback=aslHandleAds*"
+            ]
+        );
+        assert_eq!(raw(&doc.exceptions), net(true));
+        // The same rules `parse_line` gives, texts included.
+        for (f, line) in doc.blocking.iter().zip(net(false)) {
+            assert_eq!(parse_line(line), ParsedLine::Net(f.clone()));
+        }
     }
 
     #[test]

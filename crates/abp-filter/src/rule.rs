@@ -41,33 +41,23 @@ pub struct Pattern {
 impl Pattern {
     /// Compile raw pattern text (the filter line minus `@@`, anchors already
     /// stripped by the parser are passed via `anchor`/`end_anchor`).
-    /// `match_case` controls literal case folding.
+    /// `match_case` controls literal case folding. The segments and each
+    /// literal are allocated at their final size: a rule's pattern is held
+    /// until the rule is lowered, so at EasyList scale slack here is
+    /// megabytes at the build's peak.
     pub fn compile(text: &str, anchor: Anchor, end_anchor: bool, match_case: bool) -> Pattern {
-        let mut segments = Vec::new();
-        let mut lit = String::new();
-        for c in text.chars() {
-            match c {
-                '*' => {
-                    if !lit.is_empty() {
-                        segments.push(Segment::Literal(take_lit(&mut lit, match_case)));
-                    }
-                    // Collapse consecutive stars.
-                    if segments.last() != Some(&Segment::Star) {
-                        segments.push(Segment::Star);
-                    }
+        let mut segments = Vec::with_capacity(pieces(text).count());
+        segments.extend(pieces(text).map(|piece| match piece {
+            Piece::Literal(l) => {
+                let mut lit = l.to_owned();
+                if !match_case {
+                    lit.make_ascii_lowercase();
                 }
-                '^' => {
-                    if !lit.is_empty() {
-                        segments.push(Segment::Literal(take_lit(&mut lit, match_case)));
-                    }
-                    segments.push(Segment::Separator);
-                }
-                _ => lit.push(c),
+                Segment::Literal(lit)
             }
-        }
-        if !lit.is_empty() {
-            segments.push(Segment::Literal(take_lit(&mut lit, match_case)));
-        }
+            Piece::Star => Segment::Star,
+            Piece::Separator => Segment::Separator,
+        }));
         // A trailing star makes an end anchor meaningless; drop it.
         let end_anchor = end_anchor && segments.last() != Some(&Segment::Star);
         Pattern {
@@ -95,14 +85,35 @@ impl Pattern {
     }
 }
 
-fn take_lit(lit: &mut String, match_case: bool) -> String {
-    let out = if match_case {
-        lit.clone()
-    } else {
-        lit.to_ascii_lowercase()
-    };
-    lit.clear();
-    out
+/// One segment of pattern text, its literal borrowed from the text.
+#[derive(Clone, Copy, PartialEq)]
+enum Piece<'a> {
+    Literal(&'a str),
+    Star,
+    Separator,
+}
+
+/// The segments of pattern text in order: the non-empty literal runs
+/// between `*` and `^`, with consecutive stars collapsed.
+fn pieces(text: &str) -> impl Iterator<Item = Piece<'_>> {
+    let mut after_star = false;
+    text.split_inclusive(['*', '^'])
+        .flat_map(|run| {
+            let (lit, special) = match run.as_bytes()[run.len() - 1] {
+                b'*' => (&run[..run.len() - 1], Some(Piece::Star)),
+                b'^' => (&run[..run.len() - 1], Some(Piece::Separator)),
+                _ => (run, None),
+            };
+            (!lit.is_empty())
+                .then_some(Piece::Literal(lit))
+                .into_iter()
+                .chain(special)
+        })
+        .filter(move |&piece| {
+            let repeat = after_star && piece == Piece::Star;
+            after_star = piece == Piece::Star;
+            !repeat
+        })
 }
 
 /// A parsed network filter (blocking or exception).

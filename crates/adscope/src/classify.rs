@@ -1,5 +1,6 @@
 //! Per-request ad classification: the libadblockplus invocation.
 
+use crate::normalize::UrlNormalizer;
 use abp_filter::{
     Classification, ClassifyScratch, CompiledEngine, Engine, FilterList, ListId, Request,
 };
@@ -167,6 +168,9 @@ pub struct PassiveClassifier {
     /// The lists' query literals in load order: what the URL normalizer
     /// must not rewrite.
     query_literals: Vec<String>,
+    /// The normalizer over `query_literals`, built once for every run
+    /// through this classifier.
+    normalizer: UrlNormalizer,
 }
 
 impl PassiveClassifier {
@@ -174,23 +178,14 @@ impl PassiveClassifier {
     /// multi-list hits; pass EasyList first like the paper). Classifies
     /// through the arena-compiled, fingerprint-prefiltered engine, lowered
     /// straight from the lists: no [`Engine`] is built.
-    pub fn new(mut lists: Vec<FilterList>) -> PassiveClassifier {
-        // The rule texts move out of the parsed rules into allocations of
-        // their own, which the compiled engine then shares: left where the
-        // parser put them, between the pattern strings lowering frees, they
-        // would pin that heap into small holes that the stream's
-        // per-record allocations scatter over, slowing the match at
-        // EasyList scale (DESIGN.md §15). All are copied before any is
-        // released, so no copy reuses a hole its original leaves.
+    pub fn new(lists: Vec<FilterList>) -> PassiveClassifier {
+        // The compiled engine's own `Arc`s: the parser allocated the texts
+        // in one run above the patterns that lowering frees, so sharing
+        // them pins none of that heap (DESIGN.md §15).
         let rules: Vec<Vec<Arc<str>>> = lists
             .iter()
-            .map(|l| l.network_rules().map(|f| Arc::from(&*f.raw)).collect())
+            .map(|l| l.network_rules().map(|f| Arc::clone(&f.raw)).collect())
             .collect();
-        for (l, texts) in lists.iter_mut().zip(&rules) {
-            for (f, text) in l.blocking.iter_mut().chain(&mut l.exceptions).zip(texts) {
-                f.raw = Arc::clone(text);
-            }
-        }
         let described = PassiveClassifier::described(&lists);
         PassiveClassifier {
             compiled: Some(CompiledEngine::from_lists(lists)),
@@ -215,20 +210,23 @@ impl PassiveClassifier {
         }
     }
 
-    /// The list names, kinds and query literals of `lists`, with no engine.
+    /// The list names, kinds, query literals and normalizer of `lists`,
+    /// with no engine.
     fn described(lists: &[FilterList]) -> PassiveClassifier {
         let names: Vec<String> = lists.iter().map(|l| l.name.clone()).collect();
+        let query_literals: Vec<String> = lists
+            .iter()
+            .flat_map(FilterList::query_literals)
+            .map(str::to_string)
+            .collect();
         PassiveClassifier {
             compiled: None,
             reference: OnceLock::new(),
             rules: Vec::new(),
             kinds: names.iter().map(|n| ListKind::from_name(n)).collect(),
             names,
-            query_literals: lists
-                .iter()
-                .flat_map(FilterList::query_literals)
-                .map(str::to_string)
-                .collect(),
+            normalizer: UrlNormalizer::from_literals(&query_literals),
+            query_literals,
         }
     }
 
@@ -252,10 +250,15 @@ impl PassiveClassifier {
     }
 
     /// The query literals of every network rule, in load order: what
-    /// [`UrlNormalizer::from_literals`](crate::normalize::UrlNormalizer::from_literals)
-    /// protects.
+    /// [`Self::normalizer`] protects.
     pub fn query_literals(&self) -> &[String] {
         &self.query_literals
+    }
+
+    /// The URL normalizer every classify path runs with:
+    /// [`UrlNormalizer::from_literals`] over [`Self::query_literals`].
+    pub fn normalizer(&self) -> &UrlNormalizer {
+        &self.normalizer
     }
 
     /// Number of network rules loaded.

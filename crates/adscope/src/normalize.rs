@@ -6,9 +6,9 @@
 //! the current one. The paper normalizes query strings by replacing dynamic
 //! values, but takes care **not** to rewrite values that appear in filter
 //! rules (e.g. `@@*jsp?callback=aslHandleAds*`), which would break those
-//! rules. Every classify path normalizes, with the normalizer
-//! [`UrlNormalizer::from_literals`] builds from its classifier's query
-//! literals.
+//! rules. Every classify path normalizes, with the one normalizer its
+//! classifier builds from its query literals
+//! ([`PassiveClassifier::normalizer`](crate::PassiveClassifier::normalizer)).
 //!
 //! Whether a rule mentions a `key=value` pair is answered from a
 //! `ProtectedIndex` built once per normalizer, so the cost per pair does

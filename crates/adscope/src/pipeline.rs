@@ -4,7 +4,6 @@ use crate::classify::{AdLabel, ListKind, PassiveClassifier};
 use crate::content::{infer_category_traced, ContentOptions, ContentSource};
 use crate::degrade::DegradationReport;
 use crate::extract::{extract, WebObject};
-use crate::normalize::UrlNormalizer;
 use crate::planes::Planes;
 use crate::population::{PopulationOptions, PopulationSketches};
 use crate::provenance::{RecordMeta, VerdictProvenance};
@@ -159,7 +158,7 @@ fn classify(
         prev_ts = obj.ts;
     }
 
-    let normalizer = UrlNormalizer::from_literals(classifier.query_literals());
+    let normalizer = classifier.normalizer();
 
     // Pass 1: per-user referrer map + provisional types.
     let mut per_user: HashMap<(u32, Option<&str>), RefMap> = HashMap::new();
@@ -237,7 +236,6 @@ fn classify(
                 provenance.push(crate::provenance::build(
                     seed,
                     obj,
-                    &normalizer,
                     classifier,
                     pages[pos].as_ref(),
                     metas[pos],

@@ -25,7 +25,6 @@
 use crate::classify::PassiveClassifier;
 use crate::content::ContentSource;
 use crate::extract::WebObject;
-use crate::normalize::UrlNormalizer;
 use crate::refmap::PageSource;
 use abp_filter::{Classification, FilterRef};
 use http_model::ContentCategory;
@@ -323,18 +322,16 @@ fn cause(c: &Classification, page_missing: bool) -> SampleCause {
 /// from `seed` (`obs::trace::seed_from_name` of the input trace). This is
 /// the expensive path (rule text clones, a second normalization pass for
 /// the rewrite keys), which only `explain_trace` runs.
-#[allow(clippy::too_many_arguments)]
 pub fn build(
     seed: u64,
     obj: &WebObject,
-    normalizer: &UrlNormalizer,
     classifier: &PassiveClassifier,
     page: Option<&http_model::Url>,
     meta: RecordMeta,
     category: ContentCategory,
     c: &Classification,
 ) -> VerdictProvenance {
-    let (normalized, rewrites) = normalizer.normalize_explain(&obj.url);
+    let (normalized, rewrites) = classifier.normalizer().normalize_explain(&obj.url);
     let rule = |f: &FilterRef| RuleMatch {
         kind: classifier.kind_of(f.list).label(),
         list: classifier.list_name(f.list).to_string(),

@@ -148,13 +148,15 @@ fn window_report_to_json(out: &mut String, r: &WindowReport) {
 
 /// What rendering one user line after another reuses: a URL buffer, and the
 /// roots the line has named, in order, each with its index in the line's
-/// `"roots"` list. A root is found by its text, so a page loaded twice (two
-/// `Url` buffers) is named once.
+/// `"roots"` list. A root is found by the address of its buffer (clones
+/// share it), and on a miss by its text, so a page loaded twice (two `Url`
+/// buffers) is named once while each buffer's text is hashed once a line.
 #[derive(Default)]
 pub(super) struct LineScratch {
     url: String,
     roots: Vec<Url>,
-    index: HashMap<Url, u64>,
+    by_buffer: HashMap<usize, u64>,
+    by_text: HashMap<Url, u64>,
 }
 
 /// Append `st`'s line to `out`, newline included. Whole (`"full":true`), or,
@@ -170,7 +172,8 @@ pub(super) fn write_user(
     s: &mut LineScratch,
 ) {
     s.roots.clear();
-    s.index.clear();
+    s.by_buffer.clear();
+    s.by_text.clear();
     // Integers go through `json::write_u64`, not `write!`: there are several
     // per `page_of` entry, and this is the checkpointing run's hottest loop.
     let num = |out: &mut String, key: &str, n: u64| {
@@ -182,15 +185,22 @@ pub(super) fn write_user(
         let Some(url) = url else {
             return out.push_str("null");
         };
-        let at = match s.index.get(url) {
+        // `st` is borrowed for the whole line, so no buffer is freed and
+        // its address reused before the map is cleared.
+        let buffer = url.schemeless().as_ptr() as usize;
+        let at = match s.by_buffer.get(&buffer) {
             Some(&at) => at,
             None => {
-                let at = s.roots.len() as u64;
-                s.index.insert(url.clone(), at);
-                s.roots.push(url.clone());
+                let next = s.roots.len() as u64;
+                let at = *s.by_text.entry(url.clone()).or_insert(next);
+                if at == next {
+                    s.roots.push(url.clone());
+                }
+                s.by_buffer.insert(buffer, at);
                 at
             }
         };
+        debug_assert!(s.roots[at as usize] == *url);
         json::write_u64(out, at);
     };
     num(out, "{\"client_ip\":", st.client_ip.into());

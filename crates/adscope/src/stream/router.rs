@@ -10,7 +10,6 @@ use super::worker::{
 use super::{ck_err, Fold, StreamError, StreamOptions, StreamReport};
 use crate::classify::PassiveClassifier;
 use crate::extract::{Extractor, UserId, WebObject};
-use crate::normalize::UrlNormalizer;
 use crate::planes::Planes;
 use crate::population::PopulationReport;
 use crate::shard::shard_of;
@@ -145,7 +144,6 @@ pub(super) fn run_stream<S: ChunkSource, F: Fold>(
         opts.threads
     }
     .max(1);
-    let normalizer = UrlNormalizer::from_literals(classifier.query_literals());
     let popts = opts.pipeline;
 
     let quarantine = match &opts.quarantine_path {
@@ -175,7 +173,6 @@ pub(super) fn run_stream<S: ChunkSource, F: Fold>(
         let mut senders: Vec<parallel::Sender<ToWorker>> = Vec::with_capacity(nworkers);
         let (mut ack_rx, mut lines_rx) = (Vec::new(), Vec::new());
         let mut handles = Vec::with_capacity(nworkers);
-        let normalizer = &normalizer;
         for (id, init) in per_worker_restores.into_iter().enumerate() {
             let (tx, rx) = parallel::bounded::<ToWorker>(CHANNEL_CAPACITY);
             let (ack_tx, rx_ack) = mpsc::channel();
@@ -187,7 +184,7 @@ pub(super) fn run_stream<S: ChunkSource, F: Fold>(
             let part = fold.clone();
             let slot = health.worker(id as u64);
             handles.push(scope.spawn(move || {
-                let w = Worker::new(classifier, normalizer, popts, part, q, poison, init);
+                let w = Worker::new(classifier, popts, part, q, poison, init);
                 worker_loop(w, rx, ack_tx, lines_tx, slot, registry)
             }));
             senders.push(tx);

@@ -9,7 +9,6 @@ use super::{ck_err, Fold, StreamError};
 use crate::classify::PassiveClassifier;
 use crate::content::{infer_category_traced, ContentOptions};
 use crate::extract::{UserId, WebObject};
-use crate::normalize::UrlNormalizer;
 use crate::pipeline::{ClassifiedRequest, PipelineOptions};
 use crate::planes::Planes;
 use crate::refmap::{RefMap, SWEEP_EVERY_SECS};
@@ -177,7 +176,6 @@ impl UserState {
 /// borrow of one user's state and the shared counters can coexist.
 struct Core<'a, F> {
     classifier: &'a PassiveClassifier,
-    normalizer: &'a UrlNormalizer,
     /// Everything folded since the last cut. A worker counts `refmap_misses`,
     /// `content_type_fallbacks` and `poisoned_records` into its degradation.
     planes: Planes,
@@ -208,9 +206,8 @@ impl<F: Fold> Core<'_, F> {
         if h.obj.content_type.is_none() && h.category != ContentCategory::Other {
             self.planes.degradation.content_type_fallbacks += 1;
         }
-        let url = self
-            .normalizer
-            .normalize_owned(h.obj.url, &mut self.query_buf);
+        let normalizer = self.classifier.normalizer();
+        let url = normalizer.normalize_owned(h.obj.url, &mut self.query_buf);
         let (label, c) = self.classifier.classify_traced_in(
             &url,
             h.page.as_ref(),
@@ -299,7 +296,6 @@ pub(super) struct Worker<'a, F> {
 impl<'a, F: Fold> Worker<'a, F> {
     pub(super) fn new(
         classifier: &'a PassiveClassifier,
-        normalizer: &'a UrlNormalizer,
         opts: PipelineOptions,
         fold: F,
         quarantine: Option<Arc<Quarantine>>,
@@ -316,7 +312,6 @@ impl<'a, F: Fold> Worker<'a, F> {
             users,
             core: Core {
                 classifier,
-                normalizer,
                 planes: Planes::new(opts),
                 fold,
                 scratch: abp_filter::ClassifyScratch::new(),
@@ -617,20 +612,15 @@ mod tests {
         (line.field("full").unwrap(), keys)
     }
 
-    fn worker<'a>(
-        classifier: &'a PassiveClassifier,
-        normalizer: &'a UrlNormalizer,
-        poison: Option<&'a str>,
-    ) -> Worker<'a, ()> {
+    fn worker<'a>(classifier: &'a PassiveClassifier, poison: Option<&'a str>) -> Worker<'a, ()> {
         let popts = stream_opts(1, 16).pipeline;
-        Worker::new(classifier, normalizer, popts, (), None, poison, vec![])
+        Worker::new(classifier, popts, (), None, poison, vec![])
     }
 
     #[test]
     fn a_barrier_renders_only_the_users_a_record_touched() {
         let classifier = classifier();
-        let normalizer = UrlNormalizer::from_literals(classifier.query_literals());
-        let mut w = worker(&classifier, &normalizer, None);
+        let mut w = worker(&classifier, None);
         feed_three_users(&mut w);
 
         // A rewrite renders every user whole; with no record since, the next
@@ -670,8 +660,7 @@ mod tests {
     #[test]
     fn a_barrier_renders_only_the_entries_a_record_touched() {
         let classifier = classifier();
-        let normalizer = UrlNormalizer::from_literals(classifier.query_literals());
-        let mut w = worker(&classifier, &normalizer, Some("track.example"));
+        let mut w = worker(&classifier, Some("track.example"));
         let mut page = obj(0, 1, "http://pub.example/", None);
         page.content_type = Some(Arc::from("text/html"));
         w.handle(0, page);
@@ -712,8 +701,7 @@ mod tests {
     #[test]
     fn a_batch_sweeps_idle_users_and_renders_what_it_released() {
         let classifier = classifier();
-        let normalizer = UrlNormalizer::from_literals(classifier.query_literals());
-        let mut w = worker(&classifier, &normalizer, None);
+        let mut w = worker(&classifier, None);
         // Three users each load a page and follow a redirect off it.
         for (i, client) in [1u32, 2, 3, 1, 2, 3].into_iter().enumerate() {
             let mut o = match i / 3 {

@@ -1,14 +1,21 @@
 //! Heap a `PassiveClassifier::new` costs, pinned with a counting global
 //! allocator that tracks live and peak bytes: over the ecosystem's four
 //! lists plus a 40 000-rule EasyList-scale list (≈38 K network rules), the
-//! heap from the parsed lists on — at its peak while the classifier is
-//! built, and what stays live once it is — with the parsed lists consumed.
+//! heap from the list text on — at its peak while the lists are parsed and
+//! the classifier is built, and what stays live once it is — with the
+//! parsed lists consumed. Counting starts at the text, so the parse falls
+//! inside the window, as it does in an `e2e` run, whose whole peak RSS is
+//! reached inside `new`.
 //!
 //! When `new` built the token-indexed reference `Engine` and compiled it
 //! beside itself, keeping both, these read 35.0 MiB at the peak and
 //! 35.0 MiB once built (38 070 rules). Lowered straight from the lists
 //! into the compiled form, with the reference `Engine` built only when
-//! asked for, they read 23.1 and 11.7 MiB.
+//! asked for, they read 23.1 and 11.7 MiB. With patterns and `$domain=`
+//! lists allocated at their final size, the rule texts shared by `new`
+//! instead of copied, and each table's index built once its parsed rules
+//! are dropped, they read 19.8 and 11.5 MiB (the built figure now also
+//! holds the classifier's URL normalizer).
 //!
 //! The counter is process-wide; this file holds one test, so nothing else
 //! allocates while it counts.
@@ -52,10 +59,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 const MIB: f64 = 1024.0 * 1024.0;
-/// Bounds on the heap above the baseline, in MiB: the readings above plus
-/// ≈10 % headroom, each well under the two-engine figures.
-const PEAK_BOUND_MIB: f64 = 26.0;
-const BUILT_BOUND_MIB: f64 = 13.0;
+/// Bounds on the heap above the baseline, in MiB: the last readings above
+/// plus ≈10 % headroom. The peak bound fails the copying constructor's
+/// 23.1 MiB.
+const PEAK_BOUND_MIB: f64 = 21.8;
+const BUILT_BOUND_MIB: f64 = 12.7;
 
 #[test]
 fn new_holds_one_engine() {
