@@ -15,10 +15,11 @@
 //! ```
 //!
 //! * **Bounded memory.** Records flow through [`parallel::bounded`]
-//!   channels of a few batches each; a full queue blocks the router
-//!   (backpressure) instead of buffering, so resident state is the
-//!   per-user referrer maps plus a few in-flight chunks — flat in trace
-//!   length.
+//!   channels of four batches each; a full queue blocks the router
+//!   (backpressure) instead of buffering. A batch holds at most 256
+//!   records, sent mid-chunk once full, so resident state is the per-user
+//!   referrer maps plus at most six batches per worker — flat in trace
+//!   length and in `chunk_records`.
 //! * **Identical output.** Workers run the exact sequential per-user
 //!   stage logic. The one order-sensitive structure — redirect type
 //!   backfill, which the materialized path resolves in a second pass —

@@ -16,7 +16,7 @@ use crate::shard::shard_of;
 use crate::users::{UserTable, UserTally};
 use netsim::codec::{record_to_json, CodecStats};
 use netsim::record::{RecordView, TraceMeta, TraceRecord};
-use netsim::stream::{ChunkSource, MAX_CHUNK_RESERVE};
+use netsim::stream::ChunkSource;
 use std::collections::HashSet;
 use std::path::Path;
 use std::sync::{mpsc, Arc};
@@ -95,7 +95,16 @@ struct Router<'a> {
     extractor: Extractor,
     /// Every user's counters as its worker last reported them.
     users: UserTable,
-    worker_labels: Vec<String>,
+    /// Each worker's batch being filled, sent at [`BATCH_RECORDS`] records
+    /// or at the end of the chunk, whichever comes first.
+    batches: Vec<Vec<(u64, WebObject)>>,
+    /// What a batch reserves on its first record: [`BATCH_RECORDS`], or the
+    /// worker's even share of a chunk if that is smaller.
+    batch_reserve: usize,
+    /// Set once a send finds a worker's receiver gone; nothing is sent after.
+    worker_gone: bool,
+    /// Each worker's `adscope_stream_queue_depth` gauge, set after every send.
+    queue_depth: Vec<obs::Gauge>,
     last_stalls: Vec<u64>,
     run_chunks: u64,
     /// The checkpoint the last barrier cut, until [`Router::write_parked`]
@@ -128,6 +137,13 @@ struct Parked<'a> {
 /// Bounded channel capacity, in batches, per worker. A full queue blocks
 /// the router — this is the backpressure point.
 const CHANNEL_CAPACITY: usize = 4;
+
+/// The most records a batch holds: the router hands a worker its batch once
+/// it is this full, mid-chunk if need be. With a full queue, the batch being
+/// filled and the one being classified, a worker has at most
+/// `(CHANNEL_CAPACITY + 2) * BATCH_RECORDS` records in flight, whatever
+/// `chunk_records` is.
+const BATCH_RECORDS: usize = 256;
 
 pub(super) fn run_stream<S: ChunkSource, F: Fold>(
     mut chunks: S,
@@ -202,7 +218,14 @@ pub(super) fn run_stream<S: ChunkSource, F: Fold>(
             abp_ips: opts.abp_ips.iter().copied().collect(),
             extractor,
             users: UserTable::default(),
-            worker_labels: (0..nworkers).map(|i| i.to_string()).collect(),
+            batches: (0..nworkers).map(|_| Vec::new()).collect(),
+            batch_reserve: opts.chunk_records.div_ceil(nworkers).min(BATCH_RECORDS),
+            worker_gone: false,
+            queue_depth: (0..nworkers)
+                .map(|i| {
+                    registry.gauge_with("adscope_stream_queue_depth", &[("worker", &i.to_string())])
+                })
+                .collect(),
             last_stalls: vec![0u64; nworkers],
             run_chunks: 0,
             parked: None,
@@ -256,29 +279,25 @@ fn number_restored(
 
 impl<'a> Router<'a> {
     /// The routing loop: per chunk, route every record the source lends
-    /// ([`Router::route_record`]), hand each worker its batch, write the
-    /// checkpoint the previous chunk's barrier parked, and every
-    /// `every_chunks` chunks run a checkpoint barrier.
+    /// ([`Router::route_record`], which sends each full batch), hand each
+    /// worker the rest of its batch, write the checkpoint the previous
+    /// chunk's barrier parked, and every `every_chunks` chunks run a
+    /// checkpoint barrier.
     fn route(&mut self, chunks: &mut impl ChunkSource) -> Result<(), StreamError> {
         let opts = self.opts;
-        let nworkers = self.senders.len();
-        // A batch is reserved for its worker's even share of a chunk — all of
-        // it at one worker — of no more records than a chunk can plausibly
-        // hold, and grows from there.
-        let even_share = opts.chunk_records.min(MAX_CHUNK_RESERVE).div_ceil(nworkers);
         loop {
-            let mut batches: Vec<Vec<(u64, WebObject)>> = (0..nworkers)
-                .map(|_| Vec::with_capacity(even_share))
-                .collect();
             let mut n_records = 0u64;
             let Some((stats, end_offset)) = chunks.next_chunk_with(|rec| {
                 n_records += 1;
-                self.route_record(rec, &mut batches);
+                self.route_record(rec);
             }) else {
                 break;
             };
             self.state.codec.merge(&stats);
-            if !self.send(batches) {
+            for widx in 0..self.batches.len() {
+                self.send(widx);
+            }
+            if self.worker_gone {
                 // A dead receiver means the worker panicked outside the
                 // guard; drop the senders and let the join in
                 // `run_stream` propagate the panic.
@@ -317,8 +336,9 @@ impl<'a> Router<'a> {
 
     /// One record on the router: fold its view, and extract, order-check
     /// and shard an HTTP transaction straight from it — nothing of the
-    /// record is owned before its [`WebObject`] is.
-    fn route_record(&mut self, rec: RecordView<'_>, batches: &mut [Vec<(u64, WebObject)>]) {
+    /// record is owned before its [`WebObject`] is — sending its worker's
+    /// batch once it holds [`BATCH_RECORDS`].
+    fn route_record(&mut self, rec: RecordView<'_>) {
         let st = &mut self.state;
         self.planes.observe_record(&rec, &self.abp_ips);
         let RecordView::Http(tx) = rec else {
@@ -335,8 +355,15 @@ impl<'a> Router<'a> {
                 st.prev_ts = obj.ts;
                 let pos = st.next_pos;
                 st.next_pos += 1;
-                let s = shard_of(obj.user, batches.len());
-                batches[s].push((pos, obj));
+                let s = shard_of(obj.user, self.batches.len());
+                let batch = &mut self.batches[s];
+                if batch.capacity() == 0 {
+                    batch.reserve_exact(self.batch_reserve);
+                }
+                batch.push((pos, obj));
+                if batch.len() == BATCH_RECORDS {
+                    self.send(s);
+                }
             }
             None => {
                 degradation.unparseable_urls += 1;
@@ -349,31 +376,30 @@ impl<'a> Router<'a> {
         }
     }
 
-    /// Hand each worker its batch. A blocking send against a full queue
-    /// is the backpressure point; stalls and depth surface as metrics.
-    /// `false` when a worker's receiver is gone.
-    fn send(&mut self, batches: Vec<Vec<(u64, WebObject)>>) -> bool {
-        for (widx, batch) in batches.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            if self.senders[widx].send(ToWorker::Batch(batch)).is_err() {
-                return false;
-            }
-            let stats = self.senders[widx].stats();
-            let label = [("worker", self.worker_labels[widx].as_str())];
-            self.registry
-                .gauge_with("adscope_stream_queue_depth", &label)
-                .set(stats.depth() as f64);
-            let stalls = stats.send_stalls();
-            if stalls > self.last_stalls[widx] {
-                self.registry
-                    .counter_with("adscope_stream_send_stalls_total", &label)
-                    .add(stalls - self.last_stalls[widx]);
-                self.last_stalls[widx] = stalls;
-            }
+    /// Hand worker `widx` its batch, if it holds a record. A blocking send
+    /// against a full queue is the backpressure point; stalls and depth
+    /// surface as metrics. A receiver that is gone sets `worker_gone`.
+    fn send(&mut self, widx: usize) {
+        if self.worker_gone || self.batches[widx].is_empty() {
+            return;
         }
-        true
+        let batch = std::mem::take(&mut self.batches[widx]);
+        if self.senders[widx].send(ToWorker::Batch(batch)).is_err() {
+            self.worker_gone = true;
+            return;
+        }
+        let stats = self.senders[widx].stats();
+        self.queue_depth[widx].set(stats.depth() as f64);
+        let stalls = stats.send_stalls();
+        if stalls > self.last_stalls[widx] {
+            self.registry
+                .counter_with(
+                    "adscope_stream_send_stalls_total",
+                    &[("worker", &widx.to_string())],
+                )
+                .add(stalls - self.last_stalls[widx]);
+            self.last_stalls[widx] = stalls;
+        }
     }
 
     /// A checkpoint barrier: announce whether it rewrites the log
@@ -473,10 +499,8 @@ impl<'a> Router<'a> {
             let _ = q.flush_bytes();
         }
         // The workers are joined: no batch waits in any queue.
-        for label in &self.worker_labels {
-            self.registry
-                .gauge_with("adscope_stream_queue_depth", &[("worker", label.as_str())])
-                .set(0.0);
+        for depth in &self.queue_depth {
+            depth.set(0.0);
         }
         let (st, registry) = (self.state, self.registry);
         let t = st.totals;
@@ -916,6 +940,24 @@ mod tests {
             assert_eq!(depth.get(), 0.0, "worker {worker}");
         }
         assert!(stalls > 0, "no send found a full queue");
+        let _ = fs::remove_file(&path);
+    }
+
+    /// A chunk larger than a batch reaches its worker in batches of at most
+    /// [`BATCH_RECORDS`], each sent as it fills: one worker and one chunk of
+    /// the whole trace take `records.div_ceil(BATCH_RECORDS)` batches, not
+    /// one.
+    #[test]
+    fn a_chunk_reaches_its_worker_in_batches_of_at_most_batch_records() {
+        let path = write_trace_file(&messy_trace(2400), "batches");
+        let registry = obs::Registry::new();
+        let o = stream_opts(1, 100_000);
+        let rep = classify_stream_file(&path, &classifier(), &o, &registry).unwrap();
+        assert_eq!(rep.chunks, 1);
+        let worker = &registry.health().snapshot().workers[0];
+        assert!(worker.records > 4 * BATCH_RECORDS as u64, "{worker:?}");
+        let batch = BATCH_RECORDS as u64;
+        assert_eq!(worker.batches, worker.records.div_ceil(batch));
         let _ = fs::remove_file(&path);
     }
 

@@ -334,6 +334,57 @@ fn the_engines_user_table_and_households_equal_the_oracles() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Chunks larger than the router's 256-record batch, which a worker is
+/// handed mid-chunk as it fills while the chunk stays the unit of offsets
+/// and checkpoints: a 2 400-record trace streams like the oracle at chunks of
+/// 300, 777 and 2 048 at every thread count, and a run killed after each of
+/// its 777-record chunks resumes, at another thread count, to the
+/// uninterrupted run's bytes.
+#[test]
+fn chunks_larger_than_a_batch_stream_like_the_oracle() {
+    let trace = messy_trace(2400, 5, 46);
+    let seq = reference(&trace);
+    let path = write_trace_file(&trace, "big-chunks");
+    for chunk in [300, 777, 2048] {
+        for threads in thread_counts() {
+            assert_streams_like(&path, &seq, threads, chunk);
+        }
+    }
+
+    let chunk = 777;
+    let want = classify_stream_file(
+        &path,
+        &classifier(),
+        &stream_opts(2, chunk),
+        &obs::Registry::new(),
+    )
+    .unwrap()
+    .render();
+    for kill in 1..trace.records.len().div_ceil(chunk) as u64 {
+        let ckdir = temp_path("big-chunks-ck");
+        let mut killed = stream_opts(3, chunk);
+        killed.stop_after_chunks = Some(kill);
+        killed.checkpoint = Some(CheckpointOptions {
+            dir: ckdir.clone(),
+            every_chunks: 1,
+            resume: false,
+        });
+        let partial = classify_stream_file(&path, &classifier(), &killed, &obs::Registry::new());
+        assert!(partial.unwrap().stopped_early, "kill={kill}");
+        let mut resumed = stream_opts(1, chunk);
+        resumed.checkpoint = Some(CheckpointOptions {
+            resume: true,
+            ..killed.checkpoint.clone().unwrap()
+        });
+        let got =
+            classify_stream_file(&path, &classifier(), &resumed, &obs::Registry::new()).unwrap();
+        assert!(got.resumed_from.is_some(), "kill={kill}");
+        assert_eq!(got.render(), want, "kill={kill}");
+        let _ = std::fs::remove_dir_all(&ckdir);
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 // ---------------------------------------------------------------------------
 // Hand-worked traces: the oracle's output pinned, the stream held to it
 // ---------------------------------------------------------------------------
