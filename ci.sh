@@ -116,6 +116,11 @@ if grep -rn --include='*.rs' '\.engine()' crates/*/src src examples \
 # classifier shares them with the compiled engine: a copy of each would add
 # every text to the build's peak.
 if grep -n 'Arc::from(&\*f\.raw)' crates/adscope/src/classify.rs; then exit 1; fi
+# One lowering routine: both compiled-engine constructors feed
+# `Builder::lower`, which reads each parsed rule once a pass in load order and
+# sizes every arena once, so a second path that visits the rules in bucket
+# order must not come back.
+if grep -n 'in_bucket_order' crates/abp-filter/src/compiled.rs; then exit 1; fi
 
 gate "cargo test -q"
 cargo test -q

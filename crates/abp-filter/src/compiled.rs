@@ -32,7 +32,7 @@
 //! harness pin this.
 
 use crate::engine::{
-    host_key, host_suffix_hashes, write_lower_url, Classification, ClassifyScratch, Engine, Entry,
+    host_key, host_suffix_hashes, write_lower_url, Classification, ClassifyScratch, Engine,
     FilterRef, ListId, Request,
 };
 use crate::matcher::{host_span, is_separator};
@@ -40,12 +40,11 @@ use crate::options::{FilterOptions, PartyConstraint};
 use crate::rule::{Anchor, NetFilter, Pattern, Segment};
 use crate::subscription::FilterList;
 use crate::tokenizer::{
-    filter_index_token, filter_token, hash_token, url_tokens_with_starts_into, IndexToken,
+    filter_index_token, fnv_step, hash_token, url_tokens_with_starts_into, IndexToken, FNV_OFFSET,
     MIN_TOKEN_LEN,
 };
 use http_model::{is_third_party, ContentCategory};
 use std::cell::OnceCell;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One pattern segment, with literal bytes referenced by arena span.
@@ -60,7 +59,7 @@ enum CompiledSegment {
 }
 
 /// One flattened rule: indices into the shared arenas, no owned data.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct CompiledRule {
     list: u32,
     anchor: Anchor,
@@ -374,8 +373,19 @@ pub struct CompiledEngine {
     metrics: CompiledMetrics,
 }
 
-/// One lowered index entry: its rule id, bucket key (`None` in the
-/// untokenized tail), list, required-token fingerprint and alignment.
+/// The table a rule lowers into. Rule ids follow this order: the blocking
+/// table's rules, then the exceptions', then the `$document` rules.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Table {
+    Blocking,
+    Exceptions,
+    Document,
+}
+
+/// One lowered rule: its id, key, list, required-token fingerprint and
+/// alignment. In a token table the key is the rule's bucket (`None` in the
+/// untokenized tail); for a `$document` rule it is its host key's hash
+/// (`None` on the linear fallback).
 struct Lowered {
     id: u32,
     key: Option<u64>,
@@ -384,8 +394,18 @@ struct Lowered {
     align: Option<LiteralAlignment>,
 }
 
-/// Mutable arenas shared while lowering rules.
-#[derive(Default)]
+/// A rule's share of the segment, literal and domain arenas: counted by
+/// the first pass of [`Builder::lower`], rewritten in place as the rule's
+/// offsets, read by the second.
+#[derive(Clone, Copy, Default)]
+struct Extent {
+    segs: u32,
+    lits: u32,
+    domains: u32,
+}
+
+/// The engine's rules and arenas, sized once and filled by
+/// [`Builder::lower`].
 struct Builder {
     rules: Vec<CompiledRule>,
     raw: Vec<Arc<str>>,
@@ -395,95 +415,147 @@ struct Builder {
 }
 
 impl Builder {
-    fn add_rule(&mut self, list: ListId, f: &NetFilter) -> u32 {
-        let id = self.rules.len() as u32;
-        let seg_start = self.segs.len() as u32;
-        for s in &f.pattern.segments {
-            match s {
-                Segment::Literal(l) => {
-                    let off = self.lit_arena.len() as u32;
-                    self.lit_arena.extend_from_slice(l.as_bytes());
-                    self.segs.push(CompiledSegment::Lit(off, l.len() as u32));
-                }
-                Segment::Star => self.segs.push(CompiledSegment::Star),
-                Segment::Separator => self.segs.push(CompiledSegment::Sep),
-            }
-        }
-        let seg_end = self.segs.len() as u32;
-        let inc_start = self.domain_arena.len() as u32;
-        for d in &f.options.include_domains {
-            self.domain_arena.push(hash_token(d.as_bytes()));
-        }
-        let inc_end = self.domain_arena.len() as u32;
-        for d in &f.options.exclude_domains {
-            self.domain_arena.push(hash_token(d.as_bytes()));
-        }
-        let exc_end = self.domain_arena.len() as u32;
-        self.rules.push(CompiledRule {
-            list: list.0 as u32,
-            anchor: f.pattern.anchor,
-            end_anchor: f.pattern.end_anchor,
-            type_mask: f.options.type_mask_bits(),
-            party: f.options.party,
-            seg: (seg_start, seg_end),
-            include: (inc_start, inc_end),
-            exclude: (inc_end, exc_end),
-        });
-        self.raw.push(Arc::clone(&f.raw));
-        id
-    }
-
-    /// The alignment record of rule `id` for its (sealed) index token;
-    /// `None` when the literal or the offset exceeds the stored width.
-    fn alignment(&self, id: u32, t: IndexToken) -> Option<LiteralAlignment> {
-        let (start, end) = self.rules[id as usize].seg;
-        let (lit, len) = self.segs[start as usize..end as usize]
-            .iter()
-            .filter_map(|seg| match *seg {
-                CompiledSegment::Lit(off, len) => Some((off, len)),
-                _ => None,
-            })
-            .nth(t.literal)?;
-        Some(LiteralAlignment {
-            lit,
-            len: u16::try_from(len).ok()?,
-            off: u16::try_from(t.offset).ok()?,
-        })
-    }
-
-    /// Lower one token table's rules, given in bucket order: ascending
-    /// index token, the rules of one token in load order, the untokenized
-    /// rules last (see [`in_bucket_order`]). Returns the entries
-    /// [`Self::index`] builds the table from; the rules are not read again.
+    /// The one lowering routine. `rules` yields every rule with its table
+    /// and list, in load order; it is read twice, both times in that order,
+    /// so each rule's own allocations are visited once a pass and in the
+    /// order the parser made them:
+    ///
+    /// 1. The first pass keys each rule (its index token, or its host key
+    ///    in the `$document` table), takes its pre-filters, locates the
+    ///    literal of a sealed index token within the rule's own literal
+    ///    bytes, and counts its segments, literal bytes and domains.
+    /// 2. The rules are then put in id order — the tables in [`Table`]
+    ///    order, each token table stable-sorted by index token with the
+    ///    untokenized rules last, the `$document` rules as given — and
+    ///    prefix sums over that order turn every rule's counts into its
+    ///    offsets, so each arena is allocated once, at its final size.
+    /// 3. The second pass writes each rule's [`CompiledRule`], text,
+    ///    segments, literal bytes and domain hashes at its place.
+    ///
+    /// Returns the filled arenas, the lowered rules in id order and the
+    /// ids where the exceptions and the `$document` rules start: what
+    /// [`Self::finish`] builds the tables from. Beside the lowered rules
+    /// it holds one [`Extent`] a rule, and while it orders them, before any
+    /// arena is allocated, one 16-byte sort entry.
     fn lower<'a>(
-        &mut self,
-        rules: impl IntoIterator<Item = (ListId, &'a NetFilter)>,
-    ) -> Vec<Lowered> {
-        rules
-            .into_iter()
-            .map(|(list, f)| {
+        rules: impl Iterator<Item = (Table, ListId, &'a NetFilter)> + Clone,
+    ) -> (Builder, Vec<Lowered>, [usize; 2]) {
+        let n = rules.clone().count();
+        let mut lowered = Vec::with_capacity(n);
+        let mut extents = Vec::with_capacity(n);
+        // `(key, position, class)`, to be sorted by class, key and position:
+        // a stable sort by table and key, with the untokenized rules (odd
+        // class) last in each token table and the `$document` rules (class
+        // 4) in the order given. Each entry carries its key, so the sort
+        // looks nothing up.
+        let mut order: Vec<(u64, u32, u8)> = Vec::with_capacity(n);
+        let mut in_table = [0usize; 3];
+        for (table, list, f) in rules.clone() {
+            in_table[table as usize] += 1;
+            let lits: usize = f.pattern.literals().map(str::len).sum();
+            let domains = f.options.include_domains.len() + f.options.exclude_domains.len();
+            extents.push(Extent {
+                segs: f.pattern.segments.len() as u32,
+                lits: lits as u32,
+                domains: domains as u32,
+            });
+            let (key, fp, align) = if table == Table::Document {
+                let key = host_key(&f.pattern).map(|k| hash_token(k.as_bytes()));
+                (key, 0, None)
+            } else {
                 // The same function `TokenIndex::insert` keys an entry with,
                 // so the alignment describes the bucket's own run.
                 let index = filter_index_token(f.pattern.literals());
-                let id = self.add_rule(list, f);
                 let (fp, index_sealed) = prefilter(&f.pattern, index);
                 let align = index
                     .filter(|_| index_sealed)
-                    .and_then(|t| self.alignment(id, t));
-                Lowered {
-                    id,
-                    key: index.map(|t| t.hash),
-                    list,
-                    fp,
-                    align,
-                }
-            })
-            .collect()
+                    .and_then(|t| alignment(&f.pattern, t));
+                (index.map(|t| t.hash), fp, align)
+            };
+            let (sort_key, class) = match table {
+                Table::Document => (0, 4),
+                _ => (key.unwrap_or(0), 2 * table as u8 + u8::from(key.is_none())),
+            };
+            order.push((sort_key, lowered.len() as u32, class));
+            lowered.push(Lowered {
+                id: 0,
+                key,
+                list,
+                fp,
+                align,
+            });
+        }
+
+        let starts = [in_table[0], in_table[0] + in_table[1]];
+        order.sort_unstable_by_key(|&(key, at, class)| (class, key, at));
+        let mut total = Extent::default();
+        for (id, &(_, i, _)) in order.iter().enumerate() {
+            lowered[i as usize].id = id as u32;
+            let counts = std::mem::replace(&mut extents[i as usize], total);
+            total.segs += counts.segs;
+            total.lits += counts.lits;
+            total.domains += counts.domains;
+        }
+        drop(order);
+
+        let mut b = Builder {
+            rules: vec![CompiledRule::default(); n],
+            raw: vec![Arc::from(""); n],
+            segs: vec![CompiledSegment::Star; total.segs as usize],
+            lit_arena: vec![0; total.lits as usize],
+            domain_arena: vec![0; total.domains as usize],
+        };
+        for ((_, list, f), (e, &at)) in rules.zip(lowered.iter_mut().zip(&extents)) {
+            b.place(e.id, list, f, at);
+            if let Some(a) = &mut e.align {
+                a.lit += at.lits;
+            }
+        }
+        drop(extents);
+        lowered.sort_unstable_by_key(|e| e.id);
+        (b, lowered, starts)
     }
 
-    /// Build one token table from its [`Self::lower`]ed entries: buckets,
-    /// shapes, probe slots and bloom.
-    fn index(&self, lowered: Vec<Lowered>) -> CompiledIndex {
+    /// Write rule `id` — segments, literal bytes and domain hashes at the
+    /// offsets `at` — into the arenas.
+    fn place(&mut self, id: u32, list: ListId, f: &NetFilter, at: Extent) {
+        let mut lit = at.lits;
+        let segs = &mut self.segs[at.segs as usize..][..f.pattern.segments.len()];
+        for (slot, s) in segs.iter_mut().zip(&f.pattern.segments) {
+            *slot = match s {
+                Segment::Literal(l) => {
+                    let (off, len) = (lit, l.len() as u32);
+                    self.lit_arena[off as usize..][..l.len()].copy_from_slice(l.as_bytes());
+                    lit += len;
+                    CompiledSegment::Lit(off, len)
+                }
+                Segment::Star => CompiledSegment::Star,
+                Segment::Separator => CompiledSegment::Sep,
+            };
+        }
+        let opts = &f.options;
+        let domains = opts.include_domains.iter().chain(&opts.exclude_domains);
+        let slots = &mut self.domain_arena[at.domains as usize..];
+        for (slot, d) in slots.iter_mut().zip(domains) {
+            *slot = hash_token(d.as_bytes());
+        }
+        let inc_end = at.domains + opts.include_domains.len() as u32;
+        self.rules[id as usize] = CompiledRule {
+            list: list.0 as u32,
+            anchor: f.pattern.anchor,
+            end_anchor: f.pattern.end_anchor,
+            type_mask: opts.type_mask_bits(),
+            party: opts.party,
+            seg: (at.segs, at.segs + f.pattern.segments.len() as u32),
+            include: (at.domains, inc_end),
+            exclude: (inc_end, inc_end + opts.exclude_domains.len() as u32),
+        };
+        self.raw[id as usize] = Arc::clone(&f.raw);
+    }
+
+    /// Build one token table from its [`Self::lower`]ed entries, in id
+    /// order: buckets, shapes, probe slots and bloom.
+    fn index(&self, lowered: &[Lowered]) -> CompiledIndex {
         let mut out = CompiledIndex {
             entries: Vec::with_capacity(lowered.len()),
             fps: Vec::with_capacity(lowered.len()),
@@ -532,42 +604,12 @@ impl Builder {
         out
     }
 
-    /// Lower the `$document` rules, in insertion order (rule ids ascend
-    /// with insertion, so sorted candidate ids replay the linear scan).
-    fn build_doc<'a>(
-        &mut self,
-        rules: impl IntoIterator<Item = (ListId, &'a NetFilter)>,
-    ) -> CompiledDocIndex {
-        let mut doc = CompiledDocIndex::default();
-        let mut doc_map: HashMap<u64, Vec<u32>> = HashMap::new();
-        for (list, f) in rules {
-            let id = self.add_rule(list, f);
-            match host_key(&f.pattern) {
-                Some(key) => doc_map
-                    .entry(hash_token(key.as_bytes()))
-                    .or_default()
-                    .push(id),
-                None => doc.fallback.push(id),
-            }
-        }
-        let mut doc_keys: Vec<u64> = doc_map.keys().copied().collect();
-        doc_keys.sort_unstable();
-        for &k in &doc_keys {
-            let start = doc.entries.len() as u32;
-            doc.entries.extend_from_slice(&doc_map[&k]);
-            doc.buckets.push((start, doc.entries.len() as u32));
-        }
-        doc.keys = doc_keys;
-        doc
-    }
-
-    /// Assemble the engine from its three lowered tables.
-    fn finish(
-        self,
-        blocking: CompiledIndex,
-        exceptions: CompiledIndex,
-        doc: CompiledDocIndex,
-    ) -> CompiledEngine {
+    /// Assemble the engine from the [`Self::lower`]ed rules: the two token
+    /// tables, then the `$document` table from ids `starts[1]` on.
+    fn finish(self, lowered: &[Lowered], starts: [usize; 2]) -> CompiledEngine {
+        let blocking = self.index(&lowered[..starts[0]]);
+        let exceptions = self.index(&lowered[starts[0]..starts[1]]);
+        let doc = doc_index(&lowered[starts[1]..]);
         let stats = CompileStats {
             rules: self.rules.len(),
             buckets: blocking.keys.len() + exceptions.keys.len(),
@@ -600,26 +642,52 @@ impl Builder {
     }
 }
 
-/// Every rule of `tables` — one per list, in load order — with its list.
-fn with_list(tables: &[Vec<NetFilter>]) -> impl Iterator<Item = (ListId, &NetFilter)> {
-    tables
+/// The `$document` table over its lowered rules, given in id (= load)
+/// order: host-keyed buckets in key order, each in id order, so sorted
+/// candidate ids replay the linear scan; unkeyed rules on the fallback.
+fn doc_index(lowered: &[Lowered]) -> CompiledDocIndex {
+    let mut keyed: Vec<(u64, u32)> = lowered
         .iter()
-        .enumerate()
-        .flat_map(|(i, t)| t.iter().map(move |f| (ListId(i), f)))
+        .filter_map(|e| Some((e.key?, e.id)))
+        .collect();
+    keyed.sort_unstable();
+    let mut doc = CompiledDocIndex {
+        fallback: lowered
+            .iter()
+            .filter(|e| e.key.is_none())
+            .map(|e| e.id)
+            .collect(),
+        ..CompiledDocIndex::default()
+    };
+    for (key, id) in keyed {
+        let at = doc.entries.len() as u32;
+        if doc.keys.last() != Some(&key) {
+            doc.keys.push(key);
+            doc.buckets.push((at, at));
+        }
+        doc.entries.push(id);
+        doc.buckets.last_mut().expect("bucket opened above").1 = at + 1;
+    }
+    doc
 }
 
-/// One table's rules, given in load order, in the order an [`Engine`]'s
-/// token index buckets them: stable-sorted by index token, the untokenized
-/// rules last.
-fn in_bucket_order<'a>(
-    rules: impl Iterator<Item = (ListId, &'a NetFilter)>,
-) -> Vec<(ListId, &'a NetFilter)> {
-    let mut rules: Vec<_> = rules.collect();
-    rules.sort_by_cached_key(|(_, f)| {
-        let token = filter_token(f.pattern.literals());
-        (token.is_none(), token)
-    });
-    rules
+/// Where the sealed index token `t` sits: the start of its literal among
+/// the pattern's literal bytes (the rule's own share of the literal arena),
+/// the literal's length and the token's offset in it. `None` when the
+/// literal or the offset exceeds the stored width.
+fn alignment(pattern: &Pattern, t: IndexToken) -> Option<LiteralAlignment> {
+    let mut lit = 0u32;
+    for (k, l) in pattern.literals().enumerate() {
+        if k == t.literal {
+            return Some(LiteralAlignment {
+                lit,
+                len: u16::try_from(l.len()).ok()?,
+                off: u16::try_from(t.offset).ok()?,
+            });
+        }
+        lit += l.len() as u32;
+    }
+    None
 }
 
 /// One scan of a pattern for both pre-filters, under one sealedness rule.
@@ -701,37 +769,46 @@ impl CompiledEngine {
     /// engine stays usable (and is the reference the differential suite
     /// compares against).
     pub fn compile(engine: &Engine) -> CompiledEngine {
-        let mut b = Builder::default();
-        let blocking = b.lower(engine.blocking.in_bucket_order());
-        let blocking = b.index(blocking);
-        let exceptions = b.lower(engine.exceptions.in_bucket_order());
-        let exceptions = b.index(exceptions);
-        let doc = b.build_doc(engine.document_exceptions.entries.iter().map(Entry::rule));
-        b.finish(blocking, exceptions, doc)
+        let token_tables = [
+            (Table::Blocking, &engine.blocking),
+            (Table::Exceptions, &engine.exceptions),
+        ];
+        let documents = engine.document_exceptions.entries.iter();
+        let rules = token_tables
+            .into_iter()
+            .flat_map(|(table, index)| index.entries().map(move |e| (table, e)))
+            .chain(documents.map(|e| (Table::Document, e)))
+            .map(|(table, e)| (table, e.list, &e.filter));
+        let (b, lowered, starts) = Builder::lower(rules);
+        b.finish(&lowered, starts)
     }
 
     /// Lower filter lists straight into the compiled form, without an
     /// [`Engine`] between: the same engine [`Self::compile`] makes of the
-    /// lists loaded in this order, holding the lists' own rule texts. Each
-    /// table's parsed rules are dropped once lowered, before its buckets,
+    /// lists loaded in this order, holding the lists' own rule texts. The
+    /// parsed rules are dropped once lowered, before any table's buckets,
     /// shapes and probe slots are built, so the index never sits beside
     /// them; element-hiding rules are not kept.
     pub fn from_lists(lists: Vec<FilterList>) -> CompiledEngine {
-        let (blocking_rules, exception_rules): (Vec<_>, Vec<_>) = lists
+        let tables: Vec<_> = lists
             .into_iter()
             .map(|l| (l.blocking, l.exceptions))
-            .unzip();
-        let mut b = Builder::default();
-        let blocking = b.lower(in_bucket_order(with_list(&blocking_rules)));
-        drop(blocking_rules);
-        let blocking = b.index(blocking);
-        let exceptions = b.lower(in_bucket_order(
-            with_list(&exception_rules).filter(|(_, f)| !f.options.document),
-        ));
-        let doc = b.build_doc(with_list(&exception_rules).filter(|(_, f)| f.options.document));
-        drop(exception_rules);
-        let exceptions = b.index(exceptions);
-        b.finish(blocking, exceptions, doc)
+            .collect();
+        let rules = tables
+            .iter()
+            .enumerate()
+            .flat_map(|(i, (blocking, exceptions))| {
+                let exceptions = exceptions.iter().map(|f| match f.options.document {
+                    true => (Table::Document, f),
+                    false => (Table::Exceptions, f),
+                });
+                (blocking.iter().map(|f| (Table::Blocking, f)))
+                    .chain(exceptions)
+                    .map(move |(table, f)| (table, ListId(i), f))
+            });
+        let (b, lowered, starts) = Builder::lower(rules);
+        drop(tables);
+        b.finish(&lowered, starts)
     }
 
     /// Compile-time figures (rules, buckets, arena bytes).
@@ -759,6 +836,31 @@ impl CompiledEngine {
                         })
                 })
             })
+    }
+
+    /// An FNV-1a digest of the engine's `Debug` rendering without its
+    /// metric handles: every rule, text, arena, bucket, shape, probe slot
+    /// and the compile figures. Two builds with one digest hold the same
+    /// arrays; `tests/engine_differential.rs` compares [`Self::from_lists`]
+    /// with [`Self::compile`] through it.
+    #[doc(hidden)]
+    pub fn layout_digest(&self) -> u64 {
+        struct Fnv(u64);
+        impl std::fmt::Write for Fnv {
+            fn write_str(&mut self, s: &str) -> std::fmt::Result {
+                self.0 = s.bytes().fold(self.0, fnv_step);
+                Ok(())
+            }
+        }
+        let mut digest = Fnv(FNV_OFFSET);
+        let layout = (
+            (&self.rules, &self.raw, &self.segs),
+            (&self.lit_arena, &self.domain_arena),
+            (&self.blocking, &self.exceptions, &self.doc, &self.stats),
+        );
+        std::fmt::Write::write_fmt(&mut digest, format_args!("{layout:?}"))
+            .expect("the digest accepts every byte");
+        digest.0
     }
 
     /// Rebind metric handles to an explicit registry (hermetic tests;
@@ -1412,6 +1514,7 @@ mod tests {
         let (e, c) = engines(LISTS);
         let lists = LISTS.iter().map(|(n, t)| FilterList::parse(n, t)).collect();
         let lowered = CompiledEngine::from_lists(lists);
+        assert_eq!(lowered.layout_digest(), c.layout_digest());
         assert_eq!(lowered.stats(), c.stats());
         assert_eq!(lowered.raw, c.raw);
         assert!(lowered.alignment_records().eq(c.alignment_records()));

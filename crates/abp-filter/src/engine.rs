@@ -97,13 +97,6 @@ pub(crate) struct Entry {
     pub(crate) filter: NetFilter,
 }
 
-impl Entry {
-    /// The filter with its list, as the compiled engine lowers it.
-    pub(crate) fn rule(&self) -> (ListId, &NetFilter) {
-        (self.list, &self.filter)
-    }
-}
-
 /// Token-hash indexed filter store.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct TokenIndex {
@@ -129,16 +122,12 @@ impl TokenIndex {
             .chain(self.untokenized.iter())
     }
 
-    /// Every entry in bucket order: ascending token, each bucket in
-    /// insertion order, the untokenized tail last — the order
-    /// [`CompiledEngine`](crate::CompiledEngine) lowers a table in.
-    pub(crate) fn in_bucket_order(&self) -> impl Iterator<Item = (ListId, &NetFilter)> {
-        let mut keys: Vec<u64> = self.by_token.keys().copied().collect();
-        keys.sort_unstable();
-        keys.into_iter()
-            .flat_map(|k| &self.by_token[&k])
-            .chain(&self.untokenized)
-            .map(Entry::rule)
+    /// Every entry: the buckets in no particular order, each in insertion
+    /// order, the untokenized tail last. A stable sort by token puts them
+    /// in the order [`CompiledEngine`](crate::CompiledEngine) lowers a
+    /// table in.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = &Entry> + Clone {
+        self.by_token.values().flatten().chain(&self.untokenized)
     }
 
     fn len(&self) -> usize {

@@ -11,12 +11,12 @@
 /// discriminate.
 pub const MIN_TOKEN_LEN: usize = 3;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// One FNV-1a step.
 #[inline]
-fn fnv_step(h: u64, b: u8) -> u64 {
+pub(crate) fn fnv_step(h: u64, b: u8) -> u64 {
     (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
 }
 

@@ -129,17 +129,55 @@ pub fn drive(
     }
 }
 
+/// Drained slices queued between the simulation and `emit` in
+/// [`drive_stream`].
+const QUEUED_SLICES: usize = 2;
+
 /// The streaming form of [`drive`]: identical simulation (same RNG
 /// sequence, same records in the same order), but the capture buffer is
 /// drained after every slice and handed to `emit` as time-ordered
-/// batches, so peak memory is one slice of traffic instead of the whole
-/// trace. [`drive`] is a thin collector over this function.
+/// batches. The simulation runs on a scoped helper thread; `emit` runs on
+/// the caller's thread, in slice order, so it needs no `Send`. At most
+/// [`QUEUED_SLICES`] drained slices wait between the two, so generation
+/// overlaps whatever `emit` does with a batch, and peak memory is a few
+/// slices of traffic — the one being simulated, the queued ones and the
+/// one being emitted — instead of the whole trace. A panic in the
+/// simulation resumes on the caller; one in `emit` stops the simulation at
+/// its next slice and still joins it. [`drive`] is a thin collector over
+/// this function.
 pub fn drive_stream<F: FnMut(Vec<TraceRecord>)>(
     eco: &Ecosystem,
     population: &mut Population,
     profile: &ActivityProfile,
     config: &DriveConfig,
     mut emit: F,
+) -> StreamDriveOutput {
+    let (tx, rx) = parallel::bounded(QUEUED_SLICES);
+    std::thread::scope(|scope| {
+        // A dead receiver means `emit` panicked: the simulation stops.
+        let generator = scope.spawn(move || {
+            simulate(eco, population, profile, config, |batch| {
+                tx.send(batch).is_ok()
+            })
+        });
+        for batch in rx {
+            emit(batch);
+        }
+        generator
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    })
+}
+
+/// The simulation behind [`drive_stream`], handing each drained slice to
+/// `emit` on the thread it runs on; it stops early once `emit` returns
+/// false.
+fn simulate(
+    eco: &Ecosystem,
+    population: &mut Population,
+    profile: &ActivityProfile,
+    config: &DriveConfig,
+    mut emit: impl FnMut(Vec<TraceRecord>) -> bool,
 ) -> StreamDriveOutput {
     let registry = obs::global();
     let mut span = registry.span_with("browsersim_drive", &[("trace", &config.name)]);
@@ -225,14 +263,16 @@ pub fn drive_stream<F: FnMut(Vec<TraceRecord>)>(
         let batch = capture.drain_before((slice + 1) as f64 * config.slice_secs);
         if !batch.is_empty() {
             records_total += batch.len() as u64;
-            emit(batch);
+            if !emit(batch) {
+                break;
+            }
         }
     }
     let (trace, addr_map) = capture.finish_with_mapping();
     let meta = trace.meta;
     if !trace.records.is_empty() {
         records_total += trace.records.len() as u64;
-        emit(trace.records);
+        let _ = emit(trace.records);
     }
     let issued: u64 = ground_truth.iter().map(|g| g.issued).sum();
     let blocked: u64 = ground_truth.iter().map(|g| g.blocked).sum();
@@ -318,6 +358,8 @@ mod tests {
     use super::*;
     use crate::population::{Population, PopulationConfig};
     use rand::rngs::StdRng;
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use webgen::EcosystemConfig;
 
     fn tiny_world() -> (Ecosystem, Population) {
@@ -422,6 +464,63 @@ mod tests {
             assert_eq!(a.issued, b.issued);
             assert_eq!(a.blocked, b.blocked);
         }
+    }
+
+    #[test]
+    fn drive_stream_emits_on_the_calling_thread_in_slice_order() {
+        let cfg = DriveConfig {
+            name: "C".into(),
+            duration_secs: 3.0 * 3600.0,
+            start_hour: 19,
+            start_weekday: 4,
+            slice_secs: 600.0,
+            seed: 23,
+        };
+        let (eco, mut pop) = tiny_world();
+        let materialized = drive(&eco, &mut pop, &ActivityProfile::default(), &cfg);
+        let (eco2, mut pop2) = tiny_world();
+        let caller = std::thread::current().id();
+        // `Rc` is not `Send`: `emit` may hold it because it never leaves
+        // this thread.
+        let collected = Rc::new(RefCell::new(Vec::new()));
+        let mut slices = Vec::new();
+        let sink = Rc::clone(&collected);
+        drive_stream(
+            &eco2,
+            &mut pop2,
+            &ActivityProfile::default(),
+            &cfg,
+            |batch| {
+                assert_eq!(std::thread::current().id(), caller);
+                let first = batch.first().expect("no empty batch").ts();
+                // Each batch holds the records of one slice or, last, the
+                // capture's tail past the final slice edge.
+                slices.push((first / cfg.slice_secs).floor() as usize);
+                sink.borrow_mut().extend(batch);
+            },
+        );
+        assert!(slices.len() > 2, "multi-slice drive emits several batches");
+        assert!(slices.windows(2).all(|w| w[0] < w[1]), "{slices:?}");
+        assert_eq!(*collected.borrow(), materialized.trace.records);
+    }
+
+    #[test]
+    fn a_panicking_emit_unwinds_to_the_caller() {
+        let (eco, mut pop) = tiny_world();
+        let cfg = DriveConfig {
+            seed: 29,
+            ..DriveConfig::rbn2(2.0)
+        };
+        let mut batches = 0;
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            drive_stream(&eco, &mut pop, &ActivityProfile::default(), &cfg, |_| {
+                batches += 1;
+                panic!("emit failed");
+            })
+        }));
+        let panic = unwound.err().expect("the panic reaches the caller");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"emit failed"));
+        assert_eq!(batches, 1);
     }
 
     #[test]

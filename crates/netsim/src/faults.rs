@@ -273,9 +273,14 @@ impl FaultInjector {
     /// [`crate::stream::ChunkReader`]'s recovery path.
     pub fn corrupt_bytes(&mut self, bytes: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(bytes.len());
-        for (i, line) in bytes.split(|&b| b == b'\n').enumerate() {
-            self.corrupt_line(i, line, &mut out);
+        // The lines of `bytes.split(|&b| b == b'\n')`, the empty one after
+        // a final newline included, framed eight bytes at a time.
+        let (mut i, mut rest) = (0, bytes);
+        while let Some(n) = obs::find_newline(rest) {
+            self.corrupt_line(i, &rest[..n], &mut out);
+            (i, rest) = (i + 1, &rest[n + 1..]);
         }
+        self.corrupt_line(i, rest, &mut out);
         out
     }
 

@@ -1,5 +1,6 @@
 //! Property tests: the lossy trace reader must never panic, whatever bytes
-//! it is fed, and its accounting must reconcile with the fault injector.
+//! it is fed, and its accounting must reconcile with the fault injector,
+//! whose line framing is the byte split's.
 
 use http_model::headers::{RequestHeaders, ResponseHeaders};
 use http_model::transaction::Method;
@@ -56,7 +57,68 @@ fn small_trace(n: usize) -> Trace {
     }
 }
 
+/// `corrupt_bytes` framed by splitting at every `\n`: the reference the
+/// injector's word-at-a-time framing is held to.
+fn corrupt_split(injector: &mut FaultInjector, bytes: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for (i, line) in bytes.split(|&b| b == b'\n').enumerate() {
+        injector.corrupt_line(i, line, &mut out);
+    }
+    out
+}
+
+/// Bytes dense in newlines: empty lines, runs of them, a lone `\n`, with or
+/// without a trailing one.
+fn newline_dense() -> impl Strategy<Value = Vec<u8>> {
+    // One byte in three or so is a newline.
+    proptest::collection::vec(prop_oneof![Just(b'\n'), 0u8..=255, 0u8..=255], 0..300)
+}
+
+#[test]
+fn framing_edge_cases_match_the_byte_split() {
+    for bytes in [
+        &b""[..],
+        b"\n",
+        b"\n\n",
+        b"head",
+        b"head\n",
+        b"h\n\nx\n\n",
+        b"h\nx",
+    ] {
+        let mut framed = FaultInjector::new(FaultProfile::uniform(0.5), 7);
+        let mut split = FaultInjector::new(FaultProfile::uniform(0.5), 7);
+        assert_eq!(
+            framed.corrupt_bytes(bytes),
+            corrupt_split(&mut split, bytes),
+            "{bytes:?}"
+        );
+        assert_eq!(framed.counts(), split.counts());
+    }
+}
+
 proptest! {
+    /// The injector frames lines like a split at every `\n` — the same
+    /// lines, the same final (possibly empty) slice, the same RNG draws —
+    /// on any bytes, and on encoded traces cut anywhere.
+    #[test]
+    fn corrupt_bytes_frames_like_the_byte_split(
+        bytes in newline_dense(),
+        n in 0usize..20,
+        cut in 0usize..100_000,
+        rate in 0.0f64..1.0,
+        seed in 0u64..1000,
+    ) {
+        let mut encoded = Vec::new();
+        write_trace(&small_trace(n), &mut encoded).expect("write");
+        let encoded = &encoded[..cut % (encoded.len() + 1)];
+        for input in [bytes.as_slice(), encoded] {
+            let mut framed = FaultInjector::new(FaultProfile::uniform(rate), seed);
+            let mut split = FaultInjector::new(FaultProfile::uniform(rate), seed);
+            prop_assert_eq!(framed.corrupt_bytes(input), corrupt_split(&mut split, input));
+            prop_assert_eq!(framed.counts(), split.counts());
+        }
+    }
+
     /// Absolutely arbitrary bytes: the reader may reject everything, but it
     /// must return (never panic) and its line accounting must balance.
     #[test]

@@ -26,6 +26,7 @@ use crate::publisher::Publisher;
 use abp_filter::FilterList;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fmt::Write as _;
 
 /// The four generated lists, as text and parsed.
 #[derive(Debug, Clone)]
@@ -297,20 +298,20 @@ pub fn easylist_scale(config: ScaleConfig) -> ScaleList {
         if shape < 55 {
             // Hostname-anchored domain rule.
             let d = scale_domain(&mut rng, n);
-            text.push_str(&format!("||{d}^"));
+            let _ = write!(text, "||{d}^");
             let opt = rng.gen_range(0..100u32);
             if opt < 40 {
                 text.push_str("$third-party");
             } else if opt < 55 {
                 let t = pick(&mut rng, TYPE_OPTS);
-                text.push_str(&format!("${t}"));
+                let _ = write!(text, "${t}");
             } else if opt < 65 {
                 let on_n = rng.gen_range(0..config.rules);
                 let on = scale_domain(&mut rng, on_n);
                 if rng.gen_bool(0.2) {
-                    text.push_str(&format!("$domain=~{on}"));
+                    let _ = write!(text, "$domain=~{on}");
                 } else {
-                    text.push_str(&format!("$domain={on}"));
+                    let _ = write!(text, "$domain={on}");
                 }
             }
             text.push('\n');
@@ -318,37 +319,37 @@ pub fn easylist_scale(config: ScaleConfig) -> ScaleList {
         } else if shape < 80 {
             // Generic path rule, sometimes wildcarded.
             let w = pick(&mut rng, PATH_WORDS);
-            let path = if rng.gen_bool(0.3) {
-                format!("/{w}{}/*/img^", n % 97)
+            let start = text.len();
+            if rng.gen_bool(0.3) {
+                let _ = write!(text, "/{w}{}/*/img^", n % 97);
             } else {
-                format!("/{w}{}/", n % 997)
-            };
-            text.push_str(&path);
+                let _ = write!(text, "/{w}{}/", n % 997);
+            }
+            blocked_paths.push(text[start..].trim_end_matches("*/img^").to_string());
             if rng.gen_bool(0.15) {
                 text.push_str("$image");
             }
             text.push('\n');
-            blocked_paths.push(path.trim_end_matches("*/img^").to_string());
         } else if shape < 90 {
             // Query-string rule.
             let w = pick(&mut rng, AD_WORDS);
-            text.push_str(&format!("&{w}_id={}\n", n % 89));
+            let _ = writeln!(text, "&{w}_id={}", n % 89);
         } else if shape < 95 {
             // Exception rule.
             let d = scale_domain(&mut rng, n);
             if rng.gen_bool(0.3) {
-                text.push_str(&format!("@@||{d}^$document\n"));
+                let _ = writeln!(text, "@@||{d}^$document");
             } else {
-                text.push_str(&format!("@@||{d}^\n"));
+                let _ = writeln!(text, "@@||{d}^");
             }
         } else {
             // Element-hiding rule (engine-relevant but not network-path).
             let w = pick(&mut rng, AD_WORDS);
             if rng.gen_bool(0.25) {
                 let d = scale_domain(&mut rng, n);
-                text.push_str(&format!("{d}##.{w}-box{}\n", n % 53));
+                let _ = writeln!(text, "{d}##.{w}-box{}", n % 53);
             } else {
-                text.push_str(&format!("##.{w}-unit{}\n", n % 53));
+                let _ = writeln!(text, "##.{w}-unit{}", n % 53);
             }
         }
     }

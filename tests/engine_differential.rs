@@ -9,7 +9,7 @@
 //! tallies over them pinned, and every alignment record of the compiled
 //! engine is audited against its bucket key. The compiled engine
 //! `PassiveClassifier::new` lowers straight from the lists is held to the
-//! one compiled from the reference engine.
+//! one compiled from the reference engine, array by array.
 
 use abp_filter::tokenizer::{filter_index_token, filter_token, hash_token};
 use abp_filter::{ClassifyScratch, CompiledEngine, Engine, Request};
@@ -279,6 +279,31 @@ fn new_lowers_the_lists_like_the_reference_engine() {
     assert_eq!(lazy.query_literals(), loaded.query_literals());
     assert_eq!(classifier.query_literals(), loaded.query_literals());
     assert_eq!(classifier.rule_count(), loaded.filter_count());
+}
+
+/// Structural identity at EasyList scale: lowered straight from the lists,
+/// the compiled engine holds the arrays of the one compiled from the
+/// reference `Engine` — every rule, text, arena, bucket, shape and probe
+/// slot — not only its figures and verdicts. The same lists in another
+/// load order lay out differently, so equal digests are not vacuous.
+#[test]
+fn from_lists_lays_out_what_compile_lays_out() {
+    let eco = eco();
+    let mut engine = Engine::new();
+    for list in easylist_scale_lists(&eco) {
+        engine.add_list(list);
+    }
+    let compiled = CompiledEngine::compile(&engine);
+    let lowered = CompiledEngine::from_lists(easylist_scale_lists(&eco));
+    assert!(lowered.stats().rules > 35_000);
+    assert_eq!(lowered.stats(), compiled.stats());
+    assert_eq!(lowered.layout_digest(), compiled.layout_digest());
+
+    let mut swapped = easylist_scale_lists(&eco);
+    swapped.swap(0, 1);
+    let swapped = CompiledEngine::from_lists(swapped);
+    assert_eq!(swapped.stats(), compiled.stats());
+    assert_ne!(swapped.layout_digest(), compiled.layout_digest());
 }
 
 /// One source of truth for the index token: over every rule of the
