@@ -121,6 +121,20 @@ if grep -n 'Arc::from(&\*f\.raw)' crates/adscope/src/classify.rs; then exit 1; f
 # sizes every arena once, so a second path that visits the rules in bucket
 # order must not come back.
 if grep -n 'in_bucket_order' crates/abp-filter/src/compiled.rs; then exit 1; fi
+# One production matcher: the simulated Adblock Plus plugin blocks through
+# `CompiledEngine` like the classifier does, so above its tests no production
+# file builds or names the reference `Engine` but the classifier's, whose
+# oracle constructors build it; `UrlNormalizer::from_engine`, the e2e
+# ledger's adapter, only takes one. The oracle keeps no element-hiding index
+# (`hiding::selectors_for` resolves element hiding) and no `$document` host
+# index (its `$document` rules are a plain scan).
+for f in $(find crates/browsersim/src src crates/adscope/src -name '*.rs' \
+  ! -path crates/adscope/src/classify.rs | sort); do
+  sed '/^#\[cfg(test)\]/q' "$f" | grep -nE '\bEngine::new|abp_filter::Engine\b' | sed "s|^|$f:|" || true
+done >target/oracle_uses.txt
+if grep -vE '^crates/adscope/src/normalize\.rs:[0-9]+: +pub fn from_engine\(engine: &abp_filter::Engine\) -> UrlNormalizer \{$' \
+  target/oracle_uses.txt; then exit 1; fi
+if grep -nE 'hiding_by_domain|DocIndex' crates/abp-filter/src/engine.rs; then exit 1; fi
 
 gate "cargo test -q"
 cargo test -q

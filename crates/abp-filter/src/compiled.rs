@@ -22,8 +22,9 @@
 //!   shape instead of comparing every entry — what keeps a bucket of
 //!   hundreds of rules sharing one token (`&ads_id=1`, `&ads_id=2`, …)
 //!   cheap;
-//! * `$document` exceptions reuse the host-keyed layout of the reference
-//!   engine as a sorted flat table over rule ids.
+//! * `$document` exceptions are keyed by the host their pattern must end
+//!   (`host_key`) in a sorted flat table over rule ids, with a linear
+//!   fallback for the shapes no host keys.
 //!
 //! The verdict is **byte-identical** to [`Engine::classify`] — including
 //! `first_match_depth` (pre-filter-rejected candidates still count: they
@@ -32,8 +33,8 @@
 //! harness pin this.
 
 use crate::engine::{
-    host_key, host_suffix_hashes, write_lower_url, Classification, ClassifyScratch, Engine,
-    FilterRef, ListId, Request,
+    host_suffix_hashes, write_lower_url, Classification, ClassifyScratch, Engine, FilterRef,
+    ListId, Request,
 };
 use crate::matcher::{host_span, is_separator};
 use crate::options::{FilterOptions, PartyConstraint};
@@ -302,7 +303,32 @@ fn bloom_bits(token: u64, words: usize) -> (usize, usize) {
     )
 }
 
-/// Host-keyed `$document` exception table (see `engine::host_key`): a
+/// The host-keyable part of a `||`-anchored pattern: a matching URL's host
+/// must have this string as a dot-boundary suffix reaching the end of the
+/// host. `None` for shapes that can match host *prefixes* (e.g. a bare
+/// `||adserv`), which must stay on the linear fallback path.
+fn host_key(pattern: &Pattern) -> Option<&str> {
+    if pattern.anchor != Anchor::Hostname {
+        return None;
+    }
+    let Some(Segment::Literal(lit)) = pattern.segments.first() else {
+        return None;
+    };
+    match lit.bytes().position(is_separator) {
+        // The literal runs into the path/port: the part before the first
+        // URL-structural separator must end the host. Other separator
+        // characters (never produced by `Url` serialization inside a
+        // host) conservatively fall back to the linear scan.
+        Some(p) if p > 0 && matches!(lit.as_bytes()[p], b'/' | b':' | b'?') => Some(&lit[..p]),
+        Some(_) => None,
+        // `||domain^` / `||domain|`: the whole literal must end the host.
+        None if matches!(pattern.segments.get(1), Some(Segment::Separator)) => Some(lit.as_str()),
+        None if pattern.segments.len() == 1 && pattern.end_anchor => Some(lit.as_str()),
+        None => None,
+    }
+}
+
+/// Host-keyed `$document` exception table (see [`host_key`]): a
 /// sorted flat map from host-suffix hash to rule ids, plus the linear
 /// fallback for prefix-shaped rules.
 #[derive(Debug, Default, Clone)]
@@ -326,8 +352,10 @@ pub struct CompileStats {
 }
 
 /// Metric handles for the compiled match path; local tallies are flushed
-/// as one atomic add per counter per classify call.
-#[derive(Debug, Clone)]
+/// as one atomic add per counter per classify call. A built engine's
+/// handles are detached: it counts into a registry only once
+/// [`CompiledEngine::bind_metrics`] names one.
+#[derive(Debug, Clone, Default)]
 struct CompiledMetrics {
     requests: obs::Counter,
     rules_evaluated: obs::Counter,
@@ -625,7 +653,7 @@ impl Builder {
                 + (blocking.slots.len() + exceptions.slots.len())
                     * std::mem::size_of::<(u64, u32)>(),
         };
-        let engine = CompiledEngine {
+        CompiledEngine {
             rules: self.rules,
             raw: self.raw,
             segs: self.segs,
@@ -635,10 +663,8 @@ impl Builder {
             exceptions,
             doc,
             stats,
-            metrics: CompiledMetrics::bind(obs::global()),
-        };
-        engine.publish_stats(obs::global());
-        engine
+            metrics: CompiledMetrics::default(),
+        }
     }
 }
 
@@ -773,7 +799,7 @@ impl CompiledEngine {
             (Table::Blocking, &engine.blocking),
             (Table::Exceptions, &engine.exceptions),
         ];
-        let documents = engine.document_exceptions.entries.iter();
+        let documents = engine.document_exceptions.iter();
         let rules = token_tables
             .into_iter()
             .flat_map(|(table, index)| index.entries().map(move |e| (table, e)))
@@ -863,15 +889,10 @@ impl CompiledEngine {
         digest.0
     }
 
-    /// Rebind metric handles to an explicit registry (hermetic tests;
-    /// per-shard registries) and publish the compile-stat gauges there.
+    /// Bind the metric handles to a registry (a built engine counts into
+    /// none) and publish the compile-stat gauges there.
     pub fn bind_metrics(&mut self, registry: &obs::Registry) {
         self.metrics = CompiledMetrics::bind(registry);
-        self.publish_stats(registry);
-    }
-
-    /// Set the compile-stat gauges on a registry.
-    pub fn publish_stats(&self, registry: &obs::Registry) {
         registry
             .gauge("abp_compiled_rules")
             .set(self.stats.rules as f64);
@@ -1834,6 +1855,26 @@ mod tests {
             ContentCategory::Image,
         );
         assert!(!miss.would_block());
+    }
+
+    #[test]
+    fn host_key_shapes() {
+        let key = |line: &str| {
+            let list = FilterList::parse("x", &format!("{line}\n"));
+            let f = list
+                .blocking
+                .first()
+                .or(list.exceptions.first())
+                .expect("parsed")
+                .clone();
+            host_key(&f.pattern).map(str::to_string)
+        };
+        assert_eq!(key("||example.com^"), Some("example.com".to_string()));
+        assert_eq!(key("||example.com/ads"), Some("example.com".to_string()));
+        assert_eq!(key("||example.com:8080/"), Some("example.com".to_string()));
+        assert_eq!(key("||adserv"), None, "prefix shape is not keyable");
+        assert_eq!(key("||ads*tracker^"), None, "wildcard head is not keyable");
+        assert_eq!(key("/banner/"), None, "unanchored is not keyable");
     }
 
     #[test]

@@ -1,8 +1,15 @@
-//! The token-indexed classification engine.
+//! The reference engine: the token-indexed oracle the compiled engine is
+//! held to, plus the request and verdict types both engines share.
+//!
+//! Production classifies and blocks through
+//! [`CompiledEngine`](crate::CompiledEngine); [`Engine`] is kept as
+//! small as the differential suites allow, so that what it decides is easy
+//! to check by reading. Its token index defines
+//! [`Classification::first_match_depth`], and its [`EngineMetrics`] are
+//! what the compiled engine's tallies are audited against.
 
-use crate::hiding::HidingRule;
-use crate::matcher::{host_span, is_separator, matches};
-use crate::rule::{Anchor, NetFilter, Pattern, Segment};
+use crate::matcher::{host_span, matches};
+use crate::rule::NetFilter;
 use crate::subscription::FilterList;
 use crate::tokenizer::{filter_token, hash_token, url_tokens_into};
 use http_model::{is_third_party, ContentCategory, Url};
@@ -160,12 +167,13 @@ pub struct ClassifyScratch {
     /// Positions of the entries of that bucket that pass its pre-filters
     /// (compiled engine only).
     pub(crate) survivors: Vec<u32>,
-    /// FNV hashes of every dot-suffix of a host.
+    /// FNV hashes of every dot-suffix of a host (compiled engine only).
     pub(crate) host_hashes: Vec<u64>,
     /// The page host's dot-suffix hashes, kept while the page host repeats
     /// (compiled engine only).
     pub(crate) page_memo: PageHostMemo,
-    /// Candidate rule indices gathered from host-keyed buckets.
+    /// Candidate rule indices gathered from host-keyed buckets (compiled
+    /// engine only).
     pub(crate) candidates: Vec<u32>,
 }
 
@@ -226,75 +234,6 @@ pub(crate) fn host_suffix_hashes(host: &str, out: &mut Vec<u64>) {
     }
 }
 
-/// The host-keyable part of a `||`-anchored pattern: a matching URL's host
-/// must have this string as a dot-boundary suffix reaching the end of the
-/// host. `None` for shapes that can match host *prefixes* (e.g. a bare
-/// `||adserv`), which must stay on the linear fallback path.
-pub(crate) fn host_key(pattern: &Pattern) -> Option<&str> {
-    if pattern.anchor != Anchor::Hostname {
-        return None;
-    }
-    let Some(Segment::Literal(lit)) = pattern.segments.first() else {
-        return None;
-    };
-    match lit.bytes().position(is_separator) {
-        // The literal runs into the path/port: the part before the first
-        // URL-structural separator must end the host. Other separator
-        // characters (never produced by `Url` serialization inside a
-        // host) conservatively fall back to the linear scan.
-        Some(p) if p > 0 && matches!(lit.as_bytes()[p], b'/' | b':' | b'?') => Some(&lit[..p]),
-        Some(_) => None,
-        // `||domain^` / `||domain|`: the whole literal must end the host.
-        None if matches!(pattern.segments.get(1), Some(Segment::Separator)) => Some(lit.as_str()),
-        None if pattern.segments.len() == 1 && pattern.end_anchor => Some(lit.as_str()),
-        None => None,
-    }
-}
-
-/// `$document` exception store: host-keyed buckets over the insertion-order
-/// entry vector, with a linear fallback for non-keyable shapes. Lookup
-/// preserves the linear scan's first-match-in-insertion-order semantics by
-/// merging bucket and fallback indices in sorted order.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct DocIndex {
-    pub(crate) entries: Vec<Entry>,
-    by_host: HashMap<u64, Vec<u32>>,
-    fallback: Vec<u32>,
-}
-
-impl DocIndex {
-    fn insert(&mut self, entry: Entry) {
-        let idx = self.entries.len() as u32;
-        match host_key(&entry.filter.pattern) {
-            Some(key) => self
-                .by_host
-                .entry(hash_token(key.as_bytes()))
-                .or_default()
-                .push(idx),
-            None => self.fallback.push(idx),
-        }
-        self.entries.push(entry);
-    }
-
-    /// Gather the candidate indices for a page host into `out`, in
-    /// insertion order.
-    fn candidates_into(&self, host_hashes: &[u64], out: &mut Vec<u32>) {
-        out.clear();
-        out.extend_from_slice(&self.fallback);
-        for h in host_hashes {
-            if let Some(bucket) = self.by_host.get(h) {
-                out.extend_from_slice(bucket);
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-}
-
 /// Metric handles for the engine's hot path. One atomic add per counter
 /// per [`Engine::classify`] call — tallies are accumulated in locals
 /// inside the match loops and flushed once at the end.
@@ -327,7 +266,7 @@ impl Default for EngineMetrics {
     }
 }
 
-/// The filter engine: loaded lists + token indexes.
+/// The reference filter engine, the oracle: loaded lists + token indexes.
 ///
 /// Matching semantics follow Adblock Plus: exception rules override blocking
 /// rules; `$document` exceptions matching the page whitelist all requests on
@@ -337,13 +276,9 @@ pub struct Engine {
     lists: Vec<String>,
     pub(crate) blocking: TokenIndex,
     pub(crate) exceptions: TokenIndex,
-    /// `$document` exception rules, matched against page URLs.
-    pub(crate) document_exceptions: DocIndex,
-    hiding: Vec<HidingRule>,
-    /// Element-hiding rule indices keyed by FNV hash of each include
-    /// domain; rules with no include domains live in `hiding_global`.
-    hiding_by_domain: HashMap<u64, Vec<u32>>,
-    hiding_global: Vec<u32>,
+    /// `$document` exception rules in load order, matched against page
+    /// URLs by a linear scan.
+    pub(crate) document_exceptions: Vec<Entry>,
     /// Literal query fragments appearing in any filter — exported so the URL
     /// normalizer never rewrites values that rules depend on (§3.1).
     query_literals: Vec<String>,
@@ -357,8 +292,9 @@ impl Engine {
         Engine::default()
     }
 
-    /// Load a filter list; returns its [`ListId`]. Lists are consulted in
-    /// load order.
+    /// Load a filter list's network rules; returns its [`ListId`]. Lists
+    /// are consulted in load order. Element-hiding rules are not kept:
+    /// [`selectors_for`](crate::hiding::selectors_for) resolves them.
     pub fn add_list(&mut self, list: FilterList) -> ListId {
         let id = ListId(self.lists.len());
         self.lists.push(list.name.clone());
@@ -376,24 +312,10 @@ impl Engine {
                 filter: f,
             };
             if entry.filter.options.document {
-                self.document_exceptions.insert(entry);
+                self.document_exceptions.push(entry);
             } else {
                 self.exceptions.insert(entry);
             }
-        }
-        for h in list.hiding {
-            let idx = self.hiding.len() as u32;
-            if h.include_domains.is_empty() {
-                self.hiding_global.push(idx);
-            } else {
-                for d in &h.include_domains {
-                    self.hiding_by_domain
-                        .entry(hash_token(d.as_bytes()))
-                        .or_default()
-                        .push(idx);
-                }
-            }
-            self.hiding.push(h);
         }
         id
     }
@@ -497,9 +419,8 @@ impl Engine {
         }
 
         // `$document` exceptions against the page URL (and, for document
-        // requests, against the request itself). Candidates come from the
-        // host-keyed buckets; evaluation order is insertion order, so the
-        // first match is the same rule the old linear scan found.
+        // requests, against the request itself): the first match in load
+        // order.
         let mut page_whitelisted = false;
         if exception.is_none() {
             let doc_target: Option<&Url> = match req.category {
@@ -510,19 +431,16 @@ impl Engine {
                 write_lower_url(page, &mut scratch.page_buf);
                 let page_string = scratch.page_buf.as_str();
                 let (phs, phe) = host_span(page_string);
-                host_suffix_hashes(&page_string[phs..phe], &mut scratch.host_hashes);
-                self.document_exceptions
-                    .candidates_into(&scratch.host_hashes, &mut scratch.candidates);
-                for &i in &scratch.candidates {
-                    let e = &self.document_exceptions.entries[i as usize];
-                    if matches(&e.filter.pattern, page_string, phs, phe) {
-                        exception = Some(FilterRef {
-                            list: e.list,
-                            filter: Arc::clone(&e.filter.raw),
-                        });
-                        page_whitelisted = req.category != ContentCategory::Document;
-                        break;
-                    }
+                let hit = self
+                    .document_exceptions
+                    .iter()
+                    .find(|e| matches(&e.filter.pattern, page_string, phs, phe));
+                if let Some(e) = hit {
+                    exception = Some(FilterRef {
+                        list: e.list,
+                        filter: Arc::clone(&e.filter.raw),
+                    });
+                    page_whitelisted = req.category != ContentCategory::Document;
                 }
             }
         }
@@ -543,39 +461,6 @@ impl Engine {
             page_whitelisted,
             first_match_depth: first_match_depth.map(|d| d.min(u64::from(u32::MAX)) as u32),
         }
-    }
-
-    /// Element-hiding selectors active on a page host. Candidate rules come
-    /// from the host-keyed domain buckets plus the global (unrestricted)
-    /// set; exclusion domains and exceptions are then applied exactly as
-    /// the full linear scan would.
-    pub fn hiding_selectors(&self, host: &str) -> Vec<&str> {
-        let mut hashes = Vec::new();
-        host_suffix_hashes(host, &mut hashes);
-        let mut cand: Vec<u32> = self.hiding_global.clone();
-        for h in &hashes {
-            if let Some(bucket) = self.hiding_by_domain.get(h) {
-                cand.extend_from_slice(bucket);
-            }
-        }
-        cand.sort_unstable();
-        cand.dedup();
-        let mut hidden: Vec<&str> = Vec::new();
-        for &i in &cand {
-            let r = &self.hiding[i as usize];
-            if !r.is_exception && r.applies_to(host) {
-                hidden.push(r.selector.as_str());
-            }
-        }
-        hidden.retain(|sel| {
-            !cand.iter().any(|&i| {
-                let r = &self.hiding[i as usize];
-                r.is_exception && r.applies_to(host) && r.selector == *sel
-            })
-        });
-        hidden.sort_unstable();
-        hidden.dedup();
-        hidden
     }
 }
 
@@ -925,34 +810,6 @@ mod tests {
     }
 
     #[test]
-    fn hiding_selectors_through_engine() {
-        let (e, _) = engine_with(&[("easylist", "##.adbox\nexample.com#@#.adbox\n")]);
-        assert_eq!(e.hiding_selectors("other.com"), vec![".adbox"]);
-        assert!(e.hiding_selectors("example.com").is_empty());
-    }
-
-    #[test]
-    fn hiding_selectors_domain_keyed() {
-        let (e, _) = engine_with(&[(
-            "easylist",
-            "example.com##.sponsored\nexample.com,other.org##.promo\n\
-             ~shop.example.com##.sitewide\nexample.com#@#.sitewide\n",
-        )]);
-        assert_eq!(
-            e.hiding_selectors("news.example.com"),
-            vec![".promo", ".sponsored"]
-        );
-        assert_eq!(e.hiding_selectors("other.org"), vec![".promo", ".sitewide"]);
-        // `.sitewide` is excluded on shop.example.com, but the include-keyed
-        // rules still apply there (it is a subdomain of example.com).
-        assert_eq!(
-            e.hiding_selectors("shop.example.com"),
-            vec![".promo", ".sponsored"]
-        );
-        assert_eq!(e.hiding_selectors("unrelated.net"), vec![".sitewide"]);
-    }
-
-    #[test]
     fn classify_in_reuses_scratch() {
         let (e, _) = engine_with(&[("easylist", "||ads.example^\n")]);
         let mut scratch = ClassifyScratch::new();
@@ -979,26 +836,6 @@ mod tests {
             );
             assert!(!miss.is_ad());
         }
-    }
-
-    #[test]
-    fn host_key_shapes() {
-        let key = |line: &str| {
-            let list = FilterList::parse("x", &format!("{line}\n"));
-            let f = list
-                .blocking
-                .first()
-                .or(list.exceptions.first())
-                .expect("parsed")
-                .clone();
-            host_key(&f.pattern).map(str::to_string)
-        };
-        assert_eq!(key("||example.com^"), Some("example.com".to_string()));
-        assert_eq!(key("||example.com/ads"), Some("example.com".to_string()));
-        assert_eq!(key("||example.com:8080/"), Some("example.com".to_string()));
-        assert_eq!(key("||adserv"), None, "prefix shape is not keyable");
-        assert_eq!(key("||ads*tracker^"), None, "wildcard head is not keyable");
-        assert_eq!(key("/banner/"), None, "unanchored is not keyable");
     }
 
     #[test]

@@ -86,6 +86,11 @@ pub fn selectors_for<'a>(rules: &'a [HidingRule], host: &str) -> Vec<&'a str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::subscription::FilterList;
+
+    fn parsed(text: &str) -> Vec<HidingRule> {
+        FilterList::parse("easylist", text).hiding
+    }
 
     #[test]
     fn domain_scoping() {
@@ -122,5 +127,35 @@ mod tests {
             HidingRule::new("x.com", ".ad", false),
         ];
         assert_eq!(selectors_for(&rules, "x.com"), vec![".ad"]);
+    }
+
+    #[test]
+    fn selectors_for_a_parsed_list() {
+        let rules = parsed("##.adbox\nexample.com#@#.adbox\n");
+        assert_eq!(selectors_for(&rules, "other.com"), vec![".adbox"]);
+        assert!(selectors_for(&rules, "example.com").is_empty());
+    }
+
+    #[test]
+    fn selectors_for_domain_scoped_rules() {
+        let rules = parsed(
+            "example.com##.sponsored\nexample.com,other.org##.promo\n\
+             ~shop.example.com##.sitewide\nexample.com#@#.sitewide\n",
+        );
+        assert_eq!(
+            selectors_for(&rules, "news.example.com"),
+            vec![".promo", ".sponsored"]
+        );
+        assert_eq!(
+            selectors_for(&rules, "other.org"),
+            vec![".promo", ".sitewide"]
+        );
+        // `.sitewide` is excluded on shop.example.com, but the rules that
+        // include example.com still apply there (it is a subdomain).
+        assert_eq!(
+            selectors_for(&rules, "shop.example.com"),
+            vec![".promo", ".sponsored"]
+        );
+        assert_eq!(selectors_for(&rules, "unrelated.net"), vec![".sitewide"]);
     }
 }

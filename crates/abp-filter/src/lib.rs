@@ -12,10 +12,15 @@
 //!   `third-party`, `match-case`, `document`), `##`/`#@#` element-hiding
 //!   rules and `!` comments.
 //! * [`matcher`] evaluates a parsed pattern against a URL string.
-//! * [`tokenizer`] + [`engine`] implement a token-indexed matcher so that
+//! * [`tokenizer`] + [`compiled`] implement the token-indexed, arena-backed
+//!   matcher every production path classifies and blocks through, so that
 //!   classifying a request inspects only a handful of candidate filters
 //!   instead of the whole list — the property that makes trace-scale
 //!   classification feasible (and which the `bench` crate ablates).
+//! * [`engine`] holds the reference [`Engine`]: the oracle the differential
+//!   suites hold [`CompiledEngine`] to, byte for byte.
+//! * [`hiding`] resolves the `##` / `#@#` element-hiding rules active on a
+//!   page host.
 //! * [`subscription`] models filter-list metadata and the soft-expiry update
 //!   schedule (EasyList 4 days, EasyPrivacy 1 day) that produces the
 //!   *EasyList download* indicator of §3.2.
@@ -23,22 +28,30 @@
 //! # Example
 //!
 //! ```
-//! use abp_filter::{Engine, FilterList, Request};
+//! use abp_filter::hiding::selectors_for;
+//! use abp_filter::{ClassifyScratch, CompiledEngine, FilterList, ListId, Request};
 //! use http_model::{ContentCategory, Url};
 //!
-//! let easylist = FilterList::parse("easylist", "&ad_box_\n||adserver.example^$third-party\n");
-//! let mut engine = Engine::new();
-//! let el = engine.add_list(easylist);
+//! let easylist = FilterList::parse(
+//!     "easylist",
+//!     "&ad_box_\n||adserver.example^$third-party\n##.ad-banner\n",
+//! );
+//! let hiding = easylist.hiding.clone();
+//! let engine = CompiledEngine::from_lists(vec![easylist]);
 //!
 //! let url = Url::parse("http://adserver.example/banner.gif").unwrap();
 //! let page = Url::parse("http://news.example.com/").unwrap();
-//! let verdict = engine.classify(&Request {
-//!     url: &url,
-//!     source_url: Some(&page),
-//!     category: ContentCategory::Image,
-//! });
+//! let verdict = engine.classify(
+//!     &Request {
+//!         url: &url,
+//!         source_url: Some(&page),
+//!         category: ContentCategory::Image,
+//!     },
+//!     &mut ClassifyScratch::new(),
+//! );
 //! assert!(verdict.would_block());
-//! assert_eq!(verdict.primary_list(), Some(el));
+//! assert_eq!(verdict.primary_list(), Some(ListId(0)));
+//! assert_eq!(selectors_for(&hiding, page.host()), vec![".ad-banner"]);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -177,7 +177,9 @@ impl PassiveClassifier {
     /// Build from filter lists (load order defines primary attribution for
     /// multi-list hits; pass EasyList first like the paper). Classifies
     /// through the arena-compiled, fingerprint-prefiltered engine, lowered
-    /// straight from the lists: no [`Engine`] is built.
+    /// straight from the lists: no [`Engine`] is built. That engine is the
+    /// one the global registry's `abp_*` series count and its compile
+    /// gauges describe.
     pub fn new(lists: Vec<FilterList>) -> PassiveClassifier {
         // The compiled engine's own `Arc`s: the parser allocated the texts
         // in one run above the patterns that lowering frees, so sharing
@@ -187,8 +189,10 @@ impl PassiveClassifier {
             .map(|l| l.network_rules().map(|f| Arc::clone(&f.raw)).collect())
             .collect();
         let described = PassiveClassifier::described(&lists);
+        let mut compiled = CompiledEngine::from_lists(lists);
+        compiled.bind_metrics(obs::global());
         PassiveClassifier {
-            compiled: Some(CompiledEngine::from_lists(lists)),
+            compiled: Some(compiled),
             rules,
             ..described
         }

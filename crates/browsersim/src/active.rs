@@ -1,7 +1,7 @@
 //! The active-measurement harness of §4: an instrumented browser crawling
 //! the top sites under seven profiles, with the traffic captured per visit.
 
-use crate::adblockplus::{build_engine, AbpConfig, AdblockPlusPlugin};
+use crate::adblockplus::{AbpConfig, AbpFilters, AbpLists, AdblockPlusPlugin};
 use crate::browser::Browser;
 use crate::ghostery::{GhosteryMode, GhosteryPlugin};
 use crate::plugin::NoPlugin;
@@ -117,17 +117,8 @@ pub fn browser_for_profile(eco: &Ecosystem, profile: BrowserProfile, addr: u32) 
                 BrowserProfile::AdbpPrivacy => AbpConfig::privacy_only(),
                 _ => AbpConfig::paranoia(),
             };
-            let engine = Arc::new(build_engine(&eco.lists, cfg, false));
-            let el = eco.lists.easylist();
-            let ep = eco.lists.easyprivacy();
-            let mut lists = vec![];
-            if cfg.easylist {
-                lists.push(&el);
-            }
-            if cfg.easyprivacy {
-                lists.push(&ep);
-            }
-            Box::new(AdblockPlusPlugin::new(cfg, engine, &lists, 0.0))
+            let filters = AbpFilters::new(&AbpLists::parse(&eco.lists), cfg);
+            Box::new(AdblockPlusPlugin::new(Arc::new(filters), 0.0))
         }
         BrowserProfile::GhosteryAds => Box::new(GhosteryPlugin::new(eco, GhosteryMode::Ads, 0.92)),
         BrowserProfile::GhosteryPrivacy => {
@@ -154,7 +145,7 @@ pub fn run_crawl(eco: &Ecosystem, config: &ActiveConfig) -> ActiveResults {
         // Same seed per profile: every profile sees the same page variants,
         // like the paper loading the same URL list per mode.
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let browser = browser_for_profile(eco, profile, 77_000 + pi as u32);
+        let mut browser = browser_for_profile(eco, profile, 77_000 + pi as u32);
         let meta = TraceMeta {
             name: format!("active-{}", profile.label()),
             duration_secs: (site_list.len() as f64) * 12.0,

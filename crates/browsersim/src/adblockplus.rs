@@ -1,9 +1,13 @@
 //! The Adblock Plus plugin: a faithful client of the `abp-filter` engine.
 
 use crate::plugin::{ListDownload, Plugin};
-use abp_filter::{Engine, FilterList, Request, SubscriptionState};
+use abp_filter::hiding::selectors_for;
+use abp_filter::{
+    ClassifyScratch, CompiledEngine, FilterList, HidingRule, Request, SubscriptionState,
+};
 use http_model::{ContentCategory, Url};
 use std::sync::Arc;
+use webgen::filterlists::GeneratedLists;
 
 /// Which filter lists an Adblock Plus installation subscribes to.
 ///
@@ -16,7 +20,7 @@ use std::sync::Arc;
 /// * `AdBP-Paranoia` — `easylist: true, easyprivacy: true, acceptable: false`
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AbpConfig {
-    /// Subscribe to EasyList (and, for regional users, its derivative).
+    /// Subscribe to EasyList.
     pub easylist: bool,
     /// Subscribe to EasyPrivacy.
     pub easyprivacy: bool,
@@ -53,37 +57,86 @@ impl AbpConfig {
     }
 }
 
+/// The lists an installation can subscribe to, each parsed once.
+pub(crate) struct AbpLists {
+    easylist: FilterList,
+    easyprivacy: FilterList,
+    acceptable: FilterList,
+}
+
+impl AbpLists {
+    /// Parse the ecosystem's generated lists.
+    pub(crate) fn parse(lists: &GeneratedLists) -> AbpLists {
+        AbpLists {
+            easylist: lists.easylist(),
+            easyprivacy: lists.easyprivacy(),
+            acceptable: lists.acceptable(),
+        }
+    }
+
+    /// The lists `config` subscribes to, in load order: EasyList,
+    /// EasyPrivacy, then the acceptable-ads whitelist. The one place that
+    /// decides them, for the engine and the update schedule alike.
+    fn subscribed(&self, config: AbpConfig) -> impl Iterator<Item = &FilterList> {
+        [
+            (config.easylist, &self.easylist),
+            (config.easyprivacy, &self.easyprivacy),
+            (config.acceptable, &self.acceptable),
+        ]
+        .into_iter()
+        .filter_map(|(on, list)| on.then_some(list))
+    }
+}
+
+/// What every installation of one configuration blocks and hides with:
+/// the compiled engine over its lists, their element-hiding rules, and
+/// each list's name and soft expiry (days) for the update schedule.
+pub(crate) struct AbpFilters {
+    /// Counts into no registry: the global `abp_*` series describe the
+    /// passive classifier alone.
+    engine: CompiledEngine,
+    hiding: Vec<HidingRule>,
+    lists: Vec<(String, f64)>,
+}
+
+impl AbpFilters {
+    /// Build `config`'s filters.
+    pub(crate) fn new(lists: &AbpLists, config: AbpConfig) -> AbpFilters {
+        let subscribed: Vec<FilterList> = lists.subscribed(config).cloned().collect();
+        AbpFilters {
+            hiding: subscribed.iter().flat_map(|l| l.hiding.clone()).collect(),
+            lists: subscribed
+                .iter()
+                .map(|l| (l.name.clone(), l.soft_expiry_days))
+                .collect(),
+            engine: CompiledEngine::from_lists(subscribed),
+        }
+    }
+}
+
 /// A running Adblock Plus instance.
 ///
-/// The engine is shared (`Arc`) across all browsers with the same
+/// The filters are shared (`Arc`) across all browsers with the same
 /// configuration — one compiled engine per configuration, like the real
-/// extension sharing compiled lists across profiles.
+/// extension sharing compiled lists across profiles; each instance owns
+/// its match scratch.
 pub struct AdblockPlusPlugin {
-    config: AbpConfig,
-    engine: Arc<Engine>,
+    filters: Arc<AbpFilters>,
+    scratch: ClassifyScratch,
     subscriptions: Vec<(String, SubscriptionState)>,
 }
 
 impl AdblockPlusPlugin {
-    /// Build an instance from parsed lists. `phase_secs` staggers the
-    /// initial subscription ages across the population so updates don't all
-    /// fire at the same instant.
-    pub fn new(
-        config: AbpConfig,
-        engine: Arc<Engine>,
-        lists: &[&FilterList],
-        phase_secs: f64,
-    ) -> Self {
-        let mut subscriptions: Vec<(String, SubscriptionState)> = lists
+    /// An instance subscribed to `filters`' lists. `phase_secs` staggers
+    /// the initial subscription ages across the population so updates don't
+    /// all fire at the same instant.
+    pub(crate) fn new(filters: Arc<AbpFilters>, phase_secs: f64) -> Self {
+        let mut subscriptions: Vec<(String, SubscriptionState)> = filters
+            .lists
             .iter()
-            .map(|l| {
-                (
-                    l.name.clone(),
-                    SubscriptionState::aged(
-                        l.soft_expiry_days,
-                        phase_secs % (l.soft_expiry_days * 86_400.0),
-                    ),
-                )
+            .map(|(name, days)| {
+                let age = phase_secs % (days * 86_400.0);
+                (name.clone(), SubscriptionState::aged(*days, age))
             })
             .collect();
         // Besides list refreshes, the extension phones home roughly daily
@@ -95,15 +148,10 @@ impl AdblockPlusPlugin {
             SubscriptionState::aged(0.75, phase_secs % 64_800.0),
         ));
         AdblockPlusPlugin {
-            config,
-            engine,
+            filters,
+            scratch: ClassifyScratch::new(),
             subscriptions,
         }
-    }
-
-    /// The configuration of this instance.
-    pub fn config(&self) -> AbpConfig {
-        self.config
     }
 
     /// Approximate size of a list download (lists are tens to hundreds of
@@ -122,18 +170,18 @@ impl Plugin for AdblockPlusPlugin {
         "adblock-plus"
     }
 
-    fn blocks(&self, url: &Url, page: &Url, category: ContentCategory) -> bool {
-        self.engine
-            .classify(&Request {
-                url,
-                source_url: Some(page),
-                category,
-            })
-            .would_block()
+    fn blocks(&mut self, url: &Url, page: &Url, category: ContentCategory) -> bool {
+        let req = Request {
+            url,
+            source_url: Some(page),
+            category,
+        };
+        let verdict = self.filters.engine.classify(&req, &mut self.scratch);
+        verdict.would_block()
     }
 
     fn hides_embedded_ads(&self, page_host: &str) -> bool {
-        !self.engine.hiding_selectors(page_host).is_empty()
+        !selectors_for(&self.filters.hiding, page_host).is_empty()
     }
 
     fn due_downloads(&mut self, now: f64) -> Vec<ListDownload> {
@@ -149,30 +197,6 @@ impl Plugin for AdblockPlusPlugin {
         }
         out
     }
-}
-
-/// Build the engine for a configuration from the ecosystem's generated
-/// lists. `regional` additionally subscribes the language-derivative list
-/// (regional users do).
-pub fn build_engine(
-    lists: &webgen::filterlists::GeneratedLists,
-    config: AbpConfig,
-    regional: bool,
-) -> Engine {
-    let mut e = Engine::new();
-    if config.easylist {
-        e.add_list(lists.easylist());
-        if regional {
-            e.add_list(lists.regional());
-        }
-    }
-    if config.easyprivacy {
-        e.add_list(lists.easyprivacy());
-    }
-    if config.acceptable {
-        e.add_list(lists.acceptable());
-    }
-    e
 }
 
 #[cfg(test)]
@@ -192,19 +216,13 @@ mod tests {
         })
     }
 
+    fn plugin_at(cfg: AbpConfig, phase_secs: f64) -> AdblockPlusPlugin {
+        let filters = AbpFilters::new(&AbpLists::parse(&eco().lists), cfg);
+        AdblockPlusPlugin::new(Arc::new(filters), phase_secs)
+    }
+
     fn plugin(cfg: AbpConfig) -> AdblockPlusPlugin {
-        let eco = eco();
-        let engine = Arc::new(build_engine(&eco.lists, cfg, false));
-        let el = eco.lists.easylist();
-        let ep = eco.lists.easyprivacy();
-        let mut lists: Vec<&FilterList> = Vec::new();
-        if cfg.easylist {
-            lists.push(&el);
-        }
-        if cfg.easyprivacy {
-            lists.push(&ep);
-        }
-        AdblockPlusPlugin::new(cfg, engine, &lists, 0.0)
+        plugin_at(cfg, 0.0)
     }
 
     #[test]
@@ -217,7 +235,7 @@ mod tests {
             .iter()
             .find(|c| c.kind == webgen::adtech::AdTechKind::AdNetwork && !c.acceptable)
             .expect("a non-acceptable ad network");
-        let p = plugin(AbpConfig::default_install());
+        let mut p = plugin(AbpConfig::default_install());
         let page = Url::parse("http://www.dailyherald001.example/").unwrap();
         let ad = Url::parse(&format!(
             "http://{}/banners/b0_0.gif",
@@ -234,7 +252,7 @@ mod tests {
 
     #[test]
     fn paranoia_blocks_both() {
-        let p = plugin(AbpConfig::paranoia());
+        let mut p = plugin(AbpConfig::paranoia());
         let page = Url::parse("http://www.dailyherald001.example/").unwrap();
         let ad = Url::parse("http://ads.adnet05.example/banners/b0_0.gif").unwrap();
         let tracker = Url::parse("http://t.tracker01.example/pixel/p0_0.gif").unwrap();
@@ -244,17 +262,13 @@ mod tests {
 
     #[test]
     fn acceptable_ads_pass_on_default_install() {
-        let eco = eco();
-        let cfg = AbpConfig::default_install();
-        let engine = Arc::new(build_engine(&eco.lists, cfg, false));
-        let el = eco.lists.easylist();
-        let p = AdblockPlusPlugin::new(cfg, engine, &[&el], 0.0);
+        let mut p = plugin(AbpConfig::default_install());
         let page = Url::parse("http://www.shopmart005.example/").unwrap();
         // The giant's whitelisted ad service.
         let ad = Url::parse("http://adservice.gigglesearch.example/adserve/show1.js").unwrap();
         assert!(!p.blocks(&ad, &page, ContentCategory::Script));
         // Opting out (paranoia) blocks it.
-        let p2 = plugin(AbpConfig::paranoia());
+        let mut p2 = plugin(AbpConfig::paranoia());
         assert!(p2.blocks(&ad, &page, ContentCategory::Script));
     }
 
@@ -277,22 +291,17 @@ mod tests {
 
     #[test]
     fn element_hiding_reported() {
-        let eco = eco();
-        let cfg = AbpConfig::default_install();
-        let engine = Arc::new(build_engine(&eco.lists, cfg, false));
-        let el = eco.lists.easylist();
-        let p = AdblockPlusPlugin::new(cfg, engine, &[&el], 0.0);
         // Generic ##.ad-banner applies everywhere.
+        let p = plugin(AbpConfig::default_install());
         assert!(p.hides_embedded_ads("www.findit000.example"));
+        // EasyPrivacy carries no element-hiding rules.
+        let privacy = plugin(AbpConfig::privacy_only());
+        assert!(!privacy.hides_embedded_ads("www.findit000.example"));
     }
 
     #[test]
     fn phase_staggers_first_update() {
-        let eco = eco();
-        let cfg = AbpConfig::default_install();
-        let engine = Arc::new(build_engine(&eco.lists, cfg, false));
-        let el = eco.lists.easylist();
-        let mut aged = AdblockPlusPlugin::new(cfg, engine.clone(), &[&el], 3.9 * 86_400.0);
+        let mut aged = plugin_at(AbpConfig::default_install(), 3.9 * 86_400.0);
         // Aged nearly to expiry: due within the first simulated hour... not
         // immediately at t=0 (3.9 < 4.0 days), but at t≈0.1 days, together
         // with the daily notification check (phase 0.9 of its 1-day period).

@@ -44,7 +44,7 @@ impl Browser {
     /// address/region/backend resolved through the ecosystem; the caller
     /// feeds them to a [`netsim::Capture`].
     pub fn visit_page<R: Rng + ?Sized>(
-        &self,
+        &mut self,
         eco: &Ecosystem,
         publisher: &Publisher,
         template: &PageTemplate,
@@ -335,7 +335,7 @@ pub fn vanilla(client_addr: u32, user_agent: UserAgent) -> Browser {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adblockplus::{build_engine, AbpConfig, AdblockPlusPlugin};
+    use crate::adblockplus::{AbpConfig, AbpFilters, AbpLists, AdblockPlusPlugin};
     use http_model::useragent::Os;
     use http_model::{BrowserFamily, UserAgent};
     use rand::rngs::StdRng;
@@ -360,20 +360,11 @@ mod tests {
     }
 
     fn abp_browser(eco: &Ecosystem, cfg: AbpConfig) -> Browser {
-        let engine = Arc::new(build_engine(&eco.lists, cfg, false));
-        let el = eco.lists.easylist();
-        let ep = eco.lists.easyprivacy();
-        let mut lists = vec![];
-        if cfg.easylist {
-            lists.push(&el);
-        }
-        if cfg.easyprivacy {
-            lists.push(&ep);
-        }
+        let filters = AbpFilters::new(&AbpLists::parse(&eco.lists), cfg);
         Browser {
             client_addr: 42,
             user_agent: ua(),
-            plugin: Box::new(AdblockPlusPlugin::new(cfg, engine, &lists, 0.0)),
+            plugin: Box::new(AdblockPlusPlugin::new(Arc::new(filters), 0.0)),
             regional_user: false,
         }
     }
@@ -394,7 +385,7 @@ mod tests {
     fn vanilla_issues_everything() {
         let eco = eco();
         let p = ad_heavy_publisher(&eco);
-        let b = vanilla(7, ua());
+        let mut b = vanilla(7, ua());
         let mut rng = StdRng::seed_from_u64(1);
         let (events, stats) = b.visit_page(&eco, p, &p.pages[0], 0.0, None, &mut rng);
         assert_eq!(stats.blocked, 0);
@@ -407,8 +398,8 @@ mod tests {
     fn adblocker_blocks_ads() {
         let eco = eco();
         let p = ad_heavy_publisher(&eco);
-        let vanilla_b = vanilla(7, ua());
-        let abp = abp_browser(&eco, AbpConfig::paranoia());
+        let mut vanilla_b = vanilla(7, ua());
+        let mut abp = abp_browser(&eco, AbpConfig::paranoia());
         let mut rng = StdRng::seed_from_u64(2);
         let (_, vstats) = vanilla_b.visit_page(&eco, p, &p.pages[0], 0.0, None, &mut rng);
         let mut rng2 = StdRng::seed_from_u64(2);
@@ -432,7 +423,7 @@ mod tests {
     fn events_have_referers_pointing_to_page() {
         let eco = eco();
         let p = ad_heavy_publisher(&eco);
-        let b = vanilla(7, ua());
+        let mut b = vanilla(7, ua());
         let mut rng = StdRng::seed_from_u64(3);
         let (events, _) = b.visit_page(&eco, p, &p.pages[0], 0.0, None, &mut rng);
         let with_referer = events.iter().filter(|e| e.referer.is_some()).count();
@@ -458,7 +449,7 @@ mod tests {
             .flat_map(|p| p.pages.iter().map(move |pg| (p, pg)))
             .find(|(_, pg)| pg.objects.iter().any(|o| o.redirect_via.is_some()))
             .expect("a redirect object");
-        let b = vanilla(7, ua());
+        let mut b = vanilla(7, ua());
         let mut rng = StdRng::seed_from_u64(4);
         let (events, _) = b.visit_page(&eco, p, page, 0.0, None, &mut rng);
         let redirect = events.iter().find(|e| e.status == 302).expect("a 302");
@@ -477,7 +468,7 @@ mod tests {
     fn dynamic_queries_differ_between_visits() {
         let eco = eco();
         let p = ad_heavy_publisher(&eco);
-        let b = vanilla(7, ua());
+        let mut b = vanilla(7, ua());
         let mut rng = StdRng::seed_from_u64(5);
         let (e1, _) = b.visit_page(&eco, p, &p.pages[0], 0.0, None, &mut rng);
         let (e2, _) = b.visit_page(&eco, p, &p.pages[0], 10.0, None, &mut rng);
@@ -517,7 +508,7 @@ mod tests {
             .iter()
             .find(|p| page_uses_https(p))
             .expect("an https publisher");
-        let b = vanilla(7, ua());
+        let mut b = vanilla(7, ua());
         let mut rng = StdRng::seed_from_u64(7);
         let (events, _) = b.visit_page(&eco, p, &p.pages[0], 0.0, None, &mut rng);
         assert!(events[0].https, "main doc over https");
@@ -540,11 +531,11 @@ mod tests {
             .expect("publisher with text ads");
         let pg = p.pages.iter().find(|pg| pg.embedded_text_ads > 0).unwrap();
         let mut rng = StdRng::seed_from_u64(8);
-        let b = vanilla(7, ua());
+        let mut b = vanilla(7, ua());
         let (_, vstats) = b.visit_page(&eco, p, pg, 0.0, None, &mut rng);
         assert_eq!(vstats.hidden_text_ads, 0);
         assert_eq!(vstats.shown_text_ads, pg.embedded_text_ads);
-        let abp = abp_browser(&eco, AbpConfig::default_install());
+        let mut abp = abp_browser(&eco, AbpConfig::default_install());
         let (_, astats) = abp.visit_page(&eco, p, pg, 0.0, None, &mut rng);
         assert_eq!(astats.hidden_text_ads, pg.embedded_text_ads);
         assert_eq!(astats.shown_text_ads, 0);

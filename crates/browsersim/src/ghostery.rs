@@ -76,7 +76,7 @@ impl Plugin for GhosteryPlugin {
         }
     }
 
-    fn blocks(&self, url: &Url, _page: &Url, _category: ContentCategory) -> bool {
+    fn blocks(&mut self, url: &Url, _page: &Url, _category: ContentCategory) -> bool {
         let host = url.host();
         match self.mode {
             GhosteryMode::Ads => Self::in_db(&self.ad_domains, host),
@@ -119,9 +119,9 @@ mod tests {
     #[test]
     fn mode_scoping() {
         let eco = eco();
-        let ads = GhosteryPlugin::new(&eco, GhosteryMode::Ads, 1.0);
-        let privacy = GhosteryPlugin::new(&eco, GhosteryMode::Privacy, 1.0);
-        let paranoia = GhosteryPlugin::new(&eco, GhosteryMode::Paranoia, 1.0);
+        let mut ads = GhosteryPlugin::new(&eco, GhosteryMode::Ads, 1.0);
+        let mut privacy = GhosteryPlugin::new(&eco, GhosteryMode::Privacy, 1.0);
+        let mut paranoia = GhosteryPlugin::new(&eco, GhosteryMode::Paranoia, 1.0);
         let page = Url::parse("http://www.portalmix001.example/").unwrap();
         let ad_url = Url::parse("http://ads.adnet05.example/banners/x.gif").unwrap();
         let tr_url = Url::parse("http://t.tracker01.example/pixel/p.gif").unwrap();
@@ -139,7 +139,7 @@ mod tests {
         // self-hosted /sponsor/ ads slip through (→ residual EasyList hits
         // in Table 1).
         let eco = eco();
-        let paranoia = GhosteryPlugin::new(&eco, GhosteryMode::Paranoia, 1.0);
+        let mut paranoia = GhosteryPlugin::new(&eco, GhosteryMode::Paranoia, 1.0);
         let page = Url::parse("http://www.technewsy000.example/").unwrap();
         let self_ad = Url::parse("http://www.technewsy000.example/sponsor/self0_0.gif").unwrap();
         assert!(!paranoia.blocks(&self_ad, &page, ContentCategory::Image));

@@ -24,7 +24,7 @@ pub trait Plugin: Send {
     fn name(&self) -> &str;
 
     /// Should this request be blocked (never issued)?
-    fn blocks(&self, url: &Url, page: &Url, category: ContentCategory) -> bool;
+    fn blocks(&mut self, url: &Url, page: &Url, category: ContentCategory) -> bool;
 
     /// Does the plugin hide embedded (in-HTML) text ads via element hiding?
     fn hides_embedded_ads(&self, page_host: &str) -> bool;
@@ -44,7 +44,7 @@ impl Plugin for NoPlugin {
         "none"
     }
 
-    fn blocks(&self, _url: &Url, _page: &Url, _category: ContentCategory) -> bool {
+    fn blocks(&mut self, _url: &Url, _page: &Url, _category: ContentCategory) -> bool {
         false
     }
 

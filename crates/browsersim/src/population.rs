@@ -1,11 +1,10 @@
 //! The user population: households, devices, adoption rates.
 
-use crate::adblockplus::{build_engine, AbpConfig, AdblockPlusPlugin};
+use crate::adblockplus::{AbpConfig, AbpFilters, AbpLists, AdblockPlusPlugin};
 use crate::browser::Browser;
 use crate::device::Device;
 use crate::ghostery::{GhosteryMode, GhosteryPlugin};
 use crate::plugin::{NoPlugin, Plugin as _};
-use abp_filter::Engine;
 use http_model::useragent::Os;
 use http_model::{BrowserFamily, DeviceClass, UserAgent};
 use netsim::nat::allocate_households;
@@ -89,25 +88,25 @@ pub struct Population {
     pub households: usize,
 }
 
-/// Shared engines, one per ABP configuration actually in use.
+/// Shared filters, one per ABP configuration actually in use.
 struct EngineCache {
-    default_install: Arc<Engine>,
-    with_privacy: Arc<Engine>,
-    optout: Arc<Engine>,
-    optout_privacy: Arc<Engine>,
+    default_install: Arc<AbpFilters>,
+    with_privacy: Arc<AbpFilters>,
+    optout: Arc<AbpFilters>,
+    optout_privacy: Arc<AbpFilters>,
 }
 
 impl EngineCache {
     fn build(eco: &Ecosystem) -> EngineCache {
+        let lists = AbpLists::parse(&eco.lists);
         let mk = |ep: bool, aa: bool| {
-            Arc::new(build_engine(
-                &eco.lists,
+            Arc::new(AbpFilters::new(
+                &lists,
                 AbpConfig {
                     easylist: true,
                     easyprivacy: ep,
                     acceptable: aa,
                 },
-                false,
             ))
         };
         EngineCache {
@@ -118,7 +117,7 @@ impl EngineCache {
         }
     }
 
-    fn get(&self, cfg: AbpConfig) -> Arc<Engine> {
+    fn get(&self, cfg: AbpConfig) -> Arc<AbpFilters> {
         match (cfg.easyprivacy, cfg.acceptable) {
             (false, true) => self.default_install.clone(),
             (true, true) => self.with_privacy.clone(),
@@ -134,9 +133,6 @@ impl Population {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let gateways = allocate_households(config.households, 10_000);
         let engines = EngineCache::build(eco);
-        let el = eco.lists.easylist();
-        let ep = eco.lists.easyprivacy();
-        let aa = eco.lists.acceptable();
 
         let mut browsers = Vec::new();
         let mut truth = Vec::new();
@@ -176,15 +172,8 @@ impl Population {
                         easyprivacy: rng.gen_bool(config.easyprivacy_rate),
                         acceptable: !rng.gen_bool(config.acceptable_optout_rate),
                     };
-                    let mut lists = vec![&el];
-                    if cfg.easyprivacy {
-                        lists.push(&ep);
-                    }
-                    if cfg.acceptable {
-                        lists.push(&aa);
-                    }
                     let phase = rng.gen_range(0.0..4.0 * 86_400.0);
-                    let plugin = AdblockPlusPlugin::new(cfg, engines.get(cfg), &lists, phase);
+                    let plugin = AdblockPlusPlugin::new(engines.get(cfg), phase);
                     (Box::new(plugin), "adblock-plus".to_string(), Some(cfg))
                 } else if family.is_desktop_browser() && rng.gen_bool(config.ghostery_rate) {
                     let mode = match rng.gen_range(0..3) {

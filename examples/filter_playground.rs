@@ -5,10 +5,15 @@
 //! cargo run --example filter_playground -- 'http://ads.tracker.example/pixel/p.gif'
 //! ```
 //!
-//! Without arguments it runs a demonstration over the synthetic ecosystem's
-//! generated lists, showing blocking, whitelisting, `$document` page
-//! whitelisting, type options, and element hiding.
+//! Without arguments it runs a demonstration over a hand-written list,
+//! showing blocking, whitelisting, `$document` page whitelisting, type
+//! options, and element hiding. Requests are classified by
+//! `CompiledEngine`, the matcher every production path runs (the reference
+//! `abp_filter::Engine` is the oracle the differential suites hold it to);
+//! element hiding is resolved by `hiding::selectors_for`.
 
+use annoyed_users::abp_filter::hiding::selectors_for;
+use annoyed_users::abp_filter::ClassifyScratch;
 use annoyed_users::prelude::*;
 
 fn main() {
@@ -31,14 +36,17 @@ fn main() {
         "acceptable-ads",
         "@@||nice-ads.example^\n@@||partner-cdn.example^$document\n",
     );
-    let mut engine = Engine::new();
-    let el = engine.add_list(easylist);
-    let aa = engine.add_list(acceptable);
+    let names = [easylist.name.clone(), acceptable.name.clone()];
+    let hiding: Vec<_> = [&easylist, &acceptable]
+        .into_iter()
+        .flat_map(|l| l.hiding.clone())
+        .collect();
+    let engine = CompiledEngine::from_lists(vec![easylist, acceptable]);
     println!(
-        "engine: {} network filters loaded into lists {:?}",
-        engine.filter_count(),
-        [engine.list_name(el), engine.list_name(aa)]
+        "engine: {} network filters loaded into lists {names:?}",
+        engine.stats().rules
     );
+    let mut scratch = ClassifyScratch::new();
 
     let page = Url::parse("http://news.site.example/article").unwrap();
     let demos = if args.is_empty() {
@@ -77,11 +85,12 @@ fn main() {
     for (url_str, category) in demos {
         match Url::parse(&url_str) {
             Ok(url) => {
-                let verdict = engine.classify(&Request {
+                let req = Request {
                     url: &url,
                     source_url: Some(&page),
                     category,
-                });
+                };
+                let verdict = engine.classify(&req, &mut scratch);
                 let outcome = if verdict.would_block() {
                     "BLOCKED"
                 } else if verdict.exception.is_some() {
@@ -104,10 +113,10 @@ fn main() {
 
     println!(
         "\nelement hiding on example.com: {:?}",
-        engine.hiding_selectors("example.com")
+        selectors_for(&hiding, "example.com")
     );
     println!(
         "element hiding elsewhere:      {:?}",
-        engine.hiding_selectors("other.org")
+        selectors_for(&hiding, "other.org")
     );
 }

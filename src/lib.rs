@@ -65,7 +65,7 @@ pub use webgen;
 
 /// The common imports for examples and experiments.
 pub mod prelude {
-    pub use abp_filter::{Engine, FilterList, Request};
+    pub use abp_filter::{CompiledEngine, FilterList, Request};
     pub use adscope::{
         AdLabel, Attribution, ClassifiedRequest, ClassifiedTrace, ListKind, PassiveClassifier,
         PipelineOptions, UserAggregate,

@@ -33,7 +33,7 @@ fn one_browser_trace(eco: &Ecosystem, seed: u64) -> Trace {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     let mut rng = StdRng::seed_from_u64(seed);
-    let browser = vanilla(
+    let mut browser = vanilla(
         4242,
         UserAgent::desktop(BrowserFamily::Chrome, Os::Linux, 44),
     );
@@ -203,7 +203,7 @@ fn https_pages_break_referers_like_the_paper_says() {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     let mut rng = StdRng::seed_from_u64(6);
-    let browser = vanilla(
+    let mut browser = vanilla(
         777,
         UserAgent::desktop(BrowserFamily::Firefox, Os::Windows, 38),
     );
