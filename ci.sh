@@ -26,8 +26,8 @@ cargo fmt --check
 gate "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-gate "cargo doc --no-deps -p netsim -p http-model -p adscope (-D warnings)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p netsim -p http-model -p adscope
+gate "cargo doc --no-deps --workspace (-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 gate "DESIGN.md §6 module map (every named path exists, every source file is named)"
 sed -n '/^## 6\. Module map/,/^## 7\./p' DESIGN.md | grep -E '^(crates|src|tests|examples)/' \
@@ -135,6 +135,14 @@ done >target/oracle_uses.txt
 if grep -vE '^crates/adscope/src/normalize\.rs:[0-9]+: +pub fn from_engine\(engine: &abp_filter::Engine\) -> UrlNormalizer \{$' \
   target/oracle_uses.txt; then exit 1; fi
 if grep -nE 'hiding_by_domain|DocIndex' crates/abp-filter/src/engine.rs; then exit 1; fi
+# Every live output has a reader: `serve`'s published bodies live in one
+# store keyed by route, which a later publish replaces, so no bounded window
+# log and no per-plane slot pair may come back; nor the scrape-time copy of
+# the health ledger into gauges, the population sketch gauges, or the paced
+# replay of last-window gauges that nothing read.
+if grep -rnE 'TraceLog|set_population|set_alerts|record_health_gauges|obs_sketch_' \
+  crates/*/src crates/*/tests src tests; then exit 1; fi
+if grep -rn -- '--pace' src tests; then exit 1; fi
 
 gate "cargo test -q"
 cargo test -q
@@ -445,7 +453,7 @@ grep -q '# population' <<<"$pop"
 wait "$HEALTH_PID"
 echo "    watchdog flagged the stall, /healthz recovered, /population live"
 
-gate "bench_gate (paired on/off and engine rows against A/A noise; ns/element ceilings at the reference speed)"
+gate "bench_gate (paired on/off rows against A/A noise; ns/element ceilings at the reference speed)"
 # One process: fixture once, measure, judge, one BENCH_history.ndjson row.
 # `inconclusive` is printed and recorded and does not fail the build.
 # --manifest joins the row to the streaming run verified above: it carries

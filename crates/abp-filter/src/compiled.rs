@@ -6,18 +6,19 @@
 //! into flat arrays:
 //!
 //! * every literal's bytes live in one byte arena, every pattern is a span
-//!   of compact [`CompiledSegment`]s, and every `$domain=` list is a span
-//!   of FNV-64 hashes — a [`CompiledRule`] is a few words of indices, so
+//!   of compact `CompiledSegment`s, and every `$domain=` list is a span
+//!   of FNV-64 hashes — a `CompiledRule` is a few words of indices, so
 //!   the match path never chases per-rule `String`/`Vec` allocations;
 //! * the `HashMap<token, Vec<Entry>>` index becomes a sorted flat
-//!   token→bucket table probed by binary search, with a per-candidate
+//!   token→bucket table probed through an open-addressed slot table (a
+//!   one-bit-per-slot Bloom filter in front), with a per-candidate
 //!   64-bit *required-token fingerprint* (and the AND over each bucket):
 //!   a candidate whose required tokens are not all present in the URL's
 //!   token signature is rejected without touching rule memory;
 //! * every bucket entry whose index token is *sealed* inside its literal
-//!   carries a [`LiteralAlignment`]: the literal must then sit around one
+//!   carries a `LiteralAlignment`: the literal must then sit around one
 //!   of the token's occurrences in the URL. Each bucket groups these
-//!   entries by [`Shape`] and sorts them by literal bytes, so a visit
+//!   entries by `Shape` and sorts them by literal bytes, so a visit
 //!   binary-searches the URL window at `occurrence − offset` once per
 //!   shape instead of comparing every entry — what keeps a bucket of
 //!   hundreds of rules sharing one token (`&ads_id=1`, `&ads_id=2`, …)
@@ -890,18 +891,12 @@ impl CompiledEngine {
     }
 
     /// Bind the metric handles to a registry (a built engine counts into
-    /// none) and publish the compile-stat gauges there.
+    /// none) and publish the `abp_compiled_rules` gauge there.
     pub fn bind_metrics(&mut self, registry: &obs::Registry) {
         self.metrics = CompiledMetrics::bind(registry);
         registry
             .gauge("abp_compiled_rules")
             .set(self.stats.rules as f64);
-        registry
-            .gauge("abp_compiled_buckets")
-            .set(self.stats.buckets as f64);
-        registry
-            .gauge("abp_compiled_arena_bytes")
-            .set(self.stats.arena_bytes as f64);
     }
 
     /// Classify a request. Byte-identical to [`Engine::classify_in`] on

@@ -551,7 +551,7 @@ mod tests {
         assert!(out.degradation.total() > 0, "the input degraded");
         assert!(registry.snapshot().samples.is_empty(), "no metric");
         assert!(registry.events().is_empty(), "no event");
-        assert!(registry.windows().is_empty(), "no window line");
+        assert!(registry.body("/windows").is_empty(), "no window line");
     }
 
     #[test]

@@ -365,32 +365,17 @@ impl PopulationReport {
         out
     }
 
-    /// Publish into a registry: the pre-rendered `/population` bodies,
-    /// `obs_sketch_*` gauges, and the Table-3-so-far class gauges the
+    /// Publish into a registry: the pre-rendered `/population` and
+    /// `/population/ndjson` bodies, and the Table-3-so-far class gauges the
     /// `/statusz` plane reads.
     pub fn publish(&self, registry: &obs::Registry) {
         if !obs::enabled() {
             return;
         }
-        registry.set_population(self.render(), self.render_ndjson());
-        registry
-            .gauge("obs_sketch_requests")
-            .set(self.requests as f64);
-        registry
-            .gauge("obs_sketch_ad_requests")
-            .set(self.ad_requests as f64);
-        registry
-            .gauge("obs_sketch_distinct_users")
-            .set(self.distinct_users as f64);
-        registry
-            .gauge("obs_sketch_distinct_sites")
-            .set(self.distinct_sites as f64);
-        registry
-            .gauge("obs_sketch_active_browsers")
-            .set(self.active_browsers as f64);
-        registry
-            .gauge("obs_sketch_topk_exact")
-            .set(if self.exact_topk { 1.0 } else { 0.0 });
+        registry.publish([
+            ("/population", self.render()),
+            ("/population/ndjson", self.render_ndjson()),
+        ]);
         for c in &self.classes {
             registry
                 .gauge_with("obs_population_class_users", &[("class", c.class.label())])
@@ -574,13 +559,13 @@ mod tests {
     }
 
     #[test]
-    fn publish_sets_population_slot_and_gauges() {
+    fn publish_sets_population_bodies_and_class_gauges() {
         let trace = sample(on());
         let report = finish_trace(&trace, &[], on());
         let registry = obs::Registry::new();
         report.publish(&registry);
-        assert_eq!(registry.population_text(), report.render());
-        assert_eq!(registry.population_ndjson(), report.render_ndjson());
+        assert_eq!(registry.body("/population"), report.render());
+        assert_eq!(registry.body("/population/ndjson"), report.render_ndjson());
         let snap = registry.snapshot();
         assert!(matches!(
             snap.get("obs_population_class_users", &[("class", "A")]),

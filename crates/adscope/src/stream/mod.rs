@@ -796,13 +796,13 @@ mod tests {
         let reg = obs::Registry::new();
         let rep = classify_stream_file(&path, &classifier(), &stream_opts(2, 8), &reg).unwrap();
         let snap = reg.snapshot();
-        assert_eq!(snap.counter("adscope_stream_chunks_total", &[]), rep.chunks);
         assert_eq!(
             snap.counter("adscope_requests_classified_total", &[]),
             rep.requests
         );
-        assert!(reg.windows_ndjson().contains("\"scope\":\"adscope\""));
-        assert!(reg.windows_ndjson().contains("\"scope\":\"decode\""));
+        let windows = rep.windows.render_ndjson("adscope");
+        let body = windows + &rep.decode_windows.render_ndjson("decode");
+        assert_eq!(reg.body("/windows"), body);
         let _ = fs::remove_file(&path);
     }
     /// A resume refuses a trace that is not the checkpoint's: the same trace

@@ -307,10 +307,6 @@ impl<'a> Router<'a> {
             self.state.offset = end_offset;
             self.run_chunks += 1;
             let registry = self.registry;
-            registry.counter("adscope_stream_chunks_total").add(1);
-            registry
-                .counter("adscope_stream_records_total")
-                .add(n_records);
             let now = registry.elapsed_ns();
             registry.health().advance(now, end_offset, n_records, 1);
 
@@ -448,9 +444,6 @@ impl<'a> Router<'a> {
             self.log
                 .write(p.dir, p.rewrite, &p.manifest, &users, counts)?;
             self.checkpoints_written += 1;
-            self.registry
-                .counter("adscope_stream_checkpoints_total")
-                .add(1);
         }
         Ok(())
     }
@@ -513,15 +506,13 @@ impl<'a> Router<'a> {
         registry
             .counter("adscope_requests_classified_total")
             .add(t.requests);
-        registry.counter("adscope_ad_requests_total").add(t.ads);
         for (reason, count) in t.degradation.counts() {
             registry
                 .counter_with("adscope_degradation_total", &[("reason", reason)])
                 .add(count as u64);
         }
-        crate::window::publish(&windows, registry);
-        let decode_closed = "netsim_decode_windows_closed_total";
-        crate::window::publish_scope(&decode_windows, "decode", decode_closed, registry);
+        let scopes = [(&windows, "adscope"), (&decode_windows, "decode")];
+        crate::window::publish_scopes(&scopes, registry);
 
         let users = finals.iter().map(|f| f.counters.len() as u64).sum();
         let report = StreamReport {

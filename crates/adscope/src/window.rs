@@ -11,9 +11,8 @@
 //! [`crate::pipeline`] does over the whole request vector.
 //!
 //! [`publish`] bridges a report into a registry: one NDJSON line per
-//! window into the window log (served at `/windows`), plus the
-//! `obs_window_late_total` / `adscope_windows_closed_total` counters and
-//! last-window gauges.
+//! window, published as the `/windows` body, and its late observations
+//! into the `obs_window_late_total` counter.
 
 use crate::classify::Attribution;
 use crate::pipeline::{ClassifiedRequest, PipelineOptions};
@@ -110,49 +109,31 @@ pub fn aggregate(
     planes.windows.report()
 }
 
-/// Publish a report into `registry`: NDJSON window lines (scope
-/// `adscope`), late/closed counters, and last-window gauges for live
-/// scrapes.
+/// Publish a report into `registry`: its NDJSON window lines (scope
+/// `adscope`) as the `/windows` body, and its late observations into
+/// `obs_window_late_total`.
 pub fn publish(report: &WindowReport, registry: &obs::Registry) {
-    if !publish_scope(report, "adscope", "adscope_windows_closed_total", registry) {
-        return;
-    }
-    if let Some(last) = report.windows.last() {
-        let requests = last.counter(COUNTERS[REQUESTS]);
-        let ads = last.counter(COUNTERS[ADS]);
-        registry
-            .gauge("adscope_window_last_requests")
-            .set(requests as f64);
-        if requests > 0 {
-            registry
-                .gauge("adscope_window_last_ad_share_pct")
-                .set(100.0 * ads as f64 / requests as f64);
-        }
-    }
+    publish_scopes(&[(report, "adscope")], registry);
 }
 
-/// The one bridge of a window scope into `registry`, and the one check of
-/// the kill switch for it: the report's NDJSON lines into the window log
-/// under `scope`, its windows into the `closed` counter and its late
-/// observations into `obs_window_late_total`. `false`, publishing nothing,
-/// when recording is off.
-pub(crate) fn publish_scope(
-    report: &WindowReport,
-    scope: &str,
-    closed: &str,
-    registry: &obs::Registry,
-) -> bool {
+/// The one bridge of window scopes into `registry`, and the one check of
+/// the kill switch for it: each report's NDJSON lines under its scope, in
+/// order, as the `/windows` body (replacing the last one), and their late
+/// observations into `obs_window_late_total`. Publishes nothing when
+/// recording is off.
+pub(crate) fn publish_scopes(scopes: &[(&WindowReport, &str)], registry: &obs::Registry) {
     if !obs::enabled() {
-        return false;
+        return;
     }
-    for line in report.render_ndjson(scope).lines() {
-        registry.windows().push(line.to_string());
+    let body = scopes
+        .iter()
+        .map(|(r, scope)| r.render_ndjson(scope))
+        .collect();
+    registry.publish([("/windows", body)]);
+    let late: u64 = scopes.iter().map(|(r, _)| r.late).sum();
+    if late > 0 {
+        registry.counter("obs_window_late_total").add(late);
     }
-    registry.counter(closed).add(report.windows.len() as u64);
-    if report.late > 0 {
-        registry.counter("obs_window_late_total").add(report.late);
-    }
-    true
 }
 
 #[cfg(test)]
@@ -215,7 +196,7 @@ mod tests {
     }
 
     #[test]
-    fn publish_exposes_counters_gauges_and_ndjson() {
+    fn publish_serves_the_rendered_report_at_windows() {
         let r = obs::Registry::new();
         let rs = vec![
             req(10.0, "http://ads.example/banners/a.gif"),
@@ -223,11 +204,10 @@ mod tests {
         ];
         let report = aggregate(&rs, &[], WindowOptions::default());
         publish(&report, &r);
-        let snap = r.snapshot();
-        assert_eq!(snap.counter("adscope_windows_closed_total", &[]), 1);
-        assert_eq!(snap.counter("obs_window_late_total", &[]), 0);
-        assert!(r.windows_ndjson().contains("\"scope\":\"adscope\""));
-        assert!(matches!(snap.get("adscope_window_last_ad_share_pct", &[]),
-                Some(obs::SampleValue::Gauge(v)) if (*v - 50.0).abs() < 1e-9));
+        assert_eq!(r.snapshot().counter("obs_window_late_total", &[]), 0);
+        assert_eq!(r.body("/windows"), report.render_ndjson("adscope"));
+        // A later publish replaces the body.
+        publish(&aggregate(&rs[..1], &[], WindowOptions::default()), &r);
+        assert_eq!(r.body("/windows").lines().count(), 1);
     }
 }

@@ -2,7 +2,7 @@
 //! conservative, content inference is total, the referrer map never panics
 //! on arbitrary orderings, and per-user aggregation conserves counts. The
 //! one-thread oracle explains every request once, in record order, and its
-//! window report, published, puts the series in the window log and the
+//! window report, published, becomes the `/windows` body and puts the
 //! late-observation tally in `obs_window_late_total`.
 
 mod common;
@@ -123,8 +123,8 @@ proptest! {
         prop_assert_eq!(plain.windows, out.windows);
     }
 
-    /// Publishing the oracle's report puts exactly its NDJSON lines in the
-    /// registry's window log, for narrow and wide windows.
+    /// Publishing the oracle's report serves exactly its NDJSON lines at
+    /// `/windows`, for narrow and wide windows.
     #[test]
     fn window_log_is_the_rendered_report(
         n in 1usize..150,
@@ -141,9 +141,8 @@ proptest! {
         let out = classify_trace(&trace, &classifier(), opts);
         let registry = obs::Registry::new();
         adscope::window::publish(&out.windows, &registry);
-        let logged = registry.windows().snapshot().join("\n");
-        let rendered = out.windows.render_ndjson("adscope");
-        prop_assert_eq!(logged.as_str(), rendered.trim_end_matches('\n'));
+        let served = registry.body("/windows");
+        prop_assert_eq!(served, out.windows.render_ndjson("adscope"));
     }
 
     /// Late records are counted, not silently dropped: the report's late

@@ -9,7 +9,7 @@ use adscope::stream::classify_stream_file;
 use common::{classifier, messy_trace, stream_opts, write_trace_file};
 
 /// A small run with the production rule pack: recording off, it leaves the
-/// window log and the alert render empty — the alert plane still evaluates,
+/// `/windows` and `/alerts` bodies empty — the alert plane still evaluates,
 /// for the report — and recording on, the same run fills both.
 #[test]
 fn recording_off_publishes_no_window_line_and_no_alert() {
@@ -22,7 +22,8 @@ fn recording_off_publishes_no_window_line_and_no_alert() {
         let report = classify_stream_file(&path, &classifier(), &opts, &registry).unwrap();
         obs::set_enabled(true);
         assert!(report.alerts.is_some(), "recording={recording}");
-        (registry.windows().len(), registry.alerts_text())
+        let lines = registry.body("/windows").lines().count();
+        (lines, registry.body("/alerts"))
     };
     assert_eq!(run(false), (0, String::new()));
     let (lines, text) = run(true);

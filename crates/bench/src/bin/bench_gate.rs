@@ -11,13 +11,12 @@
 //!
 //! * **Paired** rows answer "does B cost more than A by more than the
 //!   limit allows" — a plane switched on against the same run with it off,
-//!   held to the 5 % design budget itself; checkpointing on against off,
-//!   held between the costs of delta and whole-map user lines; or the
-//!   compiled engine against the reference engine, held to the 0.80 floor. Within a pair A and B
-//!   run alternately, `READS` times each, and the fastest run of each side
-//!   counts; odd pairs start with B, so that machine drift lands on both
-//!   sides; the reading is the median over `PAIRS` pairs of `(b − a) / a`.
-//!   Beside every A/B pair runs an A/A pair — the same closure on both
+//!   held to the 5 % design budget itself; or checkpointing on against
+//!   off, held between the costs of delta and whole-map user lines. Within
+//!   a pair A and B run alternately, `READS` times each, and the fastest
+//!   run of each side counts; odd pairs start with B, so that machine drift
+//!   lands on both sides; the reading is the median over `PAIRS` pairs of
+//!   `(b − a) / a`. Beside every A/B pair runs an A/A pair — the same closure on both
 //!   sides — and the interquartile distance of those differences is the
 //!   row's noise. Noise wider than the limit's own size means the row
 //!   cannot tell its effect from the box. Otherwise a median at least the
@@ -41,7 +40,7 @@
 //! the run configuration and input CI verified beside it. Lines are written
 //! and re-read with `netsim::json` (no serde in the workspace).
 
-use abp_filter::{ClassifyScratch, CompiledEngine, Engine, FilterList, Request};
+use abp_filter::{ClassifyScratch, CompiledEngine, FilterList, Request};
 use adscope::normalize::UrlNormalizer;
 use adscope::pipeline::extract_objects;
 use adscope::refmap::RefMap;
@@ -83,9 +82,6 @@ const CHECKPOINT_LIMIT: f64 = 0.40;
 /// Records a chunk on both sides of the `checkpoint` row: the fixture's
 /// ≈20 K records make ten barriers, not the one 8 192 would.
 const CKPT_CHUNK: usize = 1024;
-/// The compiled engine must take at most 0.80 of the reference engine's
-/// time: a relative difference of −20 % or lower.
-const ENGINE_FLOOR: f64 = -0.20;
 /// URLs per engine and normalizer corpus.
 const URLS: usize = 2_000;
 /// Records the `read_chunks` and `refmap_only` rows run per repetition:
@@ -318,10 +314,6 @@ fn classify_all(
     black_box(hits);
 }
 
-fn run_reference(engine: &Engine, urls: &[(Url, ContentCategory)], page: &Url) {
-    classify_all(urls, page, |r| engine.classify(r).would_block());
-}
-
 fn run_compiled(engine: &CompiledEngine, urls: &[(Url, ContentCategory)], page: &Url) {
     let mut scratch = ClassifyScratch::new();
     classify_all(urls, page, |r| {
@@ -401,25 +393,22 @@ fn main() {
     // ≈5 % of them ad-related. Trace mix: the ecosystem's four lists plus
     // that list against the ecosystem's object URLs, query strings
     // included, whose ad words surface the list's ≈200-rule query buckets.
-    let mut miss_engine = Engine::new();
-    miss_engine.add_list(scale_list());
     let trace_lists: Vec<FilterList> = bench::bench_lists(&eco)
         .into_iter()
         .chain([scale_list()])
         .collect();
     let trace_rules: usize = trace_lists.iter().map(|l| l.network_rules().count()).sum();
-    let mut trace_engine = Engine::new();
-    for list in trace_lists.clone() {
-        trace_engine.add_list(list);
-    }
-    let (miss_compiled, trace_compiled) = (
-        CompiledEngine::compile(&miss_engine),
-        CompiledEngine::compile(&trace_engine),
-    );
+    let query_literals: Vec<String> = trace_lists
+        .iter()
+        .flat_map(FilterList::query_literals)
+        .map(str::to_string)
+        .collect();
+    let normalizer = UrlNormalizer::from_literals(&query_literals);
+    let miss_compiled = CompiledEngine::from_lists(vec![scale_list()]);
+    let trace_compiled = CompiledEngine::from_lists(trace_lists.clone());
     let miss_urls = parsed_urls(&scale.sample_urls(URLS, 0.05, 0xBE7C));
     let trace_urls = bench::bench_urls(&eco, URLS);
     let page = Url::parse("http://www.dailyherald000.example/").expect("page URL parses");
-    let normalizer = UrlNormalizer::from_engine(&trace_engine);
     let query_urls = urls_with_queries(&scale);
     let fat_urls = fat_bucket_urls(&scale);
 
@@ -436,8 +425,8 @@ fn main() {
     println!(
         "bench_gate: fixture {} records, {} + {} rules, built in {:.1} s",
         trace.records.len(),
-        miss_engine.filter_count(),
-        trace_engine.filter_count() - miss_engine.filter_count(),
+        miss_compiled.stats().rules,
+        trace_compiled.stats().rules - miss_compiled.stats().rules,
         started.elapsed().as_secs_f64()
     );
 
@@ -502,20 +491,6 @@ fn main() {
             limit: BUDGET,
             a: recorded(false),
             b: recorded(true),
-        },
-        Paired {
-            name: "engine_miss_mix",
-            what: "compiled vs reference engine, mostly-miss requests",
-            limit: ENGINE_FLOOR,
-            a: Box::new(|| run_reference(&miss_engine, &miss_urls, &page)),
-            b: Box::new(|| run_compiled(&miss_compiled, &miss_urls, &page)),
-        },
-        Paired {
-            name: "engine_trace_mix",
-            what: "compiled vs reference engine, trace-shaped requests",
-            limit: ENGINE_FLOOR,
-            a: Box::new(|| run_reference(&trace_engine, &trace_urls, &page)),
-            b: Box::new(|| run_compiled(&trace_compiled, &trace_urls, &page)),
         },
     ];
     let ceilings: Vec<Ceiling> = vec![
@@ -751,12 +726,15 @@ mod tests {
         }
     }
 
+    /// A speedup floor: B must take at most 0.80 of A's time.
+    const FLOOR: f64 = -0.20;
+
     #[test]
     fn a_speedup_floor_is_a_negative_limit() {
         let quiet = sample(PAIRS, 0.0, 0.03);
-        // Compiled at 0.45 of the reference passes the 0.80 floor, at 0.9 fails.
-        let (_, _, fast) = judge_paired(&sample(PAIRS, -0.55, 0.03), &quiet, ENGINE_FLOOR);
-        let (_, _, slow) = judge_paired(&sample(PAIRS, -0.10, 0.03), &quiet, ENGINE_FLOOR);
+        // B at 0.45 of A passes the 0.80 floor, at 0.9 fails.
+        let (_, _, fast) = judge_paired(&sample(PAIRS, -0.55, 0.03), &quiet, FLOOR);
+        let (_, _, slow) = judge_paired(&sample(PAIRS, -0.10, 0.03), &quiet, FLOOR);
         assert_eq!((fast, slow), (Verdict::Pass, Verdict::Fail));
     }
 
@@ -768,11 +746,11 @@ mod tests {
         let (_, _, near) = judge_paired(&sample(PAIRS, 0.117, 0.06), &noisy, SKETCH_LIMIT);
         let (_, _, clear) = judge_paired(&sample(PAIRS, 0.08, 0.06), &noisy, SKETCH_LIMIT);
         assert_eq!((near, clear), (Verdict::Inconclusive, Verdict::Pass));
-        // A speedup floor likewise: 0.78 of the reference is within 3 % of
-        // the 0.80 floor, 0.70 is not.
+        // A speedup floor likewise: 0.78 of A is within 3 % of the 0.80
+        // floor, 0.70 is not.
         let quiet = sample(PAIRS, 0.0, 0.03);
-        let (_, _, near) = judge_paired(&sample(PAIRS, -0.22, 0.03), &quiet, ENGINE_FLOOR);
-        let (_, _, clear) = judge_paired(&sample(PAIRS, -0.30, 0.03), &quiet, ENGINE_FLOOR);
+        let (_, _, near) = judge_paired(&sample(PAIRS, -0.22, 0.03), &quiet, FLOOR);
+        let (_, _, clear) = judge_paired(&sample(PAIRS, -0.30, 0.03), &quiet, FLOOR);
         assert_eq!((near, clear), (Verdict::Inconclusive, Verdict::Pass));
     }
 

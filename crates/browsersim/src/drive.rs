@@ -138,7 +138,7 @@ const QUEUED_SLICES: usize = 2;
 /// drained after every slice and handed to `emit` as time-ordered
 /// batches. The simulation runs on a scoped helper thread; `emit` runs on
 /// the caller's thread, in slice order, so it needs no `Send`. At most
-/// [`QUEUED_SLICES`] drained slices wait between the two, so generation
+/// `QUEUED_SLICES` drained slices wait between the two, so generation
 /// overlaps whatever `emit` does with a batch, and peak memory is a few
 /// slices of traffic — the one being simulated, the queued ones and the
 /// one being emitted — instead of the whole trace. A panic in the
@@ -179,10 +179,9 @@ fn simulate(
     config: &DriveConfig,
     mut emit: impl FnMut(Vec<TraceRecord>) -> bool,
 ) -> StreamDriveOutput {
-    let registry = obs::global();
-    let mut span = registry.span_with("browsersim_drive", &[("trace", &config.name)]);
-    // Per-iteration tallies stay in locals; one atomic add per counter
-    // at the end of the drive.
+    let mut span = obs::global().span_with("browsersim_drive", &[("trace", &config.name)]);
+    // Per-iteration tallies stay in locals; the span's event carries their
+    // totals at the end of the drive.
     let mut visits_total = 0u64;
     let mut bursts_total = 0u64;
     let mut rng = StdRng::seed_from_u64(config.seed);
@@ -274,27 +273,10 @@ fn simulate(
         records_total += trace.records.len() as u64;
         let _ = emit(trace.records);
     }
-    let issued: u64 = ground_truth.iter().map(|g| g.issued).sum();
-    let blocked: u64 = ground_truth.iter().map(|g| g.blocked).sum();
     span.count("page_visits", visits_total);
     span.count("device_bursts", bursts_total);
     span.count("records", records_total);
     drop(span);
-    registry
-        .counter("browsersim_page_visits_total")
-        .add(visits_total);
-    registry
-        .counter("browsersim_device_bursts_total")
-        .add(bursts_total);
-    registry
-        .counter("browsersim_requests_issued_total")
-        .add(issued);
-    registry
-        .counter("browsersim_requests_blocked_total")
-        .add(blocked);
-    registry
-        .counter("browsersim_trace_records_total")
-        .add(records_total);
     StreamDriveOutput {
         meta,
         ground_truth,

@@ -21,14 +21,7 @@
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock};
-
-/// Handle for the parse-failure counter, bound to the global registry
-/// once so repeated failures never pay a registry lookup.
-fn parse_failure_counter() -> &'static obs::Counter {
-    static COUNTER: OnceLock<obs::Counter> = OnceLock::new();
-    COUNTER.get_or_init(|| obs::global().counter("http_model_url_parse_failures_total"))
-}
+use std::sync::Arc;
 
 /// URL scheme; only HTTP(S) matters for the trace methodology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -112,19 +105,7 @@ pub struct Url {
 impl Url {
     /// Parse a URL string. The host is lowercased; a missing path becomes
     /// `/`; any `#fragment` is dropped.
-    ///
-    /// Failures increment `http_model_url_parse_failures_total` on the
-    /// global registry — failure path only, so the (hot) success path
-    /// costs nothing.
     pub fn parse(input: &str) -> Result<Url, UrlError> {
-        let result = Url::parse_inner(input);
-        if result.is_err() {
-            parse_failure_counter().inc();
-        }
-        result
-    }
-
-    fn parse_inner(input: &str) -> Result<Url, UrlError> {
         let input = input.trim();
         let (scheme, rest) = if let Some(rest) = strip_prefix_ci(input, "http://") {
             (Scheme::Http, rest)
@@ -215,7 +196,7 @@ impl Url {
     /// whenever `host` is plain — no ASCII upper case and none of
     /// `/ ? # @ :`, so the parser would take all of it, and only it, as the
     /// host. Any other host goes the old way; an empty one is `None`
-    /// without a parse (and without a counted failure).
+    /// without a parse.
     ///
     /// Host and URI are put together in `scratch` and copied from there
     /// into the shared buffer, so with a buffer the caller keeps from one
@@ -425,7 +406,7 @@ impl UrlMemo {
     /// alive.
     pub const SLOTS: usize = 1024;
 
-    /// `Url::parse(input).ok()`, failure counter included.
+    /// `Url::parse(input).ok()`.
     pub fn parse(&mut self, input: &str) -> Option<Url> {
         let Some(tail) = input.strip_prefix("http://") else {
             return Url::parse(input).ok();

@@ -146,8 +146,7 @@ pub fn record_to_json(r: &TraceRecord) -> String {
 }
 
 /// Write a trace to any sink: the header, then every record through
-/// [`TraceWriter`], whose `finish` adds the `netsim_*_written_total`
-/// counters.
+/// [`TraceWriter`]; the `netsim_codec{op=write}` span counts both.
 pub fn write_trace<W: Write>(trace: &Trace, sink: W) -> Result<(), CodecError> {
     let mut span = obs::global().span_with("netsim_codec", &[("op", "write")]);
     let mut writer = TraceWriter::new(sink, &trace.meta)?;

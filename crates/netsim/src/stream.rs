@@ -237,18 +237,9 @@ impl<W: Write> TraceWriter<W> {
         Ok(())
     }
 
-    /// Flush and finish, recording write totals into the global [`obs`]
-    /// registry (same counters as the one-shot writer). Returns
-    /// `(records, bytes)` written.
+    /// Flush and finish. Returns `(records, bytes)` written.
     pub fn finish(mut self) -> Result<(u64, u64), CodecError> {
         self.sink.flush()?;
-        let registry = obs::global();
-        registry
-            .counter("netsim_records_written_total")
-            .add(self.records);
-        registry
-            .counter("netsim_bytes_written_total")
-            .add(self.bytes);
         Ok((self.records, self.bytes))
     }
 }

@@ -355,7 +355,7 @@ impl AlertEngine {
     }
 
     /// Bridge the last evaluation into `registry`: absolute firing gauges
-    /// per severity and the `/alerts` render slot.
+    /// per severity and the `/alerts` and `/alerts/ndjson` bodies.
     pub fn publish(&self, registry: &Registry) {
         if !crate::enabled() {
             return;
@@ -371,7 +371,10 @@ impl AlertEngine {
                 .gauge_with("obs_alerts_firing", &[("severity", sev.as_str())])
                 .set(n as f64);
         }
-        registry.set_alerts(self.render_text(), self.render_ndjson());
+        registry.publish([
+            ("/alerts", self.render_text()),
+            ("/alerts/ndjson", self.render_ndjson()),
+        ]);
     }
 
     /// Deterministic text rendering: the rule pack with current phases,
@@ -575,7 +578,7 @@ mod tests {
     }
 
     #[test]
-    fn publish_sets_gauges_and_the_render_slot() {
+    fn publish_sets_gauges_and_the_alert_bodies() {
         let mut vals = vec![10u64; 8];
         vals.push(70);
         let mut eng = AlertEngine::new(vec![jump_rule(1)]);
@@ -591,7 +594,8 @@ mod tests {
             snap.get("obs_alerts_firing", &[("severity", "warn")]),
             Some(crate::registry::SampleValue::Gauge(v)) if *v == 0.0
         ));
-        assert!(reg.alerts_text().contains("ad_share_jump"));
+        assert!(reg.body("/alerts").contains("ad_share_jump"));
+        assert_eq!(reg.body("/alerts/ndjson"), eng.render_ndjson());
     }
 
     #[test]

@@ -213,7 +213,7 @@ impl Health {
     }
 
     /// Is the watchdog currently reporting a stall? Pairs with the
-    /// `Release` in [`Health::flag_stall`]: a reader that sees `true` also
+    /// `Release` in the watchdog's `Health::flag_stall`: a reader that sees `true` also
     /// sees the stall counter, gauge and event published before it.
     pub fn stalled(&self) -> bool {
         self.stalled.load(Ordering::Acquire)
@@ -365,41 +365,13 @@ pub fn spawn_watchdog(registry: &'static Registry, budget: Duration) -> std::io:
     })
 }
 
-/// Mirror the health ledger into plain gauges so `/metrics` scrapes see
-/// it: `obs_health_{active,stalled,total_bytes,done_bytes,done_records,
-/// done_chunks,workers}`. Called by the serve layer per scrape.
-pub fn record_health_gauges(registry: &Registry) {
-    let s = registry.health().snapshot();
-    registry
-        .gauge("obs_health_active")
-        .set(if s.active { 1.0 } else { 0.0 });
-    registry
-        .gauge("obs_health_stalled")
-        .set(if s.stalled { 1.0 } else { 0.0 });
-    registry
-        .gauge("obs_health_total_bytes")
-        .set(s.total_bytes as f64);
-    registry
-        .gauge("obs_health_done_bytes")
-        .set(s.done_bytes as f64);
-    registry
-        .gauge("obs_health_done_records")
-        .set(s.done_records as f64);
-    registry
-        .gauge("obs_health_done_chunks")
-        .set(s.done_chunks as f64);
-    registry
-        .gauge("obs_health_workers")
-        .set(s.workers.len() as f64);
-}
-
 /// Tri-state verdict folded into `/healthz`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// Everything nominal.
     Ok,
     /// Progressing, but something was lost or recovered along the way
-    /// (dropped sink lines, degraded records, quarantined poison).
+    /// (dropped event lines, quarantined poison, a paging alert).
     Degraded,
     /// The watchdog says nothing is progressing.
     Stalled,
@@ -417,7 +389,7 @@ impl Verdict {
 }
 
 /// Compute the current verdict: stalled beats degraded beats ok.
-/// Degraded means lossy-but-alive: any bounded sink dropped lines, or
+/// Degraded means lossy-but-alive: the event log dropped lines, or
 /// poison records were quarantined — or the alert plane has a
 /// page-severity alert firing (see [`crate::alert`]). Dataset-quality
 /// degradation reasons (content-type fallbacks, refmap misses, ...)
@@ -429,7 +401,6 @@ pub fn verdict(registry: &Registry) -> Verdict {
     }
     let snap = registry.snapshot();
     let lossy = snap.counter_sum("obs_events_dropped_total")
-        + snap.counter_sum("obs_windows_dropped_total")
         + snap.counter(
             "adscope_degradation_total",
             &[("reason", "poisoned_records")],

@@ -67,7 +67,7 @@ pub use registry::{MetricKey, Registry, SampleValue, Snapshot};
 pub use serve::{serve, ServerHandle};
 pub use sketch::{Distinct64, QuantileSketch, TopEntry, TopK, QUANTILE_GAMMA};
 pub use span::Span;
-pub use trace::{SampleCause, SpanId, TraceId, TraceLog};
+pub use trace::{SampleCause, SpanId, TraceId};
 pub use window::{ClosedWindow, Slot, WindowReport, WindowSeries};
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -5,7 +5,6 @@ use crate::events::{Event, EventLog, FieldValue};
 use crate::health::Health;
 use crate::metric::{Counter, Gauge, Histogram, HistogramSnapshot};
 use crate::span::Span;
-use crate::trace::TraceLog;
 use std::collections::HashMap;
 use std::sync::RwLock;
 use std::time::Instant;
@@ -120,7 +119,8 @@ impl Snapshot {
     }
 }
 
-/// A collection of metrics and an event log.
+/// A collection of metrics, an event log, the run-health plane and the
+/// bodies published for `serve`'s routes.
 ///
 /// Handle acquisition (`counter`, `histogram_with`, …) takes a write
 /// lock once per (name, labels) pair; the returned handles are lock-free
@@ -130,10 +130,8 @@ pub struct Registry {
     start: Instant,
     metrics: RwLock<HashMap<MetricKey, MetricEntry>>,
     events: EventLog,
-    windows: TraceLog,
     health: Health,
-    population: RwLock<(String, String)>,
-    alerts: RwLock<(String, String)>,
+    bodies: RwLock<HashMap<&'static str, String>>,
 }
 
 impl Default for Registry {
@@ -149,13 +147,8 @@ impl Registry {
             start: Instant::now(),
             metrics: RwLock::new(HashMap::new()),
             events: EventLog::default(),
-            windows: TraceLog::with_capacity_and_marker(
-                crate::trace::TRACE_LOG_CAPACITY,
-                "windows_dropped",
-            ),
             health: Health::default(),
-            population: RwLock::new((String::new(), String::new())),
-            alerts: RwLock::new((String::new(), String::new())),
+            bodies: RwLock::new(HashMap::new()),
         }
     }
 
@@ -258,12 +251,6 @@ impl Registry {
         &self.events
     }
 
-    /// The closed-window log (pre-rendered NDJSON window lines, pushed
-    /// in window order by the pipeline; served at `/windows`).
-    pub fn windows(&self) -> &TraceLog {
-        &self.windows
-    }
-
     /// The live run-health plane (heartbeats, progress ledger, stall
     /// flag; see [`crate::health`]).
     pub fn health(&self) -> &Health {
@@ -272,10 +259,10 @@ impl Registry {
 
     /// A deterministic (sorted) point-in-time copy of all metrics.
     ///
-    /// Bounded-sink drop counts surface here as synthetic
-    /// `obs_*_dropped_total` counters — but only once non-zero, so
+    /// The event log's drop count surfaces here as a synthetic
+    /// `obs_events_dropped_total` counter — but only once non-zero, so
     /// truncation is visible in `/metrics` without padding every
-    /// snapshot with two zero samples.
+    /// snapshot with a zero sample.
     pub fn snapshot(&self) -> Snapshot {
         let map = self.metrics.read().expect("registry");
         let mut samples: Vec<(MetricKey, SampleValue)> = map
@@ -290,13 +277,10 @@ impl Registry {
             })
             .collect();
         drop(map);
-        for (name, dropped) in [
-            ("obs_events_dropped_total", self.events.dropped()),
-            ("obs_windows_dropped_total", self.windows.dropped()),
-        ] {
-            if dropped > 0 {
-                samples.push((MetricKey::new(name, &[]), SampleValue::Counter(dropped)));
-            }
+        let dropped = self.events.dropped();
+        if dropped > 0 {
+            let key = MetricKey::new("obs_events_dropped_total", &[]);
+            samples.push((key, SampleValue::Counter(dropped)));
         }
         samples.sort_by(|(a, _), (b, _)| a.cmp(b));
         Snapshot { samples }
@@ -312,48 +296,23 @@ impl Registry {
         self.events.render_ndjson()
     }
 
-    /// Render the closed-window log as NDJSON.
-    pub fn windows_ndjson(&self) -> String {
-        self.windows.render_ndjson()
+    /// Install pre-rendered bodies for `serve`'s published routes
+    /// (`/windows`, `/population`, `/alerts` and their NDJSON forms), each
+    /// replacing the route's last body, all under one lock so that no
+    /// scrape sees one form of a plane newer than the other. The producer
+    /// renders; the registry only stores bytes, so `obs` stays independent
+    /// of the analytics layer.
+    pub fn publish<const N: usize>(&self, bodies: [(&'static str, String); N]) {
+        let mut store = self.bodies.write().expect("bodies lock");
+        for (route, body) in bodies {
+            store.insert(route, body);
+        }
     }
 
-    /// Install the pre-rendered population report (human table +
-    /// NDJSON), served at `/population` and `/population/ndjson`. The
-    /// producer renders; the registry only stores bytes, so `obs` stays
-    /// independent of the analytics layer.
-    pub fn set_population(&self, text: String, ndjson: String) {
-        let mut slot = self.population.write().expect("population lock");
-        *slot = (text, ndjson);
-    }
-
-    /// The current population table (empty until a producer publishes).
-    pub fn population_text(&self) -> String {
-        self.population.read().expect("population lock").0.clone()
-    }
-
-    /// The current population NDJSON (empty until a producer publishes).
-    pub fn population_ndjson(&self) -> String {
-        self.population.read().expect("population lock").1.clone()
-    }
-
-    /// Install the pre-rendered alert plane (human timeline + NDJSON),
-    /// served at `/alerts` and `/alerts/ndjson`. Same contract as
-    /// [`Registry::set_population`]: the producer (usually
-    /// [`crate::alert::AlertEngine::publish`]) renders, the registry
-    /// stores bytes.
-    pub fn set_alerts(&self, text: String, ndjson: String) {
-        let mut slot = self.alerts.write().expect("alerts lock");
-        *slot = (text, ndjson);
-    }
-
-    /// The current alert timeline (empty until an engine publishes).
-    pub fn alerts_text(&self) -> String {
-        self.alerts.read().expect("alerts lock").0.clone()
-    }
-
-    /// The current alert NDJSON (empty until an engine publishes).
-    pub fn alerts_ndjson(&self) -> String {
-        self.alerts.read().expect("alerts lock").1.clone()
+    /// The body last published for `route` (empty until one is).
+    pub fn body(&self, route: &str) -> String {
+        let store = self.bodies.read().expect("bodies lock");
+        store.get(route).cloned().unwrap_or_default()
     }
 }
 

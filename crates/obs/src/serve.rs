@@ -1,16 +1,18 @@
 //! Std-only live scrape endpoint: a tiny HTTP/1.1 server over
 //! [`std::net::TcpListener`] exposing one [`Registry`].
 //!
-//! The routes are the one [`ROUTES`] table: `/` lists it, the
-//! `obs_http_requests_total{path}` label set is it, and [`route`]
-//! dispatches on it. Among them:
+//! The routes are one table, `ROUTES`: `/` lists it, the
+//! `obs_http_requests_total{path}` label set is it, and the dispatcher
+//! answers each entry. Among them:
 //!
 //! * `/metrics`  — Prometheus text exposition (the existing encoder).
 //! * `/healthz`  — liveness JSON (tri-state `ok`/`degraded`/`stalled`
 //!   verdict from [`crate::health`], uptime, sink depths).
 //! * `/statusz`  — the live run-health plane: manifest header, progress
 //!   ledger, per-worker liveness, ETA (`/statusz/ndjson` for machines).
-//! * `/windows`  — NDJSON of closed time windows (see [`crate::window`]).
+//! * `/windows`, `/population[/ndjson]`, `/alerts[/ndjson]` — the bodies
+//!   their producers last published ([`Registry::publish`]), or a
+//!   placeholder before the first.
 //! * `/profile`  — the stage table of the span histograms (see
 //!   [`crate::span::render_stages`]).
 //! * `/quitz`    — request a clean shutdown (used by the CI smoke test).
@@ -172,8 +174,8 @@ fn handle(
     // "other" so request paths can't explode metric cardinality.
     let label = ROUTES
         .iter()
-        .find(|(known, _)| *known == path)
-        .map_or("other", |(known, _)| known);
+        .find(|(known, ..)| *known == path)
+        .map_or("other", |(known, ..)| known);
     registry
         .counter_with("obs_http_requests_total", &[("path", label)])
         .inc();
@@ -214,21 +216,71 @@ fn write_all_by(
     Ok(())
 }
 
-/// Every route and the line `/` lists it with. The index and the hit
-/// counter's label set are read from here; [`route`] answers each entry.
-const ROUTES: [(&str, &str); 12] = [
-    ("/", "this index"),
-    ("/metrics", "Prometheus text exposition"),
-    ("/healthz", "liveness JSON (ok|degraded|stalled)"),
-    ("/statusz", "run health plane (human table)"),
-    ("/statusz/ndjson", "run health plane (NDJSON)"),
-    ("/windows", "closed time windows (NDJSON)"),
-    ("/population", "population analytics (human table)"),
-    ("/population/ndjson", "population analytics (NDJSON)"),
-    ("/alerts", "alert timeline (human table)"),
-    ("/alerts/ndjson", "alert timeline (NDJSON)"),
-    ("/profile", "stage wall-time table (span histograms)"),
-    ("/quitz", "request clean shutdown"),
+const TEXT: &str = "text/plain; charset=utf-8";
+const NDJSON: &str = "application/x-ndjson";
+
+/// A published route's content type and the body it serves before the
+/// first publish ([`Registry::publish`]); `None` for a computed route.
+type Published = Option<(&'static str, &'static str)>;
+
+/// Every route: its path, the line `/` lists it with, and how a published
+/// one answers. The index and the hit counter's label set are read from
+/// here; [`route`] answers each entry, every published one in one arm.
+const ROUTES: [(&str, &str, Published); 12] = [
+    ("/", "this index", None),
+    (
+        "/metrics",
+        "Prometheus text exposition of every series",
+        None,
+    ),
+    (
+        "/healthz",
+        "liveness JSON: verdict, uptime, event and window lines",
+        None,
+    ),
+    (
+        "/statusz",
+        "run health: progress, rate, ETA, classes, alerts, workers",
+        None,
+    ),
+    (
+        "/statusz/ndjson",
+        "run health: a statusz line, then one per worker",
+        None,
+    ),
+    (
+        "/windows",
+        "closed windows, adscope then decode (NDJSON)",
+        Some((NDJSON, "")),
+    ),
+    (
+        "/population",
+        "Table 3 so far and the population sketches (human table)",
+        Some((TEXT, "population: no report published yet\n")),
+    ),
+    (
+        "/population/ndjson",
+        "Table 3 so far and the sketches (NDJSON)",
+        Some((NDJSON, "")),
+    ),
+    (
+        "/alerts",
+        "alert rules, phases and timeline (human table)",
+        Some((TEXT, "alerts: no engine published yet\n")),
+    ),
+    // One parseable line even before an engine publishes, so NDJSON
+    // checkers always pass.
+    (
+        "/alerts/ndjson",
+        "alert rules, phases and timeline (NDJSON)",
+        Some((NDJSON, "{\"event\":\"alerts\",\"published\":false}\n")),
+    ),
+    (
+        "/profile",
+        "stage table of the span histograms (generator, codec)",
+        None,
+    ),
+    ("/quitz", "request clean shutdown", None),
 ];
 
 fn route(
@@ -236,19 +288,26 @@ fn route(
     registry: &'static Registry,
     shutdown: &AtomicBool,
 ) -> (&'static str, &'static str, String) {
+    let published = ROUTES.iter().find(|r| r.0 == path).and_then(|r| r.2);
+    if let Some((content_type, placeholder)) = published {
+        let body = match registry.body(path) {
+            b if b.is_empty() => placeholder.to_string(),
+            b => b,
+        };
+        return ("200 OK", content_type, body);
+    }
     match path {
         "/" => {
             let mut index = String::from("annoyed-users obs endpoint\n");
-            for (path, what) in ROUTES {
+            for (path, what, _) in ROUTES {
                 let _ = writeln!(index, "{path:<19}{what}");
             }
-            ("200 OK", "text/plain; charset=utf-8", index)
+            ("200 OK", TEXT, index)
         }
         "/metrics" => {
-            // Refresh point-in-time process and health gauges so every
-            // scrape sees current values, not the ones at publish time.
+            // Refresh the point-in-time process gauges so every scrape sees
+            // current values, not the ones at publish time.
             crate::process::record_process(registry);
-            crate::health::record_health_gauges(registry);
             (
                 "200 OK",
                 "text/plain; version=0.0.4; charset=utf-8",
@@ -267,71 +326,35 @@ fn route(
                     verdict.as_str(),
                     registry.elapsed_ns(),
                     registry.events().len(),
-                    registry.windows().len(),
+                    registry.body("/windows").lines().count(),
                     health.active,
                     health.stalls,
                 ),
             )
         }
-        "/statusz" => (
-            "200 OK",
-            "text/plain; charset=utf-8",
-            crate::health::render_statusz(registry),
-        ),
+        "/statusz" => ("200 OK", TEXT, crate::health::render_statusz(registry)),
         "/statusz/ndjson" => (
             "200 OK",
-            "application/x-ndjson",
+            NDJSON,
             crate::health::render_statusz_ndjson(registry),
-        ),
-        "/windows" => ("200 OK", "application/x-ndjson", registry.windows_ndjson()),
-        "/population" => (
-            "200 OK",
-            "text/plain; charset=utf-8",
-            match registry.population_text() {
-                t if t.is_empty() => "population: no report published yet\n".to_string(),
-                t => t,
-            },
-        ),
-        "/population/ndjson" => (
-            "200 OK",
-            "application/x-ndjson",
-            registry.population_ndjson(),
-        ),
-        "/alerts" => (
-            "200 OK",
-            "text/plain; charset=utf-8",
-            match registry.alerts_text() {
-                t if t.is_empty() => "alerts: no engine published yet\n".to_string(),
-                t => t,
-            },
-        ),
-        "/alerts/ndjson" => (
-            "200 OK",
-            "application/x-ndjson",
-            match registry.alerts_ndjson() {
-                // Keep the body one parseable line even before an engine
-                // publishes, so NDJSON checkers always pass.
-                t if t.is_empty() => "{\"event\":\"alerts\",\"published\":false}\n".to_string(),
-                t => t,
-            },
         ),
         "/profile" => (
             "200 OK",
-            "text/plain; charset=utf-8",
+            TEXT,
             crate::span::render_stages(&registry.snapshot()),
         ),
         "/quitz" => {
             shutdown.store(true, Ordering::Relaxed);
-            ("200 OK", "text/plain; charset=utf-8", "bye\n".to_string())
+            ("200 OK", TEXT, "bye\n".to_string())
         }
         p if p.starts_with('!') => (
             "405 Method Not Allowed",
-            "text/plain; charset=utf-8",
+            TEXT,
             "only GET is served here\n".to_string(),
         ),
         _ => (
             "404 Not Found",
-            "text/plain; charset=utf-8",
+            TEXT,
             "unknown path; GET / lists routes\n".to_string(),
         ),
     }
@@ -363,8 +386,10 @@ mod tests {
         {
             let _s = r.span("serve_stage");
         }
-        r.windows()
-            .push("{\"event\":\"window\",\"scope\":\"test\",\"index\":0}".into());
+        r.publish([(
+            "/windows",
+            "{\"event\":\"window\",\"scope\":\"test\",\"index\":0}\n".into(),
+        )]);
         let h = serve(r, 0).expect("bind ephemeral");
         let port = h.port();
 
@@ -376,6 +401,7 @@ mod tests {
         let (head, body) = get(port, "/healthz");
         assert!(head.starts_with("HTTP/1.1 200"));
         assert!(body.contains("\"status\":\"ok\""));
+        assert!(body.contains("\"windows\":1,"), "{body}");
 
         let (_, body) = get(port, "/windows");
         assert!(body.contains("\"scope\":\"test\""));
@@ -400,7 +426,8 @@ mod tests {
     }
 
     /// The one table: each route answers 200 (`/quitz` last, so the loop
-    /// only stops after it) and `/` names exactly the table's paths.
+    /// only stops after it), a published route its placeholder before any
+    /// publish, and `/` names exactly the table's paths.
     #[test]
     fn every_route_answers_and_the_index_names_exactly_the_routes() {
         let r = static_registry();
@@ -408,9 +435,13 @@ mod tests {
         let port = h.port();
         assert_eq!(ROUTES[ROUTES.len() - 1].0, "/quitz");
         let mut index = String::new();
-        for (path, _) in ROUTES {
+        for (path, _, published) in ROUTES {
             let (head, body) = get(port, path);
             assert!(head.starts_with("HTTP/1.1 200"), "{path}: {head}");
+            if let Some((content_type, placeholder)) = published {
+                assert!(head.contains(content_type), "{path}: {head}");
+                assert_eq!(body, placeholder, "{path}");
+            }
             if path == "/" {
                 index = body;
             }
@@ -421,12 +452,31 @@ mod tests {
             .skip(1)
             .map(|l| l.split_whitespace().next().unwrap_or(""))
             .collect();
-        assert_eq!(named, ROUTES.map(|(path, _)| path));
+        assert_eq!(named, ROUTES.map(|(path, ..)| path));
         let snap = r.snapshot();
-        for (path, _) in ROUTES {
+        for (path, ..) in ROUTES {
             let hits = snap.counter("obs_http_requests_total", &[("path", path)]);
             assert_eq!(hits, 1, "{path}");
         }
+    }
+
+    /// A published route serves its last body: a later publish replaces
+    /// the body, it does not append to it, and leaves other routes alone.
+    #[test]
+    fn a_later_publish_replaces_the_body_it_serves() {
+        let r = static_registry();
+        r.publish([
+            ("/alerts", "first\n".into()),
+            ("/alerts/ndjson", "{}\n".into()),
+        ]);
+        r.publish([("/alerts", "second\n".into())]);
+        let h = serve(r, 0).expect("bind");
+        let port = h.port();
+        assert_eq!(get(port, "/alerts").1, "second\n");
+        assert_eq!(get(port, "/alerts/ndjson").1, "{}\n");
+        let (_, body) = get(port, "/population");
+        assert_eq!(body, "population: no report published yet\n");
+        h.join();
     }
 
     #[test]
@@ -451,9 +501,8 @@ mod tests {
         assert!(body.contains("\"status\":\"ok\""), "{body}");
         assert!(body.contains("\"run_active\":true"), "{body}");
 
-        // The health plane is visible to scrapes as gauges.
+        // Each scrape refreshes the process gauges.
         let (_, body) = get(port, "/metrics");
-        assert!(body.contains("obs_health_done_bytes 100"), "{body}");
         assert!(body.contains("process_open_fds") || crate::process::open_fds().is_none());
 
         let snap = r.snapshot();

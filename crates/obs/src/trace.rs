@@ -13,8 +13,6 @@
 //! telemetry, so the crate's kill switch does not touch it.
 
 use crate::manifest::{fnv64, fnv64_fold};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// FNV-1a 128-bit offset basis.
 const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
@@ -98,87 +96,6 @@ impl SampleCause {
     }
 }
 
-/// Default capacity of a [`TraceLog`].
-pub const TRACE_LOG_CAPACITY: usize = 65_536;
-
-/// A bounded sink of pre-rendered NDJSON lines (the registry's window
-/// log). Unlike the event log, entries carry no wall-clock timestamp —
-/// they are deterministic strings pushed in a deterministic order, so the
-/// log contents are byte-identical across thread counts. Overflow drops
-/// the *newest* lines (and counts them): keeping a deterministic prefix
-/// beats keeping a racy suffix.
-#[derive(Debug)]
-pub struct TraceLog {
-    lines: Mutex<Vec<String>>,
-    capacity: usize,
-    dropped: AtomicU64,
-    /// `event` value of the trailing drop-marker line.
-    marker: &'static str,
-}
-
-impl TraceLog {
-    /// A log holding at most `capacity` lines whose NDJSON drop marker
-    /// is `{"event":"<marker>","count":N}`.
-    pub fn with_capacity_and_marker(capacity: usize, marker: &'static str) -> TraceLog {
-        TraceLog {
-            lines: Mutex::new(Vec::new()),
-            capacity: capacity.max(1),
-            dropped: AtomicU64::new(0),
-            marker,
-        }
-    }
-
-    /// Append one rendered line (no trailing newline).
-    pub fn push(&self, line: String) {
-        let mut lines = self.lines.lock().expect("trace log poisoned");
-        if lines.len() >= self.capacity {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        lines.push(line);
-    }
-
-    /// Number of lines currently held.
-    pub fn len(&self) -> usize {
-        self.lines.lock().expect("trace log poisoned").len()
-    }
-
-    /// Is the log empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lines rejected because the log was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// A point-in-time copy of the held lines, oldest first.
-    pub fn snapshot(&self) -> Vec<String> {
-        self.lines.lock().expect("trace log poisoned").clone()
-    }
-
-    /// Render the contents as NDJSON. If lines were dropped, a final
-    /// marker line says how many — the log is a prefix, not the whole
-    /// story.
-    pub fn render_ndjson(&self) -> String {
-        let lines = self.snapshot();
-        let dropped = self.dropped();
-        let mut out = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum::<usize>() + 1);
-        for line in &lines {
-            out.push_str(line);
-            out.push('\n');
-        }
-        if dropped > 0 {
-            out.push_str(&format!(
-                "{{\"event\":\"{}\",\"count\":{dropped}}}\n",
-                self.marker
-            ));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,21 +117,6 @@ mod tests {
         assert_ne!(s, SpanId::derive(t, "refmap"));
         assert_ne!(s, SpanId::derive(TraceId::derive(7, 4), "classify"));
         assert_eq!(s.to_hex().len(), 16);
-    }
-
-    #[test]
-    fn trace_log_bounds_and_renders() {
-        let log = TraceLog::with_capacity_and_marker(2, "lines_dropped");
-        log.push("{\"a\":1}".to_string());
-        log.push("{\"a\":2}".to_string());
-        log.push("{\"a\":3}".to_string());
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.dropped(), 1);
-        let ndjson = log.render_ndjson();
-        assert!(ndjson.starts_with("{\"a\":1}\n{\"a\":2}\n"));
-        assert!(ndjson
-            .trim_end()
-            .ends_with("{\"event\":\"lines_dropped\",\"count\":1}"));
     }
 
     #[test]

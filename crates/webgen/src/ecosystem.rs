@@ -96,8 +96,7 @@ pub const GIANT_ANALYTICS: usize = 1;
 impl Ecosystem {
     /// Generate an ecosystem from a config.
     pub fn generate(config: EcosystemConfig) -> Ecosystem {
-        let registry = obs::global();
-        let mut span = registry.span("webgen_generate");
+        let mut span = obs::global().span("webgen_generate");
         span.count("publishers", config.publishers as u64);
         span.count("ad_companies", config.ad_companies as u64);
         let mut rng = StdRng::seed_from_u64(config.seed);
@@ -186,7 +185,6 @@ impl Ecosystem {
 
         span.count("servers", servers.len() as u64);
         drop(span);
-        registry.counter("webgen_ecosystems_generated_total").inc();
 
         Ecosystem {
             config,

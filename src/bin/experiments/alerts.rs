@@ -6,7 +6,7 @@
 //! 1. **Pre** — the plain RBN-1 world: the subscription's filter lists
 //!    cover the ad networks actually serving, so the blocked share sits
 //!    at its steady level.
-//! 2. **Post** — the same world after [`Ecosystem::evolve_list_lag`]
+//! 2. **Post** — the same world after [`webgen::Ecosystem::evolve_list_lag`]
 //!    rotated the heaviest ad networks onto sibling domains the stale
 //!    host-anchored rules no longer match. Timestamps are shifted by
 //!    the pre-capture duration, so the cut-over lands at a known window

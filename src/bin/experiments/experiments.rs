@@ -1076,18 +1076,14 @@ fn metrics(world: &World) -> String {
         counters.row(&[label, fmt_count(*v)]);
     }
 
-    // Compiled-engine layout gauges (rules, token buckets, arena bytes),
-    // published at compile time.
+    // The classifier's compiled-engine layout, from its compile stats.
     let mut engine_tbl = TextTable::new("Filter engine", &["Stat", "Value"]);
     if let Some(compiled) = world.classifier.compiled() {
         let s = compiled.stats();
-        engine_tbl.row(&["abp_compiled_rules".to_string(), fmt_count(s.rules as u64)]);
+        engine_tbl.row(&["rules".to_string(), fmt_count(s.rules as u64)]);
+        engine_tbl.row(&["token buckets".to_string(), fmt_count(s.buckets as u64)]);
         engine_tbl.row(&[
-            "abp_compiled_buckets".to_string(),
-            fmt_count(s.buckets as u64),
-        ]);
-        engine_tbl.row(&[
-            "abp_compiled_arena_bytes".to_string(),
+            "arena".to_string(),
             format!("{:.1} KiB", s.arena_bytes as f64 / 1024.0),
         ]);
     }

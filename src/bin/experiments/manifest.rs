@@ -4,7 +4,7 @@
 //! Each subcommand writes its artifacts through [`write_artifact`],
 //! builds a [`RunManifest`] through [`stamp`] (or [`stamp_world`], which
 //! also records the world's identity), decides which artifacts, digest
-//! modes and replay argv to record, and writes it through [`write`] next
+//! modes and replay argv to record, and writes it through [`write()`] next
 //! to the artifacts under [`out_dir`]. The `ANNOYED_EXPERIMENTS_DIR`
 //! variable overrides the default `target/experiments` — that is how
 //! `experiments verify` redirects a replay's artifacts into a scratch

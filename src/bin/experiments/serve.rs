@@ -1,16 +1,13 @@
 //! `experiments serve` / `experiments fetch` — the live scrape mode.
 //!
-//! `serve` binds the [`obs::serve`] endpoint on the global registry
+//! `serve` binds the [`obs::serve()`] endpoint on the global registry
 //! (`--port 0` picks an ephemeral port; `--port-file` writes the bound
 //! port for scripts to poll), then generates the shared world's RBN-1
 //! capture straight into the stream engine, population and alert planes
 //! on, so every scrape of `/metrics`, `/windows`, `/population` and
-//! `/alerts` sees real data. With `--pace`, the
-//! last-window gauges are re-published one closed window at a time with
-//! that many wall-clock seconds between windows — a slow-motion replay
-//! of trace time for watching a live dashboard. After the replay the
-//! process keeps serving until `GET /quitz` (or SIGKILL); `/profile`
-//! serves the stage table of the span histograms.
+//! `/alerts` sees real data. After the replay the process keeps serving
+//! until `GET /quitz` (or SIGKILL); `/profile` serves the stage table of
+//! the span histograms.
 //!
 //! `fetch` is the zero-dependency counterpart of `curl` for CI smoke
 //! tests: it GETs one path, prints the body to stdout, and exits
@@ -29,7 +26,7 @@ use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-pub const SERVE_USAGE: &str = "experiments serve --port N [--port-file PATH] [--pace SECS]
+pub const SERVE_USAGE: &str = "experiments serve --port N [--port-file PATH]
            [--scale small|medium|large] [--seed N] [--threads N]";
 pub const FETCH_USAGE: &str = "experiments fetch --port N --path <p> [--retries N]
            [--check-metrics] [--check-ndjson]";
@@ -38,7 +35,6 @@ pub const FETCH_USAGE: &str = "experiments fetch --port N --path <p> [--retries 
 pub fn run_serve(args: &[String]) -> ! {
     let mut port: Option<u16> = None;
     let mut port_file: Option<PathBuf> = None;
-    let mut pace: f64 = 0.0;
     let mut scale = Scale::Small;
     let mut seed: u64 = 0x5eed;
     let mut threads = parallel::available_parallelism();
@@ -47,7 +43,6 @@ pub fn run_serve(args: &[String]) -> ! {
         match flag {
             "--port" => port = Some(a.parsed(flag)),
             "--port-file" => port_file = Some(a.path(flag)),
-            "--pace" => pace = a.bounded(flag, 0.0..=f64::MAX),
             "--scale" => scale = a.parsed(flag),
             "--seed" => seed = a.parsed(flag),
             "--threads" => threads = a.bounded(flag, 1..),
@@ -68,8 +63,8 @@ pub fn run_serve(args: &[String]) -> ! {
     // Replay: build the world and stream RBN-1 through the engine, which
     // records into the global registry and publishes what it merges: the
     // window series; the population plane, so `/population`,
-    // `/population/ndjson` and the `obs_sketch_*` / class gauges serve real
-    // data; and the built-in rule pack's timeline, so `/alerts`,
+    // `/population/ndjson` and the class gauges serve real data; and the
+    // built-in rule pack's timeline, so `/alerts`,
     // `/alerts/ndjson`, `/statusz` and the `obs_alerts_*` metrics do. A
     // clean RBN-1 replay keeps every page-severity rule idle, so `/healthz`
     // stays "ok" — the CI smoke gate checks exactly that.
@@ -108,32 +103,9 @@ pub fn run_serve(args: &[String]) -> ! {
         alerts.firing().len()
     );
 
-    // Optional slow-motion replay of the windowed series for dashboard
-    // watching: re-publish the last-window gauges one window at a time.
-    if pace > 0.0 {
-        for w in &report.windows.windows {
-            let requests = w.counter("requests");
-            let ads = w.counter("ads");
-            registry
-                .gauge("adscope_window_last_requests")
-                .set(requests as f64);
-            if requests > 0 {
-                registry
-                    .gauge("adscope_window_last_ad_share_pct")
-                    .set(100.0 * ads as f64 / requests as f64);
-            }
-            std::thread::sleep(Duration::from_secs_f64(pace));
-            if handle.shutdown_requested() {
-                break;
-            }
-        }
-    }
-
     // Manifest: a live endpoint writes no artifact, so the run carries no
     // replay argv; the stamp records the world it served.
-    let mut m = manifest::stamp_world("serve", &world);
-    m.config("pace_secs", pace);
-    manifest::write(m, None);
+    manifest::write(manifest::stamp_world("serve", &world), None);
 
     eprintln!("[serve] ready; GET /quitz to stop");
     while !handle.shutdown_requested() {

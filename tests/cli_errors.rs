@@ -70,7 +70,6 @@ const SUBS: &[Sub] = &[
         flags: &[
             ("--port", Parsed),
             ("--port-file", Text),
-            ("--pace", Parsed),
             ("--scale", Parsed),
             ("--seed", Parsed),
             ("--threads", Positive),
