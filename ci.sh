@@ -48,6 +48,7 @@ ledger() {
 }
 echo "    adscope + netsim:     $(ledger crates/adscope/src crates/netsim/src)"
 echo "    obs:                  $(ledger crates/obs/src)"
+echo "    abp-filter:           $(ledger crates/abp-filter/src)"
 echo "    src/bin/experiments:  $(ledger src/bin/experiments)"
 # One argv cursor (cli.rs): a hand-rolled flag loop must not come back.
 if grep -n 'while i < args.len()' src/bin/experiments/*.rs; then exit 1; fi
@@ -143,6 +144,12 @@ if grep -nE 'hiding_by_domain|DocIndex' crates/abp-filter/src/engine.rs; then ex
 if grep -rnE 'TraceLog|set_population|set_alerts|record_health_gauges|obs_sketch_' \
   crates/*/src crates/*/tests src tests; then exit 1; fi
 if grep -rn -- '--pace' src tests; then exit 1; fi
+# Each fact is recorded once: a span is its `{name}_duration_ns` histogram
+# and a stall is the health plane's flag and count, so no event log, no
+# counts riding on a span, no stall series and no drop counter may come back.
+if grep -rnE 'EventLog|FieldValue|events_ndjson|fn event\(&self|\.count\("|obs_health_stall|obs_events_dropped' \
+  crates/*/src crates/*/tests src tests; then exit 1; fi
+if grep -rn 'fn event(' crates/obs/src; then exit 1; fi
 
 gate "cargo test -q"
 cargo test -q
@@ -170,8 +177,8 @@ done
 echo "    20 of 20 runs green"
 
 gate "obs health tests 20x at --test-threads=8 (watchdog publish-order gate)"
-# The watchdog used to publish the stall flag before its counter, so a
-# reader could see `stalled` with `obs_health_stalls_total` still 0.
+# The watchdog used to publish the stall flag before its count, so a reader
+# could see `stalled` with no stall counted yet.
 for i in $(seq 1 20); do
   cargo test -q -p obs --lib health:: -- --test-threads=8 \
     >/dev/null 2>&1 || { echo "    obs health tests failed on run $i of 20"; exit 1; }
@@ -220,7 +227,6 @@ grep -q "exposition: VALID" <<<"$metrics_out"
 test -s target/experiments/metrics.prom
 grep -q '^# TYPE ' target/experiments/metrics.prom
 grep -q '^adscope_requests_classified_total ' target/experiments/metrics.prom
-test -s target/experiments/events.ndjson
 
 gate "experiments explain (provenance gate)"
 explain_out="$(./target/release/experiments explain --url http://niceads.example/banner.gif)"

@@ -105,6 +105,10 @@ struct Router<'a> {
     worker_gone: bool,
     /// Each worker's `adscope_stream_queue_depth` gauge, set after every send.
     queue_depth: Vec<obs::Gauge>,
+    /// Each worker's `adscope_stream_send_stalls_total` counter, registered
+    /// beside its gauge, so a run with no stall exports zero.
+    send_stalls: Vec<obs::Counter>,
+    /// Each worker channel's stall count as of the last add to its counter.
     last_stalls: Vec<u64>,
     run_chunks: u64,
     /// The checkpoint the last barrier cut, until [`Router::write_parked`]
@@ -206,6 +210,15 @@ pub(super) fn run_stream<S: ChunkSource, F: Fold>(
             senders.push(tx);
         }
 
+        let (queue_depth, send_stalls) = (0..nworkers)
+            .map(|i| {
+                let label = [("worker", &*i.to_string())];
+                (
+                    registry.gauge_with("adscope_stream_queue_depth", &label),
+                    registry.counter_with("adscope_stream_send_stalls_total", &label),
+                )
+            })
+            .unzip();
         let mut router = Router {
             opts,
             registry,
@@ -221,11 +234,8 @@ pub(super) fn run_stream<S: ChunkSource, F: Fold>(
             batches: (0..nworkers).map(|_| Vec::new()).collect(),
             batch_reserve: opts.chunk_records.div_ceil(nworkers).min(BATCH_RECORDS),
             worker_gone: false,
-            queue_depth: (0..nworkers)
-                .map(|i| {
-                    registry.gauge_with("adscope_stream_queue_depth", &[("worker", &i.to_string())])
-                })
-                .collect(),
+            queue_depth,
+            send_stalls,
             last_stalls: vec![0u64; nworkers],
             run_chunks: 0,
             parked: None,
@@ -388,12 +398,7 @@ impl<'a> Router<'a> {
         self.queue_depth[widx].set(stats.depth() as f64);
         let stalls = stats.send_stalls();
         if stalls > self.last_stalls[widx] {
-            self.registry
-                .counter_with(
-                    "adscope_stream_send_stalls_total",
-                    &[("worker", &widx.to_string())],
-                )
-                .add(stalls - self.last_stalls[widx]);
+            self.send_stalls[widx].add(stalls - self.last_stalls[widx]);
             self.last_stalls[widx] = stalls;
         }
     }

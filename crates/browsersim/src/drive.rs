@@ -179,18 +179,13 @@ fn simulate(
     config: &DriveConfig,
     mut emit: impl FnMut(Vec<TraceRecord>) -> bool,
 ) -> StreamDriveOutput {
-    let mut span = obs::global().span_with("browsersim_drive", &[("trace", &config.name)]);
-    // Per-iteration tallies stay in locals; the span's event carries their
-    // totals at the end of the drive.
-    let mut visits_total = 0u64;
-    let mut bursts_total = 0u64;
+    let span = obs::global().span_with("browsersim_drive", &[("trace", &config.name)]);
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut capture = Capture::new(config.meta(population.households), config.seed ^ 0xA0A0);
     let mut ground_truth = vec![BrowserGroundTruth::default(); population.browsers.len()];
     let mut was_active = vec![false; population.browsers.len()];
 
     let n_slices = (config.duration_secs / config.slice_secs).ceil() as usize;
-    let mut records_total = 0u64;
     for slice in 0..n_slices {
         let t0 = slice as f64 * config.slice_secs;
         // --- Browsers ---
@@ -218,7 +213,6 @@ fn simulate(
                 }
             }
             was_active[bi] = true;
-            visits_total += visits as u64;
             for _ in 0..visits {
                 let ts = t0 + rng.gen_range(0.0..config.slice_secs);
                 let pub_idx = pick_site(eco, ts, config, &mut rng);
@@ -248,7 +242,6 @@ fn simulate(
                 * (config.slice_secs / 3600.0)
                 * profile.weight(t0, config.start_hour, config.start_weekday, false);
             let bursts = sample_poisson(expected, &mut rng);
-            bursts_total += bursts as u64;
             for _ in 0..bursts {
                 let ts = t0 + rng.gen_range(0.0..config.slice_secs);
                 for ev in device.burst(eco, ts, &mut rng) {
@@ -260,22 +253,15 @@ fn simulate(
         // event can be earlier) — flush it. Events spilling past the
         // slice edge stay buffered until their cutoff passes.
         let batch = capture.drain_before((slice + 1) as f64 * config.slice_secs);
-        if !batch.is_empty() {
-            records_total += batch.len() as u64;
-            if !emit(batch) {
-                break;
-            }
+        if !batch.is_empty() && !emit(batch) {
+            break;
         }
     }
     let (trace, addr_map) = capture.finish_with_mapping();
     let meta = trace.meta;
     if !trace.records.is_empty() {
-        records_total += trace.records.len() as u64;
         let _ = emit(trace.records);
     }
-    span.count("page_visits", visits_total);
-    span.count("device_bursts", bursts_total);
-    span.count("records", records_total);
     drop(span);
     StreamDriveOutput {
         meta,

@@ -146,16 +146,14 @@ pub fn record_to_json(r: &TraceRecord) -> String {
 }
 
 /// Write a trace to any sink: the header, then every record through
-/// [`TraceWriter`]; the `netsim_codec{op=write}` span counts both.
+/// [`TraceWriter`]; the `netsim_codec{op=write}` span times both.
 pub fn write_trace<W: Write>(trace: &Trace, sink: W) -> Result<(), CodecError> {
-    let mut span = obs::global().span_with("netsim_codec", &[("op", "write")]);
+    let _span = obs::global().span_with("netsim_codec", &[("op", "write")]);
     let mut writer = TraceWriter::new(sink, &trace.meta)?;
     for r in &trace.records {
         writer.write_record(r)?;
     }
-    let (records, bytes) = writer.finish()?;
-    span.count("records", records);
-    span.count("bytes", bytes);
+    writer.finish()?;
     Ok(())
 }
 

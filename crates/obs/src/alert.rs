@@ -442,7 +442,7 @@ impl AlertEngine {
                 "{{\"event\":\"alert\",\"window\":{},\"rule\":",
                 e.window_index
             );
-            crate::events::write_json_str(&mut out, &self.rules[e.rule].name);
+            crate::json::write_json_str(&mut out, &self.rules[e.rule].name);
             let _ = writeln!(
                 out,
                 ",\"kind\":\"{}\",\"severity\":\"{}\",\"value\":{},\"score\":{}}}",

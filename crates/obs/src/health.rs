@@ -13,13 +13,13 @@
 //! The ledger is monotonic by construction — done-bytes is a
 //! `fetch_max` over absolute offsets, records/chunks only add — so a
 //! watcher polling `/statusz` never sees progress move backwards, even
-//! mid-merge. The [`Watchdog`] is a tiny thread that flips the
-//! `stalled` flag and emits a structured `health_stall` event when
-//! *nothing* (router or any worker) has progressed inside the wall-time
-//! budget, and clears it (emitting `health_recovered`) as soon as
-//! progress resumes. A finished run is never stalled.
+//! mid-merge. The [`Watchdog`] is a tiny thread that counts a stall and
+//! flips the `stalled` flag when *nothing* (router or any worker) has
+//! progressed inside the wall-time budget, and clears the flag as soon as
+//! progress resumes. A finished run is never stalled. The stall flag and
+//! count live here alone: `/healthz` and `/statusz` read them from the
+//! [`HealthSnapshot`].
 
-use crate::events::FieldValue;
 use crate::registry::Registry;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -213,8 +213,8 @@ impl Health {
     }
 
     /// Is the watchdog currently reporting a stall? Pairs with the
-    /// `Release` in the watchdog's `Health::flag_stall`: a reader that sees `true` also
-    /// sees the stall counter, gauge and event published before it.
+    /// `Release` in the watchdog's `Health::flag_stall`: a reader that sees
+    /// `true` also sees the stall count bumped before it.
     pub fn stalled(&self) -> bool {
         self.stalled.load(Ordering::Acquire)
     }
@@ -260,23 +260,21 @@ impl Health {
     }
 
     /// Watchdog-side transition into the stalled state; a no-op when
-    /// already stalled. `announce` (the watchdog's counter, gauge and
-    /// event) runs before the flag is published (`Release`, read with
-    /// `Acquire` in [`Health::stalled`]), so nobody can observe the stall
-    /// without them. Only the watchdog thread sets the flag, so
-    /// check-then-set cannot announce one stall twice.
-    fn flag_stall(&self, announce: impl FnOnce()) {
+    /// already stalled. The count is bumped before the flag is published
+    /// (`Release`, read with `Acquire` in [`Health::stalled`]), so nobody
+    /// can observe the stall without it. Only the watchdog thread sets the
+    /// flag, so check-then-set cannot count one stall twice.
+    fn flag_stall(&self) {
         if self.stalled.load(Ordering::Relaxed) {
             return;
         }
         self.stalls.fetch_add(1, Ordering::Relaxed);
-        announce();
         self.stalled.store(true, Ordering::Release);
     }
 
-    /// Watchdog-side recovery. Returns true if this call cleared it.
-    fn clear_stall(&self) -> bool {
-        self.stalled.swap(false, Ordering::Relaxed)
+    /// Watchdog-side recovery.
+    fn clear_stall(&self) {
+        self.stalled.store(false, Ordering::Relaxed);
     }
 }
 
@@ -309,11 +307,9 @@ impl Drop for Watchdog {
 
 /// Spawn a watchdog over `registry`'s health plane: while a run is
 /// active, if no router advance and no worker beat lands within
-/// `budget`, bump `obs_health_stalls_total`, set the
-/// `obs_health_stalled` gauge, emit a `health_stall` event and then flip
-/// the stalled flag (last, so whoever sees the flag sees the rest);
-/// clear and emit `health_recovered` when progress resumes. The loop
-/// polls at `budget / 4` clamped to [10 ms, 250 ms], so a stall is
+/// `budget`, count the stall and then flip the stalled flag (last, so
+/// whoever sees the flag sees the count); clear it when progress resumes.
+/// The loop polls at `budget / 4` clamped to [10 ms, 250 ms], so a stall is
 /// flagged within ~1.25× the budget.
 pub fn spawn_watchdog(registry: &'static Registry, budget: Duration) -> std::io::Result<Watchdog> {
     let shutdown = Arc::new(AtomicBool::new(false));
@@ -326,36 +322,13 @@ pub fn spawn_watchdog(registry: &'static Registry, budget: Duration) -> std::io:
             let health = registry.health();
             while !flag.load(Ordering::Relaxed) {
                 std::thread::sleep(tick);
-                if !health.active() {
-                    if health.clear_stall() {
-                        registry.gauge("obs_health_stalled").set(0.0);
-                    }
-                    continue;
-                }
-                let now = registry.elapsed_ns();
-                let idle = now.saturating_sub(health.last_progress_ns());
-                if idle > budget_ns {
-                    health.flag_stall(|| {
-                        registry.counter("obs_health_stalls_total").inc();
-                        registry.gauge("obs_health_stalled").set(1.0);
-                        registry.event(
-                            "health_stall",
-                            vec![
-                                ("idle_ms", FieldValue::U64(idle / 1_000_000)),
-                                ("budget_ms", FieldValue::U64(budget_ns / 1_000_000)),
-                                (
-                                    "done_records",
-                                    FieldValue::U64(health.snapshot().done_records),
-                                ),
-                            ],
-                        );
-                    });
-                } else if health.clear_stall() {
-                    registry.gauge("obs_health_stalled").set(0.0);
-                    registry.event(
-                        "health_recovered",
-                        vec![("idle_ms", FieldValue::U64(idle / 1_000_000))],
-                    );
+                let idle = registry
+                    .elapsed_ns()
+                    .saturating_sub(health.last_progress_ns());
+                if health.active() && idle > budget_ns {
+                    health.flag_stall();
+                } else {
+                    health.clear_stall();
                 }
             }
         })?;
@@ -371,7 +344,7 @@ pub enum Verdict {
     /// Everything nominal.
     Ok,
     /// Progressing, but something was lost or recovered along the way
-    /// (dropped event lines, quarantined poison, a paging alert).
+    /// (quarantined poison, a paging alert).
     Degraded,
     /// The watchdog says nothing is progressing.
     Stalled,
@@ -389,22 +362,21 @@ impl Verdict {
 }
 
 /// Compute the current verdict: stalled beats degraded beats ok.
-/// Degraded means lossy-but-alive: the event log dropped lines, or
-/// poison records were quarantined — or the alert plane has a
-/// page-severity alert firing (see [`crate::alert`]). Dataset-quality
-/// degradation reasons (content-type fallbacks, refmap misses, ...)
-/// deliberately do NOT trip it — they describe the input, not the run's
-/// health, and are non-zero on every realistic trace.
+/// Degraded means lossy-but-alive: poison records were quarantined, or
+/// the alert plane has a page-severity alert firing (see
+/// [`crate::alert`]). Dataset-quality degradation reasons (content-type
+/// fallbacks, refmap misses, ...) deliberately do NOT trip it — they
+/// describe the input, not the run's health, and are non-zero on every
+/// realistic trace.
 pub fn verdict(registry: &Registry) -> Verdict {
     if registry.health().stalled() {
         return Verdict::Stalled;
     }
     let snap = registry.snapshot();
-    let lossy = snap.counter_sum("obs_events_dropped_total")
-        + snap.counter(
-            "adscope_degradation_total",
-            &[("reason", "poisoned_records")],
-        );
+    let lossy = snap.counter(
+        "adscope_degradation_total",
+        &[("reason", "poisoned_records")],
+    );
     let paging = matches!(
         snap.get("obs_alerts_firing", &[("severity", "page")]),
         Some(crate::registry::SampleValue::Gauge(g)) if *g > 0.0
@@ -561,12 +533,12 @@ pub fn render_statusz_ndjson(registry: &Registry) -> String {
     let snap = registry.snapshot();
     let mut out = String::with_capacity(512);
     out.push_str("{\"event\":\"statusz\",\"status\":");
-    crate::events::write_json_str(&mut out, v.as_str());
+    crate::json::write_json_str(&mut out, v.as_str());
     out.push_str(",\"run\":");
-    crate::events::write_json_str(&mut out, &s.label);
+    crate::json::write_json_str(&mut out, &s.label);
     out.push_str(",\"manifest\":");
     match &s.header {
-        Some(h) => crate::events::write_json_str(&mut out, h),
+        Some(h) => crate::json::write_json_str(&mut out, h),
         None => out.push_str("null"),
     }
     let _ = write!(
@@ -687,7 +659,8 @@ mod tests {
             }
         }
         assert!(saw_stall, "watchdog never flagged the stall");
-        assert_eq!(r.snapshot().counter("obs_health_stalls_total", &[]), 1);
+        // Whoever sees the flag sees the count bumped before it.
+        assert_eq!(h.snapshot().stalls, 1);
         // Progress resumes: the flag must clear.
         h.advance(r.elapsed_ns(), 10, 1, 1);
         let mut recovered = false;
@@ -705,8 +678,6 @@ mod tests {
         std::thread::sleep(Duration::from_millis(150));
         assert!(!h.stalled());
         wd.join();
-        let events = r.events_ndjson();
-        assert!(events.contains("\"event\":\"health_stall\""), "{events}");
     }
 
     #[test]
@@ -725,7 +696,7 @@ mod tests {
         .inc();
         assert_eq!(verdict(&r), Verdict::Degraded);
         r.health().begin_run("t", 0, 0);
-        r.health().flag_stall(|| {});
+        r.health().flag_stall();
         assert_eq!(verdict(&r), Verdict::Stalled);
         r.health().clear_stall();
         assert_eq!(verdict(&r), Verdict::Degraded);

@@ -3,15 +3,16 @@
 //! The pipeline is a multi-stage funnel (extract → refmap → content-type
 //! inference → normalize → ABP match → user inference), and every perf or
 //! scaling claim about it needs to know *where* requests, bytes and time
-//! go. This crate is the measurement substrate: a structured-event core
-//! small enough to live below every other crate in the workspace.
+//! go. This crate is the measurement substrate: metrics, span timers and
+//! a run-health plane, small enough to live below every other crate in the
+//! workspace.
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Zero dependencies** — `obs` sits underneath `netsim`, `abp-filter`
-//!    and `adscope`, so it can only use `std`. (Its NDJSON output is
+//!    and `adscope`, so it can only use `std`. (Its NDJSON bodies are
 //!    escaped by [`write_json_str`], which `netsim::json::write_str`
-//!    delegates to, and the integration tests parse it back with
+//!    delegates to, and the integration tests parse them back with
 //!    `netsim::json::parse`.)
 //! 2. **Atomic hot paths** — [`Counter::add`] and [`Histogram::record`]
 //!    are one relaxed atomic RMW each. Registry lookups (hashing, a
@@ -25,19 +26,19 @@
 //!    suite measures the instrumentation overhead against an
 //!    uninstrumented baseline.
 //!
-//! Two snapshot-consistent sinks render a [`Registry`]:
-//! [`Registry::render_prometheus`] (text exposition, see [`prometheus`])
-//! and [`Registry::events_ndjson`] (the structured span/event log, see
-//! [`events`]). The span histograms are the one record of wall time;
-//! [`span::render_stages`] renders them as the stage table.
+//! Each fact is recorded once. [`Registry::render_prometheus`] renders a
+//! snapshot of the metrics (text exposition, see [`prometheus`]); the span
+//! histograms are the one record of wall time, and
+//! [`span::render_stages`] renders them as the stage table; a stall lives
+//! in the health plane alone ([`Health`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alert;
 pub mod detect;
-pub mod events;
 pub mod health;
+pub mod json;
 pub mod manifest;
 pub mod metric;
 pub mod process;
@@ -54,8 +55,8 @@ pub use alert::{
     Severity,
 };
 pub use detect::{Detector, DetectorSpec};
-pub use events::{find_newline, find_string_stop, write_json_str, Event, EventLog, FieldValue};
 pub use health::{spawn_watchdog, Health, HealthSnapshot, Verdict, Watchdog, WorkerHealth};
+pub use json::{find_newline, find_string_stop, write_json_str};
 pub use manifest::{
     atomic_write, atomic_write_with, fnv64, fnv64_file, fnv64_lines_unordered, sum64,
     sweep_temp_files, Artifact, DigestMode, RunManifest, Sum64,

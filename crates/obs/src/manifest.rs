@@ -16,7 +16,7 @@
 //!   nondeterminism (the quarantine sidecar) doesn't matter.
 //! * [`DigestMode::Recorded`] — the digest is stamped for
 //!   tamper-evidence only; replay comparison is skipped (timing-bearing
-//!   artifacts like `metrics.prom`, `events.ndjson`, checkpoints).
+//!   artifacts like `metrics.prom`, checkpoints).
 //!
 //! The manifest is rendered as a single deterministic JSON object
 //! (strings through [`write_json_str`]; `experiments verify` parses it
@@ -24,7 +24,7 @@
 //! tmp file, then rename — so a crashed run never leaves a torn
 //! manifest next to a complete artifact.
 
-use crate::events::write_json_str;
+use crate::json::write_json_str;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, Read, Write as _};

@@ -1,7 +1,7 @@
-//! The [`Registry`]: a named, labeled collection of metrics plus an
-//! event log, with deterministic snapshots for the two sinks.
+//! The [`Registry`]: a named, labeled collection of metrics, with
+//! deterministic snapshots for the exposition, plus the run-health plane
+//! and the bodies `serve` publishes.
 
-use crate::events::{Event, EventLog, FieldValue};
 use crate::health::Health;
 use crate::metric::{Counter, Gauge, Histogram, HistogramSnapshot};
 use crate::span::Span;
@@ -119,8 +119,8 @@ impl Snapshot {
     }
 }
 
-/// A collection of metrics, an event log, the run-health plane and the
-/// bodies published for `serve`'s routes.
+/// A collection of metrics, the run-health plane and the bodies published
+/// for `serve`'s routes.
 ///
 /// Handle acquisition (`counter`, `histogram_with`, …) takes a write
 /// lock once per (name, labels) pair; the returned handles are lock-free
@@ -129,7 +129,6 @@ impl Snapshot {
 pub struct Registry {
     start: Instant,
     metrics: RwLock<HashMap<MetricKey, MetricEntry>>,
-    events: EventLog,
     health: Health,
     bodies: RwLock<HashMap<&'static str, String>>,
 }
@@ -146,13 +145,13 @@ impl Registry {
         Registry {
             start: Instant::now(),
             metrics: RwLock::new(HashMap::new()),
-            events: EventLog::default(),
             health: Health::default(),
             bodies: RwLock::new(HashMap::new()),
         }
     }
 
-    /// Nanoseconds since this registry was created (event timestamps).
+    /// Nanoseconds since this registry was created (the health plane's
+    /// clock).
     pub fn elapsed_ns(&self) -> u64 {
         self.start.elapsed().as_nanos() as u64
     }
@@ -223,32 +222,14 @@ impl Registry {
     }
 
     /// Start an unlabeled span timer (see [`Span`]).
-    pub fn span(&self, name: &'static str) -> Span<'_> {
+    pub fn span(&self, name: &'static str) -> Span {
         self.span_with(name, &[])
     }
 
     /// Start a labeled span timer. On drop it records into the
-    /// `{name}_duration_ns` histogram and logs a `span` event.
-    pub fn span_with(&self, name: &'static str, labels: &[(&str, &str)]) -> Span<'_> {
+    /// `{name}_duration_ns` histogram.
+    pub fn span_with(&self, name: &'static str, labels: &[(&str, &str)]) -> Span {
         Span::start(self, name, labels)
-    }
-
-    /// Append a structured event (timestamped against this registry's
-    /// clock). A no-op while recording is disabled.
-    pub fn event(&self, name: &'static str, fields: Vec<(&'static str, FieldValue)>) {
-        if !crate::enabled() {
-            return;
-        }
-        self.events.push(Event {
-            ts_ns: self.elapsed_ns(),
-            name,
-            fields,
-        });
-    }
-
-    /// The event log.
-    pub fn events(&self) -> &EventLog {
-        &self.events
     }
 
     /// The live run-health plane (heartbeats, progress ledger, stall
@@ -258,11 +239,6 @@ impl Registry {
     }
 
     /// A deterministic (sorted) point-in-time copy of all metrics.
-    ///
-    /// The event log's drop count surfaces here as a synthetic
-    /// `obs_events_dropped_total` counter — but only once non-zero, so
-    /// truncation is visible in `/metrics` without padding every
-    /// snapshot with a zero sample.
     pub fn snapshot(&self) -> Snapshot {
         let map = self.metrics.read().expect("registry");
         let mut samples: Vec<(MetricKey, SampleValue)> = map
@@ -277,11 +253,6 @@ impl Registry {
             })
             .collect();
         drop(map);
-        let dropped = self.events.dropped();
-        if dropped > 0 {
-            let key = MetricKey::new("obs_events_dropped_total", &[]);
-            samples.push((key, SampleValue::Counter(dropped)));
-        }
         samples.sort_by(|(a, _), (b, _)| a.cmp(b));
         Snapshot { samples }
     }
@@ -289,11 +260,6 @@ impl Registry {
     /// Render all metrics in the Prometheus text exposition format.
     pub fn render_prometheus(&self) -> String {
         crate::prometheus::render(&self.snapshot())
-    }
-
-    /// Render the event log as NDJSON.
-    pub fn events_ndjson(&self) -> String {
-        self.events.render_ndjson()
     }
 
     /// Install pre-rendered bodies for `serve`'s published routes
@@ -379,16 +345,5 @@ mod tests {
         assert_eq!(m.counter("only2_total", &[]), 7);
         assert_eq!(m.histogram("h_ns", &[]).unwrap().count(), 2);
         assert!(matches!(m.get("g", &[]), Some(SampleValue::Gauge(v)) if *v == 2.0));
-    }
-
-    #[test]
-    fn events_are_timestamped_and_ordered() {
-        let r = Registry::new();
-        r.event("first", vec![]);
-        r.event("second", vec![("n", FieldValue::U64(1))]);
-        let snap = r.events().snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0].name, "first");
-        assert!(snap[0].ts_ns <= snap[1].ts_ns);
     }
 }

@@ -7,7 +7,8 @@
 //!
 //! * `/metrics`  — Prometheus text exposition (the existing encoder).
 //! * `/healthz`  — liveness JSON (tri-state `ok`/`degraded`/`stalled`
-//!   verdict from [`crate::health`], uptime, sink depths).
+//!   verdict from [`crate::health`], uptime, published window lines, run
+//!   state, stall count).
 //! * `/statusz`  — the live run-health plane: manifest header, progress
 //!   ledger, per-worker liveness, ETA (`/statusz/ndjson` for machines).
 //! * `/windows`, `/population[/ndjson]`, `/alerts[/ndjson]` — the bodies
@@ -321,11 +322,10 @@ fn route(
                 "200 OK",
                 "application/json",
                 format!(
-                    "{{\"status\":\"{}\",\"uptime_ns\":{},\"events\":{},\"windows\":{},\
+                    "{{\"status\":\"{}\",\"uptime_ns\":{},\"windows\":{},\
                      \"run_active\":{},\"stalls\":{}}}\n",
                     verdict.as_str(),
                     registry.elapsed_ns(),
-                    registry.events().len(),
                     registry.body("/windows").lines().count(),
                     health.active,
                     health.stalls,
@@ -511,6 +511,25 @@ mod tests {
             1
         );
         h.join();
+    }
+
+    /// `/healthz` is the verdict and four facts, in this order, and
+    /// nothing else.
+    #[test]
+    fn healthz_is_exactly_its_five_keys_in_order() {
+        let r = static_registry();
+        let h = serve(r, 0).expect("bind");
+        let (_, body) = get(h.port(), "/healthz");
+        h.join();
+        let keys: Vec<&str> = body
+            .trim_end()
+            .trim_start_matches('{')
+            .trim_end_matches('}')
+            .split(',')
+            .map(|field| field.split(':').next().unwrap_or("").trim_matches('"'))
+            .collect();
+        let want = ["status", "uptime_ns", "windows", "run_active", "stalls"];
+        assert_eq!(keys, want, "{body}");
     }
 
     #[test]

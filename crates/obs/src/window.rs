@@ -92,7 +92,7 @@ impl ClosedWindow {
         use std::fmt::Write;
         let mut out = String::with_capacity(128);
         out.push_str("{\"event\":\"window\",\"scope\":");
-        crate::events::write_json_str(&mut out, scope);
+        crate::json::write_json_str(&mut out, scope);
         let _ = write!(
             out,
             ",\"index\":{},\"start_secs\":{},\"width_secs\":{}",

@@ -50,12 +50,11 @@ fn concurrent_scrapes_see_consistent_expositions_and_exact_counts() {
             while !stop.load(Ordering::Relaxed) {
                 i += 1;
                 // Churn every surface a scrape renders: counters with
-                // fresh label values, histograms, events, and full
+                // fresh label values, histograms, and full
                 // health-plane run cycles with worker registration.
                 r.counter_with("hammer_labeled_total", &[("shard", &(i % 7).to_string())])
                     .add(1);
                 r.histogram("hammer_duration_ns").record(i * 37);
-                r.event("hammer_tick", vec![("i", obs::FieldValue::U64(i))]);
                 health.begin_run(&format!("hammer-run-{i}"), 1000, i);
                 for w in 0..3 {
                     health.worker(w).beat(i, 5);

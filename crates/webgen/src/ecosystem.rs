@@ -96,9 +96,7 @@ pub const GIANT_ANALYTICS: usize = 1;
 impl Ecosystem {
     /// Generate an ecosystem from a config.
     pub fn generate(config: EcosystemConfig) -> Ecosystem {
-        let mut span = obs::global().span("webgen_generate");
-        span.count("publishers", config.publishers as u64);
-        span.count("ad_companies", config.ad_companies as u64);
+        let span = obs::global().span("webgen_generate");
         let mut rng = StdRng::seed_from_u64(config.seed);
         let asns = AsRegistry::standard();
         let mut servers = ServerRegistry::new();
@@ -183,7 +181,6 @@ impl Ecosystem {
 
         let lists = GeneratedLists::generate(&companies, &publishers, self_platform_publisher);
 
-        span.count("servers", servers.len() as u64);
         drop(span);
 
         Ecosystem {

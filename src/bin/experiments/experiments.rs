@@ -1013,7 +1013,7 @@ fn validation(world: &World) -> String {
 /// four-household drive covers browsersim, and its codec round-trip the
 /// netsim reader and writer), prints the stage table `/profile` serves
 /// (one row per span histogram) and the counter tables, and writes
-/// `metrics.prom` + `events.ndjson` under `target/experiments/`.
+/// `metrics.prom` under `target/experiments/`.
 fn metrics(world: &World) -> String {
     let mut pop = Population::generate(
         &world.eco,
@@ -1133,24 +1133,18 @@ fn metrics(world: &World) -> String {
         },
     ]);
 
-    // The two sink artifacts, validated before they are written: the
-    // exposition by obs's own parser, the event log line-by-line with
-    // netsim's strict JSON parser (the escaping-compatibility contract).
+    // The exposition artifact, validated by obs's own parser before it is
+    // written.
     let prom = registry.render_prometheus();
     let samples =
         obs::validate_exposition(&prom).expect("Prometheus exposition must be well-formed");
-    let ndjson = registry.events_ndjson();
-    let events =
-        crate::manifest::check_ndjson(&ndjson).expect("every NDJSON event line must parse as JSON");
     let dir = crate::manifest::out_dir();
     crate::manifest::write_artifact(&dir.join("metrics.prom"), &prom);
-    crate::manifest::write_artifact(&dir.join("events.ndjson"), &ndjson);
 
     format!(
         "## Metrics — per-stage observability exposition\n\
          ## Stages (wall time, span histograms)\n{}\n{}\n{}\n{}\n{}\n\
-         exposition: VALID ({samples} samples) -> {dir}/metrics.prom\n\
-         event log:  VALID ({events} events)   -> {dir}/events.ndjson\n",
+         exposition: VALID ({samples} samples) -> {dir}/metrics.prom\n",
         obs::span::render_stages(&snap),
         counters.render(),
         engine_tbl.render(),

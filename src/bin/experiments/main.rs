@@ -133,10 +133,9 @@ fn stamp_id(id: &str, section: &str, world: &World) {
     };
     manifest::add_artifact(&mut m, &format!("{id}.txt"), &txt, mode);
     if id == "metrics" {
-        // Timing-bearing sinks written by the experiment itself.
-        for name in ["metrics.prom", "events.ndjson"] {
-            manifest::add_artifact(&mut m, name, &dir.join(name), obs::DigestMode::Recorded);
-        }
+        // The timing-bearing exposition the experiment writes itself.
+        let name = "metrics.prom";
+        manifest::add_artifact(&mut m, name, &dir.join(name), obs::DigestMode::Recorded);
     }
     manifest::write(m, None);
 }

@@ -46,6 +46,7 @@ const SERIES: &[(&str, &str)] = &[
         "ci.sh exposition gate; stream tests",
     ),
     ("adscope_stream_queue_depth", "/statusz worker table"),
+    ("adscope_stream_send_stalls_total", "e2e stream.send_stalls"),
     ("browsersim_drive_duration_ns", "/profile stage table"),
     ("netsim_lossy_bytes_read_total", "netsim metrics_codec test"),
     (
@@ -60,13 +61,6 @@ const SERIES: &[(&str, &str)] = &[
     ("obs_population_class_users", "/statusz classes line"),
     ("webgen_generate_duration_ns", "/profile stage table"),
 ];
-
-/// Series the run registers only when the box's timing makes them count,
-/// each with its reader.
-const TIMED: &[(&str, &str)] = &[(
-    "adscope_stream_send_stalls_total",
-    "e2e stream.send_stalls; registered at the first send that finds a full queue",
-)];
 
 #[test]
 fn a_run_exports_only_series_that_have_a_reader() {
@@ -141,7 +135,6 @@ fn a_run_exports_only_series_that_have_a_reader() {
     let snap = obs::global().snapshot();
     let mut names: Vec<&str> = snap.samples.iter().map(|(k, _)| k.name.as_str()).collect();
     names.dedup();
-    names.retain(|name| TIMED.iter().all(|(timed, _)| timed != name));
     let pinned: Vec<&str> = SERIES.iter().map(|(name, _)| *name).collect();
     assert_eq!(names, pinned);
 }
