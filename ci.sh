@@ -40,7 +40,7 @@ unnamed="$(find crates/*/src src -name '*.rs' | sort | comm -23 - target/module_
 test -z "$unnamed" || { echo "    DESIGN.md §6 does not name: $unnamed"; exit 1; }
 echo "    $(wc -l <target/module_map.txt) paths named, all present"
 
-gate "size ledger (lines above each file's first #[cfg(test)]; printed) and structure greps (gated)"
+gate "size ledger (lines above each file's first #[cfg(test)]; printed), structure greps and the pub-item scan (gated)"
 ledger() {
   find "$@" -name '*.rs' | sort | while read -r f; do
     awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n+0, FILENAME}' "$f"
@@ -50,6 +50,64 @@ echo "    adscope + netsim:     $(ledger crates/adscope/src crates/netsim/src)"
 echo "    obs:                  $(ledger crates/obs/src)"
 echo "    abp-filter:           $(ledger crates/abp-filter/src)"
 echo "    src/bin/experiments:  $(ledger src/bin/experiments)"
+# Every pub item has a caller. A `pub` item above the ledger's cut in a
+# library crate (but bench) must be named in another crate's non-test
+# source: crates/*/src above the cut, src/ (the experiments binary),
+# examples/. A comment line or a `pub use` re-export is no caller. What
+# only tests read, or what other crates reach through another item without
+# naming it, is listed in ci/pub_allowlist.txt with its reader; an item one
+# crate alone uses is pub(crate), where clippy's dead_code lint guards it.
+# Prints each uncalled item, then each allowlist line that names no
+# uncalled item (a stale entry).
+pub_scan() {
+  awk '
+    function crate_of(p) {
+      if (match(p, /crates\/[^\/]+\//)) return substr(p, RSTART + 7, RLENGTH - 8)
+      return "annoyed-users"
+    }
+    FILENAME == "ci/pub_allowlist.txt" {
+      if ($0 !~ /^#/ && NF >= 3) allowed[$1 " " $2] = 0
+      next
+    }
+    FNR == 1 { crate = crate_of(FILENAME); cut = 0; reexport = 0 }
+    cut { next }
+    /^#\[cfg\(test\)\]/ { cut = 1; next }
+    items {
+      decl = $0
+      if (sub(/^[ \t]*pub[ \t]+((const|unsafe|async)[ \t]+)*fn[ \t]+/, "", decl)) kind = "fn"
+      else if (match(decl, /^[ \t]*pub[ \t]+(struct|enum|const|static|type|trait)[ \t]+/)) {
+        kind = substr(decl, RSTART, RLENGTH); sub(/^[ \t]*pub[ \t]+/, "", kind); sub(/[ \t]+$/, "", kind)
+        decl = substr(decl, RSTART + RLENGTH)
+      } else next
+      name = decl; sub(/[^A-Za-z0-9_]+.*/, "", name)
+      seen_by = callers[name]; gsub("," crate ",", "", seen_by)
+      if (seen_by != "") next
+      key = crate " " name
+      if (key in allowed) allowed[key] = 1
+      else print FILENAME ":" FNR ": pub " kind " " name " (" crate ") has no caller in another crate"
+      next
+    }
+    reexport || /^[ \t]*pub(\([a-z]+\))?[ \t]+use[ \t]/ { reexport = ($0 !~ /;/); next }
+    /^[ \t]*\/\// { next }
+    {
+      n = split($0, word, /[^A-Za-z0-9_]+/)
+      for (i = 1; i <= n; i++)
+        if (word[i] != "" && index(callers[word[i]], "," crate ",") == 0)
+          callers[word[i]] = callers[word[i]] "," crate ","
+    }
+    END { for (key in allowed) if (!allowed[key]) print "ci/pub_allowlist.txt: " key " has a caller or is gone" }
+  ' ci/pub_allowlist.txt $(find crates/*/src src examples -name '*.rs' | sort) items=1 "$@"
+}
+lib_sources="$(find crates/*/src -name '*.rs' ! -path 'crates/bench/*' | sort)"
+uncalled="$(pub_scan $lib_sources)"
+test -z "$uncalled" || { echo "$uncalled" | sed 's/^/    /'; exit 1; }
+# The scan must still see: an unused pub fn planted in stats is its one finding.
+mkdir -p target/pub_scan/crates/stats/src
+echo 'pub fn planted_unused_pub_fn() {}' >target/pub_scan/crates/stats/src/planted.rs
+planted="$(pub_scan $lib_sources target/pub_scan/crates/stats/src/planted.rs)"
+test "$planted" = "target/pub_scan/crates/stats/src/planted.rs:1: pub fn planted_unused_pub_fn (stats) has no caller in another crate" \
+  || { echo "    the pub-item scan missed a planted unused pub fn: $planted"; exit 1; }
+echo "    every pub item has a caller or an allowlist line ($(grep -cv -e '^#' -e '^$' ci/pub_allowlist.txt) lines)"
 # One argv cursor (cli.rs): a hand-rolled flag loop must not come back.
 if grep -n 'while i < args.len()' src/bin/experiments/*.rs; then exit 1; fi
 # One plane set (adscope::planes): the stream's worker and router carry it

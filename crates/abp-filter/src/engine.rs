@@ -5,7 +5,7 @@
 //! [`CompiledEngine`](crate::CompiledEngine); [`Engine`] is kept as
 //! small as the differential suites allow, so that what it decides is easy
 //! to check by reading. Its token index defines
-//! [`Classification::first_match_depth`], and its [`EngineMetrics`] are
+//! [`Classification::first_match_depth`], and its `EngineMetrics` are
 //! what the compiled engine's tallies are audited against.
 
 use crate::matcher::{host_span, matches};
@@ -85,13 +85,9 @@ impl Classification {
         self.exception.is_some() && !self.blocking.is_empty()
     }
 
-    /// The list of the first blocking match, if any.
-    pub fn primary_list(&self) -> Option<ListId> {
-        self.blocking.first().map(|f| f.list)
-    }
-
     /// Did a blocking rule from `list` match?
-    pub fn blocked_by_list(&self, list: ListId) -> bool {
+    #[cfg(test)]
+    fn blocked_by_list(&self, list: ListId) -> bool {
         self.blocking.iter().any(|f| f.list == list)
     }
 }
@@ -238,7 +234,7 @@ pub(crate) fn host_suffix_hashes(host: &str, out: &mut Vec<u64>) {
 /// per [`Engine::classify`] call — tallies are accumulated in locals
 /// inside the match loops and flushed once at the end.
 #[derive(Debug, Clone)]
-pub struct EngineMetrics {
+pub(crate) struct EngineMetrics {
     requests: obs::Counter,
     rules_evaluated: obs::Counter,
     tokenizer_hits: obs::Counter,
@@ -321,6 +317,7 @@ impl Engine {
     }
 
     /// Names of the loaded lists in id order.
+    #[doc(hidden)]
     pub fn list_names(&self) -> &[String] {
         &self.lists
     }
@@ -499,7 +496,7 @@ mod tests {
         );
         assert!(c.would_block());
         assert!(c.is_ad());
-        assert_eq!(c.primary_list(), Some(ids[0]));
+        assert_eq!(c.blocking[0].list, ids[0]);
     }
 
     #[test]
@@ -697,7 +694,7 @@ mod tests {
             ContentCategory::Image,
         );
         assert_eq!(c.blocking.len(), 2);
-        assert_eq!(c.primary_list(), Some(ids[0]));
+        assert_eq!(c.blocking[0].list, ids[0]);
         // Tracker URL only matches EasyPrivacy.
         let c2 = classify(
             &e,
@@ -705,7 +702,7 @@ mod tests {
             Some("http://pub.com/"),
             ContentCategory::Image,
         );
-        assert_eq!(c2.primary_list(), Some(ids[1]));
+        assert_eq!(c2.blocking[0].list, ids[1]);
     }
 
     #[test]
@@ -720,7 +717,7 @@ mod tests {
         assert!(c.blocked_by_list(ids[0]));
         assert!(c.blocked_by_list(ids[1]));
         assert_eq!(c.blocking.len(), 2);
-        assert_eq!(c.primary_list(), Some(ids[0]));
+        assert_eq!(c.blocking[0].list, ids[0]);
     }
 
     #[test]

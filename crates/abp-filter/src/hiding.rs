@@ -47,7 +47,7 @@ impl HidingRule {
     }
 
     /// Does this rule apply on the given page host?
-    pub fn applies_to(&self, host: &str) -> bool {
+    pub(crate) fn applies_to(&self, host: &str) -> bool {
         if self
             .exclude_domains
             .iter()

@@ -50,7 +50,7 @@
 //!     &mut ClassifyScratch::new(),
 //! );
 //! assert!(verdict.would_block());
-//! assert_eq!(verdict.primary_list(), Some(ListId(0)));
+//! assert_eq!(verdict.blocking[0].list, ListId(0));
 //! assert_eq!(selectors_for(&hiding, page.host()), vec![".ad-banner"]);
 //! ```
 
@@ -68,16 +68,12 @@ pub mod subscription;
 pub mod tokenizer;
 
 pub use compiled::{CompileStats, CompiledEngine};
-pub use engine::{
-    Classification, ClassifyScratch, Engine, EngineMetrics, FilterRef, ListId, Request,
-};
+pub use engine::{Classification, ClassifyScratch, Engine, FilterRef, ListId, Request};
 pub use hiding::HidingRule;
 pub use options::{FilterOptions, PartyConstraint};
 pub use parser::{parse_line, ParsedLine};
 pub use rule::{Anchor, NetFilter, Pattern, Segment};
-pub use subscription::{
-    FilterList, SubscriptionState, EASYLIST_SOFT_EXPIRY_DAYS, EASYPRIVACY_SOFT_EXPIRY_DAYS,
-};
+pub use subscription::{FilterList, SubscriptionState};
 
 /// This crate's version, recorded in run manifests.
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");

@@ -6,7 +6,7 @@ use crate::rule::{Anchor, Pattern, Segment};
 /// digit, or one of `_ - . %` (Adblock Plus definition). `^` also matches
 /// the end of the URL.
 #[inline]
-pub fn is_separator(c: u8) -> bool {
+pub(crate) fn is_separator(c: u8) -> bool {
     !(c.is_ascii_alphanumeric() || c == b'_' || c == b'-' || c == b'.' || c == b'%')
 }
 
@@ -135,6 +135,7 @@ fn find(haystack: &[u8], needle: &[u8], from: usize) -> Option<usize> {
 /// Two forward byte scans: the host starts after the first `://` (or at 0)
 /// and ends at the next `/`, `?` or `:` (or at the end). Every delimiter is
 /// ASCII, so byte positions are the `str::find` positions.
+#[doc(hidden)]
 pub fn host_span(url: &str) -> (usize, usize) {
     let bytes = url.as_bytes();
     let start = (0..bytes.len())

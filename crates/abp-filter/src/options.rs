@@ -162,7 +162,7 @@ impl FilterOptions {
     }
 
     /// Does the rule apply to this content category?
-    pub fn applies_to_type(&self, cat: ContentCategory) -> bool {
+    pub(crate) fn applies_to_type(&self, cat: ContentCategory) -> bool {
         self.type_mask & bit(cat) != 0
     }
 
@@ -179,7 +179,7 @@ impl FilterOptions {
     /// Does the rule apply given the page host the request originated from?
     /// `page_host == None` means no page context (treated as unrestricted
     /// unless the rule requires specific domains).
-    pub fn applies_on_domain(&self, page_host: Option<&str>) -> bool {
+    pub(crate) fn applies_on_domain(&self, page_host: Option<&str>) -> bool {
         match page_host {
             Some(host) => {
                 if self
@@ -200,7 +200,7 @@ impl FilterOptions {
     }
 
     /// Does the rule apply given the third-party status of the request?
-    pub fn applies_to_party(&self, is_third_party: bool) -> bool {
+    pub(crate) fn applies_to_party(&self, is_third_party: bool) -> bool {
         match self.party {
             PartyConstraint::Any => true,
             PartyConstraint::ThirdOnly => is_third_party,
@@ -209,7 +209,7 @@ impl FilterOptions {
     }
 
     /// True when no option restricts this rule.
-    pub fn is_unrestricted(&self) -> bool {
+    pub(crate) fn is_unrestricted(&self) -> bool {
         self.type_mask == ALL_TYPES
             && self.include_domains.is_empty()
             && self.exclude_domains.is_empty()

@@ -18,6 +18,7 @@ use std::sync::Arc;
 
 /// The result of parsing one filter-list line.
 #[derive(Debug, Clone, PartialEq)]
+#[doc(hidden)]
 pub enum ParsedLine {
     /// Blank line or comment.
     Ignored,
@@ -36,6 +37,7 @@ pub enum ParsedLine {
 }
 
 /// Parse a single filter-list line.
+#[doc(hidden)]
 pub fn parse_line(line: &str) -> ParsedLine {
     let line = line.trim();
     parse_trimmed(line, || line.into())
@@ -154,7 +156,7 @@ fn looks_like_options(s: &str) -> bool {
 /// texts outlive the parsed rules — every engine the rules are lowered into
 /// shares them — while the patterns are freed by lowering, so the texts sit
 /// together above that freed heap instead of pinning it into small holes.
-pub fn parse_document(text: &str) -> ParsedDocument {
+pub(crate) fn parse_document(text: &str) -> ParsedDocument {
     let mut doc = ParsedDocument::default();
     // Until the texts are allocated, every rule holds this one placeholder,
     // and each table its rules' trimmed lines.
@@ -186,7 +188,7 @@ pub fn parse_document(text: &str) -> ParsedDocument {
 
 /// All rules parsed from one filter-list document.
 #[derive(Debug, Clone, Default)]
-pub struct ParsedDocument {
+pub(crate) struct ParsedDocument {
     /// Blocking network filters.
     pub blocking: Vec<NetFilter>,
     /// Exception (`@@`) network filters.

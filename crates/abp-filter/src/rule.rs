@@ -77,7 +77,7 @@ impl Pattern {
 
     /// True when the pattern has no constraining content at all (would match
     /// every URL).
-    pub fn is_trivial(&self) -> bool {
+    pub(crate) fn is_trivial(&self) -> bool {
         self.segments.is_empty()
             || (self.segments.iter().all(|s| *s == Segment::Star)
                 && self.anchor == Anchor::None

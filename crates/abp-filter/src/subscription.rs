@@ -12,9 +12,9 @@ use crate::parser::{parse_document, ParsedDocument};
 use crate::rule::NetFilter;
 
 /// EasyList soft expiry (days) per its list header.
-pub const EASYLIST_SOFT_EXPIRY_DAYS: f64 = 4.0;
+pub(crate) const EASYLIST_SOFT_EXPIRY_DAYS: f64 = 4.0;
 /// EasyPrivacy soft expiry (days) per its list header.
-pub const EASYPRIVACY_SOFT_EXPIRY_DAYS: f64 = 1.0;
+pub(crate) const EASYPRIVACY_SOFT_EXPIRY_DAYS: f64 = 1.0;
 
 /// A parsed filter list with its subscription metadata.
 #[derive(Debug, Clone)]

@@ -9,6 +9,7 @@
 
 /// Minimum token length worth indexing. Shorter runs are too common to
 /// discriminate.
+#[doc(hidden)]
 pub const MIN_TOKEN_LEN: usize = 3;
 
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -23,18 +24,11 @@ pub(crate) fn fnv_step(h: u64, b: u8) -> u64 {
 /// FNV-1a hash of an alphanumeric token, ASCII case-folded: `ADS` and
 /// `ads` hash alike.
 #[inline]
+#[doc(hidden)]
 pub fn hash_token(bytes: &[u8]) -> u64 {
     bytes
         .iter()
         .fold(FNV_OFFSET, |h, &b| fnv_step(h, b.to_ascii_lowercase()))
-}
-
-/// Iterate the token hashes of a lowercased URL string: every maximal
-/// alphanumeric run of length >= [`MIN_TOKEN_LEN`].
-pub fn url_tokens(url: &str) -> Vec<u64> {
-    let mut out = Vec::with_capacity(16);
-    url_tokens_into(url, &mut out);
-    out
 }
 
 /// The one pass over a URL's tokens: calls `emit(hash, start)` for every
@@ -66,13 +60,14 @@ fn for_each_url_token(url: &str, mut emit: impl FnMut(u64, usize)) {
 
 /// Allocation-free variant of [`url_tokens`]: clears `out` and appends the
 /// token hashes, reusing the caller's buffer across requests.
-pub fn url_tokens_into(url: &str, out: &mut Vec<u64>) {
+pub(crate) fn url_tokens_into(url: &str, out: &mut Vec<u64>) {
     out.clear();
     for_each_url_token(url, |hash, _| out.push(hash));
 }
 
 /// [`url_tokens_into`] that also records where each token starts:
 /// `starts[i]` is the byte offset in `url` of the run hashed as `tokens[i]`.
+#[doc(hidden)]
 pub fn url_tokens_with_starts_into(url: &str, tokens: &mut Vec<u64>, starts: &mut Vec<usize>) {
     tokens.clear();
     starts.clear();
@@ -85,6 +80,7 @@ pub fn url_tokens_with_starts_into(url: &str, tokens: &mut Vec<u64>, starts: &mu
 /// A filter's index token — the run [`filter_token`] keys it under — with
 /// where that run sits in the pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[doc(hidden)]
 pub struct IndexToken {
     /// [`hash_token`] of the run: the bucket key.
     pub hash: u64,
@@ -105,6 +101,7 @@ pub struct IndexToken {
 /// verbatim in a matching URL (wildcards/separators only add characters
 /// *around* literals, never inside them), so every full run inside a literal
 /// is a sound choice.
+#[doc(hidden)]
 pub fn filter_index_token<'a, I: Iterator<Item = &'a str>>(literals: I) -> Option<IndexToken> {
     let mut best: Option<IndexToken> = None;
     for (literal, lit) in literals.enumerate() {
@@ -139,6 +136,7 @@ pub fn filter_index_token<'a, I: Iterator<Item = &'a str>>(literals: I) -> Optio
 
 /// The hash of [`filter_index_token`]'s run: the key a filter is indexed
 /// under.
+#[doc(hidden)]
 pub fn filter_token<'a, I: Iterator<Item = &'a str>>(literals: I) -> Option<u64> {
     filter_index_token(literals).map(|t| t.hash)
 }
@@ -146,6 +144,14 @@ pub fn filter_token<'a, I: Iterator<Item = &'a str>>(literals: I) -> Option<u64>
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Iterate the token hashes of a lowercased URL string: every maximal
+    /// alphanumeric run of length >= [`MIN_TOKEN_LEN`].
+    fn url_tokens(url: &str) -> Vec<u64> {
+        let mut out = Vec::with_capacity(16);
+        url_tokens_into(url, &mut out);
+        out
+    }
 
     #[test]
     fn url_tokens_basic() {

@@ -13,10 +13,10 @@ use stats::LogDensity;
 use std::collections::HashMap;
 
 /// A handshake gap from which a response counts as high-latency (ms).
-pub const HIGH_LATENCY_MS: f64 = 100.0;
+pub(crate) const HIGH_LATENCY_MS: f64 = 100.0;
 /// The gap from which an ad response is attributed to an RTB organization
 /// (ms): the paper's "≥ 90 ms" list.
-pub const ORGANIZATION_MS: f64 = 90.0;
+pub(crate) const ORGANIZATION_MS: f64 = 90.0;
 
 /// One population of Figure 7 (ads, or the rest).
 #[derive(Debug, Clone, PartialEq)]
@@ -24,7 +24,7 @@ pub struct Gaps {
     /// The handshake-gap density, in milliseconds over a log axis from
     /// 10 µs to 10 s.
     pub density: LogDensity,
-    /// Requests with a gap of at least [`HIGH_LATENCY_MS`].
+    /// Requests with a gap of at least `HIGH_LATENCY_MS`.
     pub high: u64,
 }
 
@@ -43,7 +43,7 @@ impl Gaps {
         self.high += other.high;
     }
 
-    /// Share of the population (percent) at or above [`HIGH_LATENCY_MS`] —
+    /// Share of the population (percent) at or above `HIGH_LATENCY_MS` —
     /// ads should be strongly overrepresented.
     pub fn high_latency_pct(&self) -> f64 {
         stats::pct(self.high, self.density.total())

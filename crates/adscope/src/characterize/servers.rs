@@ -9,7 +9,7 @@ use std::collections::HashMap;
 
 /// The share of a server's objects (percent) from which §8.1 calls it an
 /// exclusive ad or tracking server.
-pub const EXCLUSIVE_PCT: f64 = 90.0;
+pub(crate) const EXCLUSIVE_PCT: f64 = 90.0;
 
 /// Per-server counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -106,7 +106,7 @@ impl ServerStudy {
         stats::pct(from_mixed, total_nonad)
     }
 
-    /// Servers whose ad share reaches [`EXCLUSIVE_PCT`] — "exclusive" ad (or
+    /// Servers whose ad share reaches `EXCLUSIVE_PCT` — "exclusive" ad (or
     /// tracking) servers in the paper's sense.
     pub fn exclusive_servers(&self) -> ExclusiveServers {
         let mut ad_servers = 0usize;

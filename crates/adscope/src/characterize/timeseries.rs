@@ -16,13 +16,13 @@ pub mod series {
     /// EasyPrivacy-attributed ad requests.
     pub const EASYPRIVACY: usize = 2;
     /// Whitelist-only (non-intrusive) ad requests.
-    pub const NON_INTRUSIVE: usize = 3;
+    pub(crate) const NON_INTRUSIVE: usize = 3;
 }
 
 /// The bin width of both figures, in seconds.
-pub const BIN_SECS: u64 = 3600;
+pub(crate) const BIN_SECS: u64 = 3600;
 
-/// The Figure 5 fold, 5a and 5b in one pass: per [`BIN_SECS`] bin, the
+/// The Figure 5 fold, 5a and 5b in one pass: per `BIN_SECS` bin, the
 /// requests and the bytes of each series of [`series`]. Integer bins, so
 /// parts merge exactly; sparse, so a garbled timestamp costs one entry, not
 /// every bin below it. A bin past the trace's stated duration is folded into
@@ -187,7 +187,6 @@ mod tests {
             7200.0,
         );
         let ts = t.request_series(&meta);
-        assert_eq!(ts.nbins(), 2);
         assert_eq!(ts.values(series::NON_AD), &[1.0, 0.0]);
         assert_eq!(ts.values(series::EASYLIST), &[1.0, 0.0]);
         assert_eq!(ts.values(series::EASYPRIVACY), &[0.0, 1.0]);

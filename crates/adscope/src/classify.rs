@@ -31,7 +31,7 @@ impl ListKind {
     ];
 
     /// Classify a list by its conventional name.
-    pub fn from_name(name: &str) -> ListKind {
+    pub(crate) fn from_name(name: &str) -> ListKind {
         if name.contains("privacy") {
             ListKind::EasyPrivacy
         } else if name.contains("acceptable") || name.contains("exception") {
@@ -79,7 +79,7 @@ pub struct AdLabel {
 
 impl AdLabel {
     /// Build from an engine classification plus the engine's list-kind map.
-    pub fn from_classification(c: &Classification, kinds: &[ListKind]) -> AdLabel {
+    pub(crate) fn from_classification(c: &Classification, kinds: &[ListKind]) -> AdLabel {
         let mut mask = 0u8;
         for f in &c.blocking {
             let kind = kinds[f.list.0];
@@ -100,7 +100,7 @@ impl AdLabel {
     }
 
     /// Any blocking hit at all?
-    pub fn any_block(&self) -> bool {
+    pub(crate) fn any_block(&self) -> bool {
         self.blocking_mask != 0
     }
 
@@ -115,12 +115,6 @@ impl AdLabel {
         self.any_block() || self.exception.is_some()
     }
 
-    /// Whitelisted while also matching a blacklist (§7.3's "matches the
-    /// blacklist" subset).
-    pub fn whitelist_overrides_block(&self) -> bool {
-        self.exception.is_some() && self.any_block()
-    }
-
     /// Would a default Adblock Plus installation (EasyList + acceptable
     /// ads) have blocked this request?
     pub fn default_install_blocks(&self) -> bool {
@@ -132,7 +126,7 @@ impl AdLabel {
     /// Like [`Self::default_install_blocks`] but counting *core EasyList
     /// only* — §6.2's ratio indicator explicitly restricts itself to the
     /// list installed by default, excluding language derivatives.
-    pub fn easylist_only_blocks(&self) -> bool {
+    pub(crate) fn easylist_only_blocks(&self) -> bool {
         self.blocked_by(ListKind::EasyList) && self.exception.is_none() && !self.page_whitelisted
     }
 
@@ -279,7 +273,7 @@ impl PassiveClassifier {
     }
 
     /// Kind of an engine list id.
-    pub fn kind_of(&self, id: ListId) -> ListKind {
+    pub(crate) fn kind_of(&self, id: ListId) -> ListKind {
         self.kinds[id.0]
     }
 
@@ -411,7 +405,6 @@ mod tests {
         assert!(l.is_ad());
         assert!(!l.any_block());
         assert_eq!(l.attribution(), Some(Attribution::NonIntrusive));
-        assert!(!l.whitelist_overrides_block());
     }
 
     #[test]
@@ -426,7 +419,7 @@ mod tests {
             Some(&page),
             ContentCategory::Image,
         );
-        assert!(l.whitelist_overrides_block());
+        assert!(l.exception.is_some() && l.any_block());
         assert!(!l.default_install_blocks());
         assert_eq!(l.attribution(), Some(Attribution::EasyList));
     }

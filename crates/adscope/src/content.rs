@@ -45,14 +45,9 @@ impl ContentSource {
 }
 
 /// Infer the general content category of a request from its URL and
-/// response Content-Type.
-pub fn infer_category(url: &Url, content_type: Option<&str>) -> ContentCategory {
-    infer_category_traced(url, content_type, ContentOptions::default()).0
-}
-
-/// Like [`infer_category`], also reporting which signal decided. The
-/// source is a `Copy` byte, so the traced variant costs nothing extra —
-/// the pipeline always calls it and only keeps the source when tracing.
+/// response Content-Type, and report which signal decided. The source is
+/// a `Copy` byte, so reporting it costs nothing extra — the pipeline
+/// always calls this and only keeps the source when tracing.
 /// `_opts` is ignored; the e2e harness passes it.
 pub fn infer_category_traced(
     url: &Url,
@@ -88,6 +83,10 @@ mod tests {
 
     fn url(s: &str) -> Url {
         Url::parse(s).unwrap()
+    }
+
+    fn infer_category(url: &Url, content_type: Option<&str>) -> ContentCategory {
+        infer_category_traced(url, content_type, ContentOptions::default()).0
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! pipeline reports coming out.
 //!
 //! [`DegradationReport`] is accumulated per stage by
-//! [`crate::extract::extract_with_report`] and
+//! `crate::extract::extract_with_report` and
 //! [`crate::pipeline::classify_trace`], and carried on every
 //! [`crate::pipeline::ClassifiedTrace`].
 
@@ -95,7 +95,7 @@ impl DegradationReport {
     }
 
     /// Merge another report into this one (e.g. across traces).
-    pub fn absorb(&mut self, other: &DegradationReport) {
+    pub(crate) fn absorb(&mut self, other: &DegradationReport) {
         self.unparseable_urls += other.unparseable_urls;
         self.unparseable_referers += other.unparseable_referers;
         self.unparseable_locations += other.unparseable_locations;

@@ -22,7 +22,7 @@ use std::sync::Arc;
 /// timestamp: a record stamped up to this far ahead of the others (the
 /// fault model skews a timestamp by up to 5 s) shortens no other record's
 /// horizon.
-pub const CLOCK_SLACK_SECS: f64 = 5.0;
+pub(crate) const CLOCK_SLACK_SECS: f64 = 5.0;
 
 /// A ⟨client IP, User-Agent⟩ user, numbered densely from 0 in the order an
 /// [`Extractor`] first meets it. Local to one run and never persisted: a
@@ -43,7 +43,7 @@ pub struct WebObject {
     pub ts: f64,
     /// The trace-order clock: the highest `ts` of the trace's extracted
     /// HTTP records up to and including this one, less
-    /// [`CLOCK_SLACK_SECS`] (0 at the trace's start), as the [`Extractor`]
+    /// `CLOCK_SLACK_SECS` (0 at the trace's start), as the [`Extractor`]
     /// that made this object counts it; a `ts` past the trace's declared
     /// duration is garbled and does not count. It only moves on, out of
     /// order records or not, and the referrer map measures its horizons on
@@ -113,12 +113,12 @@ pub fn extract(trace: &Trace) -> (Vec<WebObject>, usize) {
 /// Unlike [`extract`], this distinguishes *absent* optional headers from
 /// *present-but-unparseable* ones, so corrupted traces (see
 /// `netsim::faults`) can be reconciled against what the pipeline absorbed.
-pub fn extract_with_report(trace: &Trace) -> (Vec<WebObject>, DegradationReport) {
+pub(crate) fn extract_with_report(trace: &Trace) -> (Vec<WebObject>, DegradationReport) {
     let (out, report, _) = extract_full(trace);
     (out, report)
 }
 
-/// [`extract_with_report`] plus the timestamps of the quarantined
+/// `extract_with_report` plus the timestamps of the quarantined
 /// (unparseable-URL) records, in trace order — the `quarantined` window
 /// series' input, so the materialized and streaming paths count the same
 /// records into the same hourly buckets.

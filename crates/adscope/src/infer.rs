@@ -37,7 +37,7 @@ impl UserClass {
     pub const ALL: [UserClass; 4] = [UserClass::A, UserClass::B, UserClass::C, UserClass::D];
 
     /// Derive the class from the two indicators.
-    pub fn from_indicators(low_ratio: bool, downloads: bool) -> UserClass {
+    pub(crate) fn from_indicators(low_ratio: bool, downloads: bool) -> UserClass {
         match (low_ratio, downloads) {
             (false, false) => UserClass::A,
             (false, true) => UserClass::B,
@@ -73,11 +73,11 @@ pub struct InferredUser {
 /// The list-download predicate: an HTTPS connection on port 443 to one of
 /// the Adblock Plus servers — the paper resolves the server IPs via DNS
 /// ahead of time and matches flows by address.
-pub fn is_list_download(flow: &TlsConnection, abp_ips: &HashSet<u32>) -> bool {
+pub(crate) fn is_list_download(flow: &TlsConnection, abp_ips: &HashSet<u32>) -> bool {
     flow.server_port == 443 && abp_ips.contains(&flow.server_ip)
 }
 
-/// The households (client IPs) with at least one [`is_list_download`] flow.
+/// The households (client IPs) with at least one `is_list_download` flow.
 pub fn households_with_downloads(flows: &[TlsConnection], abp_ips: &[u32]) -> HashSet<u32> {
     let ips: HashSet<u32> = abp_ips.iter().copied().collect();
     flows
@@ -91,7 +91,7 @@ pub fn households_with_downloads(flows: &[TlsConnection], abp_ips: &[u32]) -> Ha
 /// a user with these counters, or `None` for a non-browser or an inactive
 /// one (the table covers the annotated active set only). A user with no
 /// request is inactive at any floor.
-pub fn user_class(
+pub(crate) fn user_class(
     is_browser: bool,
     requests: u64,
     easylist_blockable: u64,
@@ -108,7 +108,7 @@ pub fn user_class(
 }
 
 /// Classify the *active browsers* among `users` into the four classes
-/// ([`user_class`]); everyone else is skipped.
+/// (`user_class`); everyone else is skipped.
 pub fn classify_users(
     users: &[UserAggregate],
     download_households: &HashSet<u32>,

@@ -20,18 +20,13 @@ use std::sync::Arc;
 /// keys off), and the produced `Arc<str>`s are freely shared across the
 /// classification shards afterwards.
 #[derive(Debug, Default)]
-pub struct Interner {
+pub(crate) struct Interner {
     set: HashSet<Arc<str>>,
 }
 
 impl Interner {
-    /// A fresh, empty interner.
-    pub fn new() -> Interner {
-        Interner::default()
-    }
-
     /// The shared copy of `s`, allocating only on first sight.
-    pub fn intern(&mut self, s: &str) -> Arc<str> {
+    pub(crate) fn intern(&mut self, s: &str) -> Arc<str> {
         if let Some(existing) = self.set.get(s) {
             existing.clone()
         } else {
@@ -42,18 +37,8 @@ impl Interner {
     }
 
     /// Like [`Interner::intern`] for optional values.
-    pub fn intern_opt(&mut self, s: Option<&str>) -> Option<Arc<str>> {
+    pub(crate) fn intern_opt(&mut self, s: Option<&str>) -> Option<Arc<str>> {
         s.map(|s| self.intern(s))
-    }
-
-    /// Number of distinct strings seen.
-    pub fn len(&self) -> usize {
-        self.set.len()
-    }
-
-    /// Whether nothing has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
     }
 }
 
@@ -63,29 +48,29 @@ mod tests {
 
     #[test]
     fn repeated_values_share_one_allocation() {
-        let mut i = Interner::new();
+        let mut i = Interner::default();
         let a = i.intern("text/html");
         let b = i.intern("text/html");
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(i.len(), 1);
+        assert_eq!(i.set.len(), 1);
     }
 
     #[test]
     fn distinct_values_stay_distinct() {
-        let mut i = Interner::new();
+        let mut i = Interner::default();
         let a = i.intern("text/html");
         let c = i.intern("image/gif");
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(&*c, "image/gif");
-        assert_eq!(i.len(), 2);
+        assert_eq!(i.set.len(), 2);
     }
 
     #[test]
     fn optional_interning() {
-        let mut i = Interner::new();
+        let mut i = Interner::default();
         assert_eq!(i.intern_opt(None), None);
         let v = i.intern_opt(Some("UA/1.0")).unwrap();
         assert_eq!(&*v, "UA/1.0");
-        assert!(!i.is_empty());
+        assert!(!i.set.is_empty());
     }
 }

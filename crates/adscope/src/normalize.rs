@@ -176,13 +176,6 @@ impl UrlNormalizer {
         UrlNormalizer::from_literals(engine.query_literals())
     }
 
-    /// Build with explicit protected fragments (tests).
-    pub fn with_protected(protected: Vec<String>) -> UrlNormalizer {
-        UrlNormalizer {
-            protected: ProtectedIndex::build(&protected),
-        }
-    }
-
     /// Does a value look dynamic? Numeric runs, long tokens, mixed
     /// hex/base64-looking strings.
     fn is_dynamic(value: &str) -> bool {
@@ -205,14 +198,14 @@ impl UrlNormalizer {
     /// keeps `scratch` from one call to the next: an untouched URL is
     /// handed back as it came, a rewritten one is built in `scratch` and
     /// copied out once.
-    pub fn normalize_owned(&self, url: Url, scratch: &mut String) -> Url {
+    pub(crate) fn normalize_owned(&self, url: Url, scratch: &mut String) -> Url {
         self.rewritten(&url, None, scratch).unwrap_or(url)
     }
 
     /// Like [`normalize`](Self::normalize), also reporting which query
     /// keys were rewritten. Only the provenance layer calls this, for
     /// `explain_trace` — the hot path never pays for the key list.
-    pub fn normalize_explain(&self, url: &Url) -> (Url, Vec<String>) {
+    pub(crate) fn normalize_explain(&self, url: &Url) -> (Url, Vec<String>) {
         let mut rewrites = Vec::new();
         let out = self
             .rewritten(url, Some(&mut rewrites), &mut String::new())
@@ -386,21 +379,21 @@ mod tests {
 
     #[test]
     fn replaces_dynamic_values() {
-        let n = UrlNormalizer::with_protected(vec![]);
+        let n = UrlNormalizer::from_literals(&[]);
         let u = n.normalize(&url("http://a.example/x?cb=123456&ord=99887766"));
         assert_eq!(u.query(), Some("cb=X&ord=X"));
     }
 
     #[test]
     fn keeps_static_values() {
-        let n = UrlNormalizer::with_protected(vec![]);
+        let n = UrlNormalizer::from_literals(&[]);
         let u = n.normalize(&url("http://a.example/x?lang=en&page=two"));
         assert_eq!(u.query(), Some("lang=en&page=two"));
     }
 
     #[test]
     fn long_opaque_tokens_are_dynamic() {
-        let n = UrlNormalizer::with_protected(vec![]);
+        let n = UrlNormalizer::from_literals(&[]);
         let u = n.normalize(&url("http://a.example/x?sid=deadbeefcafe1234deadbeef"));
         assert_eq!(u.query(), Some("sid=X"));
     }
@@ -409,7 +402,7 @@ mod tests {
     fn protected_values_preserved() {
         // The paper's example: @@*jsp?callback=aslHandleAds* — the callback
         // value must survive normalization even though it is 16+ chars.
-        let n = UrlNormalizer::with_protected(vec!["jsp?callback=aslhandleads".to_string()]);
+        let n = UrlNormalizer::from_literals(&["jsp?callback=aslhandleads".to_string()]);
         let u = n.normalize(&url(
             "http://a.example/page.jsp?callback=aslHandleAdsXYZ123&cb=123456",
         ));
@@ -418,7 +411,7 @@ mod tests {
 
     #[test]
     fn exact_protected_pair_preserved() {
-        let n = UrlNormalizer::with_protected(vec!["track?id=777777".to_string()]);
+        let n = UrlNormalizer::from_literals(&["track?id=777777".to_string()]);
         let u = n.normalize(&url("http://a.example/track?id=777777"));
         assert_eq!(u.query(), Some("id=777777"));
         // A different numeric id is not protected.
@@ -428,7 +421,7 @@ mod tests {
 
     #[test]
     fn explain_lists_rewritten_keys() {
-        let n = UrlNormalizer::with_protected(vec![]);
+        let n = UrlNormalizer::from_literals(&[]);
         let (u, keys) =
             n.normalize_explain(&url("http://a.example/x?cb=123456&lang=en&ord=987654"));
         assert_eq!(u.query(), Some("cb=X&lang=en&ord=X"));
@@ -439,14 +432,14 @@ mod tests {
 
     #[test]
     fn no_query_untouched() {
-        let n = UrlNormalizer::with_protected(vec![]);
+        let n = UrlNormalizer::from_literals(&[]);
         let u = url("http://a.example/path.js");
         assert_eq!(n.normalize(&u), u);
     }
 
     #[test]
     fn valueless_params_kept() {
-        let n = UrlNormalizer::with_protected(vec![]);
+        let n = UrlNormalizer::from_literals(&[]);
         let u = n.normalize(&url("http://a.example/x?flag&cb=123456"));
         assert_eq!(u.query(), Some("flag&cb=X"));
     }
@@ -550,7 +543,7 @@ mod tests {
     #[test]
     fn whole_urls_match_the_old_implementation_at_easylist_scale() {
         let literals = scale_literals();
-        let n = UrlNormalizer::with_protected(literals.to_vec());
+        let n = UrlNormalizer::from_literals(literals);
         let oracle = LinearScan {
             protected: literals.to_vec(),
         };
@@ -668,7 +661,7 @@ mod tests {
             query in "[ab1=&?AXé]{1,24}",
             long in "[a-f0-9]{16,20}",
         ) {
-            let n = UrlNormalizer::with_protected(literals.clone());
+            let n = UrlNormalizer::from_literals(&literals);
             let oracle = LinearScan { protected: literals };
             for query in [query.clone(), format!("{query}&a={long}&b1={long}=")] {
                 let u = Url::from_parts(Scheme::Http, "h.example", "/p", Some(&query));

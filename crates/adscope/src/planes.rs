@@ -43,7 +43,7 @@ pub struct Planes {
     pub decode_windows: WindowSeries,
     /// The population sketches; `None` unless the population plane is on.
     pub population: Option<PopulationSketches>,
-    /// Households (client IPs) seen in an [`infer::is_list_download`] flow
+    /// Households (client IPs) seen in an `infer::is_list_download` flow
     /// (§6.2): the download indicator of Table 3.
     pub households: HashSet<u32>,
     /// Requests classified.

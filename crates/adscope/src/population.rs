@@ -62,10 +62,10 @@ impl Default for PopulationOptions {
 pub const TOPK_CAPACITY: usize = 512;
 
 /// How many ranked rows the report renders.
-pub const TOP_ROWS: usize = 10;
+pub(crate) const TOP_ROWS: usize = 10;
 
 /// The quantiles every distribution row reports.
-pub const QUANTILES: [f64; 5] = [25.0, 50.0, 75.0, 90.0, 99.0];
+pub(crate) const QUANTILES: [f64; 5] = [25.0, 50.0, 75.0, 90.0, 99.0];
 
 /// The mergeable sketch state one worker (or the whole materialized
 /// pipeline) accumulates.

@@ -62,10 +62,10 @@ pub struct RuleMatch {
 /// request root span covers the whole decision; each stage span is its
 /// child. Ids are derived from the trace id and stage name, never drawn,
 /// so the structure is identical on every run.
-pub const STAGES: [&str; 5] = ["extract", "refmap", "content", "normalize", "classify"];
+pub(crate) const STAGES: [&str; 5] = ["extract", "refmap", "content", "normalize", "classify"];
 
 /// The root ("request") span of a trace.
-pub fn root_span(trace: TraceId) -> SpanId {
+pub(crate) fn root_span(trace: TraceId) -> SpanId {
     SpanId::derive(trace, "request")
 }
 

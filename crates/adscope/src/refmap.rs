@@ -366,7 +366,7 @@ fn shrink<V>(map: &mut UrlMap<V>) {
 
 /// Find URLs embedded inside a URL's query string: absolute `http(s)://`
 /// values and `dest=`/`url=`-style parameters that parse as host/path.
-pub fn embedded_urls(url: &Url) -> Vec<Url> {
+pub(crate) fn embedded_urls(url: &Url) -> Vec<Url> {
     let mut out = Vec::new();
     for (k, v) in url.query_pairs() {
         if v.starts_with("http://") || v.starts_with("https://") {

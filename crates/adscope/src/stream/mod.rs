@@ -295,7 +295,7 @@ pub struct StreamReport {
     /// 3–4, §6.3 and the threshold sweep read it.
     pub user_table: Vec<UserAggregate>,
     /// Households (client IPs) seen in a flow to one of
-    /// [`StreamOptions::abp_ips`] ([`crate::infer::is_list_download`]).
+    /// [`StreamOptions::abp_ips`] (`crate::infer::is_list_download`).
     pub households: HashSet<u32>,
     /// Chunks processed, cumulative across resumes.
     pub chunks: u64,
@@ -379,6 +379,7 @@ pub fn classify_stream_file(
 /// [`classify_stream_file`] folding `fold` (empty as passed) beside the
 /// planes. Together with [`StreamOptions::checkpoint`] a fold that is not
 /// [`Fold::STATELESS`] is refused.
+#[doc(hidden)]
 pub fn classify_stream_file_with<F: Fold>(
     path: &Path,
     classifier: &PassiveClassifier,

@@ -2,7 +2,7 @@
 //! streaming view the paper's §5 temporal characterization needs.
 //!
 //! [`observe`] folds one request into an [`obs::WindowSeries`] of this
-//! module's schema ([`COUNTERS`], [`RTB_HIST`]): per-window
+//! module's schema (`COUNTERS`, `RTB_HIST`): per-window
 //! request/ad/block/whitelist counts, byte volume, refmap misses,
 //! quarantined records, and an RTB-latency histogram (the §8.2 back-office
 //! gap, ad requests only). The series' logical clock is the trace timestamp,
@@ -42,7 +42,7 @@ impl Default for WindowOptions {
 
 /// The counter series every adscope window carries, in cell order: the one
 /// place their names are spelled.
-pub const COUNTERS: &[&str] = &[
+pub(crate) const COUNTERS: &[&str] = &[
     "requests",
     "ads",
     "blocked_easylist",
@@ -55,7 +55,7 @@ pub const COUNTERS: &[&str] = &[
 
 /// The RTB back-office latency histogram series (§8.2 gap, ms, ad
 /// requests only), the one histogram series.
-pub const RTB_HIST: &str = "rtb_gap_ms";
+pub(crate) const RTB_HIST: &str = "rtb_gap_ms";
 
 // Cell positions in [`COUNTERS`].
 pub(crate) const REQUESTS: usize = 0;

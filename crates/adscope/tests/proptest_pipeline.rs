@@ -9,7 +9,7 @@ mod common;
 
 use abp_filter::FilterList;
 use adscope::classify::PassiveClassifier;
-use adscope::content::infer_category;
+use adscope::content::{infer_category_traced, ContentOptions};
 use adscope::normalize::UrlNormalizer;
 use adscope::pipeline::{classify_trace, explain_trace, PipelineOptions};
 use adscope::users::aggregate_users;
@@ -184,7 +184,7 @@ proptest! {
 
     #[test]
     fn normalization_is_idempotent(url_str in url_strategy()) {
-        let n = UrlNormalizer::with_protected(vec!["callback=keepme".into()]);
+        let n = UrlNormalizer::from_literals(&["callback=keepme".into()]);
         let url = Url::parse(&url_str).unwrap();
         let once = n.normalize(&url);
         let twice = n.normalize(&once);
@@ -193,7 +193,7 @@ proptest! {
 
     #[test]
     fn normalization_preserves_everything_but_query(url_str in url_strategy()) {
-        let n = UrlNormalizer::with_protected(vec![]);
+        let n = UrlNormalizer::from_literals(&[]);
         let url = Url::parse(&url_str).unwrap();
         let out = n.normalize(&url);
         prop_assert_eq!(out.host(), url.host());
@@ -208,7 +208,7 @@ proptest! {
     #[test]
     fn content_inference_is_total(url_str in url_strategy(), ct in proptest::option::of("[a-z]{1,10}/[a-z0-9.+-]{1,15}")) {
         let url = Url::parse(&url_str).unwrap();
-        let _ = infer_category(&url, ct.as_deref());
+        let _ = infer_category_traced(&url, ct.as_deref(), ContentOptions::default());
     }
 
     #[test]
@@ -314,7 +314,10 @@ proptest! {
         let classified = classify_trace(&trace, &classifier, PipelineOptions::default());
         prop_assert_eq!(classified.requests.len() + classified.dropped, n);
         // Bytes conserved.
-        let bytes_in: u64 = trace.http_transactions().map(|t| t.body_bytes()).sum();
+        let bytes_in: u64 = trace
+            .http_transactions()
+            .map(|t| t.response.content_length.unwrap_or(0))
+            .sum();
         let bytes_out: u64 = classified.requests.iter().map(|r| r.bytes).sum();
         prop_assert_eq!(bytes_in, bytes_out);
     }

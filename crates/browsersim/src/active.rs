@@ -10,7 +10,7 @@ use http_model::{BrowserFamily, UserAgent};
 use netsim::record::{Trace, TraceMeta};
 use netsim::Capture;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::sync::Arc;
 use webgen::Ecosystem;
 
@@ -107,7 +107,7 @@ pub struct SiteVisit {
 }
 
 /// Build the browser for a profile.
-pub fn browser_for_profile(eco: &Ecosystem, profile: BrowserProfile, addr: u32) -> Browser {
+pub(crate) fn browser_for_profile(eco: &Ecosystem, profile: BrowserProfile, addr: u32) -> Browser {
     let ua = UserAgent::desktop(BrowserFamily::Chrome, Os::Linux, 44);
     let plugin: Box<dyn crate::plugin::Plugin> = match profile {
         BrowserProfile::Vanilla => Box::new(NoPlugin),
@@ -193,20 +193,6 @@ impl ActiveResults {
             .find(|r| r.profile == profile)
             .expect("profile was crawled")
     }
-
-    /// Simulate `k` random page loads with a profile's browser and return
-    /// the HTTP request count — used by the Figure 2 ratio experiment.
-    pub fn sample_visits<R: Rng + ?Sized>(
-        &self,
-        profile: BrowserProfile,
-        k: usize,
-        rng: &mut R,
-    ) -> Vec<SiteVisit> {
-        let run = self.run(profile);
-        (0..k)
-            .map(|_| run.per_site[rng.gen_range(0..run.per_site.len())])
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -258,15 +244,5 @@ mod tests {
         let pr = res.run(BrowserProfile::AdbpPrivacy).trace.http_count();
         let pa = res.run(BrowserProfile::AdbpParanoia).trace.http_count();
         assert!(pa < pr, "paranoia {pa} < privacy-only {pr}");
-    }
-
-    #[test]
-    fn sample_visits_draws_from_crawl() {
-        let eco = eco();
-        let res = run_crawl(&eco, &ActiveConfig { sites: 30, seed: 4 });
-        let mut rng = StdRng::seed_from_u64(5);
-        let v = res.sample_visits(BrowserProfile::Vanilla, 10, &mut rng);
-        assert_eq!(v.len(), 10);
-        assert!(v.iter().all(|s| s.http > 0));
     }
 }

@@ -79,7 +79,7 @@ impl ActivityProfile {
 
     /// Expected page visits in a time slice for a user with `visits_per_day`
     /// average demand.
-    pub fn expected_visits(
+    pub(crate) fn expected_visits(
         &self,
         t_secs: f64,
         slice_secs: f64,

@@ -30,7 +30,7 @@ pub struct AbpConfig {
 
 impl AbpConfig {
     /// The out-of-the-box configuration.
-    pub fn default_install() -> AbpConfig {
+    pub(crate) fn default_install() -> AbpConfig {
         AbpConfig {
             easylist: true,
             easyprivacy: false,
@@ -39,7 +39,7 @@ impl AbpConfig {
     }
 
     /// The `AdBP-Paranoia` profile of §4.1.
-    pub fn paranoia() -> AbpConfig {
+    pub(crate) fn paranoia() -> AbpConfig {
         AbpConfig {
             easylist: true,
             easyprivacy: true,
@@ -48,7 +48,7 @@ impl AbpConfig {
     }
 
     /// The `AdBP-Privacy` profile of §4.1 (EasyPrivacy only).
-    pub fn privacy_only() -> AbpConfig {
+    pub(crate) fn privacy_only() -> AbpConfig {
         AbpConfig {
             easylist: false,
             easyprivacy: true,
@@ -120,7 +120,7 @@ impl AbpFilters {
 /// configuration — one compiled engine per configuration, like the real
 /// extension sharing compiled lists across profiles; each instance owns
 /// its match scratch.
-pub struct AdblockPlusPlugin {
+pub(crate) struct AdblockPlusPlugin {
     filters: Arc<AbpFilters>,
     scratch: ClassifyScratch,
     subscriptions: Vec<(String, SubscriptionState)>,

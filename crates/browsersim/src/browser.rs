@@ -167,7 +167,7 @@ impl Browser {
 
     /// Emit the filter-list update downloads due at `now` as HTTPS events
     /// to the Adblock Plus servers.
-    pub fn update_events<R: Rng + ?Sized>(
+    pub(crate) fn update_events<R: Rng + ?Sized>(
         &mut self,
         eco: &Ecosystem,
         now: f64,
@@ -376,7 +376,9 @@ mod tests {
             .find(|p| {
                 !page_uses_https(p)
                     && !p.ad_companies.is_empty()
-                    && p.pages.iter().any(|pg| pg.ad_related_count() > 3)
+                    && p.pages
+                        .iter()
+                        .any(|pg| pg.objects.iter().filter(|o| o.kind.is_ad_related()).count() > 3)
             })
             .expect("an ad-heavy publisher")
     }

@@ -9,7 +9,7 @@
 
 use http_model::transaction::Method;
 use http_model::url::Scheme;
-use http_model::{ContentCategory, DeviceClass, Url, UserAgent};
+use http_model::{DeviceClass, Url, UserAgent};
 use netsim::RequestEvent;
 use rand::Rng;
 use webgen::page::SizeClass;
@@ -51,7 +51,7 @@ impl Device {
     }
 
     /// Emit one burst of device requests at time `ts`.
-    pub fn burst<R: Rng + ?Sized>(
+    pub(crate) fn burst<R: Rng + ?Sized>(
         &self,
         eco: &Ecosystem,
         ts: f64,
@@ -139,10 +139,6 @@ impl Device {
         }
     }
 }
-
-/// The catch-all content category device requests map to (unused by devices
-/// themselves, but useful to callers classifying their traffic).
-pub const DEVICE_CATEGORY: ContentCategory = ContentCategory::Other;
 
 #[cfg(test)]
 mod tests {

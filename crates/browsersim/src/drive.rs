@@ -301,7 +301,7 @@ fn pick_site(eco: &Ecosystem, ts: f64, config: &DriveConfig, rng: &mut StdRng) -
 
 /// Sample a Poisson variate via inversion for small means, normal
 /// approximation above.
-pub fn sample_poisson<R: Rng + ?Sized>(mean: f64, rng: &mut R) -> usize {
+pub(crate) fn sample_poisson<R: Rng + ?Sized>(mean: f64, rng: &mut R) -> usize {
     if mean <= 0.0 {
         return 0;
     }
@@ -382,7 +382,7 @@ mod tests {
                 seed: 7,
             },
         );
-        assert!(out.trace.is_time_ordered());
+        assert!(out.trace.records.windows(2).all(|w| w[0].ts() <= w[1].ts()));
         assert!(
             out.trace.http_count() > 500,
             "got {}",

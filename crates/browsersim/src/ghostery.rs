@@ -13,7 +13,7 @@ use webgen::Ecosystem;
 
 /// Ghostery blocking modes from the paper's §4.1 profiles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GhosteryMode {
+pub(crate) enum GhosteryMode {
     /// Block the Advertisement category.
     Ads,
     /// Block the Privacy (tracking) categories.
@@ -23,7 +23,7 @@ pub enum GhosteryMode {
 }
 
 /// A Ghostery instance with its company-domain database.
-pub struct GhosteryPlugin {
+pub(crate) struct GhosteryPlugin {
     mode: GhosteryMode,
     /// Domains of ad companies in the database.
     ad_domains: Vec<String>,

@@ -41,10 +41,9 @@ pub mod population;
 
 pub use active::{ActiveConfig, ActiveResults, BrowserProfile};
 pub use activity::ActivityProfile;
-pub use adblockplus::{AbpConfig, AdblockPlusPlugin};
+pub use adblockplus::AbpConfig;
 pub use browser::{Browser, PageVisitStats};
 pub use drive::{drive_stream, DriveConfig, DriveOutput, StreamDriveOutput};
-pub use ghostery::{GhosteryMode, GhosteryPlugin};
 pub use plugin::{ListDownload, Plugin};
 pub use population::{Population, PopulationConfig};
 

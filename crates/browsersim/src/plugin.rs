@@ -37,7 +37,7 @@ pub trait Plugin: Send {
 /// The absence of a plugin, as a unit struct (avoids `Option` plumbing in
 /// the browser).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NoPlugin;
+pub(crate) struct NoPlugin;
 
 impl Plugin for NoPlugin {
     fn name(&self) -> &str {

@@ -30,30 +30,3 @@ pub struct ResponseHeaders {
     /// `Location` header value for 3xx responses (the Bro extension of §3).
     pub location: Option<String>,
 }
-
-impl ResponseHeaders {
-    /// True for 3xx redirect statuses that carry a Location.
-    pub fn is_redirect(&self) -> bool {
-        (300..400).contains(&self.status) && self.location.is_some()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn redirect_detection() {
-        let mut r = ResponseHeaders {
-            status: 302,
-            location: Some("http://x.com/".into()),
-            ..Default::default()
-        };
-        assert!(r.is_redirect());
-        r.location = None;
-        assert!(!r.is_redirect());
-        r.status = 200;
-        r.location = Some("http://x.com/".into());
-        assert!(!r.is_redirect());
-    }
-}

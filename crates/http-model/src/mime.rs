@@ -142,22 +142,6 @@ impl ContentCategory {
             })
             .map_or(ContentCategory::Other, |&(_, _, cat)| cat)
     }
-
-    /// A representative MIME string for synthesizing response headers.
-    pub fn representative_mime(self) -> &'static str {
-        match self {
-            ContentCategory::Document => "text/html",
-            ContentCategory::Subdocument => "text/html",
-            ContentCategory::Script => "application/javascript",
-            ContentCategory::Stylesheet => "text/css",
-            ContentCategory::Image => "image/gif",
-            ContentCategory::Media => "video/mp4",
-            ContentCategory::Object => "application/x-shockwave-flash",
-            ContentCategory::Xhr => "text/plain",
-            ContentCategory::Font => "font/woff2",
-            ContentCategory::Other => "application/octet-stream",
-        }
-    }
 }
 
 impl fmt::Display for ContentCategory {
@@ -246,19 +230,5 @@ mod tests {
             ContentCategory::from_keyword("xhr"),
             Some(ContentCategory::Xhr)
         );
-    }
-
-    #[test]
-    fn representative_mime_is_consistent() {
-        for c in ContentCategory::ALL {
-            let back = ContentCategory::from_mime(c.representative_mime());
-            // Subdocument degrades to Document and Other stays Other; all
-            // others must round-trip.
-            match c {
-                ContentCategory::Subdocument => assert_eq!(back, ContentCategory::Document),
-                ContentCategory::Other => assert_eq!(back, ContentCategory::Other),
-                _ => assert_eq!(back, c, "category {c}"),
-            }
-        }
     }
 }

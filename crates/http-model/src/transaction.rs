@@ -66,11 +66,6 @@ impl HttpTransaction {
         Url::from_host_and_uri(host, uri, &mut scratch)
     }
 
-    /// Response body size with a missing `Content-Length` treated as zero.
-    pub fn body_bytes(&self) -> u64 {
-        self.response.content_length.unwrap_or(0)
-    }
-
     /// The back-office latency proxy of §8.2: HTTP handshake minus TCP
     /// handshake, clamped at zero.
     pub fn backend_gap_ms(&self) -> f64 {

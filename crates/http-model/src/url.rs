@@ -37,6 +37,7 @@ pub enum Scheme {
 
 impl Scheme {
     /// Default port for the scheme.
+    #[doc(hidden)]
     pub fn default_port(self) -> u16 {
         match self {
             Scheme::Http => 80,
@@ -257,6 +258,7 @@ impl Url {
     }
 
     /// Effective port (explicit or scheme default).
+    #[doc(hidden)]
     pub fn effective_port(&self) -> u16 {
         self.port.unwrap_or_else(|| self.scheme.default_port())
     }
@@ -318,6 +320,7 @@ impl Url {
     }
 
     /// The last path segment, e.g. `banner.gif` for `/x/banner.gif`.
+    #[doc(hidden)]
     pub fn filename(&self) -> &str {
         self.path().rsplit('/').next().unwrap_or("")
     }
@@ -404,6 +407,7 @@ impl Default for UrlMemo {
 impl UrlMemo {
     /// Number of slots: 40 KB of handles, and whatever buffers they keep
     /// alive.
+    #[doc(hidden)]
     pub const SLOTS: usize = 1024;
 
     /// `Url::parse(input).ok()`.

@@ -2,7 +2,7 @@
 //!
 //! The paper stresses (§5) that client addresses are anonymized *at the time
 //! of the packet capture* — the real addresses are never stored. We mirror
-//! that: the capture passes every address through an [`Anonymizer`], a
+//! that: the capture passes every address through an `Anonymizer`, a
 //! stable keyed permutation, before anything is recorded. The mapping is
 //! deterministic within a capture (so one client keeps one label — required
 //! for per-user analysis) but unrelated to the input numbering.
@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 /// Stable anonymizing map from simulated addresses to opaque labels.
 #[derive(Debug, Clone, Default)]
-pub struct Anonymizer {
+pub(crate) struct Anonymizer {
     key: u64,
     map: HashMap<u32, u32>,
     next: u32,
@@ -29,7 +29,7 @@ impl Anonymizer {
     }
 
     /// Anonymize one address. The same input always yields the same label.
-    pub fn anonymize(&mut self, addr: u32) -> u32 {
+    pub(crate) fn anonymize(&mut self, addr: u32) -> u32 {
         if let Some(&label) = self.map.get(&addr) {
             return label;
         }
@@ -48,15 +48,10 @@ impl Anonymizer {
         candidate
     }
 
-    /// Number of distinct addresses seen.
-    pub fn distinct(&self) -> usize {
-        self.map.len()
-    }
-
     /// The raw→label mapping. Only the *simulation* may look at this (to
     /// join ground truth); the analysis side never sees raw addresses,
     /// preserving the paper's capture-time anonymization property.
-    pub fn mapping(&self) -> &HashMap<u32, u32> {
+    pub(crate) fn mapping(&self) -> &HashMap<u32, u32> {
         &self.map
     }
 }
@@ -81,7 +76,7 @@ mod tests {
         assert_ne!(l1, l2);
         assert_eq!(a.anonymize(1000), l1);
         assert_eq!(a.anonymize(2000), l2);
-        assert_eq!(a.distinct(), 2);
+        assert_eq!(a.mapping().len(), 2);
     }
 
     #[test]

@@ -41,10 +41,11 @@ use std::io::{self, Read, Write};
 /// Current format version.
 pub const FORMAT_VERSION: u32 = 1;
 /// Format magic string.
-pub const FORMAT_NAME: &str = "annoyed-users-trace";
+pub(crate) const FORMAT_NAME: &str = "annoyed-users-trace";
 /// Longest record line the lossy reader will buffer. Real records are a
 /// few hundred bytes; anything bigger is corruption (e.g. a lost newline
 /// gluing many records together) and is skipped without unbounded memory.
+#[doc(hidden)]
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Errors from reading or writing a trace stream. The reader recovers
@@ -337,7 +338,8 @@ impl CodecStats {
     }
 
     /// Total non-blank record lines seen (kept + skipped).
-    pub fn lines_seen(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn lines_seen(&self) -> usize {
         self.records_read + self.total_skipped()
     }
 

@@ -143,7 +143,8 @@ impl FaultCounts {
     /// Record (or record-line) count the output must have, given the
     /// input had `original` records: drops remove one each, duplications
     /// add one each.
-    pub fn expected_records(&self, original: usize) -> usize {
+    #[cfg(test)]
+    fn expected_records(&self, original: usize) -> usize {
         original - self.records_dropped + self.records_duplicated
     }
 }

@@ -97,7 +97,7 @@ impl<'a> Value<'a> {
     }
 
     /// Like [`Value::field`], but an absent key reads as `None`, as `null` does.
-    pub fn opt_field<T: FromJson>(&self, key: &str) -> Result<Option<T>, DecodeError> {
+    pub(crate) fn opt_field<T: FromJson>(&self, key: &str) -> Result<Option<T>, DecodeError> {
         let present = self.get(key).map(Option::<T>::from_json);
         present.map_or(Ok(None), |r| r.map_err(|e| e.at_key(key)))
     }
@@ -571,7 +571,7 @@ pub fn write_u64(out: &mut String, mut n: u64) {
 
 /// Append a JSON number for `f`; non-finite values become `null`, matching
 /// serde_json's behavior.
-pub fn write_f64(out: &mut String, f: f64) {
+pub(crate) fn write_f64(out: &mut String, f: f64) {
     if !f.is_finite() {
         out.push_str("null");
         return;

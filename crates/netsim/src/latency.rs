@@ -26,7 +26,7 @@ pub enum BackendClass {
 
 /// Parameters of the server-side latency model.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LatencyModel {
+pub(crate) struct LatencyModel {
     /// Median processing time of static responses (ms).
     pub static_ms: f64,
     /// Median processing time of dynamic responses (ms).
@@ -52,7 +52,7 @@ impl LatencyModel {
     /// Sample the server-side delay (ms) for a backend class. This is what
     /// the passive methodology observes as `HTTP handshake − TCP handshake`
     /// (plus measurement noise added by the capture).
-    pub fn sample_ms<R: Rng + ?Sized>(&self, class: BackendClass, rng: &mut R) -> f64 {
+    pub(crate) fn sample_ms<R: Rng + ?Sized>(&self, class: BackendClass, rng: &mut R) -> f64 {
         match class {
             BackendClass::Static => self.static_ms * lognormal(rng, 0.0, 0.45),
             BackendClass::Dynamic => self.dynamic_ms * lognormal(rng, 0.0, 0.4),

@@ -48,10 +48,8 @@ pub mod rtt;
 mod scan;
 pub mod stream;
 
-pub use anonymize::Anonymizer;
 pub use capture::{Capture, RequestEvent};
 pub use faults::{FaultCounts, FaultInjector, FaultProfile};
-pub use latency::LatencyModel;
 pub use nat::NatGateway;
 pub use record::{TlsConnection, Trace, TraceMeta, TraceRecord};
 pub use rtt::Region;

@@ -19,13 +19,6 @@ impl NatGateway {
     pub fn new(public_addr: u32) -> NatGateway {
         NatGateway { public_addr }
     }
-
-    /// Translate any internal device to the public address. The internal
-    /// address is deliberately discarded — exactly the information loss a
-    /// passive observer outside the home experiences.
-    pub fn translate(&self, _internal_device: u32) -> u32 {
-        self.public_addr
-    }
 }
 
 /// Allocate distinct public addresses for `n` households, starting from a
@@ -38,13 +31,6 @@ pub fn allocate_households(n: usize, base: u32) -> Vec<NatGateway> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn devices_share_public_address() {
-        let gw = NatGateway::new(500);
-        assert_eq!(gw.translate(1), 500);
-        assert_eq!(gw.translate(2), 500);
-    }
 
     #[test]
     fn households_get_distinct_addresses() {

@@ -141,6 +141,7 @@ impl<'a> RecordView<'a> {
     }
 
     /// The owned record.
+    #[doc(hidden)]
     pub fn to_record(&self) -> TraceRecord {
         match self {
             RecordView::Http(tx) => TraceRecord::Http(tx.to_transaction()),
@@ -208,7 +209,8 @@ impl Trace {
     }
 
     /// Verify records are time-ordered (capture invariant).
-    pub fn is_time_ordered(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_time_ordered(&self) -> bool {
         self.records.windows(2).all(|w| w[0].ts() <= w[1].ts())
     }
 }

@@ -36,7 +36,7 @@ impl Region {
     ];
 
     /// Median wide-area RTT in milliseconds.
-    pub fn base_rtt_ms(self) -> f64 {
+    pub(crate) fn base_rtt_ms(self) -> f64 {
         match self {
             Region::IspCache => 0.9,
             Region::European => 14.0,
@@ -49,7 +49,7 @@ impl Region {
     /// Sample an RTT for a new connection: the regional base with
     /// multiplicative log-normal jitter (σ ≈ 0.25) plus a small additive
     /// queueing component. Never below 0.1 ms.
-    pub fn sample_rtt_ms<R: Rng + ?Sized>(self, rng: &mut R) -> f64 {
+    pub(crate) fn sample_rtt_ms<R: Rng + ?Sized>(self, rng: &mut R) -> f64 {
         let base = self.base_rtt_ms();
         let jitter = lognormal(rng, 0.0, 0.25);
         let queueing = rng.gen_range(0.0..0.4);

@@ -53,10 +53,10 @@ impl StreamChunk {
 
 /// The most records a chunk-sized buffer is reserved for up front (the
 /// command line bounds `chunk_records` below only); a larger chunk grows.
-pub const MAX_CHUNK_RESERVE: usize = 1 << 16;
+pub(crate) const MAX_CHUNK_RESERVE: usize = 1 << 16;
 
 /// A chunk's accounting: its `stats` and its `end_offset`.
-pub type ChunkEnd = (CodecStats, u64);
+pub(crate) type ChunkEnd = (CodecStats, u64);
 
 /// Where the stream router gets its records, each lent as a view for one
 /// call: the file reader ([`ChunkReader`]) or in-memory chunks ([`OwnedChunks`]).

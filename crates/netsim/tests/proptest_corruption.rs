@@ -125,7 +125,6 @@ proptest! {
     fn lossy_reader_survives_arbitrary_bytes(bytes in proptest::collection::vec(0u8..=255, 0..2048)) {
         if let Ok((trace, stats)) = read_trace_lossy(bytes.as_slice()) {
             prop_assert_eq!(trace.records.len(), stats.records_read);
-            prop_assert_eq!(stats.lines_seen(), stats.records_read + stats.total_skipped());
         }
         // Err is also fine (e.g. unrecoverable header) — just no panic.
     }
@@ -170,14 +169,16 @@ proptest! {
         let corrupted = injector.corrupt_bytes(&bytes);
         let (trace, stats) = read_trace_lossy(corrupted.as_slice())
             .expect("wire faults never destroy the whole stream");
+        let counts = injector.counts();
+        let expected = n - counts.records_dropped + counts.records_duplicated;
         prop_assert_eq!(
-            stats.lines_seen(),
-            injector.counts().expected_records(n),
+            stats.records_read + stats.total_skipped(),
+            expected,
             "reader must see exactly the lines the injector emitted"
         );
         prop_assert_eq!(trace.records.len(), stats.records_read);
         // Truncation and garbling can only lose records, never invent them.
-        prop_assert!(trace.records.len() <= injector.counts().expected_records(n));
+        prop_assert!(trace.records.len() <= expected);
     }
 
     /// The in-memory fault model keeps every record decodable: dropped

@@ -120,7 +120,7 @@ impl SeriesSpec {
     /// count for [`SeriesSpec::Share`], the sample count for
     /// [`SeriesSpec::HistQuantile`]. Counters are their own evidence, so
     /// they report unlimited — [`AlertRule::min_den`] never skips them.
-    pub fn sample_base(&self, w: &ClosedWindow) -> u64 {
+    pub(crate) fn sample_base(&self, w: &ClosedWindow) -> u64 {
         match self {
             SeriesSpec::Counter(_) => u64::MAX,
             SeriesSpec::Share { den, .. } => w.counter(den),
@@ -156,7 +156,7 @@ pub struct AlertRule {
     /// Consecutive breached windows before `pending` becomes `firing`,
     /// and consecutive clear windows before `firing` resolves.
     pub for_windows: u32,
-    /// Minimum [`SeriesSpec::sample_base`] a window must hold before
+    /// Minimum `SeriesSpec::sample_base` a window must hold before
     /// this rule reads it; thinner windows (a trace's ragged tail hour,
     /// a near-idle bucket) are skipped like absent windows, so a
     /// 40-request tail cannot z-spike a share rule. `0` disables the

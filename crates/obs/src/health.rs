@@ -96,7 +96,7 @@ pub struct HealthSnapshot {
 
 impl HealthSnapshot {
     /// Fraction of input consumed, when the total is known.
-    pub fn percent(&self) -> Option<f64> {
+    pub(crate) fn percent(&self) -> Option<f64> {
         if self.total_bytes == 0 {
             return None;
         }
@@ -104,20 +104,20 @@ impl HealthSnapshot {
     }
 
     /// Mean throughput in bytes/s since the run began.
-    pub fn bytes_per_sec(&self, now_ns: u64) -> f64 {
+    pub(crate) fn bytes_per_sec(&self, now_ns: u64) -> f64 {
         let elapsed = now_ns.saturating_sub(self.started_ns).max(1) as f64 / 1e9;
         self.done_bytes as f64 / elapsed
     }
 
     /// Mean throughput in records/s since the run began.
-    pub fn records_per_sec(&self, now_ns: u64) -> f64 {
+    pub(crate) fn records_per_sec(&self, now_ns: u64) -> f64 {
         let elapsed = now_ns.saturating_sub(self.started_ns).max(1) as f64 / 1e9;
         self.done_records as f64 / elapsed
     }
 
     /// Estimated seconds to completion at the mean byte rate, when the
     /// total is known and any progress has been made.
-    pub fn eta_secs(&self, now_ns: u64) -> Option<f64> {
+    pub(crate) fn eta_secs(&self, now_ns: u64) -> Option<f64> {
         if self.total_bytes == 0 || self.done_bytes == 0 {
             return None;
         }
@@ -215,13 +215,13 @@ impl Health {
     /// Is the watchdog currently reporting a stall? Pairs with the
     /// `Release` in the watchdog's `Health::flag_stall`: a reader that sees
     /// `true` also sees the stall count bumped before it.
-    pub fn stalled(&self) -> bool {
+    pub(crate) fn stalled(&self) -> bool {
         self.stalled.load(Ordering::Acquire)
     }
 
     /// Logical time of the most recent progress anywhere: the router's
     /// last advance or any worker's last beat, whichever is later.
-    pub fn last_progress_ns(&self) -> u64 {
+    pub(crate) fn last_progress_ns(&self) -> u64 {
         let mut last = self.last_progress_ns.load(Ordering::Relaxed);
         for w in self.workers.read().expect("health workers").iter() {
             last = last.max(w.last_beat_ns.load(Ordering::Relaxed));
@@ -401,7 +401,7 @@ fn fmt_bytes(b: u64) -> String {
 }
 
 /// Render the human `/statusz` table.
-pub fn render_statusz(registry: &Registry) -> String {
+pub(crate) fn render_statusz(registry: &Registry) -> String {
     let now = registry.elapsed_ns();
     let s = registry.health().snapshot();
     let v = verdict(registry);
@@ -526,7 +526,7 @@ pub fn render_statusz(registry: &Registry) -> String {
 
 /// Render `/statusz/ndjson`: one `statusz` line followed by one
 /// `worker` line per worker (same escaping as `netsim::json`).
-pub fn render_statusz_ndjson(registry: &Registry) -> String {
+pub(crate) fn render_statusz_ndjson(registry: &Registry) -> String {
     let now = registry.elapsed_ns();
     let s = registry.health().snapshot();
     let v = verdict(registry);

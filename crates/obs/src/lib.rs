@@ -62,8 +62,8 @@ pub use manifest::{
     sweep_temp_files, Artifact, DigestMode, RunManifest, Sum64,
 };
 pub use metric::{Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS};
-pub use process::{open_fds, peak_rss_bytes, record_peak_rss, record_process, start_time_seconds};
-pub use prometheus::{escape_label, unescape_label, validate_exposition};
+pub use process::{open_fds, peak_rss_bytes, record_process, start_time_seconds};
+pub use prometheus::validate_exposition;
 pub use registry::{MetricKey, Registry, SampleValue, Snapshot};
 pub use serve::{serve, ServerHandle};
 pub use sketch::{Distinct64, QuantileSketch, TopEntry, TopK, QUANTILE_GAMMA};

@@ -372,7 +372,7 @@ pub struct RunManifest {
 }
 
 /// Manifest format version (bump on schema change).
-pub const MANIFEST_VERSION: u64 = 1;
+pub(crate) const MANIFEST_VERSION: u64 = 1;
 
 impl RunManifest {
     /// A fresh manifest for `subcommand` with the logical start clock.

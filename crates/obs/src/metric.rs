@@ -158,7 +158,7 @@ impl HistogramSnapshot {
     /// Upper bound of the bucket containing the `q`-quantile (`0 ≤ q ≤ 1`).
     /// Resolution is one power of two — good enough to tell 1 µs from
     /// 1 ms, which is what stage timing needs.
-    pub fn approx_quantile(&self, q: f64) -> u64 {
+    pub(crate) fn approx_quantile(&self, q: f64) -> u64 {
         let n = self.count();
         if n == 0 {
             return 0;
@@ -187,7 +187,7 @@ impl HistogramSnapshot {
     }
 
     /// Index of the highest non-empty bucket, if any.
-    pub fn max_bucket(&self) -> Option<usize> {
+    pub(crate) fn max_bucket(&self) -> Option<usize> {
         self.buckets.iter().rposition(|&c| c > 0)
     }
 }

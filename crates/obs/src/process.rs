@@ -57,7 +57,7 @@ pub fn open_fds() -> Option<u64> {
 /// Refresh the `process_peak_rss_bytes` gauge on `registry`. Call before
 /// serving a scrape or printing a metrics table; no-op where the reading
 /// is unavailable.
-pub fn record_peak_rss(registry: &Registry) {
+pub(crate) fn record_peak_rss(registry: &Registry) {
     if let Some(bytes) = peak_rss_bytes() {
         registry.gauge("process_peak_rss_bytes").set(bytes as f64);
     }

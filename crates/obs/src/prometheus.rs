@@ -131,7 +131,7 @@ fn write_sample(
 
 /// Escape a label value per the exposition format: backslash, double
 /// quote, and newline become `\\`, `\"`, and `\n`.
-pub fn escape_label(v: &str) -> String {
+pub(crate) fn escape_label(v: &str) -> String {
     let mut s = String::with_capacity(v.len());
     for c in v.chars() {
         match c {
@@ -139,28 +139,6 @@ pub fn escape_label(v: &str) -> String {
             '"' => s.push_str("\\\""),
             '\n' => s.push_str("\\n"),
             c => s.push(c),
-        }
-    }
-    s
-}
-
-/// Invert [`escape_label`]. Unknown escape sequences keep their literal
-/// character (matching how Prometheus itself reads them), so this is
-/// total: `unescape_label(escape_label(v)) == v` for every `v`.
-pub fn unescape_label(v: &str) -> String {
-    let mut s = String::with_capacity(v.len());
-    let mut chars = v.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            s.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => s.push('\\'),
-            Some('"') => s.push('"'),
-            Some('n') => s.push('\n'),
-            Some(other) => s.push(other),
-            None => s.push('\\'),
         }
     }
     s
@@ -264,6 +242,28 @@ fn validate_sample_line(line: &str) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::registry::Registry;
+
+    /// Invert [`escape_label`]. Unknown escape sequences keep their literal
+    /// character (matching how Prometheus itself reads them), so this is
+    /// total: `unescape_label(escape_label(v)) == v` for every `v`.
+    fn unescape_label(v: &str) -> String {
+        let mut s = String::with_capacity(v.len());
+        let mut chars = v.chars();
+        while let Some(c) = chars.next() {
+            if c != '\\' {
+                s.push(c);
+                continue;
+            }
+            match chars.next() {
+                Some('\\') => s.push('\\'),
+                Some('"') => s.push('"'),
+                Some('n') => s.push('\n'),
+                Some(other) => s.push(other),
+                None => s.push('\\'),
+            }
+        }
+        s
+    }
 
     #[test]
     fn golden_render() {

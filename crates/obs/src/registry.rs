@@ -206,7 +206,7 @@ impl Registry {
     }
 
     /// Get or create a labeled histogram.
-    pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
+    pub(crate) fn histogram_with(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
         let key = MetricKey::new(name, labels);
         if let Some(MetricEntry::Histogram(h)) = self.metrics.read().expect("registry").get(&key) {
             return h.clone();

@@ -56,14 +56,14 @@ impl ServerHandle {
         self.addr.port()
     }
 
-    /// Has shutdown been requested (via [`Self::request_shutdown`] or a
+    /// Has shutdown been requested (via `Self::request_shutdown` or a
     /// `/quitz` hit)?
     pub fn shutdown_requested(&self) -> bool {
         self.shutdown.load(Ordering::Relaxed)
     }
 
     /// Ask the accept loop to exit after its current connection.
-    pub fn request_shutdown(&self) {
+    pub(crate) fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::Relaxed);
     }
 
@@ -236,7 +236,7 @@ const ROUTES: [(&str, &str, Published); 12] = [
     ),
     (
         "/healthz",
-        "liveness JSON: verdict, uptime, event and window lines",
+        "liveness JSON: verdict, uptime, window lines, run state, stall count",
         None,
     ),
     (

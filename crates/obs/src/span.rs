@@ -10,15 +10,14 @@
 use crate::metric::Histogram;
 use crate::registry::{Registry, SampleValue, Snapshot};
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// A running span timer (see module docs). Ends when dropped, or
-/// explicitly via [`Span::end`].
+/// A running span timer (see module docs). Records when dropped.
 #[must_use = "a span measures the scope it lives in; binding it to _ ends it immediately"]
 #[derive(Debug)]
 pub struct Span {
     /// The span's histogram, acquired at the start while recording is
-    /// enabled and taken when the span records, so it records once.
+    /// enabled.
     histogram: Option<Histogram>,
     start: Instant,
 }
@@ -32,24 +31,13 @@ impl Span {
             start: Instant::now(),
         }
     }
-
-    /// End the span now and return its duration.
-    pub fn end(mut self) -> Duration {
-        self.finish()
-    }
-
-    fn finish(&mut self) -> Duration {
-        let elapsed = self.start.elapsed();
-        if let Some(histogram) = self.histogram.take() {
-            histogram.record(elapsed.as_nanos() as u64);
-        }
-        elapsed
-    }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        self.finish();
+        if let Some(histogram) = &self.histogram {
+            histogram.record(self.start.elapsed().as_nanos() as u64);
+        }
     }
 }
 
@@ -102,16 +90,6 @@ mod tests {
             .histogram("stage_duration_ns", &[("stage", "extract")])
             .expect("histogram recorded");
         assert_eq!(h.count(), 1);
-    }
-
-    #[test]
-    fn explicit_end_prevents_double_record() {
-        let r = Registry::new();
-        let s = r.span("once");
-        let d = s.end();
-        assert!(d.as_nanos() > 0 || d.as_nanos() == 0); // no panic on drop
-        let snap = r.snapshot();
-        assert_eq!(snap.histogram("once_duration_ns", &[]).unwrap().count(), 1);
     }
 
     #[test]

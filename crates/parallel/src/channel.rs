@@ -33,8 +33,6 @@ struct State<T> {
 
 struct Stats {
     depth: AtomicU64,
-    max_depth: AtomicU64,
-    sent: AtomicU64,
     send_stalls: AtomicU64,
 }
 
@@ -58,16 +56,6 @@ impl ChannelStats {
     /// Items currently queued.
     pub fn depth(&self) -> u64 {
         self.stats.depth.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of the queue depth.
-    pub fn max_depth(&self) -> u64 {
-        self.stats.max_depth.load(Ordering::Relaxed)
-    }
-
-    /// Total items ever sent.
-    pub fn sent(&self) -> u64 {
-        self.stats.sent.load(Ordering::Relaxed)
     }
 
     /// Number of sends that had to block because the queue was full —
@@ -101,8 +89,6 @@ pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
         capacity: capacity.max(1),
         stats: Arc::new(Stats {
             depth: AtomicU64::new(0),
-            max_depth: AtomicU64::new(0),
-            sent: AtomicU64::new(0),
             send_stalls: AtomicU64::new(0),
         }),
     });
@@ -135,8 +121,6 @@ impl<T> Sender<T> {
         state.queue.push_back(value);
         let depth = state.queue.len() as u64;
         inner.stats.depth.store(depth, Ordering::Relaxed);
-        inner.stats.max_depth.fetch_max(depth, Ordering::Relaxed);
-        inner.stats.sent.fetch_add(1, Ordering::Relaxed);
         drop(state);
         inner.not_empty.notify_one();
         Ok(())
@@ -300,20 +284,17 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_depth_and_volume() {
+    fn stats_track_depth() {
         let (tx, rx) = bounded(8);
         let stats = tx.stats();
         for i in 0..5 {
             tx.send(i).unwrap();
         }
         assert_eq!(stats.depth(), 5);
-        assert_eq!(stats.max_depth(), 5);
-        assert_eq!(stats.sent(), 5);
         assert_eq!(stats.send_stalls(), 0);
         rx.recv();
         rx.recv();
         assert_eq!(stats.depth(), 3);
-        assert_eq!(stats.max_depth(), 5, "high-water mark is sticky");
     }
 
     #[test]

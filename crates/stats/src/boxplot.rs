@@ -73,21 +73,8 @@ impl BoxPlot {
         })
     }
 
-    /// Interquartile range.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
-
-    /// True when this box sits entirely below `other` (whisker-to-whisker
-    /// separation) — the paper's criterion that ad-blocker configurations
-    /// "differ significantly if the number of page loads is sufficiently
-    /// large".
-    pub fn separated_below(&self, other: &BoxPlot) -> bool {
-        self.whisker_hi < other.whisker_lo
-    }
-
-    /// Weaker criterion: this box's upper quartile is below the other's
-    /// lower quartile (boxes do not overlap even if whiskers do).
+    /// True when this box's upper quartile is below the other's lower
+    /// quartile (the boxes do not overlap, even if the whiskers do).
     pub fn box_below(&self, other: &BoxPlot) -> bool {
         self.q3 < other.q1
     }
@@ -130,12 +117,11 @@ mod tests {
     fn separation_predicates() {
         let lo = BoxPlot::from_samples(&[0.0, 0.5, 1.0, 1.5, 2.0]).unwrap();
         let hi = BoxPlot::from_samples(&[10.0, 10.5, 11.0, 11.5, 12.0]).unwrap();
-        assert!(lo.separated_below(&hi));
         assert!(lo.box_below(&hi));
-        assert!(!hi.separated_below(&lo));
+        assert!(!hi.box_below(&lo));
         // Overlapping distributions are not separated.
         let mid = BoxPlot::from_samples(&[1.0, 1.5, 2.0, 2.5, 3.0]).unwrap();
-        assert!(!lo.separated_below(&mid));
+        assert!(!lo.box_below(&mid));
     }
 
     #[test]
@@ -144,6 +130,6 @@ mod tests {
         assert_eq!(b.median, 3.5);
         assert_eq!(b.q1, 3.5);
         assert_eq!(b.whisker_hi, 3.5);
-        assert_eq!(b.iqr(), 0.0);
+        assert_eq!(b.q3 - b.q1, 0.0);
     }
 }

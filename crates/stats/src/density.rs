@@ -7,7 +7,7 @@ use crate::histogram::LogHistogram;
 /// The paper plots `density(log(object size))` per MIME class (Figure 6) and
 /// `density(log(handshake-time difference))` for ad vs non-ad requests
 /// (Figure 7). We estimate it by log-binning the samples into a fine
-/// [`LogHistogram`] and convolving with a small Gaussian kernel, which is
+/// `LogHistogram` and convolving with a small Gaussian kernel, which is
 /// enough to recover the *modes* the paper argues from (43 B pixels, >1 MB
 /// video ads; 1 / 10 / 120 ms latency modes).
 #[derive(Debug, Clone, PartialEq)]
@@ -40,7 +40,7 @@ impl LogDensity {
     }
 
     /// Add another estimator's samples in (same range, bins and bandwidth;
-    /// see [`LogHistogram::merge`]).
+    /// see `LogHistogram::merge`).
     pub fn merge(&mut self, other: &LogDensity) {
         self.hist.merge(&other.hist);
     }
@@ -52,7 +52,7 @@ impl LogDensity {
 
     /// The smoothed density evaluated at each bin center, as
     /// `(x_center_linear, density_of_log10)` pairs.
-    pub fn curve(&self) -> Vec<(f64, f64)> {
+    pub(crate) fn curve(&self) -> Vec<(f64, f64)> {
         let raw = self.hist.log_density();
         let centers = self.hist.centers_log();
         if raw.is_empty() {

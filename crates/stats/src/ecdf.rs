@@ -52,32 +52,6 @@ impl Ecdf {
         Some(self.sorted[rank.saturating_sub(1).min(self.sorted.len() - 1)])
     }
 
-    /// Sample the ECDF at `n` evenly spaced x positions between the minimum
-    /// and maximum observed value, returning `(x, F(x))` pairs. Useful for
-    /// rendering a plot as a series.
-    pub fn curve(&self, n: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || n == 0 {
-            return Vec::new();
-        }
-        let lo = self.sorted[0];
-        let hi = self.sorted[self.sorted.len() - 1];
-        if n == 1 || hi == lo {
-            return vec![(hi, 1.0)];
-        }
-        (0..n)
-            .map(|i| {
-                // Pin the endpoints exactly: floating-point interpolation
-                // may land just below `hi`, which would make F(last) < 1.
-                let x = if i == n - 1 {
-                    hi
-                } else {
-                    lo + (hi - lo) * i as f64 / (n - 1) as f64
-                };
-                (x, self.eval(x))
-            })
-            .collect()
-    }
-
     /// Sample the ECDF at logarithmically spaced x positions, matching the
     /// log-scale x axis of Figure 4. All samples must be positive for this to
     /// be meaningful; non-positive lower bounds are clamped to `min_positive`.
@@ -152,25 +126,13 @@ mod tests {
         assert!(e.is_empty());
         assert_eq!(e.eval(1.0), 0.0);
         assert_eq!(e.quantile(0.5), None);
-        assert!(e.curve(10).is_empty());
+        assert!(e.curve_log(10, 1e-6).is_empty());
     }
 
     #[test]
     fn nan_dropped() {
         let e = Ecdf::from_samples(vec![f64::NAN, 1.0]);
         assert_eq!(e.len(), 1);
-    }
-
-    #[test]
-    fn curve_monotone() {
-        let e = Ecdf::from_samples((1..=100).map(|i| i as f64).collect());
-        let c = e.curve(20);
-        assert_eq!(c.len(), 20);
-        for w in c.windows(2) {
-            assert!(w[1].0 >= w[0].0);
-            assert!(w[1].1 >= w[0].1);
-        }
-        assert_eq!(c.last().unwrap().1, 1.0);
     }
 
     #[test]
@@ -187,6 +149,6 @@ mod tests {
     #[test]
     fn degenerate_single_value() {
         let e = Ecdf::from_samples(vec![7.0, 7.0]);
-        assert_eq!(e.curve(5), vec![(7.0, 1.0)]);
+        assert_eq!(e.curve_log(5, 1e-6), vec![(7.0, 1.0)]);
     }
 }

@@ -64,7 +64,7 @@ impl HeatMap2d {
     }
 
     /// Grid dimensions `(nx, ny)`.
-    pub fn dims(&self) -> (usize, usize) {
+    pub(crate) fn dims(&self) -> (usize, usize) {
         (self.nx, self.ny)
     }
 
@@ -79,7 +79,7 @@ impl HeatMap2d {
     }
 
     /// Maximum cell count (for normalizing a rendering).
-    pub fn max_cell(&self) -> u64 {
+    pub(crate) fn max_cell(&self) -> u64 {
         self.cells.iter().copied().max().unwrap_or(0)
     }
 

@@ -39,7 +39,7 @@ impl Histogram {
     }
 
     /// Record `n` identical samples.
-    pub fn add_n(&mut self, x: f64, n: u64) {
+    pub(crate) fn add_n(&mut self, x: f64, n: u64) {
         self.total += n;
         if x < self.lo {
             self.underflow += n;
@@ -80,7 +80,8 @@ impl Histogram {
     }
 
     /// Samples that fell below the range.
-    pub fn underflow(&self) -> u64 {
+    #[cfg(test)]
+    fn underflow(&self) -> u64 {
         self.underflow
     }
 
@@ -90,7 +91,7 @@ impl Histogram {
     }
 
     /// Centers of each bin.
-    pub fn centers(&self) -> Vec<f64> {
+    pub(crate) fn centers(&self) -> Vec<f64> {
         let w = (self.hi - self.lo) / self.bins.len() as f64;
         (0..self.bins.len())
             .map(|i| self.lo + w * (i as f64 + 0.5))
@@ -114,7 +115,7 @@ impl Histogram {
 /// A histogram over `log10(x)` for positive samples, used for the
 /// object-size distributions in Figure 6 (x axis 1 B .. 100 MB, log scale).
 #[derive(Debug, Clone, PartialEq)]
-pub struct LogHistogram {
+pub(crate) struct LogHistogram {
     inner: Histogram,
     nonpositive: u64,
 }
@@ -151,18 +152,13 @@ impl LogHistogram {
         self.inner.total() + self.nonpositive
     }
 
-    /// Count of non-positive (un-binnable) samples.
-    pub fn nonpositive(&self) -> u64 {
-        self.nonpositive
-    }
-
     /// Per-bin counts.
     pub fn counts(&self) -> &[u64] {
         self.inner.counts()
     }
 
     /// Bin centers expressed back in linear units (`10^center`).
-    pub fn centers_linear(&self) -> Vec<f64> {
+    pub(crate) fn centers_linear(&self) -> Vec<f64> {
         self.inner
             .centers()
             .iter()
@@ -171,7 +167,7 @@ impl LogHistogram {
     }
 
     /// Bin centers in log10 units.
-    pub fn centers_log(&self) -> Vec<f64> {
+    pub(crate) fn centers_log(&self) -> Vec<f64> {
         self.inner.centers()
     }
 
@@ -191,24 +187,9 @@ impl LogHistogram {
 
     /// Density per unit of log10(x): `mass / bin_width_log`. This is the
     /// "probability density (of the logarithm)" axis used by Figures 6 and 7.
-    pub fn log_density(&self) -> Vec<f64> {
+    pub(crate) fn log_density(&self) -> Vec<f64> {
         let w = (self.inner.hi - self.inner.lo) / self.inner.bins.len() as f64;
         self.mass().iter().map(|m| m / w).collect()
-    }
-
-    /// Index and linear-unit center of the most populated bin (the
-    /// distribution's mode), `None` if empty.
-    pub fn mode(&self) -> Option<(usize, f64)> {
-        let (idx, &c) = self
-            .inner
-            .counts()
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &c)| c)?;
-        if c == 0 {
-            return None;
-        }
-        Some((idx, self.centers_linear()[idx]))
     }
 }
 
@@ -272,20 +253,8 @@ mod tests {
         h.add(0.0);
         h.add(-3.0);
         h.add(10.0);
-        assert_eq!(h.nonpositive(), 2);
+        assert_eq!(h.counts().iter().sum::<u64>(), 1);
         assert_eq!(h.total(), 3);
-    }
-
-    #[test]
-    fn log_histogram_mode() {
-        let mut h = LogHistogram::new(0.0, 4.0, 4);
-        for _ in 0..5 {
-            h.add(50.0);
-        }
-        h.add(5000.0);
-        let (idx, center) = h.mode().unwrap();
-        assert_eq!(idx, 1);
-        assert!(center > 10.0 && center < 100.0);
     }
 
     #[test]
@@ -316,11 +285,5 @@ mod tests {
     #[should_panic(expected = "different shapes")]
     fn merging_different_shapes_panics() {
         LogHistogram::new(0.0, 8.0, 16).merge(&LogHistogram::new(0.0, 8.0, 8));
-    }
-
-    #[test]
-    fn empty_mode_is_none() {
-        let h = LogHistogram::new(0.0, 4.0, 4);
-        assert_eq!(h.mode(), None);
     }
 }

@@ -45,7 +45,7 @@ pub use boxplot::BoxPlot;
 pub use density::LogDensity;
 pub use ecdf::Ecdf;
 pub use heatmap::HeatMap2d;
-pub use histogram::{Histogram, LogHistogram};
+pub use histogram::Histogram;
 pub use percentile::{percentile, Summary};
 pub use table::TextTable;
 pub use timeseries::TimeSeries;
@@ -59,16 +59,6 @@ pub fn pct(part: u64, whole: u64) -> f64 {
         0.0
     } else {
         part as f64 / whole as f64 * 100.0
-    }
-}
-
-/// Ratio of two floating point magnitudes as a percentage, 0.0 for an empty
-/// denominator.
-pub fn pct_f(part: f64, whole: f64) -> f64 {
-    if whole <= 0.0 {
-        0.0
-    } else {
-        part / whole * 100.0
     }
 }
 
@@ -86,12 +76,5 @@ mod tests {
     #[test]
     fn pct_zero_denominator() {
         assert_eq!(pct(3, 0), 0.0);
-        assert_eq!(pct_f(3.0, 0.0), 0.0);
-        assert_eq!(pct_f(1.0, -2.0), 0.0);
-    }
-
-    #[test]
-    fn pct_f_basic() {
-        assert!((pct_f(1.5, 3.0) - 50.0).abs() < 1e-12);
     }
 }

@@ -5,7 +5,7 @@
 /// R and NumPy's default).
 ///
 /// `sorted` must be sorted ascending; an empty slice yields `f64::NAN`.
-pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
+pub(crate) fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return f64::NAN;
     }

@@ -1,6 +1,6 @@
-//! ASCII rendering of plots: sparklines, ECDF curves, densities, box plots,
-//! heat maps. These let the `experiments` driver print figure-shaped output
-//! directly into a terminal or EXPERIMENTS.md.
+//! ASCII rendering of plots: sparklines, box plots, heat maps. These let the
+//! `experiments` driver print figure-shaped output directly into a terminal
+//! or EXPERIMENTS.md.
 
 use crate::boxplot::BoxPlot;
 use crate::heatmap::HeatMap2d;
@@ -24,50 +24,6 @@ pub fn sparkline(values: &[f64]) -> String {
             SHADES[idx.min(SHADES.len() - 1)]
         })
         .collect()
-}
-
-/// Render a series as a multi-line ASCII area chart with `height` rows.
-/// The x axis is the sample index; a y-axis label with the max value is
-/// printed on the first row.
-pub fn area_chart(values: &[f64], height: usize) -> String {
-    if values.is_empty() || height == 0 {
-        return String::new();
-    }
-    let max = values.iter().copied().fold(0.0f64, f64::max).max(1e-12);
-    let mut out = String::new();
-    for row in (0..height).rev() {
-        let threshold = (row as f64 + 0.5) / height as f64 * max;
-        let label = if row == height - 1 {
-            format!("{:>9.2} |", max)
-        } else if row == 0 {
-            format!("{:>9.2} |", 0.0)
-        } else {
-            format!("{:>9} |", "")
-        };
-        out.push_str(&label);
-        for &v in values {
-            out.push(if v >= threshold { '#' } else { ' ' });
-        }
-        out.push('\n');
-    }
-    out.push_str(&format!("{:>9} +{}\n", "", "-".repeat(values.len())));
-    out
-}
-
-/// Render `(x, y)` curves (e.g. an ECDF or density) as labelled rows of
-/// `name: x=..., y=...` samples, thinned to at most `max_points` rows.
-pub fn curve_rows(name: &str, curve: &[(f64, f64)], max_points: usize) -> String {
-    if curve.is_empty() {
-        return format!("{}: (no data)\n", name);
-    }
-    let step = (curve.len() / max_points.max(1)).max(1);
-    let mut out = String::new();
-    for (i, &(x, y)) in curve.iter().enumerate() {
-        if i % step == 0 || i == curve.len() - 1 {
-            out.push_str(&format!("{}  x={:<12.4} y={:.4}\n", name, x, y));
-        }
-    }
-    out
 }
 
 /// Render a horizontal box plot on a `[lo, hi]` axis of `width` characters:
@@ -155,13 +111,6 @@ mod tests {
     }
 
     #[test]
-    fn area_chart_rows() {
-        let c = area_chart(&[1.0, 2.0, 3.0], 3);
-        assert_eq!(c.lines().count(), 4); // 3 rows + axis
-        assert!(c.contains('#'));
-    }
-
-    #[test]
     fn boxplot_row_markers() {
         let b = BoxPlot::from_samples(&[1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();
         let row = boxplot_row(&b, 0.0, 6.0, 40);
@@ -195,13 +144,5 @@ mod tests {
         assert!(lines.iter().all(|l| l.chars().count() == 4));
         // The populated cell is at the lowest x/y bin -> bottom-left.
         assert_ne!(lines[2].chars().next().unwrap(), ' ');
-    }
-
-    #[test]
-    fn curve_rows_thinning() {
-        let curve: Vec<(f64, f64)> = (0..100).map(|i| (i as f64, i as f64)).collect();
-        let out = curve_rows("ecdf", &curve, 10);
-        assert!(out.lines().count() <= 12);
-        assert!(out.contains("x=99"));
     }
 }

@@ -1,14 +1,5 @@
 //! Plain-text table rendering for the experiment reports.
 
-/// Horizontal alignment of a table cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Align {
-    /// Pad on the right.
-    Left,
-    /// Pad on the left.
-    Right,
-}
-
 /// A simple monospace table builder used by the `experiments` driver to print
 /// paper-comparable rows (Tables 1, 3, 4, 5 and the summary blocks).
 #[derive(Debug, Clone, Default)]
@@ -32,13 +23,6 @@ impl TextTable {
     /// cells; longer rows extend the column count.
     pub fn row(&mut self, cells: &[String]) -> &mut Self {
         self.rows.push(cells.to_vec());
-        self
-    }
-
-    /// Append a row of string slices (convenience).
-    pub fn row_strs(&mut self, cells: &[&str]) -> &mut Self {
-        self.rows
-            .push(cells.iter().map(|s| s.to_string()).collect());
         self
     }
 
@@ -149,8 +133,8 @@ mod tests {
     #[test]
     fn renders_aligned() {
         let mut t = TextTable::new("Demo", &["Mode", "#HTTP", "ELhits"]);
-        t.row_strs(&["Vanilla", "57,862", "4,738"]);
-        t.row_strs(&["AdBP-Pa", "48,599", "6"]);
+        t.row(&["Vanilla", "57,862", "4,738"].map(String::from));
+        t.row(&["AdBP-Pa", "48,599", "6"].map(String::from));
         let r = t.render();
         assert!(r.contains("## Demo"));
         // Layout: title, header, rule, then data rows.
@@ -169,8 +153,8 @@ mod tests {
     #[test]
     fn ragged_rows() {
         let mut t = TextTable::new("", &["a", "b"]);
-        t.row_strs(&["only-one"]);
-        t.row_strs(&["x", "y", "z"]);
+        t.row(&["only-one"].map(String::from));
+        t.row(&["x", "y", "z"].map(String::from));
         let r = t.render();
         assert!(r.contains("only-one"));
         assert!(r.contains("z"));

@@ -33,27 +33,12 @@ impl TimeSeries {
         }
     }
 
-    /// Index of a series by name.
-    pub fn series_index(&self, name: &str) -> Option<usize> {
-        self.names.iter().position(|n| n == name)
-    }
-
     /// Add `value` to series `idx` at time `t_secs`. Times beyond the
     /// configured duration accumulate in the final bin.
     pub fn add_at(&mut self, idx: usize, t_secs: f64, value: f64) {
         let b = ((t_secs.max(0.0) as u64) / self.bin_secs) as usize;
         let b = b.min(self.nbins - 1);
         self.series[idx][b] += value;
-    }
-
-    /// Number of bins.
-    pub fn nbins(&self) -> usize {
-        self.nbins
-    }
-
-    /// Bin width in seconds.
-    pub fn bin_secs(&self) -> u64 {
-        self.bin_secs
     }
 
     /// Series names in index order.
@@ -64,21 +49,6 @@ impl TimeSeries {
     /// Values of series `idx`.
     pub fn values(&self, idx: usize) -> &[f64] {
         &self.series[idx]
-    }
-
-    /// Per-bin ratio of series `num` over the sum of all series, as
-    /// percentages. Bins with no traffic yield 0.0.
-    pub fn share_pct(&self, num: usize) -> Vec<f64> {
-        (0..self.nbins)
-            .map(|b| {
-                let total: f64 = self.series.iter().map(|s| s[b]).sum();
-                if total <= 0.0 {
-                    0.0
-                } else {
-                    self.series[num][b] / total * 100.0
-                }
-            })
-            .collect()
     }
 
     /// Per-bin ratio of series `num` over series `den`, as percentages.
@@ -107,19 +77,6 @@ impl TimeSeries {
         let hi = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         Some((lo, hi))
     }
-
-    /// Collapse the series onto a 24-hour profile (sum per hour-of-day).
-    /// Requires the bin width to divide one hour. Useful for checking the
-    /// diurnal pattern irrespective of trace length.
-    pub fn diurnal_profile(&self, idx: usize) -> Vec<f64> {
-        let bins_per_hour = (3600 / self.bin_secs).max(1) as usize;
-        let mut out = vec![0.0; 24];
-        for (b, &v) in self.series[idx].iter().enumerate() {
-            let hour = (b / bins_per_hour) % 24;
-            out[hour] += v;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -129,7 +86,6 @@ mod tests {
     #[test]
     fn bins_by_hour() {
         let mut ts = TimeSeries::new(4 * 3600, 3600, &["ads", "rest"]);
-        assert_eq!(ts.nbins(), 4);
         ts.add_at(0, 0.0, 1.0);
         ts.add_at(0, 3599.0, 1.0);
         ts.add_at(0, 3600.0, 5.0);
@@ -148,36 +104,18 @@ mod tests {
         let mut ts = TimeSeries::new(3600, 3600, &["ads", "rest"]);
         ts.add_at(0, 10.0, 10.0);
         ts.add_at(1, 10.0, 90.0);
-        assert_eq!(ts.share_pct(0), vec![10.0]);
         assert!((ts.ratio_pct(0, 1)[0] - 11.111).abs() < 0.01);
     }
 
     #[test]
     fn empty_bins_are_zero_share() {
         let ts = TimeSeries::new(7200, 3600, &["a", "b"]);
-        assert_eq!(ts.share_pct(0), vec![0.0, 0.0]);
+        assert_eq!(ts.ratio_pct(0, 1), vec![0.0, 0.0]);
     }
 
     #[test]
     fn swing_ignores_empty() {
         assert_eq!(TimeSeries::swing(&[0.0, 6.0, 12.0, 0.0]), Some((6.0, 12.0)));
         assert_eq!(TimeSeries::swing(&[0.0]), None);
-    }
-
-    #[test]
-    fn diurnal_profile_wraps_days() {
-        let mut ts = TimeSeries::new(48 * 3600, 3600, &["x"]);
-        ts.add_at(0, 5.0 * 3600.0, 1.0); // day 1, 05:00
-        ts.add_at(0, 29.0 * 3600.0, 2.0); // day 2, 05:00
-        let prof = ts.diurnal_profile(0);
-        assert_eq!(prof[5], 3.0);
-        assert_eq!(prof.iter().sum::<f64>(), 3.0);
-    }
-
-    #[test]
-    fn series_index_lookup() {
-        let ts = TimeSeries::new(3600, 60, &["alpha", "beta"]);
-        assert_eq!(ts.series_index("beta"), Some(1));
-        assert_eq!(ts.series_index("gamma"), None);
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests for the statistics substrate.
 
 use proptest::prelude::*;
-use stats::{percentile, BoxPlot, Ecdf, Histogram, LogHistogram, Summary};
+use stats::{percentile, BoxPlot, Ecdf, Histogram, LogDensity, Summary};
 
 fn samples_strategy() -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-1e6f64..1e6, 1..200)
@@ -10,15 +10,17 @@ fn samples_strategy() -> impl Strategy<Value = Vec<f64>> {
 proptest! {
     #[test]
     fn ecdf_is_monotone_and_bounded(samples in samples_strategy()) {
+        let mut xs = samples.clone();
+        xs.sort_by(f64::total_cmp);
         let e = Ecdf::from_samples(samples);
-        let curve = e.curve(30);
-        for w in curve.windows(2) {
-            prop_assert!(w[1].1 >= w[0].1, "non-monotone ECDF");
+        let ys: Vec<f64> = xs.iter().map(|&x| e.eval(x)).collect();
+        for w in ys.windows(2) {
+            prop_assert!(w[1] >= w[0], "non-monotone ECDF");
         }
-        for &(_, y) in &curve {
+        for &y in &ys {
             prop_assert!((0.0..=1.0).contains(&y));
         }
-        if let Some(&(_, last)) = curve.last() {
+        if let Some(&last) = ys.last() {
             prop_assert!((last - 1.0).abs() < 1e-12);
         }
     }
@@ -73,12 +75,13 @@ proptest! {
             h.add(s);
         }
         let binned: u64 = h.counts().iter().sum();
-        prop_assert_eq!(binned + h.underflow() + h.overflow(), samples.len() as u64);
+        let underflow = samples.iter().filter(|&&s| s < -1e5).count() as u64;
+        prop_assert_eq!(binned + underflow + h.overflow(), samples.len() as u64);
     }
 
     #[test]
     fn log_histogram_handles_any_sign(samples in samples_strategy()) {
-        let mut h = LogHistogram::new(0.0, 7.0, 30);
+        let mut h = LogDensity::new(0.0, 7.0, 30, 0.1);
         for &s in &samples {
             h.add(s);
         }

@@ -49,7 +49,7 @@ impl AdTechCompany {
 
     /// Is this company an EasyPrivacy target (tracker/analytics) rather
     /// than an EasyList one (ads)?
-    pub fn is_privacy_target(&self) -> bool {
+    pub(crate) fn is_privacy_target(&self) -> bool {
         matches!(self.kind, AdTechKind::Tracker | AdTechKind::Analytics)
     }
 }

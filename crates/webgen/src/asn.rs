@@ -48,7 +48,7 @@ pub struct AsRegistry {
 impl AsRegistry {
     /// The standard registry used by the ecosystem generator. The names are
     /// fictional stand-ins for the Table 5 players.
-    pub fn standard() -> AsRegistry {
+    pub(crate) fn standard() -> AsRegistry {
         let mut r = AsRegistry::default();
         // Order matters only for readability of reports.
         r.add("Gigglesearch", AsKind::SearchGiant); // Google analogue
@@ -90,12 +90,12 @@ impl AsRegistry {
 
     /// First AS of a kind (the generator gives each special kind at least
     /// one instance).
-    pub fn first_of(&self, kind: AsKind) -> Option<AsId> {
+    pub(crate) fn first_of(&self, kind: AsKind) -> Option<AsId> {
         self.ases.iter().find(|a| a.kind == kind).map(|a| a.id)
     }
 
     /// All ASes of a kind.
-    pub fn of_kind(&self, kind: AsKind) -> Vec<AsId> {
+    pub(crate) fn of_kind(&self, kind: AsKind) -> Vec<AsId> {
         self.ases
             .iter()
             .filter(|a| a.kind == kind)

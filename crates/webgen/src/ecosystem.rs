@@ -89,9 +89,9 @@ pub struct Ecosystem {
 }
 
 /// Index of the search giant's exchange in `companies`.
-pub const GIANT_EXCHANGE: usize = 0;
+pub(crate) const GIANT_EXCHANGE: usize = 0;
 /// Index of the search giant's analytics arm in `companies`.
-pub const GIANT_ANALYTICS: usize = 1;
+pub(crate) const GIANT_ANALYTICS: usize = 1;
 
 impl Ecosystem {
     /// Generate an ecosystem from a config.
@@ -206,12 +206,6 @@ impl Ecosystem {
     /// The publisher by id.
     pub fn publisher(&self, id: usize) -> &Publisher {
         &self.publishers[id]
-    }
-
-    /// Ground truth: is this company whitelisted by the acceptable-ads
-    /// programme?
-    pub fn is_acceptable_company(&self, idx: usize) -> bool {
-        self.companies[idx].acceptable
     }
 
     /// The filter-list-lag scenario: the ad ecosystem moves on while the

@@ -472,7 +472,11 @@ mod tests {
             category: ContentCategory::Image,
         });
         // EasyPrivacy is list id 2 in engine_for's load order.
-        assert!(v.blocked_by_list(abp_filter::ListId(2)), "verdict: {v:?}");
+        let easyprivacy = abp_filter::ListId(2);
+        assert!(
+            v.blocking.iter().any(|f| f.list == easyprivacy),
+            "verdict: {v:?}"
+        );
     }
 
     #[test]
@@ -586,7 +590,7 @@ mod tests {
             source_url: Some(&page),
             category: ContentCategory::Image,
         });
-        assert!(v2.blocked_by_list(reg), "verdict: {v2:?}");
+        assert!(v2.blocking.iter().any(|f| f.list == reg), "verdict: {v2:?}");
     }
 
     #[test]

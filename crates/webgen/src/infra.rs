@@ -43,7 +43,7 @@ impl ServerRegistry {
     }
 
     /// Allocate a new server.
-    pub fn add_server(&mut self, asn: AsId, region: Region, backend: BackendClass) -> u32 {
+    pub(crate) fn add_server(&mut self, asn: AsId, region: Region, backend: BackendClass) -> u32 {
         let ip = self.next_ip;
         self.next_ip += 1;
         self.by_ip.insert(ip, self.servers.len());
@@ -58,7 +58,7 @@ impl ServerRegistry {
 
     /// Bind a hostname to a set of server IPs (replaces any previous
     /// binding).
-    pub fn bind_host(&mut self, host: &str, ips: Vec<u32>) {
+    pub(crate) fn bind_host(&mut self, host: &str, ips: Vec<u32>) {
         assert!(!ips.is_empty(), "host must have at least one server");
         for ip in &ips {
             assert!(self.by_ip.contains_key(ip), "unknown server ip {ip}");
@@ -69,7 +69,7 @@ impl ServerRegistry {
     /// Resolve a hostname to one of its servers. Deterministic per
     /// (host, salt): the same client keeps hitting the same front-end, while
     /// different clients spread across the farm — a cheap consistent-hash.
-    pub fn resolve(&self, host: &str, salt: u64) -> Option<&Server> {
+    pub(crate) fn resolve(&self, host: &str, salt: u64) -> Option<&Server> {
         let ips = self.hosts.get(&host.to_ascii_lowercase())?;
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in host.bytes() {
@@ -78,13 +78,6 @@ impl ServerRegistry {
         h ^= salt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let ip = ips[(h % ips.len() as u64) as usize];
         self.server_by_ip(ip)
-    }
-
-    /// All IPs bound to a hostname.
-    pub fn host_ips(&self, host: &str) -> Option<&[u32]> {
-        self.hosts
-            .get(&host.to_ascii_lowercase())
-            .map(Vec::as_slice)
     }
 
     /// Look up a server by IP.
@@ -105,11 +98,6 @@ impl ServerRegistry {
     /// True when empty.
     pub fn is_empty(&self) -> bool {
         self.servers.is_empty()
-    }
-
-    /// Number of bound hostnames.
-    pub fn host_count(&self) -> usize {
-        self.hosts.len()
     }
 }
 

@@ -149,7 +149,8 @@ pub struct PageTemplate {
 
 impl PageTemplate {
     /// Count of ground-truth ad-related objects (ads + trackers).
-    pub fn ad_related_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn ad_related_count(&self) -> usize {
         self.objects
             .iter()
             .filter(|o| o.kind.is_ad_related())

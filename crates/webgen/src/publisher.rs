@@ -50,7 +50,7 @@ impl SiteCategory {
     ];
 
     /// Relative frequency of the category among publishers (sums to ~1).
-    pub fn prevalence(self) -> f64 {
+    pub(crate) fn prevalence(self) -> f64 {
         match self {
             SiteCategory::News => 0.15,
             SiteCategory::VideoStreaming => 0.11,
@@ -68,7 +68,7 @@ impl SiteCategory {
     }
 
     /// Typical number of non-ad objects per page (min, max).
-    pub fn object_range(self) -> (usize, usize) {
+    pub(crate) fn object_range(self) -> (usize, usize) {
         match self {
             SiteCategory::News => (35, 75),
             SiteCategory::VideoStreaming => (14, 30),
@@ -86,7 +86,7 @@ impl SiteCategory {
     }
 
     /// Typical number of third-party display/video ads per page (min, max).
-    pub fn ad_range(self) -> (usize, usize) {
+    pub(crate) fn ad_range(self) -> (usize, usize) {
         match self {
             SiteCategory::News => (3, 7),
             SiteCategory::VideoStreaming => (1, 2),
@@ -104,7 +104,7 @@ impl SiteCategory {
     }
 
     /// Typical number of trackers/analytics per page (min, max).
-    pub fn tracker_range(self) -> (usize, usize) {
+    pub(crate) fn tracker_range(self) -> (usize, usize) {
         match self {
             SiteCategory::News => (3, 6),
             SiteCategory::VideoStreaming => (1, 3),
@@ -116,7 +116,7 @@ impl SiteCategory {
 
     /// Number of embedded text ads in the main HTML (min, max) — element
     /// hiding targets.
-    pub fn text_ad_range(self) -> (usize, usize) {
+    pub(crate) fn text_ad_range(self) -> (usize, usize) {
         match self {
             SiteCategory::Search => (2, 5),
             SiteCategory::News => (0, 2),
@@ -129,12 +129,12 @@ impl SiteCategory {
     /// excluded from the programme — matching the paper's observation that
     /// sites without whitelisted requests were dominated by the adult
     /// category.
-    pub fn may_use_acceptable_ads(self) -> bool {
+    pub(crate) fn may_use_acceptable_ads(self) -> bool {
         !matches!(self, SiteCategory::Adult | SiteCategory::FileSharing)
     }
 
     /// Does the category mainly serve video chunks?
-    pub fn is_streaming(self) -> bool {
+    pub(crate) fn is_streaming(self) -> bool {
         matches!(
             self,
             SiteCategory::VideoStreaming | SiteCategory::AudioStreaming
