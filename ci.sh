@@ -141,6 +141,15 @@ if grep -rn 'households' crates/adscope/src/characterize; then exit 1; fi
 # materialized kernel it still calls is the one-thread oracle.
 if grep -n 'classify_trace_sharded' src/bin/experiments/*.rs; then exit 1; fi
 if grep -n 'ClassifiedTrace' src/bin/experiments/world.rs; then exit 1; fi
+# Every table and figure comes from the stream engine, folded once: the
+# experiments binary's tables name no oracle item, Figures 5a/5b read the
+# window plane (which a checkpoint carries) instead of a fold of their own,
+# and a fold reaches the engine through the one entry point that refuses a
+# checkpoint, so no fold flags itself safe beside one.
+if grep -rnE 'TimeBins|STATELESS|classify_stream_file_with' \
+  crates/*/src crates/*/tests src tests; then exit 1; fi
+if grep -nE 'adscope::pipeline|classify_trace' \
+  src/bin/experiments/experiments.rs src/bin/experiments/world.rs; then exit 1; fi
 # One engine fans out: the oracle (adscope::pipeline) runs on one thread, so
 # no pool and no per-shard kernel may come back beside the stream engine.
 if grep -rnE 'Pool|pool\.map|classify_shard' crates/adscope/src; then exit 1; fi

@@ -12,7 +12,9 @@
 //! ([`crate::stream::StreamReport`]); over a materialized trace they are
 //! [`crate::users::aggregate_users`] and the download set [`crate::infer`]
 //! finds in its flows. Table 3, Figures 3–4, §6.3 and the threshold sweep
-//! read those.
+//! read those. Nor are Figures 5a and 5b: they are read off the engine's
+//! hourly window plane ([`timeseries`] over a [`crate::window`] report),
+//! which a checkpoint carries, so they survive a kill.
 
 pub mod ases;
 pub mod content;
@@ -22,7 +24,7 @@ pub mod sizes;
 pub mod timeseries;
 pub mod whitelist;
 
-use crate::pipeline::{ClassifiedRequest, ClassifiedTrace};
+use crate::pipeline::ClassifiedRequest;
 use crate::stream::Fold;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -92,8 +94,6 @@ pub struct Figures {
     pub sizes: sizes::Sizes,
     /// Figure 7.
     pub rtb: rtb::Handshakes,
-    /// Figures 5a and 5b.
-    pub time: timeseries::TimeBins,
     /// §7.3.
     pub whitelist: whitelist::Whitelist,
 }
@@ -105,7 +105,8 @@ impl Figures {
     }
 
     /// The figures of a materialized trace: the fold over its requests.
-    pub fn of_trace(trace: &ClassifiedTrace) -> Figures {
+    #[cfg(test)]
+    pub(crate) fn of_trace(trace: &crate::pipeline::ClassifiedTrace) -> Figures {
         let mut figures = Figures::new();
         for (pos, r) in trace.requests.iter().enumerate() {
             figures.observe(pos as u64, r);
@@ -120,7 +121,6 @@ impl Fold for Figures {
         self.content.observe(r);
         self.sizes.observe(r);
         self.rtb.observe(r);
-        self.time.observe(r);
         self.whitelist.observe(r);
     }
 
@@ -129,7 +129,6 @@ impl Fold for Figures {
         self.content.merge(&other.content);
         self.sizes.merge(&other.sizes);
         self.rtb.merge(&other.rtb);
-        self.time.merge(&other.time);
         self.whitelist.merge(&other.whitelist);
     }
 }

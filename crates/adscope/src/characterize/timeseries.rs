@@ -1,11 +1,15 @@
-//! Time series of ad vs non-ad traffic (Figures 5a/5b).
+//! Time series of ad vs non-ad traffic (Figures 5a/5b), read off the
+//! adscope window plane ([`crate::window`]): per window, its requests and
+//! bytes by list attribution. The windows are checkpointed, so a resumed
+//! run's figures are the uninterrupted run's.
 
-use super::merge_maps;
-use crate::classify::Attribution;
-use crate::pipeline::ClassifiedRequest;
+use crate::window::{
+    BYTES, BYTES_EASYLIST, BYTES_EASYPRIVACY, COUNTERS, EASYLIST, EASYPRIVACY, REQUESTS,
+    WHITELISTED,
+};
 use netsim::record::TraceMeta;
+use obs::window::{ClosedWindow, WindowReport};
 use stats::TimeSeries;
-use std::collections::HashMap;
 
 /// Series indices of the Figure 5a request time series.
 pub mod series {
@@ -15,88 +19,66 @@ pub mod series {
     pub const EASYLIST: usize = 1;
     /// EasyPrivacy-attributed ad requests.
     pub const EASYPRIVACY: usize = 2;
-    /// Whitelist-only (non-intrusive) ad requests.
-    pub(crate) const NON_INTRUSIVE: usize = 3;
+    // Series 3: whitelist-only (non-intrusive) ad requests.
 }
 
-/// The bin width of both figures, in seconds.
-pub(crate) const BIN_SECS: u64 = 3600;
+/// The bin width of both figures, in seconds: the window plane's default
+/// width.
+const BIN_SECS: u64 = 3600;
 
-/// The Figure 5 fold, 5a and 5b in one pass: per `BIN_SECS` bin, the
-/// requests and the bytes of each series of [`series`]. Integer bins, so
-/// parts merge exactly; sparse, so a garbled timestamp costs one entry, not
-/// every bin below it. A bin past the trace's stated duration is folded into
-/// the last one when a figure is read out.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TimeBins(HashMap<u64, ([u64; 4], [u64; 4])>);
+/// Counter `at` of [`COUNTERS`] in `w`.
+fn count(w: &ClosedWindow, at: usize) -> u64 {
+    w.counter(COUNTERS[at])
+}
 
-impl TimeBins {
-    /// Fold one classified request.
-    pub fn observe(&mut self, r: &ClassifiedRequest) {
-        let idx = match r.label.attribution() {
-            None => series::NON_AD,
-            Some(Attribution::EasyList) => series::EASYLIST,
-            Some(Attribution::EasyPrivacy) => series::EASYPRIVACY,
-            Some(Attribution::NonIntrusive) => series::NON_INTRUSIVE,
-        };
-        let (requests, bytes) = self.0.entry(r.ts.max(0.0) as u64 / BIN_SECS).or_default();
-        requests[idx] += 1;
-        bytes[idx] += r.bytes;
-    }
-
-    /// Add another part in, bin by bin.
-    pub fn merge(&mut self, other: &TimeBins) {
-        merge_maps(&mut self.0, &other.0, |mine, theirs| {
-            for idx in 0..4 {
-                mine.0[idx] += theirs.0[idx];
-                mine.1[idx] += theirs.1[idx];
-            }
-        });
-    }
-
-    /// A series set over `meta`'s duration, `value(requests, bytes)` added
-    /// per bin and series name. Every addend is an integer below 2^53, so
-    /// the `f64` sums are exact in any order.
-    fn series<const N: usize>(
-        &self,
-        meta: &TraceMeta,
-        names: [&str; N],
-        value: impl Fn(&[u64; 4], &[u64; 4]) -> [u64; N],
-    ) -> TimeSeries {
-        let mut ts = TimeSeries::new(meta.duration_secs.ceil() as u64, BIN_SECS, &names);
-        for (bin, (requests, bytes)) in &self.0 {
-            for (idx, v) in value(requests, bytes).into_iter().enumerate() {
-                ts.add_at(idx, (bin * BIN_SECS) as f64, v as f64);
-            }
+/// A series set over `meta`'s duration, `value(window)` added per window at
+/// its start. A window as wide as a bin or narrower (and dividing it) lands
+/// in one bin; one that starts past the stated duration lands in the last,
+/// one before the origin in the first. Every addend is an integer below
+/// 2^53, so the `f64` sums are exact in any order.
+fn series<const N: usize>(
+    windows: &WindowReport,
+    meta: &TraceMeta,
+    names: [&str; N],
+    value: impl Fn(&ClosedWindow) -> [u64; N],
+) -> TimeSeries {
+    let mut ts = TimeSeries::new(meta.duration_secs.ceil() as u64, BIN_SECS, &names);
+    for w in &windows.windows {
+        for (idx, v) in value(w).into_iter().enumerate() {
+            ts.add_at(idx, w.start_secs, v as f64);
         }
-        ts
     }
+    ts
+}
 
-    /// The Figure 5a request-count series.
-    pub fn request_series(&self, meta: &TraceMeta) -> TimeSeries {
-        let names = ["non-ads", "EasyList", "EasyPrivacy", "Non-intrusive"];
-        self.series(meta, names, |requests, _| *requests)
-    }
+/// The Figure 5a request-count series. A request is counted under at most
+/// one attribution, so the non-ads are what the three attributions leave.
+pub fn request_series(windows: &WindowReport, meta: &TraceMeta) -> TimeSeries {
+    let names = ["non-ads", "EasyList", "EasyPrivacy", "Non-intrusive"];
+    series(windows, meta, names, |w| {
+        let [el, ep, ni] = [EASYLIST, EASYPRIVACY, WHITELISTED].map(|at| count(w, at));
+        [count(w, REQUESTS) - el - ep - ni, el, ep, ni]
+    })
+}
 
-    /// The Figure 5b shares.
-    pub fn share_series(&self, meta: &TraceMeta) -> ShareSeries {
-        use series::{EASYLIST, EASYPRIVACY};
-        let of = |v: &[u64; 4]| [v.iter().sum(), v[EASYLIST], v[EASYPRIVACY]];
-        let names = ["total", "el", "ep"];
-        let reqs = self.series(meta, names, |requests, _| of(requests));
-        let bytes = self.series(meta, names, |_, bytes| of(bytes));
-        ShareSeries {
-            easylist_req_pct: reqs.ratio_pct(1, 0),
-            easyprivacy_req_pct: reqs.ratio_pct(2, 0),
-            easylist_bytes_pct: bytes.ratio_pct(1, 0),
-            easyprivacy_bytes_pct: bytes.ratio_pct(2, 0),
-        }
+/// The Figure 5b shares.
+pub fn share_series(windows: &WindowReport, meta: &TraceMeta) -> ShareSeries {
+    let names = ["total", "el", "ep"];
+    let of = |cells: [usize; 3]| series(windows, meta, names, |w| cells.map(|at| count(w, at)));
+    let reqs = of([REQUESTS, EASYLIST, EASYPRIVACY]);
+    let bytes = of([BYTES, BYTES_EASYLIST, BYTES_EASYPRIVACY]);
+    ShareSeries {
+        easylist_req_pct: reqs.ratio_pct(1, 0),
+        easyprivacy_req_pct: reqs.ratio_pct(2, 0),
+        easylist_bytes_pct: bytes.ratio_pct(1, 0),
+        easyprivacy_bytes_pct: bytes.ratio_pct(2, 0),
     }
 }
 
 /// The Figure 5b percentage series: per bin, the share of requests and
 /// bytes attributed to EasyList and EasyPrivacy (whitelist-only hits
 /// excluded, exactly like the figure).
+#[derive(Debug, PartialEq)]
 pub struct ShareSeries {
     /// % of requests attributed to EasyList, per bin.
     pub easylist_req_pct: Vec<f64>,
@@ -122,7 +104,6 @@ pub fn combined_ad_share(shares: &ShareSeries) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::characterize::Figures;
     use crate::classify::PassiveClassifier;
     use crate::pipeline::{classify_trace, PipelineOptions};
     use abp_filter::FilterList;
@@ -155,7 +136,7 @@ mod tests {
         })
     }
 
-    fn classified(records: Vec<TraceRecord>, dur: f64) -> (TimeBins, TraceMeta) {
+    fn classified(records: Vec<TraceRecord>, dur: f64) -> (WindowReport, TraceMeta) {
         let trace = Trace {
             meta: TraceMeta {
                 name: "t".into(),
@@ -172,7 +153,7 @@ mod tests {
             FilterList::parse("acceptable-ads", "@@/nice/\n"),
         ]);
         let trace = classify_trace(&trace, &c, PipelineOptions::default());
-        (Figures::of_trace(&trace).time, trace.meta)
+        (trace.windows, trace.meta)
     }
 
     #[test]
@@ -186,31 +167,35 @@ mod tests {
             ],
             7200.0,
         );
-        let ts = t.request_series(&meta);
+        let ts = request_series(&t, &meta);
         assert_eq!(ts.values(series::NON_AD), &[1.0, 0.0]);
         assert_eq!(ts.values(series::EASYLIST), &[1.0, 0.0]);
         assert_eq!(ts.values(series::EASYPRIVACY), &[0.0, 1.0]);
-        assert_eq!(ts.values(series::NON_INTRUSIVE), &[0.0, 1.0]);
+        assert_eq!(ts.names()[3], "Non-intrusive");
+        assert_eq!(ts.values(3), &[0.0, 1.0]);
     }
 
     #[test]
     fn a_request_past_the_stated_duration_lands_in_the_last_bin() {
         let records = vec![tx(10.0, "/logo.png", 1), tx(9000.0, "/logo.png", 1)];
         let (t, meta) = classified(records, 7200.0);
-        assert_eq!(t.request_series(&meta).values(series::NON_AD), &[1.0, 1.0]);
+        assert_eq!(
+            request_series(&t, &meta).values(series::NON_AD),
+            &[1.0, 1.0]
+        );
     }
 
     #[test]
     fn a_garbled_far_future_timestamp_costs_one_bin() {
         // `1234.56789012` with one byte turned into an `e`: finite, and past
-        // every `u64`. Dense bins would ask the allocator for all of them.
+        // every `u64`. Dense windows would ask the allocator for all of them.
         let records = vec![tx(10.0, "/logo.png", 1), tx(1e30, "/banners/a.gif", 7)];
         let (t, meta) = classified(records, 7200.0);
-        assert_eq!(t.0.len(), 2);
-        let ts = t.request_series(&meta);
+        assert_eq!(t.windows.len(), 2);
+        let ts = request_series(&t, &meta);
         assert_eq!(ts.values(series::NON_AD), &[1.0, 0.0]);
         assert_eq!(ts.values(series::EASYLIST), &[0.0, 1.0]);
-        assert_eq!(t.share_series(&meta).easylist_bytes_pct[1], 100.0);
+        assert_eq!(share_series(&t, &meta).easylist_bytes_pct[1], 100.0);
     }
 
     #[test]
@@ -223,7 +208,7 @@ mod tests {
             ],
             3600.0,
         );
-        let s = t.share_series(&meta);
+        let s = share_series(&t, &meta);
         assert!((s.easylist_req_pct[0] - 33.333).abs() < 0.01);
         assert!((s.easyprivacy_req_pct[0] - 33.333).abs() < 0.01);
         assert!((s.easylist_bytes_pct[0] - 10.0).abs() < 0.01);
@@ -234,7 +219,7 @@ mod tests {
     #[test]
     fn whitelist_only_excluded_from_5b() {
         let (t, meta) = classified(vec![tx(0.0, "/nice/w.gif", 100)], 3600.0);
-        let s = t.share_series(&meta);
+        let s = share_series(&t, &meta);
         assert_eq!(s.easylist_req_pct[0], 0.0);
         assert_eq!(s.easyprivacy_req_pct[0], 0.0);
     }

@@ -10,7 +10,10 @@
 //!
 //! Every path folds the same set: each stream worker and the router observe
 //! one and cut it at barriers, the run's cumulative state is one, and the
-//! materialized kernel folds one over its request vector.
+//! materialized kernel folds one over its request vector. A checkpoint
+//! carries the set, and nothing of a caller's [`crate::stream::Fold`], so a
+//! result that must survive a kill is read off a plane: Figures 5a and 5b
+//! off the window plane ([`crate::characterize::timeseries`]).
 //!
 //! What is kept per ⟨IP, UA⟩ user is not a plane: it is the user's counter
 //! block ([`crate::users::UserTally`]), which the stream engine keeps in each

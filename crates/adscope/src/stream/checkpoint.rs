@@ -58,7 +58,7 @@ pub const CHECKPOINT_FILE: &str = "checkpoint.ndjson";
 /// checkpointing there is live.
 pub(super) const LOCK_FILE: &str = "checkpoint.lock";
 /// Manifest schema version (bumped on incompatible layout changes).
-const CHECKPOINT_VERSION: u64 = 8;
+const CHECKPOINT_VERSION: u64 = 9;
 /// A barrier rewrites the log once appending would take it past this many
 /// times the bytes of a whole-state segment, and past
 /// [`COMPACT_FLOOR_BYTES`].

@@ -72,7 +72,10 @@
 //!
 //! Beside the planes a run folds what its caller passes it, a [`Fold`] over
 //! the requests: [`crate::characterize::Figures`], the §6–§8 analyses of the
-//! paper, is one; `()` folds nothing.
+//! paper, is one. A checkpoint carries nothing of a fold, so the one entry
+//! point that takes a fold, [`classify_stream_chunks`], refuses a checkpoint,
+//! and [`classify_stream_file`], which checkpoints, takes none: what must
+//! survive a kill is a plane.
 
 mod checkpoint;
 mod router;
@@ -87,7 +90,7 @@ use crate::population::PopulationReport;
 use crate::users::UserAggregate;
 use netsim::codec::CodecStats;
 use netsim::record::TraceMeta;
-use netsim::stream::{ChunkReader, OwnedChunks, StreamChunk};
+use netsim::stream::{ChunkReader, ChunkSource};
 use obs::window::WindowReport;
 use router::{run_stream, RunState};
 use std::collections::HashSet;
@@ -174,11 +177,6 @@ impl CheckpointOptions {
 /// order — so the result must not depend on which part saw which request, in
 /// what order, or on the grouping.
 pub trait Fold: Clone + Send {
-    /// A checkpoint carries nothing of a fold, so a resumed run hands back
-    /// only what was folded after it: `true` promises that this loses
-    /// nothing — the fold keeps no result, here or anywhere else — and only
-    /// then is [`StreamOptions::checkpoint`] accepted beside it.
-    const STATELESS: bool = false;
     /// One classified request and its position in the trace's request
     /// order (workers finalize held records out of it).
     fn observe(&mut self, pos: u64, req: &ClassifiedRequest);
@@ -187,13 +185,11 @@ pub trait Fold: Clone + Send {
 }
 
 impl Fold for () {
-    const STATELESS: bool = true;
     fn observe(&mut self, _pos: u64, _req: &ClassifiedRequest) {}
     fn merge(&mut self, _part: ()) {}
 }
 
 impl<A: Fold, B: Fold> Fold for (A, B) {
-    const STATELESS: bool = A::STATELESS && B::STATELESS;
     fn observe(&mut self, pos: u64, req: &ClassifiedRequest) {
         self.0.observe(pos, req);
         self.1.observe(pos, req);
@@ -373,30 +369,13 @@ pub fn classify_stream_file(
     opts: &StreamOptions,
     registry: &obs::Registry,
 ) -> Result<StreamReport, StreamError> {
-    classify_stream_file_with(path, classifier, opts, registry, ()).map(|(report, ())| report)
+    stream_file(path, classifier, opts, registry, ()).map(|(report, ())| report)
 }
 
-/// [`classify_stream_file`] folding `fold` (empty as passed) beside the
-/// planes. Together with [`StreamOptions::checkpoint`] a fold that is not
-/// [`Fold::STATELESS`] is refused.
-#[doc(hidden)]
-pub fn classify_stream_file_with<F: Fold>(
-    path: &Path,
-    classifier: &PassiveClassifier,
-    opts: &StreamOptions,
-    registry: &obs::Registry,
-    fold: F,
-) -> Result<(StreamReport, F), StreamError> {
-    if opts.checkpoint.is_some() && !F::STATELESS {
-        return Err(StreamError::Config(
-            "a fold is not checkpointed: checkpointing requires a stateless fold".into(),
-        ));
-    }
-    stream_file(path, classifier, opts, registry, fold)
-}
-
-/// [`classify_stream_file_with`] behind its refusal: the resume test folds
-/// a collector over a resumed run to see exactly the part a checkpoint drops.
+/// [`classify_stream_file`] folding `fold` beside the planes. No public
+/// entry point pairs a fold with a checkpoint, which carries nothing of it;
+/// the in-module tests do, the resume test to see exactly the part a
+/// checkpoint drops.
 ///
 /// A resume refuses a trace that cannot be the one the checkpoint was cut
 /// from: a file shorter than the checkpoint's offset, or one whose header
@@ -455,28 +434,26 @@ fn stream_file<F: Fold>(
     run_stream(reader, state, classifier, opts, registry, total_bytes, fold)
 }
 
-/// Stream-classify an in-memory chunk source (e.g. a generator bridge),
-/// folding `fold` (empty as passed) beside the planes. Checkpointing
-/// requires byte offsets, so it is rejected here.
-pub fn classify_stream_chunks<I, F>(
-    chunks: I,
+/// Stream-classify the records `chunks` lends — a [`ChunkReader`] over a
+/// file or any reader, or [`netsim::stream::OwnedChunks`] over in-memory
+/// chunks (e.g. a generator bridge) — of a trace whose metadata is `meta`,
+/// folding `fold` (empty as passed) beside the planes. A checkpoint needs a
+/// seekable file and would drop the fold, so it is refused here.
+pub fn classify_stream_chunks<S: ChunkSource, F: Fold>(
+    chunks: S,
     meta: TraceMeta,
     classifier: &PassiveClassifier,
     opts: &StreamOptions,
     registry: &obs::Registry,
     fold: F,
-) -> Result<(StreamReport, F), StreamError>
-where
-    I: Iterator<Item = StreamChunk>,
-    F: Fold,
-{
+) -> Result<(StreamReport, F), StreamError> {
     if opts.checkpoint.is_some() {
         return Err(StreamError::Config(
             "checkpointing requires a seekable trace file".into(),
         ));
     }
-    let (source, state) = (OwnedChunks(chunks), RunState::new(meta, opts));
-    run_stream(source, state, classifier, opts, registry, 0, fold)
+    let state = RunState::new(meta, opts);
+    run_stream(chunks, state, classifier, opts, registry, 0, fold)
 }
 
 /// Trace builders and option presets the in-file tests of this module
@@ -679,6 +656,7 @@ mod tests {
     use crate::characterize::Figures;
     use crate::infer::households_with_downloads;
     use crate::users::aggregate_users;
+    use netsim::stream::{OwnedChunks, StreamChunk};
     use std::fs;
 
     #[test]
@@ -694,8 +672,7 @@ mod tests {
                 ..stream_opts(threads, 17)
             };
             let (rep, got) =
-                classify_stream_file_with(&path, &classifier(), &opts, &reg, Figures::new())
-                    .unwrap();
+                stream_file(&path, &classifier(), &opts, &reg, Figures::new()).unwrap();
             assert_eq!(got, want, "threads={threads}");
             assert_eq!(rep.user_table, aggregate_users(&seq), "threads={threads}");
             let households = households_with_downloads(&seq.https_flows, &[9]);
@@ -722,23 +699,25 @@ mod tests {
             ..stream_opts(4, 13)
         };
         let reg = obs::Registry::new();
-        let (rep, got) =
-            classify_stream_chunks(chunks, meta, &classifier(), &o, &reg, Figures::new()).unwrap();
+        let (rep, got) = classify_stream_chunks(
+            OwnedChunks(chunks),
+            meta,
+            &classifier(),
+            &o,
+            &reg,
+            Figures::new(),
+        )
+        .unwrap();
         assert_eq!(got, Figures::of_trace(&seq));
         assert_eq!(rep.user_table, aggregate_users(&seq));
         let households = households_with_downloads(&seq.https_flows, &[9]);
         assert_eq!(rep.households, households);
         assert_eq!(rep.windows, seq.windows);
 
-        // ... but checkpointing without a file is refused, and so is a fold
-        // that holds state together with a checkpoint.
+        // ... but checkpointing without a file is refused.
         o.checkpoint = Some(CheckpointOptions::new(temp_path("nope")));
-        let path = write_trace_file(&messy_trace(8), "fold-ck");
-        let err = classify_stream_file_with(&path, &classifier(), &o, &reg, Figures::new());
-        assert!(matches!(err, Err(StreamError::Config(_))));
-        let _ = fs::remove_file(&path);
         let err = classify_stream_chunks(
-            std::iter::empty(),
+            OwnedChunks(std::iter::empty()),
             TraceMeta {
                 name: "x".into(),
                 duration_secs: 0.0,

@@ -573,10 +573,7 @@ mod tests {
     use crate::pipeline::ClassifiedRequest;
     use crate::stream::checkpoint::{last_manifest, LOCK_FILE};
     use crate::stream::testutil::*;
-    use crate::stream::{
-        classify_stream_file, classify_stream_file_with, stream_file, CheckpointOptions,
-        CHECKPOINT_FILE,
-    };
+    use crate::stream::{classify_stream_file, stream_file, CheckpointOptions, CHECKPOINT_FILE};
     use netsim::stream::{OwnedChunks, StreamChunk};
     use std::collections::HashMap;
     use std::fs;
@@ -865,7 +862,6 @@ mod tests {
     struct DiesAtTheBarrier;
 
     impl Fold for DiesAtTheBarrier {
-        const STATELESS: bool = true;
         fn observe(&mut self, _pos: u64, req: &ClassifiedRequest) {
             if req.client_ip == 2 && req.url.host() == "ads.example" {
                 std::thread::sleep(Duration::from_millis(100));
@@ -895,7 +891,7 @@ mod tests {
         std::thread::spawn(move || {
             let run = std::panic::catch_unwind(|| {
                 let registry = obs::Registry::new();
-                classify_stream_file_with(&trace, &classifier(), &o, &registry, DiesAtTheBarrier)
+                stream_file(&trace, &classifier(), &o, &registry, DiesAtTheBarrier)
             });
             let panic = run.err().and_then(|p| p.downcast_ref::<&str>().copied());
             let _ = done.send(panic);
@@ -925,7 +921,7 @@ mod tests {
         let path = write_trace_file(&messy_trace(160), "queue-gauge");
         let registry = obs::Registry::new();
         let o = stream_opts(2, 16);
-        classify_stream_file_with(&path, &classifier(), &o, &registry, Slow).unwrap();
+        stream_file(&path, &classifier(), &o, &registry, Slow).unwrap();
         let mut stalls = 0;
         for worker in ["0", "1"] {
             let label = [("worker", worker)];
@@ -1005,8 +1001,8 @@ mod tests {
         .unwrap();
         assert!(got.resumed_from.unwrap() > 0);
         assert_eq!(got.render(), want.render(), "resumed render differs");
-        // A fold is not checkpointed (which is why the public entry point
-        // refuses this pairing): the resumed run's collector saw only the
+        // A fold is not checkpointed (which is why no public entry point
+        // takes this pairing): the resumed run's collector saw only the
         // requests finalized after the checkpoint. Each one must match the
         // uninterrupted run's request at the same global position — user
         // state restored wrongly shows here and in no aggregate — and

@@ -3,9 +3,11 @@
 //!
 //! [`observe`] folds one request into an [`obs::WindowSeries`] of this
 //! module's schema (`COUNTERS`, `RTB_HIST`): per-window
-//! request/ad/block/whitelist counts, byte volume, refmap misses,
-//! quarantined records, and an RTB-latency histogram (the §8.2 back-office
-//! gap, ad requests only). The series' logical clock is the trace timestamp,
+//! request/ad/block/whitelist counts, byte volume (all, and EasyList- and
+//! EasyPrivacy-attributed), refmap misses, quarantined records, and an
+//! RTB-latency histogram (the §8.2 back-office gap, ad requests only).
+//! Figures 5a and 5b read their hourly series off these windows
+//! ([`crate::characterize::timeseries`]). The series' logical clock is the trace timestamp,
 //! so the report is a pure function of the classified requests; [`aggregate`]
 //! folds a request slice through [`crate::planes::Planes`], as
 //! [`crate::pipeline`] does over the whole request vector.
@@ -51,6 +53,8 @@ pub(crate) const COUNTERS: &[&str] = &[
     "refmap_miss",
     "quarantined",
     "bytes",
+    "bytes_easylist",
+    "bytes_easyprivacy",
 ];
 
 /// The RTB back-office latency histogram series (§8.2 gap, ms, ad
@@ -62,10 +66,12 @@ pub(crate) const REQUESTS: usize = 0;
 pub(crate) const ADS: usize = 1;
 pub(crate) const EASYLIST: usize = 2;
 pub(crate) const EASYPRIVACY: usize = 3;
-const WHITELISTED: usize = 4;
+pub(crate) const WHITELISTED: usize = 4;
 pub(crate) const REFMAP_MISS: usize = 5;
 pub(crate) const QUARANTINED: usize = 6;
-const BYTES: usize = 7;
+pub(crate) const BYTES: usize = 7;
+pub(crate) const BYTES_EASYLIST: usize = 8;
+pub(crate) const BYTES_EASYPRIVACY: usize = 9;
 
 /// An empty adscope series at `opts`' width.
 pub fn series(opts: WindowOptions) -> WindowSeries {
@@ -85,8 +91,14 @@ pub fn observe(windows: &mut WindowSeries, r: &ClassifiedRequest) {
         w.observe(0, r.backend_gap_ms().max(0.0) as u64);
     }
     match r.label.attribution() {
-        Some(Attribution::EasyList) => w.count(EASYLIST, 1),
-        Some(Attribution::EasyPrivacy) => w.count(EASYPRIVACY, 1),
+        Some(Attribution::EasyList) => {
+            w.count(EASYLIST, 1);
+            w.count(BYTES_EASYLIST, r.bytes);
+        }
+        Some(Attribution::EasyPrivacy) => {
+            w.count(EASYPRIVACY, 1);
+            w.count(BYTES_EASYPRIVACY, r.bytes);
+        }
         Some(Attribution::NonIntrusive) => w.count(WHITELISTED, 1),
         None => {}
     }
@@ -189,6 +201,8 @@ mod tests {
         assert_eq!(report.total("blocked_easylist"), 1);
         assert_eq!(report.total("whitelisted"), 1, "exception-only hit");
         assert_eq!(report.total("bytes"), 400);
+        assert_eq!(report.total("bytes_easylist"), 100);
+        assert_eq!(report.total("bytes_easyprivacy"), 0);
         assert_eq!(report.total("refmap_miss"), 4);
         let h = report.windows[0].hist(RTB_HIST).expect("rtb histogram");
         assert_eq!(h.count(), 2, "only ad requests observe the RTB gap");

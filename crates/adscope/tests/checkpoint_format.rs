@@ -16,7 +16,9 @@
 //!   error that names where it sits, never narrowed into a different number.
 
 use abp_filter::FilterList;
+use adscope::characterize::timeseries::{request_series, share_series};
 use adscope::classify::PassiveClassifier;
+use adscope::pipeline::classify_trace;
 use adscope::population::PopulationOptions;
 use adscope::stream::{
     classify_stream_file, CheckpointOptions, StreamError, StreamOptions, StreamReport,
@@ -28,6 +30,7 @@ use http_model::HttpTransaction;
 use netsim::codec::write_trace;
 use netsim::record::{TlsConnection, Trace, TraceMeta, TraceRecord};
 use obs::{AlertRule, DetectorSpec, Direction, SeriesSpec, Severity};
+use std::fmt::Debug;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -525,13 +528,13 @@ fn the_committed_log_resumes_byte_identically() {
 
 /// Resume reads only the format version this build writes. A file with no
 /// trailer (the shape of version 1), and the committed log with its
-/// manifests' version set to 2, 3, 4, 5, 6 and 7 (trailers valid), are each refused
+/// manifests' version set to each of 2 to 8 (trailers valid), are each refused
 /// naming their version; the sidecar, which a resume truncates only once the
 /// load succeeds, is left as it was.
 #[test]
 fn a_checkpoint_of_another_format_version_is_refused_naming_it() {
     let version =
-        |v: u64| move |m: String| m.replacen("\"version\":8,", &format!("\"version\":{v},"), 1);
+        |v: u64| move |m: String| m.replacen("\"version\":9,", &format!("\"version\":{v},"), 1);
     let (manifest, users) = read_checkpoint(&fixture_dir().join(CHECKPOINT_FILE));
     let trailerless = format!(
         "{}\n{}\n",
@@ -547,12 +550,13 @@ fn a_checkpoint_of_another_format_version_is_refused_naming_it() {
         (5, fixture_log(version(5), |u| u)),
         (6, fixture_log(version(6), |u| u)),
         (7, fixture_log(version(7), |u| u)),
+        (8, fixture_log(version(8), |u| u)),
     ] {
         let dir = killed_dir(&checkpoint, &sidecar);
         match run(&fixture_dir().join("trace.ndjson"), &opts(2, &dir, 1, true)) {
             Err(StreamError::Checkpoint(msg)) => assert_eq!(
                 msg,
-                format!("checkpoint format version {v}; this build reads 8")
+                format!("checkpoint format version {v}; this build reads 9")
             ),
             other => panic!("version {v}: expected a refusal, loaded: {}", other.is_ok()),
         }
@@ -615,6 +619,32 @@ fn every_kill_point_resumes_byte_identically() {
                 let _ = std::fs::remove_dir_all(&dir);
             }
         }
+    }
+}
+
+/// Figures 5a and 5b are read off the window plane, which a checkpoint
+/// carries: killed at every chunk boundary and resumed, a run's series are
+/// the oracle's, bin for bin. A figure folded beside the planes instead
+/// loses on resume every request folded before the kill.
+#[test]
+fn figure_5_survives_a_kill_at_every_chunk_boundary() {
+    let trace = fixture_dir().join("trace.ndjson");
+    let seq = classify_trace(&messy_trace(RECORDS), &classifier(), Default::default());
+    fn figure_5(windows: &obs::WindowReport, meta: &TraceMeta) -> impl PartialEq + Debug {
+        (request_series(windows, meta), share_series(windows, meta))
+    }
+    let want = figure_5(&seq.windows, &seq.meta);
+    let bins = request_series(&seq.windows, &seq.meta).values(0).len();
+    assert_eq!(bins, 9, "the trace spans nine hourly bins");
+    for kill in 1..CHUNKS {
+        let dir = temp_dir("figure-5");
+        let mut killed = opts(2, &dir, 1, false);
+        killed.stop_after_chunks = Some(kill);
+        assert!(run(&trace, &killed).unwrap().stopped_early);
+        let got = run(&trace, &opts(2, &dir, 1, true)).unwrap();
+        assert!(got.resumed_from.is_some(), "kill={kill}");
+        assert_eq!(figure_5(&got.windows, &got.meta), want, "kill={kill}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

@@ -20,7 +20,7 @@ use adscope::classify::ListKind;
 use adscope::infer::households_with_downloads;
 use adscope::pipeline::{classify_trace, ClassifiedRequest, ClassifiedTrace, PipelineOptions};
 use adscope::stream::{
-    classify_stream_file, classify_stream_file_with, CheckpointOptions, StreamOptions,
+    classify_stream_chunks, classify_stream_file, CheckpointOptions, Fold, StreamOptions,
 };
 use adscope::users::{aggregate_users, UserTally};
 use common::{classifier, messy_trace, stream_opts, temp_path, write_trace_file, Collect};
@@ -30,6 +30,7 @@ use http_model::{ContentCategory, HttpTransaction};
 use netsim::codec::{read_trace_lossy, write_trace};
 use netsim::faults::{FaultInjector, FaultProfile};
 use netsim::record::{TlsConnection, Trace, TraceMeta, TraceRecord};
+use netsim::stream::ChunkReader;
 use proptest::prelude::*;
 use std::path::Path;
 
@@ -47,25 +48,29 @@ fn reference(trace: &Trace) -> ClassifiedTrace {
     classify_trace(trace, &classifier(), PipelineOptions::default())
 }
 
-/// Stream the file at `path`, collecting every request and the figures, and
-/// hold both — and the report, its user table and download households
-/// included — to the oracle's `seq`.
+/// Stream the file at `path` through its reader, collecting every request
+/// and the figures, and hold both — and the report, its user table and
+/// download households included — to the oracle's `seq`.
 fn assert_streams_like(path: &Path, seq: &ClassifiedTrace, threads: usize, chunk: usize) {
     let fold = (Collect::default(), Figures::new());
     let mut opts = stream_opts(threads, chunk);
     opts.abp_ips = ABP_IPS.to_vec();
+    let registry = obs::Registry::new();
+    let file = std::fs::File::open(path).unwrap();
+    let reader = ChunkReader::with_registry(file, chunk, &registry).unwrap();
+    let meta = reader.meta().clone();
     let (rep, (collected, figures)) =
-        classify_stream_file_with(path, &classifier(), &opts, &obs::Registry::new(), fold).unwrap();
+        classify_stream_chunks(reader, meta, &classifier(), &opts, &registry, fold).unwrap();
     assert_eq!(
         collected.requests(),
         seq.requests,
         "requests, threads={threads}"
     );
-    assert_eq!(
-        figures,
-        Figures::of_trace(seq),
-        "figures, threads={threads}"
-    );
+    let mut want = Figures::new();
+    for (pos, r) in seq.requests.iter().enumerate() {
+        want.observe(pos as u64, r);
+    }
+    assert_eq!(figures, want, "figures, threads={threads}");
     let users = aggregate_users(seq);
     assert_eq!(rep.user_table, users, "user table, threads={threads}");
     let households = households_with_downloads(&seq.https_flows, &ABP_IPS);

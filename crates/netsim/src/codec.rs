@@ -464,12 +464,8 @@ pub mod hooks {
         }))
     }
 
-    /// The scanner alone: `None` means it declined the line.
-    pub fn scan(text: &str) -> Option<TraceRecord> {
-        scan_view(text).map(|view| view.to_record())
-    }
-
-    /// The scanner's borrowed view of `text`, as the stream router gets it.
+    /// The scanner alone, its borrowed view of `text` as the stream router
+    /// gets it: `None` means it declined the line.
     pub fn scan_view(text: &str) -> Option<RecordView<'_>> {
         crate::scan::scan_view(text)
     }

@@ -349,7 +349,7 @@ proptest! {
     #[test]
     fn scanner_accepts_what_the_writer_emits(r in any_record()) {
         let line = record_to_json(&r);
-        match hooks::scan(&line) {
+        match hooks::scan_view(&line).map(|v| v.to_record()) {
             Some(back) => {
                 prop_assert!(scanner_should_accept(&r, &line), "took {}", line);
                 prop_assert_eq!(record_to_json(&back), line);
@@ -362,7 +362,7 @@ proptest! {
     #[test]
     fn trace_shaped_records_take_the_scanner(r in http_like_the_traces()) {
         let line = record_to_json(&r);
-        prop_assert_eq!(hooks::scan(&line), Some(r));
+        prop_assert_eq!(hooks::scan_view(&line).map(|v| v.to_record()), Some(r));
     }
 
     /// Random damage to a written line: byte flips, truncation, inserted
@@ -523,7 +523,7 @@ fn fault_injected_lines_get_the_generic_verdict_and_view() {
 fn departures_from_the_writer_fall_through() {
     let h = sample_http_line();
     let t = sample_tls_line();
-    assert!(hooks::scan(&h).is_some() && hooks::scan(&t).is_some());
+    assert!(hooks::scan_view(&h).is_some() && hooks::scan_view(&t).is_some());
     let kept = |line: &str| matches!(hooks::line_verdict_generic(line.as_bytes()), Ok(Some(_)));
 
     let cases: Vec<(&str, String, bool)> = vec![
@@ -723,7 +723,10 @@ fn departures_from_the_writer_fall_through() {
         ("array wrapper", format!("[{t}]"), false),
     ];
     for (what, line, want_kept) in cases {
-        assert!(hooks::scan(&line).is_none(), "{what}: scanner took {line}");
+        assert!(
+            hooks::scan_view(&line).is_none(),
+            "{what}: scanner took {line}"
+        );
         assert_eq!(kept(&line), want_kept, "{what}: oracle on {line}");
         assert_same_verdict(line.as_bytes());
     }

@@ -8,7 +8,9 @@
 //! ```
 
 use adscope::characterize::Figures;
+use adscope::{classify_stream_chunks, StreamOptions};
 use annoyed_users::prelude::*;
+use netsim::stream::{OwnedChunks, StreamChunk};
 
 fn main() {
     let eco = Ecosystem::generate(EcosystemConfig {
@@ -43,10 +45,14 @@ fn main() {
         eco.lists.easyprivacy(),
         eco.lists.acceptable(),
     ]);
-    let classified =
-        adscope::pipeline::classify_trace(&out.trace, &classifier, PipelineOptions::default());
-
-    let rtb = Figures::of_trace(&classified).rtb;
+    // The stream engine folds the figures as it classifies the trace.
+    let (meta, chunk) = (out.trace.meta, StreamChunk::in_memory(0, out.trace.records));
+    let chunks = OwnedChunks(std::iter::once(chunk));
+    let (opts, registry) = (StreamOptions::default(), obs::Registry::new());
+    let (_, figures) =
+        classify_stream_chunks(chunks, meta, &classifier, &opts, &registry, Figures::new())
+            .expect("no checkpoint, so nothing to refuse");
+    let rtb = figures.rtb;
     println!("density of HTTP−TCP handshake difference (log ms axis):\n");
     println!(
         "ads:  modes at {:?} ms",

@@ -105,7 +105,7 @@ pub fn run(args: &[String]) -> ! {
         trace.records.len()
     );
 
-    let report = world.stream_trace(&trace, &opts);
+    let (report, ()) = world.stream_trace(&trace, &opts, ());
     let engine = report.alerts.as_ref().expect("rule pack was enabled");
     let text = engine.render_text();
     let ndjson = engine.render_ndjson();
@@ -217,7 +217,7 @@ fn run_check(
             alerts: opts.alerts.clone(),
             ..StreamOptions::default()
         };
-        let rep = world.stream_trace(trace, &sweep);
+        let (rep, ()) = world.stream_trace(trace, &sweep, ());
         let eng = rep.alerts.as_ref().expect("rule pack was enabled");
         if eng.render_text() != text || eng.render_ndjson() != ndjson {
             die(format!(

@@ -66,11 +66,18 @@ pub fn run(id: &str, world: &World) -> Option<String> {
     })
 }
 
-/// Classify one active-crawl profile trace and count EL/EP hits.
+/// The stream options every active-crawl trace is classified under.
+fn crawl_opts(world: &World) -> StreamOptions {
+    StreamOptions {
+        threads: world.threads,
+        ..StreamOptions::default()
+    }
+}
+
+/// Stream one active-crawl profile trace and count its EL/EP hits.
 fn classify_profile(world: &World, trace: &Trace) -> (usize, usize, u64, u64) {
-    let classified =
-        adscope::pipeline::classify_trace(trace, &world.classifier, PipelineOptions::default());
-    let (el, ep) = list_hits(&Figures::of_trace(&classified).servers);
+    let (_, figures) = world.stream_trace(trace, &crawl_opts(world), Figures::new());
+    let (el, ep) = list_hits(&figures.servers);
     (trace.https_count(), trace.http_count(), el, ep)
 }
 
@@ -118,7 +125,7 @@ fn table1(world: &World) -> String {
 
 fn fig2(world: &World) -> String {
     // Per-visit (total, ad) counts per profile: visits are 12 s apart in the
-    // crawl, so bin classified requests by floor(ts / 12).
+    // crawl, so the engine's 12 s windows are the visits.
     let profiles = [
         BrowserProfile::Vanilla,
         BrowserProfile::AdbpParanoia,
@@ -126,19 +133,17 @@ fn fig2(world: &World) -> String {
     ];
     let mut out = String::from("## Figure 2 — Ratio of ad requests per browser configuration\n");
     let mut per_profile: Vec<(BrowserProfile, Vec<(u64, u64)>)> = Vec::new();
+    let mut opts = crawl_opts(world);
+    opts.pipeline.window.width_secs = 12.0;
     let active = world.active();
     for run in active.runs.iter().filter(|r| profiles.contains(&r.profile)) {
-        let trace = &run.trace;
-        let classified =
-            adscope::pipeline::classify_trace(trace, &world.classifier, PipelineOptions::default());
-        let n_visits = (trace.meta.duration_secs / 12.0).ceil() as usize;
+        let (report, ()) = world.stream_trace(&run.trace, &opts, ());
+        let n_visits = (run.trace.meta.duration_secs / 12.0).ceil() as usize;
         let mut visits = vec![(0u64, 0u64); n_visits.max(1)];
-        for r in &classified.requests {
-            let v = ((r.ts / 12.0) as usize).min(visits.len() - 1);
-            visits[v].0 += 1;
-            if r.label.is_ad() {
-                visits[v].1 += 1;
-            }
+        for w in &report.windows.windows {
+            let v = (w.index.max(0) as usize).min(visits.len() - 1);
+            visits[v].0 += w.counter("requests");
+            visits[v].1 += w.counter("ads");
         }
         per_profile.push((run.profile, visits));
     }
@@ -400,7 +405,7 @@ fn sec63(world: &World) -> String {
 
 fn fig5a(world: &World) -> String {
     let r1 = world.rbn(Rbn::One);
-    let ts = r1.figures.time.request_series(&r1.report.meta);
+    let ts = timeseries::request_series(&r1.report.windows, &r1.report.meta);
     let mut out = String::from("## Figure 5a — Requests over time (1 h bins, RBN-1)\n");
     for (i, name) in ts.names().iter().enumerate() {
         let _ = writeln!(out, "{:<14} {}", name, render::sparkline(ts.values(i)));
@@ -431,7 +436,7 @@ fn fig5a(world: &World) -> String {
 
 fn fig5b(world: &World) -> String {
     let r1 = world.rbn(Rbn::One);
-    let shares = r1.figures.time.share_series(&r1.report.meta);
+    let shares = timeseries::share_series(&r1.report.windows, &r1.report.meta);
     let combined = timeseries::combined_ad_share(&shares);
     let mut out =
         String::from("## Figure 5b — % ad requests and bytes over time (EL vs EP, RBN-1)\n");

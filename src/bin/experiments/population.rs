@@ -79,7 +79,7 @@ pub fn run(args: &[String]) -> ! {
 
     // Streamed run: the trace chunked through the scatter-merge dataflow
     // (the same router + shard workers as `experiments stream`).
-    let report = world.stream_trace(&trace, &opts);
+    let (report, ()) = world.stream_trace(&trace, &opts, ());
     let streamed = report.population.expect("population sketches were enabled");
     let text = streamed.render();
     let ndjson = streamed.render_ndjson();

@@ -11,7 +11,7 @@ use adscope::{StreamOptions, StreamReport};
 use annoyed_users::prelude::*;
 use browsersim::active::{run_crawl, ActiveResults};
 use browsersim::drive::{drive, drive_stream, DriveOutput, StreamDriveOutput};
-use netsim::stream::StreamChunk;
+use netsim::stream::{OwnedChunks, StreamChunk};
 use std::cell::OnceCell;
 use std::path::Path;
 use std::time::Instant;
@@ -249,17 +249,22 @@ impl World {
     }
 
     /// Chunk a materialized trace through the streaming engine — the same
-    /// router and shard workers `experiments stream` runs.
-    pub fn stream_trace(&self, trace: &Trace, opts: &StreamOptions) -> StreamReport {
+    /// router and shard workers `experiments stream` runs — folding `fold`
+    /// (empty as passed) beside the planes.
+    pub fn stream_trace<F: Fold>(
+        &self,
+        trace: &Trace,
+        opts: &StreamOptions,
+        fold: F,
+    ) -> (StreamReport, F) {
         let chunks = trace
             .records
             .chunks(opts.chunk_records)
             .enumerate()
             .map(|(seq, records)| StreamChunk::in_memory(seq as u64, records.to_vec()));
-        let meta = trace.meta.clone();
-        classify_stream_chunks(chunks, meta, &self.classifier, opts, obs::global(), ())
+        let (chunks, meta) = (OwnedChunks(chunks), trace.meta.clone());
+        classify_stream_chunks(chunks, meta, &self.classifier, opts, obs::global(), fold)
             .unwrap_or_else(|e| die(format!("stream failed: {e}")))
-            .0
     }
 
     /// Generate one capture over this world's ecosystem straight into the
@@ -286,10 +291,11 @@ impl World {
                     let _ = tx.send(batch);
                 })
             });
-            let chunks = rx
-                .into_iter()
-                .enumerate()
-                .map(|(seq, records)| StreamChunk::in_memory(seq as u64, records));
+            let chunks = OwnedChunks(
+                rx.into_iter()
+                    .enumerate()
+                    .map(|(seq, records)| StreamChunk::in_memory(seq as u64, records)),
+            );
             let classified =
                 classify_stream_chunks(chunks, meta, &self.classifier, opts, obs::global(), fold);
             (generator.join(), classified)

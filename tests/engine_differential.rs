@@ -17,7 +17,7 @@ use adscope::pipeline::classify_trace;
 use adscope::stream::{classify_stream_chunks, Fold, StreamOptions};
 use annoyed_users::prelude::*;
 use browsersim::drive::{drive, DriveOutput};
-use netsim::stream::StreamChunk;
+use netsim::stream::{OwnedChunks, StreamChunk};
 use webgen::{easylist_scale, ScaleConfig};
 
 fn eco() -> Ecosystem {
@@ -103,7 +103,7 @@ fn streamed_labels(
     };
     let registry = obs::Registry::new();
     let (_, Labels(mut labels)) = classify_stream_chunks(
-        chunks,
+        OwnedChunks(chunks),
         trace.meta.clone(),
         classifier,
         &opts,
