@@ -217,6 +217,15 @@ if grep -rn -- '--pace' src tests; then exit 1; fi
 if grep -rnE 'EventLog|FieldValue|events_ndjson|fn event\(&self|\.count\("|obs_health_stall|obs_events_dropped' \
   crates/*/src crates/*/tests src tests; then exit 1; fi
 if grep -rn 'fn event(' crates/obs/src; then exit 1; fi
+# One way from a capture into the engine: the driver hands the generator's
+# drained slices, or a held trace's borrowed chunks, straight to the router
+# on its own thread, so it bridges no channel, spawns no thread, builds no
+# chunk and copies no record; and no source builds a chunk from records
+# already in memory.
+if grep -nE 'parallel::|StreamChunk|to_vec|thread::scope' src/bin/experiments/world.rs; then
+  exit 1
+fi
+if grep -rnw --include='*.rs' 'in_memory' crates src tests examples; then exit 1; fi
 
 gate "cargo test -q"
 cargo test -q
@@ -445,10 +454,11 @@ gate "experiments verify (run-manifest replay gate)"
   --scratch "$STREAM_DIR/verify-resumed"
 echo "    full + resumed manifests verify all-PASS"
 
-gate "experiments population (streamed sketches vs materialized exact gate)"
-# Stream-classify RBN-1 with population sketches on, then re-run the
-# materialized exact path over the identical records: renders must be
-# byte-identical and every sketch quantile within its error bound.
+gate "experiments population (streamed sketches vs materialized exact gate; bounded memory)"
+# Stream RBN-1 from the generator with population sketches on, then
+# regenerate it materialized for the exact oracle path over the identical
+# records: renders must be byte-identical and every sketch quantile within
+# its error bound.
 ./target/release/experiments population --scale small --exact-check \
   --out "$STREAM_DIR/population.txt" --ndjson "$STREAM_DIR/population.ndjson" \
   --manifest "$STREAM_DIR/population.manifest.json" \
@@ -460,7 +470,25 @@ grep -q '"event":"population"' "$STREAM_DIR/population.ndjson"
 grep -q '"active_min_requests":"300"' "$STREAM_DIR/population.manifest.json"
 ./target/release/experiments verify --manifest "$STREAM_DIR/population.manifest.json" \
   --scratch "$STREAM_DIR/verify-population"
+# Without --exact-check no trace is held: three runs, each into a directory
+# of its own, must render what the checked run rendered, and the median
+# peak RSS stays under the stream gate's 32 MiB ceiling (it was 122 MiB
+# while the command held RBN-1 for the check it had not been asked for).
+for i in 1 2 3; do
+  mkdir -p "$STREAM_DIR/pop$i"
+  ./target/release/experiments population --scale small \
+    --out "$STREAM_DIR/pop$i/population.txt" --ndjson "$STREAM_DIR/pop$i/population.ndjson" \
+    --manifest "$STREAM_DIR/pop$i/population.manifest.json" \
+    >/dev/null 2>"$STREAM_DIR/pop$i/population.stderr"
+  cmp "$STREAM_DIR/population.txt" "$STREAM_DIR/pop$i/population.txt"
+done
+rss_runs="$(sed -n 's/^\[population\] peak_rss_bytes=//p' "$STREAM_DIR"/pop[123]/population.stderr | sort -n)"
+test "$(wc -l <<<"$rss_runs")" -eq 3
+rss="$(sed -n 2p <<<"$rss_runs")"
+test "$rss" -lt $((32 * 1024 * 1024))
 echo "    streamed render == materialized exact render; manifest verifies"
+echo "    unchecked runs: peak RSS median $(mib "$rss") MiB of 3, min-max" \
+  "$(mib "$(head -1 <<<"$rss_runs")")-$(mib "$(tail -1 <<<"$rss_runs")") MiB (ceiling 32 MiB)"
 
 gate "experiments alerts (drift detection + deterministic timeline gate)"
 # The filter-list-lag drill: --check asserts the page rule is quiet

@@ -932,7 +932,7 @@ mod tests {
     use crate::stream::router::run_stream;
     use crate::stream::testutil::*;
     use crate::stream::{classify_stream_file, stream_file, CheckpointOptions, Fold};
-    use netsim::stream::{OwnedChunks, StreamChunk};
+    use netsim::stream::SliceChunks;
     use std::path::PathBuf;
 
     #[test]
@@ -1170,19 +1170,13 @@ mod tests {
         // The log as the router finds it when it asks for each chunk: the
         // barrier of chunk k is on disk when chunk k + 2 is read.
         let mut logs = Vec::new();
-        let chunks = trace.records.chunks(4).enumerate().map(|(i, batch)| {
+        let chunks = trace.records.chunks(4).inspect(|_| {
             logs.push(fs::read(&path).unwrap_or_default());
-            StreamChunk {
-                seq: i as u64,
-                records: batch.to_vec(),
-                stats: CodecStats::default(),
-                end_offset: (i as u64 + 1) * 1000,
-            }
         });
         let state = RunState::new(trace.meta.clone(), &o);
         let registry = obs::Registry::new();
         run_stream(
-            OwnedChunks(chunks),
+            SliceChunks(chunks),
             state,
             &classifier(),
             &o,

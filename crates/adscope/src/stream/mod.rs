@@ -12,7 +12,13 @@
 //!     record as a    + decode windows + shard routing  └► worker N ─┘
 //!     RecordView     (view → WebObject, nothing owned
 //!     of its line     in between)
+//!     or in place
 //! ```
+//!
+//! A trace file comes in through [`ChunkReader`], which views each record in
+//! its framed line; records in memory (a generator's drained slices, a held
+//! trace) through [`netsim::stream::SliceChunks`], which lends them where
+//! they lie. Neither copies a record on the way to the router.
 //!
 //! * **Bounded memory.** Records flow through [`parallel::bounded`]
 //!   channels of four batches each; a full queue blocks the router
@@ -209,7 +215,8 @@ pub struct StreamOptions {
     /// one-to-one; the count does not affect output.
     pub threads: usize,
     /// Records per decoded chunk (the unit of routing and
-    /// checkpointing).
+    /// checkpointing). A source that chunks for itself (a generator's
+    /// slices) is read as it comes; there this sizes only a batch reserve.
     pub chunk_records: usize,
     /// Checkpoint/resume; requires a seekable trace file.
     pub checkpoint: Option<CheckpointOptions>,
@@ -241,6 +248,17 @@ pub struct StreamOptions {
     /// merge after a resume recomputes the timeline from the restored
     /// windows.
     pub alerts: Vec<obs::AlertRule>,
+}
+
+impl StreamOptions {
+    /// The worker count a run starts: `threads`, or this machine's
+    /// available parallelism when it is 0.
+    pub fn workers(&self) -> usize {
+        match self.threads {
+            0 => parallel::available_parallelism(),
+            n => n,
+        }
+    }
 }
 
 impl Default for StreamOptions {
@@ -418,10 +436,7 @@ fn stream_file<F: Fold>(
             }
             f.seek(SeekFrom::Start(state.offset))?;
             let (meta, at) = (state.meta.clone(), state.offset);
-            // A checkpoint is cut on a chunk boundary: the next chunk's
-            // sequence number is the count of chunks done.
-            let reader =
-                ChunkReader::resume(f, meta, at, state.chunks, opts.chunk_records, registry);
+            let reader = ChunkReader::resume(f, meta, at, opts.chunk_records, registry);
             (reader, state)
         }
         _ => {
@@ -435,10 +450,11 @@ fn stream_file<F: Fold>(
 }
 
 /// Stream-classify the records `chunks` lends — a [`ChunkReader`] over a
-/// file or any reader, or [`netsim::stream::OwnedChunks`] over in-memory
-/// chunks (e.g. a generator bridge) — of a trace whose metadata is `meta`,
-/// folding `fold` (empty as passed) beside the planes. A checkpoint needs a
-/// seekable file and would drop the fold, so it is refused here.
+/// file or any reader, or [`netsim::stream::SliceChunks`] over records in
+/// memory (a generator's drained slices, a held trace's `chunks(n)`) — of a
+/// trace whose metadata is `meta`, folding `fold` (empty as passed) beside
+/// the planes. A checkpoint needs a seekable file and would drop the fold,
+/// so it is refused here.
 pub fn classify_stream_chunks<S: ChunkSource, F: Fold>(
     chunks: S,
     meta: TraceMeta,
@@ -656,7 +672,7 @@ mod tests {
     use crate::characterize::Figures;
     use crate::infer::households_with_downloads;
     use crate::users::aggregate_users;
-    use netsim::stream::{OwnedChunks, StreamChunk};
+    use netsim::stream::SliceChunks;
     use std::fs;
 
     #[test]
@@ -689,25 +705,14 @@ mod tests {
         let trace = messy_trace(120);
         let seq = reference(&trace);
         let meta = trace.meta.clone();
-        let records = trace.records;
-        let chunks = records
-            .chunks(13)
-            .enumerate()
-            .map(|(i, batch)| StreamChunk::in_memory(i as u64, batch.to_vec()));
+        let chunks = SliceChunks(trace.records.chunks(13));
         let mut o = StreamOptions {
             abp_ips: vec![9],
             ..stream_opts(4, 13)
         };
         let reg = obs::Registry::new();
-        let (rep, got) = classify_stream_chunks(
-            OwnedChunks(chunks),
-            meta,
-            &classifier(),
-            &o,
-            &reg,
-            Figures::new(),
-        )
-        .unwrap();
+        let (rep, got) =
+            classify_stream_chunks(chunks, meta, &classifier(), &o, &reg, Figures::new()).unwrap();
         assert_eq!(got, Figures::of_trace(&seq));
         assert_eq!(rep.user_table, aggregate_users(&seq));
         let households = households_with_downloads(&seq.https_flows, &[9]);
@@ -717,7 +722,7 @@ mod tests {
         // ... but checkpointing without a file is refused.
         o.checkpoint = Some(CheckpointOptions::new(temp_path("nope")));
         let err = classify_stream_chunks(
-            OwnedChunks(std::iter::empty()),
+            SliceChunks(std::iter::empty::<&[netsim::record::TraceRecord]>()),
             TraceMeta {
                 name: "x".into(),
                 duration_secs: 0.0,

@@ -158,12 +158,7 @@ pub(super) fn run_stream<S: ChunkSource, F: Fold>(
     total_bytes: u64,
     fold: F,
 ) -> Result<(StreamReport, F), StreamError> {
-    let nworkers = if opts.threads == 0 {
-        parallel::available_parallelism()
-    } else {
-        opts.threads
-    }
-    .max(1);
+    let nworkers = opts.workers();
     let popts = opts.pipeline;
 
     let quarantine = match &opts.quarantine_path {
@@ -574,7 +569,7 @@ mod tests {
     use crate::stream::checkpoint::{last_manifest, LOCK_FILE};
     use crate::stream::testutil::*;
     use crate::stream::{classify_stream_file, stream_file, CheckpointOptions, CHECKPOINT_FILE};
-    use netsim::stream::{OwnedChunks, StreamChunk};
+    use netsim::stream::SliceChunks;
     use std::collections::HashMap;
     use std::fs;
 
@@ -632,17 +627,11 @@ mod tests {
         });
         // What the file on disk says when the router asks for each chunk.
         let mut on_disk_at_read = Vec::new();
-        let chunks = trace.records.chunks(16).enumerate().map(|(i, batch)| {
+        let chunks = trace.records.chunks(16).inspect(|_| {
             on_disk_at_read.push(chunks_on_disk(&dir));
-            StreamChunk {
-                seq: i as u64,
-                records: batch.to_vec(),
-                stats: CodecStats::default(),
-                end_offset: (i as u64 + 1) * 1000,
-            }
         });
         let state = RunState::new(trace.meta.clone(), &o);
-        let chunks = OwnedChunks(chunks);
+        let chunks = SliceChunks(chunks);
         let (rep, ()) = run_stream(
             chunks,
             state,

@@ -109,16 +109,14 @@ pub struct StreamDriveOutput {
 /// Poisson-ish number of page visits from its demand and the activity
 /// profile, then picks sites Zipf-weighted. Plugin update checks run at
 /// session starts (the first visit of a slice after an idle slice).
+/// A collector over [`drive_pull`].
 pub fn drive(
     eco: &Ecosystem,
     population: &mut Population,
     profile: &ActivityProfile,
     config: &DriveConfig,
 ) -> DriveOutput {
-    let mut records = Vec::new();
-    let out = drive_stream(eco, population, profile, config, |batch| {
-        records.extend(batch)
-    });
+    let (out, records) = drive_pull(eco, population, profile, config, |s| s.flatten().collect());
     DriveOutput {
         trace: Trace {
             meta: out.meta,
@@ -129,47 +127,59 @@ pub fn drive(
     }
 }
 
-/// Drained slices queued between the simulation and `emit` in
-/// [`drive_stream`].
+/// Drained slices queued between the simulation and the consumer in
+/// [`drive_pull`].
 const QUEUED_SLICES: usize = 2;
 
-/// The streaming form of [`drive`]: identical simulation (same RNG
-/// sequence, same records in the same order), but the capture buffer is
-/// drained after every slice and handed to `emit` as time-ordered
-/// batches. The simulation runs on a scoped helper thread; `emit` runs on
-/// the caller's thread, in slice order, so it needs no `Send`. At most
+/// The pull form of [`drive`]: identical simulation (same RNG sequence,
+/// same records in the same order), but the capture buffer is drained after
+/// every slice, and `consume` pulls the drained slices, time-ordered, from
+/// the iterator it is handed. The simulation runs on a scoped helper thread;
+/// `consume` runs on the caller's thread, so it needs no `Send`. At most
 /// `QUEUED_SLICES` drained slices wait between the two, so generation
-/// overlaps whatever `emit` does with a batch, and peak memory is a few
-/// slices of traffic — the one being simulated, the queued ones and the
-/// one being emitted — instead of the whole trace. A panic in the
-/// simulation resumes on the caller; one in `emit` stops the simulation at
-/// its next slice and still joins it. [`drive`] is a thin collector over
-/// this function.
-pub fn drive_stream<F: FnMut(Vec<TraceRecord>)>(
+/// overlaps whatever `consume` does with a slice, and peak memory is a few
+/// slices of traffic — the one being simulated, the queued ones and the one
+/// being consumed — instead of the whole trace. Once `consume` returns, or
+/// panics, the simulation stops at its next slice and is joined; a panic in
+/// the simulation resumes on the caller. Returns what the simulation
+/// produced beside what `consume` returned.
+pub fn drive_pull<R>(
     eco: &Ecosystem,
     population: &mut Population,
     profile: &ActivityProfile,
     config: &DriveConfig,
-    mut emit: F,
-) -> StreamDriveOutput {
-    let (tx, rx) = parallel::bounded(QUEUED_SLICES);
+    consume: impl FnOnce(&mut dyn Iterator<Item = Vec<TraceRecord>>) -> R,
+) -> (StreamDriveOutput, R) {
     std::thread::scope(|scope| {
-        // A dead receiver means `emit` panicked: the simulation stops.
+        let (tx, mut rx) = parallel::bounded(QUEUED_SLICES);
+        // A dead receiver means `consume` is done: the simulation stops.
         let generator = scope.spawn(move || {
             simulate(eco, population, profile, config, |batch| {
                 tx.send(batch).is_ok()
             })
         });
-        for batch in rx {
-            emit(batch);
-        }
-        generator
+        let consumed = consume(&mut rx);
+        drop(rx);
+        let driven = generator
             .join()
-            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (driven, consumed)
     })
 }
 
-/// The simulation behind [`drive_stream`], handing each drained slice to
+/// [`drive_pull`] with each drained slice handed to `emit`, in slice order,
+/// on the caller's thread.
+pub fn drive_stream<F: FnMut(Vec<TraceRecord>)>(
+    eco: &Ecosystem,
+    population: &mut Population,
+    profile: &ActivityProfile,
+    config: &DriveConfig,
+    emit: F,
+) -> StreamDriveOutput {
+    drive_pull(eco, population, profile, config, |s| s.for_each(emit)).0
+}
+
+/// The simulation behind [`drive_pull`], handing each drained slice to
 /// `emit` on the thread it runs on; it stops early once `emit` returns
 /// false.
 fn simulate(
@@ -489,6 +499,26 @@ mod tests {
         let panic = unwound.err().expect("the panic reaches the caller");
         assert_eq!(panic.downcast_ref::<&str>(), Some(&"emit failed"));
         assert_eq!(batches, 1);
+    }
+
+    #[test]
+    fn a_consumer_that_stops_early_ends_the_drive() {
+        let cfg = DriveConfig {
+            seed: 37,
+            ..DriveConfig::rbn2(4.0)
+        };
+        let (eco, mut pop) = tiny_world();
+        let full = drive(&eco, &mut pop, &ActivityProfile::default(), &cfg);
+        let (eco2, mut pop2) = tiny_world();
+        let (out, taken) = drive_pull(&eco2, &mut pop2, &ActivityProfile::default(), &cfg, |s| {
+            s.take(2).collect::<Vec<_>>()
+        });
+        assert_eq!(taken.len(), 2, "the consumer's value comes back");
+        let head: Vec<&TraceRecord> = taken.iter().flatten().collect();
+        assert!(head.iter().copied().eq(&full.trace.records[..head.len()]));
+        // The simulation stopped a few slices in, well before the 24th.
+        let issued = |gt: &[BrowserGroundTruth]| gt.iter().map(|g| g.issued).sum::<u64>();
+        assert!(issued(&out.ground_truth) * 2 < issued(&full.ground_truth));
     }
 
     #[test]

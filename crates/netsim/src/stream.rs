@@ -1,16 +1,20 @@
 //! Incremental trace streaming: chunk-by-chunk decode and record-by-record
 //! encode, with byte-offset accounting for checkpoint/resume.
 //!
-//! [`ChunkReader`] is the trace reader. It decodes without materializing
-//! the trace, batches records (the unit the streaming pipeline sends over
-//! its bounded channels) and tracks how many input bytes each chunk
-//! consumed (the unit a checkpoint manifest must store to resume a killed
-//! run), over one line loop (`codec::LossyLines`: header-recovery policy,
-//! line framer, per-line keep/skip verdict and tally), so any chunk size
-//! yields byte-for-byte the same records and [`CodecStats`] totals as
-//! [`crate::codec::read_trace_lossy`], its one chunk. [`ChunkSource`] is
-//! the same chunking with each record lent as a [`RecordView`] of the framed
-//! line (the stream router's way in); `next_chunk` is the owned adapter.
+//! [`ChunkSource`] is the stream engine's one way in: each chunk's records
+//! are lent to the router as [`RecordView`]s for one call, with the chunk's
+//! accounting. It has two implementations.
+//!
+//! * [`ChunkReader`] is the trace reader. It decodes without materializing
+//!   the trace, batching records and tracking how many input bytes each
+//!   chunk consumed (the unit a checkpoint manifest stores to resume a
+//!   killed run), over one line loop (`codec::LossyLines`: header-recovery
+//!   policy, line framer, per-line keep/skip verdict and tally), so any
+//!   chunk size yields byte-for-byte the same records and [`CodecStats`]
+//!   totals as [`crate::codec::read_trace_lossy`], its one chunk. Each
+//!   record is viewed in its framed line; `next_chunk` is the owned adapter.
+//! * [`SliceChunks`] lends records already in memory: a generator's drained
+//!   slices or a held trace's `chunks(n)`, each viewed in place, no copy.
 //!
 //! [`TraceWriter`] is the encode-side dual: it emits the same bytes as
 //! [`crate::codec::write_trace`] one record at a time, so the generator
@@ -19,13 +23,12 @@
 use crate::codec::{self, CodecError, CodecStats, Kept, LossyLines, FORMAT_NAME, FORMAT_VERSION};
 use crate::json;
 use crate::record::{RecordView, TraceMeta, TraceRecord};
+use std::borrow::Borrow;
 use std::io::{BufWriter, Read, Write};
 
 /// One decoded batch of records plus its accounting.
 #[derive(Debug)]
 pub struct StreamChunk {
-    /// 0-based chunk sequence number.
-    pub seq: u64,
     /// Records decoded from this span of the stream, in stream order.
     pub records: Vec<TraceRecord>,
     /// Skip/keep accounting for this chunk only (a delta; the header
@@ -36,21 +39,6 @@ pub struct StreamChunk {
     pub end_offset: u64,
 }
 
-impl StreamChunk {
-    /// Records that never were bytes: all read, none skipped, no resume offset.
-    pub fn in_memory(seq: u64, records: Vec<TraceRecord>) -> StreamChunk {
-        StreamChunk {
-            seq,
-            stats: CodecStats {
-                records_read: records.len(),
-                ..CodecStats::default()
-            },
-            end_offset: 0,
-            records,
-        }
-    }
-}
-
 /// The most records a chunk-sized buffer is reserved for up front (the
 /// command line bounds `chunk_records` below only); a larger chunk grows.
 pub(crate) const MAX_CHUNK_RESERVE: usize = 1 << 16;
@@ -59,20 +47,26 @@ pub(crate) const MAX_CHUNK_RESERVE: usize = 1 << 16;
 pub(crate) type ChunkEnd = (CodecStats, u64);
 
 /// Where the stream router gets its records, each lent as a view for one
-/// call: the file reader ([`ChunkReader`]) or in-memory chunks ([`OwnedChunks`]).
+/// call: the file reader ([`ChunkReader`]) or in-memory chunks ([`SliceChunks`]).
 pub trait ChunkSource {
     /// Lend the next chunk's records to `each` in stream order; `None` at end of stream.
     fn next_chunk_with(&mut self, each: impl FnMut(RecordView<'_>)) -> Option<ChunkEnd>;
 }
 
-/// An iterator of in-memory chunks, its owned records viewed in place.
-pub struct OwnedChunks<I>(pub I);
+/// An iterator of in-memory chunks (`Vec`s or borrowed slices of records),
+/// each record viewed in place: all read, none skipped, no resume offset.
+pub struct SliceChunks<I>(pub I);
 
-impl<I: Iterator<Item = StreamChunk>> ChunkSource for OwnedChunks<I> {
-    fn next_chunk_with(&mut self, mut each: impl FnMut(RecordView<'_>)) -> Option<ChunkEnd> {
+impl<I: Iterator<Item: Borrow<[TraceRecord]>>> ChunkSource for SliceChunks<I> {
+    fn next_chunk_with(&mut self, each: impl FnMut(RecordView<'_>)) -> Option<ChunkEnd> {
         let chunk = self.0.next()?;
-        chunk.records.iter().map(RecordView::of).for_each(&mut each);
-        Some((chunk.stats, chunk.end_offset))
+        let records = chunk.borrow();
+        records.iter().map(RecordView::of).for_each(each);
+        let stats = CodecStats {
+            records_read: records.len(),
+            ..CodecStats::default()
+        };
+        Some((stats, 0))
     }
 }
 
@@ -88,7 +82,6 @@ pub struct ChunkReader<R: Read> {
     lines: LossyLines<R>,
     meta: TraceMeta,
     chunk_records: usize,
-    seq: u64,
     /// Header-recovery flag awaiting the first chunk's stats.
     pending_header_recovered: bool,
 }
@@ -111,19 +104,17 @@ impl<R: Read> ChunkReader<R> {
             lines,
             meta,
             chunk_records: chunk_records.max(1),
-            seq: 0,
             pending_header_recovered: header_recovered,
         })
     }
 
     /// Resume mid-stream: `source` must already be positioned at `offset`
-    /// (a prior chunk's `end_offset`), with `meta` and `seq` restored from
-    /// the checkpoint manifest. No header line is expected or consumed.
+    /// (a prior chunk's `end_offset`), with `meta` restored from the
+    /// checkpoint manifest. No header line is expected or consumed.
     pub fn resume(
         source: R,
         meta: TraceMeta,
         offset: u64,
-        seq: u64,
         chunk_records: usize,
         registry: &obs::Registry,
     ) -> ChunkReader<R> {
@@ -131,7 +122,6 @@ impl<R: Read> ChunkReader<R> {
             lines: LossyLines::resume(source, offset, registry),
             meta,
             chunk_records: chunk_records.max(1),
-            seq,
             pending_header_recovered: false,
         }
     }
@@ -151,11 +141,9 @@ impl<R: Read> ChunkReader<R> {
     /// holds at least one record except when trailing corrupt/blank lines
     /// leave a final chunk carrying only their accounting.
     pub fn next_chunk(&mut self) -> Option<StreamChunk> {
-        let seq = self.seq;
         let mut records = Vec::with_capacity(self.chunk_records.min(MAX_CHUNK_RESERVE));
         let (stats, end_offset) = self.chunk_of(|kept| records.push(kept.into_record()))?;
         Some(StreamChunk {
-            seq,
             records,
             stats,
             end_offset,
@@ -178,7 +166,6 @@ impl<R: Read> ChunkReader<R> {
         if stats == CodecStats::default() {
             return None;
         }
-        self.seq += 1;
         Some((stats, self.lines.offset))
     }
 }
@@ -333,7 +320,7 @@ mod tests {
         let buf = encoded(20);
         let mut reader = ChunkReader::new(buf.as_slice(), 6).unwrap();
         let first = reader.next_chunk().unwrap();
-        assert_eq!(first.seq, 0);
+        assert_eq!(first.records.len(), 6);
         let rest_direct: Vec<TraceRecord> = reader.flat_map(|c| c.records).collect();
 
         // Re-open at first.end_offset and confirm the same remainder.
@@ -341,18 +328,17 @@ mod tests {
             &buf[first.end_offset as usize..],
             meta(),
             first.end_offset,
-            first.seq + 1,
             6,
             &obs::Registry::new(),
         );
-        let mut seqs = Vec::new();
+        let mut sizes = Vec::new();
         let mut rest_resumed = Vec::new();
         for c in resumed {
-            seqs.push(c.seq);
+            sizes.push(c.records.len());
             rest_resumed.extend(c.records);
         }
         assert_eq!(rest_resumed, rest_direct);
-        assert_eq!(seqs, vec![1, 2, 3]);
+        assert_eq!(sizes, vec![6, 6, 2]);
     }
 
     #[test]

@@ -244,7 +244,6 @@ fn chunk_reader_resumes_at_every_end_offset_under_dribble() {
             Dribble::new(&bytes[*end_offset as usize..], 7),
             meta.clone(),
             *end_offset,
-            i as u64 + 1,
             5,
             &obs::Registry::new(),
         );

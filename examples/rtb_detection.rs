@@ -10,7 +10,8 @@
 use adscope::characterize::Figures;
 use adscope::{classify_stream_chunks, StreamOptions};
 use annoyed_users::prelude::*;
-use netsim::stream::{OwnedChunks, StreamChunk};
+use browsersim::drive::drive_pull;
+use netsim::stream::SliceChunks;
 
 fn main() {
     let eco = Ecosystem::generate(EcosystemConfig {
@@ -26,32 +27,29 @@ fn main() {
             ..Default::default()
         },
     );
-    let out = browsersim::drive::drive(
-        &eco,
-        &mut population,
-        &ActivityProfile::default(),
-        &DriveConfig {
-            name: "rtb".into(),
-            duration_secs: 4.0 * 3600.0,
-            start_hour: 19,
-            start_weekday: 3,
-            slice_secs: 600.0,
-            seed: 3,
-        },
-    );
+    let config = DriveConfig {
+        name: "rtb".into(),
+        duration_secs: 4.0 * 3600.0,
+        start_hour: 19,
+        start_weekday: 3,
+        slice_secs: 600.0,
+        seed: 3,
+    };
     let classifier = PassiveClassifier::new(vec![
         eco.lists.easylist(),
         eco.lists.regional(),
         eco.lists.easyprivacy(),
         eco.lists.acceptable(),
     ]);
-    // The stream engine folds the figures as it classifies the trace.
-    let (meta, chunk) = (out.trace.meta, StreamChunk::in_memory(0, out.trace.records));
-    let chunks = OwnedChunks(std::iter::once(chunk));
+    // The stream engine folds the figures as the generator drains its slices.
+    let meta = config.meta(population.households);
     let (opts, registry) = (StreamOptions::default(), obs::Registry::new());
-    let (_, figures) =
+    let profile = ActivityProfile::default();
+    let (_, classified) = drive_pull(&eco, &mut population, &profile, &config, |slices| {
+        let chunks = SliceChunks(slices);
         classify_stream_chunks(chunks, meta, &classifier, &opts, &registry, Figures::new())
-            .expect("no checkpoint, so nothing to refuse");
+    });
+    let (_, figures) = classified.expect("no checkpoint, so nothing to refuse");
     let rtb = figures.rtb;
     println!("density of HTTP−TCP handshake difference (log ms axis):\n");
     println!(

@@ -1,16 +1,17 @@
 //! `experiments population` — streaming population analytics over an
 //! RBN-1-scale run.
 //!
-//! Generates the RBN-1 trace, stream-classifies it with population
-//! sketches enabled (the trace is chunked through the same scatter-merge
-//! dataflow `experiments stream` uses), and renders the paper-style
+//! Generates the RBN-1 capture straight into the stream engine with
+//! population sketches enabled (`World::stream_rbn`, as `serve`, `temporal`
+//! and `stream --rbn1` do: no trace is held), and renders the paper-style
 //! population tables — Table 3 class tallies, top ad-serving domains,
 //! top fired rules, and the per-user/object distributions — exactly as
 //! `/population` serves them live.
 //!
-//! `--exact-check` is the determinism-and-accuracy gate: it re-runs the
-//! *materialized* pipeline over the identical records, builds the same
-//! report through [`adscope::population::finish_trace`], and requires
+//! `--exact-check` is the determinism-and-accuracy gate: it generates the
+//! capture again, materialized (the generator is deterministic, so the
+//! records are identical), runs the one-thread oracle over it, builds the
+//! same report through [`adscope::population::finish_trace`], and requires
 //!
 //! * the streamed render to be **byte-identical** to the materialized
 //!   one (top-K rankings, class counts, every line), and
@@ -33,8 +34,7 @@ use std::path::PathBuf;
 
 pub const USAGE: &str =
     "experiments population [--scale small|medium|large] [--seed N] [--threads N]
-           [--chunk-records N] [--out PATH] [--ndjson PATH] [--manifest PATH]
-           [--exact-check]";
+           [--out PATH] [--ndjson PATH] [--manifest PATH] [--exact-check]";
 
 /// Entry point for the `population` subcommand. Exits the process.
 pub fn run(args: &[String]) -> ! {
@@ -52,7 +52,6 @@ pub fn run(args: &[String]) -> ! {
             "--scale" => scale = a.parsed(flag),
             "--seed" => seed = a.parsed(flag),
             "--threads" => opts.threads = a.bounded(flag, 1..),
-            "--chunk-records" => opts.chunk_records = a.bounded(flag, 1..),
             "--out" => out_path = Some(a.path(flag)),
             "--ndjson" => ndjson_path = Some(a.path(flag)),
             "--manifest" => manifest_path = Some(a.path(flag)),
@@ -69,23 +68,17 @@ pub fn run(args: &[String]) -> ! {
     opts.pipeline.population.active_min_requests = world.active_threshold();
 
     let mut m = manifest::stamp_world("population", &world);
-    m.config("chunk_records", opts.chunk_records);
     m.config("active_min_requests", world.active_threshold());
     manifest::publish_header(&m);
 
-    // Generate RBN-1 once, materialized, so the streamed run and the
-    // exact-check both consume the identical records.
-    let trace = world.generate(&world.eco, Rbn::One).0.trace;
-
-    // Streamed run: the trace chunked through the scatter-merge dataflow
-    // (the same router + shard workers as `experiments stream`).
-    let (report, ()) = world.stream_trace(&trace, &opts, ());
+    let report = world.stream_rbn(Rbn::One, &opts, ()).0;
     let streamed = report.population.expect("population sketches were enabled");
     let text = streamed.render();
     let ndjson = streamed.render_ndjson();
     println!("{text}");
 
     if exact_check {
+        let trace = world.generate(&world.eco, Rbn::One).0.trace;
         run_exact_check(&trace, &world.classifier, &opts, &streamed, &text);
     }
 
@@ -107,8 +100,6 @@ pub fn run(args: &[String]) -> ! {
         scale.as_str().into(),
         "--seed".into(),
         seed.to_string(),
-        "--chunk-records".into(),
-        opts.chunk_records.to_string(),
         "--out".into(),
         out_path.display().to_string(),
         "--ndjson".into(),

@@ -8,8 +8,8 @@
 //! * `--rbn1`/`--rbn2 --write-trace PATH` — *generate* the RBN trace
 //!   slice-by-slice straight to disk (never materializing it), then
 //!   stream-classify the file. Checkpointing works here too.
-//! * `--rbn1`/`--rbn2` alone — wire the generator to the classifier
-//!   through a bounded channel (`World::stream_rbn`): records flow
+//! * `--rbn1`/`--rbn2` alone — feed the generator's drained slices to the
+//!   classifier on the calling thread (`World::stream_rbn`): records flow
 //!   generator → router → shard workers with no file and no full-trace
 //!   buffer anywhere.
 //!
@@ -38,7 +38,7 @@ use crate::world::{Rbn, Scale, World};
 use adscope::stream::{classify_stream_file, CHECKPOINT_FILE};
 use adscope::{CheckpointOptions, StreamOptions};
 use annoyed_users::prelude::*;
-use browsersim::drive::drive_stream;
+use browsersim::drive::drive_pull;
 use netsim::stream::TraceWriter;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -179,25 +179,12 @@ pub fn run(args: &[String]) -> ! {
                     .unwrap_or_else(|e| die(format!("cannot create trace file: {e}")));
                 let mut writer = TraceWriter::new(std::io::BufWriter::new(file), &meta)
                     .unwrap_or_else(|e| die(format!("trace header write: {e}")));
-                let mut write_err = None;
-                drive_stream(
-                    eco,
-                    &mut pop,
-                    &ActivityProfile::default(),
-                    &config,
-                    |batch| {
-                        if write_err.is_some() {
-                            return;
-                        }
-                        for r in &batch {
-                            if let Err(e) = writer.write_record(r) {
-                                write_err = Some(e);
-                                break;
-                            }
-                        }
-                    },
-                );
-                if let Some(e) = write_err {
+                // A failed write returns early, which stops the simulation.
+                let profile = ActivityProfile::default();
+                let (_, written) = drive_pull(eco, &mut pop, &profile, &config, |slices| {
+                    slices.flatten().try_for_each(|r| writer.write_record(&r))
+                });
+                if let Err(e) = written {
                     die(format!("trace write failed: {e}"));
                 }
                 let (records, bytes) = writer

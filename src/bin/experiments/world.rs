@@ -10,8 +10,8 @@ use adscope::stream::{classify_stream_chunks, Fold};
 use adscope::{StreamOptions, StreamReport};
 use annoyed_users::prelude::*;
 use browsersim::active::{run_crawl, ActiveResults};
-use browsersim::drive::{drive, drive_stream, DriveOutput, StreamDriveOutput};
-use netsim::stream::{OwnedChunks, StreamChunk};
+use browsersim::drive::{drive, drive_pull, DriveOutput, StreamDriveOutput};
+use netsim::stream::SliceChunks;
 use std::cell::OnceCell;
 use std::path::Path;
 use std::time::Instant;
@@ -248,30 +248,27 @@ impl World {
         (out, pop)
     }
 
-    /// Chunk a materialized trace through the streaming engine — the same
-    /// router and shard workers `experiments stream` runs — folding `fold`
-    /// (empty as passed) beside the planes.
+    /// Lend a materialized trace to the streaming engine in chunks — the
+    /// same router and shard workers `experiments stream` runs — folding
+    /// `fold` (empty as passed) beside the planes.
     pub fn stream_trace<F: Fold>(
         &self,
         trace: &Trace,
         opts: &StreamOptions,
         fold: F,
     ) -> (StreamReport, F) {
-        let chunks = trace
-            .records
-            .chunks(opts.chunk_records)
-            .enumerate()
-            .map(|(seq, records)| StreamChunk::in_memory(seq as u64, records.to_vec()));
-        let (chunks, meta) = (OwnedChunks(chunks), trace.meta.clone());
+        let chunks = SliceChunks(trace.records.chunks(opts.chunk_records));
+        let meta = trace.meta.clone();
         classify_stream_chunks(chunks, meta, &self.classifier, opts, obs::global(), fold)
             .unwrap_or_else(|e| die(format!("stream failed: {e}")))
     }
 
     /// Generate one capture over this world's ecosystem straight into the
-    /// stream engine: records flow generator → router → shard workers over a
-    /// bounded channel (a full queue pauses the simulation), with no file and
-    /// no full-trace buffer anywhere, and `fold` sees every classified
-    /// request. Returns the population beside what the two ends produced.
+    /// stream engine: each slice the generator drains is routed to the shard
+    /// workers on this thread (a slow engine pauses the simulation), with no
+    /// file and no full-trace buffer anywhere, and `fold` sees every
+    /// classified request. Returns the population beside what the two ends
+    /// produced.
     pub fn stream_rbn<F: Fold>(
         &self,
         which: Rbn,
@@ -281,26 +278,11 @@ impl World {
         let t = Instant::now();
         let (config, mut pop) = self.rbn_setup(&self.eco, which);
         let meta = config.meta(pop.households);
-        let (tx, rx) = parallel::bounded::<Vec<netsim::record::TraceRecord>>(4);
-        let (driven, classified) = std::thread::scope(|scope| {
-            let (eco, config, pop) = (&self.eco, &config, &mut pop);
-            let generator = scope.spawn(move || {
-                // A dead receiver means the classifier failed; the remaining
-                // batches are dropped.
-                drive_stream(eco, pop, &ActivityProfile::default(), config, |batch| {
-                    let _ = tx.send(batch);
-                })
-            });
-            let chunks = OwnedChunks(
-                rx.into_iter()
-                    .enumerate()
-                    .map(|(seq, records)| StreamChunk::in_memory(seq as u64, records)),
-            );
-            let classified =
-                classify_stream_chunks(chunks, meta, &self.classifier, opts, obs::global(), fold);
-            (generator.join(), classified)
+        let profile = ActivityProfile::default();
+        let (driven, classified) = drive_pull(&self.eco, &mut pop, &profile, &config, |slices| {
+            let chunks = SliceChunks(slices);
+            classify_stream_chunks(chunks, meta, &self.classifier, opts, obs::global(), fold)
         });
-        let driven = driven.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
         let (report, fold) = classified.unwrap_or_else(|e| die(format!("stream failed: {e}")));
         eprintln!(
             "[world] {}: {} households, {} requests + {} HTTPS flows streamed on {} thread(s) ({:.1}s)",
@@ -308,7 +290,7 @@ impl World {
             pop.households,
             report.requests,
             report.https_flows,
-            opts.threads,
+            opts.workers(),
             t.elapsed().as_secs_f64()
         );
         (report, fold, driven, pop)

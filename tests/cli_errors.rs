@@ -121,7 +121,6 @@ const SUBS: &[Sub] = &[
             ("--scale", Parsed),
             ("--seed", Parsed),
             ("--threads", Positive),
-            ("--chunk-records", Positive),
             ("--out", Text),
             ("--ndjson", Text),
             ("--manifest", Text),

@@ -17,7 +17,7 @@ use adscope::pipeline::classify_trace;
 use adscope::stream::{classify_stream_chunks, Fold, StreamOptions};
 use annoyed_users::prelude::*;
 use browsersim::drive::{drive, DriveOutput};
-use netsim::stream::{OwnedChunks, StreamChunk};
+use netsim::stream::SliceChunks;
 use webgen::{easylist_scale, ScaleConfig};
 
 fn eco() -> Ecosystem {
@@ -92,18 +92,13 @@ fn streamed_labels(
     classifier: &PassiveClassifier,
     threads: usize,
 ) -> Vec<(AdLabel, Url)> {
-    let chunks = trace
-        .records
-        .chunks(512)
-        .enumerate()
-        .map(|(i, batch)| StreamChunk::in_memory(i as u64, batch.to_vec()));
     let opts = StreamOptions {
         threads,
         ..StreamOptions::default()
     };
     let registry = obs::Registry::new();
     let (_, Labels(mut labels)) = classify_stream_chunks(
-        OwnedChunks(chunks),
+        SliceChunks(trace.records.chunks(512)),
         trace.meta.clone(),
         classifier,
         &opts,
