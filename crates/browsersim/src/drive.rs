@@ -407,44 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn drive_stream_batches_concatenate_to_the_materialized_trace() {
-        let cfg = DriveConfig {
-            name: "S".into(),
-            duration_secs: 2.0 * 3600.0,
-            start_hour: 20,
-            start_weekday: 1,
-            slice_secs: 600.0,
-            seed: 17,
-        };
-        let (eco, mut pop) = tiny_world();
-        let materialized = drive(&eco, &mut pop, &ActivityProfile::default(), &cfg);
-        let (eco2, mut pop2) = tiny_world();
-        let mut batches: Vec<Vec<TraceRecord>> = Vec::new();
-        let out = drive_stream(&eco2, &mut pop2, &ActivityProfile::default(), &cfg, |b| {
-            batches.push(b)
-        });
-        assert!(
-            batches.len() > 1,
-            "multi-slice drive emits multiple batches"
-        );
-        // Batches are internally ordered and never overlap in time...
-        for pair in batches.windows(2) {
-            let last = pair[0].last().unwrap().ts();
-            let first = pair[1].first().unwrap().ts();
-            assert!(last <= first, "batch boundary out of order");
-        }
-        // ... and concatenate to exactly the materialized drive.
-        let concat: Vec<TraceRecord> = batches.into_iter().flatten().collect();
-        assert_eq!(concat, materialized.trace.records);
-        assert_eq!(out.meta, materialized.trace.meta);
-        assert_eq!(out.ground_truth.len(), materialized.ground_truth.len());
-        for (a, b) in out.ground_truth.iter().zip(&materialized.ground_truth) {
-            assert_eq!(a.issued, b.issued);
-            assert_eq!(a.blocked, b.blocked);
-        }
-    }
-
-    #[test]
     fn drive_stream_emits_on_the_calling_thread_in_slice_order() {
         let cfg = DriveConfig {
             name: "C".into(),
@@ -501,24 +463,68 @@ mod tests {
         assert_eq!(batches, 1);
     }
 
+    /// Drive each of `cfgs` over the tiny world, each nested in the one
+    /// before's consumer and chained after it (as `experiments alerts`
+    /// reads its lag capture); the innermost consumer takes up to `n`
+    /// slices of each. Returns the drives' outputs beside the slices taken.
+    fn nested_pull(
+        cfgs: &[DriveConfig],
+        n: usize,
+        drained: &mut dyn Iterator<Item = Vec<TraceRecord>>,
+    ) -> (Vec<StreamDriveOutput>, Vec<Vec<TraceRecord>>) {
+        let Some((cfg, inner)) = cfgs.split_first() else {
+            return (Vec::new(), drained.collect());
+        };
+        let (eco, mut pop) = tiny_world();
+        let (out, (mut outs, taken)) =
+            drive_pull(&eco, &mut pop, &ActivityProfile::default(), cfg, |s| {
+                nested_pull(inner, n, &mut drained.chain(s.take(n)))
+            });
+        outs.insert(0, out);
+        (outs, taken)
+    }
+
     #[test]
     fn a_consumer_that_stops_early_ends_the_drive() {
         let cfg = DriveConfig {
             seed: 37,
             ..DriveConfig::rbn2(4.0)
         };
-        let (eco, mut pop) = tiny_world();
-        let full = drive(&eco, &mut pop, &ActivityProfile::default(), &cfg);
-        let (eco2, mut pop2) = tiny_world();
-        let (out, taken) = drive_pull(&eco2, &mut pop2, &ActivityProfile::default(), &cfg, |s| {
-            s.take(2).collect::<Vec<_>>()
-        });
-        assert_eq!(taken.len(), 2, "the consumer's value comes back");
-        let head: Vec<&TraceRecord> = taken.iter().flatten().collect();
-        assert!(head.iter().copied().eq(&full.trace.records[..head.len()]));
-        // The simulation stopped a few slices in, well before the 24th.
+        let mut post = cfg.clone();
+        post.seed = 41;
         let issued = |gt: &[BrowserGroundTruth]| gt.iter().map(|g| g.issued).sum::<u64>();
-        assert!(issued(&out.ground_truth) * 2 < issued(&full.ground_truth));
+        let tally = |gt: &[BrowserGroundTruth]| -> Vec<_> {
+            gt.iter().map(|g| (g.issued, g.blocked)).collect()
+        };
+        // One drive, and two nested and chained.
+        for cfgs in [&[cfg.clone()][..], &[cfg, post]] {
+            let full: Vec<DriveOutput> = cfgs
+                .iter()
+                .map(|c| {
+                    let (eco, mut pop) = tiny_world();
+                    drive(&eco, &mut pop, &ActivityProfile::default(), c)
+                })
+                .collect();
+            // Drained whole, the chain reads each drive's records in turn,
+            // and each drive's metadata and ground truth are its
+            // materialized twin's: the generator is deterministic.
+            let (outs, all) = nested_pull(cfgs, usize::MAX, &mut std::iter::empty());
+            let records = full.iter().flat_map(|f| &f.trace.records);
+            assert!(all.iter().flatten().eq(records));
+            for (out, full) in outs.iter().zip(&full) {
+                assert_eq!(out.meta, full.trace.meta);
+                assert_eq!(tally(&out.ground_truth), tally(&full.ground_truth));
+            }
+            // A consumer that returns after one slice of each drive gets
+            // its value back, and each simulation stopped a few slices in,
+            // well before the 24th, and was joined.
+            let (outs, taken) = nested_pull(cfgs, 1, &mut std::iter::empty());
+            assert_eq!(taken.len(), cfgs.len(), "the consumer's value comes back");
+            for ((out, full), slice) in outs.iter().zip(&full).zip(&taken) {
+                assert_eq!(slice[..], full.trace.records[..slice.len()]);
+                assert!(issued(&out.ground_truth) * 2 < issued(&full.ground_truth));
+            }
+        }
     }
 
     #[test]

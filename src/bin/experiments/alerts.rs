@@ -1,16 +1,17 @@
 //! `experiments alerts` — the filter-list-lag drill: drive the built-in
-//! alert rule pack over a trace with an injected change point.
+//! alert rule pack over a capture with an injected change point.
 //!
-//! The scenario stitches two captures into one trace:
+//! The capture is two generated ones chained into the stream engine, one
+//! drive nested in the other so that neither is ever held:
 //!
 //! 1. **Pre** — the plain RBN-1 world: the subscription's filter lists
 //!    cover the ad networks actually serving, so the blocked share sits
 //!    at its steady level.
 //! 2. **Post** — the same world after [`webgen::Ecosystem::evolve_list_lag`]
 //!    rotated the heaviest ad networks onto sibling domains the stale
-//!    host-anchored rules no longer match. Timestamps are shifted by
-//!    the pre-capture duration, so the cut-over lands at a known window
-//!    boundary.
+//!    host-anchored rules no longer match. Its timestamps are shifted by
+//!    the pre-capture duration as its slices pass, so the cut-over lands
+//!    at a known window boundary.
 //!
 //! The classifier keeps the **stale** (pre-evolution) lists — exactly
 //! the lag failure mode the paper's §7 list-coverage discussion warns
@@ -21,19 +22,22 @@
 //! `--check` is the CI gate: it asserts the pre-period is quiet for the
 //! page rule, that `blocked_share_drop` goes pending at the cut-over
 //! window (± one window of CUSUM ramp) and reaches `firing`, and that
-//! the rendered timeline is byte-identical across thread counts and
-//! chunk sizes.
+//! the rendered timeline is byte-identical when both captures are
+//! generated again and streamed on one thread and on four.
 
 use crate::cli::{die, Args};
 use crate::manifest;
 use crate::world::{Rbn, Scale, World};
-use adscope::StreamOptions;
-use netsim::record::{Trace, TraceRecord};
+use adscope::stream::classify_stream_chunks;
+use adscope::{StreamOptions, StreamReport};
+use annoyed_users::prelude::*;
+use browsersim::drive::drive_pull;
+use netsim::record::TraceRecord;
+use netsim::stream::SliceChunks;
 use std::path::PathBuf;
 
 pub const USAGE: &str = "experiments alerts [--scale small|medium|large] [--seed N] [--threads N]
-           [--chunk-records N] [--delist N] [--out PATH] [--ndjson PATH]
-           [--manifest PATH] [--check]";
+           [--delist N] [--out PATH] [--ndjson PATH] [--manifest PATH] [--check]";
 
 /// Entry point for the `alerts` subcommand. Exits the process.
 pub fn run(args: &[String]) -> ! {
@@ -51,7 +55,6 @@ pub fn run(args: &[String]) -> ! {
             "--scale" => scale = a.parsed(flag),
             "--seed" => seed = a.parsed(flag),
             "--threads" => opts.threads = a.bounded(flag, 1..),
-            "--chunk-records" => opts.chunk_records = a.bounded(flag, 1..),
             "--delist" => delist = a.bounded(flag, 1..),
             "--out" => out_path = Some(a.path(flag)),
             "--ndjson" => ndjson_path = Some(a.path(flag)),
@@ -68,7 +71,6 @@ pub fn run(args: &[String]) -> ! {
     opts.alerts = adscope::alerts::rule_pack();
 
     let mut m = manifest::stamp_world("alerts", &world);
-    m.config("chunk_records", opts.chunk_records);
     m.config("delist", delist);
     m.config(
         "rules_fnv",
@@ -84,35 +86,14 @@ pub fn run(args: &[String]) -> ! {
         rotated.len()
     );
 
-    // Pre capture on the base world, post capture on the evolved one,
-    // post timestamps shifted by the pre duration: one trace whose
-    // change point sits at a known window boundary.
-    let mut trace = world.generate(&world.eco, Rbn::One).0.trace;
-    let mut post = world.generate(&evolved, Rbn::One).0.trace.records;
-    let cut_secs = trace.meta.duration_secs;
-    for r in &mut post {
-        match r {
-            TraceRecord::Http(t) => t.ts += cut_secs,
-            TraceRecord::Https(c) => c.ts += cut_secs,
-        }
-    }
-    trace.records.extend(post);
-    trace.meta.name = "RBN-LAG".to_string();
-    trace.meta.duration_secs = cut_secs * 2.0;
-    let cut_window = (cut_secs / opts.pipeline.window.width_secs) as i64;
-    eprintln!(
-        "[alerts] {} records, cut-over at window {cut_window}",
-        trace.records.len()
-    );
-
-    let (report, ()) = world.stream_trace(&trace, &opts, ());
+    let (report, cut_window) = stream_lag(&world, &evolved, &opts);
     let engine = report.alerts.as_ref().expect("rule pack was enabled");
     let text = engine.render_text();
     let ndjson = engine.render_ndjson();
     println!("{text}");
 
     if check {
-        run_check(&world, &trace, &opts, engine, cut_window);
+        run_check(&world, &evolved, &opts, engine, cut_window);
     }
 
     // Artifacts + manifest (lines digest mode; `experiments verify`
@@ -133,8 +114,6 @@ pub fn run(args: &[String]) -> ! {
         scale.as_str().into(),
         "--seed".into(),
         seed.to_string(),
-        "--chunk-records".into(),
-        opts.chunk_records.to_string(),
         "--delist".into(),
         delist.to_string(),
         "--out".into(),
@@ -150,15 +129,55 @@ pub fn run(args: &[String]) -> ! {
         obs::DigestMode::Lines,
     );
     manifest::write(m, manifest_path);
+
+    if let Some(bytes) = obs::peak_rss_bytes() {
+        eprintln!("[alerts] peak_rss_bytes={bytes}");
+    }
     std::process::exit(0);
 }
 
+/// Stream the lag capture: RBN-1 over this world's ecosystem, then RBN-1
+/// over `evolved` shifted by the first's duration, its drive nested in the
+/// first's and its slices chained after them, so no capture is held.
+/// Returns the report and the cut-over window.
+fn stream_lag(world: &World, evolved: &Ecosystem, opts: &StreamOptions) -> (StreamReport, i64) {
+    let (config, mut pre_pop) = world.rbn_setup(&world.eco, Rbn::One);
+    let (_, mut post_pop) = world.rbn_setup(evolved, Rbn::One);
+    let cut_secs = config.duration_secs;
+    let cut_window = (cut_secs / opts.pipeline.window.width_secs) as i64;
+    let mut meta = config.meta(pre_pop.households);
+    meta.name = "RBN-LAG".to_string();
+    meta.duration_secs = cut_secs * 2.0;
+    let profile = ActivityProfile::default();
+    let (_, (_, classified)) = drive_pull(&world.eco, &mut pre_pop, &profile, &config, |pre| {
+        drive_pull(evolved, &mut post_pop, &profile, &config, |post| {
+            let post = post.map(|mut slice| {
+                for r in &mut slice {
+                    match r {
+                        TraceRecord::Http(t) => t.ts += cut_secs,
+                        TraceRecord::Https(c) => c.ts += cut_secs,
+                    }
+                }
+                slice
+            });
+            let chunks = SliceChunks(pre.chain(post));
+            classify_stream_chunks(chunks, meta, &world.classifier, opts, obs::global(), ())
+        })
+    });
+    let (report, ()) = classified.unwrap_or_else(|e| die(format!("stream failed: {e}")));
+    eprintln!(
+        "[alerts] {} requests, cut-over at window {cut_window}",
+        report.requests
+    );
+    (report, cut_window)
+}
+
 /// The `--check` gate: the page rule is quiet pre-cut, goes pending at
-/// the change point and fires, and the timeline is byte-identical
-/// across thread counts and chunk sizes.
+/// the change point and fires, and the timeline is byte-identical when
+/// the lag capture is generated and streamed again at other thread counts.
 fn run_check(
     world: &World,
-    trace: &Trace,
+    evolved: &Ecosystem,
     opts: &StreamOptions,
     engine: &obs::AlertEngine,
     cut_window: i64,
@@ -178,24 +197,20 @@ fn run_check(
     }
     let pending = events
         .iter()
-        .find(|e| e.kind == obs::AlertEventKind::Pending);
+        .find(|e| e.kind == obs::AlertEventKind::Pending)
+        .map(|e| e.window_index);
     // The CUSUM needs a few windows to accumulate past its noise-floor
     // threshold; "at the change point" means within its documented ramp,
     // not the literal first post-cut hour.
     match pending {
-        Some(e) if e.window_index <= cut_window + 3 => {}
-        Some(e) => {
-            die(format!(
-                "check failed: blocked_share_drop went pending at window {} \
-                 but the cut-over was window {cut_window}:\n{text}",
-                e.window_index
-            ));
-        }
-        None => {
-            die(format!(
-                "check failed: blocked_share_drop never went pending:\n{text}"
-            ));
-        }
+        Some(w) if w <= cut_window + 3 => {}
+        Some(w) => die(format!(
+            "check failed: blocked_share_drop went pending at window {w} \
+             but the cut-over was window {cut_window}:\n{text}"
+        )),
+        None => die(format!(
+            "check failed: blocked_share_drop never went pending:\n{text}"
+        )),
     }
     if !events.iter().any(|e| e.kind == obs::AlertEventKind::Firing) {
         die(format!(
@@ -204,27 +219,25 @@ fn run_check(
     }
     eprintln!(
         "[alerts] check: blocked_share_drop pending at window {}, fired — pre-period quiet",
-        pending.expect("matched above").window_index
+        pending.expect("matched above")
     );
 
-    // Determinism sweep: the timeline must not depend on how the trace
-    // was partitioned across workers or chunks.
-    for (threads, chunk_records) in [(1, opts.chunk_records), (4, opts.chunk_records), (4, 97)] {
+    // Determinism sweep: each leg drives both captures again (the generator
+    // is deterministic), and the timeline must not depend on how the
+    // records were partitioned across workers. A generated source is
+    // chunked by slice; `alerts_equivalence` sweeps chunk sizes.
+    for threads in [1, 4] {
         let sweep = StreamOptions {
             threads,
-            chunk_records,
-            abp_ips: opts.abp_ips.clone(),
-            alerts: opts.alerts.clone(),
-            ..StreamOptions::default()
+            ..opts.clone()
         };
-        let (rep, ()) = world.stream_trace(trace, &sweep, ());
+        let (rep, _) = stream_lag(world, evolved, &sweep);
         let eng = rep.alerts.as_ref().expect("rule pack was enabled");
         if eng.render_text() != text || eng.render_ndjson() != ndjson {
             die(format!(
-                "check failed: timeline differs at threads={threads} \
-                 chunk_records={chunk_records}"
+                "check failed: timeline differs at threads={threads}"
             ));
         }
     }
-    eprintln!("[alerts] check: timeline byte-identical across threads x chunk sizes");
+    eprintln!("[alerts] check: timeline byte-identical across threads 1 and 4");
 }

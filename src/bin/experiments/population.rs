@@ -28,8 +28,9 @@ use crate::manifest;
 use crate::world::{Rbn, Scale, World};
 use adscope::population::{finish_trace, PopulationReport, TOPK_CAPACITY};
 use adscope::users::aggregate_users;
-use adscope::{PassiveClassifier, StreamOptions};
-use netsim::record::Trace;
+use adscope::StreamOptions;
+use annoyed_users::prelude::*;
+use browsersim::drive::drive;
 use std::path::PathBuf;
 
 pub const USAGE: &str =
@@ -78,8 +79,7 @@ pub fn run(args: &[String]) -> ! {
     println!("{text}");
 
     if exact_check {
-        let trace = world.generate(&world.eco, Rbn::One).0.trace;
-        run_exact_check(&trace, &world.classifier, &opts, &streamed, &text);
+        run_exact_check(&world, &opts, &streamed, &text);
     }
 
     // Artifacts + manifest (lines digest mode; `experiments verify`
@@ -120,18 +120,19 @@ pub fn run(args: &[String]) -> ! {
     std::process::exit(0);
 }
 
-/// The `--exact-check` gate: byte-identical renders between the streamed
-/// and materialized paths, and sketch quantiles within the documented
-/// relative-error bound of exact percentiles.
+/// The `--exact-check` gate: RBN-1 driven again into memory for the oracle;
+/// the streamed render must be the oracle's byte for byte, and each sketch
+/// quantile within the documented relative-error bound of the exact one.
 fn run_exact_check(
-    trace: &Trace,
-    classifier: &PassiveClassifier,
+    world: &World,
     opts: &StreamOptions,
     streamed: &PopulationReport,
     streamed_text: &str,
 ) {
+    let (config, mut pop) = world.rbn_setup(&world.eco, Rbn::One);
+    let trace = drive(&world.eco, &mut pop, &ActivityProfile::default(), &config).trace;
     let popts = opts.pipeline;
-    let classified = adscope::pipeline::classify_trace(trace, classifier, popts);
+    let classified = adscope::pipeline::classify_trace(&trace, &world.classifier, popts);
     let exact_text = finish_trace(&classified, &opts.abp_ips, popts.population).render();
     if streamed_text != exact_text {
         eprintln!("error: exact-check failed: streamed render differs from materialized render");

@@ -1,8 +1,8 @@
 //! Shared world construction for every subcommand: one ecosystem and its
-//! four-list classifier, one active crawl, the one recipe for the two RBN
-//! captures (generated on request straight into the stream engine, which
-//! folds every figure of the paper; never materialized; folded once and
-//! reused).
+//! four-list classifier, one active crawl, and the one recipe for the two
+//! RBN captures, over it or an evolved one ([`World::rbn_setup`]). A capture
+//! streams from the generator into the engine, which folds every figure of
+//! the paper once; only `population --exact-check`'s oracle holds one.
 
 use crate::cli::die;
 use adscope::characterize::Figures;
@@ -10,7 +10,7 @@ use adscope::stream::{classify_stream_chunks, Fold};
 use adscope::{StreamOptions, StreamReport};
 use annoyed_users::prelude::*;
 use browsersim::active::{run_crawl, ActiveResults};
-use browsersim::drive::{drive, drive_pull, DriveOutput, StreamDriveOutput};
+use browsersim::drive::{drive_pull, StreamDriveOutput};
 use netsim::stream::SliceChunks;
 use std::cell::OnceCell;
 use std::path::Path;
@@ -229,23 +229,6 @@ impl World {
             },
         );
         (config, pop)
-    }
-
-    /// Generate one capture over `eco`, materialized, with the population
-    /// that produced it (the ground-truth side of the joins).
-    pub fn generate(&self, eco: &Ecosystem, which: Rbn) -> (DriveOutput, Population) {
-        let t = Instant::now();
-        let (config, mut pop) = self.rbn_setup(eco, which);
-        let out = drive(eco, &mut pop, &ActivityProfile::default(), &config);
-        eprintln!(
-            "[world] {}: {} households, {} HTTP + {} HTTPS records ({:.1}s)",
-            config.name,
-            pop.households,
-            out.trace.http_count(),
-            out.trace.https_count(),
-            t.elapsed().as_secs_f64()
-        );
-        (out, pop)
     }
 
     /// Lend a materialized trace to the streaming engine in chunks — the

@@ -1,20 +1,20 @@
 //! Golden test for `experiments alerts` — the filter-list-lag drill
 //! (paper §7's list-coverage failure mode as a detection scenario).
 //!
-//! The subcommand stitches a pre-capture (lists cover the serving ad
+//! The subcommand chains a pre-capture (lists cover the serving ad
 //! networks) and a post-capture (the heaviest networks rotated onto
-//! sibling domains the stale rules miss) into one trace, streams it
-//! with the built-in rule pack, and prints the alert timeline. The
-//! pinned output covers the whole path: ecosystem generation → list-lag
-//! evolution → browsing drive → stream classification → windowed
-//! series → detectors → lifecycle → rendering. Everything is seeded,
-//! so the timeline is reproducible byte-for-byte.
+//! sibling domains the stale rules miss) into the stream engine as one
+//! capture, with the built-in rule pack, and prints the alert timeline.
+//! The pinned output covers the whole path: ecosystem generation →
+//! list-lag evolution → browsing drive → stream classification →
+//! windowed series → detectors → lifecycle → rendering. Everything is
+//! seeded, so the timeline is reproducible byte-for-byte.
 //!
-//! The one run is taken at `--threads 4 --chunk-records 97`, so it also
-//! checks that both flags reach the stream and leave the timeline alone.
-//! The thread × chunk sweep itself is the in-process proptest in
-//! `crates/adscope/tests/alerts_equivalence.rs`, and `experiments alerts
-//! --check` in `ci.sh` asserts it once more.
+//! The one run is taken at `--threads 4`, so it also checks that the flag
+//! reaches the stream and leaves the timeline alone. The thread × chunk
+//! sweep is the in-process proptest in
+//! `crates/adscope/tests/alerts_equivalence.rs`; `experiments alerts
+//! --check` in `ci.sh` drives the capture again at one thread and at four.
 
 use std::process::Command;
 
@@ -41,10 +41,7 @@ const GOLDEN: &str = "tests/golden/alerts_timeline.txt";
 
 #[test]
 fn alerts_timeline_matches_golden() {
-    let stdout = run_alerts(
-        "target/experiments/alerts_golden",
-        &["--threads", "4", "--chunk-records", "97"],
-    );
+    let stdout = run_alerts("target/experiments/alerts_golden", &["--threads", "4"]);
     // `BLESS=1 cargo test alerts_timeline_matches_golden` regenerates
     // the pinned file after an intentional rule-pack or format change.
     if std::env::var_os("BLESS").is_some() {

@@ -134,7 +134,6 @@ const SUBS: &[Sub] = &[
             ("--scale", Parsed),
             ("--seed", Parsed),
             ("--threads", Positive),
-            ("--chunk-records", Positive),
             ("--delist", Positive),
             ("--out", Text),
             ("--ndjson", Text),
